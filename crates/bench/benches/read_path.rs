@@ -13,7 +13,12 @@
 //!
 //! Pass `--test` (as criterion benches accept) for a quick smoke run, and
 //! `--json <path>` to append one JSON summary line (consumed by
-//! `scripts/bench_read.sh`).
+//! `scripts/bench_read.sh`), `--note <text>` to label that line.
+//!
+//! The `doc_open/*` rows run the whole read path of one document —
+//! index walk, row decode, chain build — through `TextDb::open`, over
+//! chains of 4 k and 24 k characters half of which are tombstones, and
+//! report characters opened per second.
 //!
 //! The `scan/deepclone` row deliberately deep-copies every returned row
 //! into an owned `Row`, emulating the pre-zero-copy read path; comparing
@@ -25,6 +30,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tendax_storage::{DataType, Database, Predicate, Row, TableDef, TableId, Value};
+use tendax_text::TextDb;
 
 const TEXT_WIDTH: usize = 64;
 
@@ -33,16 +39,20 @@ struct Config {
     docs: u64,
     quick: bool,
     json_path: Option<String>,
+    /// Free text recorded with the JSON line (which commit, why).
+    note: Option<String>,
 }
 
 fn parse_args() -> Config {
     let mut quick = false;
     let mut json_path = None;
+    let mut note = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--test" => quick = true,
             "--json" => json_path = args.next(),
+            "--note" => note = args.next(),
             _ => {} // --bench, filters, ... accepted and ignored
         }
     }
@@ -52,6 +62,7 @@ fn parse_args() -> Config {
         docs: 50,
         quick,
         json_path,
+        note,
     }
 }
 
@@ -217,6 +228,29 @@ fn main() {
         results.push(("index_lookup", rate));
     }
 
+    // Document open: what every editor, folder, search and mining sweep
+    // pays per document. Half of each chain is tombstones.
+    for (label, key, chars) in [
+        ("doc_open/4k ", "doc_open_4k", 4_000u64),
+        ("doc_open/24k", "doc_open_24k", 24_000),
+    ] {
+        let chars = if cfg.quick { chars / 10 } else { chars };
+        let tdb = TextDb::in_memory();
+        let user = tdb.create_user("u").expect("user");
+        let doc = tdb.create_document("d", user).expect("document");
+        let mut h = tdb.open(doc, user).expect("open");
+        for _ in 0..chars / 200 {
+            h.insert_text(0, &"ab".repeat(100)).expect("insert");
+            h.delete_range(50, 100).expect("delete");
+        }
+        assert_eq!((h.chain_len() as u64, h.len() as u64), (chars, chars / 2));
+        let (rate, _) = measure(iters * 5, chars, || {
+            tdb.open(doc, user).expect("open").chain_len() as u64
+        });
+        println!("{label}     {} (chars opened/s)", fmt_rate(rate));
+        results.push((key, rate));
+    }
+
     // Concurrent: R readers full-scanning while W writers commit updates.
     // Reports aggregate reader throughput; every scan must observe a
     // consistent prefix (row count never shrinks below the seeded corpus).
@@ -300,6 +334,9 @@ fn main() {
             format!("\"text_width\":{TEXT_WIDTH}"),
             format!("\"quick\":{}", cfg.quick),
         ];
+        if let Some(note) = &cfg.note {
+            fields.push(format!("\"note\":{note:?}"));
+        }
         for (k, v) in &results {
             fields.push(format!("\"{k}\":{v:.1}"));
         }

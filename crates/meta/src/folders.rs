@@ -6,8 +6,14 @@
 //! against the live metadata tables, and [`FolderSet`] tracks membership
 //! deltas between refreshes.
 
+use std::cmp::Ordering;
+use std::collections::btree_map::Entry;
+use std::collections::{BTreeMap, BTreeSet};
+
 use crate::json;
-use tendax_storage::{DataType, Predicate, Row, StorageError, TableDef, TableId, Value};
+use tendax_storage::{
+    DataType, Predicate, Row, RowId, SharedRow, StorageError, TableDef, TableId, Value,
+};
 use tendax_text::{DocId, Result, TextDb, TextError, UserId};
 
 /// The predicate language of dynamic folders.
@@ -230,6 +236,10 @@ fn folders_def() -> TableDef {
         .unique_index("folders_by_name", &["name"])
 }
 
+/// What each `ReadBy { user, since }` leaf of a rule under evaluation
+/// matches.
+type ReadSets = BTreeMap<(u64, i64), BTreeSet<DocId>>;
+
 /// The dynamic-folder engine.
 #[derive(Debug, Clone)]
 pub struct DynamicFolders {
@@ -283,22 +293,26 @@ impl DynamicFolders {
         let txn = self.tdb.database().begin();
         let mut out = Vec::new();
         for (rid, row) in txn.scan(self.table, &Predicate::True)? {
-            let rule_text = row.get(2).and_then(|v| v.as_text()).unwrap_or("");
-            let rule = FolderRule::from_json(rule_text)
-                .map_err(|e| TextError::ChainCorrupt(format!("bad stored rule: {e}")))?;
-            out.push(Folder {
-                id: FolderId(rid.0),
-                name: row
-                    .get(0)
-                    .and_then(|v| v.as_text())
-                    .unwrap_or_default()
-                    .to_owned(),
-                owner: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
-                rule,
-            });
+            out.push(Self::decode_folder(rid, &row)?);
         }
         out.sort_by_key(|f| f.id);
         Ok(out)
+    }
+
+    fn decode_folder(rid: RowId, row: &SharedRow) -> Result<Folder> {
+        let rule_text = row.get(2).and_then(|v| v.as_text()).unwrap_or("");
+        let rule = FolderRule::from_json(rule_text)
+            .map_err(|e| TextError::ChainCorrupt(format!("bad stored rule: {e}")))?;
+        Ok(Folder {
+            id: FolderId(rid.0),
+            name: row
+                .get(0)
+                .and_then(|v| v.as_text())
+                .unwrap_or_default()
+                .to_owned(),
+            owner: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
+            rule,
+        })
     }
 
     pub fn folder_by_name(&self, name: &str) -> Result<Folder> {
@@ -310,20 +324,24 @@ impl DynamicFolders {
 
     /// Evaluate a folder's current contents, sorted by document id.
     pub fn evaluate(&self, folder: FolderId) -> Result<Vec<DocId>> {
-        let f = self
-            .folders()?
-            .into_iter()
-            .find(|f| f.id == folder)
+        // The folder id is its row id: one point read, one rule parsed.
+        let rid = RowId(folder.0);
+        let row = self
+            .tdb
+            .database()
+            .begin()
+            .get(self.table, rid)?
             .ok_or_else(|| TextError::UnknownDocument(format!("folder {folder:?}")))?;
-        self.evaluate_rule(&f.rule)
+        self.evaluate_rule(&Self::decode_folder(rid, &row)?.rule)
     }
 
     /// Evaluate an ad-hoc rule against the live metadata.
     pub fn evaluate_rule(&self, rule: &FolderRule) -> Result<Vec<DocId>> {
         let docs = self.tdb.list_documents()?;
+        let read_sets = self.read_sets(rule)?;
         let mut out = Vec::new();
         for d in docs {
-            if self.matches(rule, d.id)? {
+            if self.matches(rule, &read_sets, d.id)? {
                 out.push(d.id);
             }
         }
@@ -331,24 +349,40 @@ impl DynamicFolders {
         Ok(out)
     }
 
-    fn matches(&self, rule: &FolderRule, doc: DocId) -> Result<bool> {
+    /// The documents each `ReadBy` leaf of `rule` names, keyed by the
+    /// leaf's `(user, since)`: computed once per evaluation instead of
+    /// once per candidate document.
+    fn read_sets(&self, rule: &FolderRule) -> Result<ReadSets> {
+        let mut sets = ReadSets::new();
+        let mut pending = vec![rule];
+        while let Some(rule) = pending.pop() {
+            match rule {
+                FolderRule::ReadBy { user, since } => {
+                    if let Entry::Vacant(slot) = sets.entry((*user, *since)) {
+                        let read = self.tdb.docs_read_by(UserId(*user), *since)?;
+                        slot.insert(read.into_iter().map(|(d, _)| d).collect());
+                    }
+                }
+                FolderRule::All(rules) | FolderRule::Any(rules) => pending.extend(rules),
+                FolderRule::Not(inner) => pending.push(inner),
+                _ => {}
+            }
+        }
+        Ok(sets)
+    }
+
+    fn matches(&self, rule: &FolderRule, read_sets: &ReadSets, doc: DocId) -> Result<bool> {
         Ok(match rule {
-            FolderRule::ReadBy { user, since } => self
-                .tdb
-                .docs_read_by(UserId(*user), *since)?
-                .iter()
-                .any(|(d, _)| *d == doc),
+            FolderRule::ReadBy { user, since } => read_sets
+                .get(&(*user, *since))
+                .is_some_and(|docs| docs.contains(&doc)),
             FolderRule::AuthoredBy { user } => {
                 self.tdb.doc_stats(doc)?.authors.contains(&UserId(*user))
             }
             FolderRule::CreatedBy { user } => self.tdb.document_info(doc)?.creator == UserId(*user),
             FolderRule::StateIs(s) => self.tdb.document_info(doc)?.state == *s,
             FolderRule::NameContains(s) => self.tdb.document_info(doc)?.name.contains(s.as_str()),
-            FolderRule::ContentContains(s) => {
-                let info = self.tdb.document_info(doc)?;
-                let handle = self.tdb.open(doc, info.creator)?;
-                handle.text().contains(s.as_str())
-            }
+            FolderRule::ContentContains(s) => self.tdb.document_text(doc)?.contains(s.as_str()),
             FolderRule::PastedFrom { doc: src } => {
                 let t = self.tdb.tables();
                 let txn = self.tdb.database().begin();
@@ -382,7 +416,7 @@ impl DynamicFolders {
             }
             FolderRule::All(rules) => {
                 for r in rules {
-                    if !self.matches(r, doc)? {
+                    if !self.matches(r, read_sets, doc)? {
                         return Ok(false);
                     }
                 }
@@ -390,13 +424,13 @@ impl DynamicFolders {
             }
             FolderRule::Any(rules) => {
                 for r in rules {
-                    if self.matches(r, doc)? {
+                    if self.matches(r, read_sets, doc)? {
                         return Ok(true);
                     }
                 }
                 false
             }
-            FolderRule::Not(r) => !self.matches(r, doc)?,
+            FolderRule::Not(r) => !self.matches(r, read_sets, doc)?,
         })
     }
 
@@ -428,19 +462,35 @@ impl FolderSet {
     /// Re-evaluate; returns the membership changes since last time.
     pub fn refresh(&mut self) -> Result<Vec<FolderChange>> {
         let fresh = self.engine.evaluate(self.folder)?;
-        let mut changes = Vec::new();
-        for d in &fresh {
-            if !self.contents.contains(d) {
-                changes.push(FolderChange::Added(*d));
+        // Both lists are sorted by document id: one merge pass finds the
+        // additions (reported first, as before) and the removals.
+        let mut added = Vec::new();
+        let mut removed = Vec::new();
+        let (mut i, mut j) = (0, 0);
+        while i < fresh.len() || j < self.contents.len() {
+            let order = match (fresh.get(i), self.contents.get(j)) {
+                (Some(new), Some(old)) => new.cmp(old),
+                (Some(_), None) => Ordering::Less,
+                (None, _) => Ordering::Greater,
+            };
+            match order {
+                Ordering::Equal => {
+                    i += 1;
+                    j += 1;
+                }
+                Ordering::Less => {
+                    added.push(FolderChange::Added(fresh[i]));
+                    i += 1;
+                }
+                Ordering::Greater => {
+                    removed.push(FolderChange::Removed(self.contents[j]));
+                    j += 1;
+                }
             }
         }
-        for d in &self.contents {
-            if !fresh.contains(d) {
-                changes.push(FolderChange::Removed(*d));
-            }
-        }
+        added.append(&mut removed);
         self.contents = fresh;
-        Ok(changes)
+        Ok(added)
     }
 }
 

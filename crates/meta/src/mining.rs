@@ -368,8 +368,7 @@ pub fn top_terms(tdb: &TextDb, doc: DocId, k: usize) -> Result<Vec<(String, f64)
     let mut index = InvertedIndex::default();
     let mut target_text = String::new();
     for info in tdb.list_documents()? {
-        let handle = tdb.open(info.id, info.creator)?;
-        let text = handle.text();
+        let text = tdb.document_text(info.id)?;
         if info.id == doc {
             target_text = text.clone();
         }

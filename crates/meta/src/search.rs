@@ -211,13 +211,12 @@ pub struct SearchEngine {
 }
 
 impl SearchEngine {
-    /// Build the content index over every document (reads as each
-    /// document's creator, who always has read rights).
+    /// Build the content index over every document. Indexing reads
+    /// content without opening it: no read events are recorded.
     pub fn build(tdb: &TextDb) -> Result<SearchEngine> {
         let mut index = InvertedIndex::default();
         for info in tdb.list_documents()? {
-            let handle = tdb.open(info.id, info.creator)?;
-            index.add_document(info.id, &handle.text());
+            index.add_document(info.id, &tdb.document_text(info.id)?);
         }
         Ok(SearchEngine {
             tdb: tdb.clone(),
@@ -232,9 +231,7 @@ impl SearchEngine {
     /// Re-index one document in place after it changed — the incremental
     /// path an editor calls on save instead of rebuilding the corpus.
     pub fn update_document(&mut self, doc: DocId) -> Result<()> {
-        let info = self.tdb.document_info(doc)?;
-        let handle = self.tdb.open(doc, info.creator)?;
-        self.index.add_document(doc, &handle.text());
+        self.index.add_document(doc, &self.tdb.document_text(doc)?);
         Ok(())
     }
 
@@ -287,8 +284,7 @@ impl SearchEngine {
             let needle = phrase.to_lowercase();
             let mut kept = Vec::with_capacity(candidates.len());
             for d in candidates {
-                let info = self.tdb.document_info(d)?;
-                let text = self.tdb.open(d, info.creator)?.text().to_lowercase();
+                let text = self.tdb.document_text(d)?.to_lowercase();
                 if text.contains(&needle) {
                     kept.push(d);
                 }
@@ -385,9 +381,7 @@ impl SearchEngine {
 
     /// A text snippet around the first occurrence of `term` in `doc`.
     pub fn snippet(&self, doc: DocId, term: &str, context: usize) -> Result<Option<String>> {
-        let info = self.tdb.document_info(doc)?;
-        let handle = self.tdb.open(doc, info.creator)?;
-        let text = handle.text();
+        let text = self.tdb.document_text(doc)?;
         let lower = text.to_lowercase();
         let Some(byte) = lower.find(&term.to_lowercase()) else {
             return Ok(None);

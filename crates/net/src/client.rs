@@ -26,7 +26,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{NetError, Result};
 use crate::mirror::MirrorDoc;
-use crate::protocol::{EditOp, Frame, WirePresence, PROTOCOL_VERSION};
+use crate::protocol::{EditOp, Frame, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT};
 use crate::wire::FrameBuffer;
 
 /// Tuning knobs of the client.
@@ -452,12 +452,37 @@ impl Drop for NetClient {
     }
 }
 
+/// Decode one incoming frame. A `Snapshot` goes from its wire bytes
+/// straight into the document's mirror; what comes back for it carries
+/// only the header (`chars` empty), which is all a waiting `subscribe` or
+/// `resync` reads.
+fn decode_incoming(shared: &ClientShared, tag: u8, payload: &[u8]) -> Result<Frame> {
+    if tag != TAG_SNAPSHOT {
+        return Frame::decode(tag, payload);
+    }
+    let fresh = MirrorDoc::from_snapshot_payload(payload)?;
+    let (doc, synced_ts) = (fresh.doc(), fresh.synced_ts());
+    let mut mirrors = shared.mirrors.lock();
+    match mirrors.get_mut(&doc) {
+        Some(m) => m.reload(fresh),
+        None => {
+            mirrors.insert(doc, fresh);
+        }
+    }
+    shared.progress.notify_all();
+    Ok(Frame::Snapshot {
+        doc,
+        synced_ts,
+        chars: Vec::new(),
+    })
+}
+
 fn reader_loop(mut stream: TcpStream, shared: Arc<ClientShared>, mut buf: FrameBuffer) {
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
         let frame = loop {
-            match buf.try_frame() {
-                Ok(Some((tag, payload))) => match Frame::decode(tag, &payload) {
+            match buf.next_frame() {
+                Ok(Some((tag, payload))) => match decode_incoming(&shared, tag, payload) {
                     Ok(f) => break f,
                     Err(e) => {
                         shared.poison(format!("undecodable frame from server: {e}"));
@@ -484,33 +509,17 @@ fn reader_loop(mut stream: TcpStream, shared: Arc<ClientShared>, mut buf: FrameB
         };
 
         // Mirror maintenance happens for every Event/Snapshot, solicited
-        // or not; reply delivery is separate.
-        match &frame {
-            Frame::Event(ev) => {
-                shared.events_seen.fetch_add(1, Ordering::Relaxed);
-                let mut mirrors = shared.mirrors.lock();
-                if let Some(m) = mirrors.get_mut(&ev.doc) {
-                    m.apply_event(ev.clone());
-                    shared.progress.notify_all();
-                }
-                continue;
-            }
-            Frame::Snapshot {
-                doc,
-                synced_ts,
-                chars,
-            } => {
-                let mut mirrors = shared.mirrors.lock();
-                match mirrors.get_mut(doc) {
-                    Some(m) => m.load_snapshot(*synced_ts, chars.clone()),
-                    None => {
-                        mirrors.insert(*doc, MirrorDoc::new(*doc, *synced_ts, chars.clone()));
-                    }
-                }
+        // or not (a snapshot was loaded as it was decoded); reply delivery
+        // is separate, and a snapshot may also be the reply to
+        // Subscribe/Resync.
+        if let Frame::Event(ev) = frame {
+            shared.events_seen.fetch_add(1, Ordering::Relaxed);
+            let mut mirrors = shared.mirrors.lock();
+            if let Some(m) = mirrors.get_mut(&ev.doc) {
+                m.apply_event(ev);
                 shared.progress.notify_all();
-                // Fall through: may also be the reply to Subscribe/Resync.
             }
-            _ => {}
+            continue;
         }
 
         let mut r = shared.reply.lock();

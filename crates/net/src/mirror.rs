@@ -39,7 +39,8 @@ use std::collections::{BTreeMap, HashSet};
 
 use tendax_text::Effect;
 
-use crate::protocol::{WireChar, WireEvent};
+use crate::error::Result;
+use crate::protocol::{SnapshotReader, WireChar, WireEvent};
 
 /// Buffered events past this many force a resync instead of waiting for
 /// dependencies that will likely never arrive.
@@ -99,11 +100,30 @@ pub struct MirrorDoc {
 
 impl MirrorDoc {
     pub fn new(doc: u64, synced_ts: u64, chars: Vec<WireChar>) -> Self {
-        let chars: Vec<MirrorChar> = chars.into_iter().map(MirrorChar::from_snapshot).collect();
+        let mut m = MirrorDoc::empty(doc, synced_ts, chars.len());
+        for c in chars {
+            m.push_snapshot_char(c);
+        }
+        m
+    }
+
+    /// Decode a `Snapshot` payload straight into a replica — each
+    /// character goes from the wire bytes into its final slot. A payload
+    /// that fails to decode yields the typed error and no replica.
+    pub fn from_snapshot_payload(payload: &[u8]) -> Result<Self> {
+        let mut snap = SnapshotReader::new(payload)?;
+        let mut m = MirrorDoc::empty(snap.doc, snap.synced_ts, snap.remaining_hint());
+        while let Some(c) = snap.next_char()? {
+            m.push_snapshot_char(c);
+        }
+        Ok(m)
+    }
+
+    fn empty(doc: u64, synced_ts: u64, capacity: usize) -> Self {
         MirrorDoc {
             doc,
-            ids: chars.iter().map(|c| c.id).collect(),
-            chars,
+            chars: Vec::with_capacity(capacity),
+            ids: HashSet::with_capacity(capacity),
             last_insert: None,
             baseline: synced_ts,
             synced_ts,
@@ -111,6 +131,20 @@ impl MirrorDoc {
             needs_resync: false,
             applied: 0,
         }
+    }
+
+    fn push_snapshot_char(&mut self, w: WireChar) {
+        self.ids.insert(w.id);
+        self.chars.push(MirrorChar {
+            id: w.id,
+            ch: w.ch,
+            deleted: w.deleted,
+            style: w.style,
+            anchor: Anchor::Unknown,
+            ts: 0,
+            flag_ts: 0,
+            style_ts: 0,
+        });
     }
 
     pub fn doc(&self) -> u64 {
@@ -151,17 +185,20 @@ impl MirrorDoc {
         self.len() == 0
     }
 
-    /// Replace the replica with a fresh snapshot (subscribe or resync).
-    pub fn load_snapshot(&mut self, synced_ts: u64, chars: Vec<WireChar>) {
-        self.chars = chars.into_iter().map(MirrorChar::from_snapshot).collect();
-        self.ids = self.chars.iter().map(|c| c.id).collect();
+    /// Replace the replica's contents with those of `fresh`, a replica
+    /// just built from a snapshot of the same document (subscribe again
+    /// or resync); events buffered here that the snapshot does not cover
+    /// are kept.
+    pub fn reload(&mut self, fresh: MirrorDoc) {
+        self.chars = fresh.chars;
+        self.ids = fresh.ids;
         self.last_insert = None;
-        self.baseline = synced_ts;
-        self.synced_ts = synced_ts;
+        self.baseline = fresh.synced_ts;
+        self.synced_ts = fresh.synced_ts;
         self.needs_resync = false;
         // Anything the snapshot already covers is obsolete; newer events
         // may now be applicable.
-        self.buffered.retain(|(ts, _), _| *ts > synced_ts);
+        self.buffered.retain(|(ts, _), _| *ts > fresh.synced_ts);
         self.drain();
     }
 
@@ -354,21 +391,6 @@ impl MirrorDoc {
     }
 }
 
-impl MirrorChar {
-    fn from_snapshot(w: WireChar) -> Self {
-        MirrorChar {
-            id: w.id,
-            ch: w.ch,
-            deleted: w.deleted,
-            style: w.style,
-            anchor: Anchor::Unknown,
-            ts: 0,
-            flag_ts: 0,
-            style_ts: 0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -519,7 +541,7 @@ mod tests {
         }
         assert!(m.needs_resync());
         // A snapshot recovers.
-        m.load_snapshot(1000, vec![]);
+        m.reload(MirrorDoc::new(1, 1000, vec![]));
         assert!(!m.needs_resync());
         assert_eq!(m.buffered(), 0);
     }
@@ -530,7 +552,8 @@ mod tests {
         m.apply_event(event(3, vec![insert(11, Some(10), 'b')]));
         assert_eq!(m.buffered(), 1);
         // Snapshot at ts 5 already reflects event 3.
-        m.load_snapshot(
+        m.reload(MirrorDoc::new(
+            1,
             5,
             vec![
                 WireChar {
@@ -546,7 +569,7 @@ mod tests {
                     style: 0,
                 },
             ],
-        );
+        ));
         assert_eq!(m.buffered(), 0);
         assert_eq!(m.text(), "ab");
     }

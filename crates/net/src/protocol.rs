@@ -27,7 +27,7 @@
 //! panic the process.
 
 use tendax_collab::{DocEvent, Presence, SessionId};
-use tendax_text::{CharId, DocId, Effect, OpId, StyleId, UserId};
+use tendax_text::{CharId, DocHandle, DocId, Effect, OpId, StyleId, UserId};
 
 use crate::error::{NetError, Result};
 use crate::wire::{PayloadReader, PayloadWriter};
@@ -192,7 +192,7 @@ const TAG_HELLO: u8 = 0x01;
 const TAG_WELCOME: u8 = 0x02;
 const TAG_ERROR: u8 = 0x03;
 const TAG_SUBSCRIBE: u8 = 0x04;
-const TAG_SNAPSHOT: u8 = 0x05;
+pub(crate) const TAG_SNAPSHOT: u8 = 0x05;
 const TAG_UNSUBSCRIBE: u8 = 0x06;
 const TAG_EDIT: u8 = 0x07;
 const TAG_EDIT_OK: u8 = 0x08;
@@ -312,6 +312,88 @@ fn read_opt_pair(r: &mut PayloadReader<'_>, tag: u8) -> Result<Option<(u64, u64)
     }
 }
 
+/// Bytes one snapshot character occupies: id, scalar value, deleted
+/// flag, style.
+const SNAPSHOT_CHAR_BYTES: usize = 8 + 4 + 1 + 8;
+
+fn write_snapshot_char(w: &mut PayloadWriter, id: u64, ch: char, deleted: bool, style: u64) {
+    w.u64(id);
+    w.chr(ch);
+    w.bool(deleted);
+    w.u64(style);
+}
+
+/// Encode the `Snapshot` frame of an open document: the wire bytes of
+/// `Frame::Snapshot { doc, synced_ts, chars }.encode()`, written straight
+/// from the handle's chain and cache without building the frame value.
+///
+/// `synced_ts` is only the current commit frontier on a handle that was
+/// just opened or refreshed: it advances on rebuild, not on applied
+/// remote events, so a long-lived handle would understate it.
+pub fn encode_snapshot(handle: &DocHandle) -> Vec<u8> {
+    let n = handle.chain_len();
+    let mut w = PayloadWriter::frame(TAG_SNAPSHOT, 8 + 8 + 4 + n * SNAPSHOT_CHAR_BYTES);
+    w.u64(handle.doc().0);
+    w.u64(handle.synced_ts());
+    w.u32(n as u32);
+    handle.for_each_char(|id, info| {
+        write_snapshot_char(&mut w, id.0, info.ch, info.deleted, info.style.0);
+    });
+    w.into_frame()
+}
+
+/// A `Snapshot` payload being decoded: the header, then the characters
+/// one at a time, so a reader can build its own representation without
+/// an intermediate `Vec<WireChar>`.
+#[derive(Debug)]
+pub struct SnapshotReader<'a> {
+    pub doc: u64,
+    pub synced_ts: u64,
+    remaining: usize,
+    r: PayloadReader<'a>,
+}
+
+impl<'a> SnapshotReader<'a> {
+    pub fn new(payload: &'a [u8]) -> Result<Self> {
+        let mut r = PayloadReader::new(TAG_SNAPSHOT, payload);
+        Ok(SnapshotReader {
+            doc: r.u64()?,
+            synced_ts: r.u64()?,
+            remaining: r.u32()? as usize,
+            r,
+        })
+    }
+
+    /// Characters still to come, bounded by what the payload could
+    /// actually hold — safe to pre-allocate from whatever the count field
+    /// claims.
+    pub fn remaining_hint(&self) -> usize {
+        self.remaining
+            .min(self.r.remaining() / SNAPSHOT_CHAR_BYTES + 1)
+    }
+
+    /// The next character; after the last one, `None` — or the typed
+    /// error for trailing bytes.
+    pub fn next_char(&mut self) -> Result<Option<WireChar>> {
+        if self.remaining == 0 {
+            if self.r.remaining() != 0 {
+                return Err(NetError::BadPayload {
+                    tag: TAG_SNAPSHOT,
+                    reason: format!("{} trailing bytes", self.r.remaining()),
+                });
+            }
+            return Ok(None);
+        }
+        self.remaining -= 1;
+        Ok(Some(WireChar {
+            id: self.r.u64()?,
+            ch: self.r.chr()?,
+            deleted: self.r.bool()?,
+            style: self.r.u64()?,
+        }))
+    }
+}
+
 impl Frame {
     /// The frame's wire tag.
     pub fn tag(&self) -> u8 {
@@ -338,7 +420,7 @@ impl Frame {
 
     /// Encode to a complete wire frame (`[len][tag][payload]`).
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = PayloadWriter::new();
+        let mut w = PayloadWriter::frame(self.tag(), 0);
         match self {
             Frame::Hello {
                 version,
@@ -366,10 +448,7 @@ impl Frame {
                 w.u64(*synced_ts);
                 w.u32(chars.len() as u32);
                 for c in chars {
-                    w.u64(c.id);
-                    w.chr(c.ch);
-                    w.bool(c.deleted);
-                    w.u64(c.style);
+                    write_snapshot_char(&mut w, c.id, c.ch, c.deleted, c.style);
                 }
             }
             Frame::Unsubscribe { doc } => w.u64(*doc),
@@ -443,7 +522,7 @@ impl Frame {
             Frame::Resync { doc } => w.u64(*doc),
             Frame::Bye => {}
         }
-        crate::wire::encode_frame(self.tag(), &w.into_bytes())
+        w.into_frame()
     }
 
     /// Decode a frame from its tag and payload bytes.
@@ -463,25 +542,17 @@ impl Frame {
             },
             TAG_SUBSCRIBE => Frame::Subscribe { name: r.str()? },
             TAG_SNAPSHOT => {
-                let doc = r.u64()?;
-                let synced_ts = r.u64()?;
-                let n = r.u32()? as usize;
-                // Bound the pre-allocation by what the payload could
-                // actually hold (17 bytes per char minimum).
-                let mut chars = Vec::with_capacity(n.min(r.remaining() / 17 + 1));
-                for _ in 0..n {
-                    chars.push(WireChar {
-                        id: r.u64()?,
-                        ch: r.chr()?,
-                        deleted: r.bool()?,
-                        style: r.u64()?,
-                    });
+                // Its own reader, which also rejects trailing bytes.
+                let mut snap = SnapshotReader::new(payload)?;
+                let mut chars = Vec::with_capacity(snap.remaining_hint());
+                while let Some(c) = snap.next_char()? {
+                    chars.push(c);
                 }
-                Frame::Snapshot {
-                    doc,
-                    synced_ts,
+                return Ok(Frame::Snapshot {
+                    doc: snap.doc,
+                    synced_ts: snap.synced_ts,
                     chars,
-                }
+                });
             }
             TAG_UNSUBSCRIBE => Frame::Unsubscribe { doc: r.u64()? },
             TAG_EDIT => {

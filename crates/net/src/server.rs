@@ -44,7 +44,7 @@ use tendax_collab::{CollabServer, EditorDoc, EditorSession, Platform};
 use tendax_text::DocId;
 
 use crate::error::{codes, NetError, Result};
-use crate::protocol::{EditOp, Frame, WireChar, WireEvent, WirePresence, PROTOCOL_VERSION};
+use crate::protocol::{encode_snapshot, EditOp, Frame, WireEvent, WirePresence, PROTOCOL_VERSION};
 use crate::wire::FrameBuffer;
 
 /// How committed events get forwarded from the in-process transport
@@ -455,47 +455,13 @@ fn platform_from_wire(s: &str) -> Platform {
     }
 }
 
-/// Snapshot a *freshly opened* editor. Only valid right after open: a
-/// long-lived handle's `synced_ts` advances on rebuild, not on applied
-/// remote events, so snapshotting one later would understate the
-/// frontier (see [`db_snapshot`]).
-fn snapshot_frame(ed: &EditorDoc) -> Frame {
-    let chars = ed
-        .handle()
-        .snapshot_chars()
-        .into_iter()
-        .map(|(id, ch, deleted, style)| WireChar {
-            id: id.0,
-            ch,
-            deleted,
-            style: style.0,
-        })
-        .collect();
-    Frame::Snapshot {
-        doc: ed.doc().0,
-        synced_ts: ed.handle().synced_ts(),
-        chars,
-    }
-}
-
-/// Build a `Snapshot` frame from a fresh database open, so `synced_ts`
-/// and the character chain describe the same (current) commit frontier.
-fn db_snapshot(collab: &CollabServer, doc: DocId, user: tendax_text::UserId) -> Option<Frame> {
+/// The encoded `Snapshot` frame of a fresh database open, so `synced_ts`
+/// and the character chain describe the same (current) commit frontier
+/// — a long-lived editor's handle would understate it (see
+/// [`encode_snapshot`]).
+fn db_snapshot(collab: &CollabServer, doc: DocId, user: tendax_text::UserId) -> Option<Vec<u8>> {
     let h = collab.textdb().open(doc, user).ok()?;
-    Some(Frame::Snapshot {
-        doc: doc.0,
-        synced_ts: h.synced_ts(),
-        chars: h
-            .snapshot_chars()
-            .into_iter()
-            .map(|(id, ch, deleted, style)| WireChar {
-                id: id.0,
-                ch,
-                deleted,
-                style: style.0,
-            })
-            .collect(),
-    })
+    Some(encode_snapshot(&h))
 }
 
 /// One subscription's forwarder control block. `pump` is `Some` in
@@ -813,11 +779,7 @@ impl ForwarderPool {
                 .recover_by
                 .get_or_insert_with(|| Instant::now() + self.config.critical_send_timeout);
             if let Some(snap) = db_snapshot(&self.collab, task.doc, task.user) {
-                match task
-                    .shared
-                    .queue
-                    .push_critical(snap.encode(), POOL_RECOVERY_TRY)
-                {
+                match task.shared.queue.push_critical(snap, POOL_RECOVERY_TRY) {
                     Ok(()) => {
                         task.shared.queue.reset_lag();
                         task.lost = false;
@@ -1009,11 +971,12 @@ fn serve_client(
 
     // --- Main loop. --------------------------------------------------
     let mut subs: HashMap<DocId, SubState> = HashMap::new();
-    let critical = |frame: Frame| -> Result<()> {
+    let critical_bytes = |frame: Vec<u8>| -> Result<()> {
         shared
             .queue
-            .push_critical(frame.encode(), config.critical_send_timeout)
+            .push_critical(frame, config.critical_send_timeout)
     };
+    let critical = |frame: Frame| critical_bytes(frame.encode());
 
     let run = loop {
         if shared.is_dead() {
@@ -1043,7 +1006,7 @@ fn serve_client(
                 };
                 if subs.contains_key(&doc) {
                     match db_snapshot(collab, doc, session.user()) {
-                        Some(f) => critical(f)?,
+                        Some(snap) => critical_bytes(snap)?,
                         None => critical(Frame::Error {
                             code: codes::REJECTED,
                             message: format!("cannot snapshot {name:?}"),
@@ -1066,7 +1029,8 @@ fn serve_client(
                         continue;
                     }
                 };
-                critical(snapshot_frame(&editor))?;
+                // Just opened, so the handle's frontier is current.
+                critical_bytes(encode_snapshot(editor.handle()))?;
                 let stop = Arc::new(AtomicBool::new(false));
                 let pump = match pool {
                     Some(pool) => {
@@ -1168,7 +1132,7 @@ fn serve_client(
                 // `synced_ts` is the true current commit frontier,
                 // whereas the editor's only advances on full rebuilds.
                 match db_snapshot(collab, DocId(doc), session.user()) {
-                    Some(f) => critical(f)?,
+                    Some(snap) => critical_bytes(snap)?,
                     None => critical(Frame::Error {
                         code: codes::REJECTED,
                         message: "cannot snapshot document".into(),
@@ -1248,7 +1212,7 @@ fn spawn_forwarder(
                     };
                     match shared
                         .queue
-                        .push_critical(snap.encode(), config.critical_send_timeout)
+                        .push_critical(snap, config.critical_send_timeout)
                     {
                         Ok(()) => {
                             // The snapshot covers everything suppressed:

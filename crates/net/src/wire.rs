@@ -28,6 +28,9 @@ use crate::error::{NetError, Result};
 /// with full tombstone history.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
+/// Bytes a frame spends before its payload: the length prefix and the tag.
+const FRAME_HEADER: usize = 5;
+
 /// Builds a payload byte-by-byte.
 #[derive(Debug, Default)]
 pub struct PayloadWriter {
@@ -40,6 +43,24 @@ impl PayloadWriter {
     }
 
     pub fn into_bytes(self) -> Vec<u8> {
+        self.buf
+    }
+
+    /// Start a complete wire frame: the payload is written directly
+    /// behind the `[len][tag]` header, and [`PayloadWriter::into_frame`]
+    /// fills the length in — no separate payload buffer to copy from.
+    /// `payload_capacity` presizes the buffer for a payload of known size.
+    pub fn frame(tag: u8, payload_capacity: usize) -> Self {
+        let mut buf = Vec::with_capacity(FRAME_HEADER + payload_capacity);
+        buf.extend_from_slice(&[0; 4]);
+        buf.push(tag);
+        PayloadWriter { buf }
+    }
+
+    /// Finish a frame begun with [`PayloadWriter::frame`].
+    pub fn into_frame(mut self) -> Vec<u8> {
+        let len = (self.buf.len() - 4) as u32;
+        self.buf[..4].copy_from_slice(&len.to_le_bytes());
         self.buf
     }
 
@@ -266,6 +287,14 @@ impl FrameBuffer {
     /// length prefix): the caller must drop the connection — there is no
     /// way to find the next frame boundary after a corrupt prefix.
     pub fn try_frame(&mut self) -> Result<Option<(u8, Vec<u8>)>> {
+        Ok(self
+            .next_frame()?
+            .map(|(tag, payload)| (tag, payload.to_vec())))
+    }
+
+    /// [`FrameBuffer::try_frame`] without the copy: the payload is a view
+    /// into the buffer, valid until the next call on it.
+    pub fn next_frame(&mut self) -> Result<Option<(u8, &[u8])>> {
         let avail = &self.buf[self.start..];
         if avail.len() < 4 {
             return Ok(None);
@@ -284,10 +313,10 @@ impl FrameBuffer {
         if avail.len() < total {
             return Ok(None);
         }
-        let tag = avail[4];
-        let payload = avail[5..total].to_vec();
+        let frame_start = self.start;
         self.start += total;
-        Ok(Some((tag, payload)))
+        let frame = &self.buf[frame_start..frame_start + total];
+        Ok(Some((frame[4], &frame[FRAME_HEADER..])))
     }
 }
 

@@ -2,11 +2,12 @@
 //! encode → FrameBuffer → decode, and every class of malformed input
 //! yields a typed error — never a panic, never a silent misparse.
 
+use tendax_net::protocol::encode_snapshot;
 use tendax_net::{
-    codes, EditOp, Frame, FrameBuffer, NetError, WireChar, WireEvent, WirePresence,
+    codes, EditOp, Frame, FrameBuffer, MirrorDoc, NetError, WireChar, WireEvent, WirePresence,
     PROTOCOL_VERSION,
 };
-use tendax_text::{CharId, DocId, Effect, StyleId, UserId};
+use tendax_text::{CharId, DocId, Effect, StyleId, TextDb, UserId};
 
 /// One exemplar of every frame variant, with awkward values: empty and
 /// non-ASCII strings, `None`/`Some` options, empty and multi-element
@@ -275,5 +276,123 @@ fn mid_frame_cut_never_yields_a_frame() {
         let mut fb = FrameBuffer::default();
         fb.extend(&bytes[..cut]);
         assert_eq!(fb.try_frame().unwrap(), None, "cut at {cut}");
+    }
+}
+
+// ------------------------------------------------- the one-pass snapshot path
+
+/// The server writes a snapshot straight from an open document and the
+/// client reads it straight into a mirror; both must speak exactly the
+/// `Frame::Snapshot` encoding, byte for byte.
+#[test]
+fn snapshot_of_an_open_document_is_the_frame_encoding() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("u").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let mut h = tdb.open(doc, user).unwrap();
+    h.insert_text(0, "snap∂hot 𝄞").unwrap();
+    h.delete_range(2, 3).unwrap(); // tombstones travel too
+    h.insert_text(1, "!").unwrap();
+    let h = tdb.open(doc, user).unwrap();
+
+    let mut chars = Vec::new();
+    h.for_each_char(|id, info| {
+        chars.push(WireChar {
+            id: id.0,
+            ch: info.ch,
+            deleted: info.deleted,
+            style: info.style.0,
+        })
+    });
+    assert_eq!(chars.len(), 11);
+    assert_eq!(chars.iter().filter(|c| c.deleted).count(), 3);
+
+    let bytes = encode_snapshot(&h);
+    let as_frame = Frame::Snapshot {
+        doc: doc.0,
+        synced_ts: h.synced_ts(),
+        chars: chars.clone(),
+    };
+    assert_eq!(bytes, as_frame.encode());
+
+    // The layout itself, spelled out, so neither encoder can drift.
+    let mut spelled = Vec::new();
+    spelled.extend_from_slice(&((1 + 20 + 21 * chars.len()) as u32).to_le_bytes());
+    spelled.push(as_frame.tag());
+    spelled.extend_from_slice(&doc.0.to_le_bytes());
+    spelled.extend_from_slice(&h.synced_ts().to_le_bytes());
+    spelled.extend_from_slice(&(chars.len() as u32).to_le_bytes());
+    for c in &chars {
+        spelled.extend_from_slice(&c.id.to_le_bytes());
+        spelled.extend_from_slice(&(c.ch as u32).to_le_bytes());
+        spelled.push(c.deleted as u8);
+        spelled.extend_from_slice(&c.style.to_le_bytes());
+    }
+    assert_eq!(bytes, spelled);
+
+    let mirror = MirrorDoc::from_snapshot_payload(&bytes[5..]).unwrap();
+    assert_eq!(mirror.doc(), doc.0);
+    assert_eq!(mirror.synced_ts(), h.synced_ts());
+    assert_eq!(mirror.text(), h.text());
+    assert_eq!(
+        Frame::decode(as_frame.tag(), &bytes[5..]).unwrap(),
+        as_frame
+    );
+}
+
+/// Whatever is wrong with a snapshot payload, loading it into a mirror is
+/// a typed error — never a panic, a huge allocation or a half-built
+/// replica.
+#[test]
+fn mutilated_snapshot_payloads_never_load_a_mirror() {
+    let good = Frame::Snapshot {
+        doc: 3,
+        synced_ts: 77,
+        chars: (1..=4)
+            .map(|id| WireChar {
+                id,
+                ch: 'x',
+                deleted: id % 2 == 0,
+                style: 0,
+            })
+            .collect(),
+    }
+    .encode()[5..]
+        .to_vec();
+    assert_eq!(
+        MirrorDoc::from_snapshot_payload(&good).unwrap().text(),
+        "xx"
+    );
+
+    for cut in 0..good.len() {
+        match MirrorDoc::from_snapshot_payload(&good[..cut]) {
+            Err(NetError::Truncated { .. }) => {}
+            other => panic!("cut at {cut}/{}: {other:?}", good.len()),
+        }
+    }
+    let patched = |at: usize, bytes: &[u8]| {
+        let mut p = good.clone();
+        p[at..at + bytes.len()].copy_from_slice(bytes);
+        p
+    };
+    let first_char = 8 + 8 + 4;
+    for (what, payload) in [
+        ("trailing byte", [good.as_slice(), &[0xAA]].concat()),
+        ("deleted flag 2", patched(first_char + 12, &[2])),
+        (
+            "surrogate scalar",
+            patched(first_char + 8, &0xD800u32.to_le_bytes()),
+        ),
+    ] {
+        match MirrorDoc::from_snapshot_payload(&payload) {
+            Err(NetError::BadPayload { .. }) => {}
+            other => panic!("{what}: {other:?}"),
+        }
+    }
+    // A count far beyond the bytes present is a truncation, not a
+    // four-billion-slot reservation.
+    match MirrorDoc::from_snapshot_payload(&patched(16, &u32::MAX.to_le_bytes())) {
+        Err(NetError::Truncated { .. }) => {}
+        other => panic!("inflated count: {other:?}"),
     }
 }

@@ -48,6 +48,17 @@ impl IndexStore {
             .collect()
     }
 
+    /// Whether `row` carries exactly `key` (an entry key of this index) in
+    /// the indexed columns. Compares in place: the re-verification every
+    /// index reader owes the superset, without building a key per row.
+    pub fn key_matches(&self, row: &Row, key: &[Value]) -> bool {
+        self.def
+            .columns
+            .iter()
+            .zip(key)
+            .all(|(&pos, k)| row.get(pos).unwrap_or(&Value::Null) == k)
+    }
+
     /// Record that `row` has a version with `key`.
     pub fn insert(&mut self, key: IndexKey, row: RowId) {
         if self.map.entry(key).or_default().insert(row) {
@@ -72,16 +83,15 @@ impl IndexStore {
         self.map.get(key).into_iter().flatten().copied()
     }
 
-    /// Row ids whose key falls within the given bounds (lexicographic over
-    /// the composite key).
-    pub fn range(
+    /// The keys within the given bounds (lexicographic over the composite
+    /// key), each with its row-id set: iterating keys, then each set, is
+    /// `(key, row id)` order.
+    pub fn range_sets(
         &self,
-        lo: Bound<&IndexKey>,
-        hi: Bound<&IndexKey>,
-    ) -> impl Iterator<Item = (&IndexKey, RowId)> + '_ {
-        self.map
-            .range::<IndexKey, _>((lo, hi))
-            .flat_map(|(k, set)| set.iter().map(move |r| (k, *r)))
+        lo: Bound<&[Value]>,
+        hi: Bound<&[Value]>,
+    ) -> impl Iterator<Item = (&IndexKey, &BTreeSet<RowId>)> + '_ {
+        self.map.range::<[Value], _>((lo, hi))
     }
 
     /// Like [`IndexStore::range`], but iterating from the greatest key
@@ -99,14 +109,13 @@ impl IndexStore {
 
     /// All row ids sharing the given key *prefix* (first `prefix.len()`
     /// indexed columns equal).
-    pub fn prefix(&self, prefix: &[Value]) -> impl Iterator<Item = (&IndexKey, RowId)> + '_ {
-        let lo: IndexKey = prefix.to_vec();
-        self.map
-            .range::<IndexKey, _>((Bound::Included(&lo), Bound::Unbounded))
+    pub fn prefix<'a>(
+        &'a self,
+        prefix: &'a [Value],
+    ) -> impl Iterator<Item = (&'a IndexKey, RowId)> + 'a {
+        self.range_sets(Bound::Included(prefix), Bound::Unbounded)
             .take_while(move |(k, _)| k.starts_with(prefix))
             .flat_map(|(k, set)| set.iter().map(move |r| (k, *r)))
-            .collect::<Vec<_>>()
-            .into_iter()
     }
 
     /// Number of (key, row) entries.
@@ -187,8 +196,8 @@ mod tests {
         let lo = key(2, "");
         let hi = key(4, "\u{10FFFF}");
         let got: Vec<u64> = i
-            .range(Bound::Included(&lo), Bound::Included(&hi))
-            .map(|(_, r)| r.0)
+            .range_sets(Bound::Included(&lo), Bound::Included(&hi))
+            .flat_map(|(_, rids)| rids.iter().map(|r| r.0))
             .collect();
         assert_eq!(got, vec![2, 3, 4]);
     }

@@ -253,42 +253,77 @@ impl TableStore {
     /// version in place.
     pub fn scan_matching(&self, ts: Ts, pred: &Predicate) -> Result<ScanOutcome> {
         let mut out = ScanOutcome::default();
-        match plan_access(&self.def, pred) {
+        let rows = &mut out.rows;
+        let (scanned, skipped, row_id_ordered) =
+            self.visit_matching(ts, pred, |rid, row| rows.push((rid, row.clone())))?;
+        if !row_id_ordered {
+            // Callers expect row-id order for merge with the write-set
+            // overlay.
+            out.rows.sort_unstable_by_key(|(rid, _)| *rid);
+        }
+        out.scanned = scanned;
+        out.skipped = skipped;
+        Ok(out)
+    }
+
+    /// The accounting of [`TableStore::scan_matching`] without its rows:
+    /// `(scanned, skipped)`, so `scanned - skipped` rows match. Nothing is
+    /// cloned or collected.
+    pub fn count_matching(&self, ts: Ts, pred: &Predicate) -> Result<(u64, u64)> {
+        let (scanned, skipped, _) = self.visit_matching(ts, pred, |_, _| {})?;
+        Ok((scanned, skipped))
+    }
+
+    /// Walk the access path planned for `pred`, handing each visible row
+    /// the predicate accepts to `on_match`. Returns `(scanned, skipped,
+    /// row_id_ordered)`: visible rows examined, rows the predicate
+    /// rejected, and whether matches arrived in row-id order (an index
+    /// walk is key-ordered instead).
+    fn visit_matching(
+        &self,
+        ts: Ts,
+        pred: &Predicate,
+        mut on_match: impl FnMut(RowId, &SharedRow),
+    ) -> Result<(u64, u64, bool)> {
+        let (mut scanned, mut skipped) = (0u64, 0u64);
+        let mut examine = |rid: RowId, row: &SharedRow| -> Result<()> {
+            scanned += 1;
+            if pred.eval(&self.def, row)? {
+                on_match(rid, row);
+            } else {
+                skipped += 1;
+            }
+            Ok(())
+        };
+        let row_id_ordered = match plan_access(&self.def, pred) {
             AccessPath::FullScan => {
                 for (rid, row) in self.scan_visible(ts) {
-                    out.scanned += 1;
-                    if pred.eval(&self.def, row)? {
-                        out.rows.push((rid, row.clone()));
-                    } else {
-                        out.skipped += 1;
-                    }
+                    examine(rid, row)?;
                 }
+                true
             }
             AccessPath::IndexPrefix { index_pos, prefix } => {
                 let idx = self
                     .indexes
                     .get(index_pos)
                     .ok_or_else(|| StorageError::Internal("planner chose missing index".into()))?;
-                let mut seen = HashSet::new();
+                // A row sits under several keys of the prefix when its
+                // versions differ in the remaining index columns; a
+                // prefix covering the whole key names one row-id set, so
+                // there is nothing to deduplicate.
+                let mut seen = (prefix.len() < idx.definition().columns.len()).then(HashSet::new);
                 for (_, rid) in idx.prefix(&prefix) {
-                    if !seen.insert(rid) {
+                    if seen.as_mut().is_some_and(|seen| !seen.insert(rid)) {
                         continue;
                     }
                     if let Some(row) = self.visible(rid, ts) {
-                        out.scanned += 1;
-                        if pred.eval(&self.def, row)? {
-                            out.rows.push((rid, row.clone()));
-                        } else {
-                            out.skipped += 1;
-                        }
+                        examine(rid, row)?;
                     }
                 }
-                // Index iteration is key-ordered; callers expect row-id
-                // order for merge with the write-set overlay.
-                out.rows.sort_unstable_by_key(|(rid, _)| *rid);
+                false
             }
-        }
-        Ok(out)
+        };
+        Ok((scanned, skipped, row_id_ordered))
     }
 
     /// Iterate every version of every row (used by checkpointing).
@@ -328,10 +363,8 @@ impl TableStore {
             if excluded(rid) {
                 return false;
             }
-            match self.visible(rid, TS_LATEST) {
-                Some(row) => &idx.key_of(row) == key,
-                None => false,
-            }
+            self.visible(rid, TS_LATEST)
+                .is_some_and(|row| idx.key_matches(row, key))
         })
     }
 

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cold::ColdStore;
 use crate::db::Database;
 use crate::error::{Result, StorageError};
-use crate::index::IndexKey;
+use crate::index::{IndexKey, IndexStore};
 use crate::query::Predicate;
 use crate::row::{Row, RowId, SharedRow};
 use crate::schema::TableId;
@@ -314,25 +314,47 @@ impl Transaction {
         Ok(merged)
     }
 
-    /// Count rows matching `pred`.
+    /// The cold store, when this snapshot predates its floor — RAM alone
+    /// may then no longer hold every version the snapshot can see. Load
+    /// this *after* the RAM read it qualifies (see [`Transaction::get`]):
+    /// the floor is raised before anything is pruned, so a prune the read
+    /// raced is never missed.
+    fn cold_below_floor(&self) -> Option<&ColdStore> {
+        self.db
+            .cold_store()
+            .filter(|cold| self.snapshot < cold.floor())
+    }
+
+    /// This transaction's buffered writes on `table`, if it has any.
+    fn own_writes(&self, table: TableId) -> Option<&BTreeMap<RowId, WriteOp>> {
+        self.writes.get(&table).filter(|ws| !ws.is_empty())
+    }
+
+    /// Count rows matching `pred`. Without own writes on the table (and at
+    /// or above the cold floor) the predicate runs against the stored
+    /// versions in place and nothing is materialized.
     pub fn count(&self, table: TableId, pred: &Predicate) -> Result<usize> {
+        self.check_active()?;
+        if self.own_writes(table).is_none() {
+            let (scanned, skipped) =
+                self.with_table(table, |t| t.count_matching(self.snapshot, pred))??;
+            if self.cold_below_floor().is_none() {
+                self.db.note_scan(scanned, skipped);
+                return Ok((scanned - skipped) as usize);
+            }
+        }
         Ok(self.scan(table, pred)?.len())
     }
 
-    /// Point lookup through a named index (overlay-aware).
+    /// Point lookup through a named index (overlay-aware). Results are in
+    /// row-id order.
     pub fn index_lookup(
         &self,
         table: TableId,
         index: &str,
         key: &[Value],
     ) -> Result<Vec<(RowId, SharedRow)>> {
-        let key_vec: IndexKey = key.to_vec();
-        self.index_range(
-            table,
-            index,
-            Bound::Included(&key_vec),
-            Bound::Included(&key_vec),
-        )
+        self.index_read(table, index, Bound::Included(key), Bound::Included(key))
     }
 
     /// Ordered range scan through a named index (overlay-aware). Results
@@ -344,87 +366,86 @@ impl Transaction {
         lo: Bound<&IndexKey>,
         hi: Bound<&IndexKey>,
     ) -> Result<Vec<(RowId, SharedRow)>> {
+        self.index_read(table, index, lo.map(Vec::as_slice), hi.map(Vec::as_slice))
+    }
+
+    /// The index read behind [`Transaction::index_lookup`] and
+    /// [`Transaction::index_range`].
+    ///
+    /// Fast path — no own writes on the table, snapshot at or above the
+    /// cold floor: one walk of the ordered index straight into the result.
+    /// The index holds each `(key, row id)` pair once and iterates in that
+    /// order, and a row's visible version carries exactly one key, so
+    /// re-verifying the key against the visible row in place yields every
+    /// row at most once, already sorted: no key is cloned or built and
+    /// nothing is merged.
+    ///
+    /// Slow path — own writes to overlay, or history demoted to the cold
+    /// tier: the committed rows (from that same walk, or from the merged
+    /// tiers) are keyed by `(key, row id)` and the write set merged in.
+    fn index_read(
+        &self,
+        table: TableId,
+        index: &str,
+        lo: Bound<&[Value]>,
+        hi: Bound<&[Value]>,
+    ) -> Result<Vec<(RowId, SharedRow)>> {
         self.check_active()?;
         self.db.note_index_lookup();
-        let mut matched: BTreeMap<(IndexKey, RowId), SharedRow> =
-            self.with_table(table, |t| {
-                let (_, idx) =
-                    t.index_by_name(index)
-                        .ok_or_else(|| StorageError::UnknownIndex {
-                            table: t.definition().name.clone(),
-                            index: index.to_owned(),
-                        })?;
-                let mut out = BTreeMap::new();
-                for (key, rid) in idx.range(lo, hi) {
-                    if out.contains_key(&(key.clone(), rid)) {
-                        continue;
-                    }
+        let mut committed = self.with_table(table, |t| {
+            let idx = require_index(t, index)?;
+            let mut out = Vec::new();
+            for (key, rids) in idx.range_sets(lo, hi) {
+                out.reserve(rids.len());
+                for &rid in rids {
                     if let Some(row) = t.visible(rid, self.snapshot) {
                         // Re-verify: the index is a superset over versions.
-                        if &idx.key_of(row) == key {
-                            out.insert((key.clone(), rid), row.clone());
+                        if idx.key_matches(row, key) {
+                            out.push((rid, row.clone()));
                         }
                     }
                 }
-                Ok::<_, StorageError>(out)
-            })??;
-        if let Some(cold) = self.db.cold_store() {
-            if self.snapshot < cold.floor() {
-                // The index only covers RAM-resident versions; for a
-                // snapshot below the cold floor, rebuild the committed
-                // set from the merged tiers and re-key each row.
-                let rows = self.tiered_visible_rows(table, cold)?;
-                matched = self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
-                    let mut out = BTreeMap::new();
-                    for (rid, row) in rows {
-                        let key = idx.key_of(&row);
-                        if range_contains(&(lo, hi), &key) {
-                            out.insert((key, rid), row);
-                        }
-                    }
-                    Ok::<_, StorageError>(out)
-                })??;
             }
+            Ok::<_, StorageError>(out)
+        })??;
+        let cold = self.cold_below_floor();
+        let own = self.own_writes(table);
+        if cold.is_none() && own.is_none() {
+            return Ok(committed);
         }
-        // Overlay own writes: recompute their keys and membership.
-        if let Some(ws) = self.writes.get(&table) {
-            let key_bounds = (lo, hi);
-            let keys_of_own: Vec<(RowId, Option<(IndexKey, SharedRow)>)> =
-                self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
-                    Ok::<_, StorageError>(
-                        ws.iter()
-                            .map(|(rid, op)| (*rid, op.row().map(|r| (idx.key_of(r), r.clone()))))
-                            .collect(),
-                    )
-                })??;
-            for (rid, put) in keys_of_own {
-                // Remove any committed-version entry for this row: the own
-                // write supersedes it.
-                matched.retain(|(_, r), _| *r != rid);
-                if let Some((key, row)) = put {
-                    let in_range = range_contains(&key_bounds, &key);
-                    if in_range {
-                        matched.insert((key, rid), row);
+        if let Some(cold) = cold {
+            // The index only covers RAM-resident versions; for a snapshot
+            // below the cold floor the committed set is every row of the
+            // merged tiers (filtered by key below).
+            committed = self.tiered_visible_rows(table, cold)?;
+        }
+        self.with_table(table, |t| {
+            let idx = require_index(t, index)?;
+            let in_range = |key: &IndexKey| range_contains(&(lo, hi), key);
+            let mut matched: BTreeMap<(IndexKey, RowId), SharedRow> = BTreeMap::new();
+            for (rid, row) in committed {
+                // A buffered write supersedes the committed version.
+                if own.is_some_and(|ws| ws.contains_key(&rid)) {
+                    continue;
+                }
+                let key = idx.key_of(&row);
+                if in_range(&key) {
+                    matched.insert((key, rid), row);
+                }
+            }
+            for (&rid, op) in own.into_iter().flatten() {
+                if let Some(row) = op.row() {
+                    let key = idx.key_of(row);
+                    if in_range(&key) {
+                        matched.insert((key, rid), row.clone());
                     }
                 }
             }
-        }
-        Ok(matched
-            .into_iter()
-            .map(|((_, rid), row)| (rid, row))
-            .collect())
+            Ok(matched
+                .into_iter()
+                .map(|((_, rid), row)| (rid, row))
+                .collect())
+        })?
     }
 
     /// The greatest index entry under `prefix` strictly below `before`
@@ -457,12 +478,7 @@ impl Transaction {
         // Committed candidate: newest visible entry, skipping rows this
         // transaction has overwritten (their committed key is stale).
         let committed: Option<(IndexKey, RowId, SharedRow)> = self.with_table(table, |t| {
-            let (_, idx) = t
-                .index_by_name(index)
-                .ok_or_else(|| StorageError::UnknownIndex {
-                    table: t.definition().name.clone(),
-                    index: index.to_owned(),
-                })?;
+            let idx = require_index(t, index)?;
             let hi = match (before, &prefix_hi) {
                 (Some(b), _) => Bound::Excluded(b),
                 (None, Some(h)) => Bound::Excluded(h),
@@ -482,7 +498,7 @@ impl Transaction {
                     continue;
                 }
                 if let Some(row) = t.visible(rid, self.snapshot) {
-                    if &idx.key_of(row) == key {
+                    if idx.key_matches(row, key) {
                         return Ok::<_, StorageError>(Some((key.clone(), rid, row.clone())));
                     }
                 }
@@ -496,12 +512,7 @@ impl Transaction {
                 // no longer covers every visible version).
                 let rows = self.tiered_visible_rows(table, cold)?;
                 self.with_table(table, |t| {
-                    let (_, idx) =
-                        t.index_by_name(index)
-                            .ok_or_else(|| StorageError::UnknownIndex {
-                                table: t.definition().name.clone(),
-                                index: index.to_owned(),
-                            })?;
+                    let idx = require_index(t, index)?;
                     let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
                     for (rid, row) in rows {
                         if self.own_write(table, rid).is_some() {
@@ -529,12 +540,7 @@ impl Transaction {
         let own: Option<(IndexKey, RowId, SharedRow)> = match self.writes.get(&table) {
             None => None,
             Some(ws) => self.with_table(table, |t| {
-                let (_, idx) =
-                    t.index_by_name(index)
-                        .ok_or_else(|| StorageError::UnknownIndex {
-                            table: t.definition().name.clone(),
-                            index: index.to_owned(),
-                        })?;
+                let idx = require_index(t, index)?;
                 let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
                 for (&rid, op) in ws {
                     let Some(row) = op.row() else { continue };
@@ -784,7 +790,17 @@ fn value_successor(v: &Value) -> Option<Value> {
     })
 }
 
-fn range_contains(bounds: &(Bound<&IndexKey>, Bound<&IndexKey>), key: &IndexKey) -> bool {
+/// The named index of `t`, or the typed error naming both.
+fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
+    t.index_by_name(index)
+        .map(|(_, idx)| idx)
+        .ok_or_else(|| StorageError::UnknownIndex {
+            table: t.definition().name.clone(),
+            index: index.to_owned(),
+        })
+}
+
+fn range_contains(bounds: &(Bound<&[Value]>, Bound<&[Value]>), key: &[Value]) -> bool {
     let lo_ok = match bounds.0 {
         Bound::Unbounded => true,
         Bound::Included(b) => key >= b,

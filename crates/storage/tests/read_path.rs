@@ -277,3 +277,260 @@ fn filtered_scan_accounting_after_concurrent_load() {
         hits.len() as u64 + (s.rows_skipped_by_predicate - base.rows_skipped_by_predicate)
     );
 }
+
+// --------------------------------- index reads vs. a brute-force scan filter
+
+/// The equivalence the one-pass index read owes its callers: on any
+/// schedule, `index_lookup`, `index_range` and `count` return what
+/// filtering a full scan returns — same rows, same order — whether the
+/// read takes the direct index walk (no own writes, snapshot at or above
+/// the cold floor) or the materialize-and-merge path (own uncommitted
+/// writes, or a `begin_at` snapshot below the floor).
+mod index_reads_match_scan {
+    use std::ops::Bound;
+
+    use proptest::prelude::*;
+    use tendax_storage::{
+        ColdOptions, DataType, Database, Options, Predicate, Row, RowId, TableDef, TableId,
+        Transaction, Ts, Value,
+    };
+
+    use super::tmp;
+
+    /// Small domains, so keys collide and updates move rows between keys
+    /// (leaving the stale entries that make the index a strict superset).
+    const KEYS: u64 = 4;
+    const GROUPS: i64 = 3;
+
+    #[derive(Debug, Clone)]
+    enum Write {
+        Insert {
+            k: u64,
+            g: i64,
+        },
+        /// Re-key the `pick`-th visible row (if any).
+        Rekey {
+            pick: usize,
+            k: u64,
+            g: i64,
+        },
+        Delete {
+            pick: usize,
+        },
+    }
+
+    #[derive(Debug, Clone)]
+    enum Step {
+        /// One committed transaction.
+        Commit(Vec<Write>),
+        Vacuum,
+        /// Compare every index read with the scan filter: in a fresh
+        /// transaction or one pinned at the `at`-th earlier commit, after
+        /// buffering `own` uncommitted writes.
+        Check {
+            at: Option<usize>,
+            own: Vec<Write>,
+            k: u64,
+            lo: (u64, i64),
+            hi: (u64, i64),
+        },
+    }
+
+    fn arb_write() -> impl Strategy<Value = Write> {
+        prop_oneof![
+            3 => (0..KEYS, 0..GROUPS).prop_map(|(k, g)| Write::Insert { k, g }),
+            3 => (any::<usize>(), 0..KEYS, 0..GROUPS)
+                .prop_map(|(pick, k, g)| Write::Rekey { pick, k, g }),
+            1 => any::<usize>().prop_map(|pick| Write::Delete { pick }),
+        ]
+    }
+
+    fn arb_step() -> impl Strategy<Value = Step> {
+        let key = || (0..KEYS, 0..GROUPS);
+        prop_oneof![
+            6 => proptest::collection::vec(arb_write(), 1..4).prop_map(Step::Commit),
+            1 => Just(Step::Vacuum),
+            3 => (
+                proptest::option::of(any::<usize>()),
+                proptest::collection::vec(arb_write(), 0..3),
+                0..KEYS,
+                key(),
+                key(),
+            )
+                .prop_map(|(at, own, k, lo, hi)| Step::Check { at, own, k, lo, hi }),
+        ]
+    }
+
+    fn table() -> TableDef {
+        TableDef::new("t")
+            .column("k", DataType::Id)
+            .column("g", DataType::Int)
+            .column("v", DataType::Text)
+            .index("by_k", &["k"])
+            .index("by_k_g", &["k", "g"])
+    }
+
+    fn apply(txn: &mut Transaction, t: TableId, w: &Write, serial: &mut u64) {
+        *serial += 1;
+        let row = |k: u64, g: i64| {
+            Row::new(vec![
+                Value::Id(k),
+                Value::Int(g),
+                Value::Text(format!("v{serial}")),
+            ])
+        };
+        let visible = |txn: &Transaction| txn.scan(t, &Predicate::True).unwrap();
+        match *w {
+            Write::Insert { k, g } => {
+                txn.insert(t, row(k, g)).unwrap();
+            }
+            Write::Rekey { pick, k, g } => {
+                let rows = visible(txn);
+                if !rows.is_empty() {
+                    txn.update(t, rows[pick % rows.len()].0, row(k, g)).unwrap();
+                }
+            }
+            Write::Delete { pick } => {
+                let rows = visible(txn);
+                if !rows.is_empty() {
+                    txn.delete(t, rows[pick % rows.len()].0).unwrap();
+                }
+            }
+        }
+    }
+
+    type Rows = Vec<(RowId, Vec<Value>)>;
+
+    fn plain(rows: Vec<(RowId, tendax_storage::SharedRow)>) -> Rows {
+        rows.into_iter()
+            .map(|(rid, row)| (rid, row.values().to_vec()))
+            .collect()
+    }
+
+    /// The reference: every row the transaction sees, filtered by its key
+    /// under `cols`, in (key, row id) order.
+    fn brute(
+        txn: &Transaction,
+        t: TableId,
+        cols: &[usize],
+        keep: impl Fn(&[Value]) -> bool,
+    ) -> Rows {
+        let mut keyed: Vec<(Vec<Value>, RowId, Vec<Value>)> =
+            plain(txn.scan(t, &Predicate::True).unwrap())
+                .into_iter()
+                .map(|(rid, values)| {
+                    let key: Vec<Value> = cols.iter().map(|&c| values[c].clone()).collect();
+                    (key, rid, values)
+                })
+                .filter(|(key, ..)| keep(key))
+                .collect();
+        keyed.sort_by(|a, b| (&a.0, a.1).cmp(&(&b.0, b.1)));
+        keyed.into_iter().map(|(_, rid, v)| (rid, v)).collect()
+    }
+
+    fn check(txn: &Transaction, t: TableId, k: u64, lo: (u64, i64), hi: (u64, i64)) {
+        let key = vec![Value::Id(k)];
+        assert_eq!(
+            plain(txn.index_lookup(t, "by_k", &key).unwrap()),
+            brute(txn, t, &[0], |found| found == key.as_slice()),
+            "index_lookup(by_k, {k})"
+        );
+
+        let (lo, hi) = if lo <= hi { (lo, hi) } else { (hi, lo) };
+        let lo = vec![Value::Id(lo.0), Value::Int(lo.1)];
+        let hi = vec![Value::Id(hi.0), Value::Int(hi.1)];
+        assert_eq!(
+            plain(
+                txn.index_range(t, "by_k_g", Bound::Included(&lo), Bound::Excluded(&hi))
+                    .unwrap()
+            ),
+            brute(txn, t, &[0, 1], |found| found >= lo.as_slice()
+                && found < hi.as_slice()),
+            "index_range(by_k_g, {lo:?}..{hi:?})"
+        );
+        assert_eq!(
+            plain(
+                txn.index_range(t, "by_k_g", Bound::Unbounded, Bound::Included(&hi))
+                    .unwrap()
+            ),
+            brute(txn, t, &[0, 1], |found| found <= hi.as_slice()),
+            "index_range(by_k_g, ..={hi:?})"
+        );
+
+        // A prefix of `by_k_g` (deduplicating walk), a whole key (one
+        // row-id set) and a full scan.
+        let by_k = Predicate::Eq("k".into(), Value::Id(k));
+        let by_k_g = by_k.clone().and(Predicate::Eq("g".into(), hi[1].clone()));
+        for pred in [by_k, by_k_g, Predicate::True] {
+            assert_eq!(
+                txn.count(t, &pred).unwrap(),
+                txn.scan(t, &pred).unwrap().len(),
+                "count({pred:?})"
+            );
+        }
+    }
+
+    fn run(db: &Database, steps: &[Step]) {
+        let t = db.create_table(table()).unwrap();
+        let mut serial = 0u64;
+        let mut commits: Vec<Ts> = Vec::new();
+        for step in steps {
+            match step {
+                Step::Commit(writes) => {
+                    let mut txn = db.begin();
+                    for w in writes {
+                        apply(&mut txn, t, w, &mut serial);
+                    }
+                    commits.push(txn.commit().unwrap());
+                }
+                Step::Vacuum => {
+                    db.vacuum();
+                }
+                Step::Check { at, own, k, lo, hi } => {
+                    let pinned = at
+                        .filter(|_| !commits.is_empty())
+                        .map(|at| commits[at % commits.len()]);
+                    let mut txn = match pinned {
+                        None => db.begin(),
+                        // Pruned past the pinned snapshot: nothing to compare.
+                        Some(ts) => match db.begin_at(ts) {
+                            Ok(txn) => txn,
+                            Err(_) => continue,
+                        },
+                    };
+                    for w in own {
+                        apply(&mut txn, t, w, &mut serial);
+                    }
+                    check(&txn, t, *k, *lo, *hi);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+
+        /// RAM only: vacuum prunes, so a stale pin is `SnapshotTooOld`.
+        #[test]
+        fn on_the_hot_tier(steps in proptest::collection::vec(arb_step(), 1..40)) {
+            run(&Database::open_in_memory(), &steps);
+        }
+
+        /// Cold tier on with a tiny budget: every vacuum demotes, so pinned
+        /// snapshots below the floor read through the merged tiers.
+        #[test]
+        fn across_cold_demotion(steps in proptest::collection::vec(arb_step(), 1..40)) {
+            let (_dir, path) = tmp("equivalence.wal");
+            let options = Options {
+                cold_storage: Some(ColdOptions {
+                    memtable_version_budget: 4,
+                    block_bytes: 256,
+                    bloom_bits_per_key: 10,
+                    compact_min_runs: 2,
+                }),
+                ..Options::default()
+            };
+            run(&Database::open(&path, options).unwrap(), &steps);
+        }
+    }
+}

@@ -17,9 +17,7 @@
 //! maintained incrementally from committed operations. The ablation bench
 //! `ablation_position_index` measures what it buys over a naive scan.
 
-use std::collections::HashMap;
-
-use crate::ids::CharId;
+use crate::ids::{CharId, CharMap};
 
 const NIL: usize = usize::MAX;
 
@@ -41,7 +39,7 @@ struct Node {
 #[derive(Debug, Clone, Default)]
 pub struct Chain {
     nodes: Vec<Node>,
-    map: HashMap<CharId, usize>,
+    map: CharMap<usize>,
     root: usize,
 }
 
@@ -81,20 +79,68 @@ impl Chain {
     pub fn new() -> Self {
         Chain {
             nodes: Vec::new(),
-            map: HashMap::new(),
+            map: CharMap::default(),
             root: NIL,
         }
     }
 
     /// Build from the full chain in order (id, visible). Fails on a
-    /// duplicate id (the anchor is always the previous item, so it can
-    /// never be unknown).
+    /// duplicate id.
+    ///
+    /// Linear time: the input arrives in order, so the treap is its
+    /// Cartesian tree — each node is linked once while a stack holds the
+    /// right spine, instead of `n` split/merge insertions. The shape is
+    /// the one [`Chain::insert_after`] would have produced: distinct
+    /// priorities admit exactly one heap-ordered tree over a sequence.
     pub fn build(items: impl IntoIterator<Item = (CharId, bool)>) -> Result<Self, ChainError> {
-        let mut chain = Chain::new();
-        let mut last: Option<CharId> = None;
+        let items = items.into_iter();
+        let expected = items.size_hint().0;
+        let mut chain = Chain {
+            nodes: Vec::with_capacity(expected),
+            map: CharMap::with_capacity_and_hasher(expected, Default::default()),
+            root: NIL,
+        };
+        // The right spine, root first. A node's subtree is final — and its
+        // counts can be summed — once it leaves the spine.
+        let mut spine: Vec<usize> = Vec::new();
         for (id, visible) in items {
-            chain.insert_after(last, id, visible)?;
-            last = Some(id);
+            let n = chain.nodes.len();
+            if chain.map.insert(id, n).is_some() {
+                return Err(ChainError::DuplicateId(id));
+            }
+            let pri = priority(id);
+            // Same tie rule as `merge`: the later node goes on top.
+            let mut left = NIL;
+            while let Some(&top) = spine.last() {
+                if chain.nodes[top].pri > pri {
+                    break;
+                }
+                spine.pop();
+                chain.update(top);
+                left = top;
+            }
+            let parent = spine.last().copied().unwrap_or(NIL);
+            chain.nodes.push(Node {
+                id,
+                pri,
+                left,
+                right: NIL,
+                parent,
+                total: 1,
+                visible_count: visible as usize,
+                visible,
+            });
+            if left != NIL {
+                chain.nodes[left].parent = n;
+            }
+            if parent != NIL {
+                chain.nodes[parent].right = n;
+            }
+            spine.push(n);
+        }
+        while let Some(top) = spine.pop() {
+            chain.update(top);
+            chain.root = top;
         }
         Ok(chain)
     }
@@ -370,10 +416,16 @@ impl Chain {
         Some(was)
     }
 
+    /// Visit every chain element in order, tombstones included, as
+    /// `(id, visible)`.
+    pub fn for_each_total(&self, mut f: impl FnMut(CharId, bool)) {
+        self.in_order(self.root, &mut |node: &Node| f(node.id, node.visible));
+    }
+
     /// All chain ids in order (tombstones included).
     pub fn iter_total(&self) -> Vec<CharId> {
         let mut out = Vec::with_capacity(self.total_len());
-        self.in_order(self.root, &mut |node: &Node| out.push(node.id));
+        self.for_each_total(|id, _| out.push(id));
         out
     }
 
@@ -597,8 +649,90 @@ mod tests {
         ]
     }
 
+    /// Two chains answer every positional query alike (and `a` is a sound
+    /// treap).
+    fn agree(a: &Chain, b: &Chain) -> Result<(), TestCaseError> {
+        a.check_invariants();
+        prop_assert_eq!(a.iter_total(), b.iter_total());
+        prop_assert_eq!(a.iter_visible(), b.iter_visible());
+        for (rank, id) in a.iter_total().into_iter().enumerate() {
+            prop_assert_eq!(a.total_rank(id), Some(rank));
+            prop_assert_eq!(a.visible_rank(id), b.visible_rank(id));
+            prop_assert_eq!(a.visible_count_through(rank), b.visible_count_through(rank));
+        }
+        for pos in 0..=a.visible_len() {
+            prop_assert_eq!(a.id_at_visible(pos), b.id_at_visible(pos));
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The linear bulk build is the tree `n` insertions would have
+        /// made — same answers to every positional query — and it stays a
+        /// sound treap under the edits that follow an open.
+        #[test]
+        fn bulk_build_equals_repeated_insertion(
+            items in proptest::collection::vec((1u64..5_000, any::<bool>()), 0..300),
+            script in proptest::collection::vec(arb_chain_op(), 0..40),
+        ) {
+            // Distinct ids in arbitrary (non-monotonic) chain order.
+            let mut seen = std::collections::HashSet::new();
+            let items: Vec<(CharId, bool)> = items
+                .into_iter()
+                .filter(|(id, _)| seen.insert(*id))
+                .map(|(id, visible)| (CharId(id), visible))
+                .collect();
+
+            let mut bulk = Chain::build(items.clone()).unwrap();
+            let mut stepwise = Chain::new();
+            let mut last = None;
+            for &(id, visible) in &items {
+                stepwise.insert_after(last, id, visible).unwrap();
+                last = Some(id);
+            }
+            agree(&bulk, &stepwise)?;
+
+            let mut next_id = 10_000u64;
+            for op in script {
+                match op {
+                    ChainOp::InsertAfterRank(r) => {
+                        let anchor = match r % (bulk.total_len() + 1) {
+                            0 => None,
+                            r => bulk.id_at_total(r - 1),
+                        };
+                        for chain in [&mut bulk, &mut stepwise] {
+                            chain.insert_after(anchor, CharId(next_id), true).unwrap();
+                        }
+                        next_id += 1;
+                    }
+                    ChainOp::ToggleAtRank(r) => {
+                        if let Some(id) = bulk.id_at_total(r % bulk.total_len().max(1)) {
+                            let flipped = !bulk.is_visible(id).unwrap();
+                            for chain in [&mut bulk, &mut stepwise] {
+                                chain.set_visible(id, flipped);
+                            }
+                        }
+                    }
+                }
+                agree(&bulk, &stepwise)?;
+            }
+        }
+
+        /// A repeated id is refused, wherever it sits.
+        #[test]
+        fn bulk_build_rejects_duplicates(n in 2usize..50, at in any::<usize>(), of in any::<usize>()) {
+            let mut items: Vec<(CharId, bool)> = (1..=n as u64).map(|i| (CharId(i), true)).collect();
+            let (at, of) = (at % n, of % n);
+            if at != of {
+                items[at].0 = items[of].0;
+                prop_assert_eq!(
+                    Chain::build(items).err(),
+                    Some(ChainError::DuplicateId(CharId(of as u64 + 1)))
+                );
+            }
+        }
 
         /// The treap agrees with a naive Vec model under arbitrary edits.
         #[test]

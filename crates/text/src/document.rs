@@ -8,13 +8,11 @@
 //! through [`DocHandle::apply_remote`] (fed by the collaboration bus) or
 //! by a full [`DocHandle::refresh`].
 
-use std::collections::HashMap;
-
-use tendax_storage::{Transaction, Value};
+use tendax_storage::{Row, Transaction, Value};
 
 use crate::chain::Chain;
 use crate::error::{Result, TextError};
-use crate::ids::{CharId, DocId, StyleId, UserId};
+use crate::ids::{CharId, CharMap, DocId, StyleId, UserId};
 use crate::ops::Effect;
 use crate::security::Permission;
 use crate::textdb::TextDb;
@@ -40,7 +38,7 @@ pub struct DocHandle {
     pub(crate) doc: DocId,
     pub(crate) user: UserId,
     pub(crate) chain: Chain,
-    pub(crate) cache: HashMap<CharId, CharInfo>,
+    pub(crate) cache: CharMap<CharInfo>,
     /// Snapshot (commit) timestamp of the last full rebuild: everything
     /// committed at or before this is reflected in the cache.
     pub(crate) synced_ts: tendax_storage::Ts,
@@ -56,35 +54,77 @@ pub struct DocHandle {
     pub(crate) last_commit_ts: tendax_storage::Ts,
 }
 
+impl CharInfo {
+    /// Decode a `chars` row.
+    fn from_row(row: &Row) -> CharInfo {
+        CharInfo {
+            ch: row
+                .get(3)
+                .and_then(|v| v.as_text())
+                .and_then(|s| s.chars().next())
+                .unwrap_or('\u{FFFD}'),
+            author: row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE),
+            created_at: row.get(5).and_then(|v| v.as_timestamp()).unwrap_or(0),
+            version: row.get(6).and_then(|v| v.as_int()).unwrap_or(0),
+            deleted: row.get(7).and_then(|v| v.as_bool()).unwrap_or(false),
+            style: row
+                .get(10)
+                .map(StyleId::from_value)
+                .unwrap_or(StyleId::NONE),
+            src_doc: row.get(11).map(DocId::from_value).unwrap_or(DocId::NONE),
+            src_char: row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE),
+            external_src: row.get(13).and_then(|v| v.as_text()).map(str::to_owned),
+        }
+    }
+}
+
 impl TextDb {
     /// Open `doc` as `user`: checks [`Permission::Read`], records a read
     /// event (metadata for dynamic folders / ranking), and builds the
     /// position index from the stored character chain.
     pub fn open(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
         self.check_permission(doc, user, Permission::Read)?;
-        let mut handle = DocHandle {
-            tdb: self.clone(),
-            doc,
-            user,
-            chain: Chain::new(),
-            cache: HashMap::new(),
-            synced_ts: 0,
-            pinned_base: false,
-            last_commit_ts: 0,
-        };
-        handle.rebuild()?;
+        let handle = self.load(doc, user)?;
         // Read event in its own transaction: opening is itself an action
         // that generates creation-process metadata.
         let mut txn = self.database().begin();
         txn.insert(
             self.tables().reads,
-            tendax_storage::Row::new(vec![
+            Row::new(vec![
                 doc.value(),
                 user.value(),
                 Value::Timestamp(self.now()),
             ]),
         )?;
         txn.commit()?;
+        Ok(handle)
+    }
+
+    /// The visible text of `doc`, loaded without opening it: no permission
+    /// check and no read event. This is how the metadata services
+    /// (folders, search, mining) read content — they index on behalf of
+    /// the system, and a service that recorded reads would rewrite the
+    /// very metadata (`ReadBy` folders, reader lists, read counts) it is
+    /// asked to evaluate.
+    pub fn document_text(&self, doc: DocId) -> Result<String> {
+        self.document_info(doc)?; // an unknown document stays a typed error
+        Ok(self.load(doc, UserId::NONE)?.text())
+    }
+
+    /// A handle on `doc` with its cache built from the database; checks
+    /// and records nothing.
+    fn load(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
+        let mut handle = DocHandle {
+            tdb: self.clone(),
+            doc,
+            user,
+            chain: Chain::new(),
+            cache: CharMap::default(),
+            synced_ts: 0,
+            pinned_base: false,
+            last_commit_ts: 0,
+        };
+        handle.rebuild()?;
         Ok(handle)
     }
 }
@@ -157,20 +197,13 @@ impl DocHandle {
         self.chain.total_len()
     }
 
-    /// The full chain in order — tombstones included — as
-    /// `(id, ch, deleted, style)` tuples. This is the wire snapshot a
-    /// remote replica needs to mirror the document: committed effects
-    /// anchor on chain predecessors that may themselves be tombstoned,
-    /// so a live-text-only snapshot could not replay them.
-    pub fn snapshot_chars(&self) -> Vec<(CharId, char, bool, StyleId)> {
-        self.chain
-            .iter_total()
-            .into_iter()
-            .map(|id| {
-                let info = &self.cache[&id];
-                (id, info.ch, info.deleted, info.style)
-            })
-            .collect()
+    /// Visit the full chain in order — tombstones included — with each
+    /// character's cached info. This is what a wire snapshot is written
+    /// from: a remote replica needs the tombstones too, because committed
+    /// effects anchor on chain predecessors that may themselves be
+    /// deleted, so a live-text-only snapshot could not replay them.
+    pub fn for_each_char(&self, mut f: impl FnMut(CharId, &CharInfo)) {
+        self.chain.for_each_total(|id, _| f(id, &self.cache[&id]));
     }
 
     /// Commit timestamp of the last full rebuild: remote events with a
@@ -209,31 +242,20 @@ impl DocHandle {
         self.synced_ts = txn.snapshot_ts();
         let rows = txn.index_lookup(t.chars, "chars_by_doc", &[self.doc.value()])?;
 
-        let mut infos: HashMap<CharId, (CharInfo, CharId /*next*/, CharId /*prev*/)> =
-            HashMap::with_capacity(rows.len());
+        // One pass over the rows: each is decoded once, straight into the
+        // cache it will live in. The chain walk below needs only the
+        // links, kept in a side table in row order — which is character-id
+        // order, as the index lookup returns it — and found by binary
+        // search.
+        let mut cache: CharMap<CharInfo> =
+            CharMap::with_capacity_and_hasher(rows.len(), Default::default());
+        let mut links: Vec<(CharId, CharId /*next*/, bool /*visible*/)> =
+            Vec::with_capacity(rows.len());
         let mut head = CharId::NONE;
         for (rid, row) in &rows {
             let id = CharId::from_row(*rid);
             let prev = row.get(1).map(CharId::from_value).unwrap_or(CharId::NONE);
             let next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
-            let info = CharInfo {
-                ch: row
-                    .get(3)
-                    .and_then(|v| v.as_text())
-                    .and_then(|s| s.chars().next())
-                    .unwrap_or('\u{FFFD}'),
-                author: row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE),
-                created_at: row.get(5).and_then(|v| v.as_timestamp()).unwrap_or(0),
-                version: row.get(6).and_then(|v| v.as_int()).unwrap_or(0),
-                deleted: row.get(7).and_then(|v| v.as_bool()).unwrap_or(false),
-                style: row
-                    .get(10)
-                    .map(StyleId::from_value)
-                    .unwrap_or(StyleId::NONE),
-                src_doc: row.get(11).map(DocId::from_value).unwrap_or(DocId::NONE),
-                src_char: row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE),
-                external_src: row.get(13).and_then(|v| v.as_text()).map(str::to_owned),
-            };
             if prev.is_none() {
                 if !head.is_none() {
                     return Err(TextError::ChainCorrupt(format!(
@@ -243,31 +265,32 @@ impl DocHandle {
                 }
                 head = id;
             }
-            infos.insert(id, (info, next, prev));
+            let info = CharInfo::from_row(row);
+            links.push((id, next, !info.deleted));
+            cache.insert(id, info);
         }
 
-        let mut order = Vec::with_capacity(infos.len());
-        let mut cache = HashMap::with_capacity(infos.len());
+        let mut order = Vec::with_capacity(links.len());
         let mut cur = head;
         while !cur.is_none() {
-            let (info, next, _) = infos.get(&cur).ok_or_else(|| {
-                TextError::ChainCorrupt(format!("dangling next pointer to {cur}"))
-            })?;
-            order.push((cur, !info.deleted));
-            cache.insert(cur, info.clone());
-            cur = *next;
-            if order.len() > infos.len() {
+            let at = links
+                .binary_search_by_key(&cur, |&(id, ..)| id)
+                .map_err(|_| TextError::ChainCorrupt(format!("dangling next pointer to {cur}")))?;
+            let (_, next, visible) = links[at];
+            order.push((cur, visible));
+            cur = next;
+            if order.len() > links.len() {
                 return Err(TextError::ChainCorrupt(format!(
                     "cycle in character chain of {}",
                     self.doc
                 )));
             }
         }
-        if order.len() != infos.len() {
+        if order.len() != links.len() {
             return Err(TextError::ChainCorrupt(format!(
                 "chain walk reached {} of {} characters in {}",
                 order.len(),
-                infos.len(),
+                links.len(),
                 self.doc
             )));
         }
@@ -493,6 +516,68 @@ mod tests {
         assert_eq!(h.find("zebra", 0), None);
         assert_eq!(h.find("", 3), Some(3));
         assert_eq!(h.find("end", 25), None); // past the last match
+    }
+
+    /// A chain the stored links do not describe is a typed error from the
+    /// rebuild, whichever way it is broken — never a panic, a hang or a
+    /// silently shorter document.
+    #[test]
+    fn corrupt_chains_are_typed_errors() {
+        // In "abcd": the character whose link to break, the link, what to
+        // point it at, and the complaint that must name the damage.
+        type Target = fn(&DocHandle) -> CharId;
+        let cases: [(usize, &str, Target, &str); 4] = [
+            (2, "prev", |_| CharId::NONE, "two chain heads"),
+            (1, "next", |_| CharId(9_999), "dangling next pointer"),
+            (
+                3,
+                "next",
+                |h| h.char_at(1).unwrap(),
+                "cycle in character chain",
+            ),
+            (1, "next", |_| CharId::NONE, "chain walk reached 2 of 4"),
+        ];
+        for (at, column, target, complaint) in cases {
+            let (tdb, user, doc) = setup();
+            let mut h = tdb.open(doc, user).unwrap();
+            h.insert_text(0, "abcd").unwrap();
+            let mut txn = tdb.database().begin();
+            txn.set(
+                tdb.tables().chars,
+                h.char_at(at).unwrap().row(),
+                &[(column, target(&h).opt_value())],
+            )
+            .unwrap();
+            txn.commit().unwrap();
+
+            for outcome in [h.refresh(), tdb.open(doc, user).map(drop)] {
+                match outcome {
+                    Err(TextError::ChainCorrupt(msg)) => {
+                        assert!(msg.contains(complaint), "{complaint}: got {msg:?}")
+                    }
+                    other => panic!("{complaint}: expected ChainCorrupt, got {other:?}"),
+                }
+            }
+            // The failed rebuild left the handle's last good cache alone.
+            assert_eq!(h.text(), "abcd");
+        }
+    }
+
+    /// Services read content without leaving a trace in the metadata.
+    #[test]
+    fn document_text_records_nothing() {
+        let (tdb, user, doc) = setup();
+        let mut h = tdb.open(doc, user).unwrap();
+        h.insert_text(0, "hello world").unwrap();
+        h.delete_range(0, 6).unwrap();
+        let commits = tdb.database().stats().commits;
+        assert_eq!(tdb.document_text(doc).unwrap(), "world");
+        assert_eq!(tdb.read_count(doc).unwrap(), 1);
+        assert_eq!(tdb.database().stats().commits, commits);
+        assert!(matches!(
+            tdb.document_text(DocId(404)),
+            Err(TextError::UnknownDocumentId(_))
+        ));
     }
 
     #[test]

@@ -5,6 +5,9 @@
 //! time. `0` is reserved as "none" for nullable references stored in the
 //! database.
 
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
+
 use tendax_storage::{RowId, Value};
 
 macro_rules! id_type {
@@ -85,6 +88,39 @@ impl CharId {
         self.0 << 1
     }
 }
+
+/// Hasher for maps keyed by [`CharId`]: one multiplication.
+///
+/// Character ids are row ids the server allocates sequentially, never
+/// values a peer chooses, so the default hasher's protection against
+/// crafted collisions buys nothing here while costing most of a map
+/// operation. The odd multiplier is a bijection on every low-bit window
+/// (sequential ids land in distinct buckets) and scatters the high bits
+/// the table uses as its per-slot tag.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct CharIdHasher(u64);
+
+impl Hasher for CharIdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // `CharId` hashes through `write_u64`; this keeps the hasher
+        // correct for any other key shape.
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+}
+
+/// A map keyed by [`CharId`] (see [`CharIdHasher`]).
+pub(crate) type CharMap<V> = HashMap<CharId, V, BuildHasherDefault<CharIdHasher>>;
+
 id_type!(
     /// A registered user.
     UserId

@@ -2,7 +2,8 @@
 # Run the read-path benchmark and append its one-line JSON summary to
 # bench_results/read_path.json (one line per run, newest last), so
 # regressions show up as a diffable series.
-# Usage: scripts/bench_read.sh [--test]   (--test: small quick run)
+# Usage: scripts/bench_read.sh [--test] [--note TEXT]
+#   --test: small quick run; --note: label recorded with the line
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

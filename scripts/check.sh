@@ -62,4 +62,13 @@ python3 scripts/bench_compare.py --self-test
 echo "==> lan-party smoke (small-N, all three drivers)"
 cargo bench -p tendax-bench --bench lan_party -- --test
 
+echo "==> benchmark package (own workspace: build, harness tests, --quick run of every workload)"
+# Nothing else builds benchmark/: its path dependencies on crates/* are
+# how a product API change breaks it, and the acceptance pipeline would
+# be the first to notice. --quick verifies all four workloads against
+# their reference models in about 20 s.
+cargo build --release --manifest-path benchmark/Cargo.toml
+cargo test -q --release --manifest-path benchmark/Cargo.toml
+cargo run --release --quiet --manifest-path benchmark/Cargo.toml -- --quick
+
 echo "==> all checks passed"
