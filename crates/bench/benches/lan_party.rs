@@ -1,18 +1,14 @@
 //! Experiment **A10** — the "LAN party at scale" macro-benchmark.
 //!
 //! One seeded schedule (see `tendax_bench::lanparty`) is driven through
-//! three stacks:
+//! two stacks:
 //!
-//! * `inproc`     — editor sessions on the in-process bus,
-//! * `tcp_pooled` — the TCP transport with the pooled event forwarder
-//!   (the default since the accept-path burn-down),
-//! * `tcp_persub` — the TCP transport with the legacy one-pump-thread-
-//!   per-subscription forwarder, kept as the A/B baseline.
+//! * `inproc` — editor sessions on the in-process bus,
+//! * `tcp`    — one `NetClient` per user against a loopback `NetServer`.
 //!
 //! Each mode reports aggregate throughput, per-op-class p50/p99/max
-//! latency, storage retry amplification, and (TCP modes) the server's
-//! counters plus the peak process thread count — the number the
-//! forwarder-pool burn-down exists to flatten. The schedule digest in
+//! latency, storage retry amplification, and (TCP) the server's
+//! counters plus the peak process thread count. The schedule digest in
 //! every line is the reproducibility receipt: same seed ⇒ same digest
 //! ⇒ same op stream.
 //!
@@ -32,7 +28,6 @@ use std::path::PathBuf;
 
 use tendax_bench::lanparty::{generate, run_in_process, run_tcp, RunReport, WorkloadConfig};
 use tendax_bench::stats::{append_json_line, json_object, JsonValue};
-use tendax_net::{ForwarderMode, NetConfig};
 
 struct Config {
     workload: WorkloadConfig,
@@ -104,13 +99,8 @@ fn print_report(r: &mut RunReport) {
     }
     if let Some(net) = &r.net {
         println!(
-            "    net: accepted {} forwarded {} dropped {} slow_disconnects {} forwarder_threads {} pool_spurious_wakeups {}",
-            net.accepted,
-            net.events_forwarded,
-            net.frames_dropped,
-            net.slow_disconnects,
-            net.forwarder_threads,
-            net.pool_spurious_wakeups
+            "    net: accepted {} forwarded {} dropped {} slow_disconnects {}",
+            net.accepted, net.events_forwarded, net.frames_dropped, net.slow_disconnects
         );
     }
     if let Some(w) = &r.wal {
@@ -169,14 +159,6 @@ fn json_line(cfg: &Config, r: &mut RunReport) -> String {
             "net_slow_disconnects".into(),
             JsonValue::U64(net.slow_disconnects),
         ));
-        pairs.push((
-            "net_forwarder_threads".into(),
-            JsonValue::U64(net.forwarder_threads),
-        ));
-        pairs.push((
-            "net_pool_spurious_wakeups".into(),
-            JsonValue::U64(net.pool_spurious_wakeups),
-        ));
     }
     if let Some(t) = r.threads {
         pairs.push(("peak_threads".into(), JsonValue::U64(t)));
@@ -211,36 +193,11 @@ fn main() {
     let schedule = generate(w);
     println!("schedule digest {:016x}", schedule.digest());
 
-    let mut reports = vec![
-        run_in_process(&schedule),
-        run_tcp(
-            &schedule,
-            NetConfig {
-                forwarder: ForwarderMode::Pooled(4),
-                ..NetConfig::default()
-            },
-            "tcp_pooled",
-        ),
-        run_tcp(
-            &schedule,
-            NetConfig {
-                forwarder: ForwarderMode::PerSubscription,
-                ..NetConfig::default()
-            },
-            "tcp_persub",
-        ),
-    ];
+    let mut reports = vec![run_in_process(&schedule), run_tcp(&schedule)];
 
     for r in &mut reports {
         print_report(r);
     }
-
-    // The two TCP modes execute the same schedule against the same
-    // fixture: they must land on identical bytes.
-    assert_eq!(
-        reports[1].doc_digest, reports[2].doc_digest,
-        "pooled and per-subscription runs diverged"
-    );
 
     if let Some(path) = &cfg.json_path {
         let path = PathBuf::from(path);

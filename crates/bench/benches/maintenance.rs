@@ -3,7 +3,7 @@
 //! A fixed working set of rows is updated round-robin for N commits.
 //! Without maintenance the WAL grows linearly with the commit count and
 //! reopen replays all of it. With the background thread (auto-checkpoint
-//! + auto-vacuum) the WAL and reopen time should stay flat even at 10×
+//! and auto-vacuum) the WAL and reopen time should stay flat even at 10×
 //! the commits — and because the checkpoint's swap phase runs off the
 //! commit lock, commit latency should barely notice the checkpoints
 //! happening underneath.
@@ -95,74 +95,71 @@ fn run(label: &'static str, maintenance: Option<MaintenanceOptions>, commits: u6
         ..Options::default()
     };
     let payload = "x".repeat(TEXT_WIDTH);
-    let (checkpoints, vacuums);
-    {
-        let db = Database::open(&path, opts).expect("open");
-        let t = db
-            .create_table(
-                TableDef::new("chars")
-                    .column("seq", DataType::Int)
-                    .column("text", DataType::Text),
-            )
-            .expect("create table");
-        let mut rids = Vec::with_capacity(WORKING_SET as usize);
-        let mut txn = db.begin();
-        for _ in 0..WORKING_SET {
-            rids.push(
-                txn.insert(
-                    t,
-                    Row::new(vec![Value::Int(0), Value::Text(payload.clone())]),
-                )
-                .expect("seed"),
-            );
-        }
-        txn.commit().expect("seed commit");
-
-        let mut lat = LatencyHistogram::with_capacity(commits as usize);
-        for i in 0..commits {
-            let rid = rids[(i % WORKING_SET) as usize];
-            let start = Instant::now();
-            let mut txn = db.begin();
-            txn.set(
+    let db = Database::open(&path, opts).expect("open");
+    let t = db
+        .create_table(
+            TableDef::new("chars")
+                .column("seq", DataType::Int)
+                .column("text", DataType::Text),
+        )
+        .expect("create table");
+    let mut rids = Vec::with_capacity(WORKING_SET as usize);
+    let mut txn = db.begin();
+    for _ in 0..WORKING_SET {
+        rids.push(
+            txn.insert(
                 t,
-                rid,
-                &[
-                    ("seq", Value::Int(i as i64)),
-                    ("text", Value::Text(payload.clone())),
-                ],
+                Row::new(vec![Value::Int(0), Value::Text(payload.clone())]),
             )
-            .expect("update");
-            txn.commit().expect("commit");
-            lat.record(start.elapsed());
-        }
-        let stats = db.stats();
-        checkpoints = stats.maintenance_checkpoints;
-        vacuums = stats.maintenance_vacuums;
-        let summary = lat.summary().expect("commits recorded");
-        let wal_bytes = std::fs::metadata(&path).expect("wal meta").len();
-        // Reopen timed below needs the db (and its maintenance thread)
-        // gone first.
-        drop(db);
-        let start = Instant::now();
-        let db = Database::open(&path, Options::default()).expect("reopen");
-        let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
-        let t = db.table_id("chars").expect("table survives");
-        assert_eq!(
-            db.begin().count(t, &Predicate::True).expect("count") as u64,
-            WORKING_SET,
-            "working set lost across reopen"
+            .expect("seed"),
         );
-        return RunResult {
-            label,
-            commits,
-            p50_us: summary.p50_us,
-            p99_us: summary.p99_us,
-            max_us: summary.max_us,
-            wal_bytes,
-            reopen_ms,
-            checkpoints,
-            vacuums,
-        };
+    }
+    txn.commit().expect("seed commit");
+
+    let mut lat = LatencyHistogram::with_capacity(commits as usize);
+    for i in 0..commits {
+        let rid = rids[(i % WORKING_SET) as usize];
+        let start = Instant::now();
+        let mut txn = db.begin();
+        txn.set(
+            t,
+            rid,
+            &[
+                ("seq", Value::Int(i as i64)),
+                ("text", Value::Text(payload.clone())),
+            ],
+        )
+        .expect("update");
+        txn.commit().expect("commit");
+        lat.record(start.elapsed());
+    }
+    let stats = db.stats();
+    let checkpoints = stats.maintenance_checkpoints;
+    let vacuums = stats.maintenance_vacuums;
+    let summary = lat.summary().expect("commits recorded");
+    let wal_bytes = std::fs::metadata(&path).expect("wal meta").len();
+    // Reopen timed below needs the db (and its maintenance thread)
+    // gone first.
+    drop(db);
+    let start = Instant::now();
+    let db = Database::open(&path, Options::default()).expect("reopen");
+    let reopen_ms = start.elapsed().as_secs_f64() * 1e3;
+    let t = db.table_id("chars").expect("table survives");
+    assert_eq!(
+        db.begin().count(t, &Predicate::True).expect("count") as u64,
+        WORKING_SET,
+        "working set lost across reopen"
+    );
+    RunResult {
+        label,
+        commits,
+        p50_us: summary.p50_us,
+        p99_us: summary.p99_us,
+        max_us: summary.max_us,
+        wal_bytes,
+        reopen_ms,
+        checkpoints,
+        vacuums,
     }
 }
 

@@ -13,6 +13,11 @@
 //!   events delivered per second across all subscribers once every
 //!   mirror has converged on the final commit.
 //!
+//! `frames_per_write` is counted over the whole run: frames the server's
+//! writers sent per socket write they made (1.0 when every frame has a
+//! write of its own; higher when an `EditOk` and the typist's own echo,
+//! or a burst of events, leave together).
+//!
 //! Not a criterion bench (real sockets, background threads, convergence
 //! barriers), so a plain `main`:
 //!
@@ -140,6 +145,11 @@ fn main() {
         fanout_events_per_s, cfg.fanout_edits, FANOUT_SUBSCRIBERS, delivered
     );
     let stats = server.stats();
+    let frames_per_write = stats.frames_written as f64 / stats.socket_writes.max(1) as f64;
+    println!(
+        "writes: {:>10.3} frames/write ({} frames in {} writes)",
+        frames_per_write, stats.frames_written, stats.socket_writes
+    );
     println!("server stats: {stats:?}");
 
     if let Some(path) = &cfg.json_path {
@@ -148,7 +158,7 @@ fn main() {
                 "{{\"quick\":{},\"pings\":{},\"edits\":{},",
                 "\"fanout_edits\":{},\"fanout_subscribers\":{},",
                 "\"ping_rtt_per_s\":{:.0},\"edit_rtt_per_s\":{:.0},",
-                "\"fanout_events_per_s\":{:.0},",
+                "\"fanout_events_per_s\":{:.0},\"frames_per_write\":{:.3},",
                 "\"frames_dropped\":{},\"slow_disconnects\":{}}}"
             ),
             cfg.quick,
@@ -159,6 +169,7 @@ fn main() {
             ping_rtt_per_s,
             edit_rtt_per_s,
             fanout_events_per_s,
+            frames_per_write,
             stats.frames_dropped,
             stats.slow_disconnects,
         );

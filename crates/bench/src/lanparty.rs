@@ -327,7 +327,7 @@ pub struct WalReceipt {
 /// What one driver run produced.
 #[derive(Debug)]
 pub struct RunReport {
-    /// `inproc`, `tcp_pooled`, or `tcp_persub`.
+    /// `inproc` or `tcp`.
     pub mode: &'static str,
     pub schedule_digest: u64,
     /// FNV-1a over every document's final text: the convergence
@@ -646,10 +646,14 @@ pub fn process_threads() -> u64 {
 /// user on loopback, mirrors kept in lockstep after every committed
 /// edit (so positions resolve deterministically), metadata ops executed
 /// server-side.
-pub fn run_tcp(schedule: &Schedule, net_config: NetConfig, mode: &'static str) -> RunReport {
+pub fn run_tcp(schedule: &Schedule) -> RunReport {
     let corpus = build_fixture(&schedule.config);
-    let server = NetServer::bind("127.0.0.1:0", corpus.tendax.server().clone(), net_config)
-        .expect("bind lan-party server");
+    let server = NetServer::bind(
+        "127.0.0.1:0",
+        corpus.tendax.server().clone(),
+        NetConfig::default(),
+    )
+    .expect("bind lan-party server");
     let addr = server.local_addr();
     let clients: Vec<NetClient> = (0..schedule.config.users)
         .map(|i| {
@@ -724,7 +728,7 @@ pub fn run_tcp(schedule: &Schedule, net_config: NetConfig, mode: &'static str) -
     drop(clients);
     drop(server);
     RunReport {
-        mode,
+        mode: "tcp",
         schedule_digest: schedule.digest(),
         doc_digest: doc_digest(&corpus),
         ops: schedule.ops.len() as u64,

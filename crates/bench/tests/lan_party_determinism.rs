@@ -5,7 +5,6 @@
 //! different machines or different dates would not be comparable.
 
 use tendax_bench::lanparty::{generate, run_in_process, run_tcp, WorkloadConfig};
-use tendax_net::{ForwarderMode, NetConfig};
 
 fn cfg(seed: u64) -> WorkloadConfig {
     WorkloadConfig {
@@ -44,36 +43,11 @@ fn in_process_runs_are_byte_identical() {
 }
 
 #[test]
-fn tcp_runs_are_byte_identical_across_forwarder_modes() {
-    let schedule = generate(&cfg(78));
-    let pooled = run_tcp(
-        &schedule,
-        NetConfig {
-            forwarder: ForwarderMode::Pooled(2),
-            ..NetConfig::default()
-        },
-        "tcp_pooled",
-    );
-    let persub = run_tcp(
-        &schedule,
-        NetConfig {
-            forwarder: ForwarderMode::PerSubscription,
-            ..NetConfig::default()
-        },
-        "tcp_persub",
-    );
-    assert_eq!(pooled.schedule_digest, persub.schedule_digest);
-    assert_eq!(
-        pooled.doc_digest, persub.doc_digest,
-        "forwarder strategy must not change the bytes"
-    );
-    assert_eq!(pooled.commits, persub.commits);
-}
-
-#[test]
 fn tcp_and_rerun_are_byte_identical() {
     let schedule = generate(&cfg(79));
-    let r1 = run_tcp(&schedule, NetConfig::default(), "tcp_pooled");
-    let r2 = run_tcp(&schedule, NetConfig::default(), "tcp_pooled");
+    let r1 = run_tcp(&schedule);
+    let r2 = run_tcp(&schedule);
+    assert_eq!(r1.schedule_digest, r2.schedule_digest);
     assert_eq!(r1.doc_digest, r2.doc_digest);
+    assert_eq!(r1.commits, r2.commits);
 }

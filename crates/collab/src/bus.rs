@@ -29,7 +29,7 @@ use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use tendax_text::{DocId, Effect, OpId, UserId};
 
-use crate::transport::{EventSource, Transport, TransportStats};
+use crate::transport::{EventSource, PublishHook, Transport, TransportStats};
 
 /// Identifier of an editor session on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,10 +95,11 @@ struct BusInner {
     evicted: u64,
 }
 
-/// Publish-notification callbacks (see
-/// [`Transport::register_publish_hook`]). Kept outside [`BusInner`] so
-/// hooks run after the subscriber lock is released.
-struct HookSet(Mutex<Vec<Box<dyn Fn() -> bool + Send + Sync>>>);
+/// Publish hooks (see [`Transport::register_publish_hook`]). The list is
+/// shared copy-on-write: a publisher clones the `Arc` and calls the hooks
+/// with neither this lock nor the subscriber lock held.
+#[derive(Default)]
+struct HookSet(Mutex<Arc<Vec<Arc<PublishHook>>>>);
 
 impl std::fmt::Debug for HookSet {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -131,7 +132,7 @@ impl LanBus {
     pub fn with_policy(policy: BusPolicy) -> Self {
         LanBus {
             inner: Arc::new(Mutex::new(BusInner::default())),
-            hooks: Arc::new(HookSet(Mutex::new(Vec::new()))),
+            hooks: Arc::new(HookSet::default()),
             policy,
         }
     }
@@ -218,18 +219,19 @@ impl LanBus {
         inner.dropped += dropped;
         inner.evicted += evicted;
         drop(inner);
-        // Wake pollers after the subscriber lock is released; a hook
-        // returning false is deregistered.
-        let mut hooks = self.hooks.0.lock();
-        if !hooks.is_empty() {
-            hooks.retain(|h| h());
+        let hooks = Arc::clone(&self.hooks.0.lock());
+        for hook in hooks.iter() {
+            if !hook(&event) {
+                let mut set = self.hooks.0.lock();
+                Arc::make_mut(&mut set).retain(|h| !Arc::ptr_eq(h, hook));
+            }
         }
     }
 
-    /// Register a publish-notification callback (see
+    /// Register a publish hook (see
     /// [`Transport::register_publish_hook`]).
-    pub fn register_publish_hook(&self, hook: Box<dyn Fn() -> bool + Send + Sync>) {
-        self.hooks.0.lock().push(hook);
+    pub fn register_publish_hook(&self, hook: PublishHook) {
+        Arc::make_mut(&mut self.hooks.0.lock()).push(Arc::new(hook));
     }
 
     /// Total events ever published (bus statistics).
@@ -275,12 +277,8 @@ impl Transport for LanBus {
         LanBus::stats(self)
     }
 
-    fn register_publish_hook(&self, hook: Box<dyn Fn() -> bool + Send + Sync>) {
+    fn register_publish_hook(&self, hook: PublishHook) {
         LanBus::register_publish_hook(self, hook);
-    }
-
-    fn supports_publish_hook(&self) -> bool {
-        true
     }
 }
 
@@ -549,6 +547,30 @@ mod tests {
             start.elapsed() < Duration::from_secs(1),
             "disconnected + empty pending must not sleep out the timeout"
         );
+    }
+
+    /// A hook sees every event, may call back into the bus (no bus lock
+    /// is held around it), and leaves the set by returning `false`.
+    #[test]
+    fn publish_hook_gets_the_event_with_no_bus_lock_held() {
+        use std::sync::atomic::AtomicU64;
+        let bus = LanBus::new();
+        let seen = Arc::new(AtomicU64::new(0));
+        let (bus2, seen2) = (bus.clone(), Arc::clone(&seen));
+        bus.register_publish_hook(Box::new(move |ev| {
+            seen2.fetch_add(ev.op.0, Ordering::Relaxed);
+            // Both would deadlock under the subscriber or hook lock.
+            let _ = bus2.subscriber_count();
+            bus2.register_publish_hook(Box::new(|_| false));
+            ev.op != OpId(2)
+        }));
+        for op in 1..=3 {
+            bus.publish(event(1, op));
+        }
+        // Deregistered by the `false` it returned for op 2.
+        assert_eq!(seen.load(Ordering::Relaxed), 1 + 2);
+        // Hooks never count as deliveries.
+        assert_eq!(bus.stats().delivered, 0);
     }
 
     #[test]

@@ -368,18 +368,43 @@ impl EditorDoc {
     /// position beyond the current view yields
     /// [`TextError::InvalidPosition`].
     pub fn type_text(&mut self, pos: usize, text: &str) -> Result<EditReceipt> {
-        let owned = text.to_owned();
-        let (at, receipt) = self.perform_at("insert", pos, move |h, p| h.insert_text(p, &owned))?;
-        self.set_cursor(at + text.chars().count());
-        Ok(receipt)
+        let done = self.commit_text(pos, text);
+        self.published(done)
     }
 
     /// Delete a range, retrying transparently on commit races. The start
     /// position is anchored like [`EditorDoc::type_text`]'s.
     pub fn delete(&mut self, pos: usize, len: usize) -> Result<EditReceipt> {
-        let (at, receipt) = self.perform_at("delete", pos, move |h, p| h.delete_range(p, len))?;
+        let done = self.commit_delete(pos, len);
+        self.published(done)
+    }
+
+    /// [`EditorDoc::type_text`] up to and including the commit, with the
+    /// broadcast handed back instead of sent: the caller owes it to
+    /// [`EditorDoc::publish`], whatever else happens to it in between. A
+    /// network server acknowledges its typist between the two.
+    pub fn commit_text(
+        &mut self,
+        pos: usize,
+        text: &str,
+    ) -> Result<(EditReceipt, Option<DocEvent>)> {
+        let owned = text.to_owned();
+        let (at, receipt, event) =
+            self.perform_at("insert", pos, move |h, p| h.insert_text(p, &owned))?;
+        self.set_cursor(at + text.chars().count());
+        Ok((receipt, event))
+    }
+
+    /// [`EditorDoc::delete`] split like [`EditorDoc::commit_text`].
+    pub fn commit_delete(
+        &mut self,
+        pos: usize,
+        len: usize,
+    ) -> Result<(EditReceipt, Option<DocEvent>)> {
+        let (at, receipt, event) =
+            self.perform_at("delete", pos, move |h, p| h.delete_range(p, len))?;
         self.set_cursor(at);
-        Ok(receipt)
+        Ok((receipt, event))
     }
 
     pub fn copy(&self, pos: usize, len: usize) -> Result<Clip> {
@@ -388,21 +413,21 @@ impl EditorDoc {
 
     pub fn paste(&mut self, pos: usize, clip: &Clip) -> Result<EditReceipt> {
         let clip = clip.clone();
-        self.perform_at("paste", pos, move |h, p| h.paste(p, &clip))
-            .map(|(_, receipt)| receipt)
+        let done = self.perform_at("paste", pos, move |h, p| h.paste(p, &clip));
+        self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
     pub fn paste_external(&mut self, pos: usize, text: &str, source: &str) -> Result<EditReceipt> {
         let (text, source) = (text.to_owned(), source.to_owned());
-        self.perform_at("paste", pos, move |h, p| {
+        let done = self.perform_at("paste", pos, move |h, p| {
             h.paste_external(p, &text, &source)
-        })
-        .map(|(_, receipt)| receipt)
+        });
+        self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
     pub fn apply_style(&mut self, pos: usize, len: usize, style: StyleId) -> Result<EditReceipt> {
-        self.perform_at("style", pos, move |h, p| h.apply_style(p, len, style))
-            .map(|(_, receipt)| receipt)
+        let done = self.perform_at("style", pos, move |h, p| h.apply_style(p, len, style));
+        self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
     /// Atomically move text into another open document (one database
@@ -432,8 +457,8 @@ impl EditorDoc {
                 Ok((del, ins)) => {
                     self.stats.ops += 1;
                     dst.stats.ops += 1;
-                    self.publish("delete", &del);
-                    dst.publish("paste", &ins);
+                    self.publish(self.event("delete", &del));
+                    dst.publish(dst.event("paste", &ins));
                     return Ok((del, ins));
                 }
                 Err(e) if e.is_retryable() => last = Some(e),
@@ -447,19 +472,23 @@ impl EditorDoc {
     }
 
     pub fn undo(&mut self) -> Result<EditReceipt> {
-        self.perform("undo", |h| h.undo())
+        let done = self.perform("undo", |h| h.undo());
+        self.published(done)
     }
 
     pub fn redo(&mut self) -> Result<EditReceipt> {
-        self.perform("redo", |h| h.redo())
+        let done = self.perform("redo", |h| h.redo());
+        self.published(done)
     }
 
     pub fn global_undo(&mut self) -> Result<EditReceipt> {
-        self.perform("undo", |h| h.global_undo())
+        let done = self.perform("undo", |h| h.global_undo());
+        self.published(done)
     }
 
     pub fn global_redo(&mut self) -> Result<EditReceipt> {
-        self.perform("redo", |h| h.global_redo())
+        let done = self.perform("redo", |h| h.global_redo());
+        self.published(done)
     }
 
     /// Run an arbitrary handle operation under the session's retry/publish
@@ -483,7 +512,7 @@ impl EditorDoc {
             match f(&mut self.handle) {
                 Ok((value, receipt)) => {
                     self.stats.ops += 1;
-                    self.publish(kind, &receipt);
+                    self.publish(self.event(kind, &receipt));
                     return Ok((value, receipt));
                 }
                 Err(e) if e.is_retryable() => last = Some(e),
@@ -496,11 +525,14 @@ impl EditorDoc {
         })
     }
 
+    /// Run `f` under the retry protocol up to and including its commit.
+    /// The broadcast is handed back, not sent: commit and broadcast are
+    /// two steps, and what goes between them is the caller's business.
     fn perform(
         &mut self,
         kind: &str,
         mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
-    ) -> Result<EditReceipt> {
+    ) -> Result<(EditReceipt, Option<DocEvent>)> {
         self.sync();
         let mut last = None;
         for attempt in 0..EDIT_RETRIES {
@@ -514,8 +546,8 @@ impl EditorDoc {
             match f(&mut self.handle) {
                 Ok(receipt) => {
                     self.stats.ops += 1;
-                    self.publish(kind, &receipt);
-                    return Ok(receipt);
+                    let event = self.event(kind, &receipt);
+                    return Ok((receipt, event));
                 }
                 Err(e) if e.is_retryable() => last = Some(e),
                 Err(e) => return Err(e),
@@ -532,39 +564,21 @@ impl EditorDoc {
     /// *before* the pre-edit sync and re-resolved against the local view
     /// on every attempt, so remote edits applied by the sync (or by the
     /// retry refreshes) move the operation with the text the caller was
-    /// pointing at. Returns the position the operation finally ran at.
+    /// pointing at. Also returns the position the operation finally ran
+    /// at.
     fn perform_at(
         &mut self,
         kind: &str,
         pos: usize,
         mut f: impl FnMut(&mut DocHandle, usize) -> Result<EditReceipt>,
-    ) -> Result<(usize, EditReceipt)> {
+    ) -> Result<(usize, EditReceipt, Option<DocEvent>)> {
         let anchor = self.capture_anchor(pos);
-        self.sync();
-        let mut last = None;
-        for attempt in 0..EDIT_RETRIES {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.server.note_retry(self.session);
-                std::thread::sleep(backoff_delay(self.session, attempt));
-                self.sync();
-                self.handle.refresh()?;
-            }
-            let at = self.resolve_anchor(&anchor);
-            match f(&mut self.handle, at) {
-                Ok(receipt) => {
-                    self.stats.ops += 1;
-                    self.publish(kind, &receipt);
-                    return Ok((at, receipt));
-                }
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(TextError::RetriesExhausted {
-            attempts: EDIT_RETRIES,
-            last: last.map(Box::new),
-        })
+        let mut at = pos;
+        let (receipt, event) = self.perform(kind, |h| {
+            at = Self::resolve_anchor(h, &anchor);
+            f(h, at)
+        })?;
+        Ok((at, receipt, event))
     }
 
     /// Snapshot `pos` as an anchor in the current local view.
@@ -583,24 +597,22 @@ impl EditorDoc {
     }
 
     /// Map a captured anchor back to a position in the current view.
-    fn resolve_anchor(&self, anchor: &PosAnchor) -> usize {
+    fn resolve_anchor(handle: &DocHandle, anchor: &PosAnchor) -> usize {
         match *anchor {
             PosAnchor::Start => 0,
-            PosAnchor::After(id, fallback) => self
-                .handle
+            PosAnchor::After(id, fallback) => handle
                 .caret_after(id)
                 // Anchor purged from the chain entirely: clamp, the same
                 // recovery the cursor uses.
-                .unwrap_or_else(|| fallback.min(self.handle.len())),
+                .unwrap_or_else(|| fallback.min(handle.len())),
             PosAnchor::Raw(pos) => pos,
         }
     }
 
-    fn publish(&self, kind: &str, receipt: &EditReceipt) {
-        if receipt.effects.is_empty() {
-            return;
-        }
-        self.server.transport().publish(DocEvent {
+    /// The broadcast of a committed operation; none if it changed no
+    /// character.
+    fn event(&self, kind: &str, receipt: &EditReceipt) -> Option<DocEvent> {
+        (!receipt.effects.is_empty()).then(|| DocEvent {
             doc: self.handle.doc(),
             op: receipt.op,
             commit_ts: receipt.commit_ts,
@@ -608,9 +620,24 @@ impl EditorDoc {
             origin: self.session,
             kind: kind.to_owned(),
             effects: receipt.effects.clone(),
-        });
+        })
+    }
+
+    /// Broadcast a committed operation to the document's other editors
+    /// (the second half of every editing call; see
+    /// [`EditorDoc::commit_text`]).
+    pub fn publish(&self, event: Option<DocEvent>) {
+        let Some(event) = event else { return };
+        self.server.transport().publish(event);
         // `presence_update` stamps last_active for us.
         self.server.presence_update(self.session, |_| {});
+    }
+
+    /// "Perform, then publish": the tail shared by the editing calls.
+    fn published(&self, done: Result<(EditReceipt, Option<DocEvent>)>) -> Result<EditReceipt> {
+        let (receipt, event) = done?;
+        self.publish(event);
+        Ok(receipt)
     }
 }
 

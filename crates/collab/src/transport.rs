@@ -51,24 +51,19 @@ pub trait Transport: Send + Sync + std::fmt::Debug {
     /// Cumulative delivery/backpressure counters.
     fn stats(&self) -> TransportStats;
 
-    /// Register a callback invoked after every `publish` (any document).
-    /// Lets a consumer that multiplexes many subscriptions over few
-    /// threads (e.g. a forwarder pool) park between events and still
-    /// wake immediately on commit instead of polling. The callback must
-    /// be fast and non-blocking; returning `false` deregisters it.
-    /// Transports without a notification path may ignore this (the
-    /// default), in which case consumers fall back to polling.
-    fn register_publish_hook(&self, _hook: Box<dyn Fn() -> bool + Send + Sync>) {}
-
-    /// Whether [`Transport::register_publish_hook`] actually delivers
-    /// notifications. Consumers that multiplex subscriptions use this
-    /// to choose between pure event-driven parking (`true`) and a
-    /// polling fallback tick (`false`, the default — matching the
-    /// default no-op hook registration).
-    fn supports_publish_hook(&self) -> bool {
-        false
-    }
+    /// Register a callback handed every published event (any document),
+    /// on the publishing thread, after the subscribers' queues were fed
+    /// and with no transport-wide lock held — so a hook may take its
+    /// time encoding and pushing, and two documents' publishers never
+    /// wait on each other inside it. This is how `tendax-net` fans a
+    /// commit out to its TCP subscribers without a thread in between.
+    /// The callback must not block on a consumer; returning `false`
+    /// deregisters it.
+    fn register_publish_hook(&self, hook: PublishHook);
 }
+
+/// See [`Transport::register_publish_hook`].
+pub type PublishHook = Box<dyn Fn(&Arc<DocEvent>) -> bool + Send + Sync>;
 
 /// The receiving end of one document subscription.
 pub trait EventSource: Send + std::fmt::Debug {

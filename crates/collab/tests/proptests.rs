@@ -67,7 +67,7 @@ proptest! {
                 }
                 Step::Delete { editor, pos } => {
                     let e = &mut editors[editor];
-                    if e.len() > 0 {
+                    if !e.is_empty() {
                         let p = pos % e.len();
                         match e.delete(p, 1) {
                             Ok(_) | Err(TextError::InvalidPosition { .. }) => {}
@@ -136,7 +136,7 @@ proptest! {
         // editor's pinned local view the other regions never change, so
         // its region start stays at the seed offset.
         let starts = [0usize, 9, 18];
-        let mut models = vec![
+        let mut models = [
             SEED[0..8].to_string(),
             SEED[9..17].to_string(),
             SEED[18..26].to_string(),

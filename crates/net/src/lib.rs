@@ -59,5 +59,5 @@ pub use client::{ClientConfig, NetClient};
 pub use error::{codes, NetError, Result};
 pub use mirror::MirrorDoc;
 pub use protocol::{EditOp, Frame, WireChar, WireEvent, WirePresence, PROTOCOL_VERSION};
-pub use server::{ForwarderMode, NetConfig, NetServer, NetServerStats};
+pub use server::{NetConfig, NetServer, NetServerStats};
 pub use wire::{FrameBuffer, PayloadReader, PayloadWriter, MAX_FRAME};

@@ -342,6 +342,34 @@ pub fn encode_snapshot(handle: &DocHandle) -> Vec<u8> {
     w.into_frame()
 }
 
+/// Encode the `Event` frame of a committed operation: the wire bytes of
+/// `Frame::Event(WireEvent::from(ev)).encode()`, written straight from
+/// the event, so a broadcast is encoded once without a `WireEvent` copy
+/// of its effect list.
+pub fn encode_event(ev: &DocEvent) -> Vec<u8> {
+    let mut w = PayloadWriter::frame(TAG_EVENT, 0);
+    write_event(
+        &mut w,
+        [ev.doc.0, ev.op.0, ev.commit_ts, ev.user.0, ev.origin.0],
+        &ev.kind,
+        &ev.effects,
+    );
+    w.into_frame()
+}
+
+/// An `Event` payload: `[doc, op, commit_ts, user, origin]`, the kind,
+/// the effects.
+fn write_event(w: &mut PayloadWriter, ids: [u64; 5], kind: &str, effects: &[Effect]) {
+    for id in ids {
+        w.u64(id);
+    }
+    w.str(kind);
+    w.u32(effects.len() as u32);
+    for e in effects {
+        write_effect(w, e);
+    }
+}
+
 /// A `Snapshot` payload being decoded: the header, then the characters
 /// one at a time, so a reader can build its own representation without
 /// an intermediate `Vec<WireChar>`.
@@ -481,18 +509,12 @@ impl Frame {
                 w.u64(*request);
                 w.str(message);
             }
-            Frame::Event(ev) => {
-                w.u64(ev.doc);
-                w.u64(ev.op);
-                w.u64(ev.commit_ts);
-                w.u64(ev.user);
-                w.u64(ev.origin);
-                w.str(&ev.kind);
-                w.u32(ev.effects.len() as u32);
-                for e in &ev.effects {
-                    write_effect(&mut w, e);
-                }
-            }
+            Frame::Event(ev) => write_event(
+                &mut w,
+                [ev.doc, ev.op, ev.commit_ts, ev.user, ev.origin],
+                &ev.kind,
+                &ev.effects,
+            ),
             Frame::Awareness {
                 doc,
                 cursor,

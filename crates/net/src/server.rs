@@ -1,29 +1,55 @@
 //! The TCP collaboration server.
 //!
-//! Multiplexes many client connections over one [`CollabServer`]: each
-//! accepted socket gets a handshake, a server-side [`EditorSession`]
-//! (so edits reuse the retry/awareness machinery), a reader thread, a
-//! writer thread draining a **bounded** outbound queue, and one
-//! forwarder thread per subscribed document pumping committed events
-//! from the in-process [`Transport`] onto the wire.
+//! Multiplexes many client connections over one [`CollabServer`]. A
+//! connection is two threads whatever it subscribes to: a reader
+//! (handshake, then frame decode and request dispatch against a
+//! server-side [`EditorSession`], so edits reuse the retry/awareness
+//! machinery) and a writer draining a **bounded** outbound queue onto
+//! the socket. No thread stands between a commit and the subscribers'
+//! queues: the server keeps a registry of which connections subscribe
+//! to which document, and a publish hook on the [`Transport`] runs on
+//! the committing thread, encodes the `Event` frame once and pushes the
+//! shared bytes onto each subscriber's queue.
+//!
+//! ## Ack first
+//!
+//! An `Edit`'s reply is queued before its broadcast: the typist's
+//! acknowledgement never waits for the fan-out, and an edit's `EditOk`
+//! is never queued after its own echo. The broadcast goes out even if
+//! the reply could not be queued — the edit is committed, and the other
+//! subscribers are owed it.
+//!
+//! ## Subscribe before snapshot
+//!
+//! A subscription enters the registry *before* its snapshot is opened,
+//! with its event stream gated: events are held back until the snapshot
+//! frame is queued, then follow it. So no committed event falls between
+//! the snapshot and the stream, and none precedes the snapshot (events
+//! the snapshot already covers are dropped client-side by the ts gate).
 //!
 //! ## Slow-consumer policy
 //!
-//! The outbound queue has a fixed capacity. Broadcast frames (`Event`)
-//! are enqueued with `try_push`: when the queue is full the frame is
-//! dropped and counted as lag, and the event stream is *lost* — the
-//! client has a gap it cannot detect, so the forwarder suppresses
-//! further events (each counted as lag) and schedules a recovery
-//! snapshot. Delivering the snapshot resets the lag counter; failing to
-//! deliver it within `critical_send_timeout`, or accumulating more than
-//! `lag_limit` outstanding lag before it lands, kills the connection:
-//! the queue is cleared, a final `Error{SLOW_CONSUMER}` frame is
-//! emitted, and the socket closes. Reply frames (`Snapshot`, `EditOk`,
-//! `Pong`, …) are *critical*: the sender waits up to
-//! `critical_send_timeout` for queue space and kills the connection if
-//! the client cannot even absorb replies. This is the [`LanBus`] policy
-//! (bound, count, evict) plus the resync step a remote mirror needs —
-//! one slow editor can never wedge the server or the other editors.
+//! The outbound queue has a fixed capacity. `Event` frames are offered
+//! without waiting: when the queue is full the frame is dropped and
+//! counted as lag, and that document's stream is *lost* — the client has
+//! a gap it cannot detect, so further events of the document are
+//! suppressed (each counted as lag) until a recovery snapshot. Recovery
+//! belongs to the one thread that knows when the client can take a
+//! frame: once the writer has drained the queue it marks the stream
+//! whole again (resetting that stream's lag, and only that stream's),
+//! opens the document and writes the snapshot. Reply frames
+//! (`Snapshot`, `EditOk`, `Pong`, …) are *critical*: the sender waits up
+//! to `critical_send_timeout` for queue space. A client is cut — queue
+//! cleared, a final `Error{SLOW_CONSUMER}`, socket closed — when its
+//! outstanding lag passes `lag_limit`, when a critical frame cannot be
+//! queued in time, or when a socket write times out (a peer that stops
+//! reading long enough to fill the kernel buffer, recovery snapshot
+//! included). This is the [`LanBus`] policy (bound, count, evict) plus
+//! the resync step a remote mirror needs — one slow editor can never
+//! wedge the server or the other editors.
+//!
+//! [`LanBus`]: tendax_collab::LanBus
+//! [`Transport`]: tendax_collab::Transport
 //!
 //! ## Error isolation
 //!
@@ -35,32 +61,19 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
-use tendax_collab::{CollabServer, EditorDoc, EditorSession, Platform};
-use tendax_text::DocId;
+use parking_lot::{Condvar, Mutex, RwLock};
+use tendax_collab::{CollabServer, DocEvent, EditorDoc, EditorSession, Platform};
+use tendax_text::{DocId, UserId};
 
 use crate::error::{codes, NetError, Result};
-use crate::protocol::{encode_snapshot, EditOp, Frame, WireEvent, WirePresence, PROTOCOL_VERSION};
+use crate::protocol::{
+    encode_event, encode_snapshot, EditOp, Frame, WirePresence, PROTOCOL_VERSION,
+};
 use crate::wire::FrameBuffer;
-
-/// How committed events get forwarded from the in-process transport
-/// onto connections' outbound queues.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ForwarderMode {
-    /// One dedicated pump thread per (connection, document)
-    /// subscription — the original design. Simple, but the server's
-    /// thread count scales as connections × subscribed documents.
-    PerSubscription,
-    /// A fixed pool of worker threads multiplexing every subscription
-    /// on the server. Thread count is constant regardless of how many
-    /// clients subscribe to how many documents. The value is the worker
-    /// count (clamped to at least 1).
-    Pooled(usize),
-}
 
 /// Tuning knobs of the TCP server.
 #[derive(Debug, Clone)]
@@ -71,7 +84,8 @@ pub struct NetConfig {
     pub outbound_capacity: usize,
     /// Dropped frames tolerated before a lagging connection is cut.
     pub lag_limit: u64,
-    /// How long a critical (reply) frame may wait for queue space.
+    /// How long a critical (reply) frame may wait for queue space, and a
+    /// socket write for the peer to read.
     pub critical_send_timeout: Duration,
     /// Socket read timeout of the per-connection reader loop; bounds
     /// how quickly kill flags and shutdown are observed.
@@ -81,8 +95,6 @@ pub struct NetConfig {
     /// before any per-connection threads or sessions exist, so an
     /// accept flood cannot exhaust the process.
     pub max_connections: usize,
-    /// Event-forwarding strategy (see [`ForwarderMode`]).
-    pub forwarder: ForwarderMode,
 }
 
 impl Default for NetConfig {
@@ -94,7 +106,6 @@ impl Default for NetConfig {
             critical_send_timeout: Duration::from_secs(5),
             read_tick: Duration::from_millis(100),
             max_connections: 256,
-            forwarder: ForwarderMode::Pooled(4),
         }
     }
 }
@@ -110,22 +121,23 @@ pub struct NetServerStats {
     pub protocol_errors: u64,
     /// Connections dropped by the slow-consumer policy.
     pub slow_disconnects: u64,
-    /// Frames dropped from full outbound queues across all connections.
+    /// Event frames dropped at full outbound queues, or suppressed on a
+    /// lost stream, across all connections.
     pub frames_dropped: u64,
-    /// Event frames successfully enqueued by forwarders across all
-    /// connections.
+    /// Event frames queued for a subscriber across all connections.
     pub events_forwarded: u64,
     /// Connections turned away at the `max_connections` limit.
     pub capacity_rejects: u64,
-    /// Threads created for event forwarding over the server's lifetime:
-    /// one per subscription in [`ForwarderMode::PerSubscription`], the
-    /// fixed worker count in [`ForwarderMode::Pooled`].
-    pub forwarder_threads: u64,
-    /// Pooled-forwarder wakeups whose following pass over the task
-    /// queue delivered nothing. With a hook-driven transport these
-    /// should stay near zero; a climbing count means workers are being
-    /// notified (or tick-polled) without work to do.
+    /// Always zero: it counted the idle wake-ups of a forwarder pool, and
+    /// no thread stands between a publish and the queues any more. The
+    /// field stays because the repository's benchmark reports it.
     pub pool_spurious_wakeups: u64,
+    /// Frames the writers put on sockets.
+    pub frames_written: u64,
+    /// Socket writes those frames travelled in: a writer drains its
+    /// whole queue into one write, so an `EditOk` and the typist's own
+    /// echo leave — and wake the client — together.
+    pub socket_writes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -137,27 +149,66 @@ struct StatCells {
     frames_dropped: AtomicU64,
     events_forwarded: AtomicU64,
     capacity_rejects: AtomicU64,
-    forwarder_threads: AtomicU64,
-    pool_spurious_wakeups: AtomicU64,
+    frames_written: AtomicU64,
+    socket_writes: AtomicU64,
 }
 
-/// Bounded outbound frame queue with a kill switch.
+/// One encoded frame, shared by every queue it sits in.
+type Bytes = Arc<[u8]>;
+
+/// What became of an event offered to a connection.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Offered {
+    /// In the outbound queue.
+    Queued,
+    /// Dropped (queue full) or suppressed (stream lost): counted as lag.
+    Dropped,
+    /// Held behind the subscription's snapshot, or not subscribed.
+    Parked,
+}
+
+/// The event stream of one subscribed document on one connection.
+#[derive(Debug, Default)]
+struct Stream {
+    /// Events waiting for the subscription's snapshot to be queued ahead
+    /// of them; `None` once it has been.
+    held: Option<Vec<Bytes>>,
+    /// A frame was dropped: nothing more of this document is sent until
+    /// the writer's recovery snapshot.
+    lost: bool,
+    /// Frames dropped or suppressed since the stream was last whole.
+    lagged: u64,
+}
+
+/// Bounded outbound frame queue with a kill switch, and the state of the
+/// connection's event streams — under one lock, so "is this stream
+/// whole?" and "is there room?" are one question.
 #[derive(Debug)]
 struct OutQueue {
     state: Mutex<QueueState>,
-    /// Signalled when frames arrive (writer waits on this).
+    /// Signalled when the parked writer has something to do.
     data: Condvar,
     /// Signalled when space frees up (critical senders wait on this).
     space: Condvar,
     capacity: usize,
+    /// Outstanding lag summed over the connection's streams (maintained
+    /// under the lock; read without it by the reader's limit check).
     lagged: AtomicU64,
 }
 
 #[derive(Debug, Default)]
 struct QueueState {
-    frames: VecDeque<Vec<u8>>,
+    frames: VecDeque<Bytes>,
     /// No more pushes; the writer drains what remains, then closes.
     closing: bool,
+    streams: HashMap<DocId, Stream>,
+    /// Lost streams the writer has yet to recover.
+    recover: Vec<DocId>,
+    /// The writer is (about to be) asleep on `data`: only then is a
+    /// notification — a system call — worth making.
+    writer_parked: bool,
+    /// Critical senders asleep on `space`.
+    space_waiters: usize,
 }
 
 impl OutQueue {
@@ -171,24 +222,86 @@ impl OutQueue {
         }
     }
 
-    /// Enqueue a droppable frame. Full queue = drop + lag count.
-    fn try_push(&self, frame: Vec<u8>) -> bool {
+    fn wake_writer(&self, parked: &mut bool) {
+        if std::mem::take(parked) {
+            self.data.notify_one();
+        }
+    }
+
+    /// Start a subscription's event stream, gated: events are held until
+    /// [`OutQueue::release_stream`].
+    fn open_stream(&self, doc: DocId) {
+        let gated = Stream {
+            held: Some(Vec::new()),
+            ..Stream::default()
+        };
+        self.state.lock().streams.insert(doc, gated);
+    }
+
+    /// The subscription's snapshot is queued: queue what was held behind
+    /// it and let events through from now on. Returns how many held
+    /// events were `(queued, dropped)`.
+    fn release_stream(&self, doc: DocId) -> (u64, u64) {
         let mut s = self.state.lock();
+        let held = s.streams.get_mut(&doc).and_then(|st| st.held.take());
+        let (mut queued, mut dropped) = (0, 0);
+        for frame in held.unwrap_or_default() {
+            match self.offer(&mut s, doc, frame) {
+                Offered::Queued => queued += 1,
+                Offered::Dropped => dropped += 1,
+                Offered::Parked => {}
+            }
+        }
+        (queued, dropped)
+    }
+
+    /// End a subscription's event stream, forgetting its lag.
+    fn close_stream(&self, doc: DocId) {
+        let mut s = self.state.lock();
+        if let Some(stream) = s.streams.remove(&doc) {
+            self.lagged.fetch_sub(stream.lagged, Ordering::Relaxed);
+        }
+        s.recover.retain(|d| *d != doc);
+    }
+
+    /// Offer one of `doc`'s events without waiting. Full queue = drop,
+    /// lag, and the stream is lost until the writer recovers it.
+    fn push_event(&self, doc: DocId, frame: &Bytes) -> Offered {
+        let mut s = self.state.lock();
+        self.offer(&mut s, doc, Arc::clone(frame))
+    }
+
+    fn offer(&self, s: &mut QueueState, doc: DocId, frame: Bytes) -> Offered {
         if s.closing {
-            return false;
+            return Offered::Parked;
         }
-        if s.frames.len() >= self.capacity {
-            drop(s);
-            self.lagged.fetch_add(1, Ordering::Relaxed);
-            return false;
+        let Some(stream) = s.streams.get_mut(&doc) else {
+            return Offered::Parked;
+        };
+        if !stream.lost {
+            match &mut stream.held {
+                Some(held) if held.len() < self.capacity => {
+                    held.push(frame);
+                    return Offered::Parked;
+                }
+                None if s.frames.len() < self.capacity => {
+                    s.frames.push_back(frame);
+                    self.wake_writer(&mut s.writer_parked);
+                    return Offered::Queued;
+                }
+                _ => {}
+            }
+            stream.lost = true;
+            s.recover.push(doc);
+            self.wake_writer(&mut s.writer_parked);
         }
-        s.frames.push_back(frame);
-        self.data.notify_one();
-        true
+        stream.lagged += 1;
+        self.lagged.fetch_add(1, Ordering::Relaxed);
+        Offered::Dropped
     }
 
     /// Enqueue a reply frame, waiting up to `timeout` for space.
-    fn push_critical(&self, frame: Vec<u8>, timeout: Duration) -> Result<()> {
+    fn push_critical(&self, frame: Bytes, timeout: Duration) -> Result<()> {
         let mut s = self.state.lock();
         loop {
             if s.closing {
@@ -196,77 +309,171 @@ impl OutQueue {
             }
             if s.frames.len() < self.capacity {
                 s.frames.push_back(frame);
-                self.data.notify_one();
+                self.wake_writer(&mut s.writer_parked);
                 return Ok(());
             }
-            if self.space.wait_for(&mut s, timeout).timed_out() {
+            s.space_waiters += 1;
+            let timed_out = self.space.wait_for(&mut s, timeout).timed_out();
+            s.space_waiters -= 1;
+            if timed_out {
                 return Err(NetError::SlowConsumer);
             }
         }
     }
 
     /// Discard everything queued, emit one final frame, and close.
-    fn kill(&self, last_frame: Option<Vec<u8>>) {
+    fn kill(&self, last_frame: Option<Bytes>) {
         let mut s = self.state.lock();
         if s.closing {
             return;
         }
         s.frames.clear();
-        if let Some(f) = last_frame {
-            s.frames.push_back(f);
-        }
+        s.frames.extend(last_frame);
         s.closing = true;
         self.data.notify_all();
         self.space.notify_all();
     }
 
-    /// Next frame for the writer; `None` once closed and drained.
-    fn pop(&self) -> Option<Vec<u8>> {
+    /// Writer side: block until there are frames to write (moved into
+    /// `frames`, all of them) or streams to recover; `false` once closed
+    /// and drained.
+    fn wait(&self, frames: &mut Vec<Bytes>) -> bool {
         let mut s = self.state.lock();
         loop {
-            if let Some(f) = s.frames.pop_front() {
-                self.space.notify_one();
-                return Some(f);
+            if !s.frames.is_empty() {
+                frames.extend(s.frames.drain(..));
+                if s.space_waiters > 0 {
+                    self.space.notify_all();
+                }
+                return true;
             }
             if s.closing {
-                return None;
+                return false;
             }
+            if !s.recover.is_empty() {
+                return true;
+            }
+            s.writer_parked = true;
             self.data.wait(&mut s);
+            s.writer_parked = false;
+        }
+    }
+
+    /// Writer side: the lost streams, each made whole again — its lag
+    /// forgiven (and no other stream's), its events flowing into the
+    /// queue from here on. The caller now owes each a snapshot opened
+    /// *after* this call, which is what makes the stream whole: whatever
+    /// was dropped committed before it, whatever it misses is queued
+    /// behind it.
+    fn take_lost(&self, docs: &mut Vec<DocId>) {
+        let mut s = self.state.lock();
+        let s = &mut *s;
+        if s.closing {
+            return;
+        }
+        for doc in s.recover.drain(..) {
+            if let Some(stream) = s.streams.get_mut(&doc) {
+                stream.lost = false;
+                self.lagged
+                    .fetch_sub(std::mem::take(&mut stream.lagged), Ordering::Relaxed);
+                docs.push(doc);
+            }
         }
     }
 
     fn lagged(&self) -> u64 {
         self.lagged.load(Ordering::Relaxed)
     }
-
-    /// Count a suppressed (not even attempted) frame as lag.
-    fn note_lag(&self) {
-        self.lagged.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// A recovery snapshot was delivered: outstanding lag is resolved.
-    fn reset_lag(&self) {
-        self.lagged.store(0, Ordering::Relaxed);
-    }
 }
 
-/// Handles shared between a connection's threads.
+/// Handles shared between a connection's threads and the publishers.
 #[derive(Debug)]
 struct ConnShared {
     queue: OutQueue,
     /// Set when any thread decides the connection must die.
     dead: AtomicBool,
     stream: TcpStream,
+    /// Who the connection authenticated as (set by the handshake, which
+    /// precedes every subscription): recovery snapshots are opened in
+    /// this user's name.
+    user: OnceLock<UserId>,
 }
 
 impl ConnShared {
-    fn kill(&self, last_frame: Option<Vec<u8>>) {
+    fn kill(&self, last_frame: Option<Frame>) {
         self.dead.store(true, Ordering::Release);
-        self.queue.kill(last_frame);
+        self.queue.kill(last_frame.map(|f| f.encode().into()));
     }
 
     fn is_dead(&self) -> bool {
         self.dead.load(Ordering::Acquire)
+    }
+}
+
+/// What the accept loop, every connection and the publish hook share.
+#[derive(Debug)]
+struct Hub {
+    collab: CollabServer,
+    config: NetConfig,
+    stats: StatCells,
+    /// Live connections, for shutdown.
+    conns: Mutex<Vec<Arc<ConnShared>>>,
+    /// Which connections an event of a document goes to.
+    subscribers: RwLock<HashMap<DocId, Vec<Arc<ConnShared>>>>,
+}
+
+impl Hub {
+    /// The publish hook's body, on the committing thread: encode the
+    /// `Event` frame once, offer the shared bytes to every subscriber.
+    /// Publishers of any documents share the registry lock; it is only
+    /// taken exclusively to subscribe or unsubscribe.
+    fn fan_out(&self, ev: &DocEvent) {
+        let subscribers = self.subscribers.read();
+        let Some(conns) = subscribers.get(&ev.doc) else {
+            return;
+        };
+        let frame: Bytes = encode_event(ev).into();
+        let (mut queued, mut dropped) = (0, 0);
+        for conn in conns {
+            match conn.queue.push_event(ev.doc, &frame) {
+                Offered::Queued => queued += 1,
+                Offered::Dropped => dropped += 1,
+                Offered::Parked => {}
+            }
+        }
+        self.count_events(queued, dropped);
+    }
+
+    fn count_events(&self, queued: u64, dropped: u64) {
+        self.stats
+            .events_forwarded
+            .fetch_add(queued, Ordering::Relaxed);
+        self.stats
+            .frames_dropped
+            .fetch_add(dropped, Ordering::Relaxed);
+    }
+
+    fn subscribe(&self, doc: DocId, conn: &Arc<ConnShared>) {
+        let mut subscribers = self.subscribers.write();
+        subscribers.entry(doc).or_default().push(Arc::clone(conn));
+    }
+
+    fn unsubscribe(&self, doc: DocId, conn: &Arc<ConnShared>) {
+        let mut subscribers = self.subscribers.write();
+        if let Some(conns) = subscribers.get_mut(&doc) {
+            conns.retain(|c| !Arc::ptr_eq(c, conn));
+            if conns.is_empty() {
+                subscribers.remove(&doc);
+            }
+        }
+    }
+
+    /// Drop every subscription of a connection that is going away.
+    fn disconnect(&self, conn: &Arc<ConnShared>) {
+        self.subscribers.write().retain(|_, conns| {
+            conns.retain(|c| !Arc::ptr_eq(c, conn));
+            !conns.is_empty()
+        });
     }
 }
 
@@ -276,9 +483,7 @@ pub struct NetServer {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<Arc<ConnShared>>>>,
-    stats: Arc<StatCells>,
-    pool: Option<Arc<ForwarderPool>>,
+    hub: Arc<Hub>,
 }
 
 /// Decrements the live-connection gauge when a connection thread exits,
@@ -302,23 +507,29 @@ impl NetServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let conns: Arc<Mutex<Vec<Arc<ConnShared>>>> = Arc::new(Mutex::new(Vec::new()));
-        let stats = Arc::new(StatCells::default());
-        let pool = match config.forwarder {
-            ForwarderMode::PerSubscription => None,
-            ForwarderMode::Pooled(n) => Some(ForwarderPool::start(
-                n.max(1),
-                collab.clone(),
-                config.clone(),
-                Arc::clone(&stats),
-            )),
-        };
+        let hub = Arc::new(Hub {
+            collab,
+            config,
+            stats: StatCells::default(),
+            conns: Mutex::new(Vec::new()),
+            subscribers: RwLock::new(HashMap::new()),
+        });
+        // Weak: the transport must not keep the server alive — once the
+        // server is gone the hook deregisters itself by returning false.
+        let weak = Arc::downgrade(&hub);
+        hub.collab
+            .transport()
+            .register_publish_hook(Box::new(move |ev| match weak.upgrade() {
+                Some(hub) => {
+                    hub.fan_out(ev);
+                    true
+                }
+                None => false,
+            }));
 
         let accept = {
             let shutdown = Arc::clone(&shutdown);
-            let conns = Arc::clone(&conns);
-            let stats = Arc::clone(&stats);
-            let pool = pool.clone();
+            let hub = Arc::clone(&hub);
             let live = Arc::new(AtomicUsize::new(0));
             std::thread::Builder::new()
                 .name("tendax-net-accept".into())
@@ -328,27 +539,23 @@ impl NetServer {
                             break;
                         }
                         let Ok(stream) = stream else { continue };
-                        stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        if live.load(Ordering::Acquire) >= config.max_connections {
-                            stats.capacity_rejects.fetch_add(1, Ordering::Relaxed);
-                            reject_at_capacity(stream, config.max_connections);
+                        hub.stats.accepted.fetch_add(1, Ordering::Relaxed);
+                        if live.load(Ordering::Acquire) >= hub.config.max_connections {
+                            hub.stats.capacity_rejects.fetch_add(1, Ordering::Relaxed);
+                            reject_at_capacity(stream, hub.config.max_connections);
                             continue;
                         }
                         // Reap finished connections so the registry does
                         // not grow with server lifetime.
-                        conns.lock().retain(|c: &Arc<ConnShared>| !c.is_dead());
-                        let collab = collab.clone();
-                        let config = config.clone();
-                        let conns = Arc::clone(&conns);
-                        let stats = Arc::clone(&stats);
-                        let pool = pool.clone();
+                        hub.conns.lock().retain(|c| !c.is_dead());
+                        let hub = Arc::clone(&hub);
                         live.fetch_add(1, Ordering::AcqRel);
                         let guard = LiveGuard(Arc::clone(&live));
                         let spawned = std::thread::Builder::new()
                             .name("tendax-net-conn".into())
                             .spawn(move || {
                                 let _guard = guard;
-                                handle_connection(stream, collab, config, conns, stats, pool);
+                                handle_connection(stream, hub);
                             });
                         // `guard` moved into the thread on success; a
                         // failed spawn drops it here, undoing the count.
@@ -362,9 +569,7 @@ impl NetServer {
             addr,
             shutdown,
             accept: Some(accept),
-            conns,
-            stats,
-            pool,
+            hub,
         })
     }
 
@@ -374,16 +579,19 @@ impl NetServer {
     }
 
     pub fn stats(&self) -> NetServerStats {
+        let cell = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let s = &self.hub.stats;
         NetServerStats {
-            accepted: self.stats.accepted.load(Ordering::Relaxed),
-            auth_failures: self.stats.auth_failures.load(Ordering::Relaxed),
-            protocol_errors: self.stats.protocol_errors.load(Ordering::Relaxed),
-            slow_disconnects: self.stats.slow_disconnects.load(Ordering::Relaxed),
-            frames_dropped: self.stats.frames_dropped.load(Ordering::Relaxed),
-            events_forwarded: self.stats.events_forwarded.load(Ordering::Relaxed),
-            capacity_rejects: self.stats.capacity_rejects.load(Ordering::Relaxed),
-            forwarder_threads: self.stats.forwarder_threads.load(Ordering::Relaxed),
-            pool_spurious_wakeups: self.stats.pool_spurious_wakeups.load(Ordering::Relaxed),
+            accepted: cell(&s.accepted),
+            auth_failures: cell(&s.auth_failures),
+            protocol_errors: cell(&s.protocol_errors),
+            slow_disconnects: cell(&s.slow_disconnects),
+            frames_dropped: cell(&s.frames_dropped),
+            events_forwarded: cell(&s.events_forwarded),
+            capacity_rejects: cell(&s.capacity_rejects),
+            pool_spurious_wakeups: 0,
+            frames_written: cell(&s.frames_written),
+            socket_writes: cell(&s.socket_writes),
         }
     }
 
@@ -397,12 +605,9 @@ impl NetServer {
         if let Some(h) = self.accept.take() {
             let _ = h.join();
         }
-        for conn in self.conns.lock().drain(..) {
+        for conn in self.hub.conns.lock().drain(..) {
             conn.kill(None);
             let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-        if let Some(pool) = self.pool.take() {
-            pool.shutdown();
         }
     }
 }
@@ -459,411 +664,39 @@ fn platform_from_wire(s: &str) -> Platform {
 /// and the character chain describe the same (current) commit frontier
 /// — a long-lived editor's handle would understate it (see
 /// [`encode_snapshot`]).
-fn db_snapshot(collab: &CollabServer, doc: DocId, user: tendax_text::UserId) -> Option<Vec<u8>> {
+fn db_snapshot(collab: &CollabServer, doc: DocId, user: UserId) -> Option<Vec<u8>> {
     let h = collab.textdb().open(doc, user).ok()?;
     Some(encode_snapshot(&h))
 }
 
-/// One subscription's forwarder control block. `pump` is `Some` in
-/// [`ForwarderMode::PerSubscription`] (a dedicated thread to join); in
-/// pooled mode the `stop` flag tells the pool to discard the task on
-/// its next visit.
-struct SubState {
-    editor: EditorDoc,
-    stop: Arc<AtomicBool>,
-    pump: Option<JoinHandle<()>>,
-}
-
-impl SubState {
-    fn stop(mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(h) = self.pump.take() {
-            let _ = h.join();
-        }
-        // Dropping `editor` clears this session's presence on the doc.
-    }
-}
-
-/// How long a worker parks once a full pass over the task queue
-/// produced no events, on a transport whose publish hook is a no-op
-/// ([`Transport::supports_publish_hook`] is `false`): with no
-/// notification path, polling is the only way to observe new events.
-/// Hook-driven transports park without any timeout instead — the
-/// epoch-checked condvar protocol below makes that safe.
-const POOL_IDLE_BACKOFF: Duration = Duration::from_millis(1);
-
-/// How many tasks a pool worker claims from the shared queue per lock
-/// acquisition. Visits are non-blocking, so a larger batch amortizes
-/// queue-mutex traffic without starving other workers for long.
-const POOL_VISIT_BATCH: usize = 16;
-
-/// Per-attempt wait for a recovery snapshot's queue space in pooled
-/// mode. Deliberately short: a worker must not be pinned for the full
-/// `critical_send_timeout` by one slow consumer — the overall deadline
-/// is tracked across visits in [`PumpTask::recover_by`].
-const POOL_RECOVERY_TRY: Duration = Duration::from_millis(10);
-
-/// One subscription's forwarding state, owned by the pool between
-/// worker visits.
-struct PumpTask {
-    doc: DocId,
-    source: Box<dyn tendax_collab::EventSource>,
-    shared: Arc<ConnShared>,
-    stop: Arc<AtomicBool>,
-    user: tendax_text::UserId,
-    /// The client has an undetectable gap; suppress events until a
-    /// recovery snapshot lands (same protocol as the dedicated pump).
-    lost: bool,
-    /// Deadline for delivering the pending recovery snapshot; set when
-    /// `lost` flips true, cleared when the snapshot lands.
-    recover_by: Option<Instant>,
-}
-
-/// A fixed set of worker threads multiplexing every subscription's
-/// event forwarding. Workers take one task at a time off the shared
-/// queue (which serializes each task without per-task locks), drain its
-/// pending events without blocking, and put it back; a worker only
-/// parks ([`POOL_IDLE_BACKOFF`]) after a whole pass found nothing.
-struct ForwarderPool {
-    tasks: Mutex<VecDeque<PumpTask>>,
-    /// Signalled when tasks are submitted, events are published, or
-    /// shutdown begins.
-    wake: Condvar,
-    shutdown: AtomicBool,
-    /// The transport delivers publish notifications
-    /// ([`Transport::supports_publish_hook`]): workers park on the
-    /// condvar without a fallback tick.
-    hooked: bool,
-    /// Wake-signal generation, bumped by every submit/publish/shutdown
-    /// before its notify. A worker records the epoch at the start of a
-    /// pass and parks only if it is unchanged when it takes the queue
-    /// lock — the poll happens outside that lock, so this is what
-    /// closes the "published right after an empty poll" window that an
-    /// untimed park would otherwise sleep through. Signals notify
-    /// *under* the queue lock, so a parked worker can never miss one.
-    epoch: AtomicU64,
-    collab: CollabServer,
-    config: NetConfig,
-    stats: Arc<StatCells>,
-    workers: Mutex<Vec<JoinHandle<()>>>,
-}
-
-impl std::fmt::Debug for ForwarderPool {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ForwarderPool")
-            .field("tasks", &self.tasks.lock().len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl ForwarderPool {
-    fn start(
-        workers: usize,
-        collab: CollabServer,
-        config: NetConfig,
-        stats: Arc<StatCells>,
-    ) -> Arc<ForwarderPool> {
-        let hooked = collab.transport().supports_publish_hook();
-        let pool = Arc::new(ForwarderPool {
-            tasks: Mutex::new(VecDeque::new()),
-            wake: Condvar::new(),
-            shutdown: AtomicBool::new(false),
-            hooked,
-            epoch: AtomicU64::new(0),
-            collab,
-            config,
-            stats,
-            workers: Mutex::new(Vec::with_capacity(workers)),
-        });
-        let mut handles = pool.workers.lock();
-        for i in 0..workers {
-            let pool2 = Arc::clone(&pool);
-            pool.stats.forwarder_threads.fetch_add(1, Ordering::Relaxed);
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("tendax-net-pool-{i}"))
-                    .spawn(move || pool2.worker_loop())
-                    .expect("spawn pool worker"),
-            );
-        }
-        drop(handles);
-        // Wake parked workers the moment anything is published, so the
-        // pool delivers with commit-driven latency instead of polling.
-        // On a hooked transport this is the *only* wake source for
-        // parked idle workers, so the signal follows the epoch protocol
-        // (see [`ForwarderPool::signal`]). Weak: the hook must not keep
-        // the pool (and its collab/bus cycle) alive — once the pool is
-        // gone the hook deregisters itself by returning false.
-        let weak = Arc::downgrade(&pool);
-        pool.collab
-            .transport()
-            .register_publish_hook(Box::new(move || match weak.upgrade() {
-                Some(pool) => {
-                    pool.signal();
-                    true
-                }
-                None => false,
-            }));
-        pool
-    }
-
-    /// Bump the wake epoch and notify every parked worker. The notify
-    /// happens under the queue lock: a worker holds that lock from its
-    /// final epoch check until the condvar takes it inside `wait`, so
-    /// the signal either lands before the check (epoch mismatch, no
-    /// park) or after the park (notify delivered) — never in between.
-    fn signal(&self) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        let _guard = self.tasks.lock();
-        self.wake.notify_all();
-    }
-
-    /// Register a new subscription with the pool.
-    fn submit(&self, task: PumpTask) {
-        self.epoch.fetch_add(1, Ordering::Release);
-        let mut guard = self.tasks.lock();
-        guard.push_back(task);
-        self.wake.notify_all();
-    }
-
-    fn shutdown(&self) {
-        self.shutdown.store(true, Ordering::Release);
-        self.signal();
-        let handles: Vec<_> = self.workers.lock().drain(..).collect();
-        for h in handles {
-            let _ = h.join();
-        }
-        // Dropping the remaining tasks unsubscribes their sources.
-        self.tasks.lock().clear();
-    }
-
-    fn worker_loop(self: Arc<Self>) {
-        // Consecutive unproductive visits. Once a full pass over the
-        // queue yields no events, the worker parks instead of spinning
-        // through non-blocking polls.
-        let mut idle_streak = 0usize;
-        // The previous iteration ended in a park. If the pass that
-        // follows the wakeup delivers nothing, the wakeup was spurious
-        // (counted so receipts can prove hook-driven parking is quiet).
-        let mut woke = false;
-        let mut batch: Vec<PumpTask> = Vec::with_capacity(POOL_VISIT_BATCH);
-        loop {
-            if self.shutdown.load(Ordering::Acquire) {
-                return;
-            }
-            // Epoch at the start of the pass: the polls below run
-            // outside the queue lock, so before parking the worker
-            // re-checks this under the lock — any signal since (publish,
-            // submit, shutdown) aborts the park instead of being lost.
-            let pass_epoch = self.epoch.load(Ordering::Acquire);
-            // Take a batch of tasks in one lock acquisition: with
-            // hundreds of subscriptions and a handful of workers, the
-            // shared queue's mutex is the scaling bottleneck, not the
-            // polls themselves.
-            let queue_len = {
-                let mut guard = self.tasks.lock();
-                let len = guard.len();
-                let take = len.min(POOL_VISIT_BATCH);
-                batch.extend(guard.drain(..take));
-                len
-            };
-            if batch.is_empty() {
-                if std::mem::take(&mut woke) {
-                    self.stats
-                        .pool_spurious_wakeups
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                let mut guard = self.tasks.lock();
-                if guard.is_empty() && !self.shutdown.load(Ordering::Acquire) {
-                    // Queue emptiness is guarded by this lock and every
-                    // submit notifies under it, so the hooked park needs
-                    // no timeout at all; hookless transports keep a tick
-                    // only to notice events, not tasks.
-                    if self.hooked {
-                        self.wake.wait(&mut guard);
-                    } else {
-                        self.wake.wait_for(&mut guard, Duration::from_millis(20));
-                    }
-                    woke = true;
-                }
-                idle_streak = 0;
-                continue;
-            }
-            let visited = batch.len();
-            let mut any_progress = false;
-            // A surviving task mid-recovery waits on *queue space*, which
-            // frees when the connection's writer drains — no pool signal
-            // fires for that. A worker that just requeued such a task
-            // must keep a retry tick instead of parking untimed.
-            let mut needs_tick = false;
-            let mut survivors: Vec<PumpTask> = Vec::with_capacity(visited);
-            for mut task in batch.drain(..) {
-                if task.stop.load(Ordering::Acquire) || task.shared.is_dead() {
-                    continue; // discard; dropping the source unsubscribes
-                }
-                let (keep, progress) = self.pump(&mut task);
-                any_progress |= progress;
-                if keep {
-                    needs_tick |= task.lost;
-                    survivors.push(task);
-                }
-            }
-            if !survivors.is_empty() {
-                self.tasks.lock().extend(survivors.drain(..));
-            }
-            if any_progress {
-                idle_streak = 0;
-                woke = false;
-            } else {
-                if std::mem::take(&mut woke) {
-                    self.stats
-                        .pool_spurious_wakeups
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                idle_streak += visited;
-                if idle_streak >= queue_len {
-                    idle_streak = 0;
-                    let mut guard = self.tasks.lock();
-                    if !self.shutdown.load(Ordering::Acquire) {
-                        if self.hooked && !needs_tick {
-                            // Pure condvar parking: sleep only if no
-                            // signal has fired since the pass began.
-                            if self.epoch.load(Ordering::Acquire) == pass_epoch {
-                                self.wake.wait(&mut guard);
-                                woke = true;
-                            }
-                        } else if needs_tick {
-                            self.wake.wait_for(&mut guard, POOL_RECOVERY_TRY);
-                            woke = true;
-                        } else {
-                            self.wake.wait_for(&mut guard, POOL_IDLE_BACKOFF);
-                            woke = true;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// One non-blocking forwarding visit for `task`. Returns
-    /// `(keep, progress)`: whether to requeue the task, and whether the
-    /// visit did any work (drives the caller's idle backoff). Same
-    /// protocol as [`spawn_forwarder`]'s loop body, except that a
-    /// recovery snapshot blocked on queue space is retried across
-    /// visits against `recover_by` instead of pinning a thread for the
-    /// full critical timeout.
-    fn pump(&self, task: &mut PumpTask) -> (bool, bool) {
-        let events = task.source.poll();
-        let mut progress = !events.is_empty();
-        for ev in events {
-            if task.lost {
-                self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                task.shared.queue.note_lag();
-                continue;
-            }
-            let frame = Frame::Event(WireEvent::from(ev.as_ref())).encode();
-            if task.shared.queue.try_push(frame) {
-                self.stats.events_forwarded.fetch_add(1, Ordering::Relaxed);
-            } else {
-                self.stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                task.lost = true;
-            }
-        }
-        if task.source.lagged_out() {
-            task.source = self.collab.transport().connect(task.doc, Duration::ZERO);
-            task.lost = true;
-        }
-        if task.lost {
-            progress = true; // recovery in flight: keep visiting promptly
-            let deadline = *task
-                .recover_by
-                .get_or_insert_with(|| Instant::now() + self.config.critical_send_timeout);
-            if let Some(snap) = db_snapshot(&self.collab, task.doc, task.user) {
-                match task.shared.queue.push_critical(snap, POOL_RECOVERY_TRY) {
-                    Ok(()) => {
-                        task.shared.queue.reset_lag();
-                        task.lost = false;
-                        task.recover_by = None;
-                    }
-                    Err(_) if Instant::now() >= deadline => {
-                        self.stats.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                        task.shared.kill(Some(
-                            Frame::Error {
-                                code: codes::SLOW_CONSUMER,
-                                message: NetError::SlowConsumer.to_string(),
-                            }
-                            .encode(),
-                        ));
-                        return (false, true);
-                    }
-                    Err(_) => {} // retry on the next visit
-                }
-            }
-        }
-        (true, progress)
-    }
-}
-
-fn handle_connection(
-    stream: TcpStream,
-    collab: CollabServer,
-    config: NetConfig,
-    conns: Arc<Mutex<Vec<Arc<ConnShared>>>>,
-    stats: Arc<StatCells>,
-    pool: Option<Arc<ForwarderPool>>,
-) {
+fn handle_connection(stream: TcpStream, hub: Arc<Hub>) {
     let _ = stream.set_nodelay(true);
+    let (Ok(shared_stream), Ok(out)) = (stream.try_clone(), stream.try_clone()) else {
+        return;
+    };
     let shared = Arc::new(ConnShared {
-        queue: OutQueue::new(config.outbound_capacity),
+        queue: OutQueue::new(hub.config.outbound_capacity),
         dead: AtomicBool::new(false),
-        stream: match stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        },
+        stream: shared_stream,
+        user: OnceLock::new(),
     });
-    conns.lock().push(Arc::clone(&shared));
+    hub.conns.lock().push(Arc::clone(&shared));
 
-    // Writer thread: drains the bounded queue onto the socket. The
-    // write timeout is the last line of the slow-consumer defence: a
-    // peer that stops reading long enough to fill the kernel buffer
-    // loses the connection instead of pinning this thread forever.
     let writer = {
-        let shared = Arc::clone(&shared);
-        let stats = Arc::clone(&stats);
-        let mut out = match shared.stream.try_clone() {
-            Ok(s) => s,
-            Err(_) => return,
-        };
-        let _ = out.set_write_timeout(Some(config.critical_send_timeout));
+        let (hub, shared) = (Arc::clone(&hub), Arc::clone(&shared));
         std::thread::Builder::new()
             .name("tendax-net-writer".into())
-            .spawn(move || {
-                while let Some(frame) = shared.queue.pop() {
-                    if let Err(e) = out.write_all(&frame) {
-                        // A write timeout means the peer stopped reading
-                        // long enough to fill the kernel buffer: that is
-                        // the slow-consumer policy firing, not an I/O
-                        // accident, so account for it as such.
-                        if matches!(
-                            e.kind(),
-                            std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                        ) {
-                            stats.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                        }
-                        shared.kill(None);
-                        break;
-                    }
-                }
-                let _ = out.shutdown(std::net::Shutdown::Both);
-            })
+            .spawn(move || writer_loop(out, &hub, &shared))
             .expect("spawn writer thread")
     };
 
-    let result = serve_client(&stream, &collab, &config, &shared, &stats, pool.as_ref());
+    let result = serve_client(&stream, &hub, &shared);
+    hub.disconnect(&shared);
 
     match result {
         Ok(()) => shared.kill(None),
         Err(err) => {
+            let stats = &hub.stats;
             let (code, counts_as) = match &err {
                 NetError::Auth(_) => (codes::AUTH, &stats.auth_failures),
                 NetError::SlowConsumer => (codes::SLOW_CONSUMER, &stats.slow_disconnects),
@@ -873,12 +706,10 @@ fn handle_connection(
             };
             if code != 0 {
                 counts_as.fetch_add(1, Ordering::Relaxed);
-                let frame = Frame::Error {
+                shared.kill(Some(Frame::Error {
                     code,
                     message: err.to_string(),
-                }
-                .encode();
-                shared.kill(Some(frame));
+                }));
             } else {
                 shared.kill(None);
             }
@@ -886,6 +717,107 @@ fn handle_connection(
     }
     let _ = writer.join();
     let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// Frames up to this many bytes share a socket write with their
+/// neighbours in the queue; a larger one (a snapshot) goes by itself
+/// rather than through a copy.
+const COALESCE_BYTES: usize = 64 * 1024;
+
+/// The connection's writer: drains the bounded queue onto the socket —
+/// every queued frame in one write — and, whenever it has done so and a
+/// stream is lost, recovers it (see the module docs). The write timeout
+/// is the last line of the slow-consumer defence: a peer that stops
+/// reading long enough to fill the kernel buffer loses the connection
+/// instead of pinning this thread forever.
+fn writer_loop(mut out: TcpStream, hub: &Hub, shared: &ConnShared) {
+    let _ = out.set_write_timeout(Some(hub.config.critical_send_timeout));
+    let mut frames: Vec<Bytes> = Vec::new();
+    let mut buf: Vec<u8> = Vec::new();
+    while shared.queue.wait(&mut frames) {
+        let written = write_frames(&mut out, hub, &frames, &mut buf)
+            .and_then(|()| recover_lost(&mut out, hub, shared));
+        frames.clear();
+        if let Err(e) = written {
+            // A write timeout means the peer stopped reading long enough
+            // to fill the kernel buffer: that is the slow-consumer policy
+            // firing, not an I/O accident, so account for it as such.
+            if matches!(
+                e.kind(),
+                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+            ) {
+                hub.stats.slow_disconnects.fetch_add(1, Ordering::Relaxed);
+            }
+            shared.kill(None);
+            break;
+        }
+    }
+    let _ = out.shutdown(std::net::Shutdown::Both);
+}
+
+fn write_counted(
+    out: &mut TcpStream,
+    hub: &Hub,
+    frames: usize,
+    bytes: &[u8],
+) -> std::io::Result<()> {
+    hub.stats
+        .frames_written
+        .fetch_add(frames as u64, Ordering::Relaxed);
+    hub.stats.socket_writes.fetch_add(1, Ordering::Relaxed);
+    out.write_all(bytes)
+}
+
+fn write_frames(
+    out: &mut TcpStream,
+    hub: &Hub,
+    frames: &[Bytes],
+    buf: &mut Vec<u8>,
+) -> std::io::Result<()> {
+    buf.clear();
+    let mut coalesced = 0;
+    for frame in frames {
+        if buf.len() + frame.len() > COALESCE_BYTES {
+            if coalesced > 0 {
+                write_counted(out, hub, coalesced, buf)?;
+                buf.clear();
+                coalesced = 0;
+            }
+            if frame.len() > COALESCE_BYTES {
+                write_counted(out, hub, 1, frame)?;
+                continue;
+            }
+        }
+        buf.extend_from_slice(frame);
+        coalesced += 1;
+    }
+    if coalesced > 0 {
+        write_counted(out, hub, coalesced, buf)?;
+    }
+    Ok(())
+}
+
+/// Make every lost stream whole again, then write each its snapshot —
+/// in that order, so whatever the snapshot misses is queued behind it.
+fn recover_lost(out: &mut TcpStream, hub: &Hub, shared: &ConnShared) -> std::io::Result<()> {
+    let mut lost = Vec::new();
+    shared.queue.take_lost(&mut lost);
+    for doc in lost {
+        let user = *shared
+            .user
+            .get()
+            .expect("subscriptions follow the handshake");
+        match db_snapshot(&hub.collab, doc, user) {
+            Some(snapshot) => write_counted(out, hub, 1, &snapshot)?,
+            // The document cannot be opened any more, so the client
+            // cannot be made consistent: say so and close.
+            None => shared.kill(Some(Frame::Error {
+                code: codes::REJECTED,
+                message: "cannot snapshot document".into(),
+            })),
+        }
+    }
+    Ok(())
 }
 
 /// Read one frame, honoring the read-tick timeout: `Ok(None)` means the
@@ -914,14 +846,8 @@ fn read_tick(
     }
 }
 
-fn serve_client(
-    stream: &TcpStream,
-    collab: &CollabServer,
-    config: &NetConfig,
-    shared: &Arc<ConnShared>,
-    stats: &Arc<StatCells>,
-    pool: Option<&Arc<ForwarderPool>>,
-) -> Result<()> {
+fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Result<()> {
+    let (collab, config) = (&hub.collab, &hub.config);
     stream.set_read_timeout(Some(config.read_tick))?;
     let mut buf = FrameBuffer::default();
     let mut scratch = vec![0u8; 64 * 1024];
@@ -960,37 +886,36 @@ fn serve_client(
     let session: EditorSession = collab
         .connect(&user, platform_from_wire(&platform))
         .map_err(|e| NetError::Auth(format!("unknown user {user:?}: {e}")))?;
-    let session_id = session.id();
-    shared.queue.push_critical(
-        Frame::Welcome {
-            session: session_id.0,
-        }
-        .encode(),
-        config.critical_send_timeout,
-    )?;
-
-    // --- Main loop. --------------------------------------------------
-    let mut subs: HashMap<DocId, SubState> = HashMap::new();
+    shared
+        .user
+        .set(session.user())
+        .expect("one handshake per connection");
     let critical_bytes = |frame: Vec<u8>| -> Result<()> {
         shared
             .queue
-            .push_critical(frame, config.critical_send_timeout)
+            .push_critical(frame.into(), config.critical_send_timeout)
     };
     let critical = |frame: Frame| critical_bytes(frame.encode());
+    critical(Frame::Welcome {
+        session: session.id().0,
+    })?;
 
-    let run = loop {
+    // --- Main loop. --------------------------------------------------
+    // The server-side editor of each subscribed document. Dropping one
+    // clears this session's presence on the document.
+    let mut subs: HashMap<DocId, EditorDoc> = HashMap::new();
+    loop {
         if shared.is_dead() {
-            break Ok(());
+            return Ok(());
         }
-        // The forwarders count lag; the reader enforces the limit so the
-        // error frame is produced exactly once.
+        // Publishers and the writer count lag; the reader enforces the
+        // limit so the error frame is produced exactly once.
         if shared.queue.lagged() > config.lag_limit {
-            break Err(NetError::SlowConsumer);
+            return Err(NetError::SlowConsumer);
         }
-        let frame = match read_tick(stream, &mut buf, &mut scratch) {
-            Ok(None) => continue,
-            Ok(Some((tag, payload))) => Frame::decode(tag, &payload)?,
-            Err(e) => break Err(e),
+        let frame = match read_tick(stream, &mut buf, &mut scratch)? {
+            None => continue,
+            Some((tag, payload)) => Frame::decode(tag, &payload)?,
         };
         match frame {
             Frame::Subscribe { name } => {
@@ -1014,14 +939,17 @@ fn serve_client(
                     }
                     continue;
                 }
-                // Order matters: the forwarder's event source connects
-                // *before* the snapshot is taken, so no committed event
-                // can fall between them — events older than the snapshot
-                // are dropped client-side by the ts gate.
-                let source = collab.transport().connect(doc, Duration::ZERO);
+                // Order matters (see "Subscribe before snapshot" in the
+                // module docs): the gated stream exists before the
+                // registry can route an event to it, and both before the
+                // document is opened.
+                shared.queue.open_stream(doc);
+                hub.subscribe(doc, shared);
                 let editor = match session.open_id(doc) {
                     Ok(ed) => ed,
                     Err(e) => {
+                        hub.unsubscribe(doc, shared);
+                        shared.queue.close_stream(doc);
                         critical(Frame::Error {
                             code: codes::REJECTED,
                             message: format!("cannot open {name:?}: {e}"),
@@ -1031,68 +959,52 @@ fn serve_client(
                 };
                 // Just opened, so the handle's frontier is current.
                 critical_bytes(encode_snapshot(editor.handle()))?;
-                let stop = Arc::new(AtomicBool::new(false));
-                let pump = match pool {
-                    Some(pool) => {
-                        pool.submit(PumpTask {
-                            doc,
-                            source,
-                            shared: Arc::clone(shared),
-                            stop: Arc::clone(&stop),
-                            user: session.user(),
-                            lost: false,
-                            recover_by: None,
-                        });
-                        None
-                    }
-                    None => Some(spawn_forwarder(
-                        doc,
-                        source,
-                        Arc::clone(shared),
-                        Arc::clone(&stop),
-                        collab.clone(),
-                        session.user(),
-                        config.clone(),
-                        Arc::clone(stats),
-                    )),
-                };
-                subs.insert(doc, SubState { editor, stop, pump });
+                let (queued, dropped) = shared.queue.release_stream(doc);
+                hub.count_events(queued, dropped);
+                subs.insert(doc, editor);
             }
             Frame::Unsubscribe { doc } => {
-                if let Some(sub) = subs.remove(&DocId(doc)) {
-                    sub.stop();
+                let doc = DocId(doc);
+                if subs.remove(&doc).is_some() {
+                    hub.unsubscribe(doc, shared);
+                    shared.queue.close_stream(doc);
                 }
             }
             Frame::Edit { request, doc, op } => {
-                let Some(sub) = subs.get_mut(&DocId(doc)) else {
+                let Some(ed) = subs.get_mut(&DocId(doc)) else {
                     critical(Frame::EditRejected {
                         request,
                         message: "not subscribed to this document".into(),
                     })?;
                     continue;
                 };
-                let ed = &mut sub.editor;
                 // Catch up on remote events so positions resolve against
                 // the freshest server state; client positions are
                 // advisory and clamped (they may race remote edits).
                 ed.sync();
-                let outcome = match op {
+                let committed = match op {
                     EditOp::Insert { pos, text } => {
                         let pos = (pos as usize).min(ed.len());
-                        ed.type_text(pos, &text)
+                        ed.commit_text(pos, &text)
                     }
                     EditOp::Delete { pos, len } => {
                         let pos = (pos as usize).min(ed.len());
                         let len = (len as usize).min(ed.len() - pos);
-                        ed.delete(pos, len)
+                        ed.commit_delete(pos, len)
                     }
                 };
-                match outcome {
-                    Ok(receipt) => critical(Frame::EditOk {
-                        request,
-                        op: receipt.op.0,
-                        commit_ts: receipt.commit_ts,
-                    })?,
+                match committed {
+                    // Ack first, and broadcast whatever became of the ack
+                    // (see the module docs).
+                    Ok((receipt, event)) => {
+                        let acked = critical(Frame::EditOk {
+                            request,
+                            op: receipt.op.0,
+                            commit_ts: receipt.commit_ts,
+                        });
+                        ed.publish(event);
+                        acked?;
+                    }
                     Err(e) => critical(Frame::EditRejected {
                         request,
                         message: e.to_string(),
@@ -1104,7 +1016,7 @@ fn serve_client(
                 cursor,
                 selection,
             } => {
-                collab.presence_update(session_id, |p| {
+                collab.presence_update(session.id(), |p| {
                     p.doc = Some(DocId(doc));
                     p.cursor = cursor.map(|c| c as usize);
                     p.selection = selection.map(|(a, b)| (a as usize, b as usize));
@@ -1139,129 +1051,122 @@ fn serve_client(
                     })?,
                 }
             }
-            Frame::Bye => break Ok(()),
+            Frame::Bye => return Ok(()),
             // Server-to-client frames arriving here are a violation.
             other => {
-                break Err(NetError::Protocol(format!(
+                return Err(NetError::Protocol(format!(
                     "client may not send frame 0x{:02x}",
                     other.tag()
                 )))
             }
         }
-    };
-
-    for (_, sub) in subs.drain() {
-        sub.stop();
     }
-    collab.awareness().remove(session_id);
-    run
-}
-
-/// Spawn the per-subscription forwarder: pumps committed events from the
-/// in-process transport onto this connection's outbound queue.
-#[allow(clippy::too_many_arguments)]
-fn spawn_forwarder(
-    doc: DocId,
-    mut source: Box<dyn tendax_collab::EventSource>,
-    shared: Arc<ConnShared>,
-    stop: Arc<AtomicBool>,
-    collab: CollabServer,
-    user: tendax_text::UserId,
-    config: NetConfig,
-    stats: Arc<StatCells>,
-) -> JoinHandle<()> {
-    stats.forwarder_threads.fetch_add(1, Ordering::Relaxed);
-    std::thread::Builder::new()
-        .name("tendax-net-pump".into())
-        .spawn(move || {
-            // Once an event frame is dropped the client has a gap it
-            // cannot detect, so the stream is `lost`: further events are
-            // suppressed (each counted as lag) until a recovery snapshot
-            // is delivered, which resets the lag counter. A client that
-            // cannot absorb the recovery snapshot within the critical
-            // timeout — or whose outstanding lag passes `lag_limit`
-            // before recovery lands (the reader enforces that) — is cut.
-            let mut lost = false;
-            loop {
-                if stop.load(Ordering::Acquire) || shared.is_dead() {
-                    return;
-                }
-                for ev in source.poll_timeout(config.read_tick) {
-                    if lost {
-                        stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        shared.queue.note_lag();
-                        continue;
-                    }
-                    let frame = Frame::Event(WireEvent::from(ev.as_ref())).encode();
-                    if shared.queue.try_push(frame) {
-                        stats.events_forwarded.fetch_add(1, Ordering::Relaxed);
-                    } else {
-                        stats.frames_dropped.fetch_add(1, Ordering::Relaxed);
-                        lost = true;
-                    }
-                }
-                // Evicted from the in-process bus (this pump itself
-                // lagged): resubscribe, then resync the client.
-                if source.lagged_out() {
-                    source = collab.transport().connect(doc, Duration::ZERO);
-                    lost = true;
-                }
-                if lost {
-                    let Some(snap) = db_snapshot(&collab, doc, user) else {
-                        continue;
-                    };
-                    match shared
-                        .queue
-                        .push_critical(snap, config.critical_send_timeout)
-                    {
-                        Ok(()) => {
-                            // The snapshot covers everything suppressed:
-                            // the client is consistent again.
-                            shared.queue.reset_lag();
-                            lost = false;
-                        }
-                        Err(_) => {
-                            // The client cannot even absorb the recovery
-                            // snapshot: cut it.
-                            stats.slow_disconnects.fetch_add(1, Ordering::Relaxed);
-                            shared.kill(Some(
-                                Frame::Error {
-                                    code: codes::SLOW_CONSUMER,
-                                    message: NetError::SlowConsumer.to_string(),
-                                }
-                                .encode(),
-                            ));
-                            return;
-                        }
-                    }
-                }
-            }
-        })
-        .expect("spawn forwarder thread")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const DOC: DocId = DocId(7);
+
+    fn frame(b: u8) -> Bytes {
+        Arc::from(vec![b])
+    }
+
+    /// A queue with `docs` subscribed and their streams released.
+    fn queue(capacity: usize, docs: &[DocId]) -> OutQueue {
+        let q = OutQueue::new(capacity);
+        for &doc in docs {
+            q.open_stream(doc);
+            q.release_stream(doc);
+        }
+        q
+    }
+
+    fn drain(q: &OutQueue) -> Vec<Bytes> {
+        let mut frames = Vec::new();
+        assert!(q.wait(&mut frames));
+        frames
+    }
+
     #[test]
-    fn try_push_drops_and_counts_past_capacity() {
-        let q = OutQueue::new(2);
-        assert!(q.try_push(vec![1]));
-        assert!(q.try_push(vec![2]));
-        assert!(!q.try_push(vec![3]));
-        assert!(!q.try_push(vec![4]));
+    fn events_past_capacity_are_dropped_counted_and_lose_the_stream() {
+        let q = queue(2, &[DOC]);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Dropped);
+        assert_eq!(q.lagged(), 1);
+        // Draining frees capacity, but the client has a gap: the stream
+        // stays suppressed (and counts) until the writer recovers it.
+        assert_eq!(drain(&q), [frame(1), frame(2)]);
+        assert_eq!(q.push_event(DOC, &frame(4)), Offered::Dropped);
         assert_eq!(q.lagged(), 2);
-        // Draining frees capacity again.
-        assert_eq!(q.pop(), Some(vec![1]));
-        assert!(q.try_push(vec![5]));
+        let mut lost = Vec::new();
+        q.take_lost(&mut lost);
+        assert_eq!(lost, [DOC]);
+        assert_eq!(q.lagged(), 0);
+        assert_eq!(q.push_event(DOC, &frame(5)), Offered::Queued);
+        // An event of a document the connection does not subscribe to
+        // goes nowhere.
+        assert_eq!(q.push_event(DocId(8), &frame(6)), Offered::Parked);
+        assert_eq!(drain(&q), [frame(5)]);
+    }
+
+    /// Regression: lag used to be one counter per connection that any
+    /// document's recovery zeroed, so a client lost on two documents had
+    /// its `lag_limit` accounting wiped by the first recovery.
+    #[test]
+    fn recovering_one_stream_keeps_the_lag_of_the_others() {
+        let (left, right) = (DocId(1), DocId(2));
+        let q = queue(1, &[left, right]);
+        assert_eq!(q.push_event(left, &frame(0)), Offered::Queued);
+        for _ in 0..3 {
+            assert_eq!(q.push_event(left, &frame(1)), Offered::Dropped);
+        }
+        for _ in 0..5 {
+            assert_eq!(q.push_event(right, &frame(2)), Offered::Dropped);
+        }
+        assert_eq!(q.lagged(), 8);
+        // `right` unsubscribes and comes back while lost: its old lag
+        // and its pending recovery go with the old stream.
+        q.close_stream(right);
+        assert_eq!(q.lagged(), 3);
+        q.open_stream(right);
+        q.release_stream(right);
+        for _ in 0..5 {
+            assert_eq!(q.push_event(right, &frame(2)), Offered::Dropped);
+        }
+        // The writer recovers `left` alone (`right` was lost after it
+        // looked): only `left`'s lag is forgiven.
+        let mut lost = Vec::new();
+        {
+            let mut s = q.state.lock();
+            s.recover.retain(|d| *d == left);
+        }
+        q.take_lost(&mut lost);
+        assert_eq!(lost, [left]);
+        assert_eq!(q.lagged(), 5);
+    }
+
+    #[test]
+    fn held_events_follow_the_snapshot_in_order() {
+        let q = OutQueue::new(8);
+        q.open_stream(DOC);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Parked);
+        q.push_critical(frame(0), Duration::from_millis(10))
+            .unwrap();
+        assert_eq!(q.release_stream(DOC), (2, 0));
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Queued);
+        assert_eq!(drain(&q), [frame(0), frame(1), frame(2), frame(3)]);
     }
 
     #[test]
     fn push_critical_times_out_on_full_queue() {
-        let q = OutQueue::new(1);
-        q.push_critical(vec![1], Duration::from_millis(10)).unwrap();
-        match q.push_critical(vec![2], Duration::from_millis(10)) {
+        let q = queue(1, &[]);
+        q.push_critical(frame(1), Duration::from_millis(10))
+            .unwrap();
+        match q.push_critical(frame(2), Duration::from_millis(10)) {
             Err(NetError::SlowConsumer) => {}
             other => panic!("expected SlowConsumer, got {other:?}"),
         }
@@ -1269,26 +1174,27 @@ mod tests {
 
     #[test]
     fn kill_discards_queue_and_emits_final_frame() {
-        let q = OutQueue::new(8);
-        assert!(q.try_push(vec![1]));
-        assert!(q.try_push(vec![2]));
-        q.kill(Some(vec![9]));
-        assert!(!q.try_push(vec![3]));
+        let q = queue(8, &[DOC]);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
+        q.kill(Some(frame(9)));
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Parked);
         assert!(matches!(
-            q.push_critical(vec![4], Duration::from_millis(5)),
+            q.push_critical(frame(4), Duration::from_millis(5)),
             Err(NetError::Closed)
         ));
-        assert_eq!(q.pop(), Some(vec![9]));
-        assert_eq!(q.pop(), None);
+        assert_eq!(drain(&q), [frame(9)]);
+        assert!(!q.wait(&mut Vec::new()));
     }
 
     #[test]
-    fn pop_unblocks_on_concurrent_push() {
-        let q = Arc::new(OutQueue::new(4));
+    fn wait_unblocks_on_concurrent_push() {
+        let q = Arc::new(queue(4, &[DOC]));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || q2.pop());
-        std::thread::sleep(Duration::from_millis(20));
-        assert!(q.try_push(vec![7]));
-        assert_eq!(h.join().unwrap(), Some(vec![7]));
+        let h = std::thread::spawn(move || drain(&q2));
+        // Whether the push lands before or after the writer parks, the
+        // writer must come back with it.
+        assert_eq!(q.push_event(DOC, &frame(7)), Offered::Queued);
+        assert_eq!(h.join().unwrap(), [frame(7)]);
     }
 }

@@ -1,5 +1,5 @@
-//! Regression tests for the server's connection bound and the pooled
-//! event-forwarder.
+//! Regression tests for the server's connection bound and the
+//! slow-consumer policy of the publisher-push event path.
 //!
 //! The `max_connections` limit exists because the accept path used to
 //! spawn the full per-connection thread set for every socket that
@@ -7,10 +7,14 @@
 //! must now be turned away with a typed goodbye frame before any
 //! threads or sessions are created for them.
 
+use std::io::{Read, Write};
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use tendax_collab::CollabServer;
-use tendax_net::{codes, ForwarderMode, NetClient, NetConfig, NetError, NetServer};
+use tendax_net::{codes, Frame, NetClient, NetConfig, NetError, NetServer, PROTOCOL_VERSION};
 use tendax_text::TextDb;
 
 const WAIT: Duration = Duration::from_secs(30);
@@ -101,55 +105,45 @@ fn rejects_do_not_disturb_established_clients() {
     assert_eq!(server.stats().capacity_rejects, 5);
 }
 
-/// Both forwarder modes deliver the same convergence guarantee; the
-/// pooled mode does it with a fixed thread count instead of one pump
-/// thread per subscription.
-#[test]
-fn pooled_and_per_subscription_forwarders_converge() {
-    for mode in [ForwarderMode::Pooled(2), ForwarderMode::PerSubscription] {
-        let config = NetConfig {
-            forwarder: mode,
-            ..NetConfig::default()
-        };
-        let (server, _collab) = serve(&["alice", "bob"], &["left", "right"], config);
-        let addr = server.local_addr();
-
-        let a = NetClient::connect(addr, "alice").unwrap();
-        let b = NetClient::connect(addr, "bob").unwrap();
-        let left = a.subscribe("left").unwrap();
-        let right = a.subscribe("right").unwrap();
-        assert_eq!(b.subscribe("left").unwrap(), left);
-        assert_eq!(b.subscribe("right").unwrap(), right);
-
-        let (_, t1) = a.insert(left, 0, "hello").unwrap();
-        let (_, t2) = a.insert(right, 0, "world").unwrap();
-        assert!(b.wait_synced(left, t1, WAIT), "mode {mode:?}");
-        assert!(b.wait_synced(right, t2, WAIT), "mode {mode:?}");
-        assert_eq!(b.text(left).unwrap(), "hello");
-        assert_eq!(b.text(right).unwrap(), "world");
-
-        let stats = server.stats();
-        match mode {
-            // 4 subscriptions, but only the fixed worker set exists.
-            ForwarderMode::Pooled(n) => assert_eq!(stats.forwarder_threads, n as u64),
-            // One dedicated pump per subscription.
-            ForwarderMode::PerSubscription => assert_eq!(stats.forwarder_threads, 4),
+/// A raw socket that says `Hello`, reads (some of) the `Welcome`,
+/// subscribes to `docs` and then never reads again.
+fn stalled_subscriber(addr: std::net::SocketAddr, user: &str, docs: &[&str]) -> TcpStream {
+    let sloth = TcpStream::connect(addr).unwrap();
+    let mut s = &sloth;
+    s.write_all(
+        &Frame::Hello {
+            version: PROTOCOL_VERSION,
+            user: user.into(),
+            platform: "Linux".into(),
+            token: String::new(),
         }
-        assert!(stats.events_forwarded >= 2, "mode {mode:?}: {stats:?}");
+        .encode(),
+    )
+    .unwrap();
+    let mut buf = [0u8; 64];
+    let _ = s.read(&mut buf);
+    for doc in docs {
+        s.write_all(
+            &Frame::Subscribe {
+                name: (*doc).into(),
+            }
+            .encode(),
+        )
+        .unwrap();
     }
+    sloth
 }
 
-/// The pooled slow-consumer path: a client that stops reading is cut
-/// with `SLOW_CONSUMER` without wedging the pool for other clients.
+/// The slow-consumer path: a client that stops reading is cut with
+/// `SLOW_CONSUMER` without holding anything up for other clients.
 #[test]
-fn pooled_forwarder_cuts_slow_consumer() {
+fn stalled_reader_is_cut_and_flooder_survives_on_recovery_snapshots() {
     // Tiny queue so the sloth overflows fast, but a lag limit far above
     // any transient drop burst: the flooding healthy client must keep
     // surviving on recovery snapshots (which reset its lag), and the
     // sloth must be cut by the recovery *deadline* — its snapshot can
     // never land — not by racing the lag counter.
     let config = NetConfig {
-        forwarder: ForwarderMode::Pooled(2),
         outbound_capacity: 2,
         lag_limit: 10_000,
         critical_send_timeout: Duration::from_millis(500),
@@ -161,28 +155,7 @@ fn pooled_forwarder_cuts_slow_consumer() {
 
     let good = NetClient::connect(addr, "alice").unwrap();
     let doc = good.subscribe("doc").unwrap();
-
-    // The sloth subscribes, then never reads again.
-    let sloth = std::net::TcpStream::connect(addr).unwrap();
-    {
-        use std::io::{Read, Write};
-        let mut s = &sloth;
-        s.write_all(
-            &tendax_net::Frame::Hello {
-                version: tendax_net::PROTOCOL_VERSION,
-                user: "sloth".into(),
-                platform: "Linux".into(),
-                token: String::new(),
-            }
-            .encode(),
-        )
-        .unwrap();
-        // Read a few bytes (Welcome) then go silent.
-        let mut buf = [0u8; 64];
-        let _ = s.read(&mut buf);
-        s.write_all(&tendax_net::Frame::Subscribe { name: "doc".into() }.encode())
-            .unwrap();
-    }
+    let _sloth = stalled_subscriber(addr, "sloth", &["doc"]);
 
     // Flood until the sloth's queue overflows and the policy fires.
     let deadline = Instant::now() + WAIT;
@@ -199,44 +172,168 @@ fn pooled_forwarder_cuts_slow_consumer() {
     good.ping().unwrap();
 }
 
-/// Hook-driven parking regression: on a transport that delivers publish
-/// notifications (the in-process bus), pooled workers must park on the
-/// condvar with **no fallback tick** — a quiet server makes no wakeups
-/// at all, so the spurious-wakeup counter stays flat while idle, and
-/// the first publish after the quiet period still wakes the pool
-/// immediately (no lost-wakeup window between a poll and the park).
+/// Lag is kept per subscription (the accounting itself is pinned by
+/// `server::tests::recovering_one_stream_keeps_the_lag_of_the_others`):
+/// a reader that stalls on two documents loses both streams, and when it
+/// reads again *each* is recovered by its own snapshot — neither
+/// document's recovery stands in for the other's.
 #[test]
-fn hooked_pool_parks_without_fallback_tick() {
+fn stalled_reader_recovers_both_documents_it_lost() {
     let config = NetConfig {
-        forwarder: ForwarderMode::Pooled(2),
+        outbound_capacity: 2,
+        lag_limit: 1_000_000,
+        critical_send_timeout: Duration::from_secs(60),
+        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
-    let (server, _collab) = serve(&["alice", "bob"], &["doc"], config);
+    let (server, collab) = serve(&["alice", "bob"], &["left", "right"], config);
     let addr = server.local_addr();
 
-    let a = NetClient::connect(addr, "alice").unwrap();
+    let good = NetClient::connect(addr, "alice").unwrap();
+    let left = good.subscribe("left").unwrap();
+    let right = good.subscribe("right").unwrap();
+    let staller = stalled_subscriber(addr, "bob", &["left", "right"]);
+
+    // Type into both documents until frames have been dropped — the
+    // staller's socket is full, so they can only be its — and then some
+    // more into each, so that both of its streams are lost for certain.
+    let blob = "x".repeat(1024);
+    let deadline = Instant::now() + WAIT * 4;
+    let mut last = [0, 0];
+    let mut since_first_drop = 0;
+    while since_first_drop < 2 {
+        assert!(Instant::now() < deadline, "nothing was ever dropped");
+        last[0] = good.insert(left, 0, &blob).unwrap().1;
+        last[1] = good.insert(right, 0, &blob).unwrap().1;
+        if server.stats().frames_dropped > 0 {
+            since_first_drop += 1;
+        }
+    }
+
+    // The staller reads again. Everything it receives from here is
+    // decoded into mirrors the way `NetClient` does it.
+    staller.set_read_timeout(Some(WAIT)).unwrap();
+    let mut buf = tendax_net::FrameBuffer::default();
+    let mut mirrors: std::collections::HashMap<u64, tendax_net::MirrorDoc> = Default::default();
+    let mut scratch = vec![0u8; 64 * 1024];
+    let synced = |m: &std::collections::HashMap<u64, tendax_net::MirrorDoc>| {
+        [(left, last[0]), (right, last[1])]
+            .iter()
+            .all(|(doc, ts)| m.get(doc).is_some_and(|m| m.synced_ts() >= *ts))
+    };
+    while !synced(&mirrors) {
+        while let Some((tag, payload)) = buf.next_frame().expect("framing") {
+            match Frame::decode(tag, payload).expect("decode") {
+                Frame::Snapshot {
+                    doc,
+                    synced_ts,
+                    chars,
+                } => {
+                    mirrors.insert(doc, tendax_net::MirrorDoc::new(doc, synced_ts, chars));
+                }
+                Frame::Event(ev) => {
+                    if let Some(m) = mirrors.get_mut(&ev.doc) {
+                        m.apply_event(ev);
+                    }
+                }
+                Frame::Welcome { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        let n = (&staller).read(&mut scratch).expect("staller read");
+        assert!(n > 0, "server closed the staller: {:?}", server.stats());
+        buf.extend(&scratch[..n]);
+    }
+    for (doc, name) in [(left, "left"), (right, "right")] {
+        let id = collab.textdb().document_by_name(name).unwrap();
+        assert_eq!(
+            mirrors[&doc].text(),
+            collab.textdb().document_text(id).unwrap(),
+            "{name} diverged after recovery"
+        );
+    }
+    assert_eq!(server.stats().slow_disconnects, 0);
+}
+
+/// A committed edit is broadcast even when its own reply cannot be
+/// delivered. The typist stops reading and pipelines edits whose echoes
+/// fill its socket and then its one-frame queue, so its connection is
+/// cut while an `EditOk` waits for room — after the commit. The other
+/// subscriber is owed that edit like any other.
+#[test]
+fn edit_whose_reply_cannot_be_queued_is_still_broadcast() {
+    let config = NetConfig {
+        outbound_capacity: 1,
+        lag_limit: 1_000_000,
+        critical_send_timeout: Duration::from_millis(300),
+        read_tick: Duration::from_millis(10),
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], config);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+
+    // The commit timestamp of the last edit anyone was told about.
+    let last_published = Arc::new(AtomicU64::new(0));
+    let seen = Arc::clone(&last_published);
+    collab
+        .transport()
+        .register_publish_hook(Box::new(move |ev| {
+            seen.fetch_max(ev.commit_ts, Ordering::SeqCst);
+            true
+        }));
+
     let b = NetClient::connect(addr, "bob").unwrap();
-    let doc = a.subscribe("doc").unwrap();
-    assert_eq!(b.subscribe("doc").unwrap(), doc);
+    let doc = b.subscribe("doc").unwrap();
 
-    let (_, ts) = a.insert(doc, 0, "warmup").unwrap();
-    assert!(b.wait_synced(doc, ts, WAIT));
+    let typist = stalled_subscriber(addr, "alice", &["doc"]);
+    let pipeline = {
+        let typist = typist.try_clone().unwrap();
+        std::thread::spawn(move || {
+            let text = "y".repeat(4 * 1024);
+            for request in 1..=400 {
+                let edit = Frame::Edit {
+                    request,
+                    doc,
+                    op: tendax_net::EditOp::Insert {
+                        pos: 0,
+                        text: text.clone(),
+                    },
+                };
+                // The server stops reading once the typist is cut.
+                if (&typist).write_all(&edit.encode()).is_err() {
+                    break;
+                }
+            }
+        })
+    };
 
-    // Let in-flight passes drain, then require silence: with untimed
-    // parking every wakeup needs a signal, and nothing publishes here.
-    // A revived 1 ms (or 20 ms) tick would add dozens of unproductive
-    // wakeups over this window and trip the assertion.
-    std::thread::sleep(Duration::from_millis(100));
-    let before = server.stats().pool_spurious_wakeups;
-    std::thread::sleep(Duration::from_millis(400));
-    let after = server.stats().pool_spurious_wakeups;
-    assert!(
-        after - before <= 1,
-        "idle pool kept waking: {before} -> {after} spurious wakeups in 400ms"
+    let deadline = Instant::now() + WAIT * 4;
+    while server.stats().slow_disconnects == 0 {
+        assert!(
+            Instant::now() < deadline,
+            "typist never cut: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    // Unblock the pipeline thread if it is stuck in a write, then wait
+    // for the server to let go of the connection: no commit follows.
+    let _ = typist.shutdown(std::net::Shutdown::Both);
+    pipeline.join().unwrap();
+    let deadline = Instant::now() + WAIT;
+    while collab.who_is_online().len() > 1 {
+        assert!(Instant::now() < deadline, "typist's session never ended");
+        std::thread::sleep(Duration::from_millis(20));
+    }
+
+    let text = collab.textdb().document_text(id).unwrap();
+    assert!(!text.is_empty(), "no edit was committed at all");
+    let last_ts = last_published.load(Ordering::SeqCst);
+    assert!(b.wait_synced(doc, last_ts, WAIT * 4));
+    assert_eq!(
+        b.text(doc).unwrap(),
+        text,
+        "a committed edit never reached the subscriber"
     );
-
-    // The parked pool must still wake instantly on the next commit.
-    let (_, ts) = a.insert(doc, 6, " over").unwrap();
-    assert!(b.wait_synced(doc, ts, WAIT), "publish after idle park lost");
-    assert_eq!(b.text(doc).unwrap(), "warmup over");
 }

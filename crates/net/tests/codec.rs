@@ -2,7 +2,7 @@
 //! encode → FrameBuffer → decode, and every class of malformed input
 //! yields a typed error — never a panic, never a silent misparse.
 
-use tendax_net::protocol::encode_snapshot;
+use tendax_net::protocol::{encode_event, encode_snapshot};
 use tendax_net::{
     codes, EditOp, Frame, FrameBuffer, MirrorDoc, NetError, WireChar, WireEvent, WirePresence,
     PROTOCOL_VERSION,
@@ -338,6 +338,22 @@ fn snapshot_of_an_open_document_is_the_frame_encoding() {
         Frame::decode(as_frame.tag(), &bytes[5..]).unwrap(),
         as_frame
     );
+}
+
+/// The publisher encodes a broadcast straight from the `DocEvent`; the
+/// wire must not be able to tell: byte for byte the `Frame::Event`
+/// encoding of the same event, for every event among the exemplars.
+#[test]
+fn broadcast_of_a_doc_event_is_the_frame_encoding() {
+    let mut events = 0;
+    for frame in exemplars() {
+        let Frame::Event(wire) = &frame else { continue };
+        let ev = tendax_collab::DocEvent::from(wire.clone());
+        assert_eq!(encode_event(&ev), frame.encode());
+        assert_eq!(WireEvent::from(&ev), *wire);
+        events += 1;
+    }
+    assert_eq!(events, 2);
 }
 
 /// Whatever is wrong with a snapshot payload, loading it into a mirror is

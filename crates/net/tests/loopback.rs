@@ -34,6 +34,23 @@ fn serve(users: &[&str], docs: &[&str], config: NetConfig) -> (NetServer, Collab
     (server, collab)
 }
 
+/// Wait for `client`'s mirror of `doc` to show `want`. A mirror's
+/// `synced_ts` is the newest commit it has applied, not a frontier —
+/// another connection's older commit can still be on its way (an edit is
+/// acknowledged before it is broadcast) — so once every typist is done,
+/// equality with the database is awaited, not sampled. A lost event
+/// never arrives, and fails the wait.
+fn shows(client: &NetClient, doc: u64, want: &str) -> bool {
+    let deadline = Instant::now() + WAIT;
+    while client.text(doc).as_deref() != Some(want) {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    true
+}
+
 /// A protocol-speaking raw socket, for sending hostile bytes.
 struct RawClient {
     stream: TcpStream,
@@ -185,12 +202,105 @@ fn eight_clients_converge_after_concurrent_edit_storm() {
     let authoritative = collab.textdb().open(DocId(doc), user).unwrap().text();
     assert!(!authoritative.is_empty());
     for (i, c) in clients.iter().enumerate() {
-        assert_eq!(
-            c.text(doc).unwrap(),
-            authoritative,
+        assert!(
+            shows(c, doc, &authoritative),
             "client {i} diverged from the database"
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Subscribe before snapshot: nothing falls between a subscription's
+// snapshot and its event stream, and nothing overtakes the snapshot.
+// ---------------------------------------------------------------------
+
+/// Client B closes and re-opens one of two documents while client A
+/// (over TCP) and an in-process `EditorSession` both type into both.
+/// Every re-open lands in the middle of a burst, so its snapshot has
+/// commits racing it on either side; once the burst is over B must reach
+/// the last commit through the event stream and show exactly what the
+/// database holds. An event that slipped between the registry insert and
+/// the snapshot, or went out ahead of the snapshot (B has no mirror to
+/// put it in yet), would be missing from B for good.
+#[test]
+fn resubscribing_mid_burst_loses_and_reorders_nothing() {
+    const ROUNDS: usize = 30;
+    const EDITS: usize = 12;
+    let names = ["left", "right"];
+    let (server, collab) = serve(&["alice", "bob", "carol"], &names, NetConfig::default());
+    let addr = server.local_addr();
+
+    let a = NetClient::connect(addr, "alice").unwrap();
+    let b = NetClient::connect(addr, "bob").unwrap();
+    let docs = names.map(|n| a.subscribe(n).unwrap());
+    for (n, d) in names.iter().zip(docs) {
+        assert_eq!(b.subscribe(n).unwrap(), d);
+    }
+    let carol = collab
+        .connect("carol", tendax_collab::Platform::Linux)
+        .unwrap();
+    let mut carol_docs = docs.map(|d| carol.open_id(DocId(d)).unwrap());
+    // Some length, so that opening a snapshot takes long enough for
+    // commits to land while it happens.
+    for ed in &mut carol_docs {
+        ed.type_text(0, &"filler ".repeat(500)).unwrap();
+    }
+
+    for round in 0..ROUNDS {
+        let reopened = round % 2;
+        let start = std::sync::Barrier::new(3);
+        let last_ts = std::thread::scope(|s| {
+            let over_tcp = s.spawn(|| {
+                start.wait();
+                let mut last = [0u64; 2];
+                for i in 0..EDITS {
+                    let d = i % 2;
+                    last[d] = a.insert(docs[d], 0, "a").unwrap().1;
+                }
+                last
+            });
+            let in_process = s.spawn(|| {
+                start.wait();
+                let mut last = [0u64; 2];
+                for i in 0..EDITS {
+                    let d = (i + 1) % 2;
+                    let end = carol_docs[d].len();
+                    last[d] = carol_docs[d].type_text(end, "c").unwrap().commit_ts;
+                }
+                last
+            });
+            start.wait();
+            b.unsubscribe(docs[reopened]).unwrap();
+            assert_eq!(b.subscribe(names[reopened]).unwrap(), docs[reopened]);
+            let (x, y) = (over_tcp.join().unwrap(), in_process.join().unwrap());
+            [x[0].max(y[0]), x[1].max(y[1])]
+        });
+        for d in 0..2 {
+            assert!(
+                b.wait_synced(docs[d], last_ts[d], WAIT),
+                "round {round}: {} never reached ts {}: mirror {:?}, server {:?}",
+                names[d],
+                last_ts[d],
+                b.mirror_status(docs[d]),
+                server.stats(),
+            );
+            let want = collab.textdb().document_text(DocId(docs[d])).unwrap();
+            assert!(
+                shows(&b, docs[d], &want),
+                "round {round}: {} diverged from the database: mirror {:?}",
+                names[d],
+                b.mirror_status(docs[d]),
+            );
+        }
+    }
+    // Four subscriptions, two documents, one path: every event reached
+    // its subscribers from the thread that committed it.
+    let stats = server.stats();
+    assert!(
+        stats.events_forwarded >= (ROUNDS * EDITS * 2) as u64,
+        "{stats:?}"
+    );
+    assert_eq!(stats.frames_dropped, 0, "{stats:?}");
 }
 
 // ---------------------------------------------------------------------

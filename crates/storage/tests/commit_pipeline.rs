@@ -159,17 +159,16 @@ fn snapshots_never_expose_timestamp_gaps() {
             }
             // The strict future-leak check: the value seen must itself
             // have been committed at or below s.
-            for k in 0..WRITERS {
-                if vals[k] > 0 {
+            for (k, &seen) in vals.iter().enumerate() {
+                if seen > 0 {
                     let ts_of = log
                         .iter()
-                        .find(|(_, lk, lv)| *lk == k && *lv == vals[k])
+                        .find(|(_, lk, lv)| *lk == k && *lv == seen)
                         .map(|(ts, _, _)| *ts)
                         .expect("observed value was committed");
                     assert!(
                         ts_of <= s,
-                        "snapshot {s} saw value {} from future ts {ts_of}",
-                        vals[k]
+                        "snapshot {s} saw value {seen} from future ts {ts_of}"
                     );
                 }
             }

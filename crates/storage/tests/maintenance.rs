@@ -166,22 +166,23 @@ fn concurrent_commits_survive_repeated_checkpoints() {
         let checkpointer = {
             let db = db.clone();
             let done = done.clone();
-            std::thread::spawn(move || {
-                let mut runs = 0u32;
-                while !done.load(Ordering::Relaxed) {
-                    db.checkpoint().unwrap();
-                    runs += 1;
-                    std::thread::sleep(Duration::from_millis(1));
+            std::thread::spawn(move || loop {
+                // Read before the checkpoint: the one that follows a
+                // `true` began after the last commit, whenever this
+                // thread first got to run.
+                let last = done.load(Ordering::Acquire);
+                db.checkpoint().unwrap();
+                if last {
+                    break;
                 }
-                runs
+                std::thread::sleep(Duration::from_millis(1));
             })
         };
         for h in handles {
             h.join().unwrap();
         }
-        done.store(true, Ordering::Relaxed);
-        let runs = checkpointer.join().unwrap();
-        assert!(runs > 0, "checkpointer never ran");
+        done.store(true, Ordering::Release);
+        checkpointer.join().unwrap();
 
         let expected: Vec<i64> = (0..writers)
             .flat_map(|w| (0..per_writer).map(move |i| w * 1_000 + i))
@@ -288,11 +289,12 @@ fn auto_maintenance_bounds_wal_and_preserves_data() {
     let bare_len = std::fs::metadata(&bare_path).unwrap().len();
 
     let (_dir, path) = tmp("auto-maint.wal");
+    let checkpoint_wal_bytes = 8 * 1024;
     let opts = Options {
         maintenance: Some(MaintenanceOptions {
             interval: Duration::from_millis(1),
             vacuum_pruneable: 32,
-            checkpoint_wal_bytes: 8 * 1024,
+            checkpoint_wal_bytes,
             checkpoint_wal_records: 200,
             ..MaintenanceOptions::default()
         }),
@@ -313,17 +315,25 @@ fn auto_maintenance_bounds_wal_and_preserves_data() {
             txn.commit().unwrap();
         }
         // The thread runs on its own schedule; give it a bounded window
-        // to catch up with the backlog.
+        // to catch up with the backlog — all of it: a checkpoint taken
+        // somewhere in the middle of the updates leaves the rest of them
+        // in the log, so wait until the log since the last checkpoint is
+        // back under what can be left without triggering another: the
+        // budget, on top of whatever was committed while that checkpoint
+        // ran (far less than a second budget).
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
-            let stats = db.stats();
-            if stats.maintenance_checkpoints > 0 && stats.maintenance_vacuums > 0 {
+            let (stats, (tail_bytes, _)) = (db.stats(), db.wal_size());
+            if stats.maintenance_checkpoints > 0
+                && stats.maintenance_vacuums > 0
+                && tail_bytes <= 2 * checkpoint_wal_bytes
+            {
                 assert!(stats.versions_pruned > 0);
                 break;
             }
             assert!(
                 Instant::now() < deadline,
-                "background maintenance never caught up: {stats:?}"
+                "background maintenance never caught up: {tail_bytes} bytes logged, {stats:?}"
             );
             std::thread::sleep(Duration::from_millis(2));
         }

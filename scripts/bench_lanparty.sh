@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Run the "LAN party at scale" macro-benchmark (experiment A10) and
-# append its JSON summary lines — one per driver mode (inproc,
-# tcp_pooled, tcp_persub) — to bench_results/lan_party.json (newest
-# last), so regressions show up as a diffable series.
+# append its JSON summary lines — one per driver (inproc, tcp) — to
+# bench_results/lan_party.json (newest last), so regressions show up as
+# a diffable series.
 # Usage: scripts/bench_lanparty.sh [--test] [--seed N]
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -15,4 +15,4 @@ echo "==> cargo bench -p tendax-bench --bench lan_party"
 cargo bench -p tendax-bench --bench lan_party -- --json "$out" "$@"
 
 echo "==> appended to bench_results/lan_party.json:"
-tail -n 3 "$out"
+tail -n 2 "$out"

@@ -44,14 +44,14 @@ cargo test -q -p tendax-storage --test merge_commit
 echo "==> transport loopback smoke (wire codec + TCP e2e convergence)"
 cargo test -q -p tendax-net --test codec --test loopback
 
-echo "==> connection-capacity + forwarder-pool suite"
-cargo test -q -p tendax-net --test capacity
+echo "==> connection-capacity + slow-consumer + thread-count suite"
+cargo test -q -p tendax-net --test capacity --test threads
 
 echo "==> lan-party determinism suite (schedule digest + byte identity)"
 cargo test -q -p tendax-bench --test lan_party_determinism
 
-echo "==> cargo clippy --all-targets -- -D warnings"
-cargo clippy --all-targets -- -D warnings
+echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo bench --no-run"
 cargo bench --workspace --no-run
@@ -59,7 +59,7 @@ cargo bench --workspace --no-run
 echo "==> bench_compare.py --self-test"
 python3 scripts/bench_compare.py --self-test
 
-echo "==> lan-party smoke (small-N, all three drivers)"
+echo "==> lan-party smoke (small-N, both drivers)"
 cargo bench -p tendax-bench --bench lan_party -- --test
 
 echo "==> benchmark package (own workspace: build, harness tests, --quick run of every workload)"

@@ -847,7 +847,8 @@ mod tests {
     fn recursive_strategies_terminate() {
         #[derive(Debug, Clone)]
         enum Tree {
-            Leaf(u8),
+            // Generated, never looked at: only the shape is checked.
+            Leaf(#[allow(dead_code)] u8),
             Node(Vec<Tree>),
         }
         fn depth(t: &Tree) -> u32 {
