@@ -79,13 +79,14 @@ fn parse_args() -> Config {
 
 fn print_report(r: &mut RunReport) {
     println!(
-        "{:<11} {:>7} ops {:>9.0} ops/s  wall {:>7.1}ms  commits {:>6}  txns {:>6}{}",
+        "{:<11} {:>7} ops {:>9.0} ops/s  wall {:>7.1}ms  commits {:>6}  txns {:>6}  retries {:>4}{}",
         r.mode,
         r.ops,
         r.throughput_per_s(),
         r.wall.as_secs_f64() * 1e3,
         r.commits,
         r.txns_begun,
+        r.collab_retries,
         match r.threads {
             Some(t) => format!("  peak threads {t}"),
             None => String::new(),
@@ -141,6 +142,7 @@ fn json_line(cfg: &Config, r: &mut RunReport) -> String {
         ("wall_ms".into(), JsonValue::F64(r.wall.as_secs_f64() * 1e3)),
         ("commits".into(), JsonValue::U64(r.commits)),
         ("txns_begun".into(), JsonValue::U64(r.txns_begun)),
+        ("collab_retries".into(), JsonValue::U64(r.collab_retries)),
     ];
     for (k, v) in r.classes.json_pairs() {
         pairs.push((k, v));

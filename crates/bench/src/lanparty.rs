@@ -340,6 +340,9 @@ pub struct RunReport {
     /// Storage-engine counter deltas over the run.
     pub commits: u64,
     pub txns_begun: u64,
+    /// Commit retries the editors' retry loops recorded, all sessions
+    /// (in-process editors, or the server side of the connections).
+    pub collab_retries: u64,
     /// TCP runs only: the server's counters and the process's peak
     /// thread count observed during the run.
     pub net: Option<tendax_net::NetServerStats>,
@@ -352,6 +355,11 @@ impl RunReport {
     pub fn throughput_per_s(&self) -> f64 {
         self.ops as f64 / self.wall.as_secs_f64().max(1e-9)
     }
+}
+
+fn collab_retries(corpus: &Corpus) -> u64 {
+    let server = corpus.tendax.server();
+    server.retries_by_session().values().sum()
 }
 
 /// The fixture both drivers build: same creation order ⇒ same ids.
@@ -601,6 +609,7 @@ pub fn run_in_process(schedule: &Schedule) -> RunReport {
         classes,
         commits: stats1.commits - stats0.commits,
         txns_begun: stats1.txns_begun - stats0.txns_begun,
+        collab_retries: collab_retries(&corpus),
         net: None,
         threads: None,
         wal: wal_receipt(&corpus),
@@ -736,6 +745,7 @@ pub fn run_tcp(schedule: &Schedule) -> RunReport {
         classes,
         commits: stats1.commits - stats0.commits,
         txns_begun: stats1.txns_begun - stats0.txns_begun,
+        collab_retries: collab_retries(&corpus),
         net: Some(net),
         threads: Some(peak_threads),
         wal: wal_receipt(&corpus),

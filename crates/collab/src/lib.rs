@@ -36,12 +36,15 @@
 
 pub mod awareness;
 pub mod bus;
+pub mod live;
+mod replica;
 pub mod server;
 pub mod session;
 pub mod transport;
 
 pub use awareness::{AwarenessRegistry, Platform, Presence};
 pub use bus::{BusPolicy, DocEvent, LanBus, SessionId, Subscription};
+pub use live::{LiveDocs, LiveEditor, LiveStats};
 pub use server::CollabServer;
-pub use session::{EditorDoc, EditorSession, EditorStats};
+pub use session::{EditorDoc, EditorSession, EditorStats, Unpublished};
 pub use transport::{EventSource, Transport, TransportStats};

@@ -9,15 +9,17 @@ use tendax_storage::MaintenanceOptions;
 use tendax_text::{DocId, Result, TextDb};
 
 use crate::awareness::{AwarenessRegistry, Platform, Presence};
-use crate::bus::{LanBus, SessionId};
+use crate::bus::{DocEvent, LanBus, SessionId};
+use crate::live::LiveDocs;
 use crate::session::EditorSession;
 use crate::transport::Transport;
 
 /// The in-process TeNDaX collaboration server.
 ///
 /// Owns the shared [`TextDb`], the broadcast [`Transport`] (a [`LanBus`]
-/// by default) and the [`AwarenessRegistry`]. Cheap to clone; every
-/// editor session holds one.
+/// by default), the [`AwarenessRegistry`] and the live documents its
+/// network editors share ([`crate::live`]). Cheap to clone; every editor
+/// session holds one.
 #[derive(Debug, Clone)]
 pub struct CollabServer {
     tdb: TextDb,
@@ -25,6 +27,7 @@ pub struct CollabServer {
     awareness: AwarenessRegistry,
     next_session: Arc<AtomicU64>,
     default_latency: Duration,
+    live: Arc<LiveDocs>,
     /// Commit retries per session, recorded by the editors' retry loops.
     /// A hot document shows up here before it shows up anywhere else:
     /// with commutative commits the counts should stay near zero.
@@ -39,12 +42,29 @@ impl CollabServer {
     /// A server broadcasting over an explicit transport implementation
     /// (the in-process default is `LanBus::new()`).
     pub fn with_transport(tdb: TextDb, transport: Arc<dyn Transport>) -> Self {
+        Self::build(tdb, transport, Duration::ZERO)
+    }
+
+    fn build(tdb: TextDb, transport: Arc<dyn Transport>, default_latency: Duration) -> Self {
+        let live = Arc::new(LiveDocs::new(tdb.clone()));
+        // Every commit published on this server reaches its document's
+        // live copy on the committing thread. Weak: the hook must not
+        // keep the documents alive — it leaves with the server.
+        let weak = Arc::downgrade(&live);
+        transport.register_publish_hook(Box::new(move |ev| match weak.upgrade() {
+            Some(live) => {
+                live.apply(ev);
+                true
+            }
+            None => false,
+        }));
         CollabServer {
             tdb,
             transport,
             awareness: AwarenessRegistry::new(),
             next_session: Arc::new(AtomicU64::new(1)),
-            default_latency: Duration::ZERO,
+            default_latency,
+            live,
             retries: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
@@ -60,14 +80,7 @@ impl CollabServer {
 
     /// A server whose editor links simulate the given one-way latency.
     pub fn with_latency(tdb: TextDb, default_latency: Duration) -> Self {
-        CollabServer {
-            tdb,
-            transport: Arc::new(LanBus::new()),
-            awareness: AwarenessRegistry::new(),
-            next_session: Arc::new(AtomicU64::new(1)),
-            default_latency,
-            retries: Arc::new(Mutex::new(BTreeMap::new())),
-        }
+        Self::build(tdb, Arc::new(LanBus::new()), default_latency)
     }
 
     pub fn textdb(&self) -> &TextDb {
@@ -83,11 +96,37 @@ impl CollabServer {
         &self.awareness
     }
 
+    /// The documents the server holds a live copy of.
+    pub fn live(&self) -> &Arc<LiveDocs> {
+        &self.live
+    }
+
     /// Mutate a session's presence, stamping the engine clock — the one
     /// entry point for presence mutations, so activity tracking (and
     /// therefore idle pruning) can't miss an update site.
     pub fn presence_update(&self, session: SessionId, f: impl FnOnce(&mut Presence)) {
         self.awareness.update(session, self.tdb.now(), f);
+    }
+
+    /// Broadcast `session`'s committed operation (if it changed any
+    /// character) to the document's other editors.
+    pub(crate) fn publish(&self, session: SessionId, event: Option<DocEvent>) {
+        let Some(event) = event else { return };
+        self.transport.publish(event);
+        // `presence_update` stamps last_active for us.
+        self.presence_update(session, |_| {});
+    }
+
+    /// `session` closed `doc`. (The focus may have moved to a document
+    /// opened later — only clear presence still pointing here.)
+    pub(crate) fn clear_focus(&self, session: SessionId, doc: DocId) {
+        self.presence_update(session, |p| {
+            if p.doc == Some(doc) {
+                p.doc = None;
+                p.cursor = None;
+                p.selection = None;
+            }
+        });
     }
 
     pub fn default_latency(&self) -> Duration {

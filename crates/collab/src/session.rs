@@ -2,48 +2,23 @@
 //!
 //! [`EditorSession`] models one running editor (one user, one platform,
 //! one simulated network link). [`EditorDoc`] is a document opened in
-//! that editor: it wraps a [`DocHandle`], subscribes to the document's
-//! event stream, publishes its own committed operations, and transparently
-//! retries edits that lose an optimistic-concurrency race — exactly the
-//! behaviour the TeNDaX editor exhibits when several people type into the
-//! same paragraph.
+//! that editor: it owns a replica of the document (a [`DocHandle`] fed
+//! from the document's event stream), publishes its own committed
+//! operations, and transparently retries edits that lose an
+//! optimistic-concurrency race — exactly the behaviour the TeNDaX editor
+//! exhibits when several people type into the same paragraph. A network
+//! connection's editor owns no replica: [`EditorSession::open_live`]
+//! borrows the server's ([`crate::live`]).
 
-use std::sync::Arc;
 use std::time::Duration;
 
-use rand::{rngs::SmallRng, Rng, SeedableRng};
-use tendax_text::{Clip, DocHandle, DocId, EditReceipt, Result, StyleId, TextError, UserId};
+use tendax_text::{Clip, DocHandle, DocId, EditReceipt, Result, StyleId, UserId};
 
 use crate::awareness::Platform;
 use crate::bus::{DocEvent, SessionId};
+use crate::live::{InFlight, LiveEditor};
+use crate::replica::{Actor, Replica};
 use crate::server::CollabServer;
-use crate::transport::EventSource;
-
-/// How many times an edit is retried after losing a commit race before
-/// [`TextError::RetriesExhausted`] is surfaced. Each retry re-syncs from
-/// the bus and database, after a jittered exponential backoff.
-const EDIT_RETRIES: usize = 16;
-
-/// Backoff ceiling before retry 1, doubling each retry up to
-/// `BACKOFF_BASE_US << BACKOFF_MAX_SHIFT` (20µs … 2.56ms).
-const BACKOFF_BASE_US: u64 = 20;
-const BACKOFF_MAX_SHIFT: u32 = 7;
-
-/// Jittered exponential backoff delay before retry `attempt` (≥ 1).
-///
-/// N sessions hammering one hot position re-collide in lockstep if they
-/// all retry immediately; the jitter decorrelates them. The jitter is
-/// *deterministic* — seeded from the session id and attempt number, no
-/// ambient clock or process-global RNG — so retry schedules are
-/// reproducible in tests. Uniform in `[ceiling/2, ceiling]`, ceiling
-/// doubling per attempt and capped.
-fn backoff_delay(session: SessionId, attempt: usize) -> Duration {
-    debug_assert!(attempt >= 1);
-    let ceil_us = BACKOFF_BASE_US << (attempt as u32 - 1).min(BACKOFF_MAX_SHIFT);
-    let seed = session.0 ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    let mut rng = SmallRng::seed_from_u64(seed);
-    Duration::from_micros(rng.gen_range(ceil_us / 2..=ceil_us))
-}
 
 /// One running editor instance.
 #[derive(Debug)]
@@ -110,15 +85,27 @@ impl EditorSession {
             p.cursor = Some(0);
         });
         Ok(EditorDoc {
-            handle,
-            sub,
+            replica: Replica::new(handle, Some(sub)),
             server: self.server.clone(),
             session: self.id,
             cursor: 0,
             cursor_anchor: None,
-            reorder: Vec::new(),
-            stats: EditorStats::default(),
         })
+    }
+
+    /// Open a document on the server's live copy instead of a replica of
+    /// this session's own — what a network connection does for its
+    /// client, who keeps the replica at the other end of the wire. Like
+    /// any open it checks `Permission::Read` and records one read event;
+    /// `snapshot` is handed the live handle with `synced_ts` at a commit
+    /// frontier (see [`crate::live`]), and its result is the client's
+    /// first view.
+    pub fn open_live<T>(
+        &self,
+        doc: DocId,
+        snapshot: impl FnOnce(&DocHandle) -> T,
+    ) -> Result<(LiveEditor, T)> {
+        LiveEditor::open(&self.server, doc, self.id, self.user, snapshot)
     }
 }
 
@@ -143,42 +130,39 @@ pub struct EditorStats {
     /// editor fell so far behind the broadcast stream that it had to
     /// resynchronize from the database and re-subscribe.
     pub resyncs: u64,
+    /// Rebuilds of the view from the database, whatever forced them: a
+    /// retry, a stale cache, an eviction.
+    pub refreshes: u64,
 }
 
-/// A caller-supplied position snapshotted against the local view, so it
-/// can be re-resolved after remote edits land (see
-/// [`EditorDoc::perform_at`]).
-#[derive(Debug, Clone, Copy)]
-enum PosAnchor {
-    /// Position 0: always the document start.
-    Start,
-    /// After this character, with the original position as a fallback if
-    /// the anchor is purged from the chain.
-    After(tendax_text::CharId, usize),
-    /// Out of range when captured; passed through untransformed.
-    Raw(usize),
+/// A committed operation's broadcast between its commit and its
+/// publication (see [`EditorDoc::commit_text`]). The server counts the
+/// commit as in flight until this is published or dropped: a snapshot of
+/// the document's live copy waits for it rather than claim a frontier the
+/// copy has not reached.
+#[derive(Debug)]
+#[must_use = "a committed operation is owed to `EditorDoc::publish`"]
+pub struct Unpublished {
+    event: Option<DocEvent>,
+    /// Held for its drop.
+    _in_flight: InFlight,
 }
 
 /// A document open in an editor session.
 #[derive(Debug)]
 pub struct EditorDoc {
-    handle: DocHandle,
-    sub: Box<dyn EventSource>,
+    replica: Replica,
     server: CollabServer,
     session: SessionId,
     cursor: usize,
     /// The character the cursor sits after (None = document start). The
     /// anchor keeps the cursor attached to its text as remote edits land.
     cursor_anchor: Option<tendax_text::CharId>,
-    /// Events whose dependencies have not arrived yet (publication order
-    /// on the bus can differ slightly from commit order).
-    reorder: Vec<Arc<DocEvent>>,
-    stats: EditorStats,
 }
 
 impl EditorDoc {
     pub fn doc(&self) -> DocId {
-        self.handle.doc()
+        self.replica.handle.doc()
     }
 
     pub fn session(&self) -> SessionId {
@@ -187,128 +171,54 @@ impl EditorDoc {
 
     /// The local view of the text.
     pub fn text(&self) -> String {
-        self.handle.text()
+        self.replica.handle.text()
     }
 
     pub fn len(&self) -> usize {
-        self.handle.len()
+        self.replica.handle.len()
     }
 
     pub fn is_empty(&self) -> bool {
-        self.handle.is_empty()
+        self.replica.handle.is_empty()
     }
 
     /// Direct read access to the underlying handle (metadata queries).
     pub fn handle(&self) -> &DocHandle {
-        &self.handle
+        &self.replica.handle
     }
 
     /// This editor's activity counters.
     pub fn stats(&self) -> EditorStats {
-        self.stats
+        self.replica.stats
     }
 
-    /// Pull and apply all deliverable remote events. Returns how many
-    /// were applied.
-    ///
-    /// Publication on the bus happens after commit, outside the commit
-    /// lock, so a later operation can occasionally arrive before the one
-    /// it depends on. Events whose dependencies are missing are buffered
-    /// and retried as soon as anything new applies; a buffer that cannot
-    /// drain (e.g. the dependency's event was published before this
-    /// editor subscribed) falls back to a full refresh.
+    /// Run `f` on the replica in this session's name, then re-anchor the
+    /// cursor if remote edits landed in the view meanwhile.
+    fn with_replica<T>(&mut self, f: impl FnOnce(&mut Replica, Actor<'_>) -> T) -> T {
+        let landed = |r: &Replica| (r.stats.events_applied, r.stats.refreshes);
+        let before = landed(&self.replica);
+        let who = Actor {
+            server: &self.server,
+            session: self.session,
+        };
+        let out = f(&mut self.replica, who);
+        if landed(&self.replica) != before {
+            self.reanchor_cursor();
+        }
+        out
+    }
+
+    /// Pull and apply all deliverable remote events (buffering those
+    /// whose dependencies have not arrived). Returns how many were
+    /// applied.
     pub fn sync(&mut self) -> usize {
-        self.recover_if_evicted();
-        let events = self.sub.poll();
-        self.apply_events(events)
+        self.with_replica(|r, who| r.catch_up(who, None)).applied
     }
 
     /// Keep syncing until work arrives or the timeout elapses.
     pub fn sync_timeout(&mut self, timeout: Duration) -> usize {
-        self.recover_if_evicted();
-        let events = self.sub.poll_timeout(timeout);
-        self.apply_events(events)
-    }
-
-    /// A transport that evicted this subscriber for lagging leaves a
-    /// hole in the event stream: resynchronize from the database
-    /// (supersedes everything the stream would have said) and
-    /// re-subscribe so future events flow again.
-    fn recover_if_evicted(&mut self) {
-        if !self.sub.lagged_out() {
-            return;
-        }
-        let doc = self.handle.doc();
-        let latency = self.sub.latency();
-        self.sub = self.server.transport().connect(doc, latency);
-        self.reorder.clear();
-        if self.handle.refresh().is_ok() {
-            self.stats.resyncs += 1;
-            self.reanchor_cursor();
-        }
-    }
-
-    fn apply_events(&mut self, events: Vec<Arc<DocEvent>>) -> usize {
-        let mut applied = 0;
-        let floor = self.handle.synced_ts();
-        for ev in events {
-            if ev.origin == self.session {
-                continue; // echo of our own operation
-            }
-            if ev.commit_ts <= floor {
-                continue; // already reflected by the last rebuild
-            }
-            if !self.handle.effects_applicable(&ev.effects) {
-                self.stats.events_reordered += 1;
-            }
-            self.reorder.push(ev);
-        }
-        // A refresh may have superseded buffered events.
-        self.reorder
-            .retain(|ev| ev.commit_ts > self.handle.synced_ts());
-        // Drain the reorder buffer to a fixpoint: each successful apply
-        // may unblock buffered dependents.
-        let mut stale = false;
-        'drain: loop {
-            let mut progressed = false;
-            let mut i = 0;
-            while i < self.reorder.len() {
-                if self.handle.effects_applicable(&self.reorder[i].effects) {
-                    let ev = self.reorder.remove(i);
-                    match self.handle.apply_remote(&ev.effects) {
-                        Ok(()) => {
-                            applied += 1;
-                            self.stats.events_applied += 1;
-                            progressed = true;
-                        }
-                        Err(_) => {
-                            // StaleCache: the chain rejected an effect the
-                            // cache vouched for — the view has drifted.
-                            // Fall back to a refresh, which supersedes
-                            // every buffered event (the retry).
-                            stale = true;
-                            break 'drain;
-                        }
-                    }
-                } else {
-                    i += 1;
-                }
-            }
-            if !progressed {
-                break;
-            }
-        }
-        // Unresolvable holes (dependency will never arrive on this
-        // subscription) or an incoherent cache: resynchronize from the
-        // database, superseding everything still buffered.
-        if (stale || self.reorder.len() > 64) && self.handle.refresh().is_ok() {
-            applied += self.reorder.len();
-            self.reorder.clear();
-        }
-        if applied > 0 {
-            self.reanchor_cursor();
-        }
-        applied
+        self.with_replica(|r, who| r.catch_up(who, Some(timeout)))
+            .applied
     }
 
     /// Where this editor's cursor is.
@@ -323,7 +233,7 @@ impl EditorDoc {
         self.cursor_anchor = if self.cursor == 0 {
             None
         } else {
-            self.handle.char_at(self.cursor - 1)
+            self.replica.handle.char_at(self.cursor - 1)
         };
         let cursor = self.cursor;
         self.server
@@ -334,7 +244,7 @@ impl EditorDoc {
     fn reanchor_cursor(&mut self) {
         let new_pos = match self.cursor_anchor {
             None => 0,
-            Some(a) => match self.handle.caret_after(a) {
+            Some(a) => match self.replica.handle.caret_after(a) {
                 Some(p) => p,
                 None => {
                     // Anchor purged from the chain entirely: clamp.
@@ -366,7 +276,7 @@ impl EditorDoc {
     /// pre-edit sync runs, so concurrent remote edits move the insertion
     /// point with the text instead of shifting it by raw index. A
     /// position beyond the current view yields
-    /// [`TextError::InvalidPosition`].
+    /// [`tendax_text::TextError::InvalidPosition`].
     pub fn type_text(&mut self, pos: usize, text: &str) -> Result<EditReceipt> {
         let done = self.commit_text(pos, text);
         self.published(done)
@@ -381,52 +291,36 @@ impl EditorDoc {
 
     /// [`EditorDoc::type_text`] up to and including the commit, with the
     /// broadcast handed back instead of sent: the caller owes it to
-    /// [`EditorDoc::publish`], whatever else happens to it in between. A
-    /// network server acknowledges its typist between the two.
-    pub fn commit_text(
-        &mut self,
-        pos: usize,
-        text: &str,
-    ) -> Result<(EditReceipt, Option<DocEvent>)> {
-        let owned = text.to_owned();
-        let (at, receipt, event) =
-            self.perform_at("insert", pos, move |h, p| h.insert_text(p, &owned))?;
+    /// [`EditorDoc::publish`], whatever else happens to it in between.
+    pub fn commit_text(&mut self, pos: usize, text: &str) -> Result<(EditReceipt, Unpublished)> {
+        let (at, receipt, event) = self.perform_at("insert", pos, |h, p| h.insert_text(p, text))?;
         self.set_cursor(at + text.chars().count());
         Ok((receipt, event))
     }
 
     /// [`EditorDoc::delete`] split like [`EditorDoc::commit_text`].
-    pub fn commit_delete(
-        &mut self,
-        pos: usize,
-        len: usize,
-    ) -> Result<(EditReceipt, Option<DocEvent>)> {
-        let (at, receipt, event) =
-            self.perform_at("delete", pos, move |h, p| h.delete_range(p, len))?;
+    pub fn commit_delete(&mut self, pos: usize, len: usize) -> Result<(EditReceipt, Unpublished)> {
+        let (at, receipt, event) = self.perform_at("delete", pos, |h, p| h.delete_range(p, len))?;
         self.set_cursor(at);
         Ok((receipt, event))
     }
 
     pub fn copy(&self, pos: usize, len: usize) -> Result<Clip> {
-        self.handle.copy(pos, len)
+        self.replica.handle.copy(pos, len)
     }
 
     pub fn paste(&mut self, pos: usize, clip: &Clip) -> Result<EditReceipt> {
-        let clip = clip.clone();
-        let done = self.perform_at("paste", pos, move |h, p| h.paste(p, &clip));
+        let done = self.perform_at("paste", pos, |h, p| h.paste(p, clip));
         self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
     pub fn paste_external(&mut self, pos: usize, text: &str, source: &str) -> Result<EditReceipt> {
-        let (text, source) = (text.to_owned(), source.to_owned());
-        let done = self.perform_at("paste", pos, move |h, p| {
-            h.paste_external(p, &text, &source)
-        });
+        let done = self.perform_at("paste", pos, |h, p| h.paste_external(p, text, source));
         self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
     pub fn apply_style(&mut self, pos: usize, len: usize, style: StyleId) -> Result<EditReceipt> {
-        let done = self.perform_at("style", pos, move |h, p| h.apply_style(p, len, style));
+        let done = self.perform_at("style", pos, |h, p| h.apply_style(p, len, style));
         self.published(done.map(|(_, receipt, event)| (receipt, event)))
     }
 
@@ -440,35 +334,27 @@ impl EditorDoc {
         dst: &mut EditorDoc,
         dst_pos: usize,
     ) -> Result<(EditReceipt, EditReceipt)> {
-        self.sync();
-        dst.sync();
-        let mut last = None;
-        for attempt in 0..EDIT_RETRIES {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.server.note_retry(self.session);
-                std::thread::sleep(backoff_delay(self.session, attempt));
-                self.sync();
+        let live = self.server.live();
+        let _in_flight = (live.begin_commit(self.doc()), live.begin_commit(dst.doc()));
+        // The destination follows the source through the retry protocol:
+        // caught up before the first attempt, rebuilt before every other.
+        let mut first = true;
+        let (del, ins) = self.with_replica(|src, who| {
+            src.retry(who, |h| {
                 dst.sync();
-                self.handle.refresh()?;
-                dst.handle.refresh()?;
-            }
-            match self.handle.move_to(pos, len, &mut dst.handle, dst_pos) {
-                Ok((del, ins)) => {
-                    self.stats.ops += 1;
-                    dst.stats.ops += 1;
-                    self.publish(self.event("delete", &del));
-                    dst.publish(dst.event("paste", &ins));
-                    return Ok((del, ins));
+                if !std::mem::take(&mut first) {
+                    dst.replica.refresh()?;
                 }
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(TextError::RetriesExhausted {
-            attempts: EDIT_RETRIES,
-            last: last.map(Box::new),
-        })
+                h.move_to(pos, len, &mut dst.replica.handle, dst_pos)
+            })
+        })?;
+        self.replica.stats.ops += 1;
+        dst.replica.stats.ops += 1;
+        let moved_out = self.replica.event(self.session, "delete", &del);
+        self.server.publish(self.session, moved_out);
+        let moved_in = dst.replica.event(dst.session, "paste", &ins);
+        dst.server.publish(dst.session, moved_in);
+        Ok((del, ins))
     }
 
     pub fn undo(&mut self) -> Result<EditReceipt> {
@@ -498,145 +384,52 @@ impl EditorDoc {
         kind: &str,
         f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
     ) -> Result<(T, EditReceipt)> {
-        let mut f = f;
-        self.sync();
-        let mut last = None;
-        for attempt in 0..EDIT_RETRIES {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.server.note_retry(self.session);
-                std::thread::sleep(backoff_delay(self.session, attempt));
-                self.sync();
-                self.handle.refresh()?;
-            }
-            match f(&mut self.handle) {
-                Ok((value, receipt)) => {
-                    self.stats.ops += 1;
-                    self.publish(self.event(kind, &receipt));
-                    return Ok((value, receipt));
-                }
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(TextError::RetriesExhausted {
-            attempts: EDIT_RETRIES,
-            last: last.map(Box::new),
-        })
+        let _in_flight = self.server.live().begin_commit(self.doc());
+        let (value, receipt) = self.with_replica(|r, who| r.retry(who, f))?;
+        self.replica.stats.ops += 1;
+        let event = self.replica.event(self.session, kind, &receipt);
+        self.server.publish(self.session, event);
+        Ok((value, receipt))
     }
 
-    /// Run `f` under the retry protocol up to and including its commit.
-    /// The broadcast is handed back, not sent: commit and broadcast are
-    /// two steps, and what goes between them is the caller's business.
+    /// Run `f` under the retry protocol up to and including its commit,
+    /// counted as in flight from before it begins.
     fn perform(
         &mut self,
         kind: &str,
-        mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
-    ) -> Result<(EditReceipt, Option<DocEvent>)> {
-        self.sync();
-        let mut last = None;
-        for attempt in 0..EDIT_RETRIES {
-            if attempt > 0 {
-                self.stats.retries += 1;
-                self.server.note_retry(self.session);
-                std::thread::sleep(backoff_delay(self.session, attempt));
-                self.sync();
-                self.handle.refresh()?;
-            }
-            match f(&mut self.handle) {
-                Ok(receipt) => {
-                    self.stats.ops += 1;
-                    let event = self.event(kind, &receipt);
-                    return Ok((receipt, event));
-                }
-                Err(e) if e.is_retryable() => last = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        Err(TextError::RetriesExhausted {
-            attempts: EDIT_RETRIES,
-            last: last.map(Box::new),
-        })
+        f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
+    ) -> Result<(EditReceipt, Unpublished)> {
+        let _in_flight = self.server.live().begin_commit(self.doc());
+        let (receipt, event) = self.with_replica(|r, who| r.perform(who, kind, f))?;
+        Ok((receipt, Unpublished { event, _in_flight }))
     }
 
-    /// Like [`EditorDoc::perform`], but for operations addressed by a
-    /// visible position. The position is captured as a character anchor
-    /// *before* the pre-edit sync and re-resolved against the local view
-    /// on every attempt, so remote edits applied by the sync (or by the
-    /// retry refreshes) move the operation with the text the caller was
-    /// pointing at. Also returns the position the operation finally ran
-    /// at.
+    /// [`EditorDoc::perform`] for an operation addressed by a visible
+    /// position (see [`Replica::perform_at`]).
     fn perform_at(
         &mut self,
         kind: &str,
         pos: usize,
-        mut f: impl FnMut(&mut DocHandle, usize) -> Result<EditReceipt>,
-    ) -> Result<(usize, EditReceipt, Option<DocEvent>)> {
-        let anchor = self.capture_anchor(pos);
-        let mut at = pos;
-        let (receipt, event) = self.perform(kind, |h| {
-            at = Self::resolve_anchor(h, &anchor);
-            f(h, at)
-        })?;
-        Ok((at, receipt, event))
-    }
-
-    /// Snapshot `pos` as an anchor in the current local view.
-    fn capture_anchor(&self, pos: usize) -> PosAnchor {
-        if pos == 0 {
-            PosAnchor::Start
-        } else {
-            match self.handle.char_at(pos - 1) {
-                Some(id) => PosAnchor::After(id, pos),
-                // Beyond the caller's view: pass through unchanged so the
-                // handle reports `InvalidPosition` exactly as it would
-                // have without anchoring.
-                None => PosAnchor::Raw(pos),
-            }
-        }
-    }
-
-    /// Map a captured anchor back to a position in the current view.
-    fn resolve_anchor(handle: &DocHandle, anchor: &PosAnchor) -> usize {
-        match *anchor {
-            PosAnchor::Start => 0,
-            PosAnchor::After(id, fallback) => handle
-                .caret_after(id)
-                // Anchor purged from the chain entirely: clamp, the same
-                // recovery the cursor uses.
-                .unwrap_or_else(|| fallback.min(handle.len())),
-            PosAnchor::Raw(pos) => pos,
-        }
-    }
-
-    /// The broadcast of a committed operation; none if it changed no
-    /// character.
-    fn event(&self, kind: &str, receipt: &EditReceipt) -> Option<DocEvent> {
-        (!receipt.effects.is_empty()).then(|| DocEvent {
-            doc: self.handle.doc(),
-            op: receipt.op,
-            commit_ts: receipt.commit_ts,
-            user: self.handle.user(),
-            origin: self.session,
-            kind: kind.to_owned(),
-            effects: receipt.effects.clone(),
-        })
+        f: impl FnMut(&mut DocHandle, usize) -> Result<EditReceipt>,
+    ) -> Result<(usize, EditReceipt, Unpublished)> {
+        let _in_flight = self.server.live().begin_commit(self.doc());
+        let (at, receipt, event) = self.with_replica(|r, who| r.perform_at(who, kind, pos, f))?;
+        Ok((at, receipt, Unpublished { event, _in_flight }))
     }
 
     /// Broadcast a committed operation to the document's other editors
     /// (the second half of every editing call; see
     /// [`EditorDoc::commit_text`]).
-    pub fn publish(&self, event: Option<DocEvent>) {
-        let Some(event) = event else { return };
-        self.server.transport().publish(event);
-        // `presence_update` stamps last_active for us.
-        self.server.presence_update(self.session, |_| {});
+    pub fn publish(&self, committed: Unpublished) {
+        self.server.publish(self.session, committed.event);
+        // The rest of `committed` — the in-flight count — goes here, once
+        // the event has been applied and fanned out.
     }
 
     /// "Perform, then publish": the tail shared by the editing calls.
-    fn published(&self, done: Result<(EditReceipt, Option<DocEvent>)>) -> Result<EditReceipt> {
-        let (receipt, event) = done?;
-        self.publish(event);
+    fn published(&self, done: Result<(EditReceipt, Unpublished)>) -> Result<EditReceipt> {
+        let (receipt, committed) = done?;
+        self.publish(committed);
         Ok(receipt)
     }
 }
@@ -644,24 +437,28 @@ impl EditorDoc {
 impl Drop for EditorDoc {
     /// Closing a document clears the awareness it advertised: a session
     /// whose editor window is gone must not keep showing up in
-    /// `editors_on(doc)` as a ghost. (The focus may have moved to a
-    /// document opened later — only clear presence still pointing here.)
+    /// `editors_on(doc)` as a ghost.
     fn drop(&mut self) {
-        let doc = self.handle.doc();
-        self.server.presence_update(self.session, |p| {
-            if p.doc == Some(doc) {
-                p.doc = None;
-                p.cursor = None;
-                p.selection = None;
-            }
-        });
+        self.server.clear_focus(self.session, self.doc());
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use tendax_text::TextDb;
+    use crate::replica::EDIT_RETRIES;
+    use tendax_text::{TextDb, TextError};
+
+    impl EditorDoc {
+        /// What `sync` does with the events it polled.
+        fn apply_events(&mut self, events: Vec<Arc<DocEvent>>) -> usize {
+            let session = self.session;
+            self.with_replica(|r, _| r.integrate(events, |ev| ev.origin == session))
+                .applied
+        }
+    }
 
     fn lan() -> (CollabServer, EditorSession, EditorSession) {
         let tdb = TextDb::in_memory();
@@ -916,35 +713,6 @@ mod tests {
         assert_eq!(b_dst.text(), "THIS");
     }
 
-    #[test]
-    fn backoff_is_deterministic_and_bounded() {
-        for attempt in 1..=EDIT_RETRIES {
-            let a = backoff_delay(SessionId(7), attempt);
-            let b = backoff_delay(SessionId(7), attempt);
-            assert_eq!(a, b, "same session+attempt must give the same delay");
-            let ceil = BACKOFF_BASE_US << (attempt as u32 - 1).min(BACKOFF_MAX_SHIFT);
-            let us = a.as_micros() as u64;
-            assert!(
-                us >= ceil / 2 && us <= ceil,
-                "attempt {attempt}: {us}µs outside [{}, {ceil}]",
-                ceil / 2
-            );
-        }
-        // The ceiling grows then caps: the last delay is bounded.
-        let last = backoff_delay(SessionId(7), EDIT_RETRIES);
-        assert!(last <= Duration::from_micros(BACKOFF_BASE_US << BACKOFF_MAX_SHIFT));
-    }
-
-    #[test]
-    fn backoff_decorrelates_sessions() {
-        // Two lockstep sessions must not share a retry schedule — that is
-        // the livelock the jitter exists to break. With 16 attempts the
-        // chance of all-equal delays by luck is negligible.
-        let differs = (1..=EDIT_RETRIES)
-            .any(|a| backoff_delay(SessionId(1), a) != backoff_delay(SessionId(2), a));
-        assert!(differs, "sessions retry in lockstep");
-    }
-
     /// Regression (retry livelock): the loop used to end with
     /// `last.expect("retry loop ran")`, surfacing whatever transient
     /// error happened to be last. Exhaustion is now its own signal —
@@ -1018,11 +786,11 @@ mod tests {
         assert_eq!(da.text(), "solid");
         // ...and a direct apply (the path a vet false-positive would
         // take) returns StaleCache instead of crashing.
-        let err = da.handle.apply_remote(&ev.effects).unwrap_err();
+        let err = da.replica.handle.apply_remote(&ev.effects).unwrap_err();
         assert!(matches!(err, TextError::StaleCache(_)));
         assert!(err.is_retryable());
         // The session heals: refresh + further edits work.
-        da.handle.refresh().unwrap();
+        da.replica.handle.refresh().unwrap();
         da.type_text(5, "!").unwrap();
         assert_eq!(da.text(), "solid!");
     }

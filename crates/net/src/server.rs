@@ -5,7 +5,9 @@
 //! (handshake, then frame decode and request dispatch against a
 //! server-side [`EditorSession`], so edits reuse the retry/awareness
 //! machinery) and a writer draining a **bounded** outbound queue onto
-//! the socket. No thread stands between a commit and the subscribers'
+//! the socket. The session owns no copy of a document: a subscription
+//! borrows the collab server's live one ([`tendax_collab::live`]), edits
+//! through it and is sent snapshots encoded from it. No thread stands between a commit and the subscribers'
 //! queues: the server keeps a registry of which connections subscribe
 //! to which document, and a publish hook on the [`Transport`] runs on
 //! the committing thread, encodes the `Event` frame once and pushes the
@@ -21,11 +23,13 @@
 //!
 //! ## Subscribe before snapshot
 //!
-//! A subscription enters the registry *before* its snapshot is opened,
+//! A subscription enters the registry *before* its snapshot is taken,
 //! with its event stream gated: events are held back until the snapshot
-//! frame is queued, then follow it. So no committed event falls between
-//! the snapshot and the stream, and none precedes the snapshot (events
-//! the snapshot already covers are dropped client-side by the ts gate).
+//! frame is queued, then follow it. A `Snapshot{synced_ts = F}` holds
+//! every commit on its document at or below `F` (the live document's
+//! frontier), so no committed event falls between the snapshot and the
+//! stream, and none precedes the snapshot (events the snapshot already
+//! covers are dropped client-side by the ts gate).
 //!
 //! ## Slow-consumer policy
 //!
@@ -36,8 +40,9 @@
 //! suppressed (each counted as lag) until a recovery snapshot. Recovery
 //! belongs to the one thread that knows when the client can take a
 //! frame: once the writer has drained the queue it marks the stream
-//! whole again (resetting that stream's lag, and only that stream's),
-//! opens the document and writes the snapshot. Reply frames
+//! whole again (resetting that stream's lag, and only that stream's)
+//! and writes the live document's snapshot. Neither that nor a `Resync`
+//! is a read by the user: only `Subscribe` records one. Reply frames
 //! (`Snapshot`, `EditOk`, `Pong`, …) are *critical*: the sender waits up
 //! to `critical_send_timeout` for queue space. A client is cut — queue
 //! cleared, a final `Error{SLOW_CONSUMER}`, socket closed — when its
@@ -66,8 +71,8 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use tendax_collab::{CollabServer, DocEvent, EditorDoc, EditorSession, Platform};
-use tendax_text::{DocId, UserId};
+use tendax_collab::{CollabServer, DocEvent, EditorSession, LiveEditor, Platform};
+use tendax_text::{DocId, TextError, UserId};
 
 use crate::error::{codes, NetError, Result};
 use crate::protocol::{
@@ -128,9 +133,8 @@ pub struct NetServerStats {
     pub events_forwarded: u64,
     /// Connections turned away at the `max_connections` limit.
     pub capacity_rejects: u64,
-    /// Always zero: it counted the idle wake-ups of a forwarder pool, and
-    /// no thread stands between a publish and the queues any more. The
-    /// field stays because the repository's benchmark reports it.
+    /// Always zero: no thread stands between a publish and the queues to
+    /// wake up idle. The field stays because the benchmark reports it.
     pub pool_spurious_wakeups: u64,
     /// Frames the writers put on sockets.
     pub frames_written: u64,
@@ -138,6 +142,15 @@ pub struct NetServerStats {
     /// whole queue into one write, so an `EditOk` and the typist's own
     /// echo leave — and wake the client — together.
     pub socket_writes: u64,
+    /// Documents with a live copy right now (a gauge): the subscribed.
+    pub live_documents: u64,
+    /// Snapshots encoded from a live copy: subscribe, resync, recovery.
+    pub snapshots_served: u64,
+    /// Live copies built from the database: a first subscriber, or a copy
+    /// found stale. `snapshots_served` over this = opens per chain walk.
+    pub live_loads: u64,
+    /// Snapshots that waited for an unpublished commit to name a frontier.
+    pub frontier_waits: u64,
 }
 
 #[derive(Debug, Default)]
@@ -393,9 +406,8 @@ struct ConnShared {
     /// Set when any thread decides the connection must die.
     dead: AtomicBool,
     stream: TcpStream,
-    /// Who the connection authenticated as (set by the handshake, which
-    /// precedes every subscription): recovery snapshots are opened in
-    /// this user's name.
+    /// Who the connection authenticated as (set by the handshake, before
+    /// any subscription): recovery snapshots are checked against them.
     user: OnceLock<UserId>,
 }
 
@@ -581,6 +593,7 @@ impl NetServer {
     pub fn stats(&self) -> NetServerStats {
         let cell = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let s = &self.hub.stats;
+        let live = self.hub.collab.live().stats();
         NetServerStats {
             accepted: cell(&s.accepted),
             auth_failures: cell(&s.auth_failures),
@@ -592,6 +605,10 @@ impl NetServer {
             pool_spurious_wakeups: 0,
             frames_written: cell(&s.frames_written),
             socket_writes: cell(&s.socket_writes),
+            live_documents: live.documents as u64,
+            snapshots_served: live.snapshots,
+            live_loads: live.loads,
+            frontier_waits: live.frontier_waits,
         }
     }
 
@@ -660,13 +677,20 @@ fn platform_from_wire(s: &str) -> Platform {
     }
 }
 
-/// The encoded `Snapshot` frame of a fresh database open, so `synced_ts`
-/// and the character chain describe the same (current) commit frontier
-/// — a long-lived editor's handle would understate it (see
-/// [`encode_snapshot`]).
-fn db_snapshot(collab: &CollabServer, doc: DocId, user: UserId) -> Option<Vec<u8>> {
-    let h = collab.textdb().open(doc, user).ok()?;
-    Some(encode_snapshot(&h))
+/// The `Error{REJECTED}` that answers a snapshot request the server cannot
+/// serve, saying why (document gone, `Read` revoked, chain corrupt).
+fn no_snapshot(doc: DocId, cause: &TextError) -> Frame {
+    Frame::Error {
+        code: codes::REJECTED,
+        message: format!("cannot snapshot {doc}: {cause}"),
+    }
+}
+
+/// A transport repair (resync, lost-stream recovery): the live copy's
+/// encoded snapshot, or the frame that says why not; `None` if not live.
+fn repair(hub: &Hub, doc: DocId, user: UserId) -> std::result::Result<Option<Vec<u8>>, Frame> {
+    let snapshot = hub.collab.live().snapshot(doc, user, encode_snapshot);
+    snapshot.map_err(|e| no_snapshot(doc, &e))
 }
 
 fn handle_connection(stream: TcpStream, hub: Arc<Hub>) {
@@ -803,18 +827,16 @@ fn recover_lost(out: &mut TcpStream, hub: &Hub, shared: &ConnShared) -> std::io:
     let mut lost = Vec::new();
     shared.queue.take_lost(&mut lost);
     for doc in lost {
-        let user = *shared
+        let user = shared
             .user
             .get()
             .expect("subscriptions follow the handshake");
-        match db_snapshot(&hub.collab, doc, user) {
-            Some(snapshot) => write_counted(out, hub, 1, &snapshot)?,
-            // The document cannot be opened any more, so the client
-            // cannot be made consistent: say so and close.
-            None => shared.kill(Some(Frame::Error {
-                code: codes::REJECTED,
-                message: "cannot snapshot document".into(),
-            })),
+        match repair(hub, doc, *user) {
+            Ok(Some(snapshot)) => write_counted(out, hub, 1, &snapshot)?,
+            // Unsubscribed since the stream was lost.
+            Ok(None) => {}
+            // The client cannot be made consistent: say why and close.
+            Err(why) => shared.kill(Some(why)),
         }
     }
     Ok(())
@@ -901,9 +923,9 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
     })?;
 
     // --- Main loop. --------------------------------------------------
-    // The server-side editor of each subscribed document. Dropping one
-    // clears this session's presence on the document.
-    let mut subs: HashMap<DocId, EditorDoc> = HashMap::new();
+    // The connection's hold on the live copy of each subscribed document.
+    // Dropping one clears this session's presence on the document.
+    let mut subs: HashMap<DocId, LiveEditor> = HashMap::new();
     loop {
         if shared.is_dead() {
             return Ok(());
@@ -929,24 +951,27 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                         continue;
                     }
                 };
-                if subs.contains_key(&doc) {
-                    match db_snapshot(collab, doc, session.user()) {
-                        Some(snap) => critical_bytes(snap)?,
-                        None => critical(Frame::Error {
-                            code: codes::REJECTED,
-                            message: format!("cannot snapshot {name:?}"),
-                        })?,
+                // Opened again while open: one more read, one more snapshot.
+                if let Some(editor) = subs.get(&doc) {
+                    match editor.reopen(encode_snapshot) {
+                        Ok(snapshot) => critical_bytes(snapshot)?,
+                        Err(e) => critical(no_snapshot(doc, &e))?,
                     }
                     continue;
                 }
                 // Order matters (see "Subscribe before snapshot" in the
                 // module docs): the gated stream exists before the
                 // registry can route an event to it, and both before the
-                // document is opened.
+                // snapshot is taken.
                 shared.queue.open_stream(doc);
                 hub.subscribe(doc, shared);
-                let editor = match session.open_id(doc) {
-                    Ok(ed) => ed,
+                match session.open_live(doc, encode_snapshot) {
+                    Ok((editor, snapshot)) => {
+                        critical_bytes(snapshot)?;
+                        let (queued, dropped) = shared.queue.release_stream(doc);
+                        hub.count_events(queued, dropped);
+                        subs.insert(doc, editor);
+                    }
                     Err(e) => {
                         hub.unsubscribe(doc, shared);
                         shared.queue.close_stream(doc);
@@ -954,14 +979,8 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                             code: codes::REJECTED,
                             message: format!("cannot open {name:?}: {e}"),
                         })?;
-                        continue;
                     }
-                };
-                // Just opened, so the handle's frontier is current.
-                critical_bytes(encode_snapshot(editor.handle()))?;
-                let (queued, dropped) = shared.queue.release_stream(doc);
-                hub.count_events(queued, dropped);
-                subs.insert(doc, editor);
+                }
             }
             Frame::Unsubscribe { doc } => {
                 let doc = DocId(doc);
@@ -971,27 +990,17 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                 }
             }
             Frame::Edit { request, doc, op } => {
-                let Some(ed) = subs.get_mut(&DocId(doc)) else {
+                let Some(editor) = subs.get(&DocId(doc)) else {
                     critical(Frame::EditRejected {
                         request,
                         message: "not subscribed to this document".into(),
                     })?;
                     continue;
                 };
-                // Catch up on remote events so positions resolve against
-                // the freshest server state; client positions are
-                // advisory and clamped (they may race remote edits).
-                ed.sync();
+                // Positions are advisory: the live document clamps them.
                 let committed = match op {
-                    EditOp::Insert { pos, text } => {
-                        let pos = (pos as usize).min(ed.len());
-                        ed.commit_text(pos, &text)
-                    }
-                    EditOp::Delete { pos, len } => {
-                        let pos = (pos as usize).min(ed.len());
-                        let len = (len as usize).min(ed.len() - pos);
-                        ed.commit_delete(pos, len)
-                    }
+                    EditOp::Insert { pos, text } => editor.insert(pos as usize, &text),
+                    EditOp::Delete { pos, len } => editor.delete(pos as usize, len as usize),
                 };
                 match committed {
                     // Ack first, and broadcast whatever became of the ack
@@ -1002,7 +1011,7 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                             op: receipt.op.0,
                             commit_ts: receipt.commit_ts,
                         });
-                        ed.publish(event);
+                        editor.publish(event);
                         acked?;
                     }
                     Err(e) => critical(Frame::EditRejected {
@@ -1032,22 +1041,13 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
             }
             Frame::Ping { nonce } => critical(Frame::Pong { nonce })?,
             Frame::Resync { doc } => {
-                if !subs.contains_key(&DocId(doc)) {
-                    critical(Frame::Error {
+                let held = subs.contains_key(&DocId(doc));
+                match held.then(|| repair(hub, DocId(doc), session.user())) {
+                    Some(Ok(Some(snapshot))) => critical_bytes(snapshot)?,
+                    Some(Err(why)) => critical(why)?,
+                    _ => critical(Frame::Error {
                         code: codes::NOT_FOUND,
                         message: "not subscribed to this document".into(),
-                    })?;
-                    continue;
-                }
-                // The snapshot comes from a fresh database open, not the
-                // long-lived server-side editor: a fresh handle's
-                // `synced_ts` is the true current commit frontier,
-                // whereas the editor's only advances on full rebuilds.
-                match db_snapshot(collab, DocId(doc), session.user()) {
-                    Some(snap) => critical_bytes(snap)?,
-                    None => critical(Frame::Error {
-                        code: codes::REJECTED,
-                        message: "cannot snapshot document".into(),
                     })?,
                 }
             }

@@ -337,3 +337,87 @@ fn edit_whose_reply_cannot_be_queued_is_still_broadcast() {
         "a committed edit never reached the subscriber"
     );
 }
+
+/// Regression: `Resync` and the writer's lost-stream recovery used to go
+/// through `TextDb::open`, which commits a `reads` row in the user's
+/// name — a stalled client inflated the document's read count (and with
+/// it `ReadBy` folders and reader lists) by one per repair. A reader
+/// recovered several times, and resynced on top, leaves the count where
+/// the two subscribes left it.
+#[test]
+fn transport_repairs_are_not_recorded_as_reads() {
+    let config = NetConfig {
+        outbound_capacity: 2,
+        lag_limit: 1_000_000,
+        critical_send_timeout: Duration::from_secs(60),
+        read_tick: Duration::from_millis(10),
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], config);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let reads = || collab.textdb().read_count(id).unwrap();
+
+    let good = NetClient::connect(addr, "alice").unwrap();
+    let doc = good.subscribe("doc").unwrap();
+    let staller = stalled_subscriber(addr, "bob", &["doc"]);
+    let deadline = Instant::now() + WAIT;
+    while reads() < 2 {
+        assert!(Instant::now() < deadline, "bob's subscribe never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    staller.set_read_timeout(Some(WAIT)).unwrap();
+    let mut buf = tendax_net::FrameBuffer::default();
+    let mut scratch = vec![0u8; 64 * 1024];
+    let mut mirror: Option<tendax_net::MirrorDoc> = None;
+    let mut snapshots = 0;
+    // Typed at the end: a mirror integrates a typing run in place.
+    let blob = "x".repeat(1024);
+    let mut typed = 0;
+    for round in 0..2 {
+        // The staller is not reading: type until its stream is lost.
+        let dropped = server.stats().frames_dropped;
+        let deadline = Instant::now() + WAIT * 4;
+        let mut last = 0;
+        let mut since_drop = 0;
+        while since_drop < 2 {
+            assert!(Instant::now() < deadline, "round {round}: nothing dropped");
+            last = good.insert(doc, typed, &blob).unwrap().1;
+            typed += blob.len();
+            since_drop += (server.stats().frames_dropped > dropped) as u32;
+        }
+        // It reads again, until it has been brought up to date.
+        while mirror.as_ref().is_none_or(|m| m.synced_ts() < last) {
+            while let Some((tag, payload)) = buf.next_frame().expect("framing") {
+                match Frame::decode(tag, payload).expect("decode") {
+                    Frame::Snapshot {
+                        doc,
+                        synced_ts,
+                        chars,
+                    } => {
+                        snapshots += 1;
+                        mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars));
+                    }
+                    Frame::Event(ev) => {
+                        mirror.as_mut().expect("snapshot first").apply_event(ev);
+                    }
+                    Frame::Welcome { .. } => {}
+                    other => panic!("unexpected frame {other:?}"),
+                }
+            }
+            let n = (&staller).read(&mut scratch).expect("staller read");
+            assert!(n > 0, "server closed the staller: {:?}", server.stats());
+            buf.extend(&scratch[..n]);
+        }
+    }
+    for _ in 0..3 {
+        good.resync(doc).unwrap();
+    }
+    assert!(snapshots >= 3, "one subscribe, two recoveries: {snapshots}");
+    assert_eq!(
+        mirror.unwrap().text(),
+        collab.textdb().document_text(id).unwrap()
+    );
+    assert_eq!(reads(), 2, "a repair was recorded as a read");
+}

@@ -564,6 +564,37 @@ fn awareness_presence_and_ping_round_trip() {
     drop(server);
 }
 
+/// A snapshot the server cannot serve is refused with the reason.
+/// `db_snapshot` used to return `Option`: "cannot snapshot document",
+/// whether the document was gone, the chain corrupt or, as here, the
+/// right to read revoked between two opens.
+#[test]
+fn refused_snapshots_say_why() {
+    use tendax_text::{Permission, Principal};
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());
+    let tdb = collab.textdb();
+    let [alice, bob] = ["alice", "bob"].map(|u| tdb.user_by_name(u).unwrap());
+    let id = tdb.document_by_name("doc").unwrap();
+
+    let b = NetClient::connect(server.local_addr(), "bob").unwrap();
+    let doc = b.subscribe("doc").unwrap();
+    tdb.set_access(id, alice, Principal::User(alice), Permission::Read, true)
+        .unwrap();
+
+    let why = format!("{bob} lacks Read on {id}");
+    for refused in [b.subscribe("doc").map(drop), b.resync(doc)] {
+        match refused {
+            Err(NetError::Remote { code, message }) => {
+                assert_eq!(code, codes::REJECTED);
+                assert!(message.contains(&why), "got {message:?}");
+            }
+            other => panic!("expected a typed refusal, got {other:?}"),
+        }
+    }
+    // Neither attempt was a read; the first subscribe was.
+    assert_eq!(tdb.read_count(id).unwrap(), 1);
+}
+
 #[test]
 fn resync_recovers_a_deliberately_poisoned_mirror() {
     let (server, _collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());

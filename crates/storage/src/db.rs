@@ -217,7 +217,7 @@ enum WalMode {
 /// acks immediately instead of being misread by the new coordinator
 /// (whose barrier sequence numbers restart at zero).
 #[derive(Debug, Clone, Copy)]
-struct BackendTicket {
+pub(crate) struct BackendTicket {
     gen: u64,
     ticket: WalTicket,
 }
@@ -858,13 +858,17 @@ impl Database {
         }
     }
 
-    pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<Ts> {
+    /// Validate, log and publish `txn`: once this returns the commit is
+    /// visible to every later snapshot and cannot be retracted. What is
+    /// left is the wait for its log record to reach the disk
+    /// ([`Database::wal_wait`] on the ticket), which needs no lock.
+    pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<BackendTicket>)> {
         let writes = std::mem::take(&mut txn.writes);
         let created = std::mem::take(&mut txn.created);
         if writes.values().all(BTreeMap::is_empty) {
             self.inner.active.lock().remove(&txn.id());
             self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
-            return Ok(txn.snapshot_ts());
+            return Ok((txn.snapshot_ts(), None));
         }
 
         // Enter the pipeline in shared mode: commits to disjoint tables
@@ -1040,16 +1044,15 @@ impl Database {
         }
         // Past this point the commit cannot be retracted: its versions
         // are visible to new snapshots once the watermark folds them in.
-        // A durability failure below must not be reported as an abort.
-        txn.published = true;
+        // A durability failure later must not be reported as an abort.
         std::mem::forget(ts_guard);
         self.inner.sequencer.complete(commit_ts);
         self.inner.active.lock().remove(&txn.id());
         self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
 
-        // Release every lock before waiting on the disk: followers piggy-
-        // back on the leader's fsync while new committers stream through
-        // the (now free) serial section.
+        // Release every lock before anyone waits on the disk: followers
+        // piggy-back on the leader's fsync while new committers stream
+        // through the (now free) serial section.
         drop(guards);
         drop(commit);
         // Commit wait: don't return until the watermark covers our
@@ -1060,8 +1063,7 @@ impl Database {
         // every committer resolves its sequencer slot before parking on
         // durability below.
         self.inner.sequencer.wait_visible(commit_ts);
-        self.wal_wait(ticket)?;
-        Ok(commit_ts)
+        Ok((commit_ts, ticket))
     }
 
     /// Stage a non-commit record with the group-commit coordinator
@@ -1093,7 +1095,7 @@ impl Database {
 
     /// Block until the staged record is durable at the configured level.
     /// Must be called with no locks held.
-    fn wal_wait(&self, ticket: Option<BackendTicket>) -> Result<()> {
+    pub(crate) fn wal_wait(&self, ticket: Option<BackendTicket>) -> Result<()> {
         match (self.inner.wal.get(), ticket) {
             (Some(wal), Some(t)) => wal.wait_durable(t),
             _ => Ok(()),

@@ -70,7 +70,7 @@ pub use query::{explain, plan_access, AccessPath, Predicate};
 pub use row::{Row, RowId, SharedRow};
 pub use schema::{ColumnDef, IndexDef, TableDef, TableId};
 pub use table::{Ts, WriteDescriptor, TS_LATEST};
-pub use txn::{Transaction, TxnId};
+pub use txn::{Durability, Transaction, TxnId};
 pub use value::{DataType, Value};
 pub use vfs::{os_vfs, OsVfs, SimVfs, Vfs, VfsFile};
 pub use wal::{shard_path, DurabilityLevel, WalShardStats, WalStats};

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cold::ColdStore;
-use crate::db::Database;
+use crate::db::{BackendTicket, Database};
 use crate::error::{Result, StorageError};
 use crate::index::{IndexKey, IndexStore};
 use crate::query::Predicate;
@@ -83,6 +83,31 @@ enum TxnState {
     Aborted,
 }
 
+/// What a visible commit still owes its caller: the wait for its log
+/// record to reach the disk (see [`Transaction::commit_visible`]).
+/// Nothing to wait for on an in-memory database or a read-only commit.
+#[derive(Debug)]
+#[must_use = "the commit is not durable until this has been waited for"]
+pub struct Durability {
+    ticket: Option<(Database, BackendTicket)>,
+}
+
+impl Durability {
+    /// A commit with nothing to flush.
+    pub fn none() -> Self {
+        Durability { ticket: None }
+    }
+
+    /// Block until the commit is durable at the database's durability
+    /// level. Call it with no locks held.
+    pub fn wait(self) -> Result<()> {
+        match self.ticket {
+            Some((db, ticket)) => db.wal_wait(Some(ticket)),
+            None => Ok(()),
+        }
+    }
+}
+
 /// An open transaction. Dropping an active transaction aborts it.
 #[derive(Debug)]
 pub struct Transaction {
@@ -92,10 +117,6 @@ pub struct Transaction {
     pub(crate) writes: BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     /// Rows this transaction itself inserted (they cannot conflict).
     pub(crate) created: HashSet<(TableId, RowId)>,
-    /// Set by `commit_txn` once versions are visible to other snapshots.
-    /// A durability failure after this point is not an abort: the commit
-    /// happened, it just may not survive a crash.
-    pub(crate) published: bool,
     state: TxnState,
     /// Table handles this transaction has touched. Repeated reads of the
     /// same table (the per-character hot loop) skip the database's global
@@ -113,7 +134,6 @@ impl Transaction {
             snapshot,
             writes: BTreeMap::new(),
             created: HashSet::new(),
-            published: false,
             state: TxnState::Active,
             handles: Mutex::new(BTreeMap::new()),
         }
@@ -735,22 +755,36 @@ impl Transaction {
     // ---------------------------------------------------------- termination
 
     /// Commit. Returns the commit timestamp (the snapshot timestamp if the
-    /// transaction wrote nothing).
-    pub fn commit(mut self) -> Result<Ts> {
+    /// transaction wrote nothing) once the commit is durable at the
+    /// database's durability level. An error from the wait for the disk
+    /// is still a commit: the versions are visible, they just may not
+    /// survive a crash.
+    pub fn commit(self) -> Result<Ts> {
+        let (ts, durability) = self.commit_visible()?;
+        durability.wait()?;
+        Ok(ts)
+    }
+
+    /// The first half of [`Transaction::commit`]: returns as soon as the
+    /// commit is visible to every later snapshot, and hands back the wait
+    /// for the disk. For a caller that holds a lock of its own across the
+    /// commit and can let go of it before the `fsync` — so that the
+    /// commits queued behind that lock share a group-commit batch instead
+    /// of paying one flush each.
+    pub fn commit_visible(mut self) -> Result<(Ts, Durability)> {
         self.check_active()?;
-        let result = self.db.clone().commit_txn(&mut self);
-        match &result {
-            Ok(_) => self.state = TxnState::Committed,
-            // A post-publication durability failure is still a commit:
-            // the versions are visible and commit_txn finished the
-            // bookkeeping before waiting on the disk.
-            Err(_) if self.published => self.state = TxnState::Committed,
-            Err(_) => {
+        match self.db.clone().commit_txn(&mut self) {
+            Ok((ts, ticket)) => {
+                self.state = TxnState::Committed;
+                let ticket = ticket.map(|t| (self.db.clone(), t));
+                Ok((ts, Durability { ticket }))
+            }
+            Err(e) => {
                 self.state = TxnState::Aborted;
                 self.db.clone().abort_txn(self.id, true); // failed commit is an abort
+                Err(e)
             }
         }
-        result
     }
 
     /// Abort, discarding all buffered writes.

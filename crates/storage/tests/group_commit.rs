@@ -320,3 +320,44 @@ fn baseline_mode_never_batches() {
     assert_eq!(stats.wal_batches_flushed, stats.wal_records_flushed);
     assert_eq!(stats.wal_fsyncs_saved, 0);
 }
+
+// ------------------------------------------------- commit_visible + wait
+
+/// `commit` is `commit_visible` plus the wait for the disk. Between the
+/// two the commit is visible to every new snapshot, and a caller that
+/// serialises its commits behind a lock of its own — a live document —
+/// can let go of the lock first: commits made visible back to back then
+/// reach the disk in one flush instead of one each.
+#[test]
+fn visible_commits_share_the_flush_their_waits_trigger() {
+    let (_dir, path) = tmp("visible.wal");
+    {
+        let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+        let t = db.create_table(seq_table()).unwrap();
+        let before = db.stats();
+        let mut owed = Vec::new();
+        for seq in 0..3 {
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Id(7), Value::Int(seq)]))
+                .unwrap();
+            let (ts, durability) = txn.commit_visible().unwrap();
+            // Visible before it is durable, to a snapshot taken now.
+            assert!(db.begin().snapshot_ts() >= ts);
+            assert_eq!(count_rows(&db), seq as usize + 1);
+            owed.push(durability);
+        }
+        for durability in owed {
+            durability.wait().unwrap();
+        }
+        let after = db.stats();
+        assert_eq!(after.commits - before.commits, 3);
+        assert_eq!(after.wal_records_flushed - before.wal_records_flushed, 3);
+        assert_eq!(
+            after.wal_batches_flushed - before.wal_batches_flushed,
+            1,
+            "the first wait flushes what all three staged"
+        );
+    }
+    let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+    assert_eq!(count_rows(&db), 3);
+}

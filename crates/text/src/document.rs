@@ -79,15 +79,33 @@ impl CharInfo {
 }
 
 impl TextDb {
-    /// Open `doc` as `user`: checks [`Permission::Read`], records a read
-    /// event (metadata for dynamic folders / ranking), and builds the
-    /// position index from the stored character chain.
+    /// Open `doc` as `user`: checks [`Permission::Read`], builds the
+    /// position index from the stored character chain and records a read
+    /// event (metadata for dynamic folders / ranking).
     pub fn open(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
         self.check_permission(doc, user, Permission::Read)?;
         let handle = self.load(doc, user)?;
         // Read event in its own transaction: opening is itself an action
         // that generates creation-process metadata.
         let mut txn = self.database().begin();
+        self.insert_read(&mut txn, doc, user)?;
+        txn.commit()?;
+        Ok(handle)
+    }
+
+    /// The half of [`TextDb::open`] a reader pays who is shown a copy
+    /// that is already loaded (a server's live document): the
+    /// [`Permission::Read`] check and the read event, in one transaction,
+    /// and no chain walk.
+    pub fn record_read(&self, doc: DocId, user: UserId) -> Result<()> {
+        let mut txn = self.database().begin();
+        self.check_permission_txn(&txn, doc, user, Permission::Read)?;
+        self.insert_read(&mut txn, doc, user)?;
+        txn.commit()?;
+        Ok(())
+    }
+
+    fn insert_read(&self, txn: &mut Transaction, doc: DocId, user: UserId) -> Result<()> {
         txn.insert(
             self.tables().reads,
             Row::new(vec![
@@ -96,8 +114,7 @@ impl TextDb {
                 Value::Timestamp(self.now()),
             ]),
         )?;
-        txn.commit()?;
-        Ok(handle)
+        Ok(())
     }
 
     /// The visible text of `doc`, loaded without opening it: no permission
@@ -112,8 +129,10 @@ impl TextDb {
     }
 
     /// A handle on `doc` with its cache built from the database; checks
-    /// and records nothing.
-    fn load(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
+    /// and records nothing. For callers that keep one copy on behalf of
+    /// many readers and account for each reader themselves
+    /// ([`TextDb::record_read`]).
+    pub fn load(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
         let mut handle = DocHandle {
             tdb: self.clone(),
             doc,
@@ -206,8 +225,10 @@ impl DocHandle {
         self.chain.for_each_total(|id, _| f(id, &self.cache[&id]));
     }
 
-    /// Commit timestamp of the last full rebuild: remote events with a
-    /// commit at or below this are already reflected in the cache.
+    /// Remote events with a commit at or below this are already
+    /// reflected in the cache: the snapshot of the last full rebuild, or
+    /// a later frontier the owner vouched for
+    /// ([`DocHandle::advance_synced`]).
     pub fn synced_ts(&self) -> tendax_storage::Ts {
         self.synced_ts
     }
@@ -229,6 +250,22 @@ impl DocHandle {
             return None;
         }
         (from..=chars.len() - pat.len()).find(|&i| chars[i..i + pat.len()] == pat[..])
+    }
+
+    /// Edit as `user` from here on: a handle shared by several editors
+    /// commits each operation in its author's name, so permission and
+    /// range-protection checks, `author` columns and the operation log
+    /// say who typed.
+    pub fn act_as(&mut self, user: UserId) {
+        self.user = user;
+    }
+
+    /// Declare everything committed at or before `ts` reflected in the
+    /// cache. Only a caller that has applied every such commit itself
+    /// may say so (see `tendax-collab`'s live documents); the handle
+    /// cannot check it.
+    pub fn advance_synced(&mut self, ts: tendax_storage::Ts) {
+        self.synced_ts = self.synced_ts.max(ts);
     }
 
     /// Discard the cache and rebuild it from the database.

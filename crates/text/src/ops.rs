@@ -12,7 +12,7 @@
 //! rows (consumed by undo/redo) and, for pastes, a `paste_events` row
 //! (consumed by data lineage).
 
-use tendax_storage::{Row, Transaction, Ts, Value};
+use tendax_storage::{Durability, Row, Transaction, Ts, Value};
 
 use crate::document::{CharInfo, DocHandle};
 use crate::error::{Result, TextError};
@@ -80,6 +80,14 @@ impl EditReceipt {
     }
 }
 
+/// Wait for the disk — what an editing call does last, unless its caller
+/// asked to do the waiting (the `*_visible` calls).
+fn settled(done: Result<(EditReceipt, Durability)>) -> Result<EditReceipt> {
+    let (receipt, durability) = done?;
+    durability.wait()?;
+    Ok(receipt)
+}
+
 /// A copied span: the source characters with their ids (provenance).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Clip {
@@ -128,6 +136,19 @@ impl DocHandle {
 
     /// Type `text` at visible position `pos`.
     pub fn insert_text(&mut self, pos: usize, text: &str) -> Result<EditReceipt> {
+        settled(self.insert_text_visible(pos, text))
+    }
+
+    /// [`DocHandle::insert_text`] up to the point where the commit is
+    /// visible and folded into this handle's cache; the wait for the disk
+    /// is handed back. A handle shared behind a lock types with this and
+    /// waits once the lock is released, so the typists queued behind it
+    /// share a group-commit flush (see `Transaction::commit_visible`).
+    pub fn insert_text_visible(
+        &mut self,
+        pos: usize,
+        text: &str,
+    ) -> Result<(EditReceipt, Durability)> {
         let chars: Vec<NewChar> = text
             .chars()
             .map(|ch| NewChar {
@@ -171,7 +192,7 @@ impl DocHandle {
             })
             .collect();
         let n = chars.len();
-        self.insert_chars(
+        settled(self.insert_chars(
             pos,
             chars,
             "paste",
@@ -181,7 +202,7 @@ impl DocHandle {
                 n_chars: n,
             }),
             None,
-        )
+        ))
     }
 
     /// Paste text originating outside TeNDaX (another application, the
@@ -197,7 +218,7 @@ impl DocHandle {
             })
             .collect();
         let n = chars.len();
-        self.insert_chars(
+        settled(self.insert_chars(
             pos,
             chars,
             "paste",
@@ -207,14 +228,24 @@ impl DocHandle {
                 n_chars: n,
             }),
             None,
-        )
+        ))
     }
 
     /// Delete `[pos, pos + len)`. Characters become tombstones: their
     /// metadata (author, lineage, undo state) survives deletion.
     pub fn delete_range(&mut self, pos: usize, len: usize) -> Result<EditReceipt> {
+        settled(self.delete_range_visible(pos, len))
+    }
+
+    /// [`DocHandle::delete_range`] split like
+    /// [`DocHandle::insert_text_visible`].
+    pub fn delete_range_visible(
+        &mut self,
+        pos: usize,
+        len: usize,
+    ) -> Result<(EditReceipt, Durability)> {
         if len == 0 {
-            return Ok(EditReceipt::empty());
+            return Ok((EditReceipt::empty(), Durability::none()));
         }
         self.check_range(pos, len)?;
         let ids = self.chain.visible_range(pos, len);
@@ -246,7 +277,7 @@ impl DocHandle {
         for (seq, id) in ids.iter().enumerate() {
             self.log_effect(&mut txn, op, seq as i64, "del", *id, None, None)?;
         }
-        let commit_ts = txn.commit()?;
+        let (commit_ts, durability) = txn.commit_visible()?;
         self.note_commit(commit_ts);
 
         let mut effects = Vec::with_capacity(ids.len());
@@ -262,11 +293,12 @@ impl DocHandle {
                 ts,
             });
         }
-        Ok(EditReceipt {
+        let receipt = EditReceipt {
             op,
             commit_ts,
             effects,
-        })
+        };
+        Ok((receipt, durability))
     }
 
     /// Atomically move `[pos, pos + len)` from this document into
@@ -557,7 +589,7 @@ impl DocHandle {
             src_char: CharId::NONE,
             external: None,
         }];
-        self.insert_chars(pos, chars, "object", None, Some(payload))
+        settled(self.insert_chars(pos, chars, "object", None, Some(payload)))
     }
 
     fn insert_chars(
@@ -567,7 +599,7 @@ impl DocHandle {
         kind: &str,
         paste: Option<PasteEventInfo>,
         object: Option<ObjectPayload>,
-    ) -> Result<EditReceipt> {
+    ) -> Result<(EditReceipt, Durability)> {
         let doc_len = self.len();
         if pos > doc_len {
             return Err(TextError::InvalidPosition {
@@ -577,7 +609,7 @@ impl DocHandle {
             });
         }
         if chars.is_empty() {
-            return Ok(EditReceipt::empty());
+            return Ok((EditReceipt::empty(), Durability::none()));
         }
         let t = *self.tdb.tables();
 
@@ -751,7 +783,7 @@ impl DocHandle {
                 ]),
             )?;
         }
-        let commit_ts = txn.commit()?;
+        let (commit_ts, durability) = txn.commit_visible()?;
         self.note_commit(commit_ts);
 
         // Publish to the local cache and build broadcast effects.
@@ -799,11 +831,12 @@ impl DocHandle {
         if stale {
             self.rebuild()?;
         }
-        Ok(EditReceipt {
+        let receipt = EditReceipt {
             op,
             commit_ts,
             effects,
-        })
+        };
+        Ok((receipt, durability))
     }
 
     /// Write the oplog row for an operation.

@@ -41,8 +41,8 @@ cargo test -q -p tendax-storage --test commit_pipeline
 echo "==> commutative merge-commit suite (descriptor merge vs abort matrix)"
 cargo test -q -p tendax-storage --test merge_commit
 
-echo "==> transport loopback smoke (wire codec + TCP e2e convergence)"
-cargo test -q -p tendax-net --test codec --test loopback
+echo "==> transport loopback smoke (wire codec + TCP e2e convergence + live documents)"
+cargo test -q -p tendax-net --test codec --test loopback --test live
 
 echo "==> connection-capacity + slow-consumer + thread-count suite"
 cargo test -q -p tendax-net --test capacity --test threads
