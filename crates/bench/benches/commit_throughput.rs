@@ -9,11 +9,15 @@
 //! cargo bench -p tendax-bench --bench commit_throughput
 //! ```
 //!
-//! Pass `--test` (as criterion benches accept) for a quick smoke run.
+//! Pass `--test` (as criterion benches accept) for a quick smoke run and
+//! `--json <path>` to append one summary line (the `bench_results/`
+//! convention). `wal_bytes_per_commit` is a count, not a timing: what one
+//! single-row commit appends to the log.
 
 use std::path::PathBuf;
 use std::time::Instant;
 
+use tendax_bench::stats::{append_json_line, json_object, JsonValue};
 use tendax_storage::{DataType, Database, DurabilityLevel, Options, Row, TableDef, Value};
 
 fn tmp(name: &str) -> PathBuf {
@@ -28,6 +32,7 @@ struct Outcome {
     ops_per_sec: f64,
     mean_batch: f64,
     fsyncs_saved: u64,
+    wal_bytes_per_commit: f64,
 }
 
 /// `threads` committers, each committing `ops` single-row inserts with
@@ -51,6 +56,7 @@ fn run(name: &str, group_commit: bool, threads: u64, ops: i64) -> Outcome {
         )
         .expect("table");
 
+    let wal_before = db.wal_size().0;
     let start = Instant::now();
     let mut handles = Vec::new();
     for w in 0..threads {
@@ -78,35 +84,67 @@ fn run(name: &str, group_commit: bool, threads: u64, ops: i64) -> Outcome {
             stats.wal_records_flushed as f64 / stats.wal_batches_flushed as f64
         },
         fsyncs_saved: stats.wal_fsyncs_saved,
+        wal_bytes_per_commit: (db.wal_size().0 - wal_before) as f64 / commits,
     }
 }
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--test");
+    let args: Vec<String> = std::env::args().collect();
+    let quick = args.iter().any(|a| a == "--test");
+    let json = args
+        .iter()
+        .position(|a| a == "--json")
+        .and_then(|i| args.get(i + 1));
     let ops: i64 = if quick { 5 } else { 200 };
 
     println!(
-        "{:<28} {:>12} {:>12} {:>12} {:>10}",
-        "config", "commits/s", "mean batch", "fsyncs saved", "speedup"
+        "{:<28} {:>12} {:>12} {:>12} {:>10} {:>14}",
+        "config", "commits/s", "mean batch", "fsyncs saved", "speedup", "WAL B/commit"
     );
+    let mut fields = vec![
+        ("commits_per_thread".to_string(), JsonValue::U64(ops as u64)),
+        ("quick".to_string(), JsonValue::Bool(quick)),
+    ];
     for &threads in &[1u64, 4, 8] {
         let base = run(&format!("base-{threads}.wal"), false, threads, ops);
         let group = run(&format!("group-{threads}.wal"), true, threads, ops);
         println!(
-            "{:<28} {:>12.0} {:>12.2} {:>12} {:>10}",
+            "{:<28} {:>12.0} {:>12.2} {:>12} {:>10} {:>14.1}",
             format!("fsync/commit    x{threads}"),
             base.ops_per_sec,
             base.mean_batch,
             base.fsyncs_saved,
-            "1.00x"
+            "1.00x",
+            base.wal_bytes_per_commit
         );
         println!(
-            "{:<28} {:>12.0} {:>12.2} {:>12} {:>9.2}x",
+            "{:<28} {:>12.0} {:>12.2} {:>12} {:>9.2}x {:>14.1}",
             format!("group commit    x{threads}"),
             group.ops_per_sec,
             group.mean_batch,
             group.fsyncs_saved,
-            group.ops_per_sec / base.ops_per_sec
+            group.ops_per_sec / base.ops_per_sec,
+            group.wal_bytes_per_commit
         );
+        fields.push((
+            format!("base_{threads}_commits_per_s"),
+            JsonValue::F64(base.ops_per_sec),
+        ));
+        fields.push((
+            format!("group_{threads}_commits_per_s"),
+            JsonValue::F64(group.ops_per_sec),
+        ));
+        if threads == 1 {
+            // The single writer's figure; more writers reach higher
+            // timestamps and sequence numbers, a varint byte more.
+            fields.push((
+                "wal_bytes_per_commit".to_string(),
+                JsonValue::F64(group.wal_bytes_per_commit),
+            ));
+        }
+    }
+    if let Some(path) = json {
+        append_json_line(std::path::Path::new(path), &json_object(&fields)).expect("append json");
+        println!("appended summary to {path}");
     }
 }

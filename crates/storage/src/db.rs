@@ -17,9 +17,11 @@ use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
 use crate::txn::{validate_writes, MergePlan, Transaction, TxnId, WriteOp};
 use crate::vfs::{os_vfs, Vfs};
+use crate::wal::codec::snapshot_batches;
 use crate::wal::{
-    discover_shards_on, recover_sharded_on, shard_path, DurabilityLevel, GroupWal, ShardedWal,
-    WalFile, WalOp, WalRecord, WalShardStats, WalStats, WalTicket, WalWrite,
+    discover_shards_on, encode_frame, recover_sharded_on, shard_path, DurabilityLevel, GroupWal,
+    ShardedWal, SnapshotVersion, WalFile, WalOp, WalRecord, WalShardStats, WalStats, WalTicket,
+    WalWrite,
 };
 
 /// Database configuration.
@@ -179,6 +181,11 @@ pub struct TableStats {
     pub versions: usize,
     /// `(index name, distinct keys, entries)` per secondary index.
     pub indexes: Vec<(String, usize, usize)>,
+    /// What the table's live rows cost in a checkpoint: the summed
+    /// length of the frames the checkpoint encoder produces for them.
+    /// It is the encoding's size, not a file's: an in-memory database
+    /// reports it too.
+    pub checkpoint_bytes: u64,
 }
 
 #[derive(Debug, Default)]
@@ -560,8 +567,15 @@ impl Database {
                 .collect();
             WalMode::Sharded(ShardedWal::new(files?, options.durability, 0))
         } else {
-            let (records, valid_len) = WalFile::replay_with_valid_len_on(&*options.vfs, &path)?;
-            db.apply_log(records)?;
+            // Streamed: each frame is decoded, applied and dropped
+            // before the next one is read.
+            let valid_len = {
+                let mut catalog = db.inner.catalog.write();
+                let mut tables = db.inner.tables.write();
+                WalFile::replay_on(&*options.vfs, &path, |rec, _| {
+                    db.apply_record(&mut catalog, &mut tables, rec)
+                })?
+            };
             // Repair a torn tail before appending: anything past the last
             // valid frame is a crashed partial write.
             WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
@@ -618,6 +632,8 @@ impl Database {
         rec: WalRecord,
     ) -> Result<()> {
         match rec {
+            // Checked by the log reader before anything was applied.
+            WalRecord::Format { .. } => {}
             WalRecord::Meta { next_ts, clock } => {
                 self.inner.sequencer.observe(next_ts.saturating_sub(1));
                 self.inner.clock.observe(clock);
@@ -633,9 +649,7 @@ impl Database {
                 }
                 tables.remove(&id);
             }
-            WalRecord::Commit {
-                commit_ts, writes, ..
-            } => {
+            WalRecord::Commit { commit_ts, writes } => {
                 for w in writes {
                     let store = tables
                         .get(&w.table)
@@ -680,31 +694,29 @@ impl Database {
                 }
                 self.inner.sequencer.observe(commit_ts);
             }
-            WalRecord::SnapshotRow {
-                table,
-                row,
-                commit_ts,
-                op,
-            } => {
-                let store = tables
+            WalRecord::SnapshotRows { table, rows } => {
+                let mut store = tables
                     .get(&table)
-                    .ok_or(StorageError::UnknownTableId(table))?;
-                let op = match op {
-                    WalOp::Put(r) => {
-                        self.observe_row_clock(r.values());
-                        VersionOp::Put(r)
-                    }
-                    WalOp::Delete => VersionOp::Delete,
-                    // Checkpoints compact to full rows; a patch here
-                    // means the log writer and reader disagree.
-                    WalOp::Patch { .. } => {
-                        return Err(StorageError::Internal(
-                            "snapshot row cannot be a patch".into(),
-                        ))
-                    }
-                };
-                store.write().apply(row, commit_ts, op);
-                self.inner.sequencer.observe(commit_ts);
+                    .ok_or(StorageError::UnknownTableId(table))?
+                    .write();
+                for v in rows {
+                    let op = match v.op {
+                        WalOp::Put(r) => {
+                            self.observe_row_clock(r.values());
+                            VersionOp::Put(r)
+                        }
+                        WalOp::Delete => VersionOp::Delete,
+                        // Checkpoints compact to full rows; a patch here
+                        // means the log writer and reader disagree.
+                        WalOp::Patch { .. } => {
+                            return Err(StorageError::Internal(
+                                "snapshot row cannot be a patch".into(),
+                            ))
+                        }
+                    };
+                    store.apply(v.row, v.commit_ts, op);
+                    self.inner.sequencer.observe(v.commit_ts);
+                }
             }
             WalRecord::Watermark { table, next_row_id } => {
                 if let Some(store) = tables.get(&table) {
@@ -1000,7 +1012,6 @@ impl Database {
             })
             .collect();
         let rec = WalRecord::Commit {
-            txn: txn.id().0,
             commit_ts,
             writes: wal_writes,
         };
@@ -1407,66 +1418,38 @@ impl Database {
     }
 
     /// [`Database::snapshot_records`] plus `history` spliced in as
-    /// [`WalRecord::SnapshotRow`]s — the cold-demotion-failed fallback,
+    /// [`WalRecord::SnapshotRows`] — the cold-demotion-failed fallback,
     /// where discarded-from-WAL history must ride in the rewritten log
     /// instead of a cold run.
     fn snapshot_records_with(&self, history: &[(TableId, RowId, Ts, WalOp)]) -> Vec<WalRecord> {
         splice_history(self.snapshot_records(), history)
     }
 
-    /// One record per piece of durable state at the current watermark:
-    /// the checkpoint snapshot. Caller must hold the exclusive commit
-    /// latch (quiesced: the watermark equals the newest allocated
-    /// timestamp).
+    /// Every piece of durable state at the current watermark: the
+    /// checkpoint snapshot. Caller must hold the exclusive commit latch
+    /// (quiesced: the watermark equals the newest allocated timestamp).
     fn snapshot_records(&self) -> Vec<WalRecord> {
-        {
-            let catalog = self.inner.catalog.read();
-            let tables = self.inner.tables.read();
-            // Quiesced: no commit is in flight, so the watermark equals
-            // the newest allocated timestamp.
-            let mut records = vec![WalRecord::Meta {
-                next_ts: self.inner.sequencer.watermark() + 1,
-                clock: self.inner.clock.peek(),
-            }];
-            for (id, def) in catalog.tables() {
-                records.push(WalRecord::CreateTable {
-                    id,
-                    def: def.clone(),
-                });
-            }
-            for (&id, handle) in tables.iter() {
-                let store = handle.read();
-                records.push(WalRecord::Watermark {
-                    table: id,
-                    next_row_id: store.row_id_watermark(),
-                });
-                // Emit only each row's newest version; dropped history is
-                // invisible to every post-restart snapshot anyway.
-                let mut newest: BTreeMap<RowId, (Ts, &VersionOp)> = BTreeMap::new();
-                for (rid, v) in store.iter_versions() {
-                    let entry = newest.entry(rid).or_insert((v.commit_ts, &v.op));
-                    if v.commit_ts >= entry.0 {
-                        *entry = (v.commit_ts, &v.op);
-                    }
-                }
-                for (rid, (ts, op)) in newest {
-                    if matches!(op, VersionOp::Delete) {
-                        continue; // watermark already protects the id space
-                    }
-                    let wal_op = match op {
-                        VersionOp::Put(r) => WalOp::Put(r.clone()),
-                        VersionOp::Delete => unreachable!("filtered above"),
-                    };
-                    records.push(WalRecord::SnapshotRow {
-                        table: id,
-                        row: rid,
-                        commit_ts: ts,
-                        op: wal_op,
-                    });
-                }
-            }
-            records
+        let catalog = self.inner.catalog.read();
+        let tables = self.inner.tables.read();
+        let mut records = vec![WalRecord::Meta {
+            next_ts: self.inner.sequencer.watermark() + 1,
+            clock: self.inner.clock.peek(),
+        }];
+        for (id, def) in catalog.tables() {
+            records.push(WalRecord::CreateTable {
+                id,
+                def: def.clone(),
+            });
         }
+        for (&id, handle) in tables.iter() {
+            let store = handle.read();
+            records.push(WalRecord::Watermark {
+                table: id,
+                next_row_id: store.row_id_watermark(),
+            });
+            live_row_batches(id, &store, &mut records);
+        }
+        records
     }
 
     /// Start the background maintenance thread. Returns `false` (and
@@ -1646,6 +1629,8 @@ impl Database {
                 continue;
             };
             let store = handle.read();
+            let mut batches = Vec::new();
+            live_row_batches(id, &store, &mut batches);
             out.push(TableStats {
                 name: def.name.clone(),
                 live_rows: store.count_visible(latest),
@@ -1655,6 +1640,7 @@ impl Database {
                     .iter()
                     .map(|i| (i.definition().name.clone(), i.key_count(), i.entry_count()))
                     .collect(),
+                checkpoint_bytes: batches.iter().map(|b| encode_frame(b).len() as u64).sum(),
             });
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
@@ -1667,8 +1653,31 @@ impl Database {
     }
 }
 
+/// The checkpoint's rows for one table: each row's newest version,
+/// unless that is a tombstone (dropped history is invisible to every
+/// post-restart snapshot, and the watermark already protects the id
+/// space), batched in row-id order.
+fn live_row_batches(id: TableId, store: &TableStore, out: &mut Vec<WalRecord>) {
+    let mut newest: BTreeMap<RowId, (Ts, &VersionOp)> = BTreeMap::new();
+    for (rid, v) in store.iter_versions() {
+        let entry = newest.entry(rid).or_insert((v.commit_ts, &v.op));
+        if v.commit_ts >= entry.0 {
+            *entry = (v.commit_ts, &v.op);
+        }
+    }
+    let live = newest.into_iter().filter_map(|(row, (commit_ts, op))| {
+        let VersionOp::Put(r) = op else { return None };
+        Some(SnapshotVersion {
+            row,
+            commit_ts,
+            op: WalOp::Put(r.clone()),
+        })
+    });
+    snapshot_batches(id, live, out);
+}
+
 /// Splice demotable history into a checkpoint record set as
-/// [`WalRecord::SnapshotRow`]s, placed after the DDL prologue and
+/// [`WalRecord::SnapshotRows`], placed after the DDL prologue and
 /// before every newest-version row so per-row replay stays
 /// timestamp-monotonic (history versions always predate the newest
 /// record of their row, and rows with a newest tombstone have no hot
@@ -1686,16 +1695,16 @@ fn splice_history(
         .iter()
         .rposition(|r| matches!(r, WalRecord::CreateTable { .. }))
         .map_or(records.len(), |i| i + 1);
-    let rows: Vec<WalRecord> = hist
-        .into_iter()
-        .map(|(table, row, commit_ts, op)| WalRecord::SnapshotRow {
-            table,
-            row,
-            commit_ts,
-            op,
-        })
-        .collect();
-    records.splice(pos..pos, rows);
+    let mut batches = Vec::new();
+    for table in hist.chunk_by(|a, b| a.0 == b.0) {
+        let versions = table.iter().map(|(_, row, commit_ts, op)| SnapshotVersion {
+            row: *row,
+            commit_ts: *commit_ts,
+            op: op.clone(),
+        });
+        snapshot_batches(table[0].0, versions, &mut batches);
+    }
+    records.splice(pos..pos, batches);
     records
 }
 

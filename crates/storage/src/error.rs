@@ -49,6 +49,9 @@ pub enum StorageError {
     TxnClosed(TxnId),
     /// The write-ahead log contained a corrupt record.
     WalCorrupt { offset: u64, reason: String },
+    /// A log or cold run written in another on-disk format version.
+    /// Nothing was decoded, truncated or repaired; there is no migration.
+    UnsupportedFormat { found: u32, expected: u32 },
     /// A WAL flush failed after the transaction's versions were already
     /// published; the log is poisoned and the database rejects further
     /// writes. The committed-in-memory state may not be durable.
@@ -107,6 +110,10 @@ impl fmt::Display for StorageError {
             StorageError::WalCorrupt { offset, reason } => {
                 write!(f, "WAL corrupt at offset {offset}: {reason}")
             }
+            StorageError::UnsupportedFormat { found, expected } => write!(
+                f,
+                "on-disk format v{found} is not readable by this build (v{expected}); no migration"
+            ),
             StorageError::WalUnavailable(msg) => {
                 write!(f, "WAL unavailable (flush failed, log poisoned): {msg}")
             }

@@ -4,7 +4,10 @@
 //! (little-endian). Replay stops cleanly at the first frame that is
 //! truncated or fails its CRC — that is the torn tail of a crashed append,
 //! and everything before it is intact by construction (frames are written
-//! with a single `write_all`).
+//! with a single `write_all`). The first frame of every log file is a
+//! [`WalRecord::Format`] naming the format of the rest; a non-empty file
+//! that starts with anything else was written by another version and is
+//! refused before anything in it is decoded, truncated or repaired.
 //!
 //! All file access goes through the [`Vfs`] seam so the same code path
 //! runs against the real disk ([`crate::vfs::OsVfs`], the default) and
@@ -16,8 +19,8 @@ use std::sync::Arc;
 use crate::error::{Result, StorageError};
 use crate::util::crc32;
 use crate::vfs::{os_vfs, Vfs, VfsFile};
-use crate::wal::codec::{decode_record, encode_record};
-use crate::wal::{DurabilityLevel, WalRecord};
+use crate::wal::codec::{decode_record, put_record};
+use crate::wal::{DurabilityLevel, WalRecord, FORMAT_VERSION};
 
 /// An append-only log file.
 #[derive(Debug)]
@@ -55,14 +58,23 @@ impl WalFile {
             // nothing references them).
             vfs.sync_dir(&path)?;
         }
-        Ok(WalFile {
+        let mut wal = WalFile {
             path,
             vfs,
             writer,
             durability,
             records_written: 0,
             bytes_written: 0,
-        })
+        };
+        // New, or cut back to nothing by tail repair: start the file
+        // with its format frame.
+        if wal.vfs.file_len(&wal.path)? == 0 {
+            let header = format_frame();
+            wal.writer.write_all(&header)?;
+            wal.sync()?;
+            wal.bytes_written = header.len() as u64;
+        }
+        Ok(wal)
     }
 
     pub fn path(&self) -> &Path {
@@ -86,19 +98,7 @@ impl WalFile {
 
     /// Append one record, honouring the durability level.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        let frame = encode_frame(rec);
-        self.writer.write_all(&frame)?;
-        match self.durability {
-            DurabilityLevel::None => {}
-            DurabilityLevel::Buffered => self.writer.flush()?,
-            DurabilityLevel::Fsync => {
-                self.writer.flush()?;
-                self.writer.sync_data()?;
-            }
-        }
-        self.records_written += 1;
-        self.bytes_written += frame.len() as u64;
-        Ok(())
+        self.append_batch(&encode_frame(rec), 1, self.durability)
     }
 
     /// Append a batch of pre-framed records (see [`encode_frame`]) with a
@@ -135,18 +135,16 @@ impl WalFile {
         Ok(())
     }
 
-    /// Replace this log's contents with `records`, atomically.
+    /// Replace this log's contents with the format frame and `records`,
+    /// atomically.
     ///
     /// Writes a sibling temp file, fsyncs it, then renames over the live
     /// log — the checkpoint either fully lands or the old log survives.
     pub fn rewrite(&mut self, records: &[WalRecord]) -> Result<()> {
         let tmp = self.path.with_extension("wal.tmp");
-        let mut buf = Vec::new();
+        let mut buf = format_frame();
         for rec in records {
-            let payload = encode_record(rec);
-            buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-            buf.extend_from_slice(&crc32(&payload).to_le_bytes());
-            buf.extend_from_slice(&payload);
+            put_frame(&mut buf, rec);
         }
         let bytes = buf.len() as u64;
         {
@@ -167,59 +165,44 @@ impl WalFile {
         Ok(())
     }
 
-    /// Read every intact record currently in the log at `path`, on the
-    /// real file system.
+    /// Every intact record in the log at `path` after its format frame,
+    /// on the real file system (tests and tools; recovery streams).
     pub fn replay(path: &Path) -> Result<Vec<WalRecord>> {
-        Ok(Self::replay_with_valid_len(path)?.0)
-    }
-
-    /// [`WalFile::replay_with_valid_len`] on the real file system.
-    pub fn replay_with_valid_len(path: &Path) -> Result<(Vec<WalRecord>, u64)> {
-        Self::replay_with_valid_len_on(&*os_vfs(), path)
-    }
-
-    /// Read every intact record and report the byte offset of the end of
-    /// the last valid frame. Callers reopening the log for append MUST
-    /// truncate to that offset first, or a torn tail would be buried
-    /// under fresh records and read as mid-log corruption later.
-    pub fn replay_with_valid_len_on(vfs: &dyn Vfs, path: &Path) -> Result<(Vec<WalRecord>, u64)> {
-        if !vfs.exists(path) {
-            return Ok((Vec::new(), 0));
-        }
-        let data = vfs.read(path)?;
-        let mut iter = WalIter::new(&data);
         let mut records = Vec::new();
-        let mut valid = 0u64;
-        while let Some(item) = iter.next() {
-            records.push(item?);
-            valid = iter.offset as u64;
-        }
-        Ok((records, valid))
+        Self::replay_on(&*os_vfs(), path, |rec, _| {
+            if !matches!(rec, WalRecord::Format { .. }) {
+                records.push(rec);
+            }
+            Ok(())
+        })?;
+        Ok(records)
     }
 
-    /// Like [`WalFile::replay_with_valid_len_on`], but each record
-    /// carries the byte offset of the end of its own frame. The sharded
-    /// WAL's merged recovery needs per-frame offsets: after cutting the
-    /// global contiguous prefix it truncates each shard file at the end
-    /// of the last frame that survived the cut, not merely at the last
-    /// intact frame.
-    pub fn replay_with_offsets_on(
+    /// Check the log's format frame, then hand `apply` every intact
+    /// record (the format frame included) with the byte offset its frame
+    /// ends at — one at a time, so recovery never holds more than one
+    /// frame decoded. Returns the offset of the end of the last intact
+    /// frame. Callers reopening the log for append MUST truncate to that
+    /// offset first, or a torn tail would be buried under fresh records
+    /// and read as mid-log corruption later. A missing file replays as
+    /// empty.
+    pub fn replay_on(
         vfs: &dyn Vfs,
         path: &Path,
-    ) -> Result<(Vec<(WalRecord, u64)>, u64)> {
+        mut apply: impl FnMut(WalRecord, u64) -> Result<()>,
+    ) -> Result<u64> {
         if !vfs.exists(path) {
-            return Ok((Vec::new(), 0));
+            return Ok(0);
         }
         let data = vfs.read(path)?;
+        check_format(&data)?;
         let mut iter = WalIter::new(&data);
-        let mut records = Vec::new();
         let mut valid = 0u64;
         while let Some(item) = iter.next() {
-            let rec = item?;
             valid = iter.offset as u64;
-            records.push((rec, valid));
+            apply(item?, valid)?;
         }
-        Ok((records, valid))
+        Ok(valid)
     }
 
     /// Truncate the log file at `path` to `len` bytes (crash-tail
@@ -242,22 +225,62 @@ impl WalFile {
     }
 }
 
-/// Encode one record as a complete WAL frame
-/// (`[u32 len][u32 crc32][payload]`).
+/// Append one record to `out` as a complete WAL frame
+/// (`[u32 len][u32 crc32][payload]`): the payload is encoded straight
+/// behind a reserved header, which is filled in afterwards.
+pub(crate) fn put_frame(out: &mut Vec<u8>, rec: &WalRecord) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    put_record(out, rec);
+    let payload = &out[start + 8..];
+    let len = u32::try_from(payload.len()).expect("a WAL frame stays under 4 GiB");
+    let crc = crc32(payload);
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// One record as a frame of its own.
 pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
-    let payload = encode_record(rec);
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut frame = Vec::with_capacity(64);
+    put_frame(&mut frame, rec);
     frame
+}
+
+fn format_frame() -> Vec<u8> {
+    encode_frame(&WalRecord::Format {
+        version: FORMAT_VERSION,
+    })
+}
+
+/// The log must be empty — or torn inside its first frame, before
+/// anything in it was durable — or start with this build's format
+/// frame. An intact first frame that is anything else is a v1 log (those
+/// start with a `Meta`, `CreateTable`, `Commit` or `Barrier` frame).
+fn check_format(data: &[u8]) -> Result<()> {
+    let found = match WalIter::new(data).next_frame() {
+        None => return Ok(()),
+        Some(Err(e)) => return Err(e),
+        Some(Ok((_, payload))) => match decode_record(payload) {
+            Ok(WalRecord::Format { version }) => version,
+            _ => 1,
+        },
+    };
+    if found != FORMAT_VERSION {
+        return Err(StorageError::UnsupportedFormat {
+            found,
+            expected: FORMAT_VERSION,
+        });
+    }
+    Ok(())
 }
 
 /// Iterator over framed records in a byte buffer.
 ///
 /// Yields `Ok(record)` for each intact frame. A truncated or CRC-failing
 /// tail ends iteration silently (torn write); a CRC failure *followed by
-/// more data* is real corruption and yields an error.
+/// more data*, or an intact frame that does not decode, is real
+/// corruption and yields [`StorageError::WalCorrupt`] at the offset the
+/// offending frame starts at.
 pub struct WalIter<'a> {
     data: &'a [u8],
     pub(crate) offset: usize,
@@ -267,26 +290,21 @@ impl<'a> WalIter<'a> {
     pub fn new(data: &'a [u8]) -> Self {
         WalIter { data, offset: 0 }
     }
-}
 
-impl<'a> Iterator for WalIter<'a> {
-    type Item = Result<WalRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        let rest = &self.data[self.offset..];
-        if rest.is_empty() {
-            return None;
-        }
+    /// The next intact frame: the offset it starts at, and its payload.
+    fn next_frame(&mut self) -> Option<Result<(usize, &'a [u8])>> {
+        let start = self.offset;
+        let rest = &self.data[start..];
         if rest.len() < 8 {
-            return None; // torn header
+            return None; // clean end, or a torn header
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() < 8 + len {
+        if rest.len() - 8 < len {
             return None; // torn payload
         }
         let payload = &rest[8..8 + len];
-        let frame_end = self.offset + 8 + len;
+        let frame_end = start + 8 + len;
         if crc32(payload) != crc {
             let trailing = self.data.len() - frame_end;
             self.offset = self.data.len();
@@ -302,15 +320,28 @@ impl<'a> Iterator for WalIter<'a> {
                 return None;
             }
             return Some(Err(StorageError::WalCorrupt {
-                offset: self.offset as u64,
+                offset: start as u64,
                 reason: "CRC mismatch mid-log".into(),
             }));
         }
         self.offset = frame_end;
-        match decode_record(payload) {
-            Ok(rec) => Some(Ok(rec)),
-            Err(e) => Some(Err(e)),
-        }
+        Some(Ok((start, payload)))
+    }
+}
+
+impl Iterator for WalIter<'_> {
+    type Item = Result<WalRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        Some(self.next_frame()?.and_then(|(start, payload)| {
+            decode_record(payload).map_err(|e| match e {
+                StorageError::WalCorrupt { reason, .. } => StorageError::WalCorrupt {
+                    offset: start as u64,
+                    reason,
+                },
+                other => other,
+            })
+        }))
     }
 }
 
@@ -412,9 +443,10 @@ mod tests {
         wal.sync().unwrap();
         drop(wal);
 
-        // Flip a payload byte in the FIRST frame.
+        // Flip a payload byte in the FIRST frame (the format frame:
+        // 8 header bytes, then its 2-byte payload).
         let mut data = std::fs::read(&path).unwrap();
-        data[10] ^= 0xFF;
+        data[9] ^= 0xFF;
         std::fs::write(&path, &data).unwrap();
         let result: Result<Vec<_>> = WalIter::new(&std::fs::read(&path).unwrap()).collect();
         assert!(matches!(result, Err(StorageError::WalCorrupt { .. })));

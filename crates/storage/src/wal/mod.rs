@@ -4,7 +4,9 @@
 //! effects become visible; on reopen the log is replayed in order. Records
 //! are length-prefixed, CRC-32-checked binary (see [`codec`]); a torn tail
 //! (partial final record after a crash) is detected and discarded rather
-//! than treated as corruption.
+//! than treated as corruption. Every log file starts with a
+//! [`WalRecord::Format`] frame naming [`FORMAT_VERSION`]; a file that
+//! starts with anything else is refused, not guessed at.
 
 pub mod codec;
 mod group;
@@ -12,6 +14,7 @@ mod log;
 mod shard;
 
 pub use group::{GroupWal, WalStats, WalTicket};
+pub(crate) use log::encode_frame;
 pub use log::{WalFile, WalIter};
 pub use shard::{
     discover_shards_on, recover_sharded_on, shard_path, ShardRecovery, ShardedWal, WalShardStats,
@@ -20,6 +23,12 @@ pub use shard::{
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
 use crate::table::Ts;
+
+/// The on-disk format this build reads and writes (DESIGN.md, "On-disk
+/// format v2"), shared by the log and the cold runs. There is no
+/// migration: any other version is refused with
+/// [`crate::StorageError::UnsupportedFormat`].
+pub const FORMAT_VERSION: u32 = 2;
 
 /// How hard the engine pushes commits toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -60,9 +69,22 @@ pub enum WalOp {
     },
 }
 
+/// One row version inside a [`WalRecord::SnapshotRows`] batch, carrying
+/// its original commit timestamp. Never a [`WalOp::Patch`]: checkpoints
+/// compact to full rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SnapshotVersion {
+    pub row: RowId,
+    pub commit_ts: Ts,
+    pub op: WalOp,
+}
+
 /// A log record.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalRecord {
+    /// The first frame of every log file: the format the rest of the
+    /// file is written in.
+    Format { version: u32 },
     /// Engine metadata written at checkpoint time: the next commit
     /// timestamp to hand out and the highest clock value observed.
     Meta { next_ts: Ts, clock: i64 },
@@ -72,17 +94,16 @@ pub enum WalRecord {
     DropTable { id: TableId },
     /// A committed transaction and all of its writes.
     Commit {
-        txn: u64,
         commit_ts: Ts,
         writes: Vec<WalWrite>,
     },
-    /// One row version emitted by a checkpoint (compacted history),
-    /// carrying its original commit timestamp.
-    SnapshotRow {
+    /// Row versions of one table emitted by a checkpoint (compacted
+    /// history), in row-id order — the encoding delta-codes the ids.
+    /// A checkpoint cuts a table into batches of about
+    /// [`codec::SNAPSHOT_BATCH_BYTES`] (see [`codec::snapshot_batches`]).
+    SnapshotRows {
         table: TableId,
-        row: RowId,
-        commit_ts: Ts,
-        op: WalOp,
+        rows: Vec<SnapshotVersion>,
     },
     /// Row-id allocator watermark for a table, written at checkpoint time
     /// so compacted-away (deleted) rows can never have their ids reused.

@@ -794,9 +794,22 @@ pub fn recover_sharded_on(vfs: &dyn Vfs, base: &Path, shards: usize) -> Result<S
 
     let mut floor: Ts = 0;
     let mut entries: Vec<Entry> = Vec::new();
-    for file in 0..shards {
+    // Per file, the end of the last frame that survives the cut — at
+    // least its format frame.
+    let mut keep: Vec<u64> = vec![0; shards];
+    for (file, keep) in keep.iter_mut().enumerate() {
         let path = shard_path(base, file);
-        let (recs, _valid) = WalFile::replay_with_offsets_on(vfs, &path)?;
+        // Per-frame end offsets: after cutting the global contiguous
+        // prefix, each file is truncated at the end of the last frame
+        // that survived the cut, not merely at its last intact frame.
+        let mut recs = Vec::new();
+        WalFile::replay_on(vfs, &path, |rec, end| {
+            match rec {
+                WalRecord::Format { .. } => *keep = end,
+                rec => recs.push((rec, end)),
+            }
+            Ok(())
+        })?;
         for (idx, (rec, end)) in recs.into_iter().enumerate() {
             if file == 0 && idx == 0 {
                 // The snapshot head (if any) defines the stale floor.
@@ -834,7 +847,6 @@ pub fn recover_sharded_on(vfs: &dyn Vfs, base: &Path, shards: usize) -> Result<S
     entries.sort_by_key(|e| e.key);
 
     let mut records: Vec<WalRecord> = Vec::new();
-    let mut keep: Vec<u64> = vec![0; shards];
     let mut expected: Ts = floor + 1;
     let mut known: std::collections::HashSet<crate::schema::TableId> =
         std::collections::HashSet::new();
@@ -925,7 +937,6 @@ mod tests {
 
     fn commit(ts: Ts) -> WalRecord {
         WalRecord::Commit {
-            txn: ts,
             commit_ts: ts,
             writes: Vec::new(),
         }
@@ -1030,14 +1041,15 @@ mod tests {
         // truncate that file to just before its last frame (ts 6 or 5
         // shares the file; find ts 4's end offset precisely instead).
         let path = shard_path(&base, shard_of_4);
-        let (recs, _) = WalFile::replay_with_offsets_on(&*os_vfs(), &path).unwrap();
-        let cut = recs
-            .iter()
-            .find_map(|(r, end)| match r {
-                WalRecord::Commit { commit_ts: 4, .. } => Some(*end),
-                _ => None,
-            })
-            .expect("ts 4 frame present");
+        let mut cut = None;
+        WalFile::replay_on(&*os_vfs(), &path, |r, end| {
+            if matches!(r, WalRecord::Commit { commit_ts: 4, .. }) {
+                cut = Some(end);
+            }
+            Ok(())
+        })
+        .unwrap();
+        let cut = cut.expect("ts 4 frame present");
         // Chop mid-frame: 3 bytes into ts 4's frame region from its
         // start — i.e. truncate to (end of previous frame) + 3. Easier:
         // truncate to cut - 3 (mid-frame of ts 4).
@@ -1077,8 +1089,8 @@ mod tests {
         // The swap emptied every sibling (their frames are superseded
         // by the snapshot in the base file).
         for k in 1..3 {
-            let data = std::fs::read(shard_path(&base, k)).unwrap();
-            assert!(data.is_empty(), "sibling {k} not emptied");
+            let left = WalFile::replay(&shard_path(&base, k)).unwrap();
+            assert!(left.is_empty(), "sibling {k} not emptied");
         }
         // Post-checkpoint commits keep working and route normally.
         let t = wal.stage_commit(6, &commit(6), 1).unwrap();
@@ -1123,10 +1135,10 @@ mod tests {
             }]
         );
         assert_eq!(rec.last_ts, 5);
-        // The stale sibling was truncated to nothing.
+        // The stale sibling was truncated to nothing but its format frame.
         let sib = shard_path(&base, shard_of(1, 2).max(1));
-        let data = std::fs::read(&sib).unwrap_or_default();
-        assert!(data.is_empty(), "stale sibling survived recovery");
+        let left = WalFile::replay(&sib).unwrap();
+        assert!(left.is_empty(), "stale sibling survived recovery");
     }
 
     #[test]

@@ -1,0 +1,125 @@
+//! A deterministic receipt for streamed recovery: bytes held, not time
+//! measured. Opening a checkpointed database reads the log into one
+//! buffer and then decodes, applies and drops it a frame at a time, so
+//! what recovery holds beyond that buffer and the tables it is building
+//! is one decoded frame — however long the log.
+
+mod common;
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use common::TestDir;
+use tendax_storage::wal::codec::SNAPSHOT_BATCH_BYTES;
+use tendax_storage::{DataType, Database, Options, Predicate, Row, TableDef, Value};
+
+/// Tracks the calling thread's live heap bytes and their high-water
+/// mark, so other tests' threads never show up in a measurement.
+struct TrackingAlloc;
+
+thread_local! {
+    static LIVE: Cell<isize> = const { Cell::new(0) };
+    static PEAK: Cell<isize> = const { Cell::new(0) };
+}
+
+fn note(delta: isize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = LIVE.try_with(|live| {
+        live.set(live.get() + delta);
+        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
+    });
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counters are plain thread-local `Cell`s with
+// const initializers, so touching them neither allocates nor re-enters.
+unsafe impl GlobalAlloc for TrackingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size() as isize);
+        // SAFETY: same layout the caller guaranteed valid.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        note(-(layout.size() as isize));
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size as isize - layout.size() as isize);
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: TrackingAlloc = TrackingAlloc;
+
+/// Bytes `f` held at its high-water mark beyond what it still holds
+/// when it returns.
+fn transient_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    PEAK.with(|p| p.set(LIVE.with(Cell::get)));
+    let out = f();
+    let over = PEAK.with(Cell::get) - LIVE.with(Cell::get);
+    (out, over.max(0) as usize)
+}
+
+/// One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
+/// `TENDAX_COLD` say: the single-file log is the one recovery streams.
+fn single_file() -> Options {
+    Options {
+        wal_shards: 1,
+        cold_storage: None,
+        ..Options::default()
+    }
+}
+
+/// What recovery holds beyond the file buffer and the tables, replaying
+/// a checkpoint of `rows` rows of some fifty bytes each (a batch of them
+/// is about 1 300 rows).
+fn replay_overhead(rows: i64) -> usize {
+    let dir = TestDir::new("tendax-replay-alloc");
+    let path = dir.file("db.wal");
+    {
+        let db = Database::open(&path, single_file()).unwrap();
+        let t = db
+            .create_table(
+                TableDef::new("notes")
+                    .column("doc", DataType::Id)
+                    .column("seq", DataType::Int)
+                    .column("body", DataType::Text),
+            )
+            .unwrap();
+        let mut txn = db.begin();
+        for seq in 0..rows {
+            let body = Value::Text(format!("{seq:>40}"));
+            let row = vec![Value::Id(7), Value::Int(seq), body];
+            txn.insert(t, Row::new(row)).unwrap();
+        }
+        txn.commit().unwrap();
+        db.checkpoint().unwrap();
+    }
+    let file_len = std::fs::metadata(&path).unwrap().len() as usize;
+    let (db, transient) = transient_bytes(|| Database::open(&path, single_file()).unwrap());
+    let t = db.table_id("notes").unwrap();
+    assert_eq!(db.begin().count(t, &Predicate::True).unwrap() as i64, rows);
+    transient.saturating_sub(file_len)
+}
+
+#[test]
+fn replay_holds_one_decoded_frame_not_the_log() {
+    // One decoded batch is its rows (which the tables keep) and a
+    // record around each (which they do not): a few times the batch's
+    // bytes, and the same for a log four times as long. The parent
+    // decoded the whole log before applying any of it: 594 497 bytes
+    // over the file at 10 000 rows, 2 403 089 at 40 000 (here: ≈ 28 000
+    // at both).
+    let bound = 4 * SNAPSHOT_BATCH_BYTES;
+    let small = replay_overhead(10_000);
+    let large = replay_overhead(40_000);
+    assert!(small < bound, "10 000 rows: {small} bytes over the file");
+    assert!(large < bound, "40 000 rows: {large} bytes over the file");
+}

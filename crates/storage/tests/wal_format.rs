@@ -1,0 +1,774 @@
+//! On-disk format v2 (DESIGN.md, "On-disk format v2"), held to the
+//! standard the rest of storage holds itself to: every record kind and
+//! value type round-trips bit-exactly, every truncation and every single
+//! bit flip of a frame is rejected — torn tail, CRC, or typed error,
+//! never a panic and never a different record — hostile lengths cost no
+//! allocation, corruption is reported at the offset of the frame that
+//! has it, and a v1 file is refused untouched.
+
+mod common;
+
+use proptest::prelude::*;
+
+use common::TestDir;
+use tendax_storage::util::crc32;
+use tendax_storage::wal::codec::{decode_record, encode_record, SNAPSHOT_BATCH_BYTES};
+use tendax_storage::wal::{
+    DurabilityLevel, SnapshotVersion, WalFile, WalIter, WalOp, WalRecord, WalWrite, FORMAT_VERSION,
+};
+use tendax_storage::{
+    DataType, Database, Options, Predicate, Row, RowId, StorageError, TableDef, TableId, Value,
+};
+
+/// `[u32 len][u32 crc][payload]`: the log's framing, unchanged since v1.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let mut f = (payload.len() as u32).to_le_bytes().to_vec();
+    f.extend_from_slice(&crc32(payload).to_le_bytes());
+    f.extend_from_slice(payload);
+    f
+}
+
+fn put(values: Vec<Value>) -> WalOp {
+    WalOp::Put(Row::new(values).into_shared())
+}
+
+/// Decode, compare, and encode again. `Debug` equality covers the
+/// structure and every value but a NaN's payload; byte equality of the
+/// re-encoding covers that (a float is stored as its eight raw bytes).
+fn assert_roundtrips(rec: &WalRecord) {
+    let bytes = encode_record(rec);
+    let back = decode_record(&bytes).unwrap_or_else(|e| panic!("{rec:?} does not decode: {e}"));
+    assert_eq!(format!("{back:?}"), format!("{rec:?}"));
+    assert_eq!(encode_record(&back), bytes);
+}
+
+// ------------------------------------------------------------ generators
+
+fn arb_value() -> impl Strategy<Value = Value> {
+    prop_oneof![
+        Just(Value::Null),
+        // `any` is biased toward 0, 1, MIN and MAX.
+        any::<i64>().prop_map(Value::Int),
+        any::<u64>().prop_map(Value::Id),
+        ".{0,40}".prop_map(Value::Text),
+        Just(Value::Text(String::new())),
+        Just(Value::Text("\u{1F600}\u{10FFFF}".into())),
+        any::<bool>().prop_map(Value::Bool),
+        proptest::collection::vec(any::<u8>(), 0..64).prop_map(Value::Bytes),
+        any::<i64>().prop_map(Value::Timestamp),
+        // Every bit pattern, NaNs with payloads included.
+        any::<u64>().prop_map(|bits| Value::Float(f64::from_bits(bits))),
+        Just(Value::Float(f64::NAN)),
+        Just(Value::Float(-0.0)),
+    ]
+}
+
+fn arb_row() -> impl Strategy<Value = WalOp> {
+    prop_oneof![
+        4 => proptest::collection::vec(arb_value(), 0..16),
+        1 => proptest::collection::vec(arb_value(), 300..301),
+    ]
+    .prop_map(put)
+}
+
+fn arb_op() -> impl Strategy<Value = WalOp> {
+    prop_oneof![
+        arb_row(),
+        Just(WalOp::Delete),
+        (
+            proptest::collection::vec((any::<u32>(), arb_value()), 0..6),
+            proptest::collection::vec(any::<u64>(), 0..4)
+        )
+            .prop_map(|(fields, anchors)| {
+                let (fields, values) = fields.into_iter().unzip();
+                WalOp::Patch {
+                    fields,
+                    values,
+                    anchors,
+                }
+            }),
+    ]
+}
+
+fn arb_table_def() -> impl Strategy<Value = TableDef> {
+    proptest::collection::vec(("[a-z_]{1,12}", 0u8..7, any::<bool>()), 1..8).prop_map(|cols| {
+        let mut def = TableDef::new("t\u{e9}");
+        for (i, (name, ty, nullable)) in cols.iter().enumerate() {
+            let ty = [
+                DataType::Int,
+                DataType::Id,
+                DataType::Text,
+                DataType::Bool,
+                DataType::Bytes,
+                DataType::Timestamp,
+                DataType::Float,
+            ][*ty as usize];
+            let name = format!("{name}{i}");
+            def = if *nullable {
+                def.nullable_column(&name, ty)
+            } else {
+                def.column(&name, ty)
+            };
+        }
+        let first = def.columns[0].name.clone();
+        def.index("by_first", &[&first])
+            .unique_index("u", &[&first])
+    })
+}
+
+/// Versions in row-id order, as a checkpoint emits them: deltas of 0
+/// (several versions of one row) up to jumps that reach `u64::MAX`.
+fn arb_snapshot_rows() -> impl Strategy<Value = WalRecord> {
+    let version = (
+        prop_oneof![Just(0u64), 1u64..4, any::<u64>()],
+        any::<u64>(),
+        prop_oneof![arb_row(), Just(WalOp::Delete)],
+    );
+    (any::<u32>(), proptest::collection::vec(version, 0..12)).prop_map(|(table, versions)| {
+        let mut row = 0u64;
+        let rows = versions
+            .into_iter()
+            .map(|(delta, commit_ts, op)| {
+                row = row.saturating_add(delta);
+                SnapshotVersion {
+                    row: RowId(row),
+                    commit_ts,
+                    op,
+                }
+            })
+            .collect();
+        WalRecord::SnapshotRows {
+            table: TableId(table),
+            rows,
+        }
+    })
+}
+
+fn arb_plain_record() -> impl Strategy<Value = WalRecord> {
+    prop_oneof![
+        any::<u32>().prop_map(|version| WalRecord::Format { version }),
+        (any::<u64>(), any::<i64>())
+            .prop_map(|(next_ts, clock)| WalRecord::Meta { next_ts, clock }),
+        (any::<u32>(), arb_table_def()).prop_map(|(id, def)| WalRecord::CreateTable {
+            id: TableId(id),
+            def
+        }),
+        any::<u32>().prop_map(|id| WalRecord::DropTable { id: TableId(id) }),
+        (
+            any::<u64>(),
+            proptest::collection::vec((any::<u32>(), any::<u64>(), arb_op()), 0..6)
+        )
+            .prop_map(|(commit_ts, ws)| WalRecord::Commit {
+                commit_ts,
+                writes: ws
+                    .into_iter()
+                    .map(|(t, r, op)| WalWrite {
+                        table: TableId(t),
+                        row: RowId(r),
+                        op
+                    })
+                    .collect(),
+            }),
+        arb_snapshot_rows(),
+        (any::<u32>(), any::<u64>()).prop_map(|(t, w)| WalRecord::Watermark {
+            table: TableId(t),
+            next_row_id: w
+        }),
+        any::<u64>().prop_map(|commit_ts| WalRecord::AbortMarker { commit_ts }),
+    ]
+}
+
+fn arb_record() -> impl Strategy<Value = WalRecord> {
+    prop_oneof![
+        4 => arb_plain_record(),
+        1 => (any::<u64>(), arb_plain_record()).prop_map(|(barrier_ts, inner)| {
+            WalRecord::Barrier {
+                barrier_ts,
+                inner: Box::new(inner),
+            }
+        }),
+    ]
+}
+
+proptest! {
+    #[test]
+    fn every_record_roundtrips_bit_exactly(rec in arb_record()) {
+        assert_roundtrips(&rec);
+    }
+
+    #[test]
+    fn every_strict_prefix_of_a_record_is_rejected(rec in arb_record()) {
+        let bytes = encode_record(&rec);
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_record(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        }
+    }
+}
+
+// ------------------------------------------------------------- edge rows
+
+#[test]
+fn null_and_bools_roundtrip_at_every_position() {
+    for n in [1usize, 3, 4, 5, 14, 300] {
+        for pos in 0..n {
+            for odd in [Value::Null, Value::Bool(false), Value::Bool(true)] {
+                let mut values = vec![Value::Id(7); n];
+                values[pos] = odd;
+                assert_roundtrips(&WalRecord::Commit {
+                    commit_ts: 1,
+                    writes: vec![WalWrite {
+                        table: TableId(0),
+                        row: RowId(1),
+                        op: put(values),
+                    }],
+                });
+            }
+        }
+    }
+}
+
+#[test]
+fn boundary_values_roundtrip() {
+    let values = vec![
+        Value::Int(i64::MIN),
+        Value::Int(i64::MAX),
+        Value::Int(-1),
+        Value::Id(u64::MAX),
+        Value::Id(15),
+        Value::Id(16),
+        Value::Timestamp(i64::MIN),
+        Value::Timestamp(i64::MAX),
+        Value::Float(f64::from_bits(0x7FF8_0000_DEAD_BEEF)),
+        Value::Float(-0.0),
+        Value::Text(String::new()),
+        Value::Text("\u{10FFFF}".into()),
+        Value::Bytes(Vec::new()),
+    ];
+    assert_roundtrips(&WalRecord::SnapshotRows {
+        table: TableId(u32::MAX),
+        rows: vec![
+            SnapshotVersion {
+                row: RowId(0),
+                commit_ts: u64::MAX,
+                op: put(values),
+            },
+            SnapshotVersion {
+                row: RowId(u64::MAX),
+                commit_ts: 0,
+                op: put(Vec::new()),
+            },
+        ],
+    });
+    assert_roundtrips(&WalRecord::SnapshotRows {
+        table: TableId(0),
+        rows: Vec::new(),
+    });
+}
+
+// ------------------------------------------------- truncation + bit flips
+
+/// What one typed character commits: the `chars` row, the two
+/// neighbour-link patches, the `oplog` row and its `op_effects` row.
+fn keystroke_commit() -> WalRecord {
+    let link = |row: u64, field: u32, to: u64| WalWrite {
+        table: TableId(4),
+        row: RowId(row),
+        op: WalOp::Patch {
+            fields: vec![field],
+            values: vec![Value::Id(to)],
+            anchors: vec![row << 1 | u64::from(field == 2)],
+        },
+    };
+    WalRecord::Commit {
+        commit_ts: 40_123,
+        writes: vec![
+            WalWrite {
+                table: TableId(4),
+                row: RowId(20_500),
+                op: put(vec![
+                    Value::Id(3),
+                    Value::Id(20_499),
+                    Value::Id(17_002),
+                    Value::Text("e".into()),
+                    Value::Id(2),
+                    Value::Timestamp(81_000),
+                    Value::Int(1),
+                    Value::Bool(false),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                ]),
+            },
+            link(20_499, 2, 20_500),
+            link(17_002, 1, 20_500),
+            WalWrite {
+                table: TableId(5),
+                row: RowId(19_000),
+                op: put(vec![
+                    Value::Id(3),
+                    Value::Id(2),
+                    Value::Timestamp(81_000),
+                    Value::Text("insert".into()),
+                    Value::Null,
+                    Value::Bool(false),
+                ]),
+            },
+            WalWrite {
+                table: TableId(6),
+                row: RowId(19_700),
+                op: put(vec![
+                    Value::Id(19_000),
+                    Value::Int(0),
+                    Value::Text("ins".into()),
+                    Value::Id(20_500),
+                    Value::Null,
+                    Value::Null,
+                ]),
+            },
+        ],
+    }
+}
+
+fn snapshot_batch() -> WalRecord {
+    WalRecord::SnapshotRows {
+        table: TableId(6),
+        rows: (0..40u64)
+            .map(|i| SnapshotVersion {
+                row: RowId(19_000 + i * 3),
+                commit_ts: 30_000 + i,
+                op: put(vec![
+                    Value::Id(18_000 + i),
+                    Value::Int(0),
+                    Value::Text("ins".into()),
+                    Value::Id(20_000 + i),
+                    Value::Null,
+                    Value::Float(i as f64 / 3.0),
+                ]),
+            })
+            .collect(),
+    }
+}
+
+/// A log of `before`, the frame under test, and `after`: cut or flip the
+/// middle frame every way there is. Whatever happens, the reader yields
+/// `before` intact and then stops or reports — it never yields a record
+/// the writer did not write.
+fn sweep_frame(victim: &WalRecord) {
+    let before = WalRecord::Meta {
+        next_ts: 9,
+        clock: 9,
+    };
+    let after = WalRecord::AbortMarker { commit_ts: 77 };
+    let head = frame(&encode_record(&before));
+    let mid = frame(&encode_record(victim));
+    let tail = frame(&encode_record(&after));
+    let read = |data: &[u8]| -> (Vec<WalRecord>, Option<StorageError>) {
+        let mut seen = Vec::new();
+        for item in WalIter::new(data) {
+            match item {
+                Ok(rec) => seen.push(rec),
+                Err(e) => return (seen, Some(e)),
+            }
+        }
+        (seen, None)
+    };
+    let intact = [head.clone(), mid.clone(), tail.clone()].concat();
+    let (all, err) = read(&intact);
+    assert_eq!(all.len(), 3);
+    assert!(err.is_none());
+
+    // Every cut inside the victim, as the log's tail: a torn write.
+    for cut in 0..mid.len() {
+        let data = [&head[..], &mid[..cut]].concat();
+        let (seen, err) = read(&data);
+        assert_eq!(seen, std::slice::from_ref(&before), "cut at {cut}");
+        assert!(err.is_none(), "cut at {cut}: {err:?}");
+    }
+    // Every single bit flipped, with a good frame behind it.
+    for bit in 0..mid.len() * 8 {
+        let mut bad = mid.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let data = [&head[..], &bad[..], &tail[..]].concat();
+        let (seen, err) = read(&data);
+        let yielded = std::slice::from_ref(&before);
+        assert_eq!(seen, yielded, "bit {bit}: a flipped frame was yielded");
+        match err {
+            // A grown length that runs past the end reads as torn.
+            None => assert!(
+                bit < 32,
+                "bit {bit}: payload or CRC flip read as a torn tail"
+            ),
+            Some(StorageError::WalCorrupt { offset, .. }) => {
+                assert_eq!(offset, head.len() as u64, "bit {bit}");
+            }
+            Some(other) => panic!("bit {bit}: untyped {other:?}"),
+        }
+    }
+    // The decoder on its own, as if the CRC had been recomputed over the
+    // damage: any answer but a panic or a runaway allocation.
+    let payload = encode_record(victim);
+    for bit in 0..payload.len() * 8 {
+        let mut bad = payload.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        if let Err(e) = decode_record(&bad) {
+            assert!(
+                matches!(e, StorageError::WalCorrupt { .. }),
+                "bit {bit}: {e:?}"
+            );
+        }
+    }
+}
+
+#[test]
+fn commit_frame_survives_every_cut_and_every_bit_flip() {
+    sweep_frame(&keystroke_commit());
+}
+
+#[test]
+fn snapshot_batch_frame_survives_every_cut_and_every_bit_flip() {
+    sweep_frame(&snapshot_batch());
+}
+
+// ---------------------------------------------------------- hostile input
+
+fn assert_corrupt(payload: &[u8], what: &str) {
+    match decode_record(payload) {
+        Err(StorageError::WalCorrupt { .. }) => {}
+        other => panic!("{what}: {other:?}"),
+    }
+}
+
+/// 2^40 as a varint.
+const HUGE: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
+
+#[test]
+fn overlong_and_overflowing_varints_are_corrupt() {
+    // AbortMarker (tag 7) + a commit timestamp.
+    let mut eleven = vec![7];
+    eleven.extend_from_slice(&[0x80; 10]);
+    eleven.push(0);
+    assert_corrupt(&eleven, "11-byte varint");
+    let mut overflow = vec![7];
+    overflow.extend_from_slice(&[0xFF; 9]);
+    overflow.push(0x02);
+    assert_corrupt(&overflow, "varint with a 65th bit");
+    // u64::MAX itself is fine.
+    let mut max = vec![7];
+    max.extend_from_slice(&[0xFF; 9]);
+    max.push(0x01);
+    assert_eq!(
+        decode_record(&max).unwrap(),
+        WalRecord::AbortMarker {
+            commit_ts: u64::MAX
+        }
+    );
+    // A table id is 32 bits: DropTable (tag 3) of table 2^40.
+    assert_corrupt(&[&[3][..], &HUGE].concat(), "table id past u32");
+    // A value's own varint: Put of one present Id whose high part
+    // overflows (first byte: type Id, more; then 2^60 as a varint).
+    let mut value = vec![4, 1, 1, 0, 0, 1 << 2, 3, 0x81];
+    value.extend_from_slice(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x10]);
+    assert_corrupt(&value, "value past 64 bits");
+}
+
+/// Counts that claim 2^40 elements are refused before anything is
+/// reserved for them: were one believed, `Vec::with_capacity` would
+/// abort this process, not fail this test.
+#[test]
+fn counts_claiming_a_trillion_elements_allocate_nothing() {
+    // Commit (tag 4), ts 1, 2^40 writes.
+    assert_corrupt(&[&[4, 1][..], &HUGE].concat(), "writes");
+    // SnapshotRows (tag 5), table 0, 2^40 rows.
+    assert_corrupt(&[&[5, 0][..], &HUGE].concat(), "rows");
+    // Commit of one write (table 0, row 0) whose op header is
+    // `2^40 << 2 | kind`: 2^42 | kind as a varint.
+    let op_header = |kind: u8| [kind | 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01];
+    let put = [&[4, 1, 1, 0, 0][..], &op_header(0), &[0xFF; 64]].concat();
+    assert_corrupt(&put, "columns");
+    let patch = [&[4, 1, 1, 0, 0][..], &op_header(2), &[0x01; 64]].concat();
+    assert_corrupt(&patch, "patch fields");
+    // A patch of no fields and 2^40 anchors.
+    assert_corrupt(&[&[4, 1, 1, 0, 0, 2][..], &HUGE].concat(), "anchors");
+    // CreateTable (tag 2), id 0, name "t", 2^40 columns.
+    assert_corrupt(&[&[2, 0, 1, b't'][..], &HUGE].concat(), "table columns");
+    // A text that claims 2^40 bytes (first byte: type Text, more, low
+    // bits 0; then 2^36).
+    let text = [
+        &[4, 1, 1, 0, 0, 1 << 2, 3, 0x82][..],
+        &[0x80, 0x80, 0x80, 0x80, 0x80, 0x02],
+    ]
+    .concat();
+    assert_corrupt(&text, "text length");
+}
+
+#[test]
+fn a_row_id_delta_that_wraps_is_corrupt() {
+    // SnapshotRows, table 0, two rows: delta u64::MAX, ts 1, Delete;
+    // then delta 1.
+    let mut b = vec![5, 0, 2];
+    b.extend_from_slice(&[0xFF; 9]);
+    b.extend_from_slice(&[0x01, 1, 1]);
+    b.extend_from_slice(&[1, 1, 1]);
+    assert_corrupt(&b, "wrapping row id");
+    // One less does not wrap.
+    b[3] = 0xFE;
+    assert!(decode_record(&b).is_ok());
+}
+
+// ------------------------------------------------------- corrupt offsets
+
+/// Both regressions of one bug: the reader used to report end-of-file
+/// for a CRC mismatch and offset 0 for a frame that failed to decode.
+#[test]
+fn wal_corrupt_names_the_offending_frames_offset() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("offsets.wal");
+    let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
+    for ts in 1..=5 {
+        wal.append(&WalRecord::Meta {
+            next_ts: ts,
+            clock: ts as i64,
+        })
+        .unwrap();
+    }
+    wal.sync().unwrap();
+    drop(wal);
+    let data = std::fs::read(&path).unwrap();
+    // Frame starts: the format frame, then the five.
+    let mut starts = Vec::new();
+    let mut at = 0usize;
+    while at < data.len() {
+        starts.push(at);
+        at += 8 + u32::from_le_bytes(data[at..at + 4].try_into().unwrap()) as usize;
+    }
+    assert_eq!(starts.len(), 6);
+    let third = starts[3];
+
+    // One bit of the third frame's payload.
+    let mut flipped = data.clone();
+    flipped[third + 9] ^= 0x10;
+    let err = WalIter::new(&flipped)
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_err();
+    match err {
+        StorageError::WalCorrupt { offset, ref reason } => {
+            assert_eq!(offset, third as u64, "{reason}");
+            assert!(reason.contains("CRC"));
+        }
+        other => panic!("{other:?}"),
+    }
+
+    // One payload byte (the record tag) under a recomputed CRC.
+    let mut recoded = data.clone();
+    recoded[third + 8] = 200;
+    let len = starts[4] - third - 8;
+    let crc = crc32(&recoded[third + 8..third + 8 + len]);
+    recoded[third + 4..third + 8].copy_from_slice(&crc.to_le_bytes());
+    let err = WalIter::new(&recoded)
+        .collect::<Result<Vec<_>, _>>()
+        .unwrap_err();
+    match err {
+        StorageError::WalCorrupt { offset, ref reason } => {
+            assert_eq!(offset, third as u64, "{reason}");
+            assert!(reason.contains("unknown record tag"));
+        }
+        other => panic!("{other:?}"),
+    }
+    // And the database says the same when it opens the file.
+    std::fs::write(&path, &recoded).unwrap();
+    match Database::open(&path, Options::default()) {
+        Err(StorageError::WalCorrupt { offset, .. }) => assert_eq!(offset, third as u64),
+        other => panic!("{other:?}"),
+    }
+}
+
+// ------------------------------------------------------------ v1 refusal
+
+/// A v1 log, spelled out: fixed-width little-endian integers, `u32`
+/// length prefixes, a tag byte per value. `Meta`, `CreateTable` for a
+/// two-column table, and one `SnapshotRow`.
+fn v1_log() -> Vec<u8> {
+    let mut meta = vec![1u8]; // TAG_META
+    meta.extend_from_slice(&7u64.to_le_bytes()); // next_ts
+    meta.extend_from_slice(&3i64.to_le_bytes()); // clock
+
+    let mut create = vec![2u8]; // TAG_CREATE_TABLE
+    create.extend_from_slice(&0u32.to_le_bytes()); // table id
+    create.extend_from_slice(&1u32.to_le_bytes()); // name length
+    create.extend_from_slice(b"t");
+    create.extend_from_slice(&2u32.to_le_bytes()); // columns
+    for (name, ty) in [(&b"id"[..], 1u8), (&b"ch"[..], 2u8)] {
+        create.extend_from_slice(&(name.len() as u32).to_le_bytes());
+        create.extend_from_slice(name);
+        create.push(ty); // Id, Text
+        create.push(0); // NOT NULL
+    }
+    create.extend_from_slice(&0u32.to_le_bytes()); // indexes
+
+    let mut row = vec![5u8]; // TAG_SNAPSHOT_ROW
+    row.extend_from_slice(&0u32.to_le_bytes()); // table
+    row.extend_from_slice(&1u64.to_le_bytes()); // row id
+    row.extend_from_slice(&6u64.to_le_bytes()); // commit ts
+    row.push(0); // OP_PUT
+    row.extend_from_slice(&2u32.to_le_bytes()); // values
+    row.push(2); // VT_ID
+    row.extend_from_slice(&9u64.to_le_bytes());
+    row.push(3); // VT_TEXT
+    row.extend_from_slice(&1u32.to_le_bytes());
+    row.extend_from_slice(b"x");
+
+    [frame(&meta), frame(&create), frame(&row)].concat()
+}
+
+fn assert_refused(path: &std::path::Path, options: Options, found: u32) {
+    let before = std::fs::read(path).unwrap();
+    match Database::open(path, options) {
+        Err(StorageError::UnsupportedFormat { found: f, expected }) => {
+            assert_eq!((f, expected), (found, FORMAT_VERSION));
+        }
+        Err(other) => panic!("refused, but untyped: {other:?}"),
+        Ok(_) => panic!("a v{found} log was opened"),
+    }
+    assert_eq!(
+        std::fs::read(path).unwrap(),
+        before,
+        "the refused log was modified"
+    );
+}
+
+#[test]
+fn a_v1_log_is_refused_typed_and_left_untouched() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("v1.wal");
+    std::fs::write(&path, v1_log()).unwrap();
+    assert_refused(&path, Options::default(), 1);
+    // Asking for a sharded layout changes nothing: the layout on disk
+    // is what is opened.
+    let sharded = Options {
+        wal_shards: 4,
+        ..Options::default()
+    };
+    assert_refused(&path, sharded, 1);
+    // A torn tail does not turn the refusal into a repair.
+    let mut torn = v1_log();
+    torn.extend_from_slice(&[0xAB; 5]);
+    std::fs::write(&path, &torn).unwrap();
+    assert_refused(&path, Options::default(), 1);
+    // Nor does the reader itself decode any of it.
+    assert!(matches!(
+        WalFile::replay(&path),
+        Err(StorageError::UnsupportedFormat { found: 1, .. })
+    ));
+}
+
+#[test]
+fn a_log_from_the_future_is_refused_too() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("v3.wal");
+    let log = [
+        frame(&encode_record(&WalRecord::Format { version: 3 })),
+        frame(&encode_record(&WalRecord::Meta {
+            next_ts: 1,
+            clock: 1,
+        })),
+    ]
+    .concat();
+    std::fs::write(&path, log).unwrap();
+    assert_refused(&path, Options::default(), 3);
+}
+
+#[test]
+fn a_log_torn_inside_its_first_frame_held_nothing_and_opens_empty() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("torn-first.wal");
+    // A crash while the very first frame was being written.
+    let header = frame(&encode_record(&WalRecord::Format {
+        version: FORMAT_VERSION,
+    }));
+    for cut in 0..header.len() {
+        std::fs::write(&path, &header[..cut]).unwrap();
+        let db = Database::open(&path, Options::default()).unwrap();
+        assert!(db.table_names().is_empty());
+        db.create_table(TableDef::new("t").column("n", DataType::Int))
+            .unwrap();
+        drop(db);
+        // The repaired log starts with its format frame again.
+        assert_eq!(std::fs::read(&path).unwrap()[..header.len()], header[..]);
+        let db = Database::open(&path, Options::default()).unwrap();
+        assert_eq!(db.table_names(), ["t"]);
+    }
+}
+
+// --------------------------------------------------------- on real files
+
+/// One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
+/// `TENDAX_COLD` say: a sharded log wraps these records in barriers.
+fn single_file() -> Options {
+    Options {
+        wal_shards: 1,
+        cold_storage: None,
+        ..Options::default()
+    }
+}
+
+/// A checkpoint of a table larger than one batch: the log starts with
+/// the format frame, the table's rows arrive in several `SnapshotRows`
+/// frames of about the batch size, in row-id order, and replay to the
+/// same table.
+#[test]
+fn a_checkpoint_batches_rows_and_replays_them() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("batches.wal");
+    let rows = 6_000i64;
+    {
+        let db = Database::open(&path, single_file()).unwrap();
+        let t = db
+            .create_table(
+                TableDef::new("t")
+                    .column("n", DataType::Int)
+                    .column("text", DataType::Text),
+            )
+            .unwrap();
+        let mut txn = db.begin();
+        for n in 0..rows {
+            let text = Value::Text(format!("row number {n:>8}"));
+            txn.insert(t, Row::new(vec![Value::Int(n), text])).unwrap();
+        }
+        txn.commit().unwrap();
+        db.checkpoint().unwrap();
+    }
+    let data = std::fs::read(&path).unwrap();
+    let first = WalIter::new(&data).next().unwrap().unwrap();
+    assert_eq!(
+        first,
+        WalRecord::Format {
+            version: FORMAT_VERSION
+        }
+    );
+    let mut batches = 0;
+    let mut seen = Vec::new();
+    for rec in WalFile::replay(&path).unwrap() {
+        if let WalRecord::SnapshotRows { rows, .. } = rec {
+            batches += 1;
+            assert!(
+                encode_record(&WalRecord::SnapshotRows {
+                    table: TableId(0),
+                    rows: rows.clone()
+                })
+                .len()
+                    < 2 * SNAPSHOT_BATCH_BYTES
+            );
+            seen.extend(rows.into_iter().map(|v| v.row));
+        }
+    }
+    assert!(batches >= 2, "{rows} rows fit one batch");
+    assert_eq!(seen.len() as i64, rows);
+    assert!(seen.windows(2).all(|w| w[0] < w[1]));
+
+    let db = Database::open(&path, single_file()).unwrap();
+    let t = db.table_id("t").unwrap();
+    assert_eq!(db.begin().count(t, &Predicate::True).unwrap() as i64, rows);
+}

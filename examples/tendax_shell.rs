@@ -27,6 +27,7 @@
 //! lineage                     render the lineage graph
 //! mine                        render the document space
 //! who                         who is online
+//! du                          rows, versions and checkpoint bytes per table
 //! help | quit
 //! ```
 
@@ -60,7 +61,7 @@ impl Shell {
         match cmd {
             "" | "#" => Ok(String::new()),
             "help" => Ok("commands: user as doc open type del show undo redo gundo gredo \
-                          style apply note meta task inbox done folders search lineage mine report history who quit"
+                          style apply note meta task inbox done folders search lineage mine report history who du quit"
                 .into()),
             "user" => {
                 let name = rest.first().ok_or("usage: user <name>")?;
@@ -285,6 +286,25 @@ impl Shell {
                 .map(|p| format!("{} on {} (cursor {:?})", p.user_name, p.platform, p.cursor))
                 .collect::<Vec<_>>()
                 .join("\n")),
+            // Where the bytes go: what each table's live rows would cost
+            // in a checkpoint, by the encoder's own count.
+            "du" => {
+                let mut out = format!(
+                    "{:<18}{:>9}{:>10}{:>12}{:>11}",
+                    "table", "rows", "versions", "bytes", "bytes/row"
+                );
+                let stats = self.tx.textdb().database().table_stats();
+                for t in stats.iter().filter(|t| t.versions > 0) {
+                    let per_row = t.checkpoint_bytes as f64 / t.live_rows.max(1) as f64;
+                    out.push_str(&format!(
+                        "\n{:<18}{:>9}{:>10}{:>12}{:>11.1}",
+                        t.name, t.live_rows, t.versions, t.checkpoint_bytes, per_row
+                    ));
+                }
+                let total: u64 = stats.iter().map(|t| t.checkpoint_bytes).sum();
+                out.push_str(&format!("\n{:<18}{:>31}", "total", total));
+                Ok(out)
+            }
             other => Err(format!("unknown command `{other}` (try help)")),
         }
     }
