@@ -154,7 +154,7 @@ fn main() {
         let rows = txn.scan(t, &Predicate::True).expect("scan");
         let mut sum = 0u64;
         for (_, r) in &rows {
-            let owned: Row = Row::clone(r);
+            let owned: Row = r.to_row();
             sum += owned
                 .get(2)
                 .and_then(|v| v.as_text())

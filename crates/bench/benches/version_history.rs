@@ -6,7 +6,7 @@
 //! through deep update histories twice — once with the cold tier off
 //! (everything stays in RAM) and once with it on (vacuum demotes history
 //! into bloom-filtered runs) — and reports, per depth: the RAM-resident
-//! version count and estimated bytes on each side, plus read rates at
+//! version count and resident bytes on each side, plus read rates at
 //! the head (RAM-served) and at the oldest snapshot (cold-run-served).
 //! Not a criterion bench: each measurement wants a fixed warm corpus, so
 //! this is a plain `main` that prints a table. Run with:
@@ -23,7 +23,7 @@ use std::io::Write as _;
 use std::time::Instant;
 
 use tendax_storage::{
-    ColdOptions, DataType, Database, Options, Predicate, Row, RowId, TableDef, TableId, Ts, Value,
+    ColdOptions, DataType, Database, Options, Row, RowId, TableDef, TableId, Ts, Value,
 };
 
 const TEXT_WIDTH: usize = 64;
@@ -156,16 +156,15 @@ fn get_rate(c: &Corpus, iters: u32, ts: Option<Ts>) -> f64 {
     (iters as u64 * c.rids.len() as u64) as f64 / start.elapsed().as_secs_f64()
 }
 
-/// Estimated heap bytes of the RAM-resident versions of table `t`.
+/// Heap bytes of the RAM-resident versions of the corpus table, indexes
+/// and chains included, as the table itself counts them.
 fn ram_bytes(c: &Corpus) -> u64 {
-    let txn = c.db.begin();
-    txn.scan(c.t, &Predicate::True)
-        .expect("scan")
+    let stats = c.db.table_stats();
+    let table = stats
         .iter()
-        .map(|(_, r)| r.approx_bytes() as u64)
-        .sum::<u64>()
-        * c.db.ram_version_count() as u64
-        / c.rids.len().max(1) as u64
+        .find(|t| t.name == "chars")
+        .expect("corpus table");
+    table.resident_bytes.total()
 }
 
 fn main() {

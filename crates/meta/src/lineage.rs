@@ -70,10 +70,11 @@ impl LineageGraph {
 
         let mut agg: BTreeMap<(LineageNode, LineageNode), (usize, usize)> = BTreeMap::new();
         for (_, row) in txn.scan(t.paste_events, &Predicate::True)? {
-            let target = row.get(0).map(DocId::from_value).unwrap_or(DocId::NONE);
-            let src_doc = row.get(3).map(DocId::from_value).unwrap_or(DocId::NONE);
-            let external = row.get(4).and_then(|v| v.as_text()).map(str::to_owned);
-            let n = row.get(5).and_then(|v| v.as_int()).unwrap_or(0) as usize;
+            let [target, src_doc, external, n] = row.cols([0, 3, 4, 5]);
+            let target = DocId::from_value(target);
+            let src_doc = DocId::from_value(src_doc);
+            let external = external.as_text().map(str::to_owned);
+            let n = n.as_int().unwrap_or(0) as usize;
 
             let to = LineageNode::Document {
                 doc: target.0,
@@ -316,11 +317,12 @@ pub fn char_provenance(tdb: &TextDb, doc: DocId, char_id: CharId) -> Result<Vec<
     let mut cur_doc = doc;
     let mut cur_char = char_id;
     while let Some(row) = txn.get(t.chars, cur_char.row())? {
-        let author = row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE);
-        let created_at = row.get(5).and_then(|v| v.as_timestamp()).unwrap_or(0);
-        let src_doc = row.get(11).map(DocId::from_value).unwrap_or(DocId::NONE);
-        let src_char = row.get(12).map(CharId::from_value).unwrap_or(CharId::NONE);
-        let external = row.get(13).and_then(|v| v.as_text()).map(str::to_owned);
+        let [author, created_at, src_doc, src_char, external] = row.cols([4, 5, 11, 12, 13]);
+        let author = UserId::from_value(author);
+        let created_at = created_at.as_timestamp().unwrap_or(0);
+        let src_doc = DocId::from_value(src_doc);
+        let src_char = CharId::from_value(src_char);
+        let external = external.as_text().map(str::to_owned);
         let name = tdb
             .document_info(cur_doc)
             .map(|i| i.name)

@@ -332,8 +332,8 @@ impl SearchEngine {
                 txn.index_lookup(t.structure, "structure_by_doc", &[doc.value()])?
                     .iter()
                     .any(|(_, row)| {
-                        row.get(1).and_then(|v| v.as_text()) == Some(kind)
-                            && !row.get(6).and_then(|v| v.as_bool()).unwrap_or(false)
+                        let [row_kind, deleted] = row.cols([1, 6]);
+                        row_kind.as_text() == Some(kind) && !deleted.as_bool().unwrap_or(false)
                     })
             }
         })

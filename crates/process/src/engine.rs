@@ -6,7 +6,9 @@
 //! rows bound to a document (optionally to a character range); routing is
 //! a predecessor edge; every state change is an audited transaction.
 
-use tendax_storage::{DataType, Predicate, Row, StorageError, TableDef, TableId, Value};
+use tendax_storage::{
+    DataType, Predicate, Row, SharedRow, StorageError, TableDef, TableId, Value, ValueRef,
+};
 use tendax_text::{CharId, DocId, Permission, Result, RoleId, TextDb, TextError, UserId};
 
 use crate::model::{Assignee, Task, TaskId, TaskLogEntry, TaskSpec, TaskState};
@@ -425,54 +427,45 @@ impl ProcessEngine {
     }
 }
 
-fn decode_task(id: TaskId, row: &Row) -> Task {
-    let assignee_kind = row.get(3).and_then(|v| v.as_text()).unwrap_or("user");
-    let assignee_id = row.get(4).and_then(|v| v.as_id()).unwrap_or(0);
+fn decode_task(id: TaskId, row: &SharedRow) -> Task {
+    let mut cols = row.iter();
+    let mut next = || cols.next().unwrap_or(ValueRef::Null);
+    let doc = DocId::from_value(next());
+    let name = next().as_text().unwrap_or_default().to_owned();
+    let description = next().as_text().unwrap_or_default().to_owned();
+    let assignee_kind = next().as_text().unwrap_or("user");
+    let assignee_id = next().as_id().unwrap_or(0);
     let assignee = if assignee_kind == "role" {
         Assignee::Role(RoleId(assignee_id))
     } else {
         Assignee::User(UserId(assignee_id))
     };
-    let from = row.get(9).map(CharId::from_value).unwrap_or(CharId::NONE);
-    let to = row.get(10).map(CharId::from_value).unwrap_or(CharId::NONE);
+    let created_by = UserId::from_value(next());
+    let created_at = next().as_timestamp().unwrap_or(0);
+    let due = next().as_timestamp();
+    let state = next()
+        .as_text()
+        .and_then(TaskState::from_str)
+        .unwrap_or(TaskState::Pending);
+    let (from, to) = (CharId::from_value(next()), CharId::from_value(next()));
     Task {
         id,
-        doc: row.get(0).map(DocId::from_value).unwrap_or(DocId::NONE),
-        name: row
-            .get(1)
-            .and_then(|v| v.as_text())
-            .unwrap_or_default()
-            .to_owned(),
-        description: row
-            .get(2)
-            .and_then(|v| v.as_text())
-            .unwrap_or_default()
-            .to_owned(),
+        doc,
+        name,
+        description,
         assignee,
-        created_by: row.get(5).map(UserId::from_value).unwrap_or(UserId::NONE),
-        created_at: row.get(6).and_then(|v| v.as_timestamp()).unwrap_or(0),
-        due: row.get(7).and_then(|v| v.as_timestamp()),
-        state: row
-            .get(8)
-            .and_then(|v| v.as_text())
-            .and_then(TaskState::from_str)
-            .unwrap_or(TaskState::Pending),
+        created_by,
+        created_at,
+        due,
+        state,
         range: if from.is_none() {
             None
         } else {
             Some((from, to))
         },
-        predecessor: row
-            .get(11)
-            .and_then(|v| v.as_id())
-            .filter(|x| *x != 0)
-            .map(TaskId),
-        completed_by: row
-            .get(12)
-            .and_then(|v| v.as_id())
-            .filter(|x| *x != 0)
-            .map(UserId),
-        completed_at: row.get(13).and_then(|v| v.as_timestamp()),
+        predecessor: next().as_id().filter(|x| *x != 0).map(TaskId),
+        completed_by: next().as_id().filter(|x| *x != 0).map(UserId),
+        completed_at: next().as_timestamp(),
     }
 }
 

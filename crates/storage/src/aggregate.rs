@@ -11,7 +11,7 @@ use crate::error::Result;
 use crate::query::Predicate;
 use crate::schema::TableId;
 use crate::txn::Transaction;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// An aggregate function over a column (or over rows, for `Count`).
 #[derive(Debug, Clone, PartialEq)]
@@ -39,26 +39,26 @@ struct Acc {
 }
 
 impl Acc {
-    fn feed(&mut self, v: Option<&Value>) {
+    fn feed(&mut self, v: Option<ValueRef<'_>>) {
         self.count += 1;
         let Some(v) = v else { return };
         if v.is_null() {
             return;
         }
         match v {
-            Value::Int(x) => self.sum += *x as f64,
-            Value::Timestamp(x) => self.sum += *x as f64,
-            Value::Float(x) => {
-                self.sum += *x;
+            ValueRef::Int(x) => self.sum += x as f64,
+            ValueRef::Timestamp(x) => self.sum += x as f64,
+            ValueRef::Float(x) => {
+                self.sum += x;
                 self.sum_is_float = true;
             }
             _ => {}
         }
-        if self.min.as_ref().is_none_or(|m| v < m) {
-            self.min = Some(v.clone());
+        if self.min.as_ref().is_none_or(|m| v < m.view()) {
+            self.min = Some(v.to_value());
         }
-        if self.max.as_ref().is_none_or(|m| v > m) {
-            self.max = Some(v.clone());
+        if self.max.as_ref().is_none_or(|m| v > m.view()) {
+            self.max = Some(v.to_value());
         }
     }
 
@@ -137,7 +137,7 @@ impl Transaction {
         };
         let mut groups: BTreeMap<Value, Acc> = BTreeMap::new();
         for (_, row) in self.scan(table, pred)? {
-            let key = row.get(group_pos).cloned().unwrap_or(Value::Null);
+            let key = row.get(group_pos).map_or(Value::Null, ValueRef::to_value);
             groups
                 .entry(key)
                 .or_default()

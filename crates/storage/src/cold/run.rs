@@ -586,6 +586,16 @@ mod tests {
         let r = RunReader::open(vfs.clone(), path.to_path_buf(), 0)?;
         let mut seen = Vec::new();
         r.for_each(|t, row, ts, op| seen.push((t, row, ts, op)))?;
+        // Whatever decoded keeps the bytes it was decoded from: read
+        // every column of every row, whichever sweep step this is.
+        for (.., op) in &seen {
+            if let WalOp::Put(row) = op {
+                for (i, v) in row.iter().enumerate() {
+                    assert_eq!(row.get(i), Some(v));
+                }
+                assert_eq!(row.values().len(), row.len());
+            }
+        }
         Ok((r.entry_count, r.min_ts, r.max_ts, seen))
     }
 

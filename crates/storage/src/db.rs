@@ -12,10 +12,11 @@ use crate::cold::{ColdOptions, ColdStore};
 use crate::commit::{CommitLatch, CommitSequencer};
 use crate::error::{Result, StorageError};
 use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
-use crate::row::{Row, RowId};
+use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
-use crate::table::{TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
+use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
 use crate::txn::{validate_writes, MergePlan, Transaction, TxnId, WriteOp};
+use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
 use crate::wal::codec::snapshot_batches;
 use crate::wal::{
@@ -186,6 +187,10 @@ pub struct TableStats {
     /// It is the encoding's size, not a file's: an in-memory database
     /// reports it too.
     pub checkpoint_bytes: u64,
+    /// What the table costs in RAM, every version included: rows,
+    /// version chains, index entries and write descriptors, each counted
+    /// by the structure that holds it.
+    pub resident_bytes: ResidentBytes,
 }
 
 #[derive(Debug, Default)]
@@ -656,7 +661,7 @@ impl Database {
                         .ok_or(StorageError::UnknownTableId(w.table))?;
                     let (op, desc) = match w.op {
                         WalOp::Put(row) => {
-                            self.observe_row_clock(row.values());
+                            self.observe_row_clock(row.iter());
                             (VersionOp::Put(row), None)
                         }
                         WalOp::Delete => (VersionOp::Delete, None),
@@ -670,7 +675,7 @@ impl Database {
                             values,
                             anchors,
                         } => {
-                            self.observe_row_clock(&values);
+                            self.observe_row_clock(values.iter().map(Value::view));
                             let guard = store.read();
                             let base =
                                 guard.visible(w.row, TS_LATEST).cloned().ok_or_else(|| {
@@ -680,12 +685,13 @@ impl Database {
                                     ))
                                 })?;
                             drop(guard);
-                            let mut merged = Row::clone(&base);
-                            for (&pos, val) in fields.iter().zip(values) {
-                                merged.set(pos as usize, val);
-                            }
+                            let written: Vec<_> = fields
+                                .iter()
+                                .zip(&values)
+                                .map(|(&pos, val)| (pos as usize, val.view()))
+                                .collect();
                             (
-                                VersionOp::Put(merged.into_shared()),
+                                VersionOp::Put(base.with_updates(&written)),
                                 Some(Arc::new(WriteDescriptor::new(anchors, fields))),
                             )
                         }
@@ -702,7 +708,7 @@ impl Database {
                 for v in rows {
                     let op = match v.op {
                         WalOp::Put(r) => {
-                            self.observe_row_clock(r.values());
+                            self.observe_row_clock(r.iter());
                             VersionOp::Put(r)
                         }
                         WalOp::Delete => VersionOp::Delete,
@@ -746,10 +752,10 @@ impl Database {
     /// timestamp found in recovered rows: post-restart timestamps must
     /// stay strictly greater than anything already persisted, even when
     /// no checkpoint Meta record exists.
-    fn observe_row_clock(&self, values: &[crate::value::Value]) {
+    fn observe_row_clock<'a>(&self, values: impl IntoIterator<Item = ValueRef<'a>>) {
         for v in values {
-            if let crate::value::Value::Timestamp(t) = v {
-                self.inner.clock.observe(*t);
+            if let ValueRef::Timestamp(t) = v {
+                self.inner.clock.observe(t);
             }
         }
     }
@@ -977,8 +983,8 @@ impl Database {
         // and drained to the file in timestamp order, so the log replays
         // as a commit-order prefix without a global lock.
         // The WAL record and the published version share the buffered
-        // row's allocation: a written row is never copied again after
-        // the client handed it to `insert`.
+        // row's allocation: a written row was packed when the client
+        // handed it to `insert`, and its frame is a copy of those bytes.
         let wal_writes: Vec<WalWrite> = writes
             .iter()
             .flat_map(|(&table, ws)| {
@@ -1002,7 +1008,11 @@ impl Database {
                                 values: desc
                                     .fields
                                     .iter()
-                                    .map(|&p| eff.values()[p as usize].clone())
+                                    .map(|&p| {
+                                        eff.get(p as usize)
+                                            .expect("described column exists")
+                                            .to_value()
+                                    })
                                     .collect(),
                                 anchors: desc.anchors.clone(),
                             }
@@ -1641,6 +1651,7 @@ impl Database {
                     .map(|i| (i.definition().name.clone(), i.key_count(), i.entry_count()))
                     .collect(),
                 checkpoint_bytes: batches.iter().map(|b| encode_frame(b).len() as u64).sum(),
+                resident_bytes: store.resident_bytes(),
             });
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));

@@ -67,10 +67,10 @@ pub use db::{Database, Options, Stats, TableStats};
 pub use error::{Result, StorageError};
 pub use maintenance::MaintenanceOptions;
 pub use query::{explain, plan_access, AccessPath, Predicate};
-pub use row::{Row, RowId, SharedRow};
+pub use row::{Columns, Row, RowId, SharedRow};
 pub use schema::{ColumnDef, IndexDef, TableDef, TableId};
-pub use table::{Ts, WriteDescriptor, TS_LATEST};
+pub use table::{ResidentBytes, Ts, WriteDescriptor, TS_LATEST};
 pub use txn::{Durability, Transaction, TxnId};
-pub use value::{DataType, Value};
+pub use value::{DataType, Value, ValueRef};
 pub use vfs::{os_vfs, OsVfs, SimVfs, Vfs, VfsFile};
 pub use wal::{shard_path, DurabilityLevel, WalShardStats, WalStats};

@@ -7,9 +7,9 @@
 //! queries (dynamic folders, search, lineage) all route through this layer.
 
 use crate::error::Result;
-use crate::row::Row;
+use crate::row::SharedRow;
 use crate::schema::TableDef;
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
 
 /// A boolean predicate over one row.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,16 +74,16 @@ impl Predicate {
     ///
     /// Unknown columns surface as errors (they indicate a bug in the
     /// caller's query, not a data condition).
-    pub fn eval(&self, def: &TableDef, row: &Row) -> Result<bool> {
+    pub fn eval(&self, def: &TableDef, row: &SharedRow) -> Result<bool> {
         Ok(match self {
             Predicate::True => true,
             Predicate::Eq(c, v) => {
                 let x = col(def, row, c)?;
-                !x.is_null() && x == v
+                !x.is_null() && x == *v
             }
             Predicate::Ne(c, v) => {
                 let x = col(def, row, c)?;
-                x.is_null() || x != v
+                x.is_null() || x != *v
             }
             Predicate::Lt(c, v) => cmp_col(def, row, c, v)?.is_some_and(|o| o.is_lt()),
             Predicate::Le(c, v) => cmp_col(def, row, c, v)?.is_some_and(|o| o.is_le()),
@@ -91,11 +91,11 @@ impl Predicate {
             Predicate::Ge(c, v) => cmp_col(def, row, c, v)?.is_some_and(|o| o.is_ge()),
             Predicate::Between(c, lo, hi) => {
                 let x = col(def, row, c)?;
-                !x.is_null() && x >= lo && x <= hi
+                !x.is_null() && x >= lo.view() && x <= hi.view()
             }
             Predicate::In(c, vs) => {
                 let x = col(def, row, c)?;
-                !x.is_null() && vs.contains(x)
+                !x.is_null() && vs.iter().any(|v| x == *v)
             }
             Predicate::IsNull(c) => col(def, row, c)?.is_null(),
             Predicate::Contains(c, needle) => col(def, row, c)?
@@ -130,17 +130,22 @@ impl Predicate {
     }
 }
 
-fn col<'r>(def: &TableDef, row: &'r Row, name: &str) -> Result<&'r Value> {
+fn col<'r>(def: &TableDef, row: &'r SharedRow, name: &str) -> Result<ValueRef<'r>> {
     let pos = def.require_column(name)?;
-    Ok(row.get(pos).unwrap_or(&Value::Null))
+    Ok(row.get(pos).unwrap_or(ValueRef::Null))
 }
 
-fn cmp_col(def: &TableDef, row: &Row, name: &str, v: &Value) -> Result<Option<std::cmp::Ordering>> {
+fn cmp_col(
+    def: &TableDef,
+    row: &SharedRow,
+    name: &str,
+    v: &Value,
+) -> Result<Option<std::cmp::Ordering>> {
     let x = col(def, row, name)?;
     if x.is_null() || v.is_null() {
         return Ok(None); // SQL-ish: comparisons with NULL are unknown
     }
-    Ok(Some(x.total_cmp(v)))
+    Ok(Some(x.total_cmp(v.view())))
 }
 
 /// The access path chosen for a query.
@@ -213,6 +218,7 @@ pub fn explain(def: &TableDef, pred: &Predicate) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row::Row;
     use crate::value::DataType;
 
     fn def() -> TableDef {
@@ -225,13 +231,14 @@ mod tests {
             .index("by_author", &["author"])
     }
 
-    fn row(doc: u64, author: u64, text: &str) -> Row {
+    fn row(doc: u64, author: u64, text: &str) -> SharedRow {
         Row::new(vec![
             Value::Id(doc),
             Value::Id(author),
             Value::Text(text.into()),
             Value::Null,
         ])
+        .into_shared()
     }
 
     #[test]

@@ -127,21 +127,25 @@ impl TableDef {
                 actual: values.len(),
             });
         }
-        for (col, v) in self.columns.iter().zip(values) {
-            if v.is_null() {
-                if !col.nullable {
-                    return Err(StorageError::NullViolation {
-                        table: self.name.clone(),
-                        column: col.name.clone(),
-                    });
-                }
-            } else if !v.conforms_to(col.ty) {
-                return Err(StorageError::TypeMismatch {
+        (values.iter().enumerate()).try_for_each(|(pos, v)| self.validate_value(pos, v))
+    }
+
+    /// Validate one value against the column at `pos` (type, nullability).
+    pub fn validate_value(&self, pos: usize, v: &Value) -> Result<()> {
+        let col = &self.columns[pos];
+        if v.is_null() {
+            if !col.nullable {
+                return Err(StorageError::NullViolation {
+                    table: self.name.clone(),
                     column: col.name.clone(),
-                    expected: col.ty,
-                    actual: v.data_type().expect("non-null value has a type"),
                 });
             }
+        } else if !v.conforms_to(col.ty) {
+            return Err(StorageError::TypeMismatch {
+                column: col.name.clone(),
+                expected: col.ty,
+                actual: v.data_type().expect("non-null value has a type"),
+            });
         }
         Ok(())
     }

@@ -8,7 +8,7 @@
 //! vice versa, which is what lets TeNDaX editors read documents while
 //! others type into them.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::{btree_map, btree_map::Entry, BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,6 +17,7 @@ use crate::index::{IndexKey, IndexStore};
 use crate::query::{plan_access, AccessPath, Predicate};
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
+use crate::util::btree_bytes;
 
 /// Commit timestamp. `0` is reserved: no committed data carries it.
 pub type Ts = u64;
@@ -68,6 +69,15 @@ impl WriteDescriptor {
         self.fields.sort_unstable();
         self.fields.dedup();
     }
+
+    /// Heap bytes of a shared descriptor: its allocation and both
+    /// vectors.
+    fn resident_bytes(&self) -> usize {
+        2 * std::mem::size_of::<usize>()
+            + std::mem::size_of::<Self>()
+            + self.anchors.capacity() * std::mem::size_of::<u64>()
+            + self.fields.capacity() * std::mem::size_of::<u32>()
+    }
 }
 
 /// Linear intersection test over two sorted slices.
@@ -96,18 +106,84 @@ pub struct Version {
 }
 
 /// What a version did to the row. Put versions hold a [`SharedRow`]: the
-/// same allocation is handed to readers, the WAL encoder and index
-/// maintenance without ever copying the values.
+/// same allocation is handed to readers and index maintenance, and its
+/// bytes are what the WAL encoder writes.
 #[derive(Debug, Clone)]
 pub enum VersionOp {
     Put(SharedRow),
     Delete,
 }
 
+/// A row's versions, oldest first. Most rows are written once (every
+/// `oplog` and `op_effects` row, every character nobody typed next to),
+/// so the first version lives in the table's own map node and a `Vec` is
+/// allocated when a second arrives.
+#[derive(Debug)]
+enum Chain {
+    One(Version),
+    Many(Vec<Version>),
+}
+
+impl Chain {
+    fn versions(&self) -> &[Version] {
+        match self {
+            Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+
+    fn push(&mut self, v: Version) {
+        match self {
+            Chain::Many(vs) => vs.push(v),
+            Chain::One(first) => *self = Chain::Many(vec![first.clone(), v]),
+        }
+    }
+
+    /// Drop the oldest `n` versions (fewer than there are), giving the
+    /// `Vec` back when one is left.
+    fn drop_oldest(&mut self, n: usize) {
+        if let Chain::Many(vs) = self {
+            vs.drain(..n);
+            if vs.len() == 1 {
+                *self = Chain::One(vs.pop().expect("one version left"));
+            }
+        }
+    }
+
+    /// Heap bytes behind this chain's map slot.
+    fn spilled_bytes(&self) -> usize {
+        match self {
+            Chain::One(_) => 0,
+            Chain::Many(vs) => vs.capacity() * std::mem::size_of::<Version>(),
+        }
+    }
+}
+
+/// Heap bytes a table holds in RAM, by structure: what each asks of the
+/// allocator (tree nodes counted by [`crate::util`]'s model), not what
+/// the allocator rounds it to.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ResidentBytes {
+    /// Packed rows, one allocation per `Put` version.
+    pub rows: u64,
+    /// The row-id → versions tree and the chains that spilled out of it.
+    pub chains: u64,
+    /// Secondary indexes: trees, keys and row-id sets.
+    pub indexes: u64,
+    /// Write descriptors kept on described versions.
+    pub descriptors: u64,
+}
+
+impl ResidentBytes {
+    pub fn total(&self) -> u64 {
+        self.rows + self.chains + self.indexes + self.descriptors
+    }
+}
+
 /// Result of a pushed-down scan: matching rows plus read accounting.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
-    /// Matching rows in row-id order (shared, zero-copy handles).
+    /// Matching rows in row-id order (shared handles, nothing copied).
     pub rows: Vec<(RowId, SharedRow)>,
     /// Visible rows the scan examined.
     pub scanned: u64,
@@ -120,7 +196,7 @@ pub struct ScanOutcome {
 pub struct TableStore {
     id: TableId,
     def: TableDef,
-    chains: BTreeMap<RowId, Vec<Version>>,
+    chains: BTreeMap<RowId, Chain>,
     indexes: Vec<IndexStore>,
     next_row_id: AtomicU64,
 }
@@ -173,16 +249,28 @@ impl TableStore {
 
     /// The row version visible at snapshot `ts`, if any.
     pub fn visible(&self, row: RowId, ts: Ts) -> Option<&SharedRow> {
-        let chain = self.chains.get(&row)?;
-        match newest_at(chain, ts)? {
-            VersionOp::Put(r) => Some(r),
-            VersionOp::Delete => None,
+        visible_at(self.chains.get(&row)?.versions(), ts)
+    }
+
+    /// A reader of [`TableStore::visible`] for row ids that mostly ascend
+    /// — an index's row-id set — which finds a run of neighbouring ids by
+    /// stepping along the tree's leaves instead of descending from its
+    /// root for each.
+    pub fn visible_cursor(&self) -> VisibleCursor<'_> {
+        VisibleCursor {
+            chains: &self.chains,
+            ahead: self.chains.range(..),
+            in_run: false,
         }
     }
 
     /// Commit timestamp of the newest version of `row`, if the row has any.
     pub fn newest_commit_ts(&self, row: RowId) -> Option<Ts> {
-        self.chains.get(&row)?.last().map(|v| v.commit_ts)
+        self.chains
+            .get(&row)?
+            .versions()
+            .last()
+            .map(|v| v.commit_ts)
     }
 
     /// Append a committed version and maintain indexes.
@@ -205,7 +293,7 @@ impl TableStore {
         debug_assert!(
             self.chains
                 .get(&row)
-                .and_then(|c| c.last())
+                .and_then(|c| c.versions().last())
                 .is_none_or(|v| v.commit_ts < ts),
             "version timestamps must be monotonically increasing per row"
         );
@@ -215,11 +303,17 @@ impl TableStore {
                 idx.insert(key, row);
             }
         }
-        self.chains.entry(row).or_default().push(Version {
+        let version = Version {
             commit_ts: ts,
             op,
             desc,
-        });
+        };
+        match self.chains.entry(row) {
+            Entry::Vacant(e) => {
+                e.insert(Chain::One(version));
+            }
+            Entry::Occupied(mut e) => e.get_mut().push(version),
+        }
         self.observe_row_id(row);
     }
 
@@ -229,6 +323,7 @@ impl TableStore {
     pub fn versions_after(&self, row: RowId, ts: Ts) -> &[Version] {
         match self.chains.get(&row) {
             Some(chain) => {
+                let chain = chain.versions();
                 let from = chain.partition_point(|v| v.commit_ts <= ts);
                 &chain[from..]
             }
@@ -240,10 +335,7 @@ impl TableStore {
     pub fn scan_visible(&self, ts: Ts) -> impl Iterator<Item = (RowId, &SharedRow)> + '_ {
         self.chains
             .iter()
-            .filter_map(move |(id, chain)| match newest_at(chain, ts)? {
-                VersionOp::Put(r) => Some((*id, r)),
-                VersionOp::Delete => None,
-            })
+            .filter_map(move |(id, chain)| Some((*id, visible_at(chain.versions(), ts)?)))
     }
 
     /// Pushed-down scan: plan an access path for `pred` against this
@@ -312,11 +404,12 @@ impl TableStore {
                 // prefix covering the whole key names one row-id set, so
                 // there is nothing to deduplicate.
                 let mut seen = (prefix.len() < idx.definition().columns.len()).then(HashSet::new);
+                let mut rows = self.visible_cursor();
                 for (_, rid) in idx.prefix(&prefix) {
                     if seen.as_mut().is_some_and(|seen| !seen.insert(rid)) {
                         continue;
                     }
-                    if let Some(row) = self.visible(rid, ts) {
+                    if let Some(row) = rows.visible(rid, ts) {
                         examine(rid, row)?;
                     }
                 }
@@ -330,7 +423,7 @@ impl TableStore {
     pub fn iter_versions(&self) -> impl Iterator<Item = (RowId, &Version)> + '_ {
         self.chains
             .iter()
-            .flat_map(|(id, chain)| chain.iter().map(move |v| (*id, v)))
+            .flat_map(|(id, chain)| chain.versions().iter().map(move |v| (*id, v)))
     }
 
     /// The index at position `pos` (schema order).
@@ -375,13 +468,36 @@ impl TableStore {
 
     /// Total number of stored versions (live + superseded).
     pub fn version_count(&self) -> usize {
-        self.chains.values().map(Vec::len).sum()
+        self.chains.values().map(|c| c.versions().len()).sum()
     }
 
     /// Number of distinct rows with at least one stored version.
     /// `version_count() - chain_count()` bounds what vacuum can reclaim.
     pub fn chain_count(&self) -> usize {
         self.chains.len()
+    }
+
+    /// What this table holds in RAM.
+    pub fn resident_bytes(&self) -> ResidentBytes {
+        let slot = std::mem::size_of::<(RowId, Chain)>();
+        let (mut rows, mut descriptors) = (0, 0);
+        let mut chains = btree_bytes(self.chains.len(), slot);
+        for chain in self.chains.values() {
+            chains += chain.spilled_bytes();
+            for v in chain.versions() {
+                if let VersionOp::Put(row) = &v.op {
+                    rows += row.resident_bytes();
+                }
+                descriptors += v.desc.as_ref().map_or(0, |d| d.resident_bytes());
+            }
+        }
+        let indexes: usize = self.indexes.iter().map(IndexStore::resident_bytes).sum();
+        ResidentBytes {
+            rows: rows as u64,
+            chains: chains as u64,
+            indexes: indexes as u64,
+            descriptors: descriptors as u64,
+        }
     }
 
     /// Prune versions no snapshot at or after `horizon` can see, then
@@ -397,16 +513,18 @@ impl TableStore {
             // Index of the newest version visible at the horizon.
             // Everything newer than the horizon (None) keeps all: 0.
             let keep_from = chain
+                .versions()
                 .iter()
                 .rposition(|v| v.commit_ts <= horizon)
                 .unwrap_or_default();
             if keep_from > 0 {
                 pruned += keep_from;
-                chain.drain(..keep_from);
+                chain.drop_oldest(keep_from);
             }
-            let sole_dead = chain.len() == 1
-                && chain[0].commit_ts <= horizon
-                && matches!(chain[0].op, VersionOp::Delete);
+            let sole_dead = matches!(
+                chain.versions(),
+                [Version { commit_ts, op: VersionOp::Delete, .. }] if *commit_ts <= horizon
+            );
             if sole_dead {
                 pruned += 1;
             }
@@ -426,6 +544,7 @@ impl TableStore {
     pub fn newest_version_at(&self, row: RowId, ts: Ts) -> Option<&Version> {
         self.chains
             .get(&row)?
+            .versions()
             .iter()
             .rev()
             .find(|v| v.commit_ts <= ts)
@@ -436,6 +555,7 @@ impl TableStore {
     pub fn newest_versions_at(&self, ts: Ts) -> impl Iterator<Item = (RowId, &Version)> {
         self.chains.iter().filter_map(move |(rid, chain)| {
             chain
+                .versions()
                 .iter()
                 .rev()
                 .find(|v| v.commit_ts <= ts)
@@ -460,6 +580,7 @@ impl TableStore {
     ) {
         use crate::wal::WalOp;
         for (rid, chain) in &self.chains {
+            let chain = chain.versions();
             let keep_from = chain
                 .iter()
                 .rposition(|v| v.commit_ts <= horizon)
@@ -489,7 +610,7 @@ impl TableStore {
             idx.clear();
         }
         for (rid, chain) in &self.chains {
-            for v in chain {
+            for v in chain.versions() {
                 if let VersionOp::Put(row) = &v.op {
                     for idx in &mut self.indexes {
                         let key = idx.key_of(row);
@@ -501,13 +622,55 @@ impl TableStore {
     }
 }
 
-/// Newest version in `chain` with `commit_ts <= ts`.
-fn newest_at(chain: &[Version], ts: Ts) -> Option<&VersionOp> {
-    chain
-        .iter()
-        .rev()
-        .find(|v| v.commit_ts <= ts)
-        .map(|v| &v.op)
+/// See [`TableStore::visible_cursor`].
+#[derive(Debug)]
+pub struct VisibleCursor<'t> {
+    chains: &'t BTreeMap<RowId, Chain>,
+    /// The entries after the last row looked up.
+    ahead: btree_map::Range<'t, RowId, Chain>,
+    /// Whether the last row was found by stepping: ids that arrive in
+    /// runs (a pasted paragraph, a typed word) keep it set, scattered ids
+    /// clear it and pay one step each before they descend.
+    in_run: bool,
+}
+
+impl<'t> VisibleCursor<'t> {
+    /// How far a run may skip (rows of other documents typed in between)
+    /// before a descent from the root is the cheaper way.
+    const STEPS: usize = 4;
+
+    /// [`TableStore::visible`] of `row`.
+    pub fn visible(&mut self, row: RowId, ts: Ts) -> Option<&'t SharedRow> {
+        visible_at(self.chain(row)?.versions(), ts)
+    }
+
+    fn chain(&mut self, row: RowId) -> Option<&'t Chain> {
+        let steps = if self.in_run { Self::STEPS } else { 1 };
+        for (&id, chain) in self.ahead.by_ref().take(steps) {
+            if id == row {
+                self.in_run = true;
+                return Some(chain);
+            }
+            if id > row {
+                break; // absent, or the ids stopped ascending
+            }
+        }
+        self.in_run = false;
+        self.ahead = self.chains.range(row..);
+        self.ahead
+            .next()
+            .filter(|(&id, _)| id == row)
+            .map(|(_, c)| c)
+    }
+}
+
+/// The row of the newest version in `chain` with `commit_ts <= ts`,
+/// unless that version is a tombstone.
+fn visible_at(chain: &[Version], ts: Ts) -> Option<&SharedRow> {
+    match &chain.iter().rev().find(|v| v.commit_ts <= ts)?.op {
+        VersionOp::Put(row) => Some(row),
+        VersionOp::Delete => None,
+    }
 }
 
 #[cfg(test)]
@@ -645,6 +808,46 @@ mod tests {
         assert_eq!(t.version_count(), 0);
         let (_, idx) = t.index_by_name("by_k").unwrap();
         assert_eq!(idx.entry_count(), 0);
+    }
+
+    #[test]
+    fn a_chain_spills_on_its_second_version_and_vacuum_takes_the_vec_back() {
+        let mut t = table();
+        let r = t.allocate_row_id();
+        t.apply(r, 1, put(1, "a"));
+        assert!(matches!(t.chains[&r], Chain::One(_)));
+        // Nothing behind the map slot yet.
+        let slot = std::mem::size_of::<(RowId, Chain)>();
+        assert_eq!(t.resident_bytes().chains, btree_bytes(1, slot) as u64);
+        t.apply(r, 2, put(1, "b"));
+        t.apply(r, 3, put(1, "c"));
+        assert!(matches!(&t.chains[&r], Chain::Many(vs) if vs.len() == 3));
+        assert_eq!(t.versions_after(r, 1).len(), 2);
+        assert_eq!(t.vacuum(3), 2);
+        assert!(matches!(&t.chains[&r], Chain::One(v) if v.commit_ts == 3));
+        assert_eq!(
+            t.visible(r, 3).unwrap().get(1).unwrap().as_text(),
+            Some("c")
+        );
+    }
+
+    #[test]
+    fn the_cursor_finds_what_visible_finds_in_any_order() {
+        let mut t = table();
+        // Runs, gaps wider than a run may skip, and a tombstone.
+        let ids: Vec<u64> = (1..=20).chain([40, 41, 42, 90, 200, 201]).collect();
+        for &i in &ids {
+            t.apply(RowId(i), i, put(i, &format!("v{i}")));
+        }
+        t.apply(RowId(41), 300, VersionOp::Delete);
+        let probes = (0..=210u64).chain([42, 5, 5, 201, 1, 90, 0, 300]);
+        let mut cursor = t.visible_cursor();
+        for ts in [10, 250, TS_LATEST] {
+            for i in probes.clone() {
+                let (want, got) = (t.visible(RowId(i), ts), cursor.visible(RowId(i), ts));
+                assert_eq!(got, want, "row {i} at {ts}");
+            }
+        }
     }
 
     #[test]

@@ -35,10 +35,11 @@ use crate::wal::WalOp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
-/// A buffered, not-yet-committed write. Put rows are stored shared so
-/// commit can hand the *same* allocation to the WAL encoder and the
-/// version store; the write set itself stays copy-on-write (updates to a
-/// buffered row materialize a fresh `Row` and swap the handle).
+/// A buffered, not-yet-committed write. A row is packed once, when it
+/// enters the write set, so commit can hand the *same* allocation to the
+/// WAL encoder and the version store; the write set itself stays
+/// copy-on-write (an update to a buffered row packs a fresh one and swaps
+/// the handle).
 ///
 /// `Patch` is a described partial write ([`Transaction::set_with_anchors`]):
 /// the row is fully materialized against this transaction's snapshot (so
@@ -415,10 +416,11 @@ impl Transaction {
         let mut committed = self.with_table(table, |t| {
             let idx = require_index(t, index)?;
             let mut out = Vec::new();
+            let mut rows = t.visible_cursor();
             for (key, rids) in idx.range_sets(lo, hi) {
                 out.reserve(rids.len());
-                for &rid in rids {
-                    if let Some(row) = t.visible(rid, self.snapshot) {
+                for rid in rids.iter() {
+                    if let Some(row) = rows.visible(rid, self.snapshot) {
                         // Re-verify: the index is a superset over versions.
                         if idx.key_matches(row, key) {
                             out.push((rid, row.clone()));
@@ -623,7 +625,7 @@ impl Transaction {
     pub fn set(&mut self, table: TableId, row: RowId, updates: &[(&str, Value)]) -> Result<()> {
         self.check_active()?;
         let current = self.get(table, row)?.ok_or_else(|| self.not_found(table))?;
-        let mut current = Row::clone(&current);
+        let mut current = current.to_row();
         let def = self.db.table_def(table)?;
         for (col, val) in updates {
             let pos = def.require_column(col)?;
@@ -661,15 +663,21 @@ impl Transaction {
     ) -> Result<()> {
         self.check_active()?;
         let current = self.get(table, row)?.ok_or_else(|| self.not_found(table))?;
-        let mut new_row = Row::clone(&current);
-        let def = self.db.table_def(table)?;
-        let mut fields = Vec::with_capacity(updates.len());
-        for (col, val) in updates {
-            let pos = def.require_column(col)?;
-            new_row.set(pos, val.clone());
-            fields.push(pos as u32);
-        }
-        self.with_table(table, |t| t.definition().validate_row(new_row.values()))??;
+        // The stored values passed this schema when they were written:
+        // only the new ones are checked, and the row goes from packed to
+        // packed.
+        let (new_row, fields) = self.with_table(table, |t| {
+            let def = t.definition();
+            let mut fields = Vec::with_capacity(updates.len());
+            let mut changes = Vec::with_capacity(updates.len());
+            for (col, val) in updates {
+                let pos = def.require_column(col)?;
+                def.validate_value(pos, val)?;
+                fields.push(pos as u32);
+                changes.push((pos, val.view()));
+            }
+            Ok::<_, StorageError>((current.with_updates(&changes), fields))
+        })??;
         let desc = WriteDescriptor::new(anchors.to_vec(), fields);
         let is_created = self.created.contains(&(table, row));
         use std::collections::btree_map::Entry;
@@ -677,13 +685,13 @@ impl Transaction {
             Entry::Occupied(mut e) => match e.get_mut() {
                 // A row this transaction created or replaced wholesale is
                 // already a full write; folding the update in keeps it one.
-                WriteOp::Put(r) => *r = new_row.into_shared(),
+                WriteOp::Put(r) => *r = new_row,
                 // `get` above saw the row, so a buffered delete is impossible.
                 WriteOp::Delete => unreachable!("set_with_anchors after delete"),
                 WriteOp::Patch { row: r, desc: d } => {
                     let mut merged = WriteDescriptor::clone(d);
                     merged.merge_from(&desc);
-                    *r = new_row.into_shared();
+                    *r = new_row;
                     *d = Arc::new(merged);
                 }
             },
@@ -691,10 +699,10 @@ impl Transaction {
                 if is_created {
                     // Unreachable in practice (created rows always have a
                     // buffered Put), but keep the invariant explicit.
-                    e.insert(WriteOp::Put(new_row.into_shared()));
+                    e.insert(WriteOp::Put(new_row));
                 } else {
                     e.insert(WriteOp::Patch {
-                        row: new_row.into_shared(),
+                        row: new_row,
                         desc: Arc::new(desc),
                     });
                 }
@@ -921,12 +929,17 @@ pub(crate) fn validate_writes(
             // Replay exactly the columns this patch wrote onto the
             // newest committed row; everything else is the other
             // writers' work and survives untouched.
-            let mut merged = Row::clone(base);
-            for &pos in &desc.fields {
-                merged.set(pos as usize, row.values()[pos as usize].clone());
-            }
+            let written: Vec<_> = desc
+                .fields
+                .iter()
+                .map(|&pos| {
+                    let value = row.get(pos as usize).expect("described column exists");
+                    (pos as usize, value)
+                })
+                .collect();
+            let merged = base.with_updates(&written);
             plan.fields_applied += desc.fields.len() as u64;
-            plan.rewrites.insert((tid, rid), merged.into_shared());
+            plan.rewrites.insert((tid, rid), merged);
         }
         // Unique constraints, against latest committed state + this batch.
         // Merged rewrites stand in for their buffered rows: the key the

@@ -1,4 +1,5 @@
-//! Small self-contained utilities: CRC-32 (for WAL record integrity).
+//! Small self-contained utilities: CRC-32 (for WAL record integrity) and
+//! the size of a standard B-tree.
 
 /// CRC-32 (IEEE 802.3 polynomial, reflected), table-driven.
 ///
@@ -34,6 +35,25 @@ const fn build_table() -> [u32; 256] {
         i += 1;
     }
     table
+}
+
+/// Heap bytes of a `BTreeMap`/`BTreeSet` of `len` entries whose key and
+/// value together take `slot` bytes. The standard tree does not say how
+/// many nodes it has, so this counts them for the shape this engine
+/// builds: keys that arrive in ascending order (row ids, timestamp
+/// suffixes), where every split leaves six entries behind and sends one
+/// up — seven entries a node. Random arrival packs a little tighter.
+/// A node is two words of bookkeeping and eleven slots; a node with
+/// children adds twelve pointers.
+pub(crate) fn btree_bytes(len: usize, slot: usize) -> usize {
+    let word = std::mem::size_of::<usize>();
+    let mut nodes = len.div_ceil(7);
+    let mut bytes = nodes * (2 * word + 11 * slot);
+    while nodes > 1 {
+        nodes = nodes.div_ceil(7);
+        bytes += nodes * (2 * word + 11 * slot + 12 * word);
+    }
+    bytes
 }
 
 #[cfg(test)]

@@ -70,53 +70,57 @@ impl Value {
 
     /// Extract an `i64`, if this is an `Int`.
     pub fn as_int(&self) -> Option<i64> {
-        match self {
-            Value::Int(v) => Some(*v),
-            _ => None,
-        }
+        self.view().as_int()
     }
 
     /// Extract a `u64`, if this is an `Id`.
     pub fn as_id(&self) -> Option<u64> {
-        match self {
-            Value::Id(v) => Some(*v),
-            _ => None,
-        }
+        self.view().as_id()
     }
 
     /// Extract a `&str`, if this is `Text`.
     pub fn as_text(&self) -> Option<&str> {
-        match self {
-            Value::Text(v) => Some(v),
-            _ => None,
-        }
+        self.view().as_text()
     }
 
     pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Value::Bool(v) => Some(*v),
-            _ => None,
-        }
+        self.view().as_bool()
     }
 
     pub fn as_bytes(&self) -> Option<&[u8]> {
-        match self {
-            Value::Bytes(v) => Some(v),
-            _ => None,
-        }
+        self.view().as_bytes()
     }
 
     pub fn as_timestamp(&self) -> Option<i64> {
-        match self {
-            Value::Timestamp(v) => Some(*v),
-            _ => None,
-        }
+        self.view().as_timestamp()
     }
 
     pub fn as_float(&self) -> Option<f64> {
+        self.view().as_float()
+    }
+
+    /// Heap bytes behind this value (none unless `Text` or `Bytes`).
+    pub(crate) fn heap_bytes(&self) -> usize {
         match self {
-            Value::Float(v) => Some(*v),
-            _ => None,
+            Value::Text(s) => s.capacity(),
+            Value::Bytes(b) => b.capacity(),
+            _ => 0,
+        }
+    }
+
+    /// This value, borrowed: what a column read of a packed row hands
+    /// out, so code that reads rows and code that reads owned values can
+    /// share one signature.
+    pub fn view(&self) -> ValueRef<'_> {
+        match self {
+            Value::Null => ValueRef::Null,
+            Value::Int(v) => ValueRef::Int(*v),
+            Value::Id(v) => ValueRef::Id(*v),
+            Value::Text(v) => ValueRef::Text(v),
+            Value::Bool(v) => ValueRef::Bool(*v),
+            Value::Bytes(v) => ValueRef::Bytes(v),
+            Value::Timestamp(v) => ValueRef::Timestamp(*v),
+            Value::Float(v) => ValueRef::Float(*v),
         }
     }
 
@@ -126,28 +130,159 @@ impl Value {
     /// fixed type rank so that heterogeneous comparisons are total rather
     /// than panicking. Floats use IEEE total ordering.
     pub fn total_cmp(&self, other: &Value) -> Ordering {
-        fn rank(v: &Value) -> u8 {
+        self.view().total_cmp(other.view())
+    }
+}
+
+/// A borrowed [`Value`]: what reading one column of a committed row
+/// yields. Numbers are decoded by value; `Text` and `Bytes` point into
+/// the row, so reading them allocates nothing. Same accessors, same
+/// total order and same `Display` as [`Value`].
+#[derive(Debug, Clone, Copy)]
+pub enum ValueRef<'a> {
+    Null,
+    Int(i64),
+    Id(u64),
+    Text(&'a str),
+    Bool(bool),
+    Bytes(&'a [u8]),
+    Timestamp(i64),
+    Float(f64),
+}
+
+impl<'a> ValueRef<'a> {
+    /// An owned copy (allocates for `Text` and `Bytes`).
+    pub fn to_value(self) -> Value {
+        match self {
+            ValueRef::Null => Value::Null,
+            ValueRef::Int(v) => Value::Int(v),
+            ValueRef::Id(v) => Value::Id(v),
+            ValueRef::Text(v) => Value::Text(v.to_owned()),
+            ValueRef::Bool(v) => Value::Bool(v),
+            ValueRef::Bytes(v) => Value::Bytes(v.to_vec()),
+            ValueRef::Timestamp(v) => Value::Timestamp(v),
+            ValueRef::Float(v) => Value::Float(v),
+        }
+    }
+
+    pub fn is_null(self) -> bool {
+        matches!(self, ValueRef::Null)
+    }
+
+    pub fn as_int(self) -> Option<i64> {
+        match self {
+            ValueRef::Int(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_id(self) -> Option<u64> {
+        match self {
+            ValueRef::Id(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_text(self) -> Option<&'a str> {
+        match self {
+            ValueRef::Text(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_bool(self) -> Option<bool> {
+        match self {
+            ValueRef::Bool(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_bytes(self) -> Option<&'a [u8]> {
+        match self {
+            ValueRef::Bytes(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_timestamp(self) -> Option<i64> {
+        match self {
+            ValueRef::Timestamp(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    pub fn as_float(self) -> Option<f64> {
+        match self {
+            ValueRef::Float(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// [`Value::total_cmp`], on borrowed values.
+    pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
+        fn rank(v: ValueRef<'_>) -> u8 {
             match v {
-                Value::Null => 0,
-                Value::Bool(_) => 1,
-                Value::Int(_) => 2,
-                Value::Id(_) => 3,
-                Value::Timestamp(_) => 4,
-                Value::Float(_) => 5,
-                Value::Text(_) => 6,
-                Value::Bytes(_) => 7,
+                ValueRef::Null => 0,
+                ValueRef::Bool(_) => 1,
+                ValueRef::Int(_) => 2,
+                ValueRef::Id(_) => 3,
+                ValueRef::Timestamp(_) => 4,
+                ValueRef::Float(_) => 5,
+                ValueRef::Text(_) => 6,
+                ValueRef::Bytes(_) => 7,
             }
         }
         match (self, other) {
-            (Value::Null, Value::Null) => Ordering::Equal,
-            (Value::Bool(a), Value::Bool(b)) => a.cmp(b),
-            (Value::Int(a), Value::Int(b)) => a.cmp(b),
-            (Value::Id(a), Value::Id(b)) => a.cmp(b),
-            (Value::Timestamp(a), Value::Timestamp(b)) => a.cmp(b),
-            (Value::Float(a), Value::Float(b)) => a.total_cmp(b),
-            (Value::Text(a), Value::Text(b)) => a.cmp(b),
-            (Value::Bytes(a), Value::Bytes(b)) => a.cmp(b),
+            (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
+            (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),
+            (ValueRef::Int(a), ValueRef::Int(b)) => a.cmp(&b),
+            (ValueRef::Id(a), ValueRef::Id(b)) => a.cmp(&b),
+            (ValueRef::Timestamp(a), ValueRef::Timestamp(b)) => a.cmp(&b),
+            (ValueRef::Float(a), ValueRef::Float(b)) => a.total_cmp(&b),
+            (ValueRef::Text(a), ValueRef::Text(b)) => a.cmp(b),
+            (ValueRef::Bytes(a), ValueRef::Bytes(b)) => a.cmp(b),
             (a, b) => rank(a).cmp(&rank(b)),
+        }
+    }
+}
+
+impl PartialEq for ValueRef<'_> {
+    fn eq(&self, other: &Self) -> bool {
+        self.total_cmp(*other) == Ordering::Equal
+    }
+}
+
+impl Eq for ValueRef<'_> {}
+
+impl PartialOrd for ValueRef<'_> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for ValueRef<'_> {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.total_cmp(*other)
+    }
+}
+
+impl PartialEq<Value> for ValueRef<'_> {
+    fn eq(&self, other: &Value) -> bool {
+        *self == other.view()
+    }
+}
+
+impl fmt::Display for ValueRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ValueRef::Null => write!(f, "NULL"),
+            ValueRef::Int(v) => write!(f, "{v}"),
+            ValueRef::Id(v) => write!(f, "#{v}"),
+            ValueRef::Text(v) => write!(f, "{v:?}"),
+            ValueRef::Bool(v) => write!(f, "{v}"),
+            ValueRef::Bytes(v) => write!(f, "<{} bytes>", v.len()),
+            ValueRef::Timestamp(v) => write!(f, "@{v}"),
+            ValueRef::Float(v) => write!(f, "{v}"),
         }
     }
 }
@@ -210,16 +345,7 @@ impl std::hash::Hash for Value {
 
 impl fmt::Display for Value {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Value::Null => write!(f, "NULL"),
-            Value::Int(v) => write!(f, "{v}"),
-            Value::Id(v) => write!(f, "#{v}"),
-            Value::Text(v) => write!(f, "{v:?}"),
-            Value::Bool(v) => write!(f, "{v}"),
-            Value::Bytes(v) => write!(f, "<{} bytes>", v.len()),
-            Value::Timestamp(v) => write!(f, "@{v}"),
-            Value::Float(v) => write!(f, "{v}"),
-        }
+        self.view().fmt(f)
     }
 }
 

@@ -12,14 +12,15 @@
 //!
 //! The same op encoding ([`put_op`]/[`get_op`]) is the value format of
 //! cold runs, so a cold version round-trips through exactly the bytes a
-//! WAL replay would have produced.
-
-use bytes::BufMut;
+//! WAL replay would have produced. And a `Put` op's bytes — its header
+//! varint and its row body — are what a committed row is in RAM
+//! ([`SharedRow`]): encoding one is a copy, and decoding one checks the
+//! bytes here, once, and keeps them.
 
 use crate::error::{Result, StorageError};
-use crate::row::{Row, RowId};
+use crate::row::{RowId, SharedRow};
 use crate::schema::{ColumnDef, IndexDef, TableDef, TableId};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, Value, ValueRef};
 use crate::wal::{SnapshotVersion, WalOp, WalRecord, WalWrite};
 
 // Record tags.
@@ -70,25 +71,25 @@ pub fn encode_record(rec: &WalRecord) -> Vec<u8> {
 pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
     match rec {
         WalRecord::Format { version } => {
-            b.put_u8(TAG_FORMAT);
+            b.push(TAG_FORMAT);
             put_varint(b, u64::from(*version));
         }
         WalRecord::Meta { next_ts, clock } => {
-            b.put_u8(TAG_META);
+            b.push(TAG_META);
             put_varint(b, *next_ts);
             put_varint(b, zigzag(*clock));
         }
         WalRecord::CreateTable { id, def } => {
-            b.put_u8(TAG_CREATE_TABLE);
+            b.push(TAG_CREATE_TABLE);
             put_varint(b, u64::from(id.0));
             put_table_def(b, def);
         }
         WalRecord::DropTable { id } => {
-            b.put_u8(TAG_DROP_TABLE);
+            b.push(TAG_DROP_TABLE);
             put_varint(b, u64::from(id.0));
         }
         WalRecord::Commit { commit_ts, writes } => {
-            b.put_u8(TAG_COMMIT);
+            b.push(TAG_COMMIT);
             put_varint(b, *commit_ts);
             put_varint(b, writes.len() as u64);
             for w in writes {
@@ -98,7 +99,7 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
             }
         }
         WalRecord::SnapshotRows { table, rows } => {
-            b.put_u8(TAG_SNAPSHOT_ROWS);
+            b.push(TAG_SNAPSHOT_ROWS);
             put_varint(b, u64::from(table.0));
             put_varint(b, rows.len() as u64);
             let mut prev = 0;
@@ -113,16 +114,16 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
             }
         }
         WalRecord::Watermark { table, next_row_id } => {
-            b.put_u8(TAG_WATERMARK);
+            b.push(TAG_WATERMARK);
             put_varint(b, u64::from(table.0));
             put_varint(b, *next_row_id);
         }
         WalRecord::AbortMarker { commit_ts } => {
-            b.put_u8(TAG_ABORT);
+            b.push(TAG_ABORT);
             put_varint(b, *commit_ts);
         }
         WalRecord::Barrier { barrier_ts, inner } => {
-            b.put_u8(TAG_BARRIER);
+            b.push(TAG_BARRIER);
             put_varint(b, *barrier_ts);
             put_record(b, inner);
         }
@@ -239,10 +240,7 @@ pub(crate) fn snapshot_batches(
 
 pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
     match op {
-        WalOp::Put(row) => {
-            put_varint(b, (row.len() as u64) << 2 | OP_PUT);
-            put_values(b, row.values());
-        }
+        WalOp::Put(row) => b.extend_from_slice(row.packed()),
         WalOp::Delete => put_varint(b, OP_DELETE),
         WalOp::Patch {
             fields,
@@ -254,7 +252,7 @@ pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
             for f in fields {
                 put_varint(b, u64::from(*f));
             }
-            put_values(b, values);
+            put_values(b, values.iter().map(Value::view));
             put_varint(b, anchors.len() as u64);
             for a in anchors {
                 put_varint(b, *a);
@@ -264,12 +262,19 @@ pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
 }
 
 pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
+    let op = *buf;
     let head = get_varint(buf)?;
     let count = head >> 2;
     match head & 3 {
         OP_PUT => {
             let n = check_count(count, buf, 4)?;
-            Ok(WalOp::Put(Row::new(get_values(buf, n)?).into_shared()))
+            let header = take(buf, n.div_ceil(4) as u64)?;
+            for i in 0..n {
+                get_column(header, i, buf)?;
+            }
+            // Every column decoded: these bytes are a row.
+            let packed = &op[..op.len() - buf.len()];
+            Ok(WalOp::Put(SharedRow::from_checked(packed)))
         }
         OP_DELETE if count == 0 => Ok(WalOp::Delete),
         OP_PATCH => {
@@ -294,15 +299,37 @@ pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
     }
 }
 
+/// A row as a `Put` op carries it and as [`SharedRow`] keeps it: the op
+/// header, then the row body.
+pub(crate) fn pack_row<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>>) -> Vec<u8> {
+    // Room for the typical row (a few bytes a column) without growing.
+    let mut b = Vec::with_capacity(8 + 4 * values.len());
+    put_varint(&mut b, (values.len() as u64) << 2 | OP_PUT);
+    put_values(&mut b, values);
+    b
+}
+
+/// Split what [`pack_row`] built into its column count, its header bits
+/// and its present values. `None` if the bytes are not a `Put` op.
+#[inline]
+pub(crate) fn unpack_row(mut packed: &[u8]) -> Option<(usize, &[u8], &[u8])> {
+    let head = get_varint(&mut packed).ok()?;
+    let cols = usize::try_from(head >> 2).ok()?;
+    (head & 3 == OP_PUT && cols.div_ceil(4) <= packed.len()).then(|| {
+        let (header, present) = packed.split_at(cols.div_ceil(4));
+        (cols, header, present)
+    })
+}
+
 /// A row body: the two-bit header, then every value it marks present.
-fn put_values(b: &mut Vec<u8>, values: &[Value]) {
+fn put_values<'a>(b: &mut Vec<u8>, values: impl ExactSizeIterator<Item = ValueRef<'a>>) {
     let header = b.len();
     b.resize(header + values.len().div_ceil(4), 0);
-    for (i, v) in values.iter().enumerate() {
+    for (i, v) in values.enumerate() {
         let state = match v {
-            Value::Null => COL_NULL,
-            Value::Bool(false) => COL_FALSE,
-            Value::Bool(true) => COL_TRUE,
+            ValueRef::Null => COL_NULL,
+            ValueRef::Bool(false) => COL_FALSE,
+            ValueRef::Bool(true) => COL_TRUE,
             present => {
                 put_value(b, present);
                 COL_VALUE
@@ -314,67 +341,128 @@ fn put_values(b: &mut Vec<u8>, values: &[Value]) {
 
 fn get_values(buf: &mut &[u8], n: usize) -> Result<Vec<Value>> {
     let header = take(buf, n.div_ceil(4) as u64)?;
-    let mut values = Vec::with_capacity(n);
-    for i in 0..n {
-        values.push(match (header[i / 4] >> (2 * (i % 4))) & 3 {
-            COL_NULL => Value::Null,
-            COL_FALSE => Value::Bool(false),
-            COL_TRUE => Value::Bool(true),
-            _ => get_value(buf)?,
-        });
+    (0..n)
+        .map(|i| Ok(get_column(header, i, buf)?.to_value()))
+        .collect()
+}
+
+// The functions from here to `get_value` are what a column read of a
+// committed row runs, once per column: forced inline, because left as
+// calls (with the cursor spilled to the stack between them) a walk over
+// a 14-column row measured three times as long.
+
+/// The two header bits of column `i`.
+#[inline(always)]
+fn column_state(header: &[u8], i: usize) -> u8 {
+    (header[i / 4] >> (2 * (i % 4))) & 3
+}
+
+/// Column `i` if the header alone holds it (NULL and both `Bool`s);
+/// `None` if its value is among the present ones.
+#[inline(always)]
+pub(crate) fn header_value(header: &[u8], i: usize) -> Option<ValueRef<'static>> {
+    match column_state(header, i) {
+        COL_NULL => Some(ValueRef::Null),
+        COL_FALSE => Some(ValueRef::Bool(false)),
+        COL_TRUE => Some(ValueRef::Bool(true)),
+        _ => None,
     }
-    Ok(values)
+}
+
+/// How many of the columns in `from..to` have a present value: what a
+/// reader bound for column `to` has to step over.
+#[inline(always)]
+pub(crate) fn present_between(header: &[u8], from: usize, to: usize) -> usize {
+    (from..to)
+        .filter(|&i| column_state(header, i) == COL_VALUE)
+        .count()
+}
+
+/// Column `i` of a row body: read out of `header`, or decoded off the
+/// front of `present` when the header says a value follows.
+#[inline(always)]
+pub(crate) fn get_column<'a>(
+    header: &[u8],
+    i: usize,
+    present: &mut &'a [u8],
+) -> Decoded<ValueRef<'a>> {
+    match header_value(header, i) {
+        Some(v) => Ok(v),
+        None => get_value(present),
+    }
+}
+
+/// Step over one present value without interpreting it.
+#[inline(always)]
+pub(crate) fn skip_value(present: &mut &[u8]) -> Decoded<()> {
+    get_raw_value(present).map(|_| ())
 }
 
 /// A present value. Its first byte is `[more:1][low 4 bits of n][type:3]`;
 /// if `more`, `n >> 4` follows as a varint. `n` is the number itself, or
 /// the byte length of the text/bytes that follow. A float is its type
 /// byte and eight little-endian bytes.
-fn put_value(b: &mut Vec<u8>, v: &Value) {
+fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
     let (ty, n, tail): (u8, u64, &[u8]) = match v {
-        Value::Int(x) => (VT_INT, zigzag(*x), &[]),
-        Value::Id(x) => (VT_ID, *x, &[]),
-        Value::Text(s) => (VT_TEXT, s.len() as u64, s.as_bytes()),
-        Value::Bytes(x) => (VT_BYTES, x.len() as u64, x),
-        Value::Timestamp(x) => (VT_TIMESTAMP, zigzag(*x), &[]),
-        Value::Float(x) => {
-            b.put_u8(VT_FLOAT);
-            return b.put_slice(&x.to_bits().to_le_bytes());
+        ValueRef::Int(x) => (VT_INT, zigzag(x), &[]),
+        ValueRef::Id(x) => (VT_ID, x, &[]),
+        ValueRef::Text(s) => (VT_TEXT, s.len() as u64, s.as_bytes()),
+        ValueRef::Bytes(x) => (VT_BYTES, x.len() as u64, x),
+        ValueRef::Timestamp(x) => (VT_TIMESTAMP, zigzag(x), &[]),
+        ValueRef::Float(x) => {
+            b.push(VT_FLOAT);
+            return b.extend_from_slice(&x.to_bits().to_le_bytes());
         }
-        Value::Null | Value::Bool(_) => unreachable!("folded into the row header"),
+        ValueRef::Null | ValueRef::Bool(_) => unreachable!("folded into the row header"),
     };
     let first = ty | ((n & 0xF) as u8) << 3;
     if n >> 4 == 0 {
-        b.put_u8(first);
+        b.push(first);
     } else {
-        b.put_u8(first | 0x80);
+        b.push(first | 0x80);
         put_varint(b, n >> 4);
     }
-    b.put_slice(tail);
+    b.extend_from_slice(tail);
 }
 
-fn get_value(buf: &mut &[u8]) -> Result<Value> {
+/// A present value as it lies in the bytes: its type, its number (a
+/// float's bits) and the text/bytes it measures — everything but the
+/// UTF-8 check, so stepping over a value costs no more than finding
+/// its end.
+#[inline(always)]
+fn get_raw_value<'a>(buf: &mut &'a [u8]) -> Decoded<(u8, u64, &'a [u8])> {
     let first = get_u8(buf)?;
     if first == VT_FLOAT {
         let raw = take(buf, 8)?.try_into().expect("took 8 bytes");
-        return Ok(Value::Float(f64::from_bits(u64::from_le_bytes(raw))));
+        return Ok((VT_FLOAT, u64::from_le_bytes(raw), &[]));
     }
     let mut n = u64::from(first >> 3 & 0xF);
     if first & 0x80 != 0 {
         let high = get_varint(buf)?;
         if high >> 60 != 0 {
-            return Err(corrupt("value varint overflows 64 bits".into()));
+            return Err(Malformed::ValueOverflow);
         }
         n |= high << 4;
     }
-    Ok(match first & 7 {
-        VT_INT => Value::Int(unzigzag(n)),
-        VT_ID => Value::Id(n),
-        // One allocation: the borrowed bytes are validated, then copied.
-        VT_TEXT => Value::Text(get_str(buf, n)?.to_owned()),
-        VT_BYTES => Value::Bytes(take(buf, n)?.to_vec()),
-        VT_TIMESTAMP => Value::Timestamp(unzigzag(n)),
-        _ => return Err(corrupt(format!("unknown value byte {first:#04x}"))),
+    let tail: &[u8] = match first & 7 {
+        VT_INT | VT_ID | VT_TIMESTAMP => &[],
+        VT_TEXT | VT_BYTES => take(buf, n)?,
+        _ => return Err(Malformed::UnknownValueByte(first)),
+    };
+    Ok((first & 7, n, tail))
+}
+
+#[inline(always)]
+pub(crate) fn get_value<'a>(buf: &mut &'a [u8]) -> Decoded<ValueRef<'a>> {
+    let (ty, n, tail) = get_raw_value(buf)?;
+    Ok(match ty {
+        VT_INT => ValueRef::Int(unzigzag(n)),
+        VT_ID => ValueRef::Id(n),
+        VT_TEXT => ValueRef::Text(std::str::from_utf8(tail).map_err(Malformed::Utf8)?),
+        VT_BYTES => ValueRef::Bytes(tail),
+        VT_TIMESTAMP => ValueRef::Timestamp(unzigzag(n)),
+        // The only other type `get_raw_value` lets through.
+        _ => ValueRef::Float(f64::from_bits(n)),
     })
 }
 
@@ -383,8 +471,8 @@ fn put_table_def(b: &mut Vec<u8>, def: &TableDef) {
     put_varint(b, def.columns.len() as u64);
     for c in &def.columns {
         put_str(b, &c.name);
-        b.put_u8(type_tag(c.ty));
-        b.put_u8(c.nullable as u8);
+        b.push(type_tag(c.ty));
+        b.push(c.nullable as u8);
     }
     put_varint(b, def.indexes.len() as u64);
     for i in &def.indexes {
@@ -393,7 +481,7 @@ fn put_table_def(b: &mut Vec<u8>, def: &TableDef) {
         for &c in &i.columns {
             put_varint(b, c as u64);
         }
-        b.put_u8(i.unique as u8);
+        b.push(i.unique as u8);
     }
 }
 
@@ -457,42 +545,58 @@ fn type_from_tag(tag: u8) -> Result<DataType> {
 
 fn put_str(b: &mut Vec<u8>, s: &str) {
     put_varint(b, s.len() as u64);
-    b.put_slice(s.as_bytes());
-}
-
-fn get_str<'a>(buf: &mut &'a [u8], len: u64) -> Result<&'a str> {
-    std::str::from_utf8(take(buf, len)?).map_err(|e| corrupt(e.to_string()))
+    b.extend_from_slice(s.as_bytes());
 }
 
 fn get_string(buf: &mut &[u8]) -> Result<String> {
     let len = get_varint(buf)?;
-    Ok(get_str(buf, len)?.to_owned())
+    let s = std::str::from_utf8(take(buf, len)?).map_err(Malformed::Utf8)?;
+    Ok(s.to_owned())
 }
 
 /// LEB128: seven bits a byte, least significant first, high bit set on
 /// all but the last.
 fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
-        b.put_u8(v as u8 | 0x80);
+        b.push(v as u8 | 0x80);
         v >>= 7;
     }
-    b.put_u8(v as u8);
+    b.push(v as u8);
 }
 
-fn get_varint(buf: &mut &[u8]) -> Result<u64> {
+#[inline(always)]
+fn get_varint(buf: &mut &[u8]) -> Decoded<u64> {
+    // Up to three bytes spelled out: counts, lengths and the ids and
+    // timestamps of a young database, which is nearly every varint a row
+    // holds. The loop below decodes those too; this is only faster.
+    let (v, len) = match **buf {
+        [a, ..] if a < 0x80 => (u64::from(a), 1),
+        [a, b, ..] if b < 0x80 => (u64::from(a & 0x7F) | u64::from(b) << 7, 2),
+        [a, b, c, ..] if c < 0x80 => (
+            u64::from(a & 0x7F) | u64::from(b & 0x7F) << 7 | u64::from(c) << 14,
+            3,
+        ),
+        // By value, so that a caller's cursor can stay in registers.
+        _ => long_varint(buf)?,
+    };
+    *buf = &buf[len..];
+    Ok(v)
+}
+
+/// A varint of any length at the front of `bytes`, and that length.
+fn long_varint(bytes: &[u8]) -> Decoded<(u64, usize)> {
     let mut v = 0u64;
-    for (i, &byte) in buf.iter().enumerate().take(10) {
+    for (i, &byte) in bytes.iter().enumerate().take(10) {
         let bits = u64::from(byte & 0x7F);
         if i == 9 && bits > 1 {
-            return Err(corrupt("varint overflows 64 bits".into()));
+            return Err(Malformed::VarintOverflow);
         }
         v |= bits << (7 * i);
         if byte & 0x80 == 0 {
-            *buf = &buf[i + 1..];
-            return Ok(v);
+            return Ok((v, i + 1));
         }
     }
-    Err(corrupt("varint cut short or longer than 10 bytes".into()))
+    Err(Malformed::VarintCutOrLong)
 }
 
 fn get_varint32(buf: &mut &[u8]) -> Result<u32> {
@@ -526,17 +630,52 @@ fn get_count(buf: &mut &[u8], per_byte: u64) -> Result<usize> {
     check_count(n, buf, per_byte)
 }
 
-fn take<'a>(buf: &mut &'a [u8], len: u64) -> Result<&'a [u8]> {
+#[inline(always)]
+fn take<'a>(buf: &mut &'a [u8], len: u64) -> Decoded<&'a [u8]> {
     if len > buf.len() as u64 {
-        return Err(corrupt(format!("need {len} bytes, {} remain", buf.len())));
+        return Err(Malformed::CutShort(len, buf.len()));
     }
     let (head, rest) = buf.split_at(len as usize);
     *buf = rest;
     Ok(head)
 }
 
-fn get_u8(buf: &mut &[u8]) -> Result<u8> {
-    Ok(take(buf, 1)?[0])
+#[inline(always)]
+fn get_u8(buf: &mut &[u8]) -> Decoded<u8> {
+    let (&byte, rest) = buf.split_first().ok_or(Malformed::CutShort(1, 0))?;
+    *buf = rest;
+    Ok(byte)
+}
+
+/// What the byte-level decoders return. A committed row is read through
+/// them on every column access, so their error is a few plain words, not
+/// a [`StorageError`] with strings to build and drop; `?` turns it into
+/// one where a record decoder reports it.
+pub(crate) type Decoded<T> = std::result::Result<T, Malformed>;
+
+/// Why some bytes are not what the decoder was told to find there.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Malformed {
+    /// Needed this many bytes; this many remain.
+    CutShort(u64, usize),
+    VarintOverflow,
+    VarintCutOrLong,
+    ValueOverflow,
+    UnknownValueByte(u8),
+    Utf8(std::str::Utf8Error),
+}
+
+impl From<Malformed> for StorageError {
+    fn from(m: Malformed) -> Self {
+        corrupt(match m {
+            Malformed::CutShort(need, remain) => format!("need {need} bytes, {remain} remain"),
+            Malformed::VarintOverflow => "varint overflows 64 bits".into(),
+            Malformed::VarintCutOrLong => "varint cut short or longer than 10 bytes".into(),
+            Malformed::ValueOverflow => "value varint overflows 64 bits".into(),
+            Malformed::UnknownValueByte(b) => format!("unknown value byte {b:#04x}"),
+            Malformed::Utf8(e) => e.to_string(),
+        })
+    }
 }
 
 fn corrupt(reason: String) -> StorageError {
@@ -554,7 +693,7 @@ mod tests {
     }
 
     fn put_row(values: Vec<Value>) -> WalOp {
-        WalOp::Put(Row::new(values).into_shared())
+        WalOp::Put(SharedRow::pack(&values))
     }
 
     #[test]
@@ -743,8 +882,34 @@ mod tests {
         );
         // Sixteen needs the continuation byte.
         b.clear();
-        put_value(&mut b, &Value::Id(16));
+        put_value(&mut b, ValueRef::Id(16));
         assert_eq!(b, [VT_ID | 0x80, 1]);
+    }
+
+    #[test]
+    fn a_decoded_put_keeps_its_bytes_and_encodes_as_a_copy_of_them() {
+        let op = put_row(vec![Value::Text("a".into()), Value::Id(9), Value::Null]);
+        let mut bytes = Vec::new();
+        put_op(&mut bytes, &op);
+        let WalOp::Put(row) = get_op(&mut &bytes[..]).unwrap() else {
+            panic!("not a put");
+        };
+        assert_eq!(row.packed(), bytes);
+        assert_eq!(WalOp::Put(row), op);
+    }
+
+    #[test]
+    fn a_varint_spelled_longer_decodes_to_an_equal_row() {
+        // Id(9) with the continuation bit set and a zero high part: the
+        // encoder never writes it, the decoder reads it, and the row
+        // that keeps these bytes equals the one packed here.
+        let spelled = [1 << 2, COL_VALUE, VT_ID | 9 << 3 | 0x80, 0];
+        let WalOp::Put(row) = get_op(&mut &spelled[..]).unwrap() else {
+            panic!("not a put");
+        };
+        assert_eq!(row.packed(), spelled);
+        assert_eq!(row.get(0), Some(ValueRef::Id(9)));
+        assert_eq!(WalOp::Put(row), put_row(vec![Value::Id(9)]));
     }
 
     #[test]

@@ -50,7 +50,8 @@ pub struct WalWrite {
 }
 
 /// The operation a write performed. Put holds the same shared row the
-/// version store publishes — encoding borrows it, nothing is copied.
+/// version store publishes, whose bytes are the op's encoding: writing
+/// the frame copies them, decoding one checks them and keeps them.
 ///
 /// `Patch` is the log form of a commutative described write: only the
 /// columns the transaction actually wrote (by position, with the values

@@ -3,57 +3,15 @@
 //! ordered index straight into its result, so what it allocates must not
 //! grow with the number of rows beyond the result vector itself.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
+mod common;
+
 use std::ops::Bound;
 
+use common::alloc::{allocations_during, TrackingAlloc};
 use tendax_storage::{DataType, Database, Predicate, Row, TableDef, TableId, Value};
 
-/// Counts the calling thread's allocations (and reallocations), so other
-/// tests' and the engine's own threads never show up in a measurement.
-struct CountingAlloc;
-
-thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
-}
-
-fn note_alloc() {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with a
-// const initializer, so touching it neither allocates nor re-enters.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note_alloc();
-        // SAFETY: same layout the caller guaranteed valid.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note_alloc();
-        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
-    let before = ALLOCS.with(Cell::get);
-    let out = f();
-    (out, ALLOCS.with(Cell::get) - before)
-}
+static GLOBAL: TrackingAlloc = TrackingAlloc;
 
 const ROWS: u64 = 10_000;
 

@@ -1,6 +1,8 @@
 //! Shared helpers for the storage integration tests.
 #![allow(dead_code)] // each test binary uses a subset of these helpers
 
+pub mod alloc;
+
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

@@ -11,7 +11,9 @@
 
 use std::path::PathBuf;
 
-use tendax_storage::{DataType, Database, Options, Row, StorageError, TableDef, TableId, Value};
+use tendax_storage::{
+    DataType, Database, Options, Row, StorageError, TableDef, TableId, Value, ValueRef,
+};
 
 mod common;
 use common::TestDir;
@@ -57,7 +59,7 @@ fn value_at(db: &Database, t: TableId, rid: tendax_storage::RowId, col: usize) -
         .unwrap()
         .get(col)
         .unwrap()
-        .clone()
+        .to_value()
 }
 
 /// Disjoint columns + disjoint anchors: the later committer merges its
@@ -292,8 +294,8 @@ fn merged_commit_survives_reopen() {
         .unwrap();
     assert_eq!(rows.len(), 1);
     let row = &rows[0].1;
-    assert_eq!(row.get(0), Some(&Value::Id(10)));
-    assert_eq!(row.get(1), Some(&Value::Id(20)));
+    assert_eq!(row.get(0), Some(ValueRef::Id(10)));
+    assert_eq!(row.get(1), Some(ValueRef::Id(20)));
 
     // The recovered chain still carries descriptors: a pinned laggard
     // can merge across the replayed commits too.
@@ -333,7 +335,7 @@ fn concurrent_merge_equals_serialized() {
                 .unwrap();
             txn.commit().unwrap();
         }
-        Row::clone(&db.begin().get(t, rid).unwrap().unwrap())
+        db.begin().get(t, rid).unwrap().unwrap().to_row()
     };
     // Every commit order of three concurrent transactions.
     let orders: [[usize; 3]; 6] = [
@@ -358,7 +360,7 @@ fn concurrent_merge_equals_serialized() {
         for &i in &order {
             txns[i].take().unwrap().commit().unwrap();
         }
-        let got = Row::clone(&db.begin().get(t, rid).unwrap().unwrap());
+        let got = db.begin().get(t, rid).unwrap().unwrap().to_row();
         assert_eq!(got.values(), reference.values(), "order {order:?} diverged");
         assert_eq!(db.stats().commits_merged, 2, "later two commits merged");
     }

@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use tendax_storage::{
-    DataType, Database, DurabilityLevel, Options, Predicate, Row, TableDef, Value,
+    DataType, Database, DurabilityLevel, Options, Predicate, Row, SharedRow, TableDef, Value,
 };
 
 fn doc_table() -> TableDef {
@@ -63,9 +63,12 @@ fn point_gets_share_one_committed_allocation() {
 
     let a = txn.get(t, rid).unwrap().unwrap();
     let b = txn.get(t, rid).unwrap().unwrap();
-    assert!(Arc::ptr_eq(&a, &b), "two gets must share one allocation");
     assert!(
-        Arc::ptr_eq(&a, &from_scan),
+        SharedRow::ptr_eq(&a, &b),
+        "two gets must share one allocation"
+    );
+    assert!(
+        SharedRow::ptr_eq(&a, &from_scan),
         "scan and get must hand out the same committed version"
     );
 }

@@ -6,66 +6,13 @@
 
 mod common;
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::Cell;
-
+use common::alloc::{transient_bytes, TrackingAlloc};
 use common::TestDir;
 use tendax_storage::wal::codec::SNAPSHOT_BATCH_BYTES;
 use tendax_storage::{DataType, Database, Options, Predicate, Row, TableDef, Value};
 
-/// Tracks the calling thread's live heap bytes and their high-water
-/// mark, so other tests' threads never show up in a measurement.
-struct TrackingAlloc;
-
-thread_local! {
-    static LIVE: Cell<isize> = const { Cell::new(0) };
-    static PEAK: Cell<isize> = const { Cell::new(0) };
-}
-
-fn note(delta: isize) {
-    // `try_with`: the allocator also runs while a thread's locals are
-    // being torn down.
-    let _ = LIVE.try_with(|live| {
-        live.set(live.get() + delta);
-        let _ = PEAK.try_with(|peak| peak.set(peak.get().max(live.get())));
-    });
-}
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters are plain thread-local `Cell`s with
-// const initializers, so touching them neither allocates nor re-enters.
-unsafe impl GlobalAlloc for TrackingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        note(layout.size() as isize);
-        // SAFETY: same layout the caller guaranteed valid.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        note(-(layout.size() as isize));
-        // SAFETY: `ptr` came from `System` through this allocator with
-        // this layout.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        note(new_size as isize - layout.size() as isize);
-        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
-
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
-
-/// Bytes `f` held at its high-water mark beyond what it still holds
-/// when it returns.
-fn transient_bytes<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    PEAK.with(|p| p.set(LIVE.with(Cell::get)));
-    let out = f();
-    let over = PEAK.with(Cell::get) - LIVE.with(Cell::get);
-    (out, over.max(0) as usize)
-}
 
 /// One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
 /// `TENDAX_COLD` say: the single-file log is the one recovery streams.

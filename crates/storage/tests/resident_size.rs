@@ -1,0 +1,207 @@
+//! What a committed row costs in RAM (DESIGN.md, "Read path: row
+//! sharing" and "The same bytes in RAM"), pinned the way `format_size.rs`
+//! pins what it costs on disk: requested heap bytes and allocations per
+//! row, counted by a tracking allocator around `TableStore::apply`, for
+//! the three row shapes a keystroke writes. Requested bytes, not what the
+//! allocator rounds them to, so the pins hold under any allocator. Each
+//! pin carries its value at the parent commit, where a row was an
+//! `Arc<Row>` over a `Vec<Value>` of 32 bytes a column, every version
+//! chain a `Vec` of capacity four and every index key a `BTreeSet`.
+
+mod common;
+
+use common::alloc::{allocations_during, retained_by, TrackingAlloc};
+use tendax_storage::table::{TableStore, VersionOp};
+use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value};
+
+#[global_allocator]
+static GLOBAL: TrackingAlloc = TrackingAlloc;
+
+const ROWS: u64 = 50_000;
+
+fn chars_def() -> TableDef {
+    TableDef::new("chars")
+        .column("doc", DataType::Id)
+        .nullable_column("prev", DataType::Id)
+        .nullable_column("next", DataType::Id)
+        .column("ch", DataType::Text)
+        .column("author", DataType::Id)
+        .column("created_at", DataType::Timestamp)
+        .column("version", DataType::Int)
+        .column("deleted", DataType::Bool)
+        .nullable_column("deleted_by", DataType::Id)
+        .nullable_column("deleted_at", DataType::Timestamp)
+        .nullable_column("style", DataType::Id)
+        .nullable_column("src_doc", DataType::Id)
+        .nullable_column("src_char", DataType::Id)
+        .nullable_column("external_src", DataType::Text)
+        .index("chars_by_doc", &["doc"])
+}
+
+/// The `i`-th typed character of one of eight documents, `next` link
+/// rewritten `version` times.
+fn chars_row(i: u64, version: u64) -> SharedRow {
+    Row::new(vec![
+        Value::Id(1 + i % 8),
+        Value::Id(i),
+        Value::Id(i + 2 + version),
+        Value::Text("x".into()),
+        Value::Id(1 + i % 2),
+        Value::Timestamp(1_000_000 + i as i64),
+        Value::Int(version as i64),
+        Value::Bool(false),
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+        Value::Null,
+    ])
+    .into_shared()
+}
+
+fn oplog_def() -> TableDef {
+    TableDef::new("oplog")
+        .column("doc", DataType::Id)
+        .column("user", DataType::Id)
+        .column("ts", DataType::Timestamp)
+        .column("kind", DataType::Text)
+        .nullable_column("target", DataType::Id)
+        .column("undone", DataType::Bool)
+        .index("oplog_by_doc", &["doc"])
+        .index("oplog_by_doc_user", &["doc", "user"])
+        .index("oplog_by_doc_ts", &["doc", "ts"])
+        .index("oplog_by_doc_user_ts", &["doc", "user", "ts"])
+}
+
+fn oplog_row(i: u64) -> SharedRow {
+    Row::new(vec![
+        Value::Id(1 + i % 8),
+        Value::Id(1 + i % 2),
+        Value::Timestamp(1_000_000 + i as i64),
+        Value::Text("insert".into()),
+        Value::Null,
+        Value::Bool(false),
+    ])
+    .into_shared()
+}
+
+fn effects_def() -> TableDef {
+    TableDef::new("op_effects")
+        .column("op", DataType::Id)
+        .column("seq", DataType::Int)
+        .column("kind", DataType::Text)
+        .column("char", DataType::Id)
+        .nullable_column("old_val", DataType::Text)
+        .nullable_column("new_val", DataType::Text)
+        .index("op_effects_by_op", &["op"])
+        .index("op_effects_by_char", &["char"])
+}
+
+fn effects_row(i: u64) -> SharedRow {
+    Row::new(vec![
+        Value::Id(i),
+        Value::Int(0),
+        Value::Text("ins".into()),
+        Value::Id(i),
+        Value::Null,
+        Value::Null,
+    ])
+    .into_shared()
+}
+
+/// Apply one version of `ROWS` rows at timestamp `ts`; requested bytes
+/// and allocations retained, per row.
+fn apply_all(t: &mut TableStore, ts: u64, row: impl Fn(u64) -> SharedRow) -> (f64, f64) {
+    let ((), bytes, blocks) = retained_by(|| {
+        for i in 1..=ROWS {
+            t.apply(RowId(i), ts, VersionOp::Put(row(i)));
+        }
+    });
+    (bytes as f64 / ROWS as f64, blocks as f64 / ROWS as f64)
+}
+
+/// The table's own count of what it holds against the allocator's.
+fn assert_accounted(t: &TableStore, allocator_bytes: f64) {
+    let counted = t.resident_bytes().total() as f64;
+    let ratio = counted / allocator_bytes;
+    assert!(
+        (0.9..=1.1).contains(&ratio),
+        "the table counts {counted} resident bytes, the allocator handed out {allocator_bytes}"
+    );
+}
+
+#[test]
+fn a_committed_chars_row_is_one_small_allocation() {
+    // Parent: 489 bytes in 3 allocations (`Arc<Row>`, the fourteen
+    // `Value`s, the one-letter `String`). Here: 40 in 1.
+    let (row, bytes, blocks) = retained_by(|| chars_row(123_456, 0));
+    assert_eq!(blocks, 1, "{bytes} bytes");
+    assert!(bytes <= 64, "a chars row holds {bytes} bytes");
+    assert_eq!(bytes as usize, row.resident_bytes());
+    // And a clone of it is a reference count, not a copy.
+    let (_clone, allocs) = allocations_during(|| row.clone());
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn reading_a_committed_row_allocates_nothing() {
+    let row = chars_row(123_456, 0);
+    let ((), allocs) = allocations_during(|| {
+        for (i, v) in row.iter().enumerate() {
+            assert_eq!(row.get(i), Some(v));
+        }
+        assert_eq!(row.get(3).and_then(|v| v.as_text()), Some("x"));
+        let [doc, ch, deleted] = row.cols([0, 3, 7]);
+        assert_eq!(
+            (doc.as_id(), ch.as_text(), deleted.as_bool()),
+            (Some(1), Some("x"), Some(false))
+        );
+    });
+    assert_eq!(allocs, 0);
+}
+
+#[test]
+fn chars_rows_and_their_further_versions() {
+    let mut t = TableStore::new(TableId(0), chars_def());
+    // First version, chain slot and `chars_by_doc` entry included.
+    // Parent: 668 bytes in 4.33 allocations. Here: 153 in 1.33.
+    let (first, first_blocks) = apply_all(&mut t, 1, |i| chars_row(i, 0));
+    assert!(first <= 180.0, "first version: {first} bytes a row");
+    assert!(
+        first_blocks <= 1.5,
+        "first version: {first_blocks} allocations a row"
+    );
+    // Three further versions of every row — every neighbour-link
+    // rewrite, every tombstone — the second of which spills the chain
+    // out of the table's map node into a `Vec`. Parent: 489 bytes each
+    // (its chain `Vec` of four was paid for by the first version).
+    // Here: 83, of which 43 are the chain's.
+    let mut further = 0.0;
+    for version in 1..=3 {
+        further += apply_all(&mut t, 1 + version, |i| chars_row(i, version)).0;
+    }
+    let each = further / 3.0;
+    assert!(each <= 100.0, "each further version: {each} bytes");
+    assert_accounted(&t, (first + further) * ROWS as f64);
+}
+
+#[test]
+fn an_oplog_row_with_its_four_indexes() {
+    // Parent: 990 bytes in 8.83 allocations. Here: 481 in 3.83.
+    let mut t = TableStore::new(TableId(0), oplog_def());
+    let (bytes, blocks) = apply_all(&mut t, 1, oplog_row);
+    assert!(bytes <= 600.0, "an oplog row: {bytes} bytes");
+    assert!(blocks <= 4.5, "an oplog row: {blocks} allocations");
+    assert_accounted(&t, bytes * ROWS as f64);
+}
+
+#[test]
+fn an_op_effects_row_with_its_two_indexes() {
+    // Parent: 852 bytes in 8.5 allocations. Here: 345 in 3.5.
+    let mut t = TableStore::new(TableId(0), effects_def());
+    let (bytes, blocks) = apply_all(&mut t, 1, effects_row);
+    assert!(bytes <= 520.0, "an op_effects row: {bytes} bytes");
+    assert!(blocks <= 4.0, "an op_effects row: {blocks} allocations");
+    assert_accounted(&t, bytes * ROWS as f64);
+}

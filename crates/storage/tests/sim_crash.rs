@@ -17,7 +17,7 @@ use std::sync::{Arc, Barrier, Mutex};
 
 use tendax_storage::{
     ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
-    RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value,
+    RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value, ValueRef,
 };
 
 const WAL: &str = "/sim/db.wal";
@@ -842,13 +842,7 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
                     .scan(t, &Predicate::True)
                     .unwrap()
                     .first()
-                    .map(|(_, r)| {
-                        let id = |v: &Value| match v {
-                            Value::Id(x) => Some(*x),
-                            _ => None,
-                        };
-                        (id(r.get(0).unwrap()), id(r.get(1).unwrap()))
-                    }),
+                    .map(|(_, r)| (r.get(0).unwrap().as_id(), r.get(1).unwrap().as_id())),
             };
             // The recovered state must be the state after SOME prefix of
             // the commit order — a torn merge (later delta without the
@@ -922,7 +916,7 @@ fn assert_history(db: &Database, t: TableId, rid: RowId, tss: &[Ts], retain_from
                     .unwrap_or_else(|| panic!("{ctx}: round {i} row missing"));
                 assert_eq!(
                     row.get(0),
-                    Some(&Value::Int(i as i64)),
+                    Some(ValueRef::Int(i as i64)),
                     "{ctx}: wrong bytes at round {i}"
                 );
             }

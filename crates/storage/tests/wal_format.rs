@@ -40,6 +40,7 @@ fn assert_roundtrips(rec: &WalRecord) {
     let back = decode_record(&bytes).unwrap_or_else(|e| panic!("{rec:?} does not decode: {e}"));
     assert_eq!(format!("{back:?}"), format!("{rec:?}"));
     assert_eq!(encode_record(&back), bytes);
+    read_every_column(&back);
 }
 
 // ------------------------------------------------------------ generators
@@ -63,12 +64,15 @@ fn arb_value() -> impl Strategy<Value = Value> {
     ]
 }
 
-fn arb_row() -> impl Strategy<Value = WalOp> {
+fn arb_values() -> impl Strategy<Value = Vec<Value>> {
     prop_oneof![
         4 => proptest::collection::vec(arb_value(), 0..16),
         1 => proptest::collection::vec(arb_value(), 300..301),
     ]
-    .prop_map(put)
+}
+
+fn arb_row() -> impl Strategy<Value = WalOp> {
+    arb_values().prop_map(put)
 }
 
 fn arb_op() -> impl Strategy<Value = WalOp> {
@@ -194,6 +198,43 @@ proptest! {
     #[test]
     fn every_record_roundtrips_bit_exactly(rec in arb_record()) {
         assert_roundtrips(&rec);
+    }
+
+    /// The resident row: `Row → SharedRow → Row` is the identity, a column
+    /// read is the value that was packed, and two rows are `==` exactly
+    /// when their values are, under `Value`'s total order (floats bit for
+    /// bit: a NaN equals itself and `-0.0` is not `0.0`).
+    #[test]
+    fn a_packed_row_is_its_values(
+        a in arb_values(),
+        other in arb_values(),
+        change in 0u8..3,
+        at in any::<u64>(),
+    ) {
+        let row = Row::new(a.clone()).into_shared();
+        prop_assert_eq!(row.to_row(), Row::new(a.clone()));
+        prop_assert_eq!(row.len(), a.len());
+        for (i, v) in a.iter().enumerate() {
+            prop_assert_eq!(row.get(i), Some(v.view()), "column {}", i);
+        }
+        prop_assert_eq!(row.get(a.len()), None);
+        // Against itself, an unrelated row, and itself with one value
+        // replaced or the last column dropped.
+        let mut b = a.clone();
+        match change {
+            1 if !b.is_empty() => {
+                let at = at as usize % b.len();
+                b[at] = other.first().cloned().unwrap_or(Value::Null);
+            }
+            2 => {
+                b.pop();
+            }
+            _ => {}
+        }
+        for b in [b, other] {
+            let same = a == b;
+            prop_assert_eq!(row == Row::new(b.clone()).into_shared(), same, "{:?} vs {:?}", a, b);
+        }
     }
 
     #[test]
@@ -408,17 +449,43 @@ fn sweep_frame(victim: &WalRecord) {
         }
     }
     // The decoder on its own, as if the CRC had been recomputed over the
-    // damage: any answer but a panic or a runaway allocation.
+    // damage: any answer but a panic or a runaway allocation. A row that
+    // does decode keeps the damaged bytes it was decoded from, so every
+    // column of it is read too: whatever passed the decoder reads back.
     let payload = encode_record(victim);
     for bit in 0..payload.len() * 8 {
         let mut bad = payload.clone();
         bad[bit / 8] ^= 1 << (bit % 8);
-        if let Err(e) = decode_record(&bad) {
-            assert!(
+        match decode_record(&bad) {
+            Ok(rec) => read_every_column(&rec),
+            Err(e) => assert!(
                 matches!(e, StorageError::WalCorrupt { .. }),
                 "bit {bit}: {e:?}"
-            );
+            ),
         }
+    }
+}
+
+/// Read every column of every row in `rec` every way a reader can: one
+/// at a time, in one walk, and materialized. The three must agree.
+fn read_every_column(rec: &WalRecord) {
+    let ops: Vec<&WalOp> = match rec {
+        WalRecord::Commit { writes, .. } => writes.iter().map(|w| &w.op).collect(),
+        WalRecord::SnapshotRows { rows, .. } => rows.iter().map(|v| &v.op).collect(),
+        WalRecord::Barrier { inner, .. } => return read_every_column(inner),
+        _ => Vec::new(),
+    };
+    for op in ops {
+        let WalOp::Put(row) = op else { continue };
+        let values = row.values();
+        assert_eq!(values.len(), row.len());
+        assert_eq!(row.iter().count(), row.len());
+        for (i, (walked, owned)) in row.iter().zip(&values).enumerate() {
+            assert_eq!(row.get(i), Some(walked), "column {i} of {row:?}");
+            assert_eq!(walked, *owned, "column {i} of {row:?}");
+            assert_eq!(row.is_null(i), owned.is_null(), "column {i} of {row:?}");
+        }
+        assert_eq!(row.get(row.len()), None);
     }
 }
 
@@ -771,4 +838,96 @@ fn a_checkpoint_batches_rows_and_replays_them() {
     let db = Database::open(&path, single_file()).unwrap();
     let t = db.table_id("t").unwrap();
     assert_eq!(db.begin().count(t, &Predicate::True).unwrap() as i64, rows);
+}
+
+// ------------------------------------------------- a log the parent wrote
+
+/// A log written by the commit before rows were kept packed in RAM —
+/// format frame, `chars`-like table, a three-row checkpoint batch, then a
+/// tail of two commits: a put, a described one-column patch and a
+/// delete; then a two-column `set` (a full put). `FORMAT_VERSION` did not
+/// move, so these bytes are the format: every value type, a NULL, both
+/// `Bool`s, `-0.0`, an empty text and a four-byte character among them.
+const PARENT_LOG: [u8; 249] = [
+    0x02, 0x00, 0x00, 0x00, 0x9a, 0xc8, 0x15, 0x7e, 0x09, 0x02, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
+    0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
+    0x63, 0x68, 0x61, 0x72, 0x73, 0x07, 0x03, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x04, 0x6e, 0x65, 0x78,
+    0x74, 0x01, 0x01, 0x02, 0x63, 0x68, 0x02, 0x00, 0x0a, 0x63, 0x72, 0x65, 0x61, 0x74, 0x65, 0x64,
+    0x5f, 0x61, 0x74, 0x05, 0x00, 0x07, 0x64, 0x65, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x03, 0x00, 0x06,
+    0x77, 0x65, 0x69, 0x67, 0x68, 0x74, 0x06, 0x01, 0x04, 0x62, 0x6c, 0x6f, 0x62, 0x04, 0x01, 0x01,
+    0x0c, 0x63, 0x68, 0x61, 0x72, 0x73, 0x5f, 0x62, 0x79, 0x5f, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0xb9, 0x61, 0xa1, 0xfc, 0x06, 0x00, 0x04, 0x33, 0x00, 0x00, 0x00, 0xbc,
+    0x1b, 0xb6, 0x41, 0x05, 0x00, 0x03, 0x01, 0x01, 0x1c, 0xff, 0x02, 0x19, 0x81, 0xe2, 0x09, 0x0a,
+    0x61, 0x4c, 0x01, 0x01, 0x1c, 0xff, 0x0d, 0x19, 0x89, 0xe2, 0x09, 0x12, 0xc3, 0xa9, 0x3c, 0x05,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x01, 0x1c, 0xff, 0x32, 0x19, 0x91, 0xe2,
+    0x09, 0x02, 0x2c, 0x13, 0x00, 0xff, 0x1b, 0x00, 0x00, 0x00, 0x3a, 0x1d, 0x18, 0x5e, 0x04, 0x02,
+    0x03, 0x00, 0x01, 0x06, 0x01, 0x03, 0xe9, 0x04, 0x01, 0x03, 0x00, 0x03, 0x01, 0x00, 0x04, 0x1c,
+    0xff, 0x01, 0x19, 0x99, 0xe2, 0x09, 0x0a, 0x64, 0x1c, 0x18, 0x00, 0x00, 0x00, 0x6e, 0x88, 0xb8,
+    0x84, 0x04, 0x03, 0x01, 0x00, 0x02, 0x1c, 0xf3, 0x0d, 0x19, 0x22, 0xf0, 0x9f, 0x98, 0x80, 0x3c,
+    0x05, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x00, 0x80,
+];
+
+#[test]
+fn a_log_the_parent_wrote_replays_to_the_same_rows() {
+    assert_eq!(FORMAT_VERSION, 2);
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("parent.wal");
+    std::fs::write(&path, PARENT_LOG).unwrap();
+    // What the parent read back from this database before it closed it.
+    let want = [
+        (
+            1,
+            vec![
+                Value::Id(3),
+                Value::Id(77),
+                Value::Text("a".into()),
+                Value::Timestamp(-5),
+                Value::Bool(true),
+                Value::Null,
+                Value::Null,
+            ],
+        ),
+        (
+            2,
+            vec![
+                Value::Id(3),
+                Value::Null,
+                Value::Text("\u{1F600}".into()),
+                Value::Timestamp(-4),
+                Value::Bool(false),
+                Value::Float(-0.0),
+                Value::Null,
+            ],
+        ),
+        (
+            4,
+            vec![
+                Value::Id(3),
+                Value::Id(20_003),
+                Value::Text("d".into()),
+                Value::Timestamp(-2),
+                Value::Bool(false),
+                Value::Null,
+                Value::Null,
+            ],
+        ),
+    ];
+    let check = |db: &Database| {
+        let t = db.table_id("chars").unwrap();
+        let got: Vec<(u64, Vec<Value>)> = (db.begin().scan(t, &Predicate::True).unwrap())
+            .into_iter()
+            .map(|(rid, row)| (rid.0, row.values()))
+            .collect();
+        assert_eq!(got, want);
+        let by_doc = db.begin().index_lookup(t, "chars_by_doc", &[Value::Id(3)]);
+        assert_eq!(by_doc.unwrap().len(), 3);
+    };
+    let db = Database::open(&path, single_file()).unwrap();
+    check(&db);
+    // The log was read, not rewritten; a checkpoint of what it holds
+    // opens to the same rows again.
+    assert_eq!(std::fs::read(&path).unwrap(), PARENT_LOG);
+    db.checkpoint().unwrap();
+    drop(db);
+    check(&Database::open(&path, single_file()).unwrap());
 }

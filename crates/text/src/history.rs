@@ -45,7 +45,8 @@ impl DocHandle {
                 break;
             };
             let op = OpId::from_row(rid);
-            let user = row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE);
+            let [user, ts, kind, target, undone] = row.cols([1, 2, 3, 4, 5]);
+            let user = UserId::from_value(user);
             let touched = txn
                 .index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])?
                 .len();
@@ -56,14 +57,10 @@ impl DocHandle {
                     .tdb
                     .user_name(user)
                     .unwrap_or_else(|_| format!("user#{}", user.0)),
-                ts: row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0),
-                kind: row
-                    .get(3)
-                    .and_then(|v| v.as_text())
-                    .unwrap_or_default()
-                    .to_owned(),
-                target: row.get(4).map(OpId::from_value).filter(|t| !t.is_none()),
-                undone: row.get(5).and_then(|v| v.as_bool()).unwrap_or(false),
+                ts: ts.as_timestamp().unwrap_or(0),
+                kind: kind.as_text().unwrap_or_default().to_owned(),
+                target: Some(OpId::from_value(target)).filter(|t| !t.is_none()),
+                undone: undone.as_bool().unwrap_or(false),
                 touched,
             });
             cursor = Some(key);

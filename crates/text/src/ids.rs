@@ -8,7 +8,7 @@
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use tendax_storage::{RowId, Value};
+use tendax_storage::{RowId, Value, ValueRef};
 
 macro_rules! id_type {
     ($(#[$doc:meta])* $name:ident) => {
@@ -47,9 +47,9 @@ macro_rules! id_type {
             }
 
             /// From a (possibly null) database value.
-            pub fn from_value(v: &Value) -> Self {
+            pub fn from_value(v: ValueRef<'_>) -> Self {
                 match v {
-                    Value::Id(x) => $name(*x),
+                    ValueRef::Id(x) => $name(x),
                     _ => $name::NONE,
                 }
             }
@@ -162,8 +162,8 @@ mod tests {
     fn none_roundtrips_through_nullable_value() {
         assert!(CharId::NONE.is_none());
         assert_eq!(CharId::NONE.opt_value(), Value::Null);
-        assert_eq!(CharId::from_value(&Value::Null), CharId::NONE);
-        assert_eq!(CharId::from_value(&Value::Id(5)), CharId(5));
+        assert_eq!(CharId::from_value(ValueRef::Null), CharId::NONE);
+        assert_eq!(CharId::from_value(ValueRef::Id(5)), CharId(5));
         assert_eq!(CharId(5).opt_value(), Value::Id(5));
     }
 

@@ -108,18 +108,15 @@ impl TextDb {
         let mut copied_in = 0usize;
         let mut external_in = 0usize;
         for (_, row) in &chars {
-            let deleted = row.get(7).and_then(|v| v.as_bool()).unwrap_or(false);
-            if !deleted {
+            let [author, deleted] = row.cols([4, 7]);
+            if !deleted.as_bool().unwrap_or(false) {
                 size += 1;
             }
-            authors.insert(
-                row.get(4).map(UserId::from_value).unwrap_or(UserId::NONE),
-                (),
-            );
-            if row.get(11).map(|v| !v.is_null()).unwrap_or(false) {
+            authors.insert(UserId::from_value(author), ());
+            if !row.is_null(11) {
                 copied_in += 1;
             }
-            if row.get(13).map(|v| !v.is_null()).unwrap_or(false) {
+            if !row.is_null(13) {
                 external_in += 1;
             }
         }
@@ -150,11 +147,12 @@ impl TextDb {
         let txn = self.database().begin();
         let mut latest: BTreeMap<DocId, i64> = BTreeMap::new();
         for (_, row) in txn.index_lookup(t.reads, "reads_by_user", &[user.value()])? {
-            let ts = row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0);
+            let [doc, ts] = row.cols([0, 2]);
+            let ts = ts.as_timestamp().unwrap_or(0);
             if ts < since {
                 continue;
             }
-            let doc = row.get(0).map(DocId::from_value).unwrap_or(DocId::NONE);
+            let doc = DocId::from_value(doc);
             let e = latest.entry(doc).or_insert(ts);
             *e = (*e).max(ts);
         }

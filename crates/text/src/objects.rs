@@ -5,8 +5,6 @@
 //! one transaction; deleting the anchor character hides the object, and
 //! undo brings both back (the anchor is an ordinary character).
 
-use tendax_storage::Value;
-
 use crate::document::DocHandle;
 use crate::error::Result;
 use crate::ids::{CharId, ObjectId, UserId};
@@ -105,11 +103,9 @@ impl DocHandle {
             )))?;
         Ok(row
             .get(4)
-            .and_then(|v| match v {
-                Value::Bytes(b) => Some(b.clone()),
-                _ => None,
-            })
-            .unwrap_or_default())
+            .and_then(|v| v.as_bytes())
+            .unwrap_or_default()
+            .to_vec())
     }
 }
 

@@ -121,29 +121,22 @@ pub(crate) fn load_rules(txn: &Transaction, t: &Tables, doc: DocId) -> Result<Ve
     let rows = txn.scan(t.acl, &Predicate::Eq("doc".into(), doc.value()))?;
     let mut rules = Vec::with_capacity(rows.len());
     for (_, row) in rows {
-        let kind = row.get(1).and_then(|v| v.as_text()).unwrap_or("user");
-        let pid = row.get(2).and_then(|v| v.as_id()).unwrap_or(0);
-        let principal = match kind {
+        let [kind, pid, perm, allow, from_char, to_char] = row.cols([1, 2, 3, 4, 5, 6]);
+        let pid = pid.as_id().unwrap_or(0);
+        let principal = match kind.as_text().unwrap_or("user") {
             "role" => Principal::Role(RoleId(pid)),
             "all" => Principal::All,
             _ => Principal::User(UserId(pid)),
         };
-        let Some(perm) = row
-            .get(3)
-            .and_then(|v| v.as_text())
-            .and_then(Permission::from_str)
-        else {
+        let Some(perm) = perm.as_text().and_then(Permission::from_str) else {
             continue; // unknown permission string: ignore defensively
         };
-        let allow = row.get(4).and_then(|v| v.as_bool()).unwrap_or(false);
-        let from_char = row.get(5).map(CharId::from_value).unwrap_or(CharId::NONE);
-        let to_char = row.get(6).map(CharId::from_value).unwrap_or(CharId::NONE);
         rules.push(AclRule {
             principal,
             perm,
-            allow,
-            from_char,
-            to_char,
+            allow: allow.as_bool().unwrap_or(false),
+            from_char: CharId::from_value(from_char),
+            to_char: CharId::from_value(to_char),
         });
     }
     Ok(rules)
@@ -240,7 +233,7 @@ impl crate::document::DocHandle {
         let rows = txn.scan(t.acl, &Predicate::Eq("doc".into(), self.doc.value()))?;
         for (rid, row) in rows {
             let same_kind = row.get(1).and_then(|v| v.as_text()) == Some(principal.kind_str());
-            let same_id = row.get(2) == Some(&principal.id_value());
+            let same_id = row.get(2) == Some(principal.id_value().view());
             let rule_from = row.get(5).map(CharId::from_value);
             let rule_to = row.get(6).map(CharId::from_value);
             if same_kind && same_id && rule_from == from && rule_to == to {

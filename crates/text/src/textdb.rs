@@ -241,20 +241,13 @@ impl TextDb {
         let row = txn
             .get(self.t.documents, doc.row())?
             .ok_or(TextError::UnknownDocumentId(doc))?;
+        let [name, creator, created_at, state] = row.cols([0, 1, 2, 3]);
         Ok(DocInfo {
             id: doc,
-            name: row
-                .get(0)
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .to_owned(),
-            creator: row.get(1).map(UserId::from_value).unwrap_or(UserId::NONE),
-            created_at: row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0),
-            state: row
-                .get(3)
-                .and_then(|v| v.as_text())
-                .unwrap_or_default()
-                .to_owned(),
+            name: name.as_text().unwrap_or_default().to_owned(),
+            creator: UserId::from_value(creator),
+            created_at: created_at.as_timestamp().unwrap_or(0),
+            state: state.as_text().unwrap_or_default().to_owned(),
         })
     }
 
@@ -358,7 +351,7 @@ impl TextDb {
         let rows = txn.scan(self.t.acl, &Predicate::Eq("doc".into(), doc.value()))?;
         for (rid, row) in rows {
             let same_kind = row.get(1).and_then(|v| v.as_text()) == Some(principal.kind_str());
-            let same_id = row.get(2) == Some(&principal.id_value());
+            let same_id = row.get(2) == Some(principal.id_value().view());
             let same_perm = row.get(3).and_then(|v| v.as_text()) == Some(perm.as_str());
             let doc_level = row.get(5).map(|v| v.is_null()).unwrap_or(true);
             if same_kind && same_id && same_perm && doc_level {

@@ -136,10 +136,12 @@ impl DocHandle {
             else {
                 return Ok(None);
             };
-            let kind = row.get(3).and_then(|v| v.as_text()).unwrap_or("");
-            let undone = row.get(5).and_then(|v| v.as_bool()).unwrap_or(false);
-            if pred(kind, undone) {
-                let target = row.get(4).map(OpId::from_value).filter(|t| !t.is_none());
+            let [kind, target, undone] = row.cols([3, 4, 5]);
+            if pred(
+                kind.as_text().unwrap_or(""),
+                undone.as_bool().unwrap_or(false),
+            ) {
+                let target = Some(OpId::from_value(target)).filter(|t| !t.is_none());
                 return Ok(Some((OpId::from_row(rid), target)));
             }
             cursor = Some(key);
@@ -151,16 +153,15 @@ impl DocHandle {
         let mut rows: Vec<EffectRow> = txn
             .index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])?
             .into_iter()
-            .map(|(_, row)| EffectRow {
-                seq: row.get(1).and_then(|v| v.as_int()).unwrap_or(0),
-                kind: row
-                    .get(2)
-                    .and_then(|v| v.as_text())
-                    .unwrap_or_default()
-                    .to_owned(),
-                char: row.get(3).map(CharId::from_value).unwrap_or(CharId::NONE),
-                old_val: row.get(4).and_then(|v| v.as_text()).map(str::to_owned),
-                new_val: row.get(5).and_then(|v| v.as_text()).map(str::to_owned),
+            .map(|(_, row)| {
+                let [seq, kind, char, old_val, new_val] = row.cols([1, 2, 3, 4, 5]);
+                EffectRow {
+                    seq: seq.as_int().unwrap_or(0),
+                    kind: kind.as_text().unwrap_or_default().to_owned(),
+                    char: CharId::from_value(char),
+                    old_val: old_val.as_text().map(str::to_owned),
+                    new_val: new_val.as_text().map(str::to_owned),
+                }
             })
             .collect();
         rows.sort_by_key(|r| r.seq);

@@ -55,10 +55,10 @@ impl TextDb {
         let mut head = CharId::NONE;
         for (rid, row) in &rows {
             let id = CharId::from_row(*rid);
-            let prev = row.get(1).map(CharId::from_value).unwrap_or(CharId::NONE);
-            let next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
-            let deleted = row.get(7).and_then(|v| v.as_bool()).unwrap_or(false);
-            let deleted_at = row.get(9).and_then(|v| v.as_timestamp());
+            let [prev, next, deleted, deleted_at] = row.cols([1, 2, 7, 9]);
+            let (prev, next) = (CharId::from_value(prev), CharId::from_value(next));
+            let deleted = deleted.as_bool().unwrap_or(false);
+            let deleted_at = deleted_at.as_timestamp();
             let purge = deleted && deleted_at.is_some_and(|ts| ts < before);
             if prev.is_none() {
                 head = id;

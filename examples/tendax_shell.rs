@@ -27,7 +27,7 @@
 //! lineage                     render the lineage graph
 //! mine                        render the document space
 //! who                         who is online
-//! du                          rows, versions and checkpoint bytes per table
+//! du                          rows, versions, checkpoint bytes and resident bytes per table
 //! help | quit
 //! ```
 
@@ -287,22 +287,34 @@ impl Shell {
                 .collect::<Vec<_>>()
                 .join("\n")),
             // Where the bytes go: what each table's live rows would cost
-            // in a checkpoint, by the encoder's own count.
+            // in a checkpoint, by the encoder's own count, and what all
+            // its versions cost in RAM, by the structures' own.
             "du" => {
                 let mut out = format!(
-                    "{:<18}{:>9}{:>10}{:>12}{:>11}",
-                    "table", "rows", "versions", "bytes", "bytes/row"
+                    "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes/descriptors)",
+                    "table", "rows", "versions", "bytes", "bytes/row", "resident"
                 );
                 let stats = self.tx.textdb().database().table_stats();
                 for t in stats.iter().filter(|t| t.versions > 0) {
                     let per_row = t.checkpoint_bytes as f64 / t.live_rows.max(1) as f64;
+                    let r = t.resident_bytes;
                     out.push_str(&format!(
-                        "\n{:<18}{:>9}{:>10}{:>12}{:>11.1}",
-                        t.name, t.live_rows, t.versions, t.checkpoint_bytes, per_row
+                        "\n{:<18}{:>9}{:>10}{:>12}{:>11.1}{:>12}  ({}/{}/{}/{})",
+                        t.name,
+                        t.live_rows,
+                        t.versions,
+                        t.checkpoint_bytes,
+                        per_row,
+                        r.total(),
+                        r.rows,
+                        r.chains,
+                        r.indexes,
+                        r.descriptors
                     ));
                 }
                 let total: u64 = stats.iter().map(|t| t.checkpoint_bytes).sum();
-                out.push_str(&format!("\n{:<18}{:>31}", "total", total));
+                let resident: u64 = stats.iter().map(|t| t.resident_bytes.total()).sum();
+                out.push_str(&format!("\n{:<18}{:>31}{:>23}", "total", total, resident));
                 Ok(out)
             }
             other => Err(format!("unknown command `{other}` (try help)")),

@@ -16,9 +16,9 @@ cargo test -q --workspace
 echo "==> crash-injection suite (checkpoint/maintenance + WAL recovery)"
 cargo test -q -p tendax-storage --test maintenance --test recovery_faults
 
-echo "==> on-disk format v2 (round-trip proptest, cut + bit-flip sweeps over frames and cold runs, v1 refusal, pinned sizes, streamed replay)"
-cargo test -q -p tendax-storage --test wal_format --test format_size --test replay_alloc
-cargo test -q -p tendax-storage --lib -- wal:: cold::run
+echo "==> on-disk format v2, on disk and in RAM (round-trip and packed-row proptests, cut + bit-flip sweeps over frames and cold runs, v1 refusal, a parent-written log, pinned disk and resident sizes, streamed replay)"
+cargo test -q -p tendax-storage --test wal_format --test format_size --test resident_size --test replay_alloc
+cargo test -q -p tendax-storage --lib -- wal:: cold::run row::
 
 echo "==> crash-simulation suite (SimVfs, seeds 0..32)"
 cargo test -q -p tendax-storage --test sim_crash
