@@ -15,18 +15,9 @@
 //!
 //! Reported per (shape, threads): total txns/s, per-thread txns/s, and
 //! the engine's own `commit_wait_ns` (time spent waiting to enter the
-//! pipeline) and `watermark_lag_max` counters.
-//!
-//! A second phase (experiment **A11**) re-runs the disjoint shape at
-//! `DurabilityLevel::Fsync` with group commit, once per WAL shard
-//! count in {1, 4}: with one log file every commit funnels through a
-//! single fsync queue; with four, disjoint tables route to different
-//! shard files whose flush leaders fsync in parallel. Reported per
-//! shard count: txns/s, the summed `flush_wait_ns` committers spent
-//! blocked on durability, the high-water mark of concurrent flush
-//! leaders (must exceed 1 only when sharded), and per-shard fsync
-//! counts. Not a criterion bench (thread orchestration and fresh
-//! databases per point), so a plain `main`:
+//! pipeline) and `watermark_lag_max` counters. Not a criterion bench
+//! (thread orchestration and fresh databases per point), so a plain
+//! `main`:
 //!
 //! ```text
 //! cargo bench -p tendax-bench --bench commit_scaling
@@ -172,79 +163,6 @@ fn run_point(shape: Shape, threads: usize, commits: u64) -> Point {
     }
 }
 
-/// One A11 point: the disjoint shape at `Fsync` + group commit under
-/// `shards` WAL shard files.
-struct WalPoint {
-    shards: usize,
-    threads: usize,
-    txns_per_s: f64,
-    /// Summed time committers spent blocked in `wait_durable`.
-    flush_wait_ms: f64,
-    /// Peak flush leaders concurrently in flight.
-    max_leaders: u64,
-    batches: u64,
-    /// Per-shard fsync counts (index = shard number).
-    fsyncs: Vec<u64>,
-}
-
-fn run_wal_point(shards: usize, threads: usize, commits: u64) -> WalPoint {
-    let path = tmp(&format!("wal-{shards}-{threads}.wal"));
-    let opts = Options {
-        durability: DurabilityLevel::Fsync,
-        group_commit: true,
-        wal_shards: shards,
-        ..Options::default()
-    };
-    let db = Database::open(&path, opts).expect("open");
-
-    let targets: Vec<(TableId, RowId)> = (0..threads)
-        .map(|k| {
-            let t = db.create_table(def(&format!("t{k}"))).expect("ddl");
-            let mut txn = db.begin();
-            let rid = txn.insert(t, Row::new(vec![Value::Int(0)])).expect("seed");
-            txn.commit().expect("seed commit");
-            (t, rid)
-        })
-        .collect();
-
-    let wait_before: u64 = db.wal_shard_stats().iter().map(|s| s.flush_wait_ns).sum();
-    let start = Arc::new(Barrier::new(threads + 1));
-    let handles: Vec<_> = targets
-        .into_iter()
-        .map(|(t, rid)| {
-            let db = db.clone();
-            let start = start.clone();
-            std::thread::spawn(move || {
-                start.wait();
-                for i in 1..=commits {
-                    let mut txn = db.begin();
-                    txn.set(t, rid, &[("seq", Value::Int(i as i64))])
-                        .expect("update");
-                    txn.commit().expect("commit");
-                }
-            })
-        })
-        .collect();
-    start.wait();
-    let t0 = Instant::now();
-    for h in handles {
-        h.join().unwrap();
-    }
-    let elapsed = t0.elapsed().as_secs_f64();
-    let shard_stats = db.wal_shard_stats();
-    WalPoint {
-        shards,
-        threads,
-        txns_per_s: (threads as u64 * commits) as f64 / elapsed,
-        flush_wait_ms: (shard_stats.iter().map(|s| s.flush_wait_ns).sum::<u64>() - wait_before)
-            as f64
-            / 1e6,
-        max_leaders: db.wal_max_concurrent_flush_leaders(),
-        batches: shard_stats.iter().map(|s| s.batches_flushed).sum(),
-        fsyncs: shard_stats.iter().map(|s| s.fsyncs).collect(),
-    }
-}
-
 fn main() {
     let cfg = parse_args();
 
@@ -276,34 +194,6 @@ fn main() {
         );
     }
 
-    // A11: durable disjoint commits, single-file vs sharded WAL. Eight
-    // writers over four shards: ~2 tables per shard, so every shard's
-    // leader has work and the concurrent-leader high-water mark can
-    // reach the shard count.
-    let wal_threads = 8;
-    let wal_commits = if cfg.quick { 40 } else { 300 };
-    let wal_points: Vec<WalPoint> = [1usize, 4]
-        .iter()
-        .map(|&s| run_wal_point(s, wal_threads, wal_commits))
-        .collect();
-
-    println!();
-    println!(
-        "{:<10} {:>7} {:>12} {:>15} {:>12} {:>20}",
-        "wal shards", "threads", "txns/s", "flush wait ms", "max leaders", "fsyncs per shard"
-    );
-    for p in &wal_points {
-        println!(
-            "{:<10} {:>7} {:>12.0} {:>15.1} {:>12} {:>20}",
-            p.shards,
-            p.threads,
-            p.txns_per_s,
-            p.flush_wait_ms,
-            p.max_leaders,
-            format!("{:?}", p.fsyncs)
-        );
-    }
-
     if let Some(path) = cfg.json_path {
         let mut fields: Vec<String> = vec![
             format!("\"commits_per_thread\":{}", cfg.commits_per_thread),
@@ -323,22 +213,6 @@ fn main() {
                 "\"{key}_watermark_lag_max\":{}",
                 p.watermark_lag_max
             ));
-        }
-        fields.push(format!("\"wal_threads\":{wal_threads}"));
-        fields.push(format!("\"wal_commits_per_thread\":{wal_commits}"));
-        for p in &wal_points {
-            let key = format!("wal{}", p.shards);
-            fields.push(format!("\"{key}_txns_per_s\":{:.0}", p.txns_per_s));
-            fields.push(format!("\"{key}_flush_wait_ms\":{:.1}", p.flush_wait_ms));
-            fields.push(format!("\"{key}_max_leaders\":{}", p.max_leaders));
-            fields.push(format!("\"{key}_batches\":{}", p.batches));
-            fields.push(format!(
-                "\"{key}_fsyncs_total\":{}",
-                p.fsyncs.iter().sum::<u64>()
-            ));
-            for (k, n) in p.fsyncs.iter().enumerate() {
-                fields.push(format!("\"{key}_fsyncs_shard{k}\":{n}"));
-            }
         }
         let line = format!("{{{}}}\n", fields.join(","));
         let mut f = std::fs::OpenOptions::new()

@@ -1,5 +1,7 @@
-//! Group-commit throughput: concurrent committers at `Fsync`, group
-//! commit versus flush-per-commit.
+//! Group-commit throughput: 1, 4 and 8 concurrent committers at
+//! `Fsync`. (The flush-per-commit arm this used to compare against went
+//! with the per-record WAL mode; its `base_*` numbers stay in
+//! `bench_results/commit_throughput.json` as history.)
 //!
 //! Not a criterion bench: each measurement needs its own database, its
 //! own thread pool, and wall-clock long enough to amortize thread
@@ -37,13 +39,12 @@ struct Outcome {
 
 /// `threads` committers, each committing `ops` single-row inserts with
 /// disjoint write-sets; returns aggregate throughput and batch shape.
-fn run(name: &str, group_commit: bool, threads: u64, ops: i64) -> Outcome {
+fn run(name: &str, threads: u64, ops: i64) -> Outcome {
     let path = tmp(name);
     let db = Database::open(
         &path,
         Options {
             durability: DurabilityLevel::Fsync,
-            group_commit,
             ..Options::default()
         },
     )
@@ -98,38 +99,23 @@ fn main() {
     let ops: i64 = if quick { 5 } else { 200 };
 
     println!(
-        "{:<28} {:>12} {:>12} {:>12} {:>10} {:>14}",
-        "config", "commits/s", "mean batch", "fsyncs saved", "speedup", "WAL B/commit"
+        "{:<20} {:>12} {:>12} {:>12} {:>14}",
+        "config", "commits/s", "mean batch", "fsyncs saved", "WAL B/commit"
     );
     let mut fields = vec![
         ("commits_per_thread".to_string(), JsonValue::U64(ops as u64)),
         ("quick".to_string(), JsonValue::Bool(quick)),
     ];
     for &threads in &[1u64, 4, 8] {
-        let base = run(&format!("base-{threads}.wal"), false, threads, ops);
-        let group = run(&format!("group-{threads}.wal"), true, threads, ops);
+        let group = run(&format!("group-{threads}.wal"), threads, ops);
         println!(
-            "{:<28} {:>12.0} {:>12.2} {:>12} {:>10} {:>14.1}",
-            format!("fsync/commit    x{threads}"),
-            base.ops_per_sec,
-            base.mean_batch,
-            base.fsyncs_saved,
-            "1.00x",
-            base.wal_bytes_per_commit
-        );
-        println!(
-            "{:<28} {:>12.0} {:>12.2} {:>12} {:>9.2}x {:>14.1}",
-            format!("group commit    x{threads}"),
+            "{:<20} {:>12.0} {:>12.2} {:>12} {:>14.1}",
+            format!("group commit x{threads}"),
             group.ops_per_sec,
             group.mean_batch,
             group.fsyncs_saved,
-            group.ops_per_sec / base.ops_per_sec,
             group.wal_bytes_per_commit
         );
-        fields.push((
-            format!("base_{threads}_commits_per_s"),
-            JsonValue::F64(base.ops_per_sec),
-        ));
         fields.push((
             format!("group_{threads}_commits_per_s"),
             JsonValue::F64(group.ops_per_sec),

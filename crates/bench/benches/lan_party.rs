@@ -19,10 +19,9 @@
 //! Pass `--test` for a small smoke run, `--seed N` to pick a schedule,
 //! and `--json <path>` to append one JSON line per mode (consumed by
 //! `scripts/bench_lanparty.sh` and `scripts/bench_compare.py`). Set
-//! `TENDAX_LANPARTY_DURABILITY=fsync` (with `TENDAX_WAL_SHARDS=N`) to
-//! run against a file-backed WAL and emit the A11 shard receipts
-//! (`wal_shard_count`, per-shard fsyncs, flush wait, peak concurrent
-//! flush leaders) in every line.
+//! `TENDAX_LANPARTY_DURABILITY=fsync` to run against a file-backed WAL
+//! and emit its flush receipts (fsyncs, batches, records, flush wait)
+//! in every line.
 
 use std::path::PathBuf;
 
@@ -106,13 +105,11 @@ fn print_report(r: &mut RunReport) {
     }
     if let Some(w) = &r.wal {
         println!(
-            "    wal: shards {} max_leaders {} fsyncs {:?} flush_wait {:.1}ms batches {} records {}",
-            w.shard_count,
-            w.max_concurrent_flush_leaders,
-            w.per_shard_fsyncs,
-            w.flush_wait_ms,
-            w.batches,
-            w.records
+            "    wal: fsyncs {} flush_wait {:.1}ms batches {} records {}",
+            w.fsyncs,
+            w.flush_wait_ns as f64 / 1e6,
+            w.batches_flushed,
+            w.records_flushed
         );
     }
 }
@@ -166,21 +163,13 @@ fn json_line(cfg: &Config, r: &mut RunReport) -> String {
         pairs.push(("peak_threads".into(), JsonValue::U64(t)));
     }
     if let Some(w) = &r.wal {
-        pairs.push((
-            "wal_shard_count".into(),
-            JsonValue::U64(w.shard_count as u64),
-        ));
-        pairs.push((
-            "wal_max_leaders".into(),
-            JsonValue::U64(w.max_concurrent_flush_leaders),
-        ));
         pairs.push(("wal_fsyncs".into(), JsonValue::U64(w.fsyncs)));
-        pairs.push(("wal_batches".into(), JsonValue::U64(w.batches)));
-        pairs.push(("wal_records".into(), JsonValue::U64(w.records)));
-        pairs.push(("wal_flush_wait_ms".into(), JsonValue::F64(w.flush_wait_ms)));
-        for (k, &n) in w.per_shard_fsyncs.iter().enumerate() {
-            pairs.push((format!("wal_fsyncs_shard{k}"), JsonValue::U64(n)));
-        }
+        pairs.push(("wal_batches".into(), JsonValue::U64(w.batches_flushed)));
+        pairs.push(("wal_records".into(), JsonValue::U64(w.records_flushed)));
+        pairs.push((
+            "wal_flush_wait_ms".into(),
+            JsonValue::F64(w.flush_wait_ns as f64 / 1e6),
+        ));
     }
     json_object(&pairs)
 }

@@ -36,6 +36,7 @@ use tendax_core::{
     SearchQuery, TaskSpec, Tendax, UserId,
 };
 use tendax_net::{ClientConfig, NetClient, NetConfig, NetServer};
+use tendax_storage::WalShardStats;
 
 use crate::stats::ClassRecorder;
 use crate::workload::text_of_words;
@@ -300,30 +301,6 @@ impl Schedule {
     }
 }
 
-/// WAL flush receipts of one run — the experiment A11 counters. Only
-/// present for durable fixtures (see [`build_fixture`]); the default
-/// in-memory fixture has no WAL.
-#[derive(Debug, Clone)]
-pub struct WalReceipt {
-    /// Shard files the WAL wrote to (1 = single-file layout).
-    pub shard_count: usize,
-    /// High-water mark of flush leaders concurrently in flight — the
-    /// "parallel fsync actually happened" receipt; at most 1 in the
-    /// single-file layout.
-    pub max_concurrent_flush_leaders: u64,
-    /// `sync_data` calls, summed over shards.
-    pub fsyncs: u64,
-    /// Group-commit batches flushed, summed over shards.
-    pub batches: u64,
-    /// WAL records covered by those batches.
-    pub records: u64,
-    /// Total time committers spent waiting for durability — the
-    /// fsync-queue wait the sharding exists to shrink.
-    pub flush_wait_ms: f64,
-    /// `fsyncs` broken out per shard (index = shard number).
-    pub per_shard_fsyncs: Vec<u64>,
-}
-
 /// What one driver run produced.
 #[derive(Debug)]
 pub struct RunReport {
@@ -347,8 +324,10 @@ pub struct RunReport {
     /// thread count observed during the run.
     pub net: Option<tendax_net::NetServerStats>,
     pub threads: Option<u64>,
-    /// Durable fixtures only: the WAL flush receipts.
-    pub wal: Option<WalReceipt>,
+    /// The WAL's flush counters at the end of the run. Only present for
+    /// durable fixtures (see [`build_fixture`]); the default in-memory
+    /// fixture has no WAL.
+    pub wal: Option<WalShardStats>,
 }
 
 impl RunReport {
@@ -370,9 +349,8 @@ struct Corpus {
 }
 
 /// `TENDAX_LANPARTY_DURABILITY=fsync|buffered|none` swaps the bench
-/// fixture from in-memory to a file-backed WAL at that durability level
-/// (shard count via `TENDAX_WAL_SHARDS`, picked up by
-/// `Options::default`), turning a run into a WAL-receipt generator.
+/// fixture from in-memory to a file-backed WAL at that durability level,
+/// turning a run into a WAL-receipt generator.
 fn durable_fixture_level() -> Option<DurabilityLevel> {
     match std::env::var("TENDAX_LANPARTY_DURABILITY")
         .ok()?
@@ -429,22 +407,9 @@ fn build_fixture(config: &WorkloadConfig) -> Corpus {
 
 /// Snapshot the corpus database's WAL counters (`None` for the
 /// in-memory fixture, which has no WAL).
-fn wal_receipt(corpus: &Corpus) -> Option<WalReceipt> {
+fn wal_receipt(corpus: &Corpus) -> Option<WalShardStats> {
     let db = corpus.tendax.textdb().database();
-    let shard_count = db.wal_shard_count();
-    if shard_count == 0 {
-        return None;
-    }
-    let shards = db.wal_shard_stats();
-    Some(WalReceipt {
-        shard_count,
-        max_concurrent_flush_leaders: db.wal_max_concurrent_flush_leaders(),
-        fsyncs: shards.iter().map(|s| s.fsyncs).sum(),
-        batches: shards.iter().map(|s| s.batches_flushed).sum(),
-        records: shards.iter().map(|s| s.records_flushed).sum(),
-        flush_wait_ms: shards.iter().map(|s| s.flush_wait_ns).sum::<u64>() as f64 / 1e6,
-        per_shard_fsyncs: shards.iter().map(|s| s.fsyncs).collect(),
-    })
+    db.wal_shard_stats().into_iter().next()
 }
 
 /// Hash every document's final text (fresh handles, so the database —

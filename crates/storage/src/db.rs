@@ -20,9 +20,8 @@ use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
 use crate::wal::codec::snapshot_batches;
 use crate::wal::{
-    discover_shards_on, encode_frame, recover_sharded_on, shard_path, DurabilityLevel, GroupWal,
-    ShardedWal, SnapshotVersion, WalFile, WalOp, WalRecord, WalShardStats, WalStats, WalTicket,
-    WalWrite,
+    encode_frame, DurabilityLevel, GroupWal, SnapshotVersion, WalFile, WalOp, WalRecord,
+    WalShardStats, WalTicket, WalWrite,
 };
 
 /// Database configuration.
@@ -30,10 +29,6 @@ use crate::wal::{
 pub struct Options {
     pub durability: DurabilityLevel,
     pub clock: ClockMode,
-    /// Batch concurrent commits into one WAL write + one fsync (group
-    /// commit). `false` flushes per record inside the commit section —
-    /// the pre-group-commit behaviour, kept for A/B measurement.
-    pub group_commit: bool,
     /// Run a background maintenance thread (auto-vacuum + auto-
     /// checkpoint). `None` (the default) spawns nothing and leaves the
     /// engine's behaviour exactly as without the subsystem.
@@ -43,50 +38,24 @@ pub struct Options {
     /// byte-identical to the pre-VFS engine; tests substitute
     /// [`crate::vfs::SimVfs`] to simulate crashes and injected faults.
     pub vfs: Arc<dyn Vfs>,
-    /// Number of WAL shard files. `1` (the default) is the single-file
-    /// WAL, byte-identical on disk and in behaviour to the pre-sharding
-    /// engine. `n > 1` partitions the log across `n` files (the base
-    /// path plus `.shard1`..`.shard<n-1>` siblings): commits over
-    /// disjoint tables land on different files and their group-commit
-    /// fsyncs run in parallel. An existing database whose on-disk
-    /// layout has a different shard count opens in that layout and
-    /// converges at the next checkpoint — re-shard on checkpoint, never
-    /// on open. The default reads `TENDAX_WAL_SHARDS` (clamped to
-    /// `1..=64`) so test/CI matrices can flip the layout without code
-    /// changes.
-    pub wal_shards: usize,
     /// Tiered cold storage. `None` (the default) keeps every version in
     /// RAM until vacuum drops it — byte-identical to the pre-cold
     /// engine. `Some` attaches bloom-filtered sorted-run files next to
     /// the WAL: vacuum and checkpoint *demote* versions below the
     /// snapshot horizon into runs instead of discarding them, bounding
     /// RAM residency while keeping all history readable via
-    /// [`Database::begin_at`]. Ignored by in-memory databases. The
-    /// default reads `TENDAX_COLD` (`1`/`true` enables the default
-    /// [`ColdOptions`]) so test/CI matrices can flip the tier without
-    /// code changes.
+    /// [`Database::begin_at`]. Ignored by in-memory databases.
     pub cold_storage: Option<ColdOptions>,
 }
 
 impl Default for Options {
     fn default() -> Self {
-        let wal_shards = std::env::var("TENDAX_WAL_SHARDS")
-            .ok()
-            .and_then(|s| s.trim().parse::<usize>().ok())
-            .map(|n| n.clamp(1, 64))
-            .unwrap_or(1);
-        let cold_storage = match std::env::var("TENDAX_COLD") {
-            Ok(v) if matches!(v.trim(), "1" | "true" | "on") => Some(ColdOptions::default()),
-            _ => None,
-        };
         Options {
             durability: DurabilityLevel::Buffered,
             clock: ClockMode::Logical,
-            group_commit: true,
             maintenance: None,
             vfs: os_vfs(),
-            wal_shards,
-            cold_storage,
+            cold_storage: None,
         }
     }
 }
@@ -111,10 +80,6 @@ pub struct Stats {
     pub wal_records_flushed: u64,
     /// At `Fsync`, syncs avoided versus one-fsync-per-commit.
     pub wal_fsyncs_saved: u64,
-    /// Shard files the active WAL writes to (1 = single-file layout,
-    /// 0 = in-memory database). Per-shard counters are in
-    /// [`Database::wal_shard_stats`].
-    pub wal_shard_count: usize,
     /// Visible rows examined by scans (matching + skipped).
     pub rows_scanned: u64,
     /// Scanned rows rejected by a pushed-down predicate (never
@@ -211,226 +176,6 @@ struct Counters {
     true_overlap_conflicts: AtomicU64,
 }
 
-/// The WAL implementation behind [`WalBackend`]: exactly one of the two
-/// coordinators. `Single` is the pre-sharding [`GroupWal`], used for
-/// every 1-file layout so `wal_shards = 1` stays byte-identical in
-/// behaviour and on disk; `Sharded` is the multi-file parallel-fsync
-/// coordinator (never constructed with fewer than two files).
-#[derive(Debug)]
-enum WalMode {
-    Single(GroupWal),
-    Sharded(ShardedWal),
-}
-
-/// A durability ticket tagged with the layout generation it was issued
-/// under. A re-shard checkpoint swaps the [`WalMode`] and bumps the
-/// generation; everything staged under an older generation was made
-/// durable by that checkpoint's snapshot rename, so a stale ticket
-/// acks immediately instead of being misread by the new coordinator
-/// (whose barrier sequence numbers restart at zero).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct BackendTicket {
-    gen: u64,
-    ticket: WalTicket,
-}
-
-/// The database's WAL: a [`WalMode`] behind a mode lock, plus the shard
-/// count the layout should converge to. Commits and DDL take the mode
-/// lock shared; only a re-shard checkpoint (layout transition) takes it
-/// exclusively, under the exclusive commit latch, so the swap observes
-/// a fully quiesced pipeline.
-#[derive(Debug)]
-struct WalBackend {
-    mode: RwLock<(u64, WalMode)>,
-    /// Shard count from [`Options::wal_shards`]; applied at the next
-    /// checkpoint if the on-disk layout differs.
-    target_shards: usize,
-    group_commit: bool,
-    durability: DurabilityLevel,
-    vfs: Arc<dyn Vfs>,
-    base: PathBuf,
-}
-
-impl WalBackend {
-    fn enqueue(&self, rec: &WalRecord) -> Result<BackendTicket> {
-        let guard = self.mode.read();
-        let ticket = match &guard.1 {
-            WalMode::Single(w) => w.enqueue(rec)?,
-            WalMode::Sharded(w) => w.enqueue(rec)?,
-        };
-        Ok(BackendTicket {
-            gen: guard.0,
-            ticket,
-        })
-    }
-
-    fn stage_commit(&self, ts: Ts, rec: &WalRecord, route: u64) -> Result<BackendTicket> {
-        let guard = self.mode.read();
-        let ticket = match &guard.1 {
-            WalMode::Single(w) => w.stage_commit(ts, rec)?,
-            WalMode::Sharded(w) => w.stage_commit(ts, rec, route)?,
-        };
-        Ok(BackendTicket {
-            gen: guard.0,
-            ticket,
-        })
-    }
-
-    fn skip_commit(&self, ts: Ts) {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => w.skip_commit(ts),
-            WalMode::Sharded(w) => w.skip_commit(ts),
-        }
-    }
-
-    fn wait_durable(&self, ticket: BackendTicket) -> Result<()> {
-        let guard = self.mode.read();
-        if guard.0 != ticket.gen {
-            // Issued under a layout that a re-shard checkpoint has since
-            // replaced: the snapshot rename made it durable.
-            return Ok(());
-        }
-        match &guard.1 {
-            WalMode::Single(w) => w.wait_durable(ticket.ticket),
-            WalMode::Sharded(w) => w.wait_durable(ticket.ticket),
-        }
-    }
-
-    fn stats(&self) -> WalStats {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => w.stats(),
-            WalMode::Sharded(w) => w.stats(),
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match &self.mode.read().1 {
-            WalMode::Single(_) => 1,
-            WalMode::Sharded(w) => w.shard_count(),
-        }
-    }
-
-    fn shard_stats(&self) -> Vec<WalShardStats> {
-        match &self.mode.read().1 {
-            // The single-file WAL keeps aggregate counters only; shape
-            // them as the one shard they describe (at `Fsync` every
-            // batch is exactly one sync).
-            WalMode::Single(w) => {
-                let s = w.stats();
-                vec![WalShardStats {
-                    shard: 0,
-                    batches_flushed: s.batches_flushed,
-                    records_flushed: s.records_flushed,
-                    fsyncs: if w.durability() == DurabilityLevel::Fsync {
-                        s.batches_flushed
-                    } else {
-                        0
-                    },
-                    bytes_flushed: 0,
-                    flush_wait_ns: w.flush_wait_ns(),
-                }]
-            }
-            WalMode::Sharded(w) => w.shard_stats(),
-        }
-    }
-
-    fn max_concurrent_leaders(&self) -> u64 {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => (w.stats().batches_flushed > 0) as u64,
-            WalMode::Sharded(w) => w.max_concurrent_leaders(),
-        }
-    }
-
-    fn size(&self) -> (u64, u64) {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => w.size(),
-            WalMode::Sharded(w) => w.size(),
-        }
-    }
-
-    fn begin_rewrite(&self) -> Result<()> {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => w.begin_rewrite(),
-            WalMode::Sharded(w) => w.begin_rewrite(),
-        }
-    }
-
-    fn finish_rewrite(&self, records: &[WalRecord]) -> Result<()> {
-        match &self.mode.read().1 {
-            WalMode::Single(w) => w.finish_rewrite(records),
-            WalMode::Sharded(w) => w.finish_rewrite(records),
-        }
-    }
-
-    /// Whether the next checkpoint must be a layout transition.
-    fn needs_reshard(&self) -> bool {
-        self.shard_count() != self.target_shards
-    }
-
-    /// Re-shard checkpoint: checkpoint in the **old** layout first (one
-    /// atomic tmp+rename commit point, siblings emptied), then converge
-    /// the file set to `target_shards` and swap coordinators. Must be
-    /// called with the commit pipeline quiesced (exclusive commit
-    /// latch); `watermark` is the commit watermark the snapshot
-    /// captures.
-    ///
-    /// Crash ordering: growing creates siblings ascending *after* the
-    /// snapshot rename — a crash between leaves the old layout with a
-    /// valid snapshot. Shrinking removes the highest-numbered sibling
-    /// first — discovery stops at the first missing sibling, so a
-    /// partial removal still presents a contiguous (empty) tail.
-    fn reshard(&self, records: &[WalRecord], watermark: Ts) -> Result<()> {
-        let mut guard = self.mode.write();
-        match &guard.1 {
-            WalMode::Single(w) => w.checkpoint(records)?,
-            WalMode::Sharded(w) => w.checkpoint(records)?,
-        }
-        let old_n = match &guard.1 {
-            WalMode::Single(_) => 1,
-            WalMode::Sharded(w) => w.shard_count(),
-        };
-        let new_n = self.target_shards;
-        let dir = self
-            .base
-            .parent()
-            .filter(|p| !p.as_os_str().is_empty())
-            .map(Path::to_path_buf)
-            .unwrap_or_else(|| PathBuf::from("."));
-        if new_n > old_n {
-            for k in old_n..new_n {
-                drop(WalFile::open_on(
-                    self.vfs.clone(),
-                    shard_path(&self.base, k),
-                    self.durability,
-                )?);
-            }
-            self.vfs.sync_dir(&dir)?;
-        } else {
-            for k in (new_n..old_n).rev() {
-                self.vfs.remove(&shard_path(&self.base, k))?;
-            }
-            self.vfs.sync_dir(&dir)?;
-        }
-        let files: Result<Vec<WalFile>> = (0..new_n)
-            .map(|k| WalFile::open_on(self.vfs.clone(), shard_path(&self.base, k), self.durability))
-            .collect();
-        let files = files?;
-        guard.1 = if new_n == 1 {
-            let file = files.into_iter().next().expect("new_n == 1");
-            WalMode::Single(GroupWal::new(
-                file,
-                self.durability,
-                self.group_commit,
-                watermark,
-            ))
-        } else {
-            WalMode::Sharded(ShardedWal::new(files, self.durability, watermark))
-        };
-        guard.0 += 1;
-        Ok(())
-    }
-}
-
 #[derive(Debug)]
 pub(crate) struct DbInner {
     catalog: RwLock<Catalog>,
@@ -451,7 +196,7 @@ pub(crate) struct DbInner {
     /// quiescing the pipeline.
     commit_latch: CommitLatch,
     /// Set once at open for durable databases; never set for in-memory.
-    wal: OnceLock<WalBackend>,
+    wal: OnceLock<GroupWal>,
     /// Serializes whole checkpoints (manual + maintenance). Taken
     /// *before* the exclusive commit latch so a checkpoint never waits
     /// out another checkpoint's swap-phase I/O while holding the latch
@@ -525,86 +270,26 @@ impl Database {
 
     /// Open (or create) a durable database whose WAL lives at `path`.
     /// Replays the log, recovering all committed state.
-    ///
-    /// The shard layout is discovered from disk, not taken from
-    /// [`Options::wal_shards`]: an existing database always opens in
-    /// the layout it crashed in (sibling files carry live frames) and
-    /// converges to the requested shard count at the next checkpoint.
-    /// Only a brand-new database is created in the target layout
-    /// directly.
     pub fn open(path: impl AsRef<Path>, options: Options) -> Result<Database> {
         let path = path.as_ref().to_path_buf();
         let db = Self::empty(Some(path.clone()), options.clock);
-        let target = options.wal_shards.max(1);
-        let on_disk = discover_shards_on(&*options.vfs, &path);
-        let fresh = !options.vfs.exists(&path);
-        let mode = if on_disk > 1 {
-            // Sharded layout on disk: merge-replay the global contiguous
-            // commit prefix and repair every file's tail.
-            let rec = recover_sharded_on(&*options.vfs, &path, on_disk)?;
-            db.apply_log(rec.records)?;
-            // Aborted timestamps are elided from the replayed records
-            // but still consumed durable slots; the sequencer must
-            // start past them or it would re-allocate a timestamp that
-            // already has a frame in the log.
-            db.inner.sequencer.observe(rec.last_ts);
-            let files: Result<Vec<WalFile>> = (0..on_disk)
-                .map(|k| {
-                    WalFile::open_on(
-                        options.vfs.clone(),
-                        shard_path(&path, k),
-                        options.durability,
-                    )
-                })
-                .collect();
-            WalMode::Sharded(ShardedWal::new(files?, options.durability, rec.last_ts))
-        } else if fresh && target > 1 {
-            // Brand new database with a sharded target: create the full
-            // layout up front (nothing to replay, nothing to converge).
-            let files: Result<Vec<WalFile>> = (0..target)
-                .map(|k| {
-                    WalFile::open_on(
-                        options.vfs.clone(),
-                        shard_path(&path, k),
-                        options.durability,
-                    )
-                })
-                .collect();
-            WalMode::Sharded(ShardedWal::new(files?, options.durability, 0))
-        } else {
-            // Streamed: each frame is decoded, applied and dropped
-            // before the next one is read.
-            let valid_len = {
-                let mut catalog = db.inner.catalog.write();
-                let mut tables = db.inner.tables.write();
-                WalFile::replay_on(&*options.vfs, &path, |rec, _| {
-                    db.apply_record(&mut catalog, &mut tables, rec)
-                })?
-            };
-            // Repair a torn tail before appending: anything past the last
-            // valid frame is a crashed partial write.
-            WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
-            let wal = WalFile::open_on(options.vfs.clone(), &path, options.durability)?;
-            // The WAL's drain cursor starts at the recovered watermark so
-            // the first post-restart commit (watermark + 1) drains first.
-            WalMode::Single(GroupWal::new(
-                wal,
-                options.durability,
-                options.group_commit,
-                db.last_commit_ts(),
-            ))
+        // Streamed: each frame is decoded, applied and dropped before
+        // the next one is read.
+        let valid_len = {
+            let mut catalog = db.inner.catalog.write();
+            let mut tables = db.inner.tables.write();
+            WalFile::replay_on(&*options.vfs, &path, |rec, _| {
+                db.apply_record(&mut catalog, &mut tables, rec)
+            })?
         };
-        db.inner
-            .wal
-            .set(WalBackend {
-                mode: RwLock::new((0, mode)),
-                target_shards: target,
-                group_commit: options.group_commit,
-                durability: options.durability,
-                vfs: options.vfs.clone(),
-                base: path.clone(),
-            })
-            .expect("wal set once at open");
+        // Repair a torn tail before appending: anything past the last
+        // valid frame is a crashed partial write.
+        WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
+        let file = WalFile::open_on(options.vfs.clone(), &path, options.durability)?;
+        // The WAL's drain cursor starts at the recovered watermark so
+        // the first post-restart commit (watermark + 1) drains first.
+        let wal = GroupWal::new(file, options.durability, db.last_commit_ts());
+        db.inner.wal.set(wal).expect("wal set once at open");
         if let Some(copts) = options.cold_storage {
             let cold = ColdStore::open(options.vfs.clone(), &path, copts)?;
             // `begin_at` below the lineage retention floor must keep
@@ -619,15 +304,6 @@ impl Database {
             db.start_maintenance(m);
         }
         Ok(db)
-    }
-
-    fn apply_log(&self, records: Vec<WalRecord>) -> Result<()> {
-        let mut catalog = self.inner.catalog.write();
-        let mut tables = self.inner.tables.write();
-        for rec in records {
-            self.apply_record(&mut catalog, &mut tables, rec)?;
-        }
-        Ok(())
     }
 
     fn apply_record(
@@ -730,19 +406,6 @@ impl Database {
                         .read()
                         .observe_row_id(RowId(next_row_id.saturating_sub(1)));
                 }
-            }
-            // A timestamp that was allocated, durably marked, but
-            // never committed (sharded WAL only): nothing to apply,
-            // but the sequencer must not hand the slot out again.
-            WalRecord::AbortMarker { commit_ts } => {
-                self.inner.sequencer.observe(commit_ts);
-            }
-            // Single-file replay of a log written by (or descended
-            // from) the sharded WAL — e.g. after a 4→1 re-shard
-            // checkpoint: unwrap and apply the inner record. Merged
-            // sharded recovery unwraps these itself.
-            WalRecord::Barrier { inner, .. } => {
-                self.apply_record(catalog, tables, *inner)?;
             }
         }
         Ok(())
@@ -880,7 +543,7 @@ impl Database {
     /// visible to every later snapshot and cannot be retracted. What is
     /// left is the wait for its log record to reach the disk
     /// ([`Database::wal_wait`] on the ticket), which needs no lock.
-    pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<BackendTicket>)> {
+    pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<WalTicket>)> {
         let writes = std::mem::take(&mut txn.writes);
         let created = std::mem::take(&mut txn.created);
         if writes.values().all(BTreeMap::is_empty) {
@@ -1025,12 +688,9 @@ impl Database {
             commit_ts,
             writes: wal_writes,
         };
-        // Shard routing key: the lowest table id this commit touches.
-        // Commits over disjoint tables thus land on different WAL shard
-        // files and their fsyncs overlap; commits sharing their lowest
-        // table serialize on one file, preserving that file's ts order.
-        let route = writes.keys().next().expect("non-empty writes").0 as u64;
-        let ticket = self.wal_stage(commit_ts, &rec, route)?;
+        let ticket = (self.inner.wal.get())
+            .map(|wal| wal.stage_commit(commit_ts, &rec))
+            .transpose()?;
 
         for ((tid, _), guard) in handles.iter().zip(guards.iter_mut()) {
             let ws = writes
@@ -1090,33 +750,13 @@ impl Database {
     /// Stage a non-commit record with the group-commit coordinator
     /// (no-op for an in-memory database). Caller must hold the commit
     /// latch in exclusive mode.
-    fn wal_enqueue(&self, rec: &WalRecord) -> Result<Option<BackendTicket>> {
-        match self.inner.wal.get() {
-            Some(wal) => Ok(Some(wal.enqueue(rec)?)),
-            None => Ok(None),
-        }
-    }
-
-    /// Stage a commit record under its timestamp (no-op for an
-    /// in-memory database). Called while holding the written tables'
-    /// locks; the WAL drains frames in timestamp order on its own.
-    /// `route` — the lowest table id the commit touches — picks the
-    /// shard file in a sharded layout; the single-file WAL ignores it.
-    fn wal_stage(
-        &self,
-        commit_ts: Ts,
-        rec: &WalRecord,
-        route: u64,
-    ) -> Result<Option<BackendTicket>> {
-        match self.inner.wal.get() {
-            Some(wal) => Ok(Some(wal.stage_commit(commit_ts, rec, route)?)),
-            None => Ok(None),
-        }
+    fn wal_enqueue(&self, rec: &WalRecord) -> Result<Option<WalTicket>> {
+        self.inner.wal.get().map(|w| w.enqueue(rec)).transpose()
     }
 
     /// Block until the staged record is durable at the configured level.
     /// Must be called with no locks held.
-    pub(crate) fn wal_wait(&self, ticket: Option<BackendTicket>) -> Result<()> {
+    pub(crate) fn wal_wait(&self, ticket: Option<WalTicket>) -> Result<()> {
         match (self.inner.wal.get(), ticket) {
             (Some(wal), Some(t)) => wal.wait_durable(t),
             _ => Ok(()),
@@ -1349,32 +989,6 @@ impl Database {
         // under the latch must still be what gets demoted after it.
         let cold = self.inner.cold.get();
         let _demote = cold.map(ColdStore::exclusive);
-        if wal.needs_reshard() {
-            // Layout transition (`Options::wal_shards` differs from the
-            // on-disk shard count): stop-the-world under the exclusive
-            // latch — checkpoint in the old layout, converge the file
-            // set, swap coordinators. Rare (once per re-configuration),
-            // so the lost copy/swap overlap doesn't matter.
-            let _quiesce = self.inner.commit_latch.exclusive();
-            let watermark = self.inner.sequencer.watermark();
-            let batch = match cold {
-                Some(cold) => self.collect_cold_history(cold, watermark),
-                None => Vec::new(),
-            };
-            let records = match cold {
-                Some(cold)
-                    if self
-                        .note_cold_error(cold.demote(batch.clone(), watermark))
-                        .is_some() =>
-                {
-                    self.snapshot_records_with(&[])
-                }
-                // Demotion failed (or no cold tier): history rides in
-                // the rewritten WAL instead.
-                _ => self.snapshot_records_with(&batch),
-            };
-            return wal.reshard(&records, watermark);
-        }
         // ---------------------------------------------------- copy phase
         let (hot, batch, watermark) = {
             let _quiesce = self.inner.commit_latch.exclusive();
@@ -1384,7 +998,7 @@ impl Database {
                 Some(cold) => self.collect_cold_history(cold, watermark),
                 None => Vec::new(),
             };
-            (self.snapshot_records_with(&[]), batch, watermark)
+            (self.snapshot_records(), batch, watermark)
         };
         // ---------------------------------------------------- swap phase
         // Demote off-latch (commits flow during the run write). On
@@ -1425,14 +1039,6 @@ impl Database {
                 .collect_demotable(watermark, already_cold, &mut batch);
         }
         batch
-    }
-
-    /// [`Database::snapshot_records`] plus `history` spliced in as
-    /// [`WalRecord::SnapshotRows`] — the cold-demotion-failed fallback,
-    /// where discarded-from-WAL history must ride in the rewritten log
-    /// instead of a cold run.
-    fn snapshot_records_with(&self, history: &[(TableId, RowId, Ts, WalOp)]) -> Vec<WalRecord> {
-        splice_history(self.snapshot_records(), history)
     }
 
     /// Every piece of durable state at the current watermark: the
@@ -1489,43 +1095,24 @@ impl Database {
     }
 
     /// `(bytes, records)` written to the WAL since open or the last
-    /// checkpoint, summed across all shard files; `(0, 0)` for
-    /// in-memory databases.
+    /// checkpoint; `(0, 0)` for in-memory databases.
     pub fn wal_size(&self) -> (u64, u64) {
-        self.inner.wal.get().map(WalBackend::size).unwrap_or((0, 0))
+        self.inner.wal.get().map(GroupWal::size).unwrap_or((0, 0))
     }
 
-    /// Shard files the active WAL writes to (1 = single-file layout,
-    /// 0 = in-memory database).
-    pub fn wal_shard_count(&self) -> usize {
-        self.inner
-            .wal
-            .get()
-            .map(WalBackend::shard_count)
-            .unwrap_or(0)
-    }
-
-    /// Per-shard WAL flush counters (batches, records, fsyncs, bytes,
-    /// and the time committers routed to the shard spent waiting for
-    /// durability). Empty for in-memory databases; a single entry in
-    /// the single-file layout.
+    /// The WAL's flush counters (batches, records, fsyncs, bytes, and
+    /// the time committers spent waiting for durability): one entry for
+    /// a durable database, none for an in-memory one. There is one log
+    /// and one counter set; the name and the `Vec` survive only because
+    /// `benchmark/` reads them, until ROADMAP item 7's metrics registry
+    /// replaces this accessor.
     pub fn wal_shard_stats(&self) -> Vec<WalShardStats> {
         self.inner
             .wal
             .get()
-            .map(WalBackend::shard_stats)
-            .unwrap_or_default()
-    }
-
-    /// High-water mark of WAL flush leaders concurrently in flight —
-    /// the "parallel fsync actually happened" receipt. At most 1 in the
-    /// single-file layout.
-    pub fn wal_max_concurrent_flush_leaders(&self) -> u64 {
-        self.inner
-            .wal
-            .get()
-            .map(WalBackend::max_concurrent_leaders)
-            .unwrap_or(0)
+            .map(GroupWal::stats)
+            .into_iter()
+            .collect()
     }
 
     /// Estimated versions a vacuum could reclaim right now: stored
@@ -1562,7 +1149,7 @@ impl Database {
             .inner
             .wal
             .get()
-            .map(WalBackend::stats)
+            .map(GroupWal::stats)
             .unwrap_or_default();
         let cold = self
             .inner
@@ -1580,13 +1167,11 @@ impl Database {
             last_commit_ts: self.last_commit_ts(),
             wal_batches_flushed: wal.batches_flushed,
             wal_records_flushed: wal.records_flushed,
-            wal_fsyncs_saved: wal.fsyncs_saved,
-            wal_shard_count: self
-                .inner
-                .wal
-                .get()
-                .map(WalBackend::shard_count)
-                .unwrap_or(0),
+            // One fsync per record would have issued `records_flushed`.
+            wal_fsyncs_saved: match wal.fsyncs {
+                0 => 0,
+                n => wal.records_flushed.saturating_sub(n),
+            },
             rows_scanned: self.inner.counters.rows_scanned.load(Ordering::Relaxed),
             rows_skipped_by_predicate: self.inner.counters.rows_skipped.load(Ordering::Relaxed),
             point_gets: self.inner.counters.point_gets.load(Ordering::Relaxed),

@@ -52,6 +52,13 @@ pub enum StorageError {
     /// A log or cold run written in another on-disk format version.
     /// Nothing was decoded, truncated or repaired; there is no migration.
     UnsupportedFormat { found: u32, expected: u32 },
+    /// The log has a `.shard1` sibling: the database was left in the
+    /// multi-file layout of the sharded log this build no longer has.
+    /// Nothing was decoded, truncated or repaired. The last build that
+    /// reads the layout converts it: open it there asking for one shard
+    /// and checkpoint twice (the first converges the files, the second
+    /// rewrites the barrier-wrapped frames the first one wrote).
+    ShardedLayout { sibling: String },
     /// A WAL flush failed after the transaction's versions were already
     /// published; the log is poisoned and the database rejects further
     /// writes. The committed-in-memory state may not be durable.
@@ -113,6 +120,10 @@ impl fmt::Display for StorageError {
             StorageError::UnsupportedFormat { found, expected } => write!(
                 f,
                 "on-disk format v{found} is not readable by this build (v{expected}); no migration"
+            ),
+            StorageError::ShardedLayout { sibling } => write!(
+                f,
+                "`{sibling}` exists: the log is in the sharded layout, which this build does not read"
             ),
             StorageError::WalUnavailable(msg) => {
                 write!(f, "WAL unavailable (flush failed, log poisoned): {msg}")

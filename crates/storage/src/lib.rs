@@ -73,4 +73,4 @@ pub use table::{ResidentBytes, Ts, WriteDescriptor, TS_LATEST};
 pub use txn::{Durability, Transaction, TxnId};
 pub use value::{DataType, Value, ValueRef};
 pub use vfs::{os_vfs, OsVfs, SimVfs, Vfs, VfsFile};
-pub use wal::{shard_path, DurabilityLevel, WalShardStats, WalStats};
+pub use wal::{DurabilityLevel, WalShardStats};

@@ -21,7 +21,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 
 use crate::cold::ColdStore;
-use crate::db::{BackendTicket, Database};
+use crate::db::Database;
 use crate::error::{Result, StorageError};
 use crate::index::{IndexKey, IndexStore};
 use crate::query::Predicate;
@@ -29,7 +29,7 @@ use crate::row::{Row, RowId, SharedRow};
 use crate::schema::TableId;
 use crate::table::{TableStore, Ts, Version, VersionOp, WriteDescriptor};
 use crate::value::Value;
-use crate::wal::WalOp;
+use crate::wal::{WalOp, WalTicket};
 
 /// Transaction identifier (unique per database instance lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -90,7 +90,7 @@ enum TxnState {
 #[derive(Debug)]
 #[must_use = "the commit is not durable until this has been waited for"]
 pub struct Durability {
-    ticket: Option<(Database, BackendTicket)>,
+    ticket: Option<(Database, WalTicket)>,
 }
 
 impl Durability {

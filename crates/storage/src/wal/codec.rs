@@ -30,8 +30,10 @@ const TAG_DROP_TABLE: u8 = 3;
 const TAG_COMMIT: u8 = 4;
 const TAG_SNAPSHOT_ROWS: u8 = 5;
 const TAG_WATERMARK: u8 = 6;
-const TAG_ABORT: u8 = 7;
-const TAG_BARRIER: u8 = 8;
+// Tags 7 and 8 were the sharded log's abort marker and barrier. They are
+// retired, not free: a frame carrying one is refused, never reassigned.
+// (A log checkpointed from four shards to one by the last build that had
+// them is one file of barriers until that build checkpoints it again.)
 const TAG_FORMAT: u8 = 9;
 
 // Row header: two bits per column, column `i` in bits `2*(i%4)` of
@@ -118,15 +120,6 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
             put_varint(b, u64::from(table.0));
             put_varint(b, *next_row_id);
         }
-        WalRecord::AbortMarker { commit_ts } => {
-            b.push(TAG_ABORT);
-            put_varint(b, *commit_ts);
-        }
-        WalRecord::Barrier { barrier_ts, inner } => {
-            b.push(TAG_BARRIER);
-            put_varint(b, *barrier_ts);
-            put_record(b, inner);
-        }
     }
 }
 
@@ -135,22 +128,14 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
 /// knows where the frame starts, fills the offset in.
 pub fn decode_record(mut data: &[u8]) -> Result<WalRecord> {
     let buf = &mut data;
-    let rec = get_record(buf, 0)?;
+    let rec = get_record(buf)?;
     if !buf.is_empty() {
         return Err(corrupt(format!("{} trailing bytes", buf.len())));
     }
     Ok(rec)
 }
 
-/// Nesting bound for [`WalRecord::Barrier`]. The engine writes barriers
-/// one level deep; the bound keeps a corrupt length-bombed log from
-/// recursing the decoder off the stack.
-const MAX_RECORD_DEPTH: u8 = 4;
-
-fn get_record(buf: &mut &[u8], depth: u8) -> Result<WalRecord> {
-    if depth > MAX_RECORD_DEPTH {
-        return Err(corrupt("record nesting too deep".into()));
-    }
+fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
     let rec = match get_u8(buf)? {
         TAG_FORMAT => WalRecord::Format {
             version: get_varint32(buf)?,
@@ -201,13 +186,11 @@ fn get_record(buf: &mut &[u8], depth: u8) -> Result<WalRecord> {
             table: TableId(get_varint32(buf)?),
             next_row_id: get_varint(buf)?,
         },
-        TAG_ABORT => WalRecord::AbortMarker {
-            commit_ts: get_varint(buf)?,
-        },
-        TAG_BARRIER => WalRecord::Barrier {
-            barrier_ts: get_varint(buf)?,
-            inner: Box::new(get_record(buf, depth + 1)?),
-        },
+        t @ (7 | 8) => {
+            return Err(corrupt(format!(
+                "record tag {t} (sharded log, removed) is not readable"
+            )))
+        }
         t => return Err(corrupt(format!("unknown record tag {t}"))),
     };
     Ok(rec)
@@ -845,27 +828,10 @@ mod tests {
     }
 
     #[test]
-    fn roundtrip_watermark_and_abort_marker() {
+    fn roundtrip_watermark() {
         roundtrip(WalRecord::Watermark {
             table: TableId(3),
             next_row_id: 1_000_001,
-        });
-        roundtrip(WalRecord::AbortMarker { commit_ts: 321 });
-    }
-
-    #[test]
-    fn roundtrip_barrier() {
-        roundtrip(WalRecord::Barrier {
-            barrier_ts: 55,
-            inner: Box::new(WalRecord::DropTable { id: TableId(2) }),
-        });
-        let def = TableDef::new("docs").column("id", DataType::Id);
-        roundtrip(WalRecord::Barrier {
-            barrier_ts: 0,
-            inner: Box::new(WalRecord::CreateTable {
-                id: TableId(1),
-                def,
-            }),
         });
     }
 
@@ -910,22 +876,6 @@ mod tests {
         assert_eq!(row.packed(), spelled);
         assert_eq!(row.get(0), Some(ValueRef::Id(9)));
         assert_eq!(WalOp::Put(row), put_row(vec![Value::Id(9)]));
-    }
-
-    #[test]
-    fn decode_rejects_overdeep_barrier_nesting() {
-        let mut rec = WalRecord::AbortMarker { commit_ts: 1 };
-        for _ in 0..16 {
-            rec = WalRecord::Barrier {
-                barrier_ts: 1,
-                inner: Box::new(rec),
-            };
-        }
-        let bytes = encode_record(&rec);
-        assert!(matches!(
-            decode_record(&bytes),
-            Err(StorageError::WalCorrupt { .. })
-        ));
     }
 
     #[test]

@@ -54,16 +54,23 @@ pub enum WalTicket {
     Commit(Ts),
 }
 
-/// Flush-side observability counters (surfaced through `Database::stats`).
+/// The log's flush counters (surfaced through `Database::stats` and
+/// `Database::wal_shard_stats`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct WalStats {
+pub struct WalShardStats {
     /// Batches written by flush leaders (including single-record ones).
     pub batches_flushed: u64,
     /// Records covered by those batches.
     pub records_flushed: u64,
-    /// At `Fsync`, syncs avoided versus one-fsync-per-commit: the sum of
-    /// `batch_size - 1` over all batches.
-    pub fsyncs_saved: u64,
+    /// `sync_data` calls issued for those batches (one per batch at
+    /// `Fsync`, else 0).
+    pub fsyncs: u64,
+    /// Bytes those batches appended to the file.
+    pub bytes_flushed: u64,
+    /// Total time committers spent inside [`GroupWal::wait_durable`]
+    /// for commit tickets (the fsync-queue wait; not counted at
+    /// `DurabilityLevel::None`, where the wait is a buffer drain).
+    pub flush_wait_ns: u64,
 }
 
 /// At [`DurabilityLevel::None`] there is no durability wait to piggyback
@@ -77,8 +84,7 @@ struct GroupState {
     buf: Vec<u8>,
     /// Records in `buf`.
     pending: u64,
-    /// Sequence number of the newest record added to `buf` (or written
-    /// inline in non-group mode).
+    /// Sequence number of the newest record added to `buf`.
     enqueued: u64,
     /// All records with sequence <= this are on disk at the configured
     /// durability level.
@@ -87,11 +93,8 @@ struct GroupState {
     /// timestamp to stage too. `None` marks an aborted timestamp the
     /// drain cursor must step over.
     staged: BTreeMap<Ts, Option<Vec<u8>>>,
-    /// Non-group mode: drained commit frames awaiting their own
-    /// one-record-per-flush write (the per-commit-flush baseline).
-    inline: Vec<(Ts, Vec<u8>)>,
     /// Every commit timestamp <= this has left `staged`: its frame is in
-    /// `buf`/`inline`/the file, or it was skipped. The file receives
+    /// `buf` or the file, or it was skipped. The file receives
     /// commit frames exactly in this cursor's order.
     drained_ts: Ts,
     /// Every commit timestamp <= this is on disk at the configured
@@ -114,15 +117,11 @@ pub struct GroupWal {
     cv: Condvar,
     file: Mutex<WalFile>,
     durability: DurabilityLevel,
-    /// `false` = flush-per-record baseline (no batching), for A/B
-    /// measurement via `Options::group_commit`.
-    group: bool,
+    /// [`WalShardStats`], field for field.
     batches_flushed: AtomicU64,
     records_flushed: AtomicU64,
-    fsyncs_saved: AtomicU64,
-    /// Total time committers spent inside [`GroupWal::wait_durable`]
-    /// for commit tickets (the fsync-queue wait; not counted at
-    /// `DurabilityLevel::None`, where the wait is a buffer drain).
+    fsyncs: AtomicU64,
+    bytes_flushed: AtomicU64,
     flush_wait_ns: AtomicU64,
 }
 
@@ -130,7 +129,7 @@ impl GroupWal {
     /// `base_ts` is the newest commit timestamp already in the file
     /// (the recovered `last_commit_ts`; 0 for a fresh log): the drain
     /// cursor starts there so the first staged commit is `base_ts + 1`.
-    pub fn new(file: WalFile, durability: DurabilityLevel, group: bool, base_ts: Ts) -> GroupWal {
+    pub fn new(file: WalFile, durability: DurabilityLevel, base_ts: Ts) -> GroupWal {
         GroupWal {
             state: Mutex::new(GroupState {
                 drained_ts: base_ts,
@@ -140,91 +139,47 @@ impl GroupWal {
             cv: Condvar::new(),
             file: Mutex::new(file),
             durability,
-            group,
             batches_flushed: AtomicU64::new(0),
             records_flushed: AtomicU64::new(0),
-            fsyncs_saved: AtomicU64::new(0),
+            fsyncs: AtomicU64::new(0),
+            bytes_flushed: AtomicU64::new(0),
             flush_wait_ns: AtomicU64::new(0),
         }
     }
 
-    pub fn durability(&self) -> DurabilityLevel {
-        self.durability
-    }
-
-    pub fn stats(&self) -> WalStats {
-        WalStats {
+    pub fn stats(&self) -> WalShardStats {
+        WalShardStats {
             batches_flushed: self.batches_flushed.load(Ordering::Relaxed),
             records_flushed: self.records_flushed.load(Ordering::Relaxed),
-            fsyncs_saved: self.fsyncs_saved.load(Ordering::Relaxed),
+            fsyncs: self.fsyncs.load(Ordering::Relaxed),
+            bytes_flushed: self.bytes_flushed.load(Ordering::Relaxed),
+            flush_wait_ns: self.flush_wait_ns.load(Ordering::Relaxed),
         }
+    }
+
+    /// Append one batch to the file at the log's durability level and,
+    /// when that succeeds, count it: the one place a flush is issued and
+    /// the one place the counters move.
+    fn append_counted(&self, buf: &[u8], records: u64) -> Result<()> {
+        self.file
+            .lock()
+            .append_batch(buf, records, self.durability)?;
+        self.batches_flushed.fetch_add(1, Ordering::Relaxed);
+        self.records_flushed.fetch_add(records, Ordering::Relaxed);
+        self.bytes_flushed
+            .fetch_add(buf.len() as u64, Ordering::Relaxed);
+        if self.durability == DurabilityLevel::Fsync {
+            self.fsyncs.fetch_add(1, Ordering::Relaxed);
+        }
+        Ok(())
     }
 
     /// Stage a non-commit record (DDL, recovery snapshots). Must be
     /// called with the commit pipeline quiesced (exclusive commit
     /// latch), so the frame lands at a well-defined point between
     /// commit frames.
-    ///
-    /// In non-group mode this instead writes and syncs the record
-    /// immediately (the per-record-flush baseline).
     pub fn enqueue(&self, rec: &WalRecord) -> Result<WalTicket> {
         let frame = encode_frame(rec);
-        if !self.group {
-            let mut st = self.state.lock();
-            Self::check_poison(&st)?;
-            // Inline writes go straight to the file; during a checkpoint
-            // rewrite that file is about to be replaced, so acking a write
-            // to it would lose the record at the rename. Wait out the swap,
-            // and wait out any inline flush leader so our write cannot
-            // interleave with frames it already took off the queue.
-            while st.rewriting || st.leader_active {
-                self.cv.wait(&mut st);
-                Self::check_poison(&st)?;
-            }
-            // Drained commit frames still parked in the inline queue carry
-            // timestamps that precede this record (the caller quiesced the
-            // pipeline, so every in-flight commit has staged and drained —
-            // its committer just hasn't reached wait_durable yet). They
-            // must hit the file first: a DDL frame written ahead of an
-            // earlier commit would make replay see e.g. a DropTable before
-            // a commit touching that table, failing recovery.
-            let inline = std::mem::take(&mut st.inline);
-            let hi_ts = st.drained_ts;
-            st.enqueued += 1;
-            let seq = st.enqueued;
-            st.leader_active = true;
-            drop(st);
-            let mut res = Ok(());
-            let mut written = 0u64;
-            {
-                let mut file = self.file.lock();
-                for (_, f) in &inline {
-                    res = file.append_batch(f, 1, self.durability);
-                    if res.is_err() {
-                        break;
-                    }
-                    written += 1;
-                }
-                if res.is_ok() {
-                    res = file.append_batch(&frame, 1, self.durability);
-                }
-            }
-            let mut st = self.state.lock();
-            st.leader_active = false;
-            self.batches_flushed.fetch_add(written, Ordering::Relaxed);
-            self.records_flushed.fetch_add(written, Ordering::Relaxed);
-            return match res {
-                Ok(()) => {
-                    st.durable = st.durable.max(seq);
-                    st.durable_ts = st.durable_ts.max(hi_ts);
-                    self.batches_flushed.fetch_add(1, Ordering::Relaxed);
-                    self.records_flushed.fetch_add(1, Ordering::Relaxed);
-                    self.cv.notify_all();
-                    Ok(WalTicket::Seq(seq))
-                }
-                Err(e) => Err(self.poison_with(&mut st, e)),
-            };
-        }
         let mut st = self.state.lock();
         Self::check_poison(&st)?;
         st.buf.extend_from_slice(&frame);
@@ -268,23 +223,18 @@ impl GroupWal {
     }
 
     /// Move the contiguous prefix of staged frames into the batch
-    /// buffer (group mode) or the inline queue (baseline mode), in
-    /// commit-timestamp order. Wakes waiters whenever the cursor moves:
-    /// a parked committer may now be flushable, or a parked leader may
-    /// now cover more records.
+    /// buffer, in commit-timestamp order. Wakes waiters whenever the
+    /// cursor moves: a parked committer may now be flushable, or a
+    /// parked leader may now cover more records.
     fn drain_staged(&self, st: &mut GroupState) {
         let mut advanced = false;
         loop {
             let next = st.drained_ts + 1;
             match st.staged.remove(&next) {
                 Some(Some(frame)) => {
-                    if self.group {
-                        st.buf.extend_from_slice(&frame);
-                        st.pending += 1;
-                        st.enqueued += 1;
-                    } else {
-                        st.inline.push((next, frame));
-                    }
+                    st.buf.extend_from_slice(&frame);
+                    st.pending += 1;
+                    st.enqueued += 1;
                     st.drained_ts = next;
                     advanced = true;
                 }
@@ -308,11 +258,7 @@ impl GroupWal {
             WalTicket::Seq(seq) => self.wait_seq(seq),
             WalTicket::Commit(ts) => {
                 let started = std::time::Instant::now();
-                let res = if self.group {
-                    self.wait_commit_group(ts)
-                } else {
-                    self.wait_commit_inline(ts)
-                };
+                let res = self.wait_commit(ts);
                 if self.durability != DurabilityLevel::None {
                     self.flush_wait_ns
                         .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
@@ -322,18 +268,7 @@ impl GroupWal {
         }
     }
 
-    /// Total nanoseconds commit tickets spent in
-    /// [`GroupWal::wait_durable`] — the same definition as the sharded
-    /// log's per-shard `flush_wait_ns`, so the A11 single-file vs
-    /// sharded comparison measures one quantity.
-    pub fn flush_wait_ns(&self) -> u64 {
-        self.flush_wait_ns.load(Ordering::Relaxed)
-    }
-
     fn wait_seq(&self, seq: u64) -> Result<()> {
-        if !self.group {
-            return Ok(()); // already flushed inline by enqueue
-        }
         if self.durability == DurabilityLevel::None {
             return self.opportunistic_drain();
         }
@@ -355,7 +290,7 @@ impl GroupWal {
         }
     }
 
-    fn wait_commit_group(&self, ts: Ts) -> Result<()> {
+    fn wait_commit(&self, ts: Ts) -> Result<()> {
         if self.durability == DurabilityLevel::None {
             return self.opportunistic_drain();
         }
@@ -373,25 +308,6 @@ impl GroupWal {
                 continue;
             }
             st = self.flush_batch(st)?;
-        }
-    }
-
-    /// Baseline mode: every drained commit frame gets its own
-    /// write+sync, preserving the one-flush-per-record accounting the
-    /// A/B comparison depends on — but still strictly in timestamp
-    /// order via the inline queue.
-    fn wait_commit_inline(&self, ts: Ts) -> Result<()> {
-        let mut st = self.state.lock();
-        loop {
-            Self::check_poison(&st)?;
-            if st.durable_ts >= ts {
-                return Ok(());
-            }
-            if st.leader_active || st.rewriting || st.inline.is_empty() {
-                self.cv.wait(&mut st);
-                continue;
-            }
-            st = self.flush_inline(st)?;
         }
     }
 
@@ -421,57 +337,12 @@ impl GroupWal {
         // durable.
         let hi_ts = st.drained_ts;
         drop(st);
-        let res = self
-            .file
-            .lock()
-            .append_batch(&buf, records, self.durability);
+        let res = self.append_counted(&buf, records);
         let mut st = self.state.lock();
         st.leader_active = false;
         match res {
             Ok(()) => {
                 st.durable = st.durable.max(hi);
-                st.durable_ts = st.durable_ts.max(hi_ts);
-                self.batches_flushed.fetch_add(1, Ordering::Relaxed);
-                self.records_flushed.fetch_add(records, Ordering::Relaxed);
-                if self.durability == DurabilityLevel::Fsync {
-                    self.fsyncs_saved
-                        .fetch_add(records.saturating_sub(1), Ordering::Relaxed);
-                }
-                self.cv.notify_all();
-                Ok(st)
-            }
-            Err(e) => Err(self.poison_with(&mut st, e)),
-        }
-    }
-
-    /// Baseline-mode leader: write each drained frame as its own batch
-    /// (own write, own sync) in timestamp order.
-    fn flush_inline<'a>(
-        &'a self,
-        mut st: parking_lot::MutexGuard<'a, GroupState>,
-    ) -> Result<parking_lot::MutexGuard<'a, GroupState>> {
-        st.leader_active = true;
-        let frames = std::mem::take(&mut st.inline);
-        let hi_ts = st.drained_ts;
-        drop(st);
-        let mut res = Ok(());
-        let mut written = 0u64;
-        {
-            let mut file = self.file.lock();
-            for (_, frame) in &frames {
-                res = file.append_batch(frame, 1, self.durability);
-                if res.is_err() {
-                    break;
-                }
-                written += 1;
-            }
-        }
-        let mut st = self.state.lock();
-        st.leader_active = false;
-        self.batches_flushed.fetch_add(written, Ordering::Relaxed);
-        self.records_flushed.fetch_add(written, Ordering::Relaxed);
-        match res {
-            Ok(()) => {
                 st.durable_ts = st.durable_ts.max(hi_ts);
                 self.cv.notify_all();
                 Ok(st)
@@ -488,9 +359,8 @@ impl GroupWal {
     /// here. Quiesces any in-flight flush leader (a leader finishing
     /// *after* the swap would append pre-snapshot frames to the new
     /// file, duplicating records) and marks the log as rewriting, which
-    /// parks flushes and inline writes until
-    /// [`GroupWal::finish_rewrite`]. Staging in group mode stays free:
-    /// the commit critical section never stalls on a checkpoint.
+    /// parks flushes until [`GroupWal::finish_rewrite`]. Staging stays
+    /// free: the commit critical section never stalls on a checkpoint.
     ///
     /// Every `begin_rewrite` that returns `Ok` **must** be paired with a
     /// `finish_rewrite`, or the log wedges with `rewriting` set.
@@ -515,14 +385,13 @@ impl GroupWal {
         );
         st.buf.clear();
         st.pending = 0;
-        st.inline.clear();
         Ok(())
     }
 
     /// Checkpoint swap phase: rewrite the file to `records` atomically,
     /// then splice everything committed during the rewrite (it piled up
-    /// in the batch buffer / inline queue) onto the new log's tail and
-    /// release waiters. Called with **no** database locks held — the
+    /// in the batch buffer) onto the new log's tail and release
+    /// waiters. Called with **no** database locks held — the
     /// rewrite I/O is the expensive part and runs entirely off the
     /// commit path. Commits that happened mid-rewrite have timestamps
     /// after the snapshot's `Meta`, so replay order stays consistent:
@@ -543,67 +412,25 @@ impl GroupWal {
         // flush leader can interleave with this append.
         let buf = std::mem::take(&mut st.buf);
         let tail_records = std::mem::take(&mut st.pending);
-        let inline = std::mem::take(&mut st.inline);
         let hi = st.enqueued;
         let hi_ts = st.drained_ts;
         drop(st);
-        let mut splice = if buf.is_empty() {
+        let splice = if buf.is_empty() {
             Ok(())
         } else {
-            self.file
-                .lock()
-                .append_batch(&buf, tail_records, self.durability)
+            self.append_counted(&buf, tail_records)
         };
-        let mut inline_written = 0u64;
-        if splice.is_ok() && !inline.is_empty() {
-            let mut file = self.file.lock();
-            for (_, frame) in &inline {
-                splice = file.append_batch(frame, 1, self.durability);
-                if splice.is_err() {
-                    break;
-                }
-                inline_written += 1;
-            }
-        }
         let mut st = self.state.lock();
         st.rewriting = false;
         match splice {
             Ok(()) => {
                 st.durable = st.durable.max(hi);
                 st.durable_ts = st.durable_ts.max(hi_ts);
-                if tail_records > 0 {
-                    self.batches_flushed.fetch_add(1, Ordering::Relaxed);
-                    self.records_flushed
-                        .fetch_add(tail_records, Ordering::Relaxed);
-                    if self.durability == DurabilityLevel::Fsync {
-                        self.fsyncs_saved
-                            .fetch_add(tail_records.saturating_sub(1), Ordering::Relaxed);
-                    }
-                }
-                self.batches_flushed
-                    .fetch_add(inline_written, Ordering::Relaxed);
-                self.records_flushed
-                    .fetch_add(inline_written, Ordering::Relaxed);
                 self.cv.notify_all();
                 Ok(())
             }
             Err(e) => Err(self.poison_with(&mut st, e)),
         }
-    }
-
-    /// Replace the log contents with a checkpoint snapshot: the copy and
-    /// swap phases back to back. Must be called with the commit pipeline
-    /// quiesced across the whole call (the stop-the-world variant; the
-    /// database itself uses the split form to keep the quiesce short).
-    pub fn checkpoint(&self, records: &[WalRecord]) -> Result<()> {
-        self.begin_rewrite()?;
-        self.finish_rewrite(records)
-    }
-
-    /// Number of records appended to the underlying file since open
-    /// (not counting frames still in the batch buffer).
-    pub fn records_written(&self) -> u64 {
-        self.file.lock().records_written()
     }
 
     /// `(bytes, records)` written to the underlying file since it was
@@ -640,7 +467,6 @@ impl Drop for GroupWal {
     /// commits mid-flight). Errors are ignored: there is no caller left
     /// to surface them to, and `None` promises nothing anyway.
     fn drop(&mut self) {
-        let group = self.group;
         let st = self.state.get_mut();
         if st.poison.is_some() {
             return;
@@ -652,12 +478,8 @@ impl Drop for GroupWal {
             let next = st.drained_ts + 1;
             match st.staged.remove(&next) {
                 Some(Some(frame)) => {
-                    if group {
-                        st.buf.extend_from_slice(&frame);
-                        st.pending += 1;
-                    } else {
-                        st.inline.push((next, frame));
-                    }
+                    st.buf.extend_from_slice(&frame);
+                    st.pending += 1;
                     st.drained_ts = next;
                 }
                 Some(None) => st.drained_ts = next,
@@ -671,9 +493,6 @@ impl Drop for GroupWal {
                 .file
                 .get_mut()
                 .append_batch(&buf, records, self.durability);
-        }
-        for (_, frame) in std::mem::take(&mut st.inline) {
-            let _ = self.file.get_mut().append_batch(&frame, 1, self.durability);
         }
     }
 }
@@ -705,48 +524,29 @@ mod tests {
         }
     }
 
-    fn open_group(path: &PathBuf, durability: DurabilityLevel, group: bool) -> GroupWal {
-        GroupWal::new(
-            WalFile::open(path, durability).unwrap(),
-            durability,
-            group,
-            0,
-        )
+    fn open_group(path: &PathBuf, durability: DurabilityLevel) -> GroupWal {
+        GroupWal::new(WalFile::open(path, durability).unwrap(), durability, 0)
     }
 
     #[test]
     fn single_record_is_flushed_and_replayable() {
         let path = tmpfile("single.wal");
         {
-            let wal = open_group(&path, DurabilityLevel::Fsync, true);
+            let wal = open_group(&path, DurabilityLevel::Fsync);
             let t = wal.enqueue(&meta(7)).unwrap();
             wal.wait_durable(t).unwrap();
             let s = wal.stats();
             assert_eq!(s.batches_flushed, 1);
             assert_eq!(s.records_flushed, 1);
-            assert_eq!(s.fsyncs_saved, 0);
+            assert_eq!(s.fsyncs, 1);
         }
         assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(7)]);
     }
 
     #[test]
-    fn baseline_mode_flushes_inline_per_record() {
-        let path = tmpfile("baseline.wal");
-        let wal = open_group(&path, DurabilityLevel::Fsync, false);
-        for i in 1..=3 {
-            let t = wal.enqueue(&meta(i)).unwrap();
-            wal.wait_durable(t).unwrap();
-        }
-        let s = wal.stats();
-        assert_eq!(s.batches_flushed, 3);
-        assert_eq!(s.records_flushed, 3);
-        assert_eq!(s.fsyncs_saved, 0);
-    }
-
-    #[test]
     fn records_staged_before_wait_ride_one_batch() {
         let path = tmpfile("one-batch.wal");
-        let wal = open_group(&path, DurabilityLevel::Fsync, true);
+        let wal = open_group(&path, DurabilityLevel::Fsync);
         let tickets: Vec<WalTicket> = (1..=5).map(|i| wal.enqueue(&meta(i)).unwrap()).collect();
         for t in tickets {
             wal.wait_durable(t).unwrap();
@@ -757,14 +557,19 @@ mod tests {
             s.batches_flushed, 1,
             "pre-staged records must share a flush"
         );
-        assert_eq!(s.fsyncs_saved, 4);
+        assert_eq!(s.fsyncs, 1);
+        assert_eq!(
+            s.bytes_flushed,
+            wal.size().0 - 10,
+            "all but the format frame"
+        );
         assert_eq!(WalFile::replay(&path).unwrap().len(), 5);
     }
 
     #[test]
     fn concurrent_waiters_all_observe_durability() {
         let path = tmpfile("concurrent.wal");
-        let wal = Arc::new(open_group(&path, DurabilityLevel::Fsync, true));
+        let wal = Arc::new(open_group(&path, DurabilityLevel::Fsync));
         let mut handles = Vec::new();
         for i in 0..8u64 {
             let wal = wal.clone();
@@ -786,10 +591,11 @@ mod tests {
     #[test]
     fn checkpoint_replaces_pending_and_advances_horizon() {
         let path = tmpfile("ckpt.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered, true);
+        let wal = open_group(&path, DurabilityLevel::Buffered);
         // Staged but never waited on: the checkpoint snapshot supersedes it.
         let staged = wal.enqueue(&meta(1)).unwrap();
-        wal.checkpoint(&[meta(42)]).unwrap();
+        wal.begin_rewrite().unwrap();
+        wal.finish_rewrite(&[meta(42)]).unwrap();
         // The pre-checkpoint ticket is durable by inclusion in the snapshot.
         wal.wait_durable(staged).unwrap();
         drop(wal);
@@ -799,7 +605,7 @@ mod tests {
     #[test]
     fn none_level_waits_return_immediately() {
         let path = tmpfile("none.wal");
-        let wal = open_group(&path, DurabilityLevel::None, true);
+        let wal = open_group(&path, DurabilityLevel::None);
         let t = wal.enqueue(&meta(1)).unwrap();
         wal.wait_durable(t).unwrap(); // must not block or flush
         assert_eq!(wal.stats().batches_flushed, 0);
@@ -810,7 +616,7 @@ mod tests {
     #[test]
     fn out_of_order_staging_hits_the_file_in_ts_order() {
         let path = tmpfile("ooo.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered, true);
+        let wal = open_group(&path, DurabilityLevel::Buffered);
         // Stage commit ts 2 *before* ts 1 — arrival order inverted.
         let t2 = wal.stage_commit(2, &meta(2)).unwrap();
         let t1 = wal.stage_commit(1, &meta(1)).unwrap();
@@ -824,7 +630,7 @@ mod tests {
     #[test]
     fn skip_steps_cursor_over_aborted_ts() {
         let path = tmpfile("skip.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered, true);
+        let wal = open_group(&path, DurabilityLevel::Buffered);
         // ts 2 stages; ts 1 aborts after allocation. Without the skip,
         // ts 2's frame (and its waiter) would be stuck forever.
         let t2 = wal.stage_commit(2, &meta(2)).unwrap();
@@ -835,29 +641,9 @@ mod tests {
     }
 
     #[test]
-    fn baseline_mode_orders_and_flushes_per_record() {
-        let path = tmpfile("baseline-ooo.wal");
-        let wal = open_group(&path, DurabilityLevel::Fsync, false);
-        let t3 = wal.stage_commit(3, &meta(3)).unwrap();
-        let t1 = wal.stage_commit(1, &meta(1)).unwrap();
-        let t2 = wal.stage_commit(2, &meta(2)).unwrap();
-        for t in [t1, t2, t3] {
-            wal.wait_durable(t).unwrap();
-        }
-        let s = wal.stats();
-        assert_eq!(s.batches_flushed, 3, "baseline never batches");
-        assert_eq!(s.records_flushed, 3);
-        drop(wal);
-        assert_eq!(
-            WalFile::replay(&path).unwrap(),
-            vec![meta(1), meta(2), meta(3)]
-        );
-    }
-
-    #[test]
     fn concurrent_staggered_stages_preserve_ts_order() {
         let path = tmpfile("staggered.wal");
-        let wal = Arc::new(open_group(&path, DurabilityLevel::Buffered, true));
+        let wal = Arc::new(open_group(&path, DurabilityLevel::Buffered));
         let mut handles = Vec::new();
         for ts in 1..=16u64 {
             let wal = wal.clone();
@@ -877,35 +663,11 @@ mod tests {
         assert_eq!(replayed, expected);
     }
 
-    /// Regression: in non-group mode, `enqueue` used to write DDL frames
-    /// straight to the file while earlier-timestamped commit frames were
-    /// still parked in the inline queue (their committers had drained but
-    /// not yet reached `wait_durable`). Replay then saw the DDL record
-    /// *before* commits that logically precede it — a DropTable ahead of
-    /// a commit touching that table fails recovery with UnknownTableId.
-    #[test]
-    fn nongroup_enqueue_flushes_pending_inline_frames_first() {
-        let path = tmpfile("ddl-order.wal");
-        let wal = open_group(&path, DurabilityLevel::Fsync, false);
-        // Stage + drain a commit, but don't wait_durable yet: its frame
-        // sits in the inline queue, exactly the window between a committer
-        // dropping the shared latch and parking on durability.
-        let t1 = wal.stage_commit(1, &meta(1)).unwrap();
-        // A DDL record enqueued in that window (exclusive latch held by
-        // the caller) must land *after* the pending commit frame.
-        let ddl = wal.enqueue(&meta(99)).unwrap();
-        wal.wait_durable(ddl).unwrap();
-        // The commit became durable as a side effect of the DDL flush.
-        wal.wait_durable(t1).unwrap();
-        drop(wal);
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1), meta(99)]);
-    }
-
     #[test]
     fn drop_writes_only_the_contiguous_staged_prefix() {
         let path = tmpfile("drop-prefix.wal");
         {
-            let wal = open_group(&path, DurabilityLevel::None, true);
+            let wal = open_group(&path, DurabilityLevel::None);
             let _ = wal.stage_commit(1, &meta(1)).unwrap();
             // ts 2 never stages; ts 3 is parked behind the hole.
             let _ = wal.stage_commit(3, &meta(3)).unwrap();

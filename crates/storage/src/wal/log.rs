@@ -178,7 +178,7 @@ impl WalFile {
         Ok(records)
     }
 
-    /// Check the log's format frame, then hand `apply` every intact
+    /// Check the log's layout and format frame, then hand `apply` every intact
     /// record (the format frame included) with the byte offset its frame
     /// ends at — one at a time, so recovery never holds more than one
     /// frame decoded. Returns the offset of the end of the last intact
@@ -191,6 +191,7 @@ impl WalFile {
         path: &Path,
         mut apply: impl FnMut(WalRecord, u64) -> Result<()>,
     ) -> Result<u64> {
+        check_layout(vfs, path)?;
         if !vfs.exists(path) {
             return Ok(0);
         }
@@ -252,10 +253,29 @@ fn format_frame() -> Vec<u8> {
     })
 }
 
+/// What the sharded log (removed; DESIGN.md §5.12) appended to the base
+/// path to name its second file. Every sharded layout had one.
+const SHARD_SIBLING_SUFFIX: &str = ".shard1";
+
+/// The log must be one file. With a sibling beside it the base file holds
+/// only part of the commit stream, so replaying it alone would silently
+/// drop acknowledged commits.
+fn check_layout(vfs: &dyn Vfs, path: &Path) -> Result<()> {
+    let mut sibling = path.as_os_str().to_os_string();
+    sibling.push(SHARD_SIBLING_SUFFIX);
+    let sibling = PathBuf::from(sibling);
+    if vfs.exists(&sibling) {
+        return Err(StorageError::ShardedLayout {
+            sibling: sibling.display().to_string(),
+        });
+    }
+    Ok(())
+}
+
 /// The log must be empty — or torn inside its first frame, before
 /// anything in it was durable — or start with this build's format
 /// frame. An intact first frame that is anything else is a v1 log (those
-/// start with a `Meta`, `CreateTable`, `Commit` or `Barrier` frame).
+/// start with a `Meta`, `CreateTable` or `Commit` frame).
 fn check_format(data: &[u8]) -> Result<()> {
     let found = match WalIter::new(data).next_frame() {
         None => return Ok(()),

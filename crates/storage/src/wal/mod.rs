@@ -11,14 +11,10 @@
 pub mod codec;
 mod group;
 mod log;
-mod shard;
 
-pub use group::{GroupWal, WalStats, WalTicket};
+pub use group::{GroupWal, WalShardStats, WalTicket};
 pub(crate) use log::encode_frame;
 pub use log::{WalFile, WalIter};
-pub use shard::{
-    discover_shards_on, recover_sharded_on, shard_path, ShardRecovery, ShardedWal, WalShardStats,
-};
 
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
@@ -109,24 +105,4 @@ pub enum WalRecord {
     /// Row-id allocator watermark for a table, written at checkpoint time
     /// so compacted-away (deleted) rows can never have their ids reused.
     Watermark { table: TableId, next_row_id: u64 },
-    /// A commit timestamp that was allocated but never committed
-    /// (validation failure, panic before publish). Only the sharded WAL
-    /// writes these: its recovery replays the global contiguous ts
-    /// prefix across files, so a silent hole would truncate recovery at
-    /// the aborted ts forever. The marker makes the hole explicit —
-    /// replay advances past it applying nothing. The single-file WAL
-    /// keeps its markerless skip (file order carries no holes).
-    AbortMarker { commit_ts: Ts },
-    /// A non-commit record ordered against commits by timestamp: the
-    /// sharded WAL wraps DDL and checkpoint-snapshot records in a
-    /// barrier carrying the commit watermark they were written under
-    /// (every commit ts ≤ `barrier_ts` is already durably staged, every
-    /// commit ts > `barrier_ts` is not yet written). Merged replay
-    /// sorts barriers after the commit with the same ts, so replay
-    /// order equals original latch order. Barriers always live in
-    /// shard 0, so file order disambiguates equal `barrier_ts`.
-    Barrier {
-        barrier_ts: Ts,
-        inner: Box<WalRecord>,
-    },
 }

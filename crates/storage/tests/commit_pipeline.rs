@@ -314,23 +314,14 @@ fn own_commit_is_visible_to_the_next_transaction() {
 /// through shared mode. Racing the two must neither deadlock nor lose
 /// commits, and the WAL replay of the interleaving must reconstruct
 /// the surviving schema and every row.
-///
-/// Swept over both WAL modes: in non-group (per-record-flush) mode,
-/// `enqueue` used to write the DDL frame to the file while earlier-
-/// timestamped commit frames were still parked in the inline queue
-/// (their committers had dropped the shared latch but not yet reached
-/// `wait_durable`), so replay could hit a DropTable before a commit
-/// touching that table and fail with UnknownTableId.
-fn ddl_race(group_commit: bool, path_name: &str) {
+#[test]
+fn ddl_races_parallel_committers() {
     const WRITERS: usize = 3;
     const COMMITS: i64 = 60;
     const DDL_CYCLES: usize = 15;
 
-    let (_dir, path) = tmp(path_name);
-    let opts = Options {
-        group_commit,
-        ..Options::default()
-    };
+    let (_dir, path) = tmp("ddl-race.wal");
+    let opts = common::options();
     {
         let db = Database::open(&path, opts.clone()).unwrap();
         let mut tables = Vec::new();
@@ -399,30 +390,15 @@ fn ddl_race(group_commit: bool, path_name: &str) {
     }
 }
 
+/// The DDL race at its nastiest: committers write to the very table
+/// `drop_table` is removing. A committer that staged its frame and left
+/// the shared latch has not necessarily flushed it; the DropTable frame
+/// must still land behind it, or replay meets a commit for a table that
+/// is already gone and the database does not reopen.
 #[test]
-fn ddl_races_parallel_committers() {
-    ddl_race(true, "ddl-race.wal");
-}
-
-#[test]
-fn ddl_races_parallel_committers_nongroup_wal() {
-    ddl_race(false, "ddl-race-nongroup.wal");
-}
-
-/// Regression for the non-group WAL ordering bug in its nastiest form:
-/// a committer drops the shared latch and parks its inline frame, then
-/// `drop_table` on the *same* table takes the exclusive latch and used
-/// to write its DropTable frame ahead of the parked commit. Replay then
-/// hit the commit after the DropTable and failed with UnknownTableId —
-/// the database would not reopen until a checkpoint happened to rewrite
-/// the log.
-#[test]
-fn drop_table_racing_nongroup_committers_keeps_log_replayable() {
-    let (_dir, path) = tmp("drop-race-nongroup.wal");
-    let opts = Options {
-        group_commit: false,
-        ..Options::default()
-    };
+fn drop_table_racing_committers_keeps_log_replayable() {
+    let (_dir, path) = tmp("drop-race.wal");
+    let opts = common::options();
     {
         let db = Database::open(&path, opts.clone()).unwrap();
         for round in 0..20 {
@@ -463,14 +439,6 @@ fn drop_table_racing_nongroup_committers_keeps_log_replayable() {
 /// set of commits with `ts <= recovered last_commit_ts` — a commit-
 /// order prefix, never a subset with holes. Swept at every durability
 /// level because each drains the staging buffer differently.
-///
-/// Pinned to `wal_shards: 1` (immune to the `TENDAX_WAL_SHARDS` matrix
-/// leg): the sweep truncates one file, but a sharded layout spreads
-/// these four tables across sibling files, and a base file copied
-/// without its siblings is indistinguishable from a legitimate 1-shard
-/// layout — sibling discovery, not the base file, is the layout source.
-/// Multi-file cut coverage lives in `sim_crash.rs` (per-op power cuts
-/// over every shard) and `reshard.rs` (torn sibling tails).
 #[test]
 fn wal_replays_as_commit_order_prefix_at_every_cut() {
     for durability in [
@@ -486,8 +454,7 @@ fn wal_replays_as_commit_order_prefix_at_every_cut() {
         {
             let opts = Options {
                 durability,
-                wal_shards: 1,
-                ..Options::default()
+                ..common::options()
             };
             let db = Database::open(&path, opts).unwrap();
             let tables: Vec<TableId> = (0..WRITERS)
@@ -528,14 +495,7 @@ fn wal_replays_as_commit_order_prefix_at_every_cut() {
             let (_cut_dir, cut_path) = tmp(&format!("prefix-{durability:?}-cut{n}.wal"));
             std::fs::write(&cut_path, &full[..cut]).unwrap();
 
-            let db = Database::open(
-                &cut_path,
-                Options {
-                    wal_shards: 1,
-                    ..Options::default()
-                },
-            )
-            .unwrap();
+            let db = Database::open(&cut_path, common::options()).unwrap();
             let horizon = db.last_commit_ts();
             for k in 0..WRITERS {
                 let recovered: BTreeSet<i64> = match db.table_id(&format!("t{k}")) {
@@ -585,7 +545,7 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
             checkpoint_wal_records: 400,
             ..MaintenanceOptions::default()
         }),
-        ..Options::default()
+        ..common::options()
     };
     {
         let db = Database::open(&path, opts).unwrap();
@@ -652,7 +612,7 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
         }
     }
 
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     for k in 0..WRITERS {
         let t = db.table_id(&format!("t{k}")).unwrap();
         let rows = db.begin().scan(t, &Predicate::True).unwrap();

@@ -41,3 +41,16 @@ impl Drop for TestDir {
         let _ = std::fs::remove_dir_all(&self.path);
     }
 }
+
+/// The options the suites open their databases with: the defaults, plus
+/// the cold tier when `TENDAX_COLD` is `1`/`true`/`on`. This is the CI
+/// matrix's one switch — `scripts/check.sh` and `ci_seed_sweep.sh` run
+/// the suites that go through here a second time with it set, so both
+/// storage tiers get the same crash and commit coverage.
+pub fn options() -> tendax_storage::Options {
+    let cold = std::env::var("TENDAX_COLD").is_ok_and(|v| matches!(v.trim(), "1" | "true" | "on"));
+    tendax_storage::Options {
+        cold_storage: cold.then(tendax_storage::ColdOptions::default),
+        ..Default::default()
+    }
+}

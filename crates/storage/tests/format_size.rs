@@ -105,14 +105,7 @@ struct Fixture {
 fn fixture() -> Fixture {
     let dir = TestDir::new("tendax-format-size");
     let path = dir.file("db.wal");
-    // One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
-    // `TENDAX_COLD` say: the pins are that layout's.
-    let options = Options {
-        wal_shards: 1,
-        cold_storage: None,
-        ..Options::default()
-    };
-    let db = Database::open(&path, options).unwrap();
+    let db = Database::open(&path, Options::default()).unwrap();
     let chars = db.create_table(chars_def()).unwrap();
     let oplog = db.create_table(oplog_def()).unwrap();
     let op_effects = db.create_table(op_effects_def()).unwrap();

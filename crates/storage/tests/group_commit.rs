@@ -262,7 +262,9 @@ fn concurrent_commits_balance_books_none() {
 
 /// With >= 4 committers racing at `Fsync`, flush leaders must absorb
 /// followers: the mean batch exceeds one record and at least one fsync
-/// is saved versus flush-per-commit.
+/// is saved versus flush-per-commit. And the log's counters account for
+/// the file: every byte it grew by was flushed in a counted batch, one
+/// sync each.
 #[test]
 fn group_commit_batches_under_concurrency() {
     const THREADS: u64 = 4;
@@ -271,6 +273,7 @@ fn group_commit_batches_under_concurrency() {
     let (_dir, path) = tmp("batching.wal");
     let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
     let t = db.create_table(seq_table()).unwrap();
+    let wal_before = (db.wal_size().0, db.wal_shard_stats()[0]);
 
     let mut handles = Vec::new();
     for w in 0..THREADS {
@@ -295,30 +298,14 @@ fn group_commit_batches_under_concurrency() {
         "mean batch size is 1 — group commit never grouped: {stats:?}"
     );
     assert!(stats.wal_fsyncs_saved > 0, "no fsyncs amortized: {stats:?}");
+    let wal = db.wal_shard_stats()[0];
+    assert_eq!(
+        wal.bytes_flushed - wal_before.1.bytes_flushed,
+        db.wal_size().0 - wal_before.0,
+        "bytes the file grew by that no batch counted"
+    );
+    assert_eq!(wal.fsyncs, wal.batches_flushed);
     assert_eq!(count_rows(&db), (THREADS * OPS as u64) as usize);
-}
-
-/// The baseline mode must behave exactly like the old engine: one flush
-/// per record, nothing saved.
-#[test]
-fn baseline_mode_never_batches() {
-    let (_dir, path) = tmp("baseline-mode.wal");
-    let db = Database::open(
-        &path,
-        Options {
-            durability: DurabilityLevel::Fsync,
-            group_commit: false,
-            ..Options::default()
-        },
-    )
-    .unwrap();
-    let t = db.create_table(seq_table()).unwrap();
-    for i in 0..10 {
-        insert_seq(&db, t, 0, i);
-    }
-    let stats = db.stats();
-    assert_eq!(stats.wal_batches_flushed, stats.wal_records_flushed);
-    assert_eq!(stats.wal_fsyncs_saved, 0);
 }
 
 // ------------------------------------------------- commit_visible + wait

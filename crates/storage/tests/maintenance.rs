@@ -57,7 +57,7 @@ fn crash_before_rename_recovers_pre_checkpoint_state() {
     let (_dir, path) = tmp("pre-rename.wal");
     let n = 10i64;
     {
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let t = db.create_table(table_def()).unwrap();
         for i in 0..n {
             commit_seq(&db, t, i);
@@ -67,7 +67,7 @@ fn crash_before_rename_recovers_pre_checkpoint_state() {
     // checkpoint so we have realistic snapshot bytes for the temp file.
     let pre_checkpoint = std::fs::read(&path).unwrap();
     {
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         db.checkpoint().unwrap();
     }
     let snapshot = std::fs::read(&path).unwrap();
@@ -79,7 +79,7 @@ fn crash_before_rename_recovers_pre_checkpoint_state() {
     let tmp_path = path.with_extension("wal.tmp");
     std::fs::write(&tmp_path, &snapshot[..snapshot.len() / 2]).unwrap();
 
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     let t = db.table_id("t").unwrap();
     assert_eq!(seqs(&db, t), (0..n).collect::<Vec<_>>());
 
@@ -88,7 +88,7 @@ fn crash_before_rename_recovers_pre_checkpoint_state() {
     commit_seq(&db, t, n);
     db.checkpoint().unwrap();
     drop(db);
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     let t = db.table_id("t").unwrap();
     assert_eq!(seqs(&db, t), (0..=n).collect::<Vec<_>>());
 }
@@ -103,7 +103,7 @@ fn torn_splice_after_rename_recovers_checkpoint_plus_prefix() {
     let n = 8i64;
     let extra = 5i64;
     {
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let t = db.create_table(table_def()).unwrap();
         for i in 0..n {
             commit_seq(&db, t, i);
@@ -124,7 +124,7 @@ fn torn_splice_after_rename_recovers_checkpoint_plus_prefix() {
             let (_cut_dir, cut_path) = tmp(&format!("torn-splice-cut{step}.wal"));
             std::fs::write(&cut_path, &full[..cut]).unwrap();
 
-            let db = Database::open(&cut_path, Options::default()).unwrap();
+            let db = Database::open(&cut_path, common::options()).unwrap();
             let t = db.table_id("t").unwrap();
             let got = seqs(&db, t);
             assert!(
@@ -149,7 +149,7 @@ fn concurrent_commits_survive_repeated_checkpoints() {
     let writers = 4i64;
     let per_writer = 50i64;
     {
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let t = db.create_table(table_def()).unwrap();
         let done = Arc::new(AtomicBool::new(false));
 
@@ -189,7 +189,7 @@ fn concurrent_commits_survive_repeated_checkpoints() {
             .collect();
         assert_eq!(seqs(&db, t), expected);
     }
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     let t = db.table_id("t").unwrap();
     assert_eq!(
         db.begin().count(t, &Predicate::True).unwrap() as i64,
@@ -272,7 +272,7 @@ fn auto_maintenance_bounds_wal_and_preserves_data() {
     // Twin run without maintenance: how big the log grows unattended.
     let (_bare_dir, bare_path) = tmp("auto-maint-bare.wal");
     {
-        let db = Database::open(&bare_path, Options::default()).unwrap();
+        let db = Database::open(&bare_path, common::options()).unwrap();
         let t = db.create_table(table_def()).unwrap();
         let rid = {
             let mut txn = db.begin();
@@ -298,7 +298,7 @@ fn auto_maintenance_bounds_wal_and_preserves_data() {
             checkpoint_wal_records: 200,
             ..MaintenanceOptions::default()
         }),
-        ..Options::default()
+        ..common::options()
     };
     {
         let db = Database::open(&path, opts.clone()).unwrap();
@@ -347,7 +347,7 @@ fn auto_maintenance_bounds_wal_and_preserves_data() {
         "maintained log not bounded: {maintained_len} vs bare {bare_len}"
     );
 
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     let t = db.table_id("t").unwrap();
     let rows = db.begin().scan(t, &Predicate::True).unwrap();
     assert_eq!(rows.len(), 1);

@@ -11,9 +11,7 @@
 
 use std::path::PathBuf;
 
-use tendax_storage::{
-    DataType, Database, Options, Row, StorageError, TableDef, TableId, Value, ValueRef,
-};
+use tendax_storage::{DataType, Database, Row, StorageError, TableDef, TableId, Value, ValueRef};
 
 mod common;
 use common::TestDir;
@@ -274,7 +272,7 @@ fn descriptors_union_within_one_txn() {
 fn merged_commit_survives_reopen() {
     let (_g, path) = tmp("merge.wal");
     {
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let (t, rid) = seed(&db);
         let mut a = db.begin();
         let mut b = db.begin();
@@ -286,7 +284,7 @@ fn merged_commit_survives_reopen() {
         b.commit().unwrap();
         assert_eq!(db.stats().commits_merged, 1);
     }
-    let db = Database::open(&path, Options::default()).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
     let t = db.table_id("links").unwrap();
     let rows = db
         .begin()

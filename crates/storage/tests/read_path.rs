@@ -169,7 +169,7 @@ fn readers_see_consistent_prefixes(durability: DurabilityLevel, name: &str) {
         level => {
             let opts = Options {
                 durability: level,
-                ..Options::default()
+                ..common::options()
             };
             let (dir, path) = tmp(name);
             (Database::open(path, opts).unwrap(), Some(dir))

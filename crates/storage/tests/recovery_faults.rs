@@ -31,7 +31,7 @@ fn table_def() -> TableDef {
 
 /// Write `n` single-row transactions (seq = 0..n) and return the log.
 fn build_log(path: &PathBuf, n: i64) {
-    let db = Database::open(path, Options::default()).unwrap();
+    let db = Database::open(path, common::options()).unwrap();
     let t = db.create_table(table_def()).unwrap();
     for i in 0..n {
         let mut txn = db.begin();
@@ -53,7 +53,7 @@ proptest! {
         let cut = ((data.len() as f64) * cut_frac) as usize;
         std::fs::write(&path, &data[..cut]).unwrap();
 
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         match db.table_id("t") {
             Err(_) => {
                 // Truncated before the DDL record: an empty database is a
@@ -84,7 +84,7 @@ proptest! {
 
         let survivors;
         {
-            let db = Database::open(&path, Options::default()).unwrap();
+            let db = Database::open(&path, common::options()).unwrap();
             let t = match db.table_id("t") {
                 Ok(t) => t,
                 Err(_) => db.create_table(table_def()).unwrap(),
@@ -94,7 +94,7 @@ proptest! {
             txn.commit().unwrap();
             survivors = db.begin().count(t, &Predicate::True).unwrap();
         }
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let t = db.table_id("t").unwrap();
         let reader = db.begin();
         prop_assert_eq!(reader.count(t, &Predicate::True).unwrap(), survivors);
@@ -113,7 +113,7 @@ proptest! {
     fn checkpoint_state_survives_tail_truncation(n in 2i64..8, extra in 1i64..5, tail_frac in 0.0f64..1.0) {
         let (_dir, path) = tmp(&format!("ckpt-{n}-{extra}.wal"));
         {
-            let db = Database::open(&path, Options::default()).unwrap();
+            let db = Database::open(&path, common::options()).unwrap();
             let t = db.create_table(table_def()).unwrap();
             for i in 0..n {
                 let mut txn = db.begin();
@@ -134,7 +134,7 @@ proptest! {
             let cut = checkpoint_size + ((tail as f64) * tail_frac) as usize;
             std::fs::write(&path, &data[..cut]).unwrap();
         }
-        let db = Database::open(&path, Options::default()).unwrap();
+        let db = Database::open(&path, common::options()).unwrap();
         let t = db.table_id("t").unwrap();
         let count = db.begin().count(t, &Predicate::True).unwrap() as i64;
         prop_assert!(count >= n, "checkpointed rows lost: {count} < {n}");
@@ -150,7 +150,7 @@ fn sim_opts(vfs: &SimVfs, durability: DurabilityLevel) -> Options {
     Options {
         durability,
         vfs: Arc::new(vfs.clone()),
-        ..Options::default()
+        ..common::options()
     }
 }
 

@@ -14,16 +14,6 @@ use tendax_storage::{DataType, Database, Options, Predicate, Row, TableDef, Valu
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
 
-/// One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
-/// `TENDAX_COLD` say: the single-file log is the one recovery streams.
-fn single_file() -> Options {
-    Options {
-        wal_shards: 1,
-        cold_storage: None,
-        ..Options::default()
-    }
-}
-
 /// What recovery holds beyond the file buffer and the tables, replaying
 /// a checkpoint of `rows` rows of some fifty bytes each (a batch of them
 /// is about 1 300 rows).
@@ -31,7 +21,7 @@ fn replay_overhead(rows: i64) -> usize {
     let dir = TestDir::new("tendax-replay-alloc");
     let path = dir.file("db.wal");
     {
-        let db = Database::open(&path, single_file()).unwrap();
+        let db = Database::open(&path, Options::default()).unwrap();
         let t = db
             .create_table(
                 TableDef::new("notes")
@@ -50,7 +40,7 @@ fn replay_overhead(rows: i64) -> usize {
         db.checkpoint().unwrap();
     }
     let file_len = std::fs::metadata(&path).unwrap().len() as usize;
-    let (db, transient) = transient_bytes(|| Database::open(&path, single_file()).unwrap());
+    let (db, transient) = transient_bytes(|| Database::open(&path, Options::default()).unwrap());
     let t = db.table_id("notes").unwrap();
     assert_eq!(db.begin().count(t, &Predicate::True).unwrap() as i64, rows);
     transient.saturating_sub(file_len)

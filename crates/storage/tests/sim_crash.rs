@@ -13,6 +13,8 @@
 //! On a failure, rerun exactly that schedule with
 //! `TENDAX_SIM_SEED=<n> cargo test -p tendax-storage --test sim_crash`.
 
+mod common;
+
 use std::sync::{Arc, Barrier, Mutex};
 
 use tendax_storage::{
@@ -34,18 +36,11 @@ fn seeds() -> Vec<u64> {
     }
 }
 
-fn sim_opts_sharded(
-    vfs: &SimVfs,
-    durability: DurabilityLevel,
-    group_commit: bool,
-    wal_shards: usize,
-) -> Options {
+fn sim_opts(vfs: &SimVfs, durability: DurabilityLevel) -> Options {
     Options {
         durability,
-        group_commit,
         vfs: Arc::new(vfs.clone()),
-        wal_shards,
-        ..Options::default()
+        ..common::options()
     }
 }
 
@@ -53,33 +48,17 @@ fn table_def(name: &str) -> TableDef {
     TableDef::new(name).column("seq", DataType::Int)
 }
 
-/// Every durability level × both single-file WAL modes (group and
-/// per-record flush), plus each durability level over 4 WAL shard
-/// files. The sharded coordinator always batches, so the
-/// per-record-flush baseline (`group = false`) only exists at 1 shard.
-const SHARD_COMBOS: [(DurabilityLevel, bool, usize); 9] = [
-    (DurabilityLevel::None, true, 1),
-    (DurabilityLevel::None, false, 1),
-    (DurabilityLevel::Buffered, true, 1),
-    (DurabilityLevel::Buffered, false, 1),
-    (DurabilityLevel::Fsync, true, 1),
-    (DurabilityLevel::Fsync, false, 1),
-    (DurabilityLevel::None, true, 4),
-    (DurabilityLevel::Buffered, true, 4),
-    (DurabilityLevel::Fsync, true, 4),
+const DURABILITY_LEVELS: [DurabilityLevel; 3] = [
+    DurabilityLevel::None,
+    DurabilityLevel::Buffered,
+    DurabilityLevel::Fsync,
 ];
 
 /// Commit seq = 0..n single-row transactions sequentially; returns how
 /// many commits were acknowledged. Stops at the first error (the
 /// injected power cut) — later calls would all fail anyway.
-fn run_sequential_sharded(
-    vfs: &SimVfs,
-    durability: DurabilityLevel,
-    group: bool,
-    shards: usize,
-    n: i64,
-) -> usize {
-    let Ok(db) = Database::open(WAL, sim_opts_sharded(vfs, durability, group, shards)) else {
+fn run_sequential(vfs: &SimVfs, durability: DurabilityLevel, n: i64) -> usize {
+    let Ok(db) = Database::open(WAL, sim_opts(vfs, durability)) else {
         return 0;
     };
     let Ok(t) = db.create_table(table_def("t")) else {
@@ -120,42 +99,38 @@ fn recovered_seqs(db: &Database, name: &str) -> Vec<i64> {
 
 // ------------------------------------------------------------ basic sanity
 
-/// No faults: the simulated disk behaves like a disk. Every combo
-/// commits, closes, reopens, and reads everything back.
+/// No faults: the simulated disk behaves like a disk. Every durability
+/// level commits, closes, reopens, and reads everything back.
 #[test]
-fn sim_backend_roundtrips_all_combos() {
-    for (durability, group, shards) in SHARD_COMBOS {
+fn sim_backend_roundtrips_all_levels() {
+    for durability in DURABILITY_LEVELS {
         let vfs = SimVfs::new(0);
-        assert_eq!(
-            run_sequential_sharded(&vfs, durability, group, shards, 10),
-            10
-        );
-        let db = Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards)).unwrap();
+        assert_eq!(run_sequential(&vfs, durability, 10), 10);
+        let db = Database::open(WAL, sim_opts(&vfs, durability)).unwrap();
         assert_eq!(
             recovered_seqs(&db, "t"),
             (0..10).collect::<Vec<_>>(),
-            "{durability:?} group={group} shards={shards}: clean reopen lost rows"
+            "{durability:?}: clean reopen lost rows"
         );
     }
 }
 
 // ------------------------------------------------- crash-point exhaustion
 
-/// The core sweep: for every seed, every durability level, and both WAL
-/// modes, cut the power at *every* op index the fault-free schedule
+/// The core sweep: for every seed and every durability level, cut the power at *every* op index the fault-free schedule
 /// contains, crash, reopen, and require a commit-order prefix — plus,
 /// at `Fsync`, that every acknowledged commit survived.
 #[test]
 fn crash_at_every_injected_op_recovers_a_commit_prefix() {
     const N: i64 = 6;
     for seed in seeds() {
-        for (durability, group, shards) in SHARD_COMBOS {
+        for durability in DURABILITY_LEVELS {
             // Fault-free twin run: measures the op schedule to sweep.
             let twin = SimVfs::new(seed);
-            let acked = run_sequential_sharded(&twin, durability, group, shards, N);
+            let acked = run_sequential(&twin, durability, N);
             assert_eq!(
                 acked as i64, N,
-                "seed {seed} {durability:?} group={group} shards={shards}: fault-free run failed"
+                "seed {seed} {durability:?}: fault-free run failed"
             );
             let total_ops = twin.ops();
             assert!(total_ops > 0);
@@ -163,14 +138,14 @@ fn crash_at_every_injected_op_recovers_a_commit_prefix() {
             for cut in 0..total_ops {
                 let vfs = SimVfs::new(seed);
                 vfs.power_fail_after(cut);
-                let acked = run_sequential_sharded(&vfs, durability, group, shards, N);
+                let acked = run_sequential(&vfs, durability, N);
                 vfs.crash();
 
                 let ctx = format!(
-                    "seed {seed} {durability:?} group={group} shards={shards} \
+                    "seed {seed} {durability:?} \
                      cut {cut}/{total_ops} (rerun with TENDAX_SIM_SEED={seed})"
                 );
-                let db = Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards))
+                let db = Database::open(WAL, sim_opts(&vfs, durability))
                     .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
                 let got = recovered_seqs(&db, "t");
                 let expected: Vec<i64> = (0..got.len() as i64).collect();
@@ -208,29 +183,18 @@ fn disjoint_writer_storm_crash_keeps_commit_order_prefix() {
     const WRITERS: usize = 3;
     const COMMITS: i64 = 30;
     for seed in seeds() {
-        for (durability, group, shards) in [
-            (DurabilityLevel::Fsync, true, 1),
-            (DurabilityLevel::Fsync, false, 1),
-            (DurabilityLevel::Buffered, true, 1),
-            // Sharded: the disjoint writers' frames spread across all 4
-            // files, so the cut tears a *multi-file* tail and recovery
-            // must still produce the global commit-ts prefix.
-            (DurabilityLevel::Fsync, true, 4),
-            (DurabilityLevel::Buffered, true, 4),
-        ] {
+        for durability in [DurabilityLevel::Fsync, DurabilityLevel::Buffered] {
             // Twin storm estimates the post-setup op schedule length.
             let est = {
                 let twin = SimVfs::new(seed);
                 let before = {
-                    let db =
-                        Database::open(WAL, sim_opts_sharded(&twin, durability, group, shards))
-                            .unwrap();
+                    let db = Database::open(WAL, sim_opts(&twin, durability)).unwrap();
                     for k in 0..WRITERS {
                         db.create_table(table_def(&format!("t{k}"))).unwrap();
                     }
                     twin.ops()
                 };
-                let acked = storm(&twin, durability, group, shards, WRITERS, COMMITS, None);
+                let acked = storm(&twin, durability, WRITERS, COMMITS, None);
                 assert_eq!(acked.len() as i64, WRITERS as i64 * COMMITS);
                 twin.ops() - before
             };
@@ -239,14 +203,14 @@ fn disjoint_writer_storm_crash_keeps_commit_order_prefix() {
             // covers the range.
             let cut = est * (seed % 8 + 1) / 9;
             let vfs = SimVfs::new(seed);
-            let acked = storm(&vfs, durability, group, shards, WRITERS, COMMITS, Some(cut));
+            let acked = storm(&vfs, durability, WRITERS, COMMITS, Some(cut));
             vfs.crash();
 
             let ctx = format!(
-                "seed {seed} {durability:?} group={group} shards={shards} cut {cut}/{est} \
+                "seed {seed} {durability:?} cut {cut}/{est} \
                  (rerun with TENDAX_SIM_SEED={seed})"
             );
-            let db = Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards))
+            let db = Database::open(WAL, sim_opts(&vfs, durability))
                 .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
 
             let mut recovered_by_writer = Vec::new();
@@ -290,14 +254,12 @@ fn disjoint_writer_storm_crash_keeps_commit_order_prefix() {
 fn storm(
     vfs: &SimVfs,
     durability: DurabilityLevel,
-    group: bool,
-    shards: usize,
     writers: usize,
     commits: i64,
     cut: Option<u64>,
 ) -> Vec<(Ts, usize, i64)> {
     let acked: Arc<Mutex<Vec<(Ts, usize, i64)>>> = Arc::default();
-    let Ok(db) = Database::open(WAL, sim_opts_sharded(vfs, durability, group, shards)) else {
+    let Ok(db) = Database::open(WAL, sim_opts(vfs, durability)) else {
         return Vec::new();
     };
     let mut tables: Vec<TableId> = Vec::new();
@@ -351,96 +313,90 @@ fn storm(
 /// a seed-derived point, and the machine crashes. The database must
 /// *reopen* — replay must never order a DropTable ahead of a commit
 /// that still references the table — and the fixed tables must recover
-/// as gapless prefixes. Swept over both WAL modes (the per-record mode
-/// had exactly this ordering bug).
+/// as gapless prefixes.
 #[test]
 fn ddl_race_crash_always_reopens() {
     const WRITERS: usize = 2;
     const COMMITS: i64 = 25;
     const DDL_CYCLES: usize = 8;
     for seed in seeds() {
-        for (group, shards) in [(true, 1), (false, 1), (true, 4)] {
-            let durability = DurabilityLevel::Buffered;
-            let vfs = SimVfs::new(seed);
-            {
-                let db =
-                    Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards)).unwrap();
-                let tables: Vec<TableId> = (0..WRITERS)
-                    .map(|k| db.create_table(table_def(&format!("t{k}"))).unwrap())
-                    .collect();
-                // Cut somewhere inside the storm; the exact op index is
-                // seed-derived so the sweep covers the schedule.
-                vfs.power_fail_after(7 + seed * 11 % 400);
+        let durability = DurabilityLevel::Buffered;
+        let vfs = SimVfs::new(seed);
+        {
+            let db = Database::open(WAL, sim_opts(&vfs, durability)).unwrap();
+            let tables: Vec<TableId> = (0..WRITERS)
+                .map(|k| db.create_table(table_def(&format!("t{k}"))).unwrap())
+                .collect();
+            // Cut somewhere inside the storm; the exact op index is
+            // seed-derived so the sweep covers the schedule.
+            vfs.power_fail_after(7 + seed * 11 % 400);
 
-                let start = Arc::new(Barrier::new(WRITERS + 1));
-                let writers: Vec<_> = (0..WRITERS)
-                    .map(|k| {
-                        let db = db.clone();
-                        let start = start.clone();
-                        let t = tables[k];
-                        std::thread::spawn(move || {
-                            start.wait();
-                            for i in 0..COMMITS {
-                                let mut txn = db.begin();
-                                if txn.insert(t, Row::new(vec![Value::Int(i)])).is_err() {
-                                    break;
-                                }
-                                if txn.commit().is_err() {
-                                    break;
-                                }
-                            }
-                        })
-                    })
-                    .collect();
-                let ddl = {
+            let start = Arc::new(Barrier::new(WRITERS + 1));
+            let writers: Vec<_> = (0..WRITERS)
+                .map(|k| {
                     let db = db.clone();
                     let start = start.clone();
+                    let t = tables[k];
                     std::thread::spawn(move || {
                         start.wait();
-                        for c in 0..DDL_CYCLES {
-                            let name = format!("scratch{c}");
-                            let Ok(t) = db.create_table(table_def(&name)) else {
-                                break;
-                            };
+                        for i in 0..COMMITS {
                             let mut txn = db.begin();
-                            if txn.insert(t, Row::new(vec![Value::Int(c as i64)])).is_err() {
+                            if txn.insert(t, Row::new(vec![Value::Int(i)])).is_err() {
                                 break;
                             }
-                            let _ = txn.commit();
-                            if db.drop_table(&name).is_err() {
+                            if txn.commit().is_err() {
                                 break;
                             }
                         }
                     })
-                };
-                for h in writers {
-                    h.join().unwrap();
-                }
-                ddl.join().unwrap();
+                })
+                .collect();
+            let ddl = {
+                let db = db.clone();
+                let start = start.clone();
+                std::thread::spawn(move || {
+                    start.wait();
+                    for c in 0..DDL_CYCLES {
+                        let name = format!("scratch{c}");
+                        let Ok(t) = db.create_table(table_def(&name)) else {
+                            break;
+                        };
+                        let mut txn = db.begin();
+                        if txn.insert(t, Row::new(vec![Value::Int(c as i64)])).is_err() {
+                            break;
+                        }
+                        let _ = txn.commit();
+                        if db.drop_table(&name).is_err() {
+                            break;
+                        }
+                    }
+                })
+            };
+            for h in writers {
+                h.join().unwrap();
             }
-            vfs.crash();
-
-            let ctx = format!(
-                "seed {seed} group={group} shards={shards} (rerun with TENDAX_SIM_SEED={seed})"
-            );
-            let db = Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards))
-                .unwrap_or_else(|e| panic!("{ctx}: reopen after DDL-race crash failed: {e}"));
-            for k in 0..WRITERS {
-                let got = recovered_seqs(&db, &format!("t{k}"));
-                let expected: Vec<i64> = (0..got.len() as i64).collect();
-                assert_eq!(got, expected, "{ctx}: writer table t{k} has a gap");
-            }
-            // And the recovered database accepts writes — t0's own DDL
-            // may legitimately have died with the cut (Buffered never
-            // syncs), so exercise the write path on a fresh table.
-            let t = db
-                .create_table(table_def("post_crash"))
-                .unwrap_or_else(|e| panic!("{ctx}: recovered db rejects DDL: {e}"));
-            let mut txn = db.begin();
-            txn.insert(t, Row::new(vec![Value::Int(777)])).unwrap();
-            txn.commit()
-                .unwrap_or_else(|e| panic!("{ctx}: recovered db rejects writes: {e}"));
+            ddl.join().unwrap();
         }
+        vfs.crash();
+
+        let ctx = format!("seed {seed} (rerun with TENDAX_SIM_SEED={seed})");
+        let db = Database::open(WAL, sim_opts(&vfs, durability))
+            .unwrap_or_else(|e| panic!("{ctx}: reopen after DDL-race crash failed: {e}"));
+        for k in 0..WRITERS {
+            let got = recovered_seqs(&db, &format!("t{k}"));
+            let expected: Vec<i64> = (0..got.len() as i64).collect();
+            assert_eq!(got, expected, "{ctx}: writer table t{k} has a gap");
+        }
+        // And the recovered database accepts writes — t0's own DDL
+        // may legitimately have died with the cut (Buffered never
+        // syncs), so exercise the write path on a fresh table.
+        let t = db
+            .create_table(table_def("post_crash"))
+            .unwrap_or_else(|e| panic!("{ctx}: recovered db rejects DDL: {e}"));
+        let mut txn = db.begin();
+        txn.insert(t, Row::new(vec![Value::Int(777)])).unwrap();
+        txn.commit()
+            .unwrap_or_else(|e| panic!("{ctx}: recovered db rejects writes: {e}"));
     }
 }
 
@@ -454,9 +410,6 @@ fn ddl_race_crash_always_reopens() {
 fn auto_maintenance_crash_recovers_commit_prefix() {
     const N: i64 = 60;
     for seed in seeds() {
-        // Alternate layouts across the seed sweep: auto-checkpoints
-        // rewrite either one file or the 4-shard set under the workload.
-        let shards = if seed % 2 == 0 { 1 } else { 4 };
         let vfs = SimVfs::new(seed);
         let opts = Options {
             durability: DurabilityLevel::Fsync,
@@ -468,8 +421,7 @@ fn auto_maintenance_crash_recovers_commit_prefix() {
                 ..MaintenanceOptions::default()
             }),
             vfs: Arc::new(vfs.clone()),
-            wal_shards: shards,
-            ..Options::default()
+            ..common::options()
         };
         let mut acked = 0i64;
         {
@@ -494,12 +446,9 @@ fn auto_maintenance_crash_recovers_commit_prefix() {
         }
         vfs.crash();
 
-        let ctx = format!("seed {seed} shards={shards} (rerun with TENDAX_SIM_SEED={seed})");
-        let db = Database::open(
-            WAL,
-            sim_opts_sharded(&vfs, DurabilityLevel::Fsync, true, shards),
-        )
-        .unwrap_or_else(|e| panic!("{ctx}: reopen after maintenance crash failed: {e}"));
+        let ctx = format!("seed {seed} (rerun with TENDAX_SIM_SEED={seed})");
+        let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync))
+            .unwrap_or_else(|e| panic!("{ctx}: reopen after maintenance crash failed: {e}"));
         let got = recovered_seqs(&db, "t");
         let expected: Vec<i64> = (0..got.len() as i64).collect();
         assert_eq!(got, expected, "{ctx}: not a commit-order prefix");
@@ -523,52 +472,47 @@ fn checkpoint_crash_never_loses_fsynced_commits() {
     const N: i64 = 8;
     let d = DurabilityLevel::Fsync;
     for seed in seeds() {
-        for shards in [1usize, 4] {
-            // Twin: measure how many ops the checkpoint itself performs.
-            let ckpt_ops = {
-                let twin = SimVfs::new(seed);
-                assert_eq!(
-                    run_sequential_sharded(&twin, d, true, shards, N),
-                    N as usize
-                );
-                let db = Database::open(WAL, sim_opts_sharded(&twin, d, true, shards)).unwrap();
-                let before = twin.ops();
-                db.checkpoint().unwrap();
-                twin.ops() - before
-            };
-            assert!(ckpt_ops > 0);
+        // Twin: measure how many ops the checkpoint itself performs.
+        let ckpt_ops = {
+            let twin = SimVfs::new(seed);
+            assert_eq!(run_sequential(&twin, d, N), N as usize);
+            let db = Database::open(WAL, sim_opts(&twin, d)).unwrap();
+            let before = twin.ops();
+            db.checkpoint().unwrap();
+            twin.ops() - before
+        };
+        assert!(ckpt_ops > 0);
 
-            for cut in 0..ckpt_ops {
-                let vfs = SimVfs::new(seed);
-                assert_eq!(run_sequential_sharded(&vfs, d, true, shards, N), N as usize);
-                let ctx = format!(
-                    "seed {seed} shards={shards} checkpoint cut {cut}/{ckpt_ops} \
+        for cut in 0..ckpt_ops {
+            let vfs = SimVfs::new(seed);
+            assert_eq!(run_sequential(&vfs, d, N), N as usize);
+            let ctx = format!(
+                "seed {seed} checkpoint cut {cut}/{ckpt_ops} \
                      (rerun with TENDAX_SIM_SEED={seed})"
-                );
-                {
-                    let db = Database::open(WAL, sim_opts_sharded(&vfs, d, true, shards)).unwrap();
-                    vfs.power_fail_after(cut);
-                    let _ = db.checkpoint(); // the cut makes this fail; that's the point
-                }
-                vfs.crash();
-
-                let db = Database::open(WAL, sim_opts_sharded(&vfs, d, true, shards))
-                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                assert_eq!(
-                    recovered_seqs(&db, "t"),
-                    (0..N).collect::<Vec<_>>(),
-                    "{ctx}: checkpoint crash lost fsynced commits"
-                );
-                // Still writable, and a clean checkpoint completes after the
-                // crashed one (stale tmp file, resurrected old log, or a
-                // half-spliced tail must not wedge it).
-                let t = db.table_id("t").unwrap();
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(N)])).unwrap();
-                txn.commit().unwrap();
-                db.checkpoint()
-                    .unwrap_or_else(|e| panic!("{ctx}: post-recovery checkpoint failed: {e}"));
+            );
+            {
+                let db = Database::open(WAL, sim_opts(&vfs, d)).unwrap();
+                vfs.power_fail_after(cut);
+                let _ = db.checkpoint(); // the cut makes this fail; that's the point
             }
+            vfs.crash();
+
+            let db = Database::open(WAL, sim_opts(&vfs, d))
+                .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+            assert_eq!(
+                recovered_seqs(&db, "t"),
+                (0..N).collect::<Vec<_>>(),
+                "{ctx}: checkpoint crash lost fsynced commits"
+            );
+            // Still writable, and a clean checkpoint completes after the
+            // crashed one (stale tmp file, resurrected old log, or a
+            // half-spliced tail must not wedge it).
+            let t = db.table_id("t").unwrap();
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(N)])).unwrap();
+            txn.commit().unwrap();
+            db.checkpoint()
+                .unwrap_or_else(|e| panic!("{ctx}: post-recovery checkpoint failed: {e}"));
         }
     }
 }
@@ -583,69 +527,60 @@ fn checkpoint_crash_never_loses_fsynced_commits() {
 #[test]
 fn failed_group_fsync_poisons_wal_sticky() {
     for seed in seeds() {
-        for shards in [1usize, 4] {
-            let vfs = SimVfs::new(seed);
-            let ctx = format!("seed {seed} shards={shards} (rerun with TENDAX_SIM_SEED={seed})");
-            {
-                let db = Database::open(
-                    WAL,
-                    sim_opts_sharded(&vfs, DurabilityLevel::Fsync, true, shards),
-                )
-                .unwrap();
-                let t = db.create_table(table_def("t")).unwrap();
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(0)])).unwrap();
-                txn.commit().unwrap();
+        let vfs = SimVfs::new(seed);
+        let ctx = format!("seed {seed} (rerun with TENDAX_SIM_SEED={seed})");
+        {
+            let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync)).unwrap();
+            let t = db.create_table(table_def("t")).unwrap();
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(0)])).unwrap();
+            txn.commit().unwrap();
 
-                vfs.fail_next_syncs(1);
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(1)])).unwrap();
-                let err = txn.commit().unwrap_err();
-                assert!(
-                    matches!(err, StorageError::WalUnavailable(_)),
-                    "{ctx}: failed fsync surfaced as {err:?}"
-                );
+            vfs.fail_next_syncs(1);
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(1)])).unwrap();
+            let err = txn.commit().unwrap_err();
+            assert!(
+                matches!(err, StorageError::WalUnavailable(_)),
+                "{ctx}: failed fsync surfaced as {err:?}"
+            );
 
-                // Sticky: the disk is healthy again, but the log must stay
-                // poisoned — the unsynced frames are unrecoverable.
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(2)])).unwrap();
-                let err = txn.commit().unwrap_err();
-                assert!(
-                    matches!(err, StorageError::WalUnavailable(_)),
-                    "{ctx}: poisoning did not stick: {err:?}"
-                );
-                assert!(
-                    matches!(
-                        db.create_table(table_def("more")),
-                        Err(StorageError::WalUnavailable(_))
-                    ),
-                    "{ctx}: DDL got through a poisoned log"
-                );
+            // Sticky: the disk is healthy again, but the log must stay
+            // poisoned — the unsynced frames are unrecoverable.
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(2)])).unwrap();
+            let err = txn.commit().unwrap_err();
+            assert!(
+                matches!(err, StorageError::WalUnavailable(_)),
+                "{ctx}: poisoning did not stick: {err:?}"
+            );
+            assert!(
+                matches!(
+                    db.create_table(table_def("more")),
+                    Err(StorageError::WalUnavailable(_))
+                ),
+                "{ctx}: DDL got through a poisoned log"
+            );
 
-                // Reads are unaffected. Seq 1 was published before its
-                // durability wait failed, so it stays visible in memory;
-                // seq 2 was refused by the poisoned log before publication
-                // and must not be.
-                assert_eq!(
-                    recovered_seqs(&db, "t"),
-                    vec![0, 1],
-                    "{ctx}: in-memory visibility diverged"
-                );
-            }
-            vfs.crash();
-
-            let db = Database::open(
-                WAL,
-                sim_opts_sharded(&vfs, DurabilityLevel::Fsync, true, shards),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+            // Reads are unaffected. Seq 1 was published before its
+            // durability wait failed, so it stays visible in memory;
+            // seq 2 was refused by the poisoned log before publication
+            // and must not be.
             assert_eq!(
                 recovered_seqs(&db, "t"),
-                vec![0],
-                "{ctx}: recovery must hold exactly the pre-poison durable prefix"
+                vec![0, 1],
+                "{ctx}: in-memory visibility diverged"
             );
         }
+        vfs.crash();
+
+        let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync))
+            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+        assert_eq!(
+            recovered_seqs(&db, "t"),
+            vec![0],
+            "{ctx}: recovery must hold exactly the pre-poison durable prefix"
+        );
     }
 }
 
@@ -658,14 +593,9 @@ fn failed_group_fsync_poisons_wal_sticky() {
 #[test]
 fn power_blip_keeps_database_consistent() {
     for seed in seeds() {
-        let shards = if seed % 2 == 0 { 1 } else { 4 };
         let vfs = SimVfs::new(seed);
-        let ctx = format!("seed {seed} shards={shards} (rerun with TENDAX_SIM_SEED={seed})");
-        let db = Database::open(
-            WAL,
-            sim_opts_sharded(&vfs, DurabilityLevel::Fsync, true, shards),
-        )
-        .unwrap();
+        let ctx = format!("seed {seed} (rerun with TENDAX_SIM_SEED={seed})");
+        let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync)).unwrap();
         let t = db.create_table(table_def("t")).unwrap();
         for i in 0..5 {
             let mut txn = db.begin();
@@ -712,11 +642,8 @@ fn power_blip_keeps_database_consistent() {
         if post_blip.is_ok() {
             // Healthy path: the post-blip ack must survive a real crash.
             vfs.crash();
-            let db = Database::open(
-                WAL,
-                sim_opts_sharded(&vfs, DurabilityLevel::Fsync, true, shards),
-            )
-            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+            let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync))
+                .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
             let recovered = recovered_seqs(&db, "t");
             assert!(
                 recovered.contains(&100),
@@ -758,14 +685,8 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
     /// Run the paired-merge workload; returns how many pair commits were
     /// acknowledged (the ack sequence is serial, so its commit order is
     /// its index order).
-    fn merged_run(
-        vfs: &SimVfs,
-        durability: DurabilityLevel,
-        group: bool,
-        shards: usize,
-        cut: Option<u64>,
-    ) -> usize {
-        let Ok(db) = Database::open(WAL, sim_opts_sharded(vfs, durability, group, shards)) else {
+    fn merged_run(vfs: &SimVfs, durability: DurabilityLevel, cut: Option<u64>) -> usize {
+        let Ok(db) = Database::open(WAL, sim_opts(vfs, durability)) else {
             return 0;
         };
         let Ok(t) = db.create_table(links_def()) else {
@@ -806,17 +727,12 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
     }
 
     for seed in seeds() {
-        for (durability, group, shards) in [
-            (DurabilityLevel::Fsync, true, 1),
-            (DurabilityLevel::Fsync, false, 1),
-            (DurabilityLevel::Buffered, true, 1),
-            (DurabilityLevel::Fsync, true, 4),
-        ] {
+        for durability in [DurabilityLevel::Fsync, DurabilityLevel::Buffered] {
             // Twin run measures the post-setup op schedule.
             let est = {
                 let twin = SimVfs::new(seed);
                 let before_run = twin.ops();
-                let acked = merged_run(&twin, durability, group, shards, None);
+                let acked = merged_run(&twin, durability, None);
                 assert_eq!(acked as u64, PAIRS * 2, "fault-free twin failed");
                 // Setup ops are excluded by arming the cut after setup,
                 // so sweep the whole run length conservatively.
@@ -825,14 +741,14 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
             let cut = est * (seed % 8 + 1) / 9;
 
             let vfs = SimVfs::new(seed);
-            let acked = merged_run(&vfs, durability, group, shards, Some(cut));
+            let acked = merged_run(&vfs, durability, Some(cut));
             vfs.crash();
 
             let ctx = format!(
-                "seed {seed} {durability:?} group={group} shards={shards} cut {cut}/{est} \
+                "seed {seed} {durability:?} cut {cut}/{est} \
                  (rerun with TENDAX_SIM_SEED={seed})"
             );
-            let db = Database::open(WAL, sim_opts_sharded(&vfs, durability, group, shards))
+            let db = Database::open(WAL, sim_opts(&vfs, durability))
                 .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
 
             let recovered: Option<(Option<u64>, Option<u64>)> = match db.table_id("links") {
@@ -875,7 +791,7 @@ fn cold_opts(vfs: &SimVfs) -> Options {
             bloom_bits_per_key: 10,
             compact_min_runs: 2,
         }),
-        ..Options::default()
+        ..common::options()
     }
 }
 
@@ -1031,79 +947,6 @@ fn cold_compaction_crash_keeps_retained_history() {
                 .cold_compact_if_needed()
                 .unwrap_or_else(|e| panic!("{ctx}: retried compaction failed: {e}"));
             assert_history(&db, t, rid, &tss, retain_from, &ctx);
-        }
-    }
-}
-
-// ------------------------------------------------ re-shard under power cut
-
-/// Power cuts swept through a *re-shard checkpoint*: a database written
-/// under `wal_shards = 1` is reopened with `wal_shards = 4` (the open
-/// keeps the on-disk single-file layout — re-shard happens on
-/// checkpoint, never on open) and the first `checkpoint()` call, which
-/// performs the layout transition, is cut at every injected op. After
-/// crash + reopen every fsynced commit must survive, whichever side of
-/// the transition's atomic rename the cut landed on, and the reopened
-/// database must accept writes and a clean checkpoint. The reverse
-/// transition (4 → 1) is swept the same way.
-#[test]
-fn reshard_checkpoint_crash_never_loses_fsynced_commits() {
-    const N: i64 = 8;
-    let d = DurabilityLevel::Fsync;
-    for seed in seeds() {
-        for (from, to) in [(1usize, 4usize), (4, 1)] {
-            // Twin: write under `from`, measure the re-shard checkpoint.
-            let ckpt_ops = {
-                let twin = SimVfs::new(seed);
-                assert_eq!(run_sequential_sharded(&twin, d, true, from, N), N as usize);
-                let db = Database::open(WAL, sim_opts_sharded(&twin, d, true, to)).unwrap();
-                let before = twin.ops();
-                db.checkpoint().unwrap();
-                assert_eq!(db.wal_shard_count(), to, "twin re-shard did not converge");
-                twin.ops() - before
-            };
-            assert!(ckpt_ops > 0);
-
-            for cut in 0..ckpt_ops {
-                let vfs = SimVfs::new(seed);
-                assert_eq!(run_sequential_sharded(&vfs, d, true, from, N), N as usize);
-                let ctx = format!(
-                    "seed {seed} reshard {from}->{to} cut {cut}/{ckpt_ops} \
-                     (rerun with TENDAX_SIM_SEED={seed})"
-                );
-                {
-                    let db = Database::open(WAL, sim_opts_sharded(&vfs, d, true, to))
-                        .unwrap_or_else(|e| panic!("{ctx}: pre-cut reopen failed: {e}"));
-                    assert_eq!(db.wal_shard_count(), from, "{ctx}: open changed the layout");
-                    vfs.power_fail_after(cut);
-                    let _ = db.checkpoint(); // cut mid-transition; failure expected
-                }
-                vfs.crash();
-
-                let db = Database::open(WAL, sim_opts_sharded(&vfs, d, true, to))
-                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-                assert_eq!(
-                    recovered_seqs(&db, "t"),
-                    (0..N).collect::<Vec<i64>>(),
-                    "{ctx}: fsynced commits lost across torn re-shard"
-                );
-
-                // The survivor must stay fully usable: accept a write and
-                // converge to the target layout on a clean checkpoint.
-                let t = db.table_id("t").unwrap();
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(N)])).unwrap();
-                txn.commit()
-                    .unwrap_or_else(|e| panic!("{ctx}: post-recovery commit failed: {e}"));
-                db.checkpoint()
-                    .unwrap_or_else(|e| panic!("{ctx}: post-recovery checkpoint failed: {e}"));
-                assert_eq!(db.wal_shard_count(), to, "{ctx}: retry did not converge");
-                assert_eq!(
-                    recovered_seqs(&db, "t"),
-                    (0..=N).collect::<Vec<i64>>(),
-                    "{ctx}: post-recovery state diverged"
-                );
-            }
         }
     }
 }

@@ -4,7 +4,7 @@
 //! bit flip of a frame is rejected — torn tail, CRC, or typed error,
 //! never a panic and never a different record — hostile lengths cost no
 //! allocation, corruption is reported at the offset of the frame that
-//! has it, and a v1 file is refused untouched.
+//! has it, and a v1 file or a sharded layout is refused untouched.
 
 mod common;
 
@@ -148,7 +148,7 @@ fn arb_snapshot_rows() -> impl Strategy<Value = WalRecord> {
     })
 }
 
-fn arb_plain_record() -> impl Strategy<Value = WalRecord> {
+fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         any::<u32>().prop_map(|version| WalRecord::Format { version }),
         (any::<u64>(), any::<i64>())
@@ -177,19 +177,6 @@ fn arb_plain_record() -> impl Strategy<Value = WalRecord> {
         (any::<u32>(), any::<u64>()).prop_map(|(t, w)| WalRecord::Watermark {
             table: TableId(t),
             next_row_id: w
-        }),
-        any::<u64>().prop_map(|commit_ts| WalRecord::AbortMarker { commit_ts }),
-    ]
-}
-
-fn arb_record() -> impl Strategy<Value = WalRecord> {
-    prop_oneof![
-        4 => arb_plain_record(),
-        1 => (any::<u64>(), arb_plain_record()).prop_map(|(barrier_ts, inner)| {
-            WalRecord::Barrier {
-                barrier_ts,
-                inner: Box::new(inner),
-            }
         }),
     ]
 }
@@ -402,7 +389,10 @@ fn sweep_frame(victim: &WalRecord) {
         next_ts: 9,
         clock: 9,
     };
-    let after = WalRecord::AbortMarker { commit_ts: 77 };
+    let after = WalRecord::Watermark {
+        table: TableId(7),
+        next_row_id: 77,
+    };
     let head = frame(&encode_record(&before));
     let mid = frame(&encode_record(victim));
     let tail = frame(&encode_record(&after));
@@ -472,7 +462,6 @@ fn read_every_column(rec: &WalRecord) {
     let ops: Vec<&WalOp> = match rec {
         WalRecord::Commit { writes, .. } => writes.iter().map(|w| &w.op).collect(),
         WalRecord::SnapshotRows { rows, .. } => rows.iter().map(|v| &v.op).collect(),
-        WalRecord::Barrier { inner, .. } => return read_every_column(inner),
         _ => Vec::new(),
     };
     for op in ops {
@@ -513,23 +502,24 @@ const HUGE: [u8; 6] = [0x80, 0x80, 0x80, 0x80, 0x80, 0x20];
 
 #[test]
 fn overlong_and_overflowing_varints_are_corrupt() {
-    // AbortMarker (tag 7) + a commit timestamp.
-    let mut eleven = vec![7];
+    // Watermark (tag 6) of table 0 + a row id.
+    let mut eleven = vec![6, 0];
     eleven.extend_from_slice(&[0x80; 10]);
     eleven.push(0);
     assert_corrupt(&eleven, "11-byte varint");
-    let mut overflow = vec![7];
+    let mut overflow = vec![6, 0];
     overflow.extend_from_slice(&[0xFF; 9]);
     overflow.push(0x02);
     assert_corrupt(&overflow, "varint with a 65th bit");
     // u64::MAX itself is fine.
-    let mut max = vec![7];
+    let mut max = vec![6, 0];
     max.extend_from_slice(&[0xFF; 9]);
     max.push(0x01);
     assert_eq!(
         decode_record(&max).unwrap(),
-        WalRecord::AbortMarker {
-            commit_ts: u64::MAX
+        WalRecord::Watermark {
+            table: TableId(0),
+            next_row_id: u64::MAX
         }
     );
     // A table id is 32 bits: DropTable (tag 3) of table 2^40.
@@ -712,13 +702,6 @@ fn a_v1_log_is_refused_typed_and_left_untouched() {
     let path = dir.file("v1.wal");
     std::fs::write(&path, v1_log()).unwrap();
     assert_refused(&path, Options::default(), 1);
-    // Asking for a sharded layout changes nothing: the layout on disk
-    // is what is opened.
-    let sharded = Options {
-        wal_shards: 4,
-        ..Options::default()
-    };
-    assert_refused(&path, sharded, 1);
     // A torn tail does not turn the refusal into a repair.
     let mut torn = v1_log();
     torn.extend_from_slice(&[0xAB; 5]);
@@ -747,6 +730,85 @@ fn a_log_from_the_future_is_refused_too() {
     assert_refused(&path, Options::default(), 3);
 }
 
+/// What is left of the sharded log (removed in PR 19): the layout it
+/// wrote is refused by its second file's name before the first file is
+/// read, and the two record kinds only it wrote are corruption at the
+/// frame that carries one. Either way nothing on disk is touched.
+#[test]
+fn a_sharded_layout_and_its_retired_records_are_refused_and_left_untouched() {
+    let dir = TestDir::new("tendax-wal-format");
+    let format = frame(&encode_record(&WalRecord::Format {
+        version: FORMAT_VERSION,
+    }));
+    let meta = frame(&encode_record(&WalRecord::Meta {
+        next_ts: 4,
+        clock: 0,
+    }));
+
+    // Shard 0 was the base path and shard 1 `<base>.shard1`: a barrier
+    // (tag 8, watermark 0) around the table's DDL in the one, the
+    // commits routed to the other (here: ts 1, no writes) in the other.
+    let base = dir.file("sharded.wal");
+    let sibling = dir.file("sharded.wal.shard1");
+    let create = encode_record(&WalRecord::CreateTable {
+        id: TableId(0),
+        def: TableDef::new("t").column("n", DataType::Int),
+    });
+    let barrier = frame(&[&[8, 0][..], &create].concat());
+    std::fs::write(&base, [&format[..], &barrier].concat()).unwrap();
+    std::fs::write(&sibling, [&format[..], &frame(&[4, 1, 0])].concat()).unwrap();
+    let before = (
+        std::fs::read(&base).unwrap(),
+        std::fs::read(&sibling).unwrap(),
+    );
+    match Database::open(&base, Options::default()) {
+        Err(StorageError::ShardedLayout { sibling: named }) => {
+            assert_eq!(named, sibling.display().to_string());
+        }
+        other => panic!("{other:?}"),
+    }
+    assert!(matches!(
+        WalFile::replay(&base),
+        Err(StorageError::ShardedLayout { .. })
+    ));
+    let after = (
+        std::fs::read(&base).unwrap(),
+        std::fs::read(&sibling).unwrap(),
+    );
+    assert_eq!(after, before, "a refused layout was modified");
+    // A leftover sibling beside a log that does not exist yet is the
+    // same layout: no database is created over it.
+    std::fs::remove_file(&base).unwrap();
+    assert!(matches!(
+        Database::open(&base, Options::default()),
+        Err(StorageError::ShardedLayout { .. })
+    ));
+    assert!(!base.exists());
+
+    // One file, carrying an abort marker (tag 7, ts 3) or a barrier
+    // (tag 8, watermark 3, around a drop of table 1) with a good frame
+    // on either side of it.
+    let path = dir.file("retired.wal");
+    for retired in [&[7u8, 3][..], &[8, 3, 3, 1]] {
+        let log = [&format[..], &meta, &frame(retired), &meta].concat();
+        std::fs::write(&path, &log).unwrap();
+        let at = (format.len() + meta.len()) as u64;
+        for err in [
+            Database::open(&path, Options::default()).map(drop),
+            WalFile::replay(&path).map(drop),
+        ] {
+            match err {
+                Err(StorageError::WalCorrupt { offset, reason }) => {
+                    assert_eq!(offset, at, "{reason}");
+                    assert!(reason.contains(&format!("tag {}", retired[0])), "{reason}");
+                }
+                other => panic!("tag {}: {other:?}", retired[0]),
+            }
+        }
+        assert_eq!(std::fs::read(&path).unwrap(), log);
+    }
+}
+
 #[test]
 fn a_log_torn_inside_its_first_frame_held_nothing_and_opens_empty() {
     let dir = TestDir::new("tendax-wal-format");
@@ -771,14 +833,8 @@ fn a_log_torn_inside_its_first_frame_held_nothing_and_opens_empty() {
 
 // --------------------------------------------------------- on real files
 
-/// One WAL file, no cold tier, whatever `TENDAX_WAL_SHARDS` and
-/// `TENDAX_COLD` say: a sharded log wraps these records in barriers.
 fn single_file() -> Options {
-    Options {
-        wal_shards: 1,
-        cold_storage: None,
-        ..Options::default()
-    }
+    Options::default()
 }
 
 /// A checkpoint of a table larger than one batch: the log starts with

@@ -11,48 +11,14 @@ echo "==> cargo build --release"
 cargo build --release --workspace
 
 echo "==> cargo test -q"
+# Every suite of every crate, sim_crash's 32 seeds included. Nothing
+# below re-runs one of them under the same environment.
 cargo test -q --workspace
 
-echo "==> crash-injection suite (checkpoint/maintenance + WAL recovery)"
-cargo test -q -p tendax-storage --test maintenance --test recovery_faults
-
-echo "==> on-disk format v2, on disk and in RAM (round-trip and packed-row proptests, cut + bit-flip sweeps over frames and cold runs, v1 refusal, a parent-written log, pinned disk and resident sizes, streamed replay)"
-cargo test -q -p tendax-storage --test wal_format --test format_size --test resident_size --test replay_alloc
-cargo test -q -p tendax-storage --lib -- wal:: cold::run row::
-
-echo "==> crash-simulation suite (SimVfs, seeds 0..32)"
-cargo test -q -p tendax-storage --test sim_crash
-
-echo "==> WAL shard-layout reopen compatibility (re-shard on checkpoint)"
-cargo test -q -p tendax-storage --test reshard
-
-echo "==> sharded-WAL matrix leg (default layout forced to 4 shards)"
-TENDAX_WAL_SHARDS=4 cargo test -q -p tendax-storage \
-    --test sim_crash --test commit_pipeline --test merge_commit \
-    --test maintenance --test recovery_faults --test reshard
-
-echo "==> cold-tier smoke (demotion + reopen + point lookup)"
-cargo test -q -p tendax-storage --test cold_storage
-
-echo "==> cold-tier matrix leg (default options forced cold-enabled)"
+echo "==> cold-tier matrix leg (tests/common::options() turns the cold tier on)"
 TENDAX_COLD=1 cargo test -q -p tendax-storage \
     --test sim_crash --test commit_pipeline --test merge_commit \
     --test maintenance --test recovery_faults --test read_path
-
-echo "==> commit-pipeline invariants (gap-freedom, FCW, WAL prefix replay)"
-cargo test -q -p tendax-storage --test commit_pipeline
-
-echo "==> commutative merge-commit suite (descriptor merge vs abort matrix)"
-cargo test -q -p tendax-storage --test merge_commit
-
-echo "==> transport loopback smoke (wire codec + TCP e2e convergence + live documents)"
-cargo test -q -p tendax-net --test codec --test loopback --test live
-
-echo "==> connection-capacity + slow-consumer + thread-count suite"
-cargo test -q -p tendax-net --test capacity --test threads
-
-echo "==> lan-party determinism suite (schedule digest + byte identity)"
-cargo test -q -p tendax-bench --test lan_party_determinism
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
