@@ -5,8 +5,8 @@
 //! complexity, and the incremental refresh path after churn (the
 //! "changes within seconds" behaviour).
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tendax_bench::build_corpus;
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use tendax_bench::{build_corpus, edit_documents};
 use tendax_core::FolderRule;
 
 fn bench_evaluate_vs_corpus(c: &mut Criterion) {
@@ -79,6 +79,29 @@ fn bench_refresh_after_churn(c: &mut Criterion) {
             set.refresh().expect("refreshed")
         });
     });
+
+    // Steady state: k of n documents edited between two refreshes of a
+    // folder whose rule reads what an edit writes. The edits are set-up,
+    // the refresh is what is timed.
+    let corpus = build_corpus(4, 200, 20, 7);
+    let folders = corpus.tendax.folders().clone();
+    let f = folders
+        .create_folder("sizeable", corpus.users[0], FolderRule::MinSize(100))
+        .expect("folder");
+    let mut set = folders.watch(f).expect("watch");
+    let mut next = 0;
+    for k in [0usize, 1, 8] {
+        group.bench_function(format!("steady_{k}_of_200_edited"), |b| {
+            b.iter_batched(
+                || {
+                    edit_documents(&corpus, next, k);
+                    next += k;
+                },
+                |()| set.refresh().expect("refreshed"),
+                BatchSize::SmallInput,
+            );
+        });
+    }
     group.finish();
 }
 

@@ -4,8 +4,8 @@
 //! k-means → layout) against corpus size, and the text-mining term
 //! extraction.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use tendax_bench::{add_paste_web, build_corpus};
+use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use tendax_bench::{add_paste_web, build_corpus, edit_documents};
 use tendax_core::{top_terms, DocumentSpace};
 
 fn bench_space_vs_corpus(c: &mut Criterion) {
@@ -17,6 +17,29 @@ fn bench_space_vs_corpus(c: &mut Criterion) {
         let tdb = corpus.tendax.textdb().clone();
         group.bench_with_input(BenchmarkId::from_parameter(n_docs), &n_docs, |b, _| {
             b.iter(|| DocumentSpace::build(&tdb, 3).expect("space"));
+        });
+    }
+    group.finish();
+}
+
+/// Steady state: k of n documents edited between two sweeps. The edits
+/// are set-up, the sweep is what is timed.
+fn bench_space_steady_state(c: &mut Criterion) {
+    let mut group = c.benchmark_group("d5_document_space_steady_state");
+    group.sample_size(10);
+    let corpus = build_corpus(5, 200, 40, 42);
+    let tdb = corpus.tendax.textdb().clone();
+    let mut next = 0;
+    for k in [0usize, 1, 8] {
+        group.bench_function(format!("{k}_of_200_edited"), |b| {
+            b.iter_batched(
+                || {
+                    edit_documents(&corpus, next, k);
+                    next += k;
+                },
+                |()| DocumentSpace::build(&tdb, 3).expect("space"),
+                BatchSize::SmallInput,
+            );
         });
     }
     group.finish();
@@ -50,6 +73,7 @@ fn bench_text_mining(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_space_vs_corpus,
+    bench_space_steady_state,
     bench_render,
     bench_text_mining
 );

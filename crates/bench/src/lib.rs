@@ -20,4 +20,6 @@ pub mod workload;
 
 pub use lanparty::{OpClass, OpMix, RunReport, Schedule, WorkloadConfig, WorkloadOp};
 pub use stats::{ClassRecorder, JsonValue, LatencyHistogram, LatencySummary};
-pub use workload::{add_paste_web, build_corpus, shared_document, text_of_words, Corpus};
+pub use workload::{
+    add_paste_web, build_corpus, edit_documents, shared_document, text_of_words, Corpus,
+};

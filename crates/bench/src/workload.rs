@@ -146,6 +146,18 @@ pub fn add_paste_web(corpus: &Corpus, n_pastes: usize, external_every: usize, se
     }
 }
 
+/// Type one character into each of `k` documents, starting at document
+/// `from` and wrapping: the churn between two sweeps of a steady-state
+/// service ("k of n documents edited").
+pub fn edit_documents(corpus: &Corpus, from: usize, k: usize) {
+    let tdb = corpus.tendax.textdb();
+    for i in 0..k {
+        let doc = corpus.docs[(from + i) % corpus.docs.len()];
+        let mut h = tdb.load(doc, corpus.users[0]).expect("load");
+        h.insert_text(0, "x").expect("edit");
+    }
+}
+
 /// Spin up `n` connected editor sessions on one shared document.
 pub fn shared_document(n_users: usize) -> (Tendax, Vec<tendax_core::EditorSession>, DocId) {
     let tendax = Tendax::in_memory().expect("instance");

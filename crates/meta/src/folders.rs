@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::json;
 use tendax_storage::{
-    DataType, Predicate, Row, RowId, SharedRow, StorageError, TableDef, TableId, Value,
+    DataType, Predicate, Row, RowId, SharedRow, StorageError, TableDef, TableId, Ts, Value,
 };
 use tendax_text::{DocId, Result, TextDb, TextError, UserId};
 
@@ -324,15 +324,21 @@ impl DynamicFolders {
 
     /// Evaluate a folder's current contents, sorted by document id.
     pub fn evaluate(&self, folder: FolderId) -> Result<Vec<DocId>> {
-        // The folder id is its row id: one point read, one rule parsed.
-        let rid = RowId(folder.0);
-        let row = self
-            .tdb
-            .database()
-            .begin()
-            .get(self.table, rid)?
-            .ok_or_else(|| TextError::UnknownDocument(format!("folder {folder:?}")))?;
-        self.evaluate_rule(&Self::decode_folder(rid, &row)?.rule)
+        self.evaluate_rule(&self.stored_rule(folder)?)
+    }
+
+    /// The stored row of a folder. The folder id is its row id: one
+    /// point read.
+    fn folder_row(&self, folder: FolderId) -> Result<SharedRow> {
+        (self.tdb.database().begin())
+            .get(self.table, RowId(folder.0))?
+            .ok_or_else(|| TextError::UnknownDocument(format!("folder {folder:?}")))
+    }
+
+    /// The rule of a stored folder: one point read, one rule parsed.
+    fn stored_rule(&self, folder: FolderId) -> Result<FolderRule> {
+        let row = self.folder_row(folder)?;
+        Ok(Self::decode_folder(RowId(folder.0), &row)?.rule)
     }
 
     /// Evaluate an ad-hoc rule against the live metadata.
@@ -391,11 +397,12 @@ impl DynamicFolders {
                     .any(|(_, row)| row.get(0).map(DocId::from_value) == Some(doc))
             }
             FolderRule::EditedSince(since) => {
+                // The newest operation of the document decides: one
+                // descending step on `(doc, ts)`, not the whole log.
                 let t = self.tdb.tables();
                 let txn = self.tdb.database().begin();
-                txn.index_lookup(t.oplog, "oplog_by_doc", &[doc.value()])?
-                    .into_iter()
-                    .any(|(_, row)| {
+                txn.index_prev(t.oplog, "oplog_by_doc_ts", &[doc.value()], None)?
+                    .is_some_and(|(_, _, row)| {
                         row.get(2).and_then(|v| v.as_timestamp()).unwrap_or(0) >= *since
                     })
             }
@@ -434,24 +441,77 @@ impl DynamicFolders {
         })
     }
 
+    /// The tables whose rows decide `rule` for a document — what a
+    /// verdict has to be re-derived for when a commit touches them.
+    fn rule_tables(&self, rule: &FolderRule) -> Vec<TableId> {
+        let t = self.tdb.tables();
+        let mut tables = Vec::new();
+        let mut pending = vec![rule];
+        while let Some(rule) = pending.pop() {
+            let table = match rule {
+                FolderRule::AuthoredBy { .. }
+                | FolderRule::MinSize(_)
+                | FolderRule::ContentContains(_) => t.chars,
+                FolderRule::StateIs(_)
+                | FolderRule::NameContains(_)
+                | FolderRule::CreatedBy { .. } => t.documents,
+                FolderRule::EditedSince(_) => t.oplog,
+                FolderRule::ReadBy { .. } => t.reads,
+                FolderRule::PastedFrom { .. } => t.paste_events,
+                FolderRule::HasOpenTasks => match self.tdb.database().table_id("tasks") {
+                    Ok(tasks) => tasks,
+                    // No process schema: the leaf is constant.
+                    Err(_) => continue,
+                },
+                FolderRule::All(rules) | FolderRule::Any(rules) => {
+                    pending.extend(rules);
+                    continue;
+                }
+                FolderRule::Not(inner) => {
+                    pending.push(inner);
+                    continue;
+                }
+            };
+            if !tables.contains(&table) {
+                tables.push(table);
+            }
+        }
+        tables
+    }
+
     /// A live view of one folder that reports deltas on refresh.
     pub fn watch(&self, folder: FolderId) -> Result<FolderSet> {
-        let contents = self.evaluate(folder)?;
-        Ok(FolderSet {
+        let mut set = FolderSet {
             engine: self.clone(),
             folder,
-            contents,
-        })
+            rule: self.stored_rule(folder)?,
+            decided_at: None,
+            verdicts: BTreeMap::new(),
+            contents: Vec::new(),
+            reevaluated: 0,
+        };
+        set.refresh()?;
+        Ok(set)
     }
 }
 
 /// A folder's cached contents plus delta computation — the "fluent"
-/// behaviour of the demo ("may change within seconds").
+/// behaviour of the demo ("may change within seconds"). It keeps every
+/// document's verdict and the snapshot the verdicts hold at, and a
+/// refresh re-runs the rule only for documents a commit has touched
+/// since, in one of the tables the rule reads (DESIGN.md §5.13).
 #[derive(Debug)]
 pub struct FolderSet {
     engine: DynamicFolders,
     folder: FolderId,
+    rule: FolderRule,
+    /// The snapshot every verdict holds at; `None` before the first
+    /// refresh.
+    decided_at: Option<Ts>,
+    /// One verdict per existing document.
+    verdicts: BTreeMap<DocId, bool>,
     contents: Vec<DocId>,
+    reevaluated: usize,
 }
 
 impl FolderSet {
@@ -459,9 +519,58 @@ impl FolderSet {
         &self.contents
     }
 
+    /// How many documents the last refresh ran the rule for, out of how
+    /// many there are.
+    pub fn reevaluated(&self) -> (usize, usize) {
+        (self.reevaluated, self.verdicts.len())
+    }
+
     /// Re-evaluate; returns the membership changes since last time.
     pub fn refresh(&mut self) -> Result<Vec<FolderChange>> {
-        let fresh = self.engine.evaluate(self.folder)?;
+        let engine = &self.engine;
+        let tdb = &engine.tdb;
+        // Snapshot first, stamps second: a verdict that survives this
+        // refresh holds at `now`, one that is re-derived sees `now` or
+        // later.
+        let now = tdb.database().last_commit_ts();
+        // A deleted folder has no contents to report.
+        engine.folder_row(self.folder)?;
+        let tables = engine.rule_tables(&self.rule);
+        let mut stale: Vec<DocId> = match self.decided_at {
+            None => Vec::new(),
+            Some(at) => (self.verdicts.keys().copied())
+                .filter(|doc| tdb.doc_stamp(&tables, *doc) > at)
+                .collect(),
+        };
+        let documents = tdb.tables().documents;
+        if self
+            .decided_at
+            .is_none_or(|at| tdb.table_stamp(documents) > at)
+        {
+            // A document may have appeared. It has no verdict yet, and
+            // the commit that created it need not have touched any table
+            // the rule reads: decide it now whatever its stamps say.
+            let txn = tdb.database().begin();
+            for (rid, _) in txn.scan(documents, &Predicate::True)? {
+                let doc = DocId::from_row(rid);
+                if !self.verdicts.contains_key(&doc) {
+                    stale.push(doc);
+                }
+            }
+        }
+        if !stale.is_empty() {
+            let read_sets = engine.read_sets(&self.rule)?;
+            for doc in &stale {
+                let verdict = engine.matches(&self.rule, &read_sets, *doc)?;
+                self.verdicts.insert(*doc, verdict);
+            }
+        }
+        self.reevaluated = stale.len();
+        self.decided_at = Some(now);
+        let fresh: Vec<DocId> = (self.verdicts.iter())
+            .filter_map(|(doc, verdict)| verdict.then_some(*doc))
+            .collect();
+
         // Both lists are sorted by document id: one merge pass finds the
         // additions (reported first, as before) and the removals.
         let mut added = Vec::new();
@@ -550,6 +659,35 @@ mod tests {
             vec![FolderChange::Added(d2), FolderChange::Removed(d1)]
         );
         assert_eq!(set.refresh().unwrap(), vec![]);
+    }
+
+    #[test]
+    fn a_new_document_is_decided_even_if_the_rule_reads_another_table() {
+        let (tdb, folders, alice, bob) = setup();
+        let d1 = tdb.create_document("a", alice).unwrap();
+        tdb.open(d1, alice).unwrap().insert_text(0, "hi").unwrap();
+        let unauthored = FolderRule::Not(Box::new(FolderRule::AuthoredBy { user: alice.0 }));
+        let mut sets: Vec<FolderSet> = [unauthored.clone(), FolderRule::MinSize(0)]
+            .into_iter()
+            .enumerate()
+            .map(|(i, rule)| {
+                let f = folders
+                    .create_folder(&format!("f{i}"), alice, rule)
+                    .unwrap();
+                folders.watch(f).unwrap()
+            })
+            .collect();
+        assert!(sets[0].contents().is_empty());
+        assert_eq!(sets[1].contents(), &[d1]);
+
+        // Creating a document writes `documents` only; both rules read
+        // `chars` and hold for an empty document.
+        let d2 = tdb.create_document("b", bob).unwrap();
+        for set in &mut sets {
+            assert_eq!(set.refresh().unwrap(), vec![FolderChange::Added(d2)]);
+            assert_eq!(set.reevaluated(), (1, 2));
+        }
+        assert_eq!(folders.evaluate_rule(&unauthored).unwrap(), vec![d2]);
     }
 
     #[test]
@@ -661,6 +799,22 @@ mod tests {
                 .unwrap(),
             vec![d1]
         );
+        // Edited before and after a cutoff: the newest operation decides.
+        let later = tdb.now();
+        h.insert_text(5, "6").unwrap();
+        for cutoff in [cutoff, later] {
+            assert_eq!(
+                folders
+                    .evaluate_rule(&FolderRule::EditedSince(cutoff))
+                    .unwrap(),
+                vec![d1]
+            );
+        }
+        assert!(folders
+            .evaluate_rule(&FolderRule::EditedSince(tdb.now() + 1))
+            .unwrap()
+            .is_empty());
+        h.delete_range(5, 1).unwrap();
         assert_eq!(
             folders.evaluate_rule(&FolderRule::MinSize(5)).unwrap(),
             vec![d1]

@@ -12,6 +12,7 @@
 
 use std::collections::{BTreeMap, HashMap};
 
+use tendax_storage::Ts;
 use tendax_text::{DocId, Result, TextDb, UserId};
 
 /// Lowercased alphanumeric tokens of a text.
@@ -208,6 +209,8 @@ pub struct SearchHit {
 pub struct SearchEngine {
     tdb: TextDb,
     index: InvertedIndex,
+    /// The snapshot each document's postings were read at.
+    indexed_at: HashMap<DocId, Ts>,
 }
 
 impl SearchEngine {
@@ -215,12 +218,17 @@ impl SearchEngine {
     /// content without opening it: no read events are recorded.
     pub fn build(tdb: &TextDb) -> Result<SearchEngine> {
         let mut index = InvertedIndex::default();
+        let mut indexed_at = HashMap::new();
+        // Every text below is read at this snapshot or a later one.
+        let at = tdb.database().last_commit_ts();
         for info in tdb.list_documents()? {
             index.add_document(info.id, &tdb.document_text(info.id)?);
+            indexed_at.insert(info.id, at);
         }
         Ok(SearchEngine {
             tdb: tdb.clone(),
             index,
+            indexed_at,
         })
     }
 
@@ -230,14 +238,26 @@ impl SearchEngine {
 
     /// Re-index one document in place after it changed — the incremental
     /// path an editor calls on save instead of rebuilding the corpus.
+    /// Returns at once when no commit has touched the document's
+    /// characters since it was last indexed (DESIGN.md §5.13).
     pub fn update_document(&mut self, doc: DocId) -> Result<()> {
+        // Snapshot first, stamp second.
+        let at = self.tdb.database().last_commit_ts();
+        let chars = self.tdb.tables().chars;
+        if (self.indexed_at.get(&doc))
+            .is_some_and(|seen| self.tdb.doc_stamp(&[chars], doc) <= *seen)
+        {
+            return Ok(());
+        }
         self.index.add_document(doc, &self.tdb.document_text(doc)?);
+        self.indexed_at.insert(doc, at);
         Ok(())
     }
 
     /// Drop a document from the index.
     pub fn remove_document(&mut self, doc: DocId) {
         self.index.remove_document(doc);
+        self.indexed_at.remove(&doc);
     }
 
     /// Run a query.

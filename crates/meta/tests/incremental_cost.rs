@@ -1,0 +1,178 @@
+//! What the incremental services read, counted on `Database::stats()`:
+//! nothing for documents no commit touched, and for a touched document
+//! exactly what a cold computation of that document reads.
+
+use tendax_meta::{collect_features, DynamicFolders, FolderRule, FolderSet};
+use tendax_process::ProcessEngine;
+use tendax_storage::{Database, Stats};
+use tendax_text::{DocId, TextDb, UserId};
+
+const DOCS: usize = 64;
+
+struct Corpus {
+    db: Database,
+    tdb: TextDb,
+    users: [UserId; 2],
+    docs: Vec<DocId>,
+    /// One watcher per leaf kind, named for the failure messages.
+    sets: Vec<(&'static str, FolderSet)>,
+}
+
+fn corpus() -> Corpus {
+    let db = Database::open_in_memory();
+    let tdb = TextDb::init(db.clone()).unwrap();
+    ProcessEngine::init(tdb.clone()).unwrap();
+    let users = [
+        tdb.create_user("alice").unwrap(),
+        tdb.create_user("bob").unwrap(),
+    ];
+    let docs: Vec<DocId> = (0..DOCS)
+        .map(|i| {
+            let doc = tdb.create_document(&format!("doc{i}"), users[0]).unwrap();
+            let mut h = tdb.load(doc, users[i % 2]).unwrap();
+            h.insert_text(0, "some lineage to mine").unwrap();
+            doc
+        })
+        .collect();
+    let since = tdb.now();
+    let folders = DynamicFolders::init(tdb.clone()).unwrap();
+    let rules = [
+        (
+            "ReadBy",
+            FolderRule::ReadBy {
+                user: users[1].0,
+                since,
+            },
+        ),
+        ("AuthoredBy", FolderRule::AuthoredBy { user: users[1].0 }),
+        ("CreatedBy", FolderRule::CreatedBy { user: users[0].0 }),
+        ("StateIs", FolderRule::StateIs("draft".into())),
+        ("NameContains", FolderRule::NameContains("7".into())),
+        (
+            "ContentContains",
+            FolderRule::ContentContains("lineage".into()),
+        ),
+        ("PastedFrom", FolderRule::PastedFrom { doc: docs[0].0 }),
+        ("EditedSince", FolderRule::EditedSince(since)),
+        ("MinSize", FolderRule::MinSize(21)),
+        ("HasOpenTasks", FolderRule::HasOpenTasks),
+    ];
+    let sets = rules
+        .into_iter()
+        .map(|(kind, rule)| {
+            let id = folders.create_folder(kind, users[0], rule).unwrap();
+            (kind, folders.watch(id).unwrap())
+        })
+        .collect();
+    Corpus {
+        db,
+        tdb,
+        users,
+        docs,
+        sets,
+    }
+}
+
+/// `(index_lookups, rows_scanned)` spent by `f`.
+fn reads<T>(db: &Database, f: impl FnOnce() -> T) -> ((u64, u64), T) {
+    let delta = |a: Stats, b: Stats| {
+        (
+            b.index_lookups - a.index_lookups,
+            b.rows_scanned - a.rows_scanned,
+        )
+    };
+    let before = db.stats();
+    let out = f();
+    (delta(before, db.stats()), out)
+}
+
+#[test]
+fn an_idle_sweep_reads_the_document_list_and_nothing_else() {
+    let mut c = corpus();
+    collect_features(&c.tdb).unwrap();
+
+    // Nothing committed since: mining re-lists the documents (one scan
+    // of `documents`) and reuses every document's statistics.
+    let (cost, features) = reads(&c.db, || collect_features(&c.tdb).unwrap());
+    assert_eq!(features.len(), DOCS);
+    assert_eq!(cost, (0, DOCS as u64));
+
+    // A folder does not even re-list them: no commit reached `documents`.
+    for (kind, set) in &mut c.sets {
+        let (cost, changes) = reads(&c.db, || set.refresh().unwrap());
+        assert_eq!(cost, (0, 0), "{kind}");
+        assert!(changes.is_empty(), "{kind}");
+        assert_eq!(set.reevaluated(), (0, DOCS), "{kind}");
+    }
+}
+
+#[test]
+fn three_edited_documents_cost_three_cold_computations() {
+    let mut c = corpus();
+    collect_features(&c.tdb).unwrap();
+    let edited = [c.docs[3], c.docs[17], c.docs[40]];
+    for doc in edited {
+        let mut h = c.tdb.load(doc, c.users[1]).unwrap();
+        h.insert_text(4, "!").unwrap();
+    }
+
+    // What one document costs from scratch, on a handle with no memo.
+    let cold = TextDb::init(c.db.clone()).unwrap();
+    let per_doc: Vec<(u64, u64)> = edited
+        .iter()
+        .map(|doc| reads(&c.db, || cold.doc_stats(*doc).unwrap()).0)
+        .collect();
+    assert!(per_doc
+        .iter()
+        .all(|(lookups, rows)| *lookups > 0 && *rows > 0));
+
+    // The sweep pays for the three, and the document list: 3 recomputed,
+    // 61 reused.
+    let (cost, _) = reads(&c.db, || collect_features(&c.tdb).unwrap());
+    let lookups: u64 = per_doc.iter().map(|c| c.0).sum();
+    let rows: u64 = per_doc.iter().map(|c| c.1).sum();
+    assert_eq!(cost, (lookups, DOCS as u64 + rows));
+
+    // The folders whose rule reads what an edit writes re-run it for
+    // those three; the others for none.
+    for (kind, set) in &mut c.sets {
+        set.refresh().unwrap();
+        let expect = match *kind {
+            "AuthoredBy" | "ContentContains" | "MinSize" | "EditedSince" => 3,
+            _ => 0,
+        };
+        assert_eq!(set.reevaluated(), (expect, DOCS), "{kind}");
+    }
+    let min_size = &c
+        .sets
+        .iter()
+        .find(|(kind, _)| *kind == "MinSize")
+        .unwrap()
+        .1;
+    assert_eq!(min_size.contents(), &edited[..]);
+}
+
+#[test]
+fn a_read_event_re_runs_only_the_rules_that_read_reads() {
+    let mut c = corpus();
+    // An open commits to `reads` and to nothing else.
+    c.tdb.open(c.docs[9], c.users[1]).unwrap();
+    for (kind, set) in &mut c.sets {
+        let changes = set.refresh().unwrap();
+        let expect = usize::from(*kind == "ReadBy");
+        assert_eq!(set.reevaluated(), (expect, DOCS), "{kind}");
+        assert_eq!(changes.len(), expect, "{kind}");
+    }
+    // A state change reaches `documents`, for one document.
+    c.tdb
+        .set_document_state(c.docs[9], "review", c.users[0])
+        .unwrap();
+    for (kind, set) in &mut c.sets {
+        set.refresh().unwrap();
+        let expect = match *kind {
+            "CreatedBy" | "StateIs" | "NameContains" => 1,
+            _ => 0,
+        };
+        assert_eq!(set.reevaluated(), (expect, DOCS), "{kind}");
+    }
+}

@@ -71,6 +71,9 @@ impl ProcessEngine {
             tasks: db.table_id("tasks")?,
             task_log: db.table_id("task_log")?,
         };
+        // A task belongs to a document: let folders over `HasOpenTasks`
+        // see which one a commit touched.
+        tdb.track(t.tasks, "doc")?;
         Ok(ProcessEngine { tdb, t })
     }
 

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
@@ -12,6 +12,7 @@ use crate::cold::{ColdOptions, ColdStore};
 use crate::commit::{CommitLatch, CommitSequencer};
 use crate::error::{Result, StorageError};
 use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
+use crate::observer::{CommitObserver, CommittedOp, CommittedWrite};
 use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
@@ -215,6 +216,9 @@ pub(crate) struct DbInner {
     /// Tiered cold storage; set once at open for durable databases with
     /// `Options::cold_storage`, never for in-memory.
     cold: OnceLock<ColdStore>,
+    /// Commit observers, held weakly: an observer nobody else keeps
+    /// alive is skipped, and none of them can keep the database open.
+    observers: RwLock<Vec<Weak<dyn CommitObserver>>>,
 }
 
 impl Drop for DbInner {
@@ -259,6 +263,7 @@ impl Database {
                 maintenance: Mutex::new(None),
                 vacuum_floor: AtomicU64::new(0),
                 cold: OnceLock::new(),
+                observers: RwLock::new(Vec::new()),
             }),
         }
     }
@@ -539,6 +544,18 @@ impl Database {
         }
     }
 
+    /// Register `observer` on the commit stream (see [`crate::observer`]).
+    /// The database keeps a weak reference: the observer is called for
+    /// as long as the caller keeps the `Arc` alive. Registration
+    /// quiesces the commit pipeline, so every commit is either visible
+    /// to any snapshot taken after this returns or reaches the observer.
+    pub fn observe_commits(&self, observer: &Arc<dyn CommitObserver>) {
+        let _quiesced = self.inner.commit_latch.exclusive();
+        let mut observers = self.inner.observers.write();
+        observers.retain(|o| o.strong_count() > 0);
+        observers.push(Arc::downgrade(observer));
+    }
+
     /// Validate, log and publish `txn`: once this returns the commit is
     /// visible to every later snapshot and cannot be retracted. What is
     /// left is the wait for its log record to reach the disk
@@ -692,6 +709,14 @@ impl Database {
             .map(|wal| wal.stage_commit(commit_ts, &rec))
             .transpose()?;
 
+        // A dropped observer stays listed until the next registration:
+        // only a live one is worth collecting the write set for.
+        let observers = self.inner.observers.read();
+        let observing = observers.iter().any(|o| o.strong_count() > 0);
+        let mut observed: Vec<CommittedWrite> = Vec::new();
+        if observing {
+            observed.reserve_exact(writes.values().map(|ws| ws.len()).sum());
+        }
         for ((tid, _), guard) in handles.iter().zip(guards.iter_mut()) {
             let ws = writes
                 .get(tid)
@@ -710,9 +735,28 @@ impl Database {
                         (VersionOp::Put(eff.clone()), Some(desc.clone()))
                     }
                 };
+                if observing {
+                    observed.push(CommittedWrite {
+                        table: *tid,
+                        row: rid,
+                        op: match &vop {
+                            VersionOp::Put(r) => CommittedOp::Put(r.clone()),
+                            VersionOp::Delete => {
+                                CommittedOp::Delete(guard.visible(rid, TS_LATEST).cloned())
+                            }
+                        },
+                    });
+                }
                 guard.apply_described(rid, commit_ts, vop, desc);
             }
         }
+        // Observers hear of the commit while it is applied but not yet
+        // visible: what they record is in place before `complete` lets
+        // a snapshot contain it.
+        for observer in observers.iter().filter_map(Weak::upgrade) {
+            observer.committed(commit_ts, &observed);
+        }
+        drop(observers);
         if !plan.rewrites.is_empty() {
             self.inner
                 .counters

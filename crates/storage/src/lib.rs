@@ -50,6 +50,7 @@ pub mod db;
 pub mod error;
 pub mod index;
 pub mod maintenance;
+pub mod observer;
 pub mod query;
 pub mod row;
 pub mod schema;
@@ -66,6 +67,7 @@ pub use cold::ColdOptions;
 pub use db::{Database, Options, Stats, TableStats};
 pub use error::{Result, StorageError};
 pub use maintenance::MaintenanceOptions;
+pub use observer::{CommitObserver, CommittedOp, CommittedWrite};
 pub use query::{explain, plan_access, AccessPath, Predicate};
 pub use row::{Columns, Row, RowId, SharedRow};
 pub use schema::{ColumnDef, IndexDef, TableDef, TableId};

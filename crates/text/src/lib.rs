@@ -42,6 +42,7 @@ pub mod ops;
 pub mod render;
 pub mod schema;
 pub mod security;
+mod stamps;
 pub mod template;
 pub mod textdb;
 pub mod undo;

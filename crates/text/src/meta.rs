@@ -8,7 +8,7 @@
 
 use std::collections::BTreeMap;
 
-use tendax_storage::Predicate;
+use tendax_storage::{Predicate, Transaction};
 
 use crate::document::DocHandle;
 use crate::error::Result;
@@ -98,10 +98,28 @@ pub struct DocStats {
 }
 
 impl TextDb {
-    /// Statistics for one document, straight from the metadata tables.
+    /// Statistics for one document. Memoized per document under the
+    /// change stamps of `chars`, `reads` and `oplog` (DESIGN.md §5.13):
+    /// the metadata tables are read only when a commit touched the
+    /// document since the statistics were last computed.
     pub fn doc_stats(&self, doc: DocId) -> Result<DocStats> {
         let t = self.tables();
+        // Snapshot first, stamp second: see the rule in `stamps`.
+        let at = self.database().last_commit_ts();
+        let stamp = self.doc_stamp(&[t.chars, t.reads, t.oplog], doc);
+        if let Some(stats) = self.stamps().cached_stats(doc, stamp, at) {
+            return Ok(stats);
+        }
         let txn = self.database().begin();
+        let stats = self.read_doc_stats(&txn, doc)?;
+        self.stamps()
+            .store_stats(doc, txn.snapshot_ts(), stats.clone());
+        Ok(stats)
+    }
+
+    /// [`TextDb::doc_stats`] straight from the metadata tables.
+    fn read_doc_stats(&self, txn: &Transaction, doc: DocId) -> Result<DocStats> {
+        let t = self.tables();
         let chars = txn.index_lookup(t.chars, "chars_by_doc", &[doc.value()])?;
         let mut size = 0usize;
         let mut authors: BTreeMap<UserId, ()> = BTreeMap::new();

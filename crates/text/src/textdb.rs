@@ -5,12 +5,15 @@
 //! management. Character-level editing happens through
 //! [`crate::document::DocHandle`], obtained via [`TextDb::open`].
 
-use tendax_storage::{Database, Predicate, Row, Transaction, Value};
+use std::sync::Arc;
+
+use tendax_storage::{CommitObserver, Database, Predicate, Row, TableId, Transaction, Ts, Value};
 
 use crate::error::{Result, TextError};
 use crate::ids::{DocId, RoleId, StyleId, UserId};
 use crate::schema::Tables;
 use crate::security::{self, Permission, Principal};
+use crate::stamps::{ChangeStamps, DocKey};
 
 /// Document descriptor.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -22,18 +25,25 @@ pub struct DocInfo {
     pub state: String,
 }
 
-/// Handle to a TeNDaX-enabled database.
+/// Handle to a TeNDaX-enabled database. Every clone shares the change
+/// stamps (and the results memoized under them) of the `init` it came
+/// from; a second `init` on the same database starts its own, cold.
 #[derive(Debug, Clone)]
 pub struct TextDb {
     db: Database,
     t: Tables,
+    stamps: Arc<ChangeStamps>,
 }
 
 impl TextDb {
-    /// Install (or adopt) the TeNDaX schema on `db`.
+    /// Install (or adopt) the TeNDaX schema on `db` and start observing
+    /// its commits for the change stamps (DESIGN.md §5.13).
     pub fn init(db: Database) -> Result<TextDb> {
         let t = Tables::install(&db)?;
-        Ok(TextDb { db, t })
+        let stamps = Arc::new(ChangeStamps::for_schema(&t));
+        let observer: Arc<dyn CommitObserver> = stamps.clone();
+        db.observe_commits(&observer);
+        Ok(TextDb { db, t, stamps })
     }
 
     /// Fresh in-memory instance (tests, examples).
@@ -52,6 +62,36 @@ impl TextDb {
     /// Engine clock timestamp.
     pub fn now(&self) -> i64 {
         self.db.now()
+    }
+
+    // ------------------------------------------------------- change stamps
+
+    /// Attribute commits on `table` — another layer's table whose
+    /// `column` holds a document id — to documents, as the text schema's
+    /// own tables are. Until a table is tracked, any commit to it stamps
+    /// every document.
+    pub fn track(&self, table: TableId, column: &str) -> Result<()> {
+        let pos = self.db.table_def(table)?.require_column(column)?;
+        self.stamps.track(table, DocKey::Column(pos));
+        Ok(())
+    }
+
+    /// Timestamp of the newest commit that touched `doc` in any of
+    /// `tables`, as far as this handle's `init` has observed. Read it
+    /// *after* taking the snapshot it is compared with: a result derived
+    /// from those tables at snapshot `E` still holds at a later snapshot
+    /// `T` iff `doc_stamp ≤ E`.
+    pub fn doc_stamp(&self, tables: &[TableId], doc: DocId) -> Ts {
+        self.stamps.doc_stamp(tables, doc)
+    }
+
+    /// Timestamp of the newest observed commit that wrote `table`.
+    pub fn table_stamp(&self, table: TableId) -> Ts {
+        self.stamps.table_stamp(table)
+    }
+
+    pub(crate) fn stamps(&self) -> &ChangeStamps {
+        &self.stamps
     }
 
     /// Run `f` with automatic retry on optimistic-concurrency conflicts.

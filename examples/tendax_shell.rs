@@ -22,7 +22,8 @@
 //! task <doc> <assignee> <nm>  define a workflow task
 //! inbox                       active user's task inbox
 //! done <task-id> <note…>      complete a task
-//! folders                     evaluate a docs-I-read folder
+//! folders                     refresh the active user's watched folders (read by / written by
+//!                             them) and say how many documents each refresh re-evaluated
 //! search <terms…>             content search
 //! lineage                     render the lineage graph
 //! mine                        render the document space
@@ -34,13 +35,17 @@
 use std::collections::HashMap;
 use std::io::BufRead;
 
-use tendax_core::{Assignee, FolderRule, Platform, SearchQuery, StyleId, TaskId, TaskSpec, Tendax};
+use tendax_core::{
+    Assignee, FolderRule, FolderSet, Platform, SearchQuery, StyleId, TaskId, TaskSpec, Tendax,
+};
 
 struct Shell {
     tx: Tendax,
     sessions: HashMap<String, tendax_core::EditorSession>,
     active: Option<String>,
     open_doc: Option<tendax_core::EditorDoc>,
+    /// The folders each user watches, created on their first `folders`.
+    watched: HashMap<String, Vec<(&'static str, FolderSet)>>,
 }
 
 impl Shell {
@@ -50,6 +55,7 @@ impl Shell {
             sessions: HashMap::new(),
             active: None,
             open_doc: None,
+            watched: HashMap::new(),
         }
     }
 
@@ -238,16 +244,33 @@ impl Shell {
             }
             "folders" => {
                 let user = self.active_user()?;
-                let docs = self
-                    .tx
-                    .folders()
-                    .evaluate_rule(&FolderRule::ReadBy { user: user.0, since: 0 })
-                    .map_err(e)?;
-                let names: Vec<String> = docs
-                    .iter()
-                    .filter_map(|d| self.tx.textdb().document_info(*d).ok().map(|i| i.name))
-                    .collect();
-                Ok(format!("documents you have read: {names:?}"))
+                let name = self.active.clone().expect("an active user has a name");
+                if !self.watched.contains_key(&name) {
+                    let folders = self.tx.folders();
+                    let mut sets = Vec::new();
+                    for (label, rule) in [
+                        ("read by you", FolderRule::ReadBy { user: user.0, since: 0 }),
+                        ("written by you", FolderRule::AuthoredBy { user: user.0 }),
+                    ] {
+                        let id = folders
+                            .create_folder(&format!("{label}: {name}"), user, rule)
+                            .map_err(e)?;
+                        sets.push((label, folders.watch(id).map_err(e)?));
+                    }
+                    self.watched.insert(name.clone(), sets);
+                }
+                let mut out = Vec::new();
+                for (label, set) in self.watched.get_mut(&name).expect("just inserted") {
+                    let changes = set.refresh().map_err(e)?.len();
+                    let (reevaluated, of) = set.reevaluated();
+                    let names: Vec<String> = (set.contents().iter())
+                        .filter_map(|d| self.tx.textdb().document_info(*d).ok().map(|i| i.name))
+                        .collect();
+                    out.push(format!(
+                        "{label}: {names:?} ({changes} changed; re-evaluated {reevaluated} of {of} documents)"
+                    ));
+                }
+                Ok(out.join("\n"))
             }
             "search" => {
                 let q = rest.join(" ");

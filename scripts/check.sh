@@ -1,6 +1,13 @@
 #!/usr/bin/env bash
 # Pre-PR gate: everything a change must pass before review.
 # Usage: scripts/check.sh
+#
+# `cargo test -q --workspace` below is where the per-layer suites run;
+# CI repeats some of them as jobs of their own so a red result names the
+# layer. The metadata-services job's are: tendax-storage `commit_observer`,
+# tendax-text `doc_stats_memo`, tendax-meta `incremental_oracle` (prints
+# PROPTEST_SEED=<n> on failure), `incremental_cost`, `services_read_only`,
+# `folder_algebra`, and the root package's `metadata_services`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -18,7 +25,8 @@ cargo test -q --workspace
 echo "==> cold-tier matrix leg (tests/common::options() turns the cold tier on)"
 TENDAX_COLD=1 cargo test -q -p tendax-storage \
     --test sim_crash --test commit_pipeline --test merge_commit \
-    --test maintenance --test recovery_faults --test read_path
+    --test maintenance --test recovery_faults --test read_path \
+    --test commit_observer
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
