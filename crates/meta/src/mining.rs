@@ -314,7 +314,7 @@ pub fn activity_timeline(tdb: &TextDb, doc: DocId, buckets: usize) -> Result<Vec
     let t = tdb.tables();
     let txn = tdb.database().begin();
     let ts: Vec<i64> = txn
-        .index_lookup(t.oplog, "oplog_by_doc", &[doc.value()])?
+        .index_lookup(t.oplog, "oplog_by_doc_ts", &[doc.value()])?
         .into_iter()
         .filter_map(|(_, row)| row.get(2).and_then(|v| v.as_timestamp()))
         .collect();

@@ -146,8 +146,8 @@ pub struct TableStats {
     pub live_rows: usize,
     /// Stored versions including superseded/tombstoned ones.
     pub versions: usize,
-    /// `(index name, distinct keys, entries)` per secondary index.
-    pub indexes: Vec<(String, usize, usize)>,
+    /// `(index name, entries, resident bytes)` per secondary index.
+    pub indexes: Vec<(String, usize, u64)>,
     /// What the table's live rows cost in a checkpoint: the summed
     /// length of the frames the checkpoint encoder produces for them.
     /// It is the encoding's size, not a file's: an in-memory database
@@ -373,7 +373,7 @@ impl Database {
                                 .collect();
                             (
                                 VersionOp::Put(base.with_updates(&written)),
-                                Some(Arc::new(WriteDescriptor::new(anchors, fields))),
+                                Some(WriteDescriptor::new(&anchors, &fields)),
                             )
                         }
                     };
@@ -684,9 +684,9 @@ impl Database {
                         WriteOp::Patch { row: r, desc } => {
                             let eff = plan.rewrites.get(&(table, row)).unwrap_or(r);
                             WalOp::Patch {
-                                fields: desc.fields.clone(),
+                                fields: desc.fields().to_vec(),
                                 values: desc
-                                    .fields
+                                    .fields()
                                     .iter()
                                     .map(|&p| {
                                         eff.get(p as usize)
@@ -694,7 +694,7 @@ impl Database {
                                             .to_value()
                                     })
                                     .collect(),
-                                anchors: desc.anchors.clone(),
+                                anchors: desc.anchors().to_vec(),
                             }
                         }
                     },
@@ -717,27 +717,25 @@ impl Database {
         if observing {
             observed.reserve_exact(writes.values().map(|ws| ws.len()).sum());
         }
-        for ((tid, _), guard) in handles.iter().zip(guards.iter_mut()) {
-            let ws = writes
-                .get(tid)
-                .expect("handle exists only for written table");
-            for (&rid, op) in ws {
+        // Handles were collected in the write set's table order.
+        for (guard, (tid, ws)) in guards.iter_mut().zip(writes) {
+            for (rid, op) in ws {
                 let (vop, desc) = match op {
                     // Same shared allocation the WAL record holds.
-                    WriteOp::Put(r) => (VersionOp::Put(r.clone()), None),
+                    WriteOp::Put(r) => (VersionOp::Put(r), None),
                     WriteOp::Delete => (VersionOp::Delete, None),
                     // Publish the merged row when validation rewrote the
                     // patch, and keep the descriptor on the version either
                     // way: later laggards merge across *this* commit by
                     // reading it.
                     WriteOp::Patch { row: r, desc } => {
-                        let eff = plan.rewrites.get(&(*tid, rid)).unwrap_or(r);
-                        (VersionOp::Put(eff.clone()), Some(desc.clone()))
+                        let eff = plan.rewrites.get(&(tid, rid)).cloned().unwrap_or(r);
+                        (VersionOp::Put(eff), Some(desc))
                     }
                 };
                 if observing {
                     observed.push(CommittedWrite {
-                        table: *tid,
+                        table: tid,
                         row: rid,
                         op: match &vop {
                             VersionOp::Put(r) => CommittedOp::Put(r.clone()),
@@ -885,10 +883,11 @@ impl Database {
                 .fetch_max(horizon, Ordering::Relaxed);
             horizon
         };
+        let floor = self.inner.vacuum_floor.load(Ordering::Relaxed);
         let tables = self.inner.tables.read();
         let mut pruned = 0;
         for handle in tables.values() {
-            pruned += handle.write().vacuum(horizon);
+            pruned += handle.write().vacuum(horizon, floor);
         }
         self.inner
             .counters
@@ -922,9 +921,12 @@ impl Database {
         if self.note_cold_error(cold.demote(batch, horizon)).is_none() {
             return 0;
         }
+        // Descriptors go only below the retention floor: `begin_at`
+        // still admits snapshots between it and the horizon.
+        let floor = self.inner.vacuum_floor.load(Ordering::Relaxed);
         let mut pruned = 0;
         for handle in tables.values() {
-            pruned += handle.write().vacuum(horizon);
+            pruned += handle.write().vacuum(horizon, floor);
         }
         self.inner
             .counters
@@ -1277,7 +1279,10 @@ impl Database {
                 indexes: store
                     .indexes()
                     .iter()
-                    .map(|i| (i.definition().name.clone(), i.key_count(), i.entry_count()))
+                    .map(|i| {
+                        let name = i.definition().name.clone();
+                        (name, i.entry_count(), i.resident_bytes() as u64)
+                    })
                     .collect(),
                 checkpoint_bytes: batches.iter().map(|b| encode_frame(b).len() as u64).sum(),
                 resident_bytes: store.resident_bytes(),
@@ -1968,7 +1973,8 @@ mod tests {
             .iter()
             .find(|(n, _, _)| n == "docs_by_name")
             .unwrap();
-        assert_eq!(by_name.1, 2); // keys "a", "b" (superset over versions)
+        assert_eq!(by_name.1, 2); // "a", "b": one entry each for its versions
+        assert!(by_name.2 > 0);
     }
 
     #[test]

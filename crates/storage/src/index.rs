@@ -1,66 +1,455 @@
-//! Ordered secondary indexes.
+//! Ordered secondary indexes over packed keys.
 //!
-//! An index maps composite keys (one [`Value`] per indexed column) to the
-//! set of row ids that have **some version** carrying that key. Because the
-//! engine is multi-versioned, index entries are a *superset* of what any
-//! particular snapshot can see: readers always re-fetch the row through the
-//! table's visibility check and re-verify the key. Entries for vacuumed
-//! versions are dropped when the table is vacuumed.
+//! An index holds one entry for every `(key, row id)` pair that **some
+//! version** of a row carries. Because the engine is multi-versioned the
+//! entries are a *superset* of what any particular snapshot can see:
+//! readers always re-fetch the row through the table's visibility check
+//! and re-verify the key. Entries for vacuumed versions are dropped when
+//! the table is vacuumed.
+//!
+//! An entry is bytes: the key packed by its index's [`KeyLayout`], then
+//! the row id, eight bytes big-endian. A packed key sorts as the key's
+//! values do under [`Value::total_cmp`], column by column, and a key's
+//! leading columns pack to a byte prefix of the whole key's packing, so
+//! byte order is `(key, row id)` order and the entries under one key, or
+//! one key prefix, are one run of the tree. An index whose columns all
+//! have a fixed width keeps each entry in a fixed-size array in the
+//! tree's own node: nothing is allocated per entry. DESIGN.md §5.12, "…
+//! and in the indexes".
 
-use std::collections::{btree_map::Entry, BTreeMap, BTreeSet};
+use std::borrow::Borrow;
+use std::collections::{btree_set, BTreeSet};
 use std::ops::Bound;
 
 use crate::row::{RowId, SharedRow};
-use crate::schema::IndexDef;
+use crate::schema::{IndexDef, TableDef};
 use crate::util::btree_bytes;
-use crate::value::{Value, ValueRef};
+use crate::value::{DataType, Value, ValueRef};
 
-/// Composite index key: the indexed column values, in index column order.
-pub type IndexKey = Vec<Value>;
+/// A packed key: what an index orders by, and the cursor
+/// [`crate::Transaction::index_prev`] hands back.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct IndexKey(Box<[u8]>);
 
-/// The rows under one key, in row-id order. Most keys of most indexes
-/// name one row (a timestamp-suffixed key, a unique name), and that row
-/// id lives in the map's own node; a set is built when a second row
-/// arrives, behind a pointer so that either way the node's slot is two
-/// words.
-#[derive(Debug, Clone)]
-pub enum RowSet {
-    One(RowId),
-    Many(Box<BTreeSet<RowId>>),
+impl IndexKey {
+    pub fn as_bytes(&self) -> &[u8] {
+        &self.0
+    }
 }
 
-impl RowSet {
-    /// The row ids, ascending.
-    pub fn iter(&self) -> impl DoubleEndedIterator<Item = RowId> + '_ {
-        let (one, many) = match self {
-            RowSet::One(r) => (Some(*r), None),
-            RowSet::Many(set) => (None, Some(set.iter().copied())),
+/// One indexed column: its type and whether it may hold NULL.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Column {
+    ty: DataType,
+    nullable: bool,
+}
+
+/// The sign bit of a 64-bit word.
+const SIGN: u64 = 1 << 63;
+
+impl Column {
+    /// Bytes every value of this column packs to, unless it is text or
+    /// bytes.
+    fn fixed_len(self) -> Option<usize> {
+        let width = match self.ty {
+            DataType::Text | DataType::Bytes => return None,
+            DataType::Bool => 1,
+            _ => 8,
         };
-        one.into_iter().chain(many.into_iter().flatten())
+        Some(width + usize::from(self.nullable))
     }
 
-    pub fn len(&self) -> usize {
-        match self {
-            RowSet::One(_) => 1,
-            RowSet::Many(set) => set.len(),
-        }
-    }
-
-    /// Never: a key with no rows left is removed from its index.
-    pub fn is_empty(&self) -> bool {
-        false
-    }
-
-    /// Add `row`; whether it was new.
-    fn insert(&mut self, row: RowId) -> bool {
-        match self {
-            RowSet::One(r) if *r == row => false,
-            RowSet::One(r) => {
-                *self = RowSet::Many(Box::new(BTreeSet::from([*r, row])));
-                true
+    /// Pack `v`, or write nothing and say `false` if no row of this
+    /// column can hold it (another type, or NULL in a `NOT NULL` column).
+    fn pack(self, v: ValueRef<'_>, out: &mut KeyBuf) -> bool {
+        if v.is_null() {
+            if self.nullable {
+                // Presence byte 0, then zeros: a fixed width stays fixed.
+                out.extend(&[0; 9][..self.fixed_len().unwrap_or(1)]);
             }
-            RowSet::Many(set) => set.insert(row),
+            return self.nullable;
         }
+        if v.data_type() != Some(self.ty) {
+            return false;
+        }
+        if self.nullable {
+            out.extend(&[1]);
+        }
+        match v {
+            ValueRef::Int(x) | ValueRef::Timestamp(x) => {
+                out.extend(&(x as u64 ^ SIGN).to_be_bytes())
+            }
+            ValueRef::Id(x) => out.extend(&x.to_be_bytes()),
+            ValueRef::Float(x) => {
+                let bits = x.to_bits();
+                let ordered = if bits & SIGN == 0 { bits | SIGN } else { !bits };
+                out.extend(&ordered.to_be_bytes());
+            }
+            ValueRef::Bool(b) => out.extend(&[u8::from(b)]),
+            ValueRef::Text(s) => pack_escaped(s.as_bytes(), out),
+            ValueRef::Bytes(b) => pack_escaped(b, out),
+            ValueRef::Null => unreachable!("handled above"),
+        }
+        true
+    }
+
+    /// Read one value [`Column::pack`] wrote, advancing `input`.
+    fn unpack(self, input: &mut &[u8]) -> Option<Value> {
+        if self.nullable && take(input, 1)?[0] == 0 {
+            take(input, self.fixed_len().map_or(0, |len| len - 1))?;
+            return Some(Value::Null);
+        }
+        let word = |input: &mut &[u8]| -> Option<u64> {
+            Some(u64::from_be_bytes(take(input, 8)?.try_into().ok()?))
+        };
+        Some(match self.ty {
+            DataType::Int => Value::Int((word(input)? ^ SIGN) as i64),
+            DataType::Timestamp => Value::Timestamp((word(input)? ^ SIGN) as i64),
+            DataType::Id => Value::Id(word(input)?),
+            DataType::Float => {
+                let ordered = word(input)?;
+                let bits = if ordered & SIGN != 0 {
+                    ordered ^ SIGN
+                } else {
+                    !ordered
+                };
+                Value::Float(f64::from_bits(bits))
+            }
+            DataType::Bool => Value::Bool(take(input, 1)?[0] != 0),
+            DataType::Text => Value::Text(String::from_utf8(unpack_escaped(input)?).ok()?),
+            DataType::Bytes => Value::Bytes(unpack_escaped(input)?),
+        })
+    }
+}
+
+/// Text and bytes: every `0x00` written `0x00 0xFF`, then `0x00 0x01`.
+/// The terminator sorts below any byte that can follow it, so a string
+/// sorts below its extensions, and below anything after its columns.
+fn pack_escaped(bytes: &[u8], out: &mut KeyBuf) {
+    let mut runs = bytes.split(|&b| b == 0);
+    out.extend(runs.next().unwrap_or_default());
+    for run in runs {
+        out.extend(&[0, 0xFF]);
+        out.extend(run);
+    }
+    out.extend(&[0, 1]);
+}
+
+fn unpack_escaped(input: &mut &[u8]) -> Option<Vec<u8>> {
+    let mut out = Vec::new();
+    loop {
+        match take(input, 1)?[0] {
+            0 => match take(input, 1)?[0] {
+                0xFF => out.push(0),
+                1 => return Some(out),
+                _ => return None,
+            },
+            b => out.push(b),
+        }
+    }
+}
+
+/// The first `n` bytes of `input`, which moves past them.
+fn take<'a>(input: &mut &'a [u8], n: usize) -> Option<&'a [u8]> {
+    if input.len() < n {
+        return None;
+    }
+    let (head, rest) = input.split_at(n);
+    *input = rest;
+    Some(head)
+}
+
+/// How an index packs its keys: per column, fixed-width big-endian
+/// numbers with the sign (and for floats the IEEE total order) folded
+/// into unsigned order, one byte for a `Bool`, escaped and terminated
+/// text and bytes, and a presence byte on nullable columns only. Byte
+/// order of two packed keys is the lexicographic [`Value::total_cmp`]
+/// order of the keys, and packing a key's leading columns gives a byte
+/// prefix of packing the whole key.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct KeyLayout {
+    columns: Vec<Column>,
+}
+
+/// Where a bound sorts among packed keys; see [`KeyLayout::probe`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Probe {
+    /// It is a whole key: its packing.
+    Exact,
+    /// It sorts just below every key its packing prefixes (a prefix, or a
+    /// value below every value its column can hold).
+    Below,
+    /// It sorts just above every key its packing prefixes (a value above
+    /// every value its column can hold, or more values than columns).
+    Above,
+}
+
+impl KeyLayout {
+    /// A layout for columns of these types and nullability, in key order.
+    pub fn new(columns: impl IntoIterator<Item = (DataType, bool)>) -> KeyLayout {
+        KeyLayout {
+            columns: columns
+                .into_iter()
+                .map(|(ty, nullable)| Column { ty, nullable })
+                .collect(),
+        }
+    }
+
+    /// The layout of `index` over `table`'s columns.
+    fn of(table: &TableDef, index: &IndexDef) -> KeyLayout {
+        KeyLayout::new(index.columns.iter().map(|&pos| {
+            let col = &table.columns[pos];
+            (col.ty, col.nullable)
+        }))
+    }
+
+    /// Bytes every key packs to, unless a column is text or bytes.
+    pub fn fixed_len(&self) -> Option<usize> {
+        self.columns.iter().map(|c| c.fixed_len()).sum()
+    }
+
+    /// The packing of `key`, a whole key or its leading columns; `None`
+    /// when no stored key can start with it (a value its column cannot
+    /// hold, or more values than columns).
+    pub fn encode(&self, key: &[Value]) -> Option<Vec<u8>> {
+        let mut out = KeyBuf::default();
+        self.pack_prefix(key, &mut out)
+            .then(|| out.as_slice().to_vec())
+    }
+
+    /// The whole key `packed` holds; `None` unless it is exactly one
+    /// key's packing.
+    pub fn decode(&self, mut packed: &[u8]) -> Option<Vec<Value>> {
+        let key = self
+            .columns
+            .iter()
+            .map(|c| c.unpack(&mut packed))
+            .collect::<Option<Vec<_>>>()?;
+        packed.is_empty().then_some(key)
+    }
+
+    /// [`KeyLayout::encode`] into `out`; whether every value packed.
+    fn pack_prefix(&self, key: &[Value], out: &mut KeyBuf) -> bool {
+        key.len() <= self.columns.len()
+            && self
+                .columns
+                .iter()
+                .zip(key)
+                .all(|(c, v)| c.pack(v.view(), out))
+    }
+
+    /// Pack as much of `key` as sorts like a key prefix, and say where
+    /// the whole of `key` sorts relative to what was packed — so that a
+    /// bound holding values no column can hold (a mixed-type probe, NULL
+    /// in a `NOT NULL` column, a key longer than the index) still
+    /// bounds exactly what [`Value::total_cmp`] says it does.
+    fn probe(&self, key: &[Value], out: &mut KeyBuf) -> Probe {
+        for (i, v) in key.iter().enumerate() {
+            let Some(&col) = self.columns.get(i) else {
+                return Probe::Above;
+            };
+            if col.pack(v.view(), out) {
+                continue;
+            }
+            let rank = v.data_type().map_or(0, DataType::rank);
+            if rank > col.ty.rank() {
+                return Probe::Above;
+            }
+            if col.nullable && !v.is_null() {
+                // Above the column's NULLs, below its values.
+                out.extend(&[1]);
+            }
+            return Probe::Below;
+        }
+        if key.len() == self.columns.len() {
+            Probe::Exact
+        } else {
+            Probe::Below
+        }
+    }
+}
+
+/// A key being packed: on the stack while it is short, as every key of
+/// the TeNDaX schema is, so packing one allocates nothing.
+#[derive(Clone)]
+pub(crate) struct KeyBuf {
+    len: usize,
+    stack: [u8; KeyBuf::STACK],
+    heap: Vec<u8>,
+}
+
+impl Default for KeyBuf {
+    fn default() -> Self {
+        KeyBuf {
+            len: 0,
+            stack: [0; KeyBuf::STACK],
+            heap: Vec::new(),
+        }
+    }
+}
+
+impl std::fmt::Debug for KeyBuf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        self.as_slice().fmt(f)
+    }
+}
+
+impl KeyBuf {
+    const STACK: usize = 48;
+
+    fn from_slice(bytes: &[u8]) -> KeyBuf {
+        let mut buf = KeyBuf::default();
+        buf.extend(bytes);
+        buf
+    }
+
+    fn extend(&mut self, bytes: &[u8]) {
+        let end = self.len + bytes.len();
+        if end <= Self::STACK {
+            self.stack[self.len..end].copy_from_slice(bytes);
+        } else {
+            if self.len <= Self::STACK {
+                self.heap.extend_from_slice(&self.stack[..self.len]);
+            }
+            self.heap.extend_from_slice(bytes);
+        }
+        self.len = end;
+    }
+
+    pub(crate) fn as_slice(&self) -> &[u8] {
+        if self.len <= Self::STACK {
+            &self.stack[..self.len]
+        } else {
+            &self.heap
+        }
+    }
+
+    /// The least byte string above every string this one prefixes;
+    /// `None` if there is none (it is empty or all `0xFF`).
+    fn successor(&self) -> Option<KeyBuf> {
+        let bytes = self.as_slice();
+        let last = bytes.iter().rposition(|&b| b != 0xFF)?;
+        let mut next = KeyBuf::from_slice(&bytes[..last]);
+        next.extend(&[bytes[last] + 1]);
+        Some(next)
+    }
+}
+
+/// A range of entries, in bytes: what a prefix or a pair of `&[Value]`
+/// bounds becomes once packed — from an inclusive lower end (the empty
+/// string is below every entry) up to an exclusive upper end, if any.
+#[derive(Debug, Clone)]
+pub(crate) struct EntryRange {
+    from: KeyBuf,
+    until: Option<KeyBuf>,
+}
+
+impl EntryRange {
+    /// `None` for a range no entry can fall in.
+    fn new(from: KeyBuf, until: Option<KeyBuf>) -> Option<EntryRange> {
+        let empty = until
+            .as_ref()
+            .is_some_and(|until| from.as_slice() >= until.as_slice());
+        (!empty).then_some(EntryRange { from, until })
+    }
+
+    /// The entries whose key starts with `prefix`.
+    fn prefix(prefix: KeyBuf) -> EntryRange {
+        EntryRange {
+            until: prefix.successor(),
+            from: prefix,
+        }
+    }
+
+    /// This range, less every entry at or above `key`.
+    pub(crate) fn below(self, key: &IndexKey) -> Option<EntryRange> {
+        let until = match self.until {
+            Some(until) if until.as_slice() <= key.as_bytes() => until,
+            _ => KeyBuf::from_slice(key.as_bytes()),
+        };
+        EntryRange::new(self.from, Some(until))
+    }
+
+    /// Whether `entry` (a packed key and row id) falls in the range.
+    pub(crate) fn contains(&self, entry: &[u8]) -> bool {
+        entry >= self.from.as_slice()
+            && self
+                .until
+                .as_ref()
+                .is_none_or(|until| entry < until.as_slice())
+    }
+
+    fn bounds(&self) -> (Bound<&[u8]>, Bound<&[u8]>) {
+        let until = self.until.as_ref().map(KeyBuf::as_slice);
+        (
+            Bound::Included(self.from.as_slice()),
+            until.map_or(Bound::Unbounded, Bound::Excluded),
+        )
+    }
+}
+
+/// A stored entry: a fixed-size array, zero-padded past the entry's
+/// length (entries of one fixed-width layout all have the same length,
+/// so padding never decides an order), or a boxed slice.
+trait Slot: Ord + Borrow<[u8]> {
+    fn fill(entry: &[u8]) -> Self;
+}
+
+impl<const N: usize> Slot for [u8; N] {
+    fn fill(entry: &[u8]) -> Self {
+        let mut slot = [0; N];
+        slot[..entry.len()].copy_from_slice(entry);
+        slot
+    }
+}
+
+impl Slot for Box<[u8]> {
+    fn fill(entry: &[u8]) -> Self {
+        entry.into()
+    }
+}
+
+/// The entries, in the narrowest slot their layout fits: every index
+/// of the TeNDaX schema but the unique names fits one of the arrays.
+#[derive(Debug, Clone)]
+enum Entries {
+    W16(BTreeSet<[u8; 16]>),
+    W24(BTreeSet<[u8; 24]>),
+    W32(BTreeSet<[u8; 32]>),
+    Boxed(BTreeSet<Box<[u8]>>),
+}
+
+/// An ordered walk over a range of [`Entries`], as byte slices.
+enum Walk<'a> {
+    W16(btree_set::Range<'a, [u8; 16]>),
+    W24(btree_set::Range<'a, [u8; 24]>),
+    W32(btree_set::Range<'a, [u8; 32]>),
+    Boxed(btree_set::Range<'a, Box<[u8]>>),
+}
+
+/// Run `$body` on whichever variant `$value` of `$ty` holds.
+macro_rules! each_width {
+    ($ty:ident, $value:expr, $bind:ident => $body:expr) => {
+        match $value {
+            $ty::W16($bind) => $body,
+            $ty::W24($bind) => $body,
+            $ty::W32($bind) => $body,
+            $ty::Boxed($bind) => $body,
+        }
+    };
+}
+
+impl<'a> Iterator for Walk<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        each_width!(Walk, self, r => r.next().map(|s| s.borrow()))
+    }
+}
+
+impl DoubleEndedIterator for Walk<'_> {
+    fn next_back(&mut self) -> Option<Self::Item> {
+        each_width!(Walk, self, r => r.next_back().map(|s| s.borrow()))
     }
 }
 
@@ -68,17 +457,27 @@ impl RowSet {
 #[derive(Debug, Clone)]
 pub struct IndexStore {
     def: IndexDef,
-    map: BTreeMap<IndexKey, RowSet>,
-    /// Number of (key, row) entries, maintained incrementally.
-    entries: usize,
+    layout: KeyLayout,
+    /// Bytes of every entry (key and row id) when the layout is fixed.
+    entry_len: Option<usize>,
+    entries: Entries,
 }
 
 impl IndexStore {
-    pub fn new(def: IndexDef) -> Self {
+    pub fn new(def: IndexDef, table: &TableDef) -> Self {
+        let layout = KeyLayout::of(table, &def);
+        let entry_len = layout.fixed_len().map(|len| len + 8);
+        let entries = match entry_len {
+            Some(..=16) => Entries::W16(BTreeSet::new()),
+            Some(..=24) => Entries::W24(BTreeSet::new()),
+            Some(..=32) => Entries::W32(BTreeSet::new()),
+            _ => Entries::Boxed(BTreeSet::new()),
+        };
         IndexStore {
             def,
-            map: BTreeMap::new(),
-            entries: 0,
+            layout,
+            entry_len,
+            entries,
         }
     }
 
@@ -86,271 +485,324 @@ impl IndexStore {
         &self.def
     }
 
-    /// Extract this index's key from a full row.
-    pub fn key_of(&self, row: &SharedRow) -> IndexKey {
-        self.def
-            .columns
-            .iter()
-            .map(|&pos| row.get(pos).map_or(Value::Null, ValueRef::to_value))
-            .collect()
-    }
-
-    /// Whether `row` carries exactly `key` (an entry key of this index) in
-    /// the indexed columns. Compares in place: the re-verification every
-    /// index reader owes the superset, without building a key per row.
-    pub fn key_matches(&self, row: &SharedRow, key: &[Value]) -> bool {
-        self.def
-            .columns
-            .iter()
-            .zip(key)
-            .all(|(&pos, k)| row.get(pos).unwrap_or(ValueRef::Null) == *k)
-    }
-
-    /// Record that `row` has a version with `key`.
-    pub fn insert(&mut self, key: IndexKey, row: RowId) {
-        let added = match self.map.entry(key) {
-            Entry::Vacant(e) => {
-                e.insert(RowSet::One(row));
-                true
-            }
-            Entry::Occupied(mut e) => e.get_mut().insert(row),
-        };
-        self.entries += usize::from(added);
-    }
-
-    /// Remove the (key, row) entry, if present.
-    pub fn remove(&mut self, key: &IndexKey, row: RowId) {
-        let Some(rows) = self.map.get_mut(key) else {
-            return;
-        };
-        let emptied = match rows {
-            RowSet::One(r) if *r == row => true,
-            RowSet::One(_) => return,
-            RowSet::Many(set) => {
-                if !set.remove(&row) {
-                    return;
-                }
-                set.is_empty()
-            }
-        };
-        self.entries -= 1;
-        if emptied {
-            self.map.remove(key);
+    /// Pack the key `row` carries into `out`.
+    fn pack_row(&self, row: &SharedRow, out: &mut KeyBuf) {
+        for (&pos, col) in self.def.columns.iter().zip(&self.layout.columns) {
+            let packed = col.pack(row.get(pos).unwrap_or(ValueRef::Null), out);
+            assert!(packed, "a stored row holds values its schema admits");
         }
     }
 
-    /// Row ids that may carry exactly `key`.
-    pub fn lookup(&self, key: &IndexKey) -> impl Iterator<Item = RowId> + '_ {
-        self.map.get(key).into_iter().flat_map(RowSet::iter)
+    /// The packed key `row` carries.
+    pub fn key_of(&self, row: &SharedRow) -> IndexKey {
+        let mut key = KeyBuf::default();
+        self.pack_row(row, &mut key);
+        IndexKey(key.as_slice().into())
     }
 
-    /// The keys within the given bounds (lexicographic over the composite
-    /// key), each with its row-id set: iterating keys, then each set, is
-    /// `(key, row id)` order.
-    pub fn range_sets(
-        &self,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
-    ) -> impl Iterator<Item = (&IndexKey, &RowSet)> + '_ {
-        self.map.range::<[Value], _>((lo, hi))
+    /// Whether `row` carries exactly `key` (the packed key of one of this
+    /// index's entries): the re-verification every index reader owes the
+    /// superset, packed on the stack.
+    pub fn key_matches(&self, row: &SharedRow, key: &[u8]) -> bool {
+        let mut packed = KeyBuf::default();
+        self.pack_row(row, &mut packed);
+        packed.as_slice() == key
     }
 
-    /// Like [`IndexStore::range_sets`], but flattened to `(key, row id)`
-    /// pairs and iterating from the greatest downward (newest-first
-    /// scans over timestamp-suffixed keys).
-    pub fn range_rev(
-        &self,
-        lo: Bound<&IndexKey>,
-        hi: Bound<&IndexKey>,
-    ) -> impl Iterator<Item = (&IndexKey, RowId)> + '_ {
-        self.map
-            .range::<IndexKey, _>((lo, hi))
-            .rev()
-            .flat_map(|(k, rows)| rows.iter().rev().map(move |r| (k, r)))
+    /// Record that `row` has a version, `version`, carrying its key.
+    pub fn insert(&mut self, row: RowId, version: &SharedRow) {
+        let mut entry = KeyBuf::default();
+        self.pack_row(version, &mut entry);
+        entry.extend(&row.0.to_be_bytes());
+        let entry = entry.as_slice();
+        each_width!(Entries, &mut self.entries, set => set.insert(Slot::fill(entry)));
     }
 
-    /// All row ids sharing the given key *prefix* (first `prefix.len()`
-    /// indexed columns equal).
-    pub fn prefix<'a>(
+    /// The entries whose key starts with `prefix` (the whole key, or its
+    /// leading columns); `None` when no entry can.
+    pub(crate) fn prefix(&self, prefix: &[Value]) -> Option<EntryRange> {
+        let mut packed = KeyBuf::default();
+        self.layout
+            .pack_prefix(prefix, &mut packed)
+            .then(|| EntryRange::prefix(packed))
+    }
+
+    /// The entries whose key is `key`.
+    pub(crate) fn exactly(&self, key: &IndexKey) -> EntryRange {
+        EntryRange::prefix(KeyBuf::from_slice(key.as_bytes()))
+    }
+
+    /// The entries whose key lies within the bounds, compared as
+    /// [`Value::total_cmp`] compares key vectors; `None` when none can.
+    pub(crate) fn bounds(&self, lo: Bound<&[Value]>, hi: Bound<&[Value]>) -> Option<EntryRange> {
+        let from = match lo {
+            Bound::Unbounded => KeyBuf::default(),
+            Bound::Included(key) | Bound::Excluded(key) => {
+                let mut packed = KeyBuf::default();
+                match self.layout.probe(key, &mut packed) {
+                    Probe::Below => packed,
+                    Probe::Exact if matches!(lo, Bound::Included(_)) => packed,
+                    Probe::Exact | Probe::Above => packed.successor()?,
+                }
+            }
+        };
+        let until = match hi {
+            Bound::Unbounded => None,
+            Bound::Included(key) | Bound::Excluded(key) => {
+                let mut packed = KeyBuf::default();
+                match self.layout.probe(key, &mut packed) {
+                    Probe::Below => Some(packed),
+                    Probe::Exact if matches!(hi, Bound::Excluded(_)) => Some(packed),
+                    Probe::Exact | Probe::Above => packed.successor(),
+                }
+            }
+        };
+        EntryRange::new(from, until)
+    }
+
+    /// The entries in `range` — none for `None` — as `(packed key, row
+    /// id)`, in that order.
+    pub(crate) fn entries<'a>(
         &'a self,
-        prefix: &'a [Value],
-    ) -> impl Iterator<Item = (&'a IndexKey, RowId)> + 'a {
-        self.range_sets(Bound::Included(prefix), Bound::Unbounded)
-            .take_while(move |(k, _)| k.starts_with(prefix))
-            .flat_map(|(k, rows)| rows.iter().map(move |r| (k, r)))
+        range: Option<&EntryRange>,
+    ) -> impl DoubleEndedIterator<Item = (&'a [u8], RowId)> + 'a {
+        let walk = range.map(|range| {
+            let bounds = range.bounds();
+            match &self.entries {
+                Entries::W16(set) => Walk::W16(set.range::<[u8], _>(bounds)),
+                Entries::W24(set) => Walk::W24(set.range::<[u8], _>(bounds)),
+                Entries::W32(set) => Walk::W32(set.range::<[u8], _>(bounds)),
+                Entries::Boxed(set) => Walk::Boxed(set.range::<[u8], _>(bounds)),
+            }
+        });
+        walk.into_iter().flatten().map(|slot| self.split(slot))
     }
 
-    /// Number of (key, row) entries.
+    /// An entry's packed key and row id.
+    fn split<'a>(&self, slot: &'a [u8]) -> (&'a [u8], RowId) {
+        let entry = &slot[..self.entry_len.unwrap_or(slot.len())];
+        let (key, row) = entry.split_at(entry.len() - 8);
+        let row = row.try_into().expect("an entry ends in a row id");
+        (key, RowId(u64::from_be_bytes(row)))
+    }
+
+    /// Number of `(key, row)` entries.
     pub fn entry_count(&self) -> usize {
-        self.entries
+        each_width!(Entries, &self.entries, set => set.len())
     }
 
-    /// Number of distinct keys.
-    pub fn key_count(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Heap bytes this index holds: its tree, each key's values and the
-    /// sets of the keys that name several rows.
+    /// Heap bytes this index holds: its tree, and the boxed entries of a
+    /// layout with text or bytes in it.
     pub fn resident_bytes(&self) -> usize {
-        let slot = std::mem::size_of::<(IndexKey, RowSet)>();
-        let entries: usize = self
-            .map
-            .iter()
-            .map(|(key, rows)| {
-                let values = key.capacity() * std::mem::size_of::<Value>();
-                let payloads: usize = key.iter().map(Value::heap_bytes).sum();
-                let set = match rows {
-                    RowSet::One(_) => 0,
-                    RowSet::Many(set) => {
-                        std::mem::size_of::<BTreeSet<RowId>>()
-                            + btree_bytes(set.len(), std::mem::size_of::<RowId>())
-                    }
-                };
-                values + payloads + set
-            })
-            .sum();
-        btree_bytes(self.map.len(), slot) + entries
+        let boxed = match &self.entries {
+            Entries::Boxed(set) => set.iter().map(|entry| entry.len()).sum(),
+            _ => 0,
+        };
+        each_width!(Entries, &self.entries, set => btree_bytes(set.len(), slot_size(set))) + boxed
     }
 
     /// Drop everything (used by vacuum rebuild).
     pub fn clear(&mut self) {
-        self.map.clear();
-        self.entries = 0;
+        each_width!(Entries, &mut self.entries, set => set.clear());
     }
+}
+
+/// The size of one slot of `set`'s tree.
+fn slot_size<T>(_: &BTreeSet<T>) -> usize {
+    std::mem::size_of::<T>()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::row::Row;
-    use crate::schema::IndexDef;
 
-    fn idx() -> IndexStore {
-        IndexStore::new(IndexDef {
-            name: "by_ab".into(),
-            columns: vec![0, 1],
-            unique: false,
-        })
+    fn table() -> TableDef {
+        TableDef::new("t")
+            .column("a", DataType::Id)
+            .column("b", DataType::Text)
+            .index("by_ab", &["a", "b"])
+            .index("by_a", &["a"])
+            .index("by_ba", &["b", "a"])
     }
 
-    fn key(a: u64, b: &str) -> IndexKey {
+    fn idx(name: &str) -> IndexStore {
+        let t = table();
+        let def = t.find_index(name).unwrap().clone();
+        IndexStore::new(def, &t)
+    }
+
+    fn row(a: u64, b: &str) -> SharedRow {
+        Row::new(vec![Value::Id(a), Value::Text(b.into())]).into_shared()
+    }
+
+    fn key(a: u64, b: &str) -> Vec<Value> {
         vec![Value::Id(a), Value::Text(b.into())]
     }
 
-    #[test]
-    fn insert_lookup_remove() {
-        let mut i = idx();
-        i.insert(key(1, "x"), RowId(10));
-        i.insert(key(1, "x"), RowId(11));
-        i.insert(key(2, "y"), RowId(12));
-        assert_eq!(i.entry_count(), 3);
-        assert_eq!(i.key_count(), 2);
-        let hits: Vec<_> = i.lookup(&key(1, "x")).collect();
-        assert_eq!(hits, vec![RowId(10), RowId(11)]);
-
-        // Duplicate insert is idempotent.
-        i.insert(key(1, "x"), RowId(10));
-        assert_eq!(i.entry_count(), 3);
-
-        i.remove(&key(1, "x"), RowId(10));
-        assert_eq!(i.lookup(&key(1, "x")).count(), 1);
-        i.remove(&key(1, "x"), RowId(11));
-        assert_eq!(i.key_count(), 1);
-        // Removing a non-existent entry is a no-op.
-        i.remove(&key(9, "z"), RowId(1));
-        assert_eq!(i.entry_count(), 1);
+    fn rows(i: &IndexStore, range: Option<EntryRange>) -> Vec<u64> {
+        i.entries(range.as_ref()).map(|(_, r)| r.0).collect()
     }
 
     #[test]
-    fn a_key_holds_one_row_inline_and_a_set_from_the_second() {
-        let mut i = idx();
-        i.insert(key(1, "x"), RowId(10));
-        assert!(matches!(i.map[&key(1, "x")], RowSet::One(RowId(10))));
-        let one = i.resident_bytes();
-        i.insert(key(1, "x"), RowId(7));
-        i.insert(key(1, "x"), RowId(12));
-        assert!(matches!(&i.map[&key(1, "x")], RowSet::Many(s) if s.len() == 3));
-        assert!(i.resident_bytes() > one, "the set is counted");
-        // Row-id order forward, and the reverse walk descends.
-        let rows: Vec<u64> = i.lookup(&key(1, "x")).map(|r| r.0).collect();
-        assert_eq!(rows, [7, 10, 12]);
-        let rev: Vec<u64> = i
-            .range_rev(Bound::Unbounded, Bound::Unbounded)
-            .map(|(_, r)| r.0)
-            .collect();
-        assert_eq!(rev, [12, 10, 7]);
-        // Emptying a set removes its key.
-        for r in [7, 10, 12] {
-            i.remove(&key(1, "x"), RowId(r));
+    fn insert_is_idempotent_and_lookup_follows_row_ids() {
+        let mut i = idx("by_ab");
+        i.insert(RowId(11), &row(1, "x"));
+        i.insert(RowId(10), &row(1, "x"));
+        i.insert(RowId(12), &row(2, "y"));
+        i.insert(RowId(10), &row(1, "x"));
+        assert_eq!(i.entry_count(), 3);
+        assert_eq!(rows(&i, i.prefix(&key(1, "x"))), [10, 11]);
+        assert_eq!(rows(&i, i.prefix(&[Value::Id(1)])), [10, 11]);
+        assert_eq!(rows(&i, i.prefix(&[])), [10, 11, 12]);
+        assert!(
+            i.prefix(&[Value::Int(1)]).is_none(),
+            "no Id column holds an Int"
+        );
+        i.clear();
+        assert_eq!((i.entry_count(), rows(&i, i.prefix(&[])).len()), (0, 0));
+    }
+
+    #[test]
+    fn fixed_layouts_keep_entries_in_the_node() {
+        let i = idx("by_a");
+        assert!(matches!(i.entries, Entries::W16(_)));
+        assert_eq!(i.layout.fixed_len(), Some(8));
+        assert!(matches!(idx("by_ab").entries, Entries::Boxed(_)));
+        let mut i = i;
+        for r in 0..100 {
+            i.insert(RowId(r), &row(r % 3, "x"));
         }
-        assert_eq!((i.key_count(), i.entry_count()), (0, 0));
+        assert_eq!(i.resident_bytes(), btree_bytes(100, 16));
+        let mut t = idx("by_ab");
+        t.insert(RowId(1), &row(1, "x"));
+        assert_eq!(
+            t.resident_bytes(),
+            btree_bytes(1, 16) + 8 + 3 + 8,
+            "a boxed entry counts its bytes"
+        );
     }
 
     #[test]
-    fn key_of_extracts_in_index_order() {
-        let i = IndexStore::new(IndexDef {
-            name: "rev".into(),
-            columns: vec![1, 0],
-            unique: false,
-        });
-        let row = Row::new(vec![Value::Id(7), Value::Text("t".into())]).into_shared();
-        assert_eq!(i.key_of(&row), vec![Value::Text("t".into()), Value::Id(7)]);
-        assert!(i.key_matches(&row, &[Value::Text("t".into()), Value::Id(7)]));
-        assert!(!i.key_matches(&row, &[Value::Text("t".into()), Value::Id(8)]));
+    fn key_of_and_key_matches_pack_in_index_order() {
+        let i = idx("by_ba");
+        let r = row(7, "t");
+        let packed = i.key_of(&r);
+        assert_eq!(
+            i.layout.decode(packed.as_bytes()),
+            Some(vec![Value::Text("t".into()), Value::Id(7)])
+        );
+        assert!(i.key_matches(&r, packed.as_bytes()));
+        assert!(!i.key_matches(&row(8, "t"), packed.as_bytes()));
     }
 
     #[test]
-    fn range_scans_are_ordered() {
-        let mut i = idx();
+    fn ranges_walk_both_ways_in_key_then_row_order() {
+        let mut i = idx("by_ab");
         for a in 1..=5u64 {
-            i.insert(key(a, "k"), RowId(a));
+            i.insert(RowId(a), &row(a, "k"));
         }
         let lo = key(2, "");
         let hi = key(4, "\u{10FFFF}");
-        let got: Vec<u64> = i
-            .range_sets(Bound::Included(&lo), Bound::Included(&hi))
-            .flat_map(|(_, rids)| rids.iter().map(|r| r.0))
-            .collect();
-        assert_eq!(got, vec![2, 3, 4]);
+        let range = i.bounds(Bound::Included(&lo), Bound::Included(&hi));
+        assert_eq!(rows(&i, range.clone()), [2, 3, 4]);
+        let back: Vec<u64> = i.entries(range.as_ref()).rev().map(|(_, r)| r.0).collect();
+        assert_eq!(back, [4, 3, 2]);
+        let all = i.bounds(Bound::Unbounded, Bound::Unbounded);
+        assert_eq!(rows(&i, all), [1, 2, 3, 4, 5]);
+        // A whole-key bound: inclusive takes the key, exclusive does not.
+        let three = key(3, "k");
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Excluded(&three), Bound::Unbounded)),
+            [4, 5]
+        );
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Unbounded, Bound::Included(&three))),
+            [1, 2, 3]
+        );
+        // A prefix bound sorts below its extensions.
+        let p = [Value::Id(3)];
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Excluded(&p), Bound::Unbounded)),
+            [3, 4, 5]
+        );
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Unbounded, Bound::Included(&p))),
+            [1, 2]
+        );
+        // Bounds the wrong way round name nothing.
+        assert!(i
+            .bounds(Bound::Included(&hi), Bound::Excluded(&lo))
+            .is_none());
     }
 
     #[test]
-    fn reverse_range_scans_descend() {
-        let mut i = idx();
-        for a in 1..=5u64 {
-            i.insert(key(a, "k"), RowId(a));
+    fn mixed_type_bounds_sort_as_total_cmp_says() {
+        let mut i = idx("by_ab");
+        for a in 1..=3u64 {
+            i.insert(RowId(a), &row(a, "k"));
         }
-        let got: Vec<u64> = i
-            .range_rev(Bound::Unbounded, Bound::Unbounded)
-            .map(|(_, r)| r.0)
-            .collect();
-        assert_eq!(got, vec![5, 4, 3, 2, 1]);
-        let hi = key(3, "\u{10FFFF}");
-        let got: Vec<u64> = i
-            .range_rev(Bound::Unbounded, Bound::Included(&hi))
-            .map(|(_, r)| r.0)
-            .collect();
-        assert_eq!(got, vec![3, 2, 1]);
+        // Null and Bool sort below every Id; Text above every Id.
+        let below = [Value::Null];
+        let above = [Value::Text("x".into())];
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Included(&below), Bound::Unbounded)),
+            [1, 2, 3]
+        );
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Unbounded, Bound::Included(&below))),
+            [] as [u64; 0]
+        );
+        assert!(i
+            .bounds(Bound::Included(&above), Bound::Unbounded)
+            .is_none());
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Unbounded, Bound::Excluded(&above))),
+            [1, 2, 3]
+        );
+        // In a later column: (2, Bytes) is above every (2, Text).
+        let mid = [Value::Id(2), Value::Bytes(vec![])];
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Included(&mid), Bound::Unbounded)),
+            [3]
+        );
+        // More values than columns: above the key they extend.
+        let long = [Value::Id(2), Value::Text("k".into()), Value::Null];
+        assert_eq!(
+            rows(&i, i.bounds(Bound::Unbounded, Bound::Included(&long))),
+            [1, 2]
+        );
     }
 
     #[test]
-    fn prefix_scan_matches_first_columns() {
-        let mut i = idx();
-        i.insert(key(1, "a"), RowId(1));
-        i.insert(key(1, "b"), RowId(2));
-        i.insert(key(2, "a"), RowId(3));
-        let got: Vec<u64> = i.prefix(&[Value::Id(1)]).map(|(_, r)| r.0).collect();
-        assert_eq!(got, vec![1, 2]);
-        assert_eq!(i.prefix(&[Value::Id(9)]).count(), 0);
+    fn below_caps_a_range_at_a_key() {
+        let mut i = idx("by_a");
+        for a in 1..=5u64 {
+            i.insert(RowId(a), &row(a, "k"));
+        }
+        let three = i.key_of(&row(3, "k"));
+        let all = i.prefix(&[]).unwrap();
+        assert_eq!(rows(&i, all.clone().below(&three)), [1, 2]);
+        assert_eq!(
+            rows(&i, i.prefix(&[Value::Id(4)]).unwrap().below(&three)),
+            [] as [u64; 0]
+        );
+        assert!(all.contains(&[0; 16]));
+        assert!(!i
+            .prefix(&[Value::Id(4)])
+            .unwrap()
+            .contains(three.as_bytes()));
+        assert_eq!(rows(&i, Some(i.exactly(&three))), [3]);
     }
 
     #[test]
-    fn clear_resets() {
-        let mut i = idx();
-        i.insert(key(1, "a"), RowId(1));
-        i.clear();
-        assert_eq!(i.entry_count(), 0);
-        assert_eq!(i.key_count(), 0);
+    fn successor_skips_trailing_ff() {
+        let s = KeyBuf::from_slice(&[1, 0xFF, 0xFF]).successor().unwrap();
+        assert_eq!(s.as_slice(), [2]);
+        assert!(KeyBuf::from_slice(&[0xFF]).successor().is_none());
+        assert!(KeyBuf::default().successor().is_none());
+        let long = KeyBuf::from_slice(&[7; 60]);
+        assert_eq!(long.as_slice(), [7; 60]);
+        assert_eq!(long.successor().unwrap().as_slice().len(), 60);
     }
 }

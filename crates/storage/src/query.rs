@@ -121,11 +121,13 @@ impl Predicate {
         })
     }
 
-    /// The top-level conjuncts of this predicate.
-    fn conjuncts(&self) -> Vec<&Predicate> {
+    /// Push this predicate's top-level `column = literal` conjuncts onto
+    /// `out`, by column position.
+    fn equalities<'p>(&'p self, def: &TableDef, out: &mut Vec<(usize, &'p Value)>) {
         match self {
-            Predicate::And(ps) => ps.iter().flat_map(|p| p.conjuncts()).collect(),
-            p => vec![p],
+            Predicate::And(ps) => ps.iter().for_each(|p| p.equalities(def, out)),
+            Predicate::Eq(c, v) => out.extend(def.column_position(c).map(|pos| (pos, v))),
+            _ => {}
         }
     }
 }
@@ -168,32 +170,27 @@ pub enum AccessPath {
 /// to a full scan (the storage layer's dedicated `index_range` API covers
 /// ordered scans where callers know the index they want).
 pub fn plan_access(def: &TableDef, pred: &Predicate) -> AccessPath {
-    let eqs: Vec<(usize, &Value)> = pred
-        .conjuncts()
-        .iter()
-        .filter_map(|p| match p {
-            Predicate::Eq(c, v) => def.column_position(c).map(|pos| (pos, v)),
-            _ => None,
-        })
-        .collect();
-    if eqs.is_empty() {
-        return AccessPath::FullScan;
-    }
-    let mut best: Option<(usize, Vec<Value>)> = None;
+    let mut eqs: Vec<(usize, &Value)> = Vec::new();
+    pred.equalities(def, &mut eqs);
+    let literal = |col: usize| eqs.iter().find(|(pos, _)| *pos == col).map(|(_, v)| *v);
+    // The first index with the longest covered prefix.
+    let mut best: Option<(usize, usize)> = None;
     for (ipos, idx) in def.indexes.iter().enumerate() {
-        let mut prefix = Vec::new();
-        for &cpos in &idx.columns {
-            match eqs.iter().find(|(p, _)| *p == cpos) {
-                Some((_, v)) => prefix.push((*v).clone()),
-                None => break,
-            }
-        }
-        if !prefix.is_empty() && best.as_ref().is_none_or(|(_, bp)| prefix.len() > bp.len()) {
-            best = Some((ipos, prefix));
+        let covered = (idx.columns.iter())
+            .take_while(|&&col| literal(col).is_some())
+            .count();
+        if covered > best.map_or(0, |(_, len)| len) {
+            best = Some((ipos, covered));
         }
     }
     match best {
-        Some((index_pos, prefix)) => AccessPath::IndexPrefix { index_pos, prefix },
+        Some((index_pos, len)) => AccessPath::IndexPrefix {
+            index_pos,
+            prefix: def.indexes[index_pos].columns[..len]
+                .iter()
+                .filter_map(|&col| literal(col).cloned())
+                .collect(),
+        },
         None => AccessPath::FullScan,
     }
 }

@@ -8,9 +8,8 @@
 //! vice versa, which is what lets TeNDaX editors read documents while
 //! others type into them.
 
-use std::collections::{btree_map, btree_map::Entry, BTreeMap, HashSet};
+use std::collections::{btree_map, btree_map::Entry, BTreeMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
 use crate::index::{IndexKey, IndexStore};
@@ -35,49 +34,113 @@ pub const TS_LATEST: Ts = u64::MAX;
 /// *commute* when neither their anchors nor their fields intersect —
 /// e.g. one splice updating a character's `prev` link while another
 /// updates its `next` — and commit validation merges them instead of
-/// aborting. Both vectors are kept sorted and deduplicated.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-pub struct WriteDescriptor {
-    /// Directed chain-edge tokens the write rewires.
-    pub anchors: Vec<u64>,
-    /// Column positions (schema order) the write set.
-    pub fields: Vec<u32>,
+/// aborting. Both lists are kept sorted and deduplicated, in one
+/// allocation of 40 bytes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WriteDescriptor(Box<Tokens>);
+
+/// A descriptor's two lists: in place when they are short, as every
+/// descriptor the text layer writes is (one anchor and one field for a
+/// splice, no anchor and up to four fields for a tombstone or a style).
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Tokens {
+    Inline {
+        anchors: [u64; 2],
+        fields: [u32; 4],
+        lens: [u8; 2],
+    },
+    Spilled {
+        anchors: Box<[u64]>,
+        fields: Box<[u32]>,
+    },
 }
 
 impl WriteDescriptor {
-    /// Build a descriptor, sorting and deduplicating both components.
-    pub fn new(mut anchors: Vec<u64>, mut fields: Vec<u32>) -> Self {
-        anchors.sort_unstable();
-        anchors.dedup();
-        fields.sort_unstable();
-        fields.dedup();
-        WriteDescriptor { anchors, fields }
+    /// Build a descriptor, sorting and deduplicating both lists.
+    pub fn new(anchors: &[u64], fields: &[u32]) -> Self {
+        if anchors.len() > 2 || fields.len() > 4 {
+            let (mut anchors, mut fields) = (anchors.to_vec(), fields.to_vec());
+            anchors.sort_unstable();
+            anchors.dedup();
+            fields.sort_unstable();
+            fields.dedup();
+            if anchors.len() <= 2 && fields.len() <= 4 {
+                return WriteDescriptor::new(&anchors, &fields);
+            }
+            return WriteDescriptor(Box::new(Tokens::Spilled {
+                anchors: anchors.into(),
+                fields: fields.into(),
+            }));
+        }
+        let (mut inline_anchors, mut inline_fields) = ([0; 2], [0; 4]);
+        inline_anchors[..anchors.len()].copy_from_slice(anchors);
+        inline_fields[..fields.len()].copy_from_slice(fields);
+        let lens = [
+            sort_dedup(&mut inline_anchors[..anchors.len()]),
+            sort_dedup(&mut inline_fields[..fields.len()]),
+        ];
+        WriteDescriptor(Box::new(Tokens::Inline {
+            anchors: inline_anchors,
+            fields: inline_fields,
+            lens: lens.map(|len| len as u8),
+        }))
+    }
+
+    /// Directed chain-edge tokens the write rewires, ascending.
+    pub fn anchors(&self) -> &[u64] {
+        match &*self.0 {
+            Tokens::Inline { anchors, lens, .. } => &anchors[..lens[0] as usize],
+            Tokens::Spilled { anchors, .. } => anchors,
+        }
+    }
+
+    /// Column positions (schema order) the write set, ascending.
+    pub fn fields(&self) -> &[u32] {
+        match &*self.0 {
+            Tokens::Inline { fields, lens, .. } => &fields[..lens[1] as usize],
+            Tokens::Spilled { fields, .. } => fields,
+        }
     }
 
     /// Do two descriptors touch a common anchor or field?
     pub fn overlaps(&self, other: &WriteDescriptor) -> bool {
-        sorted_intersect(&self.anchors, &other.anchors)
-            || sorted_intersect(&self.fields, &other.fields)
+        sorted_intersect(self.anchors(), other.anchors())
+            || sorted_intersect(self.fields(), other.fields())
     }
 
-    /// Fold `other` into `self` (union of anchors and fields).
-    pub fn merge_from(&mut self, other: &WriteDescriptor) {
-        self.anchors.extend_from_slice(&other.anchors);
-        self.anchors.sort_unstable();
-        self.anchors.dedup();
-        self.fields.extend_from_slice(&other.fields);
-        self.fields.sort_unstable();
-        self.fields.dedup();
+    /// The union of two descriptors' anchors and fields.
+    pub fn union(&self, other: &WriteDescriptor) -> WriteDescriptor {
+        WriteDescriptor::new(
+            &[self.anchors(), other.anchors()].concat(),
+            &[self.fields(), other.fields()].concat(),
+        )
     }
 
-    /// Heap bytes of a shared descriptor: its allocation and both
-    /// vectors.
+    /// Heap bytes of a descriptor: its allocation, and the lists of one
+    /// that spilled.
     fn resident_bytes(&self) -> usize {
-        2 * std::mem::size_of::<usize>()
-            + std::mem::size_of::<Self>()
-            + self.anchors.capacity() * std::mem::size_of::<u64>()
-            + self.fields.capacity() * std::mem::size_of::<u32>()
+        let spilled = match &*self.0 {
+            Tokens::Inline { .. } => 0,
+            Tokens::Spilled { anchors, fields } => {
+                std::mem::size_of_val(&**anchors) + std::mem::size_of_val(&**fields)
+            }
+        };
+        std::mem::size_of::<Tokens>() + spilled
     }
+}
+
+/// Sort `items` and move its distinct values to the front; how many
+/// there are.
+fn sort_dedup<T: Ord + Copy>(items: &mut [T]) -> usize {
+    items.sort_unstable();
+    let mut len = 0;
+    for i in 0..items.len() {
+        if len == 0 || items[len - 1] != items[i] {
+            items[len] = items[i];
+            len += 1;
+        }
+    }
+    len
 }
 
 /// Linear intersection test over two sorted slices.
@@ -101,8 +164,9 @@ pub struct Version {
     /// Chain-neighborhood descriptor of the write that produced this
     /// version, when the writer supplied one. Later concurrent commits
     /// whose descriptors don't overlap merge onto this version instead
-    /// of aborting.
-    pub desc: Option<Arc<WriteDescriptor>>,
+    /// of aborting; vacuum clears it once no snapshot can be validated
+    /// against the version.
+    pub desc: Option<WriteDescriptor>,
 }
 
 /// What a version did to the row. Put versions hold a [`SharedRow`]: the
@@ -128,6 +192,13 @@ impl Chain {
     fn versions(&self) -> &[Version] {
         match self {
             Chain::One(v) => std::slice::from_ref(v),
+            Chain::Many(vs) => vs,
+        }
+    }
+
+    fn versions_mut(&mut self) -> &mut [Version] {
+        match self {
+            Chain::One(v) => std::slice::from_mut(v),
             Chain::Many(vs) => vs,
         }
     }
@@ -203,7 +274,9 @@ pub struct TableStore {
 
 impl TableStore {
     pub fn new(id: TableId, def: TableDef) -> Self {
-        let indexes = def.indexes.iter().cloned().map(IndexStore::new).collect();
+        let indexes = (def.indexes.iter())
+            .map(|idx| IndexStore::new(idx.clone(), &def))
+            .collect();
         TableStore {
             id,
             def,
@@ -288,7 +361,7 @@ impl TableStore {
         row: RowId,
         ts: Ts,
         op: VersionOp,
-        desc: Option<Arc<WriteDescriptor>>,
+        desc: Option<WriteDescriptor>,
     ) {
         debug_assert!(
             self.chains
@@ -299,8 +372,7 @@ impl TableStore {
         );
         if let VersionOp::Put(r) = &op {
             for idx in &mut self.indexes {
-                let key = idx.key_of(r);
-                idx.insert(key, row);
+                idx.insert(row, r);
             }
         }
         let version = Version {
@@ -400,17 +472,16 @@ impl TableStore {
                     .get(index_pos)
                     .ok_or_else(|| StorageError::Internal("planner chose missing index".into()))?;
                 // A row sits under several keys of the prefix when its
-                // versions differ in the remaining index columns; a
-                // prefix covering the whole key names one row-id set, so
-                // there is nothing to deduplicate.
-                let mut seen = (prefix.len() < idx.definition().columns.len()).then(HashSet::new);
+                // versions differ in the remaining index columns, but its
+                // visible version carries one of them: re-verifying the
+                // entry's key yields each row once, with nothing to
+                // remember.
                 let mut rows = self.visible_cursor();
-                for (_, rid) in idx.prefix(&prefix) {
-                    if seen.as_mut().is_some_and(|seen| !seen.insert(rid)) {
-                        continue;
-                    }
+                for (key, rid) in idx.entries(idx.prefix(&prefix).as_ref()) {
                     if let Some(row) = rows.visible(rid, ts) {
-                        examine(rid, row)?;
+                        if idx.key_matches(row, key) {
+                            examine(rid, row)?;
+                        }
                     }
                 }
                 false
@@ -452,12 +523,12 @@ impl TableStore {
         excluded: &dyn Fn(RowId) -> bool,
     ) -> bool {
         let idx = &self.indexes[pos];
-        idx.lookup(key).any(|rid| {
+        idx.entries(Some(&idx.exactly(key))).any(|(_, rid)| {
             if excluded(rid) {
                 return false;
             }
             self.visible(rid, TS_LATEST)
-                .is_some_and(|row| idx.key_matches(row, key))
+                .is_some_and(|row| idx.key_matches(row, key.as_bytes()))
         })
     }
 
@@ -506,10 +577,18 @@ impl TableStore {
     /// A version is prunable if a newer version exists with
     /// `commit_ts <= horizon` (it is superseded for every live snapshot).
     /// A chain whose sole survivor is a `Delete` older than the horizon is
-    /// removed entirely.
-    pub fn vacuum(&mut self, horizon: Ts) -> usize {
+    /// removed entirely. Every surviving version at or below `floor` —
+    /// the snapshot floor `begin_at` enforces, so no transaction's
+    /// snapshot lies below it — loses its write descriptor: validation
+    /// only reads the descriptors of versions newer than a snapshot.
+    pub fn vacuum(&mut self, horizon: Ts, floor: Ts) -> usize {
         let mut pruned = 0;
         self.chains.retain(|_, chain| {
+            for v in chain.versions_mut() {
+                if v.commit_ts <= floor {
+                    v.desc = None;
+                }
+            }
             // Index of the newest version visible at the horizon.
             // Everything newer than the horizon (None) keeps all: 0.
             let keep_from = chain
@@ -613,8 +692,7 @@ impl TableStore {
             for v in chain.versions() {
                 if let VersionOp::Put(row) = &v.op {
                     for idx in &mut self.indexes {
-                        let key = idx.key_of(row);
-                        idx.insert(key, *rid);
+                        idx.insert(*rid, row);
                     }
                 }
             }
@@ -688,8 +766,18 @@ mod tests {
         TableStore::new(TableId(0), def)
     }
 
+    fn row(k: u64, v: &str) -> SharedRow {
+        Row::new(vec![Value::Id(k), Value::Text(v.into())]).into_shared()
+    }
+
     fn put(k: u64, v: &str) -> VersionOp {
-        VersionOp::Put(Row::new(vec![Value::Id(k), Value::Text(v.into())]).into_shared())
+        VersionOp::Put(row(k, v))
+    }
+
+    /// Rows with a version under `key` in the index named `name`.
+    fn under(t: &TableStore, name: &str, key: &[Value]) -> usize {
+        let (_, idx) = t.index_by_name(name).unwrap();
+        idx.entries(idx.prefix(key).as_ref()).count()
     }
 
     #[test]
@@ -750,11 +838,11 @@ mod tests {
         let r = t.allocate_row_id();
         t.apply(r, 1, put(1, "a"));
         t.apply(r, 2, put(2, "a2"));
-        let (pos, idx) = t.index_by_name("by_k").unwrap();
+        let (pos, _) = t.index_by_name("by_k").unwrap();
         assert_eq!(pos, 0);
         // Both the old and new key point at the row (superset semantics).
-        assert_eq!(idx.lookup(&vec![Value::Id(1)]).count(), 1);
-        assert_eq!(idx.lookup(&vec![Value::Id(2)]).count(), 1);
+        assert_eq!(under(&t, "by_k", &[Value::Id(1)]), 1);
+        assert_eq!(under(&t, "by_k", &[Value::Id(2)]), 1);
     }
 
     #[test]
@@ -762,8 +850,9 @@ mod tests {
         let mut t = table();
         let a = t.allocate_row_id();
         t.apply(a, 1, put(1, "taken"));
-        let key = vec![Value::Text("taken".into())];
-        let (upos, _) = t.index_by_name("by_v").unwrap();
+        let (upos, idx) = t.index_by_name("by_v").unwrap();
+        let key = idx.key_of(&row(9, "taken"));
+        let other = idx.key_of(&row(9, "other"));
         assert!(t.unique_conflict(upos, &key, &|_| false));
         // Excluding the row that holds the key clears the conflict.
         assert!(!t.unique_conflict(upos, &key, &|r| r == a));
@@ -772,7 +861,7 @@ mod tests {
         assert!(!t.unique_conflict(upos, &key, &|_| false));
         // Deleted rows do not hold keys.
         t.apply(a, 3, VersionOp::Delete);
-        assert!(!t.unique_conflict(upos, &vec![Value::Text("other".into())], &|_| false));
+        assert!(!t.unique_conflict(upos, &other, &|_| false));
     }
 
     #[test]
@@ -783,7 +872,7 @@ mod tests {
         t.apply(r, 2, put(1, "b"));
         t.apply(r, 3, put(1, "c"));
         assert_eq!(t.version_count(), 3);
-        let pruned = t.vacuum(2);
+        let pruned = t.vacuum(2, 2);
         assert_eq!(pruned, 1); // version @1 superseded by @2 <= horizon
         assert_eq!(t.version_count(), 2);
         // Visibility at/after the horizon is unchanged.
@@ -798,12 +887,73 @@ mod tests {
     }
 
     #[test]
+    fn vacuum_drops_descriptors_at_or_below_the_floor() {
+        let mut t = table();
+        let r = t.allocate_row_id();
+        for ts in 1..=3 {
+            let desc = WriteDescriptor::new(&[1], &[1]);
+            t.apply_described(r, ts, put(1, "a"), Some(desc));
+        }
+        let all = t.resident_bytes().descriptors;
+        // Horizon 1 prunes nothing; floor 2 is below no snapshot.
+        assert_eq!(t.vacuum(1, 2), 0);
+        let kept: Vec<bool> = (t.versions_after(r, 0).iter())
+            .map(|v| v.desc.is_some())
+            .collect();
+        assert_eq!(kept, [false, false, true]);
+        assert_eq!(t.resident_bytes().descriptors, all / 3);
+    }
+
+    #[test]
+    fn a_prefix_scan_yields_a_row_once_whatever_its_versions_carry() {
+        let def = TableDef::new("t")
+            .column("k", DataType::Id)
+            .column("v", DataType::Text)
+            .index("by_k_v", &["k", "v"]);
+        let mut t = TableStore::new(TableId(0), def);
+        let r = t.allocate_row_id();
+        t.apply(r, 1, put(1, "a"));
+        // The same prefix, another key: two entries name the row.
+        t.apply(r, 2, put(1, "b"));
+        let other = t.allocate_row_id();
+        t.apply(other, 3, put(1, "c"));
+        let pred = Predicate::Eq("k".into(), Value::Id(1));
+        assert_eq!(t.count_matching(TS_LATEST, &pred).unwrap(), (2, 0));
+        assert_eq!(t.count_matching(1, &pred).unwrap(), (1, 0));
+        let rows = t.scan_matching(TS_LATEST, &pred).unwrap().rows;
+        let ids: Vec<RowId> = rows.iter().map(|(rid, _)| *rid).collect();
+        assert_eq!(ids, [r, other]);
+    }
+
+    #[test]
+    fn a_descriptor_is_one_allocation_of_forty_bytes() {
+        let d = WriteDescriptor::new(&[9, 3, 9], &[2, 1]);
+        assert_eq!((d.anchors(), d.fields()), (&[3, 9][..], &[1, 2][..]));
+        assert_eq!(d.resident_bytes(), 40);
+        assert_eq!(
+            WriteDescriptor::new(&[1, 1, 1], &[2]),
+            WriteDescriptor::new(&[1], &[2])
+        );
+        let wide = WriteDescriptor::new(&[5, 4, 3], &[1]);
+        assert_eq!(wide.anchors(), [3, 4, 5]);
+        assert_eq!(wide.resident_bytes(), 40 + 3 * 8 + 4);
+        assert!(d.overlaps(&wide));
+        let (a, b) = (
+            WriteDescriptor::new(&[1], &[1]),
+            WriteDescriptor::new(&[2], &[2]),
+        );
+        assert!(!a.overlaps(&b));
+        assert_eq!(d.union(&wide).anchors(), [3, 4, 5, 9]);
+        assert_eq!(a.union(&b), WriteDescriptor::new(&[2, 1], &[1, 2]));
+    }
+
+    #[test]
     fn vacuum_removes_dead_rows_and_rebuilds_indexes() {
         let mut t = table();
         let r = t.allocate_row_id();
         t.apply(r, 1, put(1, "a"));
         t.apply(r, 2, VersionOp::Delete);
-        let pruned = t.vacuum(10);
+        let pruned = t.vacuum(10, 10);
         assert_eq!(pruned, 2);
         assert_eq!(t.version_count(), 0);
         let (_, idx) = t.index_by_name("by_k").unwrap();
@@ -823,7 +973,7 @@ mod tests {
         t.apply(r, 3, put(1, "c"));
         assert!(matches!(&t.chains[&r], Chain::Many(vs) if vs.len() == 3));
         assert_eq!(t.versions_after(r, 1).len(), 2);
-        assert_eq!(t.vacuum(3), 2);
+        assert_eq!(t.vacuum(3, 3), 2);
         assert!(matches!(&t.chains[&r], Chain::One(v) if v.commit_ts == 3));
         assert_eq!(
             t.visible(r, 3).unwrap().get(1).unwrap().as_text(),
@@ -856,7 +1006,7 @@ mod tests {
         let r = t.allocate_row_id();
         t.apply(r, 5, put(1, "a"));
         t.apply(r, 9, put(1, "b"));
-        assert_eq!(t.vacuum(3), 0);
+        assert_eq!(t.vacuum(3, 3), 0);
         assert_eq!(t.version_count(), 2);
         // A snapshot between the two versions still reads the old one.
         assert_eq!(

@@ -23,7 +23,7 @@ use parking_lot::{Mutex, RwLock};
 use crate::cold::ColdStore;
 use crate::db::Database;
 use crate::error::{Result, StorageError};
-use crate::index::{IndexKey, IndexStore};
+use crate::index::{EntryRange, IndexKey, IndexStore};
 use crate::query::Predicate;
 use crate::row::{Row, RowId, SharedRow};
 use crate::schema::TableId;
@@ -54,7 +54,7 @@ pub(crate) enum WriteOp {
     Delete,
     Patch {
         row: SharedRow,
-        desc: Arc<WriteDescriptor>,
+        desc: WriteDescriptor,
     },
 }
 
@@ -367,74 +367,81 @@ impl Transaction {
         Ok(self.scan(table, pred)?.len())
     }
 
-    /// Point lookup through a named index (overlay-aware). Results are in
-    /// row-id order.
+    /// Lookup through a named index (overlay-aware): the rows whose key
+    /// is `key`, or — given fewer values than the index has columns —
+    /// whose key starts with them. Results are in `(key, row id)` order:
+    /// row-id order for a whole key.
     pub fn index_lookup(
         &self,
         table: TableId,
         index: &str,
         key: &[Value],
     ) -> Result<Vec<(RowId, SharedRow)>> {
-        self.index_read(table, index, Bound::Included(key), Bound::Included(key))
+        self.index_read(table, index, |idx| idx.prefix(key))
     }
 
-    /// Ordered range scan through a named index (overlay-aware). Results
-    /// are ordered by (index key, row id).
+    /// Ordered range scan through a named index (overlay-aware): keys
+    /// compared as [`Value::total_cmp`] compares key vectors, a shorter
+    /// vector below its extensions. Results are ordered by (index key,
+    /// row id).
     pub fn index_range(
         &self,
         table: TableId,
         index: &str,
-        lo: Bound<&IndexKey>,
-        hi: Bound<&IndexKey>,
+        lo: Bound<&Vec<Value>>,
+        hi: Bound<&Vec<Value>>,
     ) -> Result<Vec<(RowId, SharedRow)>> {
-        self.index_read(table, index, lo.map(Vec::as_slice), hi.map(Vec::as_slice))
+        let (lo, hi) = (lo.map(Vec::as_slice), hi.map(Vec::as_slice));
+        self.index_read(table, index, |idx| idx.bounds(lo, hi))
     }
 
     /// The index read behind [`Transaction::index_lookup`] and
-    /// [`Transaction::index_range`].
+    /// [`Transaction::index_range`], over the entries `range` picks out
+    /// of the index (`None`: no entry can match).
     ///
     /// Fast path — no own writes on the table, snapshot at or above the
     /// cold floor: one walk of the ordered index straight into the result.
     /// The index holds each `(key, row id)` pair once and iterates in that
     /// order, and a row's visible version carries exactly one key, so
-    /// re-verifying the key against the visible row in place yields every
-    /// row at most once, already sorted: no key is cloned or built and
-    /// nothing is merged.
+    /// re-verifying the key against the visible row yields every row at
+    /// most once, already sorted: no key is kept and nothing is merged.
     ///
     /// Slow path — own writes to overlay, or history demoted to the cold
     /// tier: the committed rows (from that same walk, or from the merged
-    /// tiers) are keyed by `(key, row id)` and the write set merged in.
+    /// tiers) are keyed by their packed `(key, row id)` entry and the
+    /// write set merged in.
     fn index_read(
         &self,
         table: TableId,
         index: &str,
-        lo: Bound<&[Value]>,
-        hi: Bound<&[Value]>,
+        range: impl FnOnce(&IndexStore) -> Option<EntryRange>,
     ) -> Result<Vec<(RowId, SharedRow)>> {
         self.check_active()?;
         self.db.note_index_lookup();
-        let mut committed = self.with_table(table, |t| {
+        let (mut committed, range) = self.with_table(table, |t| {
             let idx = require_index(t, index)?;
-            let mut out = Vec::new();
+            let range = range(idx);
+            // Sized from the entries: one allocation, however many rows.
+            let mut out = Vec::with_capacity(idx.entries(range.as_ref()).count());
             let mut rows = t.visible_cursor();
-            for (key, rids) in idx.range_sets(lo, hi) {
-                out.reserve(rids.len());
-                for rid in rids.iter() {
-                    if let Some(row) = rows.visible(rid, self.snapshot) {
-                        // Re-verify: the index is a superset over versions.
-                        if idx.key_matches(row, key) {
-                            out.push((rid, row.clone()));
-                        }
+            for (key, rid) in idx.entries(range.as_ref()) {
+                if let Some(row) = rows.visible(rid, self.snapshot) {
+                    // Re-verify: the index is a superset over versions.
+                    if idx.key_matches(row, key) {
+                        out.push((rid, row.clone()));
                     }
                 }
             }
-            Ok::<_, StorageError>(out)
+            Ok::<_, StorageError>((out, range))
         })??;
         let cold = self.cold_below_floor();
         let own = self.own_writes(table);
         if cold.is_none() && own.is_none() {
             return Ok(committed);
         }
+        let Some(range) = range else {
+            return Ok(Vec::new());
+        };
         if let Some(cold) = cold {
             // The index only covers RAM-resident versions; for a snapshot
             // below the cold floor the committed set is every row of the
@@ -443,40 +450,38 @@ impl Transaction {
         }
         self.with_table(table, |t| {
             let idx = require_index(t, index)?;
-            let in_range = |key: &IndexKey| range_contains(&(lo, hi), key);
-            let mut matched: BTreeMap<(IndexKey, RowId), SharedRow> = BTreeMap::new();
+            let mut matched: BTreeMap<Vec<u8>, (RowId, SharedRow)> = BTreeMap::new();
+            let mut admit = |rid: RowId, row: SharedRow| {
+                let mut entry = idx.key_of(&row).as_bytes().to_vec();
+                entry.extend_from_slice(&rid.0.to_be_bytes());
+                if range.contains(&entry) {
+                    matched.insert(entry, (rid, row));
+                }
+            };
             for (rid, row) in committed {
                 // A buffered write supersedes the committed version.
-                if own.is_some_and(|ws| ws.contains_key(&rid)) {
-                    continue;
-                }
-                let key = idx.key_of(&row);
-                if in_range(&key) {
-                    matched.insert((key, rid), row);
+                if !own.is_some_and(|ws| ws.contains_key(&rid)) {
+                    admit(rid, row);
                 }
             }
             for (&rid, op) in own.into_iter().flatten() {
                 if let Some(row) = op.row() {
-                    let key = idx.key_of(row);
-                    if in_range(&key) {
-                        matched.insert((key, rid), row.clone());
-                    }
+                    admit(rid, row.clone());
                 }
             }
-            Ok(matched
-                .into_iter()
-                .map(|((_, rid), row)| (rid, row))
-                .collect())
+            Ok(matched.into_values().collect())
         })?
     }
 
-    /// The greatest index entry under `prefix` strictly below `before`
-    /// (descending cursor). Returns `(key, row_id, row)` — overlay-aware.
+    /// The greatest index entry under `prefix` strictly below the key
+    /// `before` (descending cursor). Returns `(key, row_id, row)` —
+    /// overlay-aware.
     ///
     /// Repeated calls with `before = Some(&previous_key)` walk an index
     /// newest-first without materializing the whole range; with a
     /// `(doc, ts)`-style index this is how "most recent matching X"
-    /// queries stay logarithmic.
+    /// queries stay logarithmic. The key is packed: a cursor to hand
+    /// back, not to read.
     pub fn index_prev(
         &self,
         table: TableId,
@@ -486,106 +491,82 @@ impl Transaction {
     ) -> Result<Option<(IndexKey, RowId, SharedRow)>> {
         self.check_active()?;
         self.db.note_index_lookup();
-        let lo: IndexKey = prefix.to_vec();
-        // Exclusive upper bound of the whole prefix range (when the last
-        // prefix value has a computable successor).
-        let prefix_hi: Option<IndexKey> = match prefix.last() {
-            None => None, // empty prefix: whole index, Unbounded is exact
-            Some(last) => value_successor(last).map(|succ| {
-                let mut k = prefix.to_vec();
-                *k.last_mut().expect("non-empty") = succ;
-                k
-            }),
+        // The prefix's entries, capped below the cursor; `None` when
+        // no key can qualify.
+        let range = self.with_table(table, |t| {
+            let range = require_index(t, index)?.prefix(prefix);
+            Ok::<_, StorageError>(match before {
+                Some(before) => range.and_then(|r| r.below(before)),
+                None => range,
+            })
+        })??;
+        let Some(range) = range else {
+            return Ok(None);
         };
         // Committed candidate: newest visible entry, skipping rows this
         // transaction has overwritten (their committed key is stale).
-        let committed: Option<(IndexKey, RowId, SharedRow)> = self.with_table(table, |t| {
+        let mut committed = self.with_table(table, |t| {
             let idx = require_index(t, index)?;
-            let hi = match (before, &prefix_hi) {
-                (Some(b), _) => Bound::Excluded(b),
-                (None, Some(h)) => Bound::Excluded(h),
-                (None, None) => Bound::Unbounded,
-            };
-            for (key, rid) in idx.range_rev(Bound::Included(&lo), hi) {
-                if !key.starts_with(prefix) {
-                    // Only reachable when no tight upper bound existed:
-                    // above the prefix range keep walking down, below it
-                    // stop.
-                    if key.as_slice() > prefix {
-                        continue;
-                    }
-                    break;
-                }
+            for (key, rid) in idx.entries(Some(&range)).rev() {
                 if self.own_write(table, rid).is_some() {
                     continue;
                 }
                 if let Some(row) = t.visible(rid, self.snapshot) {
                     if idx.key_matches(row, key) {
-                        return Ok::<_, StorageError>(Some((key.clone(), rid, row.clone())));
+                        return Ok::<_, StorageError>(Some((idx.key_of(row), rid, row.clone())));
                     }
                 }
             }
             Ok(None)
         })??;
-        let committed = match self.db.cold_store() {
-            Some(cold) if self.snapshot < cold.floor() => {
-                // Snapshot below the cold floor: rebuild the committed
-                // candidate from the merged tiers (the in-RAM index
-                // no longer covers every visible version).
-                let rows = self.tiered_visible_rows(table, cold)?;
-                self.with_table(table, |t| {
-                    let idx = require_index(t, index)?;
-                    let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
-                    for (rid, row) in rows {
-                        if self.own_write(table, rid).is_some() {
-                            continue;
-                        }
-                        let key = idx.key_of(&row);
-                        if !key.starts_with(prefix) {
-                            continue;
-                        }
-                        if let Some(b) = before {
-                            if &key >= b {
-                                continue;
-                            }
-                        }
-                        if best.as_ref().is_none_or(|(bk, _, _)| key > *bk) {
-                            best = Some((key, rid, row));
-                        }
-                    }
-                    Ok::<_, StorageError>(best)
-                })??
-            }
-            _ => committed,
-        };
+        if let Some(cold) = self.cold_below_floor() {
+            // Snapshot below the cold floor: rebuild the committed
+            // candidate from the merged tiers (the in-RAM index no
+            // longer covers every visible version).
+            let rows = self.tiered_visible_rows(table, cold)?;
+            let rows = rows
+                .into_iter()
+                .filter(|(rid, _)| self.own_write(table, *rid).is_none());
+            committed = self.greatest_key_in(table, index, &range, rows)?;
+        }
         // Own-write candidate with the greatest qualifying key.
-        let own: Option<(IndexKey, RowId, SharedRow)> = match self.writes.get(&table) {
+        let own = match self.writes.get(&table) {
             None => None,
-            Some(ws) => self.with_table(table, |t| {
-                let idx = require_index(t, index)?;
-                let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
-                for (&rid, op) in ws {
-                    let Some(row) = op.row() else { continue };
-                    let key = idx.key_of(row);
-                    if !key.starts_with(prefix) {
-                        continue;
-                    }
-                    if let Some(b) = before {
-                        if &key >= b {
-                            continue;
-                        }
-                    }
-                    if best.as_ref().is_none_or(|(bk, _, _)| key > *bk) {
-                        best = Some((key, rid, row.clone()));
-                    }
-                }
-                Ok::<_, StorageError>(best)
-            })??,
+            Some(ws) => {
+                let rows = ws
+                    .iter()
+                    .filter_map(|(&rid, op)| Some((rid, op.row()?.clone())));
+                self.greatest_key_in(table, index, &range, rows)?
+            }
         };
         Ok(match (committed, own) {
             (Some(c), Some(o)) => Some(if o.0 >= c.0 { o } else { c }),
             (c, o) => c.or(o),
         })
+    }
+
+    /// Of `rows`, the first with the greatest key among those whose key
+    /// falls in `range`.
+    fn greatest_key_in(
+        &self,
+        table: TableId,
+        index: &str,
+        range: &EntryRange,
+        rows: impl Iterator<Item = (RowId, SharedRow)>,
+    ) -> Result<Option<(IndexKey, RowId, SharedRow)>> {
+        self.with_table(table, |t| {
+            let idx = require_index(t, index)?;
+            let mut best: Option<(IndexKey, RowId, SharedRow)> = None;
+            for (rid, row) in rows {
+                let key = idx.key_of(&row);
+                if range.contains(key.as_bytes())
+                    && best.as_ref().is_none_or(|(bk, _, _)| key > *bk)
+                {
+                    best = Some((key, rid, row));
+                }
+            }
+            Ok(best)
+        })?
     }
 
     // --------------------------------------------------------------- writes
@@ -678,7 +659,7 @@ impl Transaction {
             }
             Ok::<_, StorageError>((current.with_updates(&changes), fields))
         })??;
-        let desc = WriteDescriptor::new(anchors.to_vec(), fields);
+        let desc = WriteDescriptor::new(anchors, &fields);
         let is_created = self.created.contains(&(table, row));
         use std::collections::btree_map::Entry;
         match self.writes.entry(table).or_default().entry(row) {
@@ -689,10 +670,8 @@ impl Transaction {
                 // `get` above saw the row, so a buffered delete is impossible.
                 WriteOp::Delete => unreachable!("set_with_anchors after delete"),
                 WriteOp::Patch { row: r, desc: d } => {
-                    let mut merged = WriteDescriptor::clone(d);
-                    merged.merge_from(&desc);
                     *r = new_row;
-                    *d = Arc::new(merged);
+                    *d = d.union(&desc);
                 }
             },
             Entry::Vacant(e) => {
@@ -701,10 +680,7 @@ impl Transaction {
                     // buffered Put), but keep the invariant explicit.
                     e.insert(WriteOp::Put(new_row));
                 } else {
-                    e.insert(WriteOp::Patch {
-                        row: new_row,
-                        desc: Arc::new(desc),
-                    });
+                    e.insert(WriteOp::Patch { row: new_row, desc });
                 }
             }
         }
@@ -817,21 +793,6 @@ impl Drop for Transaction {
     }
 }
 
-/// The smallest value strictly greater than `v` of the same type, when
-/// one exists cheaply. Used to build exclusive upper bounds for index
-/// prefix ranges.
-fn value_successor(v: &Value) -> Option<Value> {
-    Some(match v {
-        Value::Int(x) => Value::Int(x.checked_add(1)?),
-        Value::Id(x) => Value::Id(x.checked_add(1)?),
-        Value::Timestamp(x) => Value::Timestamp(x.checked_add(1)?),
-        Value::Bool(false) => Value::Bool(true),
-        // Appending NUL yields the immediate lexicographic successor.
-        Value::Text(s) => Value::Text(format!("{s}\0")),
-        _ => return None,
-    })
-}
-
 /// The named index of `t`, or the typed error naming both.
 fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
     t.index_by_name(index)
@@ -840,20 +801,6 @@ fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
             table: t.definition().name.clone(),
             index: index.to_owned(),
         })
-}
-
-fn range_contains(bounds: &(Bound<&[Value]>, Bound<&[Value]>), key: &[Value]) -> bool {
-    let lo_ok = match bounds.0 {
-        Bound::Unbounded => true,
-        Bound::Included(b) => key >= b,
-        Bound::Excluded(b) => key > b,
-    };
-    let hi_ok = match bounds.1 {
-        Bound::Unbounded => true,
-        Bound::Included(b) => key <= b,
-        Bound::Excluded(b) => key < b,
-    };
-    lo_ok && hi_ok
 }
 
 /// The outcome of successful commit validation: which `Patch` writes must
@@ -930,7 +877,7 @@ pub(crate) fn validate_writes(
             // newest committed row; everything else is the other
             // writers' work and survives untouched.
             let written: Vec<_> = desc
-                .fields
+                .fields()
                 .iter()
                 .map(|&pos| {
                     let value = row.get(pos as usize).expect("described column exists");
@@ -938,7 +885,7 @@ pub(crate) fn validate_writes(
                 })
                 .collect();
             let merged = base.with_updates(&written);
-            plan.fields_applied += desc.fields.len() as u64;
+            plan.fields_applied += desc.fields().len() as u64;
             plan.rewrites.insert((tid, rid), merged);
         }
         // Unique constraints, against latest committed state + this batch.
@@ -955,7 +902,7 @@ pub(crate) fn validate_writes(
             for (&rid, op) in writes {
                 if let Some(row) = effective(rid, op) {
                     let key = idx.key_of(&row);
-                    if let Some(prev) = pending.insert(key.clone(), rid) {
+                    if let Some(prev) = pending.insert(key, rid) {
                         if prev != rid {
                             return Err(StorageError::UniqueViolation {
                                 table: store.definition().name.clone(),

@@ -26,6 +26,22 @@ pub enum DataType {
     Float,
 }
 
+impl DataType {
+    /// Where this type's values sort among other types' in
+    /// [`Value::total_cmp`] (`Null`, ranked 0, sorts before them all).
+    pub(crate) fn rank(self) -> u8 {
+        match self {
+            DataType::Bool => 1,
+            DataType::Int => 2,
+            DataType::Id => 3,
+            DataType::Timestamp => 4,
+            DataType::Float => 5,
+            DataType::Text => 6,
+            DataType::Bytes => 7,
+        }
+    }
+}
+
 /// A single typed value.
 ///
 /// `Null` is a value of every type; columns declared `NOT NULL` reject it.
@@ -44,16 +60,7 @@ pub enum Value {
 impl Value {
     /// The dynamic type of this value, or `None` for `Null`.
     pub fn data_type(&self) -> Option<DataType> {
-        match self {
-            Value::Null => None,
-            Value::Int(_) => Some(DataType::Int),
-            Value::Id(_) => Some(DataType::Id),
-            Value::Text(_) => Some(DataType::Text),
-            Value::Bool(_) => Some(DataType::Bool),
-            Value::Bytes(_) => Some(DataType::Bytes),
-            Value::Timestamp(_) => Some(DataType::Timestamp),
-            Value::Float(_) => Some(DataType::Float),
-        }
+        self.view().data_type()
     }
 
     /// Whether this value may be stored in a column of `ty`.
@@ -97,15 +104,6 @@ impl Value {
 
     pub fn as_float(&self) -> Option<f64> {
         self.view().as_float()
-    }
-
-    /// Heap bytes behind this value (none unless `Text` or `Bytes`).
-    pub(crate) fn heap_bytes(&self) -> usize {
-        match self {
-            Value::Text(s) => s.capacity(),
-            Value::Bytes(b) => b.capacity(),
-            _ => 0,
-        }
     }
 
     /// This value, borrowed: what a column read of a packed row hands
@@ -169,6 +167,20 @@ impl<'a> ValueRef<'a> {
         matches!(self, ValueRef::Null)
     }
 
+    /// [`Value::data_type`], on a borrowed value.
+    pub fn data_type(self) -> Option<DataType> {
+        match self {
+            ValueRef::Null => None,
+            ValueRef::Int(_) => Some(DataType::Int),
+            ValueRef::Id(_) => Some(DataType::Id),
+            ValueRef::Text(_) => Some(DataType::Text),
+            ValueRef::Bool(_) => Some(DataType::Bool),
+            ValueRef::Bytes(_) => Some(DataType::Bytes),
+            ValueRef::Timestamp(_) => Some(DataType::Timestamp),
+            ValueRef::Float(_) => Some(DataType::Float),
+        }
+    }
+
     pub fn as_int(self) -> Option<i64> {
         match self {
             ValueRef::Int(v) => Some(v),
@@ -220,18 +232,7 @@ impl<'a> ValueRef<'a> {
 
     /// [`Value::total_cmp`], on borrowed values.
     pub fn total_cmp(self, other: ValueRef<'_>) -> Ordering {
-        fn rank(v: ValueRef<'_>) -> u8 {
-            match v {
-                ValueRef::Null => 0,
-                ValueRef::Bool(_) => 1,
-                ValueRef::Int(_) => 2,
-                ValueRef::Id(_) => 3,
-                ValueRef::Timestamp(_) => 4,
-                ValueRef::Float(_) => 5,
-                ValueRef::Text(_) => 6,
-                ValueRef::Bytes(_) => 7,
-            }
-        }
+        let rank = |v: ValueRef<'_>| v.data_type().map_or(0, DataType::rank);
         match (self, other) {
             (ValueRef::Null, ValueRef::Null) => Ordering::Equal,
             (ValueRef::Bool(a), ValueRef::Bool(b)) => a.cmp(&b),

@@ -99,3 +99,34 @@ fn index_reads_allocate_a_constant_beyond_the_result() {
         );
     }
 }
+
+#[test]
+fn a_prefix_count_allocates_nothing_per_row() {
+    // The `doc` prefix of a `(doc, seq)` index, with no index of its own
+    // (the shape of `count(oplog, doc = d)` over `oplog_by_doc_ts`): each
+    // row is verified against its entry's key, not remembered in a set.
+    let db = Database::open_in_memory();
+    let t = db
+        .create_table(
+            TableDef::new("log")
+                .column("doc", DataType::Id)
+                .column("seq", DataType::Int)
+                .index("by_doc_seq", &["doc", "seq"]),
+        )
+        .unwrap();
+    let mut txn = db.begin();
+    for i in 0..ROWS {
+        let row = Row::new(vec![Value::Id(7), Value::Int(i as i64)]);
+        txn.insert(t, row).unwrap();
+    }
+    txn.commit().unwrap();
+    let txn = db.begin();
+    let pred = Predicate::Eq("doc".into(), Value::Id(7));
+    txn.count(t, &pred).unwrap();
+    let (n, allocs) = allocations_during(|| txn.count(t, &pred).unwrap());
+    assert_eq!(n as u64, ROWS);
+    assert!(
+        allocs <= 2,
+        "a prefix count over {ROWS} rows made {allocs} allocations"
+    );
+}

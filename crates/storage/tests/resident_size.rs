@@ -1,18 +1,23 @@
 //! What a committed row costs in RAM (DESIGN.md, "Read path: row
-//! sharing" and "The same bytes in RAM"), pinned the way `format_size.rs`
-//! pins what it costs on disk: requested heap bytes and allocations per
-//! row, counted by a tracking allocator around `TableStore::apply`, for
-//! the three row shapes a keystroke writes. Requested bytes, not what the
-//! allocator rounds them to, so the pins hold under any allocator. Each
-//! pin carries its value at the parent commit, where a row was an
-//! `Arc<Row>` over a `Vec<Value>` of 32 bytes a column, every version
-//! chain a `Vec` of capacity four and every index key a `BTreeSet`.
+//! sharing" and "The same bytes in RAM … and in the indexes"), pinned
+//! the way `format_size.rs` pins what it costs on disk: requested heap
+//! bytes and allocations per row, counted by a tracking allocator around
+//! `TableStore::apply`, for the three row shapes a keystroke writes and
+//! the descriptor a described version keeps. Requested bytes, not what
+//! the allocator rounds them to, so the pins hold under any allocator.
+//! Each pin carries the value of the commit that set it and of the one
+//! before: PR 18 packed the row (before it, an `Arc<Row>` over a
+//! `Vec<Value>` of 32 bytes a column, every version chain a `Vec` of
+//! capacity four and every index key a `BTreeSet`); PR 21 packed the
+//! index keys (before it, a `Vec<Value>` a key and a `BTreeSet` for a key
+//! naming two rows), dropped three indexes nothing read and made a
+//! descriptor one allocation.
 
 mod common;
 
 use common::alloc::{allocations_during, retained_by, TrackingAlloc};
 use tendax_storage::table::{TableStore, VersionOp};
-use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value};
+use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value, WriteDescriptor};
 
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
@@ -68,8 +73,6 @@ fn oplog_def() -> TableDef {
         .column("kind", DataType::Text)
         .nullable_column("target", DataType::Id)
         .column("undone", DataType::Bool)
-        .index("oplog_by_doc", &["doc"])
-        .index("oplog_by_doc_user", &["doc", "user"])
         .index("oplog_by_doc_ts", &["doc", "ts"])
         .index("oplog_by_doc_user_ts", &["doc", "user", "ts"])
 }
@@ -95,7 +98,6 @@ fn effects_def() -> TableDef {
         .nullable_column("old_val", DataType::Text)
         .nullable_column("new_val", DataType::Text)
         .index("op_effects_by_op", &["op"])
-        .index("op_effects_by_char", &["char"])
 }
 
 fn effects_row(i: u64) -> SharedRow {
@@ -165,7 +167,9 @@ fn reading_a_committed_row_allocates_nothing() {
 fn chars_rows_and_their_further_versions() {
     let mut t = TableStore::new(TableId(0), chars_def());
     // First version, chain slot and `chars_by_doc` entry included.
-    // Parent: 668 bytes in 4.33 allocations. Here: 153 in 1.33.
+    // PR 18: 668 bytes in 4.33 allocations → 153 in 1.33. PR 21: 167 in
+    // 1.33 — a 16-byte entry a row where each document's key kept a
+    // `BTreeSet` of 8-byte row ids; every other index wins by more.
     let (first, first_blocks) = apply_all(&mut t, 1, |i| chars_row(i, 0));
     assert!(first <= 180.0, "first version: {first} bytes a row");
     assert!(
@@ -187,21 +191,38 @@ fn chars_rows_and_their_further_versions() {
 }
 
 #[test]
-fn an_oplog_row_with_its_four_indexes() {
-    // Parent: 990 bytes in 8.83 allocations. Here: 481 in 3.83.
+fn an_oplog_row_with_its_two_indexes() {
+    // PR 18: 990 bytes in 8.83 allocations → 481 in 3.83, with four
+    // indexes. PR 21, two indexes of packed keys: 237 in 1.5.
     let mut t = TableStore::new(TableId(0), oplog_def());
     let (bytes, blocks) = apply_all(&mut t, 1, oplog_row);
-    assert!(bytes <= 600.0, "an oplog row: {bytes} bytes");
-    assert!(blocks <= 4.5, "an oplog row: {blocks} allocations");
+    assert!(bytes <= 300.0, "an oplog row: {bytes} bytes");
+    assert!(blocks <= 1.6, "an oplog row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
 }
 
 #[test]
-fn an_op_effects_row_with_its_two_indexes() {
-    // Parent: 852 bytes in 8.5 allocations. Here: 345 in 3.5.
+fn an_op_effects_row_with_its_index() {
+    // PR 18: 852 bytes in 8.5 allocations → 345 in 3.5, with two
+    // indexes. PR 21, one index of packed keys: 159 in 1.33.
     let mut t = TableStore::new(TableId(0), effects_def());
     let (bytes, blocks) = apply_all(&mut t, 1, effects_row);
-    assert!(bytes <= 520.0, "an op_effects row: {bytes} bytes");
-    assert!(blocks <= 4.0, "an op_effects row: {blocks} allocations");
+    assert!(bytes <= 220.0, "an op_effects row: {bytes} bytes");
+    assert!(blocks <= 1.6, "an op_effects row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
+}
+
+#[test]
+fn a_described_versions_descriptor_is_one_allocation() {
+    // PR 18: 76 bytes in 3 allocations (an `Arc`, the anchors' `Vec`,
+    // the fields' `Vec`). PR 21: 40 in 1.
+    let (desc, bytes, blocks) = retained_by(|| WriteDescriptor::new(&[84_001], &[2]));
+    assert_eq!(blocks, 1, "{bytes} bytes");
+    assert!(bytes <= 40, "a descriptor holds {bytes} bytes");
+    // The table counts what the allocator handed out.
+    let mut t = TableStore::new(TableId(0), chars_def());
+    t.apply(RowId(1), 1, VersionOp::Put(chars_row(1, 0)));
+    let put = VersionOp::Put(chars_row(1, 1));
+    t.apply_described(RowId(1), 2, put, Some(desc));
+    assert_eq!(t.resident_bytes().descriptors, bytes as u64);
 }

@@ -110,6 +110,11 @@ fn chars_def() -> TableDef {
 }
 
 /// One row per editing operation (the paper's "real-time transactions").
+///
+/// An index is kept only where a path that runs reads it (DESIGN.md
+/// §5.12): undo/redo and history walk these newest-first with a
+/// descending cursor, and a lookup or count by `doc` (or `doc, user`)
+/// reads a leading-column prefix of them.
 fn oplog_def() -> TableDef {
     TableDef::new("oplog")
         .column("doc", DataType::Id)
@@ -118,16 +123,15 @@ fn oplog_def() -> TableDef {
         .column("kind", DataType::Text)
         .nullable_column("target", DataType::Id)
         .column("undone", DataType::Bool)
-        .index("oplog_by_doc", &["doc"])
-        .index("oplog_by_doc_user", &["doc", "user"])
-        // Timestamp-suffixed variants: undo/redo walk these newest-first
-        // with a descending index cursor instead of scanning the log.
         .index("oplog_by_doc_ts", &["doc", "ts"])
         .index("oplog_by_doc_user_ts", &["doc", "user", "ts"])
 }
 
 /// Relational effect list per operation — the undo/redo machinery reads
-/// these instead of deserializing opaque payloads.
+/// these instead of deserializing opaque payloads. An effect row names a
+/// row of its op's own document (a character; a structure element or a
+/// note for those kinds), so the effects of a document's characters are
+/// found through the document's operations.
 fn op_effects_def() -> TableDef {
     TableDef::new("op_effects")
         .column("op", DataType::Id)
@@ -137,7 +141,6 @@ fn op_effects_def() -> TableDef {
         .nullable_column("old_val", DataType::Text)
         .nullable_column("new_val", DataType::Text)
         .index("op_effects_by_op", &["op"])
-        .index("op_effects_by_char", &["char"])
 }
 
 /// Fine-grained access rights: whole-document or character-range scoped.

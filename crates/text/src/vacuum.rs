@@ -13,7 +13,7 @@
 //! database `VACUUM` truncates time travel. Open handles become stale
 //! and recover via their normal refresh path.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
 
 use tendax_storage::Value;
 
@@ -118,19 +118,24 @@ impl TextDb {
         }
 
         // Seal operations that reference purged characters and drop the
-        // effect rows; then drop the characters themselves. Reads happen
+        // effect rows; then drop the characters themselves. An effect
+        // names a row of its op's own document, so the document's
+        // operations lead to every effect on its characters. Reads happen
         // before the bulk deletes: index lookups are overlay-aware and
         // would otherwise rescan an ever-growing write set (quadratic).
+        let doomed: HashSet<CharId> = purged.iter().copied().collect();
         let mut sealed: BTreeSet<OpId> = BTreeSet::new();
         let mut effect_rows = Vec::new();
-        for id in &purged {
-            for (erid, erow) in
-                txn.index_lookup(t.op_effects, "op_effects_by_char", &[id.value()])?
-            {
-                if let Some(op) = erow.get(0).map(OpId::from_value) {
+        for (op_rid, _) in txn.index_lookup(t.oplog, "oplog_by_doc_ts", &[doc.value()])? {
+            let op = OpId::from_row(op_rid);
+            for (erid, erow) in txn.index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])? {
+                if erow
+                    .get(3)
+                    .is_some_and(|c| doomed.contains(&CharId::from_value(c)))
+                {
                     sealed.insert(op);
+                    effect_rows.push(erid);
                 }
-                effect_rows.push(erid);
             }
         }
         for erid in effect_rows {

@@ -311,7 +311,8 @@ impl Shell {
                 .join("\n")),
             // Where the bytes go: what each table's live rows would cost
             // in a checkpoint, by the encoder's own count, and what all
-            // its versions cost in RAM, by the structures' own.
+            // its versions cost in RAM, by the structures' own — each
+            // index on a line of its own under its table.
             "du" => {
                 let mut out = format!(
                     "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes/descriptors)",
@@ -334,6 +335,11 @@ impl Shell {
                         r.indexes,
                         r.descriptors
                     ));
+                    for (name, entries, resident) in &t.indexes {
+                        out.push_str(&format!(
+                            "\n  {name:<25}{entries:>10} entries{resident:>27}"
+                        ));
+                    }
                 }
                 let total: u64 = stats.iter().map(|t| t.checkpoint_bytes).sum();
                 let resident: u64 = stats.iter().map(|t| t.resident_bytes.total()).sum();

@@ -4,10 +4,14 @@
 #
 # `cargo test -q --workspace` below is where the per-layer suites run;
 # CI repeats some of them as jobs of their own so a red result names the
-# layer. The metadata-services job's are: tendax-storage `commit_observer`,
-# tendax-text `doc_stats_memo`, tendax-meta `incremental_oracle` (prints
-# PROPTEST_SEED=<n> on failure), `incremental_cost`, `services_read_only`,
-# `folder_algebra`, and the root package's `metadata_services`.
+# layer. The storage-format job's include tendax-storage `index_keys`
+# (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
+# on failure) and `resident_size`. The metadata-services job's are:
+# tendax-storage `commit_observer`, tendax-text `doc_stats_memo` and
+# `purge_oracle` (PROPTEST_SEED=<n> on failure), tendax-meta
+# `incremental_oracle` (the same), `incremental_cost`,
+# `services_read_only`, `folder_algebra`, and the root package's
+# `metadata_services`.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
