@@ -44,9 +44,9 @@ fn oplog_def() -> TableDef {
 fn op_effects_def() -> TableDef {
     TableDef::new("op_effects")
         .column("op", DataType::Id)
-        .column("seq", DataType::Int)
         .column("kind", DataType::Text)
-        .column("char", DataType::Id)
+        .column("first", DataType::Id)
+        .column("count", DataType::Int)
         .nullable_column("old_val", DataType::Text)
         .nullable_column("new_val", DataType::Text)
         .index("op_effects_by_op", &["op"])
@@ -85,9 +85,9 @@ fn oplog_row(i: u64) -> Row {
 fn op_effects_row(i: u64) -> Row {
     Row::new(vec![
         Value::Id(20_000 + i),
-        Value::Int(0),
         Value::Text("ins".into()),
         Value::Id(20_001 + i),
+        Value::Int(1),
         Value::Null,
         Value::Null,
     ])

@@ -92,9 +92,9 @@ fn oplog_row(i: u64) -> SharedRow {
 fn effects_def() -> TableDef {
     TableDef::new("op_effects")
         .column("op", DataType::Id)
-        .column("seq", DataType::Int)
         .column("kind", DataType::Text)
-        .column("char", DataType::Id)
+        .column("first", DataType::Id)
+        .column("count", DataType::Int)
         .nullable_column("old_val", DataType::Text)
         .nullable_column("new_val", DataType::Text)
         .index("op_effects_by_op", &["op"])
@@ -103,9 +103,9 @@ fn effects_def() -> TableDef {
 fn effects_row(i: u64) -> SharedRow {
     Row::new(vec![
         Value::Id(i),
-        Value::Int(0),
         Value::Text("ins".into()),
         Value::Id(i),
+        Value::Int(1),
         Value::Null,
         Value::Null,
     ])

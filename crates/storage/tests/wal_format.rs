@@ -349,9 +349,9 @@ fn keystroke_commit() -> WalRecord {
                 row: RowId(19_700),
                 op: put(vec![
                     Value::Id(19_000),
-                    Value::Int(0),
                     Value::Text("ins".into()),
                     Value::Id(20_500),
+                    Value::Int(1),
                     Value::Null,
                     Value::Null,
                 ]),
@@ -369,9 +369,9 @@ fn snapshot_batch() -> WalRecord {
                 commit_ts: 30_000 + i,
                 op: put(vec![
                     Value::Id(18_000 + i),
-                    Value::Int(0),
                     Value::Text("ins".into()),
                     Value::Id(20_000 + i),
+                    Value::Int(1),
                     Value::Null,
                     Value::Float(i as f64 / 3.0),
                 ]),

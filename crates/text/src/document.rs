@@ -436,17 +436,20 @@ impl DocHandle {
                         },
                     );
                 }
-                Effect::Delete { char, by, ts } => {
+                // Every writer of the flags or the style bumps the row's
+                // `version` in the same write; the mirror follows.
+                Effect::Delete { char, .. } => {
                     self.chain.set_visible(*char, false);
                     if let Some(info) = self.cache.get_mut(char) {
                         info.deleted = true;
-                        let _ = (by, ts);
+                        info.version += 1;
                     }
                 }
                 Effect::Undelete { char } => {
                     self.chain.set_visible(*char, true);
                     if let Some(info) = self.cache.get_mut(char) {
                         info.deleted = false;
+                        info.version += 1;
                     }
                 }
                 Effect::SetStyle { char, new, .. } => {

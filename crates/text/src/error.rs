@@ -68,6 +68,14 @@ pub enum TextError {
     NameTaken(String),
     /// Named version snapshot does not exist.
     UnknownVersion(String),
+    /// A table of the TeNDaX schema exists with other columns than this
+    /// build expects (e.g. `op_effects` as written before range effects).
+    /// The database is refused, never misread, and left untouched.
+    SchemaMismatch {
+        table: String,
+        found: String,
+        expected: String,
+    },
 }
 
 impl TextError {
@@ -123,6 +131,14 @@ impl fmt::Display for TextError {
             TextError::ChainCorrupt(msg) => write!(f, "character chain corrupt: {msg}"),
             TextError::NameTaken(n) => write!(f, "name `{n}` already taken"),
             TextError::UnknownVersion(n) => write!(f, "unknown version `{n}`"),
+            TextError::SchemaMismatch {
+                table,
+                found,
+                expected,
+            } => write!(
+                f,
+                "table `{table}` has columns ({found}), this build expects ({expected})"
+            ),
         }
     }
 }

@@ -47,9 +47,9 @@ impl DocHandle {
             let op = OpId::from_row(rid);
             let [user, ts, kind, target, undone] = row.cols([1, 2, 3, 4, 5]);
             let user = UserId::from_value(user);
-            let touched = txn
-                .index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])?
-                .len();
+            let touched = (self.tdb.effect_ranges(&txn, op)?.iter())
+                .map(|range| range.count as usize)
+                .sum();
             out.push(HistoryEntry {
                 op,
                 user,

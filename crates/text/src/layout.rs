@@ -78,17 +78,8 @@ impl DocHandle {
             )?;
         }
         let op = self.log_op(&mut txn, "style", crate::ids::OpId::NONE, ts)?;
-        for (seq, (id, old)) in ids.iter().zip(&olds).enumerate() {
-            self.log_effect(
-                &mut txn,
-                op,
-                seq as i64,
-                "sty",
-                *id,
-                Some(old.0.to_string()),
-                Some(style.0.to_string()),
-            )?;
-        }
+        self.tdb
+            .log_effects(&mut txn, op, "sty", &ids, &olds, Some(style))?;
         let commit_ts = txn.commit()?;
         self.note_commit(commit_ts);
 
@@ -167,7 +158,8 @@ impl DocHandle {
         )?;
         let sid = StructId::from_row(rid);
         let op = self.log_op(&mut txn, "structure", crate::ids::OpId::NONE, ts)?;
-        self.log_effect(&mut txn, op, 0, "struct", CharId(sid.0), None, None)?;
+        self.tdb
+            .log_effects(&mut txn, op, "struct", &[CharId(sid.0)], &[], None)?;
         txn.commit()?;
         Ok(sid)
     }

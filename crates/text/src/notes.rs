@@ -55,7 +55,8 @@ impl DocHandle {
         )?;
         let nid = NoteId::from_row(rid);
         let op = self.log_op(&mut txn, "note", OpId::NONE, ts)?;
-        self.log_effect(&mut txn, op, 0, "note", CharId(nid.0), None, None)?;
+        self.tdb
+            .log_effects(&mut txn, op, "note", &[CharId(nid.0)], &[], None)?;
         txn.commit()?;
         Ok(nid)
     }

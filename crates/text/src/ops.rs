@@ -9,15 +9,17 @@
 //! substitute for OT/CRDT machinery: the DBMS serializes everything.
 //!
 //! Each operation also writes one `oplog` row plus relational `op_effects`
-//! rows (consumed by undo/redo) and, for pastes, a `paste_events` row
-//! (consumed by data lineage).
+//! rows, one per run of consecutive character ids (consumed by
+//! undo/redo), and, for pastes, a `paste_events` row (consumed by data
+//! lineage).
 
-use tendax_storage::{Durability, Row, Transaction, Ts, Value};
+use tendax_storage::{Durability, Row, RowId, Transaction, Ts, Value};
 
 use crate::document::{CharInfo, DocHandle};
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, OpId, StyleId, UserId};
 use crate::security::{self, Permission};
+use crate::textdb::TextDb;
 
 /// Operation kinds that undo treats as undoable edits.
 pub const EDIT_KINDS: [&str; 8] = [
@@ -274,9 +276,7 @@ impl DocHandle {
             )?;
         }
         let op = self.log_op(&mut txn, "delete", OpId::NONE, ts)?;
-        for (seq, id) in ids.iter().enumerate() {
-            self.log_effect(&mut txn, op, seq as i64, "del", *id, None, None)?;
-        }
+        self.tdb.log_effects(&mut txn, op, "del", &ids, &[], None)?;
         let (commit_ts, durability) = txn.commit_visible()?;
         self.note_commit(commit_ts);
 
@@ -406,9 +406,8 @@ impl DocHandle {
             )?;
         }
         let del_op = self.log_op(&mut txn, "delete", OpId::NONE, ts)?;
-        for (seq, id) in src_ids.iter().enumerate() {
-            self.log_effect(&mut txn, del_op, seq as i64, "del", *id, None, None)?;
-        }
+        self.tdb
+            .log_effects(&mut txn, del_op, "del", &src_ids, &[], None)?;
 
         // 2) Insert copies into the destination with provenance.
         let mut new_ids: Vec<CharId> = Vec::with_capacity(moved.len());
@@ -470,9 +469,8 @@ impl DocHandle {
             )?;
         }
         let ins_op = dst.log_op(&mut txn, "paste", OpId::NONE, ts)?;
-        for (seq, id) in new_ids.iter().enumerate() {
-            dst.log_effect(&mut txn, ins_op, seq as i64, "ins", *id, None, None)?;
-        }
+        dst.tdb
+            .log_effects(&mut txn, ins_op, "ins", &new_ids, &[], None)?;
         txn.insert(
             t.paste_events,
             Row::new(vec![
@@ -750,9 +748,7 @@ impl DocHandle {
         }
 
         let op = self.log_op(&mut txn, kind, OpId::NONE, ts)?;
-        for (seq, id) in ids.iter().enumerate() {
-            self.log_effect(&mut txn, op, seq as i64, "ins", *id, None, None)?;
-        }
+        self.tdb.log_effects(&mut txn, op, "ins", &ids, &[], None)?;
         if let Some(obj) = &object {
             txn.insert(
                 t.objects,
@@ -862,33 +858,6 @@ impl DocHandle {
         Ok(OpId::from_row(rid))
     }
 
-    /// Write one relational effect row.
-    #[allow(clippy::too_many_arguments)] // mirrors the op_effects schema
-    pub(crate) fn log_effect(
-        &self,
-        txn: &mut Transaction,
-        op: OpId,
-        seq: i64,
-        kind: &str,
-        ch: CharId,
-        old: Option<String>,
-        new: Option<String>,
-    ) -> Result<()> {
-        let t = self.tdb.tables();
-        txn.insert(
-            t.op_effects,
-            Row::new(vec![
-                op.value(),
-                Value::Int(seq),
-                Value::Text(kind.to_owned()),
-                ch.value(),
-                old.map(Value::Text).unwrap_or(Value::Null),
-                new.map(Value::Text).unwrap_or(Value::Null),
-            ]),
-        )?;
-        Ok(())
-    }
-
     /// Reject the operation if it touches a character range protected
     /// against this user. `ids` are the characters being modified;
     /// `insert_at_total` is the total-order position of an insertion.
@@ -934,10 +903,103 @@ impl DocHandle {
     }
 }
 
+/// One `op_effects` row, decoded: the `count` consecutive ids from
+/// `first`, all with one kind and one old/new style.
+#[derive(Debug, Clone)]
+pub(crate) struct EffectRange {
+    /// The `op_effects` row itself.
+    pub row: RowId,
+    pub kind: String,
+    pub first: u64,
+    pub count: u64,
+    pub old: Option<StyleId>,
+    pub new: Option<StyleId>,
+}
+
+impl EffectRange {
+    /// The range's ids, ascending.
+    pub fn ids(&self) -> impl Iterator<Item = CharId> {
+        (self.first..self.first.saturating_add(self.count)).map(CharId)
+    }
+
+    /// Whether the ids are characters (not a structure element or note).
+    pub fn names_chars(&self) -> bool {
+        matches!(self.kind.as_str(), "ins" | "del" | "sty")
+    }
+}
+
+/// A stored style id; anything unparsable reads as no style.
+fn parse_style(s: &str) -> StyleId {
+    s.parse().map(StyleId).unwrap_or(StyleId::NONE)
+}
+
+impl TextDb {
+    /// `op`'s effect rows, in row-id order — the order
+    /// [`TextDb::log_effects`] wrote them.
+    pub(crate) fn effect_ranges(&self, txn: &Transaction, op: OpId) -> Result<Vec<EffectRange>> {
+        let rows = txn.index_lookup(self.tables().op_effects, "op_effects_by_op", &[op.value()])?;
+        Ok((rows.into_iter())
+            .map(|(row_id, row)| {
+                let [kind, first, count, old, new] = row.cols([1, 2, 3, 4, 5]);
+                EffectRange {
+                    row: row_id,
+                    kind: kind.as_text().unwrap_or_default().to_owned(),
+                    first: CharId::from_value(first).0,
+                    count: count.as_int().map_or(0, |n| n.max(0) as u64),
+                    old: old.as_text().map(parse_style),
+                    new: new.as_text().map(parse_style),
+                }
+            })
+            .collect())
+    }
+
+    /// Write `op`'s effects on `ids`, in order: one `op_effects` row per
+    /// maximal run where each id is its predecessor plus one and, for a
+    /// style change, the old style is the same. `olds` is empty or holds
+    /// each id's old style; `new` is the style set. Ids allocated apart —
+    /// a concurrent inserter took one in between, a delete spans two
+    /// typists' characters — simply make more runs; no run names an id
+    /// that is not in `ids`.
+    pub(crate) fn log_effects(
+        &self,
+        txn: &mut Transaction,
+        op: OpId,
+        kind: &str,
+        ids: &[CharId],
+        olds: &[StyleId],
+        new: Option<StyleId>,
+    ) -> Result<()> {
+        debug_assert!(olds.is_empty() || olds.len() == ids.len());
+        let style = |s: StyleId| Value::Text(s.0.to_string());
+        let mut start = 0;
+        while start < ids.len() {
+            let mut end = start + 1;
+            while end < ids.len()
+                && ids[end].0 == ids[end - 1].0 + 1
+                && olds.get(end) == olds.get(start)
+            {
+                end += 1;
+            }
+            txn.insert(
+                self.tables().op_effects,
+                Row::new(vec![
+                    op.value(),
+                    Value::Text(kind.to_owned()),
+                    ids[start].value(),
+                    Value::Int((end - start) as i64),
+                    olds.get(start).map_or(Value::Null, |&s| style(s)),
+                    new.map_or(Value::Null, style),
+                ]),
+            )?;
+            start = end;
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::textdb::TextDb;
 
     fn setup() -> (TextDb, UserId, DocHandle) {
         let tdb = TextDb::in_memory();
@@ -1171,10 +1233,13 @@ mod tests {
             .unwrap();
         assert_eq!(ops.len(), 1);
         assert_eq!(ops[0].1.get(3).unwrap().as_text(), Some("insert"));
+        // One range row for the three characters (before range effects:
+        // three rows).
         let effects = txn
             .index_lookup(tdb.tables().op_effects, "op_effects_by_op", &[r.op.value()])
             .unwrap();
-        assert_eq!(effects.len(), 3);
+        assert_eq!(effects.len(), 1);
+        assert_eq!(effects[0].1.get(3).unwrap().as_int(), Some(3));
     }
 
     #[test]

@@ -7,7 +7,9 @@
 //! the DBMS" part of the paper: there is no opaque blob anywhere; every
 //! character is a tuple.
 
-use tendax_storage::{DataType, Database, Result, StorageError, TableDef, TableId};
+use tendax_storage::{DataType, Database, StorageError, TableDef, TableId};
+
+use crate::error::{Result, TextError};
 
 /// Table ids of the installed TeNDaX schema.
 #[derive(Debug, Clone, Copy)]
@@ -128,16 +130,20 @@ fn oplog_def() -> TableDef {
 }
 
 /// Relational effect list per operation — the undo/redo machinery reads
-/// these instead of deserializing opaque payloads. An effect row names a
-/// row of its op's own document (a character; a structure element or a
-/// note for those kinds), so the effects of a document's characters are
-/// found through the document's operations.
+/// these instead of deserializing opaque payloads. A row is a *range*:
+/// the `count` consecutively allocated ids from `first`, all with the
+/// same kind and old/new value (DESIGN.md §5.12, "Range effects"); an
+/// op's ranges are read in row-id order, the order they were written.
+/// An effect row names rows of its op's own document (characters; a
+/// structure element or a note, `count` 1, for those kinds), so the
+/// effects of a document's characters are found through the document's
+/// operations.
 fn op_effects_def() -> TableDef {
     TableDef::new("op_effects")
         .column("op", DataType::Id)
-        .column("seq", DataType::Int)
         .column("kind", DataType::Text)
-        .column("char", DataType::Id)
+        .column("first", DataType::Id)
+        .column("count", DataType::Int)
         .nullable_column("old_val", DataType::Text)
         .nullable_column("new_val", DataType::Text)
         .index("op_effects_by_op", &["op"])
@@ -279,15 +285,42 @@ fn all_defs() -> Vec<TableDef> {
     ]
 }
 
+/// `name type[?]` per column, `?` marking a nullable one.
+fn column_list(def: &TableDef) -> String {
+    let cols: Vec<String> = (def.columns.iter())
+        .map(|c| format!("{} {:?}{}", c.name, c.ty, if c.nullable { "?" } else { "" }))
+        .collect();
+    cols.join(", ")
+}
+
 impl Tables {
     /// Install the TeNDaX schema into `db` (idempotent: existing tables
     /// are reused), returning the resolved table ids.
+    ///
+    /// An existing table must have exactly the expected columns — names,
+    /// types and nullability; its indexes may differ (a catalog written
+    /// before PR 21 still lists three indexes nothing reads). Every
+    /// existing table is checked before anything is created, so a refused
+    /// database ([`TextError::SchemaMismatch`]) is left as it was.
     pub fn install(db: &Database) -> Result<Tables> {
-        for def in all_defs() {
+        let defs = all_defs();
+        for def in &defs {
+            let Ok(id) = db.table_id(&def.name) else {
+                continue;
+            };
+            let found = db.table_def(id)?;
+            if found.columns != def.columns {
+                return Err(TextError::SchemaMismatch {
+                    table: def.name.clone(),
+                    found: column_list(&found),
+                    expected: column_list(def),
+                });
+            }
+        }
+        for def in defs {
             match db.create_table(def) {
-                Ok(_) => {}
-                Err(StorageError::TableExists(_)) => {}
-                Err(e) => return Err(e),
+                Ok(_) | Err(StorageError::TableExists(_)) => {}
+                Err(e) => return Err(e.into()),
             }
         }
         Ok(Tables {

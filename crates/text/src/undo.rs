@@ -17,18 +17,8 @@ use tendax_storage::{Transaction, Value};
 use crate::document::DocHandle;
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, OpId, StyleId, UserId};
-use crate::ops::{EditReceipt, Effect, EDIT_KINDS};
+use crate::ops::{EditReceipt, Effect, EffectRange, EDIT_KINDS};
 use crate::security::Permission;
-
-/// One effect row, decoded.
-#[derive(Debug, Clone)]
-struct EffectRow {
-    seq: i64,
-    kind: String,
-    char: CharId,
-    old_val: Option<String>,
-    new_val: Option<String>,
-}
 
 impl DocHandle {
     /// Undo this user's most recent not-yet-undone edit.
@@ -60,9 +50,9 @@ impl DocHandle {
                 EDIT_KINDS.contains(&kind) && !undone
             })?
             .ok_or(TextError::NothingToUndo)?;
-        let rows = self.effect_rows(&txn, target)?;
+        let ranges = self.tdb.effect_ranges(&txn, target)?;
         let ts = self.tdb.now();
-        let effects = self.apply_effect_rows(&mut txn, &rows, false, ts)?;
+        let effects = self.apply_effect_rows(&mut txn, &ranges, false, ts)?;
         txn.set(
             self.tdb.tables().oplog,
             target.row(),
@@ -93,9 +83,9 @@ impl DocHandle {
             .ok_or(TextError::NothingToRedo)?;
         let target = undo_target
             .ok_or_else(|| TextError::ChainCorrupt(format!("undo op {undo_op} has no target")))?;
-        let rows = self.effect_rows(&txn, target)?;
+        let ranges = self.tdb.effect_ranges(&txn, target)?;
         let ts = self.tdb.now();
-        let effects = self.apply_effect_rows(&mut txn, &rows, true, ts)?;
+        let effects = self.apply_effect_rows(&mut txn, &ranges, true, ts)?;
         let t = self.tdb.tables();
         txn.set(t.oplog, target.row(), &[("undone", Value::Bool(false))])?;
         txn.set(t.oplog, undo_op.row(), &[("undone", Value::Bool(true))])?;
@@ -148,103 +138,91 @@ impl DocHandle {
         }
     }
 
-    fn effect_rows(&self, txn: &Transaction, op: OpId) -> Result<Vec<EffectRow>> {
-        let t = self.tdb.tables();
-        let mut rows: Vec<EffectRow> = txn
-            .index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])?
-            .into_iter()
-            .map(|(_, row)| {
-                let [seq, kind, char, old_val, new_val] = row.cols([1, 2, 3, 4, 5]);
-                EffectRow {
-                    seq: seq.as_int().unwrap_or(0),
-                    kind: kind.as_text().unwrap_or_default().to_owned(),
-                    char: CharId::from_value(char),
-                    old_val: old_val.as_text().map(str::to_owned),
-                    new_val: new_val.as_text().map(str::to_owned),
-                }
-            })
-            .collect();
-        rows.sort_by_key(|r| r.seq);
-        Ok(rows)
-    }
-
-    /// Apply effect rows in `forward` (redo) or inverse (undo) direction,
-    /// writing char/structure/note rows inside `txn` and returning the
-    /// cache-level effects for broadcast.
+    /// Apply effect ranges in `forward` (redo) or inverse (undo)
+    /// direction, each range's ids ascending, writing char/structure/note
+    /// rows inside `txn` and returning the per-character cache-level
+    /// effects for broadcast. A character's `version` moves with the
+    /// flags or style in the same write, as every other writer's does.
     fn apply_effect_rows(
         &self,
         txn: &mut Transaction,
-        rows: &[EffectRow],
+        ranges: &[EffectRange],
         forward: bool,
         ts: i64,
     ) -> Result<Vec<Effect>> {
         let t = *self.tdb.tables();
-        let mut out = Vec::with_capacity(rows.len());
-        for r in rows {
-            match (r.kind.as_str(), forward) {
-                // Undo an insertion / redo a deletion: tombstone.
-                ("ins", false) | ("del", true) => {
-                    txn.set(
-                        t.chars,
-                        r.char.row(),
-                        &[
-                            ("deleted", Value::Bool(true)),
-                            ("deleted_by", self.user.value()),
-                            ("deleted_at", Value::Timestamp(ts)),
-                        ],
-                    )?;
-                    out.push(Effect::Delete {
-                        char: r.char,
-                        by: self.user,
-                        ts,
-                    });
-                }
-                // Undo a deletion / redo an insertion: revive.
-                ("ins", true) | ("del", false) => {
-                    txn.set(
-                        t.chars,
-                        r.char.row(),
-                        &[
-                            ("deleted", Value::Bool(false)),
-                            ("deleted_by", Value::Null),
-                            ("deleted_at", Value::Null),
-                        ],
-                    )?;
-                    out.push(Effect::Undelete { char: r.char });
-                }
-                ("sty", fwd) => {
-                    let old = parse_style(r.old_val.as_deref());
-                    let new = parse_style(r.new_val.as_deref());
-                    let (set_to, from) = if fwd { (new, old) } else { (old, new) };
-                    txn.set(t.chars, r.char.row(), &[("style", set_to.opt_value())])?;
-                    out.push(Effect::SetStyle {
-                        char: r.char,
-                        old: from,
-                        new: set_to,
-                    });
-                }
-                // Structure / note rows: `char` holds the element row id.
-                ("struct", fwd) => {
-                    txn.set(t.structure, r.char.row(), &[("deleted", Value::Bool(!fwd))])?;
-                }
-                ("note", fwd) => {
-                    txn.set(t.notes, r.char.row(), &[("deleted", Value::Bool(!fwd))])?;
-                }
-                (other, _) => {
-                    return Err(TextError::ChainCorrupt(format!(
-                        "unknown effect kind `{other}`"
-                    )));
+        let version = |id: CharId| {
+            let cached = self.cache.get(&id).map_or(0, |info| info.version);
+            Value::Int(cached + 1)
+        };
+        let mut out = Vec::with_capacity(ranges.iter().map(|r| r.count as usize).sum());
+        for r in ranges {
+            for id in r.ids() {
+                match (r.kind.as_str(), forward) {
+                    // Undo an insertion / redo a deletion: tombstone.
+                    ("ins", false) | ("del", true) => {
+                        txn.set(
+                            t.chars,
+                            id.row(),
+                            &[
+                                ("deleted", Value::Bool(true)),
+                                ("deleted_by", self.user.value()),
+                                ("deleted_at", Value::Timestamp(ts)),
+                                ("version", version(id)),
+                            ],
+                        )?;
+                        out.push(Effect::Delete {
+                            char: id,
+                            by: self.user,
+                            ts,
+                        });
+                    }
+                    // Undo a deletion / redo an insertion: revive.
+                    ("ins", true) | ("del", false) => {
+                        txn.set(
+                            t.chars,
+                            id.row(),
+                            &[
+                                ("deleted", Value::Bool(false)),
+                                ("deleted_by", Value::Null),
+                                ("deleted_at", Value::Null),
+                                ("version", version(id)),
+                            ],
+                        )?;
+                        out.push(Effect::Undelete { char: id });
+                    }
+                    ("sty", fwd) => {
+                        let old = r.old.unwrap_or(StyleId::NONE);
+                        let new = r.new.unwrap_or(StyleId::NONE);
+                        let (set_to, from) = if fwd { (new, old) } else { (old, new) };
+                        txn.set(
+                            t.chars,
+                            id.row(),
+                            &[("style", set_to.opt_value()), ("version", version(id))],
+                        )?;
+                        out.push(Effect::SetStyle {
+                            char: id,
+                            old: from,
+                            new: set_to,
+                        });
+                    }
+                    // Structure / note rows: the range is the element's row id.
+                    ("struct", fwd) => {
+                        txn.set(t.structure, id.row(), &[("deleted", Value::Bool(!fwd))])?;
+                    }
+                    ("note", fwd) => {
+                        txn.set(t.notes, id.row(), &[("deleted", Value::Bool(!fwd))])?;
+                    }
+                    (other, _) => {
+                        return Err(TextError::ChainCorrupt(format!(
+                            "unknown effect kind `{other}`"
+                        )));
+                    }
                 }
             }
         }
         Ok(out)
     }
-}
-
-fn parse_style(s: Option<&str>) -> StyleId {
-    s.and_then(|x| x.parse::<u64>().ok())
-        .map(StyleId)
-        .unwrap_or(StyleId::NONE)
 }
 
 #[cfg(test)]
@@ -369,6 +347,50 @@ mod tests {
         assert_eq!(h.text(), "ab");
         h.undo().unwrap();
         assert_eq!(h.text(), "a");
+    }
+
+    /// Every writer of a character's flags or style bumps its `version`,
+    /// undo and redo included, and a mirror fed by `apply_remote` follows:
+    /// after each step of a schedule by two handles, both show every
+    /// visible character's `CharMeta` as a fresh open does.
+    #[test]
+    fn char_versions_agree_between_mirrors_and_a_fresh_open() {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let bold = tdb.define_style("bold", "b", alice).unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        let mut ha = tdb.open(doc, alice).unwrap();
+        let mut hb = tdb.open(doc, bob).unwrap();
+        let typed = ha.insert_text(0, "abcdef").unwrap();
+        hb.apply_remote(&typed.effects).unwrap();
+        type Step = fn(&mut DocHandle, StyleId) -> Result<EditReceipt>;
+        let steps: [(bool, Step); 8] = [
+            (true, |h, _| h.delete_range(1, 2)),
+            (true, |h, _| h.undo()),
+            (true, |h, _| h.redo()),
+            (false, |h, bold| h.apply_style(0, 4, bold)),
+            (false, |h, _| h.undo()),
+            (false, |h, _| h.global_undo()),
+            (true, |h, _| h.global_redo()),
+            (false, |h, _| h.global_undo()),
+        ];
+        for (i, (by_alice, step)) in steps.into_iter().enumerate() {
+            let (actor, mirror) = if by_alice {
+                (&mut ha, &mut hb)
+            } else {
+                (&mut hb, &mut ha)
+            };
+            let receipt = step(actor, bold).unwrap();
+            mirror.apply_remote(&receipt.effects).unwrap();
+            let fresh = tdb.open(doc, alice).unwrap();
+            for h in [&ha, &hb] {
+                assert_eq!(h.text(), fresh.text(), "step {i}");
+                for pos in 0..fresh.len() {
+                    assert_eq!(h.char_meta(pos), fresh.char_meta(pos), "step {i}, {pos}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! lineage and mining keep working — but a long-lived document
 //! accumulates them without bound. `purge_tombstones` physically removes
 //! tombstones older than a horizon in one transaction: surviving
-//! neighbours are re-linked, the purged characters' effect rows are
-//! dropped, and the operations that reference them are sealed (marked
+//! neighbours are re-linked, the purged characters are cut out of the
+//! effect ranges, and the operations that reference them are sealed (marked
 //! undone) so undo/redo never tries to revive a purged character.
 //!
 //! Trade-off, stated plainly: purging truncates undo history and
@@ -13,12 +13,13 @@
 //! database `VACUUM` truncates time travel. Open handles become stale
 //! and recover via their normal refresh path.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
 use tendax_storage::Value;
 
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, OpId};
+use crate::ops::EffectRange;
 use crate::textdb::TextDb;
 
 /// What a purge did.
@@ -117,34 +118,40 @@ impl TextDb {
             }
         }
 
-        // Seal operations that reference purged characters and drop the
-        // effect rows; then drop the characters themselves. An effect
-        // names a row of its op's own document, so the document's
-        // operations lead to every effect on its characters. Reads happen
-        // before the bulk deletes: index lookups are overlay-aware and
-        // would otherwise rescan an ever-growing write set (quadratic).
+        // Seal operations whose effects name purged characters and drop
+        // those characters from the effect ranges; then drop the
+        // characters themselves. An effect names rows of its op's own
+        // document, so the document's operations lead to every effect on
+        // its characters. A sealed op's ranges are rewritten as their
+        // surviving sub-runs, all of them, so that row-id order stays the
+        // order the op wrote them in. Reads happen before the bulk
+        // writes: index lookups are overlay-aware and would otherwise
+        // rescan an ever-growing write set (quadratic).
         let doomed: HashSet<CharId> = purged.iter().copied().collect();
-        let mut sealed: BTreeSet<OpId> = BTreeSet::new();
-        let mut effect_rows = Vec::new();
+        let is_doomed =
+            |range: &EffectRange, id: &CharId| range.names_chars() && doomed.contains(id);
+        let mut sealed = Vec::new();
         for (op_rid, _) in txn.index_lookup(t.oplog, "oplog_by_doc_ts", &[doc.value()])? {
             let op = OpId::from_row(op_rid);
-            for (erid, erow) in txn.index_lookup(t.op_effects, "op_effects_by_op", &[op.value()])? {
-                if erow
-                    .get(3)
-                    .is_some_and(|c| doomed.contains(&CharId::from_value(c)))
-                {
-                    sealed.insert(op);
-                    effect_rows.push(erid);
-                }
+            let ranges = self.effect_ranges(&txn, op)?;
+            if (ranges.iter()).any(|range| range.ids().any(|id| is_doomed(range, &id))) {
+                sealed.push((op, ranges));
             }
         }
-        for erid in effect_rows {
-            txn.delete(t.op_effects, erid)?;
+        for (op, ranges) in &sealed {
+            for range in ranges {
+                txn.delete(t.op_effects, range.row)?;
+            }
+            for range in ranges {
+                let ids: Vec<CharId> = range.ids().filter(|id| !is_doomed(range, id)).collect();
+                let olds = range.old.map_or(Vec::new(), |old| vec![old; ids.len()]);
+                self.log_effects(&mut txn, *op, &range.kind, &ids, &olds, range.new)?;
+            }
         }
         for id in &purged {
             txn.delete(t.chars, id.row())?;
         }
-        for op in &sealed {
+        for (op, _) in &sealed {
             // The op row may itself be gone in pathological cases; ignore
             // individual misses rather than failing the purge.
             let _ = txn.set(t.oplog, op.row(), &[("undone", Value::Bool(true))]);

@@ -2,12 +2,15 @@
 //! find the effect rows of what it removes: it reaches them through the
 //! document's own operations (`oplog_by_doc_ts`, then
 //! `op_effects_by_op`), which is sound because an effect row names a row
-//! of its op's document (DESIGN.md §5.12). The reference here finds them
-//! the obvious way — a full `scan(op_effects)` filtered on the purged
-//! ids — and predicts the `PurgeStats`, the surviving `op_effects` rows
-//! and every op's `undone` flag. On random schedules of typing, deletes,
-//! undo, redo, internal and external pastes and styling over three
-//! documents, purging each document at a random horizon, the two agree.
+//! of its op's document (DESIGN.md §5.12). An effect row is a range of
+//! consecutive ids, and the purge cuts the purged ones out of it. The
+//! reference here finds them the obvious way — a full `scan(op_effects)`,
+//! every range expanded to one effect per character, filtered on the
+//! purged ids — and predicts the `PurgeStats`, the surviving effects
+//! (expanded, in order) and every op's `undone` flag. On random schedules
+//! of typing, deletes, undo, redo, internal and external pastes and
+//! styling over three documents, purging each document at a random
+//! horizon, the two agree.
 //!
 //! The proptest shim prints `PROPTEST_SEED=<n>` on failure; export it to
 //! replay the sequence.
@@ -15,8 +18,8 @@
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
-use tendax_storage::{Predicate, RowId, Transaction, Value};
-use tendax_text::{DocHandle, DocId, PurgeStats, StyleId, TextDb};
+use tendax_storage::{Predicate, RowId, TableId, Transaction, ValueRef};
+use tendax_text::{DocHandle, DocId, Effect, OpId, PurgeStats, StyleId, TextDb};
 
 const DOCS: usize = 3;
 
@@ -120,12 +123,16 @@ fn run(step: &Step, handles: &mut [DocHandle], style: StyleId) {
     };
 }
 
-/// What the purge must do, found by scanning: its stats, the
-/// `op_effects` rows left, and each op's `undone` flag.
+/// One character's effect: kind, id, old and new value.
+type CharEffect = (String, u64, Option<String>, Option<String>);
+
+/// What the purge must do, found by scanning: its stats, every op's
+/// effects left (expanded to one per character), and each op's `undone`
+/// flag.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     stats: PurgeStats,
-    effects: Vec<(RowId, Vec<Value>)>,
+    effects: BTreeMap<u64, Vec<CharEffect>>,
     undone: BTreeMap<RowId, bool>,
 }
 
@@ -134,18 +141,28 @@ fn observed(tdb: &TextDb, stats: PurgeStats) -> Outcome {
     let txn = tdb.database().begin();
     Outcome {
         stats,
-        effects: all(&txn, t.op_effects),
+        effects: expanded(&txn, t.op_effects),
         undone: undone_flags(&txn, t.oplog),
     }
 }
 
-fn all(txn: &Transaction, table: tendax_storage::TableId) -> Vec<(RowId, Vec<Value>)> {
-    (txn.scan(table, &Predicate::True).unwrap().into_iter())
-        .map(|(rid, row)| (rid, row.values()))
-        .collect()
+/// Every op's effects, one per character: each `(op, kind, first,
+/// count, old_val, new_val)` range expanded in ascending id order, an
+/// op's ranges in row-id order (a scan's order).
+fn expanded(txn: &Transaction, op_effects: TableId) -> BTreeMap<u64, Vec<CharEffect>> {
+    let mut out: BTreeMap<u64, Vec<CharEffect>> = BTreeMap::new();
+    for (_, row) in txn.scan(op_effects, &Predicate::True).unwrap() {
+        let [op, kind, first, count, old, new] = row.cols([0, 1, 2, 3, 4, 5]);
+        let (first, count) = (first.as_id().unwrap(), count.as_int().unwrap() as u64);
+        let text = |v: ValueRef<'_>| v.as_text().map(str::to_owned);
+        let kind = kind.as_text().unwrap().to_owned();
+        (out.entry(op.as_id().unwrap()).or_default())
+            .extend((first..first + count).map(|c| (kind.clone(), c, text(old), text(new))));
+    }
+    out
 }
 
-fn undone_flags(txn: &Transaction, oplog: tendax_storage::TableId) -> BTreeMap<RowId, bool> {
+fn undone_flags(txn: &Transaction, oplog: TableId) -> BTreeMap<RowId, bool> {
     (txn.scan(oplog, &Predicate::True).unwrap().into_iter())
         .map(|(rid, row)| (rid, row.get(5).and_then(|v| v.as_bool()) == Some(true)))
         .collect()
@@ -176,7 +193,7 @@ fn reference(tdb: &TextDb, doc: DocId, before: i64) -> Outcome {
         cur = links[&c].1;
     }
     let purged: BTreeSet<u64> = order.iter().copied().filter(|c| links[c].2).collect();
-    let effects = all(&txn, t.op_effects);
+    let mut effects = expanded(&txn, t.op_effects);
     let mut undone = undone_flags(&txn, t.oplog);
     if purged.is_empty() {
         return Outcome {
@@ -194,17 +211,19 @@ fn reference(tdb: &TextDb, doc: DocId, before: i64) -> Outcome {
             (was_prev, was_next) != (prev, next)
         })
         .count();
+    // A character effect on a purged id goes and seals its op; a
+    // structure element's or note's id is another table's row id.
     let mut sealed = BTreeSet::new();
-    let effects: Vec<(RowId, Vec<Value>)> = effects
-        .into_iter()
-        .filter(|(_, row)| {
-            let hit = row[3].as_id().is_some_and(|c| purged.contains(&c));
-            if hit {
-                sealed.insert(row[0].as_id().expect("an effect names its op"));
-            }
-            !hit
-        })
-        .collect();
+    for (op, list) in &mut effects {
+        let before = list.len();
+        list.retain(|(kind, c, ..)| {
+            !(matches!(kind.as_str(), "ins" | "del" | "sty") && purged.contains(c))
+        });
+        if list.len() < before {
+            sealed.insert(*op);
+        }
+    }
+    effects.retain(|_, list| !list.is_empty());
     for op in &sealed {
         if let Some(flag) = undone.get_mut(&RowId(*op)) {
             *flag = true;
@@ -252,4 +271,53 @@ proptest! {
             prop_assert_eq!(observed(&tdb, stats), want, "purging {} at {}", doc, before);
         }
     }
+}
+
+/// Purging the middle of ranges: the insert of "abcdefgh" is one row,
+/// an `em` over "abcdef" two (`ab` was bold, the rest plain); with "cde"
+/// purged the insert keeps `ab` and `fgh`, the style `ab` and `f`, in
+/// that order, and the reference agrees on everything else.
+#[test]
+fn purging_the_middle_of_a_range_splits_it() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("alice").unwrap();
+    let bold = tdb.define_style("bold", "b", user).unwrap();
+    let em = tdb.define_style("em", "i", user).unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let mut h = tdb.open(doc, user).unwrap();
+    let typed = h.insert_text(0, "abcdefgh").unwrap();
+    let ids: Vec<u64> = (typed.effects.iter())
+        .map(|e| match e {
+            Effect::Insert { char, .. } => char.0,
+            other => panic!("an insert receipt holds {other:?}"),
+        })
+        .collect();
+    h.apply_style(0, 2, bold).unwrap();
+    let styled = h.apply_style(0, 6, em).unwrap();
+    h.delete_range(2, 3).unwrap();
+    let before = tdb.now();
+    let want = reference(&tdb, doc, before);
+    let stats = tdb.purge_tombstones(doc, before).unwrap();
+    assert_eq!(
+        stats,
+        PurgeStats {
+            purged_chars: 3,
+            relinked: 2,
+            sealed_ops: 3, // the insert, the `em` and the delete
+        }
+    );
+    assert_eq!(observed(&tdb, stats), want);
+    let spans = |op: OpId| -> Vec<(u64, i64)> {
+        let txn = tdb.database().begin();
+        let rows = txn.index_lookup(tdb.tables().op_effects, "op_effects_by_op", &[op.value()]);
+        (rows.unwrap().iter())
+            .map(|(_, row)| {
+                let [first, count] = row.cols([2, 3]);
+                (first.as_id().unwrap(), count.as_int().unwrap())
+            })
+            .collect()
+    };
+    assert_eq!(spans(typed.op), [(ids[0], 2), (ids[5], 3)]);
+    assert_eq!(spans(styled.op), [(ids[0], 2), (ids[5], 1)]);
+    assert_eq!(tdb.open(doc, user).unwrap().text(), "abfgh");
 }

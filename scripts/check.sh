@@ -7,8 +7,9 @@
 # layer. The storage-format job's include tendax-storage `index_keys`
 # (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
 # on failure) and `resident_size`. The metadata-services job's are:
-# tendax-storage `commit_observer`, tendax-text `doc_stats_memo` and
-# `purge_oracle` (PROPTEST_SEED=<n> on failure), tendax-meta
+# tendax-storage `commit_observer`, tendax-text `doc_stats_memo`,
+# `purge_oracle` and `effect_ranges` (range effects against per-character
+# receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
 # `incremental_oracle` (the same), `incremental_cost`,
 # `services_read_only`, `folder_algebra`, and the root package's
 # `metadata_services`.
