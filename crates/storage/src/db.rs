@@ -19,10 +19,9 @@ use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, WriteDescriptor, TS
 use crate::txn::{validate_writes, MergePlan, Transaction, TxnId, WriteOp};
 use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
-use crate::wal::codec::snapshot_batches;
 use crate::wal::{
-    encode_frame, DurabilityLevel, GroupWal, SnapshotVersion, WalFile, WalOp, WalRecord,
-    WalShardStats, WalTicket, WalWrite,
+    CheckpointFrames, DurabilityLevel, GroupWal, WalFile, WalOp, WalRecord, WalShardStats,
+    WalTicket, WalWrite,
 };
 
 /// Database configuration.
@@ -1010,14 +1009,15 @@ impl Database {
 
     /// Compact the WAL to a snapshot of the latest committed state.
     ///
-    /// Two phases. The **copy phase** quiesces the commit pipeline
-    /// (exclusive latch) just long enough to mark the WAL as rewriting
-    /// and collect one record per live row — `SharedRow` handles, so
-    /// "copying" a table is cloning Arcs, not rows. The **swap phase**
-    /// serializes those records, atomically replaces the log file, and
-    /// splices everything committed during the rewrite onto the new
-    /// tail — all with the latch *released*, so committers stream
-    /// through the pipeline the entire time the checkpoint does I/O.
+    /// Two phases. The **encode phase** quiesces the commit pipeline
+    /// (exclusive latch), marks the WAL as rewriting and encodes the new
+    /// log file from the tables: each live row's newest version is a
+    /// copy of its bytes into the file's buffer, so the checkpoint holds
+    /// the file and nothing per row beside it. The **swap phase**
+    /// atomically replaces the log file with those bytes and splices
+    /// everything committed during the rewrite onto the new tail — with
+    /// the latch *released*, so committers stream through the pipeline
+    /// the entire time the checkpoint does I/O.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = self.inner.wal.get() else {
             return Ok(()); // in-memory database: nothing to do
@@ -1035,8 +1035,8 @@ impl Database {
         // under the latch must still be what gets demoted after it.
         let cold = self.inner.cold.get();
         let _demote = cold.map(ColdStore::exclusive);
-        // ---------------------------------------------------- copy phase
-        let (hot, batch, watermark) = {
+        // -------------------------------------------------- encode phase
+        let (mut image, batch, watermark) = {
             let _quiesce = self.inner.commit_latch.exclusive();
             wal.begin_rewrite()?;
             let watermark = self.inner.sequencer.watermark();
@@ -1044,27 +1044,32 @@ impl Database {
                 Some(cold) => self.collect_cold_history(cold, watermark),
                 None => Vec::new(),
             };
-            (self.snapshot_records(), batch, watermark)
+            (self.checkpoint_image(), batch, watermark)
         };
         // ---------------------------------------------------- swap phase
         // Demote off-latch (commits flow during the run write). On
         // demotion failure, fall back to splicing the history into the
         // rewritten WAL — the batch was captured under the latch, so
-        // the spliced records are exactly the quiesced state.
-        match cold {
-            Some(cold) if !batch.is_empty() => {
-                if self
-                    .note_cold_error(cold.demote(batch.clone(), watermark))
-                    .is_some()
-                {
-                    wal.finish_rewrite(&hot)
-                } else {
-                    let full = splice_history(hot, &batch);
-                    wal.finish_rewrite(&full)
-                }
+        // the spliced rows are exactly the quiesced state. Demotion
+        // takes the batch, so its frames are encoded first.
+        if let Some(cold) = cold.filter(|_| !batch.is_empty()) {
+            let mut history = CheckpointFrames::default();
+            for (table, row, commit_ts, op) in &batch {
+                let put = match op {
+                    WalOp::Put(r) => Some(r),
+                    WalOp::Delete => None,
+                    WalOp::Patch { .. } => unreachable!("history holds puts and deletes"),
+                };
+                history.row(*table, *row, *commit_ts, put);
             }
-            _ => wal.finish_rewrite(&hot),
+            if self
+                .note_cold_error(cold.demote(batch, watermark))
+                .is_none()
+            {
+                image.insert_history(history);
+            }
         }
+        wal.finish_rewrite(image)
     }
 
     /// Everything a checkpoint at `watermark` would discard from the
@@ -1087,31 +1092,54 @@ impl Database {
         batch
     }
 
-    /// Every piece of durable state at the current watermark: the
-    /// checkpoint snapshot. Caller must hold the exclusive commit latch
-    /// (quiesced: the watermark equals the newest allocated timestamp).
-    fn snapshot_records(&self) -> Vec<WalRecord> {
+    /// Every piece of durable state at the current watermark, as the
+    /// checkpoint's log file: `Meta`, the DDL prologue, then per table
+    /// its row-id watermark and its live rows. The frames are weighed
+    /// first, so that they are written into one buffer of their size —
+    /// never grown and copied, and nothing held beside it. Caller must
+    /// hold the exclusive commit latch (quiesced: the watermark equals
+    /// the newest allocated timestamp).
+    fn checkpoint_image(&self) -> CheckpointFrames {
         let catalog = self.inner.catalog.read();
         let tables = self.inner.tables.read();
-        let mut records = vec![WalRecord::Meta {
+        // Read once for both passes: a transaction still building its
+        // rows reads the clock and allocates row ids without the latch.
+        let meta = WalRecord::Meta {
             next_ts: self.inner.sequencer.watermark() + 1,
             clock: self.inner.clock.peek(),
-        }];
-        for (id, def) in catalog.tables() {
-            records.push(WalRecord::CreateTable {
-                id,
-                def: def.clone(),
-            });
-        }
-        for (&id, handle) in tables.iter() {
-            let store = handle.read();
-            records.push(WalRecord::Watermark {
-                table: id,
-                next_row_id: store.row_id_watermark(),
-            });
-            live_row_batches(id, &store, &mut records);
-        }
-        records
+        };
+        let stores: Vec<_> = (tables.iter())
+            .map(|(&id, handle)| {
+                let store = handle.read();
+                let next_row_id = store.row_id_watermark();
+                (
+                    WalRecord::Watermark {
+                        table: id,
+                        next_row_id,
+                    },
+                    store,
+                )
+            })
+            .collect();
+        let put_all = |frames: &mut CheckpointFrames| {
+            frames.record(&meta);
+            for (id, def) in catalog.tables() {
+                frames.record(&WalRecord::CreateTable {
+                    id,
+                    def: def.clone(),
+                });
+            }
+            for (watermark, store) in &stores {
+                frames.record(watermark);
+                put_live_rows(frames, store);
+            }
+            frames.close_batch();
+        };
+        let mut weighed = CheckpointFrames::weigh();
+        put_all(&mut weighed);
+        let mut image = CheckpointFrames::file(weighed.len());
+        put_all(&mut image);
+        image
     }
 
     /// Start the background maintenance thread. Returns `false` (and
@@ -1270,8 +1298,9 @@ impl Database {
                 continue;
             };
             let store = handle.read();
-            let mut batches = Vec::new();
-            live_row_batches(id, &store, &mut batches);
+            let mut rows = CheckpointFrames::weigh();
+            put_live_rows(&mut rows, &store);
+            rows.close_batch();
             out.push(TableStats {
                 name: def.name.clone(),
                 live_rows: store.count_visible(latest),
@@ -1284,7 +1313,7 @@ impl Database {
                         (name, i.entry_count(), i.resident_bytes() as u64)
                     })
                     .collect(),
-                checkpoint_bytes: batches.iter().map(|b| encode_frame(b).len() as u64).sum(),
+                checkpoint_bytes: rows.len(),
                 resident_bytes: store.resident_bytes(),
             });
         }
@@ -1298,59 +1327,16 @@ impl Database {
     }
 }
 
-/// The checkpoint's rows for one table: each row's newest version,
-/// unless that is a tombstone (dropped history is invisible to every
-/// post-restart snapshot, and the watermark already protects the id
-/// space), batched in row-id order.
-fn live_row_batches(id: TableId, store: &TableStore, out: &mut Vec<WalRecord>) {
-    let mut newest: BTreeMap<RowId, (Ts, &VersionOp)> = BTreeMap::new();
-    for (rid, v) in store.iter_versions() {
-        let entry = newest.entry(rid).or_insert((v.commit_ts, &v.op));
-        if v.commit_ts >= entry.0 {
-            *entry = (v.commit_ts, &v.op);
+/// The checkpoint's rows for one table: each row's newest version — the
+/// last of its slot — unless that is a tombstone (dropped history is
+/// invisible to every post-restart snapshot, and the watermark already
+/// protects the id space), in row-id order.
+fn put_live_rows(frames: &mut CheckpointFrames, store: &TableStore) {
+    for (rid, v) in store.newest_versions_at(TS_LATEST) {
+        if let VersionOp::Put(row) = &v.op {
+            frames.row(store.id(), rid, v.commit_ts, Some(row));
         }
     }
-    let live = newest.into_iter().filter_map(|(row, (commit_ts, op))| {
-        let VersionOp::Put(r) = op else { return None };
-        Some(SnapshotVersion {
-            row,
-            commit_ts,
-            op: WalOp::Put(r.clone()),
-        })
-    });
-    snapshot_batches(id, live, out);
-}
-
-/// Splice demotable history into a checkpoint record set as
-/// [`WalRecord::SnapshotRows`], placed after the DDL prologue and
-/// before every newest-version row so per-row replay stays
-/// timestamp-monotonic (history versions always predate the newest
-/// record of their row, and rows with a newest tombstone have no hot
-/// record at all).
-fn splice_history(
-    mut records: Vec<WalRecord>,
-    history: &[(TableId, RowId, Ts, WalOp)],
-) -> Vec<WalRecord> {
-    if history.is_empty() {
-        return records;
-    }
-    let mut hist = history.to_vec();
-    hist.sort_unstable_by_key(|(t, r, ts, _)| (t.0, r.0, *ts));
-    let pos = records
-        .iter()
-        .rposition(|r| matches!(r, WalRecord::CreateTable { .. }))
-        .map_or(records.len(), |i| i + 1);
-    let mut batches = Vec::new();
-    for table in hist.chunk_by(|a, b| a.0 == b.0) {
-        let versions = table.iter().map(|(_, row, commit_ts, op)| SnapshotVersion {
-            row: *row,
-            commit_ts: *commit_ts,
-            op: op.clone(),
-        });
-        snapshot_batches(table[0].0, versions, &mut batches);
-    }
-    records.splice(pos..pos, batches);
-    records
 }
 
 #[cfg(test)]

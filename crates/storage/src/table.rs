@@ -7,8 +7,11 @@
 //! This is classic snapshot isolation — readers never block writers and
 //! vice versa, which is what lets TeNDaX editors read documents while
 //! others type into them.
+//!
+//! The chains live in *row slots*: row ids are handed out densely from 1
+//! per table, so a row's chain is found by indexing with its id, in
+//! fixed-size pages of slots (see [`SLOTS_PER_PAGE`]).
 
-use std::collections::{btree_map, btree_map::Entry, BTreeMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, StorageError};
@@ -16,7 +19,6 @@ use crate::index::{IndexKey, IndexStore};
 use crate::query::{plan_access, AccessPath, Predicate};
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
-use crate::util::btree_bytes;
 
 /// Commit timestamp. `0` is reserved: no committed data carries it.
 pub type Ts = u64;
@@ -180,13 +182,17 @@ pub enum VersionOp {
 
 /// A row's versions, oldest first. Most rows are written once (every
 /// `oplog` and `op_effects` row, every character nobody typed next to),
-/// so the first version lives in the table's own map node and a `Vec` is
-/// allocated when a second arrives.
+/// so the first version lives in the row's slot and a `Vec` is allocated
+/// when a second arrives.
 #[derive(Debug)]
 enum Chain {
     One(Version),
     Many(Vec<Version>),
 }
+
+// A slot is a chain and nothing else: an empty one costs the chain's
+// own tag value, not a word beside it.
+const _: () = assert!(std::mem::size_of::<Option<Chain>>() == 40);
 
 impl Chain {
     fn versions(&self) -> &[Version] {
@@ -204,10 +210,15 @@ impl Chain {
     }
 
     fn push(&mut self, v: Version) {
-        match self {
-            Chain::Many(vs) => vs.push(v),
-            Chain::One(first) => *self = Chain::Many(vec![first.clone(), v]),
+        if let Chain::Many(vs) = self {
+            return vs.push(v);
         }
+        // The first version moves into the `Vec` as it is: its row and
+        // its descriptor are not copied.
+        let Chain::One(first) = std::mem::replace(self, Chain::Many(Vec::new())) else {
+            unreachable!("a chain is One or Many")
+        };
+        *self = Chain::Many(vec![first, v]);
     }
 
     /// Drop the oldest `n` versions (fewer than there are), giving the
@@ -221,12 +232,113 @@ impl Chain {
         }
     }
 
-    /// Heap bytes behind this chain's map slot.
+    /// Heap bytes behind this chain's slot.
     fn spilled_bytes(&self) -> usize {
         match self {
             Chain::One(_) => 0,
             Chain::Many(vs) => vs.capacity() * std::mem::size_of::<Version>(),
         }
+    }
+}
+
+/// Row slots a page holds: row `id` lives in slot `id % SLOTS_PER_PAGE`
+/// of page `id / SLOTS_PER_PAGE`.
+pub const SLOTS_PER_PAGE: u64 = 256;
+
+/// One page of slots, allocated whole.
+type Page = Box<[Option<Chain>]>;
+
+/// A table's version chains, in slots indexed by row id.
+///
+/// Slots come in pages of [`SLOTS_PER_PAGE`], each allocated the first
+/// time a row lands in it and freed when vacuum empties it. A growing
+/// table therefore never moves a slot: there is no array that doubles
+/// and holds two copies of the table while it does. The directory lists
+/// the allocated pages by page number, ascending; it is what a row id
+/// far past the others costs (one entry and one page, not a directory
+/// sized by the id). With dense ids page `n` is entry `n - first`, so
+/// finding a chain is two index operations; a page freed in the middle
+/// makes it a binary search over the directory.
+#[derive(Debug, Default)]
+struct RowSlots {
+    pages: Vec<(u64, Page)>,
+    /// Occupied slots.
+    rows: usize,
+}
+
+impl RowSlots {
+    /// A row id's page number and slot.
+    fn locate(row: RowId) -> (u64, usize) {
+        (row.0 / SLOTS_PER_PAGE, (row.0 % SLOTS_PER_PAGE) as usize)
+    }
+
+    /// Where page `n` is in the directory, or where it would go.
+    fn find(&self, n: u64) -> std::result::Result<usize, usize> {
+        let first = self.pages.first().map_or(0, |(at, _)| *at);
+        let guess = n.checked_sub(first).and_then(|i| usize::try_from(i).ok());
+        match guess.and_then(|i| Some((i, self.pages.get(i)?))) {
+            Some((i, (at, _))) if *at == n => Ok(i),
+            _ => self.pages.binary_search_by_key(&n, |(at, _)| *at),
+        }
+    }
+
+    fn get(&self, row: RowId) -> Option<&Chain> {
+        let (n, slot) = Self::locate(row);
+        let i = self.find(n).ok()?;
+        self.pages[i].1[slot].as_ref()
+    }
+
+    /// Append `v` to `row`'s chain, allocating the row's page if it has
+    /// none yet.
+    fn push(&mut self, row: RowId, v: Version) {
+        let (n, slot) = Self::locate(row);
+        let i = self.find(n).unwrap_or_else(|i| {
+            let page = (0..SLOTS_PER_PAGE).map(|_| None).collect();
+            self.pages.insert(i, (n, page));
+            i
+        });
+        match &mut self.pages[i].1[slot] {
+            Some(chain) => chain.push(v),
+            empty => {
+                *empty = Some(Chain::One(v));
+                self.rows += 1;
+            }
+        }
+    }
+
+    /// Every chain, in row-id order.
+    fn iter(&self) -> impl Iterator<Item = (RowId, &Chain)> + '_ {
+        self.pages.iter().flat_map(|(n, page)| {
+            let base = n * SLOTS_PER_PAGE;
+            (page.iter().enumerate())
+                .filter_map(move |(i, slot)| Some((RowId(base + i as u64), slot.as_ref()?)))
+        })
+    }
+
+    /// Keep the chains `keep` returns `true` for and empty the others'
+    /// slots, in row-id order; pages left with no chain are freed.
+    fn retain(&mut self, mut keep: impl FnMut(&mut Chain) -> bool) {
+        let mut emptied = 0;
+        self.pages.retain_mut(|(_, page)| {
+            let mut occupied = false;
+            for slot in page.iter_mut() {
+                let Some(chain) = slot else { continue };
+                if keep(chain) {
+                    occupied = true;
+                } else {
+                    *slot = None;
+                    emptied += 1;
+                }
+            }
+            occupied
+        });
+        self.rows -= emptied;
+    }
+
+    /// Heap bytes of the directory and the pages.
+    fn resident_bytes(&self) -> usize {
+        let page = SLOTS_PER_PAGE as usize * std::mem::size_of::<Option<Chain>>();
+        self.pages.capacity() * std::mem::size_of::<(u64, Page)>() + self.pages.len() * page
     }
 }
 
@@ -237,7 +349,8 @@ impl Chain {
 pub struct ResidentBytes {
     /// Packed rows, one allocation per `Put` version.
     pub rows: u64,
-    /// The row-id → versions tree and the chains that spilled out of it.
+    /// The row slots' pages and directory, and the chains that spilled
+    /// out of their slots.
     pub chains: u64,
     /// Secondary indexes: trees, keys and row-id sets.
     pub indexes: u64,
@@ -267,7 +380,10 @@ pub struct ScanOutcome {
 pub struct TableStore {
     id: TableId,
     def: TableDef,
-    chains: BTreeMap<RowId, Chain>,
+    chains: RowSlots,
+    /// Stored versions, live and superseded: counted by `apply` and
+    /// `vacuum`, so reading it walks nothing.
+    versions: usize,
     indexes: Vec<IndexStore>,
     next_row_id: AtomicU64,
 }
@@ -280,7 +396,8 @@ impl TableStore {
         TableStore {
             id,
             def,
-            chains: BTreeMap::new(),
+            chains: RowSlots::default(),
+            versions: 0,
             indexes,
             next_row_id: AtomicU64::new(1),
         }
@@ -322,28 +439,12 @@ impl TableStore {
 
     /// The row version visible at snapshot `ts`, if any.
     pub fn visible(&self, row: RowId, ts: Ts) -> Option<&SharedRow> {
-        visible_at(self.chains.get(&row)?.versions(), ts)
-    }
-
-    /// A reader of [`TableStore::visible`] for row ids that mostly ascend
-    /// — an index's row-id set — which finds a run of neighbouring ids by
-    /// stepping along the tree's leaves instead of descending from its
-    /// root for each.
-    pub fn visible_cursor(&self) -> VisibleCursor<'_> {
-        VisibleCursor {
-            chains: &self.chains,
-            ahead: self.chains.range(..),
-            in_run: false,
-        }
+        visible_at(self.chains.get(row)?.versions(), ts)
     }
 
     /// Commit timestamp of the newest version of `row`, if the row has any.
     pub fn newest_commit_ts(&self, row: RowId) -> Option<Ts> {
-        self.chains
-            .get(&row)?
-            .versions()
-            .last()
-            .map(|v| v.commit_ts)
+        self.chains.get(row)?.versions().last().map(|v| v.commit_ts)
     }
 
     /// Append a committed version and maintain indexes.
@@ -364,10 +465,7 @@ impl TableStore {
         desc: Option<WriteDescriptor>,
     ) {
         debug_assert!(
-            self.chains
-                .get(&row)
-                .and_then(|c| c.versions().last())
-                .is_none_or(|v| v.commit_ts < ts),
+            self.newest_commit_ts(row).is_none_or(|newest| newest < ts),
             "version timestamps must be monotonically increasing per row"
         );
         if let VersionOp::Put(r) = &op {
@@ -380,12 +478,8 @@ impl TableStore {
             op,
             desc,
         };
-        match self.chains.entry(row) {
-            Entry::Vacant(e) => {
-                e.insert(Chain::One(version));
-            }
-            Entry::Occupied(mut e) => e.get_mut().push(version),
-        }
+        self.chains.push(row, version);
+        self.versions += 1;
         self.observe_row_id(row);
     }
 
@@ -393,7 +487,7 @@ impl TableStore {
     /// order (the versions descriptor-granularity validation must prove
     /// commutativity against).
     pub fn versions_after(&self, row: RowId, ts: Ts) -> &[Version] {
-        match self.chains.get(&row) {
+        match self.chains.get(row) {
             Some(chain) => {
                 let chain = chain.versions();
                 let from = chain.partition_point(|v| v.commit_ts <= ts);
@@ -407,7 +501,7 @@ impl TableStore {
     pub fn scan_visible(&self, ts: Ts) -> impl Iterator<Item = (RowId, &SharedRow)> + '_ {
         self.chains
             .iter()
-            .filter_map(move |(id, chain)| Some((*id, visible_at(chain.versions(), ts)?)))
+            .filter_map(move |(id, chain)| Some((id, visible_at(chain.versions(), ts)?)))
     }
 
     /// Pushed-down scan: plan an access path for `pred` against this
@@ -476,9 +570,8 @@ impl TableStore {
                 // visible version carries one of them: re-verifying the
                 // entry's key yields each row once, with nothing to
                 // remember.
-                let mut rows = self.visible_cursor();
                 for (key, rid) in idx.entries(idx.prefix(&prefix).as_ref()) {
-                    if let Some(row) = rows.visible(rid, ts) {
+                    if let Some(row) = self.visible(rid, ts) {
                         if idx.key_matches(row, key) {
                             examine(rid, row)?;
                         }
@@ -490,11 +583,12 @@ impl TableStore {
         Ok((scanned, skipped, row_id_ordered))
     }
 
-    /// Iterate every version of every row (used by checkpointing).
+    /// Iterate every version of every row, in row-id order, each row's
+    /// oldest first.
     pub fn iter_versions(&self) -> impl Iterator<Item = (RowId, &Version)> + '_ {
         self.chains
             .iter()
-            .flat_map(|(id, chain)| chain.versions().iter().map(move |v| (*id, v)))
+            .flat_map(|(id, chain)| chain.versions().iter().map(move |v| (id, v)))
     }
 
     /// The index at position `pos` (schema order).
@@ -539,21 +633,26 @@ impl TableStore {
 
     /// Total number of stored versions (live + superseded).
     pub fn version_count(&self) -> usize {
-        self.chains.values().map(|c| c.versions().len()).sum()
+        self.versions
     }
 
     /// Number of distinct rows with at least one stored version.
     /// `version_count() - chain_count()` bounds what vacuum can reclaim.
     pub fn chain_count(&self) -> usize {
-        self.chains.len()
+        self.chains.rows
+    }
+
+    /// Pages of row slots allocated: one for every [`SLOTS_PER_PAGE`]
+    /// ids that hold a row, however far apart.
+    pub fn slot_pages(&self) -> usize {
+        self.chains.pages.len()
     }
 
     /// What this table holds in RAM.
     pub fn resident_bytes(&self) -> ResidentBytes {
-        let slot = std::mem::size_of::<(RowId, Chain)>();
         let (mut rows, mut descriptors) = (0, 0);
-        let mut chains = btree_bytes(self.chains.len(), slot);
-        for chain in self.chains.values() {
+        let mut chains = self.chains.resident_bytes();
+        for (_, chain) in self.chains.iter() {
             chains += chain.spilled_bytes();
             for v in chain.versions() {
                 if let VersionOp::Put(row) = &v.op {
@@ -583,7 +682,7 @@ impl TableStore {
     /// only reads the descriptors of versions newer than a snapshot.
     pub fn vacuum(&mut self, horizon: Ts, floor: Ts) -> usize {
         let mut pruned = 0;
-        self.chains.retain(|_, chain| {
+        self.chains.retain(|chain| {
             for v in chain.versions_mut() {
                 if v.commit_ts <= floor {
                     v.desc = None;
@@ -609,6 +708,7 @@ impl TableStore {
             }
             !sole_dead
         });
+        self.versions -= pruned;
         if pruned > 0 {
             self.rebuild_indexes();
         }
@@ -622,7 +722,7 @@ impl TableStore {
     /// tier must not be consulted.
     pub fn newest_version_at(&self, row: RowId, ts: Ts) -> Option<&Version> {
         self.chains
-            .get(&row)?
+            .get(row)?
             .versions()
             .iter()
             .rev()
@@ -630,7 +730,9 @@ impl TableStore {
     }
 
     /// Newest version per row with `commit_ts <= ts`, tombstones
-    /// included — the RAM side of a tiered scan merge.
+    /// included, in row-id order — the RAM side of a tiered scan merge,
+    /// and at [`TS_LATEST`] each row's last version: what a checkpoint
+    /// keeps.
     pub fn newest_versions_at(&self, ts: Ts) -> impl Iterator<Item = (RowId, &Version)> {
         self.chains.iter().filter_map(move |(rid, chain)| {
             chain
@@ -638,7 +740,7 @@ impl TableStore {
                 .iter()
                 .rev()
                 .find(|v| v.commit_ts <= ts)
-                .map(|v| (*rid, v))
+                .map(|v| (rid, v))
         })
     }
 
@@ -658,7 +760,7 @@ impl TableStore {
         out: &mut Vec<(TableId, RowId, Ts, crate::wal::WalOp)>,
     ) {
         use crate::wal::WalOp;
-        for (rid, chain) in &self.chains {
+        for (rid, chain) in self.chains.iter() {
             let chain = chain.versions();
             let keep_from = chain
                 .iter()
@@ -672,14 +774,14 @@ impl TableStore {
                     VersionOp::Put(r) => WalOp::Put(r.clone()),
                     VersionOp::Delete => WalOp::Delete,
                 };
-                out.push((self.id, *rid, chain[i].commit_ts, op));
+                out.push((self.id, rid, chain[i].commit_ts, op));
             }
             let Some(last) = chain.last() else { continue };
             let sole_dead = keep_from == chain.len() - 1
                 && last.commit_ts <= horizon
                 && matches!(last.op, VersionOp::Delete);
             if sole_dead && last.commit_ts > already_cold {
-                out.push((self.id, *rid, last.commit_ts, WalOp::Delete));
+                out.push((self.id, rid, last.commit_ts, WalOp::Delete));
             }
         }
     }
@@ -688,57 +790,15 @@ impl TableStore {
         for idx in &mut self.indexes {
             idx.clear();
         }
-        for (rid, chain) in &self.chains {
+        for (rid, chain) in self.chains.iter() {
             for v in chain.versions() {
                 if let VersionOp::Put(row) = &v.op {
                     for idx in &mut self.indexes {
-                        idx.insert(*rid, row);
+                        idx.insert(rid, row);
                     }
                 }
             }
         }
-    }
-}
-
-/// See [`TableStore::visible_cursor`].
-#[derive(Debug)]
-pub struct VisibleCursor<'t> {
-    chains: &'t BTreeMap<RowId, Chain>,
-    /// The entries after the last row looked up.
-    ahead: btree_map::Range<'t, RowId, Chain>,
-    /// Whether the last row was found by stepping: ids that arrive in
-    /// runs (a pasted paragraph, a typed word) keep it set, scattered ids
-    /// clear it and pay one step each before they descend.
-    in_run: bool,
-}
-
-impl<'t> VisibleCursor<'t> {
-    /// How far a run may skip (rows of other documents typed in between)
-    /// before a descent from the root is the cheaper way.
-    const STEPS: usize = 4;
-
-    /// [`TableStore::visible`] of `row`.
-    pub fn visible(&mut self, row: RowId, ts: Ts) -> Option<&'t SharedRow> {
-        visible_at(self.chain(row)?.versions(), ts)
-    }
-
-    fn chain(&mut self, row: RowId) -> Option<&'t Chain> {
-        let steps = if self.in_run { Self::STEPS } else { 1 };
-        for (&id, chain) in self.ahead.by_ref().take(steps) {
-            if id == row {
-                self.in_run = true;
-                return Some(chain);
-            }
-            if id > row {
-                break; // absent, or the ids stopped ascending
-            }
-        }
-        self.in_run = false;
-        self.ahead = self.chains.range(row..);
-        self.ahead
-            .next()
-            .filter(|(&id, _)| id == row)
-            .map(|(_, c)| c)
     }
 }
 
@@ -965,16 +1025,18 @@ mod tests {
         let mut t = table();
         let r = t.allocate_row_id();
         t.apply(r, 1, put(1, "a"));
-        assert!(matches!(t.chains[&r], Chain::One(_)));
-        // Nothing behind the map slot yet.
-        let slot = std::mem::size_of::<(RowId, Chain)>();
-        assert_eq!(t.resident_bytes().chains, btree_bytes(1, slot) as u64);
+        assert!(matches!(t.chains.get(r), Some(Chain::One(_))));
+        // Nothing behind the slot yet: the chains are the page and its
+        // directory entry.
+        let page = t.chains.resident_bytes() as u64;
+        assert_eq!(t.resident_bytes().chains, page);
         t.apply(r, 2, put(1, "b"));
         t.apply(r, 3, put(1, "c"));
-        assert!(matches!(&t.chains[&r], Chain::Many(vs) if vs.len() == 3));
+        assert!(matches!(t.chains.get(r), Some(Chain::Many(vs)) if vs.len() == 3));
         assert_eq!(t.versions_after(r, 1).len(), 2);
         assert_eq!(t.vacuum(3, 3), 2);
-        assert!(matches!(&t.chains[&r], Chain::One(v) if v.commit_ts == 3));
+        assert!(matches!(t.chains.get(r), Some(Chain::One(v)) if v.commit_ts == 3));
+        assert_eq!(t.resident_bytes().chains, page);
         assert_eq!(
             t.visible(r, 3).unwrap().get(1).unwrap().as_text(),
             Some("c")
@@ -982,22 +1044,30 @@ mod tests {
     }
 
     #[test]
-    fn the_cursor_finds_what_visible_finds_in_any_order() {
+    fn a_far_row_id_costs_one_page_and_vacuum_frees_emptied_pages() {
         let mut t = table();
-        // Runs, gaps wider than a run may skip, and a tombstone.
-        let ids: Vec<u64> = (1..=20).chain([40, 41, 42, 90, 200, 201]).collect();
-        for &i in &ids {
-            t.apply(RowId(i), i, put(i, &format!("v{i}")));
+        let far = RowId(1 << 40);
+        for (ts, id) in [(1, RowId(1)), (2, far), (3, RowId(SLOTS_PER_PAGE))] {
+            t.apply(id, ts, put(ts, "v"));
         }
-        t.apply(RowId(41), 300, VersionOp::Delete);
-        let probes = (0..=210u64).chain([42, 5, 5, 201, 1, 90, 0, 300]);
-        let mut cursor = t.visible_cursor();
-        for ts in [10, 250, TS_LATEST] {
-            for i in probes.clone() {
-                let (want, got) = (t.visible(RowId(i), ts), cursor.visible(RowId(i), ts));
-                assert_eq!(got, want, "row {i} at {ts}");
-            }
-        }
+        assert_eq!(
+            (t.slot_pages(), t.chain_count(), t.version_count()),
+            (3, 3, 3)
+        );
+        let ids: Vec<RowId> = t.scan_visible(TS_LATEST).map(|(id, _)| id).collect();
+        assert_eq!(ids, [RowId(1), RowId(SLOTS_PER_PAGE), far]);
+        assert!(t.visible(RowId((1 << 40) + 1), TS_LATEST).is_none());
+        assert!(t.visible(RowId(SLOTS_PER_PAGE - 1), TS_LATEST).is_none());
+        // Emptying the first page leaves the others where they are.
+        t.apply(RowId(1), 4, VersionOp::Delete);
+        assert_eq!(t.vacuum(4, 4), 2);
+        assert_eq!(
+            (t.slot_pages(), t.chain_count(), t.version_count()),
+            (2, 2, 2)
+        );
+        assert_eq!(t.newest_commit_ts(far), Some(2));
+        assert_eq!(t.newest_commit_ts(RowId(SLOTS_PER_PAGE)), Some(3));
+        assert!(t.visible(RowId(1), TS_LATEST).is_none());
     }
 
     #[test]

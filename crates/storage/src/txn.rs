@@ -423,9 +423,8 @@ impl Transaction {
             let range = range(idx);
             // Sized from the entries: one allocation, however many rows.
             let mut out = Vec::with_capacity(idx.entries(range.as_ref()).count());
-            let mut rows = t.visible_cursor();
             for (key, rid) in idx.entries(range.as_ref()) {
-                if let Some(row) = rows.visible(rid, self.snapshot) {
+                if let Some(row) = t.visible(rid, self.snapshot) {
                     // Re-verify: the index is a superset over versions.
                     if idx.key_matches(row, key) {
                         out.push((rid, row.clone()));

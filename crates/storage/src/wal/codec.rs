@@ -20,6 +20,7 @@
 use crate::error::{Result, StorageError};
 use crate::row::{RowId, SharedRow};
 use crate::schema::{ColumnDef, IndexDef, TableDef, TableId};
+use crate::table::Ts;
 use crate::value::{DataType, Value, ValueRef};
 use crate::wal::{SnapshotVersion, WalOp, WalRecord, WalWrite};
 
@@ -57,7 +58,8 @@ const OP_PUT: u64 = 0;
 const OP_DELETE: u64 = 1;
 const OP_PATCH: u64 = 2;
 
-/// Payload size at which [`snapshot_batches`] closes a batch. Small
+/// Bytes of ops at which a checkpoint closes a
+/// [`WalRecord::SnapshotRows`] batch. Small
 /// enough that a torn checkpoint rewrite still cuts between frames and
 /// replay holds one batch decoded at a time, large enough that the
 /// 8-byte frame header and the batch's own header vanish per row.
@@ -101,8 +103,7 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
             }
         }
         WalRecord::SnapshotRows { table, rows } => {
-            b.push(TAG_SNAPSHOT_ROWS);
-            put_varint(b, u64::from(table.0));
+            begin_snapshot_rows(b, *table);
             put_varint(b, rows.len() as u64);
             let mut prev = 0;
             for v in rows {
@@ -196,29 +197,59 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
     Ok(rec)
 }
 
-/// Cut one table's `versions` (in row-id order) into
-/// [`WalRecord::SnapshotRows`] batches of about [`SNAPSHOT_BATCH_BYTES`]
-/// of payload each, appended to `out`. The size is the encoder's own:
-/// every op is encoded once here to be weighed.
-pub(crate) fn snapshot_batches(
-    table: TableId,
-    versions: impl IntoIterator<Item = SnapshotVersion>,
-    out: &mut Vec<WalRecord>,
+// A checkpoint writes its `SnapshotRows` records a row at a time,
+// straight from the row bytes into the buffer that holds the file: the
+// record's tag and table, its rows, and then their count, which the
+// record holds in front of them and is moved there.
+
+/// The start of a [`WalRecord::SnapshotRows`] record written a row at a
+/// time: its tag and its table.
+pub(crate) fn begin_snapshot_rows(b: &mut Vec<u8>, table: TableId) {
+    b.push(TAG_SNAPSHOT_ROWS);
+    put_varint(b, u64::from(table.0));
+}
+
+/// One row of a `SnapshotRows` record: its id as the delta from the row
+/// before it, its commit timestamp, and its op — a `Put` of `put`'s
+/// bytes, or a `Delete`.
+pub(crate) fn put_snapshot_row(
+    b: &mut Vec<u8>,
+    delta: u64,
+    commit_ts: Ts,
+    put: Option<&SharedRow>,
 ) {
-    let mut weighed = Vec::new();
-    let mut rows = Vec::new();
-    for v in versions {
-        put_op(&mut weighed, &v.op);
-        rows.push(v);
-        if weighed.len() >= SNAPSHOT_BATCH_BYTES {
-            let rows = std::mem::take(&mut rows);
-            out.push(WalRecord::SnapshotRows { table, rows });
-            weighed.clear();
-        }
+    put_varint(b, delta);
+    put_varint(b, commit_ts);
+    match put {
+        Some(row) => b.extend_from_slice(row.packed()),
+        None => put_varint(b, OP_DELETE),
     }
-    if !rows.is_empty() {
-        out.push(WalRecord::SnapshotRows { table, rows });
-    }
+}
+
+/// Put `count`, the number of rows written from `rows_at` on, in front
+/// of them: the record is complete.
+pub(crate) fn end_snapshot_rows(b: &mut Vec<u8>, rows_at: usize, count: u64) {
+    let end = b.len();
+    put_varint(b, count);
+    let head = b.len() - end;
+    b[rows_at..].rotate_right(head);
+}
+
+/// What [`put_snapshot_row`] writes: its bytes, and those of its op —
+/// the weight a batch is cut by.
+pub(crate) fn snapshot_row_len(
+    delta: u64,
+    commit_ts: Ts,
+    put: Option<&SharedRow>,
+) -> (usize, usize) {
+    let op = put.map_or(varint_len(OP_DELETE), |row| row.packed().len());
+    (varint_len(delta) + varint_len(commit_ts) + op, op)
+}
+
+/// The length of a `SnapshotRows` record of `table` whose `count` rows
+/// take `rows` bytes.
+pub(crate) fn snapshot_rows_len(table: TableId, count: u64, rows: usize) -> usize {
+    1 + varint_len(u64::from(table.0)) + varint_len(count) + rows
 }
 
 pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
@@ -547,6 +578,11 @@ fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     b.push(v as u8);
 }
 
+/// Bytes [`put_varint`] writes for `v`.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
+
 #[inline(always)]
 fn get_varint(buf: &mut &[u8]) -> Decoded<u64> {
     // Up to three bytes spelled out: counts, lengths and the ids and
@@ -801,30 +837,52 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_batches_cut_at_the_byte_budget() {
-        let big = Value::Bytes(vec![7; SNAPSHOT_BATCH_BYTES / 4]);
-        let versions = (0..9u64).map(|i| SnapshotVersion {
-            row: RowId(i),
-            commit_ts: i,
-            op: put_row(vec![big.clone()]),
+    fn snapshot_rows_written_a_row_at_a_time_are_the_record_and_weigh_what_they_write() {
+        let row = SharedRow::pack(&[Value::Text("x".repeat(200)), Value::Null]);
+        // Row ids and timestamps across every varint length, a tombstone
+        // among them, and 200 rows: a count of two bytes.
+        let ids = (0..200u64).scan(0, |id, i| {
+            *id += (1 << (i % 40)) - 1;
+            Some(*id)
         });
-        let mut out = Vec::new();
-        snapshot_batches(TableId(1), versions, &mut out);
-        let sizes: Vec<usize> = out
-            .iter()
-            .map(|b| match b {
-                WalRecord::SnapshotRows { rows, .. } => rows.len(),
-                other => panic!("not a batch: {other:?}"),
+        let versions: Vec<SnapshotVersion> = (ids.zip(0u64..))
+            .map(|(id, i)| SnapshotVersion {
+                row: RowId(id),
+                commit_ts: i.pow(i as u32 % 9),
+                op: if i == 7 {
+                    WalOp::Delete
+                } else {
+                    WalOp::Put(row.clone())
+                },
             })
             .collect();
-        assert_eq!(sizes, [4, 4, 1]);
-        for b in &out {
-            assert!(encode_record(b).len() < SNAPSHOT_BATCH_BYTES + SNAPSHOT_BATCH_BYTES / 2);
+        let table = TableId(300);
+        let mut b = vec![0xAA];
+        begin_snapshot_rows(&mut b, table);
+        let rows_at = b.len();
+        let (mut prev, mut weighed) = (0, 0);
+        for v in &versions {
+            let put = match &v.op {
+                WalOp::Put(r) => Some(r),
+                _ => None,
+            };
+            put_snapshot_row(&mut b, v.row.0 - prev, v.commit_ts, put);
+            weighed += snapshot_row_len(v.row.0 - prev, v.commit_ts, put).0;
+            prev = v.row.0;
         }
-        // No rows, no frame.
-        let mut none = Vec::new();
-        snapshot_batches(TableId(1), std::iter::empty(), &mut none);
-        assert!(none.is_empty());
+        assert_eq!(weighed, b.len() - rows_at);
+        end_snapshot_rows(&mut b, rows_at, versions.len() as u64);
+        let want = encode_record(&WalRecord::SnapshotRows {
+            table,
+            rows: versions,
+        });
+        assert_eq!((b[0], &b[1..]), (0xAA, &want[..]));
+        assert_eq!(snapshot_rows_len(table, 200, weighed), want.len());
+        for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
+            let mut b = Vec::new();
+            put_varint(&mut b, v);
+            assert_eq!(varint_len(v), b.len(), "{v}");
+        }
     }
 
     #[test]

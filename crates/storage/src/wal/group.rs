@@ -41,7 +41,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
 use crate::table::Ts;
-use crate::wal::log::encode_frame;
+use crate::wal::log::{encode_frame, CheckpointFrames};
 use crate::wal::{DurabilityLevel, WalFile, WalRecord};
 
 /// Claim ticket for a staged record: pass to
@@ -388,7 +388,7 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Checkpoint swap phase: rewrite the file to `records` atomically,
+    /// Checkpoint swap phase: rewrite the file to `image` atomically,
     /// then splice everything committed during the rewrite (it piled up
     /// in the batch buffer) onto the new log's tail and release
     /// waiters. Called with **no** database locks held — the
@@ -401,8 +401,8 @@ impl GroupWal {
     /// (pre-checkpoint state); after the rename, the new log replays the
     /// snapshot plus whatever prefix of the tail made it to disk — never
     /// a hybrid. That is why the durable horizon only advances here.
-    pub fn finish_rewrite(&self, records: &[WalRecord]) -> Result<()> {
-        let res = self.file.lock().rewrite(records);
+    pub(crate) fn finish_rewrite(&self, image: CheckpointFrames) -> Result<()> {
+        let res = self.file.lock().rewrite(image);
         let mut st = self.state.lock();
         if let Err(e) = res {
             st.rewriting = false;
@@ -595,7 +595,9 @@ mod tests {
         // Staged but never waited on: the checkpoint snapshot supersedes it.
         let staged = wal.enqueue(&meta(1)).unwrap();
         wal.begin_rewrite().unwrap();
-        wal.finish_rewrite(&[meta(42)]).unwrap();
+        let mut image = CheckpointFrames::file(0);
+        image.record(&meta(42));
+        wal.finish_rewrite(image).unwrap();
         // The pre-checkpoint ticket is durable by inclusion in the snapshot.
         wal.wait_durable(staged).unwrap();
         drop(wal);

@@ -17,9 +17,15 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
+use crate::row::{RowId, SharedRow};
+use crate::schema::TableId;
+use crate::table::Ts;
 use crate::util::crc32;
 use crate::vfs::{os_vfs, Vfs, VfsFile};
-use crate::wal::codec::{decode_record, put_record};
+use crate::wal::codec::{
+    begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, put_snapshot_row,
+    snapshot_row_len, snapshot_rows_len, SNAPSHOT_BATCH_BYTES,
+};
 use crate::wal::{DurabilityLevel, WalRecord, FORMAT_VERSION};
 
 /// An append-only log file.
@@ -135,21 +141,18 @@ impl WalFile {
         Ok(())
     }
 
-    /// Replace this log's contents with the format frame and `records`,
-    /// atomically.
+    /// Replace this log's contents with `image` (a
+    /// [`CheckpointFrames::file`]), atomically.
     ///
     /// Writes a sibling temp file, fsyncs it, then renames over the live
     /// log — the checkpoint either fully lands or the old log survives.
-    pub fn rewrite(&mut self, records: &[WalRecord]) -> Result<()> {
+    pub(crate) fn rewrite(&mut self, mut image: CheckpointFrames) -> Result<()> {
         let tmp = self.path.with_extension("wal.tmp");
-        let mut buf = format_frame();
-        for rec in records {
-            put_frame(&mut buf, rec);
-        }
-        let bytes = buf.len() as u64;
+        image.close_batch();
+        let (bytes, records) = (image.len(), image.records);
         {
             let mut w = self.vfs.create(&tmp)?;
-            w.write_all(&buf)?;
+            w.write_all(&image.out)?;
             w.flush()?;
             w.sync_data()?;
         }
@@ -160,7 +163,7 @@ impl WalFile {
         // was synced.
         self.vfs.sync_dir(&self.path)?;
         self.writer = self.vfs.open_append(&self.path)?;
-        self.records_written = records.len() as u64;
+        self.records_written = records;
         self.bytes_written = bytes;
         Ok(())
     }
@@ -226,13 +229,169 @@ impl WalFile {
     }
 }
 
+/// A checkpoint as the frames of the log file that holds it, encoded
+/// straight from the tables: whole records, and rows that go into
+/// [`WalRecord::SnapshotRows`] frames cut at
+/// [`SNAPSHOT_BATCH_BYTES`](crate::wal::codec::SNAPSHOT_BATCH_BYTES) of
+/// ops. A row is written once, as a copy of its [`SharedRow`] bytes, into
+/// the buffer the file is written from; nothing per row is kept beside
+/// it. The same frames can be *weighed* instead — sized, not written —
+/// which is how the buffer is allocated at its final size before they
+/// are written, and what `TableStats::checkpoint_bytes` reports.
+#[derive(Debug, Default)]
+pub(crate) struct CheckpointFrames {
+    out: Vec<u8>,
+    /// Frames (the format frame not counted).
+    records: u64,
+    /// Weighing: frames are sized into `weighed`, and not kept.
+    weighing: bool,
+    weighed: u64,
+    /// Where the DDL prologue ends: behind the last `CreateTable`.
+    ddl_end: Option<usize>,
+    batch: Option<Batch>,
+}
+
+/// The open `SnapshotRows` frame.
+#[derive(Debug)]
+struct Batch {
+    table: TableId,
+    /// Where its frame starts, and its rows.
+    frame: usize,
+    rows_at: usize,
+    count: u64,
+    /// The row id the next row's id is a delta from.
+    prev: u64,
+    /// Bytes of its rows, and of their ops.
+    rows: usize,
+    ops: usize,
+}
+
+impl CheckpointFrames {
+    /// Frames that are sized, not kept: [`CheckpointFrames::len`] is all
+    /// they tell.
+    pub(crate) fn weigh() -> Self {
+        CheckpointFrames {
+            weighing: true,
+            ..Default::default()
+        }
+    }
+
+    /// A log file: its format frame, then room for exactly `frames` more
+    /// bytes — the weight of the frames it is going to hold, so that the
+    /// buffer is never grown (and copied) while they are written.
+    pub(crate) fn file(frames: u64) -> Self {
+        let format = format_frame();
+        let mut out = Vec::with_capacity(format.len() + frames as usize);
+        out.extend_from_slice(&format);
+        CheckpointFrames {
+            out,
+            ..Default::default()
+        }
+    }
+
+    /// Append `rec` as a frame of its own.
+    pub(crate) fn record(&mut self, rec: &WalRecord) {
+        self.close_batch();
+        put_frame(&mut self.out, rec);
+        self.records += 1;
+        if self.weighing {
+            self.weighed += self.out.len() as u64;
+            self.out.clear();
+        } else if matches!(rec, WalRecord::CreateTable { .. }) {
+            self.ddl_end = Some(self.out.len());
+        }
+    }
+
+    /// Append a version of `row` of `table` — a `Put` of `put`, or a
+    /// `Delete` — to the table's open `SnapshotRows` frame. A table's
+    /// rows arrive in row-id order, a row's versions oldest first.
+    pub(crate) fn row(
+        &mut self,
+        table: TableId,
+        row: RowId,
+        commit_ts: Ts,
+        put: Option<&SharedRow>,
+    ) {
+        if self.batch.as_ref().is_some_and(|b| b.table != table) {
+            self.close_batch();
+        }
+        let (out, weighing) = (&mut self.out, self.weighing);
+        let batch = self.batch.get_or_insert_with(|| {
+            let frame = out.len();
+            if !weighing {
+                out.extend_from_slice(&[0; 8]);
+                begin_snapshot_rows(out, table);
+            }
+            Batch {
+                table,
+                frame,
+                rows_at: out.len(),
+                count: 0,
+                prev: 0,
+                rows: 0,
+                ops: 0,
+            }
+        });
+        // Stored data depends on the order, so this is not a debug
+        // assertion.
+        let delta = row.0.checked_sub(batch.prev);
+        let delta = delta.expect("snapshot rows are in row-id order");
+        let (len, op) = snapshot_row_len(delta, commit_ts, put);
+        if !weighing {
+            put_snapshot_row(out, delta, commit_ts, put);
+        }
+        batch.prev = row.0;
+        batch.count += 1;
+        batch.rows += len;
+        batch.ops += op;
+        if batch.ops >= SNAPSHOT_BATCH_BYTES {
+            self.close_batch();
+        }
+    }
+
+    /// Complete the open `SnapshotRows` frame, if there is one.
+    pub(crate) fn close_batch(&mut self) {
+        let Some(b) = self.batch.take() else { return };
+        self.records += 1;
+        if self.weighing {
+            self.weighed += (8 + snapshot_rows_len(b.table, b.count, b.rows)) as u64;
+        } else {
+            end_snapshot_rows(&mut self.out, b.rows_at, b.count);
+            end_frame(&mut self.out, b.frame);
+        }
+    }
+
+    /// Put `history` (written frames) behind the DDL prologue, where
+    /// replay meets it before the first table's rows: a row's history
+    /// then predates its newest version, as replay requires.
+    pub(crate) fn insert_history(&mut self, mut history: CheckpointFrames) {
+        history.close_batch();
+        let at = self.ddl_end.unwrap_or(self.out.len());
+        self.out.splice(at..at, history.out);
+        self.records += history.records;
+    }
+
+    /// Bytes of the frames so far, the open `SnapshotRows` frame not
+    /// counted.
+    pub(crate) fn len(&self) -> u64 {
+        let open = self.batch.as_ref().map_or(self.out.len(), |b| b.frame);
+        self.weighed + open as u64
+    }
+}
+
 /// Append one record to `out` as a complete WAL frame
 /// (`[u32 len][u32 crc32][payload]`): the payload is encoded straight
 /// behind a reserved header, which is filled in afterwards.
-pub(crate) fn put_frame(out: &mut Vec<u8>, rec: &WalRecord) {
+fn put_frame(out: &mut Vec<u8>, rec: &WalRecord) {
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
     put_record(out, rec);
+    end_frame(out, start);
+}
+
+/// Fill in the header of the frame that starts at `start` and whose
+/// payload is the rest of `out`.
+fn end_frame(out: &mut [u8], start: usize) {
     let payload = &out[start + 8..];
     let len = u32::try_from(payload.len()).expect("a WAL frame stays under 4 GiB");
     let crc = crc32(payload);
@@ -480,12 +639,46 @@ mod tests {
         for i in 1..=10 {
             wal.append(&meta(i)).unwrap();
         }
-        wal.rewrite(&[meta(100)]).unwrap();
+        let mut image = CheckpointFrames::file(0);
+        image.record(&meta(100));
+        wal.rewrite(image).unwrap();
+        assert_eq!(wal.records_written(), 1);
         // Appends continue to work after rotation.
         wal.append(&meta(101)).unwrap();
         wal.sync().unwrap();
         let recs = WalFile::replay(&path).unwrap();
         assert_eq!(recs, vec![meta(100), meta(101)]);
+    }
+
+    #[test]
+    fn checkpoint_rows_are_cut_at_the_byte_budget_and_weigh_what_they_write() {
+        use crate::row::SharedRow;
+        use crate::value::Value;
+        use crate::wal::codec::SNAPSHOT_BATCH_BYTES;
+        let big = SharedRow::pack(&[Value::Bytes(vec![7; SNAPSHOT_BATCH_BYTES / 4])]);
+        let small = SharedRow::pack(&[Value::Int(-1)]);
+        let fill = |frames: &mut CheckpointFrames| {
+            frames.record(&meta(1));
+            for i in 0..10u64 {
+                // A tombstone among the rows weighs one byte.
+                frames.row(TableId(1), RowId(3 * i), i, (i != 5).then_some(&big));
+            }
+            frames.row(TableId(2), RowId(1), 11, Some(&small));
+            frames.close_batch();
+        };
+        let mut weighed = CheckpointFrames::weigh();
+        fill(&mut weighed);
+        let mut image = CheckpointFrames::file(weighed.len());
+        fill(&mut image);
+        assert_eq!(image.len(), 10 + weighed.len());
+        assert_eq!((image.records, weighed.records), (5, 5));
+        let batches: Vec<(u32, usize)> = (WalIter::new(&image.out).skip(2))
+            .map(|rec| match rec.unwrap() {
+                WalRecord::SnapshotRows { table, rows } => (table.0, rows.len()),
+                other => panic!("not a batch: {other:?}"),
+            })
+            .collect();
+        assert_eq!(batches, [(1, 4), (1, 5), (1, 1), (2, 1)]);
     }
 
     #[test]

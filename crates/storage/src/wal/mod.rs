@@ -13,7 +13,7 @@ mod group;
 mod log;
 
 pub use group::{GroupWal, WalShardStats, WalTicket};
-pub(crate) use log::encode_frame;
+pub(crate) use log::CheckpointFrames;
 pub use log::{WalFile, WalIter};
 
 use crate::row::{RowId, SharedRow};
@@ -97,7 +97,7 @@ pub enum WalRecord {
     /// Row versions of one table emitted by a checkpoint (compacted
     /// history), in row-id order — the encoding delta-codes the ids.
     /// A checkpoint cuts a table into batches of about
-    /// [`codec::SNAPSHOT_BATCH_BYTES`] (see [`codec::snapshot_batches`]).
+    /// [`codec::SNAPSHOT_BATCH_BYTES`] of ops.
     SnapshotRows {
         table: TableId,
         rows: Vec<SnapshotVersion>,

@@ -11,12 +11,14 @@
 //! capacity four and every index key a `BTreeSet`); PR 21 packed the
 //! index keys (before it, a `Vec<Value>` a key and a `BTreeSet` for a key
 //! naming two rows), dropped three indexes nothing read and made a
-//! descriptor one allocation.
+//! descriptor one allocation; PR 23 put the version chains in row slots
+//! (before it, a `BTreeMap` from row id to chain, about 90 bytes of tree
+//! node a row where a slot is 40).
 
 mod common;
 
 use common::alloc::{allocations_during, retained_by, TrackingAlloc};
-use tendax_storage::table::{TableStore, VersionOp};
+use tendax_storage::table::{TableStore, Version, VersionOp};
 use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value, WriteDescriptor};
 
 #[global_allocator]
@@ -170,17 +172,19 @@ fn chars_rows_and_their_further_versions() {
     // PR 18: 668 bytes in 4.33 allocations → 153 in 1.33. PR 21: 167 in
     // 1.33 — a 16-byte entry a row where each document's key kept a
     // `BTreeSet` of 8-byte row ids; every other index wins by more.
+    // PR 23: 114 in 1.17 — the chain's 40-byte slot in a page of 256
+    // where the chain tree's node took about 90.
     let (first, first_blocks) = apply_all(&mut t, 1, |i| chars_row(i, 0));
-    assert!(first <= 180.0, "first version: {first} bytes a row");
+    assert!(first <= 120.0, "first version: {first} bytes a row");
     assert!(
-        first_blocks <= 1.5,
+        first_blocks <= 1.2,
         "first version: {first_blocks} allocations a row"
     );
     // Three further versions of every row — every neighbour-link
     // rewrite, every tombstone — the second of which spills the chain
-    // out of the table's map node into a `Vec`. Parent: 489 bytes each
-    // (its chain `Vec` of four was paid for by the first version).
-    // Here: 83, of which 43 are the chain's.
+    // out of its slot into a `Vec`. PR 18's parent: 489 bytes each (its
+    // chain `Vec` of four was paid for by the first version). Since PR
+    // 18: 83, of which 43 are the chain's.
     let mut further = 0.0;
     for version in 1..=3 {
         further += apply_all(&mut t, 1 + version, |i| chars_row(i, version)).0;
@@ -193,22 +197,24 @@ fn chars_rows_and_their_further_versions() {
 #[test]
 fn an_oplog_row_with_its_two_indexes() {
     // PR 18: 990 bytes in 8.83 allocations → 481 in 3.83, with four
-    // indexes. PR 21, two indexes of packed keys: 237 in 1.5.
+    // indexes. PR 21, two indexes of packed keys: 237 in 1.5. PR 23, in
+    // a row slot: 185 in 1.34.
     let mut t = TableStore::new(TableId(0), oplog_def());
     let (bytes, blocks) = apply_all(&mut t, 1, oplog_row);
-    assert!(bytes <= 300.0, "an oplog row: {bytes} bytes");
-    assert!(blocks <= 1.6, "an oplog row: {blocks} allocations");
+    assert!(bytes <= 190.0, "an oplog row: {bytes} bytes");
+    assert!(blocks <= 1.4, "an oplog row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
 }
 
 #[test]
 fn an_op_effects_row_with_its_index() {
     // PR 18: 852 bytes in 8.5 allocations → 345 in 3.5, with two
-    // indexes. PR 21, one index of packed keys: 159 in 1.33.
+    // indexes. PR 21, one index of packed keys: 159 in 1.33. PR 23, in a
+    // row slot: 107 in 1.17.
     let mut t = TableStore::new(TableId(0), effects_def());
     let (bytes, blocks) = apply_all(&mut t, 1, effects_row);
-    assert!(bytes <= 220.0, "an op_effects row: {bytes} bytes");
-    assert!(blocks <= 1.6, "an op_effects row: {blocks} allocations");
+    assert!(bytes <= 110.0, "an op_effects row: {bytes} bytes");
+    assert!(blocks <= 1.2, "an op_effects row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
 }
 
@@ -225,4 +231,20 @@ fn a_described_versions_descriptor_is_one_allocation() {
     let put = VersionOp::Put(chars_row(1, 1));
     t.apply_described(RowId(1), 2, put, Some(desc));
     assert_eq!(t.resident_bytes().descriptors, bytes as u64);
+}
+
+#[test]
+fn spilling_a_described_chain_allocates_its_vec_and_nothing_else() {
+    // The first version moves out of the slot into the `Vec` with its
+    // row and its descriptor. Parent: 2 allocations — the `Vec` and a
+    // copy of the first version's descriptor (the row was a reference
+    // count), the original dropped.
+    let mut t = TableStore::new(TableId(0), chars_def());
+    let desc = WriteDescriptor::new(&[84_001], &[2]);
+    t.apply_described(RowId(1), 1, VersionOp::Put(chars_row(1, 0)), Some(desc));
+    let second = VersionOp::Put(chars_row(1, 1));
+    let (((), bytes, _), allocs) =
+        allocations_during(|| retained_by(|| t.apply(RowId(1), 2, second)));
+    assert_eq!(allocs, 1);
+    assert_eq!(bytes as usize, 2 * std::mem::size_of::<Version>());
 }

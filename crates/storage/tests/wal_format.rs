@@ -17,7 +17,8 @@ use tendax_storage::wal::{
     DurabilityLevel, SnapshotVersion, WalFile, WalIter, WalOp, WalRecord, WalWrite, FORMAT_VERSION,
 };
 use tendax_storage::{
-    DataType, Database, Options, Predicate, Row, RowId, StorageError, TableDef, TableId, Value,
+    ColdOptions, DataType, Database, Options, Predicate, Row, RowId, StorageError, TableDef,
+    TableId, Value,
 };
 
 /// `[u32 len][u32 crc][payload]`: the log's framing, unchanged since v1.
@@ -986,4 +987,137 @@ fn a_log_the_parent_wrote_replays_to_the_same_rows() {
     db.checkpoint().unwrap();
     drop(db);
     check(&Database::open(&path, single_file()).unwrap());
+}
+
+// ------------------------------------------- a checkpoint the parent wrote
+
+/// A small database a checkpoint has something of every kind to write
+/// of: three tables, rows with superseded versions, a tombstoned row, a
+/// NULL, both `Bool`s and a table emptied of live rows.
+fn small_database(path: &std::path::Path, opts: Options) -> Database {
+    let db = Database::open(path, opts).unwrap();
+    let docs = db
+        .create_table(
+            TableDef::new("docs")
+                .column("name", DataType::Text)
+                .column("rev", DataType::Int)
+                .unique_index("docs_by_name", &["name"]),
+        )
+        .unwrap();
+    let chars = db
+        .create_table(
+            TableDef::new("chars")
+                .column("doc", DataType::Id)
+                .column("ch", DataType::Text)
+                .column("deleted", DataType::Bool)
+                .nullable_column("style", DataType::Id)
+                .index("chars_by_doc", &["doc"]),
+        )
+        .unwrap();
+    let gone = db
+        .create_table(TableDef::new("gone").column("n", DataType::Int))
+        .unwrap();
+    let mut txn = db.begin();
+    let (mut doc_rows, mut char_rows) = (Vec::new(), Vec::new());
+    for d in 0..3i64 {
+        let name = Value::Text(format!("doc {d}"));
+        doc_rows.push(
+            txn.insert(docs, Row::new(vec![name, Value::Int(0)]))
+                .unwrap(),
+        );
+        for c in 0..12u64 {
+            let ch = Value::Text(char::from(b'a' + c as u8).to_string());
+            let row = vec![Value::Id(d as u64), ch, Value::Bool(false), Value::Null];
+            char_rows.push(txn.insert(chars, Row::new(row)).unwrap());
+        }
+    }
+    let gone_row = txn.insert(gone, Row::new(vec![Value::Int(7)])).unwrap();
+    txn.commit().unwrap();
+    for rev in 1..=2 {
+        let mut txn = db.begin();
+        for (d, &row) in doc_rows.iter().enumerate() {
+            let name = Value::Text(format!("doc {d}"));
+            txn.update(docs, row, Row::new(vec![name, Value::Int(rev)]))
+                .unwrap();
+        }
+        txn.commit().unwrap();
+    }
+    let mut txn = db.begin();
+    for &row in char_rows.iter().step_by(5) {
+        let styled = vec![
+            Value::Id(0),
+            Value::Text("s".into()),
+            Value::Bool(true),
+            Value::Id(4),
+        ];
+        txn.update(chars, row, Row::new(styled)).unwrap();
+    }
+    txn.delete(chars, char_rows[1]).unwrap();
+    txn.delete(gone, gone_row).unwrap();
+    txn.commit().unwrap();
+    db
+}
+
+/// Length and CRC-32 of the file the parent's checkpoint of
+/// [`small_database`] wrote, without a cold tier and with one whose
+/// demotion failed (the history spliced in behind the DDL prologue).
+const PARENT_CHECKPOINT: (usize, u32) = (492, 0x374b_8102);
+const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (665, 0xb182_b469);
+
+fn len_and_crc(path: &std::path::Path) -> (usize, u32) {
+    let bytes = std::fs::read(path).unwrap();
+    (bytes.len(), crc32(&bytes))
+}
+
+#[test]
+fn a_checkpoint_is_the_file_the_parent_wrote() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("small.wal");
+    small_database(&path, single_file()).checkpoint().unwrap();
+    assert_eq!(len_and_crc(&path), PARENT_CHECKPOINT);
+    // A cold tier that takes the history changes nothing in the log.
+    let cold_path = dir.file("cold.wal");
+    let cold = Options {
+        cold_storage: Some(ColdOptions::default()),
+        ..Options::default()
+    };
+    let db = small_database(&cold_path, cold);
+    db.checkpoint().unwrap();
+    assert!(db.stats().cold_demotions > 0);
+    assert_eq!(
+        std::fs::read(&cold_path).unwrap(),
+        std::fs::read(&path).unwrap()
+    );
+}
+
+#[test]
+fn a_checkpoint_whose_demotion_failed_is_the_file_the_parent_wrote() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("small.wal");
+    let cold = || Options {
+        cold_storage: Some(ColdOptions::default()),
+        ..Options::default()
+    };
+    let db = small_database(&path, cold());
+    // The first run file cannot be created: demotion fails, and the
+    // history goes into the log instead.
+    let mut run = path.clone().into_os_string();
+    run.push(".cold.run0");
+    std::fs::create_dir(&run).unwrap();
+    let before = db.last_commit_ts();
+    db.checkpoint().unwrap();
+    assert_eq!(db.stats().cold_demotions, 0);
+    drop(db);
+    assert_eq!(len_and_crc(&path), PARENT_CHECKPOINT_WITH_HISTORY);
+    // Replayed, the history is there to read at its snapshots.
+    let db = Database::open(&path, cold()).unwrap();
+    let docs = db.table_id("docs").unwrap();
+    let revs = |ts| -> Vec<i64> {
+        let txn = db.begin_at(ts).unwrap();
+        (txn.scan(docs, &Predicate::True).unwrap().iter())
+            .map(|(_, row)| row.get(1).unwrap().as_int().unwrap())
+            .collect()
+    };
+    assert_eq!(revs(1), [0, 0, 0]);
+    assert_eq!(revs(before), [2, 2, 2]);
 }

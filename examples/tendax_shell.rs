@@ -311,8 +311,9 @@ impl Shell {
                 .join("\n")),
             // Where the bytes go: what each table's live rows would cost
             // in a checkpoint, by the encoder's own count, and what all
-            // its versions cost in RAM, by the structures' own — each
-            // index on a line of its own under its table.
+            // its versions cost in RAM, by the structures' own (chains:
+            // the row slots' pages and the chains that spilled out of
+            // them) — each index on a line of its own under its table.
             "du" => {
                 let mut out = format!(
                     "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes/descriptors)",

@@ -6,7 +6,8 @@
 # CI repeats some of them as jobs of their own so a red result names the
 # layer. The storage-format job's include tendax-storage `index_keys`
 # (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
-# on failure) and `resident_size`. The metadata-services job's are:
+# on failure), `row_slots` (row slots against a B-tree model; the same)
+# and `resident_size`. The metadata-services job's are:
 # tendax-storage `commit_observer`, tendax-text `doc_stats_memo`,
 # `purge_oracle` and `effect_ranges` (range effects against per-character
 # receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
