@@ -15,11 +15,6 @@
 //! `--json <path>` to append one JSON summary line (consumed by
 //! `scripts/bench_read.sh`), `--note <text>` to label that line.
 //!
-//! The `doc_open/*` rows run the whole read path of one document —
-//! index walk, row decode, chain build — through `TextDb::open`, over
-//! chains of 4 k and 24 k characters half of which are tombstones, and
-//! report characters opened per second.
-//!
 //! The `scan/deepclone` row deliberately deep-copies every returned row
 //! into an owned `Row`, emulating the pre-zero-copy read path; comparing
 //! it with `scan/full` A/Bs row sharing within a single binary.
@@ -30,7 +25,6 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use tendax_storage::{DataType, Database, Predicate, Row, TableDef, TableId, Value};
-use tendax_text::TextDb;
 
 const TEXT_WIDTH: usize = 64;
 
@@ -226,29 +220,6 @@ fn main() {
         });
         println!("index/lookup     {} (rows via index/s)", fmt_rate(rate));
         results.push(("index_lookup", rate));
-    }
-
-    // Document open: what every editor, folder, search and mining sweep
-    // pays per document. Half of each chain is tombstones.
-    for (label, key, chars) in [
-        ("doc_open/4k ", "doc_open_4k", 4_000u64),
-        ("doc_open/24k", "doc_open_24k", 24_000),
-    ] {
-        let chars = if cfg.quick { chars / 10 } else { chars };
-        let tdb = TextDb::in_memory();
-        let user = tdb.create_user("u").expect("user");
-        let doc = tdb.create_document("d", user).expect("document");
-        let mut h = tdb.open(doc, user).expect("open");
-        for _ in 0..chars / 200 {
-            h.insert_text(0, &"ab".repeat(100)).expect("insert");
-            h.delete_range(50, 100).expect("delete");
-        }
-        assert_eq!((h.chain_len() as u64, h.len() as u64), (chars, chars / 2));
-        let (rate, _) = measure(iters * 5, chars, || {
-            tdb.open(doc, user).expect("open").chain_len() as u64
-        });
-        println!("{label}     {} (chars opened/s)", fmt_rate(rate));
-        results.push((key, rate));
     }
 
     // Concurrent: R readers full-scanning while W writers commit updates.

@@ -7,8 +7,6 @@
 //! and [`json_object`] assembles the one-line JSON summaries the
 //! `bench_results/` series and `scripts/bench_compare.py` consume.
 
-use std::collections::BTreeMap;
-
 /// Nearest-rank percentile over an ascending-sorted slice of nanosecond
 /// samples, reported in microseconds. `frac` is in `[0, 1]`; `1.0` is
 /// the maximum. Panics on an empty slice (a bench that recorded nothing
@@ -57,19 +55,6 @@ impl LatencyHistogram {
         self.record_ns(elapsed.as_nanos() as u64);
     }
 
-    pub fn count(&self) -> u64 {
-        self.samples_ns.len() as u64
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.samples_ns.is_empty()
-    }
-
-    /// Fold another histogram's samples into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        self.samples_ns.extend_from_slice(&other.samples_ns);
-    }
-
     /// Sort and summarize. Returns `None` when nothing was recorded.
     pub fn summary(&mut self) -> Option<LatencySummary> {
         if self.samples_ns.is_empty() {
@@ -86,14 +71,13 @@ impl LatencyHistogram {
 }
 
 /// A JSON scalar for the one-line summary format. The bench series are
-/// flat objects of numbers/strings/bools, so this tiny enum is all the
-/// JSON the harness needs (no serde in the workspace).
+/// flat objects of numbers and bools, so this tiny enum is all the JSON
+/// the benches need (no serde in the workspace).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     U64(u64),
     F64(f64),
     Bool(bool),
-    Str(String),
 }
 
 impl std::fmt::Display for JsonValue {
@@ -104,18 +88,6 @@ impl std::fmt::Display for JsonValue {
             // latency in µs and throughput in ops/s, and diff-stable.
             JsonValue::F64(v) => write!(f, "{v:.1}"),
             JsonValue::Bool(v) => write!(f, "{v}"),
-            JsonValue::Str(s) => {
-                write!(f, "\"")?;
-                for c in s.chars() {
-                    match c {
-                        '"' => write!(f, "\\\"")?,
-                        '\\' => write!(f, "\\\\")?,
-                        c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-                        c => write!(f, "{c}")?,
-                    }
-                }
-                write!(f, "\"")
-            }
         }
     }
 }
@@ -138,44 +110,6 @@ pub fn append_json_line(path: &std::path::Path, line: &str) -> std::io::Result<(
     writeln!(f, "{line}")
 }
 
-/// Per-op-class latency recorder keyed by class label, producing the
-/// `<class>_p50_us` / `<class>_p99_us` / `<class>_max_us` /
-/// `<class>_count` field family of the `lan_party` series.
-#[derive(Debug, Default)]
-pub struct ClassRecorder {
-    classes: BTreeMap<&'static str, LatencyHistogram>,
-}
-
-impl ClassRecorder {
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    pub fn record(&mut self, class: &'static str, elapsed: std::time::Duration) {
-        self.classes.entry(class).or_default().record(elapsed);
-    }
-
-    /// Summaries per class, in class-name order.
-    pub fn summaries(&mut self) -> Vec<(&'static str, LatencySummary)> {
-        self.classes
-            .iter_mut()
-            .filter_map(|(k, h)| h.summary().map(|s| (*k, s)))
-            .collect()
-    }
-
-    /// Flatten into JSON pairs: `<class>_{count,p50_us,p99_us,max_us}`.
-    pub fn json_pairs(&mut self) -> Vec<(String, JsonValue)> {
-        let mut out = Vec::new();
-        for (class, s) in self.summaries() {
-            out.push((format!("{class}_count"), JsonValue::U64(s.count)));
-            out.push((format!("{class}_p50_us"), JsonValue::F64(s.p50_us)));
-            out.push((format!("{class}_p99_us"), JsonValue::F64(s.p99_us)));
-            out.push((format!("{class}_max_us"), JsonValue::F64(s.max_us)));
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -190,15 +124,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_summary_and_merge() {
+    fn histogram_summary() {
         let mut a = LatencyHistogram::new();
         assert!(a.summary().is_none());
-        for ns in [5_000, 1_000, 3_000] {
+        for ns in [5_000, 1_000, 9_000, 3_000] {
             a.record_ns(ns);
         }
-        let mut b = LatencyHistogram::new();
-        b.record_ns(9_000);
-        a.merge(&b);
         let s = a.summary().unwrap();
         assert_eq!(s.count, 4);
         assert_eq!(s.max_us, 9.0);
@@ -212,21 +143,7 @@ mod tests {
             ("a".into(), JsonValue::U64(1)),
             ("b".into(), JsonValue::F64(2.25)),
             ("c".into(), JsonValue::Bool(true)),
-            ("d".into(), JsonValue::Str("x\"y".into())),
         ]);
-        assert_eq!(line, "{\"a\":1,\"b\":2.2,\"c\":true,\"d\":\"x\\\"y\"}");
-    }
-
-    #[test]
-    fn class_recorder_groups_by_class() {
-        let mut r = ClassRecorder::new();
-        r.record("typing", std::time::Duration::from_micros(10));
-        r.record("typing", std::time::Duration::from_micros(20));
-        r.record("search", std::time::Duration::from_micros(500));
-        let pairs = r.json_pairs();
-        let keys: Vec<&str> = pairs.iter().map(|(k, _)| k.as_str()).collect();
-        assert!(keys.contains(&"typing_count"));
-        assert!(keys.contains(&"search_p99_us"));
-        assert_eq!(pairs.len(), 8);
+        assert_eq!(line, "{\"a\":1,\"b\":2.2,\"c\":true}");
     }
 }

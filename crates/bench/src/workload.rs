@@ -39,7 +39,7 @@ const WORDS: [&str; 24] = [
 ];
 
 /// Generate `n` words of pseudo-text.
-pub fn text_of_words(rng: &mut SmallRng, n: usize) -> String {
+fn text_of_words(rng: &mut SmallRng, n: usize) -> String {
     let mut out = String::with_capacity(n * 8);
     for i in 0..n {
         if i > 0 {

@@ -14,7 +14,7 @@
 //! Per-subscriber queues are **bounded** ([`BusPolicy`]). A subscriber
 //! that stops polling does not grow a queue without bound and does not
 //! slow anyone else down: once its queue is full further events are
-//! dropped (counted in [`crate::transport::TransportStats::dropped`]),
+//! dropped (counted in [`TransportStats::dropped`]),
 //! and once the drops exceed the lag limit the subscriber is evicted.
 //! An evicted subscriber observes [`Subscription::lagged_out`] and must
 //! resynchronize from the database before re-subscribing — the same
@@ -28,8 +28,6 @@ use std::time::{Duration, Instant};
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use parking_lot::Mutex;
 use tendax_text::{DocId, Effect, OpId, UserId};
-
-use crate::transport::{EventSource, PublishHook, Transport, TransportStats};
 
 /// Identifier of an editor session on the bus.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -95,7 +93,23 @@ struct BusInner {
     evicted: u64,
 }
 
-/// Publish hooks (see [`Transport::register_publish_hook`]). The list is
+/// Delivery/backpressure counters of a bus, cumulative since creation.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TransportStats {
+    /// Events handed to `publish`.
+    pub published: u64,
+    /// Per-subscriber deliveries (one publish to N subscribers counts N).
+    pub delivered: u64,
+    /// Deliveries skipped because a subscriber's queue was full.
+    pub dropped: u64,
+    /// Subscribers evicted for lagging past the policy limit.
+    pub evicted: u64,
+}
+
+/// See [`LanBus::register_publish_hook`].
+pub type PublishHook = Box<dyn Fn(&Arc<DocEvent>) -> bool + Send + Sync>;
+
+/// Publish hooks (see [`LanBus::register_publish_hook`]). The list is
 /// shared copy-on-write: a publisher clones the `Arc` and calls the hooks
 /// with neither this lock nor the subscriber lock held.
 #[derive(Default)]
@@ -174,16 +188,15 @@ impl LanBus {
     }
 
     /// Broadcast an event to all subscribers of its document. The
-    /// payload (including its `Vec<Effect>`) is allocated once and
-    /// shared: fan-out to N editors is N `Arc` clones, not N deep
-    /// copies of the effect list.
+    /// payload (including its `Vec<Effect>`) is allocated once, by the
+    /// publisher, and shared: fan-out to N editors is N `Arc` clones, not
+    /// N deep copies of the effect list.
     ///
     /// Never blocks on a consumer: a subscriber whose queue is at
     /// [`BusPolicy::capacity`] has the event dropped (counted), and one
     /// that has dropped more than [`BusPolicy::lag_limit`] events is
     /// evicted on the spot.
-    pub fn publish(&self, event: DocEvent) {
-        let event = Arc::new(event);
+    pub fn publish(&self, event: Arc<DocEvent>) {
         let policy = self.policy;
         let mut inner = self.inner.lock();
         inner.published += 1;
@@ -228,8 +241,13 @@ impl LanBus {
         }
     }
 
-    /// Register a publish hook (see
-    /// [`Transport::register_publish_hook`]).
+    /// Register a callback handed every published event (any document),
+    /// on the publishing thread, after the subscribers' queues were fed
+    /// and with no bus-wide lock held — so a hook may take its time
+    /// encoding and pushing, and two documents' publishers never wait on
+    /// each other inside it. This is how `tendax-net` fans a commit out to
+    /// its TCP subscribers without a thread in between. The callback must
+    /// not block on a consumer; returning `false` deregisters it.
     pub fn register_publish_hook(&self, hook: PublishHook) {
         Arc::make_mut(&mut self.hooks.0.lock()).push(Arc::new(hook));
     }
@@ -257,28 +275,6 @@ impl LanBus {
 
     fn unsubscribe(&self, id: u64) {
         self.inner.lock().subscribers.remove(&id);
-    }
-}
-
-impl Transport for LanBus {
-    fn connect(&self, doc: DocId, latency: Duration) -> Box<dyn EventSource> {
-        Box::new(self.subscribe(doc, latency))
-    }
-
-    fn publish(&self, event: DocEvent) {
-        LanBus::publish(self, event);
-    }
-
-    fn subscriber_count(&self) -> usize {
-        LanBus::subscriber_count(self)
-    }
-
-    fn stats(&self) -> TransportStats {
-        LanBus::stats(self)
-    }
-
-    fn register_publish_hook(&self, hook: PublishHook) {
-        LanBus::register_publish_hook(self, hook);
     }
 }
 
@@ -392,32 +388,6 @@ impl Subscription {
     }
 }
 
-impl EventSource for Subscription {
-    fn poll(&mut self) -> Vec<Arc<DocEvent>> {
-        Subscription::poll(self)
-    }
-
-    fn poll_timeout(&mut self, timeout: Duration) -> Vec<Arc<DocEvent>> {
-        Subscription::poll_timeout(self, timeout)
-    }
-
-    fn in_flight(&mut self) -> usize {
-        Subscription::in_flight(self)
-    }
-
-    fn lagged_out(&self) -> bool {
-        Subscription::lagged_out(self)
-    }
-
-    fn doc(&self) -> DocId {
-        self.doc
-    }
-
-    fn latency(&self) -> Duration {
-        self.latency
-    }
-}
-
 impl Drop for Subscription {
     fn drop(&mut self) {
         self.bus.unsubscribe(self.id);
@@ -428,8 +398,8 @@ impl Drop for Subscription {
 mod tests {
     use super::*;
 
-    fn event(doc: u64, op: u64) -> DocEvent {
-        DocEvent {
+    fn event(doc: u64, op: u64) -> Arc<DocEvent> {
+        Arc::new(DocEvent {
             doc: DocId(doc),
             op: OpId(op),
             commit_ts: op,
@@ -437,7 +407,7 @@ mod tests {
             origin: SessionId(1),
             kind: "insert".into(),
             effects: vec![],
-        }
+        })
     }
 
     #[test]
@@ -494,13 +464,14 @@ mod tests {
         let mut subs: Vec<Subscription> = (0..16)
             .map(|_| bus.subscribe(DocId(1), Duration::ZERO))
             .collect();
-        let mut ev = event(1, 10);
-        ev.effects = vec![Effect::Delete {
-            char: CharId(7),
-            by: UserId(1),
-            ts: 1,
-        }];
-        bus.publish(ev);
+        bus.publish(Arc::new(DocEvent {
+            effects: vec![Effect::Delete {
+                char: CharId(7),
+                by: UserId(1),
+                ts: 1,
+            }],
+            ..(*event(1, 10)).clone()
+        }));
         let received: Vec<Arc<DocEvent>> = subs.iter_mut().map(|s| s.poll().remove(0)).collect();
         // Every subscriber got a handle to the *same* allocation — the
         // effects vector was never copied per subscriber.

@@ -40,11 +40,9 @@ pub mod live;
 mod replica;
 pub mod server;
 pub mod session;
-pub mod transport;
 
 pub use awareness::{AwarenessRegistry, Platform, Presence};
-pub use bus::{BusPolicy, DocEvent, LanBus, SessionId, Subscription};
+pub use bus::{BusPolicy, DocEvent, LanBus, SessionId, Subscription, TransportStats};
 pub use live::{LiveDocs, LiveEditor, LiveStats};
 pub use server::CollabServer;
 pub use session::{EditorDoc, EditorSession, EditorStats, Unpublished};
-pub use transport::{EventSource, Transport, TransportStats};

@@ -13,7 +13,7 @@
 //!   commit is *visible*; the wait for the disk comes after, so typists
 //!   on one document still share a group-commit flush;
 //! * commits made elsewhere on the server (an in-process
-//!   [`crate::EditorDoc`]) arrive through the transport's publish hook, on
+//!   [`crate::EditorDoc`]) are applied by [`CollabServer`]'s publish, on
 //!   their committing thread, through the same reorder buffer an editor's
 //!   own replica uses;
 //! * a snapshot is an encode of the chain under the lock — no database
@@ -29,9 +29,10 @@
 //! publish). A snapshot reads the database's commit watermark `F` and
 //! *then*, still under the document's lock, that count: at zero, every
 //! commit at or below `F` was made through the live document (folded in
-//! under the lock) or has been published (applied by the hook, under the
-//! lock) — `F` is a frontier. Otherwise it lets go of the lock and waits
-//! for the count to drain; it never guesses. Commits that bypass the
+//! under the lock) or has been published (applied by the publish, under
+//! the lock, before the guard drops) — `F` is a frontier. Otherwise it
+//! lets go of the lock and waits for the count to drain; it never
+//! guesses. Commits that bypass the
 //! server's editors altogether (a raw `DocHandle`) are not seen until a
 //! conflicting edit forces a rebuild; serve such documents from editors.
 //!
@@ -205,8 +206,10 @@ impl LiveDocs {
         }
     }
 
-    /// The publish hook's body: integrate a commit made elsewhere on the
-    /// server into the document's live copy, if it has one.
+    /// Integrate a commit made elsewhere on the server into the
+    /// document's live copy, if it has one. Called by
+    /// [`CollabServer`]'s publish before the commit's [`InFlight`] guard
+    /// drops, which the frontier depends on.
     pub(crate) fn apply(&self, ev: &Arc<DocEvent>) {
         let Some(live) = self.get(ev.doc) else {
             return;

@@ -6,7 +6,7 @@
 //! own edits run under. An editor session's [`crate::EditorDoc`] owns one
 //! and feeds it by polling its subscription; the server's live document
 //! ([`crate::live`]) shares one among its network connections and is fed
-//! by the publish hook. The integration loop and the retry/anchor loop
+//! by the server's publish. The integration loop and the retry/anchor loop
 //! exist here once, for both.
 
 use std::sync::Arc;
@@ -16,10 +16,9 @@ use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tendax_storage::Ts;
 use tendax_text::{CharId, DocHandle, EditReceipt, Result, TextError};
 
-use crate::bus::{DocEvent, SessionId};
+use crate::bus::{DocEvent, SessionId, Subscription};
 use crate::server::CollabServer;
 use crate::session::EditorStats;
-use crate::transport::EventSource;
 
 /// How many times an edit is retried after losing a commit race before
 /// [`TextError::RetriesExhausted`] is surfaced. Each retry re-syncs from
@@ -87,7 +86,7 @@ pub(crate) struct Replica {
     pub(crate) handle: DocHandle,
     /// The event stream a replica that polls for itself is fed from; a
     /// replica that is handed its events has none.
-    sub: Option<Box<dyn EventSource>>,
+    sub: Option<Subscription>,
     /// Events whose dependencies have not arrived yet (publication order
     /// on the bus can differ slightly from commit order).
     reorder: Vec<Arc<DocEvent>>,
@@ -98,7 +97,7 @@ pub(crate) struct Replica {
 }
 
 impl Replica {
-    pub(crate) fn new(handle: DocHandle, sub: Option<Box<dyn EventSource>>) -> Self {
+    pub(crate) fn new(handle: DocHandle, sub: Option<Subscription>) -> Self {
         Replica {
             handle,
             sub,
@@ -132,13 +131,13 @@ impl Replica {
         let Some(sub) = self.sub.as_mut() else {
             return Integrated::default();
         };
-        // A transport that evicted this subscriber for lagging leaves a
+        // A bus that evicted this subscriber for lagging leaves a
         // hole in the event stream: re-subscribe so future events flow
         // again, and resynchronize from the database (which supersedes
         // everything the old stream would have said).
         let evicted = sub.lagged_out();
         if evicted {
-            *sub = who.server.transport().connect(sub.doc(), sub.latency());
+            *sub = who.server.transport().subscribe(sub.doc(), sub.latency());
         }
         let events = match wait {
             None => sub.poll(),

@@ -12,18 +12,17 @@ use crate::awareness::{AwarenessRegistry, Platform, Presence};
 use crate::bus::{DocEvent, LanBus, SessionId};
 use crate::live::LiveDocs;
 use crate::session::EditorSession;
-use crate::transport::Transport;
 
 /// The in-process TeNDaX collaboration server.
 ///
-/// Owns the shared [`TextDb`], the broadcast [`Transport`] (a [`LanBus`]
-/// by default), the [`AwarenessRegistry`] and the live documents its
+/// Owns the shared [`TextDb`], the [`LanBus`] committed operations are
+/// broadcast on, the [`AwarenessRegistry`] and the live documents its
 /// network editors share ([`crate::live`]). Cheap to clone; every editor
 /// session holds one.
 #[derive(Debug, Clone)]
 pub struct CollabServer {
     tdb: TextDb,
-    transport: Arc<dyn Transport>,
+    bus: LanBus,
     awareness: AwarenessRegistry,
     next_session: Arc<AtomicU64>,
     default_latency: Duration,
@@ -39,32 +38,19 @@ impl CollabServer {
         Self::with_latency(tdb, Duration::ZERO)
     }
 
-    /// A server broadcasting over an explicit transport implementation
-    /// (the in-process default is `LanBus::new()`).
-    pub fn with_transport(tdb: TextDb, transport: Arc<dyn Transport>) -> Self {
-        Self::build(tdb, transport, Duration::ZERO)
+    /// A server broadcasting on a bus with an explicit policy.
+    pub fn with_bus(tdb: TextDb, bus: LanBus) -> Self {
+        Self::build(tdb, bus, Duration::ZERO)
     }
 
-    fn build(tdb: TextDb, transport: Arc<dyn Transport>, default_latency: Duration) -> Self {
-        let live = Arc::new(LiveDocs::new(tdb.clone()));
-        // Every commit published on this server reaches its document's
-        // live copy on the committing thread. Weak: the hook must not
-        // keep the documents alive — it leaves with the server.
-        let weak = Arc::downgrade(&live);
-        transport.register_publish_hook(Box::new(move |ev| match weak.upgrade() {
-            Some(live) => {
-                live.apply(ev);
-                true
-            }
-            None => false,
-        }));
+    fn build(tdb: TextDb, bus: LanBus, default_latency: Duration) -> Self {
         CollabServer {
+            live: Arc::new(LiveDocs::new(tdb.clone())),
             tdb,
-            transport,
+            bus,
             awareness: AwarenessRegistry::new(),
             next_session: Arc::new(AtomicU64::new(1)),
             default_latency,
-            live,
             retries: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
@@ -80,16 +66,16 @@ impl CollabServer {
 
     /// A server whose editor links simulate the given one-way latency.
     pub fn with_latency(tdb: TextDb, default_latency: Duration) -> Self {
-        Self::build(tdb, Arc::new(LanBus::new()), default_latency)
+        Self::build(tdb, LanBus::new(), default_latency)
     }
 
     pub fn textdb(&self) -> &TextDb {
         &self.tdb
     }
 
-    /// The broadcast transport committed operations fan out over.
-    pub fn transport(&self) -> &Arc<dyn Transport> {
-        &self.transport
+    /// The bus committed operations fan out over.
+    pub fn transport(&self) -> &LanBus {
+        &self.bus
     }
 
     pub fn awareness(&self) -> &AwarenessRegistry {
@@ -109,10 +95,13 @@ impl CollabServer {
     }
 
     /// Broadcast `session`'s committed operation (if it changed any
-    /// character) to the document's other editors.
+    /// character) to the document's other editors: first into the
+    /// document's live copy, on this thread, then onto the bus.
     pub(crate) fn publish(&self, session: SessionId, event: Option<DocEvent>) {
         let Some(event) = event else { return };
-        self.transport.publish(event);
+        let event = Arc::new(event);
+        self.live.apply(&event);
+        self.bus.publish(event);
         // `presence_update` stamps last_active for us.
         self.presence_update(session, |_| {});
     }

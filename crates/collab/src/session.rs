@@ -78,8 +78,11 @@ impl EditorSession {
 
     /// Open a document by id.
     pub fn open_id(&self, doc: DocId) -> Result<EditorDoc> {
+        // Subscribe, then load: an event published between the load's
+        // snapshot and the subscription would never be delivered, and one
+        // the load already covers is skipped by the replica's floor.
+        let sub = self.server.transport().subscribe(doc, self.latency);
         let handle = self.server.textdb().open(doc, self.user)?;
-        let sub = self.server.transport().connect(doc, self.latency);
         self.server.presence_update(self.id, |p| {
             p.doc = Some(doc);
             p.cursor = Some(0);
@@ -838,7 +841,7 @@ mod tests {
         assert!(server.editors_on(second).is_empty());
     }
 
-    /// An editor evicted from the transport for lagging recovers on its
+    /// An editor evicted from the bus for lagging recovers on its
     /// next sync: full refresh from the database plus a fresh
     /// subscription, counted in `EditorStats::resyncs`.
     #[test]
@@ -852,7 +855,7 @@ mod tests {
             capacity: 2,
             lag_limit: 3,
         });
-        let server = CollabServer::with_transport(tdb, std::sync::Arc::new(bus));
+        let server = CollabServer::with_bus(tdb, bus);
         let sa = server.connect("alice", Platform::WindowsXp).unwrap();
         let sb = server.connect("bob", Platform::Linux).unwrap();
         let mut da = sa.open("shared").unwrap();
@@ -870,6 +873,71 @@ mod tests {
         da.type_text(0, "!").unwrap();
         db.sync();
         assert_eq!(db.text(), da.text());
+    }
+
+    /// Regression (open mid-burst): `open_id` used to load, then
+    /// subscribe. An operation published in between — here while the
+    /// open commits its read event, after the load's snapshot — was never
+    /// delivered: a deleted character stayed visible to the new editor
+    /// for good.
+    #[test]
+    fn an_operation_published_while_opening_is_delivered() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        use tendax_storage::{CommitObserver, CommittedWrite, TableId, Ts};
+        use tendax_text::Effect;
+
+        struct DeleteDuringOpen {
+            armed: AtomicBool,
+            reads: TableId,
+            bus: crate::bus::LanBus,
+            event: DocEvent,
+        }
+        impl CommitObserver for DeleteDuringOpen {
+            fn committed(&self, commit_ts: Ts, writes: &[CommittedWrite]) {
+                if writes.iter().any(|w| w.table == self.reads)
+                    && self.armed.swap(false, Ordering::SeqCst)
+                {
+                    self.bus.publish(Arc::new(DocEvent {
+                        commit_ts,
+                        ..self.event.clone()
+                    }));
+                }
+            }
+        }
+
+        let (server, sa, sb) = lan();
+        let mut da = sa.open("shared").unwrap();
+        da.type_text(0, "abc").unwrap();
+        let b = da.handle().char_at(1).unwrap();
+        let database = server.textdb().database();
+        let observer = Arc::new(DeleteDuringOpen {
+            armed: AtomicBool::new(true),
+            reads: database.table_id("reads").unwrap(),
+            bus: server.transport().clone(),
+            event: DocEvent {
+                doc: da.doc(),
+                op: tendax_text::OpId::NONE,
+                commit_ts: 0,
+                user: sa.user(),
+                origin: sa.id(),
+                kind: "delete".into(),
+                effects: vec![Effect::Delete {
+                    char: b,
+                    by: sa.user(),
+                    ts: 0,
+                }],
+            },
+        });
+        let as_observer: Arc<dyn CommitObserver> = observer.clone();
+        database.observe_commits(&as_observer);
+
+        let mut db = sb.open_id(da.doc()).unwrap();
+        assert!(
+            !observer.armed.load(Ordering::SeqCst),
+            "the open committed no read event"
+        );
+        db.sync();
+        assert_eq!(db.text(), "ac");
     }
 
     #[test]

@@ -43,8 +43,8 @@ use tendax_text::TextDb;
 
 // Re-export the full public surface under one roof.
 pub use tendax_collab::{
-    AwarenessRegistry, BusPolicy, DocEvent, EditorDoc, EditorSession, EventSource, LanBus,
-    Platform, Presence, SessionId, Transport, TransportStats,
+    AwarenessRegistry, BusPolicy, DocEvent, EditorDoc, EditorSession, LanBus, Platform, Presence,
+    SessionId, TransportStats,
 };
 pub use tendax_meta::{
     activity_timeline, char_provenance, collaboration_graph, top_terms, DocFeatures, DocumentSpace,

@@ -9,7 +9,7 @@
 //! borrows the collab server's live one ([`tendax_collab::live`]), edits
 //! through it and is sent snapshots encoded from it. No thread stands between a commit and the subscribers'
 //! queues: the server keeps a registry of which connections subscribe
-//! to which document, and a publish hook on the [`Transport`] runs on
+//! to which document, and a publish hook on the [`LanBus`] runs on
 //! the committing thread, encodes the `Event` frame once and pushes the
 //! shared bytes onto each subscriber's queue.
 //!
@@ -54,7 +54,6 @@
 //! wedge the server or the other editors.
 //!
 //! [`LanBus`]: tendax_collab::LanBus
-//! [`Transport`]: tendax_collab::Transport
 //!
 //! ## Error isolation
 //!
@@ -526,7 +525,7 @@ impl NetServer {
             conns: Mutex::new(Vec::new()),
             subscribers: RwLock::new(HashMap::new()),
         });
-        // Weak: the transport must not keep the server alive — once the
+        // Weak: the bus must not keep the server alive — once the
         // server is gone the hook deregisters itself by returning false.
         let weak = Arc::downgrade(&hub);
         hub.collab
