@@ -32,7 +32,7 @@ use crate::table::Ts;
 use crate::util::crc32;
 use crate::vfs::Vfs;
 use crate::wal::codec::{get_op, put_op};
-use crate::wal::{WalOp, FORMAT_VERSION};
+use crate::wal::WalOp;
 
 use super::bloom::Bloom;
 
@@ -46,8 +46,9 @@ const FOOTER_LEN: usize = 72;
 /// The part of the footer its own CRC covers.
 const FOOTER_BODY: usize = 56;
 const RUN_MAGIC: u64 = 0x544E_4458_434F_4C44; // "TNDXCOLD"
-/// Version 2: values in the v2 op codec, a CRC over the footer.
-const RUN_VERSION: u32 = FORMAT_VERSION;
+/// Version 2: values in the v2 op codec, a CRC over the footer. Log
+/// format v3 changed only checkpoint batches, so runs stay at 2.
+const RUN_VERSION: u32 = 2;
 
 /// Full sort key for one version.
 pub(crate) fn encode_key(table: TableId, row: RowId, ts: Ts) -> [u8; KEY_LEN] {

@@ -152,6 +152,10 @@ pub struct TableStats {
     /// It is the encoding's size, not a file's: an in-memory database
     /// reports it too.
     pub checkpoint_bytes: u64,
+    /// Of `checkpoint_bytes`, what each column's values take, by column
+    /// name in schema order. The rest is per row (its id, timestamp, op
+    /// header, same-as-above bitmap and two-bit header) and per frame.
+    pub column_bytes: Vec<(String, u64)>,
     /// What the table costs in RAM, every version included: rows,
     /// version chains, index entries and write descriptors, each counted
     /// by the structure that holds it.
@@ -1094,51 +1098,33 @@ impl Database {
 
     /// Every piece of durable state at the current watermark, as the
     /// checkpoint's log file: `Meta`, the DDL prologue, then per table
-    /// its row-id watermark and its live rows. The frames are weighed
-    /// first, so that they are written into one buffer of their size —
-    /// never grown and copied, and nothing held beside it. Caller must
-    /// hold the exclusive commit latch (quiesced: the watermark equals
-    /// the newest allocated timestamp).
+    /// its row-id watermark and its live rows, each frame encoded once
+    /// into a buffer of its own — nothing per row held beside them.
+    /// Caller must hold the exclusive commit latch (quiesced: the
+    /// watermark equals the newest allocated timestamp).
     fn checkpoint_image(&self) -> CheckpointFrames {
         let catalog = self.inner.catalog.read();
         let tables = self.inner.tables.read();
-        // Read once for both passes: a transaction still building its
-        // rows reads the clock and allocates row ids without the latch.
-        let meta = WalRecord::Meta {
+        let mut image = CheckpointFrames::file();
+        image.record(&WalRecord::Meta {
             next_ts: self.inner.sequencer.watermark() + 1,
             clock: self.inner.clock.peek(),
-        };
-        let stores: Vec<_> = (tables.iter())
-            .map(|(&id, handle)| {
-                let store = handle.read();
-                let next_row_id = store.row_id_watermark();
-                (
-                    WalRecord::Watermark {
-                        table: id,
-                        next_row_id,
-                    },
-                    store,
-                )
-            })
-            .collect();
-        let put_all = |frames: &mut CheckpointFrames| {
-            frames.record(&meta);
-            for (id, def) in catalog.tables() {
-                frames.record(&WalRecord::CreateTable {
-                    id,
-                    def: def.clone(),
-                });
-            }
-            for (watermark, store) in &stores {
-                frames.record(watermark);
-                put_live_rows(frames, store);
-            }
-            frames.close_batch();
-        };
-        let mut weighed = CheckpointFrames::weigh();
-        put_all(&mut weighed);
-        let mut image = CheckpointFrames::file(weighed.len());
-        put_all(&mut image);
+        });
+        for (id, def) in catalog.tables() {
+            image.record(&WalRecord::CreateTable {
+                id,
+                def: def.clone(),
+            });
+        }
+        for (&id, handle) in tables.iter() {
+            let store = handle.read();
+            image.record(&WalRecord::Watermark {
+                table: id,
+                next_row_id: store.row_id_watermark(),
+            });
+            put_live_rows(&mut image, &store);
+        }
+        image.close_batch();
         image
     }
 
@@ -1298,9 +1284,15 @@ impl Database {
                 continue;
             };
             let store = handle.read();
-            let mut rows = CheckpointFrames::weigh();
+            let mut rows = CheckpointFrames::weigh_columns();
             put_live_rows(&mut rows, &store);
             rows.close_batch();
+            let column_bytes = (def.columns.iter().enumerate())
+                .map(|(i, c)| {
+                    let bytes = rows.column_bytes().get(i).copied().unwrap_or(0);
+                    (c.name.clone(), bytes)
+                })
+                .collect();
             out.push(TableStats {
                 name: def.name.clone(),
                 live_rows: store.count_visible(latest),
@@ -1314,6 +1306,7 @@ impl Database {
                     })
                     .collect(),
                 checkpoint_bytes: rows.len(),
+                column_bytes,
                 resident_bytes: store.resident_bytes(),
             });
         }

@@ -1,21 +1,25 @@
-//! Binary encoding of WAL records: on-disk format v2.
+//! Binary encoding of WAL records: on-disk format v3.
 //!
 //! Hand-rolled and tag-prefixed, built for size: every integer is a
 //! LEB128 varint (zig-zag first when signed), a row is a header of two
 //! bits per column — NULL and both `Bool`s live there — followed by the
 //! values that are present, each carrying its type in the low bits of
 //! its first byte, and a checkpoint batches a table's rows into shared
-//! frames with delta-coded row ids. The byte layout of every record is
-//! written down in DESIGN.md, "On-disk format v2"; to see where a
-//! running database's bytes go, ask it (`TableStats::checkpoint_bytes`,
-//! the shell's `du`) instead of reading a hex dump.
+//! frames in which each row is coded against the row above it
+//! ([`RowDeltas`]): a bitmap of the columns it repeats, then the others,
+//! a number as its difference from the one above and a text seen before
+//! in its column as a slot. The byte layout of every record is written
+//! down in DESIGN.md, "On-disk format v3"; to see where a running
+//! database's bytes go, ask it (`TableStats::checkpoint_bytes` and
+//! `column_bytes`, the shell's `du`) instead of reading a hex dump.
 //!
-//! The same op encoding ([`put_op`]/[`get_op`]) is the value format of
-//! cold runs, so a cold version round-trips through exactly the bytes a
-//! WAL replay would have produced. And a `Put` op's bytes — its header
-//! varint and its row body — are what a committed row is in RAM
-//! ([`SharedRow`]): encoding one is a copy, and decoding one checks the
-//! bytes here, once, and keeps them.
+//! The op encoding ([`put_op`]/[`get_op`]) is what commit records carry
+//! and the value format of cold runs, so a cold version round-trips
+//! through exactly the bytes a WAL replay would have produced. And a
+//! `Put` op's bytes — its header varint and its row body — are what a
+//! committed row is in RAM ([`SharedRow`]): encoding one is a copy, and
+//! decoding one checks the bytes here, once, and keeps them. A checkpoint
+//! row is rebuilt into those same bytes.
 
 use crate::error::{Result, StorageError};
 use crate::row::{RowId, SharedRow};
@@ -51,6 +55,11 @@ const VT_TEXT: u8 = 2;
 const VT_BYTES: u8 = 3;
 const VT_TIMESTAMP: u8 = 4;
 const VT_FLOAT: u8 = 5;
+// Only inside a checkpoint batch's rows (see `RowDeltas`): a number as
+// the difference from the number its column held in the row above, and
+// a text or bytes value as the slot of its column that holds it.
+const VT_DELTA: u8 = 6;
+const VT_REF: u8 = 7;
 
 // Op kind: the low two bits of the op's leading varint; the rest of it
 // counts the columns of a `Put` or the fields of a `Patch`.
@@ -105,15 +114,14 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
         WalRecord::SnapshotRows { table, rows } => {
             begin_snapshot_rows(b, *table);
             put_varint(b, rows.len() as u64);
-            let mut prev = 0;
+            let mut deltas = RowDeltas::default();
             for v in rows {
-                // Stored data depends on the order, so this is not a
-                // debug assertion.
-                let delta = v.row.0.checked_sub(prev);
-                put_varint(b, delta.expect("snapshot rows are in row-id order"));
-                prev = v.row.0;
-                put_varint(b, v.commit_ts);
-                put_op(b, &v.op);
+                let put = match &v.op {
+                    WalOp::Put(row) => Some(row),
+                    WalOp::Delete => None,
+                    WalOp::Patch { .. } => panic!("a snapshot row is a put or a delete"),
+                };
+                deltas.put(b, v.row, v.commit_ts, put);
             }
         }
         WalRecord::Watermark { table, next_row_id } => {
@@ -169,17 +177,9 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
             let table = TableId(get_varint32(buf)?);
             let n = get_count(buf, 1)?;
             let mut rows = Vec::with_capacity(n);
-            let mut prev = 0u64;
+            let mut deltas = RowDeltas::default();
             for _ in 0..n {
-                let row = prev
-                    .checked_add(get_varint(buf)?)
-                    .ok_or_else(|| corrupt("row-id delta wraps".into()))?;
-                prev = row;
-                rows.push(SnapshotVersion {
-                    row: RowId(row),
-                    commit_ts: get_varint(buf)?,
-                    op: get_op(buf)?,
-                });
+                rows.push(deltas.get(buf)?);
             }
             WalRecord::SnapshotRows { table, rows }
         }
@@ -198,7 +198,7 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
 }
 
 // A checkpoint writes its `SnapshotRows` records a row at a time,
-// straight from the row bytes into the buffer that holds the file: the
+// straight from the row bytes into the buffer that holds the frame: the
 // record's tag and table, its rows, and then their count, which the
 // record holds in front of them and is moved there.
 
@@ -209,20 +209,595 @@ pub(crate) fn begin_snapshot_rows(b: &mut Vec<u8>, table: TableId) {
     put_varint(b, u64::from(table.0));
 }
 
-/// One row of a `SnapshotRows` record: its id as the delta from the row
-/// before it, its commit timestamp, and its op — a `Put` of `put`'s
-/// bytes, or a `Delete`.
-pub(crate) fn put_snapshot_row(
-    b: &mut Vec<u8>,
-    delta: u64,
-    commit_ts: Ts,
-    put: Option<&SharedRow>,
-) {
-    put_varint(b, delta);
-    put_varint(b, commit_ts);
-    match put {
-        Some(row) => b.extend_from_slice(row.packed()),
-        None => put_varint(b, OP_DELETE),
+/// What a [`WalRecord::SnapshotRows`] batch codes each row against, in
+/// both directions: the id and commit timestamp of the version above it,
+/// the `Put` above it, and the last [`TEXT_SLOTS`] texts each column
+/// wrote out. A batch starts from nothing ([`RowDeltas::reset`]), so it
+/// decodes on its own; its first `Put` is the row's bytes as they are.
+///
+/// A version is its row id as the delta from the one above (ids never
+/// descend), its commit timestamp as the wrapping zig-zag delta from the
+/// one above, and its op: a `Delete`, or a `Put` of
+///
+/// * the op header (column count, kind `Put`);
+/// * a bitmap, one bit a column, of the columns whose header bits and
+///   value bytes are those of the same column of the `Put` above —
+///   absent for the batch's first;
+/// * the two-bit header of the other columns, in order;
+/// * their present values, each the shortest of: the value itself; for
+///   an `Int`/`Id`/`Timestamp` whose column above held the same type,
+///   the wrapping zig-zag difference from it (type [`VT_DELTA`]); for a
+///   `Text`/`Bytes` value one of its column's slots holds, that slot
+///   (type [`VT_REF`]). Ties go to the value itself.
+///
+/// The encoder, the weigher and the decoder all run through here, so
+/// what a batch weighs is what it writes and what it writes decodes to
+/// the bytes each row had. Both directions keep the row above as its
+/// bytes and where each of its values ends ([`Layout`]); a number is
+/// read out of those bytes only where a column differs.
+#[derive(Debug, Default)]
+pub(crate) struct RowDeltas {
+    id: u64,
+    ts: Ts,
+    /// The `Put` above (no columns before the batch's first), and the
+    /// one being coded, which becomes it.
+    above: Layout,
+    next: Layout,
+    /// Per column, the texts it wrote out.
+    texts: Vec<Slots>,
+    /// Per column, the bytes its values were written in, if counted.
+    tally: Option<Vec<u64>>,
+}
+
+/// A row's bytes as RAM holds them, where its two-bit header starts, and
+/// where each value ends: column `i`'s is `ends[i]..ends[i + 1]`, empty
+/// for one the header holds.
+#[derive(Debug, Default)]
+struct Layout {
+    bytes: Vec<u8>,
+    header: usize,
+    ends: Vec<usize>,
+}
+
+impl Layout {
+    fn cols(&self) -> usize {
+        self.ends.len().saturating_sub(1)
+    }
+
+    #[inline(always)]
+    fn state(&self, i: usize) -> u8 {
+        column_state(&self.bytes[self.header..], i)
+    }
+
+    /// The value bytes of columns `from..to`.
+    #[inline(always)]
+    fn values(&self, from: usize, to: usize) -> &[u8] {
+        &self.bytes[self.ends[from]..self.ends[to]]
+    }
+
+    /// Start over with `packed`, a checked row, as its bytes, the ends of
+    /// its values left to the caller: its column count, its two-bit
+    /// header and where its values start.
+    #[inline(always)]
+    fn start<'a>(&mut self, packed: &'a [u8]) -> (usize, &'a [u8], usize) {
+        let (cols, header, values) = unpack_row(packed).expect(CHECKED_ROW);
+        let at = packed.len() - values.len();
+        self.bytes.clear();
+        self.bytes.extend_from_slice(packed);
+        self.header = at - header.len();
+        self.ends.clear();
+        self.ends.push(at);
+        (cols, header, at)
+    }
+
+    /// Start over with `packed`, a checked row, as its bytes.
+    fn lay_out(&mut self, packed: &[u8]) {
+        let (cols, header, mut at) = self.start(packed);
+        for i in 0..cols {
+            if column_state(header, i) == COL_VALUE {
+                at += checked_len(&packed[at..]);
+            }
+            self.ends.push(at);
+        }
+    }
+
+    /// Start a row of `cols` columns to be rebuilt: its op header and a
+    /// header of no bits.
+    fn begin(&mut self, cols: usize) {
+        self.bytes.clear();
+        put_varint(&mut self.bytes, (cols as u64) << 2 | OP_PUT);
+        self.header = self.bytes.len();
+        self.bytes.resize(self.header + cols.div_ceil(4), 0);
+        self.ends.clear();
+        self.ends.push(self.bytes.len());
+    }
+}
+
+/// Bytes of two values compared without a call: they are a few bytes
+/// long nearly always.
+#[inline(always)]
+fn same_bytes(a: &[u8], b: &[u8]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x == y)
+}
+
+/// How many texts a column remembers, and so the largest slot a
+/// [`VT_REF`] names in the four bits of its first byte.
+const TEXT_SLOTS: usize = 16;
+
+/// The last [`TEXT_SLOTS`] texts a column wrote out, overwritten in turn.
+/// A text is a copy of its value's bytes; `keys` holds a [`text_key`] of
+/// each, so a search compares bytes only on a match.
+#[derive(Debug, Default)]
+struct Slots {
+    texts: Vec<Vec<u8>>,
+    keys: [u64; TEXT_SLOTS],
+    /// How many slots hold a text of this batch, and which is next.
+    len: usize,
+    next: usize,
+}
+
+/// A value's length, first two bytes and last, which tell most texts
+/// apart without comparing them.
+#[inline(always)]
+fn text_key(bytes: &[u8]) -> u64 {
+    let n = bytes.len();
+    let at = |i: usize| u64::from(bytes[i.min(n - 1)]);
+    n as u64 | at(0) << 32 | at(1) << 40 | at(n - 1) << 48
+}
+
+impl Slots {
+    fn get(&self, slot: u64) -> Option<&[u8]> {
+        let slot = usize::try_from(slot).ok().filter(|&s| s < self.len)?;
+        Some(&self.texts[slot])
+    }
+
+    /// The slot that holds `bytes`. Every key is compared, without a
+    /// branch, and only a slot whose key matches has its bytes compared.
+    #[inline(always)]
+    fn find(&self, bytes: &[u8]) -> Option<usize> {
+        let key = text_key(bytes);
+        let mut hits = (self.keys.iter().enumerate())
+            .fold(0u32, |hits, (slot, &k)| hits | u32::from(k == key) << slot);
+        hits &= (1 << self.len) - 1;
+        while hits != 0 {
+            let slot = hits.trailing_zeros() as usize;
+            if same_bytes(&self.texts[slot], bytes) {
+                return Some(slot);
+            }
+            hits &= hits - 1;
+        }
+        None
+    }
+
+    fn push(&mut self, bytes: &[u8]) {
+        if self.texts.len() == self.next {
+            self.texts.push(Vec::new());
+        }
+        let text = &mut self.texts[self.next];
+        text.clear();
+        text.extend_from_slice(bytes);
+        self.keys[self.next] = text_key(bytes);
+        self.len = self.len.max(self.next + 1);
+        self.next = (self.next + 1) % TEXT_SLOTS;
+    }
+}
+
+/// Why reading a row a coder is given cannot fail: it is a [`SharedRow`],
+/// checked when it was built.
+const CHECKED_ROW: &str = "a coder is given checked SharedRows";
+
+impl RowDeltas {
+    /// A coder that also counts, per column, the bytes its values take.
+    pub(crate) fn tallied() -> Self {
+        RowDeltas {
+            tally: Some(Vec::new()),
+            ..Default::default()
+        }
+    }
+
+    /// Per column, the bytes its values took in every batch this coder
+    /// wrote (empty unless [`RowDeltas::tallied`]).
+    pub(crate) fn tally(&self) -> &[u64] {
+        self.tally.as_deref().unwrap_or_default()
+    }
+
+    /// Start a batch: nothing above its first row.
+    pub(crate) fn reset(&mut self) {
+        (self.id, self.ts) = (0, 0);
+        self.above.ends.clear();
+        for slots in &mut self.texts {
+            (slots.len, slots.next) = (0, 0);
+        }
+    }
+
+    /// Whether the batch has had a `Put`: rows are coded against it.
+    fn has_above(&self) -> bool {
+        !self.above.ends.is_empty()
+    }
+
+    /// Append a version of `row` — a `Put` of `put`, or a `Delete` — to
+    /// the batch in `b`. Returns the bytes of its op as RAM holds it, the
+    /// weight a batch is cut by.
+    pub(crate) fn put(
+        &mut self,
+        b: &mut Vec<u8>,
+        row: RowId,
+        commit_ts: Ts,
+        put: Option<&SharedRow>,
+    ) -> usize {
+        // Stored data depends on the order, so this is not a debug
+        // assertion.
+        let delta = row.0.checked_sub(self.id);
+        put_varint(b, delta.expect("snapshot rows are in row-id order"));
+        put_varint(b, zigzag(commit_ts.wrapping_sub(self.ts) as i64));
+        (self.id, self.ts) = (row.0, commit_ts);
+        let Some(put) = put else {
+            put_varint(b, OP_DELETE);
+            return varint_len(OP_DELETE);
+        };
+        let packed = put.packed();
+        if self.has_above() {
+            self.put_delta(b, packed);
+        } else {
+            self.next.lay_out(packed);
+            b.extend_from_slice(packed);
+            self.keep_texts();
+        }
+        std::mem::swap(&mut self.above, &mut self.next);
+        packed.len()
+    }
+
+    /// `packed`, a checked row, coded against the `Put` above: the
+    /// bitmap, the header of the columns that differ and their values,
+    /// with room left for every column's header bits and what the others
+    /// did not take handed back at the end. It is laid out in `next` as
+    /// it goes: a group of columns the same as above is where its bytes
+    /// are above, and only the others are read.
+    fn put_delta(&mut self, b: &mut Vec<u8>, packed: &[u8]) {
+        let Self {
+            above,
+            next,
+            texts,
+            tally,
+            ..
+        } = self;
+        let (cols, header, mut at) = next.start(packed);
+        put_varint(b, (cols as u64) << 2 | OP_PUT);
+        let same_at = b.len();
+        let header_at = same_at + cols.div_ceil(8);
+        let room = cols.div_ceil(4);
+        b.resize(header_at + room, 0);
+        let up_header = &above.bytes[above.header..above.ends[0]];
+        let shared = cols.min(above.cols());
+        let mut differ = 0;
+        for (g, &h) in header.iter().enumerate() {
+            let (first, end) = (4 * g, (4 * g + 4).min(cols));
+            // Four columns whose header bits and value bytes are those
+            // above, compared at once: the same bytes under the same
+            // header bits are the same values.
+            if end <= shared && h == up_header[g] {
+                let up = above.values(first, end);
+                if packed
+                    .get(at..at + up.len())
+                    .is_some_and(|v| same_bytes(v, up))
+                {
+                    b[same_at + first / 8] |= low_bits(end - first) << (first % 8);
+                    let shift = at.wrapping_sub(above.ends[first]);
+                    (next.ends).extend(
+                        above.ends[first + 1..=end]
+                            .iter()
+                            .map(|e| e.wrapping_add(shift)),
+                    );
+                    at += up.len();
+                    continue;
+                }
+            }
+            for i in first..end {
+                let state = h >> (2 * (i % 4)) & 3;
+                let len = if state == COL_VALUE {
+                    checked_len(&packed[at..])
+                } else {
+                    0
+                };
+                let value = &packed[at..at + len];
+                at += len;
+                next.ends.push(at);
+                if i < shared
+                    && state == above.state(i)
+                    && same_bytes(value, above.values(i, i + 1))
+                {
+                    b[same_at + i / 8] |= 1 << (i % 8);
+                    continue;
+                }
+                b[header_at + differ / 4] |= state << (2 * (differ % 4));
+                differ += 1;
+                if state == COL_VALUE {
+                    let from = b.len();
+                    let up = if i < shared {
+                        above.values(i, i + 1)
+                    } else {
+                        &[]
+                    };
+                    put_coded(b, value, up, slot_list(texts, i));
+                    if let Some(tally) = tally {
+                        count(tally, i, b.len() - from);
+                    }
+                }
+            }
+        }
+        let spare = room - differ.div_ceil(4);
+        if spare > 0 {
+            b.copy_within(header_at + room.., header_at + room - spare);
+            b.truncate(b.len() - spare);
+        }
+    }
+
+    /// The batch's first `Put`, laid out in `next` and written as it is:
+    /// keep each of its texts and count every value.
+    fn keep_texts(&mut self) {
+        let next = &self.next;
+        for i in 0..next.cols() {
+            let value = next.values(i, i + 1);
+            let Some(&first) = value.first() else {
+                continue;
+            };
+            if matches!(first & 7, VT_TEXT | VT_BYTES) {
+                slot_list(&mut self.texts, i).push(value);
+            }
+            if let Some(tally) = &mut self.tally {
+                count(tally, i, value.len());
+            }
+        }
+    }
+
+    /// The next version of the batch in `buf`.
+    pub(crate) fn get(&mut self, buf: &mut &[u8]) -> Result<SnapshotVersion> {
+        let row = (self.id.checked_add(get_varint(buf)?))
+            .ok_or_else(|| corrupt("row-id delta wraps".into()))?;
+        let commit_ts = self.ts.wrapping_add(unzigzag(get_varint(buf)?) as u64);
+        (self.id, self.ts) = (row, commit_ts);
+        let op = *buf;
+        let head = get_varint(buf)?;
+        let version = match (head & 3, head >> 2) {
+            (OP_DELETE, 0) => WalOp::Delete,
+            (OP_PUT, cols) => {
+                let row = if self.has_above() {
+                    self.get_delta(buf, cols)?
+                } else {
+                    let row = get_put(buf, op, cols)?;
+                    self.next.lay_out(row.packed());
+                    self.keep_texts();
+                    row
+                };
+                std::mem::swap(&mut self.above, &mut self.next);
+                WalOp::Put(row)
+            }
+            _ => return Err(corrupt(format!("snapshot row op header {head}"))),
+        };
+        Ok(SnapshotVersion {
+            row: RowId(row),
+            commit_ts,
+            op: version,
+        })
+    }
+
+    /// A `Put` of `cols` columns coded against the one above, rebuilt
+    /// into `next` and kept as the bytes it had.
+    fn get_delta(&mut self, buf: &mut &[u8], cols: u64) -> Result<SharedRow> {
+        // Every column takes a bit of the bitmap.
+        let cols = check_count(cols, buf, 8)?;
+        let same = take(buf, cols.div_ceil(8) as u64)?;
+        let ones: u32 = (same.iter().enumerate())
+            .map(|(b, &bits)| (bits & low_bits(cols - 8 * b)).count_ones())
+            .sum();
+        let header = take(buf, (cols - ones as usize).div_ceil(4) as u64)?;
+        let Self {
+            above, next, texts, ..
+        } = self;
+        next.begin(cols);
+        // The header bits of the columns above, which those the same as
+        // above keep and the others overwrite; none past the last column.
+        let shared = above.ends.len().saturating_sub(1).min(cols).div_ceil(4);
+        let up_header = &above.bytes[above.header..above.header + shared];
+        next.bytes[next.header..next.header + shared].copy_from_slice(up_header);
+        if cols % 4 != 0 && shared == cols.div_ceil(4) {
+            next.bytes[next.header + shared - 1] &= low_bits(2 * (cols % 4));
+        }
+        let is_same = |i: usize| same[i / 8] >> (i % 8) & 1 == 1;
+        let (mut i, mut differ) = (0, 0);
+        while i < cols {
+            if is_same(i) {
+                // A run of columns the same as above: their header bits,
+                // and one run of value bytes above.
+                let end = (i + 1..cols).find(|&j| !is_same(j)).unwrap_or(cols);
+                if end > above.cols() {
+                    return Err(corrupt(format!(
+                        "column {} is the same as none above",
+                        end - 1
+                    )));
+                }
+                let shift = next.bytes.len().wrapping_sub(above.ends[i]);
+                next.bytes.extend_from_slice(above.values(i, end));
+                (next.ends).extend(
+                    above.ends[i + 1..=end]
+                        .iter()
+                        .map(|e| e.wrapping_add(shift)),
+                );
+                i = end;
+                continue;
+            }
+            let state = column_state(header, differ);
+            differ += 1;
+            let bits = &mut next.bytes[next.header + i / 4];
+            *bits = *bits & !(3 << (2 * (i % 4))) | state << (2 * (i % 4));
+            if state == COL_VALUE {
+                let up = if i < above.cols() {
+                    above.values(i, i + 1)
+                } else {
+                    &[]
+                };
+                get_coded(buf, i, up, texts, &mut next.bytes)?;
+            }
+            next.ends.push(next.bytes.len());
+            i += 1;
+        }
+        // Every column decoded: these bytes are a row.
+        Ok(SharedRow::from_checked(&next.bytes))
+    }
+}
+
+/// `value`, a present value of the row being written that is not the same
+/// as `up`, the value above it (empty if none), as a slot, a difference,
+/// or itself, whichever is shortest.
+#[inline(always)]
+fn put_coded(b: &mut Vec<u8>, value: &[u8], up: &[u8], slots: &mut Slots) {
+    let ty = value[0] & 7;
+    if matches!(ty, VT_TEXT | VT_BYTES) {
+        match slots.find(value) {
+            Some(slot) if typed_len(slot as u64) < value.len() => put_typed(b, VT_REF, slot as u64),
+            _ => {
+                b.extend_from_slice(value);
+                slots.push(value);
+            }
+        }
+        return;
+    }
+    // A one-byte value is as short as a difference; a number spelled
+    // longer than it must be is kept as it is, since a difference
+    // decodes to the shortest spelling.
+    if value.len() > 1 && up.first().is_some_and(|&u| u & 7 == ty) {
+        if let (Some(number), Some(from)) = (number_of(value), number_of(up)) {
+            let delta = zigzag(number.wrapping_sub(from) as i64);
+            if typed_len(delta) < value.len() && typed_len(spelled(ty, number)) == value.len() {
+                return put_typed(b, VT_DELTA, delta);
+            }
+        }
+    }
+    b.extend_from_slice(value);
+}
+
+/// Column `i`'s present value off the front of `buf`, appended to `out`
+/// as the row holds it: `up` is the value above it (empty if none).
+#[inline(always)]
+fn get_coded(
+    buf: &mut &[u8],
+    i: usize,
+    up: &[u8],
+    texts: &mut Vec<Slots>,
+    out: &mut Vec<u8>,
+) -> Result<()> {
+    let first = *buf.first().ok_or(Malformed::CutShort(1, 0))?;
+    match first & 7 {
+        VT_REF => {
+            *buf = &buf[1..];
+            let slot = get_typed(first, buf)?;
+            let text = (texts.get(i))
+                .and_then(|t| t.get(slot))
+                .ok_or_else(|| corrupt(format!("column {i} has no text in slot {slot}")))?;
+            out.extend_from_slice(text);
+        }
+        VT_DELTA => {
+            *buf = &buf[1..];
+            let delta = unzigzag(get_typed(first, buf)?) as u64;
+            let (ty, from) = (up.first().map(|&u| u & 7))
+                .zip(number_of(up))
+                .ok_or_else(|| corrupt(format!("column {i} is a delta from no number")))?;
+            put_typed(out, ty, spelled(ty, from.wrapping_add(delta)));
+        }
+        _ => {
+            let rest = *buf;
+            let (ty, _, tail) = get_raw_value(buf)?;
+            if ty == VT_TEXT {
+                std::str::from_utf8(tail).map_err(Malformed::Utf8)?;
+            }
+            let bytes = &rest[..rest.len() - buf.len()];
+            out.extend_from_slice(bytes);
+            if matches!(ty, VT_TEXT | VT_BYTES) {
+                slot_list(texts, i).push(bytes);
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The number an `Int`/`Id`/`Timestamp` value of a checked row holds, as
+/// the bits of a `u64` (a signed number's two's complement); `None` for
+/// any other value.
+#[inline(always)]
+fn number_of(value: &[u8]) -> Option<u64> {
+    let first = *value.first()?;
+    let n = match first & 7 {
+        VT_INT | VT_ID | VT_TIMESTAMP => checked_typed(value).0,
+        _ => return None,
+    };
+    Some(if first & 7 == VT_ID {
+        n
+    } else {
+        unzigzag(n) as u64
+    })
+}
+
+/// The `n` a number of type `ty` is spelled with.
+#[inline(always)]
+fn spelled(ty: u8, number: u64) -> u64 {
+    if ty == VT_ID {
+        number
+    } else {
+        zigzag(number as i64)
+    }
+}
+
+/// A byte whose lowest `n` bits are set (all of them from eight on).
+fn low_bits(n: usize) -> u8 {
+    if n >= 8 {
+        u8::MAX
+    } else {
+        (1 << n) - 1
+    }
+}
+
+/// The texts column `i` wrote out.
+fn slot_list(texts: &mut Vec<Slots>, i: usize) -> &mut Slots {
+    if texts.len() <= i {
+        texts.resize_with(i + 1, Slots::default);
+    }
+    &mut texts[i]
+}
+
+fn count(tally: &mut Vec<u64>, i: usize, bytes: usize) {
+    if tally.len() <= i {
+        tally.resize(i + 1, 0);
+    }
+    tally[i] += bytes as u64;
+}
+
+/// The `n` of the present value `value` starts with, in a row that was
+/// checked when it was built, and the bytes it is spelled in: a float's
+/// are its type byte and eight more, and its `n` is not read.
+#[inline(always)]
+fn checked_typed(value: &[u8]) -> (u64, usize) {
+    let first = value[0];
+    if first == VT_FLOAT {
+        return (0, 9);
+    }
+    let low = u64::from(first >> 3 & 0xF);
+    if first & 0x80 == 0 {
+        return (low, 1);
+    }
+    let mut rest = &value[1..];
+    let high = get_varint(&mut rest).expect(CHECKED_ROW);
+    (low | high << 4, value.len() - rest.len())
+}
+
+/// The length of the present value `value` starts with, in a checked row.
+#[inline(always)]
+fn checked_len(value: &[u8]) -> usize {
+    let (n, head) = checked_typed(value);
+    // `Text` and `Bytes`: their length follows.
+    if value[0] & 6 == VT_TEXT {
+        head + n as usize
+    } else {
+        head
     }
 }
 
@@ -233,17 +808,6 @@ pub(crate) fn end_snapshot_rows(b: &mut Vec<u8>, rows_at: usize, count: u64) {
     put_varint(b, count);
     let head = b.len() - end;
     b[rows_at..].rotate_right(head);
-}
-
-/// What [`put_snapshot_row`] writes: its bytes, and those of its op —
-/// the weight a batch is cut by.
-pub(crate) fn snapshot_row_len(
-    delta: u64,
-    commit_ts: Ts,
-    put: Option<&SharedRow>,
-) -> (usize, usize) {
-    let op = put.map_or(varint_len(OP_DELETE), |row| row.packed().len());
-    (varint_len(delta) + varint_len(commit_ts) + op, op)
 }
 
 /// The length of a `SnapshotRows` record of `table` whose `count` rows
@@ -280,16 +844,7 @@ pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
     let head = get_varint(buf)?;
     let count = head >> 2;
     match head & 3 {
-        OP_PUT => {
-            let n = check_count(count, buf, 4)?;
-            let header = take(buf, n.div_ceil(4) as u64)?;
-            for i in 0..n {
-                get_column(header, i, buf)?;
-            }
-            // Every column decoded: these bytes are a row.
-            let packed = &op[..op.len() - buf.len()];
-            Ok(WalOp::Put(SharedRow::from_checked(packed)))
-        }
+        OP_PUT => Ok(WalOp::Put(get_put(buf, op, count)?)),
         OP_DELETE if count == 0 => Ok(WalOp::Delete),
         OP_PATCH => {
             let n = check_count(count, buf, 1)?;
@@ -311,6 +866,18 @@ pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
         }
         _ => Err(corrupt(format!("unknown op header {head}"))),
     }
+}
+
+/// The rest of a `Put` op of `count` columns that starts at `op` and
+/// whose header `buf` is past: every column is decoded, and the op's
+/// bytes are the row.
+fn get_put(buf: &mut &[u8], op: &[u8], count: u64) -> Result<SharedRow> {
+    let n = check_count(count, buf, 4)?;
+    let header = take(buf, n.div_ceil(4) as u64)?;
+    for i in 0..n {
+        get_column(header, i, buf)?;
+    }
+    Ok(SharedRow::from_checked(&op[..op.len() - buf.len()]))
 }
 
 /// A row as a `Put` op carries it and as [`SharedRow`] keeps it: the op
@@ -429,6 +996,13 @@ fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
         }
         ValueRef::Null | ValueRef::Bool(_) => unreachable!("folded into the row header"),
     };
+    put_typed(b, ty, n);
+    b.extend_from_slice(tail);
+}
+
+/// A value's first byte and, if `n` needs more than four bits, the rest
+/// of `n` as a varint.
+fn put_typed(b: &mut Vec<u8>, ty: u8, n: u64) {
     let first = ty | ((n & 0xF) as u8) << 3;
     if n >> 4 == 0 {
         b.push(first);
@@ -436,7 +1010,11 @@ fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
         b.push(first | 0x80);
         put_varint(b, n >> 4);
     }
-    b.extend_from_slice(tail);
+}
+
+/// Bytes [`put_typed`] writes for `n`.
+fn typed_len(n: u64) -> usize {
+    1 + if n >> 4 == 0 { 0 } else { varint_len(n >> 4) }
 }
 
 /// A present value as it lies in the bytes: its type, its number (a
@@ -450,6 +1028,18 @@ fn get_raw_value<'a>(buf: &mut &'a [u8]) -> Decoded<(u8, u64, &'a [u8])> {
         let raw = take(buf, 8)?.try_into().expect("took 8 bytes");
         return Ok((VT_FLOAT, u64::from_le_bytes(raw), &[]));
     }
+    let n = get_typed(first, buf)?;
+    let tail: &[u8] = match first & 7 {
+        VT_INT | VT_ID | VT_TIMESTAMP => &[],
+        VT_TEXT | VT_BYTES => take(buf, n)?,
+        _ => return Err(Malformed::UnknownValueByte(first)),
+    };
+    Ok((first & 7, n, tail))
+}
+
+/// The `n` of a value whose first byte, `first`, has been read.
+#[inline(always)]
+fn get_typed(first: u8, buf: &mut &[u8]) -> Decoded<u64> {
     let mut n = u64::from(first >> 3 & 0xF);
     if first & 0x80 != 0 {
         let high = get_varint(buf)?;
@@ -458,12 +1048,7 @@ fn get_raw_value<'a>(buf: &mut &'a [u8]) -> Decoded<(u8, u64, &'a [u8])> {
         }
         n |= high << 4;
     }
-    let tail: &[u8] = match first & 7 {
-        VT_INT | VT_ID | VT_TIMESTAMP => &[],
-        VT_TEXT | VT_BYTES => take(buf, n)?,
-        _ => return Err(Malformed::UnknownValueByte(first)),
-    };
-    Ok((first & 7, n, tail))
+    Ok(n)
 }
 
 #[inline(always)]
@@ -838,7 +1423,13 @@ mod tests {
 
     #[test]
     fn snapshot_rows_written_a_row_at_a_time_are_the_record_and_weigh_what_they_write() {
-        let row = SharedRow::pack(&[Value::Text("x".repeat(200)), Value::Null]);
+        let row = |i: u64| {
+            SharedRow::pack(&[
+                Value::Text(["x".repeat(200), "y".into()][i as usize % 2].clone()),
+                Value::Id(i * 3),
+                Value::Null,
+            ])
+        };
         // Row ids and timestamps across every varint length, a tombstone
         // among them, and 200 rows: a count of two bytes.
         let ids = (0..200u64).scan(0, |id, i| {
@@ -852,7 +1443,7 @@ mod tests {
                 op: if i == 7 {
                     WalOp::Delete
                 } else {
-                    WalOp::Put(row.clone())
+                    WalOp::Put(row(i))
                 },
             })
             .collect();
@@ -860,29 +1451,136 @@ mod tests {
         let mut b = vec![0xAA];
         begin_snapshot_rows(&mut b, table);
         let rows_at = b.len();
-        let (mut prev, mut weighed) = (0, 0);
+        let (mut deltas, mut ops) = (RowDeltas::default(), 0);
         for v in &versions {
             let put = match &v.op {
                 WalOp::Put(r) => Some(r),
                 _ => None,
             };
-            put_snapshot_row(&mut b, v.row.0 - prev, v.commit_ts, put);
-            weighed += snapshot_row_len(v.row.0 - prev, v.commit_ts, put).0;
-            prev = v.row.0;
+            ops += deltas.put(&mut b, v.row, v.commit_ts, put);
         }
-        assert_eq!(weighed, b.len() - rows_at);
+        // What a batch is cut by is what RAM holds, not what it writes.
+        let ram: usize = (versions.iter())
+            .map(|v| match &v.op {
+                WalOp::Put(r) => r.packed().len(),
+                _ => 1,
+            })
+            .sum();
+        assert_eq!(ops, ram);
+        let rows = b.len() - rows_at;
         end_snapshot_rows(&mut b, rows_at, versions.len() as u64);
+        // The checkpoint's weigher runs the same coder: one frame, the
+        // record behind an 8-byte header.
+        let mut weighed = crate::wal::CheckpointFrames::weigh();
+        for v in &versions {
+            let put = match &v.op {
+                WalOp::Put(r) => Some(r),
+                _ => None,
+            };
+            weighed.row(table, v.row, v.commit_ts, put);
+        }
+        weighed.close_batch();
         let want = encode_record(&WalRecord::SnapshotRows {
             table,
             rows: versions,
         });
         assert_eq!((b[0], &b[1..]), (0xAA, &want[..]));
-        assert_eq!(snapshot_rows_len(table, 200, weighed), want.len());
+        assert_eq!(snapshot_rows_len(table, 200, rows), want.len());
+        assert_eq!(weighed.len(), 8 + want.len() as u64);
         for v in [0, 1, 127, 128, 16_383, 16_384, u64::MAX >> 1, u64::MAX] {
             let mut b = Vec::new();
             put_varint(&mut b, v);
             assert_eq!(varint_len(v), b.len(), "{v}");
         }
+    }
+
+    #[test]
+    fn a_batch_row_repeats_nothing_of_the_row_above() {
+        let put = |values: &[Value]| WalOp::Put(SharedRow::pack(values));
+        let chars = |i: u64| {
+            put(&[
+                Value::Id(3),
+                Value::Id(20_000 + i),
+                Value::Text("e".into()),
+                Value::Null,
+            ])
+        };
+        let rec = WalRecord::SnapshotRows {
+            table: TableId(4),
+            rows: (0..2)
+                .map(|i| SnapshotVersion {
+                    row: RowId(20_001 + i),
+                    commit_ts: 40_000 + i,
+                    op: chars(i),
+                })
+                .collect(),
+        };
+        let bytes = encode_record(&rec);
+        let mut first = Vec::new();
+        put_op(&mut first, &chars(0));
+        // Tag, table, count; the first row as it is; then the second:
+        // id +1, ts +1 (zig-zag 2), four columns, columns 0, 2 and 3 the
+        // same as above, column 1 present and one more than above.
+        let mut want = vec![TAG_SNAPSHOT_ROWS, 4, 2];
+        put_varint(&mut want, 20_001);
+        put_varint(&mut want, 40_000 << 1);
+        want.extend_from_slice(&first);
+        want.extend_from_slice(&[1, 2, 4 << 2, 0b1101, COL_VALUE, VT_DELTA | 2 << 3]);
+        assert_eq!(bytes, want);
+        assert_eq!(decode_record(&bytes).unwrap(), rec);
+    }
+
+    #[test]
+    fn a_number_spelled_longer_than_it_must_be_is_kept_as_it_is() {
+        // Id(9) with the continuation bit set and a zero high part, below
+        // a canonical Id(8): a delta would decode to the short spelling.
+        let long = SharedRow::from_checked(&[1 << 2, COL_VALUE, VT_ID | 9 << 3 | 0x80, 0]);
+        let rec = WalRecord::SnapshotRows {
+            table: TableId(0),
+            rows: vec![
+                SnapshotVersion {
+                    row: RowId(1),
+                    commit_ts: 1,
+                    op: WalOp::Put(SharedRow::pack(&[Value::Id(8)])),
+                },
+                SnapshotVersion {
+                    row: RowId(2),
+                    commit_ts: 1,
+                    op: WalOp::Put(long.clone()),
+                },
+            ],
+        };
+        let back = decode_record(&encode_record(&rec)).unwrap();
+        let WalRecord::SnapshotRows { rows, .. } = back else {
+            panic!("not a batch");
+        };
+        let WalOp::Put(row) = &rows[1].op else {
+            panic!("not a put");
+        };
+        assert_eq!(row.packed(), long.packed());
+    }
+
+    #[test]
+    fn texts_a_column_wrote_out_are_named_by_their_slot() {
+        let put = |text: &str| WalOp::Put(SharedRow::pack(&[Value::Text(text.into())]));
+        let texts = ["insert", "delete", "insert", "style", "delete"];
+        let rec = WalRecord::SnapshotRows {
+            table: TableId(0),
+            rows: (0..texts.len() as u64)
+                .map(|i| SnapshotVersion {
+                    row: RowId(i),
+                    commit_ts: 1,
+                    op: put(texts[i as usize]),
+                })
+                .collect(),
+        };
+        let bytes = encode_record(&rec);
+        // "insert" again is slot 0, "delete" again slot 1: a byte each.
+        assert!(bytes.ends_with(&[1 << 2, 0, COL_VALUE, VT_REF | 1 << 3]));
+        assert!(bytes
+            .windows(4)
+            .any(|w| w == [1 << 2, 0, COL_VALUE, VT_REF]));
+        assert_eq!(decode_record(&bytes).unwrap(), rec);
     }
 
     #[test]
@@ -979,9 +1677,10 @@ mod tests {
 
     /// A one-row snapshot batch whose single column is the present
     /// value `value` (bytes spelled out: tag, table 0, one row, row-id
-    /// delta 1, commit ts 1, a one-column put, header "present").
+    /// delta 1, commit ts 1 (zig-zag 2), a one-column put, header
+    /// "present").
     fn batch_with_value(value: &[u8]) -> Vec<u8> {
-        let mut b = vec![TAG_SNAPSHOT_ROWS, 0, 1, 1, 1, 1 << 2, COL_VALUE];
+        let mut b = vec![TAG_SNAPSHOT_ROWS, 0, 1, 1, 2, 1 << 2, COL_VALUE];
         b.extend_from_slice(value);
         b
     }

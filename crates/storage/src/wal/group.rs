@@ -595,7 +595,7 @@ mod tests {
         // Staged but never waited on: the checkpoint snapshot supersedes it.
         let staged = wal.enqueue(&meta(1)).unwrap();
         wal.begin_rewrite().unwrap();
-        let mut image = CheckpointFrames::file(0);
+        let mut image = CheckpointFrames::file();
         image.record(&meta(42));
         wal.finish_rewrite(image).unwrap();
         // The pre-checkpoint ticket is durable by inclusion in the snapshot.

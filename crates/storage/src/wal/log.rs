@@ -23,8 +23,8 @@ use crate::table::Ts;
 use crate::util::crc32;
 use crate::vfs::{os_vfs, Vfs, VfsFile};
 use crate::wal::codec::{
-    begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, put_snapshot_row,
-    snapshot_row_len, snapshot_rows_len, SNAPSHOT_BATCH_BYTES,
+    begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, snapshot_rows_len,
+    RowDeltas, SNAPSHOT_BATCH_BYTES,
 };
 use crate::wal::{DurabilityLevel, WalRecord, FORMAT_VERSION};
 
@@ -152,7 +152,9 @@ impl WalFile {
         let (bytes, records) = (image.len(), image.records);
         {
             let mut w = self.vfs.create(&tmp)?;
-            w.write_all(&image.out)?;
+            for frame in &image.frames {
+                w.write_all(frame)?;
+            }
             w.flush()?;
             w.sync_data()?;
         }
@@ -229,39 +231,44 @@ impl WalFile {
     }
 }
 
-/// A checkpoint as the frames of the log file that holds it, encoded
-/// straight from the tables: whole records, and rows that go into
-/// [`WalRecord::SnapshotRows`] frames cut at
+/// A checkpoint as the frames of the log file that holds it, encoded in
+/// one pass straight from the tables: whole records, and rows that go
+/// into [`WalRecord::SnapshotRows`] frames cut at
 /// [`SNAPSHOT_BATCH_BYTES`](crate::wal::codec::SNAPSHOT_BATCH_BYTES) of
-/// ops. A row is written once, as a copy of its [`SharedRow`] bytes, into
-/// the buffer the file is written from; nothing per row is kept beside
-/// it. The same frames can be *weighed* instead — sized, not written —
-/// which is how the buffer is allocated at its final size before they
-/// are written, and what `TableStats::checkpoint_bytes` reports.
+/// ops as RAM holds them, or of the frame's own bytes. A row is coded
+/// once, against the row above it in its batch ([`RowDeltas`]), into the
+/// buffer its frame is written from; nothing per row is kept beside it.
+/// Every frame is a buffer of its own: a batch's is allocated at the size
+/// it is cut at and shrunk to what it holds when it closes, so the frames
+/// hold the file and at most one batch's room beside it. The same frames
+/// can be *weighed* instead — coded and sized, not kept — which is what
+/// `TableStats::checkpoint_bytes` reports.
 #[derive(Debug, Default)]
 pub(crate) struct CheckpointFrames {
-    out: Vec<u8>,
+    frames: Vec<Vec<u8>>,
     /// Frames (the format frame not counted).
     records: u64,
-    /// Weighing: frames are sized into `weighed`, and not kept.
+    /// Bytes of the closed frames, kept or weighed.
+    bytes: u64,
+    /// Weighing: frames are sized, and not kept.
     weighing: bool,
-    weighed: u64,
-    /// Where the DDL prologue ends: behind the last `CreateTable`.
+    /// Where the DDL prologue ends: the frame behind the last `CreateTable`.
     ddl_end: Option<usize>,
     batch: Option<Batch>,
+    /// What the open batch's rows are coded against.
+    deltas: RowDeltas,
 }
 
 /// The open `SnapshotRows` frame.
 #[derive(Debug)]
 struct Batch {
     table: TableId,
-    /// Where its frame starts, and its rows.
-    frame: usize,
+    /// Its frame: the header's room, the record's head, then its rows —
+    /// while weighing, only the row being coded.
+    out: Vec<u8>,
     rows_at: usize,
     count: u64,
-    /// The row id the next row's id is a delta from.
-    prev: u64,
-    /// Bytes of its rows, and of their ops.
+    /// Bytes of its rows, and of their ops as RAM holds them.
     rows: usize,
     ops: usize,
 }
@@ -276,15 +283,27 @@ impl CheckpointFrames {
         }
     }
 
-    /// A log file: its format frame, then room for exactly `frames` more
-    /// bytes — the weight of the frames it is going to hold, so that the
-    /// buffer is never grown (and copied) while they are written.
-    pub(crate) fn file(frames: u64) -> Self {
-        let format = format_frame();
-        let mut out = Vec::with_capacity(format.len() + frames as usize);
-        out.extend_from_slice(&format);
+    /// Frames that are weighed, with the bytes each column's values take
+    /// counted too ([`CheckpointFrames::column_bytes`]).
+    pub(crate) fn weigh_columns() -> Self {
         CheckpointFrames {
-            out,
+            deltas: RowDeltas::tallied(),
+            ..Self::weigh()
+        }
+    }
+
+    /// Per column position, the bytes its values took in the rows so far
+    /// (empty unless [`CheckpointFrames::weigh_columns`]).
+    pub(crate) fn column_bytes(&self) -> &[u64] {
+        self.deltas.tally()
+    }
+
+    /// A log file: its format frame, then the frames it is given.
+    pub(crate) fn file() -> Self {
+        let format = format_frame();
+        CheckpointFrames {
+            bytes: format.len() as u64,
+            frames: vec![format],
             ..Default::default()
         }
     }
@@ -292,13 +311,14 @@ impl CheckpointFrames {
     /// Append `rec` as a frame of its own.
     pub(crate) fn record(&mut self, rec: &WalRecord) {
         self.close_batch();
-        put_frame(&mut self.out, rec);
+        let frame = encode_frame(rec);
         self.records += 1;
-        if self.weighing {
-            self.weighed += self.out.len() as u64;
-            self.out.clear();
-        } else if matches!(rec, WalRecord::CreateTable { .. }) {
-            self.ddl_end = Some(self.out.len());
+        self.bytes += frame.len() as u64;
+        if !self.weighing {
+            self.frames.push(frame);
+            if matches!(rec, WalRecord::CreateTable { .. }) {
+                self.ddl_end = Some(self.frames.len());
+            }
         }
     }
 
@@ -315,49 +335,53 @@ impl CheckpointFrames {
         if self.batch.as_ref().is_some_and(|b| b.table != table) {
             self.close_batch();
         }
-        let (out, weighing) = (&mut self.out, self.weighing);
+        let (weighing, deltas) = (self.weighing, &mut self.deltas);
         let batch = self.batch.get_or_insert_with(|| {
-            let frame = out.len();
-            if !weighing {
-                out.extend_from_slice(&[0; 8]);
-                begin_snapshot_rows(out, table);
-            }
+            let room = if weighing { 64 } else { SNAPSHOT_BATCH_BYTES };
+            let mut out = Vec::with_capacity(room);
+            out.extend_from_slice(&[0; 8]);
+            begin_snapshot_rows(&mut out, table);
+            deltas.reset();
             Batch {
                 table,
-                frame,
                 rows_at: out.len(),
+                out,
                 count: 0,
-                prev: 0,
                 rows: 0,
                 ops: 0,
             }
         });
-        // Stored data depends on the order, so this is not a debug
-        // assertion.
-        let delta = row.0.checked_sub(batch.prev);
-        let delta = delta.expect("snapshot rows are in row-id order");
-        let (len, op) = snapshot_row_len(delta, commit_ts, put);
-        if !weighing {
-            put_snapshot_row(out, delta, commit_ts, put);
+        let at = batch.out.len();
+        // What a row can take coded: two varints and, at most, its bytes
+        // plus a bit a column. The frame grows by exactly that, not by
+        // doubling.
+        let most = 20 + 2 * put.map_or(0, |r| r.packed().len());
+        if batch.out.capacity() - at < most {
+            batch.out.reserve_exact(most);
         }
-        batch.prev = row.0;
+        batch.ops += deltas.put(&mut batch.out, row, commit_ts, put);
+        batch.rows += batch.out.len() - at;
         batch.count += 1;
-        batch.rows += len;
-        batch.ops += op;
-        if batch.ops >= SNAPSHOT_BATCH_BYTES {
+        if weighing {
+            batch.out.truncate(at);
+        }
+        if batch.ops.max(batch.rows) >= SNAPSHOT_BATCH_BYTES {
             self.close_batch();
         }
     }
 
     /// Complete the open `SnapshotRows` frame, if there is one.
     pub(crate) fn close_batch(&mut self) {
-        let Some(b) = self.batch.take() else { return };
+        let Some(mut b) = self.batch.take() else {
+            return;
+        };
         self.records += 1;
-        if self.weighing {
-            self.weighed += (8 + snapshot_rows_len(b.table, b.count, b.rows)) as u64;
-        } else {
-            end_snapshot_rows(&mut self.out, b.rows_at, b.count);
-            end_frame(&mut self.out, b.frame);
+        self.bytes += (8 + snapshot_rows_len(b.table, b.count, b.rows)) as u64;
+        if !self.weighing {
+            end_snapshot_rows(&mut b.out, b.rows_at, b.count);
+            end_frame(&mut b.out, 0);
+            b.out.shrink_to_fit();
+            self.frames.push(b.out);
         }
     }
 
@@ -366,16 +390,16 @@ impl CheckpointFrames {
     /// then predates its newest version, as replay requires.
     pub(crate) fn insert_history(&mut self, mut history: CheckpointFrames) {
         history.close_batch();
-        let at = self.ddl_end.unwrap_or(self.out.len());
-        self.out.splice(at..at, history.out);
+        let at = self.ddl_end.unwrap_or(self.frames.len());
+        self.frames.splice(at..at, history.frames);
         self.records += history.records;
+        self.bytes += history.bytes;
     }
 
     /// Bytes of the frames so far, the open `SnapshotRows` frame not
     /// counted.
     pub(crate) fn len(&self) -> u64 {
-        let open = self.batch.as_ref().map_or(self.out.len(), |b| b.frame);
-        self.weighed + open as u64
+        self.bytes
     }
 }
 
@@ -639,7 +663,7 @@ mod tests {
         for i in 1..=10 {
             wal.append(&meta(i)).unwrap();
         }
-        let mut image = CheckpointFrames::file(0);
+        let mut image = CheckpointFrames::file();
         image.record(&meta(100));
         wal.rewrite(image).unwrap();
         assert_eq!(wal.records_written(), 1);
@@ -668,11 +692,13 @@ mod tests {
         };
         let mut weighed = CheckpointFrames::weigh();
         fill(&mut weighed);
-        let mut image = CheckpointFrames::file(weighed.len());
+        let mut image = CheckpointFrames::file();
         fill(&mut image);
+        let file = image.frames.concat();
+        assert_eq!(image.len(), file.len() as u64);
         assert_eq!(image.len(), 10 + weighed.len());
         assert_eq!((image.records, weighed.records), (5, 5));
-        let batches: Vec<(u32, usize)> = (WalIter::new(&image.out).skip(2))
+        let batches: Vec<(u32, usize)> = (WalIter::new(&file).skip(2))
             .map(|rec| match rec.unwrap() {
                 WalRecord::SnapshotRows { table, rows } => (table.0, rows.len()),
                 other => panic!("not a batch: {other:?}"),

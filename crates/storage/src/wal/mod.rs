@@ -20,11 +20,12 @@ use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
 use crate::table::Ts;
 
-/// The on-disk format this build reads and writes (DESIGN.md, "On-disk
-/// format v2"), shared by the log and the cold runs. There is no
-/// migration: any other version is refused with
-/// [`crate::StorageError::UnsupportedFormat`].
-pub const FORMAT_VERSION: u32 = 2;
+/// The log format this build reads and writes (DESIGN.md, "On-disk
+/// format v3"). There is no migration: any other version is refused with
+/// [`crate::StorageError::UnsupportedFormat`]. v3 is v2 with checkpoint
+/// rows coded against the row above them; the cold runs, whose values
+/// are v2 ops, did not change and keep their own version.
+pub const FORMAT_VERSION: u32 = 3;
 
 /// How hard the engine pushes commits toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -40,13 +40,17 @@ fn writers_race_checkpoints_without_loss() {
         let db = db.clone();
         let stop = stop.clone();
         std::thread::spawn(move || {
+            // At least one checkpoint, however late the thread is
+            // scheduled: the writers may all be done before it starts.
             let mut n = 0;
-            while !stop.load(Ordering::Relaxed) {
+            loop {
                 db.checkpoint().unwrap();
                 n += 1;
+                if stop.load(Ordering::Relaxed) {
+                    break n;
+                }
                 std::thread::yield_now();
             }
-            n
         })
     };
     let mut writers = Vec::new();

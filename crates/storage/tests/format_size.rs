@@ -4,7 +4,7 @@
 //! WAL. Table shapes and value magnitudes are those of the text layer
 //! in the benchmark's typing workloads (`crates/text/src/schema.rs`;
 //! logical clock, ids in the tens of thousands). Each pin carries the
-//! parent's (format v1) value, measured with this same code there.
+//! values earlier formats had, measured with this same code there.
 
 mod common;
 
@@ -154,13 +154,15 @@ fn checkpoint_bytes_per_row_are_pinned() {
     let f = fixture();
     // v1: 102 000 (102.0 a row: an 8-byte frame and a 21-byte record
     // header around every row, a tag byte per cell, fixed-width ids).
-    // v2: 21.9 a row.
-    assert_eq!(checkpoint_bytes(&f, f.chars, "chars", chars_row), 21_885);
-    // v1: 75 000.
-    assert_eq!(checkpoint_bytes(&f, f.oplog, "oplog", oplog_row), 18_012);
-    // v1: 71 000.
+    // v2: 21 885 (every row as RAM holds it). v3: 9.0 a row — id +1,
+    // ts +1, the op header, a two-byte bitmap, one header byte and
+    // `prev`, `next`, `created_at` one more than above, a byte each.
+    assert_eq!(checkpoint_bytes(&f, f.chars, "chars", chars_row), 9_024);
+    // v1: 75 000. v2: 18 012. v3: `ts` is the only column that moves.
+    assert_eq!(checkpoint_bytes(&f, f.oplog, "oplog", oplog_row), 6_024);
+    // v1: 71 000. v2: 17 012. v3: `op` and `first` move.
     let op_effects = checkpoint_bytes(&f, f.op_effects, "op_effects", op_effects_row);
-    assert_eq!(op_effects, 17_012);
+    assert_eq!(op_effects, 7_022);
 }
 
 /// One character typed mid-document, as the text layer commits it: the

@@ -1,10 +1,10 @@
-//! On-disk format v2 (DESIGN.md, "On-disk format v2"), held to the
+//! On-disk format v3 (DESIGN.md, "On-disk format v3"), held to the
 //! standard the rest of storage holds itself to: every record kind and
 //! value type round-trips bit-exactly, every truncation and every single
 //! bit flip of a frame is rejected — torn tail, CRC, or typed error,
 //! never a panic and never a different record — hostile lengths cost no
 //! allocation, corruption is reported at the offset of the frame that
-//! has it, and a v1 file or a sharded layout is refused untouched.
+//! has it, and a v1 or v2 file or a sharded layout is refused untouched.
 
 mod common;
 
@@ -17,8 +17,8 @@ use tendax_storage::wal::{
     DurabilityLevel, SnapshotVersion, WalFile, WalIter, WalOp, WalRecord, WalWrite, FORMAT_VERSION,
 };
 use tendax_storage::{
-    ColdOptions, DataType, Database, Options, Predicate, Row, RowId, StorageError, TableDef,
-    TableId, Value,
+    ColdOptions, DataType, Database, Options, Predicate, Row, RowId, SharedRow, StorageError,
+    TableDef, TableId, Value,
 };
 
 /// `[u32 len][u32 crc][payload]`: the log's framing, unchanged since v1.
@@ -381,6 +381,48 @@ fn snapshot_batch() -> WalRecord {
     }
 }
 
+/// A batch whose every row leans on the rows above it: numbers one more
+/// (or wrapping past `u64::MAX`/`i64::MAX`) than the row above, texts a
+/// column wrote before, columns that flip between NULL, `Bool`s and
+/// values or change type, several versions of one row and tombstones.
+fn delta_batch() -> WalRecord {
+    let texts = [
+        "insert",
+        "delete",
+        "style",
+        "e",
+        "a much longer text than a slot key",
+    ];
+    WalRecord::SnapshotRows {
+        table: TableId(4),
+        rows: (0..48u64)
+            .map(|i| SnapshotVersion {
+                row: RowId(20_000 + i / 3),
+                commit_ts: 40_000u64.wrapping_add(i * 7).wrapping_sub(i % 5 * 11),
+                op: if i % 11 == 10 {
+                    WalOp::Delete
+                } else {
+                    put(vec![
+                        Value::Id(3),
+                        Value::Id((u64::MAX - 2).wrapping_add(i)),
+                        Value::Text(texts[(i * i % 7 % 5) as usize].into()),
+                        Value::Int((i64::MAX - 1).wrapping_add(i as i64 % 4)),
+                        [Value::Null, Value::Bool(i % 2 == 0), Value::Id(i)][i as usize % 3]
+                            .clone(),
+                        if i % 6 < 3 {
+                            Value::Timestamp(81_000 + i as i64)
+                        } else {
+                            Value::Text(texts[i as usize % 2].into())
+                        },
+                        Value::Float(if i % 4 == 0 { -0.0 } else { f64::NAN }),
+                        Value::Bytes(vec![i as u8 % 3; 2]),
+                    ])
+                },
+            })
+            .collect(),
+    }
+}
+
 /// A log of `before`, the frame under test, and `after`: cut or flip the
 /// middle frame every way there is. Whatever happens, the reader yields
 /// `before` intact and then stops or reports — it never yields a record
@@ -487,6 +529,9 @@ fn commit_frame_survives_every_cut_and_every_bit_flip() {
 #[test]
 fn snapshot_batch_frame_survives_every_cut_and_every_bit_flip() {
     sweep_frame(&snapshot_batch());
+    let batch = delta_batch();
+    assert_roundtrips(&batch);
+    sweep_frame(&batch);
 }
 
 // ---------------------------------------------------------- hostile input
@@ -718,9 +763,10 @@ fn a_v1_log_is_refused_typed_and_left_untouched() {
 #[test]
 fn a_log_from_the_future_is_refused_too() {
     let dir = TestDir::new("tendax-wal-format");
-    let path = dir.file("v3.wal");
+    let path = dir.file("future.wal");
+    let future = FORMAT_VERSION + 1;
     let log = [
-        frame(&encode_record(&WalRecord::Format { version: 3 })),
+        frame(&encode_record(&WalRecord::Format { version: future })),
         frame(&encode_record(&WalRecord::Meta {
             next_ts: 1,
             clock: 1,
@@ -728,7 +774,7 @@ fn a_log_from_the_future_is_refused_too() {
     ]
     .concat();
     std::fs::write(&path, log).unwrap();
-    assert_refused(&path, Options::default(), 3);
+    assert_refused(&path, Options::default(), future);
 }
 
 /// What is left of the sharded log (removed in PR 19): the layout it
@@ -897,15 +943,13 @@ fn a_checkpoint_batches_rows_and_replays_them() {
     assert_eq!(db.begin().count(t, &Predicate::True).unwrap() as i64, rows);
 }
 
-// ------------------------------------------------- a log the parent wrote
+// ------------------------------------------------------------ v2 refusal
 
-/// A log written by the commit before rows were kept packed in RAM —
-/// format frame, `chars`-like table, a three-row checkpoint batch, then a
-/// tail of two commits: a put, a described one-column patch and a
-/// delete; then a two-column `set` (a full put). `FORMAT_VERSION` did not
-/// move, so these bytes are the format: every value type, a NULL, both
-/// `Bool`s, `-0.0`, an empty text and a four-byte character among them.
-const PARENT_LOG: [u8; 249] = [
+/// A v2 log: the same database as [`PARENT_LOG`], written by the last
+/// build before checkpoint rows were coded against the row above them.
+/// Its commit frames are byte-identical to v3's; its checkpoint batch
+/// holds every row as it is.
+const V2_LOG: [u8; 249] = [
     0x02, 0x00, 0x00, 0x00, 0x9a, 0xc8, 0x15, 0x7e, 0x09, 0x02, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
     0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
     0x63, 0x68, 0x61, 0x72, 0x73, 0x07, 0x03, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x04, 0x6e, 0x65, 0x78,
@@ -925,8 +969,47 @@ const PARENT_LOG: [u8; 249] = [
 ];
 
 #[test]
+fn a_v2_log_is_refused_typed_and_left_untouched() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("v2.wal");
+    std::fs::write(&path, V2_LOG).unwrap();
+    assert_refused(&path, single_file(), 2);
+    assert!(matches!(
+        WalFile::replay(&path),
+        Err(StorageError::UnsupportedFormat { found: 2, .. })
+    ));
+}
+
+// ------------------------------------------------- a log the parent wrote
+
+/// A v3 log, as this format writes it — format frame, `chars`-like
+/// table, a three-row checkpoint batch (the second and third rows coded
+/// against the one above), then a tail of two commits: a put, a
+/// described one-column patch and a delete; then a two-column `set` (a
+/// full put). These bytes are the format: every value type, a NULL, both
+/// `Bool`s, `-0.0`, an empty text and a four-byte character among them.
+const PARENT_LOG: [u8; 245] = [
+    0x02, 0x00, 0x00, 0x00, 0x0c, 0xf8, 0x12, 0x09, 0x09, 0x03, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
+    0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
+    0x63, 0x68, 0x61, 0x72, 0x73, 0x07, 0x03, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x04, 0x6e, 0x65, 0x78,
+    0x74, 0x01, 0x01, 0x02, 0x63, 0x68, 0x02, 0x00, 0x0a, 0x63, 0x72, 0x65, 0x61, 0x74, 0x65, 0x64,
+    0x5f, 0x61, 0x74, 0x05, 0x00, 0x07, 0x64, 0x65, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x03, 0x00, 0x06,
+    0x77, 0x65, 0x69, 0x67, 0x68, 0x74, 0x06, 0x01, 0x04, 0x62, 0x6c, 0x6f, 0x62, 0x04, 0x01, 0x01,
+    0x0c, 0x63, 0x68, 0x61, 0x72, 0x73, 0x5f, 0x62, 0x79, 0x5f, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0xb9, 0x61, 0xa1, 0xfc, 0x06, 0x00, 0x04, 0x2f, 0x00, 0x00, 0x00, 0x10,
+    0x15, 0xff, 0xc5, 0x05, 0x00, 0x03, 0x01, 0x02, 0x1c, 0xff, 0x02, 0x19, 0x81, 0xe2, 0x09, 0x0a,
+    0x61, 0x4c, 0x01, 0x00, 0x1c, 0x41, 0x7f, 0x03, 0x16, 0x12, 0xc3, 0xa9, 0x3c, 0x05, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x1c, 0x01, 0xbf, 0x0c, 0x16, 0x02, 0x2c, 0x13,
+    0x00, 0xff, 0x1b, 0x00, 0x00, 0x00, 0x3a, 0x1d, 0x18, 0x5e, 0x04, 0x02, 0x03, 0x00, 0x01, 0x06,
+    0x01, 0x03, 0xe9, 0x04, 0x01, 0x03, 0x00, 0x03, 0x01, 0x00, 0x04, 0x1c, 0xff, 0x01, 0x19, 0x99,
+    0xe2, 0x09, 0x0a, 0x64, 0x1c, 0x18, 0x00, 0x00, 0x00, 0x6e, 0x88, 0xb8, 0x84, 0x04, 0x03, 0x01,
+    0x00, 0x02, 0x1c, 0xf3, 0x0d, 0x19, 0x22, 0xf0, 0x9f, 0x98, 0x80, 0x3c, 0x05, 0x00, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x80,
+];
+
+#[test]
 fn a_log_the_parent_wrote_replays_to_the_same_rows() {
-    assert_eq!(FORMAT_VERSION, 2);
+    assert_eq!(FORMAT_VERSION, 3);
     let dir = TestDir::new("tendax-wal-format");
     let path = dir.file("parent.wal");
     std::fs::write(&path, PARENT_LOG).unwrap();
@@ -1061,8 +1144,9 @@ fn small_database(path: &std::path::Path, opts: Options) -> Database {
 /// Length and CRC-32 of the file the parent's checkpoint of
 /// [`small_database`] wrote, without a cold tier and with one whose
 /// demotion failed (the history spliced in behind the DDL prologue).
-const PARENT_CHECKPOINT: (usize, u32) = (492, 0x374b_8102);
-const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (665, 0xb182_b469);
+/// v2 wrote 492 B / 0x374b8102 and 665 B / 0xb182b469.
+const PARENT_CHECKPOINT: (usize, u32) = (481, 0x196a_7ef2);
+const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (642, 0xb031_26c2);
 
 fn len_and_crc(path: &std::path::Path) -> (usize, u32) {
     let bytes = std::fs::read(path).unwrap();
@@ -1088,6 +1172,80 @@ fn a_checkpoint_is_the_file_the_parent_wrote() {
         std::fs::read(&cold_path).unwrap(),
         std::fs::read(&path).unwrap()
     );
+}
+
+/// A row's bytes as RAM holds them (a commit carries a `Put` as it is),
+/// behind the same few bytes of commit header.
+fn packed_bytes(row: &SharedRow) -> Vec<u8> {
+    encode_record(&WalRecord::Commit {
+        commit_ts: 0,
+        writes: vec![WalWrite {
+            table: TableId(0),
+            row: RowId(0),
+            op: WalOp::Put(row.clone()),
+        }],
+    })
+}
+
+/// Every live row of `db` as `(table, row id, commit ts, bytes)`. A row's
+/// commit is the oldest snapshot from which on it reads the same bytes:
+/// no commit of [`small_database`] rewrites a row to the bytes it had.
+fn live_versions(db: &Database) -> Vec<(u32, u64, u64, Vec<u8>)> {
+    let mut out = Vec::new();
+    for name in db.table_names() {
+        let t = db.table_id(&name).unwrap();
+        for (rid, row) in db.begin().scan(t, &Predicate::True).unwrap() {
+            let bytes = packed_bytes(&row);
+            let same_at = |ts: u64| {
+                let row = db.begin_at(ts).unwrap().get(t, rid).unwrap();
+                row.is_some_and(|r| packed_bytes(&r) == bytes)
+            };
+            let mut ts = db.last_commit_ts();
+            while ts > 1 && same_at(ts - 1) {
+                ts -= 1;
+            }
+            out.push((t.0, rid.0, ts, bytes));
+        }
+    }
+    out.sort();
+    out
+}
+
+#[test]
+fn a_checkpoint_replays_to_the_rows_it_was_taken_from() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("small.wal");
+    let db = small_database(&path, single_file());
+    let before = live_versions(&db);
+    db.checkpoint().unwrap();
+    drop(db);
+    let mut replayed = Vec::new();
+    for rec in WalFile::replay(&path).unwrap() {
+        if let WalRecord::SnapshotRows { table, rows } = rec {
+            for v in rows {
+                let WalOp::Put(row) = &v.op else {
+                    panic!("a live row is a put: {v:?}");
+                };
+                replayed.push((table.0, v.row.0, v.commit_ts, packed_bytes(row)));
+            }
+        }
+    }
+    replayed.sort();
+    assert_eq!(replayed, before);
+    // Reopened, the tables read those bytes.
+    let db = Database::open(&path, single_file()).unwrap();
+    let mut reopened = Vec::new();
+    for name in db.table_names() {
+        let t = db.table_id(&name).unwrap();
+        for (rid, row) in db.begin().scan(t, &Predicate::True).unwrap() {
+            reopened.push((t.0, rid.0, packed_bytes(&row)));
+        }
+    }
+    reopened.sort();
+    let want: Vec<_> = (before.into_iter())
+        .map(|(t, row, _, bytes)| (t, row, bytes))
+        .collect();
+    assert_eq!(reopened, want);
 }
 
 #[test]

@@ -28,7 +28,8 @@
 //! lineage                     render the lineage graph
 //! mine                        render the document space
 //! who                         who is online
-//! du                          rows, versions, checkpoint bytes and resident bytes per table
+//! du                          rows, versions, checkpoint bytes (and each column's share of
+//!                             them) and resident bytes per table
 //! help | quit
 //! ```
 
@@ -313,7 +314,8 @@ impl Shell {
             // in a checkpoint, by the encoder's own count, and what all
             // its versions cost in RAM, by the structures' own (chains:
             // the row slots' pages and the chains that spilled out of
-            // them) — each index on a line of its own under its table.
+            // them) — under each table what its columns' values take of
+            // its checkpoint bytes, then each index on a line of its own.
             "du" => {
                 let mut out = format!(
                     "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes/descriptors)",
@@ -335,6 +337,15 @@ impl Shell {
                         r.chains,
                         r.indexes,
                         r.descriptors
+                    ));
+                    let values: u64 = t.column_bytes.iter().map(|(_, b)| b).sum();
+                    let columns: Vec<String> = (t.column_bytes.iter())
+                        .map(|(name, bytes)| format!("{name} {bytes}"))
+                        .collect();
+                    out.push_str(&format!(
+                        "\n  checkpoint bytes by column: {}; per row and frame {}",
+                        columns.join(", "),
+                        t.checkpoint_bytes - values
                     ));
                     for (name, entries, resident) in &t.indexes {
                         out.push_str(&format!(

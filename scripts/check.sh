@@ -9,8 +9,10 @@
 # CI repeats some of them as jobs of their own so a red result names the
 # layer. The storage-format job's include tendax-storage `index_keys`
 # (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
-# on failure), `row_slots` (row slots against a B-tree model; the same)
-# and `resident_size`. The metadata-services job's are:
+# on failure), `row_slots` (row slots against a B-tree model; the same),
+# `delta_rows` (checkpoint rows coded against the row above them: round
+# trip, writer = weigher = `encode_record`, replay; the same) and
+# `resident_size`. The metadata-services job's are:
 # tendax-storage `commit_observer`, tendax-text `doc_stats_memo`,
 # `purge_oracle` and `effect_ranges` (range effects against per-character
 # receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
