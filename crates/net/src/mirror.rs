@@ -5,87 +5,242 @@
 //! because committed effects address characters by id and may anchor an
 //! insert on a deleted character.
 //!
+//! ## Layout
+//!
+//! A character lives in a slot of a page of `PAGE` (256) slots. A page is
+//! allocated at its full size and never reallocated, so a slot number
+//! names its character for the life of the mirror. The chain is a `next`
+//! slot link from a head slot, and an id → slot map finds a character.
+//! Nothing is addressed by position: applying an event costs the same
+//! whatever the document's length (DESIGN §5.7). Pages, not one growing
+//! vector, because the doubling reallocations of a vector of a few
+//! hundred kilobytes per mirror left that much freed-but-kept heap
+//! behind, which showed in the resident size.
+//!
 //! ## Ordering
 //!
 //! Events are published to the transport *after* their transaction
 //! commits, outside the commit lock, so two concurrent editors can put
-//! their events on the wire out of commit-timestamp order. The mirror
-//! therefore cannot simply replay arrival order; it integrates each
-//! insert the way the server's chain would have:
+//! their events on the wire out of commit-timestamp order. Applying
+//! commits in ascending `commit_ts`, and an event's effects in order, the
+//! server puts every insert right after its anchor. The mirror reaches the
+//! same chain from any arrival order with the RGA rule, `commit_ts` as the
+//! precedence:
 //!
-//! * applying commits in ascending `commit_ts`, every insert lands
-//!   immediately after its anchor, so among siblings sharing an anchor
-//!   the *later* commit sits closer to the anchor;
-//! * the mirror reproduces that final order for *any* arrival order by
-//!   walking forward from the anchor and skipping siblings (and their
-//!   subtrees) whose commit is newer than the incoming insert's.
+//! * start at the anchor's successor, or at the head;
+//! * step past every character that committed later than the new one;
+//! * link the new character in front of the first one that did not.
 //!
-//! This is the classical RGA integration rule with `commit_ts` as the
-//! precedence; given that every anchor exists before use (enforced by
-//! buffering events until their dependencies arrive), any interleaving
-//! converges to the server's chain. Deletes, undeletes and restyles are
-//! last-writer-wins on the character, guarded by the commit timestamp.
+//! The walk needs no positions because a character commits no earlier
+//! than its anchor: commit timestamps never fall along an anchor edge.
+//! Everything in a newer sibling's subtree committed later than the new
+//! character and is stepped past. The first character that did not is an
+//! older sibling, one inserted earlier by the same event, or lies beyond
+//! the anchor's subtree; either way the new character goes in front of it.
+//! No id is compared, so the rule holds whatever order the server
+//! allocates ids in. Characters loaded from a snapshot carry commit 0:
+//! they committed at or below the snapshot, and events at or below it are
+//! skipped, so they are older than anything applied on top and stop the
+//! walk.
 //!
-//! Characters loaded from a snapshot carry no anchor/commit metadata,
-//! but they never need it: anything in a snapshot committed at or below
-//! the snapshot's timestamp, so it always loses precedence to an event
-//! applied on top (events at or below the snapshot are skipped).
-//!
-//! When the dependency buffer grows past a bound the mirror gives up
-//! and flags itself for a resync — the client then requests a fresh
-//! `Snapshot`.
+//! An event waits in a buffer until every character it names exists.
+//! Deletes, undeletes and restyles are last-writer-wins on the
+//! character, guarded by the commit timestamp. When the buffer grows
+//! past a bound the mirror gives up and flags itself for a resync — the
+//! client then requests a fresh `Snapshot`.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::hash_map::RandomState;
+use std::collections::BTreeMap;
+use std::hash::BuildHasher;
 
 use tendax_text::Effect;
 
-use crate::error::Result;
-use crate::protocol::{SnapshotReader, WireChar, WireEvent};
+use crate::error::{NetError, Result};
+use crate::protocol::{SnapshotReader, WireChar, WireEvent, TAG_SNAPSHOT};
 
 /// Buffered events past this many force a resync instead of waiting for
 /// dependencies that will likely never arrive.
 const MAX_BUFFERED: usize = 64;
 
-/// Where a mirrored character was anchored when it was inserted.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Anchor {
-    /// Loaded from a snapshot: anchor unknown (and never needed).
-    Unknown,
-    /// Inserted at the document head.
-    Head,
-    /// Inserted after this character id.
-    Char(u64),
-}
+/// Slots in a page.
+const PAGE: usize = 256;
+
+/// The slot number that names no slot: the end of the chain, an empty
+/// chain's head, an empty bucket of the id index.
+const NIL: u32 = u32::MAX;
 
 /// One character of the replica plus the integration metadata.
-#[derive(Debug, Clone)]
-struct MirrorChar {
+#[derive(Debug)]
+struct Slot {
     id: u64,
-    ch: char,
-    deleted: bool,
-    style: u64,
-    anchor: Anchor,
     /// Commit timestamp of the insert (0 for snapshot-loaded chars).
     ts: u64,
     /// Commit timestamp of the last applied delete/undelete.
     flag_ts: u64,
     /// Commit timestamp of the last applied restyle.
     style_ts: u64,
+    style: u64,
+    /// The next character's slot in chain order.
+    next: u32,
+    ch: char,
+    deleted: bool,
+}
+
+const _: () = assert!(std::mem::size_of::<Slot>() == 56);
+
+impl Slot {
+    fn wire(&self) -> WireChar {
+        WireChar {
+            id: self.id,
+            ch: self.ch,
+            deleted: self.deleted,
+            style: self.style,
+        }
+    }
+}
+
+/// Every character the mirror has seen, tombstones included, in the
+/// order it arrived: slot `s` is `pages[s / PAGE][s % PAGE]`, and each
+/// page is allocated with room for `PAGE` slots.
+#[derive(Debug)]
+struct Slots {
+    pages: Vec<Vec<Slot>>,
+}
+
+impl Slots {
+    fn with_capacity(n: usize) -> Self {
+        Slots {
+            pages: Vec::with_capacity(n.div_ceil(PAGE)),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.pages
+            .last()
+            .map_or(0, |p| (self.pages.len() - 1) * PAGE + p.len())
+    }
+
+    /// Store `slot` in the next slot, opening a page when the last one is
+    /// full; returns its slot number.
+    fn push(&mut self, slot: Slot) -> u32 {
+        // A slot is 56 bytes: 2^32 of them do not fit in memory.
+        let s = u32::try_from(self.len()).expect("fewer than 2^32 slots");
+        match self.pages.last_mut() {
+            Some(page) if page.len() < PAGE => page.push(slot),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE);
+                page.push(slot);
+                self.pages.push(page);
+            }
+        }
+        s
+    }
+
+    fn get(&self, s: u32) -> &Slot {
+        let s = s as usize;
+        &self.pages[s / PAGE][s % PAGE]
+    }
+
+    fn get_mut(&mut self, s: u32) -> &mut Slot {
+        let s = s as usize;
+        &mut self.pages[s / PAGE][s % PAGE]
+    }
+}
+
+/// Character id → slot: open addressing with linear probing, at most
+/// half full. A bucket holds a slot number and the key is read from the
+/// slot, so an entry costs four bytes a bucket.
+#[derive(Debug)]
+struct IdIndex {
+    /// `NIL` or a slot number; the length is zero or a power of two.
+    buckets: Vec<u32>,
+    len: usize,
+    /// Keys the bucket hash, drawn per mirror: ids come off the network,
+    /// and a server that cannot predict the buckets cannot pick ids that
+    /// pile into one.
+    key: u64,
+}
+
+impl IdIndex {
+    fn with_capacity(n: usize) -> Self {
+        IdIndex {
+            buckets: match n {
+                0 => Vec::new(),
+                _ => vec![NIL; (2 * n).next_power_of_two()],
+            },
+            len: 0,
+            key: RandomState::new().hash_one(0u64),
+        }
+    }
+
+    /// The bucket a probe for `id` starts at: MurmurHash3's 64-bit
+    /// finalizer of the keyed id. A multiply-shift hash was cheaper, but
+    /// on a run of consecutive ids one multiplier in a hundred made the
+    /// average probe 17 times as long.
+    fn home(&self, id: u64) -> usize {
+        let mut h = id ^ self.key;
+        h = (h ^ (h >> 33)).wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+        h = (h ^ (h >> 33)).wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+        (h ^ (h >> 33)) as usize & (self.buckets.len() - 1)
+    }
+
+    /// Probe for `id`: the bucket the probe stopped at and what it holds,
+    /// the id's slot or `NIL` — then the bucket is where the id would go.
+    fn probe(&self, slots: &Slots, id: u64) -> (usize, u32) {
+        let mask = self.buckets.len() - 1;
+        let mut b = self.home(id);
+        loop {
+            match self.buckets[b] {
+                s if s == NIL || slots.get(s).id == id => return (b, s),
+                _ => b = (b + 1) & mask,
+            }
+        }
+    }
+
+    fn get(&self, slots: &Slots, id: u64) -> Option<u32> {
+        if self.buckets.is_empty() {
+            return None;
+        }
+        let (_, s) = self.probe(slots, id);
+        (s != NIL).then_some(s)
+    }
+
+    fn contains(&self, slots: &Slots, id: u64) -> bool {
+        self.get(slots, id).is_some()
+    }
+
+    /// Index slot `s` under its character's id; `false`, and nothing
+    /// indexed, if the id is there already.
+    fn insert(&mut self, slots: &Slots, s: u32) -> bool {
+        if 2 * (self.len + 1) > self.buckets.len() {
+            let size = (2 * self.buckets.len()).max(16);
+            let old = std::mem::replace(&mut self.buckets, vec![NIL; size]);
+            for t in old.into_iter().filter(|&t| t != NIL) {
+                let (b, _) = self.probe(slots, slots.get(t).id);
+                self.buckets[b] = t;
+            }
+        }
+        match self.probe(slots, slots.get(s).id) {
+            (b, NIL) => {
+                self.buckets[b] = s;
+                self.len += 1;
+                true
+            }
+            _ => false,
+        }
+    }
 }
 
 /// A client-side replica of one document.
 #[derive(Debug)]
 pub struct MirrorDoc {
     doc: u64,
-    /// Chain order, tombstones included.
-    chars: Vec<MirrorChar>,
-    /// Ids present in `chars`, for O(1) membership checks.
-    ids: HashSet<u64>,
-    /// The last inserted character and its position. Typing runs anchor
-    /// each character on the previous one, so this turns the common
-    /// anchor lookup into O(1); it stays valid because only inserts move
-    /// positions and every insert refreshes it.
-    last_insert: Option<(u64, usize)>,
+    slots: Slots,
+    /// The first character's slot in chain order.
+    head: u32,
+    index: IdIndex,
+    /// Characters not deleted.
+    visible: usize,
     /// Commit timestamp of the last loaded snapshot: events at or below
     /// are already reflected and silently skipped.
     baseline: u64,
@@ -99,22 +254,25 @@ pub struct MirrorDoc {
 }
 
 impl MirrorDoc {
-    pub fn new(doc: u64, synced_ts: u64, chars: Vec<WireChar>) -> Self {
+    /// A replica of `chars` in chain order. A character named twice is
+    /// refused as a bad `Snapshot`, like [`MirrorDoc::from_snapshot_payload`].
+    pub fn new(doc: u64, synced_ts: u64, chars: Vec<WireChar>) -> Result<Self> {
         let mut m = MirrorDoc::empty(doc, synced_ts, chars.len());
         for c in chars {
-            m.push_snapshot_char(c);
+            m.push_snapshot_char(c)?;
         }
-        m
+        Ok(m)
     }
 
     /// Decode a `Snapshot` payload straight into a replica — each
     /// character goes from the wire bytes into its final slot. A payload
-    /// that fails to decode yields the typed error and no replica.
+    /// that fails to decode, or names a character twice, yields the typed
+    /// error and no replica.
     pub fn from_snapshot_payload(payload: &[u8]) -> Result<Self> {
         let mut snap = SnapshotReader::new(payload)?;
         let mut m = MirrorDoc::empty(snap.doc, snap.synced_ts, snap.remaining_hint());
         while let Some(c) = snap.next_char()? {
-            m.push_snapshot_char(c);
+            m.push_snapshot_char(c)?;
         }
         Ok(m)
     }
@@ -122,9 +280,10 @@ impl MirrorDoc {
     fn empty(doc: u64, synced_ts: u64, capacity: usize) -> Self {
         MirrorDoc {
             doc,
-            chars: Vec::with_capacity(capacity),
-            ids: HashSet::with_capacity(capacity),
-            last_insert: None,
+            slots: Slots::with_capacity(capacity),
+            head: NIL,
+            index: IdIndex::with_capacity(capacity),
+            visible: 0,
             baseline: synced_ts,
             synced_ts,
             buffered: BTreeMap::new(),
@@ -133,18 +292,31 @@ impl MirrorDoc {
         }
     }
 
-    fn push_snapshot_char(&mut self, w: WireChar) {
-        self.ids.insert(w.id);
-        self.chars.push(MirrorChar {
+    /// Append a snapshot character at the end of the chain: while loading,
+    /// chain order is slot order.
+    fn push_snapshot_char(&mut self, w: WireChar) -> Result<()> {
+        let s = self.slots.push(Slot {
             id: w.id,
-            ch: w.ch,
-            deleted: w.deleted,
-            style: w.style,
-            anchor: Anchor::Unknown,
             ts: 0,
             flag_ts: 0,
             style_ts: 0,
+            style: w.style,
+            next: NIL,
+            ch: w.ch,
+            deleted: w.deleted,
         });
+        if !self.index.insert(&self.slots, s) {
+            return Err(NetError::BadPayload {
+                tag: TAG_SNAPSHOT,
+                reason: format!("character {} appears twice", w.id),
+            });
+        }
+        match s {
+            0 => self.head = 0,
+            _ => self.slots.get_mut(s - 1).next = s,
+        }
+        self.visible += usize::from(!w.deleted);
+        Ok(())
     }
 
     pub fn doc(&self) -> u64 {
@@ -167,22 +339,25 @@ impl MirrorDoc {
         self.buffered.len()
     }
 
+    /// The full chain in order, tombstones included, as a snapshot of the
+    /// same document would list it.
+    pub fn chars(&self) -> impl Iterator<Item = WireChar> + '_ {
+        let at = |s: u32| (s != NIL).then(|| self.slots.get(s));
+        std::iter::successors(at(self.head), move |c| at(c.next)).map(Slot::wire)
+    }
+
     /// Visible text (tombstones skipped).
     pub fn text(&self) -> String {
-        self.chars
-            .iter()
-            .filter(|c| !c.deleted)
-            .map(|c| c.ch)
-            .collect()
+        self.chars().filter(|c| !c.deleted).map(|c| c.ch).collect()
     }
 
     /// Visible length in characters.
     pub fn len(&self) -> usize {
-        self.chars.iter().filter(|c| !c.deleted).count()
+        self.visible
     }
 
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.visible == 0
     }
 
     /// Replace the replica's contents with those of `fresh`, a replica
@@ -190,9 +365,10 @@ impl MirrorDoc {
     /// or resync); events buffered here that the snapshot does not cover
     /// are kept.
     pub fn reload(&mut self, fresh: MirrorDoc) {
-        self.chars = fresh.chars;
-        self.ids = fresh.ids;
-        self.last_insert = None;
+        self.slots = fresh.slots;
+        self.head = fresh.head;
+        self.index = fresh.index;
+        self.visible = fresh.visible;
         self.baseline = fresh.synced_ts;
         self.synced_ts = fresh.synced_ts;
         self.needs_resync = false;
@@ -212,6 +388,10 @@ impl MirrorDoc {
             // Already covered by the snapshot.
             return false;
         }
+        if self.buffered.is_empty() && self.applicable(&ev) {
+            self.apply(&ev);
+            return true;
+        }
         self.buffered.insert((ev.commit_ts, ev.op), ev);
         let advanced = self.drain();
         if self.buffered.len() > MAX_BUFFERED {
@@ -224,110 +404,97 @@ impl MirrorDoc {
     /// are satisfied.
     fn drain(&mut self) -> bool {
         let mut advanced = false;
-        while let Some((&key, ev)) = self.buffered.iter().next() {
+        while let Some((_, ev)) = self.buffered.first_key_value() {
             if !self.applicable(ev) {
                 break;
             }
-            let ev = self.buffered.remove(&key).unwrap();
-            for e in &ev.effects {
-                self.apply_effect(e, ev.commit_ts);
-            }
-            self.synced_ts = self.synced_ts.max(ev.commit_ts);
-            self.applied += 1;
+            let (_, ev) = self
+                .buffered
+                .pop_first()
+                .expect("a first entry was just seen");
+            self.apply(&ev);
             advanced = true;
         }
         advanced
     }
 
-    fn index_of(&self, id: u64) -> Option<usize> {
-        self.chars.iter().position(|c| c.id == id)
+    fn apply(&mut self, ev: &WireEvent) {
+        for e in &ev.effects {
+            self.apply_effect(e, ev.commit_ts);
+        }
+        self.synced_ts = self.synced_ts.max(ev.commit_ts);
+        self.applied += 1;
     }
 
     /// All referenced characters exist, or are introduced earlier in the
     /// same event.
     fn applicable(&self, ev: &WireEvent) -> bool {
-        let mut introduced: HashSet<u64> = HashSet::new();
-        for e in &ev.effects {
-            let known = |id: u64| introduced.contains(&id) || self.ids.contains(&id);
+        ev.effects.iter().enumerate().all(|(i, e)| {
+            let known =
+                |id: u64| self.index.contains(&self.slots, id) || inserts(&ev.effects[..i], id);
             match e {
-                Effect::Insert { char, prev, .. } => {
-                    if let Some(p) = prev {
-                        if !known(p.0) {
-                            return false;
-                        }
-                    }
-                    introduced.insert(char.0);
-                }
+                Effect::Insert { prev, .. } => prev.is_none_or(|p| known(p.0)),
                 Effect::Delete { char, .. }
                 | Effect::Undelete { char }
-                | Effect::SetStyle { char, .. } => {
-                    if !known(char.0) {
-                        return false;
-                    }
-                }
+                | Effect::SetStyle { char, .. } => known(char.0),
             }
-        }
-        true
-    }
-
-    /// Chain position of a character's anchor: -1 for the head,
-    /// `isize::MIN` for "unknown or missing" (which always terminates an
-    /// integration scan — see `integrate_insert`).
-    fn anchor_pos(&self, anchor: Anchor) -> isize {
-        match anchor {
-            Anchor::Unknown => isize::MIN,
-            Anchor::Head => -1,
-            Anchor::Char(id) => match self.index_of(id) {
-                Some(i) => i as isize,
-                None => isize::MIN,
-            },
-        }
+        })
     }
 
     /// Place a newly arrived insert where commit-order application would
-    /// have put it, regardless of arrival order.
-    ///
-    /// Scanning forward from the anchor: a character anchored *before*
-    /// our anchor means we have left the anchor's subtree; a sibling
-    /// (same anchor) with an older commit loses precedence and we slot
-    /// in front of it; a sibling with a newer commit keeps its spot and
-    /// we keep walking (its descendants follow it and are skipped by the
-    /// same rule). Snapshot-loaded characters have unknown anchors and
-    /// commit 0: they always terminate the scan, which is correct —
-    /// their commit is at or below the snapshot baseline, so they lose
-    /// precedence to any event applied on top of it.
-    fn integrate_insert(&mut self, id: u64, ch: char, style: u64, p_pos: isize, ev_ts: u64) {
-        let mut i = (p_pos + 1) as usize;
-        while i < self.chars.len() {
-            let c = &self.chars[i];
-            let a_pos = self.anchor_pos(c.anchor);
-            if a_pos < p_pos {
-                break;
-            }
-            if a_pos == p_pos && (c.ts, c.id) < (ev_ts, id) {
-                break;
-            }
-            i += 1;
-        }
-        self.chars.insert(
-            i,
-            MirrorChar {
-                id,
-                ch,
-                deleted: false,
-                style,
-                anchor: if p_pos < 0 {
-                    Anchor::Head
-                } else {
-                    Anchor::Char(self.chars[p_pos as usize].id)
-                },
-                ts: ev_ts,
-                flag_ts: 0,
-                style_ts: 0,
+    /// have put it, regardless of arrival order (see the module doc).
+    fn integrate_insert(&mut self, id: u64, ch: char, style: u64, prev: Option<u64>, ts: u64) {
+        let (mut before, mut at) = match prev {
+            None => (NIL, self.head),
+            Some(p) => match self.index.get(&self.slots, p) {
+                Some(s) => (s, self.slots.get(s).next),
+                None => {
+                    // Guarded by `applicable`; defensive only.
+                    self.needs_resync = true;
+                    return;
+                }
             },
-        );
-        self.ids.insert(id);
-        self.last_insert = Some((id, i));
+        };
+        while at != NIL && self.slots.get(at).ts > ts {
+            before = at;
+            at = self.slots.get(at).next;
+        }
+        let s = self.slots.push(Slot {
+            id,
+            ts,
+            flag_ts: 0,
+            style_ts: 0,
+            style,
+            next: at,
+            ch,
+            deleted: false,
+        });
+        self.index.insert(&self.slots, s);
+        match before {
+            NIL => self.head = s,
+            b => self.slots.get_mut(b).next = s,
+        }
+        self.visible += 1;
+    }
+
+    /// The slot of character `id`, if the mirror has it.
+    fn find(&mut self, id: u64) -> Option<&mut Slot> {
+        let s = self.index.get(&self.slots, id)?;
+        Some(self.slots.get_mut(s))
+    }
+
+    /// Set a character's deleted flag if `ts` is its newest flip.
+    fn flip(&mut self, id: u64, deleted: bool, ts: u64) {
+        let Some(c) = self.find(id) else {
+            return;
+        };
+        if ts < c.flag_ts {
+            return;
+        }
+        let was = c.deleted;
+        c.deleted = deleted;
+        c.flag_ts = ts;
+        self.visible = self.visible + usize::from(was) - usize::from(deleted);
     }
 
     fn apply_effect(&mut self, e: &Effect, ev_ts: u64) {
@@ -340,47 +507,14 @@ impl MirrorDoc {
                 ..
             } => {
                 // Idempotency: re-delivery of an applied event.
-                if self.ids.contains(&char.0) {
-                    return;
-                }
-                let p_pos = match prev {
-                    None => -1,
-                    Some(p) => match self.last_insert {
-                        // Typing runs anchor on the char just inserted.
-                        Some((lid, lpos)) if lid == p.0 => lpos as isize,
-                        _ => match self.index_of(p.0) {
-                            Some(i) => i as isize,
-                            None => {
-                                // Guarded by `applicable`; defensive only.
-                                self.needs_resync = true;
-                                return;
-                            }
-                        },
-                    },
-                };
-                self.integrate_insert(char.0, *ch, style.0, p_pos, ev_ts);
-            }
-            Effect::Delete { char, .. } => {
-                if let Some(i) = self.index_of(char.0) {
-                    let c = &mut self.chars[i];
-                    if ev_ts >= c.flag_ts {
-                        c.deleted = true;
-                        c.flag_ts = ev_ts;
-                    }
+                if !self.index.contains(&self.slots, char.0) {
+                    self.integrate_insert(char.0, *ch, style.0, prev.map(|p| p.0), ev_ts);
                 }
             }
-            Effect::Undelete { char } => {
-                if let Some(i) = self.index_of(char.0) {
-                    let c = &mut self.chars[i];
-                    if ev_ts >= c.flag_ts {
-                        c.deleted = false;
-                        c.flag_ts = ev_ts;
-                    }
-                }
-            }
+            Effect::Delete { char, .. } => self.flip(char.0, true, ev_ts),
+            Effect::Undelete { char } => self.flip(char.0, false, ev_ts),
             Effect::SetStyle { char, new, .. } => {
-                if let Some(i) = self.index_of(char.0) {
-                    let c = &mut self.chars[i];
+                if let Some(c) = self.find(char.0) {
                     if ev_ts >= c.style_ts {
                         c.style = new.0;
                         c.style_ts = ev_ts;
@@ -389,6 +523,16 @@ impl MirrorDoc {
             }
         }
     }
+}
+
+/// Whether one of `effects` inserts `id`. Searched from the back: an op
+/// inserts one run, each character anchored on the one before it, so
+/// for every event a server sends the search ends at its first step.
+fn inserts(effects: &[Effect], id: u64) -> bool {
+    effects
+        .iter()
+        .rev()
+        .any(|e| matches!(e, Effect::Insert { char, .. } if char.0 == id))
 }
 
 #[cfg(test)]
@@ -422,21 +566,35 @@ mod tests {
         }
     }
 
+    fn wire(id: u64, ch: char) -> WireChar {
+        WireChar {
+            id,
+            ch,
+            deleted: false,
+            style: 0,
+        }
+    }
+
+    fn empty() -> MirrorDoc {
+        MirrorDoc::new(1, 0, vec![]).unwrap()
+    }
+
     #[test]
     fn applies_inserts_in_chain_order() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         m.apply_event(event(
             1,
             vec![insert(10, None, 'a'), insert(11, Some(10), 'b')],
         ));
         m.apply_event(event(2, vec![insert(12, Some(10), 'X')]));
         assert_eq!(m.text(), "aXb");
+        assert_eq!(m.len(), 3);
         assert_eq!(m.synced_ts(), 2);
     }
 
     #[test]
     fn buffers_until_dependency_arrives() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         // Event 2 anchors on a char introduced by event 1.
         assert!(!m.apply_event(event(2, vec![insert(11, Some(10), 'b')])));
         assert_eq!(m.buffered(), 1);
@@ -447,7 +605,7 @@ mod tests {
 
     #[test]
     fn tombstones_keep_anchors_resolvable() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         m.apply_event(event(1, vec![insert(10, None, 'a')]));
         m.apply_event(event(
             2,
@@ -458,26 +616,29 @@ mod tests {
             }],
         ));
         assert_eq!(m.text(), "");
+        assert!(m.is_empty());
         // Anchor on the tombstone still works.
         m.apply_event(event(3, vec![insert(11, Some(10), 'z')]));
         assert_eq!(m.text(), "z");
+        assert_eq!(m.chars().count(), 2);
     }
 
     #[test]
     fn stale_events_below_snapshot_are_skipped() {
-        let mut m = MirrorDoc::new(
-            1,
-            5,
-            vec![WireChar {
-                id: 10,
-                ch: 'a',
-                deleted: false,
-                style: 0,
-            }],
-        );
+        let mut m = MirrorDoc::new(1, 5, vec![wire(10, 'a')]).unwrap();
         assert!(!m.apply_event(event(4, vec![insert(10, None, 'a')])));
         assert_eq!(m.text(), "a");
         assert_eq!(m.applied(), 0);
+    }
+
+    /// A snapshot that names a character twice would show it twice, and
+    /// a later delete would flip one copy: it is refused, typed.
+    #[test]
+    fn a_snapshot_naming_a_character_twice_is_refused() {
+        match MirrorDoc::new(1, 5, vec![wire(10, 'a'), wire(11, 'b'), wire(10, 'a')]) {
+            Err(NetError::BadPayload { tag, .. }) => assert_eq!(tag, TAG_SNAPSHOT),
+            other => panic!("{other:?}"),
+        }
     }
 
     /// Publication happens outside the commit lock, so a lower-commit
@@ -486,7 +647,7 @@ mod tests {
     /// have put it.
     #[test]
     fn late_event_behind_frontier_integrates_in_commit_order() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         // Commit order: ts1 'a' at head, then ts2 'b' at head → "ba".
         // Arrival order is inverted.
         assert!(m.apply_event(event(2, vec![insert(11, None, 'b')])));
@@ -500,7 +661,7 @@ mod tests {
     /// descendants* before taking its place.
     #[test]
     fn late_sibling_skips_newer_subtrees() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         // Commit order: a@1, z@2 (after a), x@3 (after a), y@4 (after x)
         // → server chain: a x y z.
         m.apply_event(event(1, vec![insert(10, None, 'a')]));
@@ -512,11 +673,29 @@ mod tests {
         assert!(!m.needs_resync());
     }
 
+    /// Within one event the server applies the effects in order, each
+    /// right after its anchor, so two inserts on one anchor end up
+    /// later-first whatever their ids; a newer commit on the same anchor
+    /// still goes in front of both.
+    #[test]
+    fn one_event_inserting_twice_on_one_anchor_puts_the_later_first() {
+        let mut m = empty();
+        m.apply_event(event(1, vec![insert(10, None, 'a')]));
+        // Commit order: y@2 then x@2 (both after a), z@3 (after a)
+        // → server chain: a z x y. The newer event arrives first.
+        m.apply_event(event(3, vec![insert(13, Some(10), 'z')]));
+        m.apply_event(event(
+            2,
+            vec![insert(12, Some(10), 'y'), insert(11, Some(10), 'x')],
+        ));
+        assert_eq!(m.text(), "azxy");
+    }
+
     /// Delete/undelete are last-writer-wins on the commit timestamp even
     /// when they arrive out of order.
     #[test]
     fn flag_flips_are_last_writer_wins() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         m.apply_event(event(1, vec![insert(10, None, 'a')]));
         // Commit order: delete@2, undelete@3 → visible. Arrival order is
         // inverted; the stale delete must not win.
@@ -530,46 +709,30 @@ mod tests {
             }],
         ));
         assert_eq!(m.text(), "a");
+        assert_eq!(m.len(), 1);
     }
 
     #[test]
     fn runaway_buffer_flags_resync() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         for i in 0..(MAX_BUFFERED as u64 + 2) {
             // All anchored on a char that never arrives.
             m.apply_event(event(i + 10, vec![insert(1000 + i, Some(1), 'x')]));
         }
         assert!(m.needs_resync());
         // A snapshot recovers.
-        m.reload(MirrorDoc::new(1, 1000, vec![]));
+        m.reload(MirrorDoc::new(1, 1000, vec![]).unwrap());
         assert!(!m.needs_resync());
         assert_eq!(m.buffered(), 0);
     }
 
     #[test]
     fn snapshot_drops_covered_buffered_events() {
-        let mut m = MirrorDoc::new(1, 0, vec![]);
+        let mut m = empty();
         m.apply_event(event(3, vec![insert(11, Some(10), 'b')]));
         assert_eq!(m.buffered(), 1);
         // Snapshot at ts 5 already reflects event 3.
-        m.reload(MirrorDoc::new(
-            1,
-            5,
-            vec![
-                WireChar {
-                    id: 10,
-                    ch: 'a',
-                    deleted: false,
-                    style: 0,
-                },
-                WireChar {
-                    id: 11,
-                    ch: 'b',
-                    deleted: false,
-                    style: 0,
-                },
-            ],
-        ));
+        m.reload(MirrorDoc::new(1, 5, vec![wire(10, 'a'), wire(11, 'b')]).unwrap());
         assert_eq!(m.buffered(), 0);
         assert_eq!(m.text(), "ab");
     }
@@ -604,7 +767,7 @@ mod tests {
         ];
 
         // Reference: apply in commit order.
-        let mut reference = MirrorDoc::new(1, 0, vec![]);
+        let mut reference = empty();
         for ev in &history {
             reference.apply_event(ev.clone());
         }
@@ -616,13 +779,18 @@ mod tests {
             if rot % 2 == 1 {
                 order.reverse();
             }
-            let mut m = MirrorDoc::new(1, 0, vec![]);
+            let mut m = empty();
             for &i in &order {
                 m.apply_event(history[i].clone());
             }
             assert_eq!(m.buffered(), 0, "order {order:?} left events buffered");
             assert!(!m.needs_resync(), "order {order:?} flagged resync");
-            assert_eq!(m.text(), reference.text(), "order {order:?} diverged");
+            assert_eq!(
+                m.chars().collect::<Vec<_>>(),
+                reference.chars().collect::<Vec<_>>(),
+                "order {order:?} diverged"
+            );
+            assert_eq!(m.len(), reference.len());
         }
     }
 }

@@ -229,7 +229,10 @@ fn stalled_reader_recovers_both_documents_it_lost() {
                     synced_ts,
                     chars,
                 } => {
-                    mirrors.insert(doc, tendax_net::MirrorDoc::new(doc, synced_ts, chars));
+                    mirrors.insert(
+                        doc,
+                        tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap(),
+                    );
                 }
                 Frame::Event(ev) => {
                     if let Some(m) = mirrors.get_mut(&ev.doc) {
@@ -397,7 +400,7 @@ fn transport_repairs_are_not_recorded_as_reads() {
                         chars,
                     } => {
                         snapshots += 1;
-                        mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars));
+                        mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap());
                     }
                     Frame::Event(ev) => {
                         mirror.as_mut().expect("snapshot first").apply_event(ev);

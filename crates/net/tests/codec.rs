@@ -392,6 +392,12 @@ fn mutilated_snapshot_payloads_never_load_a_mirror() {
         p
     };
     let first_char = 8 + 8 + 4;
+    let snapshot_tag = Frame::Snapshot {
+        doc: 0,
+        synced_ts: 0,
+        chars: vec![],
+    }
+    .tag();
     for (what, payload) in [
         ("trailing byte", [good.as_slice(), &[0xAA]].concat()),
         ("deleted flag 2", patched(first_char + 12, &[2])),
@@ -399,9 +405,15 @@ fn mutilated_snapshot_payloads_never_load_a_mirror() {
             "surrogate scalar",
             patched(first_char + 8, &0xD800u32.to_le_bytes()),
         ),
+        // The second character's id made the first's: a mirror would
+        // show it twice, and a delete would flip one copy.
+        (
+            "a character named twice",
+            patched(first_char + 21, &1u64.to_le_bytes()),
+        ),
     ] {
         match MirrorDoc::from_snapshot_payload(&payload) {
-            Err(NetError::BadPayload { .. }) => {}
+            Err(NetError::BadPayload { tag, .. }) if tag == snapshot_tag => {}
             other => panic!("{what}: {other:?}"),
         }
     }

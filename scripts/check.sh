@@ -12,7 +12,10 @@
 # on failure), `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
 # trip, writer = weigher = `encode_record`, replay; the same) and
-# `resident_size`. The metadata-services job's are:
+# `resident_size`. The transport job's include tendax-net `mirror_oracle`
+# (the client mirror against the server's chain; prints PROPTEST_SEED=<n>
+# on failure) and `mirror_cost` (allocations per applied event). The
+# metadata-services job's are:
 # tendax-storage `commit_observer`, tendax-text `doc_stats_memo`,
 # `purge_oracle` and `effect_ranges` (range effects against per-character
 # receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
