@@ -9,10 +9,25 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use tendax_text::chain::Chain;
-use tendax_text::CharId;
+use tendax_text::{CharId, CharInfo, DocId, StyleId, UserId};
+
+/// A character's info: visible or not, the rest blank.
+fn info(visible: bool) -> CharInfo {
+    CharInfo {
+        ch: 'x',
+        deleted: !visible,
+        style: StyleId::NONE,
+        author: UserId::NONE,
+        created_at: 0,
+        version: 0,
+        src_doc: DocId::NONE,
+        src_char: CharId::NONE,
+        external_src: None,
+    }
+}
 
 fn chain_of(n: usize) -> Chain {
-    Chain::build((1..=n as u64).map(|i| (CharId(i), i % 7 != 0))).expect("unique ids")
+    Chain::build((1..=n as u64).map(|i| (CharId(i), info(i % 7 != 0)))).expect("unique ids")
 }
 
 fn bench_position_lookup(c: &mut Criterion) {
@@ -73,7 +88,7 @@ fn bench_insert_maintenance(c: &mut Criterion) {
                 .expect("anchor");
             b.iter(|| {
                 chain
-                    .insert_after(Some(anchor), CharId(next), true)
+                    .insert_after(Some(anchor), CharId(next), info(true))
                     .expect("fresh id");
                 next += 1;
             });

@@ -1,46 +1,173 @@
-//! The character chain position index.
+//! The character chain: everything an open document keeps of its
+//! characters, in one structure.
 //!
 //! TeNDaX stores a document's characters as database tuples linked by
 //! `prev`/`next` references; deleted characters remain in the chain as
 //! tombstones (they carry history, lineage and undo state). An editor,
-//! however, addresses text by *visible position*. This module provides the
-//! per-open-document cache that maps between the two: an order-statistics
-//! treap over the full chain (tombstones included) where each node carries
-//! a visibility flag, giving `O(log n)`:
+//! however, addresses text by *visible position*. A [`Chain`] maps between
+//! the two: an order-statistics treap over the full chain (tombstones
+//! included) whose nodes hold each character's [`CharInfo`], the cached
+//! `chars` row. A node is visible unless its info says `deleted`. It gives
+//! `O(log n)`:
 //!
-//! * visible position → character id ([`Chain::id_at_visible`])
+//! * visible position → slot ([`Chain::slot_at_visible`]) and id
+//!   ([`Chain::id_at_visible`])
 //! * character id → visible position ([`Chain::visible_rank`])
 //! * insertion after an arbitrary chain element ([`Chain::insert_after`])
-//! * visibility toggling for delete/undelete ([`Chain::set_visible`])
+//! * visibility toggling for delete/undelete ([`Chain::set_visible`]),
+//!   which writes the info's `deleted` flag
 //!
-//! The treap is a pure cache: it is rebuilt from the database on open and
+//! and an in-order walk that hands out every character's info without a
+//! lookup ([`Chain::for_each`]) — what a wire snapshot is written from.
+//!
+//! ## Layout
+//!
+//! A character lives in a slot, in two halves with the same slot number:
+//! the tree node (its id, links, subtree counts and visibility, 32 bytes)
+//! and its info. Tree walks touch only nodes, two to a cache line; the
+//! info is read where a character's fields are. The characters a load
+//! places fill one block of each, allocated for exactly that many, in the
+//! order the rows are stored; the characters inserted after it fill pages
+//! of `PAGE` (256) slots. Nothing is ever reallocated, so a slot number
+//! names its character for the life of the chain, and the tree links are
+//! slot numbers. An id finds its slot through the one hash map, id →
+//! slot. Code that has walked the tree to a position keeps the slot and
+//! reads or writes the character there without going back through the
+//! map.
+//!
+//! Pages, not one growing vector, for the reason the client mirror has
+//! them (DESIGN §5.7): a vector's doubling reallocations leave freed heap
+//! behind that malloc keeps. The block makes an open a fixed number of
+//! allocations whatever the document's size.
+//!
+//! The chain is a pure cache: it is rebuilt from the database on open and
 //! maintained incrementally from committed operations. The ablation bench
-//! `ablation_position_index` measures what it buys over a naive scan.
+//! `ablation_position_index` measures what the treap buys over a naive
+//! scan.
 
+use std::collections::hash_map::Entry;
+
+use crate::document::CharInfo;
 use crate::ids::{CharId, CharMap};
 
-const NIL: usize = usize::MAX;
+/// Slots in a page.
+const PAGE: usize = 256;
 
+/// The slot number that names no slot: an absent child or parent, an
+/// empty chain's root.
+const NIL: u32 = u32::MAX;
+
+/// A character's half of the treap. `total` is 0 while the node is placed
+/// and not yet linked ([`Chain::place`]).
 #[derive(Debug, Clone)]
 struct Node {
     id: CharId,
-    pri: u64,
-    left: usize,
-    right: usize,
-    parent: usize,
+    left: u32,
+    right: u32,
+    parent: u32,
     /// Nodes in this subtree (tombstones included).
-    total: usize,
+    total: u32,
     /// Visible nodes in this subtree.
-    visible_count: usize,
+    visible_count: u32,
+    /// Not `deleted`: the info's flag, kept here too because every count
+    /// reads it.
     visible: bool,
 }
 
-/// Order-statistics treap over a document's character chain.
-#[derive(Debug, Clone, Default)]
+const _: () = assert!(std::mem::size_of::<Node>() == 32);
+
+impl Node {
+    /// A one-node subtree.
+    fn leaf(id: CharId, visible: bool) -> Self {
+        Node {
+            id,
+            left: NIL,
+            right: NIL,
+            parent: NIL,
+            total: 1,
+            visible_count: visible as u32,
+            visible,
+        }
+    }
+}
+
+/// Values in slots: slot `s` is `block[s]` below `block.len()` and
+/// `pages[t / PAGE][t % PAGE]` for `t = s - block.len()` above it.
+#[derive(Debug, Clone)]
+struct Slots<T> {
+    /// Allocated once, for exactly the values a build places; full once
+    /// `pages` has any.
+    block: Vec<T>,
+    /// Each page is allocated with room for `PAGE` values.
+    pages: Vec<Vec<T>>,
+}
+
+impl<T> Slots<T> {
+    fn with_capacity(n: usize) -> Self {
+        Slots::from_block(Vec::with_capacity(n))
+    }
+
+    fn from_block(block: Vec<T>) -> Self {
+        Slots {
+            block,
+            pages: Vec::new(),
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.block.len()
+            + (self.pages.last()).map_or(0, |p| (self.pages.len() - 1) * PAGE + p.len())
+    }
+
+    /// Store `value` in the next slot: the block while it has room, then
+    /// the last page, opening one when that is full.
+    fn push(&mut self, value: T) {
+        if self.pages.is_empty() && self.block.len() < self.block.capacity() {
+            self.block.push(value);
+            return;
+        }
+        match self.pages.last_mut() {
+            Some(page) if page.len() < PAGE => page.push(value),
+            _ => {
+                let mut page = Vec::with_capacity(PAGE);
+                page.push(value);
+                self.pages.push(page);
+            }
+        }
+    }
+
+    fn get(&self, s: u32) -> &T {
+        let s = s as usize;
+        match s.checked_sub(self.block.len()) {
+            None => &self.block[s],
+            Some(t) => &self.pages[t / PAGE][t % PAGE],
+        }
+    }
+
+    fn get_mut(&mut self, s: u32) -> &mut T {
+        let s = s as usize;
+        match s.checked_sub(self.block.len()) {
+            None => &mut self.block[s],
+            Some(t) => &mut self.pages[t / PAGE][t % PAGE],
+        }
+    }
+}
+
+/// Order-statistics treap over a document's character chain, holding each
+/// character's [`CharInfo`].
+#[derive(Debug, Clone)]
 pub struct Chain {
-    nodes: Vec<Node>,
-    map: CharMap<usize>,
-    root: usize,
+    nodes: Slots<Node>,
+    infos: Slots<CharInfo>,
+    /// Character id → slot.
+    map: CharMap<u32>,
+    root: u32,
+}
+
+impl Default for Chain {
+    fn default() -> Self {
+        Chain::new()
+    }
 }
 
 /// A structural edit referenced a character the cache doesn't agree on.
@@ -65,9 +192,21 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
+/// Why [`Chain::link`] could not thread the placed characters into one
+/// chain.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum LinkError {
+    /// The walk from the head came back to a character it had passed.
+    Cycle,
+    /// The walk from the head ended after this many characters, short of
+    /// all of them.
+    Reached(usize),
+}
+
 /// Deterministic priority: SplitMix64 of the character id. Char ids are
 /// allocated sequentially, and SplitMix64 scatters them uniformly, which
-/// is exactly what a treap needs — no RNG state to carry around.
+/// is exactly what a treap needs — no RNG state to carry around, and none
+/// stored in a node either (it costs less to recompute than to fetch).
 fn priority(id: CharId) -> u64 {
     let mut z = id.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -77,72 +216,140 @@ fn priority(id: CharId) -> u64 {
 
 impl Chain {
     pub fn new() -> Self {
+        Chain::with_capacity(0)
+    }
+
+    /// Build from the full chain in order, each character's info written
+    /// once, into the slot it keeps. Fails on a duplicate id. The slots
+    /// are the block, sized by the iterator's lower bound.
+    pub fn build(items: impl IntoIterator<Item = (CharId, CharInfo)>) -> Result<Self, ChainError> {
+        let items = items.into_iter();
+        let mut chain = Chain::with_capacity(items.size_hint().0);
+        for (id, info) in items {
+            let s = chain.place(id, info)?;
+            if s > 0 {
+                chain.set_next(s - 1, s);
+            }
+        }
+        let head = (chain.nodes.len() > 0).then_some(0);
+        chain.link(head).expect("consecutive slots are one chain");
+        Ok(chain)
+    }
+
+    /// An empty chain whose first `n` characters go into the block.
+    pub(crate) fn with_capacity(n: usize) -> Self {
         Chain {
-            nodes: Vec::new(),
-            map: CharMap::default(),
+            nodes: Slots::with_capacity(n),
+            infos: Slots::with_capacity(n),
+            map: CharMap::with_capacity_and_hasher(n, Default::default()),
             root: NIL,
         }
     }
 
-    /// Build from the full chain in order (id, visible). Fails on a
-    /// duplicate id.
+    /// Put a character in the next slot, not yet in the tree: then
+    /// [`Chain::set_next`] names the slot of its successor and
+    /// [`Chain::link`] threads every placed character into the treap. This
+    /// is how a document is loaded: each row decoded once, in storage
+    /// order, straight into the slot it keeps.
+    pub(crate) fn place(&mut self, id: CharId, info: CharInfo) -> Result<u32, ChainError> {
+        let s = self.claim(id)?;
+        let node = Node::leaf(id, !info.deleted);
+        self.push(Node { total: 0, ..node }, info);
+        Ok(s)
+    }
+
+    /// Name slot `next` as the successor of placed slot `s`.
+    pub(crate) fn set_next(&mut self, s: u32, next: u32) {
+        self.node_mut(s).right = next;
+    }
+
+    /// Link every placed character into the treap, walking from `head`
+    /// along each one's successor.
     ///
-    /// Linear time: the input arrives in order, so the treap is its
-    /// Cartesian tree — each node is linked once while a stack holds the
-    /// right spine, instead of `n` split/merge insertions. The shape is
-    /// the one [`Chain::insert_after`] would have produced: distinct
-    /// priorities admit exactly one heap-ordered tree over a sequence.
-    pub fn build(items: impl IntoIterator<Item = (CharId, bool)>) -> Result<Self, ChainError> {
-        let items = items.into_iter();
-        let expected = items.size_hint().0;
-        let mut chain = Chain {
-            nodes: Vec::with_capacity(expected),
-            map: CharMap::with_capacity_and_hasher(expected, Default::default()),
-            root: NIL,
-        };
-        // The right spine, root first. A node's subtree is final — and its
-        // counts can be summed — once it leaves the spine.
-        let mut spine: Vec<usize> = Vec::new();
-        for (id, visible) in items {
-            let n = chain.nodes.len();
-            if chain.map.insert(id, n).is_some() {
-                return Err(ChainError::DuplicateId(id));
+    /// Linear time: the walk meets the nodes in chain order, so the treap
+    /// is their Cartesian tree — each node is linked once while a stack
+    /// holds the right spine, instead of `n` split/merge insertions. The
+    /// shape is the one [`Chain::insert_after`] would have produced:
+    /// distinct priorities admit exactly one heap-ordered tree over a
+    /// sequence.
+    pub(crate) fn link(&mut self, head: Option<u32>) -> Result<(), LinkError> {
+        // The right spine, root first, with each node's priority. A
+        // node's subtree is final — and its counts can be summed — once
+        // it leaves the spine.
+        let mut spine: Vec<(u32, u64)> = Vec::new();
+        let mut reached = 0;
+        let mut cur = head.unwrap_or(NIL);
+        while cur != NIL {
+            let node = self.node(cur);
+            if node.total != 0 {
+                return Err(LinkError::Cycle);
             }
-            let pri = priority(id);
+            let (next, pri) = (node.right, priority(node.id));
             // Same tie rule as `merge`: the later node goes on top.
             let mut left = NIL;
-            while let Some(&top) = spine.last() {
-                if chain.nodes[top].pri > pri {
+            while let Some(&(top, top_pri)) = spine.last() {
+                if top_pri > pri {
                     break;
                 }
                 spine.pop();
-                chain.update(top);
+                self.update(top);
                 left = top;
             }
-            let parent = spine.last().copied().unwrap_or(NIL);
-            chain.nodes.push(Node {
-                id,
-                pri,
-                left,
-                right: NIL,
-                parent,
-                total: 1,
-                visible_count: visible as usize,
-                visible,
-            });
+            let parent = spine.last().map_or(NIL, |&(p, _)| p);
+            let node = self.node_mut(cur);
+            node.left = left;
+            node.right = NIL;
+            node.parent = parent;
+            node.total = 1;
             if left != NIL {
-                chain.nodes[left].parent = n;
+                self.node_mut(left).parent = cur;
             }
             if parent != NIL {
-                chain.nodes[parent].right = n;
+                self.node_mut(parent).right = cur;
             }
-            spine.push(n);
+            spine.push((cur, pri));
+            reached += 1;
+            cur = next;
         }
-        while let Some(top) = spine.pop() {
-            chain.update(top);
-            chain.root = top;
+        while let Some((top, _)) = spine.pop() {
+            self.update(top);
+            self.root = top;
         }
-        Ok(chain)
+        if reached == self.nodes.len() {
+            Ok(())
+        } else {
+            Err(LinkError::Reached(reached))
+        }
+    }
+
+    /// Store a character's two halves in the next slot.
+    fn push(&mut self, node: Node, info: CharInfo) {
+        self.nodes.push(node);
+        self.infos.push(info);
+    }
+
+    /// Register `id` under the next slot number, or refuse it if it is
+    /// already in the chain.
+    fn claim(&mut self, id: CharId) -> Result<u32, ChainError> {
+        let s = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&s| s != NIL)
+            .expect("fewer than 2^32 - 1 characters");
+        match self.map.entry(id) {
+            Entry::Occupied(_) => Err(ChainError::DuplicateId(id)),
+            Entry::Vacant(v) => {
+                v.insert(s);
+                Ok(s)
+            }
+        }
+    }
+
+    fn node(&self, s: u32) -> &Node {
+        self.nodes.get(s)
+    }
+
+    fn node_mut(&mut self, s: u32) -> &mut Node {
+        self.nodes.get_mut(s)
     }
 
     /// Total chain length, tombstones included.
@@ -164,82 +371,112 @@ impl Chain {
     }
 
     pub fn is_visible(&self, id: CharId) -> Option<bool> {
-        self.map.get(&id).map(|&n| self.nodes[n].visible)
+        Some(self.node(self.slot_of(id)?).visible)
     }
 
-    fn subtree_total(&self, n: usize) -> usize {
+    /// The slot holding `id`.
+    pub fn slot_of(&self, id: CharId) -> Option<u32> {
+        self.map.get(&id).copied()
+    }
+
+    /// The character in slot `s`.
+    pub fn id_at(&self, s: u32) -> CharId {
+        self.node(s).id
+    }
+
+    /// The info of the character in slot `s`.
+    pub fn info_at(&self, s: u32) -> &CharInfo {
+        self.infos.get(s)
+    }
+
+    /// The info of the character in slot `s`, to fold a committed write
+    /// into. The `deleted` flag is not written here but through
+    /// [`Chain::set_visible_at`], which keeps the counts.
+    pub(crate) fn info_at_mut(&mut self, s: u32) -> &mut CharInfo {
+        self.infos.get_mut(s)
+    }
+
+    /// The info of `id`, visible or tombstoned.
+    pub fn info(&self, id: CharId) -> Option<&CharInfo> {
+        Some(self.info_at(self.slot_of(id)?))
+    }
+
+    fn subtree_total(&self, n: u32) -> usize {
         if n == NIL {
             0
         } else {
-            self.nodes[n].total
+            self.node(n).total as usize
         }
     }
 
-    fn subtree_visible(&self, n: usize) -> usize {
+    fn subtree_visible(&self, n: u32) -> usize {
         if n == NIL {
             0
         } else {
-            self.nodes[n].visible_count
+            self.node(n).visible_count as usize
         }
     }
 
-    fn update(&mut self, n: usize) {
-        let (l, r) = (self.nodes[n].left, self.nodes[n].right);
-        self.nodes[n].total = 1 + self.subtree_total(l) + self.subtree_total(r);
-        self.nodes[n].visible_count =
-            self.nodes[n].visible as usize + self.subtree_visible(l) + self.subtree_visible(r);
+    fn update(&mut self, n: u32) {
+        let (l, r) = (self.node(n).left, self.node(n).right);
+        let total = 1 + self.subtree_total(l) + self.subtree_total(r);
+        let visible =
+            self.node(n).visible as usize + self.subtree_visible(l) + self.subtree_visible(r);
+        let node = self.node_mut(n);
+        node.total = total as u32;
+        node.visible_count = visible as u32;
     }
 
-    fn merge(&mut self, a: usize, b: usize) -> usize {
+    fn merge(&mut self, a: u32, b: u32) -> u32 {
         if a == NIL {
             return b;
         }
         if b == NIL {
             return a;
         }
-        if self.nodes[a].pri > self.nodes[b].pri {
-            let r = self.merge(self.nodes[a].right, b);
-            self.nodes[a].right = r;
-            self.nodes[r].parent = a;
+        if priority(self.node(a).id) > priority(self.node(b).id) {
+            let r = self.merge(self.node(a).right, b);
+            self.node_mut(a).right = r;
+            self.node_mut(r).parent = a;
             self.update(a);
             a
         } else {
-            let l = self.merge(a, self.nodes[b].left);
-            self.nodes[b].left = l;
-            self.nodes[l].parent = b;
+            let l = self.merge(a, self.node(b).left);
+            self.node_mut(b).left = l;
+            self.node_mut(l).parent = b;
             self.update(b);
             b
         }
     }
 
     /// Split into (first `k` by total order, rest).
-    fn split(&mut self, t: usize, k: usize) -> (usize, usize) {
+    fn split(&mut self, t: u32, k: usize) -> (u32, u32) {
         if t == NIL {
             return (NIL, NIL);
         }
-        let lsize = self.subtree_total(self.nodes[t].left);
+        let lsize = self.subtree_total(self.node(t).left);
         if k <= lsize {
-            let (l, m) = self.split(self.nodes[t].left, k);
-            self.nodes[t].left = m;
+            let (l, m) = self.split(self.node(t).left, k);
+            self.node_mut(t).left = m;
             if m != NIL {
-                self.nodes[m].parent = t;
+                self.node_mut(m).parent = t;
             }
             self.update(t);
-            self.nodes[t].parent = NIL;
+            self.node_mut(t).parent = NIL;
             if l != NIL {
-                self.nodes[l].parent = NIL;
+                self.node_mut(l).parent = NIL;
             }
             (l, t)
         } else {
-            let (m, r) = self.split(self.nodes[t].right, k - lsize - 1);
-            self.nodes[t].right = m;
+            let (m, r) = self.split(self.node(t).right, k - lsize - 1);
+            self.node_mut(t).right = m;
             if m != NIL {
-                self.nodes[m].parent = t;
+                self.node_mut(m).parent = t;
             }
             self.update(t);
-            self.nodes[t].parent = NIL;
+            self.node_mut(t).parent = NIL;
             if r != NIL {
-                self.nodes[r].parent = NIL;
+                self.node_mut(r).parent = NIL;
             }
             (t, r)
         }
@@ -247,37 +484,41 @@ impl Chain {
 
     /// Number of chain elements strictly before `id` (tombstones included).
     pub fn total_rank(&self, id: CharId) -> Option<usize> {
-        let &n = self.map.get(&id)?;
-        let mut rank = self.subtree_total(self.nodes[n].left);
-        let mut cur = n;
+        Some(self.total_rank_at(self.slot_of(id)?))
+    }
+
+    /// Number of chain elements strictly before slot `s`.
+    pub fn total_rank_at(&self, s: u32) -> usize {
+        let mut rank = self.subtree_total(self.node(s).left);
+        let mut cur = s;
         loop {
-            let p = self.nodes[cur].parent;
+            let p = self.node(cur).parent;
             if p == NIL {
                 break;
             }
-            if self.nodes[p].right == cur {
-                rank += self.subtree_total(self.nodes[p].left) + 1;
+            if self.node(p).right == cur {
+                rank += self.subtree_total(self.node(p).left) + 1;
             }
             cur = p;
         }
-        Some(rank)
+        rank
     }
 
     /// Visible position of `id`, if it is visible.
     pub fn visible_rank(&self, id: CharId) -> Option<usize> {
-        let &n = self.map.get(&id)?;
-        if !self.nodes[n].visible {
+        let n = self.slot_of(id)?;
+        if !self.node(n).visible {
             return None;
         }
-        let mut rank = self.subtree_visible(self.nodes[n].left);
+        let mut rank = self.subtree_visible(self.node(n).left);
         let mut cur = n;
         loop {
-            let p = self.nodes[cur].parent;
+            let p = self.node(cur).parent;
             if p == NIL {
                 break;
             }
-            if self.nodes[p].right == cur {
-                rank += self.subtree_visible(self.nodes[p].left) + self.nodes[p].visible as usize;
+            if self.node(p).right == cur {
+                rank += self.subtree_visible(self.node(p).left) + self.node(p).visible as usize;
             }
             cur = p;
         }
@@ -286,42 +527,55 @@ impl Chain {
 
     /// Chain element at total-order position `rank`.
     pub fn id_at_total(&self, mut rank: usize) -> Option<CharId> {
-        let mut cur = self.root;
         if rank >= self.total_len() {
             return None;
         }
+        let mut cur = self.root;
         loop {
-            let l = self.nodes[cur].left;
+            let l = self.node(cur).left;
             let lsize = self.subtree_total(l);
             if rank < lsize {
                 cur = l;
             } else if rank == lsize {
-                return Some(self.nodes[cur].id);
+                return Some(self.node(cur).id);
             } else {
                 rank -= lsize + 1;
-                cur = self.nodes[cur].right;
+                cur = self.node(cur).right;
             }
         }
     }
 
-    /// Visible character at visible position `rank`.
-    pub fn id_at_visible(&self, mut rank: usize) -> Option<CharId> {
+    /// Slot of the visible character at visible position `rank`.
+    pub fn slot_at_visible(&self, mut rank: usize) -> Option<u32> {
         if rank >= self.visible_len() {
             return None;
         }
         let mut cur = self.root;
         loop {
-            let l = self.nodes[cur].left;
-            let lvis = self.subtree_visible(l);
+            let node = self.node(cur);
+            let lvis = self.subtree_visible(node.left);
             if rank < lvis {
-                cur = l;
-            } else if rank == lvis && self.nodes[cur].visible {
-                return Some(self.nodes[cur].id);
+                cur = node.left;
+            } else if rank == lvis && node.visible {
+                return Some(cur);
             } else {
-                rank -= lvis + self.nodes[cur].visible as usize;
-                cur = self.nodes[cur].right;
+                rank -= lvis + node.visible as usize;
+                cur = node.right;
             }
         }
+    }
+
+    /// Visible character at visible position `rank`.
+    pub fn id_at_visible(&self, rank: usize) -> Option<CharId> {
+        Some(self.id_at(self.slot_at_visible(rank)?))
+    }
+
+    /// The slots of the visible characters at positions `[pos, pos + len)`
+    /// (clamped at the end).
+    pub fn visible_slots(&self, pos: usize, len: usize) -> Vec<u32> {
+        (pos..pos + len)
+            .map_while(|p| self.slot_at_visible(p))
+            .collect()
     }
 
     /// Number of *visible* characters among the first `total_rank + 1`
@@ -334,171 +588,210 @@ impl Chain {
         let mut cur = self.root;
         let mut count = 0;
         while cur != NIL && remaining > 0 {
-            let l = self.nodes[cur].left;
-            let lsize = self.subtree_total(l);
+            let node = self.node(cur);
+            let lsize = self.subtree_total(node.left);
             if remaining <= lsize {
-                cur = l;
+                cur = node.left;
             } else {
-                count += self.subtree_visible(l);
+                count += self.subtree_visible(node.left);
                 remaining -= lsize;
+                count += node.visible as usize;
                 if remaining == 1 {
-                    count += self.nodes[cur].visible as usize;
                     break;
                 }
-                count += self.nodes[cur].visible as usize;
                 remaining -= 1;
-                cur = self.nodes[cur].right;
+                cur = node.right;
             }
         }
         count
     }
 
-    /// Insert `id` immediately after `anchor` in the total order (`None`
-    /// inserts at the chain head).
+    /// Insert `id` with its info immediately after `anchor` in the total
+    /// order (`None` inserts at the chain head); returns its slot. The
+    /// character is visible unless `info.deleted`.
     ///
-    /// Returns [`ChainError`] if `anchor` is not in the chain or `id`
-    /// already is. Both indicate the cache has drifted from the
-    /// database — in a shared collab server that happens when a remote
-    /// effect outruns a session's view, so it must be a recoverable
-    /// (refresh + retry) condition, not a process abort. The
-    /// `debug_assert!`s keep the old fail-fast behaviour in debug builds
-    /// at call sites that have already validated their anchors.
+    /// Returns [`ChainError`] if `id` already is in the chain or `anchor`
+    /// is not. Both indicate the cache has drifted from the database — in
+    /// a shared collab server that happens when a remote effect outruns a
+    /// session's view, so it must be a recoverable (refresh + retry)
+    /// condition, not a process abort.
     pub fn insert_after(
         &mut self,
         anchor: Option<CharId>,
         id: CharId,
-        visible: bool,
-    ) -> Result<(), ChainError> {
-        if self.map.contains_key(&id) {
+        info: CharInfo,
+    ) -> Result<u32, ChainError> {
+        if self.contains(id) {
             return Err(ChainError::DuplicateId(id));
         }
         let rank = match anchor {
             None => 0,
-            Some(a) => match self.total_rank(a) {
-                Some(r) => r + 1,
-                None => return Err(ChainError::UnknownAnchor(a)),
-            },
+            Some(a) => self.total_rank(a).ok_or(ChainError::UnknownAnchor(a))? + 1,
         };
-        let n = self.nodes.len();
-        self.nodes.push(Node {
-            id,
-            pri: priority(id),
-            left: NIL,
-            right: NIL,
-            parent: NIL,
-            total: 1,
-            visible_count: visible as usize,
-            visible,
-        });
-        self.map.insert(id, n);
+        self.insert_at(rank, id, info)
+    }
+
+    /// Insert `id` with its info so that `rank` chain elements precede it;
+    /// returns its slot. The info is written once, into the slot the
+    /// character keeps.
+    pub fn insert_at(
+        &mut self,
+        rank: usize,
+        id: CharId,
+        info: CharInfo,
+    ) -> Result<u32, ChainError> {
+        debug_assert!(rank <= self.total_len(), "rank {rank} past the end");
+        let s = self.claim(id)?;
+        self.push(Node::leaf(id, !info.deleted), info);
         let (l, r) = self.split(self.root, rank);
-        let lr = self.merge(l, n);
+        let lr = self.merge(l, s);
         self.root = self.merge(lr, r);
         if self.root != NIL {
-            self.nodes[self.root].parent = NIL;
+            self.node_mut(self.root).parent = NIL;
         }
-        Ok(())
+        Ok(s)
     }
 
-    /// Toggle visibility (delete = false, undelete = true). Returns the
-    /// previous visibility, or `None` if the id is unknown.
+    /// Toggle visibility (delete = false, undelete = true), writing the
+    /// character's `deleted` flag. Returns the previous visibility, or
+    /// `None` if the id is unknown.
     pub fn set_visible(&mut self, id: CharId, visible: bool) -> Option<bool> {
-        let &n = self.map.get(&id)?;
-        let was = self.nodes[n].visible;
+        let s = self.slot_of(id)?;
+        Some(self.set_visible_at(s, visible))
+    }
+
+    /// [`Chain::set_visible`] of the character in slot `s`.
+    pub fn set_visible_at(&mut self, s: u32, visible: bool) -> bool {
+        let was = self.node(s).visible;
         if was != visible {
-            self.nodes[n].visible = visible;
-            let mut cur = n;
+            self.infos.get_mut(s).deleted = !visible;
+            self.node_mut(s).visible = visible;
+            let mut cur = s;
             while cur != NIL {
-                self.update(cur);
-                cur = self.nodes[cur].parent;
+                let node = self.node_mut(cur);
+                if visible {
+                    node.visible_count += 1;
+                } else {
+                    node.visible_count -= 1;
+                }
+                cur = node.parent;
             }
         }
-        Some(was)
+        was
     }
 
-    /// Visit every chain element in order, tombstones included, as
-    /// `(id, visible)`.
-    pub fn for_each_total(&self, mut f: impl FnMut(CharId, bool)) {
-        self.in_order(self.root, &mut |node: &Node| f(node.id, node.visible));
+    /// Visit every chain element in order, tombstones included, with its
+    /// info. No lookup: the walk reads each node's slot.
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(CharId, &'a CharInfo)) {
+        self.in_order(|s, node| f(node.id, self.infos.get(s)));
+    }
+
+    /// Visit the visible characters in order, with their info.
+    pub fn for_each_visible<'a>(&'a self, mut f: impl FnMut(CharId, &'a CharInfo)) {
+        self.in_order(|s, node| {
+            if node.visible {
+                f(node.id, self.infos.get(s))
+            }
+        });
     }
 
     /// All chain ids in order (tombstones included).
     pub fn iter_total(&self) -> Vec<CharId> {
         let mut out = Vec::with_capacity(self.total_len());
-        self.for_each_total(|id, _| out.push(id));
+        self.for_each(|id, _| out.push(id));
         out
     }
 
     /// Visible ids in order.
     pub fn iter_visible(&self) -> Vec<CharId> {
         let mut out = Vec::with_capacity(self.visible_len());
-        self.in_order(self.root, &mut |node: &Node| {
-            if node.visible {
-                out.push(node.id);
-            }
-        });
+        self.for_each_visible(|id, _| out.push(id));
         out
     }
 
-    fn in_order(&self, root: usize, f: &mut impl FnMut(&Node)) {
+    fn in_order<'a>(&'a self, mut f: impl FnMut(u32, &'a Node)) {
         // Iterative traversal: documents can be large and recursion depth
         // is probabilistic in a treap.
         let mut stack = Vec::new();
-        let mut cur = root;
-        while cur != NIL || !stack.is_empty() {
+        let mut cur = self.root;
+        loop {
             while cur != NIL {
                 stack.push(cur);
-                cur = self.nodes[cur].left;
+                cur = self.node(cur).left;
             }
-            let n = stack.pop().expect("stack non-empty by loop condition");
-            f(&self.nodes[n]);
-            cur = self.nodes[n].right;
+            let Some(n) = stack.pop() else { break };
+            let node = self.node(n);
+            f(n, node);
+            cur = node.right;
         }
-    }
-
-    /// The visible character ids spanning positions `[pos, pos + len)`.
-    pub fn visible_range(&self, pos: usize, len: usize) -> Vec<CharId> {
-        (pos..pos + len)
-            .map_while(|p| self.id_at_visible(p))
-            .collect()
     }
 
     #[cfg(test)]
     fn check_invariants(&self) {
-        fn walk(c: &Chain, n: usize, parent: usize) -> (usize, usize) {
+        fn walk(c: &Chain, n: u32, parent: u32) -> (usize, usize) {
             if n == NIL {
                 return (0, 0);
             }
-            assert_eq!(c.nodes[n].parent, parent, "parent pointer broken");
+            let node = c.node(n);
+            assert_eq!(node.parent, parent, "parent pointer broken");
             if parent != NIL {
-                assert!(c.nodes[n].pri <= c.nodes[parent].pri, "heap order broken");
+                assert!(
+                    priority(node.id) <= priority(c.node(parent).id),
+                    "heap order broken"
+                );
             }
-            let (lt, lv) = walk(c, c.nodes[n].left, n);
-            let (rt, rv) = walk(c, c.nodes[n].right, n);
-            assert_eq!(c.nodes[n].total, lt + rt + 1, "total size broken");
+            assert_eq!(c.slot_of(node.id), Some(n), "id map broken");
+            let (lt, lv) = walk(c, node.left, n);
+            let (rt, rv) = walk(c, node.right, n);
+            assert_eq!(node.visible, !c.info_at(n).deleted, "flag halves disagree");
+            let visible = node.visible as usize;
+            assert_eq!(node.total as usize, lt + rt + 1, "total size broken");
             assert_eq!(
-                c.nodes[n].visible_count,
-                lv + rv + c.nodes[n].visible as usize,
+                node.visible_count as usize,
+                lv + rv + visible,
                 "visible size broken"
             );
-            (lt + rt + 1, lv + rv + c.nodes[n].visible as usize)
+            (lt + rt + 1, lv + rv + visible)
         }
-        walk(self, self.root, NIL);
+        let (total, _) = walk(self, self.root, NIL);
+        assert_eq!(total, self.nodes.len(), "a slot is outside the tree");
+        assert_eq!(self.infos.len(), self.nodes.len(), "slot halves disagree");
+        assert_eq!(self.map.len(), self.nodes.len(), "map and slots disagree");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ids::{DocId, StyleId, UserId};
     use proptest::prelude::*;
 
     fn ids(v: &[u64]) -> Vec<CharId> {
         v.iter().map(|&x| CharId(x)).collect()
     }
 
+    /// The info of a character that is `visible` or not; the rest blank.
+    fn info(visible: bool) -> CharInfo {
+        CharInfo {
+            ch: 'x',
+            deleted: !visible,
+            style: StyleId::NONE,
+            author: UserId::NONE,
+            created_at: 0,
+            version: 0,
+            src_doc: DocId::NONE,
+            src_char: CharId::NONE,
+            external_src: None,
+        }
+    }
+
+    fn chars(items: &[(u64, bool)]) -> Vec<(CharId, CharInfo)> {
+        items.iter().map(|&(id, v)| (CharId(id), info(v))).collect()
+    }
+
     #[test]
     fn build_and_iterate() {
-        let c = Chain::build([(CharId(1), true), (CharId(2), false), (CharId(3), true)]).unwrap();
+        let c = Chain::build(chars(&[(1, true), (2, false), (3, true)])).unwrap();
         assert_eq!(c.total_len(), 3);
         assert_eq!(c.visible_len(), 2);
         assert_eq!(c.iter_total(), ids(&[1, 2, 3]));
@@ -509,22 +802,23 @@ mod tests {
     #[test]
     fn insert_at_head_and_after() {
         let mut c = Chain::new();
-        c.insert_after(None, CharId(10), true).unwrap();
-        c.insert_after(None, CharId(20), true).unwrap(); // new head
-        c.insert_after(Some(CharId(10)), CharId(30), true).unwrap();
+        c.insert_after(None, CharId(10), info(true)).unwrap();
+        c.insert_after(None, CharId(20), info(true)).unwrap(); // new head
+        c.insert_after(Some(CharId(10)), CharId(30), info(true))
+            .unwrap();
         assert_eq!(c.iter_total(), ids(&[20, 10, 30]));
         c.check_invariants();
     }
 
     #[test]
     fn visible_position_mapping_skips_tombstones() {
-        let c = Chain::build([
-            (CharId(1), true),
-            (CharId(2), false),
-            (CharId(3), true),
-            (CharId(4), false),
-            (CharId(5), true),
-        ])
+        let c = Chain::build(chars(&[
+            (1, true),
+            (2, false),
+            (3, true),
+            (4, false),
+            (5, true),
+        ]))
         .unwrap();
         assert_eq!(c.id_at_visible(0), Some(CharId(1)));
         assert_eq!(c.id_at_visible(1), Some(CharId(3)));
@@ -538,13 +832,13 @@ mod tests {
 
     #[test]
     fn visible_count_through_counts_inclusively() {
-        let c = Chain::build([
-            (CharId(1), true),
-            (CharId(2), false),
-            (CharId(3), true),
-            (CharId(4), false),
-            (CharId(5), true),
-        ])
+        let c = Chain::build(chars(&[
+            (1, true),
+            (2, false),
+            (3, true),
+            (4, false),
+            (5, true),
+        ]))
         .unwrap();
         assert_eq!(c.visible_count_through(0), 1); // through id 1
         assert_eq!(c.visible_count_through(1), 1); // tombstone adds nothing
@@ -552,8 +846,8 @@ mod tests {
         assert_eq!(c.visible_count_through(3), 2);
         assert_eq!(c.visible_count_through(4), 3);
         // Agreement with a naive count for a larger randomized chain.
-        let items: Vec<(CharId, bool)> = (1..=200u64).map(|i| (CharId(i), i % 3 != 0)).collect();
-        let c = Chain::build(items.clone()).unwrap();
+        let items: Vec<(u64, bool)> = (1..=200u64).map(|i| (i, i % 3 != 0)).collect();
+        let c = Chain::build(chars(&items)).unwrap();
         for k in 0..items.len() {
             let naive = items[..=k].iter().filter(|(_, v)| *v).count();
             assert_eq!(c.visible_count_through(k), naive, "at rank {k}");
@@ -562,12 +856,14 @@ mod tests {
 
     #[test]
     fn set_visible_toggles_and_reports_previous() {
-        let mut c = Chain::build([(CharId(1), true), (CharId(2), true)]).unwrap();
+        let mut c = Chain::build(chars(&[(1, true), (2, true)])).unwrap();
         assert_eq!(c.set_visible(CharId(1), false), Some(true));
+        assert!(c.info(CharId(1)).unwrap().deleted, "the flag is the info's");
         assert_eq!(c.visible_len(), 1);
         assert_eq!(c.id_at_visible(0), Some(CharId(2)));
         assert_eq!(c.set_visible(CharId(1), false), Some(false)); // idempotent
         assert_eq!(c.set_visible(CharId(1), true), Some(false));
+        assert!(!c.info(CharId(1)).unwrap().deleted);
         assert_eq!(c.visible_len(), 2);
         assert_eq!(c.set_visible(CharId(99), true), None);
         c.check_invariants();
@@ -575,16 +871,14 @@ mod tests {
 
     #[test]
     fn visible_range_extraction() {
-        let c = Chain::build([
-            (CharId(1), true),
-            (CharId(2), false),
-            (CharId(3), true),
-            (CharId(4), true),
-        ])
-        .unwrap();
-        assert_eq!(c.visible_range(1, 2), ids(&[3, 4]));
-        assert_eq!(c.visible_range(2, 5), ids(&[4])); // clamped at end
-        assert!(c.visible_range(9, 2).is_empty());
+        let c = Chain::build(chars(&[(1, true), (2, false), (3, true), (4, true)])).unwrap();
+        let range = |pos, len| -> Vec<CharId> {
+            let slots = c.visible_slots(pos, len);
+            slots.into_iter().map(|s| c.id_at(s)).collect()
+        };
+        assert_eq!(range(1, 2), ids(&[3, 4]));
+        assert_eq!(range(2, 5), ids(&[4])); // clamped at end
+        assert!(range(9, 2).is_empty());
     }
 
     /// Regression (stale-anchor panic): incoherent edits must surface as
@@ -593,9 +887,9 @@ mod tests {
     #[test]
     fn duplicate_insert_is_an_error_not_a_panic() {
         let mut c = Chain::new();
-        c.insert_after(None, CharId(1), true).unwrap();
+        c.insert_after(None, CharId(1), info(true)).unwrap();
         assert_eq!(
-            c.insert_after(None, CharId(1), true),
+            c.insert_after(None, CharId(1), info(true)),
             Err(ChainError::DuplicateId(CharId(1)))
         );
         // The failed insert must not have corrupted the chain.
@@ -607,13 +901,13 @@ mod tests {
     fn unknown_anchor_is_an_error_not_a_panic() {
         let mut c = Chain::new();
         assert_eq!(
-            c.insert_after(Some(CharId(42)), CharId(1), true),
+            c.insert_after(Some(CharId(42)), CharId(1), info(true)),
             Err(ChainError::UnknownAnchor(CharId(42)))
         );
         c.check_invariants();
         assert!(c.is_empty());
         // The rejected id was never registered; inserting it properly works.
-        c.insert_after(None, CharId(1), true).unwrap();
+        c.insert_after(None, CharId(1), info(true)).unwrap();
         assert_eq!(c.total_len(), 1);
     }
 
@@ -625,13 +919,67 @@ mod tests {
         let mut c = Chain::new();
         let mut last = None;
         for i in 1..=n {
-            c.insert_after(last, CharId(i), true).unwrap();
+            c.insert_after(last, CharId(i), info(true)).unwrap();
             last = Some(CharId(i));
         }
         assert_eq!(c.visible_len(), n as usize);
         assert_eq!(c.id_at_visible(0), Some(CharId(1)));
         assert_eq!(c.id_at_visible((n - 1) as usize), Some(CharId(n)));
         assert_eq!(c.visible_rank(CharId(5000)), Some(4999));
+    }
+
+    /// Characters placed out of chain order are linked along their
+    /// successors; a walk that loops or stops short is refused.
+    #[test]
+    fn placed_characters_link_in_chain_order() {
+        // Slots 0..5 hold ids 10..15; the chain is 12, 10, 14, 11, 13.
+        let next = [Some(4), Some(3), Some(0), None, Some(1)];
+        let mut c = Chain::with_capacity(5);
+        for (s, n) in next.into_iter().enumerate() {
+            assert_eq!(c.place(CharId(10 + s as u64), info(s != 4)), Ok(s as u32));
+            if let Some(n) = n {
+                c.set_next(s as u32, n);
+            }
+        }
+        c.link(Some(2)).unwrap();
+        c.check_invariants();
+        assert_eq!(c.iter_total(), ids(&[12, 10, 14, 11, 13]));
+        assert_eq!(c.iter_visible(), ids(&[12, 10, 11, 13]));
+
+        let mut looped = Chain::new();
+        for (s, n) in [(0, 1), (1, 0)] {
+            looped.place(CharId(s as u64 + 1), info(true)).unwrap();
+            looped.set_next(s, n);
+        }
+        assert_eq!(looped.link(Some(0)), Err(LinkError::Cycle));
+
+        let mut short = Chain::new();
+        short.place(CharId(1), info(true)).unwrap();
+        short.place(CharId(2), info(true)).unwrap();
+        assert_eq!(short.link(Some(1)), Err(LinkError::Reached(1)));
+        assert_eq!(Chain::new().link(None), Ok(()));
+    }
+
+    /// A built chain fills its block; inserts after it open pages, and
+    /// every slot keeps its character across both.
+    #[test]
+    fn slots_outlive_the_block_and_the_pages() {
+        let items: Vec<(u64, bool)> = (1..=300).map(|i| (i, i % 5 != 0)).collect();
+        let mut c = Chain::build(chars(&items)).unwrap();
+        assert_eq!((c.nodes.block.len(), c.nodes.pages.len()), (300, 0));
+        let first = c.slot_of(CharId(1)).unwrap();
+        for i in 0..600u64 {
+            let rank = i as usize * 7 % (c.total_len() + 1);
+            let s = c.insert_at(rank, CharId(1_000 + i), info(i % 3 != 0));
+            assert_eq!(c.id_at(s.unwrap()), CharId(1_000 + i));
+        }
+        assert_eq!((c.nodes.block.len(), c.nodes.pages.len()), (300, 3));
+        assert_eq!(c.slot_of(CharId(1)), Some(first));
+        assert_eq!(c.total_len(), 900);
+        c.check_invariants();
+        for (id, i) in c.iter_total().into_iter().zip(0..) {
+            assert_eq!(c.total_rank(id), Some(i));
+        }
     }
 
     // ------------------------------------------------------ property tests
@@ -679,17 +1027,14 @@ mod tests {
         ) {
             // Distinct ids in arbitrary (non-monotonic) chain order.
             let mut seen = std::collections::HashSet::new();
-            let items: Vec<(CharId, bool)> = items
-                .into_iter()
-                .filter(|(id, _)| seen.insert(*id))
-                .map(|(id, visible)| (CharId(id), visible))
-                .collect();
+            let items: Vec<(u64, bool)> =
+                items.into_iter().filter(|(id, _)| seen.insert(*id)).collect();
 
-            let mut bulk = Chain::build(items.clone()).unwrap();
+            let mut bulk = Chain::build(chars(&items)).unwrap();
             let mut stepwise = Chain::new();
             let mut last = None;
-            for &(id, visible) in &items {
-                stepwise.insert_after(last, id, visible).unwrap();
+            for (id, i) in chars(&items) {
+                stepwise.insert_after(last, id, i).unwrap();
                 last = Some(id);
             }
             agree(&bulk, &stepwise)?;
@@ -703,7 +1048,7 @@ mod tests {
                             r => bulk.id_at_total(r - 1),
                         };
                         for chain in [&mut bulk, &mut stepwise] {
-                            chain.insert_after(anchor, CharId(next_id), true).unwrap();
+                            chain.insert_after(anchor, CharId(next_id), info(true)).unwrap();
                         }
                         next_id += 1;
                     }
@@ -723,12 +1068,12 @@ mod tests {
         /// A repeated id is refused, wherever it sits.
         #[test]
         fn bulk_build_rejects_duplicates(n in 2usize..50, at in any::<usize>(), of in any::<usize>()) {
-            let mut items: Vec<(CharId, bool)> = (1..=n as u64).map(|i| (CharId(i), true)).collect();
+            let mut items: Vec<(u64, bool)> = (1..=n as u64).map(|i| (i, true)).collect();
             let (at, of) = (at % n, of % n);
             if at != of {
                 items[at].0 = items[of].0;
                 prop_assert_eq!(
-                    Chain::build(items).err(),
+                    Chain::build(chars(&items)).err(),
                     Some(ChainError::DuplicateId(CharId(of as u64 + 1)))
                 );
             }
@@ -747,12 +1092,12 @@ mod tests {
                         let id = CharId(next_id);
                         next_id += 1;
                         if model.is_empty() {
-                            chain.insert_after(None, id, true).unwrap();
+                            chain.insert_after(None, id, info(true)).unwrap();
                             model.insert(0, (id, true));
                         } else {
                             let r = r % (model.len() + 1);
                             let anchor = if r == 0 { None } else { Some(model[r - 1].0) };
-                            chain.insert_after(anchor, id, true).unwrap();
+                            chain.insert_after(anchor, id, info(true)).unwrap();
                             model.insert(r, (id, true));
                         }
                     }
@@ -778,6 +1123,9 @@ mod tests {
             for (i, id) in expect_visible.iter().enumerate() {
                 prop_assert_eq!(chain.id_at_visible(i), Some(*id));
                 prop_assert_eq!(chain.visible_rank(*id), Some(i));
+            }
+            for (id, visible) in &model {
+                prop_assert_eq!(chain.info(*id).map(|i| i.deleted), Some(!visible));
             }
         }
     }

@@ -1,23 +1,27 @@
 //! Open documents: the `DocHandle`.
 //!
 //! A `DocHandle` is what an editor client holds for an open document. It
-//! caches the character chain (a [`Chain`] position index plus per-char
-//! info) and funnels every edit through database transactions. The cache
-//! only ever contains *committed* state: each editing call commits
+//! caches the character chain — one [`Chain`], whose treap nodes hold
+//! each character's [`CharInfo`], found by id through the chain's one
+//! hash map — and funnels every edit through database transactions. An
+//! edit resolves a position to a chain slot and reads and writes the
+//! character there; a snapshot is an in-order walk over the slots. The
+//! cache only ever contains *committed* state: each editing call commits
 //! synchronously, and remote editors' committed operations are applied
 //! through [`DocHandle::apply_remote`] (fed by the collaboration bus) or
 //! by a full [`DocHandle::refresh`].
 
 use tendax_storage::{Row, SharedRow, Transaction, Value};
 
-use crate::chain::Chain;
+use crate::chain::{Chain, ChainError, LinkError};
 use crate::error::{Result, TextError};
-use crate::ids::{CharId, CharMap, DocId, StyleId, UserId};
+use crate::ids::{CharId, DocId, StyleId, UserId};
 use crate::ops::Effect;
 use crate::security::Permission;
 use crate::textdb::TextDb;
 
-/// Cached per-character state (mirror of the `chars` row).
+/// Cached per-character state (mirror of the `chars` row), held in the
+/// character's [`Chain`] slot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CharInfo {
     pub ch: char,
@@ -38,7 +42,6 @@ pub struct DocHandle {
     pub(crate) doc: DocId,
     pub(crate) user: UserId,
     pub(crate) chain: Chain,
-    pub(crate) cache: CharMap<CharInfo>,
     /// Snapshot (commit) timestamp of the last full rebuild: everything
     /// committed at or before this is reflected in the cache.
     pub(crate) synced_ts: tendax_storage::Ts,
@@ -155,7 +158,6 @@ impl TextDb {
             doc,
             user,
             chain: Chain::new(),
-            cache: CharMap::default(),
             synced_ts: 0,
             pinned_base: false,
             last_commit_ts: 0,
@@ -189,19 +191,15 @@ impl DocHandle {
 
     /// The visible text.
     pub fn text(&self) -> String {
-        self.chain
-            .iter_visible()
-            .into_iter()
-            .map(|id| self.cache[&id].ch)
-            .collect()
+        let mut text = String::with_capacity(self.len());
+        self.chain.for_each_visible(|_, info| text.push(info.ch));
+        text
     }
 
     /// Visible text of `[pos, pos + len)` (clamped at document end).
     pub fn text_range(&self, pos: usize, len: usize) -> String {
-        self.chain
-            .visible_range(pos, len)
-            .into_iter()
-            .map(|id| self.cache[&id].ch)
+        (self.chain.visible_slots(pos, len).into_iter())
+            .map(|s| self.chain.info_at(s).ch)
             .collect()
     }
 
@@ -212,7 +210,7 @@ impl DocHandle {
 
     /// Cached info for a character (visible or tombstoned).
     pub fn char_info(&self, id: CharId) -> Option<&CharInfo> {
-        self.cache.get(&id)
+        self.chain.info(id)
     }
 
     /// Visible position of a character id.
@@ -237,9 +235,10 @@ impl DocHandle {
     /// character's cached info. This is what a wire snapshot is written
     /// from: a remote replica needs the tombstones too, because committed
     /// effects anchor on chain predecessors that may themselves be
-    /// deleted, so a live-text-only snapshot could not replay them.
-    pub fn for_each_char(&self, mut f: impl FnMut(CharId, &CharInfo)) {
-        self.chain.for_each_total(|id, _| f(id, &self.cache[&id]));
+    /// deleted, so a live-text-only snapshot could not replay them. The
+    /// walk reads each character's slot; it looks nothing up.
+    pub fn for_each_char(&self, f: impl FnMut(CharId, &CharInfo)) {
+        self.chain.for_each(f);
     }
 
     /// Remote events with a commit at or below this are already
@@ -293,62 +292,56 @@ impl DocHandle {
     pub(crate) fn rebuild(&mut self) -> Result<()> {
         let t = self.tdb.tables();
         let txn = self.tdb.database().begin();
-        self.synced_ts = txn.snapshot_ts();
         let rows = txn.index_lookup(t.chars, "chars_by_doc", &[self.doc.value()])?;
 
-        // One pass over the rows: each is decoded once, straight into the
-        // cache it will live in. The chain walk below needs only the
-        // links, kept in a side table in row order — which is character-id
-        // order, as the index lookup returns it — and found by binary
-        // search.
-        let mut cache: CharMap<CharInfo> =
-            CharMap::with_capacity_and_hasher(rows.len(), Default::default());
-        let mut links: Vec<(CharId, CharId /*next*/, bool /*visible*/)> =
-            Vec::with_capacity(rows.len());
-        let mut head = CharId::NONE;
-        for (rid, row) in &rows {
+        // One pass over the rows, in row order — character-id order, as
+        // the index lookup returns it: each row is decoded once, straight
+        // into the chain slot it keeps, with the slot of its successor.
+        // That is the next row for a typing run and found by binary search
+        // otherwise. Then one walk from the head links the slots in chain
+        // order. No second copy of any character's info is made.
+        let mut chain = Chain::with_capacity(rows.len());
+        let mut head: Option<u32> = None;
+        let corrupt =
+            |e: ChainError| TextError::ChainCorrupt(format!("rebuilding {}: {e}", self.doc));
+        for (at, (rid, row)) in rows.iter().enumerate() {
             let id = CharId::from_row(*rid);
             let (prev, next, info) = decode_char_row(row);
+            let s = chain.place(id, info).map_err(corrupt)?;
             if prev.is_none() {
-                if !head.is_none() {
+                if let Some(h) = head {
                     return Err(TextError::ChainCorrupt(format!(
-                        "two chain heads in {}: {head} and {id}",
-                        self.doc
+                        "two chain heads in {}: {} and {id}",
+                        self.doc,
+                        CharId::from_row(rows[h as usize].0)
                     )));
                 }
-                head = id;
+                head = Some(s);
             }
-            links.push((id, next, !info.deleted));
-            cache.insert(id, info);
+            if !next.is_none() {
+                let succ = match rows.get(at + 1) {
+                    Some((r, _)) if r.0 == next.0 => at + 1,
+                    _ => rows
+                        .binary_search_by_key(&next.0, |(r, _)| r.0)
+                        .map_err(|_| {
+                            TextError::ChainCorrupt(format!("dangling next pointer to {next}"))
+                        })?,
+                };
+                chain.set_next(s, succ as u32);
+            }
         }
-
-        let mut order = Vec::with_capacity(links.len());
-        let mut cur = head;
-        while !cur.is_none() {
-            let at = links
-                .binary_search_by_key(&cur, |&(id, ..)| id)
-                .map_err(|_| TextError::ChainCorrupt(format!("dangling next pointer to {cur}")))?;
-            let (_, next, visible) = links[at];
-            order.push((cur, visible));
-            cur = next;
-            if order.len() > links.len() {
-                return Err(TextError::ChainCorrupt(format!(
-                    "cycle in character chain of {}",
+        chain.link(head).map_err(|e| {
+            TextError::ChainCorrupt(match e {
+                LinkError::Cycle => format!("cycle in character chain of {}", self.doc),
+                LinkError::Reached(reached) => format!(
+                    "chain walk reached {reached} of {} characters in {}",
+                    rows.len(),
                     self.doc
-                )));
-            }
-        }
-        if order.len() != links.len() {
-            return Err(TextError::ChainCorrupt(format!(
-                "chain walk reached {} of {} characters in {}",
-                order.len(),
-                links.len(),
-                self.doc
-            )));
-        }
-        self.chain = Chain::build(order)
-            .map_err(|e| TextError::ChainCorrupt(format!("rebuilding {}: {e}", self.doc)))?;
-        self.cache = cache;
+                ),
+            })
+        })?;
+        self.chain = chain;
+        self.synced_ts = txn.snapshot_ts();
         Ok(())
     }
 
@@ -359,28 +352,26 @@ impl DocHandle {
     /// can broadcast an operation that *depends* on a slightly older,
     /// not-yet-delivered one — callers hold such events back until their
     /// dependencies arrive (see `tendax-collab`'s reorder buffer).
+    ///
+    /// An id introduced earlier in the list is looked for among the
+    /// list's own earlier inserts, from the back: a typed run names the
+    /// insert just before it. Nothing is allocated.
     pub fn effects_applicable(&self, effects: &[Effect]) -> bool {
-        let mut introduced: std::collections::HashSet<CharId> = std::collections::HashSet::new();
-        for e in effects {
+        effects.iter().enumerate().all(|(i, e)| {
+            let known = |id: &CharId| {
+                self.chain.contains(*id)
+                    || effects[..i]
+                        .iter()
+                        .rev()
+                        .any(|e| matches!(e, Effect::Insert { char, .. } if char == id))
+            };
             match e {
-                Effect::Insert { char, prev, .. } => {
-                    if let Some(p) = prev {
-                        if !self.chain.contains(*p) && !introduced.contains(p) {
-                            return false;
-                        }
-                    }
-                    introduced.insert(*char);
-                }
+                Effect::Insert { prev, .. } => prev.as_ref().is_none_or(known),
                 Effect::Delete { char, .. }
                 | Effect::Undelete { char }
-                | Effect::SetStyle { char, .. } => {
-                    if !self.chain.contains(*char) && !introduced.contains(char) {
-                        return false;
-                    }
-                }
+                | Effect::SetStyle { char, .. } => known(char),
             }
-        }
-        true
+        })
     }
 
     /// Apply a remote editor's committed effects to the local cache.
@@ -410,57 +401,61 @@ impl DocHandle {
                     src_char,
                     external,
                 } => {
-                    if self.chain.contains(*char) {
-                        continue; // echo of our own op or redelivery
-                    }
-                    // Even with `effects_applicable` vetting, a remote
-                    // stream can outrun this cache (reorder-buffer
-                    // overflow, a peer's incoherent republish): treat a
-                    // bad anchor as a recoverable stale cache, never a
-                    // crash.
-                    if self.chain.insert_after(*prev, *char, true).is_err() {
-                        return Err(TextError::StaleCache(self.doc));
-                    }
-                    self.cache.insert(
-                        *char,
-                        CharInfo {
-                            ch: *ch,
-                            deleted: false,
-                            style: *style,
-                            author: *author,
-                            created_at: *ts,
-                            version: 0,
-                            src_doc: *src_doc,
-                            src_char: *src_char,
-                            external_src: external.clone(),
-                        },
-                    );
-                }
-                // Every writer of the flags or the style bumps the row's
-                // `version` in the same write; the mirror follows.
-                Effect::Delete { char, .. } => {
-                    self.chain.set_visible(*char, false);
-                    if let Some(info) = self.cache.get_mut(char) {
-                        info.deleted = true;
-                        info.version += 1;
+                    let info = CharInfo {
+                        ch: *ch,
+                        deleted: false,
+                        style: *style,
+                        author: *author,
+                        created_at: *ts,
+                        version: 0,
+                        src_doc: *src_doc,
+                        src_char: *src_char,
+                        external_src: external.clone(),
+                    };
+                    match self.chain.insert_after(*prev, *char, info) {
+                        // A known id is the echo of our own op or a
+                        // redelivery.
+                        Ok(_) | Err(ChainError::DuplicateId(_)) => {}
+                        // Even with `effects_applicable` vetting, a remote
+                        // stream can outrun this cache (reorder-buffer
+                        // overflow, a peer's incoherent republish): treat a
+                        // bad anchor as a recoverable stale cache, never a
+                        // crash.
+                        Err(ChainError::UnknownAnchor(_)) => {
+                            return Err(TextError::StaleCache(self.doc))
+                        }
                     }
                 }
-                Effect::Undelete { char } => {
-                    self.chain.set_visible(*char, true);
-                    if let Some(info) = self.cache.get_mut(char) {
-                        info.deleted = false;
-                        info.version += 1;
+                Effect::Delete { char, .. } | Effect::Undelete { char } => {
+                    if let Some(s) = self.chain.slot_of(*char) {
+                        self.fold_flag(s, matches!(e, Effect::Delete { .. }));
                     }
                 }
                 Effect::SetStyle { char, new, .. } => {
-                    if let Some(info) = self.cache.get_mut(char) {
-                        info.style = *new;
-                        info.version += 1;
+                    if let Some(s) = self.chain.slot_of(*char) {
+                        self.fold_style(s, *new);
                     }
                 }
             }
         }
         Ok(())
+    }
+
+    // Every writer of a character's flags or style bumps the row's
+    // `version` in the same write; the chain follows.
+
+    /// Fold a committed write of the `deleted` flag of the character in
+    /// slot `s` into the chain.
+    pub(crate) fn fold_flag(&mut self, s: u32, deleted: bool) {
+        self.chain.set_visible_at(s, !deleted);
+        self.chain.info_at_mut(s).version += 1;
+    }
+
+    /// Fold a committed restyle of the character in slot `s`.
+    pub(crate) fn fold_style(&mut self, s: u32, style: StyleId) {
+        let info = self.chain.info_at_mut(s);
+        info.style = style;
+        info.version += 1;
     }
 
     /// Validate that `[pos, pos+len)` addresses visible characters.

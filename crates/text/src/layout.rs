@@ -51,7 +51,8 @@ impl DocHandle {
             });
         }
         self.check_range(pos, len)?;
-        let ids = self.chain.visible_range(pos, len);
+        let slots = self.chain.visible_slots(pos, len);
+        let ids: Vec<_> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
         self.tdb
@@ -59,10 +60,10 @@ impl DocHandle {
         self.check_protected(&txn, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();
         let mut olds = Vec::with_capacity(ids.len());
-        for id in &ids {
-            let old = self.cache[id].style;
-            olds.push(old);
-            let version = self.cache[id].version + 1;
+        for (&s, id) in slots.iter().zip(&ids) {
+            let info = self.chain.info_at(s);
+            olds.push(info.style);
+            let version = info.version + 1;
             // Style touches no chain links: described (anchor-free) so it
             // merges with neighbours being spliced around this character.
             // Competing styles of the same character collide on `style`
@@ -84,13 +85,10 @@ impl DocHandle {
         self.note_commit(commit_ts);
 
         let mut effects = Vec::with_capacity(ids.len());
-        for (id, old) in ids.iter().zip(olds) {
-            if let Some(info) = self.cache.get_mut(id) {
-                info.style = style;
-                info.version += 1;
-            }
+        for ((s, id), old) in slots.into_iter().zip(ids).zip(olds) {
+            self.fold_style(s, style);
             effects.push(Effect::SetStyle {
-                char: *id,
+                char: id,
                 old,
                 new: style,
             });
@@ -104,20 +102,18 @@ impl DocHandle {
 
     /// Style of the character at `pos`.
     pub fn style_at(&self, pos: usize) -> Option<StyleId> {
-        let id = self.chain.id_at_visible(pos)?;
-        Some(self.cache[&id].style)
+        let s = self.chain.slot_at_visible(pos)?;
+        Some(self.chain.info_at(s).style)
     }
 
     /// The document as runs of equal style: `(style, run_length)`.
     pub fn style_runs(&self) -> Vec<(StyleId, usize)> {
         let mut runs: Vec<(StyleId, usize)> = Vec::new();
-        for id in self.chain.iter_visible() {
-            let style = self.cache[&id].style;
-            match runs.last_mut() {
-                Some((s, n)) if *s == style => *n += 1,
-                _ => runs.push((style, 1)),
-            }
-        }
+        self.chain
+            .for_each_visible(|_, info| match runs.last_mut() {
+                Some((s, n)) if *s == info.style => *n += 1,
+                _ => runs.push((info.style, 1)),
+            });
         runs
     }
 

@@ -71,9 +71,9 @@ impl DocHandle {
     /// largest contribution first.
     pub fn attribution(&self) -> Vec<(UserId, usize)> {
         let mut counts: BTreeMap<UserId, usize> = BTreeMap::new();
-        for id in self.chain.iter_visible() {
-            *counts.entry(self.cache[&id].author).or_default() += 1;
-        }
+        self.chain.for_each_visible(|_, info| {
+            *counts.entry(info.author).or_default() += 1;
+        });
         let mut out: Vec<(UserId, usize)> = counts.into_iter().collect();
         out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         out

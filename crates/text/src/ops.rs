@@ -167,11 +167,8 @@ impl DocHandle {
     /// transaction needed.
     pub fn copy(&self, pos: usize, len: usize) -> Result<Clip> {
         self.check_range(pos, len)?;
-        let chars = self
-            .chain
-            .visible_range(pos, len)
-            .into_iter()
-            .map(|id| (id, self.cache[&id].ch))
+        let chars = (self.chain.visible_slots(pos, len).into_iter())
+            .map(|s| (self.chain.id_at(s), self.chain.info_at(s).ch))
             .collect();
         Ok(Clip {
             src_doc: self.doc,
@@ -250,15 +247,16 @@ impl DocHandle {
             return Ok((EditReceipt::empty(), Durability::none()));
         }
         self.check_range(pos, len)?;
-        let ids = self.chain.visible_range(pos, len);
+        let slots = self.chain.visible_slots(pos, len);
+        let ids: Vec<CharId> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
         self.tdb
             .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
         self.check_protected(&txn, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();
-        for id in &ids {
-            let version = self.cache[id].version + 1;
+        for (&s, id) in slots.iter().zip(&ids) {
+            let version = self.chain.info_at(s).version + 1;
             // A tombstone touches only the deletion flags, never the
             // chain links: described (with no anchors) so it commutes
             // with a neighbour splicing around this character. Two
@@ -281,12 +279,8 @@ impl DocHandle {
         self.note_commit(commit_ts);
 
         let mut effects = Vec::with_capacity(ids.len());
-        for id in ids {
-            self.chain.set_visible(id, false);
-            if let Some(info) = self.cache.get_mut(&id) {
-                info.deleted = true;
-                info.version += 1;
-            }
+        for (s, id) in slots.into_iter().zip(ids) {
+            self.fold_flag(s, true);
             effects.push(Effect::Delete {
                 char: id,
                 by: self.user,
@@ -327,26 +321,15 @@ impl DocHandle {
                 doc_len: dst.len(),
             });
         }
-        let src_ids = self.chain.visible_range(pos, len);
-        let moved: Vec<(CharId, char)> =
-            src_ids.iter().map(|id| (*id, self.cache[id].ch)).collect();
+        let src_slots = self.chain.visible_slots(pos, len);
+        let src_ids: Vec<CharId> = src_slots.iter().map(|&s| self.chain.id_at(s)).collect();
+        let moved: Vec<(CharId, char)> = (src_slots.iter().zip(&src_ids))
+            .map(|(&s, id)| (*id, self.chain.info_at(s).ch))
+            .collect();
         let t = *self.tdb.tables();
 
         // Destination anchors (same logic as insert_chars).
-        let dst_prev = if dst_pos == 0 {
-            None
-        } else {
-            dst.chain.id_at_visible(dst_pos - 1)
-        };
-        let dst_total = match dst_prev {
-            None => 0,
-            Some(a) => {
-                dst.chain
-                    .total_rank(a)
-                    .ok_or_else(|| TextError::ChainCorrupt(format!("anchor {a} lost")))?
-                    + 1
-            }
-        };
+        let (dst_prev, dst_total) = dst.anchor_at(dst_pos);
         let dst_next = dst.chain.id_at_total(dst_total);
 
         let mut txn = self.begin();
@@ -391,8 +374,8 @@ impl DocHandle {
 
         let ts = self.tdb.now();
         // 1) Tombstone the source characters.
-        for id in &src_ids {
-            let version = self.cache[id].version + 1;
+        for (&s, id) in src_slots.iter().zip(&src_ids) {
+            let version = self.chain.info_at(s).version + 1;
             txn.set_with_anchors(
                 t.chars,
                 id.row(),
@@ -488,12 +471,8 @@ impl DocHandle {
 
         // Publish to both caches.
         let mut del_effects = Vec::with_capacity(src_ids.len());
-        for id in src_ids {
-            self.chain.set_visible(id, false);
-            if let Some(info) = self.cache.get_mut(&id) {
-                info.deleted = true;
-                info.version += 1;
-            }
+        for (s, id) in src_slots.into_iter().zip(src_ids) {
+            self.fold_flag(s, true);
             del_effects.push(Effect::Delete {
                 char: id,
                 by: self.user,
@@ -511,26 +490,23 @@ impl DocHandle {
             // the edit twice). Self-heal by rebuilding the cache below
             // and still return the receipt. For our own just-committed
             // ids this is unreachable — hence the debug_assert.
-            let inserted = dst.chain.insert_after(anchor, id, true);
+            let info = CharInfo {
+                ch,
+                deleted: false,
+                style: StyleId::NONE,
+                author: dst.user,
+                created_at: ts,
+                version: 0,
+                src_doc: self.doc,
+                src_char,
+                external_src: None,
+            };
+            let inserted = dst.chain.insert_at(dst_total + i, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
             );
             dst_stale |= inserted.is_err();
-            dst.cache.insert(
-                id,
-                CharInfo {
-                    ch,
-                    deleted: false,
-                    style: StyleId::NONE,
-                    author: dst.user,
-                    created_at: ts,
-                    version: 0,
-                    src_doc: self.doc,
-                    src_char,
-                    external_src: None,
-                },
-            );
             ins_effects.push(Effect::Insert {
                 char: id,
                 prev: anchor,
@@ -612,20 +588,7 @@ impl DocHandle {
         let t = *self.tdb.tables();
 
         // Chain anchors, from the committed cache.
-        let prev_id = if pos == 0 {
-            None
-        } else {
-            self.chain.id_at_visible(pos - 1)
-        };
-        let insert_total_pos = match prev_id {
-            None => 0,
-            Some(a) => {
-                self.chain
-                    .total_rank(a)
-                    .ok_or_else(|| TextError::ChainCorrupt(format!("anchor {a} lost")))?
-                    + 1
-            }
-        };
+        let (prev_id, insert_total_pos) = self.anchor_at(pos);
         let next_id = self.chain.id_at_total(insert_total_pos);
 
         let mut txn = self.begin();
@@ -791,26 +754,23 @@ impl DocHandle {
             // Post-commit: the edit is durable, so cache trouble here is
             // self-healed (rebuild below), never surfaced as retryable —
             // a retry would commit the insert a second time.
-            let inserted = self.chain.insert_after(anchor, id, true);
+            let info = CharInfo {
+                ch: nc.ch,
+                deleted: false,
+                style: StyleId::NONE,
+                author: self.user,
+                created_at: ts,
+                version: 0,
+                src_doc: nc.src_doc,
+                src_char: nc.src_char,
+                external_src: nc.external.clone(),
+            };
+            let inserted = self.chain.insert_at(insert_total_pos + i, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
             );
             stale |= inserted.is_err();
-            self.cache.insert(
-                id,
-                CharInfo {
-                    ch: nc.ch,
-                    deleted: false,
-                    style: StyleId::NONE,
-                    author: self.user,
-                    created_at: ts,
-                    version: 0,
-                    src_doc: nc.src_doc,
-                    src_char: nc.src_char,
-                    external_src: nc.external.clone(),
-                },
-            );
             effects.push(Effect::Insert {
                 char: id,
                 prev: anchor,
@@ -833,6 +793,20 @@ impl DocHandle {
             effects,
         };
         Ok((receipt, durability))
+    }
+
+    /// Where an insert at visible position `pos` goes: the visible
+    /// character before it (`None` at the head) and the total-order rank
+    /// the first new character takes. One descent to the anchor's slot,
+    /// one walk up from it.
+    fn anchor_at(&self, pos: usize) -> (Option<CharId>, usize) {
+        match pos
+            .checked_sub(1)
+            .and_then(|p| self.chain.slot_at_visible(p))
+        {
+            None => (None, 0),
+            Some(s) => (Some(self.chain.id_at(s)), self.chain.total_rank_at(s) + 1),
+        }
     }
 
     /// Write the oplog row for an operation.

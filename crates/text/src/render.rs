@@ -58,9 +58,9 @@ impl DocHandle {
 
         let mut out = String::with_capacity(self.len() * 2);
         let mut current_style = StyleId::NONE;
-        let ids = self.chain.iter_visible();
-        for (pos, id) in ids.iter().enumerate() {
-            let info = &self.cache[id];
+        let mut infos = Vec::with_capacity(self.len());
+        self.chain.for_each_visible(|_, info| infos.push(info));
+        for (pos, info) in infos.into_iter().enumerate() {
             // Structure openings before the character.
             if let Some(kinds) = open_struct.get(&pos) {
                 for k in kinds {

@@ -152,7 +152,7 @@ impl DocHandle {
     ) -> Result<Vec<Effect>> {
         let t = *self.tdb.tables();
         let version = |id: CharId| {
-            let cached = self.cache.get(&id).map_or(0, |info| info.version);
+            let cached = self.chain.info(id).map_or(0, |info| info.version);
             Value::Int(cached + 1)
         };
         let mut out = Vec::with_capacity(ranges.iter().map(|r| r.count as usize).sum());

@@ -2,10 +2,13 @@
 //!
 //! The reference model is a plain `String`; the system under test is the
 //! full stack (character tuples in the MVCC engine + the chain cache).
+//! `cached_info_equals_a_fresh_load` holds the chain's per-character info
+//! to the `chars` rows themselves. The proptest shim prints
+//! `PROPTEST_SEED=<n>` on failure; export it to replay the sequence.
 
 use proptest::prelude::*;
 
-use tendax_text::{DocHandle, TextDb, UserId};
+use tendax_text::{CharId, CharInfo, DocHandle, DocId, StyleId, TextDb, UserId};
 
 #[derive(Debug, Clone)]
 enum EditOp {
@@ -221,4 +224,184 @@ proptest! {
             prop_assert_eq!(ha.text(), hb.text());
         }
     }
+
+    /// Every character's cached info equals the stored row's, on both
+    /// handles of a two-editor history, after every step: typing, range
+    /// deletes, pastes from the document itself or from another one,
+    /// external pastes, restyles, local and global undo and redo, each
+    /// step's effects applied to the other handle by `apply_remote`.
+    /// "Equal" is `for_each_char` of the handle against `for_each_char` of
+    /// a fresh `TextDb::load`: the same characters in the same order, and
+    /// every `CharInfo` field alike.
+    #[test]
+    fn cached_info_equals_a_fresh_load(script in proptest::collection::vec(arb_info_step(), 1..40)) {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let styles = [
+            tdb.define_style("bold", "b", alice).unwrap(),
+            tdb.define_style("italic", "i", alice).unwrap(),
+        ];
+        let source = tdb.create_document("source", alice).unwrap();
+        let mut src = tdb.open(source, alice).unwrap();
+        src.insert_text(0, "a source to paste from").unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        let mut handles = [tdb.open(doc, alice).unwrap(), tdb.open(doc, bob).unwrap()];
+
+        for (i, step) in script.iter().enumerate() {
+            let (actor, watcher) = match step.who() {
+                0 => { let [a, b] = &mut handles; (a, b) }
+                _ => { let [a, b] = &mut handles; (b, a) }
+            };
+            if let Some(effects) = run_info_step(step, actor, &src, styles) {
+                watcher.apply_remote(&effects).unwrap();
+            }
+            let fresh = chars_of(&tdb.load(doc, UserId::NONE).unwrap());
+            for (who, h) in handles.iter().enumerate() {
+                prop_assert_eq!(&chars_of(h), &fresh, "handle {} after step {}: {:?}", who, i, step);
+            }
+        }
+    }
+}
+
+#[derive(Debug, Clone)]
+enum InfoStep {
+    Type {
+        who: usize,
+        at: usize,
+        text: String,
+    },
+    Delete {
+        who: usize,
+        at: usize,
+        len: usize,
+    },
+    /// Copy `len` characters at `at` — of the acting handle's own document,
+    /// or of the source document — and paste them at `to_at`.
+    Paste {
+        who: usize,
+        own: bool,
+        at: usize,
+        len: usize,
+        to_at: usize,
+    },
+    External {
+        who: usize,
+        at: usize,
+    },
+    Style {
+        who: usize,
+        at: usize,
+        len: usize,
+        style: usize,
+    },
+    Undo {
+        who: usize,
+        global: bool,
+    },
+    Redo {
+        who: usize,
+        global: bool,
+    },
+}
+
+impl InfoStep {
+    fn who(&self) -> usize {
+        match self {
+            InfoStep::Type { who, .. }
+            | InfoStep::Delete { who, .. }
+            | InfoStep::Paste { who, .. }
+            | InfoStep::External { who, .. }
+            | InfoStep::Style { who, .. }
+            | InfoStep::Undo { who, .. }
+            | InfoStep::Redo { who, .. } => *who,
+        }
+    }
+}
+
+fn arb_info_step() -> impl Strategy<Value = InfoStep> {
+    let who = || 0usize..2;
+    prop_oneof![
+        5 => (who(), any::<usize>(), "[a-z ]{1,6}")
+            .prop_map(|(who, at, text)| InfoStep::Type { who, at, text }),
+        3 => (who(), any::<usize>(), 1usize..5)
+            .prop_map(|(who, at, len)| InfoStep::Delete { who, at, len }),
+        2 => (who(), any::<bool>(), any::<usize>(), 1usize..6, any::<usize>())
+            .prop_map(|(who, own, at, len, to_at)| InfoStep::Paste { who, own, at, len, to_at }),
+        1 => (who(), any::<usize>()).prop_map(|(who, at)| InfoStep::External { who, at }),
+        2 => (who(), any::<usize>(), 1usize..5, 0usize..2)
+            .prop_map(|(who, at, len, style)| InfoStep::Style { who, at, len, style }),
+        2 => (who(), any::<bool>()).prop_map(|(who, global)| InfoStep::Undo { who, global }),
+        1 => (who(), any::<bool>()).prop_map(|(who, global)| InfoStep::Redo { who, global }),
+    ]
+}
+
+/// Run one step on `h`; its effects, or `None` if the document refused it
+/// (nothing to undo, an empty range) — part of a random schedule, not a
+/// failure.
+fn run_info_step(
+    step: &InfoStep,
+    h: &mut DocHandle,
+    src: &DocHandle,
+    styles: [StyleId; 2],
+) -> Option<Vec<tendax_text::Effect>> {
+    let within = |len: usize, at: usize| at % (len + 1);
+    let receipt = match step {
+        InfoStep::Type { at, text, .. } => h.insert_text(within(h.len(), *at), text),
+        InfoStep::Delete { at, len, .. } => {
+            let at = within(h.len(), *at);
+            h.delete_range(at, (*len).min(h.len() - at))
+        }
+        InfoStep::Paste {
+            own,
+            at,
+            len,
+            to_at,
+            ..
+        } => {
+            let from = if *own { &*h } else { src };
+            let at = within(from.len(), *at);
+            let clip = from.copy(at, (*len).min(from.len() - at)).ok()?;
+            h.paste(within(h.len(), *to_at), &clip)
+        }
+        InfoStep::External { at, .. } => {
+            h.paste_external(within(h.len(), *at), "web", "https://example.org")
+        }
+        InfoStep::Style { at, len, style, .. } => {
+            let at = within(h.len(), *at);
+            h.apply_style(at, (*len).min(h.len() - at), styles[*style])
+        }
+        InfoStep::Undo { global: false, .. } => h.undo(),
+        InfoStep::Undo { global: true, .. } => h.global_undo(),
+        InfoStep::Redo { global: false, .. } => h.redo(),
+        InfoStep::Redo { global: true, .. } => h.global_redo(),
+    };
+    Some(receipt.ok()?.effects)
+}
+
+/// The handle's full chain, tombstones included, with each character's
+/// cached info.
+fn chars_of(h: &DocHandle) -> Vec<(CharId, CharInfo)> {
+    let mut out = Vec::new();
+    h.for_each_char(|id, info| out.push((id, info.clone())));
+    out
+}
+
+#[test]
+fn a_paste_from_another_document_carries_its_source_in_the_cache() {
+    let tdb = TextDb::in_memory();
+    let u = tdb.create_user("u").unwrap();
+    let (d1, d2) = (
+        tdb.create_document("one", u).unwrap(),
+        tdb.create_document("two", u).unwrap(),
+    );
+    let mut h1 = tdb.open(d1, u).unwrap();
+    h1.insert_text(0, "abc").unwrap();
+    let mut h2 = tdb.open(d2, u).unwrap();
+    h2.paste(0, &h1.copy(1, 2).unwrap()).unwrap();
+    let cached = chars_of(&h2);
+    assert_eq!(cached, chars_of(&tdb.load(d2, UserId::NONE).unwrap()));
+    assert_eq!(cached[0].1.src_doc, d1);
+    assert_eq!(cached[0].1.src_char, h1.char_at(1).unwrap());
+    assert_ne!(cached[0].1.src_doc, DocId::NONE);
 }

@@ -21,8 +21,11 @@
 # receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
 # `incremental_oracle` (the same), `incremental_cost`,
 # `services_read_only`, `folder_algebra`, and the root package's
-# `metadata_services`. `benchmark/` is a workspace of its own; the last
-# leg builds and runs it.
+# `metadata_services`, and tendax-text `proptests` (the chain's cached
+# info against a fresh load, field by field; prints PROPTEST_SEED=<n> on
+# failure) and `alloc_count` (allocations of an open and of an event
+# check, bytes a loaded character holds). `benchmark/` is a workspace of
+# its own; the last leg builds and runs it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
