@@ -883,7 +883,7 @@ mod tests {
     #[test]
     fn an_operation_published_while_opening_is_delivered() {
         use std::sync::atomic::{AtomicBool, Ordering};
-        use tendax_storage::{CommitObserver, CommittedWrite, TableId, Ts};
+        use tendax_storage::{CommitObserver, TableId, Ts, WriteSet};
         use tendax_text::Effect;
 
         struct DeleteDuringOpen {
@@ -893,8 +893,8 @@ mod tests {
             event: DocEvent,
         }
         impl CommitObserver for DeleteDuringOpen {
-            fn committed(&self, commit_ts: Ts, writes: &[CommittedWrite]) {
-                if writes.iter().any(|w| w.table == self.reads)
+            fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
+                if writes.tables().any(|t| t.table() == self.reads)
                     && self.armed.swap(false, Ordering::SeqCst)
                 {
                     self.bus.publish(Arc::new(DocEvent {

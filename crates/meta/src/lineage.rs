@@ -2,15 +2,15 @@
 //!
 //! "Meta data about all editing and all copy-paste actions is stored with
 //! the document … We use this meta data to visualize data lineage."
-//! The graph is built from the `paste_events` table (document-level
-//! provenance) and the per-character `src_doc`/`src_char` references
-//! (character-level provenance chains).
+//! The graph is built from the paste-edge totals the commit stream keeps
+//! over the `paste_events` table (document-level provenance,
+//! [`TextDb::paste_edges`]) and the per-character `src_doc`/`src_char`
+//! references (character-level provenance chains).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt::Write as _;
 
-use tendax_storage::Predicate;
-use tendax_text::{CharId, DocId, Result, TextDb, UserId};
+use tendax_text::{CharId, DocId, PasteSource, Result, TextDb, UserId};
 
 use crate::json;
 
@@ -42,73 +42,61 @@ pub struct LineageEdge {
 }
 
 /// The document provenance graph.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct LineageGraph {
     pub nodes: Vec<LineageNode>,
     pub edges: Vec<LineageEdge>,
 }
 
 impl LineageGraph {
-    /// Build the full graph from the paste-event metadata.
+    /// Build the full graph: the document list, and the paste-edge
+    /// totals the commit stream keeps ([`TextDb::paste_edges`]).
     pub fn build(tdb: &TextDb) -> Result<LineageGraph> {
-        let t = tdb.tables();
-        let txn = tdb.database().begin();
-        let doc_name = |d: DocId| -> Result<String> {
-            Ok(tdb
-                .document_info(d)
-                .map(|i| i.name)
-                .unwrap_or_else(|_| format!("doc#{}", d.0)))
-        };
-
-        let mut nodes: BTreeSet<LineageNode> = BTreeSet::new();
-        for info in tdb.list_documents()? {
-            nodes.insert(LineageNode::Document {
-                doc: info.id.0,
-                name: info.name,
-            });
-        }
-
-        let mut agg: BTreeMap<(LineageNode, LineageNode), (usize, usize)> = BTreeMap::new();
-        for (_, row) in txn.scan(t.paste_events, &Predicate::True)? {
-            let [target, src_doc, external, n] = row.cols([0, 3, 4, 5]);
-            let target = DocId::from_value(target);
-            let src_doc = DocId::from_value(src_doc);
-            let external = external.as_text().map(str::to_owned);
-            let n = n.as_int().unwrap_or(0) as usize;
-
-            let to = LineageNode::Document {
-                doc: target.0,
-                name: doc_name(target)?,
-            };
-            let from = if let Some(src) = external {
-                LineageNode::External { source: src }
-            } else if !src_doc.is_none() {
-                LineageNode::Document {
-                    doc: src_doc.0,
-                    name: doc_name(src_doc)?,
-                }
-            } else {
-                continue; // paste with no recorded source
-            };
-            nodes.insert(from.clone());
-            nodes.insert(to.clone());
-            let e = agg.entry((from, to)).or_insert((0, 0));
-            e.0 += n;
-            e.1 += 1;
-        }
-
-        Ok(LineageGraph {
-            nodes: nodes.into_iter().collect(),
-            edges: agg
-                .into_iter()
-                .map(|((from, to), (chars, events))| LineageEdge {
-                    from,
-                    to,
-                    chars,
-                    events,
+        let mut names: BTreeMap<DocId, String> = (tdb.list_documents()?.into_iter())
+            .map(|info| (info.id, info.name))
+            .collect();
+        let mut externals: BTreeSet<String> = BTreeSet::new();
+        // A document the list predates (or a source that is gone) is
+        // looked up on its own, and joins the nodes.
+        let mut node = |d: DocId| LineageNode::Document {
+            doc: d.0,
+            name: (names.entry(d))
+                .or_insert_with(|| {
+                    (tdb.document_info(d).map(|i| i.name))
+                        .unwrap_or_else(|_| format!("doc#{}", d.0))
                 })
-                .collect(),
-        })
+                .clone(),
+        };
+        // In source-then-target order, which is the order of the
+        // `(from, to)` nodes: documents by id, then external sources.
+        let edges = (tdb.paste_edges()?.into_iter())
+            .map(|e| {
+                let from = match e.source {
+                    PasteSource::Document(src) => node(src),
+                    PasteSource::External(source) => {
+                        if !externals.contains(&source) {
+                            externals.insert(source.clone());
+                        }
+                        LineageNode::External { source }
+                    }
+                };
+                LineageEdge {
+                    from,
+                    to: node(e.target),
+                    chars: e.chars,
+                    events: e.events,
+                }
+            })
+            .collect();
+        let nodes = (names.into_iter())
+            .map(|(doc, name)| LineageNode::Document { doc: doc.0, name })
+            .chain(
+                externals
+                    .into_iter()
+                    .map(|source| LineageNode::External { source }),
+            )
+            .collect();
+        Ok(LineageGraph { nodes, edges })
     }
 
     /// Documents (and sources) that `doc` transitively drew content from.

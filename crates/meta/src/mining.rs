@@ -270,7 +270,13 @@ impl DocumentSpace {
         let spread_x = (max_x - min_x).max(1e-9);
         let spread_y = (max_y - min_y).max(1e-9);
         let mut grid = vec![vec![' '; width]; height];
-        for p in &self.points {
+        // A grid with no cell holds no point: the frame alone is drawn.
+        let plotted = if width == 0 || height == 0 {
+            &[][..]
+        } else {
+            &self.points[..]
+        };
+        for p in plotted {
             let cx = (((p.x - min_x) / spread_x) * (width - 1) as f64).round() as usize;
             let cy = (((p.y - min_y) / spread_y) * (height - 1) as f64).round() as usize;
             let glyph = char::from_digit((p.cluster % 10) as u32, 10).unwrap_or('#');
@@ -488,6 +494,18 @@ mod tests {
         assert_ne!(c_short, c_long);
         let json = space.to_json();
         assert!(json.contains("\"points\""));
+    }
+
+    #[test]
+    fn a_plot_with_no_rows_or_no_columns_is_an_empty_frame() {
+        let space = DocumentSpace::build(&corpus(), 2).unwrap();
+        let header = "Visual Mining — document space\n";
+        assert_eq!(
+            space.render_ascii(0, 2),
+            format!("{header}--\n||\n||\n--\n")
+        );
+        assert_eq!(space.render_ascii(3, 0), format!("{header}-----\n-----\n"));
+        assert_eq!(space.render_ascii(0, 0), format!("{header}--\n--\n"));
     }
 
     #[test]

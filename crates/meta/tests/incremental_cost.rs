@@ -1,8 +1,10 @@
 //! What the incremental services read, counted on `Database::stats()`:
-//! nothing for documents no commit touched, and for a touched document
-//! exactly what a cold computation of that document reads.
+//! nothing for documents no commit touched; for a touched document, no
+//! table at all where the service is a fold over the commit stream
+//! (`doc_stats`, the lineage graph's paste edges), and otherwise exactly
+//! what a cold computation of that document reads.
 
-use tendax_meta::{collect_features, DynamicFolders, FolderRule, FolderSet};
+use tendax_meta::{collect_features, DynamicFolders, FolderRule, FolderSet, LineageGraph};
 use tendax_process::ProcessEngine;
 use tendax_storage::{Database, Stats};
 use tendax_text::{DocId, TextDb, UserId};
@@ -107,7 +109,7 @@ fn an_idle_sweep_reads_the_document_list_and_nothing_else() {
 }
 
 #[test]
-fn three_edited_documents_cost_three_cold_computations() {
+fn three_edited_documents_cost_the_document_list_and_nothing_else() {
     let mut c = corpus();
     collect_features(&c.tdb).unwrap();
     let edited = [c.docs[3], c.docs[17], c.docs[40]];
@@ -116,22 +118,27 @@ fn three_edited_documents_cost_three_cold_computations() {
         h.insert_text(4, "!").unwrap();
     }
 
-    // What one document costs from scratch, on a handle with no memo.
+    // What one document costs from scratch, on a handle with no folds.
     let cold = TextDb::init(c.db.clone()).unwrap();
-    let per_doc: Vec<(u64, u64)> = edited
-        .iter()
-        .map(|doc| reads(&c.db, || cold.doc_stats(*doc).unwrap()).0)
-        .collect();
-    assert!(per_doc
-        .iter()
-        .all(|(lookups, rows)| *lookups > 0 && *rows > 0));
+    for doc in edited {
+        let (lookups, rows) = reads(&c.db, || cold.doc_stats(doc).unwrap()).0;
+        assert!(lookups > 0 && rows > 0);
+    }
 
-    // The sweep pays for the three, and the document list: 3 recomputed,
-    // 61 reused.
-    let (cost, _) = reads(&c.db, || collect_features(&c.tdb).unwrap());
-    let lookups: u64 = per_doc.iter().map(|c| c.0).sum();
-    let rows: u64 = per_doc.iter().map(|c| c.1).sum();
-    assert_eq!(cost, (lookups, DOCS as u64 + rows));
+    // The sweep pays for the document list only: the three edits were
+    // folded into their documents' statistics as they committed.
+    let (cost, features) = reads(&c.db, || collect_features(&c.tdb).unwrap());
+    assert_eq!(cost, (0, DOCS as u64));
+    let cold_features = collect_features(&cold).unwrap();
+    let strip_age = |f: Vec<tendax_meta::DocFeatures>| {
+        f.into_iter()
+            .map(|mut f| {
+                f.features.pop();
+                f
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(strip_age(features), strip_age(cold_features));
 
     // The folders whose rule reads what an edit writes re-run it for
     // those three; the others for none.
@@ -150,6 +157,41 @@ fn three_edited_documents_cost_three_cold_computations() {
         .unwrap()
         .1;
     assert_eq!(min_size.contents(), &edited[..]);
+}
+
+#[test]
+fn a_lineage_build_after_a_paste_reads_no_paste_event() {
+    let c = corpus();
+    let paste = |into: usize| {
+        let clip = c
+            .tdb
+            .load(c.docs[0], c.users[0])
+            .unwrap()
+            .copy(0, 4)
+            .unwrap();
+        let mut h = c.tdb.load(c.docs[into], c.users[1]).unwrap();
+        h.paste(0, &clip).unwrap();
+    };
+    paste(5);
+    // The first build reads `paste_events` once, to seed the totals.
+    let (cost, first) = reads(&c.db, || LineageGraph::build(&c.tdb).unwrap());
+    assert_eq!(cost, (0, DOCS as u64 + 1));
+    assert_eq!(first.edges.len(), 1);
+
+    // Every later one lists the documents and nothing else, whatever
+    // was pasted in between.
+    paste(6);
+    paste(5);
+    let (cost, graph) = reads(&c.db, || LineageGraph::build(&c.tdb).unwrap());
+    assert_eq!(cost, (0, DOCS as u64));
+    assert_eq!(
+        (graph.edges.iter())
+            .map(|e| (e.to.label(), e.chars, e.events))
+            .collect::<Vec<_>>(),
+        [("doc5".to_string(), 8, 2), ("doc6".to_string(), 4, 1)]
+    );
+    let cold = TextDb::init(c.db.clone()).unwrap();
+    assert_eq!(graph, LineageGraph::build(&cold).unwrap());
 }
 
 #[test]

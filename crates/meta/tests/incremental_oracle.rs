@@ -1,10 +1,10 @@
 //! The incremental services against a from-scratch rebuild.
 //!
-//! A long-lived `FolderSet` per rule, the memoized `doc_stats` and a
-//! long-lived `SearchEngine` fed only `update_document` calls live on one
-//! `TextDb`; after every step of a random schedule they must agree with
-//! the same questions asked through a second `TextDb::init(db.clone())`,
-//! whose change stamps and memo start cold. The schedule writes through
+//! A long-lived `FolderSet` per rule, the folded `doc_stats` and lineage
+//! graph, and a long-lived `SearchEngine` fed only `update_document` calls
+//! live on one `TextDb`; after every step of a random schedule they must
+//! agree with the same questions asked through a second
+//! `TextDb::init(db.clone())`, whose change stamps and folds start cold. The schedule writes through
 //! raw `DocHandle`s (opened on a third `init`, so nothing depends on which
 //! handle committed) and through `EditorDoc`s of a collaboration server.
 
@@ -12,7 +12,9 @@ use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use tendax_collab::{CollabServer, EditorDoc, EditorSession, Platform};
-use tendax_meta::{DynamicFolders, FolderChange, FolderRule, FolderSet, SearchEngine, SearchQuery};
+use tendax_meta::{
+    DynamicFolders, FolderChange, FolderRule, FolderSet, LineageGraph, SearchEngine, SearchQuery,
+};
 use tendax_process::{Assignee, ProcessEngine, TaskId, TaskSpec};
 use tendax_storage::Database;
 use tendax_text::{DocId, TextDb, UserId};
@@ -268,6 +270,10 @@ impl World {
             );
             self.engine.update_document(*doc).unwrap();
         }
+        prop_assert_eq!(
+            LineageGraph::build(&self.warm).unwrap(),
+            LineageGraph::build(&cold).unwrap()
+        );
         let rebuilt = SearchEngine::build(&cold).unwrap();
         for word in WORDS {
             let query = SearchQuery::any_terms(word);

@@ -12,7 +12,7 @@ use crate::cold::{ColdOptions, ColdStore};
 use crate::commit::{CommitLatch, CommitSequencer};
 use crate::error::{Result, StorageError};
 use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
-use crate::observer::{CommitObserver, CommittedOp, CommittedWrite};
+use crate::observer::{CommitObserver, WriteSet};
 use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
@@ -564,7 +564,7 @@ impl Database {
     /// left is the wait for its log record to reach the disk
     /// ([`Database::wal_wait`] on the ticket), which needs no lock.
     pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<WalTicket>)> {
-        let writes = std::mem::take(&mut txn.writes);
+        let mut writes = std::mem::take(&mut txn.writes);
         let created = std::mem::take(&mut txn.created);
         if writes.values().all(BTreeMap::is_empty) {
             self.inner.active.lock().remove(&txn.id());
@@ -712,18 +712,12 @@ impl Database {
             .map(|wal| wal.stage_commit(commit_ts, &rec))
             .transpose()?;
 
-        // A dropped observer stays listed until the next registration:
-        // only a live one is worth collecting the write set for.
-        let observers = self.inner.observers.read();
-        let observing = observers.iter().any(|o| o.strong_count() > 0);
-        let mut observed: Vec<CommittedWrite> = Vec::new();
-        if observing {
-            observed.reserve_exact(writes.values().map(|ws| ws.len()).sum());
-        }
-        // Handles were collected in the write set's table order.
-        for (guard, (tid, ws)) in guards.iter_mut().zip(writes) {
-            for (rid, op) in ws {
-                let (vop, desc) = match op {
+        // Handles were collected in the write set's table order. Each
+        // write's row moves into its version; the keys stay behind for
+        // the observers' view of the write set.
+        for (guard, (&tid, ws)) in guards.iter_mut().zip(writes.iter_mut()) {
+            for (&rid, op) in ws.iter_mut() {
+                let (vop, desc) = match std::mem::replace(op, WriteOp::Delete) {
                     // Same shared allocation the WAL record holds.
                     WriteOp::Put(r) => (VersionOp::Put(r), None),
                     WriteOp::Delete => (VersionOp::Delete, None),
@@ -736,26 +730,19 @@ impl Database {
                         (VersionOp::Put(eff), Some(desc))
                     }
                 };
-                if observing {
-                    observed.push(CommittedWrite {
-                        table: tid,
-                        row: rid,
-                        op: match &vop {
-                            VersionOp::Put(r) => CommittedOp::Put(r.clone()),
-                            VersionOp::Delete => {
-                                CommittedOp::Delete(guard.visible(rid, TS_LATEST).cloned())
-                            }
-                        },
-                    });
-                }
                 guard.apply_described(rid, commit_ts, vop, desc);
             }
         }
         // Observers hear of the commit while it is applied but not yet
         // visible: what they record is in place before `complete` lets
-        // a snapshot contain it.
-        for observer in observers.iter().filter_map(Weak::upgrade) {
-            observer.committed(commit_ts, &observed);
+        // a snapshot contain it. A dropped observer stays listed until
+        // the next registration and is skipped.
+        let observers = self.inner.observers.read();
+        if !observers.is_empty() {
+            let view = WriteSet::new(commit_ts, &guards, &writes, &created);
+            for observer in observers.iter().filter_map(Weak::upgrade) {
+                observer.committed(commit_ts, &view);
+            }
         }
         drop(observers);
         if !plan.rewrites.is_empty() {

@@ -67,7 +67,7 @@ pub use cold::ColdOptions;
 pub use db::{Database, Options, Stats, TableStats};
 pub use error::{Result, StorageError};
 pub use maintenance::MaintenanceOptions;
-pub use observer::{CommitObserver, CommittedOp, CommittedWrite};
+pub use observer::{CommitObserver, CommittedRow, Replaced, TableWrites, WriteSet};
 pub use query::{explain, plan_access, AccessPath, Predicate};
 pub use row::{Columns, Row, RowId, SharedRow};
 pub use schema::{ColumnDef, IndexDef, TableDef, TableId};

@@ -16,35 +16,132 @@
 //! must not call back into the database, cannot fail and must not panic.
 //! It is never called for an empty, conflicting or aborted transaction,
 //! nor while a log is replayed.
+//!
+//! What it is handed is a [`WriteSet`]: a view of the write set borrowed
+//! from the locked tables for the length of the call. Each row carries
+//! the version the commit replaced and the version it published, read
+//! from the row's version chain; nothing is copied or collected for it.
+
+use std::collections::{BTreeMap, HashSet};
+
+use parking_lot::RwLockWriteGuard;
 
 use crate::row::{RowId, SharedRow};
 use crate::schema::TableId;
-use crate::table::Ts;
+use crate::table::{TableStore, Ts, VersionOp};
+use crate::txn::WriteOp;
+
+/// A commit's write set, borrowed from the tables it was applied to.
+pub struct WriteSet<'a> {
+    commit_ts: Ts,
+    /// One write-locked table per entry of `writes`, in the same order.
+    stores: &'a [RwLockWriteGuard<'a, TableStore>],
+    writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
+    /// Rows the transaction inserted.
+    created: &'a HashSet<(TableId, RowId)>,
+}
+
+impl<'a> WriteSet<'a> {
+    pub(crate) fn new(
+        commit_ts: Ts,
+        stores: &'a [RwLockWriteGuard<'a, TableStore>],
+        writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
+        created: &'a HashSet<(TableId, RowId)>,
+    ) -> WriteSet<'a> {
+        WriteSet {
+            commit_ts,
+            stores,
+            writes,
+            created,
+        }
+    }
+
+    /// The tables the commit wrote, in table-id order.
+    pub fn tables(&self) -> impl Iterator<Item = TableWrites<'_>> + '_ {
+        (self.stores.iter())
+            .zip(self.writes)
+            .map(|(store, (&table, rows))| TableWrites {
+                set: self,
+                table,
+                store,
+                rows,
+            })
+    }
+}
+
+/// The rows a commit wrote to one table.
+pub struct TableWrites<'a> {
+    set: &'a WriteSet<'a>,
+    table: TableId,
+    store: &'a TableStore,
+    rows: &'a BTreeMap<RowId, WriteOp>,
+}
+
+impl<'a> TableWrites<'a> {
+    pub fn table(&self) -> TableId {
+        self.table
+    }
+
+    /// The rows, in row-id order.
+    pub fn rows(&self) -> impl Iterator<Item = CommittedRow<'a>> + 'a {
+        let (set, table, store) = (self.set, self.table, self.store);
+        self.rows.keys().map(move |&row| {
+            // The commit appended the chain's newest version; the one
+            // below it is what it replaced, if RAM still holds it.
+            let (top, below) = (store.versions(row).split_last())
+                .expect("the commit applied a version to every row it wrote");
+            debug_assert_eq!(top.commit_ts, set.commit_ts);
+            let replaced = match below.last().map(|v| &v.op) {
+                Some(VersionOp::Put(r)) => Replaced::Version(r),
+                Some(VersionOp::Delete) => Replaced::Inserted,
+                None if set.created.contains(&(table, row)) => Replaced::Inserted,
+                None => Replaced::NotResident,
+            };
+            let published = match &top.op {
+                VersionOp::Put(r) => Some(r),
+                VersionOp::Delete => None,
+            };
+            CommittedRow {
+                table,
+                row,
+                replaced,
+                published,
+            }
+        })
+    }
+}
 
 /// One row a commit wrote.
-#[derive(Debug, Clone)]
-pub struct CommittedWrite {
+#[derive(Debug, Clone, Copy)]
+pub struct CommittedRow<'a> {
     pub table: TableId,
     pub row: RowId,
-    pub op: CommittedOp,
-}
-
-/// What a commit did to a row, with the row's bytes.
-#[derive(Debug, Clone)]
-pub enum CommittedOp {
+    /// What the row was before the commit.
+    pub replaced: Replaced<'a>,
     /// The row as published: the written row, or for a patch the row
-    /// validation merged it into.
-    Put(SharedRow),
-    /// The version the delete removed; `None` when it was not resident.
-    Delete(Option<SharedRow>),
+    /// validation merged it into. `None` for a delete.
+    pub published: Option<&'a SharedRow>,
 }
 
-impl CommittedWrite {
-    /// The row this write published or removed, when it is known.
-    pub fn data(&self) -> Option<&SharedRow> {
-        match &self.op {
-            CommittedOp::Put(row) => Some(row),
-            CommittedOp::Delete(row) => row.as_ref(),
+/// The version a write replaced.
+#[derive(Debug, Clone, Copy)]
+pub enum Replaced<'a> {
+    /// The commit inserted the row: nothing was there.
+    Inserted,
+    /// The newest version below the commit's.
+    Version(&'a SharedRow),
+    /// The row existed, but no version of it below the commit's is
+    /// resident in RAM (its history went to the cold tier): what was
+    /// there is not known.
+    NotResident,
+}
+
+impl<'a> Replaced<'a> {
+    /// The replaced row, when it is known and was not a tombstone.
+    pub fn row(&self) -> Option<&'a SharedRow> {
+        match self {
+            Replaced::Version(row) => Some(row),
+            Replaced::Inserted | Replaced::NotResident => None,
         }
     }
 }
@@ -52,8 +149,8 @@ impl CommittedWrite {
 /// A listener on the commit stream. See the module documentation for
 /// when it is called and what it may do.
 pub trait CommitObserver: Send + Sync {
-    /// `writes` is the whole write set of the commit at `commit_ts`, in
-    /// table-id then row-id order. Commits to disjoint tables call
-    /// concurrently and not in timestamp order: fold with `max`.
-    fn committed(&self, commit_ts: Ts, writes: &[CommittedWrite]);
+    /// `writes` is the whole write set of the commit at `commit_ts`.
+    /// Commits to disjoint tables call concurrently and not in timestamp
+    /// order: fold with `max`, or with operations that commute.
+    fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>);
 }

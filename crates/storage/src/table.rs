@@ -483,6 +483,11 @@ impl TableStore {
         self.observe_row_id(row);
     }
 
+    /// Every version of `row` RAM holds, oldest first.
+    pub fn versions(&self, row: RowId) -> &[Version] {
+        self.chains.get(row).map_or(&[], Chain::versions)
+    }
+
     /// Every version of `row` committed strictly after `ts`, in commit
     /// order (the versions descriptor-granularity validation must prove
     /// commutativity against).

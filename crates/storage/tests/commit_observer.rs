@@ -1,32 +1,60 @@
 //! The commit observer's contract ([`tendax_storage::observer`]): one
-//! call per non-empty commit and none for anything else, the rows as
-//! published, the call before the commit is visible, and a registered
-//! observer keeps nothing of the database alive.
+//! call per non-empty commit and none for anything else, each row's
+//! replaced and published versions, the call before the commit is
+//! visible, and a registered observer keeps nothing of the database
+//! alive.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 
 use tendax_storage::{
-    CommitObserver, CommittedOp, CommittedWrite, DataType, Database, Row, RowId, StorageError,
-    TableDef, TableId, Ts, Value,
+    ColdOptions, CommitObserver, DataType, Database, Options, Replaced, Row, RowId, SharedRow,
+    StorageError, TableDef, TableId, Ts, Value, WriteSet,
 };
 
 mod common;
 use common::TestDir;
 
+/// What a row was before a commit, copied out of the borrowed view.
+#[derive(Debug, Clone, PartialEq)]
+enum Was {
+    Inserted,
+    Row(Vec<Option<u64>>),
+    NotResident,
+}
+
+/// One row of a write set, copied out of the borrowed view.
+#[derive(Debug, Clone, PartialEq)]
+struct Written {
+    table: TableId,
+    row: RowId,
+    replaced: Was,
+    published: Option<Vec<Option<u64>>>,
+}
+
 /// Keeps every call it gets.
 #[derive(Default)]
 struct Recorder {
-    calls: Mutex<Vec<(Ts, Vec<CommittedWrite>)>>,
+    calls: Mutex<Vec<(Ts, Vec<Written>)>>,
 }
 
 impl CommitObserver for Recorder {
-    fn committed(&self, commit_ts: Ts, writes: &[CommittedWrite]) {
-        self.calls
-            .lock()
-            .unwrap()
-            .push((commit_ts, writes.to_vec()));
+    fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
+        let rows = (writes.tables())
+            .flat_map(|t| t.rows())
+            .map(|w| Written {
+                table: w.table,
+                row: w.row,
+                replaced: match w.replaced {
+                    Replaced::Inserted => Was::Inserted,
+                    Replaced::Version(row) => Was::Row(ids(row)),
+                    Replaced::NotResident => Was::NotResident,
+                },
+                published: w.published.map(ids),
+            })
+            .collect();
+        self.calls.lock().unwrap().push((commit_ts, rows));
     }
 }
 
@@ -38,7 +66,7 @@ impl Recorder {
         recorder
     }
 
-    fn calls(&self) -> Vec<(Ts, Vec<CommittedWrite>)> {
+    fn calls(&self) -> Vec<(Ts, Vec<Written>)> {
         self.calls.lock().unwrap().clone()
     }
 }
@@ -60,7 +88,7 @@ fn insert(db: &Database, t: TableId, row: Row) -> (RowId, Ts) {
     (rid, txn.commit().unwrap())
 }
 
-fn ids(row: &tendax_storage::SharedRow) -> Vec<Option<u64>> {
+fn ids(row: &SharedRow) -> Vec<Option<u64>> {
     row.iter().map(|v| v.as_id()).collect()
 }
 
@@ -121,7 +149,7 @@ fn put_and_patch_deliver_the_published_row_and_delete_the_removed_one() {
     b.commit().unwrap();
     assert_eq!(db.stats().commits_merged, 1);
 
-    // A plain put, then a delete of the merged row.
+    // An insert, then a delete of the merged row.
     let (other, _) = insert(&db, t, link_row(Some(7), Some(8)));
     let mut txn = db.begin();
     txn.delete(t, rid).unwrap();
@@ -129,21 +157,61 @@ fn put_and_patch_deliver_the_published_row_and_delete_the_removed_one() {
 
     let rows: Vec<_> = seen
         .calls()
-        .iter()
-        .flat_map(|(_, writes)| writes.clone())
-        .map(|w| {
-            let deleted = matches!(w.op, CommittedOp::Delete(_));
-            (w.row, deleted, w.data().map(ids))
-        })
+        .into_iter()
+        .flat_map(|(_, writes)| writes)
+        .map(|w| (w.row, w.replaced, w.published))
         .collect();
+    let row = |prev, next| vec![prev, next];
     assert_eq!(
         rows,
         [
-            (rid, false, Some(vec![Some(10), None])),
-            (rid, false, Some(vec![Some(10), Some(20)])),
-            (other, false, Some(vec![Some(7), Some(8)])),
-            (rid, true, Some(vec![Some(10), Some(20)])),
+            (rid, Was::Row(row(None, None)), Some(row(Some(10), None))),
+            (
+                rid,
+                Was::Row(row(Some(10), None)),
+                Some(row(Some(10), Some(20)))
+            ),
+            (other, Was::Inserted, Some(row(Some(7), Some(8)))),
+            (rid, Was::Row(row(Some(10), Some(20))), None),
         ]
+    );
+}
+
+#[test]
+fn a_write_over_history_the_cold_tier_took_knows_no_replaced_version() {
+    let dir = TestDir::new("tendax-observer-cold");
+    let options = Options {
+        cold_storage: Some(ColdOptions::default()),
+        ..Default::default()
+    };
+    let db = Database::open(dir.file("cold.wal"), options).unwrap();
+    let t = db.create_table(links()).unwrap();
+    let (rid, born) = insert(&db, t, link_row(Some(1), None));
+    let mut txn = db.begin();
+    txn.delete(t, rid).unwrap();
+    txn.commit().unwrap();
+    // The demoting vacuum moves the row's whole history, the tombstone
+    // included, into a cold run: RAM holds no version of it.
+    assert_eq!(db.vacuum(), 2);
+    let seen = Recorder::on(&db);
+
+    // A transaction pinned below the delete still reads the row, from
+    // the cold tier, and may write it: first-committer-wins looks for
+    // newer versions in RAM, where the tombstone no longer is.
+    let mut pinned = db.begin_at(born).unwrap();
+    assert!(pinned.get(t, rid).unwrap().is_some());
+    pinned.set(t, rid, &[("next", Value::Id(2))]).unwrap();
+    pinned.commit().unwrap();
+    let calls = seen.calls();
+    assert_eq!(calls.len(), 1);
+    assert_eq!(
+        calls[0].1,
+        [Written {
+            table: t,
+            row: rid,
+            replaced: Was::NotResident,
+            published: Some(vec![Some(1), Some(2)]),
+        }]
     );
 }
 
@@ -154,7 +222,7 @@ struct Gate {
 }
 
 impl CommitObserver for Gate {
-    fn committed(&self, commit_ts: Ts, _: &[CommittedWrite]) {
+    fn committed(&self, commit_ts: Ts, _: &WriteSet<'_>) {
         self.announce.lock().unwrap().send(commit_ts).unwrap();
         self.release.lock().unwrap().recv().unwrap();
     }
@@ -194,9 +262,10 @@ struct Stamps {
 }
 
 impl CommitObserver for Stamps {
-    fn committed(&self, commit_ts: Ts, writes: &[CommittedWrite]) {
+    fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
         let mut tables = self.tables.lock().unwrap();
-        let (newest, calls, ordered) = tables.entry(writes[0].table).or_insert((0, 0, true));
+        let table = writes.tables().next().unwrap().table();
+        let (newest, calls, ordered) = tables.entry(table).or_insert((0, 0, true));
         *ordered &= commit_ts > *newest;
         *newest = (*newest).max(commit_ts);
         *calls += 1;

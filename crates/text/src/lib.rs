@@ -57,7 +57,7 @@ pub use ids::{
     CharId, DocId, NoteId, ObjectId, OpId, RoleId, StructId, StyleId, UserId, VersionId,
 };
 pub use layout::StructureInfo;
-pub use meta::{CharMeta, DocStats, Provenance};
+pub use meta::{CharMeta, DocStats, PasteEdge, PasteSource, Provenance};
 pub use notes::NoteInfo;
 pub use objects::ObjectInfo;
 pub use ops::{Clip, EditReceipt, Effect};

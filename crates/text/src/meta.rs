@@ -6,13 +6,15 @@
 //! reader histories. The meta crate's dynamic folders, lineage, mining
 //! and search are all built on these queries.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
-use tendax_storage::{Predicate, Transaction};
+use tendax_storage::{Predicate, SharedRow, Transaction, ValueRef};
 
 use crate::document::DocHandle;
 use crate::error::Result;
 use crate::ids::{CharId, DocId, StyleId, UserId};
+use crate::stamps::Accumulate;
 use crate::textdb::TextDb;
 
 /// Where a character came from.
@@ -97,65 +99,253 @@ pub struct DocStats {
     pub external_in: usize,
 }
 
+/// A table a document's statistics are folded from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum StatsTable {
+    Chars,
+    Oplog,
+    Reads,
+}
+
+/// What one row contributes to its document's [`DocStats`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum StatsPart {
+    Char {
+        author: UserId,
+        visible: bool,
+        copied: bool,
+        external: bool,
+    },
+    Op,
+    Read(UserId),
+}
+
+impl StatsPart {
+    pub(crate) fn of(table: StatsTable, row: &SharedRow) -> StatsPart {
+        match table {
+            StatsTable::Chars => {
+                let [author, deleted, src_doc, external] = row.cols([4, 7, 11, 13]);
+                StatsPart::Char {
+                    author: UserId::from_value(author),
+                    visible: !deleted.as_bool().unwrap_or(false),
+                    copied: !matches!(src_doc, ValueRef::Null),
+                    external: !matches!(external, ValueRef::Null),
+                }
+            }
+            StatsTable::Oplog => StatsPart::Op,
+            StatsTable::Reads => StatsPart::Read(UserId::from_value(row.cols([1])[0])),
+        }
+    }
+}
+
+/// [`DocStats`] as counts: authors and readers are multisets, so a
+/// contribution can be taken away again.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct StatsAcc {
+    size: usize,
+    tuples: usize,
+    ops: usize,
+    copied_in: usize,
+    external_in: usize,
+    authors: BTreeMap<UserId, usize>,
+    readers: BTreeMap<UserId, usize>,
+}
+
+/// `n + by`, for a count a fold only takes back what it gave.
+fn shift(n: &mut usize, by: isize) {
+    *n = n
+        .checked_add_signed(by)
+        .expect("a fold takes away only what it added");
+}
+
+/// Shift the count of `key` by `by`, keeping no key at zero.
+fn shift_key<K: Ord>(counts: &mut BTreeMap<K, usize>, key: K, by: isize) {
+    match counts.entry(key) {
+        Entry::Occupied(mut e) => {
+            shift(e.get_mut(), by);
+            if *e.get() == 0 {
+                e.remove();
+            }
+        }
+        Entry::Vacant(e) => {
+            let mut n = 0;
+            shift(&mut n, by);
+            e.insert(n);
+        }
+    }
+}
+
+impl Accumulate for StatsAcc {
+    type Part = StatsPart;
+
+    fn apply(&mut self, part: &StatsPart, by: isize) {
+        match *part {
+            StatsPart::Char {
+                author,
+                visible,
+                copied,
+                external,
+            } => {
+                shift(&mut self.tuples, by);
+                shift_key(&mut self.authors, author, by);
+                for (counted, n) in [
+                    (visible, &mut self.size),
+                    (copied, &mut self.copied_in),
+                    (external, &mut self.external_in),
+                ] {
+                    if counted {
+                        shift(n, by);
+                    }
+                }
+            }
+            StatsPart::Op => shift(&mut self.ops, by),
+            StatsPart::Read(user) => shift_key(&mut self.readers, user, by),
+        }
+    }
+}
+
+impl StatsAcc {
+    pub(crate) fn stats(&self, doc: DocId) -> DocStats {
+        DocStats {
+            doc,
+            size: self.size,
+            tuples: self.tuples,
+            authors: self.authors.keys().copied().collect(),
+            readers: self.readers.keys().copied().collect(),
+            ops: self.ops,
+            copied_in: self.copied_in,
+            external_in: self.external_in,
+        }
+    }
+}
+
+/// Where pasted characters came from.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum PasteSource {
+    Document(DocId),
+    /// Outside the system: the source the paste named.
+    External(String),
+}
+
+/// Every paste into one document from one source, totalled.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct PasteEdge {
+    pub target: DocId,
+    pub source: PasteSource,
+    /// Characters pasted, over all the events.
+    pub chars: usize,
+    /// Paste events.
+    pub events: usize,
+}
+
+/// What one `paste_events` row contributes to the edge totals.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct PastePart {
+    target: DocId,
+    source: PasteSource,
+    chars: usize,
+}
+
+impl PastePart {
+    /// `None` for a paste with no recorded source.
+    pub(crate) fn of(row: &SharedRow) -> Option<PastePart> {
+        let [target, src_doc, external, n] = row.cols([0, 3, 4, 5]);
+        let src_doc = DocId::from_value(src_doc);
+        let source = match external.as_text() {
+            Some(src) => PasteSource::External(src.to_owned()),
+            None if !src_doc.is_none() => PasteSource::Document(src_doc),
+            None => return None,
+        };
+        Some(PastePart {
+            target: DocId::from_value(target),
+            source,
+            chars: n.as_int().unwrap_or(0) as usize,
+        })
+    }
+}
+
+/// `(source, target) → (chars, events)` over `paste_events`.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PasteAcc(BTreeMap<(PasteSource, DocId), (usize, usize)>);
+
+impl Accumulate for PasteAcc {
+    type Part = PastePart;
+
+    fn apply(&mut self, part: &PastePart, by: isize) {
+        let key = (part.source.clone(), part.target);
+        let (chars, events) = self.0.entry(key.clone()).or_default();
+        shift(chars, by * part.chars as isize);
+        shift(events, by);
+        if *events == 0 {
+            self.0.remove(&key);
+        }
+    }
+}
+
+impl PasteAcc {
+    pub(crate) fn edges(&self) -> Vec<PasteEdge> {
+        (self.0.iter())
+            .map(|((source, target), &(chars, events))| PasteEdge {
+                target: *target,
+                source: source.clone(),
+                chars,
+                events,
+            })
+            .collect()
+    }
+}
+
 impl TextDb {
-    /// Statistics for one document. Memoized per document under the
-    /// change stamps of `chars`, `reads` and `oplog` (DESIGN.md §5.13):
-    /// the metadata tables are read only when a commit touched the
-    /// document since the statistics were last computed.
+    /// Statistics for one document, folded from the commit stream under
+    /// the change stamps of `chars`, `reads` and `oplog` (DESIGN.md
+    /// §5.13): the metadata tables are read the first time a document is
+    /// asked about, and after that only if its fold had to be dropped.
     pub fn doc_stats(&self, doc: DocId) -> Result<DocStats> {
-        let t = self.tables();
-        // Snapshot first, stamp second: see the rule in `stamps`.
+        // Snapshot first, fold second: see the rules in `stamps`.
         let at = self.database().last_commit_ts();
-        let stamp = self.doc_stamp(&[t.chars, t.reads, t.oplog], doc);
-        if let Some(stats) = self.stamps().cached_stats(doc, stamp, at) {
+        if let Some(stats) = self.stamps().doc_stats(doc, at) {
             return Ok(stats);
         }
         let txn = self.database().begin();
-        let stats = self.read_doc_stats(&txn, doc)?;
-        self.stamps()
-            .store_stats(doc, txn.snapshot_ts(), stats.clone());
+        let acc = self.read_doc_stats(&txn, doc)?;
+        let stats = acc.stats(doc);
+        self.stamps().seed_doc_stats(doc, txn.snapshot_ts(), acc);
         Ok(stats)
     }
 
     /// [`TextDb::doc_stats`] straight from the metadata tables.
-    fn read_doc_stats(&self, txn: &Transaction, doc: DocId) -> Result<DocStats> {
+    fn read_doc_stats(&self, txn: &Transaction, doc: DocId) -> Result<StatsAcc> {
         let t = self.tables();
-        let chars = txn.index_lookup(t.chars, "chars_by_doc", &[doc.value()])?;
-        let mut size = 0usize;
-        let mut authors: BTreeMap<UserId, ()> = BTreeMap::new();
-        let mut copied_in = 0usize;
-        let mut external_in = 0usize;
-        for (_, row) in &chars {
-            let [author, deleted] = row.cols([4, 7]);
-            if !deleted.as_bool().unwrap_or(false) {
-                size += 1;
-            }
-            authors.insert(UserId::from_value(author), ());
-            if !row.is_null(11) {
-                copied_in += 1;
-            }
-            if !row.is_null(13) {
-                external_in += 1;
+        let mut acc = StatsAcc::default();
+        for (_, row) in txn.index_lookup(t.chars, "chars_by_doc", &[doc.value()])? {
+            acc.apply(&StatsPart::of(StatsTable::Chars, &row), 1);
+        }
+        for (_, row) in txn.index_lookup(t.reads, "reads_by_doc", &[doc.value()])? {
+            acc.apply(&StatsPart::of(StatsTable::Reads, &row), 1);
+        }
+        acc.ops = txn.count(t.oplog, &Predicate::Eq("doc".into(), doc.value()))?;
+        Ok(acc)
+    }
+
+    /// Every paste into a document, totalled by source and target, in
+    /// that order (documents before external sources). Folded from the commit stream like
+    /// [`TextDb::doc_stats`]: `paste_events` is read the first time, and
+    /// after that only if the fold had to be dropped.
+    pub fn paste_edges(&self) -> Result<Vec<PasteEdge>> {
+        let at = self.database().last_commit_ts();
+        if let Some(edges) = self.stamps().paste_edges(at) {
+            return Ok(edges);
+        }
+        let txn = self.database().begin();
+        let mut acc = PasteAcc::default();
+        for (_, row) in txn.scan(self.tables().paste_events, &Predicate::True)? {
+            if let Some(part) = PastePart::of(&row) {
+                acc.apply(&part, 1);
             }
         }
-        let mut readers: Vec<UserId> = txn
-            .index_lookup(t.reads, "reads_by_doc", &[doc.value()])?
-            .into_iter()
-            .filter_map(|(_, row)| row.get(1).map(UserId::from_value))
-            .collect();
-        readers.sort();
-        readers.dedup();
-        let ops = txn.count(t.oplog, &Predicate::Eq("doc".into(), doc.value()))?;
-        Ok(DocStats {
-            doc,
-            size,
-            tuples: chars.len(),
-            authors: authors.into_keys().collect(),
-            readers,
-            ops,
-            copied_in,
-            external_in,
-        })
+        let edges = acc.edges();
+        self.stamps().seed_paste_edges(txn.snapshot_ts(), acc);
+        Ok(edges)
     }
 
     /// Documents `user` has read since `since` (engine-clock timestamp),

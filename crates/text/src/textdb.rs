@@ -7,7 +7,9 @@
 
 use std::sync::Arc;
 
-use tendax_storage::{CommitObserver, Database, Predicate, Row, TableId, Transaction, Ts, Value};
+use tendax_storage::{
+    CommitObserver, Database, Predicate, Row, SharedRow, TableId, Transaction, Ts, Value,
+};
 
 use crate::error::{Result, TextError};
 use crate::ids::{DocId, RoleId, StyleId, UserId};
@@ -25,8 +27,22 @@ pub struct DocInfo {
     pub state: String,
 }
 
+impl DocInfo {
+    /// The descriptor a `documents` row holds.
+    fn of(id: DocId, row: &SharedRow) -> DocInfo {
+        let [name, creator, created_at, state] = row.cols([0, 1, 2, 3]);
+        DocInfo {
+            id,
+            name: name.as_text().unwrap_or_default().to_owned(),
+            creator: UserId::from_value(creator),
+            created_at: created_at.as_timestamp().unwrap_or(0),
+            state: state.as_text().unwrap_or_default().to_owned(),
+        }
+    }
+}
+
 /// Handle to a TeNDaX-enabled database. Every clone shares the change
-/// stamps (and the results memoized under them) of the `init` it came
+/// stamps (and the results folded under them) of the `init` it came
 /// from; a second `init` on the same database starts its own, cold.
 #[derive(Debug, Clone)]
 pub struct TextDb {
@@ -281,22 +297,16 @@ impl TextDb {
         let row = txn
             .get(self.t.documents, doc.row())?
             .ok_or(TextError::UnknownDocumentId(doc))?;
-        let [name, creator, created_at, state] = row.cols([0, 1, 2, 3]);
-        Ok(DocInfo {
-            id: doc,
-            name: name.as_text().unwrap_or_default().to_owned(),
-            creator: UserId::from_value(creator),
-            created_at: created_at.as_timestamp().unwrap_or(0),
-            state: state.as_text().unwrap_or_default().to_owned(),
-        })
+        Ok(DocInfo::of(doc, &row))
     }
 
     pub fn list_documents(&self) -> Result<Vec<DocInfo>> {
         let txn = self.db.begin();
         let rows = txn.scan(self.t.documents, &Predicate::True)?;
-        rows.into_iter()
-            .map(|(rid, _)| self.document_info_txn(&txn, DocId::from_row(rid)))
-            .collect()
+        Ok(rows
+            .iter()
+            .map(|(rid, row)| DocInfo::of(DocId::from_row(*rid), row))
+            .collect())
     }
 
     /// Transition a document's workflow state (`draft`, `review`, `final`, …).

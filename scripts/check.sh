@@ -16,10 +16,16 @@
 # (the client mirror against the server's chain; prints PROPTEST_SEED=<n>
 # on failure) and `mirror_cost` (allocations per applied event). The
 # metadata-services job's are:
-# tendax-storage `commit_observer`, tendax-text `doc_stats_memo`,
-# `purge_oracle` and `effect_ranges` (range effects against per-character
-# receipts; both print PROPTEST_SEED=<n> on failure), tendax-meta
-# `incremental_oracle` (the same), `incremental_cost`,
+# tendax-storage `commit_observer` (each row's replaced and published
+# versions, a non-resident replaced version on a cold-tier database),
+# tendax-text `doc_stats_memo` (the statistics fold under two writers,
+# a commit parked between its fold and its visibility, the cold-tier
+# fallback), `purge_oracle` and `effect_ranges` (range effects against
+# per-character receipts; both print PROPTEST_SEED=<n> on failure),
+# tendax-meta `incremental_oracle` (statistics, folders, search and the
+# lineage graph against a cold init; the same), `incremental_cost`
+# (reads counted: folded edits and a lineage build read no table but
+# `documents`),
 # `services_read_only`, `folder_algebra`, and the root package's
 # `metadata_services`, and tendax-text `proptests` (the chain's cached
 # info against a fresh load, field by field; prints PROPTEST_SEED=<n> on
