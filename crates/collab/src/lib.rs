@@ -45,4 +45,4 @@ pub use awareness::{AwarenessRegistry, Platform, Presence};
 pub use bus::{BusPolicy, DocEvent, LanBus, SessionId, Subscription, TransportStats};
 pub use live::{LiveDocs, LiveEditor, LiveStats};
 pub use server::CollabServer;
-pub use session::{EditorDoc, EditorSession, EditorStats, Unpublished};
+pub use session::{EditorDoc, EditorSession, EditorStats};

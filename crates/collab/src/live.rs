@@ -4,47 +4,52 @@
 //! TeNDaX editors are thin views on a document the server holds. A
 //! [`CollabServer`] keeps one [`Replica`] per document that at least one
 //! [`LiveEditor`] is attached to — loaded from the database by the first,
-//! dropped with the last — and every attached editor *borrows* it:
+//! dropped with the last — and every attached editor *borrows* it.
 //!
-//! * an edit locks the document, commits through its one handle in the
-//!   editor's name, and has folded its effects in before the lock is
-//!   released, so edits through the live document apply in commit order
-//!   and never race one another's view. The lock is released once the
-//!   commit is *visible*; the wait for the disk comes after, so typists
-//!   on one document still share a group-commit flush;
-//! * commits made elsewhere on the server (an in-process
-//!   [`crate::EditorDoc`]) are applied by [`CollabServer`]'s publish, on
-//!   their committing thread, through the same reorder buffer an editor's
-//!   own replica uses;
+//! ## One way in
+//!
+//! A live copy changes only under its document's lock, through the
+//! commit that changes the document. Every editor of a document — a
+//! [`LiveEditor`] or an in-process [`crate::EditorDoc`] — holds the
+//! document's slot from open to close, and every commit attempt it makes
+//! runs through one helper (`Hold::commit`): under the slot's lock, with the
+//! commit folded into the copy, if one is loaded, before the lock is
+//! released. A fold applies the commit's effects if they fit the copy and
+//! rebuilds the copy from the database if not; it never buffers. So:
+//!
+//! * edits reach the copy in commit order and never race one another's
+//!   view. The lock is released once the commit is *visible*; the wait
+//!   for the disk comes after, so typists on one document still share a
+//!   group-commit flush;
+//! * publishing a commit feeds the bus and the wire, never a copy: the
+//!   order events are published in does not matter here;
 //! * a snapshot is an encode of the chain under the lock — no database
 //!   read.
+//!
+//! An editor *holds* the slot rather than look it up when it commits:
+//! otherwise it could find no copy and commit while the first
+//! [`LiveEditor`] is loading one, and that load could miss the commit.
 //!
 //! ## The frontier
 //!
 //! A snapshot says "everything committed at or before `synced_ts` is in
-//! here". The newest commit *applied* is not that: an editor's commit is
-//! in the database before its event is published. So the server counts,
-//! per document, the commits that have begun in an editor and are not yet
-//! published ([`InFlight`], which travels with the event from commit to
-//! publish). A snapshot reads the database's commit watermark `F` and
-//! *then*, still under the document's lock, that count: at zero, every
-//! commit at or below `F` was made through the live document (folded in
-//! under the lock) or has been published (applied by the publish, under
-//! the lock, before the guard drops) — `F` is a frontier. Otherwise it
-//! lets go of the lock and waits for the count to drain; it never
-//! guesses. Commits that bypass the
-//! server's editors altogether (a raw `DocHandle`) are not seen until a
-//! conflicting edit forces a rebuild; serve such documents from editors.
+//! here". Under the document's lock that is the database's commit
+//! watermark: every editor's commit on the document at or below it was
+//! folded in before the lock was let go, and none is half done. Commits
+//! that bypass the editors altogether (a raw `DocHandle`, a tombstone
+//! purge) are not seen until a later fold finds the copy stale and
+//! rebuilds it; serve such documents from editors.
 //!
-//! Lock order: the document's lock is taken with no registry lock held,
-//! and the in-flight table's lock only inside it.
+//! Lock order: no registry lock is held while a document's lock is
+//! taken; a document's lock comes before the database's, and a move takes
+//! its two documents' locks in [`DocId`] order.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex, RwLock};
-use tendax_storage::{Durability, Ts};
+use parking_lot::{Mutex, MutexGuard, RwLock};
+use tendax_storage::Durability;
 use tendax_text::{DocHandle, DocId, EditReceipt, Permission, Result, TextDb, UserId};
 
 use crate::bus::{DocEvent, SessionId};
@@ -54,77 +59,108 @@ use crate::server::CollabServer;
 /// Counters of a server's live documents.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LiveStats {
-    /// Documents live right now.
+    /// Documents with a live copy right now.
     pub documents: usize,
-    /// Rebuilds from the database: a first editor attaching, or a view
-    /// found stale (a lost commit race, an event out of commit order).
+    /// Rebuilds from the database: a first editor attaching, or a copy
+    /// found stale (a lost commit race, a commit that bypassed the
+    /// editors).
     pub loads: u64,
     /// Snapshots served from a live chain.
     pub snapshots: u64,
-    /// Snapshots that had to wait for an unpublished commit first.
-    pub frontier_waits: u64,
 }
 
 #[derive(Debug, Default)]
 struct LiveState {
-    /// `None` until the first attached editor has loaded it.
+    /// Loaded by the first attached [`LiveEditor`], dropped by the last.
     replica: Option<Replica>,
-    /// Commits made through this copy (folded in under the lock) whose
-    /// events are yet to be published: those events are echoes here.
-    unpublished: Vec<Ts>,
-}
-
-type LiveDoc = Mutex<LiveState>;
-
-#[derive(Debug)]
-struct Attached {
-    live: Arc<LiveDoc>,
     editors: usize,
 }
 
-/// A server's live documents and its count of unpublished commits.
+/// A document's lock and, under it, its live copy.
+#[derive(Debug)]
+pub(crate) struct Slot {
+    doc: DocId,
+    state: Mutex<LiveState>,
+}
+
+#[derive(Debug)]
+struct Entry {
+    slot: Arc<Slot>,
+    /// Editors of either kind.
+    holds: usize,
+}
+
+/// A server's live documents.
 #[derive(Debug)]
 pub struct LiveDocs {
     tdb: TextDb,
-    docs: RwLock<HashMap<DocId, Attached>>,
-    in_flight: Mutex<InFlightTable>,
-    /// Signalled when a document's count returns to zero while a
-    /// snapshot waits.
-    drained: Condvar,
+    docs: RwLock<HashMap<DocId, Entry>>,
+    documents: AtomicUsize,
     loads: AtomicU64,
     snapshots: AtomicU64,
-    frontier_waits: AtomicU64,
 }
 
-#[derive(Debug, Default)]
-struct InFlightTable {
-    /// Commits begun in an editor and not yet published, per document.
-    counts: HashMap<DocId, usize>,
-    /// Snapshots waiting on `drained`: every keystroke passes through
-    /// here, and a notification nobody hears is still a system call.
-    waiters: usize,
-}
-
-/// One commit between its beginning and the end of its publication (see
-/// the module docs). Dropping it counts the commit as published.
+/// An editor's hold on its document's slot, from open to close (see the
+/// module docs). A hold loads nothing; the last one out removes the slot.
 #[derive(Debug)]
-pub(crate) struct InFlight {
+pub(crate) struct Hold {
     docs: Arc<LiveDocs>,
-    doc: DocId,
+    slot: Arc<Slot>,
 }
 
-impl Drop for InFlight {
+impl Drop for Hold {
     fn drop(&mut self) {
-        let mut table = self.docs.in_flight.lock();
-        if let Some(left) = table.counts.get_mut(&self.doc) {
-            *left -= 1;
-            if *left == 0 {
-                table.counts.remove(&self.doc);
-                if table.waiters > 0 {
-                    self.docs.drained.notify_all();
-                }
+        let mut docs = self.docs.docs.write();
+        if let Some(entry) = docs.get_mut(&self.slot.doc) {
+            entry.holds -= 1;
+            if entry.holds == 0 {
+                docs.remove(&self.slot.doc);
             }
         }
+    }
+}
+
+type Locked<'a> = [Option<(DocId, MutexGuard<'a, LiveState>)>; 2];
+
+/// The live copy of `doc` among the locked slots, if one is loaded.
+fn copy_of<'g>(locked: &'g mut Locked<'_>, doc: DocId) -> Option<&'g mut Replica> {
+    let (_, state) = locked.iter_mut().flatten().find(|(d, _)| *d == doc)?;
+    state.replica.as_mut()
+}
+
+impl Hold {
+    pub(crate) fn doc(&self) -> DocId {
+        self.slot.doc
+    }
+
+    /// The one way a commit reaches a document (see the module docs): one
+    /// commit attempt under this document's lock and, for a move,
+    /// `other`'s — taken in [`DocId`] order, once per document. `attempt`
+    /// is handed this document's live copy, if one is loaded;
+    /// `elsewhere` names, per document, what it committed through any
+    /// other handle, and each of those is folded into its document's copy
+    /// before the locks are released.
+    pub(crate) fn commit<T>(
+        &self,
+        other: Option<&Hold>,
+        attempt: impl FnOnce(Option<&mut Replica>) -> Result<T>,
+        elsewhere: impl FnOnce(&T, &mut dyn FnMut(DocId, &EditReceipt)),
+    ) -> Result<T> {
+        let own = &*self.slot;
+        let other = other.map(|o| &*o.slot).filter(|o| o.doc != own.doc);
+        let (first, second) = match other {
+            Some(o) if o.doc < own.doc => (o, Some(own)),
+            _ => (own, other),
+        };
+        let mut locked: Locked<'_> =
+            [Some(first), second].map(|s| s.map(|s| (s.doc, s.state.lock())));
+        let done = attempt(copy_of(&mut locked, own.doc))?;
+        elsewhere(&done, &mut |doc, receipt| {
+            if let Some(copy) = copy_of(&mut locked, doc) {
+                self.docs.fold(copy, receipt);
+            }
+        });
+        Ok(done)
     }
 }
 
@@ -133,113 +169,75 @@ impl LiveDocs {
         LiveDocs {
             tdb,
             docs: RwLock::default(),
-            in_flight: Mutex::default(),
-            drained: Condvar::new(),
+            documents: AtomicUsize::new(0),
             loads: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
-            frontier_waits: AtomicU64::new(0),
         }
     }
 
     pub fn stats(&self) -> LiveStats {
         LiveStats {
-            documents: self.docs.read().len(),
+            documents: self.documents.load(Ordering::Relaxed),
             loads: self.loads.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
-            frontier_waits: self.frontier_waits.load(Ordering::Relaxed),
         }
     }
 
-    /// Count a commit on `doc` as begun; it counts as published when the
-    /// guard is dropped.
-    pub(crate) fn begin_commit(self: &Arc<Self>, doc: DocId) -> InFlight {
-        *self.in_flight.lock().counts.entry(doc).or_insert(0) += 1;
-        InFlight {
-            docs: Arc::clone(self),
-            doc,
-        }
-    }
-
-    fn get(&self, doc: DocId) -> Option<Arc<LiveDoc>> {
-        self.docs.read().get(&doc).map(|a| Arc::clone(&a.live))
-    }
-
-    /// Attach an editor, loading the document if it is the first.
-    fn attach(&self, doc: DocId) -> Result<Arc<LiveDoc>> {
-        let live = {
-            let mut docs = self.docs.write();
-            let attached = docs.entry(doc).or_insert_with(|| Attached {
-                live: Arc::default(),
-                editors: 0,
-            });
-            attached.editors += 1;
-            Arc::clone(&attached.live)
-        };
-        let mut state = live.lock();
-        if state.replica.is_none() {
-            // Events published from here on wait for this lock and find
-            // the replica; the load covers whatever committed before.
-            match self.tdb.load(doc, UserId::NONE) {
-                Ok(handle) => {
-                    self.loads.fetch_add(1, Ordering::Relaxed);
-                    state.replica = Some(Replica::new(handle, None));
-                }
-                Err(e) => {
-                    drop(state);
-                    self.detach(doc);
-                    return Err(e);
-                }
-            }
-        }
-        drop(state);
-        Ok(live)
-    }
-
-    /// Detach an editor; the last one out drops the document.
-    fn detach(&self, doc: DocId) {
+    /// Take a hold on `doc`'s slot, creating the slot if it is absent.
+    pub(crate) fn hold(self: &Arc<Self>, doc: DocId) -> Hold {
         let mut docs = self.docs.write();
-        if let Some(attached) = docs.get_mut(&doc) {
-            attached.editors -= 1;
-            if attached.editors == 0 {
-                docs.remove(&doc);
-            }
+        let entry = docs.entry(doc).or_insert_with(|| Entry {
+            slot: Arc::new(Slot {
+                doc,
+                state: Mutex::default(),
+            }),
+            holds: 0,
+        });
+        entry.holds += 1;
+        Hold {
+            docs: Arc::clone(self),
+            slot: Arc::clone(&entry.slot),
         }
     }
 
-    /// Integrate a commit made elsewhere on the server into the
-    /// document's live copy, if it has one. Called by
-    /// [`CollabServer`]'s publish before the commit's [`InFlight`] guard
-    /// drops, which the frontier depends on.
-    pub(crate) fn apply(&self, ev: &Arc<DocEvent>) {
-        let Some(live) = self.get(ev.doc) else {
-            return;
-        };
-        let mut state = live.lock();
-        let LiveState {
-            replica: Some(replica),
-            unpublished,
-        } = &mut *state
-        else {
-            return; // still loading, and the load will cover it
-        };
-        if let Some(echo) = unpublished.iter().position(|&ts| ts == ev.commit_ts) {
-            unpublished.swap_remove(echo);
-            return; // committed through this copy, folded in then
+    fn get(&self, doc: DocId) -> Option<Arc<Slot>> {
+        self.docs.read().get(&doc).map(|e| Arc::clone(&e.slot))
+    }
+
+    /// Hold `doc` as a [`LiveEditor`], loading its copy if it is the
+    /// first.
+    fn attach(self: &Arc<Self>, doc: DocId) -> Result<Hold> {
+        let hold = self.hold(doc);
+        let mut state = hold.slot.state.lock();
+        if state.replica.is_none() {
+            let handle = self.tdb.load(doc, UserId::NONE)?;
+            self.loads.fetch_add(1, Ordering::Relaxed);
+            self.documents.fetch_add(1, Ordering::Relaxed);
+            state.replica = Some(Replica::new(handle, None));
         }
-        // Publication can invert commit order. Applied late, an insert
-        // would land in front of a newer one behind the same anchor, and
-        // a delete could undo its own undo; the database has them in
-        // order.
-        let late =
-            ev.commit_ts < replica.newest_applied() && ev.commit_ts > replica.handle.synced_ts();
-        let refreshed = if late {
-            replica.refresh().is_ok()
-        } else {
-            replica
-                .integrate(std::iter::once(Arc::clone(ev)), |_| false)
-                .refreshed
-        };
-        if refreshed {
+        state.editors += 1;
+        drop(state);
+        Ok(hold)
+    }
+
+    /// A [`LiveEditor`] lets go; the last one drops the copy.
+    fn detach(&self, slot: &Slot) {
+        let mut state = slot.state.lock();
+        state.editors -= 1;
+        if state.editors == 0 {
+            state.replica = None;
+            self.documents.fetch_sub(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Bring `copy` up to a commit made under its lock through another
+    /// handle: apply its effects if they fit, rebuild from the database
+    /// if not.
+    fn fold(&self, copy: &mut Replica, receipt: &EditReceipt) {
+        let handle = &mut copy.handle;
+        let applied = handle.effects_applicable(&receipt.effects)
+            && handle.apply_remote(&receipt.effects).is_ok();
+        if !applied && copy.refresh().is_ok() {
             self.loads.fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -254,46 +252,22 @@ impl LiveDocs {
         user: UserId,
         f: impl FnOnce(&DocHandle) -> T,
     ) -> Result<Option<T>> {
-        let Some(live) = self.get(doc) else {
+        let Some(slot) = self.get(doc) else {
             return Ok(None);
         };
         self.tdb.check_permission(doc, user, Permission::Read)?;
-        Ok(self.at_frontier(&live, doc, f))
+        Ok(self.at_frontier(&slot, f))
     }
 
-    /// Run `f` on the live handle with its `synced_ts` at a frontier
-    /// (see the module docs).
-    fn at_frontier<T>(
-        &self,
-        live: &LiveDoc,
-        doc: DocId,
-        f: impl FnOnce(&DocHandle) -> T,
-    ) -> Option<T> {
-        let mut waited = false;
-        loop {
-            let mut state = live.lock();
-            let replica = state.replica.as_mut()?;
-            let frontier = self.tdb.database().last_commit_ts();
-            // Read after the frontier: a commit at or below it began, and
-            // was counted, before it.
-            let mut table = self.in_flight.lock();
-            if !table.counts.contains_key(&doc) {
-                drop(table);
-                replica.handle.advance_synced(frontier);
-                self.snapshots.fetch_add(1, Ordering::Relaxed);
-                self.frontier_waits
-                    .fetch_add(waited as u64, Ordering::Relaxed);
-                return Some(f(&replica.handle));
-            }
-            // Its publication needs the document's lock.
-            drop(state);
-            waited = true;
-            table.waiters += 1;
-            while table.counts.contains_key(&doc) {
-                self.drained.wait(&mut table);
-            }
-            table.waiters -= 1;
-        }
+    /// Run `f` on the live handle with its `synced_ts` at the frontier
+    /// (see the module docs); `None` if no copy is loaded.
+    fn at_frontier<T>(&self, slot: &Slot, f: impl FnOnce(&DocHandle) -> T) -> Option<T> {
+        let mut state = slot.state.lock();
+        let replica = state.replica.as_mut()?;
+        let frontier = self.tdb.database().last_commit_ts();
+        replica.handle.advance_synced(frontier);
+        self.snapshots.fetch_add(1, Ordering::Relaxed);
+        Some(f(&replica.handle))
     }
 }
 
@@ -307,8 +281,7 @@ pub type Committed = Result<(EditReceipt, Option<DocEvent>)>;
 #[derive(Debug)]
 pub struct LiveEditor {
     server: CollabServer,
-    live: Arc<LiveDoc>,
-    doc: DocId,
+    hold: Hold,
     session: SessionId,
     user: UserId,
 }
@@ -326,36 +299,37 @@ impl LiveEditor {
     ) -> Result<(LiveEditor, T)> {
         let docs = server.live();
         docs.tdb.record_read(doc, user)?;
-        let live = docs.attach(doc)?;
+        let hold = docs.attach(doc)?;
         server.presence_update(session, |p| {
             p.doc = Some(doc);
             p.cursor = Some(0);
         });
-        let snapshot = docs
-            .at_frontier(&live, doc, f)
-            .expect("attached documents are loaded");
         let editor = LiveEditor {
             server: server.clone(),
-            live,
-            doc,
+            hold,
             session,
             user,
         };
+        let snapshot = editor.at_frontier(f);
         Ok((editor, snapshot))
     }
 
     pub fn doc(&self) -> DocId {
-        self.doc
+        self.hold.slot.doc
+    }
+
+    fn at_frontier<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> T {
+        self.server
+            .live()
+            .at_frontier(&self.hold.slot, f)
+            .expect("attached documents are loaded")
     }
 
     /// The reader opens the document again while holding it: one more
     /// read event, one more snapshot.
     pub fn reopen<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
-        let docs = self.server.live();
-        docs.tdb.record_read(self.doc, self.user)?;
-        Ok(docs
-            .at_frontier(&self.live, self.doc, f)
-            .expect("attached documents are loaded"))
+        self.server.live().tdb.record_read(self.doc(), self.user)?;
+        Ok(self.at_frontier(f))
     }
 
     /// Type `text` at `pos`, clamped to the document (a remote caller's
@@ -376,10 +350,11 @@ impl LiveEditor {
         Ok((receipt, event))
     }
 
-    /// Commit under the document's lock, in this editor's name. The lock
-    /// is held until the commit is visible and its effects are folded in
-    /// — not across the wait for the disk, so the typists queued behind
-    /// it share a group-commit flush.
+    /// Commit through the live copy in this editor's name, under the
+    /// document's lock (the copy made the commit, so there is nothing to
+    /// fold). The wait for the disk comes after the lock is
+    /// released, so the typists queued behind it share a group-commit
+    /// flush.
     fn edit(
         &self,
         kind: &str,
@@ -390,29 +365,23 @@ impl LiveEditor {
             server: &self.server,
             session: self.session,
         };
-        let mut state = self.live.lock();
-        let LiveState {
-            replica: Some(replica),
-            unpublished,
-        } = &mut *state
-        else {
-            unreachable!("attached documents are loaded");
-        };
-        replica.handle.act_as(self.user);
-        let pos = pos.min(replica.handle.len());
-        let refreshes = replica.stats.refreshes;
+        let docs = self.server.live();
         let mut durability = Durability::none();
-        let done = replica.perform_at(who, kind, pos, |h, p| {
-            let (receipt, owed) = f(h, p)?;
-            durability = owed;
-            Ok(receipt)
-        });
-        let loads = replica.stats.refreshes - refreshes;
-        self.server.live().loads.fetch_add(loads, Ordering::Relaxed);
-        if let Ok((.., Some(event))) = &done {
-            unpublished.push(event.commit_ts);
-        }
-        drop(state);
+        let attempt = |copy: Option<&mut Replica>| {
+            let replica = copy.expect("attached documents are loaded");
+            replica.handle.act_as(self.user);
+            let pos = pos.min(replica.handle.len());
+            let refreshes = replica.stats.refreshes;
+            let done = replica.perform_at(who, kind, pos, |h, p| {
+                let (receipt, owed) = f(h, p)?;
+                durability = owed;
+                Ok(receipt)
+            });
+            let loads = replica.stats.refreshes - refreshes;
+            docs.loads.fetch_add(loads, Ordering::Relaxed);
+            done
+        };
+        let done = self.hold.commit(None, attempt, |_, _| {});
         durability.wait()?;
         done
     }
@@ -430,8 +399,8 @@ impl LiveEditor {
 
 impl Drop for LiveEditor {
     fn drop(&mut self) {
-        self.server.clear_focus(self.session, self.doc);
-        self.server.live().detach(self.doc);
+        self.server.clear_focus(self.session, self.doc());
+        self.server.live().detach(&self.hold.slot);
     }
 }
 
@@ -439,6 +408,7 @@ impl Drop for LiveEditor {
 mod tests {
     use super::*;
     use crate::awareness::Platform;
+    use tendax_storage::Ts;
 
     fn served() -> (CollabServer, DocId) {
         let tdb = TextDb::in_memory();
@@ -490,27 +460,145 @@ mod tests {
         assert_eq!(server.textdb().read_count(doc).unwrap(), 3);
     }
 
-    /// Two in-process editors race for the document head and publish in
-    /// the opposite order of their commits. Applied as they arrive, the
-    /// older insert would land in front of the newer one; the live copy
-    /// notices the inversion and takes the order from the database.
+    /// The live copy's characters in chain order, tombstones included.
+    fn chain(h: &DocHandle) -> Vec<(tendax_text::CharId, char, bool)> {
+        let mut chars = Vec::new();
+        h.for_each_char(|id, info| chars.push((id, info.ch, info.deleted)));
+        chars
+    }
+
+    fn live_equals_a_fresh_load(server: &CollabServer, doc: DocId) {
+        let live = server.live().snapshot(doc, UserId(1), chain).unwrap();
+        let fresh = server.textdb().load(doc, UserId::NONE).unwrap();
+        assert_eq!(live.expect("live"), chain(&fresh));
+    }
+
+    /// Two in-process editors publish in the opposite order of their
+    /// commits: the first one's event is parked on the bus while the
+    /// second commits and publishes. Publication feeds no live copy, so
+    /// the copy has both in commit order and was never rebuilt.
     #[test]
-    fn an_event_out_of_commit_order_rebuilds_the_live_copy() {
+    fn publication_out_of_commit_order_leaves_the_live_copy_alone() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::mpsc;
+
         let (server, doc) = served();
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
         let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
         let mut ea = sa.open_id(doc).unwrap();
         let mut eb = sb.open_id(doc).unwrap();
+        let (parked_tx, parked) = mpsc::channel();
+        let (release, released) = mpsc::channel::<()>();
+        let (parked_tx, released) = (Mutex::new(parked_tx), Mutex::new(released));
+        let armed = AtomicBool::new(true);
+        server
+            .transport()
+            .register_publish_hook(Box::new(move |ev| {
+                if armed.swap(false, Ordering::SeqCst) {
+                    parked_tx.lock().send(ev.commit_ts).unwrap();
+                    let _ = released.lock().recv();
+                }
+                true
+            }));
 
-        let (first, held) = ea.commit_text(0, "a").unwrap();
-        // Bob's view is stale: he retries, and lands in front of "a".
+        let first = std::thread::spawn(move || ea.type_text(0, "a").unwrap());
+        let parked_ts = parked.recv().unwrap();
         let second = eb.type_text(0, "b").unwrap();
-        assert!(first.commit_ts < second.commit_ts);
-        ea.publish(held);
+        release.send(()).unwrap();
+        let first = first.join().unwrap();
+        assert!(first.commit_ts == parked_ts && parked_ts < second.commit_ts);
 
-        assert_eq!(server.textdb().document_text(doc).unwrap(), "ba");
-        assert_eq!(live_text(&server, doc), "ba");
+        live_equals_a_fresh_load(&server, doc);
+        assert_eq!(server.live().stats().loads, 1);
+    }
+
+    /// A commit that bypasses the editors (a raw handle) is not in the
+    /// live copy. An editor's commit that builds on it does not fit the
+    /// copy, and the fold rebuilds the copy from the database rather than
+    /// wait for an event that will never come.
+    #[test]
+    fn a_commit_the_live_copy_cannot_fit_rebuilds_it() {
+        let (server, doc) = served();
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
+        let mut raw = server.textdb().open(doc, sa.user()).unwrap();
+        raw.insert_text(0, "raw").unwrap();
+        // Opened after the raw commit: its insert anchors on a character
+        // the copy has never seen.
+        let mut editor = sa.open_id(doc).unwrap();
+        editor.type_text(3, "!").unwrap();
+
+        assert_eq!(live_text(&server, doc), "raw!");
+        live_equals_a_fresh_load(&server, doc);
         assert_eq!(server.live().stats().loads, 2);
+    }
+
+    /// Snapshots taken while two in-process editors type: whatever
+    /// frontier a snapshot names, every commit at or below it is in its
+    /// chain. (Mutation check: fold a commit after letting go of the
+    /// document's lock, and some snapshot comes in between.)
+    #[test]
+    fn every_snapshot_holds_the_commits_below_its_frontier() {
+        use std::collections::HashSet;
+        use std::sync::atomic::AtomicBool;
+        use tendax_text::{CharId, Effect};
+
+        const EDITS: usize = 400;
+        let (server, doc) = served();
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let sb = server.connect("bob", Platform::MacOsX).unwrap();
+        let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
+        let typing = Arc::new(AtomicBool::new(true));
+        let typists: Vec<_> = [sa.open_id(doc).unwrap(), sb.open_id(doc).unwrap()]
+            .into_iter()
+            .map(|mut editor| {
+                std::thread::spawn(move || {
+                    (0..EDITS)
+                        .map(|i| {
+                            editor.sync();
+                            let receipt = editor.type_text(i % (editor.len() + 1), "x").unwrap();
+                            let [Effect::Insert { char, .. }] = receipt.effects[..] else {
+                                panic!("one insert per keystroke");
+                            };
+                            (receipt.commit_ts, char)
+                        })
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let reader = {
+            let (server, typing) = (server.clone(), Arc::clone(&typing));
+            std::thread::spawn(move || {
+                let mut snapshots = Vec::new();
+                while typing.load(Ordering::Relaxed) {
+                    let snapshot = server.live().snapshot(doc, UserId(1), |h| {
+                        let mut ids = HashSet::new();
+                        h.for_each_char(|id, _| {
+                            ids.insert(id);
+                        });
+                        (h.synced_ts(), ids)
+                    });
+                    snapshots.push(snapshot.unwrap().expect("live"));
+                }
+                snapshots
+            })
+        };
+        let typed: Vec<(Ts, CharId)> = typists
+            .into_iter()
+            .flat_map(|t| t.join().unwrap())
+            .collect();
+        typing.store(false, Ordering::Relaxed);
+        let snapshots = reader.join().unwrap();
+        assert!(!snapshots.is_empty());
+        for (frontier, ids) in &snapshots {
+            for (ts, char) in &typed {
+                assert!(
+                    *ts > *frontier || ids.contains(char),
+                    "a snapshot at {frontier} lacks the commit at {ts}"
+                );
+            }
+        }
+        live_equals_a_fresh_load(&server, doc);
     }
 }

@@ -5,15 +5,16 @@
 //! dependencies have not arrived, and the optimistic retry protocol its
 //! own edits run under. An editor session's [`crate::EditorDoc`] owns one
 //! and feeds it by polling its subscription; the server's live document
-//! ([`crate::live`]) shares one among its network connections and is fed
-//! by the server's publish. The integration loop and the retry/anchor loop
-//! exist here once, for both.
+//! ([`crate::live`]) shares one among its network connections and takes
+//! no events at all: every commit on the document is folded into it under
+//! the document's lock. The retry/anchor loop exists here once, for both;
+//! each attempt of it is one commit under that lock, and its backoff and
+//! catch-up run outside it.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use tendax_storage::Ts;
 use tendax_text::{CharId, DocHandle, EditReceipt, Result, TextError};
 
 use crate::bus::{DocEvent, SessionId, Subscription};
@@ -72,27 +73,15 @@ enum PosAnchor {
     Raw(usize),
 }
 
-/// What [`Replica::integrate`] did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct Integrated {
-    /// Events reflected in the view now that were not before.
-    pub(crate) applied: usize,
-    /// The view was rebuilt from the database on the way.
-    pub(crate) refreshed: bool,
-}
-
 #[derive(Debug)]
 pub(crate) struct Replica {
     pub(crate) handle: DocHandle,
-    /// The event stream a replica that polls for itself is fed from; a
-    /// replica that is handed its events has none.
+    /// The event stream an editor's replica is fed from; a live copy,
+    /// which takes no events, has none.
     sub: Option<Subscription>,
     /// Events whose dependencies have not arrived yet (publication order
     /// on the bus can differ slightly from commit order).
     reorder: Vec<Arc<DocEvent>>,
-    /// Newest commit among the remote events applied since the last
-    /// rebuild.
-    newest_applied: Ts,
     pub(crate) stats: EditorStats,
 }
 
@@ -102,16 +91,8 @@ impl Replica {
             handle,
             sub,
             reorder: Vec::new(),
-            newest_applied: 0,
             stats: EditorStats::default(),
         }
-    }
-
-    /// Newest commit among the remote events applied since the view was
-    /// last rebuilt: an event arriving with an older commit than this
-    /// arrives out of commit order.
-    pub(crate) fn newest_applied(&self) -> Ts {
-        self.newest_applied
     }
 
     /// Discard the view and rebuild it from the database, which
@@ -119,17 +100,16 @@ impl Replica {
     pub(crate) fn refresh(&mut self) -> Result<()> {
         self.handle.refresh()?;
         self.reorder.clear();
-        self.newest_applied = 0;
         self.stats.refreshes += 1;
         Ok(())
     }
 
     /// Pull what the subscription has (waiting up to `wait` for the
     /// first event) and integrate it; echoes of `who`'s own operations
-    /// are skipped.
-    pub(crate) fn catch_up(&mut self, who: Actor<'_>, wait: Option<Duration>) -> Integrated {
+    /// are skipped. Returns how many events were applied.
+    pub(crate) fn catch_up(&mut self, who: Actor<'_>, wait: Option<Duration>) -> usize {
         let Some(sub) = self.sub.as_mut() else {
-            return Integrated::default();
+            return 0;
         };
         // A bus that evicted this subscriber for lagging leaves a
         // hole in the event stream: re-subscribe so future events flow
@@ -143,13 +123,10 @@ impl Replica {
             None => sub.poll(),
             Some(timeout) => sub.poll_timeout(timeout),
         };
-        let refreshed = evicted && self.refresh().is_ok();
-        if refreshed {
+        if evicted && self.refresh().is_ok() {
             self.stats.resyncs += 1;
         }
-        let mut done = self.integrate(events, |ev| ev.origin == who.session);
-        done.refreshed |= refreshed;
-        done
+        self.integrate(events, |ev| ev.origin == who.session)
     }
 
     /// Apply remote events to the view.
@@ -164,7 +141,7 @@ impl Replica {
         &mut self,
         events: impl IntoIterator<Item = Arc<DocEvent>>,
         is_echo: impl Fn(&DocEvent) -> bool,
-    ) -> Integrated {
+    ) -> usize {
         let mut applied = 0;
         let floor = self.handle.synced_ts();
         for ev in events {
@@ -194,7 +171,6 @@ impl Replica {
                         Ok(()) => {
                             applied += 1;
                             self.stats.events_applied += 1;
-                            self.newest_applied = self.newest_applied.max(ev.commit_ts);
                             progressed = true;
                         }
                         Err(_) => {
@@ -217,15 +193,13 @@ impl Replica {
         // Unresolvable holes (dependency will never arrive on this
         // subscription) or an incoherent cache: resynchronize from the
         // database, superseding everything still buffered.
-        let mut refreshed = false;
         if stale || self.reorder.len() > MAX_REORDER {
             let buffered = self.reorder.len();
             if self.refresh().is_ok() {
                 applied += buffered;
-                refreshed = true;
             }
         }
-        Integrated { applied, refreshed }
+        applied
     }
 
     /// Run `f` under the optimistic retry protocol: catch up, try, and on
@@ -258,29 +232,15 @@ impl Replica {
         })
     }
 
-    /// [`Replica::retry`] for an editing operation, up to and including
-    /// its commit. The broadcast is handed back, not sent: commit and
-    /// broadcast are two steps, and what goes between them is the
-    /// caller's business.
-    pub(crate) fn perform(
-        &mut self,
-        who: Actor<'_>,
-        kind: &str,
-        f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
-    ) -> Result<(EditReceipt, Option<DocEvent>)> {
-        let receipt = self.retry(who, f)?;
-        self.stats.ops += 1;
-        let event = self.event(who.session, kind, &receipt);
-        Ok((receipt, event))
-    }
-
-    /// Like [`Replica::perform`], but for operations addressed by a
-    /// visible position. The position is captured as a character anchor
-    /// *before* the pre-edit catch-up and re-resolved against the view on
-    /// every attempt, so remote edits applied in between (or by the retry
-    /// refreshes) move the operation with the text the caller was
-    /// pointing at. Also returns the position the operation finally ran
-    /// at.
+    /// [`Replica::retry`] for an editing operation addressed by a visible
+    /// position, up to and including its commit. The position is captured
+    /// as a character anchor *before* the pre-edit catch-up and
+    /// re-resolved against the view on every attempt, so remote edits
+    /// applied in between (or by the retry refreshes) move the operation
+    /// with the text the caller was pointing at. Returns the position the
+    /// operation finally ran at, its receipt and its broadcast — handed
+    /// back, not sent: commit and broadcast are two steps, and what goes
+    /// between them is the caller's business.
     pub(crate) fn perform_at(
         &mut self,
         who: Actor<'_>,
@@ -290,10 +250,12 @@ impl Replica {
     ) -> Result<(usize, EditReceipt, Option<DocEvent>)> {
         let anchor = self.capture_anchor(pos);
         let mut at = pos;
-        let (receipt, event) = self.perform(who, kind, |h| {
+        let receipt = self.retry(who, |h| {
             at = Self::resolve_anchor(h, &anchor);
             f(h, at)
         })?;
+        self.stats.ops += 1;
+        let event = self.event(who.session, kind, &receipt);
         Ok((at, receipt, event))
     }
 

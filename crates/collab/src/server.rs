@@ -95,13 +95,12 @@ impl CollabServer {
     }
 
     /// Broadcast `session`'s committed operation (if it changed any
-    /// character) to the document's other editors: first into the
-    /// document's live copy, on this thread, then onto the bus.
+    /// character) to the document's other editors, on the bus. A live
+    /// copy has it already: it was folded in under the document's lock
+    /// ([`crate::live`]).
     pub(crate) fn publish(&self, session: SessionId, event: Option<DocEvent>) {
         let Some(event) = event else { return };
-        let event = Arc::new(event);
-        self.live.apply(&event);
-        self.bus.publish(event);
+        self.bus.publish(Arc::new(event));
         // `presence_update` stamps last_active for us.
         self.presence_update(session, |_| {});
     }

@@ -9,14 +9,21 @@
 //! exhibits when several people type into the same paragraph. A network
 //! connection's editor owns no replica: [`EditorSession::open_live`]
 //! borrows the server's ([`crate::live`]).
+//!
+//! Either kind holds its document's slot among the server's live
+//! documents from open to close, and makes each commit attempt under the
+//! slot's lock ([`crate::live`]): the document's live copy, if the server
+//! has one, has the commit before anyone else can look. Every editing
+//! call commits, then publishes.
 
 use std::time::Duration;
 
+use tendax_storage::Durability;
 use tendax_text::{Clip, DocHandle, DocId, EditReceipt, Result, StyleId, UserId};
 
 use crate::awareness::Platform;
-use crate::bus::{DocEvent, SessionId};
-use crate::live::{InFlight, LiveEditor};
+use crate::bus::SessionId;
+use crate::live::{Hold, LiveEditor};
 use crate::replica::{Actor, Replica};
 use crate::server::CollabServer;
 
@@ -78,6 +85,7 @@ impl EditorSession {
 
     /// Open a document by id.
     pub fn open_id(&self, doc: DocId) -> Result<EditorDoc> {
+        let hold = self.server.live().hold(doc);
         // Subscribe, then load: an event published between the load's
         // snapshot and the subscription would never be delivered, and one
         // the load already covers is skipped by the replica's floor.
@@ -89,6 +97,7 @@ impl EditorSession {
         });
         Ok(EditorDoc {
             replica: Replica::new(handle, Some(sub)),
+            hold,
             server: self.server.clone(),
             session: self.id,
             cursor: 0,
@@ -138,23 +147,11 @@ pub struct EditorStats {
     pub refreshes: u64,
 }
 
-/// A committed operation's broadcast between its commit and its
-/// publication (see [`EditorDoc::commit_text`]). The server counts the
-/// commit as in flight until this is published or dropped: a snapshot of
-/// the document's live copy waits for it rather than claim a frontier the
-/// copy has not reached.
-#[derive(Debug)]
-#[must_use = "a committed operation is owed to `EditorDoc::publish`"]
-pub struct Unpublished {
-    event: Option<DocEvent>,
-    /// Held for its drop.
-    _in_flight: InFlight,
-}
-
 /// A document open in an editor session.
 #[derive(Debug)]
 pub struct EditorDoc {
     replica: Replica,
+    hold: Hold,
     server: CollabServer,
     session: SessionId,
     cursor: usize,
@@ -195,16 +192,17 @@ impl EditorDoc {
         self.replica.stats
     }
 
-    /// Run `f` on the replica in this session's name, then re-anchor the
-    /// cursor if remote edits landed in the view meanwhile.
-    fn with_replica<T>(&mut self, f: impl FnOnce(&mut Replica, Actor<'_>) -> T) -> T {
+    /// Run `f` on the replica in this session's name, with the hold its
+    /// commits go through, then re-anchor the cursor if remote edits
+    /// landed in the view meanwhile.
+    fn with_replica<T>(&mut self, f: impl FnOnce(&mut Replica, Actor<'_>, &Hold) -> T) -> T {
         let landed = |r: &Replica| (r.stats.events_applied, r.stats.refreshes);
         let before = landed(&self.replica);
         let who = Actor {
             server: &self.server,
             session: self.session,
         };
-        let out = f(&mut self.replica, who);
+        let out = f(&mut self.replica, who, &self.hold);
         if landed(&self.replica) != before {
             self.reanchor_cursor();
         }
@@ -215,13 +213,12 @@ impl EditorDoc {
     /// whose dependencies have not arrived). Returns how many were
     /// applied.
     pub fn sync(&mut self) -> usize {
-        self.with_replica(|r, who| r.catch_up(who, None)).applied
+        self.with_replica(|r, who, _| r.catch_up(who, None))
     }
 
     /// Keep syncing until work arrives or the timeout elapses.
     pub fn sync_timeout(&mut self, timeout: Duration) -> usize {
-        self.with_replica(|r, who| r.catch_up(who, Some(timeout)))
-            .applied
+        self.with_replica(|r, who, _| r.catch_up(who, Some(timeout)))
     }
 
     /// Where this editor's cursor is.
@@ -281,31 +278,17 @@ impl EditorDoc {
     /// position beyond the current view yields
     /// [`tendax_text::TextError::InvalidPosition`].
     pub fn type_text(&mut self, pos: usize, text: &str) -> Result<EditReceipt> {
-        let done = self.commit_text(pos, text);
-        self.published(done)
+        let (at, receipt) = self.edit_at("insert", pos, |h, p| h.insert_text_visible(p, text))?;
+        self.set_cursor(at + text.chars().count());
+        Ok(receipt)
     }
 
     /// Delete a range, retrying transparently on commit races. The start
     /// position is anchored like [`EditorDoc::type_text`]'s.
     pub fn delete(&mut self, pos: usize, len: usize) -> Result<EditReceipt> {
-        let done = self.commit_delete(pos, len);
-        self.published(done)
-    }
-
-    /// [`EditorDoc::type_text`] up to and including the commit, with the
-    /// broadcast handed back instead of sent: the caller owes it to
-    /// [`EditorDoc::publish`], whatever else happens to it in between.
-    pub fn commit_text(&mut self, pos: usize, text: &str) -> Result<(EditReceipt, Unpublished)> {
-        let (at, receipt, event) = self.perform_at("insert", pos, |h, p| h.insert_text(p, text))?;
-        self.set_cursor(at + text.chars().count());
-        Ok((receipt, event))
-    }
-
-    /// [`EditorDoc::delete`] split like [`EditorDoc::commit_text`].
-    pub fn commit_delete(&mut self, pos: usize, len: usize) -> Result<(EditReceipt, Unpublished)> {
-        let (at, receipt, event) = self.perform_at("delete", pos, |h, p| h.delete_range(p, len))?;
+        let (at, receipt) = self.edit_at("delete", pos, |h, p| h.delete_range_visible(p, len))?;
         self.set_cursor(at);
-        Ok((receipt, event))
+        Ok(receipt)
     }
 
     pub fn copy(&self, pos: usize, len: usize) -> Result<Clip> {
@@ -313,18 +296,20 @@ impl EditorDoc {
     }
 
     pub fn paste(&mut self, pos: usize, clip: &Clip) -> Result<EditReceipt> {
-        let done = self.perform_at("paste", pos, |h, p| h.paste(p, clip));
-        self.published(done.map(|(_, receipt, event)| (receipt, event)))
+        let done = self.edit_at("paste", pos, |h, p| settled(h.paste(p, clip)));
+        done.map(|(_, receipt)| receipt)
     }
 
     pub fn paste_external(&mut self, pos: usize, text: &str, source: &str) -> Result<EditReceipt> {
-        let done = self.perform_at("paste", pos, |h, p| h.paste_external(p, text, source));
-        self.published(done.map(|(_, receipt, event)| (receipt, event)))
+        let done = self.edit_at("paste", pos, |h, p| {
+            settled(h.paste_external(p, text, source))
+        });
+        done.map(|(_, receipt)| receipt)
     }
 
     pub fn apply_style(&mut self, pos: usize, len: usize, style: StyleId) -> Result<EditReceipt> {
-        let done = self.perform_at("style", pos, |h, p| h.apply_style(p, len, style));
-        self.published(done.map(|(_, receipt, event)| (receipt, event)))
+        let done = self.edit_at("style", pos, |h, p| settled(h.apply_style(p, len, style)));
+        done.map(|(_, receipt)| receipt)
     }
 
     /// Atomically move text into another open document (one database
@@ -337,18 +322,24 @@ impl EditorDoc {
         dst: &mut EditorDoc,
         dst_pos: usize,
     ) -> Result<(EditReceipt, EditReceipt)> {
-        let live = self.server.live();
-        let _in_flight = (live.begin_commit(self.doc()), live.begin_commit(dst.doc()));
+        let (src_doc, dst_doc) = (self.doc(), dst.doc());
         // The destination follows the source through the retry protocol:
         // caught up before the first attempt, rebuilt before every other.
         let mut first = true;
-        let (del, ins) = self.with_replica(|src, who| {
+        let (del, ins) = self.with_replica(|src, who, hold| {
             src.retry(who, |h| {
                 dst.sync();
                 if !std::mem::take(&mut first) {
                     dst.replica.refresh()?;
                 }
-                h.move_to(pos, len, &mut dst.replica.handle, dst_pos)
+                hold.commit(
+                    Some(&dst.hold),
+                    |_| h.move_to(pos, len, &mut dst.replica.handle, dst_pos),
+                    |(del, ins), fold| {
+                        fold(src_doc, del);
+                        fold(dst_doc, ins);
+                    },
+                )
             })
         })?;
         self.replica.stats.ops += 1;
@@ -361,80 +352,87 @@ impl EditorDoc {
     }
 
     pub fn undo(&mut self) -> Result<EditReceipt> {
-        let done = self.perform("undo", |h| h.undo());
-        self.published(done)
+        self.edit("undo", |h| h.undo())
     }
 
     pub fn redo(&mut self) -> Result<EditReceipt> {
-        let done = self.perform("redo", |h| h.redo());
-        self.published(done)
+        self.edit("redo", |h| h.redo())
     }
 
     pub fn global_undo(&mut self) -> Result<EditReceipt> {
-        let done = self.perform("undo", |h| h.global_undo());
-        self.published(done)
+        self.edit("undo", |h| h.global_undo())
     }
 
     pub fn global_redo(&mut self) -> Result<EditReceipt> {
-        let done = self.perform("redo", |h| h.global_redo());
-        self.published(done)
+        self.edit("redo", |h| h.global_redo())
     }
 
     /// Run an arbitrary handle operation under the session's retry/publish
-    /// protocol (for notes, objects, structure, versions, …).
+    /// protocol (for notes, objects, structure, versions, …). Each call of
+    /// `f` holds the document's lock, so `f` must not open this document
+    /// live or snapshot it: the lock is not reentrant.
     pub fn with_handle<T>(
         &mut self,
         kind: &str,
-        f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
+        mut f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
     ) -> Result<(T, EditReceipt)> {
-        let _in_flight = self.server.live().begin_commit(self.doc());
-        let (value, receipt) = self.with_replica(|r, who| r.retry(who, f))?;
+        let (value, receipt) = self.with_replica(|r, who, hold| {
+            r.retry(who, |h| {
+                hold.commit(
+                    None,
+                    |_| f(h),
+                    |(_, receipt), fold| fold(hold.doc(), receipt),
+                )
+            })
+        })?;
         self.replica.stats.ops += 1;
         let event = self.replica.event(self.session, kind, &receipt);
         self.server.publish(self.session, event);
         Ok((value, receipt))
     }
 
-    /// Run `f` under the retry protocol up to and including its commit,
-    /// counted as in flight from before it begins.
-    fn perform(
+    /// [`EditorDoc::with_handle`] of an operation that returns nothing
+    /// else.
+    fn edit(
         &mut self,
         kind: &str,
-        f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
-    ) -> Result<(EditReceipt, Unpublished)> {
-        let _in_flight = self.server.live().begin_commit(self.doc());
-        let (receipt, event) = self.with_replica(|r, who| r.perform(who, kind, f))?;
-        Ok((receipt, Unpublished { event, _in_flight }))
+        mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
+    ) -> Result<EditReceipt> {
+        let (_, receipt) = self.with_handle(kind, |h| Ok(((), f(h)?)))?;
+        Ok(receipt)
     }
 
-    /// [`EditorDoc::perform`] for an operation addressed by a visible
-    /// position (see [`Replica::perform_at`]).
-    fn perform_at(
+    /// [`EditorDoc::edit`] for an operation addressed by a visible
+    /// position (see [`Replica::perform_at`]), which hands back the wait
+    /// for the disk: it comes after the lock is released, and before the
+    /// publication. Also returns the position the operation ran at.
+    fn edit_at(
         &mut self,
         kind: &str,
         pos: usize,
-        f: impl FnMut(&mut DocHandle, usize) -> Result<EditReceipt>,
-    ) -> Result<(usize, EditReceipt, Unpublished)> {
-        let _in_flight = self.server.live().begin_commit(self.doc());
-        let (at, receipt, event) = self.with_replica(|r, who| r.perform_at(who, kind, pos, f))?;
-        Ok((at, receipt, Unpublished { event, _in_flight }))
+        mut f: impl FnMut(&mut DocHandle, usize) -> Result<(EditReceipt, Durability)>,
+    ) -> Result<(usize, EditReceipt)> {
+        let mut durability = Durability::none();
+        let (at, receipt, event) = self.with_replica(|r, who, hold| {
+            r.perform_at(who, kind, pos, |h, p| {
+                let attempt = |_: Option<&mut Replica>| {
+                    let (receipt, owed) = f(h, p)?;
+                    durability = owed;
+                    Ok(receipt)
+                };
+                hold.commit(None, attempt, |receipt, fold| fold(hold.doc(), receipt))
+            })
+        })?;
+        durability.wait()?;
+        self.server.publish(self.session, event);
+        Ok((at, receipt))
     }
+}
 
-    /// Broadcast a committed operation to the document's other editors
-    /// (the second half of every editing call; see
-    /// [`EditorDoc::commit_text`]).
-    pub fn publish(&self, committed: Unpublished) {
-        self.server.publish(self.session, committed.event);
-        // The rest of `committed` — the in-flight count — goes here, once
-        // the event has been applied and fanned out.
-    }
-
-    /// "Perform, then publish": the tail shared by the editing calls.
-    fn published(&self, done: Result<(EditReceipt, Unpublished)>) -> Result<EditReceipt> {
-        let (receipt, committed) = done?;
-        self.publish(committed);
-        Ok(receipt)
-    }
+/// An operation that waited for the disk itself, in the shape of one that
+/// hands the wait back.
+fn settled(done: Result<EditReceipt>) -> Result<(EditReceipt, Durability)> {
+    done.map(|receipt| (receipt, Durability::none()))
 }
 
 impl Drop for EditorDoc {
@@ -451,6 +449,7 @@ mod tests {
     use std::sync::Arc;
 
     use super::*;
+    use crate::bus::DocEvent;
     use crate::replica::EDIT_RETRIES;
     use tendax_text::{TextDb, TextError};
 
@@ -458,8 +457,7 @@ mod tests {
         /// What `sync` does with the events it polled.
         fn apply_events(&mut self, events: Vec<Arc<DocEvent>>) -> usize {
             let session = self.session;
-            self.with_replica(|r, _| r.integrate(events, |ev| ev.origin == session))
-                .applied
+            self.with_replica(|r, _, _| r.integrate(events, |ev| ev.origin == session))
         }
     }
 

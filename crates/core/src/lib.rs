@@ -53,7 +53,7 @@ pub use tendax_meta::{
     SearchHit, SearchQuery, SpacePoint, TermMode, WorkspaceReport, FEATURE_NAMES,
 };
 pub use tendax_process::{Assignee, Task, TaskId, TaskLogEntry, TaskSpec, TaskState};
-pub use tendax_storage::{ClockMode, DurabilityLevel, Options, Stats};
+pub use tendax_storage::{DurabilityLevel, Options, Stats};
 pub use tendax_text::{
     CharId, CharMeta, Clip, DocHandle, DocId, DocInfo, DocStats, EditReceipt, Effect, NoteId,
     ObjectId, OpId, Permission, Principal, Provenance, Result, RoleId, StructId, StyleId,

@@ -456,25 +456,31 @@ impl Drop for NetClient {
 /// straight into the document's mirror; what comes back for it carries
 /// only the header (`chars` empty), which is all a waiting `subscribe` or
 /// `resync` reads.
+///
+/// A snapshot replaces a mirror, but creates one only while a `subscribe`
+/// or `resync` waits for it: a recovery snapshot that crosses an
+/// `unsubscribe` must not bring back a mirror no event will reach.
 fn decode_incoming(shared: &ClientShared, tag: u8, payload: &[u8]) -> Result<Frame> {
     if tag != TAG_SNAPSHOT {
         return Frame::decode(tag, payload);
     }
     let fresh = MirrorDoc::from_snapshot_payload(payload)?;
-    let (doc, synced_ts) = (fresh.doc(), fresh.synced_ts());
+    let header = Frame::Snapshot {
+        doc: fresh.doc(),
+        synced_ts: fresh.synced_ts(),
+        chars: Vec::new(),
+    };
+    let asked = shared.reply.lock().expect.matches(&header);
     let mut mirrors = shared.mirrors.lock();
-    match mirrors.get_mut(&doc) {
+    match mirrors.get_mut(&fresh.doc()) {
         Some(m) => m.reload(fresh),
-        None => {
-            mirrors.insert(doc, fresh);
+        None if asked => {
+            mirrors.insert(fresh.doc(), fresh);
         }
+        None => {}
     }
     shared.progress.notify_all();
-    Ok(Frame::Snapshot {
-        doc,
-        synced_ts,
-        chars: Vec::new(),
-    })
+    Ok(header)
 }
 
 fn reader_loop(mut stream: TcpStream, shared: Arc<ClientShared>, mut buf: FrameBuffer) {

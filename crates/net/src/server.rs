@@ -148,8 +148,6 @@ pub struct NetServerStats {
     /// Live copies built from the database: a first subscriber, or a copy
     /// found stale. `snapshots_served` over this = opens per chain walk.
     pub live_loads: u64,
-    /// Snapshots that waited for an unpublished commit to name a frontier.
-    pub frontier_waits: u64,
 }
 
 #[derive(Debug, Default)]
@@ -607,7 +605,6 @@ impl NetServer {
             live_documents: live.documents as u64,
             snapshots_served: live.snapshots,
             live_loads: live.loads,
-            frontier_waits: live.frontier_waits,
         }
     }
 

@@ -1,19 +1,28 @@
 //! The server's live documents, over real sockets: the frontier a
 //! snapshot names, equality with the database under random
-//! interleavings, what a second open costs, and the life cycle.
+//! interleavings and under races with in-process editors, what a second
+//! open costs, and the life cycle.
 
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tendax_collab::{CollabServer, EditorDoc, Platform};
 use tendax_net::protocol::encode_snapshot;
 use tendax_net::{NetClient, NetConfig, NetServer};
-use tendax_text::{DocId, TextDb, UserId};
+use tendax_storage::Ts;
+use tendax_text::{DocId, TextDb, TextError, UserId};
 
 const WAIT: Duration = Duration::from_secs(30);
 
 fn serve(users: &[&str], docs: &[&str]) -> (NetServer, CollabServer) {
+    let collab = collab(users, docs);
+    let server = NetServer::bind("127.0.0.1:0", collab.clone(), NetConfig::default()).unwrap();
+    (server, collab)
+}
+
+fn collab(users: &[&str], docs: &[&str]) -> CollabServer {
     let tdb = TextDb::in_memory();
     let mut creator = None;
     for u in users {
@@ -24,9 +33,7 @@ fn serve(users: &[&str], docs: &[&str]) -> (NetServer, CollabServer) {
         tdb.create_document(d, creator.expect("at least one user"))
             .unwrap();
     }
-    let collab = CollabServer::new(tdb);
-    let server = NetServer::bind("127.0.0.1:0", collab.clone(), NetConfig::default()).unwrap();
-    (server, collab)
+    CollabServer::new(tdb)
 }
 
 /// Poll `done` until it holds.
@@ -44,45 +51,64 @@ fn shows(client: &NetClient, doc: u64, want: &str) {
     });
 }
 
-/// Frontier. An in-process editor has committed and *holds* its event:
-/// the commit is in the database and not in the live chain. A snapshot
-/// taken now must not name a frontier at or above that commit — the
-/// client would drop the event as already covered and never see the
-/// text. It may wait for the publication, or name an older frontier.
-/// (Mutation check: serve the commit watermark without consulting the
-/// in-flight count and the subscribe returns at once with `synced_ts`
-/// at the held commit.)
+/// Frontier. An in-process editor has committed, and its event is held
+/// back on the bus by a hook that runs ahead of the server's fan-out: the
+/// commit is in the database, its publication has not returned. A
+/// subscriber that comes now is answered at once, with a frontier at or
+/// past the commit *and* the commit's text — the commit was folded into
+/// the live copy under the document's lock, before its publication began.
+/// No snapshot names a frontier past a commit it lacks, and none waits
+/// for a publication.
 #[test]
 fn snapshot_names_no_frontier_past_an_unpublished_commit() {
-    let (server, collab) = serve(&["alice", "bob", "carol"], &["doc"]);
+    let collab = collab(&["alice", "bob", "carol"], &["doc"]);
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let (parked_tx, released) = (Mutex::new(parked_tx), Mutex::new(released));
+    let armed = AtomicBool::new(true);
+    // Registered before the server binds, so it runs before the fan-out.
+    collab
+        .transport()
+        .register_publish_hook(Box::new(move |ev| {
+            if armed.swap(false, Ordering::SeqCst) {
+                parked_tx.lock().unwrap().send(ev.commit_ts).unwrap();
+                let _ = released.lock().unwrap().recv();
+            }
+            true
+        }));
+    let server = NetServer::bind("127.0.0.1:0", collab.clone(), NetConfig::default()).unwrap();
     let addr = server.local_addr();
     let a = NetClient::connect(addr, "alice").unwrap();
     let doc = a.subscribe("doc").unwrap();
 
     let carol = collab.connect("carol", Platform::Linux).unwrap();
     let mut editor = carol.open_id(DocId(doc)).unwrap();
-    let (receipt, held) = editor.commit_text(0, "held back").unwrap();
+    let typist = std::thread::spawn(move || editor.type_text(0, "held back").unwrap());
+    let commit_ts: Ts = parked
+        .recv_timeout(WAIT)
+        .expect("the event reached the hook");
 
     let (opened, was_opened) = mpsc::channel();
     let subscriber = std::thread::spawn(move || {
         let b = NetClient::connect(addr, "bob").unwrap();
         assert_eq!(b.subscribe("doc").unwrap(), doc);
-        opened.send(b.synced_ts(doc).unwrap()).unwrap();
+        opened
+            .send((b.synced_ts(doc).unwrap(), b.text(doc).unwrap()))
+            .unwrap();
         b
     });
-    // Either the subscribe is still waiting when the event goes out, or
-    // it has answered — with a frontier below the commit it lacks.
-    if let Ok(synced_ts) = was_opened.recv_timeout(Duration::from_millis(300)) {
-        assert!(
-            synced_ts < receipt.commit_ts,
-            "snapshot claims {synced_ts}, lacks the commit at {}",
-            receipt.commit_ts
-        );
-    }
-    editor.publish(held);
+    let answered = was_opened.recv_timeout(Duration::from_millis(300));
+    release.send(()).unwrap();
+    let (synced_ts, text) = answered.expect("the subscribe waited for a publication");
+    assert!(
+        synced_ts >= commit_ts,
+        "snapshot at {synced_ts}, the commit at {commit_ts}"
+    );
+    assert_eq!(text, "held back");
+    let receipt = typist.join().unwrap();
+    assert_eq!(receipt.commit_ts, commit_ts);
     let b = subscriber.join().unwrap();
 
-    assert!(b.wait_synced(doc, receipt.commit_ts, WAIT));
     let want = collab.textdb().document_text(DocId(doc)).unwrap();
     assert_eq!(want, "held back");
     shows(&a, doc, &want);
@@ -90,7 +116,7 @@ fn snapshot_names_no_frontier_past_an_unpublished_commit() {
     // A mirror opened now has the acknowledged edit from the start.
     let c = NetClient::connect(addr, "carol").unwrap();
     c.subscribe("doc").unwrap();
-    assert!(c.wait_synced(doc, receipt.commit_ts, Duration::ZERO));
+    assert!(c.wait_synced(doc, commit_ts, Duration::ZERO));
     assert_eq!(c.text(doc).unwrap(), want);
     assert_eq!(server.stats().live_loads, 1);
 }
@@ -107,9 +133,10 @@ fn live_and_fresh(collab: &CollabServer, doc: DocId) -> Option<(Vec<u8>, Vec<u8>
     Some((live, encode_snapshot(&fresh)))
 }
 
-/// Oracle. Seeded interleavings of edits over TCP, edits in process and
-/// subscribe / unsubscribe / resync on two documents, from one thread,
-/// so every step ends quiescent: whenever a document is live, its
+/// Oracle. Seeded interleavings of edits over TCP, edits in process
+/// (typing, deleting, pasting, undo, global undo and moves between the
+/// two documents) and subscribe / unsubscribe / resync on two documents,
+/// from one thread, so every step ends quiescent: whenever a document is live, its
 /// snapshot is byte for byte the one a fresh load from the database
 /// encodes, and at the end every mirror shows the database's text.
 #[test]
@@ -129,7 +156,7 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
         for step in 0..160 {
             let (c, d) = (rng.gen_range(0..2usize), rng.gen_range(0..2usize));
             let client = &clients[c];
-            match rng.gen_range(0..10u32) {
+            match rng.gen_range(0..14u32) {
                 0 if open[c][d] => {
                     client.unsubscribe(ids[d].0).unwrap();
                     // Answered once the server has let go.
@@ -151,6 +178,44 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                         client
                             .insert(ids[d].0, rng.gen_range(0..=len), &text)
                             .unwrap();
+                    }
+                }
+                10 => {
+                    let (left, right) = editors.split_at_mut(1);
+                    let (src, dst) = if d == 0 {
+                        (&mut left[0], &mut right[0])
+                    } else {
+                        (&mut right[0], &mut left[0])
+                    };
+                    src.sync();
+                    dst.sync();
+                    let len = src.len();
+                    if len > 2 {
+                        let at = rng.gen_range(0..len - 2);
+                        let to = rng.gen_range(0..=dst.len());
+                        src.move_text(at, 2, dst, to).unwrap();
+                    }
+                }
+                11 => {
+                    let editor = &mut editors[d];
+                    editor.sync();
+                    let len = editor.len();
+                    if len > 2 {
+                        let clip = editor.copy(rng.gen_range(0..len - 2), 2).unwrap();
+                        editor.paste(rng.gen_range(0..=len), &clip).unwrap();
+                    }
+                }
+                12 | 13 => {
+                    let editor = &mut editors[d];
+                    editor.sync();
+                    let undone = if c == 0 {
+                        editor.undo()
+                    } else {
+                        editor.global_undo()
+                    };
+                    match undone {
+                        Ok(_) | Err(TextError::NothingToUndo) => {}
+                        Err(e) => panic!("seed {seed} step {step}: undo failed: {e}"),
                     }
                 }
                 _ => {
@@ -186,6 +251,60 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
         assert_eq!(stats.live_documents, 2, "{stats:?}");
         assert_eq!(stats.frames_dropped, 0, "{stats:?}");
     }
+}
+
+/// Race. An in-process typist commits while the document's first
+/// subscriber loads the live copy: the typist's attempt parks before it
+/// commits, and the subscriber comes meanwhile. The typist holds the
+/// document from its open, so its attempt runs under the document's lock
+/// and the load waits for it. Afterwards the live copy equals a fresh
+/// load, and the mirror shows the text once. (Mutation check: look the
+/// document up when committing instead of holding it, and the load runs
+/// beside the parked attempt; the commit then lands after the load and
+/// never reaches the copy.)
+#[test]
+fn an_in_process_typist_racing_the_first_load_reaches_the_live_copy() {
+    let (server, collab) = serve(&["alice", "carol"], &["doc"]);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let carol = collab.connect("carol", Platform::Linux).unwrap();
+    let mut editor = carol.open_id(id).unwrap();
+    let (parked_tx, parked) = mpsc::channel();
+    let (release, released) = mpsc::channel::<()>();
+    let typist = std::thread::spawn(move || {
+        let mut first = true;
+        editor
+            .with_handle("insert", |h| {
+                if std::mem::take(&mut first) {
+                    parked_tx.send(()).unwrap();
+                    let _ = released.recv();
+                }
+                Ok(((), h.insert_text(0, "raced")?))
+            })
+            .unwrap();
+    });
+    parked
+        .recv_timeout(WAIT)
+        .expect("the typist's attempt began");
+    let (subscribed_tx, subscribed) = mpsc::channel();
+    let subscriber = std::thread::spawn(move || {
+        let a = NetClient::connect(addr, "alice").unwrap();
+        let doc = a.subscribe("doc").unwrap();
+        subscribed_tx.send(()).unwrap();
+        (a, doc)
+    });
+    // The subscribe cannot be answered while the attempt holds the
+    // document; given the time, it would be if the load ran beside it.
+    let early = subscribed.recv_timeout(Duration::from_millis(100)).is_ok();
+    release.send(()).unwrap();
+    typist.join().unwrap();
+    let (a, doc) = subscriber.join().unwrap();
+    assert!(!early, "the first load ran beside a commit attempt");
+
+    let (live, fresh) = live_and_fresh(&collab, id).expect("live");
+    assert!(live == fresh, "the live copy missed the raced commit");
+    shows(&a, doc, "raced");
+    assert_eq!(server.stats().live_loads, 1);
 }
 
 /// Counted receipt. Opening a document that is live already reads no
@@ -270,5 +389,4 @@ fn last_subscriber_out_drops_the_live_document() {
     let stats = server.stats();
     assert_eq!((stats.live_documents, stats.live_loads), (1, 2));
     assert_eq!(stats.snapshots_served, 3);
-    assert_eq!(stats.frontier_waits, 0);
 }

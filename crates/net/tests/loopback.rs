@@ -617,3 +617,47 @@ fn resync_recovers_a_deliberately_poisoned_mirror() {
     assert!(b.wait_synced(doc, t2, WAIT));
     assert_eq!(b.text(doc).unwrap(), "world");
 }
+
+/// A snapshot nobody waits for — a recovery snapshot that crossed the
+/// client's `unsubscribe` — must not bring a mirror back: no event would
+/// reach it, and `text` would serve it stale for good. A fake server
+/// sends one for a document the client never subscribed to.
+#[test]
+fn an_unasked_snapshot_creates_no_mirror() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        let mut buf = FrameBuffer::default();
+        let mut next = |sock: &mut TcpStream| loop {
+            if let Some((tag, payload)) = buf.try_frame().unwrap() {
+                return Frame::decode(tag, &payload).unwrap();
+            }
+            let mut bytes = [0u8; 4096];
+            let n = sock.read(&mut bytes).unwrap();
+            assert!(n > 0, "the client hung up");
+            buf.extend(&bytes[..n]);
+        };
+        assert!(matches!(next(&mut sock), Frame::Hello { .. }));
+        sock.write_all(&Frame::Welcome { session: 1 }.encode())
+            .unwrap();
+        let unasked = Frame::Snapshot {
+            doc: 7,
+            synced_ts: 3,
+            chars: Vec::new(),
+        };
+        sock.write_all(&unasked.encode()).unwrap();
+        let Frame::Ping { nonce } = next(&mut sock) else {
+            panic!("expected a ping");
+        };
+        sock.write_all(&Frame::Pong { nonce }.encode()).unwrap();
+        sock
+    });
+    let client = NetClient::connect(addr, "alice").unwrap();
+    // The pong follows the snapshot on the stream: the snapshot has been
+    // read by the time the ping returns.
+    client.ping().unwrap();
+    assert_eq!(client.text(7), None);
+    drop(client);
+    server.join().unwrap();
+}

@@ -1,66 +1,22 @@
 //! Engine clock.
 //!
 //! TeNDaX stamps every character and document with creation metadata.
-//! Tests and benches need deterministic timestamps, so the engine clock is
-//! pluggable: a strictly monotonic logical clock (default for tests) or the
-//! system clock (microseconds since the Unix epoch).
+//! The stamps come from a strictly monotonic logical counter, so runs are
+//! deterministic.
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Clock behaviour selection.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ClockMode {
-    /// Strictly monotonic counter starting at 1; deterministic.
-    Logical,
-    /// Wall-clock microseconds, made strictly monotonic by never repeating.
-    System,
-}
 
 /// The engine clock; all timestamps in the database come from here.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Clock {
-    mode: ClockMode,
     last: AtomicI64,
 }
 
 impl Clock {
-    pub fn new(mode: ClockMode) -> Self {
-        Clock {
-            mode,
-            last: AtomicI64::new(0),
-        }
-    }
-
-    pub fn mode(&self) -> ClockMode {
-        self.mode
-    }
-
-    /// Next timestamp: strictly greater than every previously returned one.
+    /// Next timestamp: strictly greater than every previously returned
+    /// one, starting at 1.
     pub fn now(&self) -> i64 {
-        match self.mode {
-            ClockMode::Logical => self.last.fetch_add(1, Ordering::Relaxed) + 1,
-            ClockMode::System => {
-                let wall = SystemTime::now()
-                    .duration_since(UNIX_EPOCH)
-                    .map(|d| d.as_micros() as i64)
-                    .unwrap_or(0);
-                // Take max(wall, last+1) atomically.
-                let mut prev = self.last.load(Ordering::Relaxed);
-                loop {
-                    let next = wall.max(prev + 1);
-                    match self.last.compare_exchange_weak(
-                        prev,
-                        next,
-                        Ordering::Relaxed,
-                        Ordering::Relaxed,
-                    ) {
-                        Ok(_) => return next,
-                        Err(p) => prev = p,
-                    }
-                }
-            }
-        }
+        self.last.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// The most recently returned timestamp (0 if none yet).
@@ -83,19 +39,13 @@ impl Clock {
     }
 }
 
-impl Default for Clock {
-    fn default() -> Self {
-        Clock::new(ClockMode::Logical)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn logical_clock_is_strictly_monotonic() {
-        let c = Clock::new(ClockMode::Logical);
+        let c = Clock::default();
         let a = c.now();
         let b = c.now();
         let d = c.now();
@@ -104,19 +54,8 @@ mod tests {
     }
 
     #[test]
-    fn system_clock_never_repeats() {
-        let c = Clock::new(ClockMode::System);
-        let mut prev = c.now();
-        for _ in 0..1000 {
-            let t = c.now();
-            assert!(t > prev);
-            prev = t;
-        }
-    }
-
-    #[test]
     fn observe_fast_forwards() {
-        let c = Clock::new(ClockMode::Logical);
+        let c = Clock::default();
         c.observe(500);
         assert!(c.now() > 500);
         c.observe(10); // never moves backwards
@@ -125,7 +64,7 @@ mod tests {
 
     #[test]
     fn threads_see_unique_timestamps() {
-        let c = std::sync::Arc::new(Clock::new(ClockMode::Logical));
+        let c = std::sync::Arc::new(Clock::default());
         let mut handles = Vec::new();
         for _ in 0..4 {
             let c = c.clone();

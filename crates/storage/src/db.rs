@@ -7,7 +7,7 @@ use std::sync::{Arc, OnceLock, Weak};
 
 use parking_lot::{Mutex, RwLock};
 
-use crate::clock::{Clock, ClockMode};
+use crate::clock::Clock;
 use crate::cold::{ColdOptions, ColdStore};
 use crate::commit::{CommitLatch, CommitSequencer};
 use crate::error::{Result, StorageError};
@@ -28,7 +28,6 @@ use crate::wal::{
 #[derive(Debug, Clone)]
 pub struct Options {
     pub durability: DurabilityLevel,
-    pub clock: ClockMode,
     /// Run a background maintenance thread (auto-vacuum + auto-
     /// checkpoint). `None` (the default) spawns nothing and leaves the
     /// engine's behaviour exactly as without the subsystem.
@@ -52,7 +51,6 @@ impl Default for Options {
     fn default() -> Self {
         Options {
             durability: DurabilityLevel::Buffered,
-            clock: ClockMode::Logical,
             maintenance: None,
             vfs: os_vfs(),
             cold_storage: None,
@@ -241,20 +239,15 @@ pub struct Database {
 impl Database {
     /// A fresh, purely in-memory database (no WAL).
     pub fn open_in_memory() -> Database {
-        Self::empty(None, ClockMode::Logical)
+        Self::empty(None)
     }
 
-    /// In-memory database with an explicit clock mode.
-    pub fn open_in_memory_with(clock: ClockMode) -> Database {
-        Self::empty(None, clock)
-    }
-
-    fn empty(path: Option<PathBuf>, clock: ClockMode) -> Database {
+    fn empty(path: Option<PathBuf>) -> Database {
         Database {
             inner: Arc::new(DbInner {
                 catalog: RwLock::new(Catalog::new()),
                 tables: RwLock::new(BTreeMap::new()),
-                clock: Clock::new(clock),
+                clock: Clock::default(),
                 sequencer: CommitSequencer::new(0),
                 next_txn_id: AtomicU64::new(1),
                 active: Mutex::new(BTreeMap::new()),
@@ -280,7 +273,7 @@ impl Database {
     /// Replays the log, recovering all committed state.
     pub fn open(path: impl AsRef<Path>, options: Options) -> Result<Database> {
         let path = path.as_ref().to_path_buf();
-        let db = Self::empty(Some(path.clone()), options.clock);
+        let db = Self::empty(Some(path.clone()));
         // Streamed: each frame is decoded, applied and dropped before
         // the next one is read.
         let valid_len = {
@@ -1948,10 +1941,6 @@ mod tests {
         let db = Database::open_in_memory();
         assert_eq!(db.now(), 1);
         assert_eq!(db.now(), 2);
-        let db = Database::open_in_memory_with(ClockMode::System);
-        let a = db.now();
-        assert!(a > 1_000_000_000); // some real epoch-ish value
-        assert!(db.now() > a);
     }
 
     // ------------------------------------------------------ durability tests

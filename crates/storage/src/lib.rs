@@ -62,7 +62,6 @@ pub mod vfs;
 pub mod wal;
 
 pub use aggregate::Aggregate;
-pub use clock::ClockMode;
 pub use cold::ColdOptions;
 pub use db::{Database, Options, Stats, TableStats};
 pub use error::{Result, StorageError};

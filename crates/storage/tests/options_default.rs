@@ -5,7 +5,7 @@
 //!
 //! A file of its own: the test sets process-wide environment variables.
 
-use tendax_storage::{ClockMode, DurabilityLevel, Options};
+use tendax_storage::{DurabilityLevel, Options};
 
 /// What followed `TENDAX_` in the names `Options::default()` read, and
 /// the values that used to flip it. (Spelled in two halves so the first
@@ -25,6 +25,5 @@ fn options_default_ignores_the_environment() {
     // Not `PartialEq` (it holds an `Arc<dyn Vfs>`); `Debug` names every field.
     assert_eq!(format!("{set:?}"), format!("{unset:?}"));
     assert_eq!(set.durability, DurabilityLevel::Buffered);
-    assert_eq!(set.clock, ClockMode::Logical);
     assert!(set.maintenance.is_none() && set.cold_storage.is_none());
 }

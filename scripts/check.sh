@@ -12,9 +12,11 @@
 # on failure), `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
 # trip, writer = weigher = `encode_record`, replay; the same) and
-# `resident_size`. The transport job's include tendax-net `mirror_oracle`
-# (the client mirror against the server's chain; prints PROPTEST_SEED=<n>
-# on failure) and `mirror_cost` (allocations per applied event). The
+# `resident_size`. The transport job's include tendax-net `live` (one
+# commit path into a live document: the frontier, the oracle, the races
+# with in-process editors), `mirror_oracle` (the client mirror against
+# the server's chain; prints PROPTEST_SEED=<n> on failure), `mirror_cost`
+# (allocations per applied event) and the whole of tendax-collab. The
 # metadata-services job's are:
 # tendax-storage `commit_observer` (each row's replaced and published
 # versions, a non-resident replaced version on a cold-tier database),
