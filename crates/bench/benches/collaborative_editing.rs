@@ -2,10 +2,11 @@
 //! with multiple users on the same document").
 //!
 //! Measures multi-user editing throughput on a single shared document as
-//! the number of concurrent editors grows, plus the cost of synchronizing
-//! a remote editor via the effect bus versus a full document reload. The
-//! shape to reproduce: disjoint-position edits scale with editors (rare
-//! conflicts), and effect-based sync is far cheaper than reopening.
+//! the number of concurrent editors grows, and under worst-case
+//! same-position contention. In-process editors are views of the
+//! server's one copy of the document, so a remote editor has nothing to
+//! catch up: there is no sync cost to measure. The shape to reproduce:
+//! edits from several editors neither conflict nor retry.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use tendax_bench::shared_document;
@@ -44,44 +45,11 @@ fn bench_concurrent_throughput(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_sync_vs_reload(c: &mut Criterion) {
-    let mut group = c.benchmark_group("d1_remote_sync_cost");
-    group.sample_size(10);
-    // One editor types; measure how a second editor catches up.
-    let (tendax, sessions, doc_id) = shared_document(2);
-    let mut writer = sessions[0].open("shared").expect("open writer");
-    writer
-        .type_text(0, &"seed text ".repeat(200))
-        .expect("seed");
-
-    group.bench_function("effect_bus_sync_100_events", |b| {
-        b.iter(|| {
-            let mut reader = sessions[1].open("shared").expect("open reader");
-            for i in 0..100 {
-                writer.type_text(i % writer.len(), "x").expect("w");
-            }
-            let applied = reader.sync();
-            assert!(applied >= 100);
-        });
-    });
-
-    group.bench_function("full_reload_after_100_events", |b| {
-        let u = tendax.textdb().user_by_name("user1").expect("u");
-        b.iter(|| {
-            for i in 0..100 {
-                writer.type_text(i % writer.len(), "x").expect("w");
-            }
-            tendax.textdb().open(doc_id, u).expect("reopen")
-        });
-    });
-    group.finish();
-}
-
 fn bench_same_position_contention(c: &mut Criterion) {
     let mut group = c.benchmark_group("d1_same_position_contention");
     group.sample_size(10);
-    // Everyone hammers position 0: worst-case conflict rate, exercising
-    // the retry path.
+    // Everyone hammers position 0: the document's lock serialises the
+    // commits, so the worst case conflicts no more than the best.
     for &n_editors in &[2usize, 4] {
         group.bench_with_input(
             BenchmarkId::from_parameter(n_editors),
@@ -112,7 +80,6 @@ fn bench_same_position_contention(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_concurrent_throughput,
-    bench_sync_vs_reload,
     bench_same_position_contention
 );
 criterion_main!(benches);

@@ -1,93 +1,97 @@
-//! Live documents: the server's own copy of each document its network
-//! clients have open.
+//! Live documents: the server's one copy of each open document.
 //!
 //! TeNDaX editors are thin views on a document the server holds. A
-//! [`CollabServer`] keeps one [`Replica`] per document that at least one
-//! [`LiveEditor`] is attached to — loaded from the database by the first,
-//! dropped with the last — and every attached editor *borrows* it.
+//! [`CollabServer`] keeps one copy — a [`DocHandle`] — of every document
+//! an editor has open, of either kind: a network connection's
+//! [`LiveEditor`], or an in-process [`crate::EditorDoc`], which is a
+//! `LiveEditor` with a cursor. The first editor to open a document loads
+//! its copy from the database, the last to close it drops it, and every
+//! editor in between reads and edits that one copy.
 //!
-//! ## One way in
+//! ## One copy per document
 //!
-//! A live copy changes only under its document's lock, through the
-//! commit that changes the document. Every editor of a document — a
-//! [`LiveEditor`] or an in-process [`crate::EditorDoc`] — holds the
-//! document's slot from open to close, and every commit attempt it makes
-//! runs through one helper (`Hold::commit`): under the slot's lock, with the
-//! commit folded into the copy, if one is loaded, before the lock is
-//! released. A fold applies the commit's effects if they fit the copy and
-//! rebuilds the copy from the database if not; it never buffers. So:
+//! A copy changes only under its document's lock, by the commit that
+//! changes the document: an edit runs on the copy itself, in its
+//! editor's name (`act_as`), and the copy has applied its own commit
+//! before the lock is released. So:
 //!
-//! * edits reach the copy in commit order and never race one another's
-//!   view. The lock is released once the commit is *visible*; the wait
-//!   for the disk comes after, so typists on one document still share a
-//!   group-commit flush;
-//! * publishing a commit feeds the bus and the wire, never a copy: the
-//!   order events are published in does not matter here;
+//! * edits reach the copy in commit order, and every editor sees a commit
+//!   the moment it is made. The lock is released once the commit is
+//!   *visible*; the wait for the disk comes after, so typists on one
+//!   document still share a group-commit flush;
+//! * publishing a commit feeds the wire (the bus's hooks), never a copy:
+//!   the order events are published in does not matter here;
 //! * a snapshot is an encode of the chain under the lock — no database
 //!   read.
 //!
-//! An editor *holds* the slot rather than look it up when it commits:
-//! otherwise it could find no copy and commit while the first
-//! [`LiveEditor`] is loading one, and that load could miss the commit.
+//! Only a commit that bypasses the editors — a raw `DocHandle`, a
+//! tombstone purge — can leave a copy behind the database, and an edit
+//! that builds on what such a commit changed fails retryably. It is then
+//! rebuilt from the database and tried once more, still under the lock
+//! and with no sleep: edit transactions write only their own document's
+//! rows, so under the lock nothing else can make the second try fail.
 //!
 //! ## The frontier
 //!
 //! A snapshot says "everything committed at or before `synced_ts` is in
 //! here". Under the document's lock that is the database's commit
-//! watermark: every editor's commit on the document at or below it was
-//! folded in before the lock was let go, and none is half done. Commits
-//! that bypass the editors altogether (a raw `DocHandle`, a tombstone
-//! purge) are not seen until a later fold finds the copy stale and
+//! watermark: every editor's commit on the document at or below it is in
+//! the copy, and none is half done. Commits that bypass the editors
+//! altogether are not seen until an edit finds the copy stale and
 //! rebuilds it; serve such documents from editors.
 //!
 //! Lock order: no registry lock is held while a document's lock is
 //! taken; a document's lock comes before the database's, and a move takes
-//! its two documents' locks in [`DocId`] order.
+//! its two documents' locks in [`DocId`] order. The lock is not
+//! reentrant: a thread that holds it — inside an edit, or through a
+//! [`DocView`] — must not take it again through another editor of the
+//! same document.
 
 use std::collections::HashMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use tendax_storage::Durability;
-use tendax_text::{DocHandle, DocId, EditReceipt, Permission, Result, TextDb, UserId};
+use tendax_text::{
+    Clip, DocHandle, DocId, EditReceipt, Permission, Result, StyleId, TextDb, TextError, UserId,
+};
 
 use crate::bus::{DocEvent, SessionId};
-use crate::replica::{Actor, Replica};
 use crate::server::CollabServer;
+use crate::session::EditorStats;
+
+/// How many tries an edit gets. A try that fails retryably means a
+/// commit bypassed the editors (see the module docs): the copy is rebuilt
+/// and the edit tried once more.
+pub(crate) const EDIT_RETRIES: usize = 2;
 
 /// Counters of a server's live documents.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LiveStats {
     /// Documents with a live copy right now.
     pub documents: usize,
-    /// Rebuilds from the database: a first editor attaching, or a copy
-    /// found stale (a lost commit race, a commit that bypassed the
-    /// editors).
+    /// Copies built from the database: a first editor opening a
+    /// document, or an edit that found its copy stale (a commit bypassed
+    /// the editors).
     pub loads: u64,
     /// Snapshots served from a live chain.
     pub snapshots: u64,
 }
 
-#[derive(Debug, Default)]
-struct LiveState {
-    /// Loaded by the first attached [`LiveEditor`], dropped by the last.
-    replica: Option<Replica>,
-    editors: usize,
-}
-
-/// A document's lock and, under it, its live copy.
+/// A document's lock and, under it, its copy: loaded while any editor
+/// holds the slot, taken out by the last one to let go.
 #[derive(Debug)]
-pub(crate) struct Slot {
+struct Slot {
     doc: DocId,
-    state: Mutex<LiveState>,
+    copy: Mutex<Option<DocHandle>>,
 }
 
 #[derive(Debug)]
 struct Entry {
     slot: Arc<Slot>,
-    /// Editors of either kind.
-    holds: usize,
+    editors: usize,
 }
 
 /// A server's live documents.
@@ -100,68 +104,10 @@ pub struct LiveDocs {
     snapshots: AtomicU64,
 }
 
-/// An editor's hold on its document's slot, from open to close (see the
-/// module docs). A hold loads nothing; the last one out removes the slot.
-#[derive(Debug)]
-pub(crate) struct Hold {
-    docs: Arc<LiveDocs>,
-    slot: Arc<Slot>,
-}
-
-impl Drop for Hold {
-    fn drop(&mut self) {
-        let mut docs = self.docs.docs.write();
-        if let Some(entry) = docs.get_mut(&self.slot.doc) {
-            entry.holds -= 1;
-            if entry.holds == 0 {
-                docs.remove(&self.slot.doc);
-            }
-        }
-    }
-}
-
-type Locked<'a> = [Option<(DocId, MutexGuard<'a, LiveState>)>; 2];
-
-/// The live copy of `doc` among the locked slots, if one is loaded.
-fn copy_of<'g>(locked: &'g mut Locked<'_>, doc: DocId) -> Option<&'g mut Replica> {
-    let (_, state) = locked.iter_mut().flatten().find(|(d, _)| *d == doc)?;
-    state.replica.as_mut()
-}
-
-impl Hold {
-    pub(crate) fn doc(&self) -> DocId {
-        self.slot.doc
-    }
-
-    /// The one way a commit reaches a document (see the module docs): one
-    /// commit attempt under this document's lock and, for a move,
-    /// `other`'s — taken in [`DocId`] order, once per document. `attempt`
-    /// is handed this document's live copy, if one is loaded;
-    /// `elsewhere` names, per document, what it committed through any
-    /// other handle, and each of those is folded into its document's copy
-    /// before the locks are released.
-    pub(crate) fn commit<T>(
-        &self,
-        other: Option<&Hold>,
-        attempt: impl FnOnce(Option<&mut Replica>) -> Result<T>,
-        elsewhere: impl FnOnce(&T, &mut dyn FnMut(DocId, &EditReceipt)),
-    ) -> Result<T> {
-        let own = &*self.slot;
-        let other = other.map(|o| &*o.slot).filter(|o| o.doc != own.doc);
-        let (first, second) = match other {
-            Some(o) if o.doc < own.doc => (o, Some(own)),
-            _ => (own, other),
-        };
-        let mut locked: Locked<'_> =
-            [Some(first), second].map(|s| s.map(|s| (s.doc, s.state.lock())));
-        let done = attempt(copy_of(&mut locked, own.doc))?;
-        elsewhere(&done, &mut |doc, receipt| {
-            if let Some(copy) = copy_of(&mut locked, doc) {
-                self.docs.fold(copy, receipt);
-            }
-        });
-        Ok(done)
-    }
+/// The copy in a locked slot: every editor holding the slot keeps it
+/// loaded.
+fn loaded(copy: &mut Option<DocHandle>) -> &mut DocHandle {
+    copy.as_mut().expect("an open document is loaded")
 }
 
 impl LiveDocs {
@@ -183,20 +129,55 @@ impl LiveDocs {
         }
     }
 
-    /// Take a hold on `doc`'s slot, creating the slot if it is absent.
-    pub(crate) fn hold(self: &Arc<Self>, doc: DocId) -> Hold {
+    /// Hold `doc`'s slot for one more editor, loading its copy if this is
+    /// the first.
+    fn attach(&self, doc: DocId) -> Result<Arc<Slot>> {
+        let slot = {
+            let mut docs = self.docs.write();
+            let entry = docs.entry(doc).or_insert_with(|| Entry {
+                slot: Arc::new(Slot {
+                    doc,
+                    copy: Mutex::default(),
+                }),
+                editors: 0,
+            });
+            entry.editors += 1;
+            Arc::clone(&entry.slot)
+        };
+        let mut copy = slot.copy.lock();
+        if copy.is_none() {
+            match self.tdb.load(doc, UserId::NONE) {
+                Ok(handle) => {
+                    *copy = Some(handle);
+                    self.loads.fetch_add(1, Ordering::Relaxed);
+                    self.documents.fetch_add(1, Ordering::Relaxed);
+                }
+                Err(e) => {
+                    drop(copy);
+                    self.release(&slot);
+                    return Err(e);
+                }
+            }
+        }
+        drop(copy);
+        Ok(slot)
+    }
+
+    /// An editor lets go of `slot`; the last one drops the copy. (A
+    /// snapshot that found the slot before then finds no copy.)
+    fn release(&self, slot: &Slot) {
         let mut docs = self.docs.write();
-        let entry = docs.entry(doc).or_insert_with(|| Entry {
-            slot: Arc::new(Slot {
-                doc,
-                state: Mutex::default(),
-            }),
-            holds: 0,
-        });
-        entry.holds += 1;
-        Hold {
-            docs: Arc::clone(self),
-            slot: Arc::clone(&entry.slot),
+        let Some(entry) = docs.get_mut(&slot.doc) else {
+            return;
+        };
+        entry.editors -= 1;
+        if entry.editors > 0 {
+            return;
+        }
+        docs.remove(&slot.doc);
+        drop(docs);
+        if slot.copy.lock().take().is_some() {
+            self.documents.fetch_sub(1, Ordering::Relaxed);
         }
     }
 
@@ -204,42 +185,11 @@ impl LiveDocs {
         self.docs.read().get(&doc).map(|e| Arc::clone(&e.slot))
     }
 
-    /// Hold `doc` as a [`LiveEditor`], loading its copy if it is the
-    /// first.
-    fn attach(self: &Arc<Self>, doc: DocId) -> Result<Hold> {
-        let hold = self.hold(doc);
-        let mut state = hold.slot.state.lock();
-        if state.replica.is_none() {
-            let handle = self.tdb.load(doc, UserId::NONE)?;
-            self.loads.fetch_add(1, Ordering::Relaxed);
-            self.documents.fetch_add(1, Ordering::Relaxed);
-            state.replica = Some(Replica::new(handle, None));
-        }
-        state.editors += 1;
-        drop(state);
-        Ok(hold)
-    }
-
-    /// A [`LiveEditor`] lets go; the last one drops the copy.
-    fn detach(&self, slot: &Slot) {
-        let mut state = slot.state.lock();
-        state.editors -= 1;
-        if state.editors == 0 {
-            state.replica = None;
-            self.documents.fetch_sub(1, Ordering::Relaxed);
-        }
-    }
-
-    /// Bring `copy` up to a commit made under its lock through another
-    /// handle: apply its effects if they fit, rebuild from the database
-    /// if not.
-    fn fold(&self, copy: &mut Replica, receipt: &EditReceipt) {
-        let handle = &mut copy.handle;
-        let applied = handle.effects_applicable(&receipt.effects)
-            && handle.apply_remote(&receipt.effects).is_ok();
-        if !applied && copy.refresh().is_ok() {
-            self.loads.fetch_add(1, Ordering::Relaxed);
-        }
+    /// Rebuild a stale copy from the database.
+    fn rebuild(&self, copy: &mut DocHandle) -> Result<()> {
+        copy.refresh()?;
+        self.loads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// A transport repair — resync, lost-stream recovery: the live
@@ -262,34 +212,82 @@ impl LiveDocs {
     /// Run `f` on the live handle with its `synced_ts` at the frontier
     /// (see the module docs); `None` if no copy is loaded.
     fn at_frontier<T>(&self, slot: &Slot, f: impl FnOnce(&DocHandle) -> T) -> Option<T> {
-        let mut state = slot.state.lock();
-        let replica = state.replica.as_mut()?;
+        let mut copy = slot.copy.lock();
+        let handle = copy.as_mut()?;
         let frontier = self.tdb.database().last_commit_ts();
-        replica.handle.advance_synced(frontier);
+        handle.advance_synced(frontier);
         self.snapshots.fetch_add(1, Ordering::Relaxed);
-        Some(f(&replica.handle))
+        Some(f(handle))
     }
 }
 
-/// What an edit through a live document returns: the receipt, and the
-/// broadcast its caller owes to [`LiveEditor::publish`].
-pub type Committed = Result<(EditReceipt, Option<DocEvent>)>;
+/// An editor's read view of its document: the live copy, in the editor's
+/// name, under the document's lock until the view is dropped. Take what
+/// you need and let it go; see [`crate::EditorDoc::handle`].
+pub struct DocView<'a>(MutexGuard<'a, Option<DocHandle>>);
+
+impl Deref for DocView<'_> {
+    type Target = DocHandle;
+
+    fn deref(&self) -> &DocHandle {
+        self.0.as_ref().expect("an open document is loaded")
+    }
+}
+
+/// A committed edit: its receipt, and the broadcast its editor owes to
+/// [`LiveEditor::publish`].
+pub type Published = (EditReceipt, Option<DocEvent>);
+
+/// What an edit through a live document returns.
+pub type Committed = Result<Published>;
 
 /// One session's hold on a live document: the server-side editor of a
-/// network connection. Dropping it clears the presence it advertised and
-/// lets go of the document.
+/// network connection, and the core of an in-process
+/// [`crate::EditorDoc`]. Every edit commits on the live copy in this
+/// editor's name and hands back its broadcast, which the caller
+/// publishes when it sees fit. `insert` and `delete` clamp their
+/// positions (a network client's are advisory); the other edits refuse
+/// one beyond the document, as the text layer does. Dropping the editor
+/// clears the presence it advertised and lets go of the document.
 #[derive(Debug)]
 pub struct LiveEditor {
     server: CollabServer,
-    hold: Hold,
+    slot: Arc<Slot>,
     session: SessionId,
     user: UserId,
+    ops: AtomicU64,
+    retries: AtomicU64,
 }
 
 impl LiveEditor {
     /// Open `doc` for `session`: the [`Permission::Read`] check and read
-    /// event of any open, a hold on the live document, and `f` of its
-    /// handle at a frontier.
+    /// event of any open, a hold on the live copy (loaded by the first
+    /// editor) and the session's focus.
+    pub(crate) fn attach(
+        server: &CollabServer,
+        doc: DocId,
+        session: SessionId,
+        user: UserId,
+    ) -> Result<LiveEditor> {
+        let docs = server.live();
+        docs.tdb.record_read(doc, user)?;
+        let slot = docs.attach(doc)?;
+        server.presence_update(session, |p| {
+            p.doc = Some(doc);
+            p.cursor = Some(0);
+        });
+        Ok(LiveEditor {
+            server: server.clone(),
+            slot,
+            session,
+            user,
+            ops: AtomicU64::new(0),
+            retries: AtomicU64::new(0),
+        })
+    }
+
+    /// [`LiveEditor::attach`], and `f` of the copy at a frontier: a
+    /// network client's first view.
     pub(crate) fn open<T>(
         server: &CollabServer,
         doc: DocId,
@@ -297,32 +295,54 @@ impl LiveEditor {
         user: UserId,
         f: impl FnOnce(&DocHandle) -> T,
     ) -> Result<(LiveEditor, T)> {
-        let docs = server.live();
-        docs.tdb.record_read(doc, user)?;
-        let hold = docs.attach(doc)?;
-        server.presence_update(session, |p| {
-            p.doc = Some(doc);
-            p.cursor = Some(0);
-        });
-        let editor = LiveEditor {
-            server: server.clone(),
-            hold,
-            session,
-            user,
-        };
+        let editor = Self::attach(server, doc, session, user)?;
         let snapshot = editor.at_frontier(f);
         Ok((editor, snapshot))
     }
 
     pub fn doc(&self) -> DocId {
-        self.hold.slot.doc
+        self.slot.doc
+    }
+
+    pub fn session(&self) -> SessionId {
+        self.session
+    }
+
+    pub(crate) fn server(&self) -> &CollabServer {
+        &self.server
+    }
+
+    /// This editor's activity counters. Each retry rebuilt the copy once;
+    /// the counters of remote events read 0, as there are none.
+    pub fn stats(&self) -> EditorStats {
+        let retries = self.retries.load(Ordering::Relaxed);
+        EditorStats {
+            ops: self.ops.load(Ordering::Relaxed),
+            retries,
+            refreshes: retries,
+            ..EditorStats::default()
+        }
+    }
+
+    /// The document's lock, with the copy under it in this editor's
+    /// name.
+    fn lock(&self) -> MutexGuard<'_, Option<DocHandle>> {
+        let mut copy = self.slot.copy.lock();
+        loaded(&mut copy).act_as(self.user);
+        copy
+    }
+
+    /// The live copy, read in this editor's name under the document's
+    /// lock.
+    pub(crate) fn view(&self) -> DocView<'_> {
+        DocView(self.lock())
     }
 
     fn at_frontier<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> T {
         self.server
             .live()
-            .at_frontier(&self.hold.slot, f)
-            .expect("attached documents are loaded")
+            .at_frontier(&self.slot, f)
+            .expect("an open document is loaded")
     }
 
     /// The reader opens the document again while holding it: one more
@@ -335,55 +355,181 @@ impl LiveEditor {
     /// Type `text` at `pos`, clamped to the document (a remote caller's
     /// positions are advisory: they may race other edits).
     pub fn insert(&self, pos: usize, text: &str) -> Committed {
-        let (at, receipt, event) =
-            self.edit("insert", pos, |h, p| h.insert_text_visible(p, text))?;
+        let mut at = pos;
+        let done = self.edit_deferred("insert", |h| {
+            at = pos.min(h.len());
+            h.insert_text_visible(at, text)
+        })?;
         self.moved_cursor(at + text.chars().count());
-        Ok((receipt, event))
+        Ok(done)
     }
 
     /// Delete `len` characters at `pos`, both clamped to the document.
     pub fn delete(&self, pos: usize, len: usize) -> Committed {
-        let (at, receipt, event) = self.edit("delete", pos, |h, p| {
-            h.delete_range_visible(p, len.min(h.len() - p))
+        let mut at = pos;
+        let done = self.edit_deferred("delete", |h| {
+            at = pos.min(h.len());
+            h.delete_range_visible(at, len.min(h.len() - at))
         })?;
         self.moved_cursor(at);
-        Ok((receipt, event))
+        Ok(done)
     }
 
-    /// Commit through the live copy in this editor's name, under the
-    /// document's lock (the copy made the commit, so there is nothing to
-    /// fold). The wait for the disk comes after the lock is
-    /// released, so the typists queued behind it share a group-commit
-    /// flush.
+    pub fn paste(&self, pos: usize, clip: &Clip) -> Committed {
+        self.edit("paste", |h| h.paste(pos, clip))
+    }
+
+    pub fn paste_external(&self, pos: usize, text: &str, source: &str) -> Committed {
+        self.edit("paste", |h| h.paste_external(pos, text, source))
+    }
+
+    pub fn apply_style(&self, pos: usize, len: usize, style: StyleId) -> Committed {
+        self.edit("style", |h| h.apply_style(pos, len, style))
+    }
+
+    pub fn undo(&self) -> Committed {
+        self.edit("undo", |h| h.undo())
+    }
+
+    pub fn redo(&self) -> Committed {
+        self.edit("redo", |h| h.redo())
+    }
+
+    pub fn global_undo(&self) -> Committed {
+        self.edit("undo", |h| h.global_undo())
+    }
+
+    pub fn global_redo(&self) -> Committed {
+        self.edit("redo", |h| h.global_redo())
+    }
+
+    /// Move text into `dst`'s document in one transaction, under both
+    /// documents' locks. Returns each half: this editor owes the
+    /// deletion's broadcast, `dst` the insertion's.
+    pub fn move_text(
+        &self,
+        pos: usize,
+        len: usize,
+        dst: &LiveEditor,
+        dst_pos: usize,
+    ) -> Result<(Published, Published)> {
+        let (del, ins) = self.commit(Some(dst), |src, to| match to {
+            Some(to) => src.move_to(pos, len, to, dst_pos),
+            // Within one document: through a second handle, after which
+            // the copy holds only half of the move.
+            None => {
+                let mut to = self.server.textdb().load(self.doc(), dst.user)?;
+                let done = src.move_to(pos, len, &mut to, dst_pos)?;
+                self.server.live().rebuild(src)?;
+                Ok(done)
+            }
+        })?;
+        dst.ops.fetch_add(1, Ordering::Relaxed);
+        let moved_out = self.event("delete", &del);
+        let moved_in = dst.event("paste", &ins);
+        Ok(((del, moved_out), (ins, moved_in)))
+    }
+
+    /// Run an arbitrary handle operation on the live copy under the edit
+    /// protocol (notes, objects, structure, versions, …). `f` runs under
+    /// the document's lock, perhaps twice (see the module docs): it must
+    /// not open, view or edit this document through another editor.
+    pub fn with_handle<T>(
+        &self,
+        kind: &str,
+        mut f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
+    ) -> Result<(T, EditReceipt, Option<DocEvent>)> {
+        let (value, receipt) = self.commit(None, |h, _| f(h))?;
+        let event = self.event(kind, &receipt);
+        Ok((value, receipt, event))
+    }
+
+    /// [`LiveEditor::with_handle`] of an operation that returns nothing
+    /// else.
     fn edit(
         &self,
         kind: &str,
-        pos: usize,
-        mut f: impl FnMut(&mut DocHandle, usize) -> Result<(EditReceipt, Durability)>,
-    ) -> Result<(usize, EditReceipt, Option<DocEvent>)> {
-        let who = Actor {
-            server: &self.server,
-            session: self.session,
-        };
-        let docs = self.server.live();
+        mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
+    ) -> Committed {
+        let ((), receipt, event) = self.with_handle(kind, |h| Ok(((), f(h)?)))?;
+        Ok((receipt, event))
+    }
+
+    /// [`LiveEditor::edit`] of an operation that hands back its wait for
+    /// the disk: the wait comes after the document's lock is released, so
+    /// the typists queued behind it share a group-commit flush.
+    pub(crate) fn edit_deferred(
+        &self,
+        kind: &str,
+        mut f: impl FnMut(&mut DocHandle) -> Result<(EditReceipt, Durability)>,
+    ) -> Committed {
         let mut durability = Durability::none();
-        let attempt = |copy: Option<&mut Replica>| {
-            let replica = copy.expect("attached documents are loaded");
-            replica.handle.act_as(self.user);
-            let pos = pos.min(replica.handle.len());
-            let refreshes = replica.stats.refreshes;
-            let done = replica.perform_at(who, kind, pos, |h, p| {
-                let (receipt, owed) = f(h, p)?;
-                durability = owed;
-                Ok(receipt)
-            });
-            let loads = replica.stats.refreshes - refreshes;
-            docs.loads.fetch_add(loads, Ordering::Relaxed);
-            done
-        };
-        let done = self.hold.commit(None, attempt, |_, _| {});
+        let done = self.edit(kind, |h| {
+            let (receipt, owed) = f(h)?;
+            durability = owed;
+            Ok(receipt)
+        });
         durability.wait()?;
         done
+    }
+
+    /// The one way an edit reaches a document: tries of `attempt` on the
+    /// live copy — and, for a move, `dst`'s, each in its own editor's
+    /// name — under the documents' locks, taken in [`DocId`] order. A try
+    /// that fails retryably rebuilds the copies before the next.
+    fn commit<T>(
+        &self,
+        dst: Option<&LiveEditor>,
+        mut attempt: impl FnMut(&mut DocHandle, Option<&mut DocHandle>) -> Result<T>,
+    ) -> Result<T> {
+        let dst = dst.filter(|d| d.doc() != self.doc());
+        let (mut own, mut theirs) = match dst {
+            Some(d) if d.doc() < self.doc() => {
+                let theirs = d.lock();
+                (self.lock(), Some(theirs))
+            }
+            _ => (self.lock(), dst.map(LiveEditor::lock)),
+        };
+        let docs = self.server.live();
+        let mut last = None;
+        for tried in 0..EDIT_RETRIES {
+            let copy = loaded(&mut own);
+            let mut other = theirs.as_deref_mut().map(loaded);
+            if tried > 0 {
+                self.retries.fetch_add(1, Ordering::Relaxed);
+                self.server.note_retry(self.session);
+                docs.rebuild(copy)?;
+                if let Some(other) = other.as_deref_mut() {
+                    docs.rebuild(other)?;
+                }
+            }
+            match attempt(copy, other) {
+                Ok(done) => {
+                    self.ops.fetch_add(1, Ordering::Relaxed);
+                    return Ok(done);
+                }
+                Err(e) if e.is_retryable() => last = Some(e),
+                Err(e) => return Err(e),
+            }
+        }
+        Err(TextError::RetriesExhausted {
+            attempts: EDIT_RETRIES,
+            last: last.map(Box::new),
+        })
+    }
+
+    /// The broadcast of a committed edit; none if it changed no
+    /// character.
+    fn event(&self, kind: &str, receipt: &EditReceipt) -> Option<DocEvent> {
+        (!receipt.effects.is_empty()).then(|| DocEvent {
+            doc: self.doc(),
+            op: receipt.op,
+            commit_ts: receipt.commit_ts,
+            user: self.user,
+            origin: self.session,
+            kind: kind.to_owned(),
+            effects: receipt.effects.clone(),
+        })
     }
 
     fn moved_cursor(&self, cursor: usize) {
@@ -400,7 +546,7 @@ impl LiveEditor {
 impl Drop for LiveEditor {
     fn drop(&mut self) {
         self.server.clear_focus(self.session, self.doc());
-        self.server.live().detach(&self.hold.slot);
+        self.server.live().release(&self.slot);
     }
 }
 
@@ -443,7 +589,7 @@ mod tests {
         let (typed, added) = (typed.unwrap(), added.unwrap());
         assert_eq!((typed.origin, typed.user), (sa.id(), sa.user()));
         assert_eq!((added.origin, added.user), (sb.id(), sb.user()));
-        // The echoes change nothing: both edits were folded in already.
+        // The echoes change nothing: both edits ran on the copy.
         a.publish(Some(typed));
         b.publish(Some(added.clone()));
         assert_eq!(live_text(&server, doc), "alice & bob");
@@ -454,7 +600,7 @@ mod tests {
             .collect();
         assert!(authors[..5].iter().all(|&u| u == sa.user()));
         assert!(authors[5..].iter().all(|&u| u == sb.user()));
-        // A snapshot's frontier covers every commit folded in.
+        // A snapshot's frontier covers every commit on the copy.
         let frontier = b.reopen(|h| h.synced_ts()).unwrap();
         assert!(at_open < added.commit_ts && added.commit_ts <= frontier);
         assert_eq!(server.textdb().read_count(doc).unwrap(), 3);
@@ -474,8 +620,8 @@ mod tests {
     }
 
     /// Two in-process editors publish in the opposite order of their
-    /// commits: the first one's event is parked on the bus while the
-    /// second commits and publishes. Publication feeds no live copy, so
+    /// commits: the first one's event is parked by a publish hook while
+    /// the second commits and publishes. Publication feeds no live copy, so
     /// the copy has both in commit order and was never rebuilt.
     #[test]
     fn publication_out_of_commit_order_leaves_the_live_copy_alone() {
@@ -514,30 +660,58 @@ mod tests {
     }
 
     /// A commit that bypasses the editors (a raw handle) is not in the
-    /// live copy. An editor's commit that builds on it does not fit the
-    /// copy, and the fold rebuilds the copy from the database rather than
-    /// wait for an event that will never come.
+    /// live copy. An editor's edit that builds on it fails its first try
+    /// (`StaleView`: the copy shows an empty document), which costs one
+    /// rebuild and one retry, and the second try lands. (Mutation check:
+    /// skip the rebuild before the retry, and the second try fails too.)
     #[test]
     fn a_commit_the_live_copy_cannot_fit_rebuilds_it() {
         let (server, doc) = served();
         let sa = server.connect("alice", Platform::Linux).unwrap();
-        let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
+        let mut editor = sa.open_id(doc).unwrap();
+        let loads = server.live().stats().loads;
         let mut raw = server.textdb().open(doc, sa.user()).unwrap();
         raw.insert_text(0, "raw").unwrap();
-        // Opened after the raw commit: its insert anchors on a character
-        // the copy has never seen.
-        let mut editor = sa.open_id(doc).unwrap();
-        editor.type_text(3, "!").unwrap();
 
-        assert_eq!(live_text(&server, doc), "raw!");
+        let mut tries = Vec::new();
+        editor
+            .with_handle("insert", |h| {
+                let typed = h.insert_text(0, "!");
+                tries.push(typed.as_ref().err().cloned());
+                Ok(((), typed?))
+            })
+            .unwrap();
+        assert_eq!(tries, [Some(TextError::StaleView(doc)), None]);
+        assert_eq!(server.live().stats().loads, loads + 1);
+        assert_eq!(editor.stats().retries, 1);
+        assert_eq!(editor.text(), "!raw");
         live_equals_a_fresh_load(&server, doc);
-        assert_eq!(server.live().stats().loads, 2);
+    }
+
+    /// No product code in this crate sleeps: a retry rebuilds the copy and
+    /// runs at once, and it runs under the document's lock, where a sleep
+    /// would stall every editor and snapshot of the document. (Mutation
+    /// check: sleep before the retry.)
+    #[test]
+    fn no_product_code_sleeps() {
+        let sources = [
+            ("awareness.rs", include_str!("awareness.rs")),
+            ("bus.rs", include_str!("bus.rs")),
+            ("live.rs", include_str!("live.rs")),
+            ("server.rs", include_str!("server.rs")),
+            ("session.rs", include_str!("session.rs")),
+        ];
+        for (name, source) in sources {
+            let product = source.split("#[cfg(test)]").next().unwrap();
+            assert!(!product.contains("sleep("), "{name} sleeps");
+        }
     }
 
     /// Snapshots taken while two in-process editors type: whatever
     /// frontier a snapshot names, every commit at or below it is in its
-    /// chain. (Mutation check: fold a commit after letting go of the
-    /// document's lock, and some snapshot comes in between.)
+    /// chain. (Mutation check: run a try with the copy taken out of its
+    /// slot and the document's lock let go, and some snapshot comes in
+    /// between.)
     #[test]
     fn every_snapshot_holds_the_commits_below_its_frontier() {
         use std::collections::HashSet;

@@ -1,9 +1,9 @@
-//! The collaboration server: sessions, presence, and the event bus.
+//! The collaboration server: sessions, presence, the documents its
+//! editors share, and the bus their edits are published on.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use tendax_storage::MaintenanceOptions;
 use tendax_text::{DocId, Result, TextDb};
@@ -15,42 +15,30 @@ use crate::session::EditorSession;
 
 /// The in-process TeNDaX collaboration server.
 ///
-/// Owns the shared [`TextDb`], the [`LanBus`] committed operations are
-/// broadcast on, the [`AwarenessRegistry`] and the live documents its
-/// network editors share ([`crate::live`]). Cheap to clone; every editor
-/// session holds one.
+/// Owns the shared [`TextDb`], the one copy of each open document that
+/// every editor reads and edits ([`crate::live`]), the [`LanBus`] whose
+/// hooks committed operations are published to, and the
+/// [`AwarenessRegistry`]. Cheap to clone; every editor session holds one.
 #[derive(Debug, Clone)]
 pub struct CollabServer {
     tdb: TextDb,
     bus: LanBus,
     awareness: AwarenessRegistry,
     next_session: Arc<AtomicU64>,
-    default_latency: Duration,
     live: Arc<LiveDocs>,
-    /// Commit retries per session, recorded by the editors' retry loops.
-    /// A hot document shows up here before it shows up anywhere else:
-    /// with commutative commits the counts should stay near zero.
+    /// Commit retries per session, recorded by the editors' edit
+    /// protocol. Only a commit that bypassed the editors makes one.
     retries: Arc<Mutex<BTreeMap<SessionId, u64>>>,
 }
 
 impl CollabServer {
     pub fn new(tdb: TextDb) -> Self {
-        Self::with_latency(tdb, Duration::ZERO)
-    }
-
-    /// A server broadcasting on a bus with an explicit policy.
-    pub fn with_bus(tdb: TextDb, bus: LanBus) -> Self {
-        Self::build(tdb, bus, Duration::ZERO)
-    }
-
-    fn build(tdb: TextDb, bus: LanBus, default_latency: Duration) -> Self {
         CollabServer {
             live: Arc::new(LiveDocs::new(tdb.clone())),
             tdb,
-            bus,
+            bus: LanBus::new(),
             awareness: AwarenessRegistry::new(),
             next_session: Arc::new(AtomicU64::new(1)),
-            default_latency,
             retries: Arc::new(Mutex::new(BTreeMap::new())),
         }
     }
@@ -64,16 +52,11 @@ impl CollabServer {
         Self::new(tdb)
     }
 
-    /// A server whose editor links simulate the given one-way latency.
-    pub fn with_latency(tdb: TextDb, default_latency: Duration) -> Self {
-        Self::build(tdb, LanBus::new(), default_latency)
-    }
-
     pub fn textdb(&self) -> &TextDb {
         &self.tdb
     }
 
-    /// The bus committed operations fan out over.
+    /// The bus committed operations are published on.
     pub fn transport(&self) -> &LanBus {
         &self.bus
     }
@@ -94,10 +77,9 @@ impl CollabServer {
         self.awareness.update(session, self.tdb.now(), f);
     }
 
-    /// Broadcast `session`'s committed operation (if it changed any
-    /// character) to the document's other editors, on the bus. A live
-    /// copy has it already: it was folded in under the document's lock
-    /// ([`crate::live`]).
+    /// Publish `session`'s committed operation (if it changed any
+    /// character) to the bus's hooks — the wire. The document's copy has
+    /// it already: the edit ran on it ([`crate::live`]).
     pub(crate) fn publish(&self, session: SessionId, event: Option<DocEvent>) {
         let Some(event) = event else { return };
         self.bus.publish(Arc::new(event));
@@ -117,22 +99,8 @@ impl CollabServer {
         });
     }
 
-    pub fn default_latency(&self) -> Duration {
-        self.default_latency
-    }
-
     /// Connect an existing user from an editor on `platform`.
     pub fn connect(&self, user_name: &str, platform: Platform) -> Result<EditorSession> {
-        self.connect_with_latency(user_name, platform, self.default_latency)
-    }
-
-    /// Connect with an explicit simulated link latency.
-    pub fn connect_with_latency(
-        &self,
-        user_name: &str,
-        platform: Platform,
-        latency: Duration,
-    ) -> Result<EditorSession> {
         let user = self.tdb.user_by_name(user_name)?;
         let id = SessionId(self.next_session.fetch_add(1, Ordering::Relaxed));
         self.awareness.register(Presence {
@@ -151,12 +119,11 @@ impl CollabServer {
             user,
             user_name.to_owned(),
             platform,
-            latency,
         ))
     }
 
     /// Record one commit retry for `session` (called from the editors'
-    /// retry loops).
+    /// edit protocol).
     pub(crate) fn note_retry(&self, session: SessionId) {
         *self
             .retries
@@ -198,6 +165,8 @@ impl CollabServer {
 
 #[cfg(test)]
 mod tests {
+    use std::time::Duration;
+
     use super::*;
 
     #[test]

@@ -1,11 +1,10 @@
 //! Multi-threaded "LAN-party" stress tests: several editors hammer the
 //! same document concurrently from real threads; all views must converge
-//! and the database must stay consistent.
-
-use std::time::Duration;
+//! and the database must stay consistent. (Editors at the far end of a
+//! real network are `tendax-net`'s loopback tests.)
 
 use tendax_collab::{CollabServer, Platform};
-use tendax_text::TextDb;
+use tendax_text::{TextDb, TextError};
 
 fn server_with_users(n: usize) -> CollabServer {
     let tdb = TextDb::in_memory();
@@ -87,8 +86,14 @@ fn concurrent_editors_with_deletes_stay_consistent() {
                     // chars; that is fine (idempotent tombstoning).
                     let _ = doc.delete(pos, dl);
                 } else {
+                    // Another thread's delete may shorten the document
+                    // between `len()` and the insert: every editor reads
+                    // the one live copy.
                     let pos = (u * 17 + i * 3) % (len + 1);
-                    doc.type_text(pos, "ab").unwrap();
+                    match doc.type_text(pos, "ab") {
+                        Ok(_) | Err(TextError::InvalidPosition { .. }) => {}
+                        Err(other) => panic!("{other}"),
+                    }
                 }
             }
         }));
@@ -105,34 +110,4 @@ fn concurrent_editors_with_deletes_stay_consistent() {
     // Total tuples = every inserted char, visible or tombstoned.
     assert!(h.chain_len() >= h.len());
     assert!(h.text().chars().all(|c| c == 'a' || c == 'b'));
-}
-
-#[test]
-fn editors_with_latency_converge_eventually() {
-    let tdb = TextDb::in_memory();
-    let alice = tdb.create_user("alice").unwrap();
-    tdb.create_user("bob").unwrap();
-    tdb.create_document("party", alice).unwrap();
-    let server = CollabServer::with_latency(tdb, Duration::from_millis(5));
-
-    let sa = server.connect("alice", Platform::WindowsXp).unwrap();
-    let sb = server.connect("bob", Platform::MacOsX).unwrap();
-    let mut da = sa.open("party").unwrap();
-    let mut db = sb.open("party").unwrap();
-
-    for i in 0..10 {
-        da.type_text(da.len().min(i), "a").unwrap();
-        db.type_text(0, "b").unwrap();
-    }
-    // Drain both links.
-    for _ in 0..100 {
-        da.sync();
-        db.sync();
-        if da.text() == db.text() && da.len() == 20 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    assert_eq!(da.text(), db.text());
-    assert_eq!(da.len(), 20);
 }

@@ -7,8 +7,9 @@
 //! A [`Tendax`] instance bundles the whole system:
 //!
 //! * the storage engine and the Text Native eXtension ([`tendax_text`]),
-//! * the collaboration server with sessions, awareness and the
-//!   simulated-LAN bus ([`tendax_collab`]),
+//! * the collaboration server with sessions, awareness, one shared copy
+//!   of each open document and the bus edits are published on
+//!   ([`tendax_collab`]),
 //! * dynamic in-document business processes ([`tendax_process`]),
 //! * metadata services: dynamic folders, data lineage, search & ranking,
 //!   visual/text mining ([`tendax_meta`]).
@@ -27,10 +28,9 @@
 //! let sa = tx.connect("alice", Platform::WindowsXp).unwrap();
 //! let sb = tx.connect("bob", Platform::Linux).unwrap();
 //! let mut da = sa.open("minutes").unwrap();
-//! let mut db = sb.open("minutes").unwrap();
+//! let db = sb.open("minutes").unwrap();
 //!
 //! da.type_text(0, "Agenda: demo").unwrap();
-//! db.sync();
 //! assert_eq!(db.text(), "Agenda: demo");
 //! ```
 
@@ -43,8 +43,8 @@ use tendax_text::TextDb;
 
 // Re-export the full public surface under one roof.
 pub use tendax_collab::{
-    AwarenessRegistry, BusPolicy, DocEvent, EditorDoc, EditorSession, LanBus, Platform, Presence,
-    SessionId, TransportStats,
+    AwarenessRegistry, DocEvent, EditorDoc, EditorSession, LanBus, Platform, Presence, SessionId,
+    TransportStats,
 };
 pub use tendax_meta::{
     activity_timeline, char_provenance, collaboration_graph, top_terms, DocFeatures, DocumentSpace,

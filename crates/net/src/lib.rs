@@ -2,8 +2,10 @@
 //!
 //! Real TCP transport for the TeNDaX collaboration layer.
 //!
-//! The in-process [`LanBus`](tendax_collab::LanBus) simulates the
-//! demo's LAN; this crate replaces the simulation with sockets. A
+//! In process, the demo's editors share the server's one copy of each
+//! document and need no network; this crate is the demo's LAN, with
+//! sockets, fed by a publish hook on the
+//! [`LanBus`](tendax_collab::LanBus). A
 //! [`NetServer`] multiplexes many client connections over one
 //! [`CollabServer`](tendax_collab::CollabServer): each connection
 //! authenticates with a `Hello`/`Welcome` handshake, subscribes to

@@ -254,14 +254,13 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
 }
 
 /// Race. An in-process typist commits while the document's first
-/// subscriber loads the live copy: the typist's attempt parks before it
-/// commits, and the subscriber comes meanwhile. The typist holds the
-/// document from its open, so its attempt runs under the document's lock
-/// and the load waits for it. Afterwards the live copy equals a fresh
-/// load, and the mirror shows the text once. (Mutation check: look the
-/// document up when committing instead of holding it, and the load runs
-/// beside the parked attempt; the commit then lands after the load and
-/// never reaches the copy.)
+/// subscriber opens it: the typist's attempt parks before it commits,
+/// and the subscriber comes meanwhile. The typist's open loaded the live
+/// copy and its attempt runs on it under the document's lock, so the
+/// subscriber's snapshot waits for it. Afterwards the live copy equals a
+/// fresh load, and the mirror shows the text once. (Mutation check: run
+/// the attempt with the document's lock let go, and the subscriber is
+/// answered beside the parked attempt.)
 #[test]
 fn an_in_process_typist_racing_the_first_load_reaches_the_live_copy() {
     let (server, collab) = serve(&["alice", "carol"], &["doc"]);

@@ -4,7 +4,7 @@
 //! with two or three editors: typing runs, word inserts, inserts at the
 //! head, at the end and next to the tombstones a backspace leaves,
 //! backspaces and range deletes, local and global undo and redo, and
-//! restyles. A bus subscription captures every event. A mirror is loaded
+//! restyles. A publish hook captures every event. A mirror is loaded
 //! from a snapshot taken partway through, and every event is delivered to
 //! it, some twice, in a random order that respects each event's
 //! dependencies (a few go early, into the mirror's buffer). Then the
@@ -16,7 +16,7 @@
 //! replay the sequence.
 
 use std::collections::HashMap;
-use std::time::Duration;
+use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
@@ -145,7 +145,12 @@ proptest! {
             tdb.define_style("bold", "b", users[0]).unwrap(),
         ];
         let collab = CollabServer::new(tdb.clone());
-        let mut bus = collab.transport().subscribe(doc, Duration::ZERO);
+        let published = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&published);
+        collab.transport().register_publish_hook(Box::new(move |ev| {
+            log.lock().unwrap().push(WireEvent::from(&**ev));
+            true
+        }));
         let sessions: Vec<_> = USERS[..editors]
             .iter()
             .map(|u| collab.connect(u, Platform::Linux).unwrap())
@@ -156,15 +161,14 @@ proptest! {
         // the call returns, so a load then covers exactly the events
         // captured so far.
         let snapshot_at = steps.len() * snapshot_pct / 100;
-        let mut events: Vec<WireEvent> = Vec::new();
         let mut snapshot = Vec::new();
         for (i, (who, edit)) in steps.iter().enumerate() {
             if i == snapshot_at {
                 snapshot = encode_snapshot(&tdb.load(doc, users[0]).unwrap());
             }
             run(&mut open[who % editors], edit, styles);
-            events.extend(bus.poll().iter().map(|ev| WireEvent::from(&**ev)));
         }
+        let events = std::mem::take(&mut *published.lock().unwrap());
         let mut mirror = MirrorDoc::from_snapshot_payload(&snapshot[5..]).unwrap();
         let baseline = mirror.synced_ts();
 

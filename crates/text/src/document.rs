@@ -351,7 +351,7 @@ impl DocHandle {
     /// happens after commit outside the commit lock, so a fast editor
     /// can broadcast an operation that *depends* on a slightly older,
     /// not-yet-delivered one — callers hold such events back until their
-    /// dependencies arrive (see `tendax-collab`'s reorder buffer).
+    /// dependencies arrive.
     ///
     /// An id introduced earlier in the list is looked for among the
     /// list's own earlier inserts, from the back: a typed run names the
@@ -376,11 +376,10 @@ impl DocHandle {
 
     /// Apply a remote editor's committed effects to the local cache.
     ///
-    /// Effects arrive in commit order from the collaboration bus; the
-    /// application is idempotent, so redelivery (including echo of this
-    /// handle's own operations) is harmless. Callers must ensure
-    /// [`DocHandle::effects_applicable`] (out-of-order delivery is
-    /// buffered by the collaboration layer).
+    /// The application is idempotent, so redelivery (including echo of
+    /// this handle's own operations) is harmless. Callers must ensure
+    /// [`DocHandle::effects_applicable`] (holding back out-of-order
+    /// deliveries).
     ///
     /// Returns [`TextError::StaleCache`] if an insert anchor turns out
     /// to be missing anyway — the cache has drifted from the database
@@ -417,10 +416,9 @@ impl DocHandle {
                         // redelivery.
                         Ok(_) | Err(ChainError::DuplicateId(_)) => {}
                         // Even with `effects_applicable` vetting, a remote
-                        // stream can outrun this cache (reorder-buffer
-                        // overflow, a peer's incoherent republish): treat a
-                        // bad anchor as a recoverable stale cache, never a
-                        // crash.
+                        // stream can outrun this cache (a peer's incoherent
+                        // republish): treat a bad anchor as a recoverable
+                        // stale cache, never a crash.
                         Err(ChainError::UnknownAnchor(_)) => {
                             return Err(TextError::StaleCache(self.doc))
                         }
@@ -512,6 +510,36 @@ mod tests {
         let user = tdb.create_user("alice").unwrap();
         let doc = tdb.create_document("d", user).unwrap();
         (tdb, user, doc)
+    }
+
+    /// A remote insert anchored on a character this handle has never
+    /// seen (what `effects_applicable` would have held back) is refused by
+    /// the chain as a retryable `StaleCache`, never a panic, and the
+    /// handle still refreshes and edits.
+    #[test]
+    fn an_incoherent_remote_event_is_a_stale_cache() {
+        let (tdb, user, doc) = setup();
+        let mut h = tdb.open(doc, user).unwrap();
+        h.insert_text(0, "solid").unwrap();
+        let forged = [Effect::Insert {
+            char: CharId(u64::MAX - 1),
+            prev: Some(CharId(u64::MAX - 2)),
+            ch: '!',
+            author: user,
+            ts: 0,
+            style: StyleId::NONE,
+            src_doc: doc,
+            src_char: CharId::NONE,
+            external: None,
+        }];
+        assert!(!h.effects_applicable(&forged));
+        let err = h.apply_remote(&forged).unwrap_err();
+        assert_eq!(err, TextError::StaleCache(doc));
+        assert!(err.is_retryable());
+        assert_eq!(h.text(), "solid");
+        h.refresh().unwrap();
+        h.insert_text(5, "!").unwrap();
+        assert_eq!(h.text(), "solid!");
     }
 
     #[test]

@@ -53,10 +53,10 @@ fn main() -> tendax_core::Result<()> {
     editor.type_text(0, ">>> ")?;
     let task = engine.task(translate)?;
     let (f, t) = task.range.expect("anchored");
-    let span = (
-        editor.handle().position_of(f),
-        editor.handle().position_of(t),
-    );
+    // One view: two alive at once would take the document's lock twice.
+    let view = editor.handle();
+    let span = (view.position_of(f), view.position_of(t));
+    drop(view);
     println!(
         "task '{}' now anchored at visible span {:?}",
         task.name, span

@@ -2,12 +2,11 @@
 //!
 //! Editors on three platforms edit one document concurrently (real
 //! threads), apply layout, set access rights, and use local & global
-//! undo — all as database transactions, converging through the broadcast
-//! bus.
+//! undo — all as database transactions, on the server's one copy of the
+//! document, which every editor reads. (Editors across a real network:
+//! `cargo run --example collab_tcp`.)
 //!
 //! Run with: `cargo run --example lan_party`
-
-use std::time::Duration;
 
 use tendax_core::{Permission, Platform, Principal, Tendax};
 
@@ -44,7 +43,6 @@ fn main() -> tendax_core::Result<()> {
 
     let session = tx.connect("alice", Platform::WindowsXp)?;
     let mut doc = session.open("party")?;
-    doc.sync_timeout(Duration::from_millis(50));
     println!("converged text ({} chars): {}", doc.len(), doc.text());
     assert_eq!(doc.len(), 30);
 

@@ -16,7 +16,9 @@
 # commit path into a live document: the frontier, the oracle, the races
 # with in-process editors), `mirror_oracle` (the client mirror against
 # the server's chain; prints PROPTEST_SEED=<n> on failure), `mirror_cost`
-# (allocations per applied event) and the whole of tendax-collab. The
+# (allocations per applied event) and the whole of tendax-collab (one
+# copy per document shared by every editor, the edit protocol, sessions,
+# the bus's publish hooks — no bus queues, no simulated latency). The
 # metadata-services job's are:
 # tendax-storage `commit_observer` (each row's replaced and published
 # versions, a non-resident replaced version on a cold-tier database),
