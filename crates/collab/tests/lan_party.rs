@@ -60,6 +60,10 @@ fn concurrent_typists_converge() {
     // No aborted transaction left stray state: attribution sums to length.
     let total: usize = h.attribution().iter().map(|(_, n)| n).sum();
     assert_eq!(total, h.len());
+    // Every editor commits under the document's lock, so no commit of
+    // one overlaps another's: nothing conflicted and nothing merged.
+    let stats = tdb.database().stats();
+    assert_eq!((stats.conflicts, stats.commits_merged), (0, 0));
 }
 
 #[test]

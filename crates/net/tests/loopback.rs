@@ -206,6 +206,10 @@ fn eight_clients_converge_after_concurrent_edit_storm() {
             "client {i} diverged from the database"
         );
     }
+    // Every edit commits under the document's lock, so no commit of one
+    // client overlaps another's: nothing conflicted and nothing merged.
+    let stats = collab.textdb().database().stats();
+    assert_eq!((stats.conflicts, stats.commits_merged), (0, 0));
 }
 
 // ---------------------------------------------------------------------

@@ -47,7 +47,8 @@ const FOOTER_LEN: usize = 72;
 const FOOTER_BODY: usize = 56;
 const RUN_MAGIC: u64 = 0x544E_4458_434F_4C44; // "TNDXCOLD"
 /// Version 2: values in the v2 op codec, a CRC over the footer. Log
-/// format v3 changed only checkpoint batches, so runs stay at 2.
+/// format v3 changed only checkpoint batches and v4 only patch ops, which
+/// a run never holds, so runs stay at 2.
 const RUN_VERSION: u32 = 2;
 
 /// Full sort key for one version.

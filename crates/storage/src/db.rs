@@ -15,8 +15,8 @@ use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
 use crate::observer::{CommitObserver, WriteSet};
 use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
-use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, WriteDescriptor, TS_LATEST};
-use crate::txn::{validate_writes, MergePlan, Transaction, TxnId, WriteOp};
+use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
+use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
 use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
 use crate::wal::{
@@ -104,18 +104,9 @@ pub struct Stats {
     /// DDL / checkpoint quiesces that had to wait for in-flight
     /// commits to drain.
     pub ddl_stalls: u64,
-    /// Commits that would have aborted under row-granularity
-    /// first-committer-wins but merged cleanly because every conflicting
-    /// write carried a non-overlapping chain-neighborhood descriptor.
+    /// Always 0: commits no longer merge (DESIGN.md §5.8). Kept while
+    /// the benchmark still reads it.
     pub commits_merged: u64,
-    /// Individual row fields composed onto newer committed versions by
-    /// merged commits.
-    pub merge_fields_applied: u64,
-    /// Write conflicts where descriptor-granularity validation was
-    /// consulted and still found a true overlap (shared field, shared
-    /// anchor, or a concurrent delete) — the aborts that remain
-    /// semantically necessary. Always ≤ `conflicts`.
-    pub write_conflicts_true_overlap: u64,
     /// Live cold-tier run files (0 when the tier is disabled or empty).
     pub cold_runs: usize,
     /// Versions currently resident in cold runs.
@@ -155,7 +146,7 @@ pub struct TableStats {
     /// header, same-as-above bitmap and two-bit header) and per frame.
     pub column_bytes: Vec<(String, u64)>,
     /// What the table costs in RAM, every version included: rows,
-    /// version chains, index entries and write descriptors, each counted
+    /// version chains and index entries, each counted
     /// by the structure that holds it.
     pub resident_bytes: ResidentBytes,
 }
@@ -173,9 +164,6 @@ struct Counters {
     maintenance_vacuums: AtomicU64,
     maintenance_checkpoints: AtomicU64,
     versions_pruned: AtomicU64,
-    commits_merged: AtomicU64,
-    merge_fields_applied: AtomicU64,
-    true_overlap_conflicts: AtomicU64,
 }
 
 #[derive(Debug)]
@@ -336,22 +324,16 @@ impl Database {
                     let store = tables
                         .get(&w.table)
                         .ok_or(StorageError::UnknownTableId(w.table))?;
-                    let (op, desc) = match w.op {
+                    let op = match w.op {
                         WalOp::Put(row) => {
                             self.observe_row_clock(row.iter());
-                            (VersionOp::Put(row), None)
+                            VersionOp::Put(row)
                         }
-                        WalOp::Delete => (VersionOp::Delete, None),
-                        // Compose the logged delta onto the row's
+                        WalOp::Delete => VersionOp::Delete,
+                        // Compose the logged columns onto the row's
                         // newest replayed state: this is commit order,
-                        // so the result is exactly the merged row the
-                        // commit published — and a torn log replays
-                        // the surviving prefix of merges faithfully.
-                        WalOp::Patch {
-                            fields,
-                            values,
-                            anchors,
-                        } => {
+                        // so the result is the row the commit published.
+                        WalOp::Patch { fields, values } => {
                             self.observe_row_clock(values.iter().map(Value::view));
                             let guard = store.read();
                             let base =
@@ -367,13 +349,10 @@ impl Database {
                                 .zip(&values)
                                 .map(|(&pos, val)| (pos as usize, val.view()))
                                 .collect();
-                            (
-                                VersionOp::Put(base.with_updates(&written)),
-                                Some(WriteDescriptor::new(&anchors, &fields)),
-                            )
+                            VersionOp::Put(base.with_updates(&written))
                         }
                     };
-                    store.write().apply_described(w.row, commit_ts, op, desc);
+                    store.write().apply(w.row, commit_ts, op);
                 }
                 self.inner.sequencer.observe(commit_ts);
             }
@@ -500,13 +479,12 @@ impl Database {
         Transaction::new(self.clone(), id, snapshot)
     }
 
-    /// Begin a transaction pinned to an explicit snapshot timestamp —
-    /// the base version a disconnected or lagging replica last synced.
-    /// Reads see the database as of `snapshot` (clamped to the current
-    /// watermark), and first-committer-wins validation runs against that
-    /// base, so commutative-descriptor writes merge across everything
-    /// committed since. Fails with [`StorageError::SnapshotTooOld`] if
-    /// vacuum has already pruned versions the snapshot is entitled to.
+    /// Begin a transaction pinned to an explicit snapshot timestamp: a
+    /// read of history. Reads see the database as of `snapshot` (clamped
+    /// to the current watermark), and a write commits only if no row it
+    /// writes changed since then (first committer wins, as for
+    /// [`Database::begin`]). Fails with [`StorageError::SnapshotTooOld`]
+    /// if vacuum has already pruned versions the snapshot is entitled to.
     pub fn begin_at(&self, snapshot: Ts) -> Result<Transaction> {
         let id = TxnId(self.inner.next_txn_id.fetch_add(1, Ordering::Relaxed));
         self.inner
@@ -585,39 +563,22 @@ impl Database {
             hs
         };
         let mut guards: Vec<_> = handles.iter().map(|(_, h)| h.write()).collect();
-        let plan: MergePlan = {
+        {
             let mut refs: BTreeMap<TableId, &mut TableStore> = BTreeMap::new();
             for ((tid, _), guard) in handles.iter().zip(guards.iter_mut()) {
                 refs.insert(*tid, &mut **guard);
             }
-            let mut true_overlap = false;
-            let check = validate_writes(
-                &writes,
-                &created,
-                txn.snapshot_ts(),
-                txn.id(),
-                &refs,
-                &mut true_overlap,
-            );
-            match check {
-                Ok(plan) => plan,
-                Err(e) => {
-                    if matches!(e, StorageError::WriteConflict { .. }) {
-                        self.inner
-                            .counters
-                            .conflicts
-                            .fetch_add(1, Ordering::Relaxed);
-                        if true_overlap {
-                            self.inner
-                                .counters
-                                .true_overlap_conflicts
-                                .fetch_add(1, Ordering::Relaxed);
-                        }
-                    }
-                    return Err(e);
+            let check = validate_writes(&writes, &created, txn.snapshot_ts(), txn.id(), &refs);
+            if let Err(e) = check {
+                if matches!(e, StorageError::WriteConflict { .. }) {
+                    self.inner
+                        .counters
+                        .conflicts
+                        .fetch_add(1, Ordering::Relaxed);
                 }
+                return Err(e);
             }
-        };
+        }
 
         // The timestamp is allocated only *after* validation: a commit
         // that fails first-committer-wins never occupies a slot in the
@@ -664,35 +625,23 @@ impl Database {
         let wal_writes: Vec<WalWrite> = writes
             .iter()
             .flat_map(|(&table, ws)| {
-                let plan = &plan;
                 ws.iter().map(move |(&row, op)| WalWrite {
                     table,
                     row,
                     op: match op {
                         WriteOp::Put(r) => WalOp::Put(r.clone()),
                         WriteOp::Delete => WalOp::Delete,
-                        // A patch logs only its delta (columns + anchors):
-                        // replay composes it onto the row's then-newest
-                        // state, which reproduces the merge outcome in
-                        // commit order even if only a prefix of the log
-                        // survives a crash. Values are taken from the
-                        // merged row so the frame equals what published.
-                        WriteOp::Patch { row: r, desc } => {
-                            let eff = plan.rewrites.get(&(table, row)).unwrap_or(r);
-                            WalOp::Patch {
-                                fields: desc.fields().to_vec(),
-                                values: desc
-                                    .fields()
-                                    .iter()
-                                    .map(|&p| {
-                                        eff.get(p as usize)
-                                            .expect("described column exists")
-                                            .to_value()
-                                    })
-                                    .collect(),
-                                anchors: desc.anchors().to_vec(),
-                            }
-                        }
+                        // A column update logs only the columns it wrote:
+                        // replay composes them onto the row's newest
+                        // state, which is the row this commit replaced.
+                        WriteOp::Patch { row: r, fields } => WalOp::Patch {
+                            fields: fields.clone(),
+                            values: (fields.iter())
+                                .map(|&p| {
+                                    r.get(p as usize).expect("patched column exists").to_value()
+                                })
+                                .collect(),
+                        },
                     },
                 })
             })
@@ -708,22 +657,14 @@ impl Database {
         // Handles were collected in the write set's table order. Each
         // write's row moves into its version; the keys stay behind for
         // the observers' view of the write set.
-        for (guard, (&tid, ws)) in guards.iter_mut().zip(writes.iter_mut()) {
+        for (guard, ws) in guards.iter_mut().zip(writes.values_mut()) {
             for (&rid, op) in ws.iter_mut() {
-                let (vop, desc) = match std::mem::replace(op, WriteOp::Delete) {
-                    // Same shared allocation the WAL record holds.
-                    WriteOp::Put(r) => (VersionOp::Put(r), None),
-                    WriteOp::Delete => (VersionOp::Delete, None),
-                    // Publish the merged row when validation rewrote the
-                    // patch, and keep the descriptor on the version either
-                    // way: later laggards merge across *this* commit by
-                    // reading it.
-                    WriteOp::Patch { row: r, desc } => {
-                        let eff = plan.rewrites.get(&(tid, rid)).cloned().unwrap_or(r);
-                        (VersionOp::Put(eff), Some(desc))
-                    }
+                let vop = match std::mem::replace(op, WriteOp::Delete) {
+                    // A put's row is the allocation its WAL record holds.
+                    WriteOp::Put(r) | WriteOp::Patch { row: r, .. } => VersionOp::Put(r),
+                    WriteOp::Delete => VersionOp::Delete,
                 };
-                guard.apply_described(rid, commit_ts, vop, desc);
+                guard.apply(rid, commit_ts, vop);
             }
         }
         // Observers hear of the commit while it is applied but not yet
@@ -732,22 +673,12 @@ impl Database {
         // the next registration and is skipped.
         let observers = self.inner.observers.read();
         if !observers.is_empty() {
-            let view = WriteSet::new(commit_ts, &guards, &writes, &created);
+            let view = WriteSet::new(commit_ts, &guards, &writes);
             for observer in observers.iter().filter_map(Weak::upgrade) {
                 observer.committed(commit_ts, &view);
             }
         }
         drop(observers);
-        if !plan.rewrites.is_empty() {
-            self.inner
-                .counters
-                .commits_merged
-                .fetch_add(1, Ordering::Relaxed);
-            self.inner
-                .counters
-                .merge_fields_applied
-                .fetch_add(plan.fields_applied, Ordering::Relaxed);
-        }
         // Past this point the commit cannot be retracted: its versions
         // are visible to new snapshots once the watermark folds them in.
         // A durability failure later must not be reported as an abort.
@@ -866,11 +797,10 @@ impl Database {
                 .fetch_max(horizon, Ordering::Relaxed);
             horizon
         };
-        let floor = self.inner.vacuum_floor.load(Ordering::Relaxed);
         let tables = self.inner.tables.read();
         let mut pruned = 0;
         for handle in tables.values() {
-            pruned += handle.write().vacuum(horizon, floor);
+            pruned += handle.write().vacuum(horizon);
         }
         self.inner
             .counters
@@ -904,12 +834,9 @@ impl Database {
         if self.note_cold_error(cold.demote(batch, horizon)).is_none() {
             return 0;
         }
-        // Descriptors go only below the retention floor: `begin_at`
-        // still admits snapshots between it and the horizon.
-        let floor = self.inner.vacuum_floor.load(Ordering::Relaxed);
         let mut pruned = 0;
         for handle in tables.values() {
-            pruned += handle.write().vacuum(horizon, floor);
+            pruned += handle.write().vacuum(horizon);
         }
         self.inner
             .counters
@@ -1231,17 +1158,7 @@ impl Database {
                 + self.inner.sequencer.visibility_wait_ns(),
             watermark_lag_max: self.inner.sequencer.lag_max(),
             ddl_stalls: self.inner.commit_latch.exclusive_stalls(),
-            commits_merged: self.inner.counters.commits_merged.load(Ordering::Relaxed),
-            merge_fields_applied: self
-                .inner
-                .counters
-                .merge_fields_applied
-                .load(Ordering::Relaxed),
-            write_conflicts_true_overlap: self
-                .inner
-                .counters
-                .true_overlap_conflicts
-                .load(Ordering::Relaxed),
+            commits_merged: 0,
             cold_runs: cold.runs,
             cold_versions: cold.cold_versions,
             cold_demotions: cold.demotions,

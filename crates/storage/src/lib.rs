@@ -70,7 +70,7 @@ pub use observer::{CommitObserver, CommittedRow, Replaced, TableWrites, WriteSet
 pub use query::{explain, plan_access, AccessPath, Predicate};
 pub use row::{Columns, Row, RowId, SharedRow};
 pub use schema::{ColumnDef, IndexDef, TableDef, TableId};
-pub use table::{ResidentBytes, Ts, WriteDescriptor, TS_LATEST};
+pub use table::{ResidentBytes, Ts, TS_LATEST};
 pub use txn::{Durability, Transaction, TxnId};
 pub use value::{DataType, Value, ValueRef};
 pub use vfs::{os_vfs, OsVfs, SimVfs, Vfs, VfsFile};

@@ -22,7 +22,7 @@
 //! the version the commit replaced and the version it published, read
 //! from the row's version chain; nothing is copied or collected for it.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::BTreeMap;
 
 use parking_lot::RwLockWriteGuard;
 
@@ -37,8 +37,6 @@ pub struct WriteSet<'a> {
     /// One write-locked table per entry of `writes`, in the same order.
     stores: &'a [RwLockWriteGuard<'a, TableStore>],
     writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
-    /// Rows the transaction inserted.
-    created: &'a HashSet<(TableId, RowId)>,
 }
 
 impl<'a> WriteSet<'a> {
@@ -46,13 +44,11 @@ impl<'a> WriteSet<'a> {
         commit_ts: Ts,
         stores: &'a [RwLockWriteGuard<'a, TableStore>],
         writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
-        created: &'a HashSet<(TableId, RowId)>,
     ) -> WriteSet<'a> {
         WriteSet {
             commit_ts,
             stores,
             writes,
-            created,
         }
     }
 
@@ -87,15 +83,16 @@ impl<'a> TableWrites<'a> {
         let (set, table, store) = (self.set, self.table, self.store);
         self.rows.keys().map(move |&row| {
             // The commit appended the chain's newest version; the one
-            // below it is what it replaced, if RAM still holds it.
+            // below it is what it replaced. Validation found a chain for
+            // every row the transaction did not insert, and vacuum never
+            // takes a chain's newest version, so only an inserted row
+            // has nothing below.
             let (top, below) = (store.versions(row).split_last())
                 .expect("the commit applied a version to every row it wrote");
             debug_assert_eq!(top.commit_ts, set.commit_ts);
             let replaced = match below.last().map(|v| &v.op) {
                 Some(VersionOp::Put(r)) => Replaced::Version(r),
-                Some(VersionOp::Delete) => Replaced::Inserted,
-                None if set.created.contains(&(table, row)) => Replaced::Inserted,
-                None => Replaced::NotResident,
+                Some(VersionOp::Delete) | None => Replaced::Inserted,
             };
             let published = match &top.op {
                 VersionOp::Put(r) => Some(r),
@@ -118,8 +115,8 @@ pub struct CommittedRow<'a> {
     pub row: RowId,
     /// What the row was before the commit.
     pub replaced: Replaced<'a>,
-    /// The row as published: the written row, or for a patch the row
-    /// validation merged it into. `None` for a delete.
+    /// The row as published: the written row, or for a column update the
+    /// replaced row with those columns changed. `None` for a delete.
     pub published: Option<&'a SharedRow>,
 }
 
@@ -130,10 +127,6 @@ pub enum Replaced<'a> {
     Inserted,
     /// The newest version below the commit's.
     Version(&'a SharedRow),
-    /// The row existed, but no version of it below the commit's is
-    /// resident in RAM (its history went to the cold tier): what was
-    /// there is not known.
-    NotResident,
 }
 
 impl<'a> Replaced<'a> {
@@ -141,7 +134,7 @@ impl<'a> Replaced<'a> {
     pub fn row(&self) -> Option<&'a SharedRow> {
         match self {
             Replaced::Version(row) => Some(row),
-            Replaced::Inserted | Replaced::NotResident => None,
+            Replaced::Inserted => None,
         }
     }
 }

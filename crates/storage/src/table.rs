@@ -26,149 +26,11 @@ pub type Ts = u64;
 /// Visibility horizon that sees everything ever committed.
 pub const TS_LATEST: Ts = u64::MAX;
 
-/// A chain-neighborhood descriptor: what part of a row's *neighborhood*
-/// a write semantically touched, at finer granularity than the row.
-///
-/// The text layer tags each character-row write with the directed chain
-/// edges it rewires (`anchors`, encoded by the caller — e.g.
-/// `char_id << 1 | 1` for a character's *next* edge) and the column
-/// positions it set (`fields`). Two concurrent writes to the same row
-/// *commute* when neither their anchors nor their fields intersect —
-/// e.g. one splice updating a character's `prev` link while another
-/// updates its `next` — and commit validation merges them instead of
-/// aborting. Both lists are kept sorted and deduplicated, in one
-/// allocation of 40 bytes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WriteDescriptor(Box<Tokens>);
-
-/// A descriptor's two lists: in place when they are short, as every
-/// descriptor the text layer writes is (one anchor and one field for a
-/// splice, no anchor and up to four fields for a tombstone or a style).
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Tokens {
-    Inline {
-        anchors: [u64; 2],
-        fields: [u32; 4],
-        lens: [u8; 2],
-    },
-    Spilled {
-        anchors: Box<[u64]>,
-        fields: Box<[u32]>,
-    },
-}
-
-impl WriteDescriptor {
-    /// Build a descriptor, sorting and deduplicating both lists.
-    pub fn new(anchors: &[u64], fields: &[u32]) -> Self {
-        if anchors.len() > 2 || fields.len() > 4 {
-            let (mut anchors, mut fields) = (anchors.to_vec(), fields.to_vec());
-            anchors.sort_unstable();
-            anchors.dedup();
-            fields.sort_unstable();
-            fields.dedup();
-            if anchors.len() <= 2 && fields.len() <= 4 {
-                return WriteDescriptor::new(&anchors, &fields);
-            }
-            return WriteDescriptor(Box::new(Tokens::Spilled {
-                anchors: anchors.into(),
-                fields: fields.into(),
-            }));
-        }
-        let (mut inline_anchors, mut inline_fields) = ([0; 2], [0; 4]);
-        inline_anchors[..anchors.len()].copy_from_slice(anchors);
-        inline_fields[..fields.len()].copy_from_slice(fields);
-        let lens = [
-            sort_dedup(&mut inline_anchors[..anchors.len()]),
-            sort_dedup(&mut inline_fields[..fields.len()]),
-        ];
-        WriteDescriptor(Box::new(Tokens::Inline {
-            anchors: inline_anchors,
-            fields: inline_fields,
-            lens: lens.map(|len| len as u8),
-        }))
-    }
-
-    /// Directed chain-edge tokens the write rewires, ascending.
-    pub fn anchors(&self) -> &[u64] {
-        match &*self.0 {
-            Tokens::Inline { anchors, lens, .. } => &anchors[..lens[0] as usize],
-            Tokens::Spilled { anchors, .. } => anchors,
-        }
-    }
-
-    /// Column positions (schema order) the write set, ascending.
-    pub fn fields(&self) -> &[u32] {
-        match &*self.0 {
-            Tokens::Inline { fields, lens, .. } => &fields[..lens[1] as usize],
-            Tokens::Spilled { fields, .. } => fields,
-        }
-    }
-
-    /// Do two descriptors touch a common anchor or field?
-    pub fn overlaps(&self, other: &WriteDescriptor) -> bool {
-        sorted_intersect(self.anchors(), other.anchors())
-            || sorted_intersect(self.fields(), other.fields())
-    }
-
-    /// The union of two descriptors' anchors and fields.
-    pub fn union(&self, other: &WriteDescriptor) -> WriteDescriptor {
-        WriteDescriptor::new(
-            &[self.anchors(), other.anchors()].concat(),
-            &[self.fields(), other.fields()].concat(),
-        )
-    }
-
-    /// Heap bytes of a descriptor: its allocation, and the lists of one
-    /// that spilled.
-    fn resident_bytes(&self) -> usize {
-        let spilled = match &*self.0 {
-            Tokens::Inline { .. } => 0,
-            Tokens::Spilled { anchors, fields } => {
-                std::mem::size_of_val(&**anchors) + std::mem::size_of_val(&**fields)
-            }
-        };
-        std::mem::size_of::<Tokens>() + spilled
-    }
-}
-
-/// Sort `items` and move its distinct values to the front; how many
-/// there are.
-fn sort_dedup<T: Ord + Copy>(items: &mut [T]) -> usize {
-    items.sort_unstable();
-    let mut len = 0;
-    for i in 0..items.len() {
-        if len == 0 || items[len - 1] != items[i] {
-            items[len] = items[i];
-            len += 1;
-        }
-    }
-    len
-}
-
-/// Linear intersection test over two sorted slices.
-fn sorted_intersect<T: Ord>(a: &[T], b: &[T]) -> bool {
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        match a[i].cmp(&b[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
-            std::cmp::Ordering::Equal => return true,
-        }
-    }
-    false
-}
-
 /// One committed version of a row.
 #[derive(Debug, Clone)]
 pub struct Version {
     pub commit_ts: Ts,
     pub op: VersionOp,
-    /// Chain-neighborhood descriptor of the write that produced this
-    /// version, when the writer supplied one. Later concurrent commits
-    /// whose descriptors don't overlap merge onto this version instead
-    /// of aborting; vacuum clears it once no snapshot can be validated
-    /// against the version.
-    pub desc: Option<WriteDescriptor>,
 }
 
 /// What a version did to the row. Put versions hold a [`SharedRow`]: the
@@ -192,7 +54,7 @@ enum Chain {
 
 // A slot is a chain and nothing else: an empty one costs the chain's
 // own tag value, not a word beside it.
-const _: () = assert!(std::mem::size_of::<Option<Chain>>() == 40);
+const _: () = assert!(std::mem::size_of::<Option<Chain>>() == 32);
 
 impl Chain {
     fn versions(&self) -> &[Version] {
@@ -202,19 +64,12 @@ impl Chain {
         }
     }
 
-    fn versions_mut(&mut self) -> &mut [Version] {
-        match self {
-            Chain::One(v) => std::slice::from_mut(v),
-            Chain::Many(vs) => vs,
-        }
-    }
-
     fn push(&mut self, v: Version) {
         if let Chain::Many(vs) = self {
             return vs.push(v);
         }
-        // The first version moves into the `Vec` as it is: its row and
-        // its descriptor are not copied.
+        // The first version moves into the `Vec` as it is: its row is
+        // not copied.
         let Chain::One(first) = std::mem::replace(self, Chain::Many(Vec::new())) else {
             unreachable!("a chain is One or Many")
         };
@@ -354,13 +209,11 @@ pub struct ResidentBytes {
     pub chains: u64,
     /// Secondary indexes: trees, keys and row-id sets.
     pub indexes: u64,
-    /// Write descriptors kept on described versions.
-    pub descriptors: u64,
 }
 
 impl ResidentBytes {
     pub fn total(&self) -> u64 {
-        self.rows + self.chains + self.indexes + self.descriptors
+        self.rows + self.chains + self.indexes
     }
 }
 
@@ -452,18 +305,6 @@ impl TableStore {
     /// Callers guarantee `ts` is greater than every timestamp already in the
     /// chain (commit order is serialized by the transaction manager).
     pub fn apply(&mut self, row: RowId, ts: Ts, op: VersionOp) {
-        self.apply_described(row, ts, op, None);
-    }
-
-    /// [`TableStore::apply`] with a chain-neighborhood descriptor
-    /// attached to the new version.
-    pub fn apply_described(
-        &mut self,
-        row: RowId,
-        ts: Ts,
-        op: VersionOp,
-        desc: Option<WriteDescriptor>,
-    ) {
         debug_assert!(
             self.newest_commit_ts(row).is_none_or(|newest| newest < ts),
             "version timestamps must be monotonically increasing per row"
@@ -473,12 +314,7 @@ impl TableStore {
                 idx.insert(row, r);
             }
         }
-        let version = Version {
-            commit_ts: ts,
-            op,
-            desc,
-        };
-        self.chains.push(row, version);
+        self.chains.push(row, Version { commit_ts: ts, op });
         self.versions += 1;
         self.observe_row_id(row);
     }
@@ -486,20 +322,6 @@ impl TableStore {
     /// Every version of `row` RAM holds, oldest first.
     pub fn versions(&self, row: RowId) -> &[Version] {
         self.chains.get(row).map_or(&[], Chain::versions)
-    }
-
-    /// Every version of `row` committed strictly after `ts`, in commit
-    /// order (the versions descriptor-granularity validation must prove
-    /// commutativity against).
-    pub fn versions_after(&self, row: RowId, ts: Ts) -> &[Version] {
-        match self.chains.get(row) {
-            Some(chain) => {
-                let chain = chain.versions();
-                let from = chain.partition_point(|v| v.commit_ts <= ts);
-                &chain[from..]
-            }
-            None => &[],
-        }
     }
 
     /// Iterate all rows visible at `ts`.
@@ -655,7 +477,7 @@ impl TableStore {
 
     /// What this table holds in RAM.
     pub fn resident_bytes(&self) -> ResidentBytes {
-        let (mut rows, mut descriptors) = (0, 0);
+        let mut rows = 0;
         let mut chains = self.chains.resident_bytes();
         for (_, chain) in self.chains.iter() {
             chains += chain.spilled_bytes();
@@ -663,7 +485,6 @@ impl TableStore {
                 if let VersionOp::Put(row) = &v.op {
                     rows += row.resident_bytes();
                 }
-                descriptors += v.desc.as_ref().map_or(0, |d| d.resident_bytes());
             }
         }
         let indexes: usize = self.indexes.iter().map(IndexStore::resident_bytes).sum();
@@ -671,7 +492,6 @@ impl TableStore {
             rows: rows as u64,
             chains: chains as u64,
             indexes: indexes as u64,
-            descriptors: descriptors as u64,
         }
     }
 
@@ -681,18 +501,10 @@ impl TableStore {
     /// A version is prunable if a newer version exists with
     /// `commit_ts <= horizon` (it is superseded for every live snapshot).
     /// A chain whose sole survivor is a `Delete` older than the horizon is
-    /// removed entirely. Every surviving version at or below `floor` —
-    /// the snapshot floor `begin_at` enforces, so no transaction's
-    /// snapshot lies below it — loses its write descriptor: validation
-    /// only reads the descriptors of versions newer than a snapshot.
-    pub fn vacuum(&mut self, horizon: Ts, floor: Ts) -> usize {
+    /// removed entirely.
+    pub fn vacuum(&mut self, horizon: Ts) -> usize {
         let mut pruned = 0;
         self.chains.retain(|chain| {
-            for v in chain.versions_mut() {
-                if v.commit_ts <= floor {
-                    v.desc = None;
-                }
-            }
             // Index of the newest version visible at the horizon.
             // Everything newer than the horizon (None) keeps all: 0.
             let keep_from = chain
@@ -706,7 +518,7 @@ impl TableStore {
             }
             let sole_dead = matches!(
                 chain.versions(),
-                [Version { commit_ts, op: VersionOp::Delete, .. }] if *commit_ts <= horizon
+                [Version { commit_ts, op: VersionOp::Delete }] if *commit_ts <= horizon
             );
             if sole_dead {
                 pruned += 1;
@@ -937,7 +749,7 @@ mod tests {
         t.apply(r, 2, put(1, "b"));
         t.apply(r, 3, put(1, "c"));
         assert_eq!(t.version_count(), 3);
-        let pruned = t.vacuum(2, 2);
+        let pruned = t.vacuum(2);
         assert_eq!(pruned, 1); // version @1 superseded by @2 <= horizon
         assert_eq!(t.version_count(), 2);
         // Visibility at/after the horizon is unchanged.
@@ -949,24 +761,6 @@ mod tests {
             t.visible(r, 3).unwrap().get(1).unwrap().as_text(),
             Some("c")
         );
-    }
-
-    #[test]
-    fn vacuum_drops_descriptors_at_or_below_the_floor() {
-        let mut t = table();
-        let r = t.allocate_row_id();
-        for ts in 1..=3 {
-            let desc = WriteDescriptor::new(&[1], &[1]);
-            t.apply_described(r, ts, put(1, "a"), Some(desc));
-        }
-        let all = t.resident_bytes().descriptors;
-        // Horizon 1 prunes nothing; floor 2 is below no snapshot.
-        assert_eq!(t.vacuum(1, 2), 0);
-        let kept: Vec<bool> = (t.versions_after(r, 0).iter())
-            .map(|v| v.desc.is_some())
-            .collect();
-        assert_eq!(kept, [false, false, true]);
-        assert_eq!(t.resident_bytes().descriptors, all / 3);
     }
 
     #[test]
@@ -991,34 +785,12 @@ mod tests {
     }
 
     #[test]
-    fn a_descriptor_is_one_allocation_of_forty_bytes() {
-        let d = WriteDescriptor::new(&[9, 3, 9], &[2, 1]);
-        assert_eq!((d.anchors(), d.fields()), (&[3, 9][..], &[1, 2][..]));
-        assert_eq!(d.resident_bytes(), 40);
-        assert_eq!(
-            WriteDescriptor::new(&[1, 1, 1], &[2]),
-            WriteDescriptor::new(&[1], &[2])
-        );
-        let wide = WriteDescriptor::new(&[5, 4, 3], &[1]);
-        assert_eq!(wide.anchors(), [3, 4, 5]);
-        assert_eq!(wide.resident_bytes(), 40 + 3 * 8 + 4);
-        assert!(d.overlaps(&wide));
-        let (a, b) = (
-            WriteDescriptor::new(&[1], &[1]),
-            WriteDescriptor::new(&[2], &[2]),
-        );
-        assert!(!a.overlaps(&b));
-        assert_eq!(d.union(&wide).anchors(), [3, 4, 5, 9]);
-        assert_eq!(a.union(&b), WriteDescriptor::new(&[2, 1], &[1, 2]));
-    }
-
-    #[test]
     fn vacuum_removes_dead_rows_and_rebuilds_indexes() {
         let mut t = table();
         let r = t.allocate_row_id();
         t.apply(r, 1, put(1, "a"));
         t.apply(r, 2, VersionOp::Delete);
-        let pruned = t.vacuum(10, 10);
+        let pruned = t.vacuum(10);
         assert_eq!(pruned, 2);
         assert_eq!(t.version_count(), 0);
         let (_, idx) = t.index_by_name("by_k").unwrap();
@@ -1038,8 +810,8 @@ mod tests {
         t.apply(r, 2, put(1, "b"));
         t.apply(r, 3, put(1, "c"));
         assert!(matches!(t.chains.get(r), Some(Chain::Many(vs)) if vs.len() == 3));
-        assert_eq!(t.versions_after(r, 1).len(), 2);
-        assert_eq!(t.vacuum(3, 3), 2);
+        assert_eq!(t.versions(r).len(), 3);
+        assert_eq!(t.vacuum(3), 2);
         assert!(matches!(t.chains.get(r), Some(Chain::One(v)) if v.commit_ts == 3));
         assert_eq!(t.resident_bytes().chains, page);
         assert_eq!(
@@ -1065,7 +837,7 @@ mod tests {
         assert!(t.visible(RowId(SLOTS_PER_PAGE - 1), TS_LATEST).is_none());
         // Emptying the first page leaves the others where they are.
         t.apply(RowId(1), 4, VersionOp::Delete);
-        assert_eq!(t.vacuum(4, 4), 2);
+        assert_eq!(t.vacuum(4), 2);
         assert_eq!(
             (t.slot_pages(), t.chain_count(), t.version_count()),
             (2, 2, 2)
@@ -1081,7 +853,7 @@ mod tests {
         let r = t.allocate_row_id();
         t.apply(r, 5, put(1, "a"));
         t.apply(r, 9, put(1, "b"));
-        assert_eq!(t.vacuum(3, 3), 0);
+        assert_eq!(t.vacuum(3), 0);
         assert_eq!(t.version_count(), 2);
         // A snapshot between the two versions still reads the old one.
         assert_eq!(

@@ -27,7 +27,7 @@ use crate::index::{EntryRange, IndexKey, IndexStore};
 use crate::query::Predicate;
 use crate::row::{Row, RowId, SharedRow};
 use crate::schema::TableId;
-use crate::table::{TableStore, Ts, Version, VersionOp, WriteDescriptor};
+use crate::table::{TableStore, Ts, VersionOp};
 use crate::value::Value;
 use crate::wal::{WalOp, WalTicket};
 
@@ -41,21 +41,15 @@ pub struct TxnId(pub u64);
 /// copy-on-write (an update to a buffered row packs a fresh one and swaps
 /// the handle).
 ///
-/// `Patch` is a described partial write ([`Transaction::set_with_anchors`]):
-/// the row is fully materialized against this transaction's snapshot (so
-/// reads-through behave exactly like a `Put`), but the descriptor records
-/// which columns were actually written and which chain-neighborhood
-/// anchors the edit logically touched. At commit, a `Patch` that lost the
-/// first-committer race can *merge* onto the newer committed version when
-/// the descriptors are disjoint, instead of aborting.
+/// `Patch` is a column update ([`Transaction::set`]): the row is fully
+/// materialized against this transaction's snapshot (so reads-through
+/// behave exactly like a `Put`), and `fields` lists the column positions
+/// written, ascending: the log records only those columns.
 #[derive(Debug, Clone)]
 pub(crate) enum WriteOp {
     Put(SharedRow),
     Delete,
-    Patch {
-        row: SharedRow,
-        desc: WriteDescriptor,
-    },
+    Patch { row: SharedRow, fields: Vec<u32> },
 }
 
 impl WriteOp {
@@ -599,54 +593,15 @@ impl Transaction {
         Ok(())
     }
 
-    /// Update named columns of an existing row, leaving others unchanged.
-    /// Copy-on-write: the current version (shared or buffered) is
-    /// materialized once, mutated, and buffered as a fresh shared row.
+    /// Update named columns of an existing (visible) row, leaving the
+    /// others unchanged. The stored values passed this schema when they
+    /// were written: only the new ones are checked, and the row goes from
+    /// packed to packed. A row this transaction inserted or replaced stays
+    /// a whole-row write; any other is logged as the columns it changed.
     pub fn set(&mut self, table: TableId, row: RowId, updates: &[(&str, Value)]) -> Result<()> {
         self.check_active()?;
         let current = self.get(table, row)?.ok_or_else(|| self.not_found(table))?;
-        let mut current = current.to_row();
-        let def = self.db.table_def(table)?;
-        for (col, val) in updates {
-            let pos = def.require_column(col)?;
-            current.set(pos, val.clone());
-        }
-        self.update(table, row, current)
-    }
-
-    /// Update named columns of an existing row and declare the write
-    /// *commutative* within its chain neighborhood.
-    ///
-    /// Like [`Transaction::set`], but the write is tagged with a
-    /// [`WriteDescriptor`]: the column positions actually written plus
-    /// the caller-chosen `anchors` (opaque tokens naming the logical
-    /// chain edges the edit depends on — the text layer uses
-    /// `char_id << 1 | side`). If another transaction commits a newer
-    /// described version of the same row before this one, commit
-    /// validation compares descriptors instead of aborting outright:
-    /// disjoint fields *and* disjoint anchors means the operations
-    /// commute, and this write's columns are replayed onto the newer
-    /// version (the later committer's delta merges). Overlap — or a
-    /// competing write with no descriptor — still aborts first-committer
-    /// -wins.
-    ///
-    /// Repeated described updates of the same row union their
-    /// descriptors. A row this transaction inserted, replaced wholesale,
-    /// or deleted stays a plain write (descriptors cannot make those
-    /// commute).
-    pub fn set_with_anchors(
-        &mut self,
-        table: TableId,
-        row: RowId,
-        updates: &[(&str, Value)],
-        anchors: &[u64],
-    ) -> Result<()> {
-        self.check_active()?;
-        let current = self.get(table, row)?.ok_or_else(|| self.not_found(table))?;
-        // The stored values passed this schema when they were written:
-        // only the new ones are checked, and the row goes from packed to
-        // packed.
-        let (new_row, fields) = self.with_table(table, |t| {
+        let (new_row, mut fields) = self.with_table(table, |t| {
             let def = t.definition();
             let mut fields = Vec::with_capacity(updates.len());
             let mut changes = Vec::with_capacity(updates.len());
@@ -658,29 +613,26 @@ impl Transaction {
             }
             Ok::<_, StorageError>((current.with_updates(&changes), fields))
         })??;
-        let desc = WriteDescriptor::new(anchors, &fields);
-        let is_created = self.created.contains(&(table, row));
         use std::collections::btree_map::Entry;
         match self.writes.entry(table).or_default().entry(row) {
             Entry::Occupied(mut e) => match e.get_mut() {
-                // A row this transaction created or replaced wholesale is
-                // already a full write; folding the update in keeps it one.
                 WriteOp::Put(r) => *r = new_row,
-                // `get` above saw the row, so a buffered delete is impossible.
-                WriteOp::Delete => unreachable!("set_with_anchors after delete"),
-                WriteOp::Patch { row: r, desc: d } => {
+                WriteOp::Patch { row: r, fields: f } => {
                     *r = new_row;
-                    *d = d.union(&desc);
+                    f.append(&mut fields);
+                    f.sort_unstable();
+                    f.dedup();
                 }
+                // `get` above saw the row, so a buffered delete is impossible.
+                WriteOp::Delete => unreachable!("set after delete"),
             },
             Entry::Vacant(e) => {
-                if is_created {
-                    // Unreachable in practice (created rows always have a
-                    // buffered Put), but keep the invariant explicit.
-                    e.insert(WriteOp::Put(new_row));
-                } else {
-                    e.insert(WriteOp::Patch { row: new_row, desc });
-                }
+                fields.sort_unstable();
+                fields.dedup();
+                e.insert(WriteOp::Patch {
+                    row: new_row,
+                    fields,
+                });
             }
         }
         Ok(())
@@ -802,105 +754,45 @@ fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
         })
 }
 
-/// The outcome of successful commit validation: which `Patch` writes must
-/// be rewritten (their columns replayed onto a newer committed version
-/// they merged with) before WAL staging and publication.
-#[derive(Debug, Default)]
-pub(crate) struct MergePlan {
-    /// `(table, row)` → the fully merged row to stage and publish in
-    /// place of the buffered one. Present only for described writes that
-    /// lost the first-committer race but commuted with every newer
-    /// version.
-    pub rewrites: BTreeMap<(TableId, RowId), SharedRow>,
-    /// Total descriptor fields replayed across all rewrites.
-    pub fields_applied: u64,
-}
-
 /// Validation, called by [`Database::commit_txn`] with the table write
-/// locks held. Split out for testability.
-///
-/// Plain `Put`/`Delete` writes keep exact first-committer-wins: any newer
-/// committed version of a written row aborts. A described [`WriteOp::Patch`]
-/// gets chain-neighborhood validation instead: every version committed
-/// past this transaction's snapshot is examined, and if each one carries
-/// a descriptor disjoint from ours (no shared columns, no shared
-/// anchors), the operations commute — the patch's columns are replayed
-/// onto the newest committed row and the commit proceeds as a merge.
-/// Any undescribed version, delete, or descriptor overlap is a *true*
-/// overlap: the abort stands and `true_overlap` is set so the engine can
-/// count real conflicts separately from FCW casualties.
+/// locks held: first committer wins. A write to a row that gained a
+/// version past this transaction's snapshot aborts with
+/// [`StorageError::WriteConflict`], and so does a write to a row RAM holds
+/// no chain of that the transaction did not insert: it saw the row live,
+/// and demotion to the cold tier takes a whole chain only when its newest
+/// version is a delete. Unique constraints are then checked against the
+/// latest committed state plus this batch.
 pub(crate) fn validate_writes(
     txn_writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     created: &HashSet<(TableId, RowId)>,
     snapshot: Ts,
     txn: TxnId,
     tables: &BTreeMap<TableId, &mut TableStore>,
-    true_overlap: &mut bool,
-) -> Result<MergePlan> {
-    let mut plan = MergePlan::default();
+) -> Result<()> {
     for (&tid, writes) in txn_writes {
         let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
-        let conflict = || StorageError::WriteConflict {
-            table: store.definition().name.clone(),
-            txn,
-        };
-        // Write-write conflicts: someone committed past our snapshot.
-        for (&rid, op) in writes {
+        for &rid in writes.keys() {
             if created.contains(&(tid, rid)) {
                 continue;
             }
-            match store.newest_commit_ts(rid) {
-                Some(newest) if newest > snapshot => {}
-                _ => continue,
+            if store
+                .newest_commit_ts(rid)
+                .is_none_or(|newest| newest > snapshot)
+            {
+                return Err(StorageError::WriteConflict {
+                    table: store.definition().name.clone(),
+                    txn,
+                });
             }
-            let WriteOp::Patch { row, desc } = op else {
-                return Err(conflict());
-            };
-            // Described write: commute or die. Every newer version must
-            // itself be a described put whose neighborhood is disjoint
-            // from ours; one opaque or overlapping version means the
-            // operations genuinely collide.
-            let newer: &[Version] = store.versions_after(rid, snapshot);
-            let mut base: Option<&SharedRow> = None;
-            for v in newer {
-                match (&v.op, &v.desc) {
-                    (VersionOp::Put(r), Some(d)) if !d.overlaps(desc) => base = Some(r),
-                    _ => {
-                        *true_overlap = true;
-                        return Err(conflict());
-                    }
-                }
-            }
-            let base = base.expect("conflict window is non-empty");
-            // Replay exactly the columns this patch wrote onto the
-            // newest committed row; everything else is the other
-            // writers' work and survives untouched.
-            let written: Vec<_> = desc
-                .fields()
-                .iter()
-                .map(|&pos| {
-                    let value = row.get(pos as usize).expect("described column exists");
-                    (pos as usize, value)
-                })
-                .collect();
-            let merged = base.with_updates(&written);
-            plan.fields_applied += desc.fields().len() as u64;
-            plan.rewrites.insert((tid, rid), merged);
         }
-        // Unique constraints, against latest committed state + this batch.
-        // Merged rewrites stand in for their buffered rows: the key the
-        // index will actually see is the merged one.
-        let effective = |rid: RowId, op: &WriteOp| -> Option<SharedRow> {
-            plan.rewrites.get(&(tid, rid)).or_else(|| op.row()).cloned()
-        };
         for (ipos, idx) in store.indexes().iter().enumerate() {
             if !idx.definition().unique {
                 continue;
             }
             let mut pending: BTreeMap<IndexKey, RowId> = BTreeMap::new();
             for (&rid, op) in writes {
-                if let Some(row) = effective(rid, op) {
-                    let key = idx.key_of(&row);
+                if let Some(row) = op.row() {
+                    let key = idx.key_of(row);
                     if let Some(prev) = pending.insert(key, rid) {
                         if prev != rid {
                             return Err(StorageError::UniqueViolation {
@@ -922,5 +814,5 @@ pub(crate) fn validate_writes(
             }
         }
     }
-    Ok(plan)
+    Ok(())
 }

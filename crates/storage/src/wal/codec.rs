@@ -820,21 +820,13 @@ pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
     match op {
         WalOp::Put(row) => b.extend_from_slice(row.packed()),
         WalOp::Delete => put_varint(b, OP_DELETE),
-        WalOp::Patch {
-            fields,
-            values,
-            anchors,
-        } => {
+        WalOp::Patch { fields, values } => {
             assert_eq!(fields.len(), values.len(), "one value per patched field");
             put_varint(b, (fields.len() as u64) << 2 | OP_PATCH);
             for f in fields {
                 put_varint(b, u64::from(*f));
             }
             put_values(b, values.iter().map(Value::view));
-            put_varint(b, anchors.len() as u64);
-            for a in anchors {
-                put_varint(b, *a);
-            }
         }
     }
 }
@@ -853,16 +845,7 @@ pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
                 fields.push(get_varint32(buf)?);
             }
             let values = get_values(buf, n)?;
-            let m = get_count(buf, 1)?;
-            let mut anchors = Vec::with_capacity(m);
-            for _ in 0..m {
-                anchors.push(get_varint(buf)?);
-            }
-            Ok(WalOp::Patch {
-                fields,
-                values,
-                anchors,
-            })
+            Ok(WalOp::Patch { fields, values })
         }
         _ => Err(corrupt(format!("unknown op header {head}"))),
     }
@@ -1362,20 +1345,6 @@ mod tests {
                 op: WalOp::Patch {
                     fields: vec![2, 6],
                     values: vec![Value::Id(77), Value::Timestamp(123)],
-                    anchors: vec![154, u64::MAX],
-                },
-            }],
-        });
-        // An anchor-free patch (tombstone/style writes) also survives.
-        roundtrip(WalRecord::Commit {
-            commit_ts: 101,
-            writes: vec![WalWrite {
-                table: TableId(4),
-                row: RowId(10),
-                op: WalOp::Patch {
-                    fields: vec![7],
-                    values: vec![Value::Bool(true)],
-                    anchors: vec![],
                 },
             }],
         });

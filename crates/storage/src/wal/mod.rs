@@ -21,11 +21,12 @@ use crate::schema::{TableDef, TableId};
 use crate::table::Ts;
 
 /// The log format this build reads and writes (DESIGN.md, "On-disk
-/// format v3"). There is no migration: any other version is refused with
+/// format v4"). There is no migration: any other version is refused with
 /// [`crate::StorageError::UnsupportedFormat`]. v3 is v2 with checkpoint
-/// rows coded against the row above them; the cold runs, whose values
-/// are v2 ops, did not change and keep their own version.
-pub const FORMAT_VERSION: u32 = 3;
+/// rows coded against the row above them; v4 is v3 with no anchor list
+/// after a patch op's values. The cold runs, whose values are puts and
+/// deletes in the v2 op codec, did not change and keep their own version.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// How hard the engine pushes commits toward the platter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,12 +51,10 @@ pub struct WalWrite {
 /// version store publishes, whose bytes are the op's encoding: writing
 /// the frame copies them, decoding one checks them and keeps them.
 ///
-/// `Patch` is the log form of a commutative described write: only the
-/// columns the transaction actually wrote (by position, with the values
-/// the commit published) plus its chain-neighborhood anchors. Replay
-/// composes the delta onto the row's then-newest state, so a log that
-/// survives only as a commit-order prefix still replays each merge
-/// exactly as it published.
+/// `Patch` is the log form of a column update ([`crate::Transaction::set`]):
+/// only the columns the transaction wrote, by position, with the values
+/// the commit published. Replay composes them onto the row's then-newest
+/// state, which first-committer-wins makes the row the commit replaced.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
     Put(SharedRow),
@@ -63,7 +62,6 @@ pub enum WalOp {
     Patch {
         fields: Vec<u32>,
         values: Vec<crate::value::Value>,
-        anchors: Vec<u64>,
     },
 }
 

@@ -21,7 +21,6 @@ use common::TestDir;
 enum Was {
     Inserted,
     Row(Vec<Option<u64>>),
-    NotResident,
 }
 
 /// One row of a write set, copied out of the borrowed view.
@@ -49,7 +48,6 @@ impl CommitObserver for Recorder {
                 replaced: match w.replaced {
                     Replaced::Inserted => Was::Inserted,
                     Replaced::Version(row) => Was::Row(ids(row)),
-                    Replaced::NotResident => Was::NotResident,
                 },
                 published: w.published.map(ids),
             })
@@ -137,19 +135,16 @@ fn put_and_patch_deliver_the_published_row_and_delete_the_removed_one() {
     let (rid, _) = insert(&db, t, link_row(None, None));
     let seen = Recorder::on(&db);
 
-    // Two described patches on disjoint fields: the second commit is
-    // rewritten onto the first, and the observer gets the merged row.
+    // Two column updates, one after the other: each publishes the row
+    // it replaced with its column changed.
     let mut a = db.begin();
-    let mut b = db.begin();
-    a.set_with_anchors(t, rid, &[("prev", Value::Id(10))], &[1])
-        .unwrap();
-    b.set_with_anchors(t, rid, &[("next", Value::Id(20))], &[2])
-        .unwrap();
+    a.set(t, rid, &[("prev", Value::Id(10))]).unwrap();
     a.commit().unwrap();
+    let mut b = db.begin();
+    b.set(t, rid, &[("next", Value::Id(20))]).unwrap();
     b.commit().unwrap();
-    assert_eq!(db.stats().commits_merged, 1);
 
-    // An insert, then a delete of the merged row.
+    // An insert, then a delete of the updated row.
     let (other, _) = insert(&db, t, link_row(Some(7), Some(8)));
     let mut txn = db.begin();
     txn.delete(t, rid).unwrap();
@@ -178,7 +173,7 @@ fn put_and_patch_deliver_the_published_row_and_delete_the_removed_one() {
 }
 
 #[test]
-fn a_write_over_history_the_cold_tier_took_knows_no_replaced_version() {
+fn a_write_over_history_the_cold_tier_took_conflicts_unobserved() {
     let dir = TestDir::new("tendax-observer-cold");
     let options = Options {
         cold_storage: Some(ColdOptions::default()),
@@ -196,23 +191,15 @@ fn a_write_over_history_the_cold_tier_took_knows_no_replaced_version() {
     let seen = Recorder::on(&db);
 
     // A transaction pinned below the delete still reads the row, from
-    // the cold tier, and may write it: first-committer-wins looks for
-    // newer versions in RAM, where the tombstone no longer is.
+    // the cold tier, but may not write it: the delete is newer than its
+    // snapshot. So every write the observer hears of replaced a version
+    // RAM holds.
     let mut pinned = db.begin_at(born).unwrap();
     assert!(pinned.get(t, rid).unwrap().is_some());
     pinned.set(t, rid, &[("next", Value::Id(2))]).unwrap();
-    pinned.commit().unwrap();
-    let calls = seen.calls();
-    assert_eq!(calls.len(), 1);
-    assert_eq!(
-        calls[0].1,
-        [Written {
-            table: t,
-            row: rid,
-            replaced: Was::NotResident,
-            published: Some(vec![Some(1), Some(2)]),
-        }]
-    );
+    let err = pinned.commit().unwrap_err();
+    assert!(matches!(err, StorageError::WriteConflict { .. }), "{err}");
+    assert!(seen.calls().is_empty());
 }
 
 /// Announces each commit on a channel and waits to be let go.

@@ -166,8 +166,8 @@ fn checkpoint_bytes_per_row_are_pinned() {
 }
 
 /// One character typed mid-document, as the text layer commits it: the
-/// new `chars` row, a described one-column update of each neighbour's
-/// link, the `oplog` row and its `op_effects` row.
+/// new `chars` row, a one-column update of each neighbour's link, the
+/// `oplog` row and its `op_effects` row.
 #[test]
 fn wal_bytes_of_one_keystroke_are_pinned() {
     let f = fixture();
@@ -179,20 +179,15 @@ fn wal_bytes_of_one_keystroke_are_pinned() {
     let before = f.db.wal_size().0;
     let mut txn = f.db.begin();
     txn.insert(f.chars, chars_row(2)).unwrap();
-    let link = |txn: &mut tendax_storage::Transaction, row: RowId, col, side| {
-        txn.set_with_anchors(
-            f.chars,
-            row,
-            &[(col, Value::Id(20_500))],
-            &[row.0 << 1 | side],
-        )
-        .unwrap();
+    let link = |txn: &mut tendax_storage::Transaction, row: RowId, col| {
+        txn.set(f.chars, row, &[(col, Value::Id(20_500))]).unwrap();
     };
-    link(&mut txn, left, "next", 1);
-    link(&mut txn, right, "prev", 0);
+    link(&mut txn, left, "next");
+    link(&mut txn, right, "prev");
     txn.insert(f.oplog, oplog_row(2)).unwrap();
     txn.insert(f.op_effects, op_effects_row(2)).unwrap();
     txn.commit().unwrap();
-    // v1: 310.
-    assert_eq!(f.db.wal_size().0 - before, 85);
+    // v1: 310. v3: 85, each patch ended in an anchor list (a count and
+    // one anchor, a byte each). v4 has none.
+    assert_eq!(f.db.wal_size().0 - before, 81);
 }

@@ -2,8 +2,8 @@
 //! sharing" and "The same bytes in RAM … and in the indexes"), pinned
 //! the way `format_size.rs` pins what it costs on disk: requested heap
 //! bytes and allocations per row, counted by a tracking allocator around
-//! `TableStore::apply`, for the three row shapes a keystroke writes and
-//! the descriptor a described version keeps. Requested bytes, not what
+//! `TableStore::apply`, for the three row shapes a keystroke writes.
+//! Requested bytes, not what
 //! the allocator rounds them to, so the pins hold under any allocator.
 //! Each pin carries the value of the commit that set it and of the one
 //! before: PR 18 packed the row (before it, an `Arc<Row>` over a
@@ -13,13 +13,14 @@
 //! naming two rows), dropped three indexes nothing read and made a
 //! descriptor one allocation; PR 23 put the version chains in row slots
 //! (before it, a `BTreeMap` from row id to chain, about 90 bytes of tree
-//! node a row where a slot is 40).
+//! node a row where a slot was 40); write descriptors are gone since, which
+//! took a pointer from every version (a slot is 32, a spilled version 24).
 
 mod common;
 
 use common::alloc::{allocations_during, retained_by, TrackingAlloc};
 use tendax_storage::table::{TableStore, Version, VersionOp};
-use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value, WriteDescriptor};
+use tendax_storage::{DataType, Row, RowId, SharedRow, TableDef, TableId, Value};
 
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
@@ -173,9 +174,10 @@ fn chars_rows_and_their_further_versions() {
     // 1.33 — a 16-byte entry a row where each document's key kept a
     // `BTreeSet` of 8-byte row ids; every other index wins by more.
     // PR 23: 114 in 1.17 — the chain's 40-byte slot in a page of 256
-    // where the chain tree's node took about 90.
+    // where the chain tree's node took about 90. With no descriptor
+    // pointer in a version: 106 in 1.17, a 32-byte slot.
     let (first, first_blocks) = apply_all(&mut t, 1, |i| chars_row(i, 0));
-    assert!(first <= 120.0, "first version: {first} bytes a row");
+    assert!(first <= 110.0, "first version: {first} bytes a row");
     assert!(
         first_blocks <= 1.2,
         "first version: {first_blocks} allocations a row"
@@ -184,13 +186,14 @@ fn chars_rows_and_their_further_versions() {
     // rewrite, every tombstone — the second of which spills the chain
     // out of its slot into a `Vec`. PR 18's parent: 489 bytes each (its
     // chain `Vec` of four was paid for by the first version). Since PR
-    // 18: 83, of which 43 are the chain's.
+    // 18: 83, of which 43 are the chain's. With no descriptor pointer:
+    // 72, a version 24 bytes in the `Vec` where it was 32.
     let mut further = 0.0;
     for version in 1..=3 {
         further += apply_all(&mut t, 1 + version, |i| chars_row(i, version)).0;
     }
     let each = further / 3.0;
-    assert!(each <= 100.0, "each further version: {each} bytes");
+    assert!(each <= 75.0, "each further version: {each} bytes");
     assert_accounted(&t, (first + further) * ROWS as f64);
 }
 
@@ -198,10 +201,10 @@ fn chars_rows_and_their_further_versions() {
 fn an_oplog_row_with_its_two_indexes() {
     // PR 18: 990 bytes in 8.83 allocations → 481 in 3.83, with four
     // indexes. PR 21, two indexes of packed keys: 237 in 1.5. PR 23, in
-    // a row slot: 185 in 1.34.
+    // a row slot: 185 in 1.34. In a 32-byte slot: 177 in 1.34.
     let mut t = TableStore::new(TableId(0), oplog_def());
     let (bytes, blocks) = apply_all(&mut t, 1, oplog_row);
-    assert!(bytes <= 190.0, "an oplog row: {bytes} bytes");
+    assert!(bytes <= 180.0, "an oplog row: {bytes} bytes");
     assert!(blocks <= 1.4, "an oplog row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
 }
@@ -210,38 +213,22 @@ fn an_oplog_row_with_its_two_indexes() {
 fn an_op_effects_row_with_its_index() {
     // PR 18: 852 bytes in 8.5 allocations → 345 in 3.5, with two
     // indexes. PR 21, one index of packed keys: 159 in 1.33. PR 23, in a
-    // row slot: 107 in 1.17.
+    // row slot: 107 in 1.17. In a 32-byte slot: 99 in 1.17.
     let mut t = TableStore::new(TableId(0), effects_def());
     let (bytes, blocks) = apply_all(&mut t, 1, effects_row);
-    assert!(bytes <= 110.0, "an op_effects row: {bytes} bytes");
+    assert!(bytes <= 100.0, "an op_effects row: {bytes} bytes");
     assert!(blocks <= 1.2, "an op_effects row: {blocks} allocations");
     assert_accounted(&t, bytes * ROWS as f64);
 }
 
 #[test]
-fn a_described_versions_descriptor_is_one_allocation() {
-    // PR 18: 76 bytes in 3 allocations (an `Arc`, the anchors' `Vec`,
-    // the fields' `Vec`). PR 21: 40 in 1.
-    let (desc, bytes, blocks) = retained_by(|| WriteDescriptor::new(&[84_001], &[2]));
-    assert_eq!(blocks, 1, "{bytes} bytes");
-    assert!(bytes <= 40, "a descriptor holds {bytes} bytes");
-    // The table counts what the allocator handed out.
+fn spilling_a_chain_allocates_its_vec_and_nothing_else() {
+    // The first version moves out of the slot into the `Vec` with its
+    // row. With write descriptors: 2 allocations — the `Vec` and a copy
+    // of the first version's descriptor (the row was a reference count),
+    // the original dropped.
     let mut t = TableStore::new(TableId(0), chars_def());
     t.apply(RowId(1), 1, VersionOp::Put(chars_row(1, 0)));
-    let put = VersionOp::Put(chars_row(1, 1));
-    t.apply_described(RowId(1), 2, put, Some(desc));
-    assert_eq!(t.resident_bytes().descriptors, bytes as u64);
-}
-
-#[test]
-fn spilling_a_described_chain_allocates_its_vec_and_nothing_else() {
-    // The first version moves out of the slot into the `Vec` with its
-    // row and its descriptor. Parent: 2 allocations — the `Vec` and a
-    // copy of the first version's descriptor (the row was a reference
-    // count), the original dropped.
-    let mut t = TableStore::new(TableId(0), chars_def());
-    let desc = WriteDescriptor::new(&[84_001], &[2]);
-    t.apply_described(RowId(1), 1, VersionOp::Put(chars_row(1, 0)), Some(desc));
     let second = VersionOp::Put(chars_row(1, 1));
     let (((), bytes, _), allocs) =
         allocations_during(|| retained_by(|| t.apply(RowId(1), 2, second)));

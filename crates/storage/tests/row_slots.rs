@@ -2,9 +2,9 @@
 //! `BTreeMap` from row id to its versions, oldest first, which is what
 //! the table held before row ids indexed pages of slots. Random schedules
 //! of `apply` — dense ids, ids on both sides of page boundaries, ids far
-//! past every other — and `vacuum(horizon, floor)`, each followed by
-//! every read the table answers from its chains: `visible`,
-//! `versions_after`, `newest_version_at` and `newest_commit_ts` of rows
+//! past every other — and `vacuum(horizon)`, each followed by every read
+//! the table answers from its chains: `visible`, `versions`,
+//! `newest_version_at` and `newest_commit_ts` of rows
 //! present and absent (on pages that exist and pages that do not), then
 //! `scan_visible`, `newest_versions_at`, `iter_versions`, a full-scan and
 //! an index-prefix `count_matching`/`scan_matching` — same rows, same
@@ -19,9 +19,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use proptest::prelude::*;
 use tendax_storage::query::{plan_access, AccessPath};
 use tendax_storage::table::{TableStore, VersionOp, SLOTS_PER_PAGE};
-use tendax_storage::{
-    DataType, Predicate, Row, RowId, TableDef, TableId, Value, WriteDescriptor, TS_LATEST,
-};
+use tendax_storage::{DataType, Predicate, Row, RowId, TableDef, TableId, Value, TS_LATEST};
 
 const FAR: u64 = 1 << 40;
 
@@ -41,13 +39,9 @@ fn row_id(rng: &mut TestRng) -> u64 {
 #[derive(Debug, Clone)]
 enum Step {
     /// A version of `row`: a put of `(doc, tag)`, or a delete.
-    Apply {
-        row: u64,
-        put: Option<(u64, i64)>,
-        described: bool,
-    },
-    /// Vacuum at `horizon` and `floor`, both counted back from now.
-    Vacuum { horizon: u64, floor: u64 },
+    Apply { row: u64, put: Option<(u64, i64)> },
+    /// Vacuum at `horizon`, counted back from now.
+    Vacuum { horizon: u64 },
 }
 
 #[derive(Debug)]
@@ -63,12 +57,10 @@ impl Strategy for Schedules {
             .map(|_| match rng.below(8) {
                 0 => Step::Vacuum {
                     horizon: rng.below(12),
-                    floor: rng.below(12),
                 },
                 n => Step::Apply {
                     row: row_id(rng),
                     put: (n != 1).then(|| (rng.below(4), rng.below(3) as i64)),
-                    described: rng.below(2) == 0,
                 },
             })
             .collect();
@@ -81,7 +73,6 @@ impl Strategy for Schedules {
 struct V {
     ts: u64,
     put: Option<(u64, i64)>,
-    described: bool,
 }
 
 type Model = BTreeMap<u64, Vec<V>>;
@@ -98,22 +89,19 @@ fn values(row: &tendax_storage::SharedRow) -> (u64, i64) {
     (doc.as_id().unwrap(), tag.as_int().unwrap())
 }
 
-fn version(ts: u64, op: &VersionOp, described: bool) -> V {
+fn version(ts: u64, op: &VersionOp) -> V {
     let put = match op {
         VersionOp::Put(row) => Some(values(row)),
         VersionOp::Delete => None,
     };
-    V { ts, put, described }
+    V { ts, put }
 }
 
-/// What the model says `vacuum(horizon, floor)` leaves, and how many
-/// versions it prunes.
-fn vacuum_model(model: &mut Model, horizon: u64, floor: u64) -> usize {
+/// What the model says `vacuum(horizon)` leaves, and how many versions
+/// it prunes.
+fn vacuum_model(model: &mut Model, horizon: u64) -> usize {
     let mut pruned = 0;
     model.retain(|_, chain| {
-        for v in chain.iter_mut() {
-            v.described &= v.ts > floor;
-        }
         let keep_from = chain.iter().rposition(|v| v.ts <= horizon).unwrap_or(0);
         chain.drain(..keep_from);
         pruned += keep_from;
@@ -140,7 +128,7 @@ fn check(t: &TableStore, model: &Model, now: u64) -> Result<(), TestCaseError> {
         .flat_map(|(id, chain)| chain.iter().map(move |v| (*id, v.clone())))
         .collect();
     let got: Vec<(u64, V)> = (t.iter_versions())
-        .map(|(rid, v)| (rid.0, version(v.commit_ts, &v.op, v.desc.is_some())))
+        .map(|(rid, v)| (rid.0, version(v.commit_ts, &v.op)))
         .collect();
     prop_assert_eq!(got, all);
 
@@ -155,6 +143,13 @@ fn check(t: &TableStore, model: &Model, now: u64) -> Result<(), TestCaseError> {
         FAR + 2,
         3 << 40,
     ]);
+    for &id in &probes {
+        let versions: Vec<V> = (t.versions(RowId(id)).iter())
+            .map(|v| version(v.commit_ts, &v.op))
+            .collect();
+        let want = model.get(&id).cloned().unwrap_or_default();
+        prop_assert_eq!(versions, want, "versions({})", id);
+    }
     for ts in [0, now / 3, now.saturating_sub(2), now, TS_LATEST] {
         for &id in &probes {
             let (row, chain) = (RowId(id), model.get(&id));
@@ -165,19 +160,9 @@ fn check(t: &TableStore, model: &Model, now: u64) -> Result<(), TestCaseError> {
                 id,
                 ts
             );
-            let after: Vec<u64> = t
-                .versions_after(row, ts)
-                .iter()
-                .map(|v| v.commit_ts)
-                .collect();
-            let want: Vec<u64> = (chain.into_iter().flatten())
-                .filter(|v| v.ts > ts)
-                .map(|v| v.ts)
-                .collect();
-            prop_assert_eq!(after, want, "versions_after({}, {})", id, ts);
             let newest = t
                 .newest_version_at(row, ts)
-                .map(|v| version(v.commit_ts, &v.op, v.desc.is_some()));
+                .map(|v| version(v.commit_ts, &v.op));
             let want = chain.and_then(|c| c.iter().rev().find(|v| v.ts <= ts).cloned());
             prop_assert_eq!(newest, want, "newest_version_at({}, {})", id, ts);
         }
@@ -230,7 +215,7 @@ proptest! {
         let mut now = 0;
         for step in &schedule.0 {
             match *step {
-                Step::Apply { row, put, described } => {
+                Step::Apply { row, put } => {
                     now += 1;
                     let op = match put {
                         Some((doc, tag)) => {
@@ -239,14 +224,13 @@ proptest! {
                         }
                         None => VersionOp::Delete,
                     };
-                    let desc = described.then(|| WriteDescriptor::new(&[row], &[1]));
-                    t.apply_described(RowId(row), now, op, desc);
-                    model.entry(row).or_default().push(V { ts: now, put, described });
+                    t.apply(RowId(row), now, op);
+                    model.entry(row).or_default().push(V { ts: now, put });
                 }
-                Step::Vacuum { horizon, floor } => {
-                    let (horizon, floor) = (now.saturating_sub(horizon), now.saturating_sub(floor));
-                    let pruned = t.vacuum(horizon, floor);
-                    prop_assert_eq!(pruned, vacuum_model(&mut model, horizon, floor));
+                Step::Vacuum { horizon } => {
+                    let horizon = now.saturating_sub(horizon);
+                    let pruned = t.vacuum(horizon);
+                    prop_assert_eq!(pruned, vacuum_model(&mut model, horizon));
                 }
             }
             check(&t, &model, now)?;

@@ -653,19 +653,19 @@ fn power_blip_keeps_database_consistent() {
     }
 }
 
-// ------------------------------------------------- torn merged commits
+// ----------------------------------------------------- torn patches
 
-/// Merged (commutative chain-neighborhood) commits through the crash
-/// sweep: pairs of transactions patch disjoint columns of one shared
-/// row from the same snapshot — the second of each pair merges at
-/// commit and its WAL frame is a `Patch` delta. The power cuts at a
-/// seed-derived op; after crash + reopen the recovered row must equal
-/// the state after some *commit-order prefix* of the acknowledged
-/// sequence (a torn log must never replay a later delta without the
-/// earlier ones it merged across), and at `Fsync` every acknowledged
-/// merge must survive.
+/// Column updates through the crash sweep: transactions one after the
+/// other update one column of one shared row, `prev` then `next` in
+/// turn, so every commit's WAL frame is a `Patch` of one column that
+/// replay composes onto the row the log rebuilt so far. The power cuts
+/// at every op of the fault-free schedule; after crash + reopen the
+/// recovered row must equal the state after some *commit-order prefix*
+/// of the acknowledged sequence (a torn log must never replay a later
+/// patch without the earlier ones below it), and at `Fsync` every
+/// acknowledged patch must survive.
 #[test]
-fn torn_merged_commits_replay_as_commit_order_prefix() {
+fn torn_patches_replay_as_commit_order_prefix() {
     const PAIRS: u64 = 5;
 
     fn links_def() -> TableDef {
@@ -674,7 +674,7 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
             .nullable_column("next", DataType::Id)
     }
 
-    /// `(prev, next)` after `k` of the pair commits (commit `2i-1` sets
+    /// `(prev, next)` after `k` of the patch commits (commit `2i-1` sets
     /// `prev = i`, commit `2i` sets `next = i`).
     fn state_after(k: usize) -> (Option<u64>, Option<u64>) {
         let prev = k.div_ceil(2) as u64;
@@ -682,10 +682,10 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
         ((prev > 0).then_some(prev), (next > 0).then_some(next))
     }
 
-    /// Run the paired-merge workload; returns how many pair commits were
+    /// Run the patch workload; returns how many patch commits were
     /// acknowledged (the ack sequence is serial, so its commit order is
     /// its index order).
-    fn merged_run(vfs: &SimVfs, durability: DurabilityLevel, cut: Option<u64>) -> usize {
+    fn patch_run(vfs: &SimVfs, durability: DurabilityLevel) -> usize {
         let Ok(db) = Database::open(WAL, sim_opts(vfs, durability)) else {
             return 0;
         };
@@ -699,81 +699,63 @@ fn torn_merged_commits_replay_as_commit_order_prefix() {
         if txn.commit().is_err() {
             return 0;
         }
-        if let Some(cut) = cut {
-            vfs.power_fail_after(cut);
-        }
         let mut acked = 0;
         for i in 1..=PAIRS {
-            // Same snapshot for both: the second committer *merges*.
-            let mut a = db.begin();
-            let mut b = db.begin();
-            if a.set_with_anchors(t, rid, &[("prev", Value::Id(i))], &[1])
-                .is_err()
-                || b.set_with_anchors(t, rid, &[("next", Value::Id(i))], &[2])
-                    .is_err()
-            {
-                break;
+            for col in ["prev", "next"] {
+                let mut txn = db.begin();
+                if txn.set(t, rid, &[(col, Value::Id(i))]).is_err() || txn.commit().is_err() {
+                    return acked;
+                }
+                acked += 1;
             }
-            if a.commit().is_err() {
-                break;
-            }
-            acked += 1;
-            if b.commit().is_err() {
-                break;
-            }
-            acked += 1;
         }
         acked
     }
 
     for seed in seeds() {
         for durability in [DurabilityLevel::Fsync, DurabilityLevel::Buffered] {
-            // Twin run measures the post-setup op schedule.
-            let est = {
-                let twin = SimVfs::new(seed);
-                let before_run = twin.ops();
-                let acked = merged_run(&twin, durability, None);
-                assert_eq!(acked as u64, PAIRS * 2, "fault-free twin failed");
-                // Setup ops are excluded by arming the cut after setup,
-                // so sweep the whole run length conservatively.
-                twin.ops() - before_run
-            };
-            let cut = est * (seed % 8 + 1) / 9;
+            let twin = SimVfs::new(seed);
+            let acked = patch_run(&twin, durability);
+            assert_eq!(acked as u64, PAIRS * 2, "fault-free twin failed");
+            let total_ops = twin.ops();
 
-            let vfs = SimVfs::new(seed);
-            let acked = merged_run(&vfs, durability, Some(cut));
-            vfs.crash();
+            for cut in 0..total_ops {
+                let vfs = SimVfs::new(seed);
+                vfs.power_fail_after(cut);
+                let acked = patch_run(&vfs, durability);
+                vfs.crash();
 
-            let ctx = format!(
-                "seed {seed} {durability:?} cut {cut}/{est} \
-                 (rerun with TENDAX_SIM_SEED={seed})"
-            );
-            let db = Database::open(WAL, sim_opts(&vfs, durability))
-                .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-
-            let recovered: Option<(Option<u64>, Option<u64>)> = match db.table_id("links") {
-                Err(_) => None,
-                Ok(t) => db
-                    .begin()
-                    .scan(t, &Predicate::True)
-                    .unwrap()
-                    .first()
-                    .map(|(_, r)| (r.get(0).unwrap().as_id(), r.get(1).unwrap().as_id())),
-            };
-            // The recovered state must be the state after SOME prefix of
-            // the commit order — a torn merge (later delta without the
-            // earlier committed version it composed onto) matches no
-            // prefix state and fails here.
-            let got = recovered.unwrap_or((None, None));
-            let prefix = (0..=(PAIRS as usize) * 2).find(|&k| state_after(k) == got);
-            let k = prefix.unwrap_or_else(|| {
-                panic!("{ctx}: recovered state {got:?} matches no commit-order prefix")
-            });
-            if durability == DurabilityLevel::Fsync {
-                assert!(
-                    k >= acked && recovered.is_some(),
-                    "{ctx}: {acked} merges acked at Fsync but only {k} survived"
+                let ctx = format!(
+                    "seed {seed} {durability:?} cut {cut}/{total_ops} \
+                     (rerun with TENDAX_SIM_SEED={seed})"
                 );
+                let db = Database::open(WAL, sim_opts(&vfs, durability))
+                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+
+                let recovered: Option<(Option<u64>, Option<u64>)> = match db.table_id("links") {
+                    Err(_) => None,
+                    Ok(t) => db
+                        .begin()
+                        .scan(t, &Predicate::True)
+                        .unwrap()
+                        .first()
+                        .map(|(_, r)| (r.get(0).unwrap().as_id(), r.get(1).unwrap().as_id())),
+                };
+                // The recovered state must be the state after SOME prefix
+                // of the commit order: a torn patch (a later column
+                // without the earlier committed version it composed onto)
+                // matches no prefix state and fails here.
+                let got = recovered.unwrap_or((None, None));
+                let prefix = (0..=(PAIRS as usize) * 2).find(|&k| state_after(k) == got);
+                let k = prefix.unwrap_or_else(|| {
+                    panic!("{ctx}: recovered state {got:?} matches no commit-order prefix")
+                });
+                if durability == DurabilityLevel::Fsync {
+                    assert!(
+                        k >= acked,
+                        "{ctx}: {acked} patches acked at Fsync but only {k} survived"
+                    );
+                }
             }
         }
     }

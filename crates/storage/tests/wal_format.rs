@@ -1,10 +1,11 @@
-//! On-disk format v3 (DESIGN.md, "On-disk format v3"), held to the
+//! On-disk format v4 (DESIGN.md, "On-disk format v4"), held to the
 //! standard the rest of storage holds itself to: every record kind and
 //! value type round-trips bit-exactly, every truncation and every single
 //! bit flip of a frame is rejected — torn tail, CRC, or typed error,
 //! never a panic and never a different record — hostile lengths cost no
 //! allocation, corruption is reported at the offset of the frame that
-//! has it, and a v1 or v2 file or a sharded layout is refused untouched.
+//! has it, and a v1, v2 or v3 file or a sharded layout is refused
+//! untouched.
 
 mod common;
 
@@ -80,18 +81,10 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
     prop_oneof![
         arb_row(),
         Just(WalOp::Delete),
-        (
-            proptest::collection::vec((any::<u32>(), arb_value()), 0..6),
-            proptest::collection::vec(any::<u64>(), 0..4)
-        )
-            .prop_map(|(fields, anchors)| {
-                let (fields, values) = fields.into_iter().unzip();
-                WalOp::Patch {
-                    fields,
-                    values,
-                    anchors,
-                }
-            }),
+        proptest::collection::vec((any::<u32>(), arb_value()), 0..6).prop_map(|fields| {
+            let (fields, values) = fields.into_iter().unzip();
+            WalOp::Patch { fields, values }
+        }),
     ]
 }
 
@@ -305,7 +298,6 @@ fn keystroke_commit() -> WalRecord {
         op: WalOp::Patch {
             fields: vec![field],
             values: vec![Value::Id(to)],
-            anchors: vec![row << 1 | u64::from(field == 2)],
         },
     };
     WalRecord::Commit {
@@ -593,8 +585,6 @@ fn counts_claiming_a_trillion_elements_allocate_nothing() {
     assert_corrupt(&put, "columns");
     let patch = [&[4, 1, 1, 0, 0][..], &op_header(2), &[0x01; 64]].concat();
     assert_corrupt(&patch, "patch fields");
-    // A patch of no fields and 2^40 anchors.
-    assert_corrupt(&[&[4, 1, 1, 0, 0, 2][..], &HUGE].concat(), "anchors");
     // CreateTable (tag 2), id 0, name "t", 2^40 columns.
     assert_corrupt(&[&[2, 0, 1, b't'][..], &HUGE].concat(), "table columns");
     // A text that claims 2^40 bytes (first byte: type Text, more, low
@@ -945,10 +935,10 @@ fn a_checkpoint_batches_rows_and_replays_them() {
 
 // ------------------------------------------------------------ v2 refusal
 
-/// A v2 log: the same database as [`PARENT_LOG`], written by the last
-/// build before checkpoint rows were coded against the row above them.
-/// Its commit frames are byte-identical to v3's; its checkpoint batch
-/// holds every row as it is.
+/// A v2 log: the same database as [`V3_LOG`], written by the last build
+/// before checkpoint rows were coded against the row above them. Its
+/// commit frames are byte-identical to v3's; its checkpoint batch holds
+/// every row as it is.
 const V2_LOG: [u8; 249] = [
     0x02, 0x00, 0x00, 0x00, 0x9a, 0xc8, 0x15, 0x7e, 0x09, 0x02, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
     0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
@@ -980,15 +970,15 @@ fn a_v2_log_is_refused_typed_and_left_untouched() {
     ));
 }
 
-// ------------------------------------------------- a log the parent wrote
+// ------------------------------------------------------------ v3 refusal
 
-/// A v3 log, as this format writes it — format frame, `chars`-like
-/// table, a three-row checkpoint batch (the second and third rows coded
-/// against the one above), then a tail of two commits: a put, a
-/// described one-column patch and a delete; then a two-column `set` (a
-/// full put). These bytes are the format: every value type, a NULL, both
-/// `Bool`s, `-0.0`, an empty text and a four-byte character among them.
-const PARENT_LOG: [u8; 245] = [
+/// A v3 log: the database of [`PARENT_LOG`], written by the last build
+/// whose patches carried an anchor list after their values and whose
+/// `set` was a full put — format frame, `chars`-like table, a three-row
+/// checkpoint batch (the second and third rows coded against the one
+/// above), then a tail of two commits: a put, a one-column patch with an
+/// anchor and a delete; then a two-column `set` as a put.
+const V3_LOG: [u8; 245] = [
     0x02, 0x00, 0x00, 0x00, 0x0c, 0xf8, 0x12, 0x09, 0x09, 0x03, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
     0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
     0x63, 0x68, 0x61, 0x72, 0x73, 0x07, 0x03, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x04, 0x6e, 0x65, 0x78,
@@ -1008,8 +998,46 @@ const PARENT_LOG: [u8; 245] = [
 ];
 
 #[test]
+fn a_v3_log_is_refused_typed_and_left_untouched() {
+    let dir = TestDir::new("tendax-wal-format");
+    let path = dir.file("v3.wal");
+    std::fs::write(&path, V3_LOG).unwrap();
+    assert_refused(&path, single_file(), 3);
+    assert!(matches!(
+        WalFile::replay(&path),
+        Err(StorageError::UnsupportedFormat { found: 3, .. })
+    ));
+}
+
+// ------------------------------------------------- a log the parent wrote
+
+/// A v4 log, as this format writes it — format frame, `chars`-like
+/// table, a three-row checkpoint batch (the second and third rows coded
+/// against the one above), then a tail of two commits: a put, a
+/// one-column patch and a delete; then a two-column `set` (a two-column
+/// patch). These bytes are the format: every value type, a NULL, both
+/// `Bool`s, `-0.0`, an empty text and a four-byte character among them.
+const PARENT_LOG: [u8; 233] = [
+    0x02, 0x00, 0x00, 0x00, 0xaf, 0x6d, 0x76, 0x97, 0x09, 0x04, 0x03, 0x00, 0x00, 0x00, 0xa7, 0xd1,
+    0xb5, 0xcc, 0x01, 0x02, 0x00, 0x53, 0x00, 0x00, 0x00, 0xcf, 0x25, 0x88, 0x33, 0x02, 0x00, 0x05,
+    0x63, 0x68, 0x61, 0x72, 0x73, 0x07, 0x03, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x04, 0x6e, 0x65, 0x78,
+    0x74, 0x01, 0x01, 0x02, 0x63, 0x68, 0x02, 0x00, 0x0a, 0x63, 0x72, 0x65, 0x61, 0x74, 0x65, 0x64,
+    0x5f, 0x61, 0x74, 0x05, 0x00, 0x07, 0x64, 0x65, 0x6c, 0x65, 0x74, 0x65, 0x64, 0x03, 0x00, 0x06,
+    0x77, 0x65, 0x69, 0x67, 0x68, 0x74, 0x06, 0x01, 0x04, 0x62, 0x6c, 0x6f, 0x62, 0x04, 0x01, 0x01,
+    0x0c, 0x63, 0x68, 0x61, 0x72, 0x73, 0x5f, 0x62, 0x79, 0x5f, 0x64, 0x6f, 0x63, 0x01, 0x00, 0x00,
+    0x03, 0x00, 0x00, 0x00, 0xb9, 0x61, 0xa1, 0xfc, 0x06, 0x00, 0x04, 0x2f, 0x00, 0x00, 0x00, 0x10,
+    0x15, 0xff, 0xc5, 0x05, 0x00, 0x03, 0x01, 0x02, 0x1c, 0xff, 0x02, 0x19, 0x81, 0xe2, 0x09, 0x0a,
+    0x61, 0x4c, 0x01, 0x00, 0x1c, 0x41, 0x7f, 0x03, 0x16, 0x12, 0xc3, 0xa9, 0x3c, 0x05, 0x00, 0x00,
+    0x00, 0x00, 0x00, 0x00, 0x00, 0x80, 0x01, 0x00, 0x1c, 0x01, 0xbf, 0x0c, 0x16, 0x02, 0x2c, 0x13,
+    0x00, 0xff, 0x19, 0x00, 0x00, 0x00, 0x7d, 0x76, 0xb2, 0xb1, 0x04, 0x02, 0x03, 0x00, 0x01, 0x06,
+    0x01, 0x03, 0xe9, 0x04, 0x00, 0x03, 0x01, 0x00, 0x04, 0x1c, 0xff, 0x01, 0x19, 0x99, 0xe2, 0x09,
+    0x0a, 0x64, 0x1c, 0x0e, 0x00, 0x00, 0x00, 0x2e, 0x4b, 0x5c, 0xcc, 0x04, 0x03, 0x01, 0x00, 0x02,
+    0x0a, 0x01, 0x02, 0x0c, 0x22, 0xf0, 0x9f, 0x98, 0x80,
+];
+
+#[test]
 fn a_log_the_parent_wrote_replays_to_the_same_rows() {
-    assert_eq!(FORMAT_VERSION, 3);
+    assert_eq!(FORMAT_VERSION, 4);
     let dir = TestDir::new("tendax-wal-format");
     let path = dir.file("parent.wal");
     std::fs::write(&path, PARENT_LOG).unwrap();
@@ -1144,9 +1172,11 @@ fn small_database(path: &std::path::Path, opts: Options) -> Database {
 /// Length and CRC-32 of the file the parent's checkpoint of
 /// [`small_database`] wrote, without a cold tier and with one whose
 /// demotion failed (the history spliced in behind the DDL prologue).
-/// v2 wrote 492 B / 0x374b8102 and 665 B / 0xb182b469.
-const PARENT_CHECKPOINT: (usize, u32) = (481, 0x196a_7ef2);
-const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (642, 0xb031_26c2);
+/// v2 wrote 492 B / 0x374b8102 and 665 B / 0xb182b469; v3 the same
+/// lengths as v4 with CRCs 0x196a7ef2 and 0xb03126c2 (only the format
+/// frame's version differs: a checkpoint holds no patch).
+const PARENT_CHECKPOINT: (usize, u32) = (481, 0xbaf7_7721);
+const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (642, 0x154e_ffe5);
 
 fn len_and_crc(path: &std::path::Path) -> (usize, u32) {
     let bytes = std::fs::read(path).unwrap();

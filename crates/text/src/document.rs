@@ -45,16 +45,6 @@ pub struct DocHandle {
     /// Snapshot (commit) timestamp of the last full rebuild: everything
     /// committed at or before this is reflected in the cache.
     pub(crate) synced_ts: tendax_storage::Ts,
-    /// When set, edits run their transactions against the handle's
-    /// *base version* — `max(synced_ts, last own commit)` — instead of a
-    /// fresh snapshot: the replica model, where an edit is validated
-    /// against the state its author actually saw. Commutative-descriptor
-    /// writes then merge across everything committed since the base;
-    /// true overlaps still conflict and retry.
-    pub(crate) pinned_base: bool,
-    /// Commit timestamp of this handle's newest own edit (own edits are
-    /// folded into the cache as they commit, ahead of `synced_ts`).
-    pub(crate) last_commit_ts: tendax_storage::Ts,
 }
 
 /// Decode a `chars` row in one walk over its columns: the character's
@@ -159,8 +149,6 @@ impl TextDb {
             user,
             chain: Chain::new(),
             synced_ts: 0,
-            pinned_base: false,
-            last_commit_ts: 0,
         };
         handle.rebuild()?;
         Ok(handle)
@@ -465,38 +453,8 @@ impl DocHandle {
         Ok(())
     }
 
-    /// Pin (or unpin) edit transactions to this handle's base version.
-    ///
-    /// A pinned handle behaves like a remote replica: each edit commits
-    /// against the snapshot the handle last synced (advanced past its
-    /// own commits), so the engine's commit validation — not wall-clock
-    /// interleaving — decides whether concurrent edits commute. Unpinned
-    /// handles (the default) take a fresh snapshot per edit.
-    pub fn pin_base(&mut self, pinned: bool) {
-        self.pinned_base = pinned;
-    }
-
-    /// Whether edits are validated against the handle's base version.
-    pub fn base_pinned(&self) -> bool {
-        self.pinned_base
-    }
-
-    /// Record an own-edit commit so the pinned base covers it.
-    pub(crate) fn note_commit(&mut self, ts: tendax_storage::Ts) {
-        self.last_commit_ts = self.last_commit_ts.max(ts);
-    }
-
-    /// Begin a transaction on the underlying database: at the handle's
-    /// base version when pinned, at a fresh snapshot otherwise. If
-    /// vacuum has pruned past a pinned base the handle falls back to a
-    /// fresh snapshot — the caller's next refresh re-anchors it.
+    /// Begin a transaction on the underlying database.
     pub(crate) fn begin(&self) -> Transaction {
-        if self.pinned_base {
-            let base = self.synced_ts.max(self.last_commit_ts);
-            if let Ok(txn) = self.tdb.database().begin_at(base) {
-                return txn;
-            }
-        }
         self.tdb.database().begin()
     }
 }

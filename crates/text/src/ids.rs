@@ -72,23 +72,6 @@ id_type!(
     CharId
 );
 
-impl CharId {
-    /// Anchor token for this character's *outgoing* chain edge (its
-    /// `next` link). Edits that splice new characters after this one
-    /// write this edge; the token lets commit validation prove that two
-    /// edits around different neighborhoods commute. The low bit keeps
-    /// the two edges of one character distinct.
-    pub fn next_edge(self) -> u64 {
-        (self.0 << 1) | 1
-    }
-
-    /// Anchor token for this character's *incoming* chain edge (its
-    /// `prev` link).
-    pub fn prev_edge(self) -> u64 {
-        self.0 << 1
-    }
-}
-
 /// Hasher for maps keyed by [`CharId`]: one multiplication.
 ///
 /// Character ids are row ids the server allocates sequentially, never

@@ -64,25 +64,19 @@ impl DocHandle {
             let info = self.chain.info_at(s);
             olds.push(info.style);
             let version = info.version + 1;
-            // Style touches no chain links: described (anchor-free) so it
-            // merges with neighbours being spliced around this character.
-            // Competing styles of the same character collide on `style`
-            // and resolve last-writer-wins by commit order.
-            txn.set_with_anchors(
+            txn.set(
                 t.chars,
                 id.row(),
                 &[
                     ("style", style.opt_value()),
                     ("version", Value::Int(version)),
                 ],
-                &[],
             )?;
         }
         let op = self.log_op(&mut txn, "style", crate::ids::OpId::NONE, ts)?;
         self.tdb
             .log_effects(&mut txn, op, "sty", &ids, &olds, Some(style))?;
         let commit_ts = txn.commit()?;
-        self.note_commit(commit_ts);
 
         let mut effects = Vec::with_capacity(ids.len());
         for ((s, id), old) in slots.into_iter().zip(ids).zip(olds) {

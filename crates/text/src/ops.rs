@@ -257,11 +257,7 @@ impl DocHandle {
         let ts = self.tdb.now();
         for (&s, id) in slots.iter().zip(&ids) {
             let version = self.chain.info_at(s).version + 1;
-            // A tombstone touches only the deletion flags, never the
-            // chain links: described (with no anchors) so it commutes
-            // with a neighbour splicing around this character. Two
-            // deletes of the same character still collide on `deleted`.
-            txn.set_with_anchors(
+            txn.set(
                 t.chars,
                 id.row(),
                 &[
@@ -270,13 +266,11 @@ impl DocHandle {
                     ("deleted_at", Value::Timestamp(ts)),
                     ("version", Value::Int(version)),
                 ],
-                &[],
             )?;
         }
         let op = self.log_op(&mut txn, "delete", OpId::NONE, ts)?;
         self.tdb.log_effects(&mut txn, op, "del", &ids, &[], None)?;
         let (commit_ts, durability) = txn.commit_visible()?;
-        self.note_commit(commit_ts);
 
         let mut effects = Vec::with_capacity(ids.len());
         for (s, id) in slots.into_iter().zip(ids) {
@@ -376,7 +370,7 @@ impl DocHandle {
         // 1) Tombstone the source characters.
         for (&s, id) in src_slots.iter().zip(&src_ids) {
             let version = self.chain.info_at(s).version + 1;
-            txn.set_with_anchors(
+            txn.set(
                 t.chars,
                 id.row(),
                 &[
@@ -385,7 +379,6 @@ impl DocHandle {
                     ("deleted_at", Value::Timestamp(ts)),
                     ("version", Value::Int(version)),
                 ],
-                &[],
             )?;
         }
         let del_op = self.log_op(&mut txn, "delete", OpId::NONE, ts)?;
@@ -431,12 +424,7 @@ impl DocHandle {
         }
         match dst_prev {
             Some(p) => {
-                txn.set_with_anchors(
-                    t.chars,
-                    p.row(),
-                    &[("next", new_ids[0].value())],
-                    &[p.next_edge()],
-                )?;
+                txn.set(t.chars, p.row(), &[("next", new_ids[0].value())])?;
             }
             None => {
                 let state = self.tdb.document_info_txn(&txn, dst.doc)?.state;
@@ -444,11 +432,10 @@ impl DocHandle {
             }
         }
         if let Some(n) = dst_next {
-            txn.set_with_anchors(
+            txn.set(
                 t.chars,
                 n.row(),
                 &[("prev", new_ids[new_ids.len() - 1].value())],
-                &[n.prev_edge()],
             )?;
         }
         let ins_op = dst.log_op(&mut txn, "paste", OpId::NONE, ts)?;
@@ -466,8 +453,6 @@ impl DocHandle {
             ]),
         )?;
         let commit_ts = txn.commit()?;
-        self.note_commit(commit_ts);
-        dst.note_commit(commit_ts);
 
         // Publish to both caches.
         let mut del_effects = Vec::with_capacity(src_ids.len());
@@ -674,21 +659,12 @@ impl DocHandle {
             txn.set(t.chars, id.row(), &[("next", next_val)])?;
         }
 
-        // Relink neighbours. These shared-row writes are what detect
-        // same-position races between editors — described with the chain
-        // edge they rewrite, so edits in *disjoint* neighborhoods of the
-        // same row (one editor splicing before a character, another
-        // after it) merge at commit instead of aborting. Same-position
-        // inserts still collide on the shared `next` edge, and the
-        // first committer's timestamp decides the order (RGA-style).
+        // Relink neighbours. These shared-row writes are what detect a
+        // race with a commit this handle has not seen: first committer
+        // wins, and the loser's error is retryable.
         match prev_id {
             Some(p) => {
-                txn.set_with_anchors(
-                    t.chars,
-                    p.row(),
-                    &[("next", ids[0].value())],
-                    &[p.next_edge()],
-                )?;
+                txn.set(t.chars, p.row(), &[("next", ids[0].value())])?;
             }
             None => {
                 // Head insert: touch the document row so two concurrent
@@ -702,12 +678,7 @@ impl DocHandle {
             }
         }
         if let Some(n) = next_id {
-            txn.set_with_anchors(
-                t.chars,
-                n.row(),
-                &[("prev", ids[ids.len() - 1].value())],
-                &[n.prev_edge()],
-            )?;
+            txn.set(t.chars, n.row(), &[("prev", ids[ids.len() - 1].value())])?;
         }
 
         let op = self.log_op(&mut txn, kind, OpId::NONE, ts)?;
@@ -743,7 +714,6 @@ impl DocHandle {
             )?;
         }
         let (commit_ts, durability) = txn.commit_visible()?;
-        self.note_commit(commit_ts);
 
         // Publish to the local cache and build broadcast effects.
         let mut effects = Vec::with_capacity(ids.len());

@@ -40,7 +40,7 @@
 use std::collections::HashMap;
 
 use parking_lot::Mutex;
-use tendax_storage::{CommitObserver, Replaced, SharedRow, TableId, Ts, WriteSet};
+use tendax_storage::{CommitObserver, SharedRow, TableId, Ts, WriteSet};
 
 use crate::ids::DocId;
 use crate::meta::{DocStats, PasteAcc, PasteEdge, PastePart, StatsAcc, StatsPart, StatsTable};
@@ -345,10 +345,9 @@ impl CommitObserver for ChangeStamps {
                 for doc in [is, was.filter(|_| was != is)].into_iter().flatten() {
                     t.stamp(doc, commit_ts);
                 }
-                // Nothing is known of what a non-resident version held:
-                // it stamps every document, and every fold this table
-                // feeds is dropped.
-                if matches!(w.replaced, Replaced::NotResident) || (was, is) == (None, None) {
+                // A row that names no document stamps every document, and
+                // every fold this table feeds is dropped.
+                if (was, is) == (None, None) {
                     t.unattributed = t.unattributed.max(commit_ts);
                     if let Some(feed) = feed {
                         folds.drop_all(feed);

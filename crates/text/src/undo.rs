@@ -60,7 +60,6 @@ impl DocHandle {
         )?;
         let op = self.log_op(&mut txn, "undo", target, ts)?;
         let commit_ts = txn.commit()?;
-        self.note_commit(commit_ts);
         // Post-commit: the undo is durable. If the cache rejects its own
         // effects, rebuild instead of surfacing a retryable error (a
         // retry would undo twice).
@@ -91,7 +90,6 @@ impl DocHandle {
         txn.set(t.oplog, undo_op.row(), &[("undone", Value::Bool(true))])?;
         let op = self.log_op(&mut txn, "redo", undo_op, ts)?;
         let commit_ts = txn.commit()?;
-        self.note_commit(commit_ts);
         if self.apply_remote(&effects).is_err() {
             self.rebuild()?;
         }

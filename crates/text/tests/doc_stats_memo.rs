@@ -2,8 +2,8 @@
 //! §5.13). Under concurrent writers to two tables every answer must still
 //! be a committed state, a thread must read its own commits through it,
 //! and once seeded it reads no table; a seed a commit overtook is not
-//! kept; and when the cold tier holds a replaced version, the fold falls
-//! back to the tables.
+//! kept; and a write over history the cold tier took conflicts, leaving
+//! the fold as it was.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -11,7 +11,7 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use tendax_storage::{
-    ColdOptions, CommitObserver, Database, Options, Row, Stats, Ts, Value, WriteSet,
+    ColdOptions, CommitObserver, Database, Options, Row, Stats, StorageError, Ts, Value, WriteSet,
 };
 use tendax_text::{DocId, TextDb, UserId};
 
@@ -283,17 +283,19 @@ fn after_the_cold_tier_took_the_history_the_fold_equals_a_cold_init() {
     assert_eq!(warm.doc_stats(doc).unwrap().tuples, 10);
 
     // A transaction pinned below the purge still reads a purged row, from
-    // the cold tier, and may write it back: RAM holds no version of it,
-    // so the observer cannot say what the write replaced. The fold is
-    // dropped, and the next answer is read from the tables.
+    // the cold tier, but may not write it back: the purge is newer than
+    // its snapshot. Nothing commits, and the fold still answers.
+    let before = warm.doc_stats(doc).unwrap();
     let mut pinned = db.begin_at(before_purge).unwrap();
+    assert!(pinned.get(t.chars, purged[0]).unwrap().is_some());
     pinned
         .set(t.chars, purged[0], &[("deleted", Value::Bool(false))])
         .unwrap();
-    pinned.commit().unwrap();
+    let err = pinned.commit().unwrap_err();
+    assert!(matches!(err, StorageError::WriteConflict { .. }), "{err}");
     let (cost, stats) = reads(&db, || warm.doc_stats(doc).unwrap());
-    assert!(cost.0 > 0, "answered from a fold that missed the write");
-    assert_eq!((stats.tuples, stats.size), (11, 11));
+    assert_eq!(cost.0, 0, "answered from the fold");
+    assert_eq!(stats, before);
     assert_eq!(stats, cold_stats(&db));
 }
 

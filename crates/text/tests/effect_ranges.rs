@@ -4,7 +4,7 @@
 //!
 //! The oracle runs random schedules over two documents and two users —
 //! keystrokes, words, deletes, internal and external pastes, `move_to`,
-//! styles, local and global undo and redo — through pinned handles kept in
+//! styles, local and global undo and redo — through handles kept in
 //! sync the way a live document is (`apply_remote`, then
 //! `advance_synced`). Two typists interleaving keystrokes in one document
 //! allocate interleaved ids, so a delete there breaks into several runs.
@@ -348,9 +348,7 @@ impl World {
         let mut handles = Vec::new();
         for &doc in &docs {
             for &user in &users {
-                let mut h = tdb.open(doc, user).unwrap();
-                h.pin_base(true);
-                handles.push(h);
+                handles.push(tdb.open(doc, user).unwrap());
             }
         }
         World {

@@ -318,7 +318,7 @@ impl Shell {
             // its checkpoint bytes, then each index on a line of its own.
             "du" => {
                 let mut out = format!(
-                    "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes/descriptors)",
+                    "{:<18}{:>9}{:>10}{:>12}{:>11}{:>12}  (rows/chains/indexes)",
                     "table", "rows", "versions", "bytes", "bytes/row", "resident"
                 );
                 let stats = self.tx.textdb().database().table_stats();
@@ -326,7 +326,7 @@ impl Shell {
                     let per_row = t.checkpoint_bytes as f64 / t.live_rows.max(1) as f64;
                     let r = t.resident_bytes;
                     out.push_str(&format!(
-                        "\n{:<18}{:>9}{:>10}{:>12}{:>11.1}{:>12}  ({}/{}/{}/{})",
+                        "\n{:<18}{:>9}{:>10}{:>12}{:>11.1}{:>12}  ({}/{}/{})",
                         t.name,
                         t.live_rows,
                         t.versions,
@@ -335,8 +335,7 @@ impl Shell {
                         r.total(),
                         r.rows,
                         r.chains,
-                        r.indexes,
-                        r.descriptors
+                        r.indexes
                     ));
                     let values: u64 = t.column_bytes.iter().map(|(_, b)| b).sum();
                     let columns: Vec<String> = (t.column_bytes.iter())

@@ -52,7 +52,7 @@ cargo test -q
 
 echo "==> cold-tier matrix leg (tests/common::options() turns the cold tier on)"
 TENDAX_COLD=1 cargo test -q -p tendax-storage \
-    --test sim_crash --test commit_pipeline --test merge_commit \
+    --test sim_crash --test commit_pipeline --test first_committer_wins \
     --test maintenance --test recovery_faults --test read_path \
     --test commit_observer
 
