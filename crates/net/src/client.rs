@@ -9,10 +9,13 @@
 //! per connection — which matches the editor usage pattern and keeps
 //! the protocol state machine trivial.
 //!
-//! An unsolicited `Snapshot` (the server's slow-consumer recovery path)
-//! reloads the mirror transparently. A terminal `Error` frame (auth,
-//! slow consumer, protocol) poisons the client: every subsequent call
-//! returns the remote error.
+//! A reply names what it answers: `EditOk`/`EditRejected` and `Snapshot`
+//! the request id of the `Edit`, `Subscribe` or `Resync`, `Pong` the
+//! ping's nonce, `Presence` the document. An unsolicited `Snapshot` (the
+//! server's slow-consumer recovery path, request 0) answers nothing and
+//! reloads the mirror transparently. A terminal `Error` frame (auth, slow
+//! consumer, protocol) poisons the client: every subsequent call returns
+//! the remote error.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -26,7 +29,9 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{NetError, Result};
 use crate::mirror::MirrorDoc;
-use crate::protocol::{EditOp, Frame, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT};
+use crate::protocol::{
+    EditOp, Frame, SnapshotReader, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT,
+};
 use crate::wire::FrameBuffer;
 
 /// Tuning knobs of the client.
@@ -54,7 +59,7 @@ impl Default for ClientConfig {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Expect {
     Nothing,
-    Snapshot { doc: Option<u64> },
+    Snapshot { request: u64 },
     EditReply { request: u64 },
     Presence { doc: u64 },
     Pong { nonce: u64 },
@@ -63,8 +68,7 @@ enum Expect {
 impl Expect {
     fn matches(&self, frame: &Frame) -> bool {
         match (self, frame) {
-            (Expect::Snapshot { doc: None }, Frame::Snapshot { .. }) => true,
-            (Expect::Snapshot { doc: Some(d) }, Frame::Snapshot { doc, .. }) => d == doc,
+            (Expect::Snapshot { request }, Frame::Snapshot { request: r, .. }) => request == r,
             (Expect::EditReply { request }, Frame::EditOk { request: r, .. }) => request == r,
             (Expect::EditReply { request }, Frame::EditRejected { request: r, .. }) => request == r,
             (Expect::Presence { doc }, Frame::Presence { doc: d, .. }) => doc == d,
@@ -276,9 +280,13 @@ impl NetClient {
     /// Subscribe to a document by name; returns its id once the initial
     /// snapshot has loaded into the local mirror.
     pub fn subscribe(&self, name: &str) -> Result<u64> {
+        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
         match self.request(
-            Frame::Subscribe { name: name.into() },
-            Expect::Snapshot { doc: None },
+            Frame::Subscribe {
+                request,
+                name: name.into(),
+            },
+            Expect::Snapshot { request },
         )? {
             Frame::Snapshot { doc, .. } => Ok(doc),
             other => Err(NetError::Protocol(format!(
@@ -368,7 +376,8 @@ impl NetClient {
 
     /// Request a fresh snapshot and reload the mirror.
     pub fn resync(&self, doc: u64) -> Result<()> {
-        self.request(Frame::Resync { doc }, Expect::Snapshot { doc: Some(doc) })?;
+        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
+        self.request(Frame::Resync { request, doc }, Expect::Snapshot { request })?;
         Ok(())
     }
 
@@ -464,8 +473,10 @@ fn decode_incoming(shared: &ClientShared, tag: u8, payload: &[u8]) -> Result<Fra
     if tag != TAG_SNAPSHOT {
         return Frame::decode(tag, payload);
     }
-    let fresh = MirrorDoc::from_snapshot_payload(payload)?;
+    let snap = SnapshotReader::new(payload)?;
+    let fresh = MirrorDoc::from_snapshot(&snap)?;
     let header = Frame::Snapshot {
+        request: snap.request,
         doc: fresh.doc(),
         synced_ts: fresh.synced_ts(),
         chars: Vec::new(),

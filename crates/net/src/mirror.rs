@@ -10,12 +10,20 @@
 //! A character lives in a slot of a page of `PAGE` (256) slots. A page is
 //! allocated at its full size and never reallocated, so a slot number
 //! names its character for the life of the mirror. The chain is a `next`
-//! slot link from a head slot, and an id → slot map finds a character.
-//! Nothing is addressed by position: applying an event costs the same
-//! whatever the document's length (DESIGN §5.7). Pages, not one growing
-//! vector, because the doubling reallocations of a vector of a few
-//! hundred kilobytes per mirror left that much freed-but-kept heap
-//! behind, which showed in the resident size.
+//! slot link from a head slot. Nothing is addressed by position: applying
+//! an event walks nothing of the document (DESIGN §5.7).
+//! Pages, not one growing vector, because the doubling reallocations of a
+//! vector of a few hundred kilobytes per mirror left that much
+//! freed-but-kept heap behind, which showed in the resident size.
+//!
+//! Two maps find a character's slot, and a lookup asks both. A snapshot
+//! loads each of its runs into consecutive slots, so the loaded
+//! characters are indexed by *extents* — first id, first slot, length —
+//! in a table sorted by id that never changes after the load: at most one
+//! entry per run, not one per character. Only characters that events insert go
+//! into an open-addressing hash. Sorting the extents is also where a
+//! snapshot that names an id twice, even in two runs, shows: two
+//! neighbouring extents overlap.
 //!
 //! ## Ordering
 //!
@@ -147,8 +155,8 @@ impl Slots {
     }
 }
 
-/// Character id → slot: open addressing with linear probing, at most
-/// half full. A bucket holds a slot number and the key is read from the
+/// Inserted character id → slot: open addressing with linear probing, at
+/// most half full. A bucket holds a slot number and the key is read from the
 /// slot, so an entry costs four bytes a bucket.
 #[derive(Debug)]
 struct IdIndex {
@@ -162,12 +170,9 @@ struct IdIndex {
 }
 
 impl IdIndex {
-    fn with_capacity(n: usize) -> Self {
+    fn new() -> Self {
         IdIndex {
-            buckets: match n {
-                0 => Vec::new(),
-                _ => vec![NIL; (2 * n).next_power_of_two()],
-            },
+            buckets: Vec::new(),
             len: 0,
             key: RandomState::new().hash_one(0u64),
         }
@@ -205,13 +210,8 @@ impl IdIndex {
         (s != NIL).then_some(s)
     }
 
-    fn contains(&self, slots: &Slots, id: u64) -> bool {
-        self.get(slots, id).is_some()
-    }
-
-    /// Index slot `s` under its character's id; `false`, and nothing
-    /// indexed, if the id is there already.
-    fn insert(&mut self, slots: &Slots, s: u32) -> bool {
+    /// Index slot `s` under its character's id, which is not indexed yet.
+    fn insert(&mut self, slots: &Slots, s: u32) {
         if 2 * (self.len + 1) > self.buckets.len() {
             let size = (2 * self.buckets.len()).max(16);
             let old = std::mem::replace(&mut self.buckets, vec![NIL; size]);
@@ -220,13 +220,59 @@ impl IdIndex {
                 self.buckets[b] = t;
             }
         }
-        match self.probe(slots, slots.get(s).id) {
-            (b, NIL) => {
-                self.buckets[b] = s;
-                self.len += 1;
-                true
-            }
-            _ => false,
+        let (b, held) = self.probe(slots, slots.get(s).id);
+        debug_assert_eq!(held, NIL, "an id indexed twice");
+        self.buckets[b] = s;
+        self.len += 1;
+    }
+}
+
+/// Loaded characters with consecutive ids in consecutive slots: id
+/// `first + k` is in slot `slot + k`, for `k < len`.
+#[derive(Debug, Clone, Copy)]
+struct Extent {
+    first: u64,
+    slot: u32,
+    len: u32,
+}
+
+/// Loaded character id → slot: the extents, sorted by first id, none
+/// overlapping another.
+#[derive(Debug)]
+struct Extents(Vec<Extent>);
+
+impl Extents {
+    fn get(&self, id: u64) -> Option<u32> {
+        let after = self.0.partition_point(|e| e.first <= id);
+        let e = self.0.get(after.checked_sub(1)?)?;
+        let k = id - e.first;
+        (k < u64::from(e.len)).then(|| e.slot + k as u32)
+    }
+
+    /// Index slot `slot`, just loaded as character `id`, lengthening the
+    /// last extent if the character continues it.
+    fn push(&mut self, id: u64, slot: u32) {
+        match self.0.last_mut() {
+            Some(e) if e.first.checked_add(u64::from(e.len)) == Some(id) => e.len += 1,
+            _ => self.0.push(Extent {
+                first: id,
+                slot,
+                len: 1,
+            }),
+        }
+    }
+
+    /// Sort by first id once the load is done; an id in two extents is
+    /// the first one that overlaps its predecessor.
+    fn seal(&mut self) -> std::result::Result<(), u64> {
+        self.0.sort_unstable_by_key(|e| e.first);
+        match self
+            .0
+            .windows(2)
+            .find(|w| w[1].first - w[0].first < u64::from(w[0].len))
+        {
+            Some(w) => Err(w[1].first),
+            None => Ok(()),
         }
     }
 }
@@ -238,6 +284,9 @@ pub struct MirrorDoc {
     slots: Slots,
     /// The first character's slot in chain order.
     head: u32,
+    /// Where the snapshot's characters are.
+    loaded: Extents,
+    /// Where the characters events inserted are.
     index: IdIndex,
     /// Characters not deleted.
     visible: usize,
@@ -257,66 +306,68 @@ impl MirrorDoc {
     /// A replica of `chars` in chain order. A character named twice is
     /// refused as a bad `Snapshot`, like [`MirrorDoc::from_snapshot_payload`].
     pub fn new(doc: u64, synced_ts: u64, chars: Vec<WireChar>) -> Result<Self> {
-        let mut m = MirrorDoc::empty(doc, synced_ts, chars.len());
-        for c in chars {
-            m.push_snapshot_char(c)?;
-        }
-        Ok(m)
+        Self::load(doc, synced_ts, chars.len(), 0, chars)
     }
 
-    /// Decode a `Snapshot` payload straight into a replica — each
-    /// character goes from the wire bytes into its final slot. A payload
-    /// that fails to decode, or names a character twice, yields the typed
+    /// Decode a `Snapshot` payload straight into a replica. A payload that
+    /// fails to decode, or names a character twice, yields the typed
     /// error and no replica.
     pub fn from_snapshot_payload(payload: &[u8]) -> Result<Self> {
-        let mut snap = SnapshotReader::new(payload)?;
-        let mut m = MirrorDoc::empty(snap.doc, snap.synced_ts, snap.remaining_hint());
-        while let Some(c) = snap.next_char()? {
-            m.push_snapshot_char(c)?;
-        }
-        Ok(m)
+        Self::from_snapshot(&SnapshotReader::new(payload)?)
     }
 
-    fn empty(doc: u64, synced_ts: u64, capacity: usize) -> Self {
-        MirrorDoc {
+    /// A replica of a decoded snapshot: each run goes from the wire bytes
+    /// into consecutive slots and one extent.
+    pub(crate) fn from_snapshot(snap: &SnapshotReader<'_>) -> Result<Self> {
+        let runs = snap.runs().len();
+        Self::load(snap.doc, snap.synced_ts, snap.chars, runs, snap.chars())
+    }
+
+    /// Load `chars`, in chain order, into slots in that order, with room
+    /// for `n` characters and `runs` extents.
+    fn load(
+        doc: u64,
+        synced_ts: u64,
+        n: usize,
+        runs: usize,
+        chars: impl IntoIterator<Item = WireChar>,
+    ) -> Result<Self> {
+        let mut m = MirrorDoc {
             doc,
-            slots: Slots::with_capacity(capacity),
+            slots: Slots::with_capacity(n),
             head: NIL,
-            index: IdIndex::with_capacity(capacity),
+            loaded: Extents(Vec::with_capacity(runs)),
+            index: IdIndex::new(),
             visible: 0,
             baseline: synced_ts,
             synced_ts,
             buffered: BTreeMap::new(),
             needs_resync: false,
             applied: 0,
-        }
-    }
-
-    /// Append a snapshot character at the end of the chain: while loading,
-    /// chain order is slot order.
-    fn push_snapshot_char(&mut self, w: WireChar) -> Result<()> {
-        let s = self.slots.push(Slot {
-            id: w.id,
-            ts: 0,
-            flag_ts: 0,
-            style_ts: 0,
-            style: w.style,
-            next: NIL,
-            ch: w.ch,
-            deleted: w.deleted,
-        });
-        if !self.index.insert(&self.slots, s) {
-            return Err(NetError::BadPayload {
-                tag: TAG_SNAPSHOT,
-                reason: format!("character {} appears twice", w.id),
+        };
+        for c in chars {
+            let s = m.slots.push(Slot {
+                id: c.id,
+                ts: 0,
+                flag_ts: 0,
+                style_ts: 0,
+                style: c.style,
+                next: NIL,
+                ch: c.ch,
+                deleted: c.deleted,
             });
+            m.loaded.push(c.id, s);
+            match s {
+                0 => m.head = 0,
+                _ => m.slots.get_mut(s - 1).next = s,
+            }
+            m.visible += usize::from(!c.deleted);
         }
-        match s {
-            0 => self.head = 0,
-            _ => self.slots.get_mut(s - 1).next = s,
-        }
-        self.visible += usize::from(!w.deleted);
-        Ok(())
+        m.loaded.seal().map_err(|id| NetError::BadPayload {
+            tag: TAG_SNAPSHOT,
+            reason: format!("character {id} appears twice"),
+        })?;
+        Ok(m)
     }
 
     pub fn doc(&self) -> u64 {
@@ -367,6 +418,7 @@ impl MirrorDoc {
     pub fn reload(&mut self, fresh: MirrorDoc) {
         self.slots = fresh.slots;
         self.head = fresh.head;
+        self.loaded = fresh.loaded;
         self.index = fresh.index;
         self.visible = fresh.visible;
         self.baseline = fresh.synced_ts;
@@ -430,8 +482,7 @@ impl MirrorDoc {
     /// same event.
     fn applicable(&self, ev: &WireEvent) -> bool {
         ev.effects.iter().enumerate().all(|(i, e)| {
-            let known =
-                |id: u64| self.index.contains(&self.slots, id) || inserts(&ev.effects[..i], id);
+            let known = |id: u64| self.slot_of(id).is_some() || inserts(&ev.effects[..i], id);
             match e {
                 Effect::Insert { prev, .. } => prev.is_none_or(|p| known(p.0)),
                 Effect::Delete { char, .. }
@@ -446,7 +497,7 @@ impl MirrorDoc {
     fn integrate_insert(&mut self, id: u64, ch: char, style: u64, prev: Option<u64>, ts: u64) {
         let (mut before, mut at) = match prev {
             None => (NIL, self.head),
-            Some(p) => match self.index.get(&self.slots, p) {
+            Some(p) => match self.slot_of(p) {
                 Some(s) => (s, self.slots.get(s).next),
                 None => {
                     // Guarded by `applicable`; defensive only.
@@ -477,9 +528,17 @@ impl MirrorDoc {
         self.visible += 1;
     }
 
-    /// The slot of character `id`, if the mirror has it.
+    /// The slot of character `id`, if the mirror has it: loaded from the
+    /// snapshot, or inserted by an event.
+    fn slot_of(&self, id: u64) -> Option<u32> {
+        self.loaded
+            .get(id)
+            .or_else(|| self.index.get(&self.slots, id))
+    }
+
+    /// Character `id`, if the mirror has it.
     fn find(&mut self, id: u64) -> Option<&mut Slot> {
-        let s = self.index.get(&self.slots, id)?;
+        let s = self.slot_of(id)?;
         Some(self.slots.get_mut(s))
     }
 
@@ -507,7 +566,7 @@ impl MirrorDoc {
                 ..
             } => {
                 // Idempotency: re-delivery of an applied event.
-                if !self.index.contains(&self.slots, char.0) {
+                if self.slot_of(char.0).is_none() {
                     self.integrate_insert(char.0, *ch, style.0, prev.map(|p| p.0), ev_ts);
                 }
             }
@@ -792,5 +851,83 @@ mod tests {
             );
             assert_eq!(m.len(), reference.len());
         }
+    }
+
+    /// Loaded runs in shuffled id order, events naming the first and the
+    /// last id of every extent, and one past each: the named ones are
+    /// found in the extents, the ones past them wait, and the chain is
+    /// the one the server holds.
+    #[test]
+    fn events_find_every_extent_edge_and_wait_past_one() {
+        // Chain order; within a stretch ids are consecutive, and the flag
+        // or the style changes mid-stretch, so a stretch is several runs
+        // and one extent.
+        let stretches: [(u64, u64); 6] =
+            [(500, 5), (20, 3), (9000, 1), (130, 7), (4000, 2), (60, 4)];
+        let mut server: Vec<WireChar> = Vec::new();
+        for (first, len) in stretches {
+            for k in 0..len {
+                server.push(WireChar {
+                    id: first + k,
+                    ch: char::from(b'a' + (server.len() % 26) as u8),
+                    deleted: k % 3 == 1,
+                    style: k / 2,
+                });
+            }
+        }
+        let payload = crate::Frame::Snapshot {
+            request: 0,
+            doc: 1,
+            synced_ts: 5,
+            chars: server.clone(),
+        }
+        .encode();
+        let mut m = MirrorDoc::from_snapshot_payload(&payload[5..]).unwrap();
+        assert_eq!(m.loaded.0.len(), stretches.len());
+
+        // The server applies each event in commit order; every insert is
+        // the newest, so it lands right after its anchor.
+        let at = |chain: &[WireChar], id: u64| chain.iter().position(|c| c.id == id).unwrap();
+        let mut ts = 5;
+        let mut fresh = 100_000;
+        for (first, len) in stretches {
+            let last = first + len - 1;
+            ts += 1;
+            fresh += 1;
+            assert!(m.apply_event(event(ts, vec![insert(fresh, Some(first), '+')])));
+            let p = at(&server, first);
+            server.insert(p + 1, wire(fresh, '+'));
+            ts += 1;
+            assert!(m.apply_event(event(
+                ts,
+                vec![Effect::Delete {
+                    char: CharId(last),
+                    by: UserId(1),
+                    ts: 0,
+                }],
+            )));
+            let p = at(&server, last);
+            server[p].deleted = true;
+            ts += 1;
+            assert!(m.apply_event(event(
+                ts,
+                vec![Effect::SetStyle {
+                    char: CharId(first),
+                    old: StyleId(0),
+                    new: StyleId(42),
+                }],
+            )));
+            let p = at(&server, first);
+            server[p].style = 42;
+        }
+        for (first, len) in stretches {
+            ts += 1;
+            assert!(!m.apply_event(event(ts, vec![insert(fresh + 1, Some(first + len), '?')])));
+            fresh += 1;
+        }
+        assert_eq!(m.buffered(), stretches.len());
+        assert!(!m.needs_resync());
+        assert_eq!(m.chars().collect::<Vec<_>>(), server);
+        assert_eq!(m.len(), server.iter().filter(|c| !c.deleted).count());
     }
 }

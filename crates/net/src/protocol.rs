@@ -4,22 +4,38 @@
 //! [`crate::wire`] for the byte layout). The protocol is:
 //!
 //! ```text
-//! client                              server
-//!   | -- Hello{version,user,token} --> |       session hello / auth
-//!   | <-- Welcome{session} ----------- |       (or Error + close)
-//!   | -- Subscribe{name} ------------> |
-//!   | <-- Snapshot{doc,ts,chars} ----- |       full chain incl. tombstones
-//!   | -- Edit{req,doc,op} -----------> |
-//!   | <-- EditOk{req,op,ts} ---------- |       (or EditRejected{req})
-//!   | <-- Event{...} ----------------- |       committed-op broadcast, pushed
-//!   | -- Awareness{doc,cursor,sel} --> |
-//!   | -- PresenceQuery{doc} ---------> |
-//!   | <-- Presence{doc,entries} ------ |
-//!   | -- Ping{nonce} ----------------> |
-//!   | <-- Pong{nonce} ---------------- |
-//!   | -- Resync{doc} ----------------> |
-//!   | <-- Snapshot{doc,ts,chars} ----- |       lag recovery
-//!   | -- Unsubscribe{doc} / Bye -----> |
+//! client                                  server
+//!   | -- Hello{version,user,token} ------> |   session hello / auth
+//!   | <-- Welcome{session} --------------- |   (or Error + close)
+//!   | -- Subscribe{req,name} ------------> |
+//!   | <-- Snapshot{req,doc,ts,runs,text} - |   full chain incl. tombstones
+//!   | -- Edit{req,doc,op} ---------------> |
+//!   | <-- EditOk{req,op,ts} -------------- |   (or EditRejected{req})
+//!   | <-- Event{...} --------------------- |   committed-op broadcast, pushed
+//!   | -- Awareness{doc,cursor,sel} ------> |
+//!   | -- PresenceQuery{doc} -------------> |
+//!   | <-- Presence{doc,entries} ---------- |
+//!   | -- Ping{nonce} --------------------> |
+//!   | <-- Pong{nonce} -------------------- |
+//!   | -- Resync{req,doc} ----------------> |
+//!   | <-- Snapshot{req,doc,ts,runs,text} - |   fresh copy on request
+//!   | <-- Snapshot{0,doc,ts,runs,text} --- |   lag recovery, unasked
+//!   | -- Unsubscribe{doc} / Bye ---------> |
+//! ```
+//!
+//! A reply names the request it answers: `EditOk`/`EditRejected` the
+//! `Edit`'s `req`, a `Snapshot` the `Subscribe`'s or `Resync`'s (a
+//! client numbers its requests from 1). A recovery snapshot carries 0,
+//! so it can never pass for the answer to a request.
+//!
+//! A `Snapshot` lists runs, not characters: a run is a stretch of
+//! chain-consecutive characters with consecutive ids, one `deleted` flag
+//! and one style, and the text follows the run table as one string:
+//!
+//! ```text
+//! request u64, doc u64, synced_ts u64, chars u32, runs u32,
+//! runs × (first u64, len u32, deleted u8, style u64),
+//! text (u32 length, UTF-8)
 //! ```
 //!
 //! Decoding is total: any byte sequence either yields a frame or a
@@ -33,7 +49,9 @@ use crate::error::{NetError, Result};
 use crate::wire::{PayloadReader, PayloadWriter};
 
 /// Protocol version sent in `Hello`; the server rejects a mismatch.
-pub const PROTOCOL_VERSION: u16 = 1;
+/// Version 2 run-codes `Snapshot` payloads and gives `Subscribe`,
+/// `Resync` and `Snapshot` a request id.
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// One character of a document snapshot (tombstones included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -137,9 +155,13 @@ pub enum Frame {
         message: String,
     },
     Subscribe {
+        request: u64,
         name: String,
     },
+    /// A document's full chain; `request` names the `Subscribe` or
+    /// `Resync` it answers, 0 for an unasked recovery snapshot.
     Snapshot {
+        request: u64,
         doc: u64,
         synced_ts: u64,
         chars: Vec<WireChar>,
@@ -181,6 +203,7 @@ pub enum Frame {
         nonce: u64,
     },
     Resync {
+        request: u64,
         doc: u64,
     },
     Bye,
@@ -312,34 +335,136 @@ fn read_opt_pair(r: &mut PayloadReader<'_>, tag: u8) -> Result<Option<(u64, u64)
     }
 }
 
-/// Bytes one snapshot character occupies: id, scalar value, deleted
-/// flag, style.
-const SNAPSHOT_CHAR_BYTES: usize = 8 + 4 + 1 + 8;
+/// Bytes of a `Snapshot` header: request, doc, synced_ts, the character
+/// count and the run count.
+const SNAPSHOT_HEADER: usize = 8 + 8 + 8 + 4 + 4;
 
-fn write_snapshot_char(w: &mut PayloadWriter, id: u64, ch: char, deleted: bool, style: u64) {
-    w.u64(id);
-    w.chr(ch);
-    w.bool(deleted);
-    w.u64(style);
+/// Bytes of one run in a `Snapshot`: first id, length, deleted flag,
+/// style.
+const RUN_BYTES: usize = 8 + 4 + 1 + 8;
+
+/// A stretch of chain-consecutive characters with consecutive ids, one
+/// `deleted` flag and one style: what a `Snapshot` lists instead of its
+/// characters. Ids run from `first` to `first + len - 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct SnapshotRun {
+    first: u64,
+    len: u32,
+    deleted: bool,
+    style: u64,
 }
 
-/// Encode the `Snapshot` frame of an open document: the wire bytes of
-/// `Frame::Snapshot { doc, synced_ts, chars }.encode()`, written straight
-/// from the handle's chain and cache without building the frame value.
+impl SnapshotRun {
+    /// Whether the character `id` with this flag and style continues the
+    /// run.
+    fn continues_with(&self, id: u64, deleted: bool, style: u64) -> bool {
+        self.first.checked_add(u64::from(self.len)) == Some(id)
+            && self.len < u32::MAX
+            && self.deleted == deleted
+            && self.style == style
+    }
+
+    /// A run from its `RUN_BYTES` bytes; a `deleted` byte other than 0 or
+    /// 1 is left to [`SnapshotReader::new`] to refuse.
+    fn from_bytes(b: &[u8]) -> SnapshotRun {
+        SnapshotRun {
+            first: u64::from_le_bytes(b[..8].try_into().unwrap()),
+            len: u32::from_le_bytes(b[8..12].try_into().unwrap()),
+            deleted: b[12] != 0,
+            style: u64::from_le_bytes(b[13..21].try_into().unwrap()),
+        }
+    }
+}
+
+/// The run coder: writes a `Snapshot` frame from characters fed in chain
+/// order. A character that continues the open run lengthens it; any
+/// other closes it into the frame and opens the next. The text gathers
+/// beside the runs and goes in last, behind its length.
+struct SnapshotWriter {
+    w: PayloadWriter,
+    /// Where the character and run counts go once they are known.
+    counts: usize,
+    run: Option<SnapshotRun>,
+    chars: u32,
+    runs: u32,
+    text: String,
+}
+
+impl SnapshotWriter {
+    /// `chars` presizes the text: the characters expected.
+    fn new(request: u64, doc: u64, synced_ts: u64, chars: usize) -> Self {
+        let mut w = PayloadWriter::frame(TAG_SNAPSHOT, SNAPSHOT_HEADER + 4 + chars);
+        w.u64(request);
+        w.u64(doc);
+        w.u64(synced_ts);
+        let counts = w.position();
+        w.u32(0);
+        w.u32(0);
+        SnapshotWriter {
+            w,
+            counts,
+            run: None,
+            chars: 0,
+            runs: 0,
+            text: String::with_capacity(chars),
+        }
+    }
+
+    fn push(&mut self, id: u64, ch: char, deleted: bool, style: u64) {
+        match &mut self.run {
+            Some(run) if run.continues_with(id, deleted, style) => run.len += 1,
+            open => {
+                let next = SnapshotRun {
+                    first: id,
+                    len: 1,
+                    deleted,
+                    style,
+                };
+                if let Some(done) = open.replace(next) {
+                    self.close(done);
+                }
+            }
+        }
+        self.chars += 1;
+        self.text.push(ch);
+    }
+
+    fn close(&mut self, run: SnapshotRun) {
+        self.w.u64(run.first);
+        self.w.u32(run.len);
+        self.w.bool(run.deleted);
+        self.w.u64(run.style);
+        self.runs += 1;
+    }
+
+    fn finish(mut self) -> Vec<u8> {
+        if let Some(run) = self.run.take() {
+            self.close(run);
+        }
+        self.w.set_u32(self.counts, self.chars);
+        self.w.set_u32(self.counts + 4, self.runs);
+        self.w.str(&self.text);
+        self.w.into_frame()
+    }
+}
+
+/// Encode the `Snapshot` frame of an open document, answering request
+/// `request` (0: unasked): the wire bytes of `Frame::Snapshot { request,
+/// doc, synced_ts, chars }.encode()`, written in one walk of the handle's
+/// chain without building the frame value.
 ///
 /// `synced_ts` is only the current commit frontier on a handle that was
 /// just opened or refreshed: it advances on rebuild, not on applied
 /// remote events, so a long-lived handle would understate it.
-pub fn encode_snapshot(handle: &DocHandle) -> Vec<u8> {
-    let n = handle.chain_len();
-    let mut w = PayloadWriter::frame(TAG_SNAPSHOT, 8 + 8 + 4 + n * SNAPSHOT_CHAR_BYTES);
-    w.u64(handle.doc().0);
-    w.u64(handle.synced_ts());
-    w.u32(n as u32);
-    handle.for_each_char(|id, info| {
-        write_snapshot_char(&mut w, id.0, info.ch, info.deleted, info.style.0);
-    });
-    w.into_frame()
+pub fn encode_snapshot(handle: &DocHandle, request: u64) -> Vec<u8> {
+    let mut s = SnapshotWriter::new(
+        request,
+        handle.doc().0,
+        handle.synced_ts(),
+        handle.chain_len(),
+    );
+    handle.for_each_char(|id, info| s.push(id.0, info.ch, info.deleted, info.style.0));
+    s.finish()
 }
 
 /// Encode the `Event` frame of a committed operation: the wire bytes of
@@ -370,55 +495,95 @@ fn write_event(w: &mut PayloadWriter, ids: [u64; 5], kind: &str, effects: &[Effe
     }
 }
 
-/// A `Snapshot` payload being decoded: the header, then the characters
-/// one at a time, so a reader can build its own representation without
-/// an intermediate `Vec<WireChar>`.
+/// A `Snapshot` payload, checked and borrowed: the header, the run
+/// table and the text. Every run is non-empty and its ids do not pass
+/// `u64::MAX`, the runs hold `chars` characters and the text is UTF-8
+/// holding as many, so [`SnapshotReader::chars`] pairs them up without
+/// further checks. Two runs may still name one id: a mirror refuses
+/// that when it sorts what it loaded.
 #[derive(Debug)]
 pub struct SnapshotReader<'a> {
+    pub request: u64,
     pub doc: u64,
     pub synced_ts: u64,
-    remaining: usize,
-    r: PayloadReader<'a>,
+    /// Characters listed, tombstones included.
+    pub chars: usize,
+    table: &'a [u8],
+    text: &'a str,
 }
 
 impl<'a> SnapshotReader<'a> {
     pub fn new(payload: &'a [u8]) -> Result<Self> {
         let mut r = PayloadReader::new(TAG_SNAPSHOT, payload);
+        let (request, doc, synced_ts) = (r.u64()?, r.u64()?, r.u64()?);
+        let chars = r.u32()? as usize;
+        let runs = r.u32()? as usize;
+        // Taken before anything is sized by a count: a run count beyond
+        // the bytes present is `Truncated`, not a large reservation.
+        let table = r.take(runs.saturating_mul(RUN_BYTES))?;
+        let text = r.str_ref()?;
+        r.finish()?;
+        let bad = |reason: String| {
+            Err(NetError::BadPayload {
+                tag: TAG_SNAPSHOT,
+                reason,
+            })
+        };
+        if runs > chars {
+            return bad(format!("{runs} runs for {chars} characters"));
+        }
+        let mut listed = 0u64;
+        for (i, b) in table.chunks_exact(RUN_BYTES).enumerate() {
+            let run = SnapshotRun::from_bytes(b);
+            if b[12] > 1 {
+                return bad(format!("run {i}: deleted flag {}", b[12]));
+            }
+            if run.len == 0 {
+                return bad(format!("run {i} is empty"));
+            }
+            if run.first.checked_add(u64::from(run.len) - 1).is_none() {
+                return bad(format!("run {i}: ids from {} overflow", run.first));
+            }
+            listed += u64::from(run.len);
+        }
+        if listed != chars as u64 {
+            return bad(format!(
+                "runs hold {listed} characters, header says {chars}"
+            ));
+        }
+        let in_text = text.chars().count();
+        if in_text != chars {
+            return bad(format!("text holds {in_text} characters, runs {chars}"));
+        }
         Ok(SnapshotReader {
-            doc: r.u64()?,
-            synced_ts: r.u64()?,
-            remaining: r.u32()? as usize,
-            r,
+            request,
+            doc,
+            synced_ts,
+            chars,
+            table,
+            text,
         })
     }
 
-    /// Characters still to come, bounded by what the payload could
-    /// actually hold — safe to pre-allocate from whatever the count field
-    /// claims.
-    pub fn remaining_hint(&self) -> usize {
-        self.remaining
-            .min(self.r.remaining() / SNAPSHOT_CHAR_BYTES + 1)
+    /// The runs in chain order.
+    pub(crate) fn runs(&self) -> impl ExactSizeIterator<Item = SnapshotRun> + 'a {
+        self.table
+            .chunks_exact(RUN_BYTES)
+            .map(SnapshotRun::from_bytes)
     }
 
-    /// The next character; after the last one, `None` — or the typed
-    /// error for trailing bytes.
-    pub fn next_char(&mut self) -> Result<Option<WireChar>> {
-        if self.remaining == 0 {
-            if self.r.remaining() != 0 {
-                return Err(NetError::BadPayload {
-                    tag: TAG_SNAPSHOT,
-                    reason: format!("{} trailing bytes", self.r.remaining()),
-                });
-            }
-            return Ok(None);
-        }
-        self.remaining -= 1;
-        Ok(Some(WireChar {
-            id: self.r.u64()?,
-            ch: self.r.chr()?,
-            deleted: self.r.bool()?,
-            style: self.r.u64()?,
-        }))
+    /// The characters in chain order: each run's ids and flags, paired
+    /// with the text.
+    pub fn chars(&self) -> impl Iterator<Item = WireChar> + 'a {
+        self.runs()
+            .flat_map(|run| (0..u64::from(run.len)).map(move |k| (run, run.first + k)))
+            .zip(self.text.chars())
+            .map(|((run, id), ch)| WireChar {
+                id,
+                ch,
+                deleted: run.deleted,
+                style: run.style,
+            })
     }
 }
 
@@ -466,18 +631,21 @@ impl Frame {
                 w.u16(*code);
                 w.str(message);
             }
-            Frame::Subscribe { name } => w.str(name),
+            Frame::Subscribe { request, name } => {
+                w.u64(*request);
+                w.str(name);
+            }
             Frame::Snapshot {
+                request,
                 doc,
                 synced_ts,
                 chars,
             } => {
-                w.u64(*doc);
-                w.u64(*synced_ts);
-                w.u32(chars.len() as u32);
+                let mut s = SnapshotWriter::new(*request, *doc, *synced_ts, chars.len());
                 for c in chars {
-                    write_snapshot_char(&mut w, c.id, c.ch, c.deleted, c.style);
+                    s.push(c.id, c.ch, c.deleted, c.style);
                 }
+                return s.finish();
             }
             Frame::Unsubscribe { doc } => w.u64(*doc),
             Frame::Edit { request, doc, op } => {
@@ -541,7 +709,10 @@ impl Frame {
             }
             Frame::Ping { nonce } => w.u64(*nonce),
             Frame::Pong { nonce } => w.u64(*nonce),
-            Frame::Resync { doc } => w.u64(*doc),
+            Frame::Resync { request, doc } => {
+                w.u64(*request);
+                w.u64(*doc);
+            }
             Frame::Bye => {}
         }
         w.into_frame()
@@ -562,15 +733,19 @@ impl Frame {
                 code: r.u16()?,
                 message: r.str()?,
             },
-            TAG_SUBSCRIBE => Frame::Subscribe { name: r.str()? },
+            TAG_SUBSCRIBE => Frame::Subscribe {
+                request: r.u64()?,
+                name: r.str()?,
+            },
             TAG_SNAPSHOT => {
                 // Its own reader, which also rejects trailing bytes.
-                let mut snap = SnapshotReader::new(payload)?;
-                let mut chars = Vec::with_capacity(snap.remaining_hint());
-                while let Some(c) = snap.next_char()? {
-                    chars.push(c);
-                }
+                let snap = SnapshotReader::new(payload)?;
+                // `chars` is checked against the text's length: bounded
+                // by the payload.
+                let mut chars = Vec::with_capacity(snap.chars);
+                chars.extend(snap.chars());
                 return Ok(Frame::Snapshot {
+                    request: snap.request,
                     doc: snap.doc,
                     synced_ts: snap.synced_ts,
                     chars,
@@ -655,7 +830,10 @@ impl Frame {
             }
             TAG_PING => Frame::Ping { nonce: r.u64()? },
             TAG_PONG => Frame::Pong { nonce: r.u64()? },
-            TAG_RESYNC => Frame::Resync { doc: r.u64()? },
+            TAG_RESYNC => Frame::Resync {
+                request: r.u64()?,
+                doc: r.u64()?,
+            },
             TAG_BYE => Frame::Bye,
             t => return Err(NetError::UnknownTag(t)),
         };

@@ -683,9 +683,16 @@ fn no_snapshot(doc: DocId, cause: &TextError) -> Frame {
 }
 
 /// A transport repair (resync, lost-stream recovery): the live copy's
-/// encoded snapshot, or the frame that says why not; `None` if not live.
-fn repair(hub: &Hub, doc: DocId, user: UserId) -> std::result::Result<Option<Vec<u8>>, Frame> {
-    let snapshot = hub.collab.live().snapshot(doc, user, encode_snapshot);
+/// snapshot, encoded as the answer to `request` (0: unasked), or the
+/// frame that says why not; `None` if not live.
+fn repair(
+    hub: &Hub,
+    doc: DocId,
+    user: UserId,
+    request: u64,
+) -> std::result::Result<Option<Vec<u8>>, Frame> {
+    let encode = |h: &_| encode_snapshot(h, request);
+    let snapshot = hub.collab.live().snapshot(doc, user, encode);
     snapshot.map_err(|e| no_snapshot(doc, &e))
 }
 
@@ -827,7 +834,7 @@ fn recover_lost(out: &mut TcpStream, hub: &Hub, shared: &ConnShared) -> std::io:
             .user
             .get()
             .expect("subscriptions follow the handshake");
-        match repair(hub, doc, *user) {
+        match repair(hub, doc, *user, 0) {
             Ok(Some(snapshot)) => write_counted(out, hub, 1, &snapshot)?,
             // Unsubscribed since the stream was lost.
             Ok(None) => {}
@@ -936,7 +943,7 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
             Some((tag, payload)) => Frame::decode(tag, &payload)?,
         };
         match frame {
-            Frame::Subscribe { name } => {
+            Frame::Subscribe { request, name } => {
                 let doc = match collab.textdb().document_by_name(&name) {
                     Ok(doc) => doc,
                     Err(e) => {
@@ -949,7 +956,7 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                 };
                 // Opened again while open: one more read, one more snapshot.
                 if let Some(editor) = subs.get(&doc) {
-                    match editor.reopen(encode_snapshot) {
+                    match editor.reopen(|h| encode_snapshot(h, request)) {
                         Ok(snapshot) => critical_bytes(snapshot)?,
                         Err(e) => critical(no_snapshot(doc, &e))?,
                     }
@@ -961,7 +968,7 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                 // snapshot is taken.
                 shared.queue.open_stream(doc);
                 hub.subscribe(doc, shared);
-                match session.open_live(doc, encode_snapshot) {
+                match session.open_live(doc, |h| encode_snapshot(h, request)) {
                     Ok((editor, snapshot)) => {
                         critical_bytes(snapshot)?;
                         let (queued, dropped) = shared.queue.release_stream(doc);
@@ -1036,9 +1043,9 @@ fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Resu
                 critical(Frame::Presence { doc, entries })?;
             }
             Frame::Ping { nonce } => critical(Frame::Pong { nonce })?,
-            Frame::Resync { doc } => {
+            Frame::Resync { request, doc } => {
                 let held = subs.contains_key(&DocId(doc));
-                match held.then(|| repair(hub, DocId(doc), session.user())) {
+                match held.then(|| repair(hub, DocId(doc), session.user(), request)) {
                     Some(Ok(Some(snapshot))) => critical_bytes(snapshot)?,
                     Some(Err(why)) => critical(why)?,
                     _ => critical(Frame::Error {

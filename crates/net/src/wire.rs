@@ -64,6 +64,18 @@ impl PayloadWriter {
         self.buf
     }
 
+    /// Bytes written so far: the offset the next value lands at, for a
+    /// later [`PayloadWriter::set_u32`].
+    pub(crate) fn position(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Overwrite the `u32` written at offset `at` — a count known only
+    /// once what it counts has been written behind it.
+    pub(crate) fn set_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
     pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -136,7 +148,8 @@ impl<'a> PayloadReader<'a> {
         self.buf.len() - self.pos
     }
 
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes, borrowed from the payload.
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.remaining() < n {
             return Err(NetError::Truncated {
                 tag: self.tag,
@@ -190,12 +203,17 @@ impl<'a> PayloadReader<'a> {
     }
 
     pub fn str(&mut self) -> Result<String> {
+        self.str_ref().map(str::to_owned)
+    }
+
+    /// A length-prefixed string, borrowed from the payload.
+    pub(crate) fn str_ref(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         // A string cannot be longer than the bytes that remain; checking
         // first turns a hostile length into `Truncated`, not a huge
         // allocation.
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| self.bad(format!("invalid utf-8: {e}")))
+        std::str::from_utf8(bytes).map_err(|e| self.bad(format!("invalid utf-8: {e}")))
     }
 
     pub fn opt_u64(&mut self) -> Result<Option<u64>> {

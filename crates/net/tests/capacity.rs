@@ -122,9 +122,10 @@ fn stalled_subscriber(addr: std::net::SocketAddr, user: &str, docs: &[&str]) -> 
     .unwrap();
     let mut buf = [0u8; 64];
     let _ = s.read(&mut buf);
-    for doc in docs {
+    for (request, doc) in (1..).zip(docs) {
         s.write_all(
             &Frame::Subscribe {
+                request,
                 name: (*doc).into(),
             }
             .encode(),
@@ -228,6 +229,7 @@ fn stalled_reader_recovers_both_documents_it_lost() {
                     doc,
                     synced_ts,
                     chars,
+                    ..
                 } => {
                     mirrors.insert(
                         doc,
@@ -398,6 +400,7 @@ fn transport_repairs_are_not_recorded_as_reads() {
                         doc,
                         synced_ts,
                         chars,
+                        ..
                     } => {
                         snapshots += 1;
                         mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap());

@@ -1,7 +1,12 @@
 //! Wire-codec conformance: every frame type round-trips through
 //! encode → FrameBuffer → decode, and every class of malformed input
 //! yields a typed error — never a panic, never a silent misparse.
+//! `any_snapshot_round_trips_through_the_run_coder` is a proptest: it
+//! prints `PROPTEST_SEED=<n>` on failure.
 
+use std::collections::HashSet;
+
+use proptest::prelude::*;
 use tendax_net::protocol::{encode_event, encode_snapshot};
 use tendax_net::{
     codes, EditOp, Frame, FrameBuffer, MirrorDoc, NetError, WireChar, WireEvent, WirePresence,
@@ -61,9 +66,11 @@ fn exemplars() -> Vec<Frame> {
             message: "déconnecté".into(),
         },
         Frame::Subscribe {
+            request: 5,
             name: "minutes".into(),
         },
         Frame::Snapshot {
+            request: 5,
             doc: 3,
             synced_ts: 77,
             chars: vec![
@@ -79,9 +86,22 @@ fn exemplars() -> Vec<Frame> {
                     deleted: true,
                     style: 5,
                 },
+                WireChar {
+                    id: 3,
+                    ch: '𝄞',
+                    deleted: true,
+                    style: 5,
+                },
+                WireChar {
+                    id: u64::MAX,
+                    ch: 'é',
+                    deleted: false,
+                    style: u64::MAX,
+                },
             ],
         },
         Frame::Snapshot {
+            request: 0,
             doc: 4,
             synced_ts: 0,
             chars: vec![],
@@ -153,7 +173,10 @@ fn exemplars() -> Vec<Frame> {
         },
         Frame::Ping { nonce: 0 },
         Frame::Pong { nonce: u64::MAX },
-        Frame::Resync { doc: 3 },
+        Frame::Resync {
+            request: u64::MAX,
+            doc: 3,
+        },
         Frame::Bye,
     ]
 }
@@ -269,6 +292,7 @@ fn mid_frame_cut_never_yields_a_frame() {
     // A partial frame in the buffer (stream ended mid-frame) is simply
     // "no frame yet"; the connection-level EOF turns it into Closed.
     let bytes = Frame::Subscribe {
+        request: 1,
         name: "minutes".into(),
     }
     .encode();
@@ -280,6 +304,59 @@ fn mid_frame_cut_never_yields_a_frame() {
 }
 
 // ------------------------------------------------- the one-pass snapshot path
+
+/// A run as the wire spells it: first id, length, deleted byte, style.
+type Run = (u64, u32, u8, u64);
+
+/// A `Snapshot` payload spelled by hand: the header, the run table, the
+/// text behind its length.
+fn spell(request: u64, doc: u64, synced_ts: u64, chars: u32, runs: &[Run], text: &[u8]) -> Vec<u8> {
+    let mut p = Vec::new();
+    p.extend_from_slice(&request.to_le_bytes());
+    p.extend_from_slice(&doc.to_le_bytes());
+    p.extend_from_slice(&synced_ts.to_le_bytes());
+    p.extend_from_slice(&chars.to_le_bytes());
+    p.extend_from_slice(&(runs.len() as u32).to_le_bytes());
+    for &(first, len, deleted, style) in runs {
+        p.extend_from_slice(&first.to_le_bytes());
+        p.extend_from_slice(&len.to_le_bytes());
+        p.push(deleted);
+        p.extend_from_slice(&style.to_le_bytes());
+    }
+    p.extend_from_slice(&(text.len() as u32).to_le_bytes());
+    p.extend_from_slice(text);
+    p
+}
+
+/// The runs a snapshot of `chars` lists, grouped here without the
+/// codec: a character continues a run when its id is the next one and
+/// its flag and style are the run's.
+fn runs_of(chars: &[WireChar]) -> Vec<Run> {
+    let mut runs: Vec<Run> = Vec::new();
+    for c in chars {
+        match runs.last_mut() {
+            Some((first, len, deleted, style))
+                if first.checked_add(u64::from(*len)) == Some(c.id)
+                    && *deleted == c.deleted as u8
+                    && *style == c.style =>
+            {
+                *len += 1
+            }
+            _ => runs.push((c.id, 1, c.deleted as u8, c.style)),
+        }
+    }
+    runs
+}
+
+fn snapshot_tag() -> u8 {
+    Frame::Snapshot {
+        request: 0,
+        doc: 0,
+        synced_ts: 0,
+        chars: vec![],
+    }
+    .tag()
+}
 
 /// The server writes a snapshot straight from an open document and the
 /// client reads it straight into a mirror; both must speak exactly the
@@ -307,33 +384,33 @@ fn snapshot_of_an_open_document_is_the_frame_encoding() {
     assert_eq!(chars.len(), 11);
     assert_eq!(chars.iter().filter(|c| c.deleted).count(), 3);
 
-    let bytes = encode_snapshot(&h);
+    let bytes = encode_snapshot(&h, 9);
     let as_frame = Frame::Snapshot {
+        request: 9,
         doc: doc.0,
         synced_ts: h.synced_ts(),
         chars: chars.clone(),
     };
     assert_eq!(bytes, as_frame.encode());
 
-    // The layout itself, spelled out, so neither encoder can drift.
+    // The layout itself, spelled out, so neither encoder can drift: the
+    // insert in the middle and the tombstones cut the ids into runs.
+    let runs = runs_of(&chars);
+    assert!((2..chars.len()).contains(&runs.len()), "{runs:?}");
+    let text: String = chars.iter().map(|c| c.ch).collect();
+    let payload = spell(9, doc.0, h.synced_ts(), 11, &runs, text.as_bytes());
+    assert_eq!(payload.len(), 32 + 21 * runs.len() + 4 + text.len());
     let mut spelled = Vec::new();
-    spelled.extend_from_slice(&((1 + 20 + 21 * chars.len()) as u32).to_le_bytes());
+    spelled.extend_from_slice(&(1 + payload.len() as u32).to_le_bytes());
     spelled.push(as_frame.tag());
-    spelled.extend_from_slice(&doc.0.to_le_bytes());
-    spelled.extend_from_slice(&h.synced_ts().to_le_bytes());
-    spelled.extend_from_slice(&(chars.len() as u32).to_le_bytes());
-    for c in &chars {
-        spelled.extend_from_slice(&c.id.to_le_bytes());
-        spelled.extend_from_slice(&(c.ch as u32).to_le_bytes());
-        spelled.push(c.deleted as u8);
-        spelled.extend_from_slice(&c.style.to_le_bytes());
-    }
+    spelled.extend_from_slice(&payload);
     assert_eq!(bytes, spelled);
 
     let mirror = MirrorDoc::from_snapshot_payload(&bytes[5..]).unwrap();
     assert_eq!(mirror.doc(), doc.0);
     assert_eq!(mirror.synced_ts(), h.synced_ts());
     assert_eq!(mirror.text(), h.text());
+    assert_eq!(mirror.chars().collect::<Vec<_>>(), chars);
     assert_eq!(
         Frame::decode(as_frame.tag(), &bytes[5..]).unwrap(),
         as_frame
@@ -356,12 +433,34 @@ fn broadcast_of_a_doc_event_is_the_frame_encoding() {
     assert_eq!(events, 2);
 }
 
+/// `payload` is refused by the frame decoder and by a mirror, as a bad
+/// `Snapshot` whose reason mentions `why`.
+fn refused(what: &str, payload: &[u8], why: &str) {
+    let tag = snapshot_tag();
+    for (by, got) in [
+        ("decode", Frame::decode(tag, payload).map(drop)),
+        (
+            "mirror",
+            MirrorDoc::from_snapshot_payload(payload).map(drop),
+        ),
+    ] {
+        match got {
+            Err(NetError::BadPayload { tag: t, reason }) if t == tag => {
+                assert!(reason.contains(why), "{what} ({by}): {reason:?}")
+            }
+            other => panic!("{what} ({by}): {other:?}"),
+        }
+    }
+}
+
 /// Whatever is wrong with a snapshot payload, loading it into a mirror is
 /// a typed error — never a panic, a huge allocation or a half-built
 /// replica.
 #[test]
 fn mutilated_snapshot_payloads_never_load_a_mirror() {
+    // Four runs of one character each: ids 1..=4, every other deleted.
     let good = Frame::Snapshot {
+        request: 0,
         doc: 3,
         synced_ts: 77,
         chars: (1..=4)
@@ -379,6 +478,8 @@ fn mutilated_snapshot_payloads_never_load_a_mirror() {
         MirrorDoc::from_snapshot_payload(&good).unwrap().text(),
         "xx"
     );
+    let (chars_at, runs_at, table, text_at) = (24, 28, 32, 32 + 4 * 21);
+    assert_eq!(good.len(), text_at + 4 + 4);
 
     for cut in 0..good.len() {
         match MirrorDoc::from_snapshot_payload(&good[..cut]) {
@@ -391,36 +492,221 @@ fn mutilated_snapshot_payloads_never_load_a_mirror() {
         p[at..at + bytes.len()].copy_from_slice(bytes);
         p
     };
-    let first_char = 8 + 8 + 4;
-    let snapshot_tag = Frame::Snapshot {
-        doc: 0,
-        synced_ts: 0,
-        chars: vec![],
+    refused(
+        "trailing byte",
+        &[good.as_slice(), &[0xAA]].concat(),
+        "trailing",
+    );
+    refused("deleted flag 2", &patched(table + 12, &[2]), "deleted flag");
+    refused(
+        "a run longer than the characters",
+        &patched(table + 8, &2u32.to_le_bytes()),
+        "runs hold",
+    );
+    refused(
+        "a count of characters the runs do not hold",
+        &patched(chars_at, &u32::MAX.to_le_bytes()),
+        "runs hold",
+    );
+    refused("invalid UTF-8", &patched(text_at + 5, &[0xFF]), "utf-8");
+    // The second run's id made the first's: a mirror would show it
+    // twice, and a delete would flip one copy. The frame itself is
+    // well-formed; only a mirror, which indexes ids, refuses it.
+    let twice = patched(table + 21, &1u64.to_le_bytes());
+    assert!(Frame::decode(snapshot_tag(), &twice).is_ok());
+    match MirrorDoc::from_snapshot_payload(&twice) {
+        Err(NetError::BadPayload { reason, .. }) => {
+            assert!(reason.contains("character 1 appears twice"), "{reason}")
+        }
+        other => panic!("a character named twice: {other:?}"),
     }
-    .tag();
-    for (what, payload) in [
-        ("trailing byte", [good.as_slice(), &[0xAA]].concat()),
-        ("deleted flag 2", patched(first_char + 12, &[2])),
-        (
-            "surrogate scalar",
-            patched(first_char + 8, &0xD800u32.to_le_bytes()),
-        ),
-        // The second character's id made the first's: a mirror would
-        // show it twice, and a delete would flip one copy.
-        (
-            "a character named twice",
-            patched(first_char + 21, &1u64.to_le_bytes()),
-        ),
-    ] {
-        match MirrorDoc::from_snapshot_payload(&payload) {
-            Err(NetError::BadPayload { tag, .. }) if tag == snapshot_tag => {}
-            other => panic!("{what}: {other:?}"),
+    // A run count far beyond the bytes present is a truncation, not a
+    // four-billion-run reservation.
+    for payload in [&good, &twice] {
+        let mut p = payload.clone();
+        p[runs_at..runs_at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        for got in [
+            Frame::decode(snapshot_tag(), &p).map(drop),
+            MirrorDoc::from_snapshot_payload(&p).map(drop),
+        ] {
+            match got {
+                Err(NetError::Truncated { .. }) => {}
+                other => panic!("inflated run count: {other:?}"),
+            }
         }
     }
-    // A count far beyond the bytes present is a truncation, not a
-    // four-billion-slot reservation.
-    match MirrorDoc::from_snapshot_payload(&patched(16, &u32::MAX.to_le_bytes())) {
-        Err(NetError::Truncated { .. }) => {}
-        other => panic!("inflated count: {other:?}"),
+}
+
+/// Run tables no encoder writes, each refused typed by the decoder and
+/// by a mirror.
+#[test]
+fn hostile_snapshot_run_tables_are_typed_errors() {
+    let ok = spell(
+        1,
+        2,
+        3,
+        3,
+        &[(10, 2, 0, 0), (40, 1, 1, 7)],
+        "ab€".as_bytes(),
+    );
+    assert_eq!(MirrorDoc::from_snapshot_payload(&ok).unwrap().text(), "ab");
+    let cases: [(&str, Vec<u8>, &str); 8] = [
+        (
+            "a zero-length run",
+            spell(1, 2, 3, 2, &[(10, 2, 0, 0), (40, 0, 1, 7)], b"ab"),
+            "empty",
+        ),
+        (
+            "a run whose ids overflow u64",
+            spell(1, 2, 3, 2, &[(u64::MAX, 2, 0, 0)], b"ab"),
+            "overflow",
+        ),
+        (
+            "run lengths below the character count",
+            spell(1, 2, 3, 4, &[(10, 2, 0, 0), (40, 1, 1, 7)], b"abcd"),
+            "runs hold",
+        ),
+        (
+            "run lengths above the character count",
+            spell(1, 2, 3, 2, &[(10, 2, 0, 0), (40, 1, 1, 7)], b"ab"),
+            "runs hold",
+        ),
+        (
+            "more runs than characters",
+            spell(1, 2, 3, 1, &[(10, 1, 0, 0), (40, 1, 1, 7)], b"ab"),
+            "2 runs for 1 characters",
+        ),
+        (
+            "text shorter than the runs",
+            spell(1, 2, 3, 3, &[(10, 2, 0, 0), (40, 1, 1, 7)], b"ab"),
+            "text holds 2",
+        ),
+        (
+            "text longer than the runs",
+            spell(1, 2, 3, 3, &[(10, 2, 0, 0), (40, 1, 1, 7)], b"abcd"),
+            "text holds 4",
+        ),
+        (
+            "invalid UTF-8",
+            spell(1, 2, 3, 3, &[(10, 2, 0, 0), (40, 1, 1, 7)], b"a\xC3b"),
+            "utf-8",
+        ),
+    ];
+    for (what, payload, why) in &cases {
+        refused(what, payload, why);
+    }
+
+    // Two runs overlapping in ids — here the second starts inside the
+    // first, in the table's last place, after a run in between: the
+    // decoder passes them on, a mirror refuses them.
+    let overlap = spell(
+        1,
+        2,
+        3,
+        6,
+        &[(10, 3, 0, 0), (40, 1, 1, 7), (12, 2, 0, 0)],
+        b"abcdef",
+    );
+    assert!(Frame::decode(snapshot_tag(), &overlap).is_ok());
+    match MirrorDoc::from_snapshot_payload(&overlap) {
+        Err(NetError::BadPayload { reason, .. }) => {
+            assert!(reason.contains("character 12 appears twice"), "{reason}")
+        }
+        other => panic!("overlapping runs: {other:?}"),
+    }
+
+    // A run count far beyond the bytes present, with a character count
+    // to match: a truncation, before anything is sized by either.
+    let inflated = spell(1, 2, 3, u32::MAX, &[(10, 2, 0, 0)], b"ab");
+    let mut p = inflated.clone();
+    p[28..32].copy_from_slice(&u32::MAX.to_le_bytes());
+    for got in [
+        Frame::decode(snapshot_tag(), &p).map(drop),
+        MirrorDoc::from_snapshot_payload(&p).map(drop),
+    ] {
+        match got {
+            Err(NetError::Truncated { needed, .. }) => {
+                assert_eq!(needed, u32::MAX as usize * 21)
+            }
+            other => panic!("inflated run count: {other:?}"),
+        }
+    }
+}
+
+// ------------------------------------------------------- snapshot proptest
+
+/// A character of `bytes` UTF-8 bytes (1 to 4), picked by `n`.
+fn char_of(bytes: u8, n: u32) -> char {
+    let (lo, hi) = match bytes {
+        1 => (0x20, 0x80),
+        2 => (0x80, 0x800),
+        3 => (0x800, 0x1_0000),
+        _ => (0x1_0000, 0x11_0000),
+    };
+    let v = lo + n % (hi - lo);
+    // Surrogates are not characters: step over them.
+    char::from_u32(v).unwrap_or_else(|| char::from_u32(v + 0x800).unwrap())
+}
+
+/// Snapshots as stretches: each starts at a random id (edge-biased:
+/// 0, 1 and `u64::MAX` come often) or right after the previous one, and
+/// walks consecutive ids, its characters' flags and styles cycling
+/// through a list — so a flag or a style changes mid-stretch, and a
+/// stretch at `u64::MAX` stops there.
+fn arb_chars() -> impl Strategy<Value = Vec<WireChar>> {
+    let attrs = proptest::collection::vec((any::<bool>(), 0u64..3, 1u8..5, any::<u32>()), 1..6);
+    let stretch = (proptest::option::of(any::<u64>()), 1u64..40, attrs);
+    proptest::collection::vec(stretch, 0..10).prop_map(|stretches| {
+        let mut chars: Vec<WireChar> = Vec::new();
+        for (start, len, attrs) in stretches {
+            let after = chars.last().and_then(|c| c.id.checked_add(1));
+            let Some(first) = start.or(after) else {
+                continue;
+            };
+            for k in 0..len {
+                let Some(id) = first.checked_add(k) else {
+                    break;
+                };
+                let (deleted, style, bytes, n) = attrs[k as usize % attrs.len()];
+                chars.push(WireChar {
+                    id,
+                    ch: char_of(bytes, n),
+                    deleted,
+                    style: [0, 5, u64::MAX][style as usize],
+                });
+            }
+        }
+        chars
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any character list survives the run coder: encoded and decoded as
+    /// a frame, and loaded into a mirror and read back, with exactly the
+    /// runs [`runs_of`] groups; a list that names an id twice is a
+    /// well-formed frame a mirror refuses.
+    #[test]
+    fn any_snapshot_round_trips_through_the_run_coder(chars in arb_chars(), request in any::<u64>()) {
+        let frame = Frame::Snapshot { request, doc: 7, synced_ts: 9, chars: chars.clone() };
+        let bytes = frame.encode();
+        let payload = &bytes[5..];
+        prop_assert_eq!(Frame::decode(frame.tag(), payload).unwrap(), frame.clone());
+        let runs = runs_of(&chars);
+        prop_assert_eq!(&payload[28..32], &(runs.len() as u32).to_le_bytes()[..]);
+        prop_assert_eq!(payload.len(), 32 + 21 * runs.len() + 4 + chars.iter().map(|c| c.ch.len_utf8()).sum::<usize>());
+
+        let mut seen = HashSet::new();
+        let unique = chars.iter().all(|c| seen.insert(c.id));
+        match MirrorDoc::from_snapshot_payload(payload) {
+            Ok(m) => {
+                prop_assert!(unique, "a mirror loaded a snapshot naming an id twice");
+                prop_assert_eq!(m.chars().collect::<Vec<_>>(), chars.clone());
+                prop_assert_eq!(m.len(), chars.iter().filter(|c| !c.deleted).count());
+            }
+            Err(NetError::BadPayload { .. }) => prop_assert!(!unique, "a sound snapshot refused"),
+            Err(e) => prop_assert!(false, "unexpected {:?}", e),
+        }
     }
 }

@@ -127,10 +127,10 @@ fn live_and_fresh(collab: &CollabServer, doc: DocId) -> Option<(Vec<u8>, Vec<u8>
     let reader = UserId(1);
     let live = collab
         .live()
-        .snapshot(doc, reader, encode_snapshot)
+        .snapshot(doc, reader, |h| encode_snapshot(h, 0))
         .unwrap()?;
     let fresh = collab.textdb().load(doc, reader).unwrap();
-    Some((live, encode_snapshot(&fresh)))
+    Some((live, encode_snapshot(&fresh, 0)))
 }
 
 /// Oracle. Seeded interleavings of edits over TCP, edits in process
@@ -379,7 +379,7 @@ fn last_subscriber_out_drops_the_live_document() {
     });
     assert!(collab
         .live()
-        .snapshot(id, UserId(1), encode_snapshot)
+        .snapshot(id, UserId(1), |h| encode_snapshot(h, 0))
         .unwrap()
         .is_none());
 

@@ -365,7 +365,11 @@ fn truncated_frame_then_disconnect_is_isolated() {
 
     // Mallory sends half an Edit frame, then vanishes mid-frame.
     let mut evil = RawClient::hello(addr, "mallory");
-    let frame = Frame::Subscribe { name: "doc".into() }.encode();
+    let frame = Frame::Subscribe {
+        request: 1,
+        name: "doc".into(),
+    }
+    .encode();
     evil.send_bytes(&frame[..frame.len() / 2]);
     drop(evil);
 
@@ -394,6 +398,7 @@ fn malformed_payload_gets_typed_error() {
     let mut evil = RawClient::hello(server.local_addr(), "mallory");
     // A Subscribe frame whose string length prefix overruns the payload.
     let mut payload = Vec::new();
+    payload.extend_from_slice(&1u64.to_le_bytes());
     payload.extend_from_slice(&100u32.to_le_bytes());
     payload.extend_from_slice(b"short");
     evil.send_bytes(&tendax_net::wire::encode_frame(0x04, &payload));
@@ -436,17 +441,25 @@ fn handshake_rejects_bad_token_unknown_user_and_version_skew() {
         other => panic!("unknown user accepted: {other:?}"),
     }
 
-    // Version skew (raw, because NetClient always sends the real one).
-    let mut raw = RawClient::connect(addr);
-    raw.send(&Frame::Hello {
-        version: 999,
-        user: "alice".into(),
-        platform: "Linux".into(),
-        token: "sesame".into(),
-    });
-    match raw.drain_to_eof() {
-        Some(Frame::Error { code, .. }) => assert_eq!(code, codes::AUTH),
-        other => panic!("version skew accepted: {other:?}"),
+    // Version skew (raw, because NetClient always sends the real one):
+    // a future version, and version 1, whose snapshots listed characters
+    // one by one and whose subscriptions carried no request id.
+    assert_eq!(PROTOCOL_VERSION, 2);
+    for version in [999, 1] {
+        let mut raw = RawClient::connect(addr);
+        raw.send(&Frame::Hello {
+            version,
+            user: "alice".into(),
+            platform: "Linux".into(),
+            token: "sesame".into(),
+        });
+        match raw.drain_to_eof() {
+            Some(Frame::Error { code, message }) => {
+                assert_eq!(code, codes::AUTH);
+                assert!(message.contains(&format!("version {version}")), "{message}");
+            }
+            other => panic!("version {version} accepted: {other:?}"),
+        }
     }
 
     // Correct everything still works.
@@ -456,7 +469,7 @@ fn handshake_rejects_bad_token_unknown_user_and_version_skew() {
     };
     let c = NetClient::connect_with(addr, "alice", cfg).unwrap();
     assert!(c.session() > 0);
-    assert_eq!(server.stats().auth_failures, 3);
+    assert_eq!(server.stats().auth_failures, 4);
 }
 
 // ---------------------------------------------------------------------
@@ -495,7 +508,10 @@ fn slow_consumer_is_cut_without_wedging_the_server() {
     // fills, the writer blocks, the outbound queue fills, and every
     // further event counts as lag.
     let mut sloth = RawClient::hello(addr, "sloth");
-    sloth.send(&Frame::Subscribe { name: "doc".into() });
+    sloth.send(&Frame::Subscribe {
+        request: 1,
+        name: "doc".into(),
+    });
     match sloth.recv() {
         Some(Frame::Snapshot { .. }) => {}
         other => panic!("expected snapshot, got {other:?}"),
@@ -668,6 +684,7 @@ fn an_unasked_snapshot_creates_no_mirror() {
         sock.write_all(&Frame::Welcome { session: 1 }.encode())
             .unwrap();
         let unasked = Frame::Snapshot {
+            request: 0,
             doc: 7,
             synced_ts: 3,
             chars: Vec::new(),
@@ -682,6 +699,68 @@ fn an_unasked_snapshot_creates_no_mirror() {
     let client = NetClient::connect(addr, "alice").unwrap();
     // The pong follows the snapshot on the stream: the snapshot has been
     // read by the time the ping returns.
+    client.ping().unwrap();
+    assert_eq!(client.text(7), None);
+    drop(client);
+    server.join().unwrap();
+}
+
+/// A snapshot answers the request whose id it carries, never the one that
+/// happens to be waiting. A fake server sends a recovery snapshot of one
+/// document (request 0) just before its answer to the client's
+/// subscription to another: the subscription must return its own
+/// document, with a mirror, and the other document gets none. The same
+/// for a resync.
+#[test]
+fn a_subscribe_is_answered_by_its_own_snapshot_not_an_unasked_one() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let snapshot = |request: u64, doc: u64, text: &str| Frame::Snapshot {
+        request,
+        doc,
+        synced_ts: 3,
+        chars: (1..)
+            .zip(text.chars())
+            .map(|(id, ch)| tendax_net::WireChar {
+                id,
+                ch,
+                deleted: false,
+                style: 0,
+            })
+            .collect(),
+    };
+    let server = std::thread::spawn(move || {
+        let (sock, _) = listener.accept().unwrap();
+        sock.set_read_timeout(Some(WAIT)).unwrap();
+        let mut peer = RawClient {
+            stream: sock,
+            buf: FrameBuffer::default(),
+        };
+        assert!(matches!(peer.recv(), Some(Frame::Hello { .. })));
+        peer.send(&Frame::Welcome { session: 1 });
+        let Some(Frame::Subscribe { request, name }) = peer.recv() else {
+            panic!("expected a subscription");
+        };
+        assert_eq!(name, "wanted");
+        peer.send(&snapshot(0, 7, "unasked"));
+        peer.send(&snapshot(request, 8, "wanted"));
+        let Some(Frame::Resync { request, doc }) = peer.recv() else {
+            panic!("expected a resync");
+        };
+        assert_eq!(doc, 8);
+        peer.send(&snapshot(0, 7, "unasked again"));
+        peer.send(&snapshot(request, 8, "resynced"));
+        let Some(Frame::Ping { nonce }) = peer.recv() else {
+            panic!("expected a ping");
+        };
+        peer.send(&Frame::Pong { nonce });
+        peer
+    });
+    let client = NetClient::connect(addr, "alice").unwrap();
+    assert_eq!(client.subscribe("wanted").unwrap(), 8);
+    assert_eq!(client.text(8).as_deref(), Some("wanted"));
+    client.resync(8).unwrap();
+    assert_eq!(client.text(8).as_deref(), Some("resynced"));
     client.ping().unwrap();
     assert_eq!(client.text(7), None);
     drop(client);

@@ -3,7 +3,8 @@
 //! flips a flag, so over 10 000 typing and backspace events on a
 //! 24 000-character document the mirror allocates once per page it opens
 //! and once per doubling of its id index or page list — never once per
-//! event.
+//! event. Loading a snapshot allocates its pages, the page list and the
+//! extent table — never once per character.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -78,6 +79,7 @@ fn event(ts: u64, effect: Effect) -> WireEvent {
 #[test]
 fn applying_an_event_allocates_only_pages_and_index_growth() {
     let snapshot = Frame::Snapshot {
+        request: 0,
         doc: 1,
         synced_ts: 1,
         chars: (1..=LOADED)
@@ -136,12 +138,60 @@ fn applying_an_event_allocates_only_pages_and_index_growth() {
     assert_eq!(mirror.text().chars().count(), visible.len());
 
     // One per page opened (the loaded document's last page is partly
-    // free), and a few doublings: the id index's and the page list's.
+    // free), one per size of the id index — it holds only inserted
+    // characters, so it starts empty and opens at 16 buckets, doubling
+    // while it is more than half full — and a doubling or two of the page
+    // list.
     let inserted = every.len() as u64 - LOADED;
-    let bound = inserted.div_ceil(PAGE) + 4;
+    let index_sizes = u64::from((2 * inserted).next_power_of_two().ilog2() - 16u64.ilog2() + 1);
+    let bound = inserted.div_ceil(PAGE) + index_sizes + 2;
     assert!(
         allocations <= bound,
         "{EVENTS} events ({inserted} inserts) made {allocations} allocations; \
          bound {bound}"
     );
+}
+
+/// `n` characters in runs of `run` characters: each run's ids follow on
+/// from the previous run's after a gap, and every third run is deleted
+/// and styled, so neighbouring runs differ in id, flag or style.
+fn runs_of(n: u64, run: u64) -> Vec<WireChar> {
+    (0..n)
+        .map(|i| {
+            let r = i / run;
+            WireChar {
+                id: 1 + i + 1000 * r,
+                ch: if i % 5 == 0 { 'é' } else { 'a' },
+                deleted: r.is_multiple_of(3),
+                style: r % 3,
+            }
+        })
+        .collect()
+}
+
+#[test]
+fn loading_a_snapshot_allocates_pages_and_extents_not_characters() {
+    // 240 runs over 6 000 characters, 240 over four times as many, and
+    // one run per character: the count follows the pages alone.
+    for (n, run) in [(6_000u64, 25u64), (24_000, 100), (24_000, 1)] {
+        let payload = Frame::Snapshot {
+            request: 0,
+            doc: 1,
+            synced_ts: 1,
+            chars: runs_of(n, run),
+        }
+        .encode();
+        let (mirror, allocations) =
+            allocations_during(|| MirrorDoc::from_snapshot_payload(&payload[5..]).unwrap());
+        assert_eq!(mirror.chars().count() as u64, n);
+        // The pages, the list of them, and the extent table, sized by the
+        // run count: one allocation each.
+        let pages = n.div_ceil(PAGE);
+        assert_eq!(
+            allocations,
+            pages + 2,
+            "{n} characters in {} runs made {allocations} allocations",
+            n / run
+        );
+    }
 }

@@ -119,12 +119,7 @@ fn references(ev: &WireEvent) -> Vec<u64> {
 }
 
 fn decode_chars(payload: &[u8]) -> Vec<WireChar> {
-    let mut snap = SnapshotReader::new(payload).unwrap();
-    let mut chars = Vec::new();
-    while let Some(c) = snap.next_char().unwrap() {
-        chars.push(c);
-    }
-    chars
+    SnapshotReader::new(payload).unwrap().chars().collect()
 }
 
 proptest! {
@@ -164,7 +159,7 @@ proptest! {
         let mut snapshot = Vec::new();
         for (i, (who, edit)) in steps.iter().enumerate() {
             if i == snapshot_at {
-                snapshot = encode_snapshot(&tdb.load(doc, users[0]).unwrap());
+                snapshot = encode_snapshot(&tdb.load(doc, users[0]).unwrap(), 0);
             }
             run(&mut open[who % editors], edit, styles);
         }
@@ -222,7 +217,7 @@ proptest! {
             }
         }
 
-        let fresh = encode_snapshot(&tdb.load(doc, users[0]).unwrap());
+        let fresh = encode_snapshot(&tdb.load(doc, users[0]).unwrap(), 0);
         prop_assert!(!mirror.needs_resync());
         prop_assert_eq!(mirror.buffered(), 0);
         prop_assert_eq!(mirror.chars().collect::<Vec<_>>(), decode_chars(&fresh[5..]));

@@ -12,11 +12,16 @@
 # on failure), `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
 # trip, writer = weigher = `encode_record`, replay; the same) and
-# `resident_size`. The transport job's include tendax-net `live` (one
-# commit path into a live document: the frontier, the oracle, the races
-# with in-process editors), `mirror_oracle` (the client mirror against
-# the server's chain; prints PROPTEST_SEED=<n> on failure), `mirror_cost`
-# (allocations per applied event) and the whole of tendax-collab (one
+# `resident_size`. The transport job's include tendax-net `codec`
+# (protocol v2: run-coded snapshots against the layout spelled out,
+# hostile run tables refused typed, and the run coder's round-trip
+# proptest, which prints PROPTEST_SEED=<n> on failure), `loopback`
+# (request ids: a snapshot answers only its own request; v1 `Hello`
+# refused), `live` (one commit path into a live document: the frontier,
+# the oracle, the races with in-process editors), `mirror_oracle` (the
+# client mirror against the server's chain; prints PROPTEST_SEED=<n> on
+# failure), `mirror_cost` (allocations per applied event and per loaded
+# run) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
 # the bus's publish hooks — no bus queues, no simulated latency). The
 # metadata-services job's are:
