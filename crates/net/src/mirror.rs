@@ -17,13 +17,14 @@
 //! freed-but-kept heap behind, which showed in the resident size.
 //!
 //! Two maps find a character's slot, and a lookup asks both. A snapshot
-//! loads each of its runs into consecutive slots, so the loaded
-//! characters are indexed by *extents* — first id, first slot, length —
-//! in a table sorted by id that never changes after the load: at most one
-//! entry per run, not one per character. Only characters that events insert go
-//! into an open-addressing hash. Sorting the extents is also where a
-//! snapshot that names an id twice, even in two runs, shows: two
-//! neighbouring extents overlap.
+//! loads a run at a time, each into consecutive slots filled in one loop
+//! from the run's id, flag and style and the snapshot's text, so the
+//! loaded characters are indexed by *extents* — first id, first slot,
+//! length — in a table sorted by id that never changes after the load: at
+//! most one entry per run, not one per character. Only characters that
+//! events insert go into an open-addressing hash. Sorting the extents is
+//! also where a snapshot that names an id twice, even in two runs, shows:
+//! two neighbouring extents overlap.
 //!
 //! ## Ordering
 //!
@@ -64,7 +65,7 @@ use std::hash::BuildHasher;
 use tendax_text::Effect;
 
 use crate::error::{NetError, Result};
-use crate::protocol::{SnapshotReader, WireChar, WireEvent, TAG_SNAPSHOT};
+use crate::protocol::{SnapshotReader, SnapshotRun, WireChar, WireEvent, TAG_SNAPSHOT};
 
 /// Buffered events past this many force a resync instead of waiting for
 /// dependencies that will likely never arrive.
@@ -128,20 +129,56 @@ impl Slots {
             .map_or(0, |p| (self.pages.len() - 1) * PAGE + p.len())
     }
 
+    /// The next slot's number.
+    fn next_slot(&self) -> u32 {
+        // A slot is 56 bytes: 2^32 of them do not fit in memory.
+        u32::try_from(self.len()).expect("fewer than 2^32 slots")
+    }
+
+    /// The last page, after opening one if it is full.
+    fn open_page(&mut self) -> &mut Vec<Slot> {
+        if self.pages.last().is_none_or(|p| p.len() == PAGE) {
+            self.pages.push(Vec::with_capacity(PAGE));
+        }
+        self.pages.last_mut().expect("a page was just opened")
+    }
+
     /// Store `slot` in the next slot, opening a page when the last one is
     /// full; returns its slot number.
     fn push(&mut self, slot: Slot) -> u32 {
-        // A slot is 56 bytes: 2^32 of them do not fit in memory.
-        let s = u32::try_from(self.len()).expect("fewer than 2^32 slots");
-        match self.pages.last_mut() {
-            Some(page) if page.len() < PAGE => page.push(slot),
-            _ => {
-                let mut page = Vec::with_capacity(PAGE);
-                page.push(slot);
-                self.pages.push(page);
-            }
-        }
+        let s = self.next_slot();
+        self.open_page().push(slot);
         s
+    }
+
+    /// Store a snapshot run's characters, taken from `text`, in the next
+    /// slots, a page at a time; each slot's `next` names the slot after
+    /// it.
+    fn push_run(&mut self, run: SnapshotRun, text: &mut std::str::Chars<'_>) {
+        let mut s = self.next_slot();
+        let mut id = run.first;
+        let mut left = run.len as usize;
+        while left > 0 {
+            let page = self.open_page();
+            let k = left.min(PAGE - page.len());
+            page.extend(text.by_ref().take(k).map(|ch| {
+                let slot = Slot {
+                    id,
+                    ts: 0,
+                    flag_ts: 0,
+                    style_ts: 0,
+                    style: run.style,
+                    next: s + 1,
+                    ch,
+                    deleted: run.deleted,
+                };
+                s += 1;
+                // Past the run's last id, which may be `u64::MAX`.
+                id = id.wrapping_add(1);
+                slot
+            }));
+            left -= k;
+        }
     }
 
     fn get(&self, s: u32) -> &Slot {
@@ -249,16 +286,16 @@ impl Extents {
         (k < u64::from(e.len)).then(|| e.slot + k as u32)
     }
 
-    /// Index slot `slot`, just loaded as character `id`, lengthening the
-    /// last extent if the character continues it.
-    fn push(&mut self, id: u64, slot: u32) {
+    /// Index `len` characters, ids from `first`, just loaded into slots
+    /// from `slot`, lengthening the last extent if the ids continue it.
+    /// The slots always do: a load fills them in order.
+    fn push(&mut self, first: u64, slot: u32, len: u32) {
         match self.0.last_mut() {
-            Some(e) if e.first.checked_add(u64::from(e.len)) == Some(id) => e.len += 1,
-            _ => self.0.push(Extent {
-                first: id,
-                slot,
-                len: 1,
-            }),
+            Some(e) if e.first.checked_add(u64::from(e.len)) == Some(first) => {
+                debug_assert_eq!(e.slot + e.len, slot, "a load fills slots in order");
+                e.len += len
+            }
+            _ => self.0.push(Extent { first, slot, len }),
         }
     }
 
@@ -303,10 +340,21 @@ pub struct MirrorDoc {
 }
 
 impl MirrorDoc {
-    /// A replica of `chars` in chain order. A character named twice is
-    /// refused as a bad `Snapshot`, like [`MirrorDoc::from_snapshot_payload`].
+    /// A replica of `chars` in chain order, grouped into runs by the
+    /// snapshot coder's rule and loaded like a decoded snapshot. A
+    /// character named twice is refused as a bad `Snapshot`, like
+    /// [`MirrorDoc::from_snapshot_payload`].
     pub fn new(doc: u64, synced_ts: u64, chars: Vec<WireChar>) -> Result<Self> {
-        Self::load(doc, synced_ts, chars.len(), 0, chars)
+        let mut runs: Vec<SnapshotRun> = Vec::new();
+        let mut text = String::with_capacity(chars.len());
+        for c in &chars {
+            match runs.last_mut() {
+                Some(run) if run.continues_with(c.id, c.deleted, c.style) => run.len += 1,
+                _ => runs.push(SnapshotRun::of(c.id, c.deleted, c.style)),
+            }
+            text.push(c.ch);
+        }
+        Self::load(doc, synced_ts, chars.len(), runs.into_iter(), &text)
     }
 
     /// Decode a `Snapshot` payload straight into a replica. A payload that
@@ -316,27 +364,32 @@ impl MirrorDoc {
         Self::from_snapshot(&SnapshotReader::new(payload)?)
     }
 
-    /// A replica of a decoded snapshot: each run goes from the wire bytes
-    /// into consecutive slots and one extent.
+    /// A replica of a decoded snapshot.
     pub(crate) fn from_snapshot(snap: &SnapshotReader<'_>) -> Result<Self> {
-        let runs = snap.runs().len();
-        Self::load(snap.doc, snap.synced_ts, snap.chars, runs, snap.chars())
+        Self::load(
+            snap.doc,
+            snap.synced_ts,
+            snap.chars,
+            snap.runs(),
+            snap.text(),
+        )
     }
 
-    /// Load `chars`, in chain order, into slots in that order, with room
-    /// for `n` characters and `runs` extents.
+    /// Load `runs`, in chain order, holding the `n` characters of `text`,
+    /// a run at a time: each into the next slots, linked in that order,
+    /// and one extent.
     fn load(
         doc: u64,
         synced_ts: u64,
         n: usize,
-        runs: usize,
-        chars: impl IntoIterator<Item = WireChar>,
+        runs: impl ExactSizeIterator<Item = SnapshotRun>,
+        text: &str,
     ) -> Result<Self> {
         let mut m = MirrorDoc {
             doc,
             slots: Slots::with_capacity(n),
             head: NIL,
-            loaded: Extents(Vec::with_capacity(runs)),
+            loaded: Extents(Vec::with_capacity(runs.len())),
             index: IdIndex::new(),
             visible: 0,
             baseline: synced_ts,
@@ -345,23 +398,17 @@ impl MirrorDoc {
             needs_resync: false,
             applied: 0,
         };
-        for c in chars {
-            let s = m.slots.push(Slot {
-                id: c.id,
-                ts: 0,
-                flag_ts: 0,
-                style_ts: 0,
-                style: c.style,
-                next: NIL,
-                ch: c.ch,
-                deleted: c.deleted,
-            });
-            m.loaded.push(c.id, s);
-            match s {
-                0 => m.head = 0,
-                _ => m.slots.get_mut(s - 1).next = s,
+        let mut text = text.chars();
+        for run in runs {
+            m.loaded.push(run.first, m.slots.next_slot(), run.len);
+            m.slots.push_run(run, &mut text);
+            if !run.deleted {
+                m.visible += run.len as usize;
             }
-            m.visible += usize::from(!c.deleted);
+        }
+        if let Some(last) = m.slots.next_slot().checked_sub(1) {
+            m.head = 0;
+            m.slots.get_mut(last).next = NIL;
         }
         m.loaded.seal().map_err(|id| NetError::BadPayload {
             tag: TAG_SNAPSHOT,
@@ -697,6 +744,49 @@ mod tests {
         match MirrorDoc::new(1, 5, vec![wire(10, 'a'), wire(11, 'b'), wire(10, 'a')]) {
             Err(NetError::BadPayload { tag, .. }) => assert_eq!(tag, TAG_SNAPSHOT),
             other => panic!("{other:?}"),
+        }
+    }
+
+    /// Ids that continue across a flag and a style change are three runs
+    /// on the wire and one extent in the mirror, whichever way it loads.
+    #[test]
+    fn runs_whose_ids_continue_load_as_one_extent() {
+        let chars = vec![
+            wire(10, 'a'),
+            WireChar {
+                deleted: true,
+                ..wire(11, 'b')
+            },
+            WireChar {
+                style: 3,
+                ..wire(12, 'c')
+            },
+            wire(20, 'd'),
+        ];
+        let payload = crate::Frame::Snapshot {
+            request: 0,
+            doc: 1,
+            synced_ts: 5,
+            chars: chars.clone(),
+        }
+        .encode();
+        let reader = SnapshotReader::new(&payload[5..]).unwrap();
+        assert_eq!(reader.runs().len(), 4);
+        for m in [
+            MirrorDoc::from_snapshot(&reader).unwrap(),
+            MirrorDoc::new(1, 5, chars.clone()).unwrap(),
+        ] {
+            let extents: Vec<_> = m
+                .loaded
+                .0
+                .iter()
+                .map(|e| (e.first, e.slot, e.len))
+                .collect();
+            assert_eq!(extents, [(10, 0, 3), (20, 3, 1)]);
+            assert_eq!(m.chars().collect::<Vec<_>>(), chars);
+            assert_eq!((m.len(), m.text()), (3, "acd".to_owned()));
+            assert_eq!(m.slot_of(12), Some(2));
+            assert_eq!(m.slot_of(13), None);
         }
     }
 

@@ -348,16 +348,26 @@ const RUN_BYTES: usize = 8 + 4 + 1 + 8;
 /// characters. Ids run from `first` to `first + len - 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct SnapshotRun {
-    first: u64,
-    len: u32,
-    deleted: bool,
-    style: u64,
+    pub(crate) first: u64,
+    pub(crate) len: u32,
+    pub(crate) deleted: bool,
+    pub(crate) style: u64,
 }
 
 impl SnapshotRun {
+    /// The run of one character.
+    pub(crate) fn of(id: u64, deleted: bool, style: u64) -> SnapshotRun {
+        SnapshotRun {
+            first: id,
+            len: 1,
+            deleted,
+            style,
+        }
+    }
+
     /// Whether the character `id` with this flag and style continues the
     /// run.
-    fn continues_with(&self, id: u64, deleted: bool, style: u64) -> bool {
+    pub(crate) fn continues_with(&self, id: u64, deleted: bool, style: u64) -> bool {
         self.first.checked_add(u64::from(self.len)) == Some(id)
             && self.len < u32::MAX
             && self.deleted == deleted
@@ -414,13 +424,7 @@ impl SnapshotWriter {
         match &mut self.run {
             Some(run) if run.continues_with(id, deleted, style) => run.len += 1,
             open => {
-                let next = SnapshotRun {
-                    first: id,
-                    len: 1,
-                    deleted,
-                    style,
-                };
-                if let Some(done) = open.replace(next) {
+                if let Some(done) = open.replace(SnapshotRun::of(id, deleted, style)) {
                     self.close(done);
                 }
             }
@@ -570,6 +574,11 @@ impl<'a> SnapshotReader<'a> {
         self.table
             .chunks_exact(RUN_BYTES)
             .map(SnapshotRun::from_bytes)
+    }
+
+    /// The characters of the runs, in chain order, as one string.
+    pub(crate) fn text(&self) -> &'a str {
+        self.text
     }
 
     /// The characters in chain order: each run's ids and flags, paired

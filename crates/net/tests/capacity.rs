@@ -13,7 +13,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use tendax_collab::CollabServer;
+use tendax_collab::{CollabServer, Platform};
 use tendax_net::{codes, Frame, NetClient, NetConfig, NetError, NetServer, PROTOCOL_VERSION};
 use tendax_text::TextDb;
 
@@ -177,7 +177,9 @@ fn stalled_reader_is_cut_and_flooder_survives_on_recovery_snapshots() {
 /// `server::tests::recovering_one_stream_keeps_the_lag_of_the_others`):
 /// a reader that stalls on two documents loses both streams, and when it
 /// reads again *each* is recovered by its own snapshot — neither
-/// document's recovery stands in for the other's.
+/// document's recovery stands in for the other's. The typist edits in
+/// process, so the staller is the only connection a frame can be dropped
+/// from.
 #[test]
 fn stalled_reader_recovers_both_documents_it_lost() {
     let config = NetConfig {
@@ -189,23 +191,32 @@ fn stalled_reader_recovers_both_documents_it_lost() {
     };
     let (server, collab) = serve(&["alice", "bob"], &["left", "right"], config);
     let addr = server.local_addr();
+    let ids = ["left", "right"].map(|name| collab.textdb().document_by_name(name).unwrap());
+    let [left, right] = ids.map(|id| id.0);
 
-    let good = NetClient::connect(addr, "alice").unwrap();
-    let left = good.subscribe("left").unwrap();
-    let right = good.subscribe("right").unwrap();
+    let alice = collab.connect("alice", Platform::Linux).unwrap();
+    let mut editors = ids.map(|id| alice.open_id(id).unwrap());
     let staller = stalled_subscriber(addr, "bob", &["left", "right"]);
+    // Alice's open and bob's subscribe: both streams exist.
+    let deadline = Instant::now() + WAIT;
+    while ids.map(|id| collab.textdb().read_count(id).unwrap()) != [2, 2] {
+        assert!(Instant::now() < deadline, "bob's subscribes never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // Type into both documents until frames have been dropped — the
-    // staller's socket is full, so they can only be its — and then some
-    // more into each, so that both of its streams are lost for certain.
+    // staller's socket is full, and it is the only connection — and then
+    // some more into each, so that both of its streams are lost for
+    // certain.
     let blob = "x".repeat(1024);
     let deadline = Instant::now() + WAIT * 4;
     let mut last = [0, 0];
     let mut since_first_drop = 0;
     while since_first_drop < 2 {
         assert!(Instant::now() < deadline, "nothing was ever dropped");
-        last[0] = good.insert(left, 0, &blob).unwrap().1;
-        last[1] = good.insert(right, 0, &blob).unwrap().1;
+        for (editor, last) in editors.iter_mut().zip(&mut last) {
+            *last = editor.type_text(0, &blob).unwrap().commit_ts;
+        }
         if server.stats().frames_dropped > 0 {
             since_first_drop += 1;
         }
@@ -222,7 +233,7 @@ fn stalled_reader_recovers_both_documents_it_lost() {
             .iter()
             .all(|(doc, ts)| m.get(doc).is_some_and(|m| m.synced_ts() >= *ts))
     };
-    while !synced(&mirrors) {
+    loop {
         while let Some((tag, payload)) = buf.next_frame().expect("framing") {
             match Frame::decode(tag, payload).expect("decode") {
                 Frame::Snapshot {
@@ -244,6 +255,11 @@ fn stalled_reader_recovers_both_documents_it_lost() {
                 Frame::Welcome { .. } => {}
                 other => panic!("unexpected frame {other:?}"),
             }
+        }
+        // The last frame may have come in the chunk just decoded: read
+        // only what the server still owes.
+        if synced(&mirrors) {
+            break;
         }
         let n = (&staller).read(&mut scratch).expect("staller read");
         assert!(n > 0, "server closed the staller: {:?}", server.stats());
@@ -347,8 +363,10 @@ fn edit_whose_reply_cannot_be_queued_is_still_broadcast() {
 /// through `TextDb::open`, which commits a `reads` row in the user's
 /// name — a stalled client inflated the document's read count (and with
 /// it `ReadBy` folders and reader lists) by one per repair. A reader
-/// recovered several times, and resynced on top, leaves the count where
-/// the two subscribes left it.
+/// recovered several times, and a client resynced on top, leave the
+/// count where the three opens left it: the typist's, in process, so the
+/// staller is the only connection a frame can be dropped from; the
+/// staller's subscribe; the resyncing client's subscribe.
 #[test]
 fn transport_repairs_are_not_recorded_as_reads() {
     let config = NetConfig {
@@ -363,8 +381,8 @@ fn transport_repairs_are_not_recorded_as_reads() {
     let id = collab.textdb().document_by_name("doc").unwrap();
     let reads = || collab.textdb().read_count(id).unwrap();
 
-    let good = NetClient::connect(addr, "alice").unwrap();
-    let doc = good.subscribe("doc").unwrap();
+    let alice = collab.connect("alice", Platform::Linux).unwrap();
+    let mut editor = alice.open_id(id).unwrap();
     let staller = stalled_subscriber(addr, "bob", &["doc"]);
     let deadline = Instant::now() + WAIT;
     while reads() < 2 {
@@ -388,12 +406,12 @@ fn transport_repairs_are_not_recorded_as_reads() {
         let mut since_drop = 0;
         while since_drop < 2 {
             assert!(Instant::now() < deadline, "round {round}: nothing dropped");
-            last = good.insert(doc, typed, &blob).unwrap().1;
+            last = editor.type_text(typed, &blob).unwrap().commit_ts;
             typed += blob.len();
             since_drop += (server.stats().frames_dropped > dropped) as u32;
         }
         // It reads again, until it has been brought up to date.
-        while mirror.as_ref().is_none_or(|m| m.synced_ts() < last) {
+        loop {
             while let Some((tag, payload)) = buf.next_frame().expect("framing") {
                 match Frame::decode(tag, payload).expect("decode") {
                     Frame::Snapshot {
@@ -412,11 +430,17 @@ fn transport_repairs_are_not_recorded_as_reads() {
                     other => panic!("unexpected frame {other:?}"),
                 }
             }
+            // Read only what the server still owes.
+            if mirror.as_ref().is_some_and(|m| m.synced_ts() >= last) {
+                break;
+            }
             let n = (&staller).read(&mut scratch).expect("staller read");
             assert!(n > 0, "server closed the staller: {:?}", server.stats());
             buf.extend(&scratch[..n]);
         }
     }
+    let good = NetClient::connect(addr, "alice").unwrap();
+    let doc = good.subscribe("doc").unwrap();
     for _ in 0..3 {
         good.resync(doc).unwrap();
     }
@@ -425,5 +449,5 @@ fn transport_repairs_are_not_recorded_as_reads() {
         mirror.unwrap().text(),
         collab.textdb().document_text(id).unwrap()
     );
-    assert_eq!(reads(), 2, "a repair was recorded as a read");
+    assert_eq!(reads(), 3, "a repair was recorded as a read");
 }

@@ -686,9 +686,14 @@ proptest! {
     /// Any character list survives the run coder: encoded and decoded as
     /// a frame, and loaded into a mirror and read back, with exactly the
     /// runs [`runs_of`] groups; a list that names an id twice is a
-    /// well-formed frame a mirror refuses.
+    /// well-formed frame a mirror refuses. A mirror built from the list
+    /// itself is the same mirror, and stays so under the same events.
     #[test]
-    fn any_snapshot_round_trips_through_the_run_coder(chars in arb_chars(), request in any::<u64>()) {
+    fn any_snapshot_round_trips_through_the_run_coder(
+        chars in arb_chars(),
+        request in any::<u64>(),
+        steps in proptest::collection::vec((0u8..4, any::<usize>(), any::<u64>()), 0..24),
+    ) {
         let frame = Frame::Snapshot { request, doc: 7, synced_ts: 9, chars: chars.clone() };
         let bytes = frame.encode();
         let payload = &bytes[5..];
@@ -699,13 +704,63 @@ proptest! {
 
         let mut seen = HashSet::new();
         let unique = chars.iter().all(|c| seen.insert(c.id));
+        let direct = MirrorDoc::new(7, 9, chars.clone());
         match MirrorDoc::from_snapshot_payload(payload) {
-            Ok(m) => {
+            Ok(mut m) => {
                 prop_assert!(unique, "a mirror loaded a snapshot naming an id twice");
                 prop_assert_eq!(m.chars().collect::<Vec<_>>(), chars.clone());
                 prop_assert_eq!(m.len(), chars.iter().filter(|c| !c.deleted).count());
+                let mut direct = direct.expect("the list itself loads");
+                prop_assert_eq!(direct.len(), m.len());
+                let mut fresh = chars.iter().map(|c| c.id).max().map_or(0, |id| id.wrapping_add(1));
+                for (ts, (kind, at, style)) in (10..).zip(steps) {
+                    let listed: Vec<WireChar> = m.chars().collect();
+                    let picked = (!listed.is_empty()).then(|| CharId(listed[at % listed.len()].id));
+                    let effect = match (kind, picked) {
+                        (0, _) | (_, None) => {
+                            while seen.contains(&fresh) {
+                                fresh = fresh.wrapping_add(1);
+                            }
+                            seen.insert(fresh);
+                            let prev = match at % (listed.len() + 1) {
+                                0 => None,
+                                k => Some(CharId(listed[k - 1].id)),
+                            };
+                            Effect::Insert {
+                                char: CharId(fresh),
+                                prev,
+                                ch: 'n',
+                                author: UserId(1),
+                                ts: 0,
+                                style: StyleId::NONE,
+                                src_doc: DocId::NONE,
+                                src_char: CharId::NONE,
+                                external: None,
+                            }
+                        }
+                        (1, Some(char)) => Effect::Delete { char, by: UserId(1), ts: 0 },
+                        (2, Some(char)) => Effect::Undelete { char },
+                        (_, Some(char)) => Effect::SetStyle { char, old: StyleId(0), new: StyleId(style) },
+                    };
+                    let ev = WireEvent {
+                        doc: 7,
+                        op: ts,
+                        commit_ts: ts,
+                        user: 1,
+                        origin: 1,
+                        kind: "step".into(),
+                        effects: vec![effect],
+                    };
+                    prop_assert!(m.apply_event(ev.clone()));
+                    prop_assert!(direct.apply_event(ev));
+                    prop_assert_eq!(direct.chars().collect::<Vec<_>>(), m.chars().collect::<Vec<_>>());
+                    prop_assert_eq!(direct.len(), m.len());
+                }
             }
-            Err(NetError::BadPayload { .. }) => prop_assert!(!unique, "a sound snapshot refused"),
+            Err(NetError::BadPayload { .. }) => {
+                prop_assert!(!unique, "a sound snapshot refused");
+                prop_assert!(matches!(direct, Err(NetError::BadPayload { .. })), "{:?}", direct);
+            }
             Err(e) => prop_assert!(false, "unexpected {:?}", e),
         }
     }

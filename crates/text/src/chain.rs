@@ -17,20 +17,27 @@
 //! * visibility toggling for delete/undelete ([`Chain::set_visible`]),
 //!   which writes the info's `deleted` flag
 //!
-//! and an in-order walk that hands out every character's info without a
-//! lookup ([`Chain::for_each`]) — what a wire snapshot is written from.
+//! and a walk in chain order that hands out every character's info
+//! without a lookup ([`Chain::for_each`]) — what a wire snapshot, the
+//! text and a render are written from.
 //!
 //! ## Layout
 //!
-//! A character lives in a slot, in two halves with the same slot number:
-//! the tree node (its id, links, subtree counts and visibility, 32 bytes)
-//! and its info. Tree walks touch only nodes, two to a cache line; the
-//! info is read where a character's fields are. The characters a load
-//! places fill one block of each, allocated for exactly that many, in the
-//! order the rows are stored; the characters inserted after it fill pages
-//! of `PAGE` (256) slots. Nothing is ever reallocated, so a slot number
-//! names its character for the life of the chain, and the tree links are
-//! slot numbers. An id finds its slot through the one hash map, id →
+//! A character lives in a slot, in three parts with the same slot number:
+//! the tree node (its id, links, subtree counts and visibility, 32 bytes),
+//! its info, and the slot of its successor in chain order (4 bytes).
+//! Position lookups descend the tree and touch only nodes, two to a cache
+//! line; whole-document walks follow the successors from the head slot
+//! instead of walking the tree in order, which would push and pop a stack
+//! per node. The info is read where a character's fields are. The
+//! successor links only grow: an insert links the new slot after its
+//! predecessor, which its caller already holds, and nothing unlinks — a
+//! purge rebuilds the chain. The characters a load places fill one block
+//! of each part, allocated for exactly that many, in the order the rows
+//! are stored; the characters inserted after it fill pages of `PAGE`
+//! (256) slots. Nothing is ever reallocated, so a slot number names its
+//! character for the life of the chain, and the tree and successor links
+//! are slot numbers. An id finds its slot through the one hash map, id →
 //! slot. Code that has walked the tree to a position keeps the slot and
 //! reads or writes the character there without going back through the
 //! map.
@@ -159,9 +166,13 @@ impl<T> Slots<T> {
 pub struct Chain {
     nodes: Slots<Node>,
     infos: Slots<CharInfo>,
+    /// Each slot's successor in chain order; `NIL` after the last.
+    succ: Slots<u32>,
     /// Character id → slot.
     map: CharMap<u32>,
     root: u32,
+    /// The first slot in chain order; `NIL` when empty.
+    head: u32,
 }
 
 impl Default for Chain {
@@ -241,8 +252,10 @@ impl Chain {
         Chain {
             nodes: Slots::with_capacity(n),
             infos: Slots::with_capacity(n),
+            succ: Slots::with_capacity(n),
             map: CharMap::with_capacity_and_hasher(n, Default::default()),
             root: NIL,
+            head: NIL,
         }
     }
 
@@ -260,11 +273,11 @@ impl Chain {
 
     /// Name slot `next` as the successor of placed slot `s`.
     pub(crate) fn set_next(&mut self, s: u32, next: u32) {
-        self.node_mut(s).right = next;
+        *self.succ.get_mut(s) = next;
     }
 
     /// Link every placed character into the treap, walking from `head`
-    /// along each one's successor.
+    /// along each one's successor, and make `head` the chain's first slot.
     ///
     /// Linear time: the walk meets the nodes in chain order, so the treap
     /// is their Cartesian tree — each node is linked once while a stack
@@ -278,13 +291,14 @@ impl Chain {
         // it leaves the spine.
         let mut spine: Vec<(u32, u64)> = Vec::new();
         let mut reached = 0;
-        let mut cur = head.unwrap_or(NIL);
+        self.head = head.unwrap_or(NIL);
+        let mut cur = self.head;
         while cur != NIL {
             let node = self.node(cur);
             if node.total != 0 {
                 return Err(LinkError::Cycle);
             }
-            let (next, pri) = (node.right, priority(node.id));
+            let (next, pri) = (*self.succ.get(cur), priority(node.id));
             // Same tie rule as `merge`: the later node goes on top.
             let mut left = NIL;
             while let Some(&(top, top_pri)) = spine.last() {
@@ -298,7 +312,6 @@ impl Chain {
             let parent = spine.last().map_or(NIL, |&(p, _)| p);
             let node = self.node_mut(cur);
             node.left = left;
-            node.right = NIL;
             node.parent = parent;
             node.total = 1;
             if left != NIL {
@@ -322,10 +335,12 @@ impl Chain {
         }
     }
 
-    /// Store a character's two halves in the next slot.
+    /// Store a character's node and info in the next slot, with no
+    /// successor yet.
     fn push(&mut self, node: Node, info: CharInfo) {
         self.nodes.push(node);
         self.infos.push(info);
+        self.succ.push(NIL);
     }
 
     /// Register `id` under the next slot number, or refuse it if it is
@@ -394,6 +409,13 @@ impl Chain {
     /// [`Chain::set_visible_at`], which keeps the counts.
     pub(crate) fn info_at_mut(&mut self, s: u32) -> &mut CharInfo {
         self.infos.get_mut(s)
+    }
+
+    /// The slot after slot `s` in chain order, or the head for `None`;
+    /// `None` past the end.
+    pub(crate) fn next_slot(&self, s: Option<u32>) -> Option<u32> {
+        let next = s.map_or(self.head, |s| *self.succ.get(s));
+        (next != NIL).then_some(next)
     }
 
     /// The info of `id`, visible or tombstoned.
@@ -624,25 +646,39 @@ impl Chain {
         if self.contains(id) {
             return Err(ChainError::DuplicateId(id));
         }
-        let rank = match anchor {
-            None => 0,
-            Some(a) => self.total_rank(a).ok_or(ChainError::UnknownAnchor(a))? + 1,
+        let prev = match anchor {
+            None => None,
+            Some(a) => Some(self.slot_of(a).ok_or(ChainError::UnknownAnchor(a))?),
         };
-        self.insert_at(rank, id, info)
+        let rank = prev.map_or(0, |p| self.total_rank_at(p) + 1);
+        self.insert_at(rank, prev, id, info)
     }
 
-    /// Insert `id` with its info so that `rank` chain elements precede it;
-    /// returns its slot. The info is written once, into the slot the
-    /// character keeps.
+    /// Insert `id` with its info right after slot `prev` (`None`: at the
+    /// chain head), which `rank` chain elements precede and end with;
+    /// returns its slot. The caller has found `prev` and `rank` together,
+    /// so linking the successors costs no descent. The info is written
+    /// once, into the slot the character keeps.
     pub fn insert_at(
         &mut self,
         rank: usize,
+        prev: Option<u32>,
         id: CharId,
         info: CharInfo,
     ) -> Result<u32, ChainError> {
         debug_assert!(rank <= self.total_len(), "rank {rank} past the end");
+        debug_assert_eq!(
+            prev.map_or(0, |p| self.total_rank_at(p) + 1),
+            rank,
+            "the predecessor is not at the rank"
+        );
         let s = self.claim(id)?;
         self.push(Node::leaf(id, !info.deleted), info);
+        let before = match prev {
+            None => std::mem::replace(&mut self.head, s),
+            Some(p) => std::mem::replace(self.succ.get_mut(p), s),
+        };
+        *self.succ.get_mut(s) = before;
         let (l, r) = self.split(self.root, rank);
         let lr = self.merge(l, s);
         self.root = self.merge(lr, r);
@@ -681,14 +717,14 @@ impl Chain {
     }
 
     /// Visit every chain element in order, tombstones included, with its
-    /// info. No lookup: the walk reads each node's slot.
+    /// info. No lookup and no tree: the walk follows the successors.
     pub fn for_each<'a>(&'a self, mut f: impl FnMut(CharId, &'a CharInfo)) {
-        self.in_order(|s, node| f(node.id, self.infos.get(s)));
+        self.walk(|s, node| f(node.id, self.infos.get(s)));
     }
 
     /// Visit the visible characters in order, with their info.
     pub fn for_each_visible<'a>(&'a self, mut f: impl FnMut(CharId, &'a CharInfo)) {
-        self.in_order(|s, node| {
+        self.walk(|s, node| {
             if node.visible {
                 f(node.id, self.infos.get(s))
             }
@@ -709,6 +745,18 @@ impl Chain {
         out
     }
 
+    /// Every slot and its node in chain order, from the head along the
+    /// successors.
+    fn walk<'a>(&'a self, mut f: impl FnMut(u32, &'a Node)) {
+        let mut s = self.head;
+        while s != NIL {
+            f(s, self.node(s));
+            s = *self.succ.get(s);
+        }
+    }
+
+    /// The tree's slots in order: what the successors must agree with.
+    #[cfg(test)]
     fn in_order<'a>(&'a self, mut f: impl FnMut(u32, &'a Node)) {
         // Iterative traversal: documents can be large and recursion depth
         // is probabilistic in a treap.
@@ -728,7 +776,7 @@ impl Chain {
 
     #[cfg(test)]
     fn check_invariants(&self) {
-        fn walk(c: &Chain, n: u32, parent: u32) -> (usize, usize) {
+        fn subtree(c: &Chain, n: u32, parent: u32) -> (usize, usize) {
             if n == NIL {
                 return (0, 0);
             }
@@ -741,8 +789,8 @@ impl Chain {
                 );
             }
             assert_eq!(c.slot_of(node.id), Some(n), "id map broken");
-            let (lt, lv) = walk(c, node.left, n);
-            let (rt, rv) = walk(c, node.right, n);
+            let (lt, lv) = subtree(c, node.left, n);
+            let (rt, rv) = subtree(c, node.right, n);
             assert_eq!(node.visible, !c.info_at(n).deleted, "flag halves disagree");
             let visible = node.visible as usize;
             assert_eq!(node.total as usize, lt + rt + 1, "total size broken");
@@ -753,9 +801,18 @@ impl Chain {
             );
             (lt + rt + 1, lv + rv + visible)
         }
-        let (total, _) = walk(self, self.root, NIL);
+        let (total, _) = subtree(self, self.root, NIL);
         assert_eq!(total, self.nodes.len(), "a slot is outside the tree");
-        assert_eq!(self.infos.len(), self.nodes.len(), "slot halves disagree");
+        assert_eq!(self.infos.len(), self.nodes.len(), "slot parts disagree");
+        assert_eq!(self.succ.len(), self.nodes.len(), "slot parts disagree");
+        let mut tree = Vec::with_capacity(total);
+        self.in_order(|s, _| tree.push(s));
+        let mut chain = Vec::with_capacity(total);
+        self.walk(|s, _| {
+            assert!(chain.len() < total, "the successors loop");
+            chain.push(s)
+        });
+        assert_eq!(chain, tree, "the successors leave the tree's order");
         assert_eq!(self.map.len(), self.nodes.len(), "map and slots disagree");
     }
 }
@@ -945,6 +1002,13 @@ mod tests {
         c.check_invariants();
         assert_eq!(c.iter_total(), ids(&[12, 10, 14, 11, 13]));
         assert_eq!(c.iter_visible(), ids(&[12, 10, 11, 13]));
+        // Inserts after a load link into the loaded successors.
+        c.insert_after(Some(CharId(11)), CharId(20), info(true))
+            .unwrap();
+        c.insert_after(Some(CharId(13)), CharId(21), info(true))
+            .unwrap();
+        c.check_invariants();
+        assert_eq!(c.iter_total(), ids(&[12, 10, 14, 11, 20, 13, 21]));
 
         let mut looped = Chain::new();
         for (s, n) in [(0, 1), (1, 0)] {
@@ -960,6 +1024,34 @@ mod tests {
         assert_eq!(Chain::new().link(None), Ok(()));
     }
 
+    /// Inserts at the head and after the last character move the head
+    /// and extend the tail of the successor links, on an empty chain and
+    /// on a loaded one.
+    #[test]
+    fn inserts_at_head_and_tail_follow_the_successors() {
+        for loaded in [vec![], vec![(1, true), (2, false), (3, true)]] {
+            let mut c = Chain::build(chars(&loaded)).unwrap();
+            let mut expect: Vec<u64> = loaded.iter().map(|&(id, _)| id).collect();
+            for i in 0..20u64 {
+                let id = 100 + i;
+                if i % 2 == 0 {
+                    c.insert_after(None, CharId(id), info(i % 3 != 0)).unwrap();
+                    expect.insert(0, id);
+                } else {
+                    let last = expect.last().map(|&l| CharId(l));
+                    c.insert_after(last, CharId(id), info(true)).unwrap();
+                    expect.push(id);
+                }
+                c.check_invariants();
+                assert_eq!(c.iter_total(), ids(&expect));
+                let head = c.next_slot(None).map(|s| c.id_at(s));
+                assert_eq!(head, Some(CharId(expect[0])));
+                let tail = c.slot_of(CharId(*expect.last().unwrap())).unwrap();
+                assert_eq!(c.next_slot(Some(tail)), None);
+            }
+        }
+    }
+
     /// A built chain fills its block; inserts after it open pages, and
     /// every slot keeps its character across both.
     #[test]
@@ -970,7 +1062,11 @@ mod tests {
         let first = c.slot_of(CharId(1)).unwrap();
         for i in 0..600u64 {
             let rank = i as usize * 7 % (c.total_len() + 1);
-            let s = c.insert_at(rank, CharId(1_000 + i), info(i % 3 != 0));
+            let prev = rank.checked_sub(1).map(|r| {
+                let id = c.id_at_total(r).unwrap();
+                c.slot_of(id).unwrap()
+            });
+            let s = c.insert_at(rank, prev, CharId(1_000 + i), info(i % 3 != 0));
             assert_eq!(c.id_at(s.unwrap()), CharId(1_000 + i));
         }
         assert_eq!((c.nodes.block.len(), c.nodes.pages.len()), (300, 3));
@@ -1063,6 +1159,44 @@ mod tests {
                 }
                 agree(&bulk, &stepwise)?;
             }
+        }
+
+        /// A load places the rows in storage order, which is not chain
+        /// order: linked along their successors, they read back in chain
+        /// order, and inserts after the load keep the links.
+        #[test]
+        fn shuffled_placement_links_in_chain_order(
+            visible in proptest::collection::vec(any::<bool>(), 1..200),
+            keys in proptest::collection::vec(any::<u64>(), 200),
+            anchors in proptest::collection::vec(any::<usize>(), 0..20),
+        ) {
+            // Chain position p holds id p + 1; storage order sorts the
+            // positions by an arbitrary key.
+            let n = visible.len();
+            let mut stored: Vec<usize> = (0..n).collect();
+            stored.sort_by_key(|&p| keys[p]);
+            let mut slot_of_pos = vec![0u32; n];
+            let mut c = Chain::with_capacity(n);
+            for &p in &stored {
+                slot_of_pos[p] = c.place(CharId(p as u64 + 1), info(visible[p])).unwrap();
+            }
+            for p in 1..n {
+                c.set_next(slot_of_pos[p - 1], slot_of_pos[p]);
+            }
+            c.link(Some(slot_of_pos[0])).unwrap();
+            c.check_invariants();
+            let mut expect: Vec<u64> = (1..=n as u64).collect();
+            prop_assert_eq!(c.iter_total(), ids(&expect));
+
+            for (i, a) in anchors.into_iter().enumerate() {
+                let at = a % (expect.len() + 1);
+                let anchor = at.checked_sub(1).map(|p| CharId(expect[p]));
+                let id = 10_000 + i as u64;
+                c.insert_after(anchor, CharId(id), info(true)).unwrap();
+                expect.insert(at, id);
+            }
+            c.check_invariants();
+            prop_assert_eq!(c.iter_total(), ids(&expect));
         }
 
         /// A repeated id is refused, wherever it sits.

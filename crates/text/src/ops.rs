@@ -119,6 +119,18 @@ struct NewChar {
     external: Option<String>,
 }
 
+/// Where text inserted at a visible position goes in the chain.
+struct Anchor {
+    /// The slot it follows; `None` at the chain head.
+    slot: Option<u32>,
+    /// That slot's character.
+    prev: Option<CharId>,
+    /// The character it goes in front of; `None` at the end.
+    next: Option<CharId>,
+    /// Chain elements before it, tombstones included.
+    rank: usize,
+}
+
 struct PasteEventInfo {
     src_doc: DocId,
     external: Option<String>,
@@ -323,8 +335,12 @@ impl DocHandle {
         let t = *self.tdb.tables();
 
         // Destination anchors (same logic as insert_chars).
-        let (dst_prev, dst_total) = dst.anchor_at(dst_pos);
-        let dst_next = dst.chain.id_at_total(dst_total);
+        let Anchor {
+            slot: dst_slot,
+            prev: dst_prev,
+            next: dst_next,
+            rank: dst_total,
+        } = dst.anchor_at(dst_pos);
 
         let mut txn = self.begin();
         self.tdb
@@ -466,6 +482,7 @@ impl DocHandle {
         }
         let mut ins_effects = Vec::with_capacity(new_ids.len());
         let mut anchor = dst_prev;
+        let mut anchor_slot = dst_slot;
         let mut dst_stale = false;
         for (i, (src_char, ch)) in moved.into_iter().enumerate() {
             let id = new_ids[i];
@@ -486,12 +503,13 @@ impl DocHandle {
                 src_char,
                 external_src: None,
             };
-            let inserted = dst.chain.insert_at(dst_total + i, id, info);
+            let inserted = dst.chain.insert_at(dst_total + i, anchor_slot, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
             );
             dst_stale |= inserted.is_err();
+            anchor_slot = inserted.ok();
             ins_effects.push(Effect::Insert {
                 char: id,
                 prev: anchor,
@@ -573,8 +591,12 @@ impl DocHandle {
         let t = *self.tdb.tables();
 
         // Chain anchors, from the committed cache.
-        let (prev_id, insert_total_pos) = self.anchor_at(pos);
-        let next_id = self.chain.id_at_total(insert_total_pos);
+        let Anchor {
+            slot: prev_slot,
+            prev: prev_id,
+            next: next_id,
+            rank: insert_total_pos,
+        } = self.anchor_at(pos);
 
         let mut txn = self.begin();
         self.tdb
@@ -718,6 +740,7 @@ impl DocHandle {
         // Publish to the local cache and build broadcast effects.
         let mut effects = Vec::with_capacity(ids.len());
         let mut anchor = prev_id;
+        let mut anchor_slot = prev_slot;
         let mut stale = false;
         for (i, nc) in chars.into_iter().enumerate() {
             let id = ids[i];
@@ -735,12 +758,15 @@ impl DocHandle {
                 src_char: nc.src_char,
                 external_src: nc.external.clone(),
             };
-            let inserted = self.chain.insert_at(insert_total_pos + i, id, info);
+            let inserted = self
+                .chain
+                .insert_at(insert_total_pos + i, anchor_slot, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
             );
             stale |= inserted.is_err();
+            anchor_slot = inserted.ok();
             effects.push(Effect::Insert {
                 char: id,
                 prev: anchor,
@@ -765,17 +791,19 @@ impl DocHandle {
         Ok((receipt, durability))
     }
 
-    /// Where an insert at visible position `pos` goes: the visible
-    /// character before it (`None` at the head) and the total-order rank
-    /// the first new character takes. One descent to the anchor's slot,
-    /// one walk up from it.
-    fn anchor_at(&self, pos: usize) -> (Option<CharId>, usize) {
-        match pos
+    /// Where an insert at visible position `pos` goes: after the visible
+    /// character before it (`None` at the head), in front of that one's
+    /// successor, at the total-order rank the first new character takes.
+    /// One descent to the anchor's slot, one walk up from it.
+    fn anchor_at(&self, pos: usize) -> Anchor {
+        let slot = pos
             .checked_sub(1)
-            .and_then(|p| self.chain.slot_at_visible(p))
-        {
-            None => (None, 0),
-            Some(s) => (Some(self.chain.id_at(s)), self.chain.total_rank_at(s) + 1),
+            .and_then(|p| self.chain.slot_at_visible(p));
+        Anchor {
+            slot,
+            prev: slot.map(|s| self.chain.id_at(s)),
+            next: self.chain.next_slot(slot).map(|s| self.chain.id_at(s)),
+            rank: slot.map_or(0, |s| self.chain.total_rank_at(s) + 1),
         }
     }
 

@@ -129,7 +129,8 @@ fn open_allocates_a_constant_whatever_the_document_size() {
 }
 
 /// A loaded document holds each character once: its chain slot (the tree
-/// node and the `CharInfo`) and its entry in the one id → slot map. The
+/// node, the `CharInfo` and the successor) and its entry in the one id →
+/// slot map. The
 /// bound is per character of an 8 000-character chain, half of it
 /// tombstones: at most 200 bytes resident and 250 at the peak of the
 /// load, which also holds the index lookup's rows and the chain-order
@@ -148,6 +149,25 @@ fn a_loaded_character_is_held_once() {
     println!("per character: {resident} bytes resident, {peak} at the peak of the load");
     assert!(resident <= 200, "{resident} bytes a character resident");
     assert!(peak <= 250, "{peak} bytes a character at the peak");
+}
+
+/// Walking a whole document in chain order, what a snapshot, the text and
+/// a render are written from, follows each slot's successor and allocates
+/// nothing. (The in-order walk of the tree it replaced kept its stack on
+/// the heap.)
+#[test]
+fn walking_the_whole_chain_allocates_nothing() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("u").unwrap();
+    let doc = document(&tdb, "d", 4_000);
+    let mut h = tdb.open(doc, user).unwrap();
+    h.insert_text(2_000, "xyz").unwrap();
+    h.insert_text(0, "<").unwrap();
+
+    let mut walked = 0;
+    let ((), allocs) = allocations_during(|| h.for_each_char(|_, _| walked += 1));
+    assert_eq!(walked, 8_004);
+    assert_eq!(allocs, 0, "walking 8 004 characters");
 }
 
 /// Checking whether a typed event can be applied — every anchor known,

@@ -21,7 +21,8 @@
 # the oracle, the races with in-process editors), `mirror_oracle` (the
 # client mirror against the server's chain; prints PROPTEST_SEED=<n> on
 # failure), `mirror_cost` (allocations per applied event and per loaded
-# run) and the whole of tendax-collab (one
+# run), `capacity` once more in a release build (its stalled-reader
+# tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
 # the bus's publish hooks — no bus queues, no simulated latency). The
 # metadata-services job's are:
@@ -38,8 +39,10 @@
 # `services_read_only`, `folder_algebra`, and the root package's
 # `metadata_services`, and tendax-text `proptests` (the chain's cached
 # info against a fresh load, field by field; prints PROPTEST_SEED=<n> on
-# failure) and `alloc_count` (allocations of an open and of an event
-# check, bytes a loaded character holds). `benchmark/` is a workspace of
+# failure), `alloc_count` (allocations of an open, of a whole-chain
+# walk and of an event check, bytes a loaded character holds) and the
+# `chain::` unit tests (each slot's successor link against the treap's
+# in-order walk, proptests; the same). `benchmark/` is a workspace of
 # its own; the last leg builds and runs it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
