@@ -25,20 +25,28 @@
 //!   read.
 //!
 //! Only a commit that bypasses the editors — a raw `DocHandle`, a
-//! tombstone purge — can leave a copy behind the database, and an edit
-//! that builds on what such a commit changed fails retryably. It is then
-//! rebuilt from the database and tried once more, still under the lock
-//! and with no sleep: edit transactions write only their own document's
-//! rows, so under the lock nothing else can make the second try fail.
+//! tombstone purge — can leave a copy behind the database. Before an
+//! edit's first try and before a snapshot, the copy's `synced_ts` is
+//! compared with the document's `chars` change stamp (the newest commit
+//! that wrote one of its characters, `TextDb::doc_stamp`): a newer stamp
+//! means such a commit, and the copy is rebuilt from the database first.
+//! An edit whose try still fails retryably — a bypass commit landed
+//! while it ran — rebuilds the copy and is tried once more, still under
+//! the lock and with no sleep: edit transactions write only their own
+//! document's rows, so under the lock nothing else can make the second
+//! try fail.
 //!
 //! ## The frontier
 //!
 //! A snapshot says "everything committed at or before `synced_ts` is in
 //! here". Under the document's lock that is the database's commit
-//! watermark: every editor's commit on the document at or below it is in
-//! the copy, and none is half done. Commits that bypass the editors
-//! altogether are not seen until an edit finds the copy stale and
-//! rebuilds it; serve such documents from editors.
+//! watermark, read *before* the stamp: a commit is stamped before it
+//! becomes visible, so every commit at or below that watermark that
+//! wrote the document's characters is either the copy's own or shows in
+//! the stamp. A successful edit advances `synced_ts` to the watermark
+//! after it, so the editors' own commits never look like a bypass; a
+//! bypass commit that lands while an edit runs is the one the stamp can
+//! miss.
 //!
 //! Lock order: no registry lock is held while a document's lock is
 //! taken; a document's lock comes before the database's, and a move takes
@@ -192,6 +200,20 @@ impl LiveDocs {
         Ok(())
     }
 
+    /// Bring a locked copy to the frontier: rebuild it if a commit
+    /// that bypassed the editors wrote the document's characters since
+    /// its `synced_ts`, then vouch for the watermark (see the module
+    /// docs for why the watermark is read first).
+    fn catch_up(&self, copy: &mut DocHandle) -> Result<()> {
+        let frontier = self.tdb.database().last_commit_ts();
+        let chars = self.tdb.tables().chars;
+        if self.tdb.doc_stamp(&[chars], copy.doc()) > copy.synced_ts() {
+            self.rebuild(copy)?;
+        }
+        copy.advance_synced(frontier);
+        Ok(())
+    }
+
     /// A transport repair — resync, lost-stream recovery: the live
     /// document's snapshot for a reader who has it open already. Checks
     /// [`Permission::Read`] and records nothing. `None` if the document
@@ -206,18 +228,19 @@ impl LiveDocs {
             return Ok(None);
         };
         self.tdb.check_permission(doc, user, Permission::Read)?;
-        Ok(self.at_frontier(&slot, f))
+        self.at_frontier(&slot, f)
     }
 
-    /// Run `f` on the live handle with its `synced_ts` at the frontier
-    /// (see the module docs); `None` if no copy is loaded.
-    fn at_frontier<T>(&self, slot: &Slot, f: impl FnOnce(&DocHandle) -> T) -> Option<T> {
+    /// Run `f` on the live handle caught up to the frontier (see the
+    /// module docs); `None` if no copy is loaded.
+    fn at_frontier<T>(&self, slot: &Slot, f: impl FnOnce(&DocHandle) -> T) -> Result<Option<T>> {
         let mut copy = slot.copy.lock();
-        let handle = copy.as_mut()?;
-        let frontier = self.tdb.database().last_commit_ts();
-        handle.advance_synced(frontier);
+        let Some(handle) = copy.as_mut() else {
+            return Ok(None);
+        };
+        self.catch_up(handle)?;
         self.snapshots.fetch_add(1, Ordering::Relaxed);
-        Some(f(handle))
+        Ok(Some(f(handle)))
     }
 }
 
@@ -296,7 +319,7 @@ impl LiveEditor {
         f: impl FnOnce(&DocHandle) -> T,
     ) -> Result<(LiveEditor, T)> {
         let editor = Self::attach(server, doc, session, user)?;
-        let snapshot = editor.at_frontier(f);
+        let snapshot = editor.at_frontier(f)?;
         Ok((editor, snapshot))
     }
 
@@ -338,18 +361,16 @@ impl LiveEditor {
         DocView(self.lock())
     }
 
-    fn at_frontier<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> T {
-        self.server
-            .live()
-            .at_frontier(&self.slot, f)
-            .expect("an open document is loaded")
+    fn at_frontier<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
+        let snapshot = self.server.live().at_frontier(&self.slot, f)?;
+        Ok(snapshot.expect("an open document is loaded"))
     }
 
     /// The reader opens the document again while holding it: one more
     /// read event, one more snapshot.
     pub fn reopen<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
         self.server.live().tdb.record_read(self.doc(), self.user)?;
-        Ok(self.at_frontier(f))
+        self.at_frontier(f)
     }
 
     /// Type `text` at `pos`, clamped to the document (a remote caller's
@@ -475,8 +496,10 @@ impl LiveEditor {
 
     /// The one way an edit reaches a document: tries of `attempt` on the
     /// live copy — and, for a move, `dst`'s, each in its own editor's
-    /// name — under the documents' locks, taken in [`DocId`] order. A try
-    /// that fails retryably rebuilds the copies before the next.
+    /// name — under the documents' locks, taken in [`DocId`] order. The
+    /// copies are caught up before the first try; a try that fails
+    /// retryably rebuilds them before the next, and one that succeeds
+    /// advances them to the frontier after it.
     fn commit<T>(
         &self,
         dst: Option<&LiveEditor>,
@@ -491,6 +514,10 @@ impl LiveEditor {
             _ => (self.lock(), dst.map(LiveEditor::lock)),
         };
         let docs = self.server.live();
+        docs.catch_up(loaded(&mut own))?;
+        if let Some(other) = theirs.as_deref_mut() {
+            docs.catch_up(loaded(other))?;
+        }
         let mut last = None;
         for tried in 0..EDIT_RETRIES {
             let copy = loaded(&mut own);
@@ -505,6 +532,11 @@ impl LiveEditor {
             }
             match attempt(copy, other) {
                 Ok(done) => {
+                    let frontier = docs.tdb.database().last_commit_ts();
+                    loaded(&mut own).advance_synced(frontier);
+                    if let Some(other) = theirs.as_deref_mut() {
+                        loaded(other).advance_synced(frontier);
+                    }
                     self.ops.fetch_add(1, Ordering::Relaxed);
                     return Ok(done);
                 }
@@ -660,10 +692,10 @@ mod tests {
     }
 
     /// A commit that bypasses the editors (a raw handle) is not in the
-    /// live copy. An editor's edit that builds on it fails its first try
-    /// (`StaleView`: the copy shows an empty document), which costs one
-    /// rebuild and one retry, and the second try lands. (Mutation check:
-    /// skip the rebuild before the retry, and the second try fails too.)
+    /// live copy, but it is in the document's `chars` change stamp: the
+    /// next edit rebuilds the copy before its first try, which lands.
+    /// (Before change stamps were consulted, the try failed on the
+    /// neighbour rows it wrote and cost a retry.)
     #[test]
     fn a_commit_the_live_copy_cannot_fit_rebuilds_it() {
         let (server, doc) = served();
@@ -681,10 +713,69 @@ mod tests {
                 Ok(((), typed?))
             })
             .unwrap();
-        assert_eq!(tries, [Some(TextError::StaleView(doc)), None]);
+        assert_eq!(tries, [None]);
         assert_eq!(server.live().stats().loads, loads + 1);
-        assert_eq!(editor.stats().retries, 1);
+        assert_eq!(editor.stats().retries, 0);
         assert_eq!(editor.text(), "!raw");
+        live_equals_a_fresh_load(&server, doc);
+    }
+
+    /// A bypass commit that shares no row with the next edit: a raw
+    /// handle deletes "world" while an editor types elsewhere. The edit
+    /// commits without a conflict, so only the stamp can tell the copy is
+    /// behind: the edit rebuilds it first, and so does a snapshot. (Before
+    /// the stamp was read, the copy — and every snapshot encoded from it —
+    /// kept showing "world".)
+    #[test]
+    fn a_bypass_delete_is_caught_by_the_next_edit_and_snapshot() {
+        let (server, doc) = served();
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let mut editor = sa.open_id(doc).unwrap();
+        editor.type_text(0, "hello world").unwrap();
+        let mut raw = server.textdb().open(doc, sa.user()).unwrap();
+        let loads = server.live().stats().loads;
+
+        raw.delete_range(6, 5).unwrap();
+        editor.type_text(0, "!").unwrap();
+        assert_eq!(editor.text(), "!hello ");
+        assert_eq!(server.live().stats().loads, loads + 1);
+        live_equals_a_fresh_load(&server, doc);
+
+        raw.refresh().unwrap();
+        raw.delete_range(0, 1).unwrap();
+        assert_eq!(live_text(&server, doc), "hello ");
+        assert_eq!(server.live().stats().loads, loads + 2);
+        assert_eq!(editor.stats().retries, 0);
+    }
+
+    /// A bypass commit that lands inside an edit's first try — here it
+    /// purges the very character the try anchors on — fails that try
+    /// retryably (its anchor is gone), which costs one rebuild and one
+    /// retry, and the second try lands. (Mutation check: skip the
+    /// rebuild before the retry, and the second try fails too.)
+    #[test]
+    fn a_bypass_during_the_first_try_costs_one_retry() {
+        let (server, doc) = served();
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let mut editor = sa.open_id(doc).unwrap();
+        editor.type_text(0, "ab").unwrap();
+        let tdb = server.textdb().clone();
+        let mut tries = Vec::new();
+        editor
+            .with_handle("insert", |h| {
+                if tries.is_empty() {
+                    let mut raw = tdb.open(doc, sa.user()).unwrap();
+                    raw.delete_range(0, 1).unwrap();
+                    tdb.purge_tombstones(doc, tdb.now()).unwrap();
+                }
+                let typed = h.insert_text(1, "!");
+                tries.push(typed.as_ref().map_err(TextError::is_retryable).err());
+                Ok(((), typed?))
+            })
+            .unwrap();
+        assert_eq!(tries, [Some(true), None]);
+        assert_eq!(editor.stats().retries, 1);
+        assert_eq!(editor.text(), "b!");
         live_equals_a_fresh_load(&server, doc);
     }
 

@@ -434,19 +434,23 @@ mod tests {
         da.type_text(0, "base").unwrap();
         db.sync();
         // An edit lands through a raw handle, bypassing the editors: the
-        // shared copy misses it, so Bob's next edit must retry, once.
+        // shared copy misses it, and the document's change stamp shows
+        // it, so Bob's next edit rebuilds the copy before its first try
+        // and needs no retry.
         let tdb = server.textdb().clone();
         let alice = tdb.user_by_name("alice").unwrap();
         let mut raw = tdb.open(da.doc(), alice).unwrap();
         raw.insert_text(0, "!").unwrap();
+        let loads = server.live().stats().loads;
         db.type_text(0, "X").unwrap();
+        assert_eq!(server.live().stats().loads, loads + 1);
         let b = db.stats();
         assert_eq!(b.ops, 1);
-        assert_eq!((b.retries, b.refreshes), (1, 1));
+        assert_eq!((b.retries, b.refreshes), (0, 0));
         let a = da.stats();
         assert_eq!(a.ops, 1);
         assert_eq!(a.retries, 0);
-        // Bob's retry rebuilt the one copy Alice reads too: there are no
+        // Bob's edit rebuilt the one copy Alice reads too: there are no
         // remote events to apply.
         assert_eq!(da.sync(), 0);
         assert_eq!(da.stats().events_applied, 0);
@@ -538,17 +542,17 @@ mod tests {
         let mut da = sa.open("shared").unwrap();
         let doc = da.doc();
         let err = da
-            .with_handle::<()>("doomed", |_h| Err(TextError::StaleView(doc)))
+            .with_handle::<()>("doomed", |_h| Err(TextError::StaleCache(doc)))
             .unwrap_err();
         assert_eq!(
             err,
             TextError::RetriesExhausted {
                 attempts: EDIT_RETRIES,
-                last: Some(Box::new(TextError::StaleView(doc))),
+                last: Some(Box::new(TextError::StaleCache(doc))),
             }
         );
         let src = std::error::Error::source(&err).expect("carries a source");
-        assert!(src.to_string().contains("stale"));
+        assert!(src.to_string().contains("incoherent"));
         assert_eq!(da.stats().retries as usize, EDIT_RETRIES - 1);
         assert_eq!(server.session_retries(session) as usize, EDIT_RETRIES - 1);
         assert_eq!(

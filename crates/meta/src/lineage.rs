@@ -305,7 +305,7 @@ pub fn char_provenance(tdb: &TextDb, doc: DocId, char_id: CharId) -> Result<Vec<
     let mut cur_doc = doc;
     let mut cur_char = char_id;
     while let Some(row) = txn.get(t.chars, cur_char.row())? {
-        let [author, created_at, src_doc, src_char, external] = row.cols([4, 5, 11, 12, 13]);
+        let [author, created_at, src_doc, src_char, external] = row.cols([3, 4, 10, 11, 12]);
         let author = UserId::from_value(author);
         let created_at = created_at.as_timestamp().unwrap_or(0);
         let src_doc = DocId::from_value(src_doc);

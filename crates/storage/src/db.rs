@@ -537,6 +537,7 @@ impl Database {
     pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<WalTicket>)> {
         let mut writes = std::mem::take(&mut txn.writes);
         let created = std::mem::take(&mut txn.created);
+        let expected = std::mem::take(&mut txn.expected);
         if writes.values().all(BTreeMap::is_empty) {
             self.inner.active.lock().remove(&txn.id());
             self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
@@ -548,12 +549,22 @@ impl Database {
         // write locks of the tables they actually touch. DDL and the
         // checkpoint copy phase are the exclusive mode that quiesces us.
         let commit = self.inner.commit_latch.shared();
-        // Collect handles, then lock the affected tables in id order
-        // (BTreeMap iteration is sorted, so lock order is globally fixed).
+        // Collect handles, then lock the affected tables — those written
+        // and those only expected unchanged — in id order, so lock order
+        // is globally fixed. `guards` holds the written tables' locks, in
+        // the write set's order; `held` the others.
+        let mut locked: Vec<TableId> = writes.keys().copied().collect();
+        for &(tid, _) in &expected {
+            if !writes.contains_key(&tid) {
+                locked.push(tid);
+            }
+        }
+        locked.sort_unstable();
+        locked.dedup();
         let handles: Vec<(TableId, Arc<RwLock<TableStore>>)> = {
             let tables = self.inner.tables.read();
-            let mut hs = Vec::with_capacity(writes.len());
-            for &tid in writes.keys() {
+            let mut hs = Vec::with_capacity(locked.len());
+            for tid in locked {
                 let h = tables
                     .get(&tid)
                     .ok_or(StorageError::UnknownTableId(tid))?
@@ -562,13 +573,31 @@ impl Database {
             }
             hs
         };
-        let mut guards: Vec<_> = handles.iter().map(|(_, h)| h.write()).collect();
+        let (mut guards, mut held) = (Vec::with_capacity(writes.len()), Vec::new());
+        for (tid, h) in &handles {
+            let guard = h.write();
+            if writes.contains_key(tid) {
+                guards.push(guard);
+            } else {
+                held.push((*tid, guard));
+            }
+        }
         {
             let mut refs: BTreeMap<TableId, &mut TableStore> = BTreeMap::new();
-            for ((tid, _), guard) in handles.iter().zip(guards.iter_mut()) {
+            for (tid, guard) in writes.keys().zip(guards.iter_mut()) {
                 refs.insert(*tid, &mut **guard);
             }
-            let check = validate_writes(&writes, &created, txn.snapshot_ts(), txn.id(), &refs);
+            for (tid, guard) in held.iter_mut() {
+                refs.insert(*tid, &mut **guard);
+            }
+            let check = validate_writes(
+                &writes,
+                &created,
+                &expected,
+                txn.snapshot_ts(),
+                txn.id(),
+                &refs,
+            );
             if let Err(e) = check {
                 if matches!(e, StorageError::WriteConflict { .. }) {
                     self.inner
@@ -691,6 +720,7 @@ impl Database {
         // piggy-back on the leader's fsync while new committers stream
         // through the (now free) serial section.
         drop(guards);
+        drop(held);
         drop(commit);
         // Commit wait: don't return until the watermark covers our
         // timestamp, so any transaction begun after commit() returns is

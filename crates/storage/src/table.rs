@@ -300,6 +300,16 @@ impl TableStore {
         self.chains.get(row)?.versions().last().map(|v| v.commit_ts)
     }
 
+    /// Whether the newest version of `row` is a put at or below `ts`:
+    /// nothing has changed, deleted or vacuumed the row since a snapshot
+    /// at `ts` saw it live.
+    pub fn unchanged_since(&self, row: RowId, ts: Ts) -> bool {
+        matches!(
+            self.chains.get(row).and_then(|c| c.versions().last()),
+            Some(Version { commit_ts, op: VersionOp::Put(_) }) if *commit_ts <= ts
+        )
+    }
+
     /// Append a committed version and maintain indexes.
     ///
     /// Callers guarantee `ts` is greater than every timestamp already in the

@@ -112,6 +112,9 @@ pub struct Transaction {
     pub(crate) writes: BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     /// Rows this transaction itself inserted (they cannot conflict).
     pub(crate) created: HashSet<(TableId, RowId)>,
+    /// Rows the commit depends on without writing them
+    /// ([`Transaction::expect_unchanged`]).
+    pub(crate) expected: Vec<(TableId, RowId)>,
     state: TxnState,
     /// Table handles this transaction has touched. Repeated reads of the
     /// same table (the per-character hot loop) skip the database's global
@@ -129,6 +132,7 @@ impl Transaction {
             snapshot,
             writes: BTreeMap::new(),
             created: HashSet::new(),
+            expected: Vec::new(),
             state: TxnState::Active,
             handles: Mutex::new(BTreeMap::new()),
         }
@@ -658,6 +662,22 @@ impl Transaction {
         Ok(())
     }
 
+    /// Make the commit depend on `row` of `table` as this transaction's
+    /// snapshot sees it, without writing it: the commit fails with
+    /// [`StorageError::WriteConflict`] unless the row's newest version is
+    /// still a put at or below the snapshot — a row changed, deleted or
+    /// vacuumed away, before the snapshot or after it, fails — or the
+    /// transaction inserted the row itself. The check runs at commit,
+    /// under the table locks the write check holds, and adds no version,
+    /// no log record and nothing a commit observer sees. A transaction
+    /// that writes nothing checks nothing, and a rollback to a savepoint
+    /// keeps every expectation.
+    pub fn expect_unchanged(&mut self, table: TableId, row: RowId) -> Result<()> {
+        self.check_active()?;
+        self.expected.push((table, row));
+        Ok(())
+    }
+
     fn not_found(&self, table: TableId) -> StorageError {
         let name = self
             .db
@@ -760,15 +780,28 @@ fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
 /// [`StorageError::WriteConflict`], and so does a write to a row RAM holds
 /// no chain of that the transaction did not insert: it saw the row live,
 /// and demotion to the cold tier takes a whole chain only when its newest
-/// version is a delete. Unique constraints are then checked against the
-/// latest committed state plus this batch.
+/// version is a delete. A row the transaction expects unchanged
+/// ([`Transaction::expect_unchanged`]) and did not insert must still have
+/// a put at or below the snapshot as its newest version. Unique
+/// constraints are then checked against the latest committed state plus
+/// this batch.
 pub(crate) fn validate_writes(
     txn_writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     created: &HashSet<(TableId, RowId)>,
+    expected: &[(TableId, RowId)],
     snapshot: Ts,
     txn: TxnId,
     tables: &BTreeMap<TableId, &mut TableStore>,
 ) -> Result<()> {
+    for &(tid, rid) in expected {
+        let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
+        if !created.contains(&(tid, rid)) && !store.unchanged_since(rid, snapshot) {
+            return Err(StorageError::WriteConflict {
+                table: store.definition().name.clone(),
+                txn,
+            });
+        }
+    }
     for (&tid, writes) in txn_writes {
         let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
         for &rid in writes.keys() {

@@ -211,3 +211,110 @@ fn begin_at_clamps_and_respects_vacuum_floor() {
     let err = db.begin_at(1).unwrap_err();
     assert!(matches!(err, StorageError::SnapshotTooOld { .. }), "{err}");
 }
+
+/// A fresh row of `links`.
+fn blank() -> Row {
+    Row::new(vec![
+        Value::Null,
+        Value::Null,
+        Value::Bool(false),
+        Value::Null,
+    ])
+}
+
+/// `expect_unchanged` makes a commit depend on a row it does not write:
+/// the commit aborts if the row gained a version after the snapshot, or
+/// if it was deleted — or deleted and vacuumed away — before it. A row
+/// the transaction inserted itself, or an untouched one, passes.
+#[test]
+fn an_expected_row_must_still_be_the_snapshot_s_put() {
+    let db = Database::open_in_memory();
+    let (t, rid) = seed(&db);
+    let expecting = |db: &Database| {
+        let mut txn = db.begin();
+        txn.expect_unchanged(t, rid).unwrap();
+        txn.insert(t, blank()).unwrap();
+        txn
+    };
+
+    // Untouched: passes.
+    expecting(&db).commit().unwrap();
+    // A newer version, committed after the snapshot.
+    let late = expecting(&db);
+    let mut b = db.begin();
+    b.set(t, rid, &[("style", Value::Id(3))]).unwrap();
+    b.commit().unwrap();
+    assert!(is_conflict(late.commit()));
+    // A row the transaction inserted passes, whatever else happens.
+    let mut own = db.begin();
+    let mine = own.insert(t, blank()).unwrap();
+    own.expect_unchanged(t, mine).unwrap();
+    own.commit().unwrap();
+    // Deleted before the snapshot: the snapshot never saw it live.
+    let mut del = db.begin();
+    del.delete(t, rid).unwrap();
+    del.commit().unwrap();
+    assert!(is_conflict(expecting(&db).commit()));
+    // Vacuumed away: RAM holds no chain of it at all.
+    assert!(db.vacuum() > 0);
+    assert!(is_conflict(expecting(&db).commit()));
+    assert_eq!(db.stats().conflicts, 3);
+}
+
+/// The expected row may live in a table the transaction does not write:
+/// that table is locked with the written ones and checked the same way.
+#[test]
+fn an_expected_row_in_an_unwritten_table_is_checked() {
+    let db = Database::open_in_memory();
+    let (t, rid) = seed(&db);
+    let other = db
+        .create_table(TableDef::new("other").column("n", DataType::Int))
+        .unwrap();
+    let mut a = db.begin();
+    a.expect_unchanged(t, rid).unwrap();
+    a.insert(other, Row::new(vec![Value::Int(1)])).unwrap();
+    let mut b = db.begin();
+    b.delete(t, rid).unwrap();
+    b.commit().unwrap();
+    assert!(is_conflict(a.commit()));
+    assert!(db
+        .begin()
+        .scan(other, &tendax_storage::Predicate::True)
+        .unwrap()
+        .is_empty());
+}
+
+/// An expectation writes nothing: the same insert commits the same log
+/// bytes and adds the same one version with or without one.
+#[test]
+fn an_expectation_adds_no_log_bytes_and_no_versions() {
+    let (_g, path) = tmp("expect.wal");
+    let db = Database::open(&path, common::options()).unwrap();
+    let (t, rid) = seed(&db);
+    let versions = |db: &Database| {
+        let stats = db.table_stats();
+        stats.iter().find(|s| s.name == "links").unwrap().versions
+    };
+    let mut cost = Vec::new();
+    for expect in [false, true] {
+        let (bytes, records) = db.wal_size();
+        let before = versions(&db);
+        let mut txn = db.begin();
+        if expect {
+            txn.expect_unchanged(t, rid).unwrap();
+        }
+        txn.insert(t, blank()).unwrap();
+        txn.commit().unwrap();
+        let (after, after_records) = db.wal_size();
+        cost.push((
+            after - bytes,
+            after_records - records,
+            versions(&db) - before,
+        ));
+    }
+    assert_eq!(
+        cost[0], cost[1],
+        "(bytes, records, versions) without and with"
+    );
+    assert_eq!(cost[1].2, 1);
+}

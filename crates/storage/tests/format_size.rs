@@ -9,13 +9,12 @@
 mod common;
 
 use common::TestDir;
-use tendax_storage::{DataType, Database, Options, Row, RowId, TableDef, TableId, Value};
+use tendax_storage::{DataType, Database, Options, Row, TableDef, TableId, Value};
 
 fn chars_def() -> TableDef {
     TableDef::new("chars")
         .column("doc", DataType::Id)
-        .nullable_column("prev", DataType::Id)
-        .nullable_column("next", DataType::Id)
+        .nullable_column("anchor", DataType::Id)
         .column("ch", DataType::Text)
         .column("author", DataType::Id)
         .column("created_at", DataType::Timestamp)
@@ -56,7 +55,6 @@ fn chars_row(i: u64) -> Row {
     Row::new(vec![
         Value::Id(3),
         Value::Id(20_000 + i),
-        Value::Id(20_002 + i),
         Value::Text("e".into()),
         Value::Id(2),
         Value::Timestamp(80_000 + i as i64),
@@ -156,8 +154,10 @@ fn checkpoint_bytes_per_row_are_pinned() {
     // header around every row, a tag byte per cell, fixed-width ids).
     // v2: 21 885 (every row as RAM holds it). v3: 9.0 a row — id +1,
     // ts +1, the op header, a two-byte bitmap, one header byte and
-    // `prev`, `next`, `created_at` one more than above, a byte each.
-    assert_eq!(checkpoint_bytes(&f, f.chars, "chars", chars_row), 9_024);
+    // `prev`, `next`, `created_at` one more than above, a byte each
+    // (9 024). With `next` gone and `prev` the immutable `anchor`: 8.0 a
+    // row.
+    assert_eq!(checkpoint_bytes(&f, f.chars, "chars", chars_row), 8_022);
     // v1: 75 000. v2: 18 012. v3: `ts` is the only column that moves.
     assert_eq!(checkpoint_bytes(&f, f.oplog, "oplog", oplog_row), 6_024);
     // v1: 71 000. v2: 17 012. v3: `op` and `first` move.
@@ -166,28 +166,25 @@ fn checkpoint_bytes_per_row_are_pinned() {
 }
 
 /// One character typed mid-document, as the text layer commits it: the
-/// new `chars` row, a one-column update of each neighbour's link, the
-/// `oplog` row and its `op_effects` row.
+/// new `chars` row, anchored on its left neighbour, the `oplog` row and
+/// its `op_effects` row. The neighbours are not written.
 #[test]
 fn wal_bytes_of_one_keystroke_are_pinned() {
     let f = fixture();
     let mut txn = f.db.begin();
     let left = txn.insert(f.chars, chars_row(0)).unwrap();
-    let right = txn.insert(f.chars, chars_row(1)).unwrap();
+    txn.insert(f.chars, chars_row(1)).unwrap();
     txn.commit().unwrap();
 
     let before = f.db.wal_size().0;
     let mut txn = f.db.begin();
+    txn.expect_unchanged(f.chars, left).unwrap();
     txn.insert(f.chars, chars_row(2)).unwrap();
-    let link = |txn: &mut tendax_storage::Transaction, row: RowId, col| {
-        txn.set(f.chars, row, &[(col, Value::Id(20_500))]).unwrap();
-    };
-    link(&mut txn, left, "next");
-    link(&mut txn, right, "prev");
     txn.insert(f.oplog, oplog_row(2)).unwrap();
     txn.insert(f.op_effects, op_effects_row(2)).unwrap();
     txn.commit().unwrap();
-    // v1: 310. v3: 85, each patch ended in an anchor list (a count and
-    // one anchor, a byte each). v4 has none.
-    assert_eq!(f.db.wal_size().0 - before, 81);
+    // v1: 310. v3: 85, each neighbour patch ended in an anchor list (a
+    // count and one anchor, a byte each). v4: 81 with a one-column
+    // patch of each neighbour's link and a `next` column on the new row.
+    assert_eq!(f.db.wal_size().0 - before, 62);
 }

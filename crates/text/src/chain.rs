@@ -1,8 +1,9 @@
 //! The character chain: everything an open document keeps of its
 //! characters, in one structure.
 //!
-//! TeNDaX stores a document's characters as database tuples linked by
-//! `prev`/`next` references; deleted characters remain in the chain as
+//! TeNDaX stores a document's characters as database tuples, each
+//! naming its anchor, the character it was inserted after, whose tree
+//! fixes the document order; deleted characters remain in the chain as
 //! tombstones (they carry history, lineage and undo state). An editor,
 //! however, addresses text by *visible position*. A [`Chain`] maps between
 //! the two: an order-statistics treap over the full chain (tombstones
@@ -413,6 +414,7 @@ impl Chain {
 
     /// The slot after slot `s` in chain order, or the head for `None`;
     /// `None` past the end.
+    #[cfg(test)]
     pub(crate) fn next_slot(&self, s: Option<u32>) -> Option<u32> {
         let next = s.map_or(self.head, |s| *self.succ.get(s));
         (next != NIL).then_some(next)

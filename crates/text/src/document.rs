@@ -11,9 +11,9 @@
 //! through [`DocHandle::apply_remote`] (fed by the collaboration bus) or
 //! by a full [`DocHandle::refresh`].
 
-use tendax_storage::{Row, SharedRow, Transaction, Value};
+use tendax_storage::{Row, RowId, SharedRow, Transaction, Value};
 
-use crate::chain::{Chain, ChainError, LinkError};
+use crate::chain::{Chain, ChainError};
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, StyleId, UserId};
 use crate::ops::Effect;
@@ -48,11 +48,10 @@ pub struct DocHandle {
 }
 
 /// Decode a `chars` row in one walk over its columns: the character's
-/// `prev` and `next` links and its cached metadata. (A loop over
-/// `iter()`, not `cols([..])` of eleven positions, which measured twice
-/// as slow here.)
-fn decode_char_row(row: &SharedRow) -> (CharId, CharId, CharInfo) {
-    let (mut prev, mut next) = (CharId::NONE, CharId::NONE);
+/// anchor and its cached metadata. (A loop over `iter()`, not `cols([..])`
+/// of ten positions, which measured twice as slow here.)
+fn decode_char_row(row: &SharedRow) -> (CharId, CharInfo) {
+    let mut anchor = CharId::NONE;
     let mut info = CharInfo {
         ch: '\u{FFFD}',
         author: UserId::NONE,
@@ -66,26 +65,107 @@ fn decode_char_row(row: &SharedRow) -> (CharId, CharId, CharInfo) {
     };
     for (pos, v) in row.iter().enumerate() {
         match pos {
-            1 => prev = CharId::from_value(v),
-            2 => next = CharId::from_value(v),
-            3 => {
+            1 => anchor = CharId::from_value(v),
+            2 => {
                 info.ch = v
                     .as_text()
                     .and_then(|s| s.chars().next())
                     .unwrap_or(info.ch)
             }
-            4 => info.author = UserId::from_value(v),
-            5 => info.created_at = v.as_timestamp().unwrap_or(0),
-            6 => info.version = v.as_int().unwrap_or(0),
-            7 => info.deleted = v.as_bool().unwrap_or(false),
-            10 => info.style = StyleId::from_value(v),
-            11 => info.src_doc = DocId::from_value(v),
-            12 => info.src_char = CharId::from_value(v),
-            13 => info.external_src = v.as_text().map(str::to_owned),
+            3 => info.author = UserId::from_value(v),
+            4 => info.created_at = v.as_timestamp().unwrap_or(0),
+            5 => info.version = v.as_int().unwrap_or(0),
+            6 => info.deleted = v.as_bool().unwrap_or(false),
+            9 => info.style = StyleId::from_value(v),
+            10 => info.src_doc = DocId::from_value(v),
+            11 => info.src_char = CharId::from_value(v),
+            12 => info.external_src = v.as_text().map(str::to_owned),
             _ => {}
         }
     }
-    (prev, next, info)
+    (anchor, info)
+}
+
+/// No row: an absent child or sibling.
+const NIL: u32 = u32::MAX;
+
+/// The tree a document's anchors make, over its `chars` rows in id order
+/// (the order the `chars_by_doc` lookup returns them in), and the one
+/// place that knows the document order it fixes: the preorder walk, each
+/// character's children newest (highest id) first. That is where every
+/// insert lands — right after its anchor, in front of what was there —
+/// and what the client mirror's RGA rule reaches (DESIGN.md §5.7). A load
+/// and a purge both order rows by it.
+///
+/// Two `u32`s a row: its newest child and its next older sibling, plus
+/// one child list for the document head. No allocation per row.
+pub(crate) struct AnchorTree {
+    /// Newest child of each row; the last entry is the head's.
+    child: Vec<u32>,
+    /// Next older sibling of each row.
+    sibling: Vec<u32>,
+}
+
+impl AnchorTree {
+    pub(crate) fn with_capacity(rows: usize) -> Self {
+        let mut child = Vec::with_capacity(rows + 1);
+        child.resize(rows + 1, NIL);
+        AnchorTree {
+            child,
+            sibling: Vec::with_capacity(rows),
+        }
+    }
+
+    /// Hang row `at` of `rows` — the next one, in id order — under its
+    /// `anchor`, in front of the children hung before it. The anchor is
+    /// found among `rows` (most often the row just before: a typed run),
+    /// wherever it sits: a purge may anchor a row on a newer one. An
+    /// anchor that is not a row of the document is returned as the error.
+    pub(crate) fn hang(
+        &mut self,
+        rows: &[(RowId, SharedRow)],
+        at: usize,
+        anchor: CharId,
+    ) -> std::result::Result<(), CharId> {
+        debug_assert_eq!(at, self.sibling.len(), "rows are hung in order");
+        let parent = if anchor.is_none() {
+            rows.len()
+        } else {
+            match at.checked_sub(1).map(|p| (p, rows[p].0 .0)) {
+                Some((p, id)) if id == anchor.0 => p,
+                _ => (rows.binary_search_by_key(&anchor.0, |(r, _)| r.0)).map_err(|_| anchor)?,
+            }
+        };
+        self.sibling.push(self.child[parent]);
+        self.child[parent] = at as u32;
+        Ok(())
+    }
+
+    /// Visit the rows in document order; returns how many were reached.
+    /// A row the walk cannot reach sits on an anchor cycle: every other
+    /// row's anchors lead to the head.
+    pub(crate) fn walk(&self, mut visit: impl FnMut(u32)) -> usize {
+        // Older siblings still to visit, innermost last: a typed run is
+        // a path and leaves this empty.
+        let mut pending = Vec::new();
+        let mut reached = 0;
+        let mut cur = self.child[self.sibling.len()];
+        loop {
+            if cur == NIL {
+                match pending.pop() {
+                    Some(s) => cur = s,
+                    None => return reached,
+                }
+            }
+            visit(cur);
+            reached += 1;
+            let i = cur as usize;
+            if self.sibling[i] != NIL {
+                pending.push(self.sibling[i]);
+            }
+            cur = self.child[i];
+        }
+    }
 }
 
 impl TextDb {
@@ -284,50 +364,40 @@ impl DocHandle {
 
         // One pass over the rows, in row order — character-id order, as
         // the index lookup returns it: each row is decoded once, straight
-        // into the chain slot it keeps, with the slot of its successor.
-        // That is the next row for a typing run and found by binary search
-        // otherwise. Then one walk from the head links the slots in chain
+        // into the chain slot it keeps (slot = row index), and hung under
+        // its anchor. Then the anchor tree's walk names each slot's
+        // successor, and one walk from the head links the slots in chain
         // order. No second copy of any character's info is made.
         let mut chain = Chain::with_capacity(rows.len());
-        let mut head: Option<u32> = None;
-        let corrupt =
-            |e: ChainError| TextError::ChainCorrupt(format!("rebuilding {}: {e}", self.doc));
+        let mut tree = AnchorTree::with_capacity(rows.len());
+        let corrupt = |msg: String| TextError::ChainCorrupt(format!("{msg} in {}", self.doc));
         for (at, (rid, row)) in rows.iter().enumerate() {
             let id = CharId::from_row(*rid);
-            let (prev, next, info) = decode_char_row(row);
-            let s = chain.place(id, info).map_err(corrupt)?;
-            if prev.is_none() {
-                if let Some(h) = head {
-                    return Err(TextError::ChainCorrupt(format!(
-                        "two chain heads in {}: {} and {id}",
-                        self.doc,
-                        CharId::from_row(rows[h as usize].0)
-                    )));
-                }
-                head = Some(s);
-            }
-            if !next.is_none() {
-                let succ = match rows.get(at + 1) {
-                    Some((r, _)) if r.0 == next.0 => at + 1,
-                    _ => rows
-                        .binary_search_by_key(&next.0, |(r, _)| r.0)
-                        .map_err(|_| {
-                            TextError::ChainCorrupt(format!("dangling next pointer to {next}"))
-                        })?,
-                };
-                chain.set_next(s, succ as u32);
-            }
+            let (anchor, info) = decode_char_row(row);
+            chain
+                .place(id, info)
+                .map_err(|e| corrupt(format!("rebuilding: {e}")))?;
+            tree.hang(&rows, at, anchor)
+                .map_err(|a| corrupt(format!("dangling anchor {a} of {id}")))?;
         }
-        chain.link(head).map_err(|e| {
-            TextError::ChainCorrupt(match e {
-                LinkError::Cycle => format!("cycle in character chain of {}", self.doc),
-                LinkError::Reached(reached) => format!(
-                    "chain walk reached {reached} of {} characters in {}",
-                    rows.len(),
-                    self.doc
-                ),
-            })
-        })?;
+        let (mut head, mut last) = (None, None);
+        let reached = tree.walk(|s| {
+            match last {
+                Some(p) => chain.set_next(p, s),
+                None => head = Some(s),
+            }
+            last = Some(s);
+        });
+        if reached < rows.len() {
+            return Err(corrupt(format!(
+                "anchor cycle: the walk reached {reached} of {} characters",
+                rows.len()
+            )));
+        }
+        // The walk named each reached slot once: one path from the head.
+        chain
+            .link(head)
+            .map_err(|e| corrupt(format!("linking the walk: {e:?}")))?;
         self.chain = chain;
         self.synced_ts = txn.snapshot_ts();
         Ok(())
@@ -554,26 +624,24 @@ mod tests {
         assert_eq!(h.find("end", 25), None); // past the last match
     }
 
-    /// A chain the stored links do not describe is a typed error from the
-    /// rebuild, whichever way it is broken — never a panic, a hang or a
-    /// silently shorter document.
+    /// Anchors that describe no document order are a typed error from
+    /// the rebuild, whichever way they are broken — never a panic, a hang
+    /// or a silently shorter document. (Two characters anchored on the
+    /// head are no damage: they are siblings, the newer first.)
     #[test]
     fn corrupt_chains_are_typed_errors() {
-        // In "abcd": the character whose link to break, the link, what to
-        // point it at, and the complaint that must name the damage.
+        // In "abcd" (each character anchored on the one before): the
+        // character whose anchor to rewrite, what to point it at, and the
+        // complaint that must name the damage.
         type Target = fn(&DocHandle) -> CharId;
-        let cases: [(usize, &str, Target, &str); 4] = [
-            (2, "prev", |_| CharId::NONE, "two chain heads"),
-            (1, "next", |_| CharId(9_999), "dangling next pointer"),
-            (
-                3,
-                "next",
-                |h| h.char_at(1).unwrap(),
-                "cycle in character chain",
-            ),
-            (1, "next", |_| CharId::NONE, "chain walk reached 2 of 4"),
+        let cases: [(usize, Target, &str); 3] = [
+            (1, |_| CharId(9_999), "dangling anchor"),
+            // b → d → c → b: three characters no walk from the head
+            // reaches.
+            (1, |h| h.char_at(3).unwrap(), "the walk reached 1 of 4"),
+            (2, |h| h.char_at(2).unwrap(), "the walk reached 2 of 4"),
         ];
-        for (at, column, target, complaint) in cases {
+        for (at, target, complaint) in cases {
             let (tdb, user, doc) = setup();
             let mut h = tdb.open(doc, user).unwrap();
             h.insert_text(0, "abcd").unwrap();
@@ -581,7 +649,7 @@ mod tests {
             txn.set(
                 tdb.tables().chars,
                 h.char_at(at).unwrap().row(),
-                &[(column, target(&h).opt_value())],
+                &[("anchor", target(&h).opt_value())],
             )
             .unwrap();
             txn.commit().unwrap();
@@ -597,6 +665,17 @@ mod tests {
             // The failed rebuild left the handle's last good cache alone.
             assert_eq!(h.text(), "abcd");
         }
+        // A second head is a sibling: "c" anchored on the head goes first.
+        let (tdb, user, doc) = setup();
+        let mut h = tdb.open(doc, user).unwrap();
+        h.insert_text(0, "abcd").unwrap();
+        let mut txn = tdb.database().begin();
+        let c = h.char_at(2).unwrap();
+        txn.set(tdb.tables().chars, c.row(), &[("anchor", Value::Null)])
+            .unwrap();
+        txn.commit().unwrap();
+        h.refresh().unwrap();
+        assert_eq!(h.text(), "cdab");
     }
 
     /// Services read content without leaving a trace in the metadata.

@@ -45,13 +45,9 @@ pub enum TextError {
     NothingToUndo,
     /// Redo requested but no redoable operation exists.
     NothingToRedo,
-    /// The handle's cached view no longer matches the database (another
-    /// editor committed at the same spot). Refresh and retry.
-    StaleView(DocId),
     /// The handle's position cache references a character the chain no
-    /// longer agrees on (stale anchor or duplicate insert). Like
-    /// [`TextError::StaleView`] this is transient: refresh the cache
-    /// from the database and retry.
+    /// longer agrees on (stale anchor or duplicate insert). This is
+    /// transient: refresh the cache from the database and retry.
     StaleCache(DocId),
     /// An optimistic edit was retried to its attempt limit and every
     /// attempt hit a transient conflict. Not itself retryable — the
@@ -84,9 +80,7 @@ impl TextError {
     pub fn is_retryable(&self) -> bool {
         matches!(
             self,
-            TextError::Storage(StorageError::WriteConflict { .. })
-                | TextError::StaleView(_)
-                | TextError::StaleCache(_)
+            TextError::Storage(StorageError::WriteConflict { .. }) | TextError::StaleCache(_)
         )
     }
 }
@@ -112,9 +106,6 @@ impl fmt::Display for TextError {
             }
             TextError::NothingToUndo => write!(f, "nothing to undo"),
             TextError::NothingToRedo => write!(f, "nothing to redo"),
-            TextError::StaleView(doc) => {
-                write!(f, "cached view of {doc} is stale; refresh and retry")
-            }
             TextError::StaleCache(doc) => {
                 write!(
                     f,

@@ -124,7 +124,7 @@ impl StatsPart {
     pub(crate) fn of(table: StatsTable, row: &SharedRow) -> StatsPart {
         match table {
             StatsTable::Chars => {
-                let [author, deleted, src_doc, external] = row.cols([4, 7, 11, 13]);
+                let [author, deleted, src_doc, external] = row.cols([3, 6, 10, 12]);
                 StatsPart::Char {
                     author: UserId::from_value(author),
                     visible: !deleted.as_bool().unwrap_or(false),

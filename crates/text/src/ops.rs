@@ -1,11 +1,13 @@
 //! Editing operations as real-time database transactions.
 //!
 //! Every editor action — typing, deleting, pasting — is one ACID
-//! transaction against the character tables. Insertions address a
-//! *neighbour character id*, not an integer offset, so concurrent edits at
-//! different positions touch disjoint rows and commit without conflict;
-//! edits racing for the same position conflict on the shared neighbour row
-//! and the loser retries against the fresh snapshot. This is the paper's
+//! transaction against the character tables. An insertion addresses a
+//! *neighbour character id*, its anchor, not an integer offset, and
+//! writes only its own new rows: concurrent inserts never touch a shared
+//! row, so they commute — two at one spot both commit, the newer in front
+//! (DESIGN.md §5.7). The commit depends on the anchor without writing it
+//! (`Transaction::expect_unchanged`): an anchor purged or changed since
+//! the snapshot fails the insert retryably. This is the paper's
 //! substitute for OT/CRDT machinery: the DBMS serializes everything.
 //!
 //! Each operation also writes one `oplog` row plus relational `op_effects`
@@ -39,7 +41,8 @@ pub const EDIT_KINDS: [&str; 8] = [
 pub enum Effect {
     Insert {
         char: CharId,
-        /// Chain predecessor at commit time (`None` = document head).
+        /// The anchor: the chain predecessor at commit time (`None` =
+        /// document head).
         prev: Option<CharId>,
         ch: char,
         author: UserId,
@@ -123,10 +126,8 @@ struct NewChar {
 struct Anchor {
     /// The slot it follows; `None` at the chain head.
     slot: Option<u32>,
-    /// That slot's character.
+    /// That slot's character: the new text's anchor.
     prev: Option<CharId>,
-    /// The character it goes in front of; `None` at the end.
-    next: Option<CharId>,
     /// Chain elements before it, tombstones included.
     rank: usize,
 }
@@ -329,58 +330,16 @@ impl DocHandle {
         }
         let src_slots = self.chain.visible_slots(pos, len);
         let src_ids: Vec<CharId> = src_slots.iter().map(|&s| self.chain.id_at(s)).collect();
-        let moved: Vec<(CharId, char)> = (src_slots.iter().zip(&src_ids))
-            .map(|(&s, id)| (*id, self.chain.info_at(s).ch))
-            .collect();
         let t = *self.tdb.tables();
 
-        // Destination anchors (same logic as insert_chars).
-        let Anchor {
-            slot: dst_slot,
-            prev: dst_prev,
-            next: dst_next,
-            rank: dst_total,
-        } = dst.anchor_at(dst_pos);
-
+        let anchor = dst.anchor_at(dst_pos);
         let mut txn = self.begin();
         self.tdb
             .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
         self.tdb
             .check_permission_txn(&txn, dst.doc, dst.user, Permission::Write)?;
         self.check_protected(&txn, Permission::Write, &src_ids, None)?;
-        dst.check_protected(&txn, Permission::Write, &[], Some(dst_total))?;
-        // Destination anchor validation (same stale-view rules as insert).
-        let stale = || TextError::StaleView(dst.doc);
-        match dst_prev {
-            Some(p) => {
-                let row = txn.get(t.chars, p.row())?.ok_or_else(stale)?;
-                let db_next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
-                if db_next != dst_next.unwrap_or(CharId::NONE) {
-                    return Err(stale());
-                }
-            }
-            None => match dst_next {
-                Some(n) => {
-                    let row = txn.get(t.chars, n.row())?.ok_or_else(stale)?;
-                    if !row
-                        .get(1)
-                        .map(CharId::from_value)
-                        .unwrap_or(CharId::NONE)
-                        .is_none()
-                    {
-                        return Err(stale());
-                    }
-                }
-                None => {
-                    if !txn
-                        .index_lookup(t.chars, "chars_by_doc", &[dst.doc.value()])?
-                        .is_empty()
-                    {
-                        return Err(stale());
-                    }
-                }
-            },
-        }
+        dst.check_protected(&txn, Permission::Write, &[], Some(anchor.rank))?;
 
         let ts = self.tdb.now();
         // 1) Tombstone the source characters.
@@ -402,58 +361,15 @@ impl DocHandle {
             .log_effects(&mut txn, del_op, "del", &src_ids, &[], None)?;
 
         // 2) Insert copies into the destination with provenance.
-        let mut new_ids: Vec<CharId> = Vec::with_capacity(moved.len());
-        for (i, (src_char, ch)) in moved.iter().enumerate() {
-            let prev_val = if i == 0 {
-                dst_prev.map(|p| p.value()).unwrap_or(Value::Null)
-            } else {
-                new_ids[i - 1].value()
-            };
-            let rid = txn.insert(
-                t.chars,
-                Row::new(vec![
-                    dst.doc.value(),
-                    prev_val,
-                    Value::Null,
-                    Value::Text(ch.to_string()),
-                    dst.user.value(),
-                    Value::Timestamp(ts),
-                    Value::Int(0),
-                    Value::Bool(false),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    self.doc.value(),
-                    src_char.value(),
-                    Value::Null,
-                ]),
-            )?;
-            new_ids.push(CharId::from_row(rid));
-        }
-        for (i, id) in new_ids.iter().enumerate() {
-            let next_val = if i + 1 < new_ids.len() {
-                new_ids[i + 1].value()
-            } else {
-                dst_next.map(|n| n.value()).unwrap_or(Value::Null)
-            };
-            txn.set(t.chars, id.row(), &[("next", next_val)])?;
-        }
-        match dst_prev {
-            Some(p) => {
-                txn.set(t.chars, p.row(), &[("next", new_ids[0].value())])?;
-            }
-            None => {
-                let state = self.tdb.document_info_txn(&txn, dst.doc)?.state;
-                txn.set(t.documents, dst.doc.row(), &[("state", Value::Text(state))])?;
-            }
-        }
-        if let Some(n) = dst_next {
-            txn.set(
-                t.chars,
-                n.row(),
-                &[("prev", new_ids[new_ids.len() - 1].value())],
-            )?;
-        }
+        let moved: Vec<NewChar> = (src_slots.iter().zip(&src_ids))
+            .map(|(&s, &src_char)| NewChar {
+                ch: self.chain.info_at(s).ch,
+                src_doc: self.doc,
+                src_char,
+                external: None,
+            })
+            .collect();
+        let new_ids = dst.write_chars(&mut txn, anchor.prev, &moved, ts)?;
         let ins_op = dst.log_op(&mut txn, "paste", OpId::NONE, ts)?;
         dst.tdb
             .log_effects(&mut txn, ins_op, "ins", &new_ids, &[], None)?;
@@ -480,52 +396,7 @@ impl DocHandle {
                 ts,
             });
         }
-        let mut ins_effects = Vec::with_capacity(new_ids.len());
-        let mut anchor = dst_prev;
-        let mut anchor_slot = dst_slot;
-        let mut dst_stale = false;
-        for (i, (src_char, ch)) in moved.into_iter().enumerate() {
-            let id = new_ids[i];
-            // This runs *after* the commit succeeded: the database holds
-            // the edit whatever the cache thinks, so a bad anchor here
-            // must not surface as a retryable error (a retry would apply
-            // the edit twice). Self-heal by rebuilding the cache below
-            // and still return the receipt. For our own just-committed
-            // ids this is unreachable — hence the debug_assert.
-            let info = CharInfo {
-                ch,
-                deleted: false,
-                style: StyleId::NONE,
-                author: dst.user,
-                created_at: ts,
-                version: 0,
-                src_doc: self.doc,
-                src_char,
-                external_src: None,
-            };
-            let inserted = dst.chain.insert_at(dst_total + i, anchor_slot, id, info);
-            debug_assert!(
-                inserted.is_ok(),
-                "own committed insert rejected: {inserted:?}"
-            );
-            dst_stale |= inserted.is_err();
-            anchor_slot = inserted.ok();
-            ins_effects.push(Effect::Insert {
-                char: id,
-                prev: anchor,
-                ch,
-                author: dst.user,
-                ts,
-                style: StyleId::NONE,
-                src_doc: self.doc,
-                src_char,
-                external: None,
-            });
-            anchor = Some(id);
-        }
-        if dst_stale {
-            dst.rebuild()?;
-        }
+        let ins_effects = dst.fold_inserted(anchor, &new_ids, moved, ts)?;
         Ok((
             EditReceipt {
                 op: del_op,
@@ -590,119 +461,14 @@ impl DocHandle {
         }
         let t = *self.tdb.tables();
 
-        // Chain anchors, from the committed cache.
-        let Anchor {
-            slot: prev_slot,
-            prev: prev_id,
-            next: next_id,
-            rank: insert_total_pos,
-        } = self.anchor_at(pos);
-
+        let anchor = self.anchor_at(pos);
         let mut txn = self.begin();
         self.tdb
             .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
-        self.check_protected(&txn, Permission::Write, &[], Some(insert_total_pos))?;
-
-        // Optimistic anchor validation: the cache claims `prev_id.next ==
-        // next_id` (and symmetrically). If another editor committed at
-        // this spot since our last sync, the linkage differs and the edit
-        // must be retried against a fresh view — otherwise two chain
-        // heads (or a fork) could be created without any row conflict.
-        let stale = || TextError::StaleView(self.doc);
-        match prev_id {
-            Some(p) => {
-                let row = txn.get(t.chars, p.row())?.ok_or_else(stale)?;
-                let db_next = row.get(2).map(CharId::from_value).unwrap_or(CharId::NONE);
-                let expect = next_id.unwrap_or(CharId::NONE);
-                if db_next != expect {
-                    return Err(stale());
-                }
-            }
-            None => match next_id {
-                Some(n) => {
-                    let row = txn.get(t.chars, n.row())?.ok_or_else(stale)?;
-                    let db_prev = row.get(1).map(CharId::from_value).unwrap_or(CharId::NONE);
-                    if !db_prev.is_none() {
-                        return Err(stale());
-                    }
-                }
-                None => {
-                    // Cache says the document is empty; verify.
-                    if !txn
-                        .index_lookup(t.chars, "chars_by_doc", &[self.doc.value()])?
-                        .is_empty()
-                    {
-                        return Err(stale());
-                    }
-                }
-            },
-        }
+        self.check_protected(&txn, Permission::Write, &[], Some(anchor.rank))?;
 
         let ts = self.tdb.now();
-        // Pass 1: insert rows front-to-back, `prev` known, `next` patched
-        // in pass 2 (the write-set merges, so each row commits once).
-        let mut ids: Vec<CharId> = Vec::with_capacity(chars.len());
-        for (i, nc) in chars.iter().enumerate() {
-            let prev_val = if i == 0 {
-                prev_id.map(|p| p.value()).unwrap_or(Value::Null)
-            } else {
-                ids[i - 1].value()
-            };
-            let rid = txn.insert(
-                t.chars,
-                Row::new(vec![
-                    self.doc.value(),
-                    prev_val,
-                    Value::Null, // next, patched below
-                    Value::Text(nc.ch.to_string()),
-                    self.user.value(),
-                    Value::Timestamp(ts),
-                    Value::Int(0),
-                    Value::Bool(false),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    nc.src_doc.opt_value(),
-                    nc.src_char.opt_value(),
-                    nc.external
-                        .as_ref()
-                        .map(|s| Value::Text(s.clone()))
-                        .unwrap_or(Value::Null),
-                ]),
-            )?;
-            ids.push(CharId::from_row(rid));
-        }
-        for (i, id) in ids.iter().enumerate() {
-            let next_val = if i + 1 < ids.len() {
-                ids[i + 1].value()
-            } else {
-                next_id.map(|n| n.value()).unwrap_or(Value::Null)
-            };
-            txn.set(t.chars, id.row(), &[("next", next_val)])?;
-        }
-
-        // Relink neighbours. These shared-row writes are what detect a
-        // race with a commit this handle has not seen: first committer
-        // wins, and the loser's error is retryable.
-        match prev_id {
-            Some(p) => {
-                txn.set(t.chars, p.row(), &[("next", ids[0].value())])?;
-            }
-            None => {
-                // Head insert: touch the document row so two concurrent
-                // head inserts conflict instead of creating two heads.
-                let state = self.tdb.document_info_txn(&txn, self.doc)?.state;
-                txn.set(
-                    t.documents,
-                    self.doc.row(),
-                    &[("state", Value::Text(state))],
-                )?;
-            }
-        }
-        if let Some(n) = next_id {
-            txn.set(t.chars, n.row(), &[("prev", ids[ids.len() - 1].value())])?;
-        }
-
+        let ids = self.write_chars(&mut txn, anchor.prev, &chars, ts)?;
         let op = self.log_op(&mut txn, kind, OpId::NONE, ts)?;
         self.tdb.log_effects(&mut txn, op, "ins", &ids, &[], None)?;
         if let Some(obj) = &object {
@@ -736,17 +502,78 @@ impl DocHandle {
             )?;
         }
         let (commit_ts, durability) = txn.commit_visible()?;
+        let effects = self.fold_inserted(anchor, &ids, chars, ts)?;
+        let receipt = EditReceipt {
+            op,
+            commit_ts,
+            effects,
+        };
+        Ok((receipt, durability))
+    }
 
-        // Publish to the local cache and build broadcast effects.
+    /// Write `chars` as new rows of this document, typed by this
+    /// handle's user at `ts`: the first anchored on `anchor`, each other
+    /// on the one before it. They are the only `chars` rows an insert
+    /// writes. Its commit depends on the anchor row being as its
+    /// snapshot saw it, which a purge that removed the anchor, or any
+    /// commit to it since, breaks: then it fails retryably.
+    fn write_chars(
+        &self,
+        txn: &mut Transaction,
+        anchor: Option<CharId>,
+        chars: &[NewChar],
+        ts: i64,
+    ) -> Result<Vec<CharId>> {
+        let t = self.tdb.tables();
+        if let Some(a) = anchor {
+            txn.expect_unchanged(t.chars, a.row())?;
+        }
+        let mut ids: Vec<CharId> = Vec::with_capacity(chars.len());
+        for nc in chars {
+            let anchor = ids.last().copied().or(anchor);
+            let rid = txn.insert(
+                t.chars,
+                Row::new(vec![
+                    self.doc.value(),
+                    anchor.map_or(Value::Null, |a| a.value()),
+                    Value::Text(nc.ch.to_string()),
+                    self.user.value(),
+                    Value::Timestamp(ts),
+                    Value::Int(0),
+                    Value::Bool(false),
+                    Value::Null,
+                    Value::Null,
+                    Value::Null,
+                    nc.src_doc.opt_value(),
+                    nc.src_char.opt_value(),
+                    nc.external.clone().map_or(Value::Null, Value::Text),
+                ]),
+            )?;
+            ids.push(CharId::from_row(rid));
+        }
+        Ok(ids)
+    }
+
+    /// Fold the characters this handle's commit inserted at `anchor` —
+    /// `ids`, written from `chars` by [`DocHandle::write_chars`] — into
+    /// the chain, and return their effects.
+    ///
+    /// This runs *after* the commit succeeded: the database holds the
+    /// edit whatever the cache thinks, so a chain that refuses one must
+    /// not surface as a retryable error (a retry would commit the insert
+    /// a second time). The cache is rebuilt instead; for our own
+    /// just-committed ids this is unreachable — hence the debug_assert.
+    fn fold_inserted(
+        &mut self,
+        anchor: Anchor,
+        ids: &[CharId],
+        chars: Vec<NewChar>,
+        ts: i64,
+    ) -> Result<Vec<Effect>> {
         let mut effects = Vec::with_capacity(ids.len());
-        let mut anchor = prev_id;
-        let mut anchor_slot = prev_slot;
+        let (mut prev, mut prev_slot) = (anchor.prev, anchor.slot);
         let mut stale = false;
-        for (i, nc) in chars.into_iter().enumerate() {
-            let id = ids[i];
-            // Post-commit: the edit is durable, so cache trouble here is
-            // self-healed (rebuild below), never surfaced as retryable —
-            // a retry would commit the insert a second time.
+        for (i, (nc, &id)) in chars.into_iter().zip(ids).enumerate() {
             let info = CharInfo {
                 ch: nc.ch,
                 deleted: false,
@@ -758,18 +585,16 @@ impl DocHandle {
                 src_char: nc.src_char,
                 external_src: nc.external.clone(),
             };
-            let inserted = self
-                .chain
-                .insert_at(insert_total_pos + i, anchor_slot, id, info);
+            let inserted = self.chain.insert_at(anchor.rank + i, prev_slot, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
             );
             stale |= inserted.is_err();
-            anchor_slot = inserted.ok();
+            prev_slot = inserted.ok();
             effects.push(Effect::Insert {
                 char: id,
-                prev: anchor,
+                prev,
                 ch: nc.ch,
                 author: self.user,
                 ts,
@@ -778,17 +603,12 @@ impl DocHandle {
                 src_char: nc.src_char,
                 external: nc.external,
             });
-            anchor = Some(id);
+            prev = Some(id);
         }
         if stale {
             self.rebuild()?;
         }
-        let receipt = EditReceipt {
-            op,
-            commit_ts,
-            effects,
-        };
-        Ok((receipt, durability))
+        Ok(effects)
     }
 
     /// Where an insert at visible position `pos` goes: after the visible
@@ -802,7 +622,6 @@ impl DocHandle {
         Anchor {
             slot,
             prev: slot.map(|s| self.chain.id_at(s)),
-            next: self.chain.next_slot(slot).map(|s| self.chain.id_at(s)),
             rank: slot.map_or(0, |s| self.chain.total_rank_at(s) + 1),
         }
     }
@@ -1214,8 +1033,12 @@ mod tests {
         assert_eq!(effects[0].1.get(3).unwrap().as_int(), Some(3));
     }
 
+    /// Two handles insert at the same spot from the same view: nothing
+    /// the two transactions write is shared, so both commit, with no
+    /// retry, and the newer one comes first — right after the anchor, in
+    /// front of what was there.
     #[test]
-    fn concurrent_inserts_at_same_position_conflict_and_retry_succeeds() {
+    fn concurrent_inserts_at_the_same_position_commute() {
         let tdb = TextDb::in_memory();
         let u1 = tdb.create_user("alice").unwrap();
         let u2 = tdb.create_user("bob").unwrap();
@@ -1226,14 +1049,12 @@ mod tests {
         // Bob opens at the same state, both insert at position 0.
         let mut h2 = tdb.open(doc, u2).unwrap();
         h1.insert_text(0, "A").unwrap();
-        // Bob's cached anchors are stale; his transaction must conflict.
-        let err = h2.insert_text(0, "B").unwrap_err();
-        assert!(err.is_retryable(), "expected retryable conflict, got {err}");
-        // After refresh the retry succeeds.
-        h2.refresh().unwrap();
         h2.insert_text(0, "B").unwrap();
+        assert_eq!(tdb.database().stats().conflicts, 0);
         let h3 = tdb.open(doc, u1).unwrap();
         assert_eq!(h3.text(), "BAbase");
+        // Bob's view lacks only Alice's character, in its place.
+        assert_eq!(h2.text(), "Bbase");
     }
 
     #[test]
@@ -1253,8 +1074,11 @@ mod tests {
         assert_eq!(fresh.text(), "01X234567Y89");
     }
 
+    /// Two head inserts into an empty document from the same view are
+    /// two children of the head, not two chains: both commit, the newer
+    /// first.
     #[test]
-    fn empty_document_head_race_is_serialized() {
+    fn empty_document_head_race_commutes() {
         let tdb = TextDb::in_memory();
         let u1 = tdb.create_user("alice").unwrap();
         let u2 = tdb.create_user("bob").unwrap();
@@ -1262,13 +1086,30 @@ mod tests {
         let mut h1 = tdb.open(doc, u1).unwrap();
         let mut h2 = tdb.open(doc, u2).unwrap();
         h1.insert_text(0, "first").unwrap();
-        // Bob's head insert must conflict (not silently fork the chain).
-        let err = h2.insert_text(0, "second").unwrap_err();
-        assert!(err.is_retryable());
-        h2.refresh().unwrap();
         h2.insert_text(0, "second").unwrap();
+        assert_eq!(tdb.database().stats().conflicts, 0);
         let fresh = tdb.open(doc, u1).unwrap();
         assert_eq!(fresh.text(), "secondfirst");
+    }
+
+    /// An insert writes its own `chars` rows and no other: the anchor
+    /// and the character after it keep their one version, and the
+    /// document row is not touched, at the head or mid-text.
+    #[test]
+    fn an_insert_writes_only_its_own_character_rows() {
+        let (tdb, _u, mut h) = setup();
+        h.insert_text(0, "ac").unwrap();
+        let versions = |tdb: &TextDb| {
+            let stats = tdb.database().table_stats();
+            let of = |name: &str| stats.iter().find(|t| t.name == name).unwrap().versions;
+            (of("chars"), of("documents"))
+        };
+        let (chars, documents) = versions(&tdb);
+        h.insert_text(1, "b").unwrap();
+        h.insert_text(0, "<").unwrap();
+        h.paste_external(4, "!?", "elsewhere").unwrap();
+        assert_eq!(versions(&tdb), (chars + 4, documents));
+        assert_eq!(h.text(), "<abc!?");
     }
 
     #[test]

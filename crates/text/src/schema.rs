@@ -87,16 +87,20 @@ fn documents_def() -> TableDef {
 
 /// The heart of TeNDaX: one tuple per character.
 ///
-/// `prev`/`next` are nullable character references forming a doubly-linked
-/// chain per document. Deletion tombstones (`deleted = true`) stay in the
-/// chain carrying full metadata — undo, lineage, versioning and mining all
-/// read them. Copy-paste provenance lives directly on the character
-/// (`src_doc`/`src_char` for internal sources, `external_src` otherwise).
+/// `anchor` is the character this one was inserted after (NULL at the
+/// document's head): the paper's doubly-linked chain, held as one link
+/// that never changes. A document's order is the preorder walk of the
+/// tree the anchors make, a character's newer siblings first (DESIGN.md
+/// §5.7); an insert writes its own rows and no other, and only a
+/// tombstone purge rewrites an anchor. Deletion tombstones
+/// (`deleted = true`) stay in the chain carrying full metadata — undo,
+/// lineage, versioning and mining all read them. Copy-paste provenance
+/// lives directly on the character (`src_doc`/`src_char` for internal
+/// sources, `external_src` otherwise).
 fn chars_def() -> TableDef {
     TableDef::new("chars")
         .column("doc", DataType::Id)
-        .nullable_column("prev", DataType::Id)
-        .nullable_column("next", DataType::Id)
+        .nullable_column("anchor", DataType::Id)
         .column("ch", DataType::Text)
         .column("author", DataType::Id)
         .column("created_at", DataType::Timestamp)
@@ -376,15 +380,11 @@ mod tests {
         let db = Database::open_in_memory();
         let t = Tables::install(&db).unwrap();
         let def = db.table_def(t.chars).unwrap();
-        for col in [
-            "prev",
-            "next",
-            "src_doc",
-            "src_char",
-            "external_src",
-            "deleted",
-        ] {
+        for col in ["anchor", "src_doc", "src_char", "external_src", "deleted"] {
             assert!(def.column_position(col).is_some(), "missing column {col}");
+        }
+        for gone in ["prev", "next"] {
+            assert!(def.column_position(gone).is_none(), "column {gone} is back");
         }
     }
 }

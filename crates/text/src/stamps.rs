@@ -164,8 +164,8 @@ impl Folds {
                 if let (Some((a, doc)), Some((b, other))) = (old, new) {
                     if doc == other {
                         // A row rewritten with the same contribution (a
-                        // neighbour link, an operation's flags) changes
-                        // nothing.
+                        // purge's new anchor, an operation's flags)
+                        // changes nothing.
                         let Some(fold) = self.stats.get_mut(&doc) else {
                             return;
                         };

@@ -3,9 +3,9 @@
 //! Deleted characters stay in the chain as tombstones so that undo,
 //! lineage and mining keep working — but a long-lived document
 //! accumulates them without bound. `purge_tombstones` physically removes
-//! tombstones older than a horizon in one transaction: surviving
-//! neighbours are re-linked, the purged characters are cut out of the
-//! effect ranges, and the operations that reference them are sealed (marked
+//! tombstones older than a horizon in one transaction: the survivors
+//! are re-anchored so that each keeps its place, the purged characters
+//! are cut out of the effect ranges, and the operations that reference them are sealed (marked
 //! undone) so undo/redo never tries to revive a purged character.
 //!
 //! Trade-off, stated plainly: purging truncates undo history and
@@ -13,10 +13,11 @@
 //! database `VACUUM` truncates time travel. Open handles become stale
 //! and recover via their normal refresh path.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 use tendax_storage::Value;
 
+use crate::document::AnchorTree;
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, OpId};
 use crate::ops::EffectRange;
@@ -27,7 +28,7 @@ use crate::textdb::TextDb;
 pub struct PurgeStats {
     /// Tombstoned characters physically removed.
     pub purged_chars: usize,
-    /// Surviving characters whose `prev`/`next` links were rewritten.
+    /// Surviving characters re-anchored on the survivor before them.
     pub relinked: usize,
     /// Operations sealed (their effects referenced purged characters).
     pub sealed_ops: usize,
@@ -46,76 +47,48 @@ impl TextDb {
             return Ok(PurgeStats::default());
         }
 
-        // Decode linkage and find the head.
-        struct Node {
-            prev: CharId,
-            next: CharId,
-            purge: bool,
-        }
-        let mut nodes: HashMap<CharId, Node> = HashMap::with_capacity(rows.len());
-        let mut head = CharId::NONE;
-        for (rid, row) in &rows {
+        // The document order, by the walk a load takes, and what to purge.
+        let mut tree = AnchorTree::with_capacity(rows.len());
+        let mut anchors = Vec::with_capacity(rows.len());
+        let mut doomed = HashSet::new();
+        for (at, (rid, row)) in rows.iter().enumerate() {
             let id = CharId::from_row(*rid);
-            let [prev, next, deleted, deleted_at] = row.cols([1, 2, 7, 9]);
-            let (prev, next) = (CharId::from_value(prev), CharId::from_value(next));
-            let deleted = deleted.as_bool().unwrap_or(false);
-            let deleted_at = deleted_at.as_timestamp();
-            let purge = deleted && deleted_at.is_some_and(|ts| ts < before);
-            if prev.is_none() {
-                head = id;
-            }
-            nodes.insert(id, Node { prev, next, purge });
-        }
-        if head.is_none() {
-            txn.abort();
-            return Err(TextError::ChainCorrupt(format!("no chain head in {doc}")));
-        }
-
-        // Walk the chain; compute the surviving sequence.
-        let mut order = Vec::with_capacity(nodes.len());
-        let mut cur = head;
-        while !cur.is_none() {
-            let node = nodes
-                .get(&cur)
-                .ok_or_else(|| TextError::ChainCorrupt(format!("dangling pointer to {cur}")))?;
-            order.push(cur);
-            cur = node.next;
-            if order.len() > nodes.len() {
-                return Err(TextError::ChainCorrupt(format!("cycle in {doc}")));
+            let [anchor, deleted, deleted_at] = row.cols([1, 6, 8]);
+            let anchor = CharId::from_value(anchor);
+            tree.hang(&rows, at, anchor).map_err(|a| {
+                TextError::ChainCorrupt(format!("dangling anchor {a} of {id} in {doc}"))
+            })?;
+            anchors.push(anchor);
+            if deleted.as_bool() == Some(true)
+                && deleted_at.as_timestamp().is_some_and(|ts| ts < before)
+            {
+                doomed.insert(id);
             }
         }
-        let survivors: Vec<CharId> = order
-            .iter()
-            .copied()
-            .filter(|id| !nodes[id].purge)
-            .collect();
-        let purged: Vec<CharId> = order.iter().copied().filter(|id| nodes[id].purge).collect();
-        if purged.is_empty() {
+        if doomed.is_empty() {
             txn.abort();
             return Ok(PurgeStats::default());
         }
+        let mut order = Vec::with_capacity(rows.len());
+        if tree.walk(|i| order.push(i as usize)) < rows.len() {
+            return Err(TextError::ChainCorrupt(format!("anchor cycle in {doc}")));
+        }
 
-        // Re-link survivors whose neighbours changed.
+        // Re-anchor every survivor whose anchor is not the survivor before
+        // it onto that one: the survivors become a path, which no sibling
+        // rule can reorder, so purging changes no survivor's place.
         let mut relinked = 0;
-        for (i, id) in survivors.iter().enumerate() {
-            let new_prev = if i == 0 {
-                CharId::NONE
-            } else {
-                survivors[i - 1]
-            };
-            let new_next = survivors.get(i + 1).copied().unwrap_or(CharId::NONE);
-            let node = &nodes[id];
-            if node.prev != new_prev || node.next != new_next {
-                txn.set(
-                    t.chars,
-                    id.row(),
-                    &[
-                        ("prev", new_prev.opt_value()),
-                        ("next", new_next.opt_value()),
-                    ],
-                )?;
+        let mut prev = CharId::NONE;
+        for i in order {
+            let id = CharId::from_row(rows[i].0);
+            if doomed.contains(&id) {
+                continue;
+            }
+            if anchors[i] != prev {
+                txn.set(t.chars, id.row(), &[("anchor", prev.opt_value())])?;
                 relinked += 1;
             }
+            prev = id;
         }
 
         // Seal operations whose effects name purged characters and drop
@@ -127,7 +100,6 @@ impl TextDb {
         // order the op wrote them in. Reads happen before the bulk
         // writes: index lookups are overlay-aware and would otherwise
         // rescan an ever-growing write set (quadratic).
-        let doomed: HashSet<CharId> = purged.iter().copied().collect();
         let is_doomed =
             |range: &EffectRange, id: &CharId| range.names_chars() && doomed.contains(id);
         let mut sealed = Vec::new();
@@ -148,7 +120,7 @@ impl TextDb {
                 self.log_effects(&mut txn, *op, &range.kind, &ids, &olds, range.new)?;
             }
         }
-        for id in &purged {
+        for id in &doomed {
             txn.delete(t.chars, id.row())?;
         }
         for (op, _) in &sealed {
@@ -158,7 +130,7 @@ impl TextDb {
         }
         txn.commit()?;
         Ok(PurgeStats {
-            purged_chars: purged.len(),
+            purged_chars: doomed.len(),
             relinked,
             sealed_ops: sealed.len(),
         })
@@ -254,8 +226,9 @@ mod tests {
         h.delete_range(2, 2).unwrap();
         let mut stale = tdb.open(d, u).unwrap();
         tdb.purge_tombstones(d, tdb.now()).unwrap();
-        // The stale handle's next edit detects the changed linkage,
-        // refreshes, and succeeds on retry.
+        // The stale handle still holds the purged tombstones. An edit
+        // anchored on one of them fails retryably and lands after a
+        // refresh; this one anchors on "b", which survived, and lands.
         let err = stale.insert_text(2, "X");
         if let Err(e) = err {
             assert!(e.is_retryable());

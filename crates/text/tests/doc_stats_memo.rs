@@ -273,7 +273,7 @@ fn after_the_cold_tier_took_the_history_the_fold_equals_a_cold_init() {
         .index_lookup(t.chars, "chars_by_doc", &[doc.value()])
         .unwrap()
         .into_iter()
-        .filter(|(_, row)| row.cols([7])[0].as_bool() == Some(true))
+        .filter(|(_, row)| row.cols([6])[0].as_bool() == Some(true))
         .map(|(rid, _)| rid)
         .collect();
     assert_eq!(purged.len(), 6);

@@ -6,8 +6,10 @@
 //! consecutive ids, and the purge cuts the purged ones out of it. The
 //! reference here finds them the obvious way — a full `scan(op_effects)`,
 //! every range expanded to one effect per character, filtered on the
-//! purged ids — and predicts the `PurgeStats`, the surviving effects
-//! (expanded, in order) and every op's `undone` flag. On random schedules
+//! purged ids — and predicts the `PurgeStats`, the order a fresh load
+//! gives the characters left (derived from the anchors by a walk of its
+//! own), the surviving effects (expanded, in order) and every op's
+//! `undone` flag. On random schedules
 //! of typing, deletes, undo, redo, internal and external pastes and
 //! styling over three documents, purging each document at a random
 //! horizon, the two agree.
@@ -19,7 +21,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use proptest::prelude::*;
 use tendax_storage::{Predicate, RowId, TableId, Transaction, ValueRef};
-use tendax_text::{DocHandle, DocId, Effect, OpId, PurgeStats, StyleId, TextDb};
+use tendax_text::{DocHandle, DocId, Effect, OpId, PurgeStats, StyleId, TextDb, UserId};
 
 const DOCS: usize = 3;
 
@@ -126,21 +128,25 @@ fn run(step: &Step, handles: &mut [DocHandle], style: StyleId) {
 /// One character's effect: kind, id, old and new value.
 type CharEffect = (String, u64, Option<String>, Option<String>);
 
-/// What the purge must do, found by scanning: its stats, every op's
-/// effects left (expanded to one per character), and each op's `undone`
-/// flag.
+/// What the purge must do, found by scanning: its stats, the order of
+/// the characters left (tombstones included), every op's effects left
+/// (expanded to one per character), and each op's `undone` flag.
 #[derive(Debug, PartialEq)]
 struct Outcome {
     stats: PurgeStats,
+    order: Vec<u64>,
     effects: BTreeMap<u64, Vec<CharEffect>>,
     undone: BTreeMap<RowId, bool>,
 }
 
-fn observed(tdb: &TextDb, stats: PurgeStats) -> Outcome {
+fn observed(tdb: &TextDb, doc: DocId, stats: PurgeStats) -> Outcome {
     let t = tdb.tables();
     let txn = tdb.database().begin();
+    let mut order = Vec::new();
+    (tdb.load(doc, UserId::NONE).unwrap()).for_each_char(|id, _| order.push(id.0));
     Outcome {
         stats,
+        order,
         effects: expanded(&txn, t.op_effects),
         undone: undone_flags(&txn, t.oplog),
     }
@@ -168,48 +174,59 @@ fn undone_flags(txn: &Transaction, oplog: TableId) -> BTreeMap<RowId, bool> {
         .collect()
 }
 
+/// The document order its anchors fix, derived here by its own code: a
+/// depth-first walk from the head, children of one anchor newest (highest
+/// id) first, each character's whole subtree before its older siblings.
+fn order_by_anchors(anchors: &BTreeMap<u64, Option<u64>>) -> Vec<u64> {
+    let mut children: HashMap<Option<u64>, Vec<u64>> = HashMap::new();
+    for (&id, &anchor) in anchors {
+        children.entry(anchor).or_default().push(id);
+    }
+    let mut order = Vec::with_capacity(anchors.len());
+    let mut stack: Vec<u64> = children.get(&None).cloned().unwrap_or_default();
+    // Ascending ids on the stack: the newest is popped first.
+    while let Some(id) = stack.pop() {
+        order.push(id);
+        stack.extend(children.get(&Some(id)).into_iter().flatten());
+    }
+    assert_eq!(order.len(), anchors.len(), "every character is reachable");
+    order
+}
+
 /// The reference purge of `doc` at `before`, computed from full scans
 /// before anything is written.
 fn reference(tdb: &TextDb, doc: DocId, before: i64) -> Outcome {
     let t = tdb.tables();
     let txn = tdb.database().begin();
-    // The document's characters: links and whether each goes.
-    let mut links: HashMap<u64, (Option<u64>, Option<u64>, bool)> = HashMap::new();
-    let mut head = None;
+    // The document's characters: anchors and whether each goes.
+    let mut anchors = BTreeMap::new();
+    let mut purged = BTreeSet::new();
     let in_doc = Predicate::Eq("doc".into(), doc.value());
     for (rid, row) in txn.scan(t.chars, &in_doc).unwrap() {
-        let [prev, next, deleted, deleted_at] = row.cols([1, 2, 7, 9]);
-        let goes = deleted.as_bool() == Some(true)
-            && deleted_at.as_timestamp().is_some_and(|at| at < before);
-        if prev.is_null() {
-            head = Some(rid.0);
+        let [anchor, deleted, deleted_at] = row.cols([1, 6, 8]);
+        if deleted.as_bool() == Some(true)
+            && deleted_at.as_timestamp().is_some_and(|at| at < before)
+        {
+            purged.insert(rid.0);
         }
-        links.insert(rid.0, (prev.as_id(), next.as_id(), goes));
+        anchors.insert(rid.0, anchor.as_id());
     }
-    let mut order = Vec::new();
-    let mut cur = head;
-    while let Some(c) = cur {
-        order.push(c);
-        cur = links[&c].1;
-    }
-    let purged: BTreeSet<u64> = order.iter().copied().filter(|c| links[c].2).collect();
+    let order = order_by_anchors(&anchors);
     let mut effects = expanded(&txn, t.op_effects);
     let mut undone = undone_flags(&txn, t.oplog);
+    let survivors: Vec<u64> = order.into_iter().filter(|c| !purged.contains(c)).collect();
     if purged.is_empty() {
         return Outcome {
             stats: PurgeStats::default(),
+            order: survivors,
             effects,
             undone,
         };
     }
-    let survivors: Vec<u64> = order.into_iter().filter(|c| !purged.contains(c)).collect();
+    // A survivor is re-anchored unless its anchor is already the
+    // survivor before it.
     let relinked = (0..survivors.len())
-        .filter(|&i| {
-            let prev = i.checked_sub(1).map(|p| survivors[p]);
-            let next = survivors.get(i + 1).copied();
-            let (was_prev, was_next, _) = links[&survivors[i]];
-            (was_prev, was_next) != (prev, next)
-        })
+        .filter(|&i| anchors[&survivors[i]] != i.checked_sub(1).map(|p| survivors[p]))
         .count();
     // A character effect on a purged id goes and seals its op; a
     // structure element's or note's id is another table's row id.
@@ -235,6 +252,7 @@ fn reference(tdb: &TextDb, doc: DocId, before: i64) -> Outcome {
             relinked,
             sealed_ops: sealed.len(),
         },
+        order: survivors,
         effects,
         undone,
     }
@@ -268,7 +286,7 @@ proptest! {
             let doc = docs[(first + i) % DOCS];
             let want = reference(&tdb, doc, before);
             let stats = tdb.purge_tombstones(doc, before).unwrap();
-            prop_assert_eq!(observed(&tdb, stats), want, "purging {} at {}", doc, before);
+            prop_assert_eq!(observed(&tdb, doc, stats), want, "purging {} at {}", doc, before);
         }
     }
 }
@@ -302,11 +320,13 @@ fn purging_the_middle_of_a_range_splits_it() {
         stats,
         PurgeStats {
             purged_chars: 3,
-            relinked: 2,
+            // "f" is re-anchored on "b". (With `prev`/`next` links, "b"'s
+            // `next` was rewritten too: 2.)
+            relinked: 1,
             sealed_ops: 3, // the insert, the `em` and the delete
         }
     );
-    assert_eq!(observed(&tdb, stats), want);
+    assert_eq!(observed(&tdb, doc, stats), want);
     let spans = |op: OpId| -> Vec<(u64, i64)> {
         let txn = tdb.database().begin();
         let rows = txn.index_lookup(tdb.tables().op_effects, "op_effects_by_op", &[op.value()]);
@@ -320,4 +340,36 @@ fn purging_the_middle_of_a_range_splits_it() {
     assert_eq!(spans(typed.op), [(ids[0], 2), (ids[5], 3)]);
     assert_eq!(spans(styled.op), [(ids[0], 2), (ids[5], 1)]);
     assert_eq!(tdb.open(doc, user).unwrap().text(), "abfgh");
+}
+
+/// The hard case: a purged tombstone "T" with a newer sibling "N" and a
+/// surviving child "C" newer than "N" ("a", then "T" after it, "N" in
+/// between, "C" after "T"). Re-anchoring "C" on "T"'s own anchor would
+/// put it in front of "N", the newer sibling; the purge anchors it on the
+/// survivor before it instead, and the order stays.
+#[test]
+fn a_purged_tombstone_with_a_newer_sibling_and_a_child_keeps_the_order() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("alice").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let mut h = tdb.open(doc, user).unwrap();
+    h.insert_text(0, "a").unwrap();
+    h.insert_text(1, "T").unwrap();
+    h.insert_text(1, "N").unwrap();
+    h.insert_text(3, "C").unwrap();
+    assert_eq!(h.text(), "aNTC");
+    h.delete_range(2, 1).unwrap();
+    let before = tdb.now();
+    let want = reference(&tdb, doc, before);
+    let stats = tdb.purge_tombstones(doc, before).unwrap();
+    assert_eq!(
+        stats,
+        PurgeStats {
+            purged_chars: 1,
+            relinked: 1,
+            sealed_ops: 2, // the insert of "T" and the delete
+        }
+    );
+    assert_eq!(observed(&tdb, doc, stats), want);
+    assert_eq!(tdb.open(doc, user).unwrap().text(), "aNC");
 }

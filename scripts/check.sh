@@ -11,8 +11,10 @@
 # (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
 # on failure), `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
-# trip, writer = weigher = `encode_record`, replay; the same) and
-# `resident_size`. The transport job's include tendax-net `codec`
+# trip, writer = weigher = `encode_record`, replay; the same),
+# `format_size` (exact bytes: a checkpoint row of each keystroke table,
+# and one anchored keystroke — its character, `oplog` and `op_effects`
+# rows, no neighbour written) and `resident_size`. The transport job's include tendax-net `codec`
 # (protocol v2: run-coded snapshots against the layout spelled out,
 # hostile run tables refused typed, and the run coder's round-trip
 # proptest, which prints PROPTEST_SEED=<n> on failure), `loopback`
@@ -30,8 +32,12 @@
 # versions, a non-resident replaced version on a cold-tier database),
 # tendax-text `doc_stats_memo` (the statistics fold under two writers,
 # a commit parked between its fold and its visibility, the cold-tier
-# fallback), `purge_oracle` and `effect_ranges` (range effects against
-# per-character receipts; both print PROPTEST_SEED=<n> on failure),
+# fallback), `purge_oracle` (the purge against a full scan, and the
+# order left against one derived from the anchors), `anchor_order`
+# (stale handles type, delete and purge; a fresh load's order against an
+# insert-right-after-the-anchor model) and `effect_ranges` (range
+# effects against per-character receipts; all three print
+# PROPTEST_SEED=<n> on failure),
 # tendax-meta `incremental_oracle` (statistics, folders, search and the
 # lineage graph against a cold init; the same), `incremental_cost`
 # (reads counted: folded edits and a lineage build read no table but
