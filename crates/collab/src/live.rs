@@ -43,10 +43,12 @@
 //! watermark, read *before* the stamp: a commit is stamped before it
 //! becomes visible, so every commit at or below that watermark that
 //! wrote the document's characters is either the copy's own or shows in
-//! the stamp. A successful edit advances `synced_ts` to the watermark
-//! after it, so the editors' own commits never look like a bypass; a
-//! bypass commit that lands while an edit runs is the one the stamp can
-//! miss.
+//! the stamp. After a successful try the stamps keep the document's two
+//! newest `chars` commits: if the newer is the try's own and the older at
+//! or below the `synced_ts` the try began from — or both are, when the
+//! try changed no character — the copy advances to the watermark, so the
+//! editors' own commits never look like a bypass. Otherwise a bypass
+//! commit landed while the try ran, and the copy is rebuilt.
 //!
 //! Lock order: no registry lock is held while a document's lock is
 //! taken; a document's lock comes before the database's, and a move takes
@@ -61,7 +63,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use parking_lot::{Mutex, MutexGuard, RwLock};
-use tendax_storage::Durability;
+use tendax_storage::{Durability, Ts};
 use tendax_text::{
     Clip, DocHandle, DocId, EditReceipt, Permission, Result, StyleId, TextDb, TextError, UserId,
 };
@@ -212,6 +214,27 @@ impl LiveDocs {
         }
         copy.advance_synced(frontier);
         Ok(())
+    }
+
+    /// After a try that committed, with the copy at `before` when it
+    /// began: vouch for the watermark if no commit but `own` — the try's,
+    /// if it changed this document's characters — wrote them since;
+    /// else a bypass commit landed while the try ran, and the copy is
+    /// rebuilt. The edit has committed whatever happens here, so a failed
+    /// rebuild is not its error: the copy keeps its `synced_ts`, and the
+    /// next catch-up rebuilds it again.
+    fn settle(&self, copy: &mut DocHandle, before: Ts, own: Option<Ts>) {
+        let frontier = self.tdb.database().last_commit_ts();
+        let [newest, below] = self.tdb.doc_stamps(self.tdb.tables().chars, copy.doc());
+        let only_own = match own {
+            Some(own) => newest == own && below <= before,
+            None => newest <= before,
+        };
+        if only_own {
+            copy.advance_synced(frontier);
+        } else {
+            let _ = self.rebuild(copy);
+        }
     }
 
     /// A transport repair — resync, lost-stream recovery: the live
@@ -434,17 +457,21 @@ impl LiveEditor {
         dst: &LiveEditor,
         dst_pos: usize,
     ) -> Result<(Published, Published)> {
-        let (del, ins) = self.commit(Some(dst), |src, to| match to {
-            Some(to) => src.move_to(pos, len, to, dst_pos),
-            // Within one document: through a second handle, after which
-            // the copy holds only half of the move.
-            None => {
-                let mut to = self.server.textdb().load(self.doc(), dst.user)?;
-                let done = src.move_to(pos, len, &mut to, dst_pos)?;
-                self.server.live().rebuild(src)?;
-                Ok(done)
-            }
-        })?;
+        let (del, ins) = self.commit(
+            Some(dst),
+            |src, to| match to {
+                Some(to) => src.move_to(pos, len, to, dst_pos),
+                // Within one document: through a second handle, after
+                // which the copy holds only half of the move.
+                None => {
+                    let mut to = self.server.textdb().load(self.doc(), dst.user)?;
+                    let done = src.move_to(pos, len, &mut to, dst_pos)?;
+                    self.server.live().rebuild(src)?;
+                    Ok(done)
+                }
+            },
+            |(del, ins)| [changed(del), changed(ins)],
+        )?;
         dst.ops.fetch_add(1, Ordering::Relaxed);
         let moved_out = self.event("delete", &del);
         let moved_in = dst.event("paste", &ins);
@@ -460,7 +487,8 @@ impl LiveEditor {
         kind: &str,
         mut f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
     ) -> Result<(T, EditReceipt, Option<DocEvent>)> {
-        let (value, receipt) = self.commit(None, |h, _| f(h))?;
+        let (value, receipt) =
+            self.commit(None, |h, _| f(h), |(_, receipt)| [changed(receipt), None])?;
         let event = self.event(kind, &receipt);
         Ok((value, receipt, event))
     }
@@ -499,11 +527,13 @@ impl LiveEditor {
     /// name — under the documents' locks, taken in [`DocId`] order. The
     /// copies are caught up before the first try; a try that fails
     /// retryably rebuilds them before the next, and one that succeeds
-    /// advances them to the frontier after it.
+    /// settles them after it: `commits` names its commit on each copy's
+    /// document, if it changed characters there.
     fn commit<T>(
         &self,
         dst: Option<&LiveEditor>,
         mut attempt: impl FnMut(&mut DocHandle, Option<&mut DocHandle>) -> Result<T>,
+        commits: impl Fn(&T) -> [Option<Ts>; 2],
     ) -> Result<T> {
         let dst = dst.filter(|d| d.doc() != self.doc());
         let (mut own, mut theirs) = match dst {
@@ -530,12 +560,13 @@ impl LiveEditor {
                     docs.rebuild(other)?;
                 }
             }
+            let before = (copy.synced_ts(), other.as_deref().map(DocHandle::synced_ts));
             match attempt(copy, other) {
                 Ok(done) => {
-                    let frontier = docs.tdb.database().last_commit_ts();
-                    loaded(&mut own).advance_synced(frontier);
-                    if let Some(other) = theirs.as_deref_mut() {
-                        loaded(other).advance_synced(frontier);
+                    let [mine, dst] = commits(&done);
+                    docs.settle(loaded(&mut own), before.0, mine);
+                    if let (Some(other), Some(at)) = (theirs.as_deref_mut(), before.1) {
+                        docs.settle(loaded(other), at, dst);
                     }
                     self.ops.fetch_add(1, Ordering::Relaxed);
                     return Ok(done);
@@ -573,6 +604,12 @@ impl LiveEditor {
     pub fn publish(&self, event: Option<DocEvent>) {
         self.server.publish(self.session, event);
     }
+}
+
+/// The commit of `receipt`, if it changed characters: every effect is a
+/// character row the commit wrote.
+fn changed(receipt: &EditReceipt) -> Option<Ts> {
+    (!receipt.effects.is_empty()).then_some(receipt.commit_ts)
 }
 
 impl Drop for LiveEditor {
@@ -746,6 +783,39 @@ mod tests {
         assert_eq!(live_text(&server, doc), "hello ");
         assert_eq!(server.live().stats().loads, loads + 2);
         assert_eq!(editor.stats().retries, 0);
+    }
+
+    /// A bypass commit that lands inside an edit's try and shares no row
+    /// with it: the try commits, and its own commit is not the only one
+    /// since the copy's `synced_ts` in the document's stamps, so the copy
+    /// is rebuilt after it rather than vouched for. (When a successful
+    /// try advanced the copy to the watermark unchecked, the copy and its
+    /// snapshots kept "world".)
+    #[test]
+    fn a_bypass_during_a_try_that_lands_is_caught_after_it() {
+        let (server, doc) = served();
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let mut editor = sa.open_id(doc).unwrap();
+        editor.type_text(0, "hello world").unwrap();
+        let tdb = server.textdb().clone();
+        let loads = server.live().stats().loads;
+        let mut tries = 0;
+        editor
+            .with_handle("insert", |h| {
+                tries += 1;
+                let mut raw = tdb.open(doc, sa.user()).unwrap();
+                raw.delete_range(6, 5).unwrap();
+                Ok(((), h.insert_text(0, "!")?))
+            })
+            .unwrap();
+        assert_eq!((tries, editor.stats().retries), (1, 0));
+        assert_eq!(server.live().stats().loads, loads + 1);
+        assert_eq!(live_text(&server, doc), "!hello ");
+        live_equals_a_fresh_load(&server, doc);
+        // The editor's own commits alone are vouched for: no rebuild.
+        editor.type_text(1, "?").unwrap();
+        assert_eq!(live_text(&server, doc), "!?hello ");
+        assert_eq!(server.live().stats().loads, loads + 1);
     }
 
     /// A bypass commit that lands inside an edit's first try — here it

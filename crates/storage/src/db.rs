@@ -271,6 +271,12 @@ impl Database {
                 db.apply_record(&mut catalog, &mut tables, rec)
             })?
         };
+        // Expectations are not logged: a transaction begun at a snapshot
+        // from before the reopen may have missed one, so such a
+        // transaction can delete or expect no row.
+        for table in db.inner.tables.read().values() {
+            table.write().prune_expected(db.last_commit_ts());
+        }
         // Repair a torn tail before appending: anything past the last
         // valid frame is a crashed partial write.
         WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
@@ -551,14 +557,9 @@ impl Database {
         let commit = self.inner.commit_latch.shared();
         // Collect handles, then lock the affected tables — those written
         // and those only expected unchanged — in id order, so lock order
-        // is globally fixed. `guards` holds the written tables' locks, in
-        // the write set's order; `held` the others.
+        // is globally fixed.
         let mut locked: Vec<TableId> = writes.keys().copied().collect();
-        for &(tid, _) in &expected {
-            if !writes.contains_key(&tid) {
-                locked.push(tid);
-            }
-        }
+        locked.extend(expected.iter().map(|&(tid, _)| tid));
         locked.sort_unstable();
         locked.dedup();
         let handles: Vec<(TableId, Arc<RwLock<TableStore>>)> = {
@@ -573,40 +574,24 @@ impl Database {
             }
             hs
         };
-        let (mut guards, mut held) = (Vec::with_capacity(writes.len()), Vec::new());
-        for (tid, h) in &handles {
-            let guard = h.write();
-            if writes.contains_key(tid) {
-                guards.push(guard);
-            } else {
-                held.push((*tid, guard));
+        let mut guards: BTreeMap<TableId, _> =
+            (handles.iter()).map(|(tid, h)| (*tid, h.write())).collect();
+        let check = validate_writes(
+            &writes,
+            &created,
+            &expected,
+            txn.snapshot_ts(),
+            txn.id(),
+            &guards,
+        );
+        if let Err(e) = check {
+            if matches!(e, StorageError::WriteConflict { .. }) {
+                self.inner
+                    .counters
+                    .conflicts
+                    .fetch_add(1, Ordering::Relaxed);
             }
-        }
-        {
-            let mut refs: BTreeMap<TableId, &mut TableStore> = BTreeMap::new();
-            for (tid, guard) in writes.keys().zip(guards.iter_mut()) {
-                refs.insert(*tid, &mut **guard);
-            }
-            for (tid, guard) in held.iter_mut() {
-                refs.insert(*tid, &mut **guard);
-            }
-            let check = validate_writes(
-                &writes,
-                &created,
-                &expected,
-                txn.snapshot_ts(),
-                txn.id(),
-                &refs,
-            );
-            if let Err(e) = check {
-                if matches!(e, StorageError::WriteConflict { .. }) {
-                    self.inner
-                        .counters
-                        .conflicts
-                        .fetch_add(1, Ordering::Relaxed);
-                }
-                return Err(e);
-            }
+            return Err(e);
         }
 
         // The timestamp is allocated only *after* validation: a commit
@@ -683,10 +668,10 @@ impl Database {
             .map(|wal| wal.stage_commit(commit_ts, &rec))
             .transpose()?;
 
-        // Handles were collected in the write set's table order. Each
-        // write's row moves into its version; the keys stay behind for
-        // the observers' view of the write set.
-        for (guard, ws) in guards.iter_mut().zip(writes.values_mut()) {
+        // Each write's row moves into its version; the keys stay behind
+        // for the observers' view of the write set.
+        for (tid, ws) in writes.iter_mut() {
+            let guard = guards.get_mut(tid).expect("every written table is locked");
             for (&rid, op) in ws.iter_mut() {
                 let vop = match std::mem::replace(op, WriteOp::Delete) {
                     // A put's row is the allocation its WAL record holds.
@@ -694,6 +679,29 @@ impl Database {
                     WriteOp::Delete => VersionOp::Delete,
                 };
                 guard.apply(rid, commit_ts, vop);
+            }
+        }
+        // An expectation is recorded like a version, under the same
+        // locks, so that a delete of the row from an older snapshot
+        // conflicts with it (DESIGN §5.8). The records are pruned below
+        // the oldest snapshot still running each time their number has
+        // doubled.
+        let mut prune = Vec::new();
+        for &(tid, rid) in &expected {
+            let guard = guards
+                .get_mut(&tid)
+                .expect("every expected table is locked");
+            if !created.contains(&(tid, rid)) && guard.note_expected(rid, commit_ts) {
+                prune.push(tid);
+            }
+        }
+        if !prune.is_empty() {
+            let horizon = self.oldest_snapshot();
+            for tid in prune {
+                guards
+                    .get_mut(&tid)
+                    .expect("every expected table is locked")
+                    .prune_expected(horizon);
             }
         }
         // Observers hear of the commit while it is applied but not yet
@@ -720,7 +728,6 @@ impl Database {
         // piggy-back on the leader's fsync while new committers stream
         // through the (now free) serial section.
         drop(guards);
-        drop(held);
         drop(commit);
         // Commit wait: don't return until the watermark covers our
         // timestamp, so any transaction begun after commit() returns is
@@ -792,6 +799,15 @@ impl Database {
     /// A timestamp from the engine clock (used for row metadata).
     pub fn now(&self) -> i64 {
         self.inner.clock.now()
+    }
+
+    /// The oldest snapshot a running transaction holds, or the watermark
+    /// when none runs: no transaction that can still commit reads below
+    /// it (one begun at an older snapshot aside, which the callers treat
+    /// conservatively).
+    fn oldest_snapshot(&self) -> Ts {
+        let active = self.inner.active.lock();
+        (active.values().copied().min()).unwrap_or_else(|| self.inner.sequencer.watermark())
     }
 
     /// The newest gap-free commit timestamp (the snapshot watermark):

@@ -34,15 +34,15 @@ use crate::txn::WriteOp;
 /// A commit's write set, borrowed from the tables it was applied to.
 pub struct WriteSet<'a> {
     commit_ts: Ts,
-    /// One write-locked table per entry of `writes`, in the same order.
-    stores: &'a [RwLockWriteGuard<'a, TableStore>],
+    /// The write-locked tables, among them every table of `writes`.
+    stores: &'a BTreeMap<TableId, RwLockWriteGuard<'a, TableStore>>,
     writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
 }
 
 impl<'a> WriteSet<'a> {
     pub(crate) fn new(
         commit_ts: Ts,
-        stores: &'a [RwLockWriteGuard<'a, TableStore>],
+        stores: &'a BTreeMap<TableId, RwLockWriteGuard<'a, TableStore>>,
         writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     ) -> WriteSet<'a> {
         WriteSet {
@@ -54,14 +54,12 @@ impl<'a> WriteSet<'a> {
 
     /// The tables the commit wrote, in table-id order.
     pub fn tables(&self) -> impl Iterator<Item = TableWrites<'_>> + '_ {
-        (self.stores.iter())
-            .zip(self.writes)
-            .map(|(store, (&table, rows))| TableWrites {
-                set: self,
-                table,
-                store,
-                rows,
-            })
+        self.writes.iter().map(|(&table, rows)| TableWrites {
+            set: self,
+            table,
+            store: &self.stores[&table],
+            rows,
+        })
     }
 }
 

@@ -12,6 +12,7 @@
 //! per table, so a row's chain is found by indexing with its id, in
 //! fixed-size pages of slots (see [`SLOTS_PER_PAGE`]).
 
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, StorageError};
@@ -239,7 +240,25 @@ pub struct TableStore {
     versions: usize,
     indexes: Vec<IndexStore>,
     next_row_id: AtomicU64,
+    /// Rows a commit depended on without writing them
+    /// ([`crate::Transaction::expect_unchanged`]), each with the newest
+    /// such commit. Nothing reads them; they only make a delete or
+    /// another expectation from an older snapshot conflict. Kept in RAM
+    /// only, pruned at `expected_floor`, and not counted in
+    /// [`ResidentBytes`]: it holds fewer than `EXPECTED_PRUNE_MIN`
+    /// entries, or twice what the last prune kept — the rows expected
+    /// since the oldest snapshot then running.
+    expected: HashMap<RowId, Ts>,
+    /// Expectations at or below this were pruned: a snapshot below it
+    /// may have missed one, so it is treated as having missed one on
+    /// every row.
+    expected_floor: Ts,
+    /// `expected`'s size at which the next commit prunes it.
+    expected_prune_at: usize,
 }
+
+/// Entries `TableStore::expected` holds before its first prune.
+const EXPECTED_PRUNE_MIN: usize = 64;
 
 impl TableStore {
     pub fn new(id: TableId, def: TableDef) -> Self {
@@ -253,6 +272,9 @@ impl TableStore {
             versions: 0,
             indexes,
             next_row_id: AtomicU64::new(1),
+            expected: HashMap::new(),
+            expected_floor: 0,
+            expected_prune_at: EXPECTED_PRUNE_MIN,
         }
     }
 
@@ -308,6 +330,32 @@ impl TableStore {
             self.chains.get(row).and_then(|c| c.versions().last()),
             Some(Version { commit_ts, op: VersionOp::Put(_) }) if *commit_ts <= ts
         )
+    }
+
+    /// Whether a commit after `snapshot` expected `row` unchanged, or may
+    /// have (its record was pruned above the snapshot).
+    pub fn expected_since(&self, row: RowId, snapshot: Ts) -> bool {
+        self.expected
+            .get(&row)
+            .copied()
+            .unwrap_or(self.expected_floor)
+            > snapshot
+    }
+
+    /// Record that the commit at `ts` expected `row` unchanged. Returns
+    /// whether the records are due for [`TableStore::prune_expected`].
+    pub fn note_expected(&mut self, row: RowId, ts: Ts) -> bool {
+        self.expected.insert(row, ts);
+        self.expected.len() >= self.expected_prune_at
+    }
+
+    /// Forget the expectations at or below `horizon`, which must be at or
+    /// below every snapshot a transaction may still commit from: a newer
+    /// snapshot saw those commits already.
+    pub fn prune_expected(&mut self, horizon: Ts) {
+        self.expected.retain(|_, ts| *ts > horizon);
+        self.expected_floor = self.expected_floor.max(horizon);
+        self.expected_prune_at = (2 * self.expected.len()).max(EXPECTED_PRUNE_MIN);
     }
 
     /// Append a committed version and maintain indexes.

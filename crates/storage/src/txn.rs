@@ -18,7 +18,7 @@ use std::collections::{BTreeMap, HashSet};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
 
 use crate::cold::ColdStore;
 use crate::db::Database;
@@ -667,11 +667,18 @@ impl Transaction {
     /// [`StorageError::WriteConflict`] unless the row's newest version is
     /// still a put at or below the snapshot — a row changed, deleted or
     /// vacuumed away, before the snapshot or after it, fails — or the
-    /// transaction inserted the row itself. The check runs at commit,
-    /// under the table locks the write check holds, and adds no version,
-    /// no log record and nothing a commit observer sees. A transaction
-    /// that writes nothing checks nothing, and a rollback to a savepoint
-    /// keeps every expectation.
+    /// transaction inserted the row itself. The committed expectation is
+    /// then held against later commits: another expectation of the row,
+    /// or a delete of it, from a snapshot older than this commit fails
+    /// too. So of two commits that expect one row, the second began after
+    /// the first committed, and a row that a commit expected is never
+    /// deleted by a transaction that did not see that commit.
+    ///
+    /// The check runs at commit, under the table locks the write check
+    /// holds. The record is kept in RAM, pruned below the oldest running
+    /// snapshot, and adds no version, no log record and nothing a commit
+    /// observer sees. A transaction that writes nothing checks nothing,
+    /// and a rollback to a savepoint keeps every expectation.
     pub fn expect_unchanged(&mut self, table: TableId, row: RowId) -> Result<()> {
         self.check_active()?;
         self.expected.push((table, row));
@@ -782,20 +789,23 @@ fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
 /// and demotion to the cold tier takes a whole chain only when its newest
 /// version is a delete. A row the transaction expects unchanged
 /// ([`Transaction::expect_unchanged`]) and did not insert must still have
-/// a put at or below the snapshot as its newest version. Unique
-/// constraints are then checked against the latest committed state plus
-/// this batch.
+/// a put at or below the snapshot as its newest version, and no other
+/// commit may have expected it unchanged since the snapshot; a delete
+/// fails on such an expectation too. Unique constraints are then checked
+/// against the latest committed state plus this batch.
 pub(crate) fn validate_writes(
     txn_writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
     created: &HashSet<(TableId, RowId)>,
     expected: &[(TableId, RowId)],
     snapshot: Ts,
     txn: TxnId,
-    tables: &BTreeMap<TableId, &mut TableStore>,
+    tables: &BTreeMap<TableId, RwLockWriteGuard<'_, TableStore>>,
 ) -> Result<()> {
     for &(tid, rid) in expected {
         let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
-        if !created.contains(&(tid, rid)) && !store.unchanged_since(rid, snapshot) {
+        if !created.contains(&(tid, rid))
+            && (!store.unchanged_since(rid, snapshot) || store.expected_since(rid, snapshot))
+        {
             return Err(StorageError::WriteConflict {
                 table: store.definition().name.clone(),
                 txn,
@@ -804,13 +814,16 @@ pub(crate) fn validate_writes(
     }
     for (&tid, writes) in txn_writes {
         let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
-        for &rid in writes.keys() {
+        for (&rid, op) in writes {
             if created.contains(&(tid, rid)) {
                 continue;
             }
-            if store
-                .newest_commit_ts(rid)
-                .is_none_or(|newest| newest > snapshot)
+            let expected_since =
+                matches!(op, WriteOp::Delete) && store.expected_since(rid, snapshot);
+            if expected_since
+                || store
+                    .newest_commit_ts(rid)
+                    .is_none_or(|newest| newest > snapshot)
             {
                 return Err(StorageError::WriteConflict {
                     table: store.definition().name.clone(),

@@ -318,3 +318,83 @@ fn an_expectation_adds_no_log_bytes_and_no_versions() {
     );
     assert_eq!(cost[1].2, 1);
 }
+
+/// A committed expectation holds its row against transactions that did
+/// not see the commit: a delete of the row, or a second expectation of
+/// it, from an older snapshot fails. A column update from that snapshot,
+/// and either from a newer one, pass.
+#[test]
+fn an_expectation_holds_its_row_against_older_snapshots() {
+    let db = Database::open_in_memory();
+    let (t, rid) = seed(&db);
+    let expecting = |db: &Database| {
+        let mut txn = db.begin();
+        txn.expect_unchanged(t, rid).unwrap();
+        txn.insert(t, blank()).unwrap();
+        txn
+    };
+
+    let (mut delete, second, mut update) = (db.begin(), expecting(&db), db.begin());
+    expecting(&db).commit().unwrap();
+    delete.delete(t, rid).unwrap();
+    assert!(is_conflict(delete.commit()));
+    assert!(is_conflict(second.commit()));
+    update.set(t, rid, &[("style", Value::Id(3))]).unwrap();
+    update.commit().unwrap();
+
+    expecting(&db).commit().unwrap();
+    let mut delete = db.begin();
+    delete.delete(t, rid).unwrap();
+    delete.commit().unwrap();
+    assert_eq!(db.stats().conflicts, 2);
+}
+
+/// Pruning the records keeps every one a running transaction could have
+/// missed; a transaction begun at an older snapshot after a prune, or
+/// after a reopen, cannot delete an expected row at all.
+#[test]
+fn pruned_expectations_still_hold_against_older_snapshots() {
+    let (_g, path) = tmp("prune.wal");
+    let db = Database::open(&path, common::options()).unwrap();
+    let (t, rid) = seed(&db);
+    let mut rows = vec![rid];
+    for _ in 0..300 {
+        let mut txn = db.begin();
+        rows.push(txn.insert(t, blank()).unwrap());
+        txn.commit().unwrap();
+    }
+    let before = db.last_commit_ts();
+    let expect = |rows: &[tendax_storage::RowId]| {
+        let mut inserted = Vec::new();
+        for &row in rows {
+            let mut txn = db.begin();
+            txn.expect_unchanged(t, row).unwrap();
+            inserted.push(txn.insert(t, blank()).unwrap());
+            txn.commit().unwrap();
+        }
+        inserted
+    };
+    // Enough expectations to prune several times while `old` runs.
+    let mut old = db.begin();
+    let inserted = expect(&rows);
+    old.delete(t, rid).unwrap();
+    assert!(is_conflict(old.commit()), "kept for the running snapshot");
+    // With nothing running, the next prune drops the records.
+    expect(&inserted);
+    expect(&inserted[..250]);
+    let mut pinned = db.begin_at(before).unwrap();
+    pinned.delete(t, rows[1]).unwrap();
+    assert!(is_conflict(pinned.commit()), "pruned, but below the floor");
+    drop(db);
+
+    let db = Database::open(&path, common::options()).unwrap();
+    let mut pinned = db.begin_at(before).unwrap();
+    pinned.delete(t, rid).unwrap();
+    assert!(
+        is_conflict(pinned.commit()),
+        "not logged: refused after reopen"
+    );
+    let mut fresh = db.begin();
+    fresh.delete(t, rid).unwrap();
+    fresh.commit().unwrap();
+}

@@ -6,9 +6,10 @@
 //! writes only its own new rows: concurrent inserts never touch a shared
 //! row, so they commute — two at one spot both commit, the newer in front
 //! (DESIGN.md §5.7). The commit depends on the anchor without writing it
-//! (`Transaction::expect_unchanged`): an anchor purged or changed since
-//! the snapshot fails the insert retryably. This is the paper's
-//! substitute for OT/CRDT machinery: the DBMS serializes everything.
+//! (`TextDb::expect_anchor`): an anchor purged or changed since the
+//! snapshot, or given another child since, fails the insert retryably.
+//! This is the paper's substitute for OT/CRDT machinery: the DBMS
+//! serializes everything.
 //!
 //! Each operation also writes one `oplog` row plus relational `op_effects`
 //! rows, one per run of consecutive character ids (consumed by
@@ -514,9 +515,7 @@ impl DocHandle {
     /// Write `chars` as new rows of this document, typed by this
     /// handle's user at `ts`: the first anchored on `anchor`, each other
     /// on the one before it. They are the only `chars` rows an insert
-    /// writes. Its commit depends on the anchor row being as its
-    /// snapshot saw it, which a purge that removed the anchor, or any
-    /// commit to it since, breaks: then it fails retryably.
+    /// writes. Its commit depends on the anchor ([`TextDb::expect_anchor`]).
     fn write_chars(
         &self,
         txn: &mut Transaction,
@@ -525,9 +524,7 @@ impl DocHandle {
         ts: i64,
     ) -> Result<Vec<CharId>> {
         let t = self.tdb.tables();
-        if let Some(a) = anchor {
-            txn.expect_unchanged(t.chars, a.row())?;
-        }
+        self.tdb.expect_anchor(txn, self.doc, anchor)?;
         let mut ids: Vec<CharId> = Vec::with_capacity(chars.len());
         for nc in chars {
             let anchor = ids.last().copied().or(anchor);

@@ -69,20 +69,32 @@ struct TableStamps {
     /// write whose previous version was not resident), or that committed
     /// before the table was tracked: stamps every document.
     unattributed: Ts,
-    docs: HashMap<DocId, Ts>,
+    /// The two newest commits that wrote rows of each document, newest
+    /// first (0 for none).
+    docs: HashMap<DocId, [Ts; 2]>,
 }
 
 impl TableStamps {
-    fn doc(&self, doc: DocId) -> Ts {
-        match self.key {
-            None => self.newest,
-            Some(_) => (self.docs.get(&doc).copied().unwrap_or(0)).max(self.unattributed),
+    /// The two newest commits that stamp `doc`, newest first. Where they
+    /// cannot be told apart, both are the newest.
+    fn doc(&self, doc: DocId) -> [Ts; 2] {
+        if self.key.is_none() {
+            return [self.newest; 2];
+        }
+        let [newest, below] = self.docs.get(&doc).copied().unwrap_or_default();
+        match self.unattributed {
+            u if u >= newest => [u, newest],
+            u => [newest, below.max(u)],
         }
     }
 
     fn stamp(&mut self, doc: DocId, ts: Ts) {
-        let stamp = self.docs.entry(doc).or_insert(0);
-        *stamp = (*stamp).max(ts);
+        let stamps = self.docs.entry(doc).or_default();
+        if ts > stamps[0] {
+            *stamps = [ts, stamps[0]];
+        } else if ts < stamps[0] {
+            stamps[1] = stamps[1].max(ts);
+        }
     }
 }
 
@@ -221,7 +233,7 @@ impl State {
     fn doc_stamp(&self, tables: &[TableId], doc: DocId) -> Ts {
         (tables.iter())
             .filter_map(|t| self.tables.get(t))
-            .map(|t| t.doc(doc))
+            .map(|t| t.doc(doc)[0])
             .max()
             .unwrap_or(0)
     }
@@ -278,6 +290,12 @@ impl ChangeStamps {
     /// Newest commit that touched `doc` in any of `tables`.
     pub(crate) fn doc_stamp(&self, tables: &[TableId], doc: DocId) -> Ts {
         self.state.lock().doc_stamp(tables, doc)
+    }
+
+    /// The two newest commits that touched `doc` in `table`, newest
+    /// first.
+    pub(crate) fn doc_stamps(&self, table: TableId, doc: DocId) -> [Ts; 2] {
+        (self.state.lock().tables.get(&table)).map_or([0; 2], |t| t.doc(doc))
     }
 
     /// Newest commit that wrote `table`.

@@ -12,7 +12,7 @@ use tendax_storage::{
 };
 
 use crate::error::{Result, TextError};
-use crate::ids::{DocId, RoleId, StyleId, UserId};
+use crate::ids::{CharId, DocId, RoleId, StyleId, UserId};
 use crate::schema::Tables;
 use crate::security::{self, Permission, Principal};
 use crate::stamps::{ChangeStamps, DocKey};
@@ -101,6 +101,14 @@ impl TextDb {
         self.stamps.doc_stamp(tables, doc)
     }
 
+    /// The two newest observed commits that touched `doc` in `table`,
+    /// newest first (0 for none; both the newest where they cannot be
+    /// told apart). The second says whether a commit other than the
+    /// newest came after a given point.
+    pub fn doc_stamps(&self, table: TableId, doc: DocId) -> [Ts; 2] {
+        self.stamps.doc_stamps(table, doc)
+    }
+
     /// Timestamp of the newest observed commit that wrote `table`.
     pub fn table_stamp(&self, table: TableId) -> Ts {
         self.stamps.table_stamp(table)
@@ -108,6 +116,28 @@ impl TextDb {
 
     pub(crate) fn stamps(&self) -> &ChangeStamps {
         &self.stamps
+    }
+
+    /// Make `txn`'s commit depend on `anchor`, the row a new child of
+    /// `doc`'s anchor tree hangs from: the anchor's `chars` row, or at the
+    /// head the document's row. The commit fails retryably if the anchor
+    /// was purged or changed since the snapshot, or was given another
+    /// child by a commit the snapshot does not see; and a purge that did
+    /// not see the commit cannot remove the anchor after it
+    /// ([`Transaction::expect_unchanged`]). So the children of one anchor
+    /// commit one after another, each begun after the one before it
+    /// committed, and a newer child has the higher id (DESIGN §5.7).
+    pub(crate) fn expect_anchor(
+        &self,
+        txn: &mut Transaction,
+        doc: DocId,
+        anchor: Option<CharId>,
+    ) -> Result<()> {
+        match anchor {
+            Some(a) => txn.expect_unchanged(self.t.chars, a.row())?,
+            None => txn.expect_unchanged(self.t.documents, doc.row())?,
+        }
+        Ok(())
     }
 
     /// Run `f` with automatic retry on optimistic-concurrency conflicts.

@@ -76,7 +76,10 @@ impl TextDb {
 
         // Re-anchor every survivor whose anchor is not the survivor before
         // it onto that one: the survivors become a path, which no sibling
-        // rule can reorder, so purging changes no survivor's place.
+        // rule can reorder, so purging changes no survivor's place. A new
+        // child of an anchor depends on it like an insert's does, and an
+        // insert that anchors on a purged character fails: either commit
+        // fails if the other committed since its snapshot.
         let mut relinked = 0;
         let mut prev = CharId::NONE;
         for i in order {
@@ -85,6 +88,7 @@ impl TextDb {
                 continue;
             }
             if anchors[i] != prev {
+                self.expect_anchor(&mut txn, doc, (!prev.is_none()).then_some(prev))?;
                 txn.set(t.chars, id.row(), &[("anchor", prev.opt_value())])?;
                 relinked += 1;
             }

@@ -8,14 +8,24 @@
 //! to type, delete and purge; after every step a fresh load's order,
 //! tombstones included, equals the model's.
 //!
+//! Beside it, deterministic tests run two commits from overlapping
+//! snapshots — two inserts on one anchor, an insert and a purge — and
+//! check that they do not both commit where that would break the order.
+//!
 //! The proptest shim prints `PROPTEST_SEED=<n>` on failure; export it to
 //! replay the sequence.
 
 use std::collections::BTreeMap;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use proptest::prelude::*;
-use tendax_storage::{DataType, Database, Options, Row, TableDef, Value};
+use tendax_storage::{
+    CommitObserver, DataType, Database, Options, Row, TableDef, Ts, Value, WriteSet,
+};
 use tendax_text::{CharId, DocHandle, DocId, Effect, TextDb, TextError, UserId};
 
 const HANDLES: usize = 3;
@@ -161,6 +171,158 @@ fn an_insert_after_a_purged_anchor_fails_retryably() {
     stale.refresh().unwrap();
     stale.insert_text(1, "X").unwrap();
     assert_eq!(tdb.load(doc, user).unwrap().text(), "aXc");
+}
+
+/// Reports every commit, and parks the first one inside its observer
+/// call until released: applied, and in no snapshot yet.
+struct Park {
+    armed: AtomicBool,
+    seen: Mutex<Sender<Ts>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl CommitObserver for Park {
+    fn committed(&self, commit_ts: Ts, _: &WriteSet<'_>) {
+        self.seen.lock().unwrap().send(commit_ts).unwrap();
+        if self.armed.swap(false, Ordering::SeqCst) {
+            // A dropped sender releases the commit too: a test that fails
+            // while it is parked does not hang.
+            let _ = self.release.lock().unwrap().recv();
+        }
+    }
+}
+
+/// Runs `first` until its commit is applied, then `second` from a
+/// snapshot that does not contain that commit, and returns both results.
+/// A commit to `reads` parked in a commit observer holds the snapshot
+/// watermark below both: `first` returns only once it is released, and
+/// so would `second`, had it committed.
+fn overlapping<A: Send, B: Send>(
+    tdb: &TextDb,
+    doc: DocId,
+    first: impl FnOnce() -> A + Send,
+    second: impl FnOnce() -> B + Send,
+) -> (A, B) {
+    let (seen, commits) = channel();
+    let (release, on_release) = channel();
+    let park: Arc<dyn CommitObserver> = Arc::new(Park {
+        armed: AtomicBool::new(true),
+        seen: Mutex::new(seen),
+        release: Mutex::new(on_release),
+    });
+    tdb.database().observe_commits(&park);
+    let next_commit = || commits.recv_timeout(Duration::from_secs(10)).unwrap();
+    std::thread::scope(|s| {
+        let release = release;
+        let parked = s.spawn(|| {
+            let mut txn = tdb.database().begin();
+            let row = Row::new(vec![doc.value(), UserId(1).value(), Value::Timestamp(0)]);
+            txn.insert(tdb.tables().reads, row).unwrap();
+            txn.commit().unwrap();
+        });
+        let watermark = next_commit();
+        let first = s.spawn(first);
+        assert!(next_commit() > watermark, "the first commit is applied");
+        let second = s.spawn(second);
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !second.is_finished() && commits.try_recv().is_err() {
+            assert!(
+                Instant::now() < deadline,
+                "the second neither failed nor committed"
+            );
+            std::thread::yield_now();
+        }
+        release.send(()).unwrap();
+        parked.join().unwrap();
+        (first.join().unwrap(), second.join().unwrap())
+    })
+}
+
+/// A purge whose snapshot misses an insert after one of its tombstones —
+/// made by a handle that still showed the character — cannot remove that
+/// tombstone: the insert depends on it, so the purge conflicts and the
+/// document stays whole. The next purge keeps the now anchoring
+/// tombstone's place.
+#[test]
+fn a_purge_that_missed_an_insert_on_its_tombstone_conflicts() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("alice").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let mut h = tdb.open(doc, user).unwrap();
+    h.insert_text(0, "abc").unwrap();
+    let mut stale = tdb.open(doc, user).unwrap();
+    h.delete_range(1, 1).unwrap();
+    let before = tdb.now();
+    let (typed, purged) = overlapping(
+        &tdb,
+        doc,
+        // `stale` still shows "b" and types after it.
+        || stale.insert_text(2, "X").map(|r| r.effects.len()),
+        || tdb.purge_tombstones(doc, before),
+    );
+    assert_eq!(typed.unwrap(), 1);
+    let err = purged.unwrap_err();
+    assert!(err.is_retryable(), "{err}");
+    assert_eq!(tdb.load(doc, user).unwrap().text(), "aXc");
+    assert_eq!(tdb.purge_tombstones(doc, before).unwrap().purged_chars, 1);
+    assert_eq!(tdb.load(doc, user).unwrap().text(), "aXc");
+}
+
+/// A purge that re-anchors a survivor gives the new anchor a child, as
+/// an insert does: an insert on that anchor from a snapshot without the
+/// purge fails retryably, and lands after a refresh.
+#[test]
+fn a_purge_and_an_insert_that_hang_a_child_on_one_anchor_do_not_both_commit() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("alice").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let mut h = tdb.open(doc, user).unwrap();
+    h.insert_text(0, "abc").unwrap();
+    h.delete_range(1, 1).unwrap();
+    let before = tdb.now();
+    let (purged, typed) = overlapping(
+        &tdb,
+        doc,
+        // "c" is re-anchored on "a".
+        || tdb.purge_tombstones(doc, before).map(|p| p.relinked),
+        || h.insert_text(1, "X").map(|_| ()),
+    );
+    assert_eq!(purged.unwrap(), 1);
+    let err = typed.unwrap_err();
+    assert!(err.is_retryable(), "{err}");
+    h.refresh().unwrap();
+    h.insert_text(1, "X").unwrap();
+    assert_eq!(tdb.load(doc, user).unwrap().text(), "aXc");
+}
+
+/// Two inserts that hang from one anchor — a character, or the head —
+/// from snapshots that overlap do not both commit: the second fails
+/// retryably, and after a refresh lands in front of the first. So a
+/// newer sibling always began after the older one committed, and its id
+/// is the higher one, which is what a load orders siblings by.
+#[test]
+fn inserts_on_one_anchor_from_overlapping_snapshots_do_not_both_commit() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("alice").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let (mut h1, mut h2) = (tdb.open(doc, user).unwrap(), tdb.open(doc, user).unwrap());
+    for (at, text) in [(0, "base"), (2, "..")] {
+        let (first, second) = overlapping(
+            &tdb,
+            doc,
+            || h1.insert_text(at, "A").map(|_| ()),
+            || h2.insert_text(at, "B").map(|_| ()),
+        );
+        first.unwrap();
+        let err = second.unwrap_err();
+        assert!(err.is_retryable(), "{err}");
+        h2.refresh().unwrap();
+        h2.insert_text(at, "B").unwrap();
+        h1.refresh().unwrap();
+        h1.insert_text(0, text).unwrap();
+        h2.refresh().unwrap();
+    }
+    assert_eq!(tdb.load(doc, user).unwrap().text(), "..baBAseBA");
 }
 
 /// Inserting writes exactly one `chars` version per new character —
