@@ -1,33 +1,32 @@
 //! The TCP collaboration client.
 //!
-//! [`NetClient`] opens one connection, performs the `Hello`/`Welcome`
-//! handshake synchronously, then spawns a reader thread that routes
-//! incoming frames: committed `Event`s feed per-document [`MirrorDoc`]
-//! replicas, reply frames (`Snapshot`, `EditOk`, `Presence`, `Pong`)
-//! wake the caller blocked in [`NetClient::subscribe`] & co. The
-//! request API is synchronous and serialized — one outstanding request
-//! per connection — which matches the editor usage pattern and keeps
-//! the protocol state machine trivial.
+//! [`ClientCore`] is the protocol with no I/O: it hands out the bytes of
+//! the `Hello` and of each request, takes the server's frames in, keeps a
+//! [`MirrorDoc`] per subscribed document from the snapshot + event
+//! stream, and returns a [`Completion`] for each request a frame answers.
+//! [`NetClient`] is its shell: it connects, writes the `Hello` and runs a
+//! reader thread that feeds the core; callers block until their
+//! completion arrives, one outstanding request per connection.
 //!
 //! A reply names what it answers: `EditOk`/`EditRejected` and `Snapshot`
 //! the request id of the `Edit`, `Subscribe` or `Resync`, `Pong` the
-//! ping's nonce, `Presence` the document. An unsolicited `Snapshot` (the
-//! server's slow-consumer recovery path, request 0) answers nothing and
-//! reloads the mirror transparently. A terminal `Error` frame (auth, slow
-//! consumer, protocol) poisons the client: every subsequent call returns
-//! the remote error.
+//! ping's nonce, `Presence` the document, `Welcome` the `Hello`. An
+//! unsolicited `Snapshot` (the server's slow-consumer recovery path,
+//! request 0) answers nothing and reloads the mirror transparently. An
+//! `Error` frame answers the outstanding request; outside one it is
+//! terminal (auth, slow consumer, protocol) and poisons the client:
+//! every subsequent call returns the remote error, code and all.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
-use crate::error::{NetError, Result};
+use crate::error::{codes, NetError, Result};
 use crate::mirror::MirrorDoc;
 use crate::protocol::{
     EditOp, Frame, SnapshotReader, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT,
@@ -55,62 +54,212 @@ impl Default for ClientConfig {
     }
 }
 
-/// What the single outstanding request is waiting for.
+/// What answers a request — the same for the request and its reply.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Expect {
-    Nothing,
-    Snapshot { request: u64 },
-    EditReply { request: u64 },
-    Presence { doc: u64 },
-    Pong { nonce: u64 },
+enum Answer {
+    Welcome,
+    /// A request id, or a ping's nonce.
+    Id(u64),
+    Presence(u64),
 }
 
-impl Expect {
-    fn matches(&self, frame: &Frame) -> bool {
-        match (self, frame) {
-            (Expect::Snapshot { request }, Frame::Snapshot { request: r, .. }) => request == r,
-            (Expect::EditReply { request }, Frame::EditOk { request: r, .. }) => request == r,
-            (Expect::EditReply { request }, Frame::EditRejected { request: r, .. }) => request == r,
-            (Expect::Presence { doc }, Frame::Presence { doc: d, .. }) => doc == d,
-            (Expect::Pong { nonce }, Frame::Pong { nonce: n }) => nonce == n,
-            _ => false,
-        }
+impl Answer {
+    fn of(frame: &Frame) -> Option<Answer> {
+        Some(match *frame {
+            Frame::Hello { .. } | Frame::Welcome { .. } => Answer::Welcome,
+            Frame::Subscribe { request, .. }
+            | Frame::Resync { request, .. }
+            | Frame::Edit { request, .. }
+            | Frame::Snapshot { request, .. }
+            | Frame::EditOk { request, .. }
+            | Frame::EditRejected { request, .. }
+            | Frame::Ping { nonce: request }
+            | Frame::Pong { nonce: request } => Answer::Id(request),
+            Frame::PresenceQuery { doc } | Frame::Presence { doc, .. } => Answer::Presence(doc),
+            _ => return None,
+        })
     }
 }
 
+/// A request answered: its id (0 for the `Hello`) and the reply frame —
+/// a `Snapshot` with its header only, its characters being in the
+/// mirror — or the `Error` frame that answered it.
 #[derive(Debug)]
-struct ReplyState {
-    expect: Expect,
-    reply: Option<Result<Frame>>,
+pub struct Completion {
+    pub id: u64,
+    pub reply: Result<Frame>,
 }
 
-#[derive(Debug)]
-struct ClientShared {
-    mirrors: Mutex<HashMap<u64, MirrorDoc>>,
-    /// Signalled whenever a mirror advances (for wait helpers).
-    progress: Condvar,
-    reply: Mutex<ReplyState>,
-    reply_cv: Condvar,
+/// The client's protocol state, with no socket: take request bytes from
+/// [`ClientCore::request`], feed it the server's frames with
+/// [`ClientCore::on_frame`].
+#[derive(Debug, Default)]
+pub struct ClientCore {
+    mirrors: HashMap<u64, MirrorDoc>,
+    /// Requests sent and not yet answered, oldest first: what answers
+    /// each, and its id.
+    pending: Vec<(Answer, u64)>,
+    /// The last request id handed out.
+    last_id: u64,
     /// Terminal error: the connection is unusable.
-    fatal: Mutex<Option<String>>,
-    /// Event frames seen by the reader (diagnostics).
-    events_seen: AtomicU64,
+    fatal: Option<NetError>,
+    /// Event frames seen (diagnostics).
+    events_seen: u64,
+}
+
+impl ClientCore {
+    /// The `Hello` frame's bytes; the `Welcome` completes request 0.
+    pub fn hello(&mut self, user: &str, platform: &str, token: &str) -> Vec<u8> {
+        self.send(
+            0,
+            Frame::Hello {
+                version: PROTOCOL_VERSION,
+                user: user.into(),
+                platform: platform.into(),
+                token: token.into(),
+            },
+        )
+    }
+
+    /// A fresh request id and the bytes of the frame `make` builds with
+    /// it (as the request id, or a ping's nonce). A frame nothing answers
+    /// (`Unsubscribe`, `Awareness`, `Bye`) completes nothing;
+    /// `Unsubscribe` drops the document's mirror.
+    pub fn request(&mut self, make: impl FnOnce(u64) -> Frame) -> (u64, Vec<u8>) {
+        self.last_id += 1;
+        let id = self.last_id;
+        (id, self.send(id, make(id)))
+    }
+
+    fn send(&mut self, id: u64, frame: Frame) -> Vec<u8> {
+        if let Some(answer) = Answer::of(&frame) {
+            self.pending.push((answer, id));
+        }
+        if let Frame::Unsubscribe { doc } = frame {
+            self.mirrors.remove(&doc);
+        }
+        frame.encode()
+    }
+
+    /// Stop waiting for request `id`: a late reply completes nothing.
+    fn cancel(&mut self, id: u64) {
+        self.pending.retain(|&(_, i)| i != id);
+    }
+
+    /// Take one frame from the server: events feed the mirrors, replies
+    /// complete their requests.
+    pub fn on_frame(&mut self, tag: u8, payload: &[u8]) -> Vec<Completion> {
+        let frame = match self.decode(tag, payload) {
+            Ok(Frame::Event(ev)) => {
+                self.events_seen += 1;
+                if let Some(m) = self.mirrors.get_mut(&ev.doc) {
+                    m.apply_event(ev);
+                }
+                return Vec::new();
+            }
+            Ok(frame) => frame,
+            Err(e) => return self.fail(e),
+        };
+        let (found, reply) = match frame {
+            // An error frame answers the outstanding request; outside one
+            // it is terminal (e.g. the slow-consumer cut).
+            Frame::Error { code, message } if self.pending.is_empty() => {
+                return self.fail(NetError::Remote { code, message })
+            }
+            Frame::Error { code, message } => (Some(0), Err(NetError::Remote { code, message })),
+            frame => (self.awaiting(&frame), Ok(frame)),
+        };
+        let complete = |i| Completion {
+            id: self.pending.remove(i).1,
+            reply,
+        };
+        found.map(complete).into_iter().collect()
+    }
+
+    /// Where in `pending` the request `reply` answers is, if awaited.
+    fn awaiting(&self, reply: &Frame) -> Option<usize> {
+        let answer = Answer::of(reply)?;
+        self.pending.iter().position(|(a, _)| *a == answer)
+    }
+
+    /// A `Snapshot` goes from its wire bytes straight into the document's
+    /// mirror; what comes back for it carries only the header. A snapshot
+    /// replaces a mirror, but creates one only for the request it
+    /// answers: a recovery snapshot that crosses an `unsubscribe` must
+    /// not bring back a mirror no event will reach.
+    fn decode(&mut self, tag: u8, payload: &[u8]) -> Result<Frame> {
+        if tag != TAG_SNAPSHOT {
+            return Frame::decode(tag, payload);
+        }
+        let snap = SnapshotReader::new(payload)?;
+        let fresh = MirrorDoc::from_snapshot(&snap)?;
+        let header = Frame::Snapshot {
+            request: snap.request,
+            doc: fresh.doc(),
+            synced_ts: fresh.synced_ts(),
+            chars: Vec::new(),
+        };
+        let asked = self.awaiting(&header).is_some();
+        match self.mirrors.get_mut(&fresh.doc()) {
+            Some(m) => m.reload(fresh),
+            None if asked => {
+                self.mirrors.insert(fresh.doc(), fresh);
+            }
+            None => {}
+        }
+        Ok(header)
+    }
+
+    /// The connection is unusable for `why` (the first reason sticks):
+    /// every outstanding request fails with it.
+    fn fail(&mut self, why: NetError) -> Vec<Completion> {
+        self.fatal.get_or_insert(why);
+        let pending = std::mem::take(&mut self.pending);
+        let fail = |(_, id)| Completion {
+            id,
+            reply: Err(self.terminal().expect("just set")),
+        };
+        pending.into_iter().map(fail).collect()
+    }
+
+    /// The terminal error, if any: a remote error as it came, anything
+    /// else as a protocol error naming it.
+    fn terminal(&self) -> Option<NetError> {
+        self.fatal.as_ref().map(|e| match e {
+            NetError::Remote { code, message } => NetError::Remote {
+                code: *code,
+                message: message.clone(),
+            },
+            other => NetError::Protocol(other.to_string()),
+        })
+    }
+
+    pub fn mirror(&self, doc: u64) -> Option<&MirrorDoc> {
+        self.mirrors.get(&doc)
+    }
+}
+
+/// The core and the completions the reader has handed back that no
+/// caller has collected yet.
+#[derive(Debug, Default)]
+struct State {
+    core: ClientCore,
+    done: Vec<Completion>,
+}
+
+#[derive(Debug, Default)]
+struct ClientShared {
+    state: Mutex<State>,
+    /// Signalled whenever the reader has handed the core frames: a
+    /// mirror may have advanced, a request may have completed.
+    changed: Condvar,
 }
 
 impl ClientShared {
-    fn poison(&self, message: String) {
-        let mut fatal = self.fatal.lock();
-        if fatal.is_none() {
-            *fatal = Some(message.clone());
-        }
-        drop(fatal);
-        let mut r = self.reply.lock();
-        if r.expect != Expect::Nothing {
-            r.reply = Some(Err(NetError::Protocol(message)));
-            r.expect = Expect::Nothing;
-        }
-        self.reply_cv.notify_all();
-        self.progress.notify_all();
+    /// Wait for `changed` until `deadline`; `true` once it has passed.
+    fn wait_until(&self, state: &mut MutexGuard<'_, State>, deadline: Instant) -> bool {
+        let left = deadline.saturating_duration_since(Instant::now());
+        left.is_zero() || self.changed.wait_for(state, left).timed_out()
     }
 }
 
@@ -120,7 +269,6 @@ pub struct NetClient {
     stream: Mutex<TcpStream>,
     shared: Arc<ClientShared>,
     session: u64,
-    next_request: AtomicU64,
     reply_timeout: Duration,
     /// Serializes requests: one outstanding reply at a time.
     request_lock: Mutex<()>,
@@ -138,81 +286,35 @@ impl NetClient {
         user: &str,
         config: ClientConfig,
     ) -> Result<NetClient> {
-        let mut stream = TcpStream::connect(addr)?;
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-
-        // Synchronous handshake before the reader thread exists.
-        stream.set_read_timeout(Some(config.reply_timeout))?;
-        stream.write_all(
-            &Frame::Hello {
-                version: PROTOCOL_VERSION,
-                user: user.into(),
-                platform: config.platform.clone(),
-                token: config.token.clone(),
-            }
-            .encode(),
-        )?;
-        let mut buf = FrameBuffer::default();
-        let mut scratch = [0u8; 4096];
-        let session = loop {
-            if let Some((tag, payload)) = buf.try_frame()? {
-                match Frame::decode(tag, &payload)? {
-                    Frame::Welcome { session } => break session,
-                    Frame::Error { code, message } => {
-                        return Err(NetError::Remote { code, message })
-                    }
-                    other => {
-                        return Err(NetError::Protocol(format!(
-                            "expected Welcome, got frame 0x{:02x}",
-                            other.tag()
-                        )))
-                    }
-                }
-            }
-            match stream.read(&mut scratch) {
-                Ok(0) => return Err(NetError::Closed),
-                Ok(n) => buf.extend(&scratch[..n]),
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    return Err(NetError::Timeout)
-                }
-                Err(e) => return Err(NetError::Io(e)),
-            }
-        };
-        stream.set_read_timeout(None)?;
-
-        let shared = Arc::new(ClientShared {
-            mirrors: Mutex::new(HashMap::new()),
-            progress: Condvar::new(),
-            reply: Mutex::new(ReplyState {
-                expect: Expect::Nothing,
-                reply: None,
-            }),
-            reply_cv: Condvar::new(),
-            fatal: Mutex::new(None),
-            events_seen: AtomicU64::new(0),
-        });
-
+        let shared = Arc::new(ClientShared::default());
+        let mut state = shared.state.lock();
+        let hello = state.core.hello(user, &config.platform, &config.token);
+        drop(state);
         let reader = {
             let shared = Arc::clone(&shared);
             let stream = stream.try_clone()?;
             std::thread::Builder::new()
                 .name("tendax-net-client".into())
-                .spawn(move || reader_loop(stream, shared, buf))
+                .spawn(move || reader_loop(stream, &shared))
                 .expect("spawn client reader")
         };
-
-        Ok(NetClient {
+        // Dropping the client on a failed handshake stops the reader.
+        let mut client = NetClient {
             stream: Mutex::new(stream),
             shared,
-            session,
-            next_request: AtomicU64::new(1),
+            session: 0,
             reply_timeout: config.reply_timeout,
             request_lock: Mutex::new(()),
             reader: Some(reader),
-        })
+        };
+        client.stream.lock().write_all(&hello)?;
+        match client.wait(0)? {
+            Frame::Welcome { session } => client.session = session,
+            other => return Err(unexpected(other)),
+        }
+        Ok(client)
     }
 
     /// The session id the server assigned in `Welcome`.
@@ -220,87 +322,70 @@ impl NetClient {
         self.session
     }
 
-    fn check_fatal(&self) -> Result<()> {
-        match &*self.shared.fatal.lock() {
-            Some(msg) => Err(NetError::Protocol(msg.clone())),
-            None => Ok(()),
-        }
-    }
-
     /// The terminal error that poisoned this connection, if any.
     pub fn fatal(&self) -> Option<String> {
-        self.shared.fatal.lock().clone()
+        let state = self.shared.state.lock();
+        state.core.fatal.as_ref().map(ToString::to_string)
     }
 
     /// Total `Event` frames received on this connection (diagnostics).
     pub fn events_seen(&self) -> u64 {
-        self.shared.events_seen.load(Ordering::Relaxed)
+        self.shared.state.lock().core.events_seen
     }
 
-    fn send(&self, frame: &Frame) -> Result<()> {
-        self.check_fatal()?;
-        self.stream.lock().write_all(&frame.encode())?;
-        Ok(())
-    }
-
-    /// Send `frame` and block until a frame matching `expect` arrives.
-    fn request(&self, frame: Frame, expect: Expect) -> Result<Frame> {
-        let _serial = self.request_lock.lock();
-        self.check_fatal()?;
-        {
-            let mut r = self.shared.reply.lock();
-            r.expect = expect;
-            r.reply = None;
-        }
-        if let Err(e) = self.send(&frame) {
-            self.shared.reply.lock().expect = Expect::Nothing;
-            return Err(e);
-        }
-        let deadline = Instant::now() + self.reply_timeout;
-        let mut r = self.shared.reply.lock();
-        loop {
-            if let Some(reply) = r.reply.take() {
-                r.expect = Expect::Nothing;
-                return reply;
+    /// Write the frame `make` builds; returns its request id.
+    fn send(&self, make: impl FnOnce(u64) -> Frame) -> Result<u64> {
+        let (id, bytes) = {
+            let mut state = self.shared.state.lock();
+            if let Some(e) = state.core.terminal() {
+                return Err(e);
             }
-            let now = Instant::now();
-            if now >= deadline
-                || self
-                    .shared
-                    .reply_cv
-                    .wait_for(&mut r, deadline - now)
-                    .timed_out()
-            {
-                r.expect = Expect::Nothing;
+            state.core.request(make)
+        };
+        if let Err(e) = self.stream.lock().write_all(&bytes) {
+            self.shared.state.lock().core.cancel(id);
+            return Err(e.into());
+        }
+        Ok(id)
+    }
+
+    /// Block until request `id` completes, or the reply timeout.
+    fn wait(&self, id: u64) -> Result<Frame> {
+        let deadline = Instant::now() + self.reply_timeout;
+        let mut state = self.shared.state.lock();
+        let mut timed_out = false;
+        loop {
+            if let Some(i) = state.done.iter().position(|c| c.id == id) {
+                return state.done.swap_remove(i).reply;
+            }
+            if timed_out {
+                state.core.cancel(id);
                 return Err(NetError::Timeout);
             }
+            timed_out = self.shared.wait_until(&mut state, deadline);
         }
+    }
+
+    /// Send the request `make` builds and block until it is answered.
+    fn request(&self, make: impl FnOnce(u64) -> Frame) -> Result<Frame> {
+        let _serial = self.request_lock.lock();
+        let id = self.send(make)?;
+        self.wait(id)
     }
 
     /// Subscribe to a document by name; returns its id once the initial
     /// snapshot has loaded into the local mirror.
     pub fn subscribe(&self, name: &str) -> Result<u64> {
-        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        match self.request(
-            Frame::Subscribe {
-                request,
-                name: name.into(),
-            },
-            Expect::Snapshot { request },
-        )? {
+        let name = name.into();
+        match self.request(|request| Frame::Subscribe { request, name })? {
             Frame::Snapshot { doc, .. } => Ok(doc),
-            other => Err(NetError::Protocol(format!(
-                "unexpected reply 0x{:02x}",
-                other.tag()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Drop the subscription and the local mirror.
     pub fn unsubscribe(&self, doc: u64) -> Result<()> {
-        self.send(&Frame::Unsubscribe { doc })?;
-        self.shared.mirrors.lock().remove(&doc);
-        Ok(())
+        self.send(|_| Frame::Unsubscribe { doc }).map(drop)
     }
 
     /// Insert `text` at `pos` (a position in the client's current view;
@@ -328,87 +413,70 @@ impl NetClient {
     }
 
     fn edit(&self, doc: u64, op: EditOp) -> Result<(u64, u64)> {
-        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        match self.request(
-            Frame::Edit { request, doc, op },
-            Expect::EditReply { request },
-        )? {
+        match self.request(|request| Frame::Edit { request, doc, op })? {
             Frame::EditOk { op, commit_ts, .. } => Ok((op, commit_ts)),
             Frame::EditRejected { message, .. } => Err(NetError::Remote {
-                code: crate::error::codes::REJECTED,
+                code: codes::REJECTED,
                 message,
             }),
-            other => Err(NetError::Protocol(format!(
-                "unexpected reply 0x{:02x}",
-                other.tag()
-            ))),
+            other => Err(unexpected(other)),
         }
+    }
+
+    fn with_mirror<T>(&self, doc: u64, f: impl FnOnce(&MirrorDoc) -> T) -> Option<T> {
+        self.shared.state.lock().core.mirror(doc).map(f)
     }
 
     /// The mirrored text of a subscribed document.
     pub fn text(&self, doc: u64) -> Option<String> {
-        self.shared.mirrors.lock().get(&doc).map(|m| m.text())
+        self.with_mirror(doc, MirrorDoc::text)
     }
 
     /// Commit-timestamp frontier of the mirror.
     pub fn synced_ts(&self, doc: u64) -> Option<u64> {
-        self.shared.mirrors.lock().get(&doc).map(|m| m.synced_ts())
+        self.with_mirror(doc, MirrorDoc::synced_ts)
     }
 
     /// Mirror internals for diagnostics: `(synced_ts, buffered,
     /// needs_resync, applied)`.
     pub fn mirror_status(&self, doc: u64) -> Option<(u64, usize, bool, u64)> {
-        self.shared
-            .mirrors
-            .lock()
-            .get(&doc)
-            .map(|m| (m.synced_ts(), m.buffered(), m.needs_resync(), m.applied()))
+        self.with_mirror(doc, |m| {
+            (m.synced_ts(), m.buffered(), m.needs_resync(), m.applied())
+        })
     }
 
     /// Whether the mirror has flagged itself for resync.
     pub fn needs_resync(&self, doc: u64) -> bool {
-        self.shared
-            .mirrors
-            .lock()
-            .get(&doc)
-            .is_some_and(|m| m.needs_resync())
+        self.with_mirror(doc, MirrorDoc::needs_resync)
+            .unwrap_or(false)
     }
 
     /// Request a fresh snapshot and reload the mirror.
     pub fn resync(&self, doc: u64) -> Result<()> {
-        let request = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.request(Frame::Resync { request, doc }, Expect::Snapshot { request })?;
-        Ok(())
+        self.request(|request| Frame::Resync { request, doc })
+            .map(drop)
     }
 
     /// Block until the mirror's frontier reaches `ts` (or timeout).
     /// Returns `true` on success.
     pub fn wait_synced(&self, doc: u64, ts: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut mirrors = self.shared.mirrors.lock();
+        let mut state = self.shared.state.lock();
         loop {
-            match mirrors.get(&doc) {
-                Some(m) if m.synced_ts() >= ts => return true,
-                Some(m) if m.needs_resync() => {
+            let mirror = state.core.mirror(doc);
+            let shown = mirror.map(|m| (m.synced_ts() >= ts, m.needs_resync()));
+            match shown {
+                Some((true, _)) => return true,
+                Some((false, true)) => {
                     // Resync needs the request path; do it unlocked.
-                    drop(mirrors);
+                    drop(state);
                     if self.resync(doc).is_err() {
                         return false;
                     }
-                    mirrors = self.shared.mirrors.lock();
+                    state = self.shared.state.lock();
                 }
-                _ => {
-                    let now = Instant::now();
-                    if now >= deadline
-                        || self
-                            .shared
-                            .progress
-                            .wait_for(&mut mirrors, deadline - now)
-                            .timed_out()
-                    {
-                        return false;
-                    }
-                }
+                _ if self.shared.wait_until(&mut state, deadline) => return false,
+                _ => {}
             }
         }
     }
@@ -420,34 +488,30 @@ impl NetClient {
         cursor: Option<usize>,
         selection: Option<(usize, usize)>,
     ) -> Result<()> {
-        self.send(&Frame::Awareness {
+        self.send(|_| Frame::Awareness {
             doc,
             cursor: cursor.map(|c| c as u64),
             selection: selection.map(|(a, b)| (a as u64, b as u64)),
         })
+        .map(drop)
     }
 
     /// Who is editing `doc` right now, per the server's registry.
     pub fn presence(&self, doc: u64) -> Result<Vec<WirePresence>> {
-        match self.request(Frame::PresenceQuery { doc }, Expect::Presence { doc })? {
+        match self.request(|_| Frame::PresenceQuery { doc })? {
             Frame::Presence { entries, .. } => Ok(entries),
-            other => Err(NetError::Protocol(format!(
-                "unexpected reply 0x{:02x}",
-                other.tag()
-            ))),
+            other => Err(unexpected(other)),
         }
     }
 
     /// Round-trip liveness probe.
     pub fn ping(&self) -> Result<()> {
-        let nonce = self.next_request.fetch_add(1, Ordering::Relaxed);
-        self.request(Frame::Ping { nonce }, Expect::Pong { nonce })?;
-        Ok(())
+        self.request(|nonce| Frame::Ping { nonce }).map(drop)
     }
 
     /// Graceful close: `Bye`, then tear down the reader.
     pub fn close(&mut self) {
-        let _ = self.send(&Frame::Bye);
+        let _ = self.send(|_| Frame::Bye);
         let _ = self.stream.lock().shutdown(std::net::Shutdown::Both);
         if let Some(h) = self.reader.take() {
             let _ = h.join();
@@ -461,101 +525,39 @@ impl Drop for NetClient {
     }
 }
 
-/// Decode one incoming frame. A `Snapshot` goes from its wire bytes
-/// straight into the document's mirror; what comes back for it carries
-/// only the header (`chars` empty), which is all a waiting `subscribe` or
-/// `resync` reads.
-///
-/// A snapshot replaces a mirror, but creates one only while a `subscribe`
-/// or `resync` waits for it: a recovery snapshot that crosses an
-/// `unsubscribe` must not bring back a mirror no event will reach.
-fn decode_incoming(shared: &ClientShared, tag: u8, payload: &[u8]) -> Result<Frame> {
-    if tag != TAG_SNAPSHOT {
-        return Frame::decode(tag, payload);
-    }
-    let snap = SnapshotReader::new(payload)?;
-    let fresh = MirrorDoc::from_snapshot(&snap)?;
-    let header = Frame::Snapshot {
-        request: snap.request,
-        doc: fresh.doc(),
-        synced_ts: fresh.synced_ts(),
-        chars: Vec::new(),
-    };
-    let asked = shared.reply.lock().expect.matches(&header);
-    let mut mirrors = shared.mirrors.lock();
-    match mirrors.get_mut(&fresh.doc()) {
-        Some(m) => m.reload(fresh),
-        None if asked => {
-            mirrors.insert(fresh.doc(), fresh);
-        }
-        None => {}
-    }
-    shared.progress.notify_all();
-    Ok(header)
+/// A reply of the wrong kind for its request (a server bug or a hostile
+/// peer).
+fn unexpected(reply: Frame) -> NetError {
+    NetError::Protocol(format!("unexpected reply 0x{:02x}", reply.tag()))
 }
 
-fn reader_loop(mut stream: TcpStream, shared: Arc<ClientShared>, mut buf: FrameBuffer) {
+/// The client's shell: hand the core every frame that arrives, until the
+/// connection ends or the core is poisoned.
+fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
+    let mut buf = FrameBuffer::default();
     let mut scratch = vec![0u8; 64 * 1024];
     loop {
-        let frame = loop {
-            match buf.next_frame() {
-                Ok(Some((tag, payload))) => match decode_incoming(&shared, tag, payload) {
-                    Ok(f) => break f,
-                    Err(e) => {
-                        shared.poison(format!("undecodable frame from server: {e}"));
-                        return;
-                    }
-                },
-                Ok(None) => {}
-                Err(e) => {
-                    shared.poison(format!("framing error from server: {e}"));
-                    return;
-                }
-            }
-            match stream.read(&mut scratch) {
-                Ok(0) => {
-                    shared.poison(NetError::Closed.to_string());
-                    return;
-                }
-                Ok(n) => buf.extend(&scratch[..n]),
-                Err(e) => {
-                    shared.poison(format!("read error: {e}"));
-                    return;
-                }
-            }
+        let read = match stream.read(&mut scratch) {
+            Ok(0) => Err(NetError::Closed),
+            read => read.map_err(NetError::Io),
         };
-
-        // Mirror maintenance happens for every Event/Snapshot, solicited
-        // or not (a snapshot was loaded as it was decoded); reply delivery
-        // is separate, and a snapshot may also be the reply to
-        // Subscribe/Resync.
-        if let Frame::Event(ev) = frame {
-            shared.events_seen.fetch_add(1, Ordering::Relaxed);
-            let mut mirrors = shared.mirrors.lock();
-            if let Some(m) = mirrors.get_mut(&ev.doc) {
-                m.apply_event(ev);
-                shared.progress.notify_all();
+        let mut state = shared.state.lock();
+        let State { core, done } = &mut *state;
+        let handed = read.and_then(|n| {
+            buf.extend(&scratch[..n]);
+            while let Some((tag, payload)) = buf.next_frame()? {
+                done.extend(core.on_frame(tag, payload));
             }
-            continue;
+            Ok(())
+        });
+        if let Err(e) = handed {
+            done.extend(core.fail(e));
         }
-
-        let mut r = shared.reply.lock();
-        if r.expect.matches(&frame) {
-            r.reply = Some(Ok(frame));
-            r.expect = Expect::Nothing;
-            shared.reply_cv.notify_all();
-        } else if let Frame::Error { code, message } = frame {
-            // An error frame outside a request is terminal (e.g. the
-            // slow-consumer cut); inside a request it answers it.
-            if r.expect != Expect::Nothing {
-                r.reply = Some(Err(NetError::Remote { code, message }));
-                r.expect = Expect::Nothing;
-                shared.reply_cv.notify_all();
-            } else {
-                drop(r);
-                shared.poison(NetError::Remote { code, message }.to_string());
-                return;
-            }
+        let over = core.fatal.is_some();
+        drop(state);
+        shared.changed.notify_all();
+        if over {
+            return;
         }
     }
 }

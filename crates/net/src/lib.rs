@@ -57,9 +57,9 @@ pub mod protocol;
 pub mod server;
 pub mod wire;
 
-pub use client::{ClientConfig, NetClient};
+pub use client::{ClientConfig, ClientCore, Completion, NetClient};
 pub use error::{codes, NetError, Result};
 pub use mirror::MirrorDoc;
 pub use protocol::{EditOp, Frame, WireChar, WireEvent, WirePresence, PROTOCOL_VERSION};
-pub use server::{NetConfig, NetServer, NetServerStats};
+pub use server::{Bytes, Conn, Hub, NetConfig, NetServer, NetServerStats, Step};
 pub use wire::{FrameBuffer, PayloadReader, PayloadWriter, MAX_FRAME};

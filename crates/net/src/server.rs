@@ -1,25 +1,26 @@
 //! The TCP collaboration server.
 //!
 //! Multiplexes many client connections over one [`CollabServer`]. A
-//! connection is two threads whatever it subscribes to: a reader
-//! (handshake, then frame decode and request dispatch against a
-//! server-side [`EditorSession`], so edits reuse the retry/awareness
-//! machinery) and a writer draining a **bounded** outbound queue onto
-//! the socket. The session owns no copy of a document: a subscription
-//! borrows the collab server's live one ([`tendax_collab::live`]), edits
-//! through it and is sent snapshots encoded from it. No thread stands between a commit and the subscribers'
-//! queues: the server keeps a registry of which connections subscribe
-//! to which document, and a publish hook on the [`LanBus`] runs on
-//! the committing thread, encodes the `Event` frame once and pushes the
-//! shared bytes onto each subscriber's queue.
+//! connection is a core with no I/O — a [`Conn`] on the shared [`Hub`]:
+//! its handshake state, a server-side [`EditorSession`], its
+//! subscriptions and a **bounded** outbound queue; [`Conn::on_frame`]
+//! queues the replies to a frame, [`Conn::drain`] hands out what is
+//! queued — and a shell of two threads whatever it subscribes to: a
+//! reader blocked on the socket that feeds `on_frame`, and a writer that
+//! waits for work, calls `drain` and writes. A subscription borrows the
+//! collab server's live copy of its document ([`tendax_collab::live`]).
+//! No thread stands between a commit and the subscribers' queues: a
+//! publish hook on the [`LanBus`] runs on the committing thread, encodes
+//! the `Event` frame once and pushes the shared bytes onto each
+//! subscriber's queue.
 //!
 //! ## Ack first
 //!
 //! An `Edit`'s reply is queued before its broadcast: the typist's
 //! acknowledgement never waits for the fan-out, and an edit's `EditOk`
 //! is never queued after its own echo. The broadcast goes out even if
-//! the reply could not be queued — the edit is committed, and the other
-//! subscribers are owed it.
+//! the connection is cut for the reply — the edit is committed, and the
+//! other subscribers are owed it.
 //!
 //! ## Subscribe before snapshot
 //!
@@ -33,25 +34,21 @@
 //!
 //! ## Slow-consumer policy
 //!
-//! The outbound queue has a fixed capacity. `Event` frames are offered
-//! without waiting: when the queue is full the frame is dropped and
-//! counted as lag, and that document's stream is *lost* — the client has
-//! a gap it cannot detect, so further events of the document are
-//! suppressed (each counted as lag) until a recovery snapshot. Recovery
-//! belongs to the one thread that knows when the client can take a
-//! frame: once the writer has drained the queue it marks the stream
-//! whole again (resetting that stream's lag, and only that stream's)
-//! and writes the live document's snapshot. Neither that nor a `Resync`
-//! is a read by the user: only `Subscribe` records one. Reply frames
-//! (`Snapshot`, `EditOk`, `Pong`, …) are *critical*: the sender waits up
-//! to `critical_send_timeout` for queue space. A client is cut — queue
-//! cleared, a final `Error{SLOW_CONSUMER}`, socket closed — when its
-//! outstanding lag passes `lag_limit`, when a critical frame cannot be
-//! queued in time, or when a socket write times out (a peer that stops
-//! reading long enough to fill the kernel buffer, recovery snapshot
-//! included). This is the [`LanBus`] policy (bound, count, evict) plus
-//! the resync step a remote mirror needs — one slow editor can never
-//! wedge the server or the other editors.
+//! `Event` frames are offered without waiting: when the queue is full
+//! the frame is dropped and counted as lag, and that document's stream is
+//! *lost* — further events of it are suppressed (each counted as lag)
+//! until a recovery snapshot, which `drain` hands out once it has emptied
+//! the queue, resetting that stream's lag and only that stream's. Neither
+//! that nor a `Resync` is a read by the user: only `Subscribe` records
+//! one. Replies are queued even past the capacity, and the reader then
+//! waits up to `critical_send_timeout` for room before the next request.
+//! A client is cut — queue cleared, a final `Error{SLOW_CONSUMER}`,
+//! socket closed — when its lag passes `lag_limit` (by the publisher
+//! whose offer passed it), when no room comes in time, or when a socket
+//! write times out; closed once, and counted once, whoever finds it.
+//! This is the [`LanBus`] policy (bound, count, evict) plus the resync
+//! step a remote mirror needs — one slow editor can never wedge the
+//! server or the other editors.
 //!
 //! [`LanBus`]: tendax_collab::LanBus
 //!
@@ -62,7 +59,7 @@
 //! and the accept loop are untouched.
 
 use std::collections::{HashMap, VecDeque};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -88,12 +85,9 @@ pub struct NetConfig {
     pub outbound_capacity: usize,
     /// Dropped frames tolerated before a lagging connection is cut.
     pub lag_limit: u64,
-    /// How long a critical (reply) frame may wait for queue space, and a
-    /// socket write for the peer to read.
+    /// How long the reader waits for room in a queue its replies
+    /// overfilled, and a socket write for the peer to read.
     pub critical_send_timeout: Duration,
-    /// Socket read timeout of the per-connection reader loop; bounds
-    /// how quickly kill flags and shutdown are observed.
-    pub read_tick: Duration,
     /// Maximum simultaneously served connections. Excess clients are
     /// turned away with a `Frame::Error { code: CAPACITY }` goodbye
     /// before any per-connection threads or sessions exist, so an
@@ -108,7 +102,6 @@ impl Default for NetConfig {
             outbound_capacity: 1024,
             lag_limit: 256,
             critical_send_timeout: Duration::from_secs(5),
-            read_tick: Duration::from_millis(100),
             max_connections: 256,
         }
     }
@@ -163,18 +156,22 @@ struct StatCells {
     socket_writes: AtomicU64,
 }
 
-/// One encoded frame, shared by every queue it sits in.
-type Bytes = Arc<[u8]>;
+fn bump(cell: &AtomicU64) {
+    cell.fetch_add(1, Ordering::Relaxed);
+}
 
-/// What became of an event offered to a connection.
+/// One encoded frame, shared by every queue it sits in.
+pub type Bytes = Arc<[u8]>;
+
+/// Where a connection stands after [`Conn::on_frame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Offered {
-    /// In the outbound queue.
-    Queued,
-    /// Dropped (queue full) or suppressed (stream lost): counted as lag.
-    Dropped,
-    /// Held behind the subscription's snapshot, or not subscribed.
-    Parked,
+pub enum Step {
+    Ready,
+    /// Replies overfilled the queue: wait for room before the next frame
+    /// (up to `critical_send_timeout`, else cut for `SLOW_CONSUMER`).
+    Full,
+    /// Over (`Bye`, an error, a cut); the queue ends with its last frame.
+    Closed,
 }
 
 /// The event stream of one subscribed document on one connection.
@@ -184,7 +181,7 @@ struct Stream {
     /// of them; `None` once it has been.
     held: Option<Vec<Bytes>>,
     /// A frame was dropped: nothing more of this document is sent until
-    /// the writer's recovery snapshot.
+    /// the recovery snapshot.
     lost: bool,
     /// Frames dropped or suppressed since the stream was last whole.
     lagged: u64,
@@ -198,12 +195,11 @@ struct OutQueue {
     state: Mutex<QueueState>,
     /// Signalled when the parked writer has something to do.
     data: Condvar,
-    /// Signalled when space frees up (critical senders wait on this).
+    /// Signalled when space frees up (a reader waiting for room).
     space: Condvar,
     capacity: usize,
-    /// Outstanding lag summed over the connection's streams (maintained
-    /// under the lock; read without it by the reader's limit check).
-    lagged: AtomicU64,
+    lag_limit: u64,
+    stats: Arc<StatCells>,
 }
 
 #[derive(Debug, Default)]
@@ -212,23 +208,26 @@ struct QueueState {
     /// No more pushes; the writer drains what remains, then closes.
     closing: bool,
     streams: HashMap<DocId, Stream>,
-    /// Lost streams the writer has yet to recover.
+    /// Lost streams `drain` has yet to recover.
     recover: Vec<DocId>,
+    /// Outstanding lag summed over the streams.
+    lagged: u64,
     /// The writer is (about to be) asleep on `data`: only then is a
     /// notification — a system call — worth making.
     writer_parked: bool,
-    /// Critical senders asleep on `space`.
+    /// Readers asleep on `space`.
     space_waiters: usize,
 }
 
 impl OutQueue {
-    fn new(capacity: usize) -> Self {
+    fn new(capacity: usize, lag_limit: u64, stats: Arc<StatCells>) -> Self {
         OutQueue {
             state: Mutex::new(QueueState::default()),
             data: Condvar::new(),
             space: Condvar::new(),
             capacity,
-            lagged: AtomicU64::new(0),
+            lag_limit,
+            stats,
         }
     }
 
@@ -249,55 +248,50 @@ impl OutQueue {
     }
 
     /// The subscription's snapshot is queued: queue what was held behind
-    /// it and let events through from now on. Returns how many held
-    /// events were `(queued, dropped)`.
-    fn release_stream(&self, doc: DocId) -> (u64, u64) {
+    /// it and let events through from now on.
+    fn release_stream(&self, doc: DocId) {
         let mut s = self.state.lock();
         let held = s.streams.get_mut(&doc).and_then(|st| st.held.take());
-        let (mut queued, mut dropped) = (0, 0);
         for frame in held.unwrap_or_default() {
-            match self.offer(&mut s, doc, frame) {
-                Offered::Queued => queued += 1,
-                Offered::Dropped => dropped += 1,
-                Offered::Parked => {}
-            }
+            self.offer(&mut s, doc, frame);
         }
-        (queued, dropped)
     }
 
     /// End a subscription's event stream, forgetting its lag.
     fn close_stream(&self, doc: DocId) {
         let mut s = self.state.lock();
         if let Some(stream) = s.streams.remove(&doc) {
-            self.lagged.fetch_sub(stream.lagged, Ordering::Relaxed);
+            s.lagged -= stream.lagged;
         }
         s.recover.retain(|d| *d != doc);
     }
 
     /// Offer one of `doc`'s events without waiting. Full queue = drop,
-    /// lag, and the stream is lost until the writer recovers it.
-    fn push_event(&self, doc: DocId, frame: &Bytes) -> Offered {
+    /// lag, and the stream is lost until `drain` recovers it; lag past
+    /// the limit cuts the connection, here and now.
+    fn queue_event(&self, doc: DocId, frame: &Bytes) {
         let mut s = self.state.lock();
         self.offer(&mut s, doc, Arc::clone(frame))
     }
 
-    fn offer(&self, s: &mut QueueState, doc: DocId, frame: Bytes) -> Offered {
+    fn offer(&self, s: &mut QueueState, doc: DocId, frame: Bytes) {
         if s.closing {
-            return Offered::Parked;
+            return;
         }
         let Some(stream) = s.streams.get_mut(&doc) else {
-            return Offered::Parked;
+            return;
         };
         if !stream.lost {
             match &mut stream.held {
                 Some(held) if held.len() < self.capacity => {
                     held.push(frame);
-                    return Offered::Parked;
+                    return;
                 }
                 None if s.frames.len() < self.capacity => {
                     s.frames.push_back(frame);
                     self.wake_writer(&mut s.writer_parked);
-                    return Offered::Queued;
+                    bump(&self.stats.events_forwarded);
+                    return;
                 }
                 _ => {}
             }
@@ -306,75 +300,113 @@ impl OutQueue {
             self.wake_writer(&mut s.writer_parked);
         }
         stream.lagged += 1;
-        self.lagged.fetch_add(1, Ordering::Relaxed);
-        Offered::Dropped
+        s.lagged += 1;
+        bump(&self.stats.frames_dropped);
+        if s.lagged > self.lag_limit {
+            self.cut_locked(s, &NetError::SlowConsumer);
+        }
     }
 
-    /// Enqueue a reply frame, waiting up to `timeout` for space.
-    fn push_critical(&self, frame: Bytes, timeout: Duration) -> Result<()> {
+    /// Queue a reply frame, even past the capacity (see [`Step::Full`]).
+    fn push_reply(&self, frame: Bytes) {
         let mut s = self.state.lock();
-        loop {
-            if s.closing {
-                return Err(NetError::Closed);
-            }
-            if s.frames.len() < self.capacity {
-                s.frames.push_back(frame);
-                self.wake_writer(&mut s.writer_parked);
-                return Ok(());
-            }
+        if !s.closing {
+            s.frames.push_back(frame);
+            self.wake_writer(&mut s.writer_parked);
+        }
+    }
+
+    fn step(&self) -> Step {
+        let s = self.state.lock();
+        match (s.closing, s.frames.len() > self.capacity) {
+            (true, _) => Step::Closed,
+            (false, true) => Step::Full,
+            (false, false) => Step::Ready,
+        }
+    }
+
+    /// Shell side: wait up to `timeout` for the queue to be back within
+    /// its capacity (or closed); `false` if it is not.
+    fn wait_room(&self, timeout: Duration) -> bool {
+        let mut s = self.state.lock();
+        while !s.closing && s.frames.len() > self.capacity {
             s.space_waiters += 1;
             let timed_out = self.space.wait_for(&mut s, timeout).timed_out();
             s.space_waiters -= 1;
             if timed_out {
-                return Err(NetError::SlowConsumer);
+                return false;
             }
         }
+        true
     }
 
-    /// Discard everything queued, emit one final frame, and close.
+    /// Discard everything queued, queue one final frame, and close —
+    /// unless closed already.
     fn kill(&self, last_frame: Option<Bytes>) {
-        let mut s = self.state.lock();
+        self.close_locked(&mut self.state.lock(), last_frame);
+    }
+
+    fn close_locked(&self, s: &mut QueueState, last_frame: Option<Bytes>) -> bool {
         if s.closing {
-            return;
+            return false;
         }
         s.frames.clear();
         s.frames.extend(last_frame);
         s.closing = true;
         self.data.notify_all();
         self.space.notify_all();
+        true
     }
 
-    /// Writer side: block until there are frames to write (moved into
-    /// `frames`, all of them) or streams to recover; `false` once closed
-    /// and drained.
-    fn wait(&self, frames: &mut Vec<Bytes>) -> bool {
+    /// Close the connection for `why`: its error frame last, counted
+    /// under its kind — by the one close that ends the connection.
+    fn cut(&self, why: &NetError) {
+        self.cut_locked(&mut self.state.lock(), why);
+    }
+
+    fn cut_locked(&self, s: &mut QueueState, why: &NetError) {
+        let st = &self.stats;
+        let (code, counter) = match why {
+            NetError::Io(_) | NetError::Closed => {
+                self.close_locked(s, None);
+                return;
+            }
+            NetError::Auth(_) => (codes::AUTH, &st.auth_failures),
+            NetError::SlowConsumer => (codes::SLOW_CONSUMER, &st.slow_disconnects),
+            _ => (codes::PROTOCOL, &st.protocol_errors),
+        };
+        let message = why.to_string();
+        if self.close_locked(s, Some(Frame::Error { code, message }.encode().into())) {
+            bump(counter);
+        }
+    }
+
+    /// Shell side: block until there are frames to hand out, streams to
+    /// recover, or the queue is closed.
+    fn wait(&self) {
         let mut s = self.state.lock();
-        loop {
-            if !s.frames.is_empty() {
-                frames.extend(s.frames.drain(..));
-                if s.space_waiters > 0 {
-                    self.space.notify_all();
-                }
-                return true;
-            }
-            if s.closing {
-                return false;
-            }
-            if !s.recover.is_empty() {
-                return true;
-            }
+        while s.frames.is_empty() && s.recover.is_empty() && !s.closing {
             s.writer_parked = true;
             self.data.wait(&mut s);
             s.writer_parked = false;
         }
     }
 
-    /// Writer side: the lost streams, each made whole again — its lag
-    /// forgiven (and no other stream's), its events flowing into the
-    /// queue from here on. The caller now owes each a snapshot opened
-    /// *after* this call, which is what makes the stream whole: whatever
-    /// was dropped committed before it, whatever it misses is queued
-    /// behind it.
+    /// Move every queued frame into `frames`; `false` once closed.
+    fn take(&self, frames: &mut Vec<Bytes>) -> bool {
+        let mut s = self.state.lock();
+        frames.extend(s.frames.drain(..));
+        if s.space_waiters > 0 {
+            self.space.notify_all();
+        }
+        !s.closing
+    }
+
+    /// The lost streams, each made whole again — its lag forgiven (and
+    /// no other stream's), its events flowing into the queue from here
+    /// on. The caller now owes each a snapshot opened *after* this call,
+    /// which is what makes the stream whole: whatever was dropped
+    /// committed before it, whatever it misses is queued behind it.
     fn take_lost(&self, docs: &mut Vec<DocId>) {
         let mut s = self.state.lock();
         let s = &mut *s;
@@ -384,147 +416,35 @@ impl OutQueue {
         for doc in s.recover.drain(..) {
             if let Some(stream) = s.streams.get_mut(&doc) {
                 stream.lost = false;
-                self.lagged
-                    .fetch_sub(std::mem::take(&mut stream.lagged), Ordering::Relaxed);
+                s.lagged -= std::mem::take(&mut stream.lagged);
                 docs.push(doc);
             }
         }
     }
-
-    fn lagged(&self) -> u64 {
-        self.lagged.load(Ordering::Relaxed)
-    }
 }
 
-/// Handles shared between a connection's threads and the publishers.
+/// What every connection and the publish hook share: the collab server,
+/// the counters, and which connections an event of a document goes to.
 #[derive(Debug)]
-struct ConnShared {
-    queue: OutQueue,
-    /// Set when any thread decides the connection must die.
-    dead: AtomicBool,
-    stream: TcpStream,
-    /// Who the connection authenticated as (set by the handshake, before
-    /// any subscription): recovery snapshots are checked against them.
-    user: OnceLock<UserId>,
-}
-
-impl ConnShared {
-    fn kill(&self, last_frame: Option<Frame>) {
-        self.dead.store(true, Ordering::Release);
-        self.queue.kill(last_frame.map(|f| f.encode().into()));
-    }
-
-    fn is_dead(&self) -> bool {
-        self.dead.load(Ordering::Acquire)
-    }
-}
-
-/// What the accept loop, every connection and the publish hook share.
-#[derive(Debug)]
-struct Hub {
+pub struct Hub {
     collab: CollabServer,
     config: NetConfig,
-    stats: StatCells,
-    /// Live connections, for shutdown.
-    conns: Mutex<Vec<Arc<ConnShared>>>,
-    /// Which connections an event of a document goes to.
-    subscribers: RwLock<HashMap<DocId, Vec<Arc<ConnShared>>>>,
+    stats: Arc<StatCells>,
+    subscribers: RwLock<HashMap<DocId, Vec<Arc<OutQueue>>>>,
 }
 
 impl Hub {
-    /// The publish hook's body, on the committing thread: encode the
-    /// `Event` frame once, offer the shared bytes to every subscriber.
-    /// Publishers of any documents share the registry lock; it is only
-    /// taken exclusively to subscribe or unsubscribe.
-    fn fan_out(&self, ev: &DocEvent) {
-        let subscribers = self.subscribers.read();
-        let Some(conns) = subscribers.get(&ev.doc) else {
-            return;
-        };
-        let frame: Bytes = encode_event(ev).into();
-        let (mut queued, mut dropped) = (0, 0);
-        for conn in conns {
-            match conn.queue.push_event(ev.doc, &frame) {
-                Offered::Queued => queued += 1,
-                Offered::Dropped => dropped += 1,
-                Offered::Parked => {}
-            }
-        }
-        self.count_events(queued, dropped);
-    }
-
-    fn count_events(&self, queued: u64, dropped: u64) {
-        self.stats
-            .events_forwarded
-            .fetch_add(queued, Ordering::Relaxed);
-        self.stats
-            .frames_dropped
-            .fetch_add(dropped, Ordering::Relaxed);
-    }
-
-    fn subscribe(&self, doc: DocId, conn: &Arc<ConnShared>) {
-        let mut subscribers = self.subscribers.write();
-        subscribers.entry(doc).or_default().push(Arc::clone(conn));
-    }
-
-    fn unsubscribe(&self, doc: DocId, conn: &Arc<ConnShared>) {
-        let mut subscribers = self.subscribers.write();
-        if let Some(conns) = subscribers.get_mut(&doc) {
-            conns.retain(|c| !Arc::ptr_eq(c, conn));
-            if conns.is_empty() {
-                subscribers.remove(&doc);
-            }
-        }
-    }
-
-    /// Drop every subscription of a connection that is going away.
-    fn disconnect(&self, conn: &Arc<ConnShared>) {
-        self.subscribers.write().retain(|_, conns| {
-            conns.retain(|c| !Arc::ptr_eq(c, conn));
-            !conns.is_empty()
-        });
-    }
-}
-
-/// A running TCP server. Dropping it shuts everything down.
-#[derive(Debug)]
-pub struct NetServer {
-    addr: SocketAddr,
-    shutdown: Arc<AtomicBool>,
-    accept: Option<JoinHandle<()>>,
-    hub: Arc<Hub>,
-}
-
-/// Decrements the live-connection gauge when a connection thread exits,
-/// however it exits.
-struct LiveGuard(Arc<AtomicUsize>);
-
-impl Drop for LiveGuard {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-impl NetServer {
-    /// Bind and start accepting. `addr` may use port 0 for an ephemeral
-    /// port; see [`NetServer::local_addr`].
-    pub fn bind(
-        addr: impl ToSocketAddrs,
-        collab: CollabServer,
-        config: NetConfig,
-    ) -> Result<NetServer> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let shutdown = Arc::new(AtomicBool::new(false));
+    /// A hub serving `collab`, its publish hook registered: every commit's
+    /// event goes to the subscribers' queues on the committing thread.
+    pub fn new(collab: CollabServer, config: NetConfig) -> Arc<Hub> {
         let hub = Arc::new(Hub {
             collab,
             config,
-            stats: StatCells::default(),
-            conns: Mutex::new(Vec::new()),
+            stats: Arc::default(),
             subscribers: RwLock::new(HashMap::new()),
         });
-        // Weak: the bus must not keep the server alive — once the
-        // server is gone the hook deregisters itself by returning false.
+        // Weak: the bus must not keep the hub alive — once it is gone
+        // the hook deregisters itself by returning false.
         let weak = Arc::downgrade(&hub);
         hub.collab
             .transport()
@@ -535,62 +455,50 @@ impl NetServer {
                 }
                 None => false,
             }));
-
-        let accept = {
-            let shutdown = Arc::clone(&shutdown);
-            let hub = Arc::clone(&hub);
-            let live = Arc::new(AtomicUsize::new(0));
-            std::thread::Builder::new()
-                .name("tendax-net-accept".into())
-                .spawn(move || {
-                    for stream in listener.incoming() {
-                        if shutdown.load(Ordering::Acquire) {
-                            break;
-                        }
-                        let Ok(stream) = stream else { continue };
-                        hub.stats.accepted.fetch_add(1, Ordering::Relaxed);
-                        if live.load(Ordering::Acquire) >= hub.config.max_connections {
-                            hub.stats.capacity_rejects.fetch_add(1, Ordering::Relaxed);
-                            reject_at_capacity(stream, hub.config.max_connections);
-                            continue;
-                        }
-                        // Reap finished connections so the registry does
-                        // not grow with server lifetime.
-                        hub.conns.lock().retain(|c| !c.is_dead());
-                        let hub = Arc::clone(&hub);
-                        live.fetch_add(1, Ordering::AcqRel);
-                        let guard = LiveGuard(Arc::clone(&live));
-                        let spawned = std::thread::Builder::new()
-                            .name("tendax-net-conn".into())
-                            .spawn(move || {
-                                let _guard = guard;
-                                handle_connection(stream, hub);
-                            });
-                        // `guard` moved into the thread on success; a
-                        // failed spawn drops it here, undoing the count.
-                        let _ = spawned;
-                    }
-                })
-                .expect("spawn accept thread")
-        };
-
-        Ok(NetServer {
-            addr,
-            shutdown,
-            accept: Some(accept),
-            hub,
-        })
+        hub
     }
 
-    /// The address actually bound (resolves port 0).
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
+    /// The publish hook's body, on the committing thread: encode the
+    /// `Event` frame once, offer the shared bytes to every subscriber.
+    /// Publishers of any documents share the registry lock; it is only
+    /// taken exclusively to subscribe or unsubscribe.
+    fn fan_out(&self, ev: &DocEvent) {
+        let subscribers = self.subscribers.read();
+        if let Some(queues) = subscribers.get(&ev.doc) {
+            let frame: Bytes = encode_event(ev).into();
+            for queue in queues {
+                queue.queue_event(ev.doc, &frame);
+            }
+        }
     }
 
-    pub fn stats(&self) -> NetServerStats {
+    fn subscribe(&self, doc: DocId, queue: &Arc<OutQueue>) {
+        let mut subscribers = self.subscribers.write();
+        subscribers.entry(doc).or_default().push(Arc::clone(queue));
+    }
+
+    fn unsubscribe(&self, doc: DocId, queue: &Arc<OutQueue>) {
+        let mut subscribers = self.subscribers.write();
+        if let Some(queues) = subscribers.get_mut(&doc) {
+            queues.retain(|q| !Arc::ptr_eq(q, queue));
+            if queues.is_empty() {
+                subscribers.remove(&doc);
+            }
+        }
+    }
+
+    /// Drop every subscription of a connection that is going away.
+    fn disconnect(&self, queue: &Arc<OutQueue>) {
+        self.subscribers.write().retain(|_, queues| {
+            queues.retain(|q| !Arc::ptr_eq(q, queue));
+            !queues.is_empty()
+        });
+    }
+
+    fn stats(&self) -> NetServerStats {
         let cell = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        let s = &self.hub.stats;
-        let live = self.hub.collab.live().stats();
+        let s = &self.stats;
+        let live = self.collab.live().stats();
         NetServerStats {
             accepted: cell(&s.accepted),
             auth_failures: cell(&s.auth_failures),
@@ -607,60 +515,254 @@ impl NetServer {
             live_loads: live.loads,
         }
     }
-
-    /// Stop accepting and tear down every live connection.
-    pub fn shutdown(&mut self) {
-        if self.shutdown.swap(true, Ordering::AcqRel) {
-            return;
-        }
-        // Wake the blocking accept with a throwaway connection.
-        let _ = TcpStream::connect(self.addr);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
-        for conn in self.hub.conns.lock().drain(..) {
-            conn.kill(None);
-            let _ = conn.stream.shutdown(std::net::Shutdown::Both);
-        }
-    }
 }
 
-/// Turn away a connection at the capacity limit: best-effort drain of
-/// the client's `Hello` (so closing the socket does not RST the goodbye
-/// frame out of the peer's receive buffer), one typed `Error` frame,
-/// close. Runs inline in the accept thread with short timeouts — no
-/// per-connection threads or sessions are ever created for a rejected
-/// client.
-fn reject_at_capacity(stream: TcpStream, limit: usize) {
-    let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let mut buf = FrameBuffer::default();
-    let mut scratch = [0u8; 4096];
-    let mut s = &stream;
-    loop {
-        match buf.try_frame() {
-            Ok(Some(_)) | Err(_) => break,
-            Ok(None) => {}
-        }
-        match s.read(&mut scratch) {
-            Ok(n) if n > 0 => buf.extend(&scratch[..n]),
-            _ => break,
-        }
-    }
-    let _ = s.write_all(
-        &Frame::Error {
-            code: codes::CAPACITY,
-            message: NetError::AtCapacity { limit }.to_string(),
-        }
-        .encode(),
-    );
-    let _ = stream.shutdown(std::net::Shutdown::Both);
+/// One connection's protocol state, with no socket: feed it frames with
+/// [`Conn::on_frame`], take its output with [`Conn::drain`].
+#[derive(Debug)]
+pub struct Conn {
+    queue: Arc<OutQueue>,
+    /// Who the connection authenticated as (set by the handshake, before
+    /// any subscription): recovery snapshots are checked against them.
+    user: OnceLock<UserId>,
+    /// The session and its hold on each subscribed document's live copy —
+    /// `None` before the handshake, and again once the queue is closed.
+    /// Only the reader side takes this lock; `drain` never does.
+    open: Mutex<Option<(EditorSession, HashMap<DocId, LiveEditor>)>>,
 }
 
-impl Drop for NetServer {
-    fn drop(&mut self) {
-        self.shutdown();
+impl Conn {
+    pub fn new(hub: &Hub) -> Conn {
+        let (config, stats) = (&hub.config, Arc::clone(&hub.stats));
+        let queue = OutQueue::new(config.outbound_capacity, config.lag_limit, stats);
+        Conn {
+            queue: Arc::new(queue),
+            user: OnceLock::new(),
+            open: Mutex::new(None),
+        }
+    }
+
+    /// Handle one frame from the client: answer it into the outbound
+    /// queue, and say whether the next may be read.
+    pub fn on_frame(&self, hub: &Hub, frame: Frame) -> Step {
+        let mut open = self.open.lock();
+        if self.queue.step() != Step::Closed {
+            let served = match &mut *open {
+                None => self.hello(hub, frame).map(|o| *open = Some(o)),
+                Some((session, subs)) => self.serve(hub, session, subs, frame),
+            };
+            if let Err(why) = served {
+                self.queue.cut(&why);
+            }
+        }
+        let step = self.queue.step();
+        if step == Step::Closed {
+            hub.disconnect(&self.queue);
+            *open = None;
+        }
+        step
+    }
+
+    /// The stream ended, or failed, for `why`: close the connection.
+    fn close(&self, hub: &Hub, why: &NetError) {
+        self.queue.cut(why);
+        hub.disconnect(&self.queue);
+        *self.open.lock() = None;
+    }
+
+    /// Hand out every queued frame and, the queue being empty, the
+    /// recovery snapshot of each lost stream. `false` once the
+    /// connection is closed: `out` then ends with its last frame.
+    pub fn drain(&self, hub: &Hub, out: &mut Vec<Bytes>) -> bool {
+        if !self.queue.take(out) {
+            return false;
+        }
+        let mut lost = Vec::new();
+        self.queue.take_lost(&mut lost);
+        for doc in lost {
+            let user = self.user.get().expect("subscriptions follow the handshake");
+            match repair(hub, doc, *user, 0) {
+                Ok(Some(snapshot)) => out.push(snapshot.into()),
+                // Unsubscribed since the stream was lost.
+                Ok(None) => {}
+                // The client cannot be made consistent: say why and close.
+                Err(why) => self.queue.kill(Some(why.encode().into())),
+            }
+        }
+        true
+    }
+
+    fn reply(&self, frame: Frame) {
+        self.queue.push_reply(frame.encode().into());
+    }
+
+    fn hello(
+        &self,
+        hub: &Hub,
+        frame: Frame,
+    ) -> Result<(EditorSession, HashMap<DocId, LiveEditor>)> {
+        let Frame::Hello {
+            version,
+            user,
+            platform,
+            token,
+        } = frame
+        else {
+            return Err(NetError::Protocol(format!(
+                "expected Hello, got frame 0x{:02x}",
+                frame.tag()
+            )));
+        };
+        if version != PROTOCOL_VERSION {
+            return Err(NetError::Auth(format!(
+                "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
+            )));
+        }
+        if let Some(required) = &hub.config.token {
+            if &token != required {
+                return Err(NetError::Auth("bad token".into()));
+            }
+        }
+        let session = hub
+            .collab
+            .connect(&user, platform_from_wire(&platform))
+            .map_err(|e| NetError::Auth(format!("unknown user {user:?}: {e}")))?;
+        self.user
+            .set(session.user())
+            .expect("one handshake per connection");
+        self.reply(Frame::Welcome {
+            session: session.id().0,
+        });
+        Ok((session, HashMap::new()))
+    }
+
+    fn serve(
+        &self,
+        hub: &Hub,
+        session: &EditorSession,
+        subs: &mut HashMap<DocId, LiveEditor>,
+        frame: Frame,
+    ) -> Result<()> {
+        let collab = &hub.collab;
+        match frame {
+            Frame::Subscribe { request, name } => {
+                let doc = match collab.textdb().document_by_name(&name) {
+                    Ok(doc) => doc,
+                    Err(e) => {
+                        self.reply(Frame::Error {
+                            code: codes::NOT_FOUND,
+                            message: format!("no document {name:?}: {e}"),
+                        });
+                        return Ok(());
+                    }
+                };
+                // Opened again while open: one more read, one more snapshot.
+                if let Some(editor) = subs.get(&doc) {
+                    match editor.reopen(|h| encode_snapshot(h, request)) {
+                        Ok(snapshot) => self.queue.push_reply(snapshot.into()),
+                        Err(e) => self.reply(no_snapshot(doc, &e)),
+                    }
+                    return Ok(());
+                }
+                // Order matters (see "Subscribe before snapshot" in the
+                // module docs): the gated stream exists before the
+                // registry can route an event to it, and both before the
+                // snapshot is taken.
+                self.queue.open_stream(doc);
+                hub.subscribe(doc, &self.queue);
+                match session.open_live(doc, |h| encode_snapshot(h, request)) {
+                    Ok((editor, snapshot)) => {
+                        self.queue.push_reply(snapshot.into());
+                        self.queue.release_stream(doc);
+                        subs.insert(doc, editor);
+                    }
+                    Err(e) => {
+                        hub.unsubscribe(doc, &self.queue);
+                        self.queue.close_stream(doc);
+                        self.reply(Frame::Error {
+                            code: codes::REJECTED,
+                            message: format!("cannot open {name:?}: {e}"),
+                        });
+                    }
+                }
+            }
+            Frame::Unsubscribe { doc } => {
+                let doc = DocId(doc);
+                if subs.remove(&doc).is_some() {
+                    hub.unsubscribe(doc, &self.queue);
+                    self.queue.close_stream(doc);
+                }
+            }
+            Frame::Edit { request, doc, op } => {
+                let Some(editor) = subs.get(&DocId(doc)) else {
+                    self.reply(Frame::EditRejected {
+                        request,
+                        message: "not subscribed to this document".into(),
+                    });
+                    return Ok(());
+                };
+                // Positions are advisory: the live document clamps them.
+                let committed = match op {
+                    EditOp::Insert { pos, text } => editor.insert(pos as usize, &text),
+                    EditOp::Delete { pos, len } => editor.delete(pos as usize, len as usize),
+                };
+                match committed {
+                    // Ack first (see the module docs).
+                    Ok((receipt, event)) => {
+                        self.reply(Frame::EditOk {
+                            request,
+                            op: receipt.op.0,
+                            commit_ts: receipt.commit_ts,
+                        });
+                        editor.publish(event);
+                    }
+                    Err(e) => self.reply(Frame::EditRejected {
+                        request,
+                        message: e.to_string(),
+                    }),
+                }
+            }
+            Frame::Awareness {
+                doc,
+                cursor,
+                selection,
+            } => {
+                collab.presence_update(session.id(), |p| {
+                    p.doc = Some(DocId(doc));
+                    p.cursor = cursor.map(|c| c as usize);
+                    p.selection = selection.map(|(a, b)| (a as usize, b as usize));
+                });
+            }
+            Frame::PresenceQuery { doc } => {
+                let entries = collab
+                    .editors_on(DocId(doc))
+                    .iter()
+                    .map(WirePresence::from)
+                    .collect();
+                self.reply(Frame::Presence { doc, entries });
+            }
+            Frame::Ping { nonce } => self.reply(Frame::Pong { nonce }),
+            Frame::Resync { request, doc } => {
+                let held = subs.contains_key(&DocId(doc));
+                match held.then(|| repair(hub, DocId(doc), session.user(), request)) {
+                    Some(Ok(Some(snapshot))) => self.queue.push_reply(snapshot.into()),
+                    Some(Err(why)) => self.reply(why),
+                    _ => self.reply(Frame::Error {
+                        code: codes::NOT_FOUND,
+                        message: "not subscribed to this document".into(),
+                    }),
+                }
+            }
+            Frame::Bye => return Err(NetError::Closed),
+            // Server-to-client frames arriving here are a violation.
+            other => {
+                return Err(NetError::Protocol(format!(
+                    "client may not send frame 0x{:02x}",
+                    other.tag()
+                )))
+            }
+        }
+        Ok(())
     }
 }
 
@@ -696,52 +798,188 @@ fn repair(
     snapshot.map_err(|e| no_snapshot(doc, &e))
 }
 
-fn handle_connection(stream: TcpStream, hub: Arc<Hub>) {
+/// The live connections and their sockets, for shutdown.
+type Conns = Mutex<Vec<(Arc<Conn>, TcpStream)>>;
+
+/// A running TCP server. Dropping it shuts everything down.
+#[derive(Debug)]
+pub struct NetServer {
+    addr: SocketAddr,
+    shutdown: Arc<AtomicBool>,
+    accept: Option<JoinHandle<()>>,
+    hub: Arc<Hub>,
+    conns: Arc<Conns>,
+}
+
+/// Decrements the live-connection gauge when a connection thread exits,
+/// however it exits.
+struct LiveGuard(Arc<AtomicUsize>);
+
+impl Drop for LiveGuard {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::AcqRel);
+    }
+}
+
+impl NetServer {
+    /// Bind and start accepting. `addr` may use port 0 for an ephemeral
+    /// port; see [`NetServer::local_addr`].
+    pub fn bind(
+        addr: impl ToSocketAddrs,
+        collab: CollabServer,
+        config: NetConfig,
+    ) -> Result<NetServer> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let shutdown = Arc::new(AtomicBool::new(false));
+        let hub = Hub::new(collab, config);
+        let conns: Arc<Conns> = Arc::default();
+
+        let accept = {
+            let (shutdown, hub, conns) =
+                (Arc::clone(&shutdown), Arc::clone(&hub), Arc::clone(&conns));
+            let live = Arc::new(AtomicUsize::new(0));
+            std::thread::Builder::new()
+                .name("tendax-net-accept".into())
+                .spawn(move || {
+                    for stream in listener.incoming() {
+                        if shutdown.load(Ordering::Acquire) {
+                            break;
+                        }
+                        let Ok(stream) = stream else { continue };
+                        bump(&hub.stats.accepted);
+                        if live.load(Ordering::Acquire) >= hub.config.max_connections {
+                            bump(&hub.stats.capacity_rejects);
+                            reject_at_capacity(stream, hub.config.max_connections);
+                            continue;
+                        }
+                        // Reap finished connections so the list does not
+                        // grow with server lifetime.
+                        conns.lock().retain(|(c, _)| c.queue.step() != Step::Closed);
+                        let (hub, conns) = (Arc::clone(&hub), Arc::clone(&conns));
+                        live.fetch_add(1, Ordering::AcqRel);
+                        let guard = LiveGuard(Arc::clone(&live));
+                        let spawned = std::thread::Builder::new()
+                            .name("tendax-net-conn".into())
+                            .spawn(move || {
+                                let _guard = guard;
+                                handle_connection(stream, hub, &conns);
+                            });
+                        // `guard` moved into the thread on success; a
+                        // failed spawn drops it here, undoing the count.
+                        let _ = spawned;
+                    }
+                })
+                .expect("spawn accept thread")
+        };
+
+        Ok(NetServer {
+            addr,
+            shutdown,
+            accept: Some(accept),
+            hub,
+            conns,
+        })
+    }
+
+    /// The address actually bound (resolves port 0).
+    pub fn local_addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    pub fn stats(&self) -> NetServerStats {
+        self.hub.stats()
+    }
+
+    /// Stop accepting and tear down every live connection.
+    pub fn shutdown(&mut self) {
+        if self.shutdown.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        // Wake the blocking accept with a throwaway connection.
+        let _ = TcpStream::connect(self.addr);
+        if let Some(h) = self.accept.take() {
+            let _ = h.join();
+        }
+        for (conn, stream) in self.conns.lock().drain(..) {
+            conn.queue.kill(None);
+            let _ = stream.shutdown(std::net::Shutdown::Both);
+        }
+    }
+}
+
+impl Drop for NetServer {
+    fn drop(&mut self) {
+        self.shutdown();
+    }
+}
+
+/// Read one frame, blocking as long as the socket's read timeout allows.
+fn read_frame(mut stream: &TcpStream, buf: &mut FrameBuffer, scratch: &mut [u8]) -> Result<Frame> {
+    loop {
+        if let Some((tag, payload)) = buf.next_frame()? {
+            return Frame::decode(tag, payload);
+        }
+        match stream.read(scratch)? {
+            0 => return Err(NetError::Closed),
+            n => buf.extend(&scratch[..n]),
+        }
+    }
+}
+
+/// Turn away a connection at the capacity limit: best-effort read of
+/// the client's `Hello` (so closing the socket does not RST the goodbye
+/// frame out of the peer's receive buffer), one typed `Error` frame,
+/// close. Runs inline in the accept thread with short timeouts — no
+/// per-connection threads or sessions are ever created for a rejected
+/// client.
+fn reject_at_capacity(stream: TcpStream, limit: usize) {
     let _ = stream.set_nodelay(true);
-    let (Ok(shared_stream), Ok(out)) = (stream.try_clone(), stream.try_clone()) else {
+    let _ = stream.set_read_timeout(Some(Duration::from_millis(250)));
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
+    let _ = read_frame(&stream, &mut FrameBuffer::default(), &mut [0u8; 4096]);
+    let _ = (&stream).write_all(
+        &Frame::Error {
+            code: codes::CAPACITY,
+            message: NetError::AtCapacity { limit }.to_string(),
+        }
+        .encode(),
+    );
+    let _ = stream.shutdown(std::net::Shutdown::Both);
+}
+
+/// The shell of one connection: this thread reads and feeds the core,
+/// a second one writes what the core hands out.
+fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
+    let _ = stream.set_nodelay(true);
+    let (Ok(listed), Ok(out)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
-    let shared = Arc::new(ConnShared {
-        queue: OutQueue::new(hub.config.outbound_capacity),
-        dead: AtomicBool::new(false),
-        stream: shared_stream,
-        user: OnceLock::new(),
-    });
-    hub.conns.lock().push(Arc::clone(&shared));
+    let conn = Arc::new(Conn::new(&hub));
+    conns.lock().push((Arc::clone(&conn), listed));
 
     let writer = {
-        let (hub, shared) = (Arc::clone(&hub), Arc::clone(&shared));
+        let (hub, conn) = (Arc::clone(&hub), Arc::clone(&conn));
         std::thread::Builder::new()
             .name("tendax-net-writer".into())
-            .spawn(move || writer_loop(out, &hub, &shared))
+            .spawn(move || writer_loop(out, &hub, &conn))
             .expect("spawn writer thread")
     };
 
-    let result = serve_client(&stream, &hub, &shared);
-    hub.disconnect(&shared);
-
-    match result {
-        Ok(()) => shared.kill(None),
-        Err(err) => {
-            let stats = &hub.stats;
-            let (code, counts_as) = match &err {
-                NetError::Auth(_) => (codes::AUTH, &stats.auth_failures),
-                NetError::SlowConsumer => (codes::SLOW_CONSUMER, &stats.slow_disconnects),
-                NetError::AtCapacity { .. } => (codes::CAPACITY, &stats.capacity_rejects),
-                NetError::Io(_) | NetError::Closed => (0, &stats.accepted),
-                _ => (codes::PROTOCOL, &stats.protocol_errors),
-            };
-            if code != 0 {
-                counts_as.fetch_add(1, Ordering::Relaxed);
-                shared.kill(Some(Frame::Error {
-                    code,
-                    message: err.to_string(),
-                }));
-            } else {
-                shared.kill(None);
-            }
+    let mut buf = FrameBuffer::default();
+    let mut scratch = vec![0u8; 64 * 1024];
+    let why = loop {
+        match read_frame(&stream, &mut buf, &mut scratch) {
+            Ok(frame) => match conn.on_frame(&hub, frame) {
+                Step::Ready => {}
+                Step::Full if conn.queue.wait_room(hub.config.critical_send_timeout) => {}
+                Step::Full => break NetError::SlowConsumer,
+                Step::Closed => break NetError::Closed,
+            },
+            Err(why) => break why,
         }
-    }
+    };
+    conn.close(&hub, &why);
     let _ = writer.join();
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
@@ -751,31 +989,33 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>) {
 /// rather than through a copy.
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// The connection's writer: drains the bounded queue onto the socket —
-/// every queued frame in one write — and, whenever it has done so and a
-/// stream is lost, recovers it (see the module docs). The write timeout
-/// is the last line of the slow-consumer defence: a peer that stops
-/// reading long enough to fill the kernel buffer loses the connection
-/// instead of pinning this thread forever.
-fn writer_loop(mut out: TcpStream, hub: &Hub, shared: &ConnShared) {
+/// The connection's writer: puts what `drain` hands out on the socket —
+/// all of it in one write — then shuts the socket down once the
+/// connection is closed, which is what wakes a reader blocked on it. The
+/// write timeout is the last line of the slow-consumer defence: a peer
+/// that stops reading long enough to fill the kernel buffer loses the
+/// connection instead of pinning this thread forever.
+fn writer_loop(mut out: TcpStream, hub: &Hub, conn: &Conn) {
     let _ = out.set_write_timeout(Some(hub.config.critical_send_timeout));
     let mut frames: Vec<Bytes> = Vec::new();
     let mut buf: Vec<u8> = Vec::new();
-    while shared.queue.wait(&mut frames) {
-        let written = write_frames(&mut out, hub, &frames, &mut buf)
-            .and_then(|()| recover_lost(&mut out, hub, shared));
-        frames.clear();
-        if let Err(e) = written {
+    loop {
+        conn.queue.wait();
+        let open = conn.drain(hub, &mut frames);
+        if let Err(e) = write_frames(&mut out, hub, &frames, &mut buf) {
             // A write timeout means the peer stopped reading long enough
             // to fill the kernel buffer: that is the slow-consumer policy
-            // firing, not an I/O accident, so account for it as such.
-            if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ) {
-                hub.stats.slow_disconnects.fetch_add(1, Ordering::Relaxed);
+            // firing, not an I/O accident.
+            match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => {
+                    conn.queue.cut(&NetError::SlowConsumer)
+                }
+                _ => conn.queue.cut(&e.into()),
             }
-            shared.kill(None);
+            break;
+        }
+        frames.clear();
+        if !open {
             break;
         }
     }
@@ -791,7 +1031,7 @@ fn write_counted(
     hub.stats
         .frames_written
         .fetch_add(frames as u64, Ordering::Relaxed);
-    hub.stats.socket_writes.fetch_add(1, Ordering::Relaxed);
+    bump(&hub.stats.socket_writes);
     out.write_all(bytes)
 }
 
@@ -824,248 +1064,6 @@ fn write_frames(
     Ok(())
 }
 
-/// Make every lost stream whole again, then write each its snapshot —
-/// in that order, so whatever the snapshot misses is queued behind it.
-fn recover_lost(out: &mut TcpStream, hub: &Hub, shared: &ConnShared) -> std::io::Result<()> {
-    let mut lost = Vec::new();
-    shared.queue.take_lost(&mut lost);
-    for doc in lost {
-        let user = shared
-            .user
-            .get()
-            .expect("subscriptions follow the handshake");
-        match repair(hub, doc, *user, 0) {
-            Ok(Some(snapshot)) => write_counted(out, hub, 1, &snapshot)?,
-            // Unsubscribed since the stream was lost.
-            Ok(None) => {}
-            // The client cannot be made consistent: say why and close.
-            Err(why) => shared.kill(Some(why)),
-        }
-    }
-    Ok(())
-}
-
-/// Read one frame, honoring the read-tick timeout: `Ok(None)` means the
-/// tick elapsed with no complete frame (check flags and keep going).
-fn read_tick(
-    mut stream: &TcpStream,
-    buf: &mut FrameBuffer,
-    scratch: &mut [u8],
-) -> Result<Option<(u8, Vec<u8>)>> {
-    if let Some(frame) = buf.try_frame()? {
-        return Ok(Some(frame));
-    }
-    match stream.read(scratch) {
-        Ok(0) => Err(NetError::Closed),
-        Ok(n) => {
-            buf.extend(&scratch[..n]);
-            buf.try_frame()
-        }
-        Err(e)
-            if e.kind() == std::io::ErrorKind::WouldBlock
-                || e.kind() == std::io::ErrorKind::TimedOut =>
-        {
-            Ok(None)
-        }
-        Err(e) => Err(NetError::Io(e)),
-    }
-}
-
-fn serve_client(stream: &TcpStream, hub: &Hub, shared: &Arc<ConnShared>) -> Result<()> {
-    let (collab, config) = (&hub.collab, &hub.config);
-    stream.set_read_timeout(Some(config.read_tick))?;
-    let mut buf = FrameBuffer::default();
-    let mut scratch = vec![0u8; 64 * 1024];
-
-    // --- Handshake: the first frame must be Hello. -------------------
-    let hello = loop {
-        if shared.is_dead() {
-            return Ok(());
-        }
-        if let Some((tag, payload)) = read_tick(stream, &mut buf, &mut scratch)? {
-            break Frame::decode(tag, &payload)?;
-        }
-    };
-    let Frame::Hello {
-        version,
-        user,
-        platform,
-        token,
-    } = hello
-    else {
-        return Err(NetError::Protocol(format!(
-            "expected Hello, got frame 0x{:02x}",
-            hello.tag()
-        )));
-    };
-    if version != PROTOCOL_VERSION {
-        return Err(NetError::Auth(format!(
-            "protocol version {version} unsupported (server speaks {PROTOCOL_VERSION})"
-        )));
-    }
-    if let Some(required) = &config.token {
-        if &token != required {
-            return Err(NetError::Auth("bad token".into()));
-        }
-    }
-    let session: EditorSession = collab
-        .connect(&user, platform_from_wire(&platform))
-        .map_err(|e| NetError::Auth(format!("unknown user {user:?}: {e}")))?;
-    shared
-        .user
-        .set(session.user())
-        .expect("one handshake per connection");
-    let critical_bytes = |frame: Vec<u8>| -> Result<()> {
-        shared
-            .queue
-            .push_critical(frame.into(), config.critical_send_timeout)
-    };
-    let critical = |frame: Frame| critical_bytes(frame.encode());
-    critical(Frame::Welcome {
-        session: session.id().0,
-    })?;
-
-    // --- Main loop. --------------------------------------------------
-    // The connection's hold on the live copy of each subscribed document.
-    // Dropping one clears this session's presence on the document.
-    let mut subs: HashMap<DocId, LiveEditor> = HashMap::new();
-    loop {
-        if shared.is_dead() {
-            return Ok(());
-        }
-        // Publishers and the writer count lag; the reader enforces the
-        // limit so the error frame is produced exactly once.
-        if shared.queue.lagged() > config.lag_limit {
-            return Err(NetError::SlowConsumer);
-        }
-        let frame = match read_tick(stream, &mut buf, &mut scratch)? {
-            None => continue,
-            Some((tag, payload)) => Frame::decode(tag, &payload)?,
-        };
-        match frame {
-            Frame::Subscribe { request, name } => {
-                let doc = match collab.textdb().document_by_name(&name) {
-                    Ok(doc) => doc,
-                    Err(e) => {
-                        critical(Frame::Error {
-                            code: codes::NOT_FOUND,
-                            message: format!("no document {name:?}: {e}"),
-                        })?;
-                        continue;
-                    }
-                };
-                // Opened again while open: one more read, one more snapshot.
-                if let Some(editor) = subs.get(&doc) {
-                    match editor.reopen(|h| encode_snapshot(h, request)) {
-                        Ok(snapshot) => critical_bytes(snapshot)?,
-                        Err(e) => critical(no_snapshot(doc, &e))?,
-                    }
-                    continue;
-                }
-                // Order matters (see "Subscribe before snapshot" in the
-                // module docs): the gated stream exists before the
-                // registry can route an event to it, and both before the
-                // snapshot is taken.
-                shared.queue.open_stream(doc);
-                hub.subscribe(doc, shared);
-                match session.open_live(doc, |h| encode_snapshot(h, request)) {
-                    Ok((editor, snapshot)) => {
-                        critical_bytes(snapshot)?;
-                        let (queued, dropped) = shared.queue.release_stream(doc);
-                        hub.count_events(queued, dropped);
-                        subs.insert(doc, editor);
-                    }
-                    Err(e) => {
-                        hub.unsubscribe(doc, shared);
-                        shared.queue.close_stream(doc);
-                        critical(Frame::Error {
-                            code: codes::REJECTED,
-                            message: format!("cannot open {name:?}: {e}"),
-                        })?;
-                    }
-                }
-            }
-            Frame::Unsubscribe { doc } => {
-                let doc = DocId(doc);
-                if subs.remove(&doc).is_some() {
-                    hub.unsubscribe(doc, shared);
-                    shared.queue.close_stream(doc);
-                }
-            }
-            Frame::Edit { request, doc, op } => {
-                let Some(editor) = subs.get(&DocId(doc)) else {
-                    critical(Frame::EditRejected {
-                        request,
-                        message: "not subscribed to this document".into(),
-                    })?;
-                    continue;
-                };
-                // Positions are advisory: the live document clamps them.
-                let committed = match op {
-                    EditOp::Insert { pos, text } => editor.insert(pos as usize, &text),
-                    EditOp::Delete { pos, len } => editor.delete(pos as usize, len as usize),
-                };
-                match committed {
-                    // Ack first, and broadcast whatever became of the ack
-                    // (see the module docs).
-                    Ok((receipt, event)) => {
-                        let acked = critical(Frame::EditOk {
-                            request,
-                            op: receipt.op.0,
-                            commit_ts: receipt.commit_ts,
-                        });
-                        editor.publish(event);
-                        acked?;
-                    }
-                    Err(e) => critical(Frame::EditRejected {
-                        request,
-                        message: e.to_string(),
-                    })?,
-                }
-            }
-            Frame::Awareness {
-                doc,
-                cursor,
-                selection,
-            } => {
-                collab.presence_update(session.id(), |p| {
-                    p.doc = Some(DocId(doc));
-                    p.cursor = cursor.map(|c| c as usize);
-                    p.selection = selection.map(|(a, b)| (a as usize, b as usize));
-                });
-            }
-            Frame::PresenceQuery { doc } => {
-                let entries = collab
-                    .editors_on(DocId(doc))
-                    .iter()
-                    .map(WirePresence::from)
-                    .collect();
-                critical(Frame::Presence { doc, entries })?;
-            }
-            Frame::Ping { nonce } => critical(Frame::Pong { nonce })?,
-            Frame::Resync { request, doc } => {
-                let held = subs.contains_key(&DocId(doc));
-                match held.then(|| repair(hub, DocId(doc), session.user(), request)) {
-                    Some(Ok(Some(snapshot))) => critical_bytes(snapshot)?,
-                    Some(Err(why)) => critical(why)?,
-                    _ => critical(Frame::Error {
-                        code: codes::NOT_FOUND,
-                        message: "not subscribed to this document".into(),
-                    })?,
-                }
-            }
-            Frame::Bye => return Ok(()),
-            // Server-to-client frames arriving here are a violation.
-            other => {
-                return Err(NetError::Protocol(format!(
-                    "client may not send frame 0x{:02x}",
-                    other.tag()
-                )))
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1076,9 +1074,47 @@ mod tests {
         Arc::from(vec![b])
     }
 
-    /// A queue with `docs` subscribed and their streams released.
+    /// What became of an event offered to a connection.
+    #[derive(Debug, PartialEq, Eq)]
+    enum Offered {
+        /// In the outbound queue.
+        Queued,
+        /// Dropped (queue full) or suppressed (stream lost): counted as lag.
+        Dropped,
+        /// Held behind the subscription's snapshot, or not subscribed.
+        Parked,
+    }
+
+    impl OutQueue {
+        fn lagged(&self) -> u64 {
+            self.state.lock().lagged
+        }
+
+        /// `queue_event`, and what became of the event, read off the
+        /// counters.
+        fn push_event(&self, doc: DocId, frame: &Bytes) -> Offered {
+            let counts = || {
+                let count = |c: &AtomicU64| c.load(Ordering::Relaxed);
+                (
+                    count(&self.stats.events_forwarded),
+                    count(&self.stats.frames_dropped),
+                )
+            };
+            let before = counts();
+            self.queue_event(doc, frame);
+            match (counts().0 - before.0, counts().1 - before.1) {
+                (1, 0) => Offered::Queued,
+                (0, 1) => Offered::Dropped,
+                (0, 0) => Offered::Parked,
+                other => panic!("one event counted as {other:?}"),
+            }
+        }
+    }
+
+    /// A queue with no lag limit, its own counters, and `docs` subscribed
+    /// and their streams released.
     fn queue(capacity: usize, docs: &[DocId]) -> OutQueue {
-        let q = OutQueue::new(capacity);
+        let q = OutQueue::new(capacity, u64::MAX, Arc::default());
         for &doc in docs {
             q.open_stream(doc);
             q.release_stream(doc);
@@ -1088,7 +1124,7 @@ mod tests {
 
     fn drain(q: &OutQueue) -> Vec<Bytes> {
         let mut frames = Vec::new();
-        assert!(q.wait(&mut frames));
+        q.take(&mut frames);
         frames
     }
 
@@ -1153,26 +1189,60 @@ mod tests {
 
     #[test]
     fn held_events_follow_the_snapshot_in_order() {
-        let q = OutQueue::new(8);
+        let q = queue(8, &[]);
         q.open_stream(DOC);
         assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Parked);
-        q.push_critical(frame(0), Duration::from_millis(10))
-            .unwrap();
-        assert_eq!(q.release_stream(DOC), (2, 0));
+        q.push_reply(frame(0));
+        q.release_stream(DOC);
+        let counted = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        assert_eq!(counted(&q.stats.events_forwarded), 2);
+        assert_eq!(counted(&q.stats.frames_dropped), 0);
         assert_eq!(q.push_event(DOC, &frame(3)), Offered::Queued);
         assert_eq!(drain(&q), [frame(0), frame(1), frame(2), frame(3)]);
     }
 
+    /// A reply is queued past the capacity; the queue then says it is
+    /// full, and waiting for room times out until the writer takes.
     #[test]
-    fn push_critical_times_out_on_full_queue() {
+    fn a_reply_past_capacity_waits_for_room() {
         let q = queue(1, &[]);
-        q.push_critical(frame(1), Duration::from_millis(10))
-            .unwrap();
-        match q.push_critical(frame(2), Duration::from_millis(10)) {
-            Err(NetError::SlowConsumer) => {}
-            other => panic!("expected SlowConsumer, got {other:?}"),
+        q.push_reply(frame(1));
+        assert_eq!(q.step(), Step::Ready);
+        q.push_reply(frame(2));
+        assert_eq!(q.step(), Step::Full);
+        assert!(!q.wait_room(Duration::from_millis(10)));
+        assert_eq!(drain(&q), [frame(1), frame(2)]);
+        assert!(q.wait_room(Duration::from_millis(10)));
+    }
+
+    /// The publisher whose offer takes the lag past the limit cuts the
+    /// connection, and a later cut of the same connection (the writer's
+    /// timeout) is not counted again.
+    #[test]
+    fn lag_past_the_limit_cuts_once() {
+        let q = OutQueue::new(1, 2, Arc::default());
+        q.open_stream(DOC);
+        q.release_stream(DOC);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
+        for _ in 0..3 {
+            assert_eq!(q.push_event(DOC, &frame(2)), Offered::Dropped);
         }
+        assert_eq!(q.step(), Step::Closed);
+        q.cut(&NetError::SlowConsumer);
+        assert_eq!(q.stats.slow_disconnects.load(Ordering::Relaxed), 1);
+        let frames = drain(&q);
+        assert_eq!(frames.len(), 1, "the final frame alone");
+        let mut buf = FrameBuffer::default();
+        buf.extend(&frames[0]);
+        let (tag, payload) = buf.next_frame().unwrap().unwrap();
+        assert!(matches!(
+            Frame::decode(tag, payload),
+            Ok(Frame::Error {
+                code: codes::SLOW_CONSUMER,
+                ..
+            })
+        ));
     }
 
     #[test]
@@ -1181,20 +1251,22 @@ mod tests {
         assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
         q.kill(Some(frame(9)));
+        q.kill(Some(frame(8)));
         assert_eq!(q.push_event(DOC, &frame(3)), Offered::Parked);
-        assert!(matches!(
-            q.push_critical(frame(4), Duration::from_millis(5)),
-            Err(NetError::Closed)
-        ));
-        assert_eq!(drain(&q), [frame(9)]);
-        assert!(!q.wait(&mut Vec::new()));
+        q.push_reply(frame(4));
+        let mut frames = Vec::new();
+        assert!(!q.take(&mut frames));
+        assert_eq!(frames, [frame(9)]);
     }
 
     #[test]
     fn wait_unblocks_on_concurrent_push() {
         let q = Arc::new(queue(4, &[DOC]));
         let q2 = Arc::clone(&q);
-        let h = std::thread::spawn(move || drain(&q2));
+        let h = std::thread::spawn(move || {
+            q2.wait();
+            drain(&q2)
+        });
         // Whether the push lands before or after the writer parks, the
         // writer must come back with it.
         assert_eq!(q.push_event(DOC, &frame(7)), Offered::Queued);

@@ -63,8 +63,9 @@ fn third_client_rejected_at_limit_two() {
     a.ping().unwrap();
     b.ping().unwrap();
 
-    // Freeing a slot re-admits new clients (the server reaps the closed
-    // connection within a read tick; retry until it does).
+    // Freeing a slot re-admits new clients (the server lets go of the
+    // closed connection once its reader sees the hang-up; retry until it
+    // does).
     drop(a);
     let deadline = Instant::now() + WAIT;
     let c = loop {
@@ -148,7 +149,6 @@ fn stalled_reader_is_cut_and_flooder_survives_on_recovery_snapshots() {
         outbound_capacity: 2,
         lag_limit: 10_000,
         critical_send_timeout: Duration::from_millis(500),
-        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
     let (server, _collab) = serve(&["alice", "sloth"], &["doc"], config);
@@ -173,6 +173,53 @@ fn stalled_reader_is_cut_and_flooder_survives_on_recovery_snapshots() {
     good.ping().unwrap();
 }
 
+/// Regression: one slow-consumer cut was counted twice. The lag limit
+/// cut a subscriber whose writer was blocked on its full socket, and the
+/// writer's write timeout then counted the same connection again. The
+/// typist edits in process, so the staller is the only connection.
+#[test]
+fn a_slow_consumer_cut_is_counted_once() {
+    let config = NetConfig {
+        outbound_capacity: 2,
+        lag_limit: 3,
+        critical_send_timeout: Duration::from_millis(100),
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "sloth"], &["doc"], config);
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let alice = collab.connect("alice", Platform::Linux).unwrap();
+    let mut editor = alice.open_id(id).unwrap();
+    let _sloth = stalled_subscriber(server.local_addr(), "sloth", &["doc"]);
+    let deadline = Instant::now() + WAIT;
+    while collab.textdb().read_count(id).unwrap() < 2 {
+        assert!(Instant::now() < deadline, "the subscribe never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // Paced, so the writer keeps up until the staller's socket is full:
+    // frames are dropped only once the writer is blocked writing.
+    let blob = "x".repeat(1024);
+    let mut typed = 0;
+    while server.stats().slow_disconnects == 0 {
+        assert!(Instant::now() < deadline, "slow consumer never cut");
+        editor.type_text(typed, &blob).unwrap();
+        typed += blob.len();
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    // The writer, blocked on the full socket, gives up within a few of
+    // its write timeouts (a partial write restarts one): no second count.
+    let settled = Instant::now() + Duration::from_secs(5);
+    while Instant::now() < settled {
+        let stats = server.stats();
+        assert_eq!(
+            (stats.accepted, stats.slow_disconnects),
+            (1, 1),
+            "{stats:?}"
+        );
+        std::thread::sleep(Duration::from_millis(20));
+    }
+}
+
 /// Lag is kept per subscription (the accounting itself is pinned by
 /// `server::tests::recovering_one_stream_keeps_the_lag_of_the_others`):
 /// a reader that stalls on two documents loses both streams, and when it
@@ -186,7 +233,6 @@ fn stalled_reader_recovers_both_documents_it_lost() {
         outbound_capacity: 2,
         lag_limit: 1_000_000,
         critical_send_timeout: Duration::from_secs(60),
-        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
     let (server, collab) = serve(&["alice", "bob"], &["left", "right"], config);
@@ -287,7 +333,6 @@ fn edit_whose_reply_cannot_be_queued_is_still_broadcast() {
         outbound_capacity: 1,
         lag_limit: 1_000_000,
         critical_send_timeout: Duration::from_millis(300),
-        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
     let (server, collab) = serve(&["alice", "bob"], &["doc"], config);
@@ -373,7 +418,6 @@ fn transport_repairs_are_not_recorded_as_reads() {
         outbound_capacity: 2,
         lag_limit: 1_000_000,
         critical_send_timeout: Duration::from_secs(60),
-        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
     let (server, collab) = serve(&["alice", "bob"], &["doc"], config);

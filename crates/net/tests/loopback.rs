@@ -495,7 +495,6 @@ fn slow_consumer_is_cut_without_wedging_the_server() {
         // *healthy* connection's reply frames. The sloth is cut by the
         // lag limit, not this timeout, so the slack costs nothing.
         critical_send_timeout: Duration::from_secs(10),
-        read_tick: Duration::from_millis(10),
         ..NetConfig::default()
     };
     let (server, collab) = serve(&["alice", "sloth"], &["doc"], config);
@@ -763,6 +762,40 @@ fn a_subscribe_is_answered_by_its_own_snapshot_not_an_unasked_one() {
     assert_eq!(client.text(8).as_deref(), Some("resynced"));
     client.ping().unwrap();
     assert_eq!(client.text(7), None);
+    drop(client);
+    server.join().unwrap();
+}
+
+/// Regression: an `Error` frame outside a request poisons the client,
+/// and every later call used to return `NetError::Protocol` with the code
+/// flattened into its text. It returns the remote error, code and all,
+/// so a caller can tell a slow-consumer cut from any other. A fake server
+/// welcomes the client and cuts it at once.
+#[test]
+fn a_poisoned_client_keeps_the_remote_error() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let server = std::thread::spawn(move || {
+        let (mut sock, _) = listener.accept().unwrap();
+        sock.write_all(&Frame::Welcome { session: 1 }.encode())
+            .unwrap();
+        let cut = Frame::Error {
+            code: codes::SLOW_CONSUMER,
+            message: "lagging behind the broadcast".into(),
+        };
+        sock.write_all(&cut.encode()).unwrap();
+        sock
+    });
+    let client = NetClient::connect(addr, "alice").unwrap();
+    let deadline = Instant::now() + WAIT;
+    while client.fatal().is_none() {
+        assert!(Instant::now() < deadline, "the cut never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    match client.ping() {
+        Err(NetError::Remote { code, .. }) => assert_eq!(code, codes::SLOW_CONSUMER),
+        other => panic!("expected the remote error, got {other:?}"),
+    }
     drop(client);
     server.join().unwrap();
 }
