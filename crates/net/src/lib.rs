@@ -61,5 +61,5 @@ pub use client::{ClientConfig, ClientCore, Completion, NetClient};
 pub use error::{codes, NetError, Result};
 pub use mirror::MirrorDoc;
 pub use protocol::{EditOp, Frame, WireChar, WireEvent, WirePresence, PROTOCOL_VERSION};
-pub use server::{Bytes, Conn, Hub, NetConfig, NetServer, NetServerStats, Step};
+pub use server::{Broadcast, Bytes, Conn, Hub, NetConfig, NetServer, NetServerStats, Step};
 pub use wire::{FrameBuffer, PayloadReader, PayloadWriter, MAX_FRAME};

@@ -6,8 +6,8 @@
 //! subscriptions and a **bounded** outbound queue; [`Conn::on_frame`]
 //! queues the replies to a frame, [`Conn::drain`] hands out what is
 //! queued — and a shell of two threads whatever it subscribes to: a
-//! reader blocked on the socket that feeds `on_frame`, and a writer that
-//! waits for work, calls `drain` and writes. A subscription borrows the
+//! reader blocked on the socket that feeds `on_frame` and writes its
+//! replies, and a writer for the rest. A subscription borrows the
 //! collab server's live copy of its document ([`tendax_collab::live`]).
 //! No thread stands between a commit and the subscribers' queues: a
 //! publish hook on the [`LanBus`] runs on the committing thread, encodes
@@ -16,11 +16,12 @@
 //!
 //! ## Ack first
 //!
-//! An `Edit`'s reply is queued before its broadcast: the typist's
+//! An `Edit`'s reply is written before its [`Broadcast`] is published
+//! (only queued before it, if the writer is mid-write): the typist's
 //! acknowledgement never waits for the fan-out, and an edit's `EditOk`
 //! is never queued after its own echo. The broadcast goes out even if
-//! the connection is cut for the reply — the edit is committed, and the
-//! other subscribers are owed it.
+//! the reply cannot be written — the edit is committed, and the other
+//! subscribers are owed it.
 //!
 //! ## Subscribe before snapshot
 //!
@@ -34,7 +35,9 @@
 //!
 //! ## Slow-consumer policy
 //!
-//! `Event` frames are offered without waiting: when the queue is full
+//! One thread writes at a time and drains the whole queue: the reader,
+//! for the frame it serves, unless the writer is mid-write; else the
+//! writer. `Event` frames are offered without waiting: when the queue is full
 //! the frame is dropped and counted as lag, and that document's stream is
 //! *lost* — further events of it are suppressed (each counted as lag)
 //! until a recovery snapshot, which `drain` hands out once it has emptied
@@ -130,9 +133,9 @@ pub struct NetServerStats {
     pub pool_spurious_wakeups: u64,
     /// Frames the writers put on sockets.
     pub frames_written: u64,
-    /// Socket writes those frames travelled in: a writer drains its
-    /// whole queue into one write, so an `EditOk` and the typist's own
-    /// echo leave — and wake the client — together.
+    /// Socket writes those frames travelled in: a write takes the whole
+    /// queue, but an `EditOk` leaves before its broadcast is published,
+    /// so the typist's own echo follows in a second write.
     pub socket_writes: u64,
     /// Documents with a live copy right now (a gauge): the subscribed.
     pub live_documents: u64,
@@ -212,11 +215,20 @@ struct QueueState {
     recover: Vec<DocId>,
     /// Outstanding lag summed over the streams.
     lagged: u64,
+    /// A thread owns the write side: the writer, or the reader serving.
+    writing: bool,
     /// The writer is (about to be) asleep on `data`: only then is a
     /// notification — a system call — worth making.
     writer_parked: bool,
     /// Readers asleep on `space`.
     space_waiters: usize,
+}
+
+impl QueueState {
+    /// Frames to hand out, streams to recover, or a close to act on.
+    fn has_work(&self) -> bool {
+        !self.frames.is_empty() || !self.recover.is_empty() || self.closing
+    }
 }
 
 impl OutQueue {
@@ -231,8 +243,8 @@ impl OutQueue {
         }
     }
 
-    fn wake_writer(&self, parked: &mut bool) {
-        if std::mem::take(parked) {
+    fn wake_writer(&self, s: &mut QueueState) {
+        if !s.writing && s.has_work() && std::mem::take(&mut s.writer_parked) {
             self.data.notify_one();
         }
     }
@@ -248,9 +260,13 @@ impl OutQueue {
     }
 
     /// The subscription's snapshot is queued: queue what was held behind
-    /// it and let events through from now on.
+    /// it and let events through — or recover it, if lost while gated.
     fn release_stream(&self, doc: DocId) {
         let mut s = self.state.lock();
+        if s.streams.get(&doc).is_some_and(|st| st.lost) {
+            s.recover.push(doc);
+            self.wake_writer(&mut s);
+        }
         let held = s.streams.get_mut(&doc).and_then(|st| st.held.take());
         for frame in held.unwrap_or_default() {
             self.offer(&mut s, doc, frame);
@@ -289,19 +305,22 @@ impl OutQueue {
                 }
                 None if s.frames.len() < self.capacity => {
                     s.frames.push_back(frame);
-                    self.wake_writer(&mut s.writer_parked);
+                    self.wake_writer(s);
                     bump(&self.stats.events_forwarded);
                     return;
                 }
                 _ => {}
             }
             stream.lost = true;
-            s.recover.push(doc);
-            self.wake_writer(&mut s.writer_parked);
+            // A gated stream is recovered behind its snapshot, once released.
+            if stream.held.is_none() {
+                s.recover.push(doc);
+            }
         }
         stream.lagged += 1;
         s.lagged += 1;
         bump(&self.stats.frames_dropped);
+        self.wake_writer(s);
         if s.lagged > self.lag_limit {
             self.cut_locked(s, &NetError::SlowConsumer);
         }
@@ -312,7 +331,7 @@ impl OutQueue {
         let mut s = self.state.lock();
         if !s.closing {
             s.frames.push_back(frame);
-            self.wake_writer(&mut s.writer_parked);
+            self.wake_writer(&mut s);
         }
     }
 
@@ -381,15 +400,23 @@ impl OutQueue {
         }
     }
 
-    /// Shell side: block until there are frames to hand out, streams to
-    /// recover, or the queue is closed.
-    fn wait(&self) {
+    /// Own the write side: the writer blocks until there is work and
+    /// nobody owns it; the reader does not wait, and fails if it is owned.
+    fn own(&self, writer: bool) -> bool {
         let mut s = self.state.lock();
-        while s.frames.is_empty() && s.recover.is_empty() && !s.closing {
+        while writer && (s.writing || !s.has_work()) {
             s.writer_parked = true;
             self.data.wait(&mut s);
             s.writer_parked = false;
         }
+        !std::mem::replace(&mut s.writing, true)
+    }
+
+    /// Let go of the write side, waking the writer for what is left.
+    fn release(&self) {
+        let mut s = self.state.lock();
+        s.writing = false;
+        self.wake_writer(&mut s);
     }
 
     /// Move every queued frame into `frames`; `false` once closed.
@@ -517,6 +544,25 @@ impl Hub {
     }
 }
 
+/// A committed edit's broadcast, handed back by [`Conn::on_frame`] so the
+/// shell can write the reply first: published by `publish` or on drop.
+#[derive(Debug, Default)]
+pub struct Broadcast(Option<(Arc<LiveEditor>, DocEvent)>);
+
+impl Broadcast {
+    pub fn publish(self) {}
+}
+
+impl Drop for Broadcast {
+    fn drop(&mut self) {
+        if let Some((editor, event)) = self.0.take() {
+            editor.publish(Some(event));
+        }
+    }
+}
+
+type Subs = HashMap<DocId, Arc<LiveEditor>>;
+
 /// One connection's protocol state, with no socket: feed it frames with
 /// [`Conn::on_frame`], take its output with [`Conn::drain`].
 #[derive(Debug)]
@@ -528,7 +574,7 @@ pub struct Conn {
     /// The session and its hold on each subscribed document's live copy —
     /// `None` before the handshake, and again once the queue is closed.
     /// Only the reader side takes this lock; `drain` never does.
-    open: Mutex<Option<(EditorSession, HashMap<DocId, LiveEditor>)>>,
+    open: Mutex<Option<(EditorSession, Subs)>>,
 }
 
 impl Conn {
@@ -543,13 +589,15 @@ impl Conn {
     }
 
     /// Handle one frame from the client: answer it into the outbound
-    /// queue, and say whether the next may be read.
-    pub fn on_frame(&self, hub: &Hub, frame: Frame) -> Step {
+    /// queue, and say whether the next may be read. An edit's broadcast
+    /// comes back with the step, to publish once the reply is written.
+    pub fn on_frame(&self, hub: &Hub, frame: Frame) -> (Step, Broadcast) {
         let mut open = self.open.lock();
+        let mut out = Broadcast::default();
         if self.queue.step() != Step::Closed {
             let served = match &mut *open {
                 None => self.hello(hub, frame).map(|o| *open = Some(o)),
-                Some((session, subs)) => self.serve(hub, session, subs, frame),
+                Some((session, subs)) => self.serve(hub, session, subs, frame).map(|b| out = b),
             };
             if let Err(why) = served {
                 self.queue.cut(&why);
@@ -560,7 +608,7 @@ impl Conn {
             hub.disconnect(&self.queue);
             *open = None;
         }
-        step
+        (step, out)
     }
 
     /// The stream ended, or failed, for `why`: close the connection.
@@ -596,11 +644,7 @@ impl Conn {
         self.queue.push_reply(frame.encode().into());
     }
 
-    fn hello(
-        &self,
-        hub: &Hub,
-        frame: Frame,
-    ) -> Result<(EditorSession, HashMap<DocId, LiveEditor>)> {
+    fn hello(&self, hub: &Hub, frame: Frame) -> Result<(EditorSession, Subs)> {
         let Frame::Hello {
             version,
             user,
@@ -640,9 +684,9 @@ impl Conn {
         &self,
         hub: &Hub,
         session: &EditorSession,
-        subs: &mut HashMap<DocId, LiveEditor>,
+        subs: &mut Subs,
         frame: Frame,
-    ) -> Result<()> {
+    ) -> Result<Broadcast> {
         let collab = &hub.collab;
         match frame {
             Frame::Subscribe { request, name } => {
@@ -653,7 +697,7 @@ impl Conn {
                             code: codes::NOT_FOUND,
                             message: format!("no document {name:?}: {e}"),
                         });
-                        return Ok(());
+                        return Ok(Broadcast::default());
                     }
                 };
                 // Opened again while open: one more read, one more snapshot.
@@ -662,7 +706,7 @@ impl Conn {
                         Ok(snapshot) => self.queue.push_reply(snapshot.into()),
                         Err(e) => self.reply(no_snapshot(doc, &e)),
                     }
-                    return Ok(());
+                    return Ok(Broadcast::default());
                 }
                 // Order matters (see "Subscribe before snapshot" in the
                 // module docs): the gated stream exists before the
@@ -674,7 +718,7 @@ impl Conn {
                     Ok((editor, snapshot)) => {
                         self.queue.push_reply(snapshot.into());
                         self.queue.release_stream(doc);
-                        subs.insert(doc, editor);
+                        subs.insert(doc, Arc::new(editor));
                     }
                     Err(e) => {
                         hub.unsubscribe(doc, &self.queue);
@@ -699,7 +743,7 @@ impl Conn {
                         request,
                         message: "not subscribed to this document".into(),
                     });
-                    return Ok(());
+                    return Ok(Broadcast::default());
                 };
                 // Positions are advisory: the live document clamps them.
                 let committed = match op {
@@ -714,7 +758,7 @@ impl Conn {
                             op: receipt.op.0,
                             commit_ts: receipt.commit_ts,
                         });
-                        editor.publish(event);
+                        return Ok(Broadcast(event.map(|ev| (Arc::clone(editor), ev))));
                     }
                     Err(e) => self.reply(Frame::EditRejected {
                         request,
@@ -762,7 +806,7 @@ impl Conn {
                 )))
             }
         }
-        Ok(())
+        Ok(Broadcast::default())
     }
 }
 
@@ -948,21 +992,24 @@ fn reject_at_capacity(stream: TcpStream, limit: usize) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// The shell of one connection: this thread reads and feeds the core,
-/// a second one writes what the core hands out.
+/// The shell of one connection: this thread reads, feeds the core and
+/// writes the replies while the writer is idle; a second one writes the
+/// rest.
 fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
     let _ = stream.set_nodelay(true);
     let (Ok(listed), Ok(out)) = (stream.try_clone(), stream.try_clone()) else {
         return;
     };
+    let _ = out.set_write_timeout(Some(hub.config.critical_send_timeout));
+    let side = Arc::new(Mutex::new(WriteSide(out, Vec::new(), Vec::new())));
     let conn = Arc::new(Conn::new(&hub));
     conns.lock().push((Arc::clone(&conn), listed));
 
     let writer = {
-        let (hub, conn) = (Arc::clone(&hub), Arc::clone(&conn));
+        let (hub, conn, side) = (Arc::clone(&hub), Arc::clone(&conn), Arc::clone(&side));
         std::thread::Builder::new()
             .name("tendax-net-writer".into())
-            .spawn(move || writer_loop(out, &hub, &conn))
+            .spawn(move || writer_loop(&hub, &conn, &side))
             .expect("spawn writer thread")
     };
 
@@ -970,7 +1017,7 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
     let mut scratch = vec![0u8; 64 * 1024];
     let why = loop {
         match read_frame(&stream, &mut buf, &mut scratch) {
-            Ok(frame) => match conn.on_frame(&hub, frame) {
+            Ok(frame) => match answer(&hub, &conn, &side, frame) {
                 Step::Ready => {}
                 Step::Full if conn.queue.wait_room(hub.config.critical_send_timeout) => {}
                 Step::Full => break NetError::SlowConsumer,
@@ -984,84 +1031,91 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
+/// Serve one frame; unless the writer is mid-write, write what `drain`
+/// hands out (an `EditOk`), publish, and write what that queued (the echo).
+fn answer(hub: &Hub, conn: &Conn, side: &Mutex<WriteSide>, frame: Frame) -> Step {
+    let owner = conn.queue.own(false);
+    let (step, broadcast) = conn.on_frame(hub, frame);
+    if owner {
+        let mut side = side.lock();
+        if side.flush(hub, conn) {
+            broadcast.publish();
+            side.flush(hub, conn);
+        }
+        drop(side); // Before `release` can wake the writer for it.
+        conn.queue.release();
+    }
+    step // An unpublished `broadcast` publishes as it drops, here.
+}
+
 /// Frames up to this many bytes share a socket write with their
 /// neighbours in the queue; a larger one (a snapshot) goes by itself
 /// rather than through a copy.
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// The connection's writer: puts what `drain` hands out on the socket —
-/// all of it in one write — then shuts the socket down once the
-/// connection is closed, which is what wakes a reader blocked on it. The
-/// write timeout is the last line of the slow-consumer defence: a peer
-/// that stops reading long enough to fill the kernel buffer loses the
-/// connection instead of pinning this thread forever.
-fn writer_loop(mut out: TcpStream, hub: &Hub, conn: &Conn) {
-    let _ = out.set_write_timeout(Some(hub.config.critical_send_timeout));
-    let mut frames: Vec<Bytes> = Vec::new();
-    let mut buf: Vec<u8> = Vec::new();
+/// The connection's writer: it writes whatever is queued while nobody
+/// else does, then shuts the socket down once the connection is closed,
+/// which is what wakes a reader blocked on it.
+fn writer_loop(hub: &Hub, conn: &Conn, side: &Mutex<WriteSide>) {
     loop {
-        conn.queue.wait();
-        let open = conn.drain(hub, &mut frames);
-        if let Err(e) = write_frames(&mut out, hub, &frames, &mut buf) {
-            // A write timeout means the peer stopped reading long enough
-            // to fill the kernel buffer: that is the slow-consumer policy
-            // firing, not an I/O accident.
-            match e.kind() {
-                ErrorKind::WouldBlock | ErrorKind::TimedOut => {
-                    conn.queue.cut(&NetError::SlowConsumer)
-                }
-                _ => conn.queue.cut(&e.into()),
-            }
+        conn.queue.own(true);
+        if !side.lock().flush(hub, conn) {
             break;
         }
-        frames.clear();
-        if !open {
-            break;
-        }
+        conn.queue.release();
     }
-    let _ = out.shutdown(std::net::Shutdown::Both);
+    let _ = side.lock().0.shutdown(std::net::Shutdown::Both);
 }
 
-fn write_counted(
-    out: &mut TcpStream,
-    hub: &Hub,
-    frames: usize,
-    bytes: &[u8],
-) -> std::io::Result<()> {
-    hub.stats
-        .frames_written
-        .fetch_add(frames as u64, Ordering::Relaxed);
-    bump(&hub.stats.socket_writes);
-    out.write_all(bytes)
-}
+/// A connection's socket, the frames being written and the one buffer
+/// they are coalesced in; used by whichever thread owns the write side.
+struct WriteSide(TcpStream, Vec<Bytes>, Vec<u8>);
 
-fn write_frames(
-    out: &mut TcpStream,
-    hub: &Hub,
-    frames: &[Bytes],
-    buf: &mut Vec<u8>,
-) -> std::io::Result<()> {
-    buf.clear();
-    let mut coalesced = 0;
-    for frame in frames {
-        if buf.len() + frame.len() > COALESCE_BYTES {
-            if coalesced > 0 {
-                write_counted(out, hub, coalesced, buf)?;
+impl WriteSide {
+    /// Write what `drain` hands out; `false` once the connection is over.
+    /// A write timeout is the slow-consumer policy's last line: the peer
+    /// stopped reading long enough to fill the kernel buffer.
+    fn flush(&mut self, hub: &Hub, conn: &Conn) -> bool {
+        let open = conn.drain(hub, &mut self.1);
+        let written = self.write(hub);
+        self.1.clear();
+        conn.queue.cut(&match written {
+            Ok(()) => return open,
+            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                NetError::SlowConsumer
+            }
+            Err(e) => e.into(),
+        });
+        let _ = self.0.shutdown(std::net::Shutdown::Both);
+        false
+    }
+
+    /// Write the frames, coalescing those that fit into the buffer.
+    fn write(&mut self, hub: &Hub) -> std::io::Result<()> {
+        let WriteSide(out, frames, buf) = self;
+        let n = frames.len() as u64;
+        hub.stats.frames_written.fetch_add(n, Ordering::Relaxed);
+        let mut write = |bytes: &[u8]| {
+            bump(&hub.stats.socket_writes);
+            out.write_all(bytes)
+        };
+        buf.clear();
+        for frame in frames.iter() {
+            if !buf.is_empty() && buf.len() + frame.len() > COALESCE_BYTES {
+                write(buf)?;
                 buf.clear();
-                coalesced = 0;
             }
             if frame.len() > COALESCE_BYTES {
-                write_counted(out, hub, 1, frame)?;
-                continue;
+                write(frame)?;
+            } else {
+                buf.extend_from_slice(frame);
             }
         }
-        buf.extend_from_slice(frame);
-        coalesced += 1;
+        if !buf.is_empty() {
+            write(buf)?;
+        }
+        Ok(())
     }
-    if coalesced > 0 {
-        write_counted(out, hub, coalesced, buf)?;
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1187,6 +1241,65 @@ mod tests {
         assert_eq!(q.lagged(), 5);
     }
 
+    /// Regression: a stream lost while gated was handed out for recovery
+    /// before its subscription's snapshot was queued. The unasked snapshot
+    /// reached the client first, which dropped it (no mirror yet), and
+    /// the dropped event was never delivered.
+    #[test]
+    fn a_stream_lost_while_gated_is_recovered_behind_its_snapshot() {
+        let q = queue(1, &[]);
+        q.open_stream(DOC);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Dropped);
+        let mut lost = Vec::new();
+        q.take_lost(&mut lost);
+        assert!(lost.is_empty(), "recovered before its snapshot");
+        q.push_reply(frame(0));
+        assert_eq!(drain(&q), [frame(0)]);
+        q.release_stream(DOC);
+        q.take_lost(&mut lost);
+        assert_eq!(lost, [DOC]);
+        // The held event is the recovery snapshot's to cover.
+        assert!(drain(&q).is_empty());
+        assert_eq!(q.lagged(), 0);
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Queued);
+    }
+
+    /// A stream lost as its held events are released behind its snapshot
+    /// is recovered once.
+    #[test]
+    fn a_stream_lost_on_release_is_recovered_once() {
+        let q = queue(2, &[]);
+        q.open_stream(DOC);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Parked);
+        q.push_reply(frame(0));
+        q.release_stream(DOC);
+        let mut lost = Vec::new();
+        q.take_lost(&mut lost);
+        assert_eq!(lost, [DOC]);
+        assert_eq!(drain(&q), [frame(0), frame(1)]);
+    }
+
+    /// While the reader owns the write side, what is queued is its to
+    /// write; what is queued after its last drain goes to the writer.
+    #[test]
+    fn the_write_side_has_one_owner() {
+        let q = Arc::new(queue(4, &[DOC]));
+        assert!(q.own(false));
+        let q2 = Arc::clone(&q);
+        let writer = std::thread::spawn(move || {
+            q2.own(true);
+            drain(&q2)
+        });
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
+        assert_eq!(drain(&q), [frame(1)]);
+        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
+        q.release();
+        assert_eq!(writer.join().unwrap(), [frame(2)]);
+        assert!(!q.own(false), "the writer owns it until it lets go");
+    }
+
     #[test]
     fn held_events_follow_the_snapshot_in_order() {
         let q = queue(8, &[]);
@@ -1264,7 +1377,7 @@ mod tests {
         let q = Arc::new(queue(4, &[DOC]));
         let q2 = Arc::clone(&q);
         let h = std::thread::spawn(move || {
-            q2.wait();
+            q2.own(true);
             drain(&q2)
         });
         // Whether the push lands before or after the writer parks, the

@@ -5,23 +5,39 @@
 //! connection is two byte pipes, client to server and back, FIFO as in
 //! TCP. A seeded schedule picks what moves next: a client sends its next
 //! request (the handshake, a subscription, an insert or a delete; at most
-//! one outstanding per client), a connection drains its queue, or a pipe
-//! delivers its bytes up to a seeded cut point. Commits, the publish hook
-//! and the fan-out all run on this thread, so a schedule is replayed
-//! exactly.
+//! one outstanding per client), a connection drains its queue, a pipe
+//! delivers its bytes up to a seeded cut point, or a connection publishes
+//! the edit it holds. Commits, the publish hook and the fan-out all run
+//! on this thread, so a schedule is replayed exactly. Odd seeds send
+//! every edit of both clients to one document.
+//!
+//! The server's shell is played as it runs. An edit's [`Broadcast`] is
+//! held — across the other connection's commits, publishes and drains,
+//! and every delivery — until a step of its own hands out the reply,
+//! publishes, and drains again; meanwhile the connection neither drains
+//! nor reads a request (its reader owns the write side). For a seeded
+//! quarter of the edits the writer is mid-write instead, and the
+//! broadcast goes out at once.
 //!
 //! At quiescence every mirror equals a fresh load of its document, every
 //! request has had exactly one answer, and every mirror's frontier covers
-//! the last commit acknowledged on its document. The default run sweeps
-//! 32 seeds, each twice, and compares the digests of the frames
-//! delivered; `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test
-//! sim_net` replays one.
+//! the last commit acknowledged on its document. On the way, an edit's
+//! `EditOk` reaches its client before the edit's own `Event`, and — unless
+//! its broadcast went out at once — is handed out before any
+//! connection's copy of that `Event`. The default run sweeps 32 seeds,
+//! each twice, compares the digests of the frames delivered, and needs
+//! some schedule to hand a connection a document's events out of commit
+//! order (held broadcasts let concurrent commits publish out of order);
+//! `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test sim_net` replays
+//! one.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tendax_collab::CollabServer;
-use tendax_net::{ClientCore, Conn, EditOp, Frame, FrameBuffer, Hub, NetConfig, Step};
+use tendax_net::{
+    Broadcast, Bytes, ClientCore, Conn, EditOp, Frame, FrameBuffer, Hub, NetConfig, Step,
+};
 use tendax_text::{TextDb, UserId};
 
 const USERS: [&str; 2] = ["alice", "bob"];
@@ -72,6 +88,14 @@ struct Site {
     docs: Vec<u64>,
     /// The document of each edit request.
     edits: HashMap<u64, u64>,
+    /// The served edit whose broadcast waits for its reply to be handed out.
+    held: Option<Broadcast>,
+    /// The next `EditOk` handed out is of an edit published at once.
+    at_once: bool,
+    /// Per document, the newest `Event` handed out.
+    newest: HashMap<u64, u64>,
+    /// The `commit_ts` of every `Event` the client has received.
+    events: HashSet<u64>,
 }
 
 impl Site {
@@ -88,6 +112,10 @@ impl Site {
             answers: HashMap::new(),
             docs: Vec::new(),
             edits: HashMap::new(),
+            held: None,
+            at_once: false,
+            newest: HashMap::new(),
+            events: HashSet::new(),
         }
     }
 
@@ -96,8 +124,9 @@ impl Site {
     }
 
     /// Send site `i`'s next request: `Hello`, a subscription to each
-    /// document, then edits at seeded positions of the mirror.
-    fn send_next(&mut self, seed: u64, i: usize, rng: &mut SmallRng) {
+    /// document, then edits at seeded positions of the mirror — of `hot`,
+    /// if given, else of a seeded document.
+    fn send_next(&mut self, seed: u64, i: usize, hot: Option<u64>, rng: &mut SmallRng) {
         let (id, bytes) = match self.sent {
             0 => (0, self.core.hello(USERS[i], "Linux", "")),
             n if n <= DOCS.len() => {
@@ -106,7 +135,7 @@ impl Site {
                     .request(|request| Frame::Subscribe { request, name })
             }
             _ => {
-                let doc = self.docs[rng.gen_range(0..self.docs.len())];
+                let doc = hot.unwrap_or_else(|| self.docs[rng.gen_range(0..self.docs.len())]);
                 let mirror = self.core.mirror(doc);
                 let mirror = mirror.unwrap_or_else(|| panic!("seed {seed}: site {i}: no mirror"));
                 let len = mirror.len() as u64;
@@ -134,6 +163,51 @@ impl Site {
     }
 }
 
+/// When frames left the server, in one order across connections.
+#[derive(Default)]
+struct Order {
+    seq: u64,
+    /// Per commit, when its `EditOk` was handed out.
+    acks: HashMap<u64, u64>,
+    /// Commits whose broadcast went out at once (the writer was mid-write).
+    at_once: HashSet<u64>,
+    /// Per commit, when its first `Event` was handed out.
+    events: HashMap<u64, u64>,
+    /// Events handed out after a newer one of their document, per connection.
+    reordered: u64,
+}
+
+/// Site `i`'s connection hands out what it has into the pipe to its
+/// client; `false` if it had nothing.
+fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) -> bool {
+    let mut out: Vec<Bytes> = Vec::new();
+    assert!(site.conn.drain(hub, &mut out), "seed {seed}: site {i}");
+    for bytes in &out {
+        let mut buf = FrameBuffer::default();
+        buf.extend(bytes);
+        let (tag, payload) = buf.next_frame().unwrap().expect("one whole frame");
+        order.seq += 1;
+        match Frame::decode(tag, payload).unwrap() {
+            Frame::EditOk { commit_ts, .. } => {
+                order.acks.insert(commit_ts, order.seq);
+                if std::mem::take(&mut site.at_once) {
+                    order.at_once.insert(commit_ts);
+                }
+            }
+            Frame::EditRejected { .. } => site.at_once = false,
+            Frame::Event(ev) => {
+                order.events.entry(ev.commit_ts).or_insert(order.seq);
+                let newest = site.newest.entry(ev.doc).or_default();
+                order.reordered += u64::from(ev.commit_ts < *newest);
+                *newest = (*newest).max(ev.commit_ts);
+            }
+            _ => {}
+        }
+        site.down.extend_from_slice(bytes);
+    }
+    !out.is_empty()
+}
+
 /// Move a seeded prefix of `pipe` into `buf`: bytes arrive in order, cut
 /// anywhere.
 fn deliver(pipe: &mut Vec<u8>, buf: &mut FrameBuffer, rng: &mut SmallRng) {
@@ -150,6 +224,7 @@ struct Run {
     users: Vec<UserId>,
     /// The newest `commit_ts` acknowledged on each document.
     acked: HashMap<u64, u64>,
+    order: Order,
 }
 
 fn run(seed: u64) -> Run {
@@ -160,18 +235,22 @@ fn run(seed: u64) -> Run {
     }
     let collab = CollabServer::new(textdb);
     let hub = Hub::new(collab.clone(), NetConfig::default());
+    let textdb = collab.textdb();
+    let hot = (seed % 2 == 1).then(|| textdb.document_by_name(DOCS[0]).unwrap().0);
     let mut sites: Vec<Site> = USERS.iter().map(|_| Site::new(&hub)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
     let mut acked: HashMap<u64, u64> = HashMap::new();
-    let mut out = Vec::new();
+    let mut order = Order::default();
     for step in 0.. {
         assert!(step < 1_000_000, "seed {seed}: no quiescence");
         let i = rng.gen_range(0..sites.len());
         let site = &mut sites[i];
-        match rng.gen_range(0..4) {
-            0 if site.outstanding.is_none() && !site.done() => site.send_next(seed, i, &mut rng),
-            1 if !site.up.is_empty() => {
+        match rng.gen_range(0..5) {
+            0 if site.outstanding.is_none() && !site.done() => {
+                site.send_next(seed, i, hot, &mut rng)
+            }
+            1 if !site.up.is_empty() && site.held.is_none() => {
                 deliver(&mut site.up, &mut site.at_server, &mut rng);
                 while let Some((tag, payload)) = site
                     .at_server
@@ -182,13 +261,20 @@ fn run(seed: u64) -> Run {
                     digest.add(payload);
                     let frame = Frame::decode(tag, payload)
                         .unwrap_or_else(|e| panic!("seed {seed}: site {i}: {e}"));
-                    let step = site.conn.on_frame(&hub, frame);
+                    let edit = matches!(frame, Frame::Edit { .. });
+                    let (step, broadcast) = site.conn.on_frame(&hub, frame);
                     assert_eq!(step, Step::Ready, "seed {seed}: site {i}");
+                    if edit && rng.gen_bool(0.75) {
+                        site.held = Some(broadcast);
+                    } else {
+                        site.at_once = edit;
+                        broadcast.publish();
+                    }
                 }
             }
-            2 => {
-                assert!(site.conn.drain(&hub, &mut out), "seed {seed}: site {i}");
-                out.drain(..).for_each(|f| site.down.extend_from_slice(&f));
+            // The writer: never while the reader owns the write side.
+            2 if site.held.is_none() => {
+                hand_out(seed, i, site, &hub, &mut order);
             }
             3 if !site.down.is_empty() => {
                 deliver(&mut site.down, &mut site.at_client, &mut rng);
@@ -199,6 +285,16 @@ fn run(seed: u64) -> Run {
                 {
                     digest.add(&[i as u8, 1, tag]);
                     digest.add(payload);
+                    match Frame::decode(tag, payload) {
+                        Ok(Frame::Event(ev)) => {
+                            site.events.insert(ev.commit_ts);
+                        }
+                        Ok(Frame::EditOk { commit_ts, .. }) => assert!(
+                            !site.events.contains(&commit_ts),
+                            "seed {seed}: site {i}: commit {commit_ts}'s Event came before its EditOk"
+                        ),
+                        _ => {}
+                    }
                     for done in site.core.on_frame(tag, payload) {
                         let ctx = format!("seed {seed}: site {i}, request {}", done.id);
                         *site.answers.entry(done.id).or_default() += 1;
@@ -215,19 +311,24 @@ fn run(seed: u64) -> Run {
                     }
                 }
             }
+            // The reader that served an edit: the reply, the broadcast,
+            // then what it queued.
+            4 if site.held.is_some() => {
+                hand_out(seed, i, site, &hub, &mut order);
+                site.held.take().unwrap().publish();
+                hand_out(seed, i, site, &hub, &mut order);
+            }
             _ => {}
         }
         if sites
             .iter()
-            .all(|s| s.done() && s.up.is_empty() && s.down.is_empty())
+            .all(|s| s.done() && s.held.is_none() && s.up.is_empty() && s.down.is_empty())
         {
             // Quiet on the wire: over once no connection has anything
             // left to hand out either.
             let mut idle = true;
-            for s in &mut sites {
-                assert!(s.conn.drain(&hub, &mut out), "seed {seed}");
-                idle &= out.is_empty();
-                out.drain(..).for_each(|f| s.down.extend_from_slice(&f));
+            for (i, s) in sites.iter_mut().enumerate() {
+                idle &= !hand_out(seed, i, s, &hub, &mut order);
             }
             if idle {
                 break;
@@ -240,6 +341,7 @@ fn run(seed: u64) -> Run {
         collab,
         users,
         acked,
+        order,
     }
 }
 
@@ -263,6 +365,15 @@ fn check(seed: u64, run: &Run) {
             );
         }
     }
+    let order = &run.order;
+    for (commit, ack) in &order.acks {
+        if let (Some(event), false) = (order.events.get(commit), order.at_once.contains(commit)) {
+            assert!(
+                ack < event,
+                "seed {seed}: commit {commit}'s Event was handed out before its EditOk"
+            );
+        }
+    }
     for (i, site) in run.sites.iter().enumerate() {
         let ids: Vec<u64> = (0..site.sent as u64).collect();
         let mut answered: Vec<u64> = site.answers.keys().copied().collect();
@@ -278,13 +389,18 @@ fn check(seed: u64, run: &Run) {
 
 #[test]
 fn two_clients_converge_under_seeded_delivery() {
+    let mut reordered = 0;
     for seed in seeds() {
         let first = run(seed);
         check(seed, &first);
+        reordered += first.order.reordered;
         let again = run(seed);
         assert_eq!(
             first.digest, again.digest,
             "seed {seed}: one schedule delivered different frames"
         );
+    }
+    if std::env::var("TENDAX_SIM_SEED").is_err() {
+        assert!(reordered > 0, "no schedule published commits out of order");
     }
 }

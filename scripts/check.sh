@@ -23,9 +23,12 @@
 # the oracle, the races with in-process editors), `mirror_oracle` (the
 # client mirror against the server's chain; prints PROPTEST_SEED=<n> on
 # failure), `mirror_cost` (allocations per applied event and per loaded
-# run), `idle` (an idle connection wakes no transport thread), `sim_net`
-# (a hub, two connections and two clients in one thread under a seeded
-# delivery schedule, 32 seeds; TENDAX_SIM_SEED=<n> replays one),
+# run), `idle` (an idle connection wakes no transport thread), `wakeups`
+# (200 acknowledged edits wake no writer thread: the reader writes its
+# replies), `sim_net` (a hub, two connections and two clients in one
+# thread under a seeded delivery schedule, each edit's broadcast held as
+# a step of its own, the `EditOk` checked ahead of its `Event`, 32
+# seeds; TENDAX_SIM_SEED=<n> replays one),
 # `capacity` once more in a release build (its stalled-reader
 # tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
