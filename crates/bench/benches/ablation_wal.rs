@@ -33,7 +33,7 @@ fn bench_commit_by_durability(c: &mut Criterion) {
     let mut group = c.benchmark_group("a2_commit_latency_by_durability");
     group.sample_size(20);
 
-    // In-memory (DurabilityLevel::None).
+    // In-memory (no log).
     {
         let tx = Tendax::in_memory().expect("instance");
         let (_s, mut doc) = editor(&tx);

@@ -3,8 +3,8 @@
 //! The sharded commit pipeline removes the global commit mutex: commits
 //! to disjoint tables should scale with the thread count, while commits
 //! contending on one table still serialize on that table's write lock.
-//! This bench measures both shapes at `DurabilityLevel::None` (so the
-//! disk does not flatten the comparison) for 1/2/4/8 threads:
+//! This bench measures both shapes on in-memory databases (so the disk
+//! does not flatten the comparison) for 1/2/4/8 threads:
 //!
 //! * **disjoint** — one table per thread, each thread updates its own
 //!   row: the pipeline's shared mode, no common locks past the
@@ -27,13 +27,10 @@
 //! JSON summary line (consumed by `scripts/bench_commit.sh`).
 
 use std::io::Write as _;
-use std::path::PathBuf;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use tendax_storage::{
-    DataType, Database, DurabilityLevel, Options, Row, RowId, TableDef, TableId, Value,
-};
+use tendax_storage::{DataType, Database, Row, RowId, TableDef, TableId, Value};
 
 const THREAD_POINTS: [usize; 4] = [1, 2, 4, 8];
 
@@ -59,14 +56,6 @@ fn parse_args() -> Config {
         quick,
         json_path,
     }
-}
-
-fn tmp(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("tendax-bench-commit-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let p = dir.join(name);
-    let _ = std::fs::remove_file(&p);
-    p
 }
 
 #[derive(Clone, Copy, PartialEq)]
@@ -96,16 +85,11 @@ fn def(name: &str) -> TableDef {
     TableDef::new(name).column("seq", DataType::Int)
 }
 
-/// One measured point: open a fresh database at `DurabilityLevel::None`,
-/// lay out the tables/rows for the shape, then have every thread commit
-/// `commits` single-row updates as fast as it can.
+/// One measured point: open a fresh in-memory database, lay out the
+/// tables/rows for the shape, then have every thread commit `commits`
+/// single-row updates as fast as it can.
 fn run_point(shape: Shape, threads: usize, commits: u64) -> Point {
-    let path = tmp(&format!("{}-{threads}.wal", shape.label()));
-    let opts = Options {
-        durability: DurabilityLevel::None,
-        ..Options::default()
-    };
-    let db = Database::open(&path, opts).expect("open");
+    let db = Database::open_in_memory();
 
     // (table, row) each thread hammers.
     let targets: Vec<(TableId, RowId)> = match shape {

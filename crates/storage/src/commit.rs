@@ -5,12 +5,14 @@
 //!
 //! * [`CommitSequencer`] — an atomic commit-timestamp allocator plus a
 //!   **contiguous-prefix watermark**. Timestamps are handed out densely;
-//!   a pending set tracks which of them have published their versions.
-//!   The watermark advances only when *every* lower timestamp has either
-//!   published or been released (aborted), so a snapshot taken at the
+//!   a pending map tracks which of them have resolved, and holds the log
+//!   frame of each resolved commit. The watermark advances only when
+//!   *every* lower timestamp has resolved, so a snapshot taken at the
 //!   watermark never has a gap: it sees all writes with
 //!   `commit_ts <= watermark`, across all tables, even while commits
-//!   publish out of timestamp order.
+//!   publish out of timestamp order. The same step hands each frame it
+//!   folds in to the log, so the log receives commits in timestamp
+//!   order too: the sequencer is the one owner of the commit order.
 //! * [`CommitLatch`] — a writer-preferring shared/exclusive latch.
 //!   Commits take it shared and run concurrently; DDL and the
 //!   checkpoint copy phase take it exclusive, which quiesces the
@@ -28,17 +30,21 @@ use std::time::Instant;
 use parking_lot::{Condvar, Mutex};
 
 use crate::table::Ts;
+use crate::wal::GroupWal;
 
 // ------------------------------------------------------------- sequencer
 
 #[derive(Debug)]
 struct SeqState {
     /// Next timestamp to hand out. Allocation is dense: every ts in
-    /// `(watermark, next_ts)` is either in `pending` or was released.
+    /// `(watermark, next_ts)` is either in `pending` or resolved with
+    /// no frame.
     next_ts: Ts,
-    /// In-flight commit timestamps; `true` once the commit has
-    /// published its versions to the tables.
-    pending: BTreeMap<Ts, bool>,
+    /// Commit timestamps above the watermark: `None` while the commit
+    /// is publishing, its encoded log frame once it resolved with one.
+    /// A timestamp resolved with no frame (an in-memory commit, or one
+    /// that failed before its frame was encoded) leaves the map.
+    pending: BTreeMap<Ts, Option<Vec<u8>>>,
 }
 
 /// Commit-timestamp allocator + contiguous-prefix watermark.
@@ -88,15 +94,14 @@ impl CommitSequencer {
         self.visibility_wait_ns.load(Ordering::Relaxed)
     }
 
-    /// Claim the next commit timestamp. The caller must eventually call
-    /// exactly one of [`complete`](Self::complete) (published) or
-    /// [`release`](Self::release) (aborted), or the watermark stalls
-    /// forever at `ts - 1`.
+    /// Claim the next commit timestamp. The caller must eventually
+    /// [`resolve`](Self::resolve) it exactly once, or the watermark
+    /// stalls forever at `ts - 1`.
     pub(crate) fn allocate(&self) -> Ts {
         let mut st = self.state.lock();
         let ts = st.next_ts;
         st.next_ts += 1;
-        st.pending.insert(ts, false);
+        st.pending.insert(ts, None);
         // Watermark only moves under this same lock, so a relaxed load
         // is exact here.
         let lag = ts - self.watermark.load(Ordering::Relaxed);
@@ -105,22 +110,26 @@ impl CommitSequencer {
         ts
     }
 
-    /// Mark `ts` as published and fold it into the watermark once every
-    /// lower timestamp has resolved.
-    pub(crate) fn complete(&self, ts: Ts) {
+    /// Resolve `ts`: the commit published its versions (or never will),
+    /// and `frame` is its encoded log record, if it has one. Once every
+    /// lower timestamp has resolved too, `ts` joins the watermark and
+    /// its frame goes to `log` in that same step — whoever resolves the
+    /// last missing timestamp appends the whole run, in timestamp order.
+    /// A commit that unwound after encoding its frame still resolves
+    /// with it: its versions may already be in the tables, and what a
+    /// snapshot can see must reach the log.
+    pub(crate) fn resolve(&self, ts: Ts, frame: Option<Vec<u8>>, log: Option<&GroupWal>) {
         let mut st = self.state.lock();
-        let slot = st.pending.get_mut(&ts).expect("complete of unallocated ts");
-        *slot = true;
-        self.advance(&mut st);
-    }
-
-    /// Abandon `ts` (the commit aborted after allocation, e.g. WAL
-    /// staging failed). The watermark skips over it — an abort must not
-    /// leave a permanent hole.
-    pub(crate) fn release(&self, ts: Ts) {
-        let mut st = self.state.lock();
-        st.pending.remove(&ts);
-        self.advance(&mut st);
+        match frame {
+            Some(frame) => {
+                let slot = st.pending.get_mut(&ts).expect("resolve of unallocated ts");
+                *slot = Some(frame);
+            }
+            None => {
+                st.pending.remove(&ts);
+            }
+        }
+        self.advance(&mut st, log);
     }
 
     /// Commit wait: block until the watermark covers `ts`, i.e. until
@@ -131,7 +140,8 @@ impl CommitSequencer {
     /// itself. The wait is bounded by the publication (pure memory
     /// work) of concurrently committing lower timestamps, never by the
     /// disk: every committer resolves its slot *before* it parks on WAL
-    /// durability.
+    /// durability. Once it returns, the commit's frame is in the log's
+    /// batch buffer.
     pub(crate) fn wait_visible(&self, ts: Ts) {
         if self.watermark.load(Ordering::Acquire) >= ts {
             return;
@@ -158,27 +168,25 @@ impl CommitSequencer {
     }
 
     /// Advance the watermark over the contiguous prefix of resolved
-    /// timestamps. An entry missing from `pending` (but below
-    /// `next_ts`) was released; `false` means still publishing — stop.
-    fn advance(&self, st: &mut SeqState) {
+    /// timestamps, appending their frames to `log` in order. An entry
+    /// missing from `pending` (but below `next_ts`) resolved with no
+    /// frame; `None` means still publishing — stop.
+    fn advance(&self, st: &mut SeqState, log: Option<&GroupWal>) {
         let mut w = self.watermark.load(Ordering::Relaxed);
-        loop {
+        while w + 1 < st.next_ts {
             let next = w + 1;
-            if next >= st.next_ts {
+            if matches!(st.pending.get(&next), Some(None)) {
                 break;
             }
-            match st.pending.get(&next) {
-                Some(true) => {
-                    st.pending.remove(&next);
-                    w = next;
-                }
-                Some(false) => break,
-                None => w = next, // released (aborted): skip over
+            if let Some(Some(frame)) = st.pending.remove(&next) {
+                log.expect("a commit with a frame has a log")
+                    .append_commit(next, &frame);
             }
+            w = next;
         }
         // Release pairs with the Acquire in `watermark()`: a snapshot
         // that observes `w` also observes every version published by
-        // commits folded into it (publication happens-before `complete`,
+        // commits folded into it (publication happens-before `resolve`,
         // which happens-before this store via the state mutex).
         self.watermark.store(w, Ordering::Release);
         self.visible.notify_all();
@@ -301,11 +309,13 @@ fn bump_max(cell: &AtomicU64, seen: u64) {
 
 #[cfg(test)]
 mod tests {
+    use std::path::PathBuf;
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
     use std::time::Duration;
 
     use super::*;
+    use crate::wal::{encode_frame, DurabilityLevel, WalFile, WalRecord, WalTicket};
 
     #[test]
     fn watermark_waits_for_contiguous_prefix() {
@@ -316,11 +326,11 @@ mod tests {
         assert_eq!((t1, t2, t3), (1, 2, 3));
         // Out-of-order completion: the watermark must not expose ts 3
         // while 1 is still publishing.
-        seq.complete(t3);
+        seq.resolve(t3, None, None);
         assert_eq!(seq.watermark(), 0);
-        seq.complete(t2);
+        seq.resolve(t2, None, None);
         assert_eq!(seq.watermark(), 0);
-        seq.complete(t1);
+        seq.resolve(t1, None, None);
         assert_eq!(seq.watermark(), 3);
         assert!(seq.lag_max() >= 3);
     }
@@ -331,12 +341,12 @@ mod tests {
         let a = seq.allocate(); // 11
         let b = seq.allocate(); // 12
         let c = seq.allocate(); // 13
-        seq.complete(c);
-        seq.complete(a);
+        seq.resolve(c, None, None);
+        seq.resolve(a, None, None);
         assert_eq!(seq.watermark(), 11);
         // The aborted middle commit releases its slot; the watermark
         // skips over the hole and folds in everything behind it.
-        seq.release(b);
+        seq.resolve(b, None, None);
         assert_eq!(seq.watermark(), 13);
         // Next allocation continues densely after the hole.
         assert_eq!(seq.allocate(), 14);
@@ -347,8 +357,8 @@ mod tests {
         let seq = CommitSequencer::new(0);
         let a = seq.allocate();
         let b = seq.allocate();
-        seq.release(b);
-        seq.complete(a);
+        seq.resolve(b, None, None);
+        seq.resolve(a, None, None);
         assert_eq!(seq.watermark(), 2, "trailing released ts is folded in");
     }
 
@@ -366,7 +376,7 @@ mod tests {
         let seq = Arc::new(CommitSequencer::new(0));
         let t1 = seq.allocate();
         let t2 = seq.allocate();
-        seq.complete(t2);
+        seq.resolve(t2, None, None);
         // t2's committer is done publishing but t1 is still in flight:
         // visibility must wait for it.
         let waiter = {
@@ -378,7 +388,7 @@ mod tests {
         };
         std::thread::sleep(Duration::from_millis(20));
         assert!(!waiter.is_finished(), "became visible past a gap");
-        seq.complete(t1);
+        seq.resolve(t1, None, None);
         assert_eq!(waiter.join().unwrap(), 2);
         assert!(seq.visibility_wait_ns() > 0);
         // Already-visible timestamps return immediately.
@@ -448,13 +458,9 @@ mod tests {
         for _ in 0..4 {
             let seq = seq.clone();
             handles.push(std::thread::spawn(move || {
-                for i in 0..500 {
+                for _ in 0..500 {
                     let ts = seq.allocate();
-                    if i % 7 == 0 {
-                        seq.release(ts);
-                    } else {
-                        seq.complete(ts);
-                    }
+                    seq.resolve(ts, None, None);
                 }
             }));
         }
@@ -465,5 +471,112 @@ mod tests {
         // ts and nothing is left pending.
         assert_eq!(seq.watermark(), 2000);
         assert!(seq.state.lock().pending.is_empty());
+    }
+
+    // The log half of `resolve`: frames reach the file in timestamp
+    // order whatever order the timestamps resolve in.
+
+    fn tmpfile(name: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!(
+            "tendax-commit-test-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        std::fs::create_dir_all(&dir).unwrap();
+        let p = dir.join(name);
+        let _ = std::fs::remove_file(&p);
+        p
+    }
+
+    fn meta(ts: Ts) -> WalRecord {
+        WalRecord::Meta {
+            next_ts: ts,
+            clock: 0,
+        }
+    }
+
+    fn frame(ts: Ts) -> Option<Vec<u8>> {
+        Some(encode_frame(&meta(ts)))
+    }
+
+    fn open_log(path: &PathBuf) -> GroupWal {
+        let level = DurabilityLevel::Buffered;
+        GroupWal::new(WalFile::open(path, level).unwrap(), level)
+    }
+
+    #[test]
+    fn out_of_order_resolves_hit_the_file_in_ts_order() {
+        let path = tmpfile("ooo.wal");
+        let seq = CommitSequencer::new(0);
+        let wal = open_log(&path);
+        let (t1, t2) = (seq.allocate(), seq.allocate());
+        // ts 2 resolves *before* ts 1 — arrival order inverted.
+        seq.resolve(t2, frame(t2), Some(&wal));
+        seq.resolve(t1, frame(t1), Some(&wal));
+        wal.wait_durable(WalTicket::Commit(t2)).unwrap();
+        wal.wait_durable(WalTicket::Commit(t1)).unwrap();
+        drop(wal);
+        // The file holds them in timestamp order regardless.
+        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1), meta(2)]);
+    }
+
+    #[test]
+    fn resolve_without_frame_leaves_no_hole() {
+        let path = tmpfile("skip.wal");
+        let seq = CommitSequencer::new(0);
+        let wal = open_log(&path);
+        let (t1, t2) = (seq.allocate(), seq.allocate());
+        // ts 2 resolves with its frame; ts 1 fails before encoding one.
+        // Without stepping over ts 1, ts 2's frame (and its waiter)
+        // would be stuck forever.
+        seq.resolve(t2, frame(t2), Some(&wal));
+        seq.resolve(t1, None, Some(&wal));
+        assert_eq!(seq.watermark(), 2);
+        wal.wait_durable(WalTicket::Commit(t2)).unwrap();
+        drop(wal);
+        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(2)]);
+    }
+
+    #[test]
+    fn concurrent_staggered_resolves_preserve_ts_order() {
+        let path = tmpfile("staggered.wal");
+        let seq = Arc::new(CommitSequencer::new(0));
+        let wal = Arc::new(open_log(&path));
+        let mut handles = Vec::new();
+        for _ in 1..=16 {
+            let ts = seq.allocate();
+            let (seq, wal) = (seq.clone(), wal.clone());
+            handles.push(std::thread::spawn(move || {
+                // Higher timestamps tend to resolve earlier.
+                std::thread::sleep(Duration::from_micros((17 - ts) * 100));
+                seq.resolve(ts, frame(ts), Some(&wal));
+                seq.wait_visible(ts);
+                wal.wait_durable(WalTicket::Commit(ts)).unwrap();
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        drop(wal);
+        let replayed = WalFile::replay(&path).unwrap();
+        let expected: Vec<WalRecord> = (1..=16).map(meta).collect();
+        assert_eq!(replayed, expected);
+    }
+
+    #[test]
+    fn drop_writes_only_the_resolved_prefix() {
+        let path = tmpfile("drop-prefix.wal");
+        {
+            let seq = CommitSequencer::new(0);
+            let wal = open_log(&path);
+            let (t1, _t2, t3) = (seq.allocate(), seq.allocate(), seq.allocate());
+            seq.resolve(t1, frame(t1), Some(&wal));
+            // ts 2 never resolves; ts 3 is parked behind the hole.
+            seq.resolve(t3, frame(t3), Some(&wal));
+            assert_eq!(seq.watermark(), 1);
+        }
+        // Only ts 1 may reach the file: writing ts 3 without ts 2 would
+        // break the commit-order-prefix replay invariant.
+        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1)]);
     }
 }

@@ -20,8 +20,8 @@ use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
 use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
 use crate::wal::{
-    CheckpointFrames, DurabilityLevel, GroupWal, WalFile, WalOp, WalRecord, WalShardStats,
-    WalTicket, WalWrite,
+    encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, WalFile, WalOp, WalRecord,
+    WalShardStats, WalTicket, WalWrite,
 };
 
 /// Database configuration.
@@ -281,9 +281,7 @@ impl Database {
         // valid frame is a crashed partial write.
         WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
         let file = WalFile::open_on(options.vfs.clone(), &path, options.durability)?;
-        // The WAL's drain cursor starts at the recovered watermark so
-        // the first post-restart commit (watermark + 1) drains first.
-        let wal = GroupWal::new(file, options.durability, db.last_commit_ts());
+        let wal = GroupWal::new(file, options.durability);
         db.inner.wal.set(wal).expect("wal set once at open");
         if let Some(copts) = options.cold_storage {
             let cold = ColdStore::open(options.vfs.clone(), &path, copts)?;
@@ -594,6 +592,12 @@ impl Database {
             return Err(e);
         }
 
+        // A poisoned log refuses the commit before it takes a timestamp:
+        // nothing is published and the transaction aborts cleanly.
+        let wal = self.inner.wal.get();
+        if let Some(wal) = wal {
+            wal.healthy()?;
+        }
         // The timestamp is allocated only *after* validation: a commit
         // that fails first-committer-wins never occupies a slot in the
         // watermark's pending window, so conflict aborts by construction
@@ -602,71 +606,38 @@ impl Database {
         // individual table's version chains applied in timestamp order.
         let commit_ts = self.inner.sequencer.allocate();
 
-        // From allocation until `complete`, *every* exit — error return
-        // or panic anywhere in staging/publication — must resolve the
-        // timestamp slot, or the watermark wedges at `commit_ts - 1`
+        // From allocation on, *every* exit — success, or a panic
+        // anywhere in encoding or publication — resolves the timestamp
+        // through this guard, or the watermark wedges at `commit_ts - 1`
         // forever: every later begin() gets a stale snapshot and every
-        // later commit hangs in wait_visible. This guard releases the
-        // slot (and steps the WAL drain cursor past it) on unwind; the
-        // success path disarms it just before `complete`.
+        // later commit hangs in wait_visible. Once the frame is encoded
+        // the guard resolves with it, on unwind too: versions already
+        // applied become visible when the watermark passes them, so
+        // their record must reach the log in that same step.
         struct TsGuard<'a> {
             inner: &'a DbInner,
             ts: Ts,
+            frame: Option<Vec<u8>>,
         }
         impl Drop for TsGuard<'_> {
             fn drop(&mut self) {
-                if let Some(wal) = self.inner.wal.get() {
-                    wal.skip_commit(self.ts);
-                }
-                self.inner.sequencer.release(self.ts);
+                let frame = self.frame.take();
+                (self.inner.sequencer).resolve(self.ts, frame, self.inner.wal.get());
             }
         }
-        let ts_guard = TsGuard {
+        let mut ts_guard = TsGuard {
             inner: &self.inner,
             ts: commit_ts,
+            frame: None,
         };
-
-        // WAL staging before publication: if staging fails (e.g. the log
-        // is poisoned), nothing became visible and the transaction
-        // aborts cleanly — the guard hands the timestamp back so neither
-        // the WAL drain cursor nor the watermark waits forever on a
-        // commit that never published. Frames are staged by timestamp
-        // and drained to the file in timestamp order, so the log replays
-        // as a commit-order prefix without a global lock.
-        // The WAL record and the published version share the buffered
-        // row's allocation: a written row was packed when the client
-        // handed it to `insert`, and its frame is a copy of those bytes.
-        let wal_writes: Vec<WalWrite> = writes
-            .iter()
-            .flat_map(|(&table, ws)| {
-                ws.iter().map(move |(&row, op)| WalWrite {
-                    table,
-                    row,
-                    op: match op {
-                        WriteOp::Put(r) => WalOp::Put(r.clone()),
-                        WriteOp::Delete => WalOp::Delete,
-                        // A column update logs only the columns it wrote:
-                        // replay composes them onto the row's newest
-                        // state, which is the row this commit replaced.
-                        WriteOp::Patch { row: r, fields } => WalOp::Patch {
-                            fields: fields.clone(),
-                            values: (fields.iter())
-                                .map(|&p| {
-                                    r.get(p as usize).expect("patched column exists").to_value()
-                                })
-                                .collect(),
-                        },
-                    },
-                })
-            })
-            .collect();
-        let rec = WalRecord::Commit {
-            commit_ts,
-            writes: wal_writes,
-        };
-        let ticket = (self.inner.wal.get())
-            .map(|wal| wal.stage_commit(commit_ts, &rec))
-            .transpose()?;
+        // The frame is encoded before publication and handed to the
+        // sequencer, which appends it to the log when `commit_ts` joins
+        // the watermark: the log replays as a commit-order prefix
+        // without a global lock. An in-memory database encodes nothing.
+        let ticket = wal.map(|_| {
+            ts_guard.frame = Some(encode_frame(&commit_record(commit_ts, &writes)));
+            WalTicket::Commit(commit_ts)
+        });
 
         // Each write's row moves into its version; the keys stay behind
         // for the observers' view of the write set.
@@ -705,7 +676,7 @@ impl Database {
             }
         }
         // Observers hear of the commit while it is applied but not yet
-        // visible: what they record is in place before `complete` lets
+        // visible: what they record is in place before `resolve` lets
         // a snapshot contain it. A dropped observer stays listed until
         // the next registration and is skipped.
         let observers = self.inner.observers.read();
@@ -719,8 +690,7 @@ impl Database {
         // Past this point the commit cannot be retracted: its versions
         // are visible to new snapshots once the watermark folds them in.
         // A durability failure later must not be reported as an abort.
-        std::mem::forget(ts_guard);
-        self.inner.sequencer.complete(commit_ts);
+        drop(ts_guard);
         self.inner.active.lock().remove(&txn.id());
         self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
 
@@ -747,7 +717,7 @@ impl Database {
         self.inner.wal.get().map(|w| w.enqueue(rec)).transpose()
     }
 
-    /// Block until the staged record is durable at the configured level.
+    /// Block until the logged record is durable at the configured level.
     /// Must be called with no locks held.
     pub(crate) fn wal_wait(&self, ticket: Option<WalTicket>) -> Result<()> {
         match (self.inner.wal.get(), ticket) {
@@ -1117,7 +1087,7 @@ impl Database {
     /// the time committers spent waiting for durability): one entry for
     /// a durable database, none for an in-memory one. There is one log
     /// and one counter set; the name and the `Vec` survive only because
-    /// `benchmark/` reads them, until ROADMAP item 7's metrics registry
+    /// `benchmark/` reads them, until ROADMAP item 10's metrics registry
     /// replaces this accessor.
     pub fn wal_shard_stats(&self) -> Vec<WalShardStats> {
         self.inner
@@ -1261,6 +1231,35 @@ impl Database {
     pub fn path(&self) -> Option<&Path> {
         self.inner.path.as_deref()
     }
+}
+
+/// The log record of a commit. It shares each buffered row's allocation
+/// with the version the commit publishes: a written row was packed when
+/// the client handed it to `insert`, and its frame is a copy of those
+/// bytes.
+fn commit_record(commit_ts: Ts, writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>) -> WalRecord {
+    let writes = (writes.iter())
+        .flat_map(|(&table, ws)| {
+            ws.iter().map(move |(&row, op)| WalWrite {
+                table,
+                row,
+                op: match op {
+                    WriteOp::Put(r) => WalOp::Put(r.clone()),
+                    WriteOp::Delete => WalOp::Delete,
+                    // A column update logs only the columns it wrote:
+                    // replay composes them onto the row's newest state,
+                    // which is the row this commit replaced.
+                    WriteOp::Patch { row: r, fields } => WalOp::Patch {
+                        fields: fields.clone(),
+                        values: (fields.iter())
+                            .map(|&p| r.get(p as usize).expect("patched column exists").to_value())
+                            .collect(),
+                    },
+                },
+            })
+        })
+        .collect();
+    WalRecord::Commit { commit_ts, writes }
 }
 
 /// The checkpoint's rows for one table: each row's newest version — the

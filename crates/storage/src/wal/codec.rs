@@ -1,4 +1,4 @@
-//! Binary encoding of WAL records: on-disk format v3.
+//! Binary encoding of WAL records: on-disk format v4 ([`super::FORMAT_VERSION`]).
 //!
 //! Hand-rolled and tag-prefixed, built for size: every integer is a
 //! LEB128 varint (zig-zag first when signed), a row is a header of two
@@ -9,7 +9,7 @@
 //! ([`RowDeltas`]): a bitmap of the columns it repeats, then the others,
 //! a number as its difference from the one above and a text seen before
 //! in its column as a slot. The byte layout of every record is written
-//! down in DESIGN.md, "On-disk format v3"; to see where a running
+//! down in DESIGN.md §5.12, "On-disk format v4"; to see where a running
 //! database's bytes go, ask it (`TableStats::checkpoint_bytes` and
 //! `column_bytes`, the shell's `du`) instead of reading a hex dump.
 //!

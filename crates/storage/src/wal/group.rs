@@ -1,15 +1,11 @@
 //! Group commit: durability outside the commit critical section.
 //!
-//! Commit records are **staged per-committer** under only the table
-//! locks the transaction holds (no global commit mutex) via
-//! [`GroupWal::stage_commit`], keyed by commit timestamp. A drain cursor
-//! moves staged frames into the shared batch buffer strictly in
-//! commit-timestamp order, advancing only over a contiguous timestamp
-//! prefix — so the *file* always receives frames in commit order even
-//! though committers arrive in any order, and any replayed prefix of the
-//! log is a commit-order prefix. An aborted commit calls
-//! [`GroupWal::skip_commit`] so the cursor steps over its timestamp
-//! instead of wedging.
+//! Commit frames arrive through [`GroupWal::append_commit`], called by
+//! the commit sequencer (`crate::commit`) as each timestamp joins the
+//! watermark's contiguous prefix — so they reach the shared batch buffer
+//! strictly in commit-timestamp order even though committers publish in
+//! any order, and any replayed prefix of the log is a commit-order
+//! prefix. The log keeps no ordering state of its own.
 //!
 //! Durability still runs on the leader/follower protocol: the first
 //! committer to arrive at [`GroupWal::wait_durable`] becomes the **flush
@@ -34,7 +30,6 @@
 //! memory — so the only honest response is to stop accepting writes
 //! (the same reasoning that makes PostgreSQL PANIC on fsync failure).
 
-use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use parking_lot::{Condvar, Mutex};
@@ -44,10 +39,10 @@ use crate::table::Ts;
 use crate::wal::log::{encode_frame, CheckpointFrames};
 use crate::wal::{DurabilityLevel, WalFile, WalRecord};
 
-/// Claim ticket for a staged record: pass to
+/// Claim ticket for a logged record: pass to
 /// [`GroupWal::wait_durable`] after publication.
 #[derive(Debug, Clone, Copy)]
-pub enum WalTicket {
+pub(crate) enum WalTicket {
     /// Non-commit record (DDL), identified by enqueue sequence number.
     Seq(u64),
     /// Commit record, identified by its commit timestamp.
@@ -67,20 +62,14 @@ pub struct WalShardStats {
     pub fsyncs: u64,
     /// Bytes those batches appended to the file.
     pub bytes_flushed: u64,
-    /// Total time committers spent inside [`GroupWal::wait_durable`]
-    /// for commit tickets (the fsync-queue wait; not counted at
-    /// `DurabilityLevel::None`, where the wait is a buffer drain).
+    /// Total time committers spent inside `GroupWal::wait_durable`
+    /// for commit tickets (the fsync-queue wait).
     pub flush_wait_ns: u64,
 }
 
-/// At [`DurabilityLevel::None`] there is no durability wait to piggyback
-/// flushes on, so the batch is drained opportunistically once it holds
-/// this many bytes (and, regardless, at checkpoint/drop).
-const NONE_FLUSH_THRESHOLD: usize = 1 << 20;
-
 #[derive(Debug, Default)]
 struct GroupState {
-    /// Encoded frames drained into the batch, not yet handed to a flush.
+    /// Encoded frames appended to the batch, not yet handed to a flush.
     buf: Vec<u8>,
     /// Records in `buf`.
     pending: u64,
@@ -89,16 +78,12 @@ struct GroupState {
     /// All records with sequence <= this are on disk at the configured
     /// durability level.
     durable: u64,
-    /// Commit frames staged out of order, waiting for every lower
-    /// timestamp to stage too. `None` marks an aborted timestamp the
-    /// drain cursor must step over.
-    staged: BTreeMap<Ts, Option<Vec<u8>>>,
-    /// Every commit timestamp <= this has left `staged`: its frame is in
-    /// `buf` or the file, or it was skipped. The file receives
-    /// commit frames exactly in this cursor's order.
-    drained_ts: Ts,
+    /// Timestamp of the newest commit frame added to `buf`. Commit
+    /// frames arrive in timestamp order, so every commit with a frame
+    /// and a timestamp <= this is in `buf` or the file.
+    appended_ts: Ts,
     /// Every commit timestamp <= this is on disk at the configured
-    /// durability level (or was skipped / superseded by a checkpoint).
+    /// durability level (or was superseded by a checkpoint).
     durable_ts: Ts,
     /// A flush leader is currently writing outside this lock.
     leader_active: bool,
@@ -108,11 +93,10 @@ struct GroupState {
     poison: Option<String>,
 }
 
-/// The group-commit write-ahead log: a [`WalFile`] fronted by a
-/// timestamp-ordered staging area, a shared batch buffer, and a
-/// leader/follower flush protocol.
+/// The group-commit write-ahead log: a [`WalFile`] fronted by a shared
+/// batch buffer and a leader/follower flush protocol.
 #[derive(Debug)]
-pub struct GroupWal {
+pub(crate) struct GroupWal {
     state: Mutex<GroupState>,
     cv: Condvar,
     file: Mutex<WalFile>,
@@ -126,16 +110,9 @@ pub struct GroupWal {
 }
 
 impl GroupWal {
-    /// `base_ts` is the newest commit timestamp already in the file
-    /// (the recovered `last_commit_ts`; 0 for a fresh log): the drain
-    /// cursor starts there so the first staged commit is `base_ts + 1`.
-    pub fn new(file: WalFile, durability: DurabilityLevel, base_ts: Ts) -> GroupWal {
+    pub(crate) fn new(file: WalFile, durability: DurabilityLevel) -> GroupWal {
         GroupWal {
-            state: Mutex::new(GroupState {
-                drained_ts: base_ts,
-                durable_ts: base_ts,
-                ..GroupState::default()
-            }),
+            state: Mutex::new(GroupState::default()),
             cv: Condvar::new(),
             file: Mutex::new(file),
             durability,
@@ -147,7 +124,7 @@ impl GroupWal {
         }
     }
 
-    pub fn stats(&self) -> WalShardStats {
+    pub(crate) fn stats(&self) -> WalShardStats {
         WalShardStats {
             batches_flushed: self.batches_flushed.load(Ordering::Relaxed),
             records_flushed: self.records_flushed.load(Ordering::Relaxed),
@@ -178,7 +155,7 @@ impl GroupWal {
     /// called with the commit pipeline quiesced (exclusive commit
     /// latch), so the frame lands at a well-defined point between
     /// commit frames.
-    pub fn enqueue(&self, rec: &WalRecord) -> Result<WalTicket> {
+    pub(crate) fn enqueue(&self, rec: &WalRecord) -> Result<WalTicket> {
         let frame = encode_frame(rec);
         let mut st = self.state.lock();
         Self::check_poison(&st)?;
@@ -188,94 +165,51 @@ impl GroupWal {
         Ok(WalTicket::Seq(st.enqueued))
     }
 
-    /// Stage a commit record under its commit timestamp. Called while
-    /// the committer still holds its table write locks — the work is
-    /// bounded by encoding (no I/O, no global lock). The frame reaches
-    /// the file only once every lower commit timestamp has staged (or
-    /// skipped): the log stays in commit-timestamp order without the
-    /// committers themselves being serialized.
-    ///
-    /// On error the caller must invoke [`GroupWal::skip_commit`] for
-    /// `ts`, or the drain cursor stalls forever.
-    pub fn stage_commit(&self, ts: Ts, rec: &WalRecord) -> Result<WalTicket> {
-        let frame = encode_frame(rec);
-        let mut st = self.state.lock();
-        Self::check_poison(&st)?;
-        debug_assert!(
-            ts > st.drained_ts,
-            "commit ts staged twice or behind cursor"
-        );
-        st.staged.insert(ts, Some(frame));
-        self.drain_staged(&mut st);
-        Ok(WalTicket::Commit(ts))
+    /// Fails once the log is poisoned. A commit asks before it takes a
+    /// timestamp, so a poisoned log publishes nothing new.
+    pub(crate) fn healthy(&self) -> Result<()> {
+        Self::check_poison(&self.state.lock())
     }
 
-    /// Mark `ts` as aborted-after-allocation: the drain cursor steps
-    /// over it instead of waiting for a frame that will never arrive.
-    /// Deliberately ignores poison — releasing the slot must always
-    /// succeed so other committers' frames keep draining.
-    pub fn skip_commit(&self, ts: Ts) {
+    /// Append the commit frame of `ts` to the batch. Called only by the
+    /// commit sequencer, under its lock, in timestamp order. Appends
+    /// even to a poisoned log: the commit is already visible, and its
+    /// waiter learns of the poison in [`GroupWal::wait_durable`].
+    pub(crate) fn append_commit(&self, ts: Ts, frame: &[u8]) {
         let mut st = self.state.lock();
-        if ts > st.drained_ts {
-            st.staged.insert(ts, None);
-            self.drain_staged(&mut st);
-        }
-    }
-
-    /// Move the contiguous prefix of staged frames into the batch
-    /// buffer, in commit-timestamp order. Wakes waiters whenever the
-    /// cursor moves: a parked committer may now be flushable, or a
-    /// parked leader may now cover more records.
-    fn drain_staged(&self, st: &mut GroupState) {
-        let mut advanced = false;
-        loop {
-            let next = st.drained_ts + 1;
-            match st.staged.remove(&next) {
-                Some(Some(frame)) => {
-                    st.buf.extend_from_slice(&frame);
-                    st.pending += 1;
-                    st.enqueued += 1;
-                    st.drained_ts = next;
-                    advanced = true;
-                }
-                Some(None) => {
-                    st.drained_ts = next; // aborted: step over
-                    advanced = true;
-                }
-                None => break,
-            }
-        }
-        if advanced {
-            self.cv.notify_all();
-        }
+        debug_assert!(ts > st.appended_ts, "commit frames out of ts order");
+        st.buf.extend_from_slice(frame);
+        st.pending += 1;
+        st.enqueued += 1;
+        st.appended_ts = ts;
     }
 
     /// Block until the ticket's record is durable at the configured
     /// level. Called with **no** database locks held; this is where the
     /// leader/follower protocol runs.
-    pub fn wait_durable(&self, ticket: WalTicket) -> Result<()> {
+    pub(crate) fn wait_durable(&self, ticket: WalTicket) -> Result<()> {
         match ticket {
-            WalTicket::Seq(seq) => self.wait_seq(seq),
+            WalTicket::Seq(seq) => self.wait_until(|st| st.durable >= seq),
             WalTicket::Commit(ts) => {
                 let started = std::time::Instant::now();
-                let res = self.wait_commit(ts);
-                if self.durability != DurabilityLevel::None {
-                    self.flush_wait_ns
-                        .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
-                }
+                let res = self.wait_until(|st| {
+                    // The committer waited for visibility first, and a
+                    // timestamp joins the watermark with its frame.
+                    debug_assert!(st.appended_ts >= ts, "commit waited before its frame");
+                    st.durable_ts >= ts
+                });
+                self.flush_wait_ns
+                    .fetch_add(started.elapsed().as_nanos() as u64, Ordering::Relaxed);
                 res
             }
         }
     }
 
-    fn wait_seq(&self, seq: u64) -> Result<()> {
-        if self.durability == DurabilityLevel::None {
-            return self.opportunistic_drain();
-        }
+    fn wait_until(&self, durable: impl Fn(&GroupState) -> bool) -> Result<()> {
         let mut st = self.state.lock();
         loop {
             Self::check_poison(&st)?;
-            if st.durable >= seq {
+            if durable(&st) {
                 return Ok(());
             }
             if st.leader_active || st.rewriting {
@@ -290,39 +224,8 @@ impl GroupWal {
         }
     }
 
-    fn wait_commit(&self, ts: Ts) -> Result<()> {
-        if self.durability == DurabilityLevel::None {
-            return self.opportunistic_drain();
-        }
-        let mut st = self.state.lock();
-        loop {
-            Self::check_poison(&st)?;
-            if st.durable_ts >= ts {
-                return Ok(());
-            }
-            if st.drained_ts < ts || st.leader_active || st.rewriting {
-                // Our frame is still parked behind a lower timestamp, or
-                // a flush/checkpoint is in flight. The drain cursor (or
-                // the finishing leader) wakes us.
-                self.cv.wait(&mut st);
-                continue;
-            }
-            st = self.flush_batch(st)?;
-        }
-    }
-
-    /// `DurabilityLevel::None`: no durability to wait for; drain the
-    /// batch only when it gets large, to bound memory.
-    fn opportunistic_drain(&self) -> Result<()> {
-        let st = self.state.lock();
-        if st.buf.len() < NONE_FLUSH_THRESHOLD || st.leader_active || st.rewriting {
-            return Ok(());
-        }
-        self.flush_batch(st).map(drop)
-    }
-
     /// Leader path: take the batch, write it with the state lock
-    /// released (so committers keep staging during the I/O), publish
+    /// released (so commits keep appending during the I/O), publish
     /// the new durable horizon, wake everyone covered.
     fn flush_batch<'a>(
         &'a self,
@@ -332,10 +235,9 @@ impl GroupWal {
         let buf = std::mem::take(&mut st.buf);
         let records = std::mem::take(&mut st.pending);
         let hi = st.enqueued;
-        // Every commit frame <= drained_ts is in `buf` (or already on
-        // disk), so a successful write makes the cursor's whole prefix
-        // durable.
-        let hi_ts = st.drained_ts;
+        // Every commit frame <= appended_ts is in `buf` (or already on
+        // disk), so a successful write makes that whole prefix durable.
+        let hi_ts = st.appended_ts;
         drop(st);
         let res = self.append_counted(&buf, records);
         let mut st = self.state.lock();
@@ -352,37 +254,28 @@ impl GroupWal {
     }
 
     /// Checkpoint copy phase. Must be called with the commit pipeline
-    /// quiesced (exclusive commit latch): every record staged so far
-    /// was published before the latch was granted, so the table
-    /// snapshot the caller is about to take captures all of them and
-    /// the pending batch frames are redundant — they are discarded
-    /// here. Quiesces any in-flight flush leader (a leader finishing
-    /// *after* the swap would append pre-snapshot frames to the new
-    /// file, duplicating records) and marks the log as rewriting, which
-    /// parks flushes until [`GroupWal::finish_rewrite`]. Staging stays
-    /// free: the commit critical section never stalls on a checkpoint.
+    /// quiesced (exclusive commit latch): no timestamp is pending, every
+    /// record appended so far was published before the latch was
+    /// granted, so the table snapshot the caller is about to take
+    /// captures all of them and the pending batch frames are redundant —
+    /// they are discarded here. Quiesces any in-flight flush leader (a
+    /// leader finishing *after* the swap would append pre-snapshot frames
+    /// to the new file, duplicating records) and marks the log as
+    /// rewriting, which parks flushes until [`GroupWal::finish_rewrite`].
+    /// Appends stay free: the commit critical section never stalls on a
+    /// checkpoint.
     ///
     /// Every `begin_rewrite` that returns `Ok` **must** be paired with a
-    /// `finish_rewrite`, or the log wedges with `rewriting` set.
-    pub fn begin_rewrite(&self) -> Result<()> {
+    /// `finish_rewrite`, or the log wedges with `rewriting` set. The
+    /// caller's checkpoint lock keeps two rewrites from overlapping.
+    pub(crate) fn begin_rewrite(&self) -> Result<()> {
         let mut st = self.state.lock();
-        loop {
-            Self::check_poison(&st)?;
-            if !st.rewriting {
-                break;
-            }
-            // Another checkpoint is mid-swap. Its finish_rewrite needs no
-            // lock we hold, so waiting here cannot deadlock.
-            self.cv.wait(&mut st);
-        }
+        Self::check_poison(&st)?;
+        debug_assert!(!st.rewriting, "checkpoints overlap");
         st.rewriting = true;
         while st.leader_active {
             self.cv.wait(&mut st);
         }
-        debug_assert!(
-            st.staged.is_empty(),
-            "rewrite began with commits mid-critical-section"
-        );
         st.buf.clear();
         st.pending = 0;
         Ok(())
@@ -413,7 +306,7 @@ impl GroupWal {
         let buf = std::mem::take(&mut st.buf);
         let tail_records = std::mem::take(&mut st.pending);
         let hi = st.enqueued;
-        let hi_ts = st.drained_ts;
+        let hi_ts = st.appended_ts;
         drop(st);
         let splice = if buf.is_empty() {
             Ok(())
@@ -435,7 +328,7 @@ impl GroupWal {
 
     /// `(bytes, records)` written to the underlying file since it was
     /// opened or last rewritten — the growth the checkpoint budget caps.
-    pub fn size(&self) -> (u64, u64) {
+    pub(crate) fn size(&self) -> (u64, u64) {
         let f = self.file.lock();
         (f.bytes_written(), f.records_written())
     }
@@ -462,38 +355,23 @@ impl GroupWal {
 }
 
 impl Drop for GroupWal {
-    /// Best-effort drain of any frames still buffered (reachable only at
-    /// `DurabilityLevel::None`, or if the database is dropped with
-    /// commits mid-flight). Errors are ignored: there is no caller left
-    /// to surface them to, and `None` promises nothing anyway.
+    /// Best-effort write of any frames still buffered (a database
+    /// dropped before a committer waited on its ticket). Errors are
+    /// ignored: there is no caller left to surface them to. Frames
+    /// parked behind a timestamp that never resolved are still in the
+    /// sequencer and never reach this buffer — writing them would break
+    /// the commit-order-prefix invariant.
     fn drop(&mut self) {
         let st = self.state.get_mut();
-        if st.poison.is_some() {
+        if st.poison.is_some() || st.buf.is_empty() {
             return;
         }
-        // Fold the contiguous staged prefix in first (frames parked
-        // behind a committer that never resolved stay behind — writing
-        // them would break the commit-order-prefix invariant).
-        loop {
-            let next = st.drained_ts + 1;
-            match st.staged.remove(&next) {
-                Some(Some(frame)) => {
-                    st.buf.extend_from_slice(&frame);
-                    st.pending += 1;
-                    st.drained_ts = next;
-                }
-                Some(None) => st.drained_ts = next,
-                None => break,
-            }
-        }
-        if !st.buf.is_empty() {
-            let buf = std::mem::take(&mut st.buf);
-            let records = std::mem::take(&mut st.pending);
-            let _ = self
-                .file
-                .get_mut()
-                .append_batch(&buf, records, self.durability);
-        }
+        let buf = std::mem::take(&mut st.buf);
+        let records = std::mem::take(&mut st.pending);
+        let _ = self
+            .file
+            .get_mut()
+            .append_batch(&buf, records, self.durability);
     }
 }
 
@@ -525,7 +403,7 @@ mod tests {
     }
 
     fn open_group(path: &PathBuf, durability: DurabilityLevel) -> GroupWal {
-        GroupWal::new(WalFile::open(path, durability).unwrap(), durability, 0)
+        GroupWal::new(WalFile::open(path, durability).unwrap(), durability)
     }
 
     #[test]
@@ -602,80 +480,5 @@ mod tests {
         wal.wait_durable(staged).unwrap();
         drop(wal);
         assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(42)]);
-    }
-
-    #[test]
-    fn none_level_waits_return_immediately() {
-        let path = tmpfile("none.wal");
-        let wal = open_group(&path, DurabilityLevel::None);
-        let t = wal.enqueue(&meta(1)).unwrap();
-        wal.wait_durable(t).unwrap(); // must not block or flush
-        assert_eq!(wal.stats().batches_flushed, 0);
-        drop(wal); // drop drains the buffer best-effort
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1)]);
-    }
-
-    #[test]
-    fn out_of_order_staging_hits_the_file_in_ts_order() {
-        let path = tmpfile("ooo.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered);
-        // Stage commit ts 2 *before* ts 1 — arrival order inverted.
-        let t2 = wal.stage_commit(2, &meta(2)).unwrap();
-        let t1 = wal.stage_commit(1, &meta(1)).unwrap();
-        wal.wait_durable(t2).unwrap();
-        wal.wait_durable(t1).unwrap();
-        drop(wal);
-        // The file holds them in timestamp order regardless.
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1), meta(2)]);
-    }
-
-    #[test]
-    fn skip_steps_cursor_over_aborted_ts() {
-        let path = tmpfile("skip.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered);
-        // ts 2 stages; ts 1 aborts after allocation. Without the skip,
-        // ts 2's frame (and its waiter) would be stuck forever.
-        let t2 = wal.stage_commit(2, &meta(2)).unwrap();
-        wal.skip_commit(1);
-        wal.wait_durable(t2).unwrap();
-        drop(wal);
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(2)]);
-    }
-
-    #[test]
-    fn concurrent_staggered_stages_preserve_ts_order() {
-        let path = tmpfile("staggered.wal");
-        let wal = Arc::new(open_group(&path, DurabilityLevel::Buffered));
-        let mut handles = Vec::new();
-        for ts in 1..=16u64 {
-            let wal = wal.clone();
-            handles.push(std::thread::spawn(move || {
-                // Higher timestamps tend to stage earlier.
-                std::thread::sleep(std::time::Duration::from_micros((17 - ts) * 100));
-                let t = wal.stage_commit(ts, &meta(ts)).unwrap();
-                wal.wait_durable(t).unwrap();
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        drop(wal);
-        let replayed = WalFile::replay(&path).unwrap();
-        let expected: Vec<WalRecord> = (1..=16).map(meta).collect();
-        assert_eq!(replayed, expected);
-    }
-
-    #[test]
-    fn drop_writes_only_the_contiguous_staged_prefix() {
-        let path = tmpfile("drop-prefix.wal");
-        {
-            let wal = open_group(&path, DurabilityLevel::None);
-            let _ = wal.stage_commit(1, &meta(1)).unwrap();
-            // ts 2 never stages; ts 3 is parked behind the hole.
-            let _ = wal.stage_commit(3, &meta(3)).unwrap();
-        }
-        // Only ts 1 may reach the file: writing ts 3 without ts 2 would
-        // break the commit-order-prefix replay invariant.
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1)]);
     }
 }

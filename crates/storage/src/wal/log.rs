@@ -120,13 +120,9 @@ impl WalFile {
         if !frames.is_empty() {
             self.writer.write_all(frames)?;
         }
-        match durability {
-            DurabilityLevel::None => {}
-            DurabilityLevel::Buffered => self.writer.flush()?,
-            DurabilityLevel::Fsync => {
-                self.writer.flush()?;
-                self.writer.sync_data()?;
-            }
+        self.writer.flush()?;
+        if durability == DurabilityLevel::Fsync {
+            self.writer.sync_data()?;
         }
         self.records_written += records;
         self.bytes_written += frames.len() as u64;

@@ -12,8 +12,9 @@ pub mod codec;
 mod group;
 mod log;
 
-pub use group::{GroupWal, WalShardStats, WalTicket};
-pub(crate) use log::CheckpointFrames;
+pub use group::WalShardStats;
+pub(crate) use group::{GroupWal, WalTicket};
+pub(crate) use log::{encode_frame, CheckpointFrames};
 pub use log::{WalFile, WalIter};
 
 use crate::row::{RowId, SharedRow};
@@ -28,11 +29,10 @@ use crate::table::Ts;
 /// deletes in the v2 op codec, did not change and keep their own version.
 pub const FORMAT_VERSION: u32 = 4;
 
-/// How hard the engine pushes commits toward the platter.
+/// How hard the engine pushes commits toward the platter. A database
+/// with no log at all is [`crate::Database::open_in_memory`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DurabilityLevel {
-    /// No WAL at all (in-memory database).
-    None,
     /// Write to the OS (survives process crash, not power loss).
     Buffered,
     /// `fsync` every commit (survives power loss).

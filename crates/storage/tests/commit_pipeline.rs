@@ -11,8 +11,9 @@
 //! * **first-committer-wins** — conflict accounting and the error
 //!   surface are unchanged, and losers never occupy a timestamp slot;
 //! * **WAL prefix replay** — the log replays as a commit-order prefix
-//!   at every truncation point, at every durability level, even when
-//!   the frames were staged out of timestamp order by racing threads;
+//!   at every truncation point, at both durability levels, even when
+//!   racing threads publish out of timestamp order, and a commit that
+//!   unwound after its frame was encoded still reaches the log;
 //! * **DDL/maintenance interleaving** — exclusive-mode operations
 //!   (create/drop table, the checkpoint copy phase, auto-maintenance)
 //!   stay correct while the shared-mode commit pipeline runs hot.
@@ -20,12 +21,13 @@
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
 use tendax_storage::{
-    DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row, RowId,
-    StorageError, TableDef, TableId, Ts, Value,
+    CommitObserver, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate,
+    Row, RowId, StorageError, TableDef, TableId, Ts, Value, WriteSet,
 };
 
 mod common;
@@ -391,8 +393,8 @@ fn ddl_races_parallel_committers() {
 }
 
 /// The DDL race at its nastiest: committers write to the very table
-/// `drop_table` is removing. A committer that staged its frame and left
-/// the shared latch has not necessarily flushed it; the DropTable frame
+/// `drop_table` is removing. A committer whose frame is in the batch and
+/// that left the shared latch has not necessarily flushed it; the DropTable frame
 /// must still land behind it, or replay meets a commit for a table that
 /// is already gone and the database does not reopen.
 #[test]
@@ -433,19 +435,15 @@ fn drop_table_racing_committers_keeps_log_replayable() {
 }
 
 /// The WAL-ordering half of the pipeline: four threads commit to four
-/// disjoint tables so their frames are *staged* in racy arrival order,
+/// disjoint tables so their commits *resolve* in racy arrival order,
 /// yet the file must receive them in timestamp order. Truncating the
 /// log at every cut point and replaying must always yield exactly the
 /// set of commits with `ts <= recovered last_commit_ts` — a commit-
-/// order prefix, never a subset with holes. Swept at every durability
-/// level because each drains the staging buffer differently.
+/// order prefix, never a subset with holes. Swept at both durability
+/// levels because each flushes the batch differently.
 #[test]
 fn wal_replays_as_commit_order_prefix_at_every_cut() {
-    for durability in [
-        DurabilityLevel::None,
-        DurabilityLevel::Buffered,
-        DurabilityLevel::Fsync,
-    ] {
+    for durability in [DurabilityLevel::Buffered, DurabilityLevel::Fsync] {
         const WRITERS: usize = 4;
         const COMMITS: i64 = 25;
 
@@ -481,8 +479,8 @@ fn wal_replays_as_commit_order_prefix_at_every_cut() {
             for h in handles {
                 h.join().unwrap();
             }
-            // Dropping the database drains whatever the durability level
-            // left buffered, so the full log is on disk afterwards.
+            // Every commit waited for its flush, so the full log is on
+            // disk afterwards.
         }
         let log = log.lock().unwrap().clone();
         assert_eq!(log.len(), WRITERS * COMMITS as usize);
@@ -524,6 +522,84 @@ fn wal_replays_as_commit_order_prefix_at_every_cut() {
                 );
             }
         }
+    }
+}
+
+/// Parks commits to one table and unwinds commits to another, inside
+/// the commit: a commit observer runs after the versions are applied
+/// and before the timestamp resolves.
+struct ParkOrPanic {
+    park: TableId,
+    announce: Mutex<Sender<Ts>>,
+    release: Mutex<Receiver<()>>,
+}
+
+impl CommitObserver for ParkOrPanic {
+    fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
+        if writes.tables().any(|t| t.table() == self.park) {
+            self.announce.lock().unwrap().send(commit_ts).unwrap();
+            self.release.lock().unwrap().recv().unwrap();
+        } else {
+            panic!("observer unwinds the commit at ts {commit_ts}");
+        }
+    }
+}
+
+/// A commit whose frame was encoded reaches the log when its timestamp
+/// joins the watermark, even when it unwound while waiting behind a
+/// lower timestamp: its versions become visible then, so its record
+/// must survive a reopen. Dropping the frame on unwind leaves the row
+/// visible before the reopen and gone after it.
+#[test]
+fn unwound_commit_behind_a_parked_one_reaches_the_log() {
+    let (_dir, path) = tmp("unwound.wal");
+    let (a, b) = {
+        let db = Database::open(&path, common::options()).unwrap();
+        let a = db.create_table(seq_table("a")).unwrap();
+        let b = db.create_table(seq_table("b")).unwrap();
+        let (announce, announced) = channel();
+        let (release, released) = channel();
+        let observer: Arc<dyn CommitObserver> = Arc::new(ParkOrPanic {
+            park: a,
+            announce: Mutex::new(announce),
+            release: Mutex::new(released),
+        });
+        db.observe_commits(&observer);
+        let insert = |t: TableId, v: i64| {
+            let db = db.clone();
+            std::thread::spawn(move || {
+                let mut txn = db.begin();
+                txn.insert(t, Row::new(vec![Value::Int(v)])).unwrap();
+                txn.commit().unwrap()
+            })
+        };
+        let parked = insert(a, 1);
+        let parked_ts = announced.recv().unwrap();
+        // The second commit takes the next timestamp and unwinds behind
+        // the parked one.
+        assert!(insert(b, 2).join().is_err(), "the observer did not unwind");
+        assert!(db.begin().scan(b, &Predicate::True).unwrap().is_empty());
+        release.send(()).unwrap();
+        assert_eq!(parked.join().unwrap(), parked_ts);
+        assert_eq!(db.last_commit_ts(), parked_ts + 1);
+        assert_eq!(
+            db.begin().scan(b, &Predicate::True).unwrap().len(),
+            1,
+            "the unwound commit's applied row is not visible"
+        );
+        (a, b)
+    };
+    let db = Database::open(&path, common::options()).unwrap();
+    for (t, v) in [(a, 1), (b, 2)] {
+        let rows = db.begin().scan(t, &Predicate::True).unwrap();
+        let got: Vec<i64> = (rows.iter())
+            .map(|(_, r)| r.get(0).unwrap().as_int().unwrap())
+            .collect();
+        assert_eq!(
+            got,
+            vec![v],
+            "table {t:?}: visible before the reopen, gone after it"
+        );
     }
 }
 

@@ -1,5 +1,5 @@
 //! Group-commit and crash-recovery integration tests: torn WAL tails
-//! repaired on reopen, concurrent committers at every durability level,
+//! repaired on reopen, concurrent committers at both durability levels,
 //! and fsync amortization under contention.
 
 use std::path::PathBuf;
@@ -99,11 +99,6 @@ fn torn_tail_repaired_then_appendable_buffered() {
 #[test]
 fn torn_tail_repaired_then_appendable_fsync() {
     torn_tail_roundtrip(DurabilityLevel::Fsync, "torn-fsync.wal");
-}
-
-#[test]
-fn torn_tail_repaired_then_appendable_none() {
-    torn_tail_roundtrip(DurabilityLevel::None, "torn-none.wal");
 }
 
 // ------------------------------------------------- concurrent commit stress
@@ -251,11 +246,6 @@ fn concurrent_commits_balance_books_buffered() {
 #[test]
 fn concurrent_commits_balance_books_fsync() {
     stress_level(DurabilityLevel::Fsync, "stress-fsync.wal");
-}
-
-#[test]
-fn concurrent_commits_balance_books_none() {
-    stress_level(DurabilityLevel::None, "stress-none.wal");
 }
 
 // -------------------------------------------------------------- batching

@@ -162,13 +162,14 @@ fn point_get_and_index_counters_tick() {
 /// Readers repeatedly full-scan while writers append in ascending `seq`
 /// order. Snapshot isolation means each scan must see a consistent prefix
 /// of every writer's stream: per writer, exactly the values `0..n` for
-/// some n, never a gap. Runs at every durability level.
-fn readers_see_consistent_prefixes(durability: DurabilityLevel, name: &str) {
+/// some n, never a gap. Runs in memory (`None`) and at both durability
+/// levels.
+fn readers_see_consistent_prefixes(durability: Option<DurabilityLevel>, name: &str) {
     let (db, _dir) = match durability {
-        DurabilityLevel::None => (Database::open_in_memory(), None),
-        level => {
+        None => (Database::open_in_memory(), None),
+        Some(durability) => {
             let opts = Options {
-                durability: level,
+                durability,
                 ..common::options()
             };
             let (dir, path) = tmp(name);
@@ -247,18 +248,18 @@ fn readers_see_consistent_prefixes(durability: DurabilityLevel, name: &str) {
 }
 
 #[test]
-fn concurrent_scans_consistent_prefix_none() {
-    readers_see_consistent_prefixes(DurabilityLevel::None, "prefix-none.wal");
+fn concurrent_scans_consistent_prefix_in_memory() {
+    readers_see_consistent_prefixes(None, "");
 }
 
 #[test]
 fn concurrent_scans_consistent_prefix_buffered() {
-    readers_see_consistent_prefixes(DurabilityLevel::Buffered, "prefix-buffered.wal");
+    readers_see_consistent_prefixes(Some(DurabilityLevel::Buffered), "prefix-buffered.wal");
 }
 
 #[test]
 fn concurrent_scans_consistent_prefix_fsync() {
-    readers_see_consistent_prefixes(DurabilityLevel::Fsync, "prefix-fsync.wal");
+    readers_see_consistent_prefixes(Some(DurabilityLevel::Fsync), "prefix-fsync.wal");
 }
 
 /// A filtered scan racing writers still balances its per-scan accounting:

@@ -1,6 +1,6 @@
 //! Crash-simulation suite: real workloads on [`SimVfs`], crashed at
 //! injected points, reopened, and checked against the commit-order-
-//! prefix invariant at every durability level.
+//! prefix invariant at both durability levels.
 //!
 //! What truncation sweeps (`recovery_faults.rs`) cannot model, this
 //! suite does: unsynced page-cache bytes vanishing wholesale, fsyncs
@@ -48,11 +48,7 @@ fn table_def(name: &str) -> TableDef {
     TableDef::new(name).column("seq", DataType::Int)
 }
 
-const DURABILITY_LEVELS: [DurabilityLevel; 3] = [
-    DurabilityLevel::None,
-    DurabilityLevel::Buffered,
-    DurabilityLevel::Fsync,
-];
+const DURABILITY_LEVELS: [DurabilityLevel; 2] = [DurabilityLevel::Buffered, DurabilityLevel::Fsync];
 
 /// Commit seq = 0..n single-row transactions sequentially; returns how
 /// many commits were acknowledged. Stops at the first error (the
@@ -99,8 +95,8 @@ fn recovered_seqs(db: &Database, name: &str) -> Vec<i64> {
 
 // ------------------------------------------------------------ basic sanity
 
-/// No faults: the simulated disk behaves like a disk. Every durability
-/// level commits, closes, reopens, and reads everything back.
+/// No faults: the simulated disk behaves like a disk. Both durability
+/// levels commit, closes, reopens, and reads everything back.
 #[test]
 fn sim_backend_roundtrips_all_levels() {
     for durability in DURABILITY_LEVELS {
@@ -117,7 +113,7 @@ fn sim_backend_roundtrips_all_levels() {
 
 // ------------------------------------------------- crash-point exhaustion
 
-/// The core sweep: for every seed and every durability level, cut the power at *every* op index the fault-free schedule
+/// The core sweep: for every seed and both durability levels, cut the power at *every* op index the fault-free schedule
 /// contains, crash, reopen, and require a commit-order prefix — plus,
 /// at `Fsync`, that every acknowledged commit survived.
 #[test]
