@@ -84,11 +84,15 @@ fn bench_insert_maintenance(c: &mut Criterion) {
             let mut chain = chain_of(n);
             let mut next = n as u64 + 1;
             let anchor = chain
-                .id_at_visible(chain.visible_len() / 2)
+                .slot_at_visible(chain.visible_len() / 2)
                 .expect("anchor");
             b.iter(|| {
+                // An insert after the anchor, found with its rank as an
+                // edit finds them, ahead of the characters inserted there
+                // before.
+                let rank = chain.total_rank_at(anchor) + 1;
                 chain
-                    .insert_after(Some(anchor), CharId(next), info(true))
+                    .insert_at(rank, Some(anchor), CharId(next), info(true))
                     .expect("fresh id");
                 next += 1;
             });

@@ -237,10 +237,10 @@ impl LiveDocs {
         }
     }
 
-    /// A transport repair — resync, lost-stream recovery: the live
-    /// document's snapshot for a reader who has it open already. Checks
-    /// [`Permission::Read`] and records nothing. `None` if the document
-    /// is not live.
+    /// A transport repair — resync, lost-stream recovery: `f` of the live
+    /// document at a frontier, under the document's lock, for a reader
+    /// who has it open already. Checks [`Permission::Read`] and records
+    /// nothing. `None` if the document is not live.
     pub fn snapshot<T>(
         &self,
         doc: DocId,
@@ -390,7 +390,8 @@ impl LiveEditor {
     }
 
     /// The reader opens the document again while holding it: one more
-    /// read event, one more snapshot.
+    /// read event, and `f` of the copy at a frontier, under the
+    /// document's lock.
     pub fn reopen<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
         self.server.live().tdb.record_read(self.doc(), self.user)?;
         self.at_frontier(f)

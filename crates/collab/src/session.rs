@@ -83,8 +83,9 @@ impl EditorSession {
     /// Open a document for a network client, who keeps its copy at the
     /// other end of the wire. Like any open it checks `Permission::Read`
     /// and records one read event; `snapshot` is handed the live handle
-    /// with `synced_ts` at a commit frontier (see [`crate::live`]), and
-    /// its result is the client's first view.
+    /// with `synced_ts` at a commit frontier (see [`crate::live`]), under
+    /// the document's lock — no commit of the document lands while it
+    /// runs — and its result is the client's first view.
     pub fn open_live<T>(
         &self,
         doc: DocId,
@@ -540,19 +541,24 @@ mod tests {
         let (server, sa, _sb) = lan();
         let session = sa.id();
         let mut da = sa.open("shared").unwrap();
-        let doc = da.doc();
+        let conflict = || {
+            TextError::Storage(tendax_storage::StorageError::WriteConflict {
+                table: "chars".into(),
+                txn: tendax_storage::TxnId(1),
+            })
+        };
         let err = da
-            .with_handle::<()>("doomed", |_h| Err(TextError::StaleCache(doc)))
+            .with_handle::<()>("doomed", |_h| Err(conflict()))
             .unwrap_err();
         assert_eq!(
             err,
             TextError::RetriesExhausted {
                 attempts: EDIT_RETRIES,
-                last: Some(Box::new(TextError::StaleCache(doc))),
+                last: Some(Box::new(conflict())),
             }
         );
         let src = std::error::Error::source(&err).expect("carries a source");
-        assert!(src.to_string().contains("incoherent"));
+        assert!(src.to_string().contains("conflict"), "{src}");
         assert_eq!(da.stats().retries as usize, EDIT_RETRIES - 1);
         assert_eq!(server.session_retries(session) as usize, EDIT_RETRIES - 1);
         assert_eq!(

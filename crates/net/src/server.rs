@@ -14,6 +14,8 @@
 //! the `Event` frame once and pushes the shared bytes onto each
 //! subscriber's queue.
 //!
+//! [`LanBus`]: tendax_collab::LanBus
+//!
 //! ## Ack first
 //!
 //! An `Edit`'s reply is written before its [`Broadcast`] is published
@@ -23,15 +25,20 @@
 //! the reply cannot be written — the edit is committed, and the other
 //! subscribers are owed it.
 //!
-//! ## Subscribe before snapshot
+//! ## One step joins a stream
 //!
-//! A subscription enters the registry *before* its snapshot is taken,
-//! with its event stream gated: events are held back until the snapshot
-//! frame is queued, then follow it. A `Snapshot{synced_ts = F}` holds
-//! every commit on its document at or below `F` (the live document's
-//! frontier), so no committed event falls between the snapshot and the
-//! stream, and none precedes the snapshot (events the snapshot already
-//! covers are dropped client-side by the ts gate).
+//! A snapshot and the event stream behind it are started in one step,
+//! under the document's lock ([`Conn::queue_snapshot`]): the stream is
+//! entered in the registry if it is new, or made whole again if it was
+//! lost, and the snapshot frame is queued — first `Subscribe`, repeated
+//! `Subscribe`, `Resync` and the recovery of a lost stream alike. A
+//! `Snapshot{synced_ts = F}` holds every commit on its document at or
+//! below `F` (the live document's frontier), and every commit of the
+//! document runs under that lock and is published after it is let go, so
+//! no event above `F` is queued ahead of the snapshot and none goes
+//! missing behind it (events at or below `F` are dropped client-side by
+//! the ts gate). Lock order: document, hub registry, connection queue;
+//! a publisher takes the registry, then queues, and never a document.
 //!
 //! ## Slow-consumer policy
 //!
@@ -40,20 +47,19 @@
 //! writer. `Event` frames are offered without waiting: when the queue is full
 //! the frame is dropped and counted as lag, and that document's stream is
 //! *lost* — further events of it are suppressed (each counted as lag)
-//! until a recovery snapshot, which `drain` hands out once it has emptied
-//! the queue, resetting that stream's lag and only that stream's. Neither
-//! that nor a `Resync` is a read by the user: only `Subscribe` records
-//! one. Replies are queued even past the capacity, and the reader then
-//! waits up to `critical_send_timeout` for room before the next request.
-//! A client is cut — queue cleared, a final `Error{SLOW_CONSUMER}`,
-//! socket closed — when its lag passes `lag_limit` (by the publisher
-//! whose offer passed it), when no room comes in time, or when a socket
-//! write times out; closed once, and counted once, whoever finds it.
-//! This is the [`LanBus`] policy (bound, count, evict) plus the resync
-//! step a remote mirror needs — one slow editor can never wedge the
-//! server or the other editors.
-//!
-//! [`LanBus`]: tendax_collab::LanBus
+//! until a snapshot makes it whole: the recovery snapshot `drain` queues
+//! once it has emptied the queue, or the answer to a `Resync` or
+//! `Subscribe` that came first. That forgives that stream's lag and only
+//! that stream's. Neither a recovery nor a `Resync` is a read by the
+//! user: only `Subscribe` records one. Replies are queued even past the
+//! capacity, and the reader then waits up to `critical_send_timeout` for
+//! room before the next request. A client is cut — queue cleared, a final
+//! `Error{SLOW_CONSUMER}`, socket closed — when its lag passes
+//! `lag_limit` (by the publisher whose offer passed it), when no room
+//! comes in time, or when a socket write times out; closed once, and
+//! counted once, whoever finds it. Bound, count, evict, plus the resync
+//! step a remote mirror needs: one slow editor can never wedge the server
+//! or the other editors.
 //!
 //! ## Error isolation
 //!
@@ -71,7 +77,7 @@ use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
 use tendax_collab::{CollabServer, DocEvent, EditorSession, LiveEditor, Platform};
-use tendax_text::{DocId, TextError, UserId};
+use tendax_text::{DocHandle, DocId, Result as TextResult, TextError, UserId};
 
 use crate::error::{codes, NetError, Result};
 use crate::protocol::{
@@ -180,11 +186,8 @@ pub enum Step {
 /// The event stream of one subscribed document on one connection.
 #[derive(Debug, Default)]
 struct Stream {
-    /// Events waiting for the subscription's snapshot to be queued ahead
-    /// of them; `None` once it has been.
-    held: Option<Vec<Bytes>>,
     /// A frame was dropped: nothing more of this document is sent until
-    /// the recovery snapshot.
+    /// a snapshot makes the stream whole again.
     lost: bool,
     /// Frames dropped or suppressed since the stream was last whole.
     lagged: u64,
@@ -211,8 +214,6 @@ struct QueueState {
     /// No more pushes; the writer drains what remains, then closes.
     closing: bool,
     streams: HashMap<DocId, Stream>,
-    /// Lost streams `drain` has yet to recover.
-    recover: Vec<DocId>,
     /// Outstanding lag summed over the streams.
     lagged: u64,
     /// A thread owns the write side: the writer, or the reader serving.
@@ -225,9 +226,9 @@ struct QueueState {
 }
 
 impl QueueState {
-    /// Frames to hand out, streams to recover, or a close to act on.
+    /// Frames to hand out, a close to act on, or streams to recover.
     fn has_work(&self) -> bool {
-        !self.frames.is_empty() || !self.recover.is_empty() || self.closing
+        !self.frames.is_empty() || self.closing || self.streams.values().any(|st| st.lost)
     }
 }
 
@@ -249,28 +250,30 @@ impl OutQueue {
         }
     }
 
-    /// Start a subscription's event stream, gated: events are held until
-    /// [`OutQueue::release_stream`].
-    fn open_stream(&self, doc: DocId) {
-        let gated = Stream {
-            held: Some(Vec::new()),
-            ..Stream::default()
-        };
-        self.state.lock().streams.insert(doc, gated);
-    }
-
-    /// The subscription's snapshot is queued: queue what was held behind
-    /// it and let events through — or recover it, if lost while gated.
-    fn release_stream(&self, doc: DocId) {
+    /// Queue `snapshot`, the answer to `request` (0: unasked), and make
+    /// `doc`'s stream whole behind it, its lag forgiven and no other
+    /// stream's: entered if `new`, else only if it stands — a stream
+    /// closed by `Unsubscribe` is never reopened — and, for an unasked
+    /// snapshot, only if it is still lost. `false` if nothing was queued.
+    fn queue_snapshot(&self, doc: DocId, request: u64, new: bool, snapshot: Bytes) -> bool {
         let mut s = self.state.lock();
-        if s.streams.get(&doc).is_some_and(|st| st.lost) {
-            s.recover.push(doc);
-            self.wake_writer(&mut s);
+        let s = &mut *s;
+        if s.closing {
+            return false;
         }
-        let held = s.streams.get_mut(&doc).and_then(|st| st.held.take());
-        for frame in held.unwrap_or_default() {
-            self.offer(&mut s, doc, frame);
-        }
+        let stream = if new {
+            s.streams.entry(doc).or_default()
+        } else {
+            match s.streams.get_mut(&doc) {
+                Some(stream) if request != 0 || stream.lost => stream,
+                _ => return false,
+            }
+        };
+        stream.lost = false;
+        s.lagged -= std::mem::take(&mut stream.lagged);
+        s.frames.push_back(snapshot);
+        self.wake_writer(s);
+        true
     }
 
     /// End a subscription's event stream, forgetting its lag.
@@ -279,44 +282,40 @@ impl OutQueue {
         if let Some(stream) = s.streams.remove(&doc) {
             s.lagged -= stream.lagged;
         }
-        s.recover.retain(|d| *d != doc);
+    }
+
+    /// The documents whose streams are lost, in order: each is owed a
+    /// recovery snapshot.
+    fn lost(&self) -> Vec<DocId> {
+        let s = self.state.lock();
+        let mut docs: Vec<DocId> = s
+            .streams
+            .iter()
+            .filter_map(|(doc, st)| st.lost.then_some(*doc))
+            .collect();
+        docs.sort_unstable();
+        docs
     }
 
     /// Offer one of `doc`'s events without waiting. Full queue = drop,
-    /// lag, and the stream is lost until `drain` recovers it; lag past
-    /// the limit cuts the connection, here and now.
+    /// lag, and the stream is lost until a snapshot makes it whole; lag
+    /// past the limit cuts the connection, here and now.
     fn queue_event(&self, doc: DocId, frame: &Bytes) {
         let mut s = self.state.lock();
-        self.offer(&mut s, doc, Arc::clone(frame))
-    }
-
-    fn offer(&self, s: &mut QueueState, doc: DocId, frame: Bytes) {
+        let s = &mut *s;
         if s.closing {
             return;
         }
         let Some(stream) = s.streams.get_mut(&doc) else {
             return;
         };
-        if !stream.lost {
-            match &mut stream.held {
-                Some(held) if held.len() < self.capacity => {
-                    held.push(frame);
-                    return;
-                }
-                None if s.frames.len() < self.capacity => {
-                    s.frames.push_back(frame);
-                    self.wake_writer(s);
-                    bump(&self.stats.events_forwarded);
-                    return;
-                }
-                _ => {}
-            }
-            stream.lost = true;
-            // A gated stream is recovered behind its snapshot, once released.
-            if stream.held.is_none() {
-                s.recover.push(doc);
-            }
+        if !stream.lost && s.frames.len() < self.capacity {
+            s.frames.push_back(Arc::clone(frame));
+            self.wake_writer(s);
+            bump(&self.stats.events_forwarded);
+            return;
         }
+        stream.lost = true;
         stream.lagged += 1;
         s.lagged += 1;
         bump(&self.stats.frames_dropped);
@@ -427,26 +426,6 @@ impl OutQueue {
             self.space.notify_all();
         }
         !s.closing
-    }
-
-    /// The lost streams, each made whole again — its lag forgiven (and
-    /// no other stream's), its events flowing into the queue from here
-    /// on. The caller now owes each a snapshot opened *after* this call,
-    /// which is what makes the stream whole: whatever was dropped
-    /// committed before it, whatever it misses is queued behind it.
-    fn take_lost(&self, docs: &mut Vec<DocId>) {
-        let mut s = self.state.lock();
-        let s = &mut *s;
-        if s.closing {
-            return;
-        }
-        for doc in s.recover.drain(..) {
-            if let Some(stream) = s.streams.get_mut(&doc) {
-                stream.lost = false;
-                s.lagged -= std::mem::take(&mut stream.lagged);
-                docs.push(doc);
-            }
-        }
     }
 }
 
@@ -619,29 +598,62 @@ impl Conn {
     }
 
     /// Hand out every queued frame and, the queue being empty, the
-    /// recovery snapshot of each lost stream. `false` once the
-    /// connection is closed: `out` then ends with its last frame.
+    /// recovery snapshot of each lost stream with whatever was queued
+    /// behind it. `false` once the connection is closed: `out` then ends
+    /// with its last frame.
     pub fn drain(&self, hub: &Hub, out: &mut Vec<Bytes>) -> bool {
         if !self.queue.take(out) {
             return false;
         }
-        let mut lost = Vec::new();
-        self.queue.take_lost(&mut lost);
+        let lost = self.queue.lost();
+        if lost.is_empty() {
+            return true;
+        }
         for doc in lost {
-            let user = self.user.get().expect("subscriptions follow the handshake");
-            match repair(hub, doc, *user, 0) {
-                Ok(Some(snapshot)) => out.push(snapshot.into()),
-                // Unsubscribed since the stream was lost.
-                Ok(None) => {}
-                // The client cannot be made consistent: say why and close.
-                Err(why) => self.queue.kill(Some(why.encode().into())),
+            // The client cannot be made consistent: say why and close.
+            if let Err(e) = self.snapshot_again(hub, doc, 0) {
+                self.queue.kill(Some(no_snapshot(doc, &e).encode().into()));
             }
         }
-        true
+        self.queue.take(out)
+    }
+
+    /// The one way a snapshot reaches a connection, run by the live
+    /// document under its lock (see "One step joins a stream" in the
+    /// module docs): encode `h` as the answer to `request` (0: unasked),
+    /// enter the document's stream in the registry if `new`, and queue
+    /// the snapshot with the stream whole behind it. `false` if nothing
+    /// was queued: the connection or the stream was closed, or the stream
+    /// made whole, meanwhile.
+    fn queue_snapshot(&self, hub: &Hub, h: &DocHandle, request: u64, new: bool) -> bool {
+        let snapshot = encode_snapshot(h, request).into();
+        if new {
+            hub.subscribe(h.doc(), &self.queue);
+        }
+        self.queue.queue_snapshot(h.doc(), request, new, snapshot)
+    }
+
+    /// [`Conn::queue_snapshot`] onto the stream of a subscribed `doc`, as
+    /// a transport repair: checks `Read` and records nothing. `Ok(false)`
+    /// if nothing was queued.
+    fn snapshot_again(&self, hub: &Hub, doc: DocId, request: u64) -> TextResult<bool> {
+        let user = *self.user.get().expect("subscriptions follow the handshake");
+        let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, false);
+        Ok(hub.collab.live().snapshot(doc, user, queue)? == Some(true))
     }
 
     fn reply(&self, frame: Frame) {
         self.queue.push_reply(frame.encode().into());
+    }
+
+    /// Answer a request for a snapshot of the subscribed `doc` with what
+    /// became of it: queued, or the frame that says why not.
+    fn answer_snapshot(&self, doc: DocId, queued: TextResult<bool>) {
+        match queued {
+            Ok(true) => {}
+            Ok(false) => self.reply(not_subscribed()),
+            Err(e) => self.reply(no_snapshot(doc, &e)),
+        }
     }
 
     fn hello(&self, hub: &Hub, frame: Frame) -> Result<(EditorSession, Subs)> {
@@ -702,39 +714,30 @@ impl Conn {
                 };
                 // Opened again while open: one more read, one more snapshot.
                 if let Some(editor) = subs.get(&doc) {
-                    match editor.reopen(|h| encode_snapshot(h, request)) {
-                        Ok(snapshot) => self.queue.push_reply(snapshot.into()),
-                        Err(e) => self.reply(no_snapshot(doc, &e)),
-                    }
+                    let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, false);
+                    self.answer_snapshot(doc, editor.reopen(queue));
                     return Ok(Broadcast::default());
                 }
-                // Order matters (see "Subscribe before snapshot" in the
-                // module docs): the gated stream exists before the
-                // registry can route an event to it, and both before the
-                // snapshot is taken.
-                self.queue.open_stream(doc);
-                hub.subscribe(doc, &self.queue);
-                match session.open_live(doc, |h| encode_snapshot(h, request)) {
-                    Ok((editor, snapshot)) => {
-                        self.queue.push_reply(snapshot.into());
-                        self.queue.release_stream(doc);
+                // Nothing is registered until the snapshot is queued.
+                let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, true);
+                match session.open_live(doc, queue) {
+                    Ok((editor, _)) => {
                         subs.insert(doc, Arc::new(editor));
                     }
-                    Err(e) => {
-                        hub.unsubscribe(doc, &self.queue);
-                        self.queue.close_stream(doc);
-                        self.reply(Frame::Error {
-                            code: codes::REJECTED,
-                            message: format!("cannot open {name:?}: {e}"),
-                        });
-                    }
+                    Err(e) => self.reply(Frame::Error {
+                        code: codes::REJECTED,
+                        message: format!("cannot open {name:?}: {e}"),
+                    }),
                 }
             }
             Frame::Unsubscribe { doc } => {
                 let doc = DocId(doc);
-                if subs.remove(&doc).is_some() {
+                // The stream ends before the live copy is let go: a stream
+                // that stands always has a copy to be recovered from.
+                if subs.contains_key(&doc) {
                     hub.unsubscribe(doc, &self.queue);
                     self.queue.close_stream(doc);
+                    subs.remove(&doc);
                 }
             }
             Frame::Edit { request, doc, op } => {
@@ -787,14 +790,10 @@ impl Conn {
             }
             Frame::Ping { nonce } => self.reply(Frame::Pong { nonce }),
             Frame::Resync { request, doc } => {
-                let held = subs.contains_key(&DocId(doc));
-                match held.then(|| repair(hub, DocId(doc), session.user(), request)) {
-                    Some(Ok(Some(snapshot))) => self.queue.push_reply(snapshot.into()),
-                    Some(Err(why)) => self.reply(why),
-                    _ => self.reply(Frame::Error {
-                        code: codes::NOT_FOUND,
-                        message: "not subscribed to this document".into(),
-                    }),
+                let doc = DocId(doc);
+                match subs.contains_key(&doc) {
+                    true => self.answer_snapshot(doc, self.snapshot_again(hub, doc, request)),
+                    false => self.reply(not_subscribed()),
                 }
             }
             Frame::Bye => return Err(NetError::Closed),
@@ -828,18 +827,13 @@ fn no_snapshot(doc: DocId, cause: &TextError) -> Frame {
     }
 }
 
-/// A transport repair (resync, lost-stream recovery): the live copy's
-/// snapshot, encoded as the answer to `request` (0: unasked), or the
-/// frame that says why not; `None` if not live.
-fn repair(
-    hub: &Hub,
-    doc: DocId,
-    user: UserId,
-    request: u64,
-) -> std::result::Result<Option<Vec<u8>>, Frame> {
-    let encode = |h: &_| encode_snapshot(h, request);
-    let snapshot = hub.collab.live().snapshot(doc, user, encode);
-    snapshot.map_err(|e| no_snapshot(doc, &e))
+/// The `Error{NOT_FOUND}` that answers a request about a document the
+/// connection does not subscribe to.
+fn not_subscribed() -> Frame {
+    Frame::Error {
+        code: codes::NOT_FOUND,
+        message: "not subscribed to this document".into(),
+    }
 }
 
 /// The live connections and their sockets, for shutdown.
@@ -1135,8 +1129,8 @@ mod tests {
         Queued,
         /// Dropped (queue full) or suppressed (stream lost): counted as lag.
         Dropped,
-        /// Held behind the subscription's snapshot, or not subscribed.
-        Parked,
+        /// Not subscribed, or the connection is closed.
+        Nowhere,
     }
 
     impl OutQueue {
@@ -1159,19 +1153,18 @@ mod tests {
             match (counts().0 - before.0, counts().1 - before.1) {
                 (1, 0) => Offered::Queued,
                 (0, 1) => Offered::Dropped,
-                (0, 0) => Offered::Parked,
+                (0, 0) => Offered::Nowhere,
                 other => panic!("one event counted as {other:?}"),
             }
         }
     }
 
-    /// A queue with no lag limit, its own counters, and `docs` subscribed
-    /// and their streams released.
+    /// A queue with no lag limit, its own counters, and a stream of each
+    /// of `docs`.
     fn queue(capacity: usize, docs: &[DocId]) -> OutQueue {
         let q = OutQueue::new(capacity, u64::MAX, Arc::default());
         for &doc in docs {
-            q.open_stream(doc);
-            q.release_stream(doc);
+            q.state.lock().streams.insert(doc, Stream::default());
         }
         q
     }
@@ -1190,19 +1183,19 @@ mod tests {
         assert_eq!(q.push_event(DOC, &frame(3)), Offered::Dropped);
         assert_eq!(q.lagged(), 1);
         // Draining frees capacity, but the client has a gap: the stream
-        // stays suppressed (and counts) until the writer recovers it.
+        // stays suppressed (and counts) until a snapshot makes it whole.
         assert_eq!(drain(&q), [frame(1), frame(2)]);
         assert_eq!(q.push_event(DOC, &frame(4)), Offered::Dropped);
         assert_eq!(q.lagged(), 2);
-        let mut lost = Vec::new();
-        q.take_lost(&mut lost);
-        assert_eq!(lost, [DOC]);
+        assert_eq!(q.lost(), [DOC]);
+        assert!(q.queue_snapshot(DOC, 0, false, frame(9)));
+        assert!(q.lost().is_empty());
         assert_eq!(q.lagged(), 0);
         assert_eq!(q.push_event(DOC, &frame(5)), Offered::Queued);
         // An event of a document the connection does not subscribe to
         // goes nowhere.
-        assert_eq!(q.push_event(DocId(8), &frame(6)), Offered::Parked);
-        assert_eq!(drain(&q), [frame(5)]);
+        assert_eq!(q.push_event(DocId(8), &frame(6)), Offered::Nowhere);
+        assert_eq!(drain(&q), [frame(9), frame(5)]);
     }
 
     /// Regression: lag used to be one counter per connection that any
@@ -1221,64 +1214,38 @@ mod tests {
         }
         assert_eq!(q.lagged(), 8);
         // `right` unsubscribes and comes back while lost: its old lag
-        // and its pending recovery go with the old stream.
+        // goes with the old stream, and the new one starts whole.
         q.close_stream(right);
         assert_eq!(q.lagged(), 3);
-        q.open_stream(right);
-        q.release_stream(right);
+        assert!(q.queue_snapshot(right, 1, true, frame(8)));
+        assert_eq!(q.lost(), [left]);
         for _ in 0..5 {
             assert_eq!(q.push_event(right, &frame(2)), Offered::Dropped);
         }
-        // The writer recovers `left` alone (`right` was lost after it
-        // looked): only `left`'s lag is forgiven.
-        let mut lost = Vec::new();
-        {
-            let mut s = q.state.lock();
-            s.recover.retain(|d| *d == left);
-        }
-        q.take_lost(&mut lost);
-        assert_eq!(lost, [left]);
+        // `left` is recovered: only its lag is forgiven.
+        assert!(q.queue_snapshot(left, 0, false, frame(9)));
         assert_eq!(q.lagged(), 5);
+        assert_eq!(q.lost(), [right]);
     }
 
-    /// Regression: a stream lost while gated was handed out for recovery
-    /// before its subscription's snapshot was queued. The unasked snapshot
-    /// reached the client first, which dropped it (no mirror yet), and
-    /// the dropped event was never delivered.
+    /// A snapshot asked for (`Resync`, `Subscribe` again) makes a lost
+    /// stream whole, so the unasked recovery that was owed to it is not
+    /// queued after it; and a stream closed by `Unsubscribe` is reopened
+    /// by neither.
     #[test]
-    fn a_stream_lost_while_gated_is_recovered_behind_its_snapshot() {
-        let q = queue(1, &[]);
-        q.open_stream(DOC);
-        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
+    fn a_snapshot_is_queued_onto_a_stream_that_stands_and_needs_it() {
+        let q = queue(1, &[DOC]);
+        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Dropped);
-        let mut lost = Vec::new();
-        q.take_lost(&mut lost);
-        assert!(lost.is_empty(), "recovered before its snapshot");
-        q.push_reply(frame(0));
-        assert_eq!(drain(&q), [frame(0)]);
-        q.release_stream(DOC);
-        q.take_lost(&mut lost);
-        assert_eq!(lost, [DOC]);
-        // The held event is the recovery snapshot's to cover.
+        assert!(q.queue_snapshot(DOC, 4, false, frame(8)));
+        assert!(!q.queue_snapshot(DOC, 0, false, frame(9)));
+        assert_eq!((q.lost(), q.lagged()), (vec![], 0));
+        assert_eq!(drain(&q), [frame(1), frame(8)]);
+        q.close_stream(DOC);
+        assert!(!q.queue_snapshot(DOC, 0, false, frame(9)));
+        assert!(!q.queue_snapshot(DOC, 5, false, frame(9)));
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Nowhere);
         assert!(drain(&q).is_empty());
-        assert_eq!(q.lagged(), 0);
-        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Queued);
-    }
-
-    /// A stream lost as its held events are released behind its snapshot
-    /// is recovered once.
-    #[test]
-    fn a_stream_lost_on_release_is_recovered_once() {
-        let q = queue(2, &[]);
-        q.open_stream(DOC);
-        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
-        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Parked);
-        q.push_reply(frame(0));
-        q.release_stream(DOC);
-        let mut lost = Vec::new();
-        q.take_lost(&mut lost);
-        assert_eq!(lost, [DOC]);
-        assert_eq!(drain(&q), [frame(0), frame(1)]);
     }
 
     /// While the reader owns the write side, what is queued is its to
@@ -1298,21 +1265,6 @@ mod tests {
         q.release();
         assert_eq!(writer.join().unwrap(), [frame(2)]);
         assert!(!q.own(false), "the writer owns it until it lets go");
-    }
-
-    #[test]
-    fn held_events_follow_the_snapshot_in_order() {
-        let q = queue(8, &[]);
-        q.open_stream(DOC);
-        assert_eq!(q.push_event(DOC, &frame(1)), Offered::Parked);
-        assert_eq!(q.push_event(DOC, &frame(2)), Offered::Parked);
-        q.push_reply(frame(0));
-        q.release_stream(DOC);
-        let counted = |c: &AtomicU64| c.load(Ordering::Relaxed);
-        assert_eq!(counted(&q.stats.events_forwarded), 2);
-        assert_eq!(counted(&q.stats.frames_dropped), 0);
-        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Queued);
-        assert_eq!(drain(&q), [frame(0), frame(1), frame(2), frame(3)]);
     }
 
     /// A reply is queued past the capacity; the queue then says it is
@@ -1335,8 +1287,7 @@ mod tests {
     #[test]
     fn lag_past_the_limit_cuts_once() {
         let q = OutQueue::new(1, 2, Arc::default());
-        q.open_stream(DOC);
-        q.release_stream(DOC);
+        q.state.lock().streams.insert(DOC, Stream::default());
         assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
         for _ in 0..3 {
             assert_eq!(q.push_event(DOC, &frame(2)), Offered::Dropped);
@@ -1365,7 +1316,7 @@ mod tests {
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
         q.kill(Some(frame(9)));
         q.kill(Some(frame(8)));
-        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Parked);
+        assert_eq!(q.push_event(DOC, &frame(3)), Offered::Nowhere);
         q.push_reply(frame(4));
         let mut frames = Vec::new();
         assert!(!q.take(&mut frames));
@@ -1384,5 +1335,115 @@ mod tests {
         // writer must come back with it.
         assert_eq!(q.push_event(DOC, &frame(7)), Offered::Queued);
         assert_eq!(h.join().unwrap(), [frame(7)]);
+    }
+
+    /// Everything `conn` hands out, decoded.
+    fn handed_out(hub: &Hub, conn: &Conn) -> Vec<Frame> {
+        let mut out = Vec::new();
+        assert!(conn.drain(hub, &mut out), "the connection closed");
+        let decode = |bytes: &Bytes| {
+            let mut buf = FrameBuffer::default();
+            buf.extend(bytes);
+            let (tag, payload) = buf.next_frame().unwrap().expect("one whole frame");
+            Frame::decode(tag, payload).unwrap()
+        };
+        out.iter().map(decode).collect()
+    }
+
+    /// The request ids of the snapshots among `frames`.
+    fn snapshots(frames: &[Frame]) -> Vec<u64> {
+        let request = |f: &Frame| match f {
+            Frame::Snapshot { request, .. } => Some(*request),
+            _ => None,
+        };
+        frames.iter().filter_map(request).collect()
+    }
+
+    /// A hub serving one document, "doc", and a connection per user,
+    /// each subscribed to it and drained.
+    fn subscribed(config: NetConfig, users: &[&str]) -> (Arc<Hub>, Vec<Conn>, u64) {
+        let tdb = tendax_text::TextDb::in_memory();
+        let ids: Vec<UserId> = users.iter().map(|u| tdb.create_user(u).unwrap()).collect();
+        let doc = tdb.create_document("doc", ids[0]).unwrap().0;
+        let hub = Hub::new(CollabServer::new(tdb), config);
+        let conns = users.iter().map(|user| {
+            let conn = Conn::new(&hub);
+            let hello = Frame::Hello {
+                version: PROTOCOL_VERSION,
+                user: user.to_string(),
+                platform: "Linux".into(),
+                token: String::new(),
+            };
+            conn.on_frame(&hub, hello);
+            let name = "doc".into();
+            conn.on_frame(&hub, Frame::Subscribe { request: 1, name });
+            assert_eq!(snapshots(&handed_out(&hub, &conn)), [1]);
+            conn
+        });
+        let conns = conns.collect();
+        (hub, conns, doc)
+    }
+
+    /// `conn` types one character at the head of `doc`, publishes the
+    /// edit and hands out its reply and echo.
+    fn type_one(hub: &Hub, conn: &Conn, doc: u64, request: u64) {
+        let text = "x".into();
+        let op = EditOp::Insert { pos: 0, text };
+        let (step, broadcast) = conn.on_frame(hub, Frame::Edit { request, doc, op });
+        assert_eq!(step, Step::Ready);
+        broadcast.publish();
+        handed_out(hub, conn);
+    }
+
+    /// Regression: a `Resync` of a lost stream was answered, and then
+    /// `drain` queued the recovery snapshot the stream was still owed,
+    /// an unasked second copy of the same document; events offered in
+    /// between were suppressed as lag although the client had resynced.
+    /// Now the `Resync` makes the stream whole: one snapshot, no lag.
+    #[test]
+    fn a_resync_of_a_lost_stream_is_answered_by_one_snapshot() {
+        let config = NetConfig {
+            outbound_capacity: 2,
+            lag_limit: 1_000,
+            ..NetConfig::default()
+        };
+        let (hub, conns, doc) = subscribed(config, &["alice", "bob"]);
+        let [alice, bob] = &conns[..] else {
+            unreachable!("two users")
+        };
+        // Three events, room for two: alice's stream is lost.
+        for request in 2..5 {
+            type_one(&hub, bob, doc, request);
+        }
+        assert_eq!(alice.queue.lagged(), 1);
+        let (step, _) = alice.on_frame(&hub, Frame::Resync { request: 2, doc });
+        assert_eq!(step, Step::Full);
+        let frames = handed_out(&hub, alice);
+        assert_eq!(snapshots(&frames), [2], "{frames:?}");
+        assert_eq!(alice.queue.lagged(), 0);
+        // The stream is whole: the next event is queued behind it.
+        type_one(&hub, bob, doc, 5);
+        let frames = handed_out(&hub, alice);
+        assert!(matches!(frames[..], [Frame::Event(_)]), "{frames:?}");
+    }
+
+    /// A repeated `Subscribe` is one more read and one more snapshot, and
+    /// leaves the stream as it was: one stream, events queued behind.
+    #[test]
+    fn a_repeated_subscribe_is_one_read_and_one_snapshot() {
+        let (hub, conns, doc) = subscribed(NetConfig::default(), &["alice", "bob"]);
+        let [alice, bob] = &conns[..] else {
+            unreachable!("two users")
+        };
+        let reads = || hub.collab.textdb().read_count(DocId(doc)).unwrap();
+        assert_eq!(reads(), 2);
+        let name = "doc".into();
+        alice.on_frame(&hub, Frame::Subscribe { request: 2, name });
+        assert_eq!(snapshots(&handed_out(&hub, alice)), [2]);
+        assert_eq!(reads(), 3);
+        type_one(&hub, bob, doc, 2);
+        let frames = handed_out(&hub, alice);
+        assert!(matches!(frames[..], [Frame::Event(_)]), "{frames:?}");
+        assert_eq!(hub.subscribers.read()[&DocId(doc)].len(), 2);
     }
 }

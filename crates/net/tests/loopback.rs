@@ -212,19 +212,6 @@ fn eight_clients_converge_after_concurrent_edit_storm() {
     assert_eq!((stats.conflicts, stats.commits_merged), (0, 0));
 }
 
-// ---------------------------------------------------------------------
-// Subscribe before snapshot: nothing falls between a subscription's
-// snapshot and its event stream, and nothing overtakes the snapshot.
-// ---------------------------------------------------------------------
-
-/// Client B closes and re-opens one of two documents while client A
-/// (over TCP) and an in-process `EditorSession` both type into both.
-/// Every re-open lands in the middle of a burst, so its snapshot has
-/// commits racing it on either side; once the burst is over B must reach
-/// the last commit through the event stream and show exactly what the
-/// database holds. An event that slipped between the registry insert and
-/// the snapshot, or went out ahead of the snapshot (B has no mirror to
-/// put it in yet), would be missing from B for good.
 /// Two typists take turns on one document: alice types after the text
 /// bob has typed so far, bob at the head, each without waiting for the
 /// other's edit to reach their mirror. Both mirrors end on the
@@ -248,6 +235,19 @@ fn alternating_typists_converge_over_tcp() {
     assert!(shows(&b, doc, &want), "bob shows {:?}", b.text(doc));
 }
 
+// ---------------------------------------------------------------------
+// One step joins a stream: nothing falls between a subscription's
+// snapshot and its event stream, and nothing overtakes the snapshot.
+// ---------------------------------------------------------------------
+
+/// Client B closes and re-opens one of two documents while client A
+/// (over TCP) and an in-process `EditorSession` both type into both.
+/// Every re-open lands in the middle of a burst, so its snapshot has
+/// commits racing it on either side; once the burst is over B must reach
+/// the last commit through the event stream and show exactly what the
+/// database holds. An event that slipped between the registry insert and
+/// the snapshot, or went out ahead of the snapshot (B has no mirror to
+/// put it in yet), would be missing from B for good.
 #[test]
 fn resubscribing_mid_burst_loses_and_reorders_nothing() {
     const ROUNDS: usize = 30;

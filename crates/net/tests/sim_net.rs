@@ -1,15 +1,22 @@
 //! The first `sim_net` seed: a whole LAN in one thread.
 //!
-//! A [`Hub`] on an in-memory database, two [`Conn`]s and two
-//! [`ClientCore`]s, and no socket, clock or second thread. Each
+//! Two [`Hub`]s on one in-memory database, a [`Conn`] and a
+//! [`ClientCore`] on each, and no socket, clock or second thread. Each
 //! connection is two byte pipes, client to server and back, FIFO as in
 //! TCP. A seeded schedule picks what moves next: a client sends its next
-//! request (the handshake, a subscription, an insert or a delete; at most
-//! one outstanding per client), a connection drains its queue, a pipe
-//! delivers its bytes up to a seeded cut point, or a connection publishes
-//! the edit it holds. Commits, the publish hook and the fan-out all run
-//! on this thread, so a schedule is replayed exactly. Odd seeds send
-//! every edit of both clients to one document.
+//! request (the handshake, a subscription, then inserts and deletes with
+//! a seeded few `Subscribe`s of a subscribed document and `Resync`s among
+//! them; at most one outstanding per client), a connection drains its
+//! queue, a pipe delivers its bytes up to a seeded cut point, or a
+//! connection publishes the edit it holds. Commits, the publish hooks and
+//! the fan-out all run on this thread, so a schedule is replayed exactly.
+//! Odd seeds send every edit of both clients to one document.
+//!
+//! The second client is a slow reader: its hub gives its connection a
+//! queue of `SLOW_CAPACITY` frames, and the schedule withholds that
+//! connection's drains — its writer is stuck on a full socket — for
+//! seeded stretches, so events overflow the queue, its streams are lost,
+//! and the drain after the stretch recovers them with unasked snapshots.
 //!
 //! The server's shell is played as it runs. An edit's [`Broadcast`] is
 //! held — across the other connection's commits, publishes and drains,
@@ -27,7 +34,9 @@
 //! connection's copy of that `Event`. The default run sweeps 32 seeds,
 //! each twice, compares the digests of the frames delivered, and needs
 //! some schedule to hand a connection a document's events out of commit
-//! order (held broadcasts let concurrent commits publish out of order);
+//! order (held broadcasts let concurrent commits publish out of order),
+//! and the sweep to have sent a repeated `Subscribe` and a `Resync`,
+//! withheld a drain and recovered a lost stream;
 //! `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test sim_net` replays
 //! one.
 
@@ -42,8 +51,13 @@ use tendax_text::{TextDb, UserId};
 
 const USERS: [&str; 2] = ["alice", "bob"];
 const DOCS: [&str; 2] = ["minutes", "agenda"];
-/// Edits each client makes once subscribed to both documents.
+/// Requests each client makes once subscribed to both documents: edits,
+/// and a seeded few repeated `Subscribe`s and `Resync`s.
 const EDITS: usize = 40;
+/// The slow reader's outbound queue, in frames.
+const SLOW_CAPACITY: usize = 4;
+/// The slow reader's site.
+const SLOW: usize = 1;
 
 /// The seeds to sweep. `TENDAX_SIM_SEED=<n>` narrows the sweep to one
 /// schedule; the default covers 32.
@@ -96,6 +110,8 @@ struct Site {
     newest: HashMap<u64, u64>,
     /// The `commit_ts` of every `Event` the client has received.
     events: HashSet<u64>,
+    /// Steps left in the stretch its drains are withheld for.
+    stalled: u32,
 }
 
 impl Site {
@@ -116,6 +132,7 @@ impl Site {
             at_once: false,
             newest: HashMap::new(),
             events: HashSet::new(),
+            stalled: 0,
         }
     }
 
@@ -125,14 +142,33 @@ impl Site {
 
     /// Send site `i`'s next request: `Hello`, a subscription to each
     /// document, then edits at seeded positions of the mirror — of `hot`,
-    /// if given, else of a seeded document.
-    fn send_next(&mut self, seed: u64, i: usize, hot: Option<u64>, rng: &mut SmallRng) {
+    /// if given, else of a seeded document — and, among them, a seeded few
+    /// `Subscribe`s of a subscribed document and `Resync`s.
+    fn send_next(
+        &mut self,
+        seed: u64,
+        i: usize,
+        hot: Option<u64>,
+        rng: &mut SmallRng,
+        tally: &mut Tally,
+    ) {
         let (id, bytes) = match self.sent {
             0 => (0, self.core.hello(USERS[i], "Linux", "")),
             n if n <= DOCS.len() => {
                 let name = DOCS[(n - 1 + i) % DOCS.len()].to_string();
                 self.core
                     .request(|request| Frame::Subscribe { request, name })
+            }
+            _ if rng.gen_range(0..16) == 0 => {
+                tally.resubscribes += 1;
+                let name = DOCS[rng.gen_range(0..DOCS.len())].to_string();
+                self.core
+                    .request(|request| Frame::Subscribe { request, name })
+            }
+            _ if rng.gen_range(0..16) == 0 => {
+                tally.resyncs += 1;
+                let doc = self.docs[rng.gen_range(0..self.docs.len())];
+                self.core.request(|request| Frame::Resync { request, doc })
             }
             _ => {
                 let doc = hot.unwrap_or_else(|| self.docs[rng.gen_range(0..self.docs.len())]);
@@ -163,6 +199,26 @@ impl Site {
     }
 }
 
+/// How often the step kinds that start a stream again occurred.
+#[derive(Debug, Default, Clone, Copy)]
+struct Tally {
+    resubscribes: u64,
+    resyncs: u64,
+    /// Stretches the slow reader's drains were withheld for.
+    stalls: u64,
+    /// Unasked snapshots handed out: lost streams recovered.
+    recoveries: u64,
+}
+
+impl std::ops::AddAssign for Tally {
+    fn add_assign(&mut self, t: Tally) {
+        self.resubscribes += t.resubscribes;
+        self.resyncs += t.resyncs;
+        self.stalls += t.stalls;
+        self.recoveries += t.recoveries;
+    }
+}
+
 /// When frames left the server, in one order across connections.
 #[derive(Default)]
 struct Order {
@@ -175,6 +231,7 @@ struct Order {
     events: HashMap<u64, u64>,
     /// Events handed out after a newer one of their document, per connection.
     reordered: u64,
+    tally: Tally,
 }
 
 /// Site `i`'s connection hands out what it has into the pipe to its
@@ -195,6 +252,7 @@ fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) 
                 }
             }
             Frame::EditRejected { .. } => site.at_once = false,
+            Frame::Snapshot { request: 0, .. } => order.tally.recoveries += 1,
             Frame::Event(ev) => {
                 order.events.entry(ev.commit_ts).or_insert(order.seq);
                 let newest = site.newest.entry(ev.doc).or_default();
@@ -234,21 +292,33 @@ fn run(seed: u64) -> Run {
         textdb.create_document(name, users[0]).unwrap();
     }
     let collab = CollabServer::new(textdb);
-    let hub = Hub::new(collab.clone(), NetConfig::default());
+    let slow = NetConfig {
+        outbound_capacity: SLOW_CAPACITY,
+        lag_limit: u64::MAX,
+        ..NetConfig::default()
+    };
+    let hubs = [NetConfig::default(), slow].map(|config| Hub::new(collab.clone(), config));
     let textdb = collab.textdb();
     let hot = (seed % 2 == 1).then(|| textdb.document_by_name(DOCS[0]).unwrap().0);
-    let mut sites: Vec<Site> = USERS.iter().map(|_| Site::new(&hub)).collect();
+    let mut sites: Vec<Site> = hubs.iter().map(|hub| Site::new(hub)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
     let mut acked: HashMap<u64, u64> = HashMap::new();
     let mut order = Order::default();
     for step in 0.. {
         assert!(step < 1_000_000, "seed {seed}: no quiescence");
+        let slow = &mut sites[SLOW];
+        if slow.stalled > 0 {
+            slow.stalled -= 1;
+        } else if rng.gen_range(0..64) == 0 {
+            slow.stalled = rng.gen_range(16..=256);
+            order.tally.stalls += 1;
+        }
         let i = rng.gen_range(0..sites.len());
-        let site = &mut sites[i];
+        let (site, hub) = (&mut sites[i], &hubs[i]);
         match rng.gen_range(0..5) {
             0 if site.outstanding.is_none() && !site.done() => {
-                site.send_next(seed, i, hot, &mut rng)
+                site.send_next(seed, i, hot, &mut rng, &mut order.tally)
             }
             1 if !site.up.is_empty() && site.held.is_none() => {
                 deliver(&mut site.up, &mut site.at_server, &mut rng);
@@ -262,8 +332,9 @@ fn run(seed: u64) -> Run {
                     let frame = Frame::decode(tag, payload)
                         .unwrap_or_else(|e| panic!("seed {seed}: site {i}: {e}"));
                     let edit = matches!(frame, Frame::Edit { .. });
-                    let (step, broadcast) = site.conn.on_frame(&hub, frame);
-                    assert_eq!(step, Step::Ready, "seed {seed}: site {i}");
+                    // Full: the replies overfilled the slow reader's queue.
+                    let (step, broadcast) = site.conn.on_frame(hub, frame);
+                    assert_ne!(step, Step::Closed, "seed {seed}: site {i}");
                     if edit && rng.gen_bool(0.75) {
                         site.held = Some(broadcast);
                     } else {
@@ -272,9 +343,10 @@ fn run(seed: u64) -> Run {
                     }
                 }
             }
-            // The writer: never while the reader owns the write side.
-            2 if site.held.is_none() => {
-                hand_out(seed, i, site, &hub, &mut order);
+            // The writer: never while the reader owns the write side, or
+            // while it is stuck on a full socket.
+            2 if site.held.is_none() && site.stalled == 0 => {
+                hand_out(seed, i, site, hub, &mut order);
             }
             3 if !site.down.is_empty() => {
                 deliver(&mut site.down, &mut site.at_client, &mut rng);
@@ -301,7 +373,10 @@ fn run(seed: u64) -> Run {
                         assert_eq!(site.outstanding.take(), Some(done.id), "{ctx}");
                         match done.reply {
                             Ok(Frame::Welcome { .. } | Frame::EditRejected { .. }) => {}
-                            Ok(Frame::Snapshot { doc, .. }) => site.docs.push(doc),
+                            Ok(Frame::Snapshot { doc, .. }) if !site.docs.contains(&doc) => {
+                                site.docs.push(doc)
+                            }
+                            Ok(Frame::Snapshot { .. }) => {}
                             Ok(Frame::EditOk { commit_ts, .. }) => {
                                 let last = acked.entry(site.edits[&done.id]).or_default();
                                 *last = (*last).max(commit_ts);
@@ -312,11 +387,11 @@ fn run(seed: u64) -> Run {
                 }
             }
             // The reader that served an edit: the reply, the broadcast,
-            // then what it queued.
-            4 if site.held.is_some() => {
-                hand_out(seed, i, site, &hub, &mut order);
+            // then what it queued (its writes are stuck as the writer's).
+            4 if site.held.is_some() && site.stalled == 0 => {
+                hand_out(seed, i, site, hub, &mut order);
                 site.held.take().unwrap().publish();
-                hand_out(seed, i, site, &hub, &mut order);
+                hand_out(seed, i, site, hub, &mut order);
             }
             _ => {}
         }
@@ -328,7 +403,7 @@ fn run(seed: u64) -> Run {
             // left to hand out either.
             let mut idle = true;
             for (i, s) in sites.iter_mut().enumerate() {
-                idle &= !hand_out(seed, i, s, &hub, &mut order);
+                idle &= !hand_out(seed, i, s, &hubs[i], &mut order);
             }
             if idle {
                 break;
@@ -390,10 +465,12 @@ fn check(seed: u64, run: &Run) {
 #[test]
 fn two_clients_converge_under_seeded_delivery() {
     let mut reordered = 0;
+    let mut tally = Tally::default();
     for seed in seeds() {
         let first = run(seed);
         check(seed, &first);
         reordered += first.order.reordered;
+        tally += first.order.tally;
         let again = run(seed);
         assert_eq!(
             first.digest, again.digest,
@@ -402,5 +479,15 @@ fn two_clients_converge_under_seeded_delivery() {
     }
     if std::env::var("TENDAX_SIM_SEED").is_err() {
         assert!(reordered > 0, "no schedule published commits out of order");
+        let Tally {
+            resubscribes,
+            resyncs,
+            stalls,
+            recoveries,
+        } = tally;
+        assert!(
+            resubscribes > 0 && resyncs > 0 && stalls > 0 && recoveries > 0,
+            "a step kind never occurred: {tally:?}"
+        );
     }
 }

@@ -14,7 +14,8 @@
 //! * visible position → slot ([`Chain::slot_at_visible`]) and id
 //!   ([`Chain::id_at_visible`])
 //! * character id → visible position ([`Chain::visible_rank`])
-//! * insertion after an arbitrary chain element ([`Chain::insert_after`])
+//! * insertion after a chain element found by position
+//!   ([`Chain::insert_at`])
 //! * visibility toggling for delete/undelete ([`Chain::set_visible`]),
 //!   which writes the info's `deleted` flag
 //!
@@ -283,7 +284,7 @@ impl Chain {
     /// Linear time: the walk meets the nodes in chain order, so the treap
     /// is their Cartesian tree — each node is linked once while a stack
     /// holds the right spine, instead of `n` split/merge insertions. The
-    /// shape is the one [`Chain::insert_after`] would have produced:
+    /// shape is the one [`Chain::insert_at`] would have produced:
     /// distinct priorities admit exactly one heap-ordered tree over a
     /// sequence.
     pub(crate) fn link(&mut self, head: Option<u32>) -> Result<(), LinkError> {
@@ -632,13 +633,13 @@ impl Chain {
 
     /// Insert `id` with its info immediately after `anchor` in the total
     /// order (`None` inserts at the chain head); returns its slot. The
-    /// character is visible unless `info.deleted`.
+    /// character is visible unless `info.deleted`. The tests' model of an
+    /// insert: a document finds the anchor's slot and rank as it resolves
+    /// the position, and calls [`Chain::insert_at`].
     ///
     /// Returns [`ChainError`] if `id` already is in the chain or `anchor`
-    /// is not. Both indicate the cache has drifted from the database — in
-    /// a shared collab server that happens when a remote effect outruns a
-    /// session's view, so it must be a recoverable (refresh + retry)
-    /// condition, not a process abort.
+    /// is not.
+    #[cfg(test)]
     pub fn insert_after(
         &mut self,
         anchor: Option<CharId>,

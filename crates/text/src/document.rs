@@ -7,16 +7,16 @@
 //! edit resolves a position to a chain slot and reads and writes the
 //! character there; a snapshot is an in-order walk over the slots. The
 //! cache only ever contains *committed* state: each editing call commits
-//! synchronously, and remote editors' committed operations are applied
-//! through [`DocHandle::apply_remote`] (fed by the collaboration bus) or
-//! by a full [`DocHandle::refresh`].
+//! synchronously and folds its own writes into the chain, and other
+//! handles' commits reach it only through a full [`DocHandle::refresh`]
+//! (the editors of a live document share one handle, and a network
+//! client applies events to a mirror of its own).
 
 use tendax_storage::{Row, RowId, SharedRow, Transaction, Value};
 
-use crate::chain::{Chain, ChainError};
+use crate::chain::Chain;
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, StyleId, UserId};
-use crate::ops::Effect;
 use crate::security::Permission;
 use crate::textdb::TextDb;
 
@@ -403,100 +403,6 @@ impl DocHandle {
         Ok(())
     }
 
-    /// Whether `effects` can be applied against the current cache: every
-    /// insert anchor and every touched character must already be known
-    /// (or be created earlier in the same effect list). Publishing
-    /// happens after commit outside the commit lock, so a fast editor
-    /// can broadcast an operation that *depends* on a slightly older,
-    /// not-yet-delivered one — callers hold such events back until their
-    /// dependencies arrive.
-    ///
-    /// An id introduced earlier in the list is looked for among the
-    /// list's own earlier inserts, from the back: a typed run names the
-    /// insert just before it. Nothing is allocated.
-    pub fn effects_applicable(&self, effects: &[Effect]) -> bool {
-        effects.iter().enumerate().all(|(i, e)| {
-            let known = |id: &CharId| {
-                self.chain.contains(*id)
-                    || effects[..i]
-                        .iter()
-                        .rev()
-                        .any(|e| matches!(e, Effect::Insert { char, .. } if char == id))
-            };
-            match e {
-                Effect::Insert { prev, .. } => prev.as_ref().is_none_or(known),
-                Effect::Delete { char, .. }
-                | Effect::Undelete { char }
-                | Effect::SetStyle { char, .. } => known(char),
-            }
-        })
-    }
-
-    /// Apply a remote editor's committed effects to the local cache.
-    ///
-    /// The application is idempotent, so redelivery (including echo of
-    /// this handle's own operations) is harmless. Callers must ensure
-    /// [`DocHandle::effects_applicable`] (holding back out-of-order
-    /// deliveries).
-    ///
-    /// Returns [`TextError::StaleCache`] if an insert anchor turns out
-    /// to be missing anyway — the cache has drifted from the database
-    /// and the caller should refresh (which supersedes the effects) and
-    /// retry. Nothing has been committed on this path, so the retry is
-    /// safe.
-    pub fn apply_remote(&mut self, effects: &[Effect]) -> Result<()> {
-        for e in effects {
-            match e {
-                Effect::Insert {
-                    char,
-                    prev,
-                    ch,
-                    author,
-                    ts,
-                    style,
-                    src_doc,
-                    src_char,
-                    external,
-                } => {
-                    let info = CharInfo {
-                        ch: *ch,
-                        deleted: false,
-                        style: *style,
-                        author: *author,
-                        created_at: *ts,
-                        version: 0,
-                        src_doc: *src_doc,
-                        src_char: *src_char,
-                        external_src: external.clone(),
-                    };
-                    match self.chain.insert_after(*prev, *char, info) {
-                        // A known id is the echo of our own op or a
-                        // redelivery.
-                        Ok(_) | Err(ChainError::DuplicateId(_)) => {}
-                        // Even with `effects_applicable` vetting, a remote
-                        // stream can outrun this cache (a peer's incoherent
-                        // republish): treat a bad anchor as a recoverable
-                        // stale cache, never a crash.
-                        Err(ChainError::UnknownAnchor(_)) => {
-                            return Err(TextError::StaleCache(self.doc))
-                        }
-                    }
-                }
-                Effect::Delete { char, .. } | Effect::Undelete { char } => {
-                    if let Some(s) = self.chain.slot_of(*char) {
-                        self.fold_flag(s, matches!(e, Effect::Delete { .. }));
-                    }
-                }
-                Effect::SetStyle { char, new, .. } => {
-                    if let Some(s) = self.chain.slot_of(*char) {
-                        self.fold_style(s, *new);
-                    }
-                }
-            }
-        }
-        Ok(())
-    }
-
     // Every writer of a character's flags or style bumps the row's
     // `version` in the same write; the chain follows.
 
@@ -538,36 +444,6 @@ mod tests {
         let user = tdb.create_user("alice").unwrap();
         let doc = tdb.create_document("d", user).unwrap();
         (tdb, user, doc)
-    }
-
-    /// A remote insert anchored on a character this handle has never
-    /// seen (what `effects_applicable` would have held back) is refused by
-    /// the chain as a retryable `StaleCache`, never a panic, and the
-    /// handle still refreshes and edits.
-    #[test]
-    fn an_incoherent_remote_event_is_a_stale_cache() {
-        let (tdb, user, doc) = setup();
-        let mut h = tdb.open(doc, user).unwrap();
-        h.insert_text(0, "solid").unwrap();
-        let forged = [Effect::Insert {
-            char: CharId(u64::MAX - 1),
-            prev: Some(CharId(u64::MAX - 2)),
-            ch: '!',
-            author: user,
-            ts: 0,
-            style: StyleId::NONE,
-            src_doc: doc,
-            src_char: CharId::NONE,
-            external: None,
-        }];
-        assert!(!h.effects_applicable(&forged));
-        let err = h.apply_remote(&forged).unwrap_err();
-        assert_eq!(err, TextError::StaleCache(doc));
-        assert!(err.is_retryable());
-        assert_eq!(h.text(), "solid");
-        h.refresh().unwrap();
-        h.insert_text(5, "!").unwrap();
-        assert_eq!(h.text(), "solid!");
     }
 
     #[test]

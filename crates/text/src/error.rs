@@ -45,10 +45,6 @@ pub enum TextError {
     NothingToUndo,
     /// Redo requested but no redoable operation exists.
     NothingToRedo,
-    /// The handle's position cache references a character the chain no
-    /// longer agrees on (stale anchor or duplicate insert). This is
-    /// transient: refresh the cache from the database and retry.
-    StaleCache(DocId),
     /// An optimistic edit was retried to its attempt limit and every
     /// attempt hit a transient conflict. Not itself retryable — the
     /// caller should back off at a coarser granularity. `last` carries
@@ -78,10 +74,7 @@ impl TextError {
     /// Whether retrying the operation may succeed (optimistic-concurrency
     /// conflicts are transient; everything else is not).
     pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            TextError::Storage(StorageError::WriteConflict { .. }) | TextError::StaleCache(_)
-        )
+        matches!(self, TextError::Storage(StorageError::WriteConflict { .. }))
     }
 }
 
@@ -106,12 +99,6 @@ impl fmt::Display for TextError {
             }
             TextError::NothingToUndo => write!(f, "nothing to undo"),
             TextError::NothingToRedo => write!(f, "nothing to redo"),
-            TextError::StaleCache(doc) => {
-                write!(
-                    f,
-                    "position cache of {doc} is incoherent; refresh and retry"
-                )
-            }
             TextError::RetriesExhausted { attempts, last } => {
                 write!(f, "edit still conflicting after {attempts} attempts")?;
                 if let Some(last) = last {
@@ -163,7 +150,6 @@ mod tests {
             txn: tendax_storage::TxnId(1),
         });
         assert!(conflict.is_retryable());
-        assert!(TextError::StaleCache(DocId(1)).is_retryable());
         assert!(!TextError::RetriesExhausted {
             attempts: 16,
             last: None

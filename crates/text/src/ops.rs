@@ -1110,34 +1110,6 @@ mod tests {
     }
 
     #[test]
-    fn apply_remote_effects_syncs_cheaply() {
-        let tdb = TextDb::in_memory();
-        let u1 = tdb.create_user("alice").unwrap();
-        let u2 = tdb.create_user("bob").unwrap();
-        let doc = tdb.create_document("d", u1).unwrap();
-        let mut h1 = tdb.open(doc, u1).unwrap();
-        let mut h2 = tdb.open(doc, u2).unwrap();
-
-        let r1 = h1.insert_text(0, "hello").unwrap();
-        h2.apply_remote(&r1.effects).unwrap();
-        assert_eq!(h2.text(), "hello");
-
-        let r2 = h2.insert_text(5, "!").unwrap();
-        h1.apply_remote(&r2.effects).unwrap();
-        assert_eq!(h1.text(), "hello!");
-
-        // Echo of one's own op is harmless.
-        h1.apply_remote(&r1.effects).unwrap();
-        assert_eq!(h1.text(), "hello!");
-
-        let r3 = h1.delete_range(0, 1).unwrap();
-        h2.apply_remote(&r3.effects).unwrap();
-        assert_eq!(h2.text(), "ello!");
-        h2.apply_remote(&r3.effects).unwrap(); // redelivery is idempotent
-        assert_eq!(h2.text(), "ello!");
-    }
-
-    #[test]
     fn write_permission_enforced_on_edits() {
         let tdb = TextDb::in_memory();
         let alice = tdb.create_user("alice").unwrap();

@@ -60,12 +60,7 @@ impl DocHandle {
         )?;
         let op = self.log_op(&mut txn, "undo", target, ts)?;
         let commit_ts = txn.commit()?;
-        // Post-commit: the undo is durable. If the cache rejects its own
-        // effects, rebuild instead of surfacing a retryable error (a
-        // retry would undo twice).
-        if self.apply_remote(&effects).is_err() {
-            self.rebuild()?;
-        }
+        self.fold_effects(&effects);
         Ok(EditReceipt {
             op,
             commit_ts,
@@ -90,14 +85,34 @@ impl DocHandle {
         txn.set(t.oplog, undo_op.row(), &[("undone", Value::Bool(true))])?;
         let op = self.log_op(&mut txn, "redo", undo_op, ts)?;
         let commit_ts = txn.commit()?;
-        if self.apply_remote(&effects).is_err() {
-            self.rebuild()?;
-        }
+        self.fold_effects(&effects);
         Ok(EditReceipt {
             op,
             commit_ts,
             effects,
         })
+    }
+
+    /// Fold a committed undo's or redo's own effects — flag flips and
+    /// restyles, never an insert — into the chain. A character the chain
+    /// does not hold (a stale handle undoing another's edit) is skipped:
+    /// the next refresh loads it as committed.
+    fn fold_effects(&mut self, effects: &[Effect]) {
+        for e in effects {
+            match *e {
+                Effect::Delete { char, .. } | Effect::Undelete { char } => {
+                    if let Some(s) = self.chain.slot_of(char) {
+                        self.fold_flag(s, matches!(e, Effect::Delete { .. }));
+                    }
+                }
+                Effect::SetStyle { char, new, .. } => {
+                    if let Some(s) = self.chain.slot_of(char) {
+                        self.fold_style(s, new);
+                    }
+                }
+                Effect::Insert { .. } => {}
+            }
+        }
     }
 
     /// Newest oplog entry of this document matching `pred`, optionally
@@ -284,8 +299,8 @@ mod tests {
         ha.insert_text(0, "alice ").unwrap();
         let mut hb = tdb.open(doc, bob).unwrap();
         hb.insert_text(6, "bob").unwrap();
-        ha.apply_remote(&[]).unwrap(); // no-op; alice's view is stale but undo is id-based
-                                       // Alice's local undo must remove HER text, not Bob's.
+        // Alice's view is stale, but undo is id-based: her local undo
+        // must remove HER text, not Bob's.
         let receipt = ha.undo().unwrap();
         assert_eq!(receipt.effects.len(), 6);
         let fresh = tdb.open(doc, alice).unwrap();
@@ -348,8 +363,8 @@ mod tests {
     }
 
     /// Every writer of a character's flags or style bumps its `version`,
-    /// undo and redo included, and a mirror fed by `apply_remote` follows:
-    /// after each step of a schedule by two handles, both show every
+    /// undo and redo included: after each step of a schedule by two
+    /// handles, the one that acted and the other, refreshed, show every
     /// visible character's `CharMeta` as a fresh open does.
     #[test]
     fn char_versions_agree_between_mirrors_and_a_fresh_open() {
@@ -360,8 +375,8 @@ mod tests {
         let doc = tdb.create_document("d", alice).unwrap();
         let mut ha = tdb.open(doc, alice).unwrap();
         let mut hb = tdb.open(doc, bob).unwrap();
-        let typed = ha.insert_text(0, "abcdef").unwrap();
-        hb.apply_remote(&typed.effects).unwrap();
+        ha.insert_text(0, "abcdef").unwrap();
+        hb.refresh().unwrap();
         type Step = fn(&mut DocHandle, StyleId) -> Result<EditReceipt>;
         let steps: [(bool, Step); 8] = [
             (true, |h, _| h.delete_range(1, 2)),
@@ -379,8 +394,8 @@ mod tests {
             } else {
                 (&mut hb, &mut ha)
             };
-            let receipt = step(actor, bold).unwrap();
-            mirror.apply_remote(&receipt.effects).unwrap();
+            step(actor, bold).unwrap();
+            mirror.refresh().unwrap();
             let fresh = tdb.open(doc, alice).unwrap();
             for h in [&ha, &hb] {
                 assert_eq!(h.text(), fresh.text(), "step {i}");

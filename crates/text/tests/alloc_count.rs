@@ -2,8 +2,8 @@
 //! bytes counted, not time measured. Opening a document decodes each
 //! character row once into presized structures, so the number of
 //! allocations must not grow with the number of characters, and a
-//! character's info lives once, in its chain slot. Checking whether a
-//! remote event applies allocates nothing.
+//! character's info lives once, in its chain slot. A walk of the whole
+//! chain allocates nothing.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -168,27 +168,4 @@ fn walking_the_whole_chain_allocates_nothing() {
     let ((), allocs) = allocations_during(|| h.for_each_char(|_, _| walked += 1));
     assert_eq!(walked, 8_004);
     assert_eq!(allocs, 0, "walking 8 004 characters");
-}
-
-/// Checking whether a typed event can be applied — every anchor known,
-/// or inserted earlier by the same event — allocates nothing, applicable
-/// or not.
-#[test]
-fn checking_an_event_allocates_nothing() {
-    let tdb = TextDb::in_memory();
-    let user = tdb.create_user("u").unwrap();
-    let doc = document(&tdb, "d", 500);
-    let mut typist = tdb.open(doc, user).unwrap();
-    let watcher = tdb.open(doc, user).unwrap();
-    let typed = typist.insert_text(250, "abcdefgh").unwrap().effects;
-    let deleted = typist.delete_range(249, 4).unwrap().effects;
-    let event: Vec<_> = typed.iter().chain(&deleted).cloned().collect();
-
-    let (applicable, allocs) = allocations_during(|| watcher.effects_applicable(&event));
-    assert!(applicable);
-    assert_eq!(allocs, 0, "checking an 8-character insert event");
-    // Without its first insert, the rest of the run has no anchor.
-    let (applicable, allocs) = allocations_during(|| watcher.effects_applicable(&event[1..]));
-    assert!(!applicable);
-    assert_eq!(allocs, 0, "refusing an event");
 }

@@ -4,9 +4,8 @@
 //!
 //! The oracle runs random schedules over two documents and two users —
 //! keystrokes, words, deletes, internal and external pastes, `move_to`,
-//! styles, local and global undo and redo — through handles kept in
-//! sync the way a live document is (`apply_remote`, then
-//! `advance_synced`). Two typists interleaving keystrokes in one document
+//! styles, local and global undo and redo — through handles that fold
+//! their own edits, the others refreshed after each step. Two typists interleaving keystrokes in one document
 //! allocate interleaved ids, so a delete there breaks into several runs.
 //! After every step: an edit's rows, expanded, equal its receipt's
 //! effects (kind, character, old/new style, order), no two adjacent rows
@@ -486,19 +485,14 @@ impl World {
                 self.check_rows(*doc, receipt);
             }
         }
-        // Bring every other handle of a touched document up to date, then
-        // vouch for the commit on all of them (a handle's cache holds its
-        // own document only).
-        for (doc, user, receipt, ..) in &done {
+        // Bring every other handle of a touched document up to date (a
+        // handle's cache holds its own document only).
+        for (doc, user, ..) in &done {
             for other in 0..USERS {
                 if other != *user {
-                    let h = self.handle(*doc, other);
-                    h.apply_remote(&receipt.effects).unwrap();
+                    self.handle(*doc, other).refresh().unwrap();
                 }
             }
-        }
-        if let Some(ts) = done.iter().map(|d| d.2.commit_ts).max() {
-            self.handles.iter_mut().for_each(|h| h.advance_synced(ts));
         }
         self.check_documents();
     }

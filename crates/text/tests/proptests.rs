@@ -177,7 +177,9 @@ proptest! {
         }
     }
 
-    /// Two handles kept in sync via effect broadcast always converge.
+    /// Two handles taking turns always converge: the one that acted folds
+    /// its own edit — undo and redo included — into its cache, and the
+    /// other, refreshed, shows the commit.
     #[test]
     fn effect_broadcast_converges(script in proptest::collection::vec(arb_edit(), 1..25)) {
         let tdb = TextDb::in_memory();
@@ -220,7 +222,8 @@ proptest! {
                     Err(_) => continue,
                 },
             };
-            watcher.apply_remote(&receipt.effects).unwrap();
+            watcher.refresh().unwrap();
+            prop_assert!(watcher.synced_ts() >= receipt.commit_ts);
             prop_assert_eq!(ha.text(), hb.text());
         }
     }
@@ -229,7 +232,7 @@ proptest! {
     /// handles of a two-editor history, after every step: typing, range
     /// deletes, pastes from the document itself or from another one,
     /// external pastes, restyles, local and global undo and redo, each
-    /// step's effects applied to the other handle by `apply_remote`.
+    /// the other handle refreshed after each step.
     /// "Equal" is `for_each_char` of the handle against `for_each_char` of
     /// a fresh `TextDb::load`: the same characters in the same order, and
     /// every `CharInfo` field alike.
@@ -253,8 +256,8 @@ proptest! {
                 0 => { let [a, b] = &mut handles; (a, b) }
                 _ => { let [a, b] = &mut handles; (b, a) }
             };
-            if let Some(effects) = run_info_step(step, actor, &src, styles) {
-                watcher.apply_remote(&effects).unwrap();
+            if run_info_step(step, actor, &src, styles) {
+                watcher.refresh().unwrap();
             }
             let fresh = chars_of(&tdb.load(doc, UserId::NONE).unwrap());
             for (who, h) in handles.iter().enumerate() {
@@ -336,15 +339,15 @@ fn arb_info_step() -> impl Strategy<Value = InfoStep> {
     ]
 }
 
-/// Run one step on `h`; its effects, or `None` if the document refused it
-/// (nothing to undo, an empty range) — part of a random schedule, not a
-/// failure.
+/// Run one step on `h`: whether it committed, `false` if the document
+/// refused it (nothing to undo, an empty range) — part of a random
+/// schedule, not a failure.
 fn run_info_step(
     step: &InfoStep,
     h: &mut DocHandle,
     src: &DocHandle,
     styles: [StyleId; 2],
-) -> Option<Vec<tendax_text::Effect>> {
+) -> bool {
     let within = |len: usize, at: usize| at % (len + 1);
     let receipt = match step {
         InfoStep::Type { at, text, .. } => h.insert_text(within(h.len(), *at), text),
@@ -361,7 +364,9 @@ fn run_info_step(
         } => {
             let from = if *own { &*h } else { src };
             let at = within(from.len(), *at);
-            let clip = from.copy(at, (*len).min(from.len() - at)).ok()?;
+            let Ok(clip) = from.copy(at, (*len).min(from.len() - at)) else {
+                return false;
+            };
             h.paste(within(h.len(), *to_at), &clip)
         }
         InfoStep::External { at, .. } => {
@@ -376,7 +381,7 @@ fn run_info_step(
         InfoStep::Redo { global: false, .. } => h.redo(),
         InfoStep::Redo { global: true, .. } => h.global_redo(),
     };
-    Some(receipt.ok()?.effects)
+    receipt.is_ok()
 }
 
 /// The handle's full chain, tombstones included, with each character's
