@@ -264,7 +264,7 @@ impl Database {
         let db = Self::empty(Some(path.clone()));
         // Streamed: each frame is decoded, applied and dropped before
         // the next one is read.
-        let valid_len = {
+        let end = {
             let mut catalog = db.inner.catalog.write();
             let mut tables = db.inner.tables.write();
             WalFile::replay_on(&*options.vfs, &path, |rec, _| {
@@ -277,10 +277,9 @@ impl Database {
         for table in db.inner.tables.read().values() {
             table.write().prune_expected(db.last_commit_ts());
         }
-        // Repair a torn tail before appending: anything past the last
-        // valid frame is a crashed partial write.
-        WalFile::truncate_on(&*options.vfs, &path, valid_len)?;
-        let file = WalFile::open_on(options.vfs.clone(), &path, options.durability)?;
+        // Writing resumes where the last frame ends: a torn tail is cut
+        // first, zeroed room kept.
+        let file = WalFile::open_on(options.vfs.clone(), &path, end, options.durability)?;
         let wal = GroupWal::new(file, options.durability);
         db.inner.wal.set(wal).expect("wal set once at open");
         if let Some(copts) = options.cold_storage {

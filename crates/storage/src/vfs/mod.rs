@@ -1,13 +1,15 @@
 //! Virtual file system: the narrow waist between the storage engine and
 //! the disk.
 //!
-//! Everything durability-relevant the engine does — appending WAL
-//! frames, flushing, fsyncing, the checkpoint's tmp-write/rename/dir-
-//! sync dance, crash-tail truncation — goes through the [`Vfs`] trait
-//! carried in [`crate::Options`]. Two backends exist:
+//! Everything durability-relevant the engine does — writing WAL frames,
+//! reserving zeroed room ahead of the log's end, fsyncing, the
+//! checkpoint's tmp-write/rename/dir-sync dance, crash-tail truncation —
+//! goes through the [`Vfs`] trait carried in [`crate::Options`]. Two
+//! backends exist:
 //!
-//! * [`OsVfs`] (the default): thin forwarding to `std::fs`, byte-for-
-//!   byte identical to the engine's pre-VFS behaviour.
+//! * [`OsVfs`] (the default): thin forwarding to `std::fs`. A log handle
+//!   ([`VfsLog`]) writes with `pwrite` at the offset the log names; every
+//!   other file is written through a buffered writer.
 //! * [`sim::SimVfs`]: a deterministic in-memory disk that distinguishes
 //!   volatile (buffered) from durable (synced) bytes, models directory-
 //!   entry durability separately from file-data durability, and injects
@@ -20,11 +22,17 @@
 //! renames/creations/truncations of directory entries themselves
 //! durable. A simulated crash erases exactly what those calls have not
 //! yet pinned down.
+//!
+//! A log handle can [`VfsLog::reserve`] room: zeros written and synced,
+//! size included, before any frame lands in them. A frame written into
+//! that room and `fdatasync`ed then flushes data blocks only: the file's
+//! size, the one piece of metadata an append changes, is already on disk.
 
 pub mod sim;
 
 use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
+use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -32,10 +40,10 @@ use crate::error::Result;
 
 pub use sim::SimVfs;
 
-/// A writable file handle obtained from a [`Vfs`].
+/// A file written front to back, from [`Vfs::create`].
 ///
 /// Reads happen through [`Vfs::read`] (the engine only ever reads whole
-/// logs during replay); handles are append/write-side only.
+/// logs during replay); handles are write-side only.
 pub trait VfsFile: Send + std::fmt::Debug {
     /// Append `buf` in full to the application-level buffer.
     fn write_all(&mut self, buf: &[u8]) -> Result<()>;
@@ -52,13 +60,56 @@ pub trait VfsFile: Send + std::fmt::Debug {
     fn sync_all(&mut self) -> Result<()>;
 }
 
+/// A log file from [`Vfs::open_log`], written at offsets its caller names.
+///
+/// The OS never picks the offset: the log keeps its own end, so one handle
+/// writes into zeroed room ahead of that end and past the file's length
+/// alike. Writes go straight to the OS; there is no application buffer.
+pub trait VfsLog: Send + std::fmt::Debug {
+    /// Write `buf` in full at byte `pos`. A write past the file's length
+    /// extends it.
+    fn write_at(&mut self, pos: u64, buf: &[u8]) -> Result<()>;
+
+    /// Cut or extend the file to `len` bytes. Durable after
+    /// [`VfsLog::sync_all`].
+    fn set_len(&mut self, len: u64) -> Result<()>;
+
+    /// `fdatasync`: make the file's *data* durable.
+    fn sync_data(&mut self) -> Result<()>;
+
+    /// `fsync`: data plus metadata (size).
+    fn sync_all(&mut self) -> Result<()>;
+
+    /// Make `from..to` zeroed room: write it with zeros, one piece of at
+    /// most [`ZERO_PIECE`] bytes at a time, then sync data and size. A
+    /// frame later written inside the room and `sync_data`ed changes no
+    /// metadata.
+    fn reserve(&mut self, from: u64, to: u64) -> Result<()> {
+        let mut at = from;
+        while at < to {
+            let n = (to - at).min(ZERO_PIECE as u64) as usize;
+            self.write_at(at, &ZEROS[..n])?;
+            at += n as u64;
+        }
+        self.sync_all()
+    }
+}
+
+/// The most zeros [`VfsLog::reserve`] writes at once. One large zero write
+/// leaves large page-cache folios behind it, and each small write later
+/// made into one costs more than an append (EXPERIMENTS.md A38).
+pub const ZERO_PIECE: usize = 64 << 10;
+
+pub(crate) static ZEROS: [u8; ZERO_PIECE] = [0; ZERO_PIECE];
+
 /// The file-system surface the storage engine runs against.
 ///
 /// Implementations must be thread-safe: the WAL writes from flush
 /// leaders, checkpoints, and the maintenance thread concurrently.
 pub trait Vfs: Send + Sync + std::fmt::Debug {
-    /// Open `path` for appending, creating it if missing.
-    fn open_append(&self, path: &Path) -> Result<Box<dyn VfsFile>>;
+    /// Open `path` as a log, creating it if missing: written at offsets,
+    /// never truncated by the open.
+    fn open_log(&self, path: &Path) -> Result<Box<dyn VfsLog>>;
 
     /// Create `path` (truncating any existing contents) for writing —
     /// the checkpoint tmp-file path.
@@ -113,9 +164,9 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     }
 }
 
-/// The default backend: `std::fs`, exactly as the engine used it before
-/// the VFS seam existed (buffered writer, `sync_data` for data-only
-/// flushes, `sync_all` + parent-dir fsync for structural changes).
+/// The default backend: `std::fs` (a buffered writer for created files,
+/// `pwrite` for logs, `sync_data` for data-only flushes, `sync_all` +
+/// parent-dir fsync for structural changes).
 #[derive(Debug, Default, Clone, Copy)]
 pub struct OsVfs;
 
@@ -153,12 +204,42 @@ impl VfsFile for OsFile {
     }
 }
 
+#[derive(Debug)]
+struct OsLog {
+    file: File,
+}
+
+impl VfsLog for OsLog {
+    fn write_at(&mut self, pos: u64, buf: &[u8]) -> Result<()> {
+        self.file.write_all_at(buf, pos)?;
+        Ok(())
+    }
+
+    fn set_len(&mut self, len: u64) -> Result<()> {
+        self.file.set_len(len)?;
+        Ok(())
+    }
+
+    fn sync_data(&mut self) -> Result<()> {
+        self.file.sync_data()?;
+        Ok(())
+    }
+
+    fn sync_all(&mut self) -> Result<()> {
+        self.file.sync_all()?;
+        Ok(())
+    }
+}
+
 impl Vfs for OsVfs {
-    fn open_append(&self, path: &Path) -> Result<Box<dyn VfsFile>> {
-        let file = OpenOptions::new().create(true).append(true).open(path)?;
-        Ok(Box::new(OsFile {
-            writer: BufWriter::new(file),
-        }))
+    fn open_log(&self, path: &Path) -> Result<Box<dyn VfsLog>> {
+        // Not `append`: with O_APPEND, Linux's pwrite ignores its offset.
+        let file = OpenOptions::new()
+            .create(true)
+            .write(true)
+            .truncate(false)
+            .open(path)?;
+        Ok(Box::new(OsLog { file }))
     }
 
     fn create(&self, path: &Path) -> Result<Box<dyn VfsFile>> {
@@ -251,14 +332,39 @@ mod tests {
     fn os_vfs_roundtrip() {
         let vfs = OsVfs;
         let path = tmp("roundtrip.bin");
-        let mut f = vfs.open_append(&path).unwrap();
-        f.write_all(b"hello ").unwrap();
-        f.write_all(b"world").unwrap();
-        f.flush().unwrap();
+        let mut f = vfs.open_log(&path).unwrap();
+        f.write_at(0, b"hello ").unwrap();
+        f.write_at(6, b"world").unwrap();
         f.sync_data().unwrap();
         drop(f);
         assert!(vfs.exists(&path));
         assert_eq!(vfs.read(&path).unwrap(), b"hello world");
+        // Reopening keeps the contents, and writes land where they are
+        // told to: inside the file, and past its end.
+        let mut f = vfs.open_log(&path).unwrap();
+        f.write_at(0, b"J").unwrap();
+        f.write_at(11, b"!").unwrap();
+        drop(f);
+        assert_eq!(vfs.read(&path).unwrap(), b"Jello world!");
+    }
+
+    #[test]
+    fn os_vfs_reserves_zeroed_room_and_gives_it_back() {
+        let vfs = OsVfs;
+        let path = tmp("room.bin");
+        let mut f = vfs.open_log(&path).unwrap();
+        f.write_at(0, b"head").unwrap();
+        let room = 4 + 2 * ZERO_PIECE as u64 + 3;
+        f.reserve(4, room).unwrap();
+        assert_eq!(vfs.file_len(&path).unwrap(), room);
+        f.write_at(4, b"frame").unwrap();
+        f.sync_data().unwrap();
+        let data = vfs.read(&path).unwrap();
+        assert_eq!(&data[..9], b"headframe");
+        assert!(data[9..].iter().all(|&b| b == 0));
+        f.set_len(9).unwrap();
+        f.sync_all().unwrap();
+        assert_eq!(vfs.read(&path).unwrap(), b"headframe");
     }
 
     #[test]

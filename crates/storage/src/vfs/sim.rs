@@ -6,10 +6,13 @@
 //! 1. **File data.** Every inode carries two images: `data` (what a
 //!    live process reads back — application writes land here) and
 //!    `synced` (what survives power loss — advanced only by
-//!    `sync_data`/`sync_all`). A crash reverts `data` to `synced`,
-//!    plus an RNG-chosen prefix of the unsynced tail (the OS may have
-//!    written back any amount of the page cache on its own), with the
-//!    final kept bytes optionally torn (garbled partial sector).
+//!    `sync_data`/`sync_all`), and the changes made since the last sync,
+//!    in order: writes at their offsets (appends, and writes inside the
+//!    synced length, such as a log's frames landing in its zeroed room)
+//!    and length changes. A crash keeps `synced` plus an RNG-chosen
+//!    prefix of those changes, in write order (the OS may have written
+//!    back any amount of the page cache on its own), with the final
+//!    kept bytes optionally torn (garbled partial sector).
 //! 2. **Directory entries.** Each directory keeps a `live` and a
 //!    `durable` name→inode map. Creations and renames update `live`;
 //!    only [`Vfs::sync_dir`] copies `live` into `durable`. A crash
@@ -20,7 +23,7 @@
 //! 3. **Faults.** A seeded RNG drives injected failures: a power cut
 //!    after an armed op budget (the cut op may be a *short write* that
 //!    persists a random prefix of the buffer), and fsyncs that return
-//!    an error while *dropping* the unsynced bytes — the lying-fsync
+//!    an error while *dropping* the unsynced changes — the lying-fsync
 //!    (fsyncgate) semantics that make retry-after-EIO unsound and
 //!    justify the WAL's sticky poisoning.
 //!
@@ -28,13 +31,13 @@
 //! in op order, so a given seed plus a given op schedule reproduces the
 //! same crash image. Every injected error message carries the seed.
 //!
-//! Torn sectors are bounded to the final [`TORN_SECTOR_MAX`] bytes of
-//! the surviving image. The engine's frame format (8-byte header + ≥1
-//! payload byte) guarantees any frame spans more than that, so a torn
-//! region always lies inside the *final* surviving frame: replay sees
-//! it as the torn tail it is, never as mid-log corruption — which is
-//! exactly the guarantee a single-sector-at-a-time disk gives a
-//! same-sector tear.
+//! Torn sectors are bounded to the final [`TORN_SECTOR_MAX`] bytes that
+//! the kept writes put down. The engine's frame format (8-byte header +
+//! ≥1 payload byte) guarantees any frame spans more than that, so a torn
+//! region always lies inside the *final* surviving frame, or in the
+//! zeroed room behind it: replay sees it as the torn tail it is, never
+//! as mid-log corruption — which is exactly the guarantee a
+//! single-sector-at-a-time disk gives a same-sector tear.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -44,22 +47,132 @@ use parking_lot::Mutex;
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 
 use crate::error::{Result, StorageError};
-use crate::vfs::{Vfs, VfsFile};
+use crate::vfs::{Vfs, VfsFile, VfsLog};
 
-/// Upper bound on torn-tail garbling, in bytes. Must stay below the
-/// minimum WAL frame size (9 bytes: two `u32` header words plus at
-/// least one payload byte) so a tear never bleeds past the final
-/// surviving frame — see the module docs.
-const TORN_SECTOR_MAX: usize = 8;
+/// Upper bound on torn-tail garbling, in bytes: the tear the log's replay
+/// tolerates. It stays below the minimum WAL frame size (9 bytes: two
+/// `u32` header words plus at least one payload byte) so a tear never
+/// bleeds past the final surviving frame — see the module docs.
+const TORN_SECTOR_MAX: usize = crate::wal::TORN_MAX;
 
 /// One simulated inode.
 #[derive(Debug, Default)]
 struct Inode {
-    /// The live image: what reads observe and writes extend.
+    /// The live image: what reads observe and writes change. Always
+    /// `synced` with every change in `unsynced` applied.
     data: Vec<u8>,
     /// The durable image: what a crash reverts to (modulo the surviving
-    /// unsynced prefix chosen at crash time).
+    /// prefix of `unsynced` chosen at crash time).
     synced: Vec<u8>,
+    /// The changes since the last sync, in the order they were made.
+    unsynced: Vec<Change>,
+}
+
+/// One change to a file's image.
+#[derive(Debug)]
+enum Change {
+    /// Bytes written at an offset (an append writes at the length).
+    Write { pos: usize, bytes: Vec<u8> },
+    /// The length set: a truncating create, or `set_len`.
+    Len(usize),
+}
+
+impl Change {
+    fn apply(&self, image: &mut Vec<u8>) {
+        match self {
+            Change::Write { pos, bytes } => write_into(image, *pos, bytes),
+            Change::Len(len) => image.resize(*len, 0),
+        }
+    }
+}
+
+/// Put `bytes` at `pos`, extending `image` if it is shorter.
+fn write_into(image: &mut Vec<u8>, pos: usize, bytes: &[u8]) {
+    if image.len() < pos {
+        image.resize(pos, 0);
+    }
+    let inside = bytes.len().min(image.len() - pos);
+    image[pos..pos + inside].copy_from_slice(&bytes[..inside]);
+    image.extend_from_slice(&bytes[inside..]);
+}
+
+impl Inode {
+    /// Make `change` to the live image; it is volatile until a sync.
+    fn change(&mut self, change: Change) {
+        if matches!(&change, Change::Write { bytes, .. } if bytes.is_empty()) {
+            return;
+        }
+        change.apply(&mut self.data);
+        self.unsynced.push(change);
+    }
+
+    /// Everything changed so far is durable.
+    fn sync(&mut self) {
+        for change in self.unsynced.drain(..) {
+            change.apply(&mut self.synced);
+        }
+    }
+
+    /// A failed sync: the unsynced changes are gone.
+    fn drop_unsynced(&mut self) {
+        self.unsynced.clear();
+        self.data.clone_from(&self.synced);
+    }
+
+    /// Power loss: the durable image plus an RNG-chosen prefix of the
+    /// unsynced changes, in the order they were made — counted in bytes
+    /// written, a length change counting one — with up to
+    /// [`TORN_SECTOR_MAX`] of the last bytes kept garbled.
+    fn crash(&mut self, rng: &mut SmallRng) {
+        if self.unsynced.is_empty() {
+            return;
+        }
+        let weight = |c: &Change| match c {
+            Change::Write { bytes, .. } => bytes.len(),
+            Change::Len(_) => 1,
+        };
+        let total: usize = self.unsynced.iter().map(weight).sum();
+        let mut budget = rng.gen_range(0..=total);
+        let mut image = std::mem::take(&mut self.synced);
+        // The byte ranges the kept writes put down, in order.
+        let mut landed: Vec<(usize, usize)> = Vec::new();
+        for change in self.unsynced.drain(..) {
+            if budget == 0 {
+                break;
+            }
+            match change {
+                Change::Write { pos, bytes } => {
+                    let keep = budget.min(bytes.len());
+                    write_into(&mut image, pos, &bytes[..keep]);
+                    landed.push((pos, pos + keep));
+                    budget -= keep;
+                }
+                Change::Len(len) => {
+                    image.resize(len, 0);
+                    budget -= 1;
+                }
+            }
+        }
+        let kept: usize = landed.iter().map(|(from, to)| to - from).sum();
+        if kept > 0 && rng.gen_bool(0.5) {
+            // Torn final sector: garble up to TORN_SECTOR_MAX of the
+            // last bytes the kept writes put down.
+            let mut garble = rng.gen_range(1..=TORN_SECTOR_MAX.min(kept));
+            for &(from, to) in landed.iter().rev() {
+                let n = garble.min(to - from);
+                // A later length change may have cut the range short.
+                let end = image.len();
+                image[(to - n).min(end)..to.min(end)].fill(0xFF);
+                garble -= n;
+                if garble == 0 {
+                    break;
+                }
+            }
+        }
+        // Whatever survived the crash is on the platter now.
+        self.data.clone_from(&image);
+        self.synced = image;
+    }
 }
 
 /// One simulated directory: volatile and durable entry maps.
@@ -166,7 +279,7 @@ impl SimVfs {
     }
 
     /// Crash the machine: every file reverts to its durable image plus
-    /// an RNG-chosen (possibly torn) prefix of its unsynced tail, every
+    /// an RNG-chosen (possibly torn) prefix of its unsynced writes, every
     /// directory reverts to its durable entry map, faults disarm, and
     /// power returns. Call with no live `Database` on this disk — open
     /// handles keep writing to pre-crash inodes otherwise.
@@ -174,32 +287,7 @@ impl SimVfs {
         let mut st = self.state.lock();
         let st = &mut *st;
         for inode in st.inodes.values_mut() {
-            let synced_len = inode.synced.len();
-            let survives_as_appended =
-                inode.data.len() > synced_len && inode.data[..synced_len] == inode.synced[..];
-            if survives_as_appended {
-                // Append-only since the last sync: the OS may have
-                // written back any prefix of the unsynced tail on its
-                // own schedule.
-                let unsynced = inode.data.len() - synced_len;
-                let keep = st.rng.gen_range(0..=unsynced);
-                inode.data.truncate(synced_len + keep);
-                if keep > 0 && st.rng.gen_bool(0.5) {
-                    // Torn final sector: garble up to TORN_SECTOR_MAX
-                    // trailing bytes of the kept unsynced region.
-                    let garble = st.rng.gen_range(1..=TORN_SECTOR_MAX.min(keep));
-                    let len = inode.data.len();
-                    for b in &mut inode.data[len - garble..] {
-                        *b = 0xFF;
-                    }
-                }
-            } else if inode.data != inode.synced {
-                // Rewritten/truncated without a sync: only the durable
-                // image survives.
-                inode.data.clone_from(&inode.synced);
-            }
-            // Whatever survived the crash is on the platter now.
-            inode.synced.clone_from(&inode.data);
+            inode.crash(&mut st.rng);
         }
         for dir in st.dirs.values_mut() {
             dir.live = dir.durable.clone();
@@ -286,25 +374,54 @@ pub struct SimFile {
     ino: u64,
 }
 
-impl VfsFile for SimFile {
-    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+impl SimFile {
+    /// Write `buf` at `pos`, or at the end of the file. The op that trips
+    /// the power budget is a short write: a prefix of the buffer made it
+    /// into the page cache before the lights went out.
+    fn write(&mut self, pos: Option<u64>, buf: &[u8]) -> Result<()> {
+        let mut st = self.vfs.state.lock();
+        let st = &mut *st;
+        let keep = match charge(st) {
+            OpFate::Run => buf.len(),
+            OpFate::Tripped => st.rng.gen_range(0..=buf.len()),
+            OpFate::Dead => return Err(self.vfs.power_err()),
+        };
+        let ino = st.inodes.get_mut(&self.ino).expect("inode exists");
+        let pos = pos.map_or(ino.data.len(), |p| p as usize);
+        ino.change(Change::Write {
+            pos,
+            bytes: buf[..keep].to_vec(),
+        });
+        if st.powered_off {
+            return Err(self.vfs.power_err());
+        }
+        Ok(())
+    }
+
+    fn sync(&mut self) -> Result<()> {
         let mut st = self.vfs.state.lock();
         match charge(&mut st) {
             OpFate::Run => {
+                let failing = st.faults.failing_syncs > 0;
                 let ino = st.inodes.get_mut(&self.ino).expect("inode exists");
-                ino.data.extend_from_slice(buf);
+                if failing {
+                    // Lying fsync: report failure AND drop the dirty
+                    // pages — the data is unrecoverable, not retryable.
+                    ino.drop_unsynced();
+                    st.faults.failing_syncs -= 1;
+                    return Err(self.vfs.sync_err());
+                }
+                ino.sync();
                 Ok(())
             }
-            OpFate::Tripped => {
-                // Short write: a prefix of the buffer made it into the
-                // page cache before the lights went out.
-                let keep = st.rng.gen_range(0..=buf.len());
-                let ino = st.inodes.get_mut(&self.ino).expect("inode exists");
-                ino.data.extend_from_slice(&buf[..keep]);
-                Err(self.vfs.power_err())
-            }
-            OpFate::Dead => Err(self.vfs.power_err()),
+            OpFate::Tripped | OpFate::Dead => Err(self.vfs.power_err()),
         }
+    }
+}
+
+impl VfsFile for SimFile {
+    fn write_all(&mut self, buf: &[u8]) -> Result<()> {
+        self.write(None, buf)
     }
 
     fn flush(&mut self) -> Result<()> {
@@ -315,32 +432,42 @@ impl VfsFile for SimFile {
     }
 
     fn sync_data(&mut self) -> Result<()> {
-        self.sync_all()
+        self.sync()
     }
 
     fn sync_all(&mut self) -> Result<()> {
+        self.sync()
+    }
+}
+
+impl VfsLog for SimFile {
+    fn write_at(&mut self, pos: u64, buf: &[u8]) -> Result<()> {
+        self.write(Some(pos), buf)
+    }
+
+    fn set_len(&mut self, len: u64) -> Result<()> {
         let mut st = self.vfs.state.lock();
         match charge(&mut st) {
             OpFate::Run => {
-                if st.faults.failing_syncs > 0 {
-                    st.faults.failing_syncs -= 1;
-                    // Lying fsync: report failure AND drop the dirty
-                    // pages — the data is unrecoverable, not retryable.
-                    let ino = st.inodes.get_mut(&self.ino).expect("inode exists");
-                    ino.data.clone_from(&ino.synced);
-                    return Err(self.vfs.sync_err());
-                }
                 let ino = st.inodes.get_mut(&self.ino).expect("inode exists");
-                ino.synced.clone_from(&ino.data);
+                ino.change(Change::Len(len as usize));
                 Ok(())
             }
             OpFate::Tripped | OpFate::Dead => Err(self.vfs.power_err()),
         }
     }
+
+    fn sync_data(&mut self) -> Result<()> {
+        self.sync()
+    }
+
+    fn sync_all(&mut self) -> Result<()> {
+        self.sync()
+    }
 }
 
 impl Vfs for SimVfs {
-    fn open_append(&self, path: &Path) -> Result<Box<dyn VfsFile>> {
+    fn open_log(&self, path: &Path) -> Result<Box<dyn VfsLog>> {
         let (dir, name) = split(path);
         let mut st = self.state.lock();
         if let Some(&ino) = st.dirs.get(&dir).and_then(|d| d.live.get(&name)) {
@@ -378,7 +505,8 @@ impl Vfs for SimVfs {
             Some(ino) => {
                 // O_TRUNC: the live image empties; the durable image is
                 // untouched until a sync (a crash can resurrect it).
-                st.inodes.get_mut(&ino).expect("inode exists").data.clear();
+                let inode = st.inodes.get_mut(&ino).expect("inode exists");
+                inode.change(Change::Len(0));
                 ino
             }
             None => {
@@ -453,10 +581,10 @@ impl Vfs for SimVfs {
             .and_then(|d| d.live.get(&name))
             .expect("checked above");
         let inode = st.inodes.get_mut(&ino).expect("inode exists");
-        inode.data.truncate(len as usize);
+        inode.change(Change::Len(len as usize));
         // The OS-level truncate carries its own fsync (`sync_all` in
         // OsVfs::truncate), so the shrink is durable on success.
-        inode.synced.clone_from(&inode.data);
+        inode.sync();
         Ok(())
     }
 
@@ -500,11 +628,18 @@ mod tests {
     use super::*;
 
     fn write_synced(vfs: &SimVfs, path: &Path, bytes: &[u8]) {
-        let mut f = vfs.open_append(path).unwrap();
-        f.write_all(bytes).unwrap();
+        let mut f = append(vfs, path, bytes);
         f.sync_data().unwrap();
         drop(f);
         vfs.sync_dir(path).unwrap();
+    }
+
+    /// Write `bytes` at the end of `path` through a log handle, unsynced.
+    fn append(vfs: &SimVfs, path: &Path, bytes: &[u8]) -> Box<dyn VfsLog> {
+        let len = vfs.read(path).map_or(0, |d| d.len() as u64);
+        let mut f = vfs.open_log(path).unwrap();
+        f.write_at(len, bytes).unwrap();
+        f
     }
 
     #[test]
@@ -512,9 +647,7 @@ mod tests {
         let vfs = SimVfs::new(7);
         let path = Path::new("/sim/a.wal");
         write_synced(&vfs, path, b"durable|");
-        let mut f = vfs.open_append(path).unwrap();
-        f.write_all(b"volatile").unwrap();
-        drop(f);
+        drop(append(&vfs, path, b"volatile"));
         assert_eq!(vfs.read(path).unwrap(), b"durable|volatile");
         vfs.crash();
         let after = vfs.read(path).unwrap();
@@ -531,9 +664,7 @@ mod tests {
             let vfs = SimVfs::new(seed);
             let path = Path::new("/sim/a.wal");
             write_synced(&vfs, path, b"base");
-            let mut f = vfs.open_append(path).unwrap();
-            f.write_all(b"0123456789abcdef").unwrap();
-            drop(f);
+            drop(append(&vfs, path, b"0123456789abcdef"));
             vfs.crash();
             vfs.read(path).unwrap()
         };
@@ -547,8 +678,7 @@ mod tests {
     fn unsynced_creation_vanishes_on_crash() {
         let vfs = SimVfs::new(1);
         let path = Path::new("/sim/fresh.wal");
-        let mut f = vfs.open_append(path).unwrap();
-        f.write_all(b"data").unwrap();
+        let mut f = append(&vfs, path, b"data");
         f.sync_data().unwrap(); // data durable, entry not
         drop(f);
         assert!(vfs.exists(path));
@@ -593,8 +723,8 @@ mod tests {
         let path = Path::new("/sim/a.wal");
         write_synced(&vfs, path, b"ok");
         vfs.power_fail_after(0);
-        let mut f = vfs.open_append(path).unwrap();
-        let err = f.write_all(b"doomed").unwrap_err();
+        let mut f = vfs.open_log(path).unwrap();
+        let err = f.write_at(2, b"doomed").unwrap_err();
         assert!(err.to_string().contains("TENDAX_SIM_SEED=4"), "{err}");
         assert!(vfs.powered_off());
         assert!(f.sync_data().is_err(), "ops after the cut must fail");
@@ -608,8 +738,7 @@ mod tests {
             "short write overran: {after:?}"
         );
         // Power is back: writes work again.
-        let mut f = vfs.open_append(path).unwrap();
-        f.write_all(b"!").unwrap();
+        drop(append(&vfs, path, b"!"));
     }
 
     #[test]
@@ -618,14 +747,13 @@ mod tests {
         let path = Path::new("/sim/a.wal");
         write_synced(&vfs, path, b"safe|");
         vfs.fail_next_syncs(1);
-        let mut f = vfs.open_append(path).unwrap();
-        f.write_all(b"gone").unwrap();
+        let mut f = append(&vfs, path, b"gone");
         let err = f.sync_data().unwrap_err();
         assert!(err.to_string().contains("fsync failure"), "{err}");
         // The dirty pages were discarded, not left for a retry.
         assert_eq!(vfs.read(path).unwrap(), b"safe|");
         // The next sync works again.
-        f.write_all(b"kept").unwrap();
+        f.write_at(5, b"kept").unwrap();
         f.sync_data().unwrap();
         assert_eq!(vfs.read(path).unwrap(), b"safe|kept");
     }
@@ -636,9 +764,7 @@ mod tests {
             let vfs = SimVfs::new(seed);
             let path = Path::new("/sim/a.wal");
             write_synced(&vfs, path, &[0xAA; 32]);
-            let mut f = vfs.open_append(path).unwrap();
-            f.write_all(&[0xBB; 64]).unwrap();
-            drop(f);
+            drop(append(&vfs, path, &[0xBB; 64]));
             vfs.crash();
             let after = vfs.read(path).unwrap();
             assert!(after.len() >= 32 && after.len() <= 96, "seed {seed}");
@@ -657,6 +783,54 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Writes inside the synced length — a log's frames landing in room
+    /// zeroed and synced ahead of them — survive a crash as a prefix in
+    /// the order they were made, whatever their offsets, torn in at most
+    /// the last TORN_SECTOR_MAX bytes that landed.
+    #[test]
+    fn writes_inside_the_synced_length_survive_as_a_prefix_in_write_order() {
+        // Three writes into 64 zeroed bytes, not in offset order.
+        let writes: [(usize, u8); 3] = [(32, 0xA1), (0, 0xA2), (16, 0xA3)];
+        // The image a crash keeping `budget` bytes of them leaves, and
+        // where those bytes lie, in write order.
+        let keep = |budget: usize| {
+            let mut image = vec![0u8; 64];
+            let mut landed = Vec::new();
+            for (i, &(pos, byte)) in writes.iter().enumerate() {
+                let n = budget.saturating_sub(16 * i).min(16);
+                image[pos..pos + n].fill(byte);
+                landed.extend(pos..pos + n);
+            }
+            (image, landed)
+        };
+        let (mut partial, mut whole) = (0, 0);
+        for seed in 0..64 {
+            let vfs = SimVfs::new(seed);
+            let path = Path::new("/sim/room.wal");
+            write_synced(&vfs, path, &[0; 64]);
+            let mut f = vfs.open_log(path).unwrap();
+            for &(pos, byte) in &writes {
+                f.write_at(pos as u64, &[byte; 16]).unwrap();
+            }
+            drop(f);
+            vfs.crash();
+            let after = vfs.read(path).unwrap();
+            assert_eq!(after.len(), 64, "seed {seed}: the synced length moved");
+            let budget = (0..=48).find(|&budget| {
+                let (image, landed) = keep(budget);
+                let torn = &landed[landed.len().saturating_sub(TORN_SECTOR_MAX)..];
+                (0..64).all(|i| after[i] == image[i] || (after[i] == 0xFF && torn.contains(&i)))
+            });
+            match budget {
+                Some(0) => {}
+                Some(48) => whole += 1,
+                Some(_) => partial += 1,
+                None => panic!("seed {seed}: no write-order prefix gives {after:?}"),
+            }
+        }
+        assert!(partial > 0 && whole > 0, "{partial} partial, {whole} whole");
     }
 
     #[test]

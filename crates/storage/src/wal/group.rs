@@ -138,9 +138,7 @@ impl GroupWal {
     /// when that succeeds, count it: the one place a flush is issued and
     /// the one place the counters move.
     fn append_counted(&self, buf: &[u8], records: u64) -> Result<()> {
-        self.file
-            .lock()
-            .append_batch(buf, records, self.durability)?;
+        self.file.lock().append_batch(buf, records)?;
         self.batches_flushed.fetch_add(1, Ordering::Relaxed);
         self.records_flushed.fetch_add(records, Ordering::Relaxed);
         self.bytes_flushed
@@ -368,10 +366,7 @@ impl Drop for GroupWal {
         }
         let buf = std::mem::take(&mut st.buf);
         let records = std::mem::take(&mut st.pending);
-        let _ = self
-            .file
-            .get_mut()
-            .append_batch(&buf, records, self.durability);
+        let _ = self.file.get_mut().append_batch(&buf, records);
     }
 }
 

@@ -1,13 +1,28 @@
-//! The physical log file: framing, append, replay, checkpoint rotation.
+//! The physical log file: framing, writing, replay, checkpoint rotation.
 //!
 //! Frame layout per record: `[u32 payload_len][u32 crc32(payload)][payload]`
-//! (little-endian). Replay stops cleanly at the first frame that is
-//! truncated or fails its CRC — that is the torn tail of a crashed append,
-//! and everything before it is intact by construction (frames are written
-//! with a single `write_all`). The first frame of every log file is a
-//! [`WalRecord::Format`] naming the format of the rest; a non-empty file
-//! that starts with anything else was written by another version and is
-//! refused before anything in it is decoded, truncated or repaired.
+//! (little-endian), with at least one payload byte. The first frame of
+//! every log file is a [`WalRecord::Format`] naming the format of the
+//! rest; a non-empty file that starts with anything else was written by
+//! another version and is refused before anything in it is decoded,
+//! truncated or repaired.
+//!
+//! The log ends at the first frame that is cut short, fails its CRC, or
+//! has a header of eight zero bytes (no frame is empty, so a zero header
+//! is never one). Behind that point lie zeroed room, the torn tail of a
+//! crashed write, or corruption: only zeros, and at most one torn
+//! sector's worth of other bytes in one place, are read as room or a torn
+//! tail; anything more is [`StorageError::WalCorrupt`]. Opening the log
+//! for writing cuts a torn tail (anything past the last frame that is not
+//! zero) and keeps zeros as room.
+//!
+//! Each batch of frames is written at the log's end with one positioned
+//! write. At [`DurabilityLevel::Fsync`] the log keeps zeroed room ahead
+//! of that end, written, synced and sized [`ROOM_STEP`] at a time before
+//! any frame lands in it, so the `fdatasync` behind each batch flushes
+//! data blocks and no size change. A clean close gives the room back: a
+//! log at rest is exactly its frames. At `Buffered` batches extend the
+//! file as they land.
 //!
 //! All file access goes through the [`Vfs`] seam so the same code path
 //! runs against the real disk ([`crate::vfs::OsVfs`], the default) and
@@ -21,41 +36,86 @@ use crate::row::{RowId, SharedRow};
 use crate::schema::TableId;
 use crate::table::Ts;
 use crate::util::crc32;
-use crate::vfs::{os_vfs, Vfs, VfsFile};
+use crate::vfs::{os_vfs, Vfs, VfsLog, ZEROS};
 use crate::wal::codec::{
     begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, snapshot_rows_len,
     RowDeltas, SNAPSHOT_BATCH_BYTES,
 };
 use crate::wal::{DurabilityLevel, WalRecord, FORMAT_VERSION};
 
-/// An append-only log file.
+/// How much zeroed room the log reserves ahead of its end at a time, at
+/// [`DurabilityLevel::Fsync`]. Each step costs one sync of data and size;
+/// a reopened log pays one with its first write, so the step is kept
+/// small (a 1 MiB step cost each reopen of a typing workload about 3 ms,
+/// EXPERIMENTS.md A38).
+const ROOM_STEP: u64 = 64 << 10;
+
+/// The most bytes of one tear: a torn write garbles at most this many of
+/// the last bytes it put down (what [`crate::vfs::SimVfs`] tears, too).
+/// Fewer than a frame: every frame spans at least nine bytes, so a tear
+/// never reaches past the frame it is in.
+pub(crate) const TORN_MAX: usize = 8;
+
+/// Where a replayed log's frames end, and what lies past them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct LogEnd {
+    /// The offset the last intact frame ends at.
+    pub frames: u64,
+    /// The file's length.
+    pub len: u64,
+    /// Some byte past `frames` is not zero: the tail of a crashed write,
+    /// which [`WalFile::open_on`] cuts. Zeros there are room, and kept.
+    pub torn: bool,
+}
+
+/// The log file, written at its end.
 #[derive(Debug)]
 pub struct WalFile {
     path: PathBuf,
     vfs: Arc<dyn Vfs>,
-    writer: Box<dyn VfsFile>,
+    log: Box<dyn VfsLog>,
     durability: DurabilityLevel,
+    /// Where the last frame ends: the next batch is written here.
+    end: u64,
+    /// The file's length: `end`, and zeroed room past it.
+    len: u64,
     records_written: u64,
     bytes_written: u64,
 }
 
 impl WalFile {
-    /// Open (creating if needed) the log at `path` for appending, on the
-    /// real file system.
+    /// Open (creating if needed) the log at `path` for writing, on the
+    /// real file system: its layout and format are checked and its end
+    /// found by a replay first.
     pub fn open(path: impl Into<PathBuf>, durability: DurabilityLevel) -> Result<Self> {
-        Self::open_on(os_vfs(), path, durability)
+        let path = path.into();
+        let end = Self::replay_on(&*os_vfs(), &path, |_, _| Ok(()))?;
+        Self::open_on(os_vfs(), path, end, durability)
     }
 
-    /// Open (creating if needed) the log at `path` for appending, on an
-    /// explicit [`Vfs`] backend.
+    /// Open (creating if needed) the log at `path`, whose replay ended at
+    /// `end`, for writing, on an explicit [`Vfs`] backend. A torn tail is
+    /// cut first, durably: new frames written over it could leave scraps
+    /// of it behind them, to be read as mid-log corruption later. Zeroed
+    /// room is kept, and written into.
     pub fn open_on(
         vfs: Arc<dyn Vfs>,
         path: impl Into<PathBuf>,
+        end: LogEnd,
         durability: DurabilityLevel,
     ) -> Result<Self> {
         let path = path.into();
         let created = !vfs.exists(&path);
-        let writer = vfs.open_append(&path)?;
+        let mut len = end.len;
+        if end.torn {
+            // The backend makes the shrink itself durable (`fsync`, not
+            // `fdatasync`: it is a metadata change); the parent-dir sync
+            // covers file systems where the length lives in the dirent.
+            vfs.truncate(&path, end.frames)?;
+            vfs.sync_dir(&path)?;
+            len = end.frames;
+        }
+        let log = vfs.open_log(&path)?;
         if created {
             // A freshly created file's directory entry is not durable
             // until the directory itself is fsynced: without this, a
@@ -67,18 +127,22 @@ impl WalFile {
         let mut wal = WalFile {
             path,
             vfs,
-            writer,
+            log,
             durability,
+            end: end.frames,
+            len,
             records_written: 0,
             bytes_written: 0,
         };
         // New, or cut back to nothing by tail repair: start the file
         // with its format frame.
-        if wal.vfs.file_len(&wal.path)? == 0 {
+        if wal.end == 0 {
             let header = format_frame();
-            wal.writer.write_all(&header)?;
-            wal.sync()?;
-            wal.bytes_written = header.len() as u64;
+            wal.log.write_at(0, &header)?;
+            wal.log.sync_data()?;
+            wal.end = header.len() as u64;
+            wal.len = wal.len.max(wal.end);
+            wal.bytes_written = wal.end;
         }
         Ok(wal)
     }
@@ -95,45 +159,49 @@ impl WalFile {
         self.records_written
     }
 
-    /// Bytes appended (or rewritten) since this handle was opened. Both
-    /// counters restart at open, so for a recovered log they measure
-    /// *growth* since recovery — exactly what checkpoint budgets want.
+    /// Bytes of frames written since this handle was opened or the log
+    /// last rewritten (room not counted). Both counters restart at open,
+    /// so for a recovered log they measure *growth* since recovery —
+    /// exactly what checkpoint budgets want.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
     /// Append one record, honouring the durability level.
     pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        self.append_batch(&encode_frame(rec), 1, self.durability)
+        self.append_batch(&encode_frame(rec), 1)
     }
 
     /// Append a batch of pre-framed records (see [`encode_frame`]) with a
-    /// single `write_all`, then apply `durability` once for the whole
-    /// batch. This is the group-commit fast path: one syscall (plus at
-    /// most one fsync) covers every record in the batch.
-    pub fn append_batch(
-        &mut self,
-        frames: &[u8],
-        records: u64,
-        durability: DurabilityLevel,
-    ) -> Result<()> {
-        if !frames.is_empty() {
-            self.writer.write_all(frames)?;
-        }
-        self.writer.flush()?;
-        if durability == DurabilityLevel::Fsync {
-            self.writer.sync_data()?;
+    /// single positioned write at the log's end, then, at
+    /// [`DurabilityLevel::Fsync`], one `sync_data` for the whole batch.
+    /// This is the group-commit fast path: one syscall (plus at most one
+    /// fsync) covers every record in the batch.
+    pub fn append_batch(&mut self, frames: &[u8], records: u64) -> Result<()> {
+        self.write(frames)?;
+        if self.durability == DurabilityLevel::Fsync {
+            self.log.sync_data()?;
         }
         self.records_written += records;
         self.bytes_written += frames.len() as u64;
         Ok(())
     }
 
-    /// Flush and fsync regardless of level (used at clean shutdown and
-    /// after checkpoints).
-    pub fn sync(&mut self) -> Result<()> {
-        self.writer.flush()?;
-        self.writer.sync_data()?;
+    /// Write `frames` at the log's end. At `Fsync`, into zeroed room,
+    /// reserved first if what is left is too small.
+    fn write(&mut self, frames: &[u8]) -> Result<()> {
+        if frames.is_empty() {
+            return Ok(());
+        }
+        let end = self.end + frames.len() as u64;
+        if self.durability == DurabilityLevel::Fsync && end > self.len {
+            let room = end + ROOM_STEP;
+            self.log.reserve(self.len, room)?;
+            self.len = room;
+        }
+        self.log.write_at(self.end, frames)?;
+        self.end = end;
+        self.len = self.len.max(end);
         Ok(())
     }
 
@@ -142,6 +210,9 @@ impl WalFile {
     ///
     /// Writes a sibling temp file, fsyncs it, then renames over the live
     /// log — the checkpoint either fully lands or the old log survives.
+    /// The new log is exactly the image; room is reserved again by the
+    /// next batch that needs it. The old handle is dropped unsynced: its
+    /// inode is unlinked, and nothing reads it again.
     pub(crate) fn rewrite(&mut self, mut image: CheckpointFrames) -> Result<()> {
         let tmp = self.path.with_extension("wal.tmp");
         image.close_batch();
@@ -160,7 +231,9 @@ impl WalFile {
         // (or worse, leave a dangling entry) even though the data file
         // was synced.
         self.vfs.sync_dir(&self.path)?;
-        self.writer = self.vfs.open_append(&self.path)?;
+        self.log = self.vfs.open_log(&self.path)?;
+        self.end = bytes;
+        self.len = bytes;
         self.records_written = records;
         self.bytes_written = bytes;
         Ok(())
@@ -182,48 +255,46 @@ impl WalFile {
     /// Check the log's layout and format frame, then hand `apply` every intact
     /// record (the format frame included) with the byte offset its frame
     /// ends at — one at a time, so recovery never holds more than one
-    /// frame decoded. Returns the offset of the end of the last intact
-    /// frame. Callers reopening the log for append MUST truncate to that
-    /// offset first, or a torn tail would be buried under fresh records
-    /// and read as mid-log corruption later. A missing file replays as
-    /// empty.
+    /// frame decoded. Returns where the frames end and what lies past
+    /// them, which [`WalFile::open_on`] needs to write the log again. A
+    /// missing file replays as empty.
     pub fn replay_on(
         vfs: &dyn Vfs,
         path: &Path,
         mut apply: impl FnMut(WalRecord, u64) -> Result<()>,
-    ) -> Result<u64> {
+    ) -> Result<LogEnd> {
         check_layout(vfs, path)?;
         if !vfs.exists(path) {
-            return Ok(0);
+            return Ok(LogEnd::default());
         }
         let data = vfs.read(path)?;
         check_format(&data)?;
         let mut iter = WalIter::new(&data);
-        let mut valid = 0u64;
+        let mut valid = 0;
         while let Some(item) = iter.next() {
-            valid = iter.offset as u64;
-            apply(item?, valid)?;
+            valid = iter.offset;
+            apply(item?, valid as u64)?;
         }
-        Ok(valid)
+        Ok(LogEnd {
+            frames: valid as u64,
+            len: data.len() as u64,
+            torn: nonzero_span(&data[valid..]).is_some(),
+        })
     }
+}
 
-    /// Truncate the log file at `path` to `len` bytes (crash-tail
-    /// repair), on the real file system.
-    pub fn truncate(path: &Path, len: u64) -> Result<()> {
-        Self::truncate_on(&*os_vfs(), path, len)
-    }
-
-    /// Truncate the log file at `path` to `len` bytes (crash-tail
-    /// repair). The backend makes the shrink itself durable (`fsync`,
-    /// not `fdatasync`: it is a metadata change); the parent-dir sync
-    /// covers file systems where the length lives in the dirent.
-    pub fn truncate_on(vfs: &dyn Vfs, path: &Path, len: u64) -> Result<()> {
-        if !vfs.exists(path) {
-            return Ok(());
+impl Drop for WalFile {
+    /// A clean close gives the room back: the file is cut to the end of
+    /// its last frame, durably, so a log at rest is exactly its frames.
+    /// Errors are ignored: there is no caller left to surface them to,
+    /// and room left behind is room the next open keeps.
+    fn drop(&mut self) {
+        if self.len > self.end {
+            let _ = self
+                .log
+                .set_len(self.end)
+                .and_then(|()| self.log.sync_all());
         }
-        vfs.truncate(path, len)?;
-        vfs.sync_dir(path)?;
-        Ok(())
     }
 }
 
@@ -475,11 +546,13 @@ fn check_format(data: &[u8]) -> Result<()> {
 
 /// Iterator over framed records in a byte buffer.
 ///
-/// Yields `Ok(record)` for each intact frame. A truncated or CRC-failing
-/// tail ends iteration silently (torn write); a CRC failure *followed by
-/// more data*, or an intact frame that does not decode, is real
-/// corruption and yields [`StorageError::WalCorrupt`] at the offset the
-/// offending frame starts at.
+/// Yields `Ok(record)` for each intact frame. A truncated frame ends
+/// iteration silently (torn write), and so does a CRC-failing frame or a
+/// zero header with nothing behind it but zeros and at most one tear. A
+/// CRC failure or zero header *followed by more data*, or an intact frame
+/// that does not decode, is real corruption and yields
+/// [`StorageError::WalCorrupt`] at the offset the offending frame starts
+/// at.
 pub struct WalIter<'a> {
     data: &'a [u8],
     pub(crate) offset: usize,
@@ -504,28 +577,53 @@ impl<'a> WalIter<'a> {
         }
         let payload = &rest[8..8 + len];
         let frame_end = start + 8 + len;
-        if crc32(payload) != crc {
-            let trailing = self.data.len() - frame_end;
+        // No frame is empty, so a zero length is no frame: a header of
+        // zeros (room) or damage.
+        if len == 0 || crc32(payload) != crc {
             self.offset = self.data.len();
-            // A bad frame at the tail — or followed by fewer bytes than
-            // a frame header — is a torn write: a power cut can tear the
-            // final sector across the boundary of the last complete
-            // frame, garbling its checksum while scraps of the next
-            // frame sit after it. Scraps that small can never hold a
-            // real frame, so nothing durable is being discarded. A bad
-            // frame with room for real frames after it, by contrast, is
-            // mid-log corruption and must surface as an error.
-            if trailing < 8 {
+            // A power cut tears at most one place, and at most TORN_MAX
+            // bytes of it: across the end of the last complete frame
+            // (garbling its checksum, with scraps of the next frame behind
+            // it), inside a frame written into zeroed room, or at the end
+            // of a zero write that was growing the room. If everything
+            // behind this point that is not zero fits in one such tear,
+            // the log ends here and nothing durable is discarded. More
+            // than that is mid-log corruption and must surface as an
+            // error.
+            if at_most_one_tear(&self.data[frame_end..]) {
                 return None;
             }
             return Some(Err(StorageError::WalCorrupt {
                 offset: start as u64,
-                reason: "CRC mismatch mid-log".into(),
+                reason: if len == 0 {
+                    "zero-length frame mid-log"
+                } else {
+                    "CRC mismatch mid-log"
+                }
+                .into(),
             }));
         }
         self.offset = frame_end;
         Some(Ok((start, payload)))
     }
+}
+
+/// Whether the bytes of `rest` that are not zero, if any, lie within one
+/// span of at most [`TORN_MAX`] bytes.
+fn at_most_one_tear(rest: &[u8]) -> bool {
+    nonzero_span(rest).is_none_or(|(first, last)| last - first < TORN_MAX)
+}
+
+/// The first and the last byte of `bytes` that are not zero. Room is
+/// mostly zeros, so it is compared a page at a time.
+fn nonzero_span(bytes: &[u8]) -> Option<(usize, usize)> {
+    const PAGE: usize = 4096;
+    let zero = |page: &[u8]| page == &ZEROS[..page.len()];
+    let (i, page) = (bytes.chunks(PAGE).enumerate()).find(|(_, page)| !zero(page))?;
+    let first = i * PAGE + page.iter().position(|&b| b != 0)?;
+    let (i, page) = (bytes.rchunks(PAGE).enumerate()).find(|(_, page)| !zero(page))?;
+    let start = bytes.len().saturating_sub((i + 1) * PAGE);
+    Some((first, start + page.iter().rposition(|&b| b != 0)?))
 }
 
 impl Iterator for WalIter<'_> {
@@ -567,6 +665,12 @@ mod tests {
         }
     }
 
+    fn format() -> WalRecord {
+        WalRecord::Format {
+            version: FORMAT_VERSION,
+        }
+    }
+
     #[test]
     fn append_and_replay() {
         let path = tmpdir().join("basic.wal");
@@ -575,7 +679,6 @@ mod tests {
         wal.append(&meta(1)).unwrap();
         wal.append(&WalRecord::DropTable { id: TableId(4) })
             .unwrap();
-        wal.sync().unwrap();
         assert_eq!(wal.records_written(), 2);
 
         let recs = WalFile::replay(&path).unwrap();
@@ -598,7 +701,6 @@ mod tests {
         let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
         wal.append(&meta(1)).unwrap();
         wal.append(&meta(2)).unwrap();
-        wal.sync().unwrap();
         drop(wal);
 
         // Truncate mid-way through the second frame.
@@ -615,7 +717,6 @@ mod tests {
         let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
         wal.append(&meta(1)).unwrap();
         wal.append(&meta(2)).unwrap();
-        wal.sync().unwrap();
         drop(wal);
 
         // A torn final sector can straddle the last frame boundary:
@@ -639,7 +740,6 @@ mod tests {
         let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
         wal.append(&meta(1)).unwrap();
         wal.append(&meta(2)).unwrap();
-        wal.sync().unwrap();
         drop(wal);
 
         // Flip a payload byte in the FIRST frame (the format frame:
@@ -665,7 +765,6 @@ mod tests {
         assert_eq!(wal.records_written(), 1);
         // Appends continue to work after rotation.
         wal.append(&meta(101)).unwrap();
-        wal.sync().unwrap();
         let recs = WalFile::replay(&path).unwrap();
         assert_eq!(recs, vec![meta(100), meta(101)]);
     }
@@ -712,6 +811,146 @@ mod tests {
         // No explicit sync: fsync level already flushed.
         let recs = WalFile::replay(&path).unwrap();
         assert_eq!(recs, vec![meta(7)]);
+    }
+
+    /// The format frame and two `Meta` frames: a log as a clean close
+    /// leaves it.
+    fn three_frames() -> Vec<u8> {
+        [
+            format_frame(),
+            encode_frame(&meta(1)),
+            encode_frame(&meta(2)),
+        ]
+        .concat()
+    }
+
+    fn replay_bytes(data: &[u8]) -> Result<(Vec<WalRecord>, LogEnd)> {
+        let path = tmpdir().join(format!("bytes-{}.wal", data.len()));
+        std::fs::write(&path, data).unwrap();
+        let mut records = Vec::new();
+        let end = WalFile::replay_on(&*os_vfs(), &path, |rec, _| {
+            records.push(rec);
+            Ok(())
+        })?;
+        Ok((records, end))
+    }
+
+    #[test]
+    fn a_zero_header_followed_only_by_zeros_ends_the_log() {
+        let frames = three_frames();
+        let mut data = frames.clone();
+        data.resize(frames.len() + 4096, 0);
+        let (records, end) = replay_bytes(&data).unwrap();
+        assert_eq!(records.len(), 3);
+        let want = LogEnd {
+            frames: frames.len() as u64,
+            len: data.len() as u64,
+            torn: false,
+        };
+        assert_eq!(end, want);
+        // Room too short for a header ends the log the same way.
+        data.truncate(frames.len() + 5);
+        let (records, end) = replay_bytes(&data).unwrap();
+        assert_eq!((records.len(), end.torn), (3, false));
+    }
+
+    #[test]
+    fn a_bad_frame_followed_only_by_zeros_is_a_torn_tail() {
+        let frames = three_frames();
+        let last = frames.len() - encode_frame(&meta(2)).len();
+        for flip in [last, last + 5, frames.len() - 1] {
+            let mut data = frames.clone();
+            data[flip] ^= 0x40;
+            data.resize(frames.len() + 4096, 0);
+            let (records, end) = replay_bytes(&data).unwrap();
+            assert_eq!(records, vec![format(), meta(1)], "flip at {flip}");
+            assert_eq!(
+                (end.frames, end.torn),
+                (last as u64, true),
+                "flip at {flip}"
+            );
+        }
+        // A frame cut short inside the room: the rest of it is zeros.
+        for cut in 1..encode_frame(&meta(2)).len() {
+            let mut data = frames[..last + cut].to_vec();
+            data.resize(frames.len() + 4096, 0);
+            let (records, end) = replay_bytes(&data).unwrap();
+            assert_eq!(records.len(), 2, "cut at {cut}");
+            assert_eq!((end.frames, end.torn), (last as u64, true), "cut at {cut}");
+        }
+    }
+
+    #[test]
+    fn a_torn_zero_write_behind_the_last_frame_is_a_torn_tail() {
+        // Growing the room was cut off: zeros, then a garbled sector.
+        let frames = three_frames();
+        for zeros in [0, 3, 4, 7, 8, 100] {
+            let mut data = frames.clone();
+            data.resize(frames.len() + zeros, 0);
+            data.extend_from_slice(&[0xFF; TORN_MAX]);
+            let (records, end) = replay_bytes(&data).unwrap();
+            assert_eq!(records.len(), 3, "{zeros} zeros");
+            assert_eq!((end.frames, end.torn), (frames.len() as u64, true));
+        }
+    }
+
+    #[test]
+    fn nonzero_span_finds_the_ends_across_pages() {
+        let naive = |b: &[u8]| {
+            let first = b.iter().position(|&x| x != 0)?;
+            Some((first, b.iter().rposition(|&x| x != 0)?))
+        };
+        for len in [0, 1, 4095, 4096, 4097, 3 * 4096 + 17] {
+            let mut bytes = vec![0u8; len];
+            assert_eq!(nonzero_span(&bytes), None, "len {len}");
+            for at in [0, 1, 4095, 4096, len / 2, len.saturating_sub(1)] {
+                for also in [at, len.saturating_sub(1), 0] {
+                    if at >= len || also >= len {
+                        continue;
+                    }
+                    bytes.fill(0);
+                    bytes[at] = 1;
+                    bytes[also] = 2;
+                    assert_eq!(
+                        nonzero_span(&bytes),
+                        naive(&bytes),
+                        "len {len} at {at}, {also}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_bad_frame_or_a_zero_header_followed_by_more_log_is_corrupt() {
+        let frames = three_frames();
+        let good = encode_frame(&meta(3));
+        let bad_at = frames.len() - encode_frame(&meta(2)).len();
+        let mut bad = frames.clone();
+        bad[bad_at + 9] ^= 0x01;
+        let zero_header = [&frames[..], &[0; 8], &good].concat();
+        let cases = [
+            ("bad frame, good frame", [&bad[..], &good].concat(), bad_at),
+            (
+                "bad frame, zeros, good frame",
+                [&bad[..], &[0; 64], &good].concat(),
+                bad_at,
+            ),
+            ("zero header, good frame", zero_header, frames.len()),
+            (
+                "zero header, zeros, good frame",
+                [&frames[..], &[0; 64], &good].concat(),
+                frames.len(),
+            ),
+        ];
+        for (what, data, at) in cases {
+            match replay_bytes(&data) {
+                Err(StorageError::WalCorrupt { offset, .. }) => {
+                    assert_eq!(offset, at as u64, "{what}")
+                }
+                other => panic!("{what}: {other:?}"),
+            }
+        }
     }
 
     #[test]

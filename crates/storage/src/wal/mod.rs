@@ -14,8 +14,8 @@ mod log;
 
 pub use group::WalShardStats;
 pub(crate) use group::{GroupWal, WalTicket};
-pub(crate) use log::{encode_frame, CheckpointFrames};
-pub use log::{WalFile, WalIter};
+pub(crate) use log::{encode_frame, CheckpointFrames, TORN_MAX};
+pub use log::{LogEnd, WalFile, WalIter};
 
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};

@@ -70,6 +70,11 @@ fn torn_tail_roundtrip(durability: DurabilityLevel, name: &str) {
 
     {
         let db = Database::open(&path, opts(durability)).unwrap();
+        assert_eq!(
+            std::fs::metadata(&path).unwrap().len(),
+            before as u64,
+            "the torn tail was not cut at open"
+        );
         assert_eq!(count_rows(&db), 5, "torn tail must not eat whole commits");
         let t = db.table_id("t").unwrap();
         insert_seq(&db, t, 0, 5);
@@ -99,6 +104,118 @@ fn torn_tail_repaired_then_appendable_buffered() {
 #[test]
 fn torn_tail_repaired_then_appendable_fsync() {
     torn_tail_roundtrip(DurabilityLevel::Fsync, "torn-fsync.wal");
+}
+
+// ------------------------------------------------------------ room
+
+fn file_len(path: &PathBuf) -> u64 {
+    std::fs::metadata(path).unwrap().len()
+}
+
+/// At `Fsync` the log keeps zeroed room ahead of its last frame while it
+/// is open; a clean close gives it back, so the file at rest is exactly
+/// the frames written.
+#[test]
+fn a_clean_close_gives_the_room_back() {
+    let (_dir, path) = tmp("room.wal");
+    let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+    let t = db.create_table(seq_table()).unwrap();
+    for i in 0..20 {
+        insert_seq(&db, t, 0, i);
+    }
+    let frames = db.wal_size().0;
+    assert!(
+        file_len(&path) > frames,
+        "no room ahead of {frames} bytes of frames"
+    );
+    drop(db);
+    assert_eq!(file_len(&path), frames);
+    let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+    assert_eq!(count_rows(&db), 20);
+}
+
+/// A checkpoint rewrites the log to its image, exactly: room comes back
+/// with the next append, and goes again at the clean close.
+#[test]
+fn a_checkpoint_image_is_exact_until_the_next_append() {
+    let (_dir, path) = tmp("room-ckpt.wal");
+    let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+    let t = db.create_table(seq_table()).unwrap();
+    for i in 0..20 {
+        insert_seq(&db, t, 0, i);
+    }
+    db.checkpoint().unwrap();
+    assert_eq!(file_len(&path), db.wal_size().0);
+    insert_seq(&db, t, 0, 20);
+    let frames = db.wal_size().0;
+    assert!(file_len(&path) > frames, "the append reserved no room");
+    drop(db);
+    assert_eq!(file_len(&path), frames);
+    let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
+    assert_eq!(count_rows(&db), 21);
+}
+
+/// Zeros past the last frame — room a crash kept from a clean close —
+/// are not cut at open: writing resumes at the last frame's end, inside
+/// them, at either level, and the clean close gives back what is left.
+fn zero_tail_is_room(durability: DurabilityLevel, name: &str) {
+    let (_dir, path) = tmp(name);
+    {
+        let db = Database::open(&path, opts(durability)).unwrap();
+        let t = db.create_table(seq_table()).unwrap();
+        insert_seq(&db, t, 0, 0);
+    }
+    let frames = file_len(&path);
+    let mut data = std::fs::read(&path).unwrap();
+    data.resize(data.len() + 4096, 0);
+    std::fs::write(&path, &data).unwrap();
+    {
+        let db = Database::open(&path, opts(durability)).unwrap();
+        assert_eq!(file_len(&path), frames + 4096, "the room was cut at open");
+        let t = db.table_id("t").unwrap();
+        insert_seq(&db, t, 0, 1);
+        assert_eq!(file_len(&path), frames + 4096, "the frame missed the room");
+        assert_eq!(count_rows(&db), 2);
+        drop(db);
+    }
+    let after = std::fs::read(&path).unwrap();
+    assert_eq!(after[..frames as usize], data[..frames as usize]);
+    assert!(after.len() as u64 > frames && after.len() < data.len());
+    assert_ne!(after.last(), Some(&0), "room left at rest");
+    let db = Database::open(&path, opts(durability)).unwrap();
+    assert_eq!(count_rows(&db), 2);
+}
+
+#[test]
+fn a_zero_tail_is_kept_as_room_buffered() {
+    zero_tail_is_room(DurabilityLevel::Buffered, "zeros-buffered.wal");
+}
+
+#[test]
+fn a_zero_tail_is_kept_as_room_fsync() {
+    zero_tail_is_room(DurabilityLevel::Fsync, "zeros-fsync.wal");
+}
+
+/// Opening a cleanly closed log moves no bytes and syncs nothing: there
+/// is no torn tail to cut.
+#[test]
+fn reopening_a_clean_log_charges_no_io() {
+    for durability in [DurabilityLevel::Buffered, DurabilityLevel::Fsync] {
+        let vfs = tendax_storage::SimVfs::new(1);
+        let opts = || Options {
+            vfs: std::sync::Arc::new(vfs.clone()),
+            ..opts(durability)
+        };
+        {
+            let db = Database::open("/sim/clean.wal", opts()).unwrap();
+            let t = db.create_table(seq_table()).unwrap();
+            insert_seq(&db, t, 0, 0);
+        }
+        let before = vfs.ops();
+        let db = Database::open("/sim/clean.wal", opts()).unwrap();
+        assert_eq!(vfs.ops(), before, "{durability:?}");
+        assert_eq!(count_rows(&db), 1);
+    }
 }
 
 // ------------------------------------------------- concurrent commit stress

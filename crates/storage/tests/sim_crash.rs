@@ -17,6 +17,7 @@ mod common;
 
 use std::sync::{Arc, Barrier, Mutex};
 
+use tendax_storage::wal::WalFile;
 use tendax_storage::{
     ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
     RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value, ValueRef,
@@ -160,6 +161,91 @@ fn crash_at_every_injected_op_recovers_a_commit_prefix() {
                          {} survived the crash",
                         got.len()
                     );
+                }
+            }
+        }
+    }
+}
+
+// ------------------------------------------------------------ room
+
+/// Commits written at `Fsync` land in zeroed room the log reserves ahead
+/// of its last frame: the first one grows it (zero writes, then a sync of
+/// data and size), the rest are written inside it. The power cuts at
+/// every op of that schedule — each zero write and the sync of a growth
+/// step, each frame torn inside the room, the clean close giving the room
+/// back. The log is then resumed at each level, cold tier on and off:
+/// recovery is a commit-order prefix holding every acknowledged commit,
+/// the resumed log takes a commit, and a clean close leaves exactly its
+/// frames.
+#[test]
+fn room_growth_crash_keeps_every_acknowledged_commit() {
+    const N: i64 = 4;
+    let opts = |vfs: &SimVfs, durability, cold: bool| Options {
+        cold_storage: cold.then(ColdOptions::default),
+        ..sim_opts(vfs, durability)
+    };
+    let run = |vfs: &SimVfs, cold: bool| -> usize {
+        let Ok(db) = Database::open(WAL, opts(vfs, DurabilityLevel::Fsync, cold)) else {
+            return 0;
+        };
+        let Ok(t) = db.create_table(table_def("t")) else {
+            return 0;
+        };
+        (0..N)
+            .take_while(|&i| {
+                let mut txn = db.begin();
+                txn.insert(t, Row::new(vec![Value::Int(i)])).is_ok() && txn.commit().is_ok()
+            })
+            .count()
+    };
+    for seed in seeds() {
+        for durability in DURABILITY_LEVELS {
+            for cold in [false, true] {
+                let twin = SimVfs::new(seed);
+                assert_eq!(run(&twin, cold), N as usize, "seed {seed}: fault-free run");
+                let total_ops = twin.ops();
+                for cut in 0..total_ops {
+                    let vfs = SimVfs::new(seed);
+                    vfs.power_fail_after(cut);
+                    let acked = run(&vfs, cold);
+                    vfs.crash();
+                    let ctx = format!(
+                        "seed {seed} resumed at {durability:?} cold {cold} \
+                         cut {cut}/{total_ops} (rerun with TENDAX_SIM_SEED={seed})"
+                    );
+                    let db = Database::open(WAL, opts(&vfs, durability, cold))
+                        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                    let got = recovered_seqs(&db, "t");
+                    assert_eq!(
+                        got,
+                        (0..got.len() as i64).collect::<Vec<_>>(),
+                        "{ctx}: recovery is not a commit-order prefix"
+                    );
+                    assert!(
+                        got.len() >= acked,
+                        "{ctx}: {acked} commits acknowledged at Fsync, {} recovered",
+                        got.len()
+                    );
+                    let t = db
+                        .table_id("t")
+                        .or_else(|_| db.create_table(table_def("t")))
+                        .unwrap_or_else(|e| panic!("{ctx}: resumed log refused DDL: {e}"));
+                    let mut txn = db.begin();
+                    txn.insert(t, Row::new(vec![Value::Int(got.len() as i64)]))
+                        .unwrap();
+                    txn.commit()
+                        .unwrap_or_else(|e| panic!("{ctx}: resumed log refused a commit: {e}"));
+                    drop(db);
+                    let end = WalFile::replay_on(&vfs, std::path::Path::new(WAL), |_, _| Ok(()))
+                        .unwrap_or_else(|e| panic!("{ctx}: closed log does not replay: {e}"));
+                    assert_eq!(
+                        (end.frames, end.torn),
+                        (end.len, false),
+                        "{ctx}: a clean close left more than the frames"
+                    );
+                    let db = Database::open(WAL, opts(&vfs, durability, cold)).unwrap();
+                    assert_eq!(recovered_seqs(&db, "t").len(), got.len() + 1, "{ctx}");
                 }
             }
         }

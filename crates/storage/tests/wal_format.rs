@@ -415,10 +415,10 @@ fn delta_batch() -> WalRecord {
     }
 }
 
-/// A log of `before`, the frame under test, and `after`: cut or flip the
-/// middle frame every way there is. Whatever happens, the reader yields
-/// `before` intact and then stops or reports — it never yields a record
-/// the writer did not write.
+/// A log of `before`, the frame under test, and `after` — or zeroed room,
+/// as a log at `Fsync` ends: cut or flip the middle frame every way there
+/// is. Whatever happens, the reader yields `before` intact and then stops
+/// or reports — it never yields a record the writer did not write.
 fn sweep_frame(victim: &WalRecord) {
     let before = WalRecord::Meta {
         next_ts: 9,
@@ -472,6 +472,44 @@ fn sweep_frame(victim: &WalRecord) {
             }
             Some(other) => panic!("bit {bit}: untyped {other:?}"),
         }
+    }
+    // The same frame as the last one written into zeroed room, the room
+    // behind it (a log at `Fsync` ends so until a clean close): every cut
+    // and every flip reads `before` and then ends cleanly or reports the
+    // victim's offset — never a record the writer did not write.
+    let room = [0u8; 64];
+    for cut in 0..mid.len() {
+        let data = [&head[..], &mid[..cut], &room[..]].concat();
+        let (seen, err) = read(&data);
+        assert_eq!(seen, std::slice::from_ref(&before), "room, cut at {cut}");
+        assert!(err.is_none(), "room, cut at {cut}: {err:?}");
+    }
+    for bit in 0..mid.len() * 8 {
+        let mut bad = mid.clone();
+        bad[bit / 8] ^= 1 << (bit % 8);
+        let data = [&head[..], &bad[..], &room[..]].concat();
+        let (seen, err) = read(&data);
+        assert_eq!(seen, std::slice::from_ref(&before), "room, bit {bit}");
+        match err {
+            None => {}
+            Some(StorageError::WalCorrupt { offset, .. }) => {
+                assert_eq!(offset, head.len() as u64, "room, bit {bit}");
+            }
+            Some(other) => panic!("room, bit {bit}: untyped {other:?}"),
+        }
+    }
+    // And every bit of the room behind an intact frame: the log holds
+    // both frames, then ends cleanly or reports damage typed.
+    let intact = [&head[..], &mid[..], &room[..]].concat();
+    for bit in (head.len() + mid.len()) * 8..intact.len() * 8 {
+        let mut data = intact.clone();
+        data[bit / 8] ^= 1 << (bit % 8);
+        let (seen, err) = read(&data);
+        assert_eq!(seen.len(), 2, "room bit {bit}");
+        assert!(
+            matches!(err, None | Some(StorageError::WalCorrupt { .. })),
+            "room bit {bit}: {err:?}"
+        );
     }
     // The decoder on its own, as if the CRC had been recomputed over the
     // damage: any answer but a panic or a runaway allocation. A row that
@@ -627,7 +665,6 @@ fn wal_corrupt_names_the_offending_frames_offset() {
         })
         .unwrap();
     }
-    wal.sync().unwrap();
     drop(wal);
     let data = std::fs::read(&path).unwrap();
     // Frame starts: the format frame, then the five.
