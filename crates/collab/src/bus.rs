@@ -8,8 +8,9 @@
 //! editor's commit before the document's lock is let go. What remains is
 //! the push to the far end of a wire, and that is a publish hook:
 //! [`LanBus::publish`] hands each event to every registered hook on the
-//! publishing thread (`tendax-net` encodes it once and queues it for each
-//! TCP subscriber, under that crate's slow-consumer policy).
+//! publishing thread, a document's events in commit order (its outbox,
+//! [`crate::live`]); `tendax-net` encodes each once and queues it for
+//! every TCP subscriber, under that crate's slow-consumer policy.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -92,13 +93,14 @@ impl LanBus {
         }
     }
 
-    /// Register a callback handed every published event (any document),
-    /// on the publishing thread, before `publish` returns and with no
-    /// bus-wide lock held — so a hook may take its time encoding and
-    /// pushing, and two documents' publishers never wait on each other
-    /// inside it. This is how `tendax-net` fans a commit out to its TCP
-    /// subscribers without a thread in between. The callback must not
-    /// block on a consumer; returning `false` deregisters it.
+    /// Register a callback handed every published event (any document;
+    /// one document's in commit order), on the publishing thread, before
+    /// `publish` returns and with no lock held — so a hook may take its
+    /// time encoding and pushing, and two documents' publishers never
+    /// wait on each other inside it: `tendax-net` fans a commit out to its
+    /// TCP subscribers so. The callback must not block on a consumer, nor
+    /// panic (its document's later events wait for the publication to
+    /// end); returning `false` deregisters it.
     pub fn register_publish_hook(&self, hook: PublishHook) {
         Arc::make_mut(&mut self.hooks.0.lock()).push(Arc::new(hook));
     }

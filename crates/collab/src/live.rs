@@ -19,8 +19,7 @@
 //!   the moment it is made. The lock is released once the commit is
 //!   *visible*; the wait for the disk comes after, so typists on one
 //!   document still share a group-commit flush;
-//! * publishing a commit feeds the wire (the bus's hooks), never a copy:
-//!   the order events are published in does not matter here;
+//! * publishing a commit feeds the wire (the bus's hooks), never a copy;
 //! * a snapshot is an encode of the chain under the lock — no database
 //!   read.
 //!
@@ -50,14 +49,26 @@
 //! editors' own commits never look like a bypass. Otherwise a bypass
 //! commit landed while the try ran, and the copy is rebuilt.
 //!
+//! ## One order per document
+//!
+//! A commit posts its event in the document's outbox under the
+//! document's lock — so in commit order — and hands its editor a
+//! [`Ticket`]. The editor resolves it once the commit is durable (a
+//! network edit once its reply is queued, too), or withdraws it if the
+//! commit never became durable. Whoever resolves a ticket publishes the
+//! outbox's resolved prefix, in order, unless a publication is running:
+//! that one finds the entry before it stops. No publisher waits for
+//! another, and no lock is held across a publication. A ticket dropped
+//! unresolved (a cut, an early return, an unwind) publishes its event.
+//!
 //! Lock order: no registry lock is held while a document's lock is
-//! taken; a document's lock comes before the database's, and a move takes
-//! its two documents' locks in [`DocId`] order. The lock is not
-//! reentrant: a thread that holds it — inside an edit, or through a
-//! [`DocView`] — must not take it again through another editor of the
-//! same document.
+//! taken; a document's lock comes before the database's and its
+//! outbox's, and a move takes its two documents' locks in [`DocId`]
+//! order. The lock is not reentrant: a thread that holds it — inside an
+//! edit, or through a [`DocView`] — must not take it again through
+//! another editor of the same document.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -68,7 +79,7 @@ use tendax_text::{
     Clip, DocHandle, DocId, EditReceipt, Permission, Result, StyleId, TextDb, TextError, UserId,
 };
 
-use crate::bus::{DocEvent, SessionId};
+use crate::bus::{DocEvent, LanBus, SessionId};
 use crate::server::CollabServer;
 use crate::session::EditorStats;
 
@@ -91,11 +102,113 @@ pub struct LiveStats {
 }
 
 /// A document's lock and, under it, its copy: loaded while any editor
-/// holds the slot, taken out by the last one to let go.
+/// holds the slot, taken out by the last one to let go. Beside them, the
+/// document's outbox: its events in commit order, each until its editor
+/// resolves it (see "One order per document" in the module docs).
 #[derive(Debug)]
 struct Slot {
     doc: DocId,
     copy: Mutex<Option<DocHandle>>,
+    bus: LanBus,
+    outbox: Mutex<Outbox>,
+}
+
+#[derive(Debug, Default)]
+struct Outbox {
+    /// The ticket number of `entries[0]`.
+    first: u64,
+    entries: VecDeque<Posting>,
+    /// A thread is publishing the resolved prefix.
+    draining: bool,
+}
+
+#[derive(Debug)]
+enum Posting {
+    /// Committed; its editor has not resolved it yet.
+    Waiting(Arc<DocEvent>),
+    /// To be published, or (`None`) withdrawn.
+    Resolved(Option<Arc<DocEvent>>),
+}
+
+impl Slot {
+    /// Append `event` to the outbox, under the document's lock; returns
+    /// its ticket number.
+    fn post(&self, event: DocEvent) -> u64 {
+        let mut outbox = self.outbox.lock();
+        outbox.entries.push_back(Posting::Waiting(Arc::new(event)));
+        outbox.first + outbox.entries.len() as u64 - 1
+    }
+
+    /// Resolve entry `n`: to be published if `send`, else withdrawn. An
+    /// entry resolved already, or published, is left as it is.
+    fn resolve(&self, n: u64, send: bool) {
+        let mut outbox = self.outbox.lock();
+        let Some(i) = n.checked_sub(outbox.first).map(|i| i as usize) else {
+            return;
+        };
+        if let Some(Posting::Waiting(event)) = outbox.entries.get(i) {
+            let event = send.then(|| Arc::clone(event));
+            outbox.entries[i] = Posting::Resolved(event);
+        }
+    }
+
+    /// Publish the resolved prefix in order, unless another thread is
+    /// publishing it: that one looks at the head again before it stops.
+    fn drain(&self) {
+        let mut outbox = self.outbox.lock();
+        if std::mem::replace(&mut outbox.draining, true) {
+            return;
+        }
+        while let Some(Posting::Resolved(_)) = outbox.entries.front() {
+            outbox.first += 1;
+            if let Some(Posting::Resolved(Some(event))) = outbox.entries.pop_front() {
+                drop(outbox);
+                self.bus.publish(event);
+                outbox = self.outbox.lock();
+            }
+        }
+        outbox.draining = false;
+    }
+}
+
+/// A committed edit's place in its document's outbox: the edit's event
+/// leaves once the ticket is resolved and every event committed before it
+/// has left or been withdrawn. [`Ticket::publish`], or a drop, resolves
+/// it and publishes what is due; an edit that changed no character has an
+/// empty ticket.
+#[derive(Debug, Default)]
+pub struct Ticket(Option<(Arc<Slot>, u64)>);
+
+impl Ticket {
+    /// Let the event go once the events before it have, without
+    /// publishing anything now: the next publication of the document —
+    /// this ticket's, or another editor's — carries it.
+    pub fn ready(&self) {
+        if let Some((slot, n)) = &self.0 {
+            slot.resolve(*n, true);
+        }
+    }
+
+    /// Resolve the ticket and publish what is due.
+    pub fn publish(self) {}
+
+    /// The commit never became durable: its event is never sent.
+    fn withdraw(mut self) {
+        self.close(false);
+    }
+
+    fn close(&mut self, send: bool) {
+        if let Some((slot, n)) = self.0.take() {
+            slot.resolve(n, send);
+            slot.drain();
+        }
+    }
+}
+
+impl Drop for Ticket {
+    fn drop(&mut self) {
+        self.close(true);
+    }
 }
 
 #[derive(Debug)]
@@ -108,6 +221,8 @@ struct Entry {
 #[derive(Debug)]
 pub struct LiveDocs {
     tdb: TextDb,
+    /// The bus the documents' events are published on.
+    pub(crate) bus: LanBus,
     docs: RwLock<HashMap<DocId, Entry>>,
     documents: AtomicUsize,
     loads: AtomicU64,
@@ -124,6 +239,7 @@ impl LiveDocs {
     pub(crate) fn new(tdb: TextDb) -> Self {
         LiveDocs {
             tdb,
+            bus: LanBus::new(),
             docs: RwLock::default(),
             documents: AtomicUsize::new(0),
             loads: AtomicU64::new(0),
@@ -148,6 +264,8 @@ impl LiveDocs {
                 slot: Arc::new(Slot {
                     doc,
                     copy: Mutex::default(),
+                    bus: self.bus.clone(),
+                    outbox: Mutex::default(),
                 }),
                 editors: 0,
             });
@@ -280,9 +398,9 @@ impl Deref for DocView<'_> {
     }
 }
 
-/// A committed edit: its receipt, and the broadcast its editor owes to
-/// [`LiveEditor::publish`].
-pub type Published = (EditReceipt, Option<DocEvent>);
+/// A committed edit: its receipt, and the ticket of its event, which its
+/// editor owes to [`LiveEditor::publish`].
+pub type Published = (EditReceipt, Ticket);
 
 /// What an edit through a live document returns.
 pub type Committed = Result<Published>;
@@ -290,7 +408,7 @@ pub type Committed = Result<Published>;
 /// One session's hold on a live document: the server-side editor of a
 /// network connection, and the core of an in-process
 /// [`crate::EditorDoc`]. Every edit commits on the live copy in this
-/// editor's name and hands back its broadcast, which the caller
+/// editor's name and hands back the ticket of its event, which the caller
 /// publishes when it sees fit. `insert` and `delete` clamp their
 /// positions (a network client's are advisory); the other edits refuse
 /// one beyond the document, as the text layer does. Dropping the editor
@@ -450,7 +568,7 @@ impl LiveEditor {
 
     /// Move text into `dst`'s document in one transaction, under both
     /// documents' locks. Returns each half: this editor owes the
-    /// deletion's broadcast, `dst` the insertion's.
+    /// deletion's event, `dst` the insertion's.
     pub fn move_text(
         &self,
         pos: usize,
@@ -458,7 +576,7 @@ impl LiveEditor {
         dst: &LiveEditor,
         dst_pos: usize,
     ) -> Result<(Published, Published)> {
-        let (del, ins) = self.commit(
+        let ((del, ins), [moved_out, moved_in]) = self.commit(
             Some(dst),
             |src, to| match to {
                 Some(to) => src.move_to(pos, len, to, dst_pos),
@@ -471,11 +589,10 @@ impl LiveEditor {
                     Ok(done)
                 }
             },
-            |(del, ins)| [changed(del), changed(ins)],
+            |(del, ins)| [Some(del), Some(ins)],
+            ["delete", "paste"],
         )?;
         dst.ops.fetch_add(1, Ordering::Relaxed);
-        let moved_out = self.event("delete", &del);
-        let moved_in = dst.event("paste", &ins);
         Ok(((del, moved_out), (ins, moved_in)))
     }
 
@@ -487,11 +604,14 @@ impl LiveEditor {
         &self,
         kind: &str,
         mut f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
-    ) -> Result<(T, EditReceipt, Option<DocEvent>)> {
-        let (value, receipt) =
-            self.commit(None, |h, _| f(h), |(_, receipt)| [changed(receipt), None])?;
-        let event = self.event(kind, &receipt);
-        Ok((value, receipt, event))
+    ) -> Result<(T, EditReceipt, Ticket)> {
+        let ((value, receipt), [ticket, _]) = self.commit(
+            None,
+            |h, _| f(h),
+            |(_, receipt)| [Some(receipt), None],
+            [kind, ""],
+        )?;
+        Ok((value, receipt, ticket))
     }
 
     /// [`LiveEditor::with_handle`] of an operation that returns nothing
@@ -501,26 +621,32 @@ impl LiveEditor {
         kind: &str,
         mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
     ) -> Committed {
-        let ((), receipt, event) = self.with_handle(kind, |h| Ok(((), f(h)?)))?;
-        Ok((receipt, event))
+        let ((), receipt, ticket) = self.with_handle(kind, |h| Ok(((), f(h)?)))?;
+        Ok((receipt, ticket))
     }
 
     /// [`LiveEditor::edit`] of an operation that hands back its wait for
     /// the disk: the wait comes after the document's lock is released, so
-    /// the typists queued behind it share a group-commit flush.
+    /// the typists queued behind it share a group-commit flush. A commit
+    /// whose wait fails is not durable: its event is withdrawn.
     pub(crate) fn edit_deferred(
         &self,
         kind: &str,
         mut f: impl FnMut(&mut DocHandle) -> Result<(EditReceipt, Durability)>,
     ) -> Committed {
         let mut durability = Durability::none();
-        let done = self.edit(kind, |h| {
+        let (receipt, ticket) = self.edit(kind, |h| {
             let (receipt, owed) = f(h)?;
             durability = owed;
             Ok(receipt)
-        });
-        durability.wait()?;
-        done
+        })?;
+        match durability.wait() {
+            Ok(()) => Ok((receipt, ticket)),
+            Err(e) => {
+                ticket.withdraw();
+                Err(e.into())
+            }
+        }
     }
 
     /// The one way an edit reaches a document: tries of `attempt` on the
@@ -528,14 +654,17 @@ impl LiveEditor {
     /// name — under the documents' locks, taken in [`DocId`] order. The
     /// copies are caught up before the first try; a try that fails
     /// retryably rebuilds them before the next, and one that succeeds
-    /// settles them after it: `commits` names its commit on each copy's
-    /// document, if it changed characters there.
+    /// settles them after it and, still under the locks, posts the event
+    /// of each receipt `receipts` names — this editor's, then `dst`'s —
+    /// that changed characters, as `kinds` says, in its document's outbox.
     fn commit<T>(
         &self,
         dst: Option<&LiveEditor>,
         mut attempt: impl FnMut(&mut DocHandle, Option<&mut DocHandle>) -> Result<T>,
-        commits: impl Fn(&T) -> [Option<Ts>; 2],
-    ) -> Result<T> {
+        receipts: impl Fn(&T) -> [Option<&EditReceipt>; 2],
+        kinds: [&str; 2],
+    ) -> Result<(T, [Ticket; 2])> {
+        let editors = [Some(self), dst];
         let dst = dst.filter(|d| d.doc() != self.doc());
         let (mut own, mut theirs) = match dst {
             Some(d) if d.doc() < self.doc() => {
@@ -564,13 +693,18 @@ impl LiveEditor {
             let before = (copy.synced_ts(), other.as_deref().map(DocHandle::synced_ts));
             match attempt(copy, other) {
                 Ok(done) => {
-                    let [mine, dst] = commits(&done);
+                    let changed = receipts(&done).map(|r| r.filter(|r| !r.effects.is_empty()));
+                    let [mine, dst] = changed.map(|r| r.map(|r| r.commit_ts));
                     docs.settle(loaded(&mut own), before.0, mine);
                     if let (Some(other), Some(at)) = (theirs.as_deref_mut(), before.1) {
                         docs.settle(loaded(other), at, dst);
                     }
                     self.ops.fetch_add(1, Ordering::Relaxed);
-                    return Ok(done);
+                    let tickets = [0, 1].map(|i| match (editors[i], changed[i]) {
+                        (Some(editor), Some(receipt)) => editor.post(kinds[i], receipt),
+                        _ => Ticket::default(),
+                    });
+                    return Ok((done, tickets));
                 }
                 Err(e) if e.is_retryable() => last = Some(e),
                 Err(e) => return Err(e),
@@ -582,10 +716,10 @@ impl LiveEditor {
         })
     }
 
-    /// The broadcast of a committed edit; none if it changed no
-    /// character.
-    fn event(&self, kind: &str, receipt: &EditReceipt) -> Option<DocEvent> {
-        (!receipt.effects.is_empty()).then(|| DocEvent {
+    /// Post the event of `receipt`, this editor's commit, in the
+    /// document's outbox: under the document's lock, so in commit order.
+    fn post(&self, kind: &str, receipt: &EditReceipt) -> Ticket {
+        let n = self.slot.post(DocEvent {
             doc: self.doc(),
             op: receipt.op,
             commit_ts: receipt.commit_ts,
@@ -593,7 +727,8 @@ impl LiveEditor {
             origin: self.session,
             kind: kind.to_owned(),
             effects: receipt.effects.clone(),
-        })
+        });
+        Ticket(Some((Arc::clone(&self.slot), n)))
     }
 
     fn moved_cursor(&self, cursor: usize) {
@@ -601,16 +736,15 @@ impl LiveEditor {
             .presence_update(self.session, |p| p.cursor = Some(cursor));
     }
 
-    /// Broadcast a committed edit to the document's other editors.
-    pub fn publish(&self, event: Option<DocEvent>) {
-        self.server.publish(self.session, event);
+    /// Send a committed edit's event to the document's other editors,
+    /// after every event committed before it.
+    pub fn publish(&self, ticket: Ticket) {
+        if ticket.0.is_some() {
+            // `presence_update` stamps last_active for us.
+            self.server.presence_update(self.session, |_| {});
+        }
+        ticket.publish();
     }
-}
-
-/// The commit of `receipt`, if it changed characters: every effect is a
-/// character row the commit wrote.
-fn changed(receipt: &EditReceipt) -> Option<Ts> {
-    (!receipt.effects.is_empty()).then_some(receipt.commit_ts)
 }
 
 impl Drop for LiveEditor {
@@ -642,11 +776,25 @@ mod tests {
             .expect("live")
     }
 
+    /// Every event the server's bus publishes, from now on.
+    fn captured(server: &CollabServer) -> Arc<Mutex<Vec<Arc<DocEvent>>>> {
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&events);
+        server
+            .transport()
+            .register_publish_hook(Box::new(move |ev| {
+                log.lock().push(Arc::clone(ev));
+                true
+            }));
+        events
+    }
+
     /// One handle, many authors: each edit is checked, attributed and
     /// broadcast in the name of the editor that made it.
     #[test]
     fn editors_sharing_a_live_document_commit_in_their_own_names() {
         let (server, doc) = served();
+        let events = captured(&server);
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
         let (a, _) = sa.open_live(doc, |_| ()).unwrap();
@@ -656,13 +804,16 @@ mod tests {
         let (_, typed) = a.insert(0, "alice").unwrap();
         // Past the end: clamped, not refused.
         let (_, added) = b.insert(99, " & bob").unwrap();
-        let (typed, added) = (typed.unwrap(), added.unwrap());
+        // The echoes change nothing: both edits ran on the copy.
+        a.publish(typed);
+        b.publish(added);
+        assert_eq!(live_text(&server, doc), "alice & bob");
+        let events = events.lock();
+        let [typed, added] = &events[..] else {
+            panic!("two events: {:?}", *events);
+        };
         assert_eq!((typed.origin, typed.user), (sa.id(), sa.user()));
         assert_eq!((added.origin, added.user), (sb.id(), sb.user()));
-        // The echoes change nothing: both edits ran on the copy.
-        a.publish(Some(typed));
-        b.publish(Some(added.clone()));
-        assert_eq!(live_text(&server, doc), "alice & bob");
 
         let fresh = server.textdb().load(doc, UserId::NONE).unwrap();
         let authors: Vec<UserId> = (0..fresh.len())
@@ -690,9 +841,13 @@ mod tests {
     }
 
     /// Two in-process editors publish in the opposite order of their
-    /// commits: the first one's event is parked by a publish hook while
-    /// the second commits and publishes. Publication feeds no live copy, so
-    /// the copy has both in commit order and was never rebuilt.
+    /// commits: the first one's publication is parked in a publish hook
+    /// while the second commits and publishes. The second call returns
+    /// without waiting for the parked one, and its event waits behind the
+    /// parked one's; once released, both leave in commit order. Publication
+    /// feeds no live copy, so the copy has both in commit order and was
+    /// never rebuilt. (A publisher that waited for a running publication
+    /// would deadlock here.)
     #[test]
     fn publication_out_of_commit_order_leaves_the_live_copy_alone() {
         use std::sync::atomic::AtomicBool;
@@ -708,9 +863,12 @@ mod tests {
         let (release, released) = mpsc::channel::<()>();
         let (parked_tx, released) = (Mutex::new(parked_tx), Mutex::new(released));
         let armed = AtomicBool::new(true);
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&seen);
         server
             .transport()
             .register_publish_hook(Box::new(move |ev| {
+                log.lock().push(ev.commit_ts);
                 if armed.swap(false, Ordering::SeqCst) {
                     parked_tx.lock().send(ev.commit_ts).unwrap();
                     let _ = released.lock().recv();
@@ -721,12 +879,43 @@ mod tests {
         let first = std::thread::spawn(move || ea.type_text(0, "a").unwrap());
         let parked_ts = parked.recv().unwrap();
         let second = eb.type_text(0, "b").unwrap();
+        assert_eq!(*seen.lock(), [parked_ts], "the later event left first");
         release.send(()).unwrap();
         let first = first.join().unwrap();
         assert!(first.commit_ts == parked_ts && parked_ts < second.commit_ts);
+        assert_eq!(*seen.lock(), [first.commit_ts, second.commit_ts]);
 
         live_equals_a_fresh_load(&server, doc);
         assert_eq!(server.live().stats().loads, 1);
+    }
+
+    /// An event leaves only after every event committed before it has left
+    /// or been withdrawn: the second commit's ticket, resolved first,
+    /// publishes nothing while the first's is unresolved; resolving the
+    /// first publishes both, in commit order. A withdrawn event is never
+    /// sent and holds nothing back.
+    #[test]
+    fn an_event_waits_for_the_commits_before_it() {
+        let (server, doc) = served();
+        let events = captured(&server);
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let sb = server.connect("bob", Platform::MacOsX).unwrap();
+        let (a, _) = sa.open_live(doc, |_| ()).unwrap();
+        let (b, _) = sb.open_live(doc, |_| ()).unwrap();
+        let sent = || -> Vec<Ts> { events.lock().iter().map(|ev| ev.commit_ts).collect() };
+
+        let (first, first_ticket) = a.insert(0, "a").unwrap();
+        let (second, second_ticket) = b.insert(0, "b").unwrap();
+        b.publish(second_ticket);
+        assert!(sent().is_empty(), "{:?}", sent());
+        a.publish(first_ticket);
+        assert_eq!(sent(), [first.commit_ts, second.commit_ts]);
+
+        let (_, withdrawn) = a.insert(0, "c").unwrap();
+        let (third, third_ticket) = b.insert(0, "d").unwrap();
+        b.publish(third_ticket);
+        withdrawn.withdraw();
+        assert_eq!(sent(), [first.commit_ts, second.commit_ts, third.commit_ts]);
     }
 
     /// A commit that bypasses the editors (a raw handle) is not in the

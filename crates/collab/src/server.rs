@@ -9,7 +9,7 @@ use tendax_storage::MaintenanceOptions;
 use tendax_text::{DocId, Result, TextDb};
 
 use crate::awareness::{AwarenessRegistry, Platform, Presence};
-use crate::bus::{DocEvent, LanBus, SessionId};
+use crate::bus::{LanBus, SessionId};
 use crate::live::LiveDocs;
 use crate::session::EditorSession;
 
@@ -17,12 +17,12 @@ use crate::session::EditorSession;
 ///
 /// Owns the shared [`TextDb`], the one copy of each open document that
 /// every editor reads and edits ([`crate::live`]), the [`LanBus`] whose
-/// hooks committed operations are published to, and the
+/// hooks committed operations are published to — each document's in
+/// commit order, from its outbox — and the
 /// [`AwarenessRegistry`]. Cheap to clone; every editor session holds one.
 #[derive(Debug, Clone)]
 pub struct CollabServer {
     tdb: TextDb,
-    bus: LanBus,
     awareness: AwarenessRegistry,
     next_session: Arc<AtomicU64>,
     live: Arc<LiveDocs>,
@@ -36,7 +36,6 @@ impl CollabServer {
         CollabServer {
             live: Arc::new(LiveDocs::new(tdb.clone())),
             tdb,
-            bus: LanBus::new(),
             awareness: AwarenessRegistry::new(),
             next_session: Arc::new(AtomicU64::new(1)),
             retries: Arc::new(Mutex::new(BTreeMap::new())),
@@ -58,7 +57,7 @@ impl CollabServer {
 
     /// The bus committed operations are published on.
     pub fn transport(&self) -> &LanBus {
-        &self.bus
+        &self.live.bus
     }
 
     pub fn awareness(&self) -> &AwarenessRegistry {
@@ -75,16 +74,6 @@ impl CollabServer {
     /// therefore idle pruning) can't miss an update site.
     pub fn presence_update(&self, session: SessionId, f: impl FnOnce(&mut Presence)) {
         self.awareness.update(session, self.tdb.now(), f);
-    }
-
-    /// Publish `session`'s committed operation (if it changed any
-    /// character) to the bus's hooks — the wire. The document's copy has
-    /// it already: the edit ran on it ([`crate::live`]).
-    pub(crate) fn publish(&self, session: SessionId, event: Option<DocEvent>) {
-        let Some(event) = event else { return };
-        self.bus.publish(Arc::new(event));
-        // `presence_update` stamps last_active for us.
-        self.presence_update(session, |_| {});
     }
 
     /// `session` closed `doc`. (The focus may have moved to a document

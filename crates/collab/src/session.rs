@@ -323,15 +323,15 @@ impl EditorDoc {
         kind: &str,
         f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
     ) -> Result<(T, EditReceipt)> {
-        let (value, receipt, event) = self.live.with_handle(kind, f)?;
-        self.live.publish(event);
+        let (value, receipt, ticket) = self.live.with_handle(kind, f)?;
+        self.live.publish(ticket);
         Ok((value, receipt))
     }
 
     /// Publish a committed edit; hand back its receipt.
     fn published(&self, done: Committed) -> Result<EditReceipt> {
-        let (receipt, event) = done?;
-        self.live.publish(event);
+        let (receipt, ticket) = done?;
+        self.live.publish(ticket);
         Ok(receipt)
     }
 }

@@ -153,7 +153,8 @@ impl ClientCore {
             Ok(Frame::Event(ev)) => {
                 self.events_seen += 1;
                 if let Some(m) = self.mirrors.get_mut(&ev.doc) {
-                    m.apply_event(ev);
+                    // One that does not fit flags the mirror for a resync.
+                    let _ = m.apply_event(ev);
                 }
                 return Vec::new();
             }
@@ -432,17 +433,16 @@ impl NetClient {
         self.with_mirror(doc, MirrorDoc::text)
     }
 
-    /// Commit-timestamp frontier of the mirror.
+    /// The mirror's frontier: it holds every commit of the document at or
+    /// below this timestamp, and none above.
     pub fn synced_ts(&self, doc: u64) -> Option<u64> {
         self.with_mirror(doc, MirrorDoc::synced_ts)
     }
 
-    /// Mirror internals for diagnostics: `(synced_ts, buffered,
-    /// needs_resync, applied)`.
-    pub fn mirror_status(&self, doc: u64) -> Option<(u64, usize, bool, u64)> {
-        self.with_mirror(doc, |m| {
-            (m.synced_ts(), m.buffered(), m.needs_resync(), m.applied())
-        })
+    /// Mirror internals for diagnostics: `(synced_ts, needs_resync,
+    /// applied)`.
+    pub fn mirror_status(&self, doc: u64) -> Option<(u64, bool, u64)> {
+        self.with_mirror(doc, |m| (m.synced_ts(), m.needs_resync(), m.applied()))
     }
 
     /// Whether the mirror has flagged itself for resync.
@@ -457,8 +457,9 @@ impl NetClient {
             .map(drop)
     }
 
-    /// Block until the mirror's frontier reaches `ts` (or timeout).
-    /// Returns `true` on success.
+    /// Block until the mirror's frontier reaches `ts` (or timeout),
+    /// resyncing a mirror that flagged itself: then it holds every commit
+    /// of the document at or below `ts`. Returns `true` on success.
     pub fn wait_synced(&self, doc: u64, ts: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.state.lock();

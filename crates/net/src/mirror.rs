@@ -28,48 +28,28 @@
 //!
 //! ## Ordering
 //!
-//! Events are published to the transport *after* their transaction
-//! commits, outside the commit lock, so two concurrent editors can put
-//! their events on the wire out of commit-timestamp order. Applying
-//! commits in ascending `commit_ts`, and an event's effects in order, the
-//! server puts every insert right after its anchor. The mirror reaches the
-//! same chain from any arrival order with the RGA rule, `commit_ts` as the
-//! precedence:
+//! The server publishes a document's events in commit order, and a
+//! stream carries them strictly above its snapshot's frontier, so the
+//! mirror applies each event as it arrives, its effects in order, as the
+//! server did. Every character the mirror holds committed before the
+//! event, so an insert is the newest child of its anchor and goes right
+//! after it, as the server's chain has it. Deletes, undeletes and
+//! restyles set the character as they say.
 //!
-//! * start at the anchor's successor, or at the head;
-//! * step past every character that committed later than the new one;
-//! * link the new character in front of the first one that did not.
-//!
-//! The walk needs no positions because a character commits no earlier
-//! than its anchor: commit timestamps never fall along an anchor edge.
-//! Everything in a newer sibling's subtree committed later than the new
-//! character and is stepped past. The first character that did not is an
-//! older sibling, one inserted earlier by the same event, or lies beyond
-//! the anchor's subtree; either way the new character goes in front of it.
-//! No id is compared, so the rule holds whatever order the server
-//! allocates ids in. Characters loaded from a snapshot carry commit 0:
-//! they committed at or below the snapshot, and events at or below it are
-//! skipped, so they are older than anything applied on top and stop the
-//! walk.
-//!
-//! An event waits in a buffer until every character it names exists.
-//! Deletes, undeletes and restyles are last-writer-wins on the
-//! character, guarded by the commit timestamp. When the buffer grows
-//! past a bound the mirror gives up and flags itself for a resync — the
-//! client then requests a fresh `Snapshot`.
+//! An event at or below `synced_ts` — a duplicate, or one the snapshot
+//! holds — is skipped, so `synced_ts` is a frontier: the mirror holds
+//! every commit of its document at or below it, and none above. An event
+//! that names a character the mirror lacks, or inserts one it has, cannot
+//! come from such a stream: it is a protocol error, and the mirror flags
+//! itself for a resync — the client then requests a fresh `Snapshot`.
 
 use std::collections::hash_map::RandomState;
-use std::collections::BTreeMap;
 use std::hash::BuildHasher;
 
 use tendax_text::Effect;
 
 use crate::error::{NetError, Result};
 use crate::protocol::{SnapshotReader, SnapshotRun, WireChar, WireEvent, TAG_SNAPSHOT};
-
-/// Buffered events past this many force a resync instead of waiting for
-/// dependencies that will likely never arrive.
-const MAX_BUFFERED: usize = 64;
 
 /// Slots in a page.
 const PAGE: usize = 256;
@@ -78,16 +58,10 @@ const PAGE: usize = 256;
 /// chain's head, an empty bucket of the id index.
 const NIL: u32 = u32::MAX;
 
-/// One character of the replica plus the integration metadata.
+/// One character of the replica and its successor's slot.
 #[derive(Debug)]
 struct Slot {
     id: u64,
-    /// Commit timestamp of the insert (0 for snapshot-loaded chars).
-    ts: u64,
-    /// Commit timestamp of the last applied delete/undelete.
-    flag_ts: u64,
-    /// Commit timestamp of the last applied restyle.
-    style_ts: u64,
     style: u64,
     /// The next character's slot in chain order.
     next: u32,
@@ -95,7 +69,7 @@ struct Slot {
     deleted: bool,
 }
 
-const _: () = assert!(std::mem::size_of::<Slot>() == 56);
+const _: () = assert!(std::mem::size_of::<Slot>() == 32);
 
 impl Slot {
     fn wire(&self) -> WireChar {
@@ -131,7 +105,7 @@ impl Slots {
 
     /// The next slot's number.
     fn next_slot(&self) -> u32 {
-        // A slot is 56 bytes: 2^32 of them do not fit in memory.
+        // A slot is 32 bytes: 2^32 of them do not fit in memory.
         u32::try_from(self.len()).expect("fewer than 2^32 slots")
     }
 
@@ -164,9 +138,6 @@ impl Slots {
             page.extend(text.by_ref().take(k).map(|ch| {
                 let slot = Slot {
                     id,
-                    ts: 0,
-                    flag_ts: 0,
-                    style_ts: 0,
                     style: run.style,
                     next: s + 1,
                     ch,
@@ -327,13 +298,9 @@ pub struct MirrorDoc {
     index: IdIndex,
     /// Characters not deleted.
     visible: usize,
-    /// Commit timestamp of the last loaded snapshot: events at or below
-    /// are already reflected and silently skipped.
-    baseline: u64,
-    /// Highest commit timestamp reflected in the replica.
+    /// The frontier: every commit of the document at or below it is in
+    /// the replica, and none above. Events at or below it are skipped.
     synced_ts: u64,
-    /// Events waiting for their dependencies, keyed by (commit_ts, op).
-    buffered: BTreeMap<(u64, u64), WireEvent>,
     needs_resync: bool,
     /// Events applied since construction (for stats/tests).
     applied: u64,
@@ -392,9 +359,7 @@ impl MirrorDoc {
             loaded: Extents(Vec::with_capacity(runs.len())),
             index: IdIndex::new(),
             visible: 0,
-            baseline: synced_ts,
             synced_ts,
-            buffered: BTreeMap::new(),
             needs_resync: false,
             applied: 0,
         };
@@ -421,6 +386,8 @@ impl MirrorDoc {
         self.doc
     }
 
+    /// The frontier: every commit of the document at or below it is in
+    /// the replica, and none above.
     pub fn synced_ts(&self) -> u64 {
         self.synced_ts
     }
@@ -431,10 +398,6 @@ impl MirrorDoc {
 
     pub fn applied(&self) -> u64 {
         self.applied
-    }
-
-    pub fn buffered(&self) -> usize {
-        self.buffered.len()
     }
 
     /// The full chain in order, tombstones included, as a snapshot of the
@@ -460,119 +423,79 @@ impl MirrorDoc {
 
     /// Replace the replica's contents with those of `fresh`, a replica
     /// just built from a snapshot of the same document (subscribe again
-    /// or resync); events buffered here that the snapshot does not cover
-    /// are kept.
+    /// or resync).
     pub fn reload(&mut self, fresh: MirrorDoc) {
-        self.slots = fresh.slots;
-        self.head = fresh.head;
-        self.loaded = fresh.loaded;
-        self.index = fresh.index;
-        self.visible = fresh.visible;
-        self.baseline = fresh.synced_ts;
-        self.synced_ts = fresh.synced_ts;
-        self.needs_resync = false;
-        // Anything the snapshot already covers is obsolete; newer events
-        // may now be applicable.
-        self.buffered.retain(|(ts, _), _| *ts > fresh.synced_ts);
-        self.drain();
+        let applied = self.applied;
+        *self = fresh;
+        self.applied = applied;
     }
 
-    /// Ingest one committed event. Returns `true` if the mirror advanced
-    /// (the event or previously buffered ones were applied).
-    pub fn apply_event(&mut self, ev: WireEvent) -> bool {
-        if self.needs_resync {
-            return false;
+    /// Ingest one committed event. `Ok(true)` if it was applied,
+    /// `Ok(false)` if it was skipped: at or below `synced_ts`, or while the
+    /// mirror waits for a resync. An event that names a character the
+    /// mirror lacks, or inserts one it has, is an error, and the mirror
+    /// flags itself for a resync.
+    pub fn apply_event(&mut self, ev: WireEvent) -> Result<bool> {
+        if self.needs_resync || ev.commit_ts <= self.synced_ts {
+            return Ok(false);
         }
-        if ev.commit_ts <= self.baseline {
-            // Already covered by the snapshot.
-            return false;
-        }
-        if self.buffered.is_empty() && self.applicable(&ev) {
-            self.apply(&ev);
-            return true;
-        }
-        self.buffered.insert((ev.commit_ts, ev.op), ev);
-        let advanced = self.drain();
-        if self.buffered.len() > MAX_BUFFERED {
-            self.needs_resync = true;
-        }
-        advanced
-    }
-
-    /// Apply buffered events in commit order while their dependencies
-    /// are satisfied.
-    fn drain(&mut self) -> bool {
-        let mut advanced = false;
-        while let Some((_, ev)) = self.buffered.first_key_value() {
-            if !self.applicable(ev) {
-                break;
-            }
-            let (_, ev) = self
-                .buffered
-                .pop_first()
-                .expect("a first entry was just seen");
-            self.apply(&ev);
-            advanced = true;
-        }
-        advanced
-    }
-
-    fn apply(&mut self, ev: &WireEvent) {
         for e in &ev.effects {
-            self.apply_effect(e, ev.commit_ts);
-        }
-        self.synced_ts = self.synced_ts.max(ev.commit_ts);
-        self.applied += 1;
-    }
-
-    /// All referenced characters exist, or are introduced earlier in the
-    /// same event.
-    fn applicable(&self, ev: &WireEvent) -> bool {
-        ev.effects.iter().enumerate().all(|(i, e)| {
-            let known = |id: u64| self.slot_of(id).is_some() || inserts(&ev.effects[..i], id);
-            match e {
-                Effect::Insert { prev, .. } => prev.is_none_or(|p| known(p.0)),
-                Effect::Delete { char, .. }
-                | Effect::Undelete { char }
-                | Effect::SetStyle { char, .. } => known(char.0),
+            if let Err(id) = self.apply_effect(e) {
+                self.needs_resync = true;
+                return Err(NetError::Protocol(format!(
+                    "the event of commit {} on document {} does not fit character {id}",
+                    ev.commit_ts, self.doc
+                )));
             }
-        })
+        }
+        self.synced_ts = ev.commit_ts;
+        self.applied += 1;
+        Ok(true)
     }
 
-    /// Place a newly arrived insert where commit-order application would
-    /// have put it, regardless of arrival order (see the module doc).
-    fn integrate_insert(&mut self, id: u64, ch: char, style: u64, prev: Option<u64>, ts: u64) {
-        let (mut before, mut at) = match prev {
-            None => (NIL, self.head),
-            Some(p) => match self.slot_of(p) {
-                Some(s) => (s, self.slots.get(s).next),
-                None => {
-                    // Guarded by `applicable`; defensive only.
-                    self.needs_resync = true;
-                    return;
+    /// Apply one effect; `Err` with the id it names if the mirror lacks
+    /// it, or, for an insert, has it.
+    fn apply_effect(&mut self, e: &Effect) -> std::result::Result<(), u64> {
+        let (id, deleted) = match *e {
+            Effect::Insert {
+                char,
+                prev,
+                ch,
+                style,
+                ..
+            } => {
+                if self.slot_of(char.0).is_some() {
+                    return Err(char.0);
                 }
-            },
+                // Right after its anchor, or at the head.
+                let before = prev.map(|p| self.slot_of(p.0).ok_or(p.0)).transpose()?;
+                let next = before.map_or(self.head, |b| self.slots.get(b).next);
+                let s = self.slots.push(Slot {
+                    id: char.0,
+                    style: style.0,
+                    next,
+                    ch,
+                    deleted: false,
+                });
+                self.index.insert(&self.slots, s);
+                match before {
+                    None => self.head = s,
+                    Some(b) => self.slots.get_mut(b).next = s,
+                }
+                self.visible += 1;
+                return Ok(());
+            }
+            Effect::Delete { char, .. } => (char.0, true),
+            Effect::Undelete { char } => (char.0, false),
+            Effect::SetStyle { char, new, .. } => {
+                self.find(char.0).ok_or(char.0)?.style = new.0;
+                return Ok(());
+            }
         };
-        while at != NIL && self.slots.get(at).ts > ts {
-            before = at;
-            at = self.slots.get(at).next;
-        }
-        let s = self.slots.push(Slot {
-            id,
-            ts,
-            flag_ts: 0,
-            style_ts: 0,
-            style,
-            next: at,
-            ch,
-            deleted: false,
-        });
-        self.index.insert(&self.slots, s);
-        match before {
-            NIL => self.head = s,
-            b => self.slots.get_mut(b).next = s,
-        }
-        self.visible += 1;
+        let c = self.find(id).ok_or(id)?;
+        let was = std::mem::replace(&mut c.deleted, deleted);
+        self.visible = self.visible + usize::from(was) - usize::from(deleted);
+        Ok(())
     }
 
     /// The slot of character `id`, if the mirror has it: loaded from the
@@ -588,57 +511,6 @@ impl MirrorDoc {
         let s = self.slot_of(id)?;
         Some(self.slots.get_mut(s))
     }
-
-    /// Set a character's deleted flag if `ts` is its newest flip.
-    fn flip(&mut self, id: u64, deleted: bool, ts: u64) {
-        let Some(c) = self.find(id) else {
-            return;
-        };
-        if ts < c.flag_ts {
-            return;
-        }
-        let was = c.deleted;
-        c.deleted = deleted;
-        c.flag_ts = ts;
-        self.visible = self.visible + usize::from(was) - usize::from(deleted);
-    }
-
-    fn apply_effect(&mut self, e: &Effect, ev_ts: u64) {
-        match e {
-            Effect::Insert {
-                char,
-                prev,
-                ch,
-                style,
-                ..
-            } => {
-                // Idempotency: re-delivery of an applied event.
-                if self.slot_of(char.0).is_none() {
-                    self.integrate_insert(char.0, *ch, style.0, prev.map(|p| p.0), ev_ts);
-                }
-            }
-            Effect::Delete { char, .. } => self.flip(char.0, true, ev_ts),
-            Effect::Undelete { char } => self.flip(char.0, false, ev_ts),
-            Effect::SetStyle { char, new, .. } => {
-                if let Some(c) = self.find(char.0) {
-                    if ev_ts >= c.style_ts {
-                        c.style = new.0;
-                        c.style_ts = ev_ts;
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Whether one of `effects` inserts `id`. Searched from the back: an op
-/// inserts one run, each character anchored on the one before it, so
-/// for every event a server sends the search ends at its first step.
-fn inserts(effects: &[Effect], id: u64) -> bool {
-    effects
-        .iter()
-        .rev()
-        .any(|e| matches!(e, Effect::Insert { char, .. } if char.0 == id))
 }
 
 #[cfg(test)]
@@ -685,46 +557,41 @@ mod tests {
         MirrorDoc::new(1, 0, vec![]).unwrap()
     }
 
+    /// Apply an event that fits; whether it was applied.
+    fn apply(m: &mut MirrorDoc, ev: WireEvent) -> bool {
+        m.apply_event(ev).unwrap()
+    }
+
+    fn delete(char: u64) -> Effect {
+        Effect::Delete {
+            char: CharId(char),
+            by: UserId(1),
+            ts: 0,
+        }
+    }
+
     #[test]
     fn applies_inserts_in_chain_order() {
         let mut m = empty();
-        m.apply_event(event(
-            1,
-            vec![insert(10, None, 'a'), insert(11, Some(10), 'b')],
-        ));
-        m.apply_event(event(2, vec![insert(12, Some(10), 'X')]));
+        apply(
+            &mut m,
+            event(1, vec![insert(10, None, 'a'), insert(11, Some(10), 'b')]),
+        );
+        apply(&mut m, event(2, vec![insert(12, Some(10), 'X')]));
         assert_eq!(m.text(), "aXb");
         assert_eq!(m.len(), 3);
         assert_eq!(m.synced_ts(), 2);
     }
 
     #[test]
-    fn buffers_until_dependency_arrives() {
-        let mut m = empty();
-        // Event 2 anchors on a char introduced by event 1.
-        assert!(!m.apply_event(event(2, vec![insert(11, Some(10), 'b')])));
-        assert_eq!(m.buffered(), 1);
-        assert!(m.apply_event(event(1, vec![insert(10, None, 'a')])));
-        assert_eq!(m.text(), "ab");
-        assert_eq!(m.buffered(), 0);
-    }
-
-    #[test]
     fn tombstones_keep_anchors_resolvable() {
         let mut m = empty();
-        m.apply_event(event(1, vec![insert(10, None, 'a')]));
-        m.apply_event(event(
-            2,
-            vec![Effect::Delete {
-                char: CharId(10),
-                by: UserId(1),
-                ts: 0,
-            }],
-        ));
+        apply(&mut m, event(1, vec![insert(10, None, 'a')]));
+        apply(&mut m, event(2, vec![delete(10)]));
         assert_eq!(m.text(), "");
         assert!(m.is_empty());
         // Anchor on the tombstone still works.
-        m.apply_event(event(3, vec![insert(11, Some(10), 'z')]));
+        apply(&mut m, event(3, vec![insert(11, Some(10), 'z')]));
         assert_eq!(m.text(), "z");
         assert_eq!(m.chars().count(), 2);
     }
@@ -732,7 +599,8 @@ mod tests {
     #[test]
     fn stale_events_below_snapshot_are_skipped() {
         let mut m = MirrorDoc::new(1, 5, vec![wire(10, 'a')]).unwrap();
-        assert!(!m.apply_event(event(4, vec![insert(10, None, 'a')])));
+        assert!(!apply(&mut m, event(4, vec![insert(10, None, 'a')])));
+        assert!(!apply(&mut m, event(5, vec![insert(11, None, 'b')])));
         assert_eq!(m.text(), "a");
         assert_eq!(m.applied(), 0);
     }
@@ -790,165 +658,70 @@ mod tests {
         }
     }
 
-    /// Publication happens outside the commit lock, so a lower-commit
-    /// event can arrive after a higher-commit one was applied. The
-    /// mirror must integrate it where commit-order application would
-    /// have put it.
-    #[test]
-    fn late_event_behind_frontier_integrates_in_commit_order() {
-        let mut m = empty();
-        // Commit order: ts1 'a' at head, then ts2 'b' at head → "ba".
-        // Arrival order is inverted.
-        assert!(m.apply_event(event(2, vec![insert(11, None, 'b')])));
-        assert!(m.apply_event(event(1, vec![insert(10, None, 'a')])));
-        assert!(!m.needs_resync());
-        assert_eq!(m.text(), "ba");
-        assert_eq!(m.synced_ts(), 2);
-    }
-
-    /// A late same-anchor insert must skip newer siblings *and their
-    /// descendants* before taking its place.
-    #[test]
-    fn late_sibling_skips_newer_subtrees() {
-        let mut m = empty();
-        // Commit order: a@1, z@2 (after a), x@3 (after a), y@4 (after x)
-        // → server chain: a x y z.
-        m.apply_event(event(1, vec![insert(10, None, 'a')]));
-        m.apply_event(event(3, vec![insert(12, Some(10), 'x')]));
-        m.apply_event(event(4, vec![insert(13, Some(12), 'y')]));
-        // z arrives last despite committing second.
-        m.apply_event(event(2, vec![insert(11, Some(10), 'z')]));
-        assert_eq!(m.text(), "axyz");
-        assert!(!m.needs_resync());
-    }
-
     /// Within one event the server applies the effects in order, each
     /// right after its anchor, so two inserts on one anchor end up
     /// later-first whatever their ids; a newer commit on the same anchor
-    /// still goes in front of both.
+    /// goes in front of both.
     #[test]
     fn one_event_inserting_twice_on_one_anchor_puts_the_later_first() {
         let mut m = empty();
-        m.apply_event(event(1, vec![insert(10, None, 'a')]));
+        apply(&mut m, event(1, vec![insert(10, None, 'a')]));
         // Commit order: y@2 then x@2 (both after a), z@3 (after a)
-        // → server chain: a z x y. The newer event arrives first.
-        m.apply_event(event(3, vec![insert(13, Some(10), 'z')]));
-        m.apply_event(event(
-            2,
-            vec![insert(12, Some(10), 'y'), insert(11, Some(10), 'x')],
-        ));
+        // → server chain: a z x y.
+        apply(
+            &mut m,
+            event(
+                2,
+                vec![insert(12, Some(10), 'y'), insert(11, Some(10), 'x')],
+            ),
+        );
+        apply(&mut m, event(3, vec![insert(13, Some(10), 'z')]));
         assert_eq!(m.text(), "azxy");
     }
 
-    /// Delete/undelete are last-writer-wins on the commit timestamp even
-    /// when they arrive out of order.
+    /// Delete/undelete are last-writer-wins: an older flip arrives only as
+    /// an event at or below the frontier, and is skipped.
     #[test]
     fn flag_flips_are_last_writer_wins() {
         let mut m = empty();
-        m.apply_event(event(1, vec![insert(10, None, 'a')]));
-        // Commit order: delete@2, undelete@3 → visible. Arrival order is
-        // inverted; the stale delete must not win.
-        m.apply_event(event(3, vec![Effect::Undelete { char: CharId(10) }]));
-        m.apply_event(event(
-            2,
-            vec![Effect::Delete {
-                char: CharId(10),
-                by: UserId(1),
-                ts: 0,
-            }],
-        ));
+        apply(&mut m, event(1, vec![insert(10, None, 'a')]));
+        apply(&mut m, event(2, vec![delete(10)]));
+        apply(
+            &mut m,
+            event(3, vec![Effect::Undelete { char: CharId(10) }]),
+        );
+        assert!(!apply(&mut m, event(2, vec![delete(10)])));
         assert_eq!(m.text(), "a");
         assert_eq!(m.len(), 1);
     }
 
+    /// An event that names a character the mirror lacks, or inserts one it
+    /// has, cannot come from a stream in commit order: it is refused, the
+    /// mirror flags itself for a resync and skips every event until a
+    /// snapshot reloads it.
     #[test]
-    fn runaway_buffer_flags_resync() {
-        let mut m = empty();
-        for i in 0..(MAX_BUFFERED as u64 + 2) {
-            // All anchored on a char that never arrives.
-            m.apply_event(event(i + 10, vec![insert(1000 + i, Some(1), 'x')]));
-        }
-        assert!(m.needs_resync());
-        // A snapshot recovers.
-        m.reload(MirrorDoc::new(1, 1000, vec![]).unwrap());
-        assert!(!m.needs_resync());
-        assert_eq!(m.buffered(), 0);
-    }
-
-    #[test]
-    fn snapshot_drops_covered_buffered_events() {
-        let mut m = empty();
-        m.apply_event(event(3, vec![insert(11, Some(10), 'b')]));
-        assert_eq!(m.buffered(), 1);
-        // Snapshot at ts 5 already reflects event 3.
-        m.reload(MirrorDoc::new(1, 5, vec![wire(10, 'a'), wire(11, 'b')]).unwrap());
-        assert_eq!(m.buffered(), 0);
-        assert_eq!(m.text(), "ab");
-    }
-
-    /// Random interleavings of a fixed commit history all converge to
-    /// the commit-order result.
-    #[test]
-    fn arbitrary_arrival_orders_converge() {
-        // Commit history over one document (ts = index + 1).
-        let history: Vec<WireEvent> = vec![
-            event(1, vec![insert(10, None, 'h'), insert(11, Some(10), 'i')]),
-            event(2, vec![insert(12, Some(10), 'e')]),
-            event(
-                3,
-                vec![Effect::Delete {
-                    char: CharId(11),
-                    by: UserId(1),
-                    ts: 0,
-                }],
-            ),
-            event(4, vec![insert(13, Some(11), 'x')]),
-            event(5, vec![insert(14, None, 'w')]),
-            event(6, vec![Effect::Undelete { char: CharId(11) }]),
-            event(
-                7,
-                vec![Effect::SetStyle {
-                    char: CharId(10),
-                    old: StyleId(0),
-                    new: StyleId(9),
-                }],
-            ),
-        ];
-
-        // Reference: apply in commit order.
-        let mut reference = empty();
-        for ev in &history {
-            reference.apply_event(ev.clone());
-        }
-
-        // A handful of deterministic shuffles (rotations + reversal).
-        let n = history.len();
-        for rot in 0..n {
-            let mut order: Vec<usize> = (0..n).map(|i| (i + rot) % n).collect();
-            if rot % 2 == 1 {
-                order.reverse();
-            }
+    fn an_event_that_does_not_fit_flags_a_resync() {
+        for bad in [insert(11, Some(99), 'x'), insert(10, None, 'x'), delete(99)] {
             let mut m = empty();
-            for &i in &order {
-                m.apply_event(history[i].clone());
-            }
-            assert_eq!(m.buffered(), 0, "order {order:?} left events buffered");
-            assert!(!m.needs_resync(), "order {order:?} flagged resync");
-            assert_eq!(
-                m.chars().collect::<Vec<_>>(),
-                reference.chars().collect::<Vec<_>>(),
-                "order {order:?} diverged"
-            );
-            assert_eq!(m.len(), reference.len());
+            apply(&mut m, event(1, vec![insert(10, None, 'a')]));
+            let refused = m.apply_event(event(2, vec![bad]));
+            assert!(matches!(refused, Err(NetError::Protocol(_))), "{refused:?}");
+            assert!(m.needs_resync());
+            assert!(!apply(&mut m, event(3, vec![insert(12, Some(10), 'b')])));
+            m.reload(MirrorDoc::new(1, 3, vec![wire(10, 'a'), wire(12, 'b')]).unwrap());
+            assert!(!m.needs_resync());
+            assert!(apply(&mut m, event(4, vec![delete(10)])));
+            assert_eq!((m.text(), m.synced_ts(), m.applied()), ("b".into(), 4, 2));
         }
     }
 
     /// Loaded runs in shuffled id order, events naming the first and the
     /// last id of every extent, and one past each: the named ones are
-    /// found in the extents, the ones past them wait, and the chain is
-    /// the one the server holds.
+    /// found in the extents, and the chain is the one the server holds;
+    /// one past an extent is a character the mirror lacks, and flags a
+    /// resync.
     #[test]
-    fn events_find_every_extent_edge_and_wait_past_one() {
+    fn events_find_every_extent_edge_and_flag_a_resync_past_one() {
         // Chain order; within a stretch ids are consecutive, and the flag
         // or the style changes mid-stretch, so a stretch is several runs
         // and one extent.
@@ -984,40 +757,39 @@ mod tests {
             let last = first + len - 1;
             ts += 1;
             fresh += 1;
-            assert!(m.apply_event(event(ts, vec![insert(fresh, Some(first), '+')])));
+            assert!(apply(
+                &mut m,
+                event(ts, vec![insert(fresh, Some(first), '+')])
+            ));
             let p = at(&server, first);
             server.insert(p + 1, wire(fresh, '+'));
             ts += 1;
-            assert!(m.apply_event(event(
-                ts,
-                vec![Effect::Delete {
-                    char: CharId(last),
-                    by: UserId(1),
-                    ts: 0,
-                }],
-            )));
+            assert!(apply(&mut m, event(ts, vec![delete(last)])));
             let p = at(&server, last);
             server[p].deleted = true;
             ts += 1;
-            assert!(m.apply_event(event(
-                ts,
-                vec![Effect::SetStyle {
-                    char: CharId(first),
-                    old: StyleId(0),
-                    new: StyleId(42),
-                }],
-            )));
+            assert!(apply(
+                &mut m,
+                event(
+                    ts,
+                    vec![Effect::SetStyle {
+                        char: CharId(first),
+                        old: StyleId(0),
+                        new: StyleId(42),
+                    }],
+                )
+            ));
             let p = at(&server, first);
             server[p].style = 42;
         }
-        for (first, len) in stretches {
-            ts += 1;
-            assert!(!m.apply_event(event(ts, vec![insert(fresh + 1, Some(first + len), '?')])));
-            fresh += 1;
-        }
-        assert_eq!(m.buffered(), stretches.len());
         assert!(!m.needs_resync());
         assert_eq!(m.chars().collect::<Vec<_>>(), server);
         assert_eq!(m.len(), server.iter().filter(|c| !c.deleted).count());
+        for (first, len) in stretches {
+            let mut past = MirrorDoc::from_snapshot_payload(&payload[5..]).unwrap();
+            let ev = event(6, vec![insert(fresh + 1, Some(first + len), '?')]);
+            assert!(past.apply_event(ev).is_err());
+            assert!(past.needs_resync());
+        }
     }
 }

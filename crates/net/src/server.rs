@@ -9,21 +9,26 @@
 //! reader blocked on the socket that feeds `on_frame` and writes its
 //! replies, and a writer for the rest. A subscription borrows the
 //! collab server's live copy of its document ([`tendax_collab::live`]).
-//! No thread stands between a commit and the subscribers' queues: a
-//! publish hook on the [`LanBus`] runs on the committing thread, encodes
-//! the `Event` frame once and pushes the shared bytes onto each
-//! subscriber's queue.
+//! No thread stands between a commit and the subscribers' queues: the
+//! live document's outbox publishes a document's events in commit order,
+//! and a publish hook on the [`LanBus`] runs on the publishing thread,
+//! encodes the `Event` frame once and pushes the shared bytes onto each
+//! subscriber's queue. So every stream carries its document's events in
+//! commit order.
 //!
 //! [`LanBus`]: tendax_collab::LanBus
 //!
 //! ## Ack first
 //!
-//! An `Edit`'s reply is written before its [`Broadcast`] is published
-//! (only queued before it, if the writer is mid-write): the typist's
-//! acknowledgement never waits for the fan-out, and an edit's `EditOk`
-//! is never queued after its own echo. The broadcast goes out even if
-//! the reply cannot be written — the edit is committed, and the other
-//! subscribers are owed it.
+//! An `Edit`'s [`Ticket`](tendax_collab::Ticket) is made ready once its
+//! `EditOk` is queued, so on the typist's connection the `EditOk` comes
+//! before its echo. The typist publishes — the [`Broadcast`] — after the
+//! reply is written (only queued, if the writer is mid-write): the
+//! acknowledgement never waits for the fan-out. Another editor's
+//! publication may carry the event sooner, to a connection other than the
+//! typist's, but never before the `EditOk` is queued. The event goes out
+//! even if the reply cannot be written — the edit is committed, and the
+//! other subscribers are owed it.
 //!
 //! ## One step joins a stream
 //!
@@ -34,11 +39,13 @@
 //! `Subscribe`, `Resync` and the recovery of a lost stream alike. A
 //! `Snapshot{synced_ts = F}` holds every commit on its document at or
 //! below `F` (the live document's frontier), and every commit of the
-//! document runs under that lock and is published after it is let go, so
-//! no event above `F` is queued ahead of the snapshot and none goes
-//! missing behind it (events at or below `F` are dropped client-side by
-//! the ts gate). Lock order: document, hub registry, connection queue;
-//! a publisher takes the registry, then queues, and never a document.
+//! document appends its event to the document's outbox under that lock,
+//! which publishes them in commit order after it is let go, so no event
+//! above `F` is queued ahead of the snapshot and none goes missing behind
+//! it (events at or below `F` are dropped client-side by the ts gate).
+//! Lock order: document, hub registry, connection queue; a publisher
+//! holds neither a document's lock nor its outbox's, and takes the
+//! registry, then queues.
 //!
 //! ## Slow-consumer policy
 //!
@@ -76,7 +83,7 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use tendax_collab::{CollabServer, DocEvent, EditorSession, LiveEditor, Platform};
+use tendax_collab::{CollabServer, DocEvent, EditorSession, LiveEditor, Platform, Ticket};
 use tendax_text::{DocHandle, DocId, Result as TextResult, TextError, UserId};
 
 use crate::error::{codes, NetError, Result};
@@ -441,7 +448,7 @@ pub struct Hub {
 
 impl Hub {
     /// A hub serving `collab`, its publish hook registered: every commit's
-    /// event goes to the subscribers' queues on the committing thread.
+    /// event goes to the subscribers' queues on the publishing thread.
     pub fn new(collab: CollabServer, config: NetConfig) -> Arc<Hub> {
         let hub = Arc::new(Hub {
             collab,
@@ -464,7 +471,7 @@ impl Hub {
         hub
     }
 
-    /// The publish hook's body, on the committing thread: encode the
+    /// The publish hook's body, on the publishing thread: encode the
     /// `Event` frame once, offer the shared bytes to every subscriber.
     /// Publishers of any documents share the registry lock; it is only
     /// taken exclusively to subscribe or unsubscribe.
@@ -523,24 +530,18 @@ impl Hub {
     }
 }
 
-/// A committed edit's broadcast, handed back by [`Conn::on_frame`] so the
-/// shell can write the reply first: published by `publish` or on drop.
+/// A committed edit's ticket, ready, handed back by [`Conn::on_frame`] so
+/// the shell can write the reply first: published by `publish` or on drop.
 #[derive(Debug, Default)]
-pub struct Broadcast(Option<(Arc<LiveEditor>, DocEvent)>);
+pub struct Broadcast(Ticket);
 
 impl Broadcast {
-    pub fn publish(self) {}
-}
-
-impl Drop for Broadcast {
-    fn drop(&mut self) {
-        if let Some((editor, event)) = self.0.take() {
-            editor.publish(Some(event));
-        }
+    pub fn publish(self) {
+        self.0.publish();
     }
 }
 
-type Subs = HashMap<DocId, Arc<LiveEditor>>;
+type Subs = HashMap<DocId, LiveEditor>;
 
 /// One connection's protocol state, with no socket: feed it frames with
 /// [`Conn::on_frame`], take its output with [`Conn::drain`].
@@ -568,8 +569,8 @@ impl Conn {
     }
 
     /// Handle one frame from the client: answer it into the outbound
-    /// queue, and say whether the next may be read. An edit's broadcast
-    /// comes back with the step, to publish once the reply is written.
+    /// queue, and say whether the next may be read. An edit's ticket comes
+    /// back with the step, ready, to publish once the reply is written.
     pub fn on_frame(&self, hub: &Hub, frame: Frame) -> (Step, Broadcast) {
         let mut open = self.open.lock();
         let mut out = Broadcast::default();
@@ -722,7 +723,7 @@ impl Conn {
                 let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, true);
                 match session.open_live(doc, queue) {
                     Ok((editor, _)) => {
-                        subs.insert(doc, Arc::new(editor));
+                        subs.insert(doc, editor);
                     }
                     Err(e) => self.reply(Frame::Error {
                         code: codes::REJECTED,
@@ -755,13 +756,14 @@ impl Conn {
                 };
                 match committed {
                     // Ack first (see the module docs).
-                    Ok((receipt, event)) => {
+                    Ok((receipt, ticket)) => {
                         self.reply(Frame::EditOk {
                             request,
                             op: receipt.op.0,
                             commit_ts: receipt.commit_ts,
                         });
-                        return Ok(Broadcast(event.map(|ev| (Arc::clone(editor), ev))));
+                        ticket.ready();
+                        return Ok(Broadcast(ticket));
                     }
                     Err(e) => self.reply(Frame::EditRejected {
                         request,

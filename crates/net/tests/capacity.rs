@@ -295,7 +295,7 @@ fn stalled_reader_recovers_both_documents_it_lost() {
                 }
                 Frame::Event(ev) => {
                     if let Some(m) = mirrors.get_mut(&ev.doc) {
-                        m.apply_event(ev);
+                        m.apply_event(ev).expect("events in commit order");
                     }
                 }
                 Frame::Welcome { .. } => {}
@@ -468,7 +468,8 @@ fn transport_repairs_are_not_recorded_as_reads() {
                         mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap());
                     }
                     Frame::Event(ev) => {
-                        mirror.as_mut().expect("snapshot first").apply_event(ev);
+                        let mirror = mirror.as_mut().expect("snapshot first");
+                        mirror.apply_event(ev).expect("events in commit order");
                     }
                     Frame::Welcome { .. } => {}
                     other => panic!("unexpected frame {other:?}"),

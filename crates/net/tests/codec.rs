@@ -751,8 +751,8 @@ proptest! {
                         kind: "step".into(),
                         effects: vec![effect],
                     };
-                    prop_assert!(m.apply_event(ev.clone()));
-                    prop_assert!(direct.apply_event(ev));
+                    prop_assert!(m.apply_event(ev.clone()).unwrap());
+                    prop_assert!(direct.apply_event(ev).unwrap());
                     prop_assert_eq!(direct.chars().collect::<Vec<_>>(), m.chars().collect::<Vec<_>>());
                     prop_assert_eq!(direct.len(), m.len());
                 }

@@ -1,0 +1,122 @@
+//! Durable before visible: no connection is handed an `Event` before its
+//! commit is on disk.
+//!
+//! A database on a simulated disk at `DurabilityLevel::Fsync`, one hub
+//! and two connections, a typist's and a watcher's, subscribed to one
+//! document, all in one thread. An edit that lands reaches the watcher.
+//! Then the next sync of the log fails: the typist's next edit is visible
+//! in the live document but never durable, so the typist is answered
+//! `EditRejected` and no connection is ever handed that commit's `Event`.
+//! A `Resync` still brings the watcher's mirror to the live document.
+
+use std::sync::Arc;
+
+use tendax_collab::CollabServer;
+use tendax_net::{Bytes, Conn, EditOp, Frame, FrameBuffer, Hub, MirrorDoc, NetConfig};
+use tendax_storage::{Database, DurabilityLevel, Options, SimVfs};
+use tendax_text::{DocId, TextDb};
+
+/// Everything `conn` hands out, decoded.
+fn handed_out(hub: &Hub, conn: &Conn) -> Vec<Frame> {
+    let mut out: Vec<Bytes> = Vec::new();
+    assert!(conn.drain(hub, &mut out), "the connection closed");
+    let decode = |bytes: &Bytes| {
+        let mut buf = FrameBuffer::default();
+        buf.extend(bytes);
+        let (tag, payload) = buf.next_frame().unwrap().expect("one whole frame");
+        Frame::decode(tag, payload).unwrap()
+    };
+    out.iter().map(decode).collect()
+}
+
+/// Feed `frames` to a mirror: a snapshot replaces it, an event is applied,
+/// the `Welcome` is passed over.
+fn mirror(mirror: &mut Option<MirrorDoc>, frames: Vec<Frame>) {
+    for frame in frames {
+        match frame {
+            Frame::Snapshot {
+                doc,
+                synced_ts,
+                chars,
+                ..
+            } => *mirror = Some(MirrorDoc::new(doc, synced_ts, chars).unwrap()),
+            Frame::Event(ev) => {
+                let mirror = mirror.as_mut().expect("a snapshot first");
+                assert!(mirror.apply_event(ev).unwrap());
+            }
+            Frame::Welcome { .. } => {}
+            other => panic!("unexpected {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn an_edit_that_never_became_durable_is_never_broadcast() {
+    let vfs = SimVfs::new(7);
+    let options = Options {
+        durability: DurabilityLevel::Fsync,
+        vfs: Arc::new(vfs.clone()),
+        ..Options::default()
+    };
+    let tdb = TextDb::init(Database::open("/sim/events.wal", options).unwrap()).unwrap();
+    let alice = tdb.create_user("alice").unwrap();
+    tdb.create_user("bob").unwrap();
+    let doc = tdb.create_document("doc", alice).unwrap().0;
+    let collab = CollabServer::new(tdb);
+    let hub = Hub::new(collab.clone(), NetConfig::default());
+    let [typist, watcher] = ["alice", "bob"].map(|user| {
+        let conn = Conn::new(&hub);
+        let hello = Frame::Hello {
+            version: tendax_net::PROTOCOL_VERSION,
+            user: user.into(),
+            platform: "Linux".into(),
+            token: String::new(),
+        };
+        conn.on_frame(&hub, hello);
+        conn.on_frame(
+            &hub,
+            Frame::Subscribe {
+                request: 1,
+                name: "doc".into(),
+            },
+        );
+        conn
+    });
+    handed_out(&hub, &typist);
+    let mut watched = None;
+    mirror(&mut watched, handed_out(&hub, &watcher));
+    let edit = |request, text: &str| {
+        let op = EditOp::Insert {
+            pos: 0,
+            text: text.into(),
+        };
+        let (_, broadcast) = typist.on_frame(&hub, Frame::Edit { request, doc, op });
+        broadcast.publish();
+        handed_out(&hub, &typist)
+    };
+
+    let landed = edit(2, "kept ");
+    assert!(
+        matches!(landed[..], [Frame::EditOk { .. }, Frame::Event(_)]),
+        "{landed:?}"
+    );
+    mirror(&mut watched, handed_out(&hub, &watcher));
+    assert_eq!(watched.as_ref().unwrap().text(), "kept ");
+
+    vfs.fail_next_syncs(1);
+    let refused = edit(3, "lost ");
+    assert!(
+        matches!(refused[..], [Frame::EditRejected { .. }]),
+        "{refused:?}"
+    );
+    let watched_frames = handed_out(&hub, &watcher);
+    assert!(watched_frames.is_empty(), "{watched_frames:?}");
+
+    // The commit is visible in the live document, so a snapshot has it.
+    watcher.on_frame(&hub, Frame::Resync { request: 2, doc });
+    mirror(&mut watched, handed_out(&hub, &watcher));
+    let live = collab.live().snapshot(DocId(doc), alice, |h| h.text());
+    assert_eq!(live.unwrap().unwrap(), "lost kept ");
+    assert_eq!(watched.unwrap().text(), "lost kept ");
+    assert!(handed_out(&hub, &typist).is_empty());
+}

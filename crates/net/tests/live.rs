@@ -12,7 +12,7 @@ use tendax_collab::{CollabServer, EditorDoc, Platform};
 use tendax_net::protocol::encode_snapshot;
 use tendax_net::{NetClient, NetConfig, NetServer};
 use tendax_storage::Ts;
-use tendax_text::{DocId, TextDb, TextError, UserId};
+use tendax_text::{DocId, EditReceipt, TextDb, TextError, UserId};
 
 const WAIT: Duration = Duration::from_secs(30);
 
@@ -45,10 +45,14 @@ fn eventually(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-fn shows(client: &NetClient, doc: u64, want: &str) {
-    eventually(&format!("a mirror showing {want:?}"), || {
-        client.text(doc).as_deref() == Some(want)
-    });
+/// `client`'s mirror of `doc` reaches `acked`, the newest commit on it,
+/// and shows `want`: `synced_ts` is a frontier, so one comparison does.
+fn shows(client: &NetClient, doc: u64, acked: Ts, want: &str) {
+    assert!(
+        client.wait_synced(doc, acked, WAIT),
+        "never reached {acked}"
+    );
+    assert_eq!(client.text(doc).as_deref(), Some(want));
 }
 
 /// Frontier. An in-process editor has committed, and its event is held
@@ -111,8 +115,8 @@ fn snapshot_names_no_frontier_past_an_unpublished_commit() {
 
     let want = collab.textdb().document_text(DocId(doc)).unwrap();
     assert_eq!(want, "held back");
-    shows(&a, doc, &want);
-    shows(&b, doc, &want);
+    shows(&a, doc, commit_ts, &want);
+    shows(&b, doc, commit_ts, &want);
     // A mirror opened now has the acknowledged edit from the start.
     let c = NetClient::connect(addr, "carol").unwrap();
     c.subscribe("doc").unwrap();
@@ -131,6 +135,13 @@ fn live_and_fresh(collab: &CollabServer, doc: DocId) -> Option<(Vec<u8>, Vec<u8>
         .unwrap()?;
     let fresh = collab.textdb().load(doc, reader).unwrap();
     Some((live, encode_snapshot(&fresh, 0)))
+}
+
+/// Raise `newest` to `receipt`'s commit, if it changed characters.
+fn note(newest: &mut Ts, receipt: &EditReceipt) {
+    if !receipt.effects.is_empty() {
+        *newest = (*newest).max(receipt.commit_ts);
+    }
 }
 
 /// Oracle. Seeded interleavings of edits over TCP, edits in process
@@ -153,6 +164,8 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
 
         let mut rng = SmallRng::seed_from_u64(0x11FE + seed);
         let mut compared = 0;
+        // Per document, the newest commit that changed its characters.
+        let mut newest: [Ts; 2] = [0; 2];
         for step in 0..160 {
             let (c, d) = (rng.gen_range(0..2usize), rng.gen_range(0..2usize));
             let client = &clients[c];
@@ -170,15 +183,16 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                 3 if open[c][d] => client.resync(ids[d].0).unwrap(),
                 4..=6 if open[c][d] => {
                     let len = client.text(ids[d].0).unwrap().chars().count();
-                    if len > 3 && rng.gen_bool(0.3) {
+                    let (_, ts) = if len > 3 && rng.gen_bool(0.3) {
                         let at = rng.gen_range(0..len - 2);
-                        client.delete(ids[d].0, at, 2).unwrap();
+                        client.delete(ids[d].0, at, 2).unwrap()
                     } else {
                         let text = format!("<{step}>");
                         client
                             .insert(ids[d].0, rng.gen_range(0..=len), &text)
-                            .unwrap();
-                    }
+                            .unwrap()
+                    };
+                    newest[d] = newest[d].max(ts);
                 }
                 10 => {
                     let (left, right) = editors.split_at_mut(1);
@@ -193,7 +207,9 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                     if len > 2 {
                         let at = rng.gen_range(0..len - 2);
                         let to = rng.gen_range(0..=dst.len());
-                        src.move_text(at, 2, dst, to).unwrap();
+                        let (del, ins) = src.move_text(at, 2, dst, to).unwrap();
+                        note(&mut newest[d], &del);
+                        note(&mut newest[1 - d], &ins);
                     }
                 }
                 11 => {
@@ -202,7 +218,8 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                     let len = editor.len();
                     if len > 2 {
                         let clip = editor.copy(rng.gen_range(0..len - 2), 2).unwrap();
-                        editor.paste(rng.gen_range(0..=len), &clip).unwrap();
+                        let pasted = editor.paste(rng.gen_range(0..=len), &clip).unwrap();
+                        note(&mut newest[d], &pasted);
                     }
                 }
                 12 | 13 => {
@@ -214,7 +231,8 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                         editor.global_undo()
                     };
                     match undone {
-                        Ok(_) | Err(TextError::NothingToUndo) => {}
+                        Ok(undone) => note(&mut newest[d], &undone),
+                        Err(TextError::NothingToUndo) => {}
                         Err(e) => panic!("seed {seed} step {step}: undo failed: {e}"),
                     }
                 }
@@ -222,12 +240,13 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                     let editor = &mut editors[d];
                     editor.sync();
                     let len = editor.len();
-                    if len > 3 && rng.gen_bool(0.3) {
-                        editor.delete(rng.gen_range(0..len - 2), 2).unwrap();
+                    let typed = if len > 3 && rng.gen_bool(0.3) {
+                        editor.delete(rng.gen_range(0..len - 2), 2).unwrap()
                     } else {
                         let text = format!("[{step}]");
-                        editor.type_text(rng.gen_range(0..=len), &text).unwrap();
-                    }
+                        editor.type_text(rng.gen_range(0..=len), &text).unwrap()
+                    };
+                    note(&mut newest[d], &typed);
                 }
             }
             for &id in &ids {
@@ -244,7 +263,7 @@ fn live_snapshot_equals_a_fresh_load_under_random_interleavings() {
                     client.subscribe(NAMES[d]).unwrap();
                 }
                 let want = collab.textdb().document_text(ids[d]).unwrap();
-                shows(client, ids[d].0, &want);
+                shows(client, ids[d].0, newest[d], &want);
             }
         }
         let stats = server.stats();
@@ -272,7 +291,7 @@ fn an_in_process_typist_racing_the_first_load_reaches_the_live_copy() {
     let (release, released) = mpsc::channel::<()>();
     let typist = std::thread::spawn(move || {
         let mut first = true;
-        editor
+        let ((), receipt) = editor
             .with_handle("insert", |h| {
                 if std::mem::take(&mut first) {
                     parked_tx.send(()).unwrap();
@@ -281,6 +300,7 @@ fn an_in_process_typist_racing_the_first_load_reaches_the_live_copy() {
                 Ok(((), h.insert_text(0, "raced")?))
             })
             .unwrap();
+        receipt.commit_ts
     });
     parked
         .recv_timeout(WAIT)
@@ -296,13 +316,13 @@ fn an_in_process_typist_racing_the_first_load_reaches_the_live_copy() {
     // document; given the time, it would be if the load ran beside it.
     let early = subscribed.recv_timeout(Duration::from_millis(100)).is_ok();
     release.send(()).unwrap();
-    typist.join().unwrap();
+    let typed = typist.join().unwrap();
     let (a, doc) = subscriber.join().unwrap();
     assert!(!early, "the first load ran beside a commit attempt");
 
     let (live, fresh) = live_and_fresh(&collab, id).expect("live");
     assert!(live == fresh, "the live copy missed the raced commit");
-    shows(&a, doc, "raced");
+    shows(&a, doc, typed, "raced");
     assert_eq!(server.stats().live_loads, 1);
 }
 

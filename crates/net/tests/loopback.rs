@@ -34,21 +34,12 @@ fn serve(users: &[&str], docs: &[&str], config: NetConfig) -> (NetServer, Collab
     (server, collab)
 }
 
-/// Wait for `client`'s mirror of `doc` to show `want`. A mirror's
-/// `synced_ts` is the newest commit it has applied, not a frontier —
-/// another connection's older commit can still be on its way (an edit is
-/// acknowledged before it is broadcast) — so once every typist is done,
-/// equality with the database is awaited, not sampled. A lost event
-/// never arrives, and fails the wait.
-fn shows(client: &NetClient, doc: u64, want: &str) -> bool {
-    let deadline = Instant::now() + WAIT;
-    while client.text(doc).as_deref() != Some(want) {
-        if Instant::now() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_millis(1));
-    }
-    true
+/// Whether `client`'s mirror of `doc` reaches `acked`, the newest commit
+/// acknowledged on it, and then shows `want`. `synced_ts` is a frontier:
+/// once it reaches `acked` the mirror holds every commit up to it, so one
+/// comparison settles it. A lost event never arrives, and fails the wait.
+fn shows(client: &NetClient, doc: u64, acked: u64, want: &str) -> bool {
+    client.wait_synced(doc, acked, WAIT) && client.text(doc).as_deref() == Some(want)
 }
 
 /// A protocol-speaking raw socket, for sending hostile bytes.
@@ -189,7 +180,7 @@ fn eight_clients_converge_after_concurrent_edit_storm() {
         let status: Vec<_> = clients.iter().map(|c| c.mirror_status(doc)).collect();
         let seen: Vec<u64> = clients.iter().map(|c| c.events_seen()).collect();
         panic!(
-            "not all clients reached ts {global_max}: ok = {ok:?}; mirrors (ts, buffered, resync, applied) = {status:?}; events seen = {seen:?}; server stats = {:?}; bus stats = {:?}",
+            "not all clients reached ts {global_max}: ok = {ok:?}; mirrors (ts, resync, applied) = {status:?}; events seen = {seen:?}; server stats = {:?}; bus stats = {:?}",
             server.stats(),
             collab.transport().stats(),
         );
@@ -202,7 +193,7 @@ fn eight_clients_converge_after_concurrent_edit_storm() {
     assert!(!authoritative.is_empty());
     for (i, c) in clients.iter().enumerate() {
         assert!(
-            shows(c, doc, &authoritative),
+            shows(c, doc, global_max, &authoritative),
             "client {i} diverged from the database"
         );
     }
@@ -225,14 +216,19 @@ fn alternating_typists_converge_over_tcp() {
     let doc = a.subscribe("party").unwrap();
     assert_eq!(b.subscribe("party").unwrap(), doc);
 
+    let mut acked = 0;
     for turn in 0..10 {
         a.insert(doc, turn, "a").unwrap();
-        b.insert(doc, 0, "b").unwrap();
+        acked = b.insert(doc, 0, "b").unwrap().1;
     }
     let want = collab.textdb().document_text(DocId(doc)).unwrap();
     assert_eq!(want, format!("{}{}", "b".repeat(10), "a".repeat(10)));
-    assert!(shows(&a, doc, &want), "alice shows {:?}", a.text(doc));
-    assert!(shows(&b, doc, &want), "bob shows {:?}", b.text(doc));
+    assert!(
+        shows(&a, doc, acked, &want),
+        "alice shows {:?}",
+        a.text(doc)
+    );
+    assert!(shows(&b, doc, acked, &want), "bob shows {:?}", b.text(doc));
 }
 
 // ---------------------------------------------------------------------
@@ -312,7 +308,7 @@ fn resubscribing_mid_burst_loses_and_reorders_nothing() {
             );
             let want = collab.textdb().document_text(DocId(docs[d])).unwrap();
             assert!(
-                shows(&b, docs[d], &want),
+                shows(&b, docs[d], last_ts[d], &want),
                 "round {round}: {} diverged from the database: mirror {:?}",
                 names[d],
                 b.mirror_status(docs[d]),

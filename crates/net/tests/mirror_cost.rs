@@ -130,7 +130,7 @@ fn applying_an_event_allocates_only_pages_and_index_growth() {
 
     let mut allocations = 0;
     for ev in events {
-        let (advanced, n) = allocations_during(|| mirror.apply_event(ev));
+        let (advanced, n) = allocations_during(|| mirror.apply_event(ev).unwrap());
         assert!(advanced);
         allocations += n;
     }

@@ -6,11 +6,14 @@
 //! backspaces and range deletes, local and global undo and redo, and
 //! restyles. A publish hook captures every event. A mirror is loaded
 //! from a snapshot taken partway through, and every event is delivered to
-//! it, some twice, in a random order that respects each event's
-//! dependencies (a few go early, into the mirror's buffer). Then the
-//! mirror's full chain — id, character, deleted flag and style, in order,
-//! tombstones included — must be what `SnapshotReader` decodes from
-//! `encode_snapshot` of a fresh load, and its text `document_text`.
+//! it in commit order, as a stream carries them, those at or below the
+//! snapshot included and some twice: the mirror applies each event above
+//! its frontier once and skips the rest. Then the mirror's full chain —
+//! id, character, deleted flag and style, in order, tombstones included —
+//! must be what `SnapshotReader` decodes from `encode_snapshot` of a fresh
+//! load, and its text `document_text`. Before that, an event delivered
+//! ahead of one it depends on must be refused and flag the mirror for a
+//! resync, which a reload of the snapshot answers.
 //!
 //! The proptest shim prints `PROPTEST_SEED=<n>` on failure; export it to
 //! replay the sequence.
@@ -168,8 +171,8 @@ proptest! {
         let baseline = mirror.synced_ts();
 
         // An event depends on the events above the snapshot that insert
-        // what it names. Events arrive in commit order, so those are
-        // earlier ones, and the earliest undelivered event is always ready.
+        // what it names: delivered ahead of them, it names a character the
+        // mirror lacks.
         let mut inserted_by = HashMap::new();
         for (j, ev) in events.iter().enumerate() {
             for e in &ev.effects {
@@ -178,48 +181,32 @@ proptest! {
                 }
             }
         }
-        let deps: Vec<Vec<usize>> = events
-            .iter()
-            .map(|ev| {
-                references(ev)
-                    .iter()
-                    .filter_map(|id| inserted_by.get(id).copied())
-                    .filter(|&k| events[k].commit_ts > baseline)
-                    .collect()
-            })
-            .collect();
+        let early = events.iter().position(|ev| {
+            references(ev)
+                .iter()
+                .filter_map(|id| inserted_by.get(id))
+                .any(|&k| events[k].commit_ts > baseline)
+        });
+        if let Some(j) = early {
+            prop_assert!(mirror.apply_event(events[j].clone()).is_err());
+            prop_assert!(mirror.needs_resync());
+            mirror.reload(MirrorDoc::from_snapshot_payload(&snapshot[5..]).unwrap());
+        }
 
         let mut rng = SmallRng::seed_from_u64(order_seed);
-        let mut pending: Vec<usize> = (0..events.len()).collect();
-        for j in 0..events.len() {
-            if rng.gen_bool(0.15) {
-                pending.push(j); // a re-delivery
-            }
-        }
         let mut delivered = vec![false; events.len()];
-        while !pending.is_empty() {
-            let ready: Vec<usize> = (0..pending.len())
-                .filter(|&p| deps[pending[p]].iter().all(|&k| delivered[k]))
-                .collect();
-            let p = if ready.is_empty() || rng.gen_bool(0.05) {
-                rng.gen_range(0..pending.len())
-            } else {
-                ready[rng.gen_range(0..ready.len())]
-            };
-            let j = pending.swap_remove(p);
-            mirror.apply_event(events[j].clone());
-            if deps[j].iter().all(|&k| delivered[k]) {
-                delivered[j] = true;
-            } else {
-                // Early: it waits in the buffer, and its dependents wait
-                // for it to be delivered again once it is due.
-                pending.push(j);
+        for j in 0..events.len() {
+            let again = rng.gen_bool(0.15).then(|| rng.gen_range(0..=j));
+            for k in std::iter::once(j).chain(again) {
+                let applied = mirror.apply_event(events[k].clone()).unwrap();
+                let due = !delivered[k] && events[k].commit_ts > baseline;
+                prop_assert_eq!(applied, due, "event {} of {}", k, events.len());
+                delivered[k] = true;
             }
         }
 
         let fresh = encode_snapshot(&tdb.load(doc, users[0]).unwrap(), 0);
         prop_assert!(!mirror.needs_resync());
-        prop_assert_eq!(mirror.buffered(), 0);
         prop_assert_eq!(mirror.chars().collect::<Vec<_>>(), decode_chars(&fresh[5..]));
         let text = tdb.document_text(doc).unwrap();
         prop_assert_eq!(mirror.len(), text.chars().count());

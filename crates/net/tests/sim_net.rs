@@ -24,23 +24,28 @@
 //! publishes, and drains again; meanwhile the connection neither drains
 //! nor reads a request (its reader owns the write side). For a seeded
 //! quarter of the edits the writer is mid-write instead, and the
-//! broadcast goes out at once.
+//! broadcast goes out at once. A held edit's event is ready once its reply
+//! is queued, so the other connection's publication may carry it first.
 //!
-//! At quiescence every mirror equals a fresh load of its document, every
-//! request has had exactly one answer, and every mirror's frontier covers
-//! the last commit acknowledged on its document. On the way, an edit's
-//! `EditOk` reaches its client before the edit's own `Event`, and — unless
-//! its broadcast went out at once — is handed out before any
-//! connection's copy of that `Event`. The default run sweeps 32 seeds,
-//! each twice, compares the digests of the frames delivered, and needs
-//! some schedule to hand a connection a document's events out of commit
-//! order (held broadcasts let concurrent commits publish out of order),
-//! and the sweep to have sent a repeated `Subscribe` and a `Resync`,
-//! withheld a drain and recovered a lost stream;
+//! On the way: no connection hands out one document's events out of
+//! commit order; after every `Event` a client applies, its mirror's text
+//! is the document's text as of the mirror's `synced_ts` (the simulator
+//! records each document's text after every commit), so `synced_ts` is a
+//! frontier; an edit's `EditOk` reaches its client before the edit's own
+//! `Event`; and it is handed out before any connection's copy of that
+//! `Event`, unless its broadcast went out at once or another editor's
+//! publication carried it. At quiescence every mirror equals a fresh load
+//! of its document, every request has had exactly one answer, and every
+//! mirror's frontier covers the last commit acknowledged on its document.
+//! The default run sweeps 32 seeds, each twice, compares the digests of
+//! the frames delivered, and needs the sweep to have sent a repeated
+//! `Subscribe` and a `Resync`, withheld a drain, recovered a lost stream
+//! and had one editor's publication carry another's event;
 //! `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test sim_net` replays
 //! one.
 
 use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, Mutex};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
 use tendax_collab::CollabServer;
@@ -208,6 +213,8 @@ struct Tally {
     stalls: u64,
     /// Unasked snapshots handed out: lost streams recovered.
     recoveries: u64,
+    /// Events published by another editor's publication than their own.
+    carried: u64,
 }
 
 impl std::ops::AddAssign for Tally {
@@ -216,6 +223,7 @@ impl std::ops::AddAssign for Tally {
         self.resyncs += t.resyncs;
         self.stalls += t.stalls;
         self.recoveries += t.recoveries;
+        self.carried += t.carried;
     }
 }
 
@@ -223,14 +231,14 @@ impl std::ops::AddAssign for Tally {
 #[derive(Default)]
 struct Order {
     seq: u64,
-    /// Per commit, when its `EditOk` was handed out.
-    acks: HashMap<u64, u64>,
+    /// Per commit, when its `EditOk` was handed out, and by which site.
+    acks: HashMap<u64, (u64, usize)>,
     /// Commits whose broadcast went out at once (the writer was mid-write).
     at_once: HashSet<u64>,
     /// Per commit, when its first `Event` was handed out.
     events: HashMap<u64, u64>,
-    /// Events handed out after a newer one of their document, per connection.
-    reordered: u64,
+    /// Per commit, the site whose publication published its event.
+    published_by: HashMap<u64, usize>,
     tally: Tally,
 }
 
@@ -246,7 +254,7 @@ fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) 
         order.seq += 1;
         match Frame::decode(tag, payload).unwrap() {
             Frame::EditOk { commit_ts, .. } => {
-                order.acks.insert(commit_ts, order.seq);
+                order.acks.insert(commit_ts, (order.seq, i));
                 if std::mem::take(&mut site.at_once) {
                     order.at_once.insert(commit_ts);
                 }
@@ -256,14 +264,29 @@ fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) 
             Frame::Event(ev) => {
                 order.events.entry(ev.commit_ts).or_insert(order.seq);
                 let newest = site.newest.entry(ev.doc).or_default();
-                order.reordered += u64::from(ev.commit_ts < *newest);
-                *newest = (*newest).max(ev.commit_ts);
+                assert!(
+                    ev.commit_ts > *newest,
+                    "seed {seed}: site {i}: commit {} of document {} handed out after commit {newest}",
+                    ev.commit_ts,
+                    ev.doc
+                );
+                *newest = ev.commit_ts;
             }
             _ => {}
         }
         site.down.extend_from_slice(bytes);
     }
     !out.is_empty()
+}
+
+/// Site `i` publishes `broadcast`: note which commits its publication
+/// published, as the publish hook logged them.
+fn publish(i: usize, broadcast: Broadcast, log: &Mutex<Vec<u64>>, order: &mut Order) {
+    let before = log.lock().unwrap().len();
+    broadcast.publish();
+    for &commit in &log.lock().unwrap()[before..] {
+        order.published_by.insert(commit, i);
+    }
 }
 
 /// Move a seeded prefix of `pipe` into `buf`: bytes arrive in order, cut
@@ -292,6 +315,15 @@ fn run(seed: u64) -> Run {
         textdb.create_document(name, users[0]).unwrap();
     }
     let collab = CollabServer::new(textdb);
+    // Every commit published, in publication order.
+    let published = Arc::new(Mutex::new(Vec::new()));
+    let log = Arc::clone(&published);
+    collab
+        .transport()
+        .register_publish_hook(Box::new(move |ev| {
+            log.lock().unwrap().push(ev.commit_ts);
+            true
+        }));
     let slow = NetConfig {
         outbound_capacity: SLOW_CAPACITY,
         lag_limit: u64::MAX,
@@ -300,6 +332,16 @@ fn run(seed: u64) -> Run {
     let hubs = [NetConfig::default(), slow].map(|config| Hub::new(collab.clone(), config));
     let textdb = collab.textdb();
     let hot = (seed % 2 == 1).then(|| textdb.document_by_name(DOCS[0]).unwrap().0);
+    // Per document, its text after each commit that changed it.
+    let mut history: HashMap<u64, Vec<(u64, String)>> = DOCS
+        .iter()
+        .map(|name| {
+            (
+                textdb.document_by_name(name).unwrap().0,
+                vec![(0, String::new())],
+            )
+        })
+        .collect();
     let mut sites: Vec<Site> = hubs.iter().map(|hub| Site::new(hub)).collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
@@ -335,11 +377,17 @@ fn run(seed: u64) -> Run {
                     // Full: the replies overfilled the slow reader's queue.
                     let (step, broadcast) = site.conn.on_frame(hub, frame);
                     assert_ne!(step, Step::Closed, "seed {seed}: site {i}");
+                    for (&doc, texts) in history.iter_mut() {
+                        let text = textdb.document_text(tendax_text::DocId(doc)).unwrap();
+                        if texts.last().unwrap().1 != text {
+                            texts.push((textdb.database().last_commit_ts(), text));
+                        }
+                    }
                     if edit && rng.gen_bool(0.75) {
                         site.held = Some(broadcast);
                     } else {
                         site.at_once = edit;
-                        broadcast.publish();
+                        publish(i, broadcast, &published, &mut order);
                     }
                 }
             }
@@ -357,17 +405,33 @@ fn run(seed: u64) -> Run {
                 {
                     digest.add(&[i as u8, 1, tag]);
                     digest.add(payload);
-                    match Frame::decode(tag, payload) {
+                    let event = match Frame::decode(tag, payload) {
                         Ok(Frame::Event(ev)) => {
                             site.events.insert(ev.commit_ts);
+                            Some(ev.doc)
                         }
-                        Ok(Frame::EditOk { commit_ts, .. }) => assert!(
-                            !site.events.contains(&commit_ts),
-                            "seed {seed}: site {i}: commit {commit_ts}'s Event came before its EditOk"
-                        ),
-                        _ => {}
+                        Ok(Frame::EditOk { commit_ts, .. }) => {
+                            assert!(
+                                !site.events.contains(&commit_ts),
+                                "seed {seed}: site {i}: commit {commit_ts}'s Event came before its EditOk"
+                            );
+                            None
+                        }
+                        _ => None,
+                    };
+                    let completions = site.core.on_frame(tag, payload);
+                    if let Some(mirror) = event.and_then(|doc| site.core.mirror(doc)) {
+                        let texts = &history[&mirror.doc()];
+                        let synced = mirror.synced_ts();
+                        let at = texts.iter().rev().find(|(ts, _)| *ts <= synced).unwrap();
+                        assert!(
+                            !mirror.needs_resync() && mirror.text() == at.1,
+                            "seed {seed}: site {i}: the mirror of {} at {synced} is not the document at {}",
+                            mirror.doc(),
+                            at.0
+                        );
                     }
-                    for done in site.core.on_frame(tag, payload) {
+                    for done in completions {
                         let ctx = format!("seed {seed}: site {i}, request {}", done.id);
                         *site.answers.entry(done.id).or_default() += 1;
                         assert_eq!(site.outstanding.take(), Some(done.id), "{ctx}");
@@ -390,7 +454,7 @@ fn run(seed: u64) -> Run {
             // then what it queued (its writes are stuck as the writer's).
             4 if site.held.is_some() && site.stalled == 0 => {
                 hand_out(seed, i, site, hub, &mut order);
-                site.held.take().unwrap().publish();
+                publish(i, site.held.take().unwrap(), &published, &mut order);
                 hand_out(seed, i, site, hub, &mut order);
             }
             _ => {}
@@ -410,6 +474,10 @@ fn run(seed: u64) -> Run {
             }
         }
     }
+    let carried = |(commit, (_, site)): (&u64, &(u64, usize))| {
+        order.published_by.get(commit).is_some_and(|by| by != site)
+    };
+    order.tally.carried = order.acks.iter().filter(|&c| carried(c)).count() as u64;
     Run {
         digest: digest.0,
         sites,
@@ -441,10 +509,11 @@ fn check(seed: u64, run: &Run) {
         }
     }
     let order = &run.order;
-    for (commit, ack) in &order.acks {
+    for (commit, &(ack, site)) in &order.acks {
+        let carried = order.published_by.get(commit).is_some_and(|&by| by != site);
         if let (Some(event), false) = (order.events.get(commit), order.at_once.contains(commit)) {
             assert!(
-                ack < event,
+                carried || ack < *event,
                 "seed {seed}: commit {commit}'s Event was handed out before its EditOk"
             );
         }
@@ -464,12 +533,10 @@ fn check(seed: u64, run: &Run) {
 
 #[test]
 fn two_clients_converge_under_seeded_delivery() {
-    let mut reordered = 0;
     let mut tally = Tally::default();
     for seed in seeds() {
         let first = run(seed);
         check(seed, &first);
-        reordered += first.order.reordered;
         tally += first.order.tally;
         let again = run(seed);
         assert_eq!(
@@ -478,15 +545,15 @@ fn two_clients_converge_under_seeded_delivery() {
         );
     }
     if std::env::var("TENDAX_SIM_SEED").is_err() {
-        assert!(reordered > 0, "no schedule published commits out of order");
         let Tally {
             resubscribes,
             resyncs,
             stalls,
             recoveries,
+            carried,
         } = tally;
         assert!(
-            resubscribes > 0 && resyncs > 0 && stalls > 0 && recoveries > 0,
+            resubscribes > 0 && resyncs > 0 && stalls > 0 && recoveries > 0 && carried > 0,
             "a step kind never occurred: {tally:?}"
         );
     }

@@ -73,5 +73,5 @@ pub use schema::{ColumnDef, IndexDef, TableDef, TableId};
 pub use table::{ResidentBytes, Ts, TS_LATEST};
 pub use txn::{Durability, Transaction, TxnId};
 pub use value::{DataType, Value, ValueRef};
-pub use vfs::{os_vfs, OsVfs, SimVfs, Vfs, VfsFile, VfsLog};
+pub use vfs::{os_vfs, OsVfs, SimVfs, Syncs, Vfs, VfsFile, VfsLog};
 pub use wal::{DurabilityLevel, WalShardStats};

@@ -38,7 +38,7 @@ use std::sync::Arc;
 
 use crate::error::Result;
 
-pub use sim::SimVfs;
+pub use sim::{SimVfs, Syncs};
 
 /// A file written front to back, from [`Vfs::create`].
 ///

@@ -202,10 +202,21 @@ struct SimState {
     /// Mutating ops charged so far (writes, syncs, creates, renames,
     /// truncates, dir syncs). The unit of crash-point injection.
     ops: u64,
+    /// File syncs asked for so far, by kind.
+    syncs: Syncs,
     faults: Faults,
     powered_off: bool,
     /// Crashes survived so far (diagnostics).
     crashes: u64,
+}
+
+/// File syncs counted by [`SimVfs::syncs`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Syncs {
+    /// `sync_data` calls: the data, and the size only if it changed.
+    pub data: u64,
+    /// `sync_all` calls: the data and all metadata.
+    pub all: u64,
 }
 
 /// A deterministic fault-injecting in-memory file system. Cloning
@@ -228,6 +239,7 @@ impl SimVfs {
                 next_ino: 1,
                 rng: SmallRng::seed_from_u64(seed),
                 ops: 0,
+                syncs: Syncs::default(),
                 faults: Faults::default(),
                 powered_off: false,
                 crashes: 0,
@@ -245,6 +257,13 @@ impl SimVfs {
     /// read this, then sweep `power_fail_after` over `0..ops()`.
     pub fn ops(&self) -> u64 {
         self.state.lock().ops
+    }
+
+    /// File syncs asked for so far, `sync_data` apart from `sync_all`
+    /// (failed ones too). Both cost an op of [`SimVfs::ops`] each; only a
+    /// `sync_all` would also commit a change of the file's size.
+    pub fn syncs(&self) -> Syncs {
+        self.state.lock().syncs
     }
 
     /// Arm a power cut `ops` mutating operations from now. The op that
@@ -398,8 +417,15 @@ impl SimFile {
         Ok(())
     }
 
-    fn sync(&mut self) -> Result<()> {
+    /// Sync the file: all of it if `all`, else its data (the two are one
+    /// in the sim's model, counted apart).
+    fn sync(&mut self, all: bool) -> Result<()> {
         let mut st = self.vfs.state.lock();
+        if all {
+            st.syncs.all += 1;
+        } else {
+            st.syncs.data += 1;
+        }
         match charge(&mut st) {
             OpFate::Run => {
                 let failing = st.faults.failing_syncs > 0;
@@ -432,11 +458,11 @@ impl VfsFile for SimFile {
     }
 
     fn sync_data(&mut self) -> Result<()> {
-        self.sync()
+        self.sync(false)
     }
 
     fn sync_all(&mut self) -> Result<()> {
-        self.sync()
+        self.sync(true)
     }
 }
 
@@ -458,11 +484,11 @@ impl VfsLog for SimFile {
     }
 
     fn sync_data(&mut self) -> Result<()> {
-        self.sync()
+        self.sync(false)
     }
 
     fn sync_all(&mut self) -> Result<()> {
-        self.sync()
+        self.sync(true)
     }
 }
 

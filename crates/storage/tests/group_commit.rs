@@ -218,6 +218,47 @@ fn reopening_a_clean_log_charges_no_io() {
     }
 }
 
+/// At `Fsync` a batch that lands inside the log's zeroed room costs one
+/// `sync_data` and no `sync_all`: its data blocks, no size change. A
+/// batch that outgrows the room costs one `sync_all` more, for the room
+/// it writes and sizes first. (A room grown without its `sync_all` fails
+/// here.)
+#[test]
+fn a_batch_in_the_room_syncs_its_data_only() {
+    let vfs = tendax_storage::SimVfs::new(1);
+    let opts = Options {
+        vfs: std::sync::Arc::new(vfs.clone()),
+        ..opts(DurabilityLevel::Fsync)
+    };
+    let db = Database::open("/sim/room.wal", opts).unwrap();
+    let t = db.create_table(seq_table()).unwrap();
+    let blobs = db
+        .create_table(TableDef::new("blobs").column("bytes", DataType::Bytes))
+        .unwrap();
+    insert_seq(&db, t, 0, 0);
+    let cost = |commit: &dyn Fn()| {
+        let before = vfs.syncs();
+        commit();
+        let after = vfs.syncs();
+        (after.data - before.data, after.all - before.all)
+    };
+    for seq in 1..4 {
+        assert_eq!(cost(&|| insert_seq(&db, t, 0, seq)), (1, 0), "in the room");
+    }
+    let grow = || {
+        let mut txn = db.begin();
+        let row = Row::new(vec![Value::Bytes(vec![7; 80 << 10])]);
+        txn.insert(blobs, row).unwrap();
+        txn.commit().unwrap();
+    };
+    assert_eq!(cost(&grow), (1, 1), "past the room");
+    assert_eq!(
+        cost(&|| insert_seq(&db, t, 0, 4)),
+        (1, 0),
+        "in the new room"
+    );
+}
+
 // ------------------------------------------------- concurrent commit stress
 
 /// Stress satellite: N threads mixing disjoint write-sets (must all

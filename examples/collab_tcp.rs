@@ -57,7 +57,7 @@ fn run_client(addr: &str, user: &str) {
     println!(
         "[{user}] mirror after own edits: {} chars, {} events applied",
         c.text(doc).map_or(0, |t| t.chars().count()),
-        c.mirror_status(doc).map_or(0, |(_, _, _, applied)| applied),
+        c.mirror_status(doc).map_or(0, |(_, _, applied)| applied),
     );
 }
 

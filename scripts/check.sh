@@ -27,8 +27,10 @@
 # (200 acknowledged edits wake no writer thread: the reader writes its
 # replies), `sim_net` (a hub, two connections and two clients in one
 # thread under a seeded delivery schedule, each edit's broadcast held as
-# a step of its own, the `EditOk` checked ahead of its `Event`, 32
-# seeds; TENDAX_SIM_SEED=<n> replays one),
+# a step of its own, every stream in commit order, every mirror at its
+# frontier after each event, the `EditOk` checked ahead of its `Event`,
+# 32 seeds; TENDAX_SIM_SEED=<n> replays one), `durable_events` (an edit
+# whose log sync fails is rejected and its event never handed out),
 # `capacity` once more in a release build (its stalled-reader
 # tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
