@@ -32,7 +32,7 @@ pub struct DocEvent {
     /// refresh already reflects them.
     pub commit_ts: u64,
     pub user: UserId,
-    /// The session that performed the edit (receivers skip their own).
+    /// The session that performed the edit.
     pub origin: SessionId,
     pub kind: String,
     pub effects: Vec<Effect>,
@@ -98,9 +98,8 @@ impl LanBus {
     /// `publish` returns and with no lock held — so a hook may take its
     /// time encoding and pushing, and two documents' publishers never
     /// wait on each other inside it: `tendax-net` fans a commit out to its
-    /// TCP subscribers so. The callback must not block on a consumer, nor
-    /// panic (its document's later events wait for the publication to
-    /// end); returning `false` deregisters it.
+    /// TCP subscribers so. The callback must not block on a consumer; one
+    /// that panics loses that event. Returning `false` deregisters it.
     pub fn register_publish_hook(&self, hook: PublishHook) {
         Arc::make_mut(&mut self.hooks.0.lock()).push(Arc::new(hook));
     }

@@ -51,15 +51,17 @@
 //!
 //! ## One order per document
 //!
-//! A commit posts its event in the document's outbox under the
-//! document's lock — so in commit order — and hands its editor a
-//! [`Ticket`]. The editor resolves it once the commit is durable (a
-//! network edit once its reply is queued, too), or withdraws it if the
-//! commit never became durable. Whoever resolves a ticket publishes the
-//! outbox's resolved prefix, in order, unless a publication is running:
-//! that one finds the entry before it stops. No publisher waits for
-//! another, and no lock is held across a publication. A ticket dropped
-//! unresolved (a cut, an early return, an unwind) publishes its event.
+//! A commit posts its one event — a move within one document posts both
+//! halves as one — in the document's outbox under the document's lock, so
+//! in commit order, and hands its editor a [`Ticket`]. The editor
+//! resolves it once the commit is durable (a network edit once its reply
+//! is queued, too), or withdraws it if the commit never became durable.
+//! Whoever resolves a ticket publishes the outbox's resolved prefix, in
+//! order, unless a publication is running: that one finds the entry
+//! before it stops. No publisher waits for another, and no lock is held
+//! across a publication; a hook that panics costs its one event. A ticket
+//! dropped unresolved (a cut, an early return, an unwind) publishes its
+//! event.
 //!
 //! Lock order: no registry lock is held while a document's lock is
 //! taken; a document's lock comes before the database's and its
@@ -70,6 +72,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::ops::Deref;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
@@ -154,20 +157,27 @@ impl Slot {
 
     /// Publish the resolved prefix in order, unless another thread is
     /// publishing it: that one looks at the head again before it stops.
+    /// A hook that panics costs its one event: the rest still leave, and
+    /// the panic goes on once the publication has ended.
     fn drain(&self) {
         let mut outbox = self.outbox.lock();
         if std::mem::replace(&mut outbox.draining, true) {
             return;
         }
+        let mut panicked = None;
         while let Some(Posting::Resolved(_)) = outbox.entries.front() {
             outbox.first += 1;
             if let Some(Posting::Resolved(Some(event))) = outbox.entries.pop_front() {
                 drop(outbox);
-                self.bus.publish(event);
+                let sent = panic::catch_unwind(AssertUnwindSafe(|| self.bus.publish(event)));
+                panicked = panicked.or(sent.err());
                 outbox = self.outbox.lock();
             }
         }
         outbox.draining = false;
+        if let Some(panic) = panicked {
+            panic::resume_unwind(panic);
+        }
     }
 }
 
@@ -568,7 +578,8 @@ impl LiveEditor {
 
     /// Move text into `dst`'s document in one transaction, under both
     /// documents' locks. Returns each half: this editor owes the
-    /// deletion's event, `dst` the insertion's.
+    /// deletion's event, `dst` the insertion's — or, within one document,
+    /// this editor owes the one event of both, and `dst`'s ticket is empty.
     pub fn move_text(
         &self,
         pos: usize,
@@ -576,24 +587,34 @@ impl LiveEditor {
         dst: &LiveEditor,
         dst_pos: usize,
     ) -> Result<(Published, Published)> {
-        let ((del, ins), [moved_out, moved_in]) = self.commit(
-            Some(dst),
-            |src, to| match to {
-                Some(to) => src.move_to(pos, len, to, dst_pos),
-                // Within one document: through a second handle, after
-                // which the copy holds only half of the move.
-                None => {
-                    let mut to = self.server.textdb().load(self.doc(), dst.user)?;
-                    let done = src.move_to(pos, len, &mut to, dst_pos)?;
-                    self.server.live().rebuild(src)?;
-                    Ok(done)
-                }
-            },
-            |(del, ins)| [Some(del), Some(ins)],
-            ["delete", "paste"],
-        )?;
+        let moved = if dst.doc() == self.doc() {
+            // Through a second handle, after which the copy holds only half
+            // of the move. One commit, so one event: the document's stream
+            // rises strictly in commit_ts.
+            let ((del, ins), _, both) = self.with_handle("move", |src| {
+                let mut to = self.server.textdb().load(self.doc(), dst.user)?;
+                let (del, ins) = src.move_to(pos, len, &mut to, dst_pos)?;
+                self.server.live().rebuild(src)?;
+                let effects = [&del.effects[..], &ins.effects].concat();
+                let both = EditReceipt {
+                    effects,
+                    op: del.op,
+                    commit_ts: del.commit_ts,
+                };
+                Ok(((del, ins), both))
+            })?;
+            ((del, both), (ins, Ticket::default()))
+        } else {
+            let ((del, ins), [moved_out, moved_in]) = self.commit(
+                Some(dst),
+                |src, to| src.move_to(pos, len, to.expect("a second document"), dst_pos),
+                |(del, ins)| [Some(del), Some(ins)],
+                ["delete", "paste"],
+            )?;
+            ((del, moved_out), (ins, moved_in))
+        };
         dst.ops.fetch_add(1, Ordering::Relaxed);
-        Ok(((del, moved_out), (ins, moved_in)))
+        Ok(moved)
     }
 
     /// Run an arbitrary handle operation on the live copy under the edit
@@ -665,7 +686,6 @@ impl LiveEditor {
         kinds: [&str; 2],
     ) -> Result<(T, [Ticket; 2])> {
         let editors = [Some(self), dst];
-        let dst = dst.filter(|d| d.doc() != self.doc());
         let (mut own, mut theirs) = match dst {
             Some(d) if d.doc() < self.doc() => {
                 let theirs = d.lock();
@@ -916,6 +936,34 @@ mod tests {
         b.publish(third_ticket);
         withdrawn.withdraw();
         assert_eq!(sent(), [first.commit_ts, second.commit_ts, third.commit_ts]);
+    }
+
+    /// A publish hook that panics costs its one event: the panic reaches
+    /// the publisher, and the document's later events still leave.
+    /// (Mutation check: publish without catching the panic, and the
+    /// outbox stays marked as publishing: the later event is never sent.)
+    #[test]
+    fn a_panicking_hook_costs_one_event() {
+        use std::sync::atomic::AtomicBool;
+
+        let (server, doc) = served();
+        let sent = captured(&server);
+        let armed = AtomicBool::new(true);
+        server.transport().register_publish_hook(Box::new(move |_| {
+            assert!(!armed.swap(false, Ordering::SeqCst), "a hook panics");
+            true
+        }));
+        let sa = server.connect("alice", Platform::Linux).unwrap();
+        let (a, _) = sa.open_live(doc, |_| ()).unwrap();
+
+        let (_, first) = a.insert(0, "a").unwrap();
+        let unwound = panic::catch_unwind(AssertUnwindSafe(|| a.publish(first)));
+        assert!(unwound.is_err());
+        let (second, ticket) = a.insert(1, "b").unwrap();
+        a.publish(ticket);
+        let sent: Vec<Ts> = sent.lock().iter().map(|ev| ev.commit_ts).collect();
+        assert_eq!(sent.last(), Some(&second.commit_ts));
+        assert_eq!(live_text(&server, doc), "ab");
     }
 
     /// A commit that bypasses the editors (a raw handle) is not in the

@@ -284,7 +284,7 @@ impl EditorDoc {
 
     /// Atomically move text into another open document (one database
     /// transaction across both documents). Each editor publishes its
-    /// half of the change.
+    /// half of the change; within one document this one publishes both.
     pub fn move_text(
         &mut self,
         pos: usize,
@@ -340,6 +340,8 @@ impl EditorDoc {
 mod tests {
     use super::*;
     use crate::live::EDIT_RETRIES;
+    use parking_lot::Mutex;
+    use std::sync::Arc;
     use tendax_text::{TextDb, TextError};
 
     fn lan() -> (CollabServer, EditorSession, EditorSession) {
@@ -516,7 +518,10 @@ mod tests {
     }
 
     /// Both ends of a move in one document share its one copy: the move
-    /// goes through a second handle and the copy is rebuilt once.
+    /// goes through a second handle and the copy is rebuilt once. It is
+    /// one commit, so one event: the deletion's effects, then the
+    /// insertion's. (Two events of one commit_ts made a mirror skip the
+    /// second as a duplicate.)
     #[test]
     fn a_move_within_one_document_lands_once() {
         let (server, sa, sb) = lan();
@@ -524,9 +529,23 @@ mod tests {
         let mut db = sb.open("shared").unwrap();
         da.type_text(0, "abcXYZ").unwrap();
         let loads = server.live().stats().loads;
-        da.move_text(3, 3, &mut db, 0).unwrap();
+        let events = Arc::new(Mutex::new(Vec::new()));
+        let log = Arc::clone(&events);
+        server
+            .transport()
+            .register_publish_hook(Box::new(move |ev| {
+                log.lock().push(Arc::clone(ev));
+                true
+            }));
+        let (del, ins) = da.move_text(3, 3, &mut db, 0).unwrap();
         assert_eq!(da.text(), "XYZabc");
         assert_eq!(server.live().stats().loads, loads + 1);
+        let events = events.lock();
+        let [moved] = &events[..] else {
+            panic!("one event: {:?}", *events);
+        };
+        assert_eq!(moved.commit_ts, del.commit_ts);
+        assert_eq!(moved.effects, [del.effects, ins.effects].concat());
         let fresh = server.textdb().load(da.doc(), sa.user()).unwrap();
         assert_eq!(fresh.text(), "XYZabc");
     }

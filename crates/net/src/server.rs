@@ -532,14 +532,7 @@ impl Hub {
 
 /// A committed edit's ticket, ready, handed back by [`Conn::on_frame`] so
 /// the shell can write the reply first: published by `publish` or on drop.
-#[derive(Debug, Default)]
-pub struct Broadcast(Ticket);
-
-impl Broadcast {
-    pub fn publish(self) {
-        self.0.publish();
-    }
-}
+pub type Broadcast = Ticket;
 
 type Subs = HashMap<DocId, LiveEditor>;
 
@@ -763,7 +756,7 @@ impl Conn {
                             commit_ts: receipt.commit_ts,
                         });
                         ticket.ready();
-                        return Ok(Broadcast(ticket));
+                        return Ok(ticket);
                     }
                     Err(e) => self.reply(Frame::EditRejected {
                         request,

@@ -3,8 +3,9 @@
 //! Random editing histories run through a real in-process `CollabServer`
 //! with two or three editors: typing runs, word inserts, inserts at the
 //! head, at the end and next to the tombstones a backspace leaves,
-//! backspaces and range deletes, local and global undo and redo, and
-//! restyles. A publish hook captures every event. A mirror is loaded
+//! backspaces and range deletes, local and global undo and redo,
+//! restyles, and moves from one editor into another's view of the same
+//! document (one commit, so one event). A publish hook captures every event. A mirror is loaded
 //! from a snapshot taken partway through, and every event is delivered to
 //! it in commit order, as a stream carries them, those at or below the
 //! snapshot included and some twice: the mirror applies each event above
@@ -56,6 +57,12 @@ enum Edit {
         len: usize,
         bold: bool,
     },
+    /// Move a range to `to`, through the next editor.
+    Move {
+        at: usize,
+        len: usize,
+        to: usize,
+    },
 }
 
 fn arb_edit() -> impl Strategy<Value = Edit> {
@@ -72,12 +79,21 @@ fn arb_edit() -> impl Strategy<Value = Edit> {
         1 => Just(Edit::GlobalRedo),
         1 => (any::<usize>(), 1usize..5, any::<bool>())
             .prop_map(|(at, len, bold)| Edit::Style { at, len, bold }),
+        1 => (any::<usize>(), 1usize..6, any::<usize>())
+            .prop_map(|(at, len, to)| Edit::Move { at, len, to }),
     ]
 }
 
-/// Run one edit. Edits the document refuses (nothing to undo, a cursor
-/// at the start) are simply not events.
-fn run(editor: &mut EditorDoc, edit: &Edit, styles: [StyleId; 2]) {
+/// Run one edit by editor `who` (a move into editor `who + 1`'s view).
+/// Edits the document refuses (nothing to undo, a cursor at the start)
+/// are simply not events.
+fn run(open: &mut [EditorDoc], who: usize, edit: &Edit, styles: [StyleId; 2]) {
+    let (head, tail) = open.split_at_mut(who + 1);
+    let (editor, before) = head.split_last_mut().expect("editor `who`");
+    let next = tail
+        .first_mut()
+        .or(before.first_mut())
+        .expect("two editors");
     let len = editor.len();
     let cursor = editor.cursor().min(len);
     let _ = match edit {
@@ -98,7 +114,13 @@ fn run(editor: &mut EditorDoc, edit: &Edit, styles: [StyleId; 2]) {
             let at = at % len;
             editor.apply_style(at, (*n).min(len - at), styles[usize::from(*bold)])
         }
-        Edit::Backspace | Edit::Delete { .. } | Edit::Style { .. } => return,
+        Edit::Move { at, len: n, to } if len > 0 => {
+            let at = at % len;
+            editor
+                .move_text(at, (*n).min(len - at), next, to % (len + 1))
+                .map(|(del, _)| del)
+        }
+        Edit::Backspace | Edit::Delete { .. } | Edit::Style { .. } | Edit::Move { .. } => return,
     };
 }
 
@@ -164,7 +186,7 @@ proptest! {
             if i == snapshot_at {
                 snapshot = encode_snapshot(&tdb.load(doc, users[0]).unwrap(), 0);
             }
-            run(&mut open[who % editors], edit, styles);
+            run(&mut open, who % editors, edit, styles);
         }
         let events = std::mem::take(&mut *published.lock().unwrap());
         let mut mirror = MirrorDoc::from_snapshot_payload(&snapshot[5..]).unwrap();
