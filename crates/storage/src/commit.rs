@@ -500,8 +500,8 @@ mod tests {
     }
 
     fn open_log(path: &PathBuf) -> GroupWal {
-        let level = DurabilityLevel::Buffered;
-        GroupWal::new(WalFile::open(path, level).unwrap(), level)
+        let end = WalFile::replay_on(&*crate::vfs::os_vfs(), path, |_| Ok(())).unwrap();
+        GroupWal::open(crate::vfs::os_vfs(), path, end, DurabilityLevel::Buffered).unwrap()
     }
 
     #[test]

@@ -18,7 +18,7 @@ use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
 use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
 use crate::value::{Value, ValueRef};
-use crate::vfs::{os_vfs, Vfs};
+use crate::vfs::{os_vfs, Vfs, VfsFile};
 use crate::wal::{
     encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, WalFile, WalOp, WalRecord,
     WalShardStats, WalTicket, WalWrite,
@@ -182,16 +182,11 @@ pub(crate) struct DbInner {
     active: Mutex<BTreeMap<TxnId, Ts>>,
     /// Shared/exclusive pipeline latch: commits enter shared and run
     /// concurrently (serializing only on the per-table locks they
-    /// write); DDL and the checkpoint copy phase enter exclusive,
-    /// quiescing the pipeline.
+    /// write); DDL and a checkpoint's switch enter exclusive, quiescing
+    /// the pipeline.
     commit_latch: CommitLatch,
     /// Set once at open for durable databases; never set for in-memory.
     wal: OnceLock<GroupWal>,
-    /// Serializes whole checkpoints (manual + maintenance). Taken
-    /// *before* the exclusive commit latch so a checkpoint never waits
-    /// out another checkpoint's swap-phase I/O while holding the latch
-    /// — commits keep flowing until the pipeline quiesce proper.
-    checkpoint_lock: Mutex<()>,
     counters: Counters,
     path: Option<PathBuf>,
     /// Background maintenance thread, if started.
@@ -241,7 +236,6 @@ impl Database {
                 active: Mutex::new(BTreeMap::new()),
                 commit_latch: CommitLatch::new(),
                 wal: OnceLock::new(),
-                checkpoint_lock: Mutex::new(()),
                 counters: Counters::default(),
                 path,
                 maintenance: Mutex::new(None),
@@ -267,7 +261,7 @@ impl Database {
         let end = {
             let mut catalog = db.inner.catalog.write();
             let mut tables = db.inner.tables.write();
-            WalFile::replay_on(&*options.vfs, &path, |rec, _| {
+            WalFile::replay_on(&*options.vfs, &path, |rec| {
                 db.apply_record(&mut catalog, &mut tables, rec)
             })?
         };
@@ -277,10 +271,10 @@ impl Database {
         for table in db.inner.tables.read().values() {
             table.write().prune_expected(db.last_commit_ts());
         }
-        // Writing resumes where the last frame ends: a torn tail is cut
-        // first, zeroed room kept.
-        let file = WalFile::open_on(options.vfs.clone(), &path, end, options.durability)?;
-        let wal = GroupWal::new(file, options.durability);
+        // Writing resumes where the live segment's last frame ends: what
+        // a crash left beside it is removed, a torn tail is cut first,
+        // zeroed room kept.
+        let wal = GroupWal::open(options.vfs.clone(), &path, end, options.durability)?;
         db.inner.wal.set(wal).expect("wal set once at open");
         if let Some(copts) = options.cold_storage {
             let cold = ColdStore::open(options.vfs.clone(), &path, copts)?;
@@ -305,8 +299,9 @@ impl Database {
         rec: WalRecord,
     ) -> Result<()> {
         match rec {
-            // Checked by the log reader before anything was applied.
-            WalRecord::Format { .. } => {}
+            // Read by the log reader, which checks the format and finds
+            // the segments with them.
+            WalRecord::Format { .. } | WalRecord::Base { .. } => {}
             WalRecord::Meta { next_ts, clock } => {
                 self.inner.sequencer.observe(next_ts.saturating_sub(1));
                 self.inner.clock.observe(clock);
@@ -933,121 +928,79 @@ impl Database {
         self.inner.cold.get().is_some()
     }
 
-    /// Compact the WAL to a snapshot of the latest committed state.
+    /// Compact the log to the state at the watermark: a log rotation.
     ///
-    /// Two phases. The **encode phase** quiesces the commit pipeline
-    /// (exclusive latch), marks the WAL as rewriting and encodes the new
-    /// log file from the tables: each live row's newest version is a
-    /// copy of its bytes into the file's buffer, so the checkpoint holds
-    /// the file and nothing per row beside it. The **swap phase**
-    /// atomically replaces the log file with those bytes and splices
-    /// everything committed during the rewrite onto the new tail — with
-    /// the latch *released*, so committers stream through the pipeline
-    /// the entire time the checkpoint does I/O.
+    /// Under the exclusive commit latch the checkpoint reads the
+    /// watermark W — with the clock, the catalog, and each table's row-id
+    /// watermark and handle — pins W like a [`Database::begin_at`]
+    /// snapshot and switches the log to a new segment, created before the
+    /// latch was taken: no I/O, no walk of a table. Commits above W go to
+    /// the new segment. Off the latch, with the demote lock held when a
+    /// cold tier is attached, it waits for the flush that seals the old
+    /// segment, demotes the history at W, streams the rows visible at W a
+    /// row-slot page at a time into the base's temp file and publishes
+    /// it; only then are the segments it covers removed. A failure
+    /// publishes nothing: the log stays writable and the old base in
+    /// force.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = self.inner.wal.get() else {
             return Ok(()); // in-memory database: nothing to do
         };
-        // Serialize on other checkpoints *before* quiescing the pipeline:
-        // waiting out a concurrent checkpoint's swap-phase I/O must not
-        // happen while holding the exclusive latch, or every commit
-        // stalls for the duration of a full file rewrite.
-        let _ckpt = self.inner.checkpoint_lock.lock();
-        // With a cold tier, checkpoint demotes every version the hot
-        // snapshot would discard (all non-newest versions plus newest
-        // tombstones, minus what earlier demotions already cover), so
-        // compacting the WAL stops erasing durable history. Hold the
-        // demote lock across the whole checkpoint: the history captured
-        // under the latch must still be what gets demoted after it.
+        // Serializes checkpoints, and nothing else.
+        let mut files = wal.files();
+        // The history at W must still be in RAM when it is demoted.
         let cold = self.inner.cold.get();
         let _demote = cold.map(ColdStore::exclusive);
-        // -------------------------------------------------- encode phase
-        let (mut image, batch, watermark) = {
+        let next = files.create_next()?;
+        // ------------------------------------------------------ the switch
+        let (base, _pin, switched) = {
             let _quiesce = self.inner.commit_latch.exclusive();
-            wal.begin_rewrite()?;
-            let watermark = self.inner.sequencer.watermark();
-            let batch = match cold {
-                Some(cold) => self.collect_cold_history(cold, watermark),
-                None => Vec::new(),
-            };
-            (self.checkpoint_image(), batch, watermark)
+            let base = self.base_at_watermark();
+            let pin = self.pin(base.watermark);
+            let switched = wal.switch(next)?;
+            (base, pin, switched)
         };
-        // ---------------------------------------------------- swap phase
-        // Demote off-latch (commits flow during the run write). On
-        // demotion failure, fall back to splicing the history into the
-        // rewritten WAL — the batch was captured under the latch, so
-        // the spliced rows are exactly the quiesced state. Demotion
-        // takes the batch, so its frames are encoded first.
-        if let Some(cold) = cold.filter(|_| !batch.is_empty()) {
-            let mut history = CheckpointFrames::default();
-            for (table, row, commit_ts, op) in &batch {
-                let put = match op {
-                    WalOp::Put(r) => Some(r),
-                    WalOp::Delete => None,
-                    WalOp::Patch { .. } => unreachable!("history holds puts and deletes"),
-                };
-                history.row(*table, *row, *commit_ts, put);
+        let segment = files.switched();
+        wal.wait_durable(switched)?;
+        // ------------------------------------------------------- the base
+        if let Some(cold) = cold {
+            let already_cold = cold.floor();
+            let mut history = Vec::new();
+            for (_, _, handle) in &base.tables {
+                (handle.read()).collect_demotable(base.watermark, already_cold, &mut history);
             }
-            if self
-                .note_cold_error(cold.demote(batch, watermark))
-                .is_none()
-            {
-                image.insert_history(history);
-            }
+            cold.demote(history, base.watermark)?;
         }
-        wal.finish_rewrite(image)
+        files.publish_base(|out| base.write(out, segment))
     }
 
-    /// Everything a checkpoint at `watermark` would discard from the
-    /// WAL but the cold tier should keep: per table, every non-newest
-    /// version plus newest tombstones, minus versions already demoted.
-    /// Caller holds the exclusive commit latch and the demote lock.
-    fn collect_cold_history(
-        &self,
-        cold: &ColdStore,
-        watermark: Ts,
-    ) -> Vec<(TableId, RowId, Ts, WalOp)> {
-        let already_cold = cold.floor();
-        let tables = self.inner.tables.read();
-        let mut batch = Vec::new();
-        for handle in tables.values() {
-            handle
-                .read()
-                .collect_demotable(watermark, already_cold, &mut batch);
-        }
-        batch
-    }
-
-    /// Every piece of durable state at the current watermark, as the
-    /// checkpoint's log file: `Meta`, the DDL prologue, then per table
-    /// its row-id watermark and its live rows, each frame encoded once
-    /// into a buffer of its own — nothing per row held beside them.
-    /// Caller must hold the exclusive commit latch (quiesced: the
+    /// What a checkpoint's base holds beside the rows, read at the
+    /// watermark. Caller holds the exclusive commit latch (quiesced: the
     /// watermark equals the newest allocated timestamp).
-    fn checkpoint_image(&self) -> CheckpointFrames {
-        let catalog = self.inner.catalog.read();
-        let tables = self.inner.tables.read();
-        let mut image = CheckpointFrames::file();
-        image.record(&WalRecord::Meta {
-            next_ts: self.inner.sequencer.watermark() + 1,
-            clock: self.inner.clock.peek(),
-        });
-        for (id, def) in catalog.tables() {
-            image.record(&WalRecord::CreateTable {
-                id,
-                def: def.clone(),
-            });
+    fn base_at_watermark(&self) -> Base {
+        let watermark = self.inner.sequencer.watermark();
+        let tables = (self.inner.tables.read().iter())
+            .map(|(&id, handle)| (id, handle.read().row_id_watermark(), handle.clone()))
+            .collect();
+        Base {
+            watermark,
+            meta: WalRecord::Meta {
+                next_ts: watermark + 1,
+                clock: self.inner.clock.peek(),
+            },
+            catalog: (self.inner.catalog.read().tables())
+                .map(|(id, def)| (id, def.clone()))
+                .collect(),
+            tables,
         }
-        for (&id, handle) in tables.iter() {
-            let store = handle.read();
-            image.record(&WalRecord::Watermark {
-                table: id,
-                next_row_id: store.row_id_watermark(),
-            });
-            put_live_rows(&mut image, &store);
-        }
-        image.close_batch();
-        image
+    }
+
+    /// Hold a snapshot at `ts` the way a running transaction does:
+    /// vacuum keeps every version visible at it until the pin drops.
+    fn pin(&self, ts: Ts) -> Pin<'_> {
+        let id = TxnId(self.inner.next_txn_id.fetch_add(1, Ordering::Relaxed));
+        self.inner.active.lock().insert(id, ts);
+        Pin { db: self, id }
     }
 
     /// Start the background maintenance thread. Returns `false` (and
@@ -1076,8 +1029,8 @@ impl Database {
         }
     }
 
-    /// `(bytes, records)` written to the WAL since open or the last
-    /// checkpoint; `(0, 0)` for in-memory databases.
+    /// `(bytes, records)` written to the live log segment, since open or
+    /// the last checkpoint; `(0, 0)` for in-memory databases.
     pub fn wal_size(&self) -> (u64, u64) {
         self.inner.wal.get().map(GroupWal::size).unwrap_or((0, 0))
     }
@@ -1261,15 +1214,79 @@ fn commit_record(commit_ts: Ts, writes: &BTreeMap<TableId, BTreeMap<RowId, Write
     WalRecord::Commit { commit_ts, writes }
 }
 
-/// The checkpoint's rows for one table: each row's newest version — the
-/// last of its slot — unless that is a tombstone (dropped history is
-/// invisible to every post-restart snapshot, and the watermark already
-/// protects the id space), in row-id order.
+/// The rows a table weighs in a checkpoint: each row's newest version —
+/// the last of its slot — unless that is a tombstone, in row-id order.
 fn put_live_rows(frames: &mut CheckpointFrames, store: &TableStore) {
     for (rid, v) in store.newest_versions_at(TS_LATEST) {
         if let VersionOp::Put(row) = &v.op {
             frames.row(store.id(), rid, v.commit_ts, Some(row));
         }
+    }
+}
+
+/// A checkpoint's base, as read under the commit latch: everything but
+/// the rows, which are read off it.
+struct Base {
+    watermark: Ts,
+    meta: WalRecord,
+    catalog: Vec<(TableId, TableDef)>,
+    /// Each table with its row-id watermark.
+    tables: Vec<(TableId, u64, Arc<RwLock<TableStore>>)>,
+}
+
+impl Base {
+    /// Write the base file to `out`: its format and `Base` frames
+    /// (naming `segment`), `Meta`, the DDL prologue, then per table its
+    /// row-id watermark and the rows visible at the watermark. A dropped
+    /// row (a tombstone) is invisible to every later snapshot, and the
+    /// row-id watermark already protects the id space. Each table is read
+    /// a row-slot page at a time under its read lock, and the frames
+    /// closed so far written out between pages.
+    fn write(&self, out: &mut dyn VfsFile, segment: u64) -> Result<()> {
+        let mut frames = CheckpointFrames::base(segment);
+        frames.record(&self.meta);
+        for (id, def) in &self.catalog {
+            frames.record(&WalRecord::CreateTable {
+                id: *id,
+                def: def.clone(),
+            });
+        }
+        for (id, next_row_id, handle) in &self.tables {
+            frames.record(&WalRecord::Watermark {
+                table: *id,
+                next_row_id: *next_row_id,
+            });
+            let mut page = 0;
+            loop {
+                let store = handle.read();
+                let Some((at, versions)) = store.newest_versions_in_page(page, self.watermark)
+                else {
+                    break;
+                };
+                for (rid, v) in versions {
+                    if let VersionOp::Put(row) = &v.op {
+                        frames.row(*id, rid, v.commit_ts, Some(row));
+                    }
+                }
+                drop(store);
+                frames.drain_to(out)?;
+                page = at + 1;
+            }
+        }
+        frames.close_batch();
+        frames.drain_to(out)
+    }
+}
+
+/// A snapshot held open without a transaction ([`Database::pin`]).
+struct Pin<'a> {
+    db: &'a Database,
+    id: TxnId,
+}
+
+impl Drop for Pin<'_> {
+    fn drop(&mut self) {
+        self.db.abort_txn(self.id, false);
     }
 }
 

@@ -164,11 +164,20 @@ impl RowSlots {
 
     /// Every chain, in row-id order.
     fn iter(&self) -> impl Iterator<Item = (RowId, &Chain)> + '_ {
-        self.pages.iter().flat_map(|(n, page)| {
-            let base = n * SLOTS_PER_PAGE;
-            (page.iter().enumerate())
-                .filter_map(move |(i, slot)| Some((RowId(base + i as u64), slot.as_ref()?)))
-        })
+        self.pages.iter().flat_map(|(n, page)| Self::chains(*n, page))
+    }
+
+    /// The first allocated page at or after page `n`: its number, and
+    /// its chains in row-id order.
+    fn page_from(&self, n: u64) -> Option<(u64, impl Iterator<Item = (RowId, &Chain)> + '_)> {
+        let (at, page) = self.pages.get(self.find(n).unwrap_or_else(|i| i))?;
+        Some((*at, Self::chains(*at, page)))
+    }
+
+    fn chains(n: u64, page: &Page) -> impl Iterator<Item = (RowId, &Chain)> + '_ {
+        let base = n * SLOTS_PER_PAGE;
+        (page.iter().enumerate())
+            .filter_map(move |(i, slot)| Some((RowId(base + i as u64), slot.as_ref()?)))
     }
 
     /// Keep the chains `keep` returns `true` for and empty the others'
@@ -619,15 +628,34 @@ impl TableStore {
         })
     }
 
+    /// [`TableStore::newest_versions_at`] over one page of row slots, the
+    /// first allocated page at or after page `page`: its number, and the
+    /// versions. `None` past the last page. A checkpoint reads a table a
+    /// page at a time, holding the table's lock for no longer.
+    pub(crate) fn newest_versions_in_page(
+        &self,
+        page: u64,
+        ts: Ts,
+    ) -> Option<(u64, impl Iterator<Item = (RowId, &Version)>)> {
+        let (at, chains) = self.chains.page_from(page)?;
+        let newest = chains.filter_map(move |(rid, chain)| {
+            let v = chain.versions().iter().rev().find(|v| v.commit_ts <= ts)?;
+            Some((rid, v))
+        });
+        Some((at, newest))
+    }
+
     /// Collect exactly what [`TableStore::vacuum`] at `horizon` would
     /// prune, as WAL ops ready for cold demotion, skipping versions the
     /// cold tier already holds (those superseded by a version at or
     /// below `already_cold` — the cold floor — plus sole tombstones at
     /// or below it).
     ///
-    /// With `horizon` = the commit watermark this doubles as the
-    /// checkpoint's history collector: every non-newest version plus
-    /// newest tombstones, minus what previous demotions covered.
+    /// With `horizon` = a checkpoint's watermark this doubles as its
+    /// history collector: every version at or below the horizon but the
+    /// newest, plus the newest when it is a tombstone, minus what previous
+    /// demotions covered — what the checkpoint's base drops, whatever
+    /// commits above the horizon added since.
     pub(crate) fn collect_demotable(
         &self,
         horizon: Ts,
@@ -651,12 +679,10 @@ impl TableStore {
                 };
                 out.push((self.id, rid, chain[i].commit_ts, op));
             }
-            let Some(last) = chain.last() else { continue };
-            let sole_dead = keep_from == chain.len() - 1
-                && last.commit_ts <= horizon
-                && matches!(last.op, VersionOp::Delete);
-            if sole_dead && last.commit_ts > already_cold {
-                out.push((self.id, rid, last.commit_ts, WalOp::Delete));
+            let Some(newest) = chain.get(keep_from) else { continue };
+            let dead = newest.commit_ts <= horizon && matches!(newest.op, VersionOp::Delete);
+            if dead && newest.commit_ts > already_cold {
+                out.push((self.id, rid, newest.commit_ts, WalOp::Delete));
             }
         }
     }

@@ -40,6 +40,7 @@ const TAG_WATERMARK: u8 = 6;
 // (A log checkpointed from four shards to one by the last build that had
 // them is one file of barriers until that build checkpoints it again.)
 const TAG_FORMAT: u8 = 9;
+const TAG_BASE: u8 = 10;
 
 // Row header: two bits per column, column `i` in bits `2*(i%4)` of
 // header byte `i/4`.
@@ -86,6 +87,10 @@ pub(crate) fn put_record(b: &mut Vec<u8>, rec: &WalRecord) {
         WalRecord::Format { version } => {
             b.push(TAG_FORMAT);
             put_varint(b, u64::from(*version));
+        }
+        WalRecord::Base { segment } => {
+            b.push(TAG_BASE);
+            put_varint(b, *segment);
         }
         WalRecord::Meta { next_ts, clock } => {
             b.push(TAG_META);
@@ -148,6 +153,9 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
     let rec = match get_u8(buf)? {
         TAG_FORMAT => WalRecord::Format {
             version: get_varint32(buf)?,
+        },
+        TAG_BASE => WalRecord::Base {
+            segment: get_varint(buf)?,
         },
         TAG_META => WalRecord::Meta {
             next_ts: get_varint(buf)?,
@@ -1286,6 +1294,7 @@ mod tests {
     #[test]
     fn roundtrip_format_and_meta() {
         roundtrip(WalRecord::Format { version: 2 });
+        roundtrip(WalRecord::Base { segment: 300 });
         roundtrip(WalRecord::Meta {
             next_ts: 42,
             clock: -7,

@@ -18,10 +18,17 @@
 //! batch, without weakening the guarantee: `commit()` still returns only
 //! after the record is durable at the configured level.
 //!
-//! Non-commit records (DDL, checkpoint snapshots) use
-//! [`GroupWal::enqueue`], which must be called with the commit pipeline
-//! quiesced (the database's exclusive commit latch) so they interleave
-//! with commit frames at a well-defined point.
+//! Non-commit records (DDL) use [`GroupWal::enqueue`], which must be
+//! called with the commit pipeline quiesced (the database's exclusive
+//! commit latch) so they interleave with commit frames at a well-defined
+//! point.
+//!
+//! A checkpoint rotates the log with [`GroupWal::switch`], under that
+//! same latch: it marks the batch's end and hands over the next segment,
+//! created beforehand, and does no I/O. The flush leader that takes the
+//! mark writes the frames before it to the live segment, seals that
+//! segment (cut to its last frame, synced) and writes the frames after it
+//! to the new one. No flush ever waits for a checkpoint.
 //!
 //! A failed flush **poisons** the log: the error is sticky and every
 //! in-flight and subsequent waiter receives
@@ -36,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
 use crate::table::Ts;
-use crate::wal::log::{encode_frame, CheckpointFrames};
+use crate::wal::log::{encode_frame, LogFiles};
 use crate::wal::{DurabilityLevel, WalFile, WalRecord};
 
 /// Claim ticket for a logged record: pass to
@@ -83,23 +90,37 @@ struct GroupState {
     /// and a timestamp <= this is in `buf` or the file.
     appended_ts: Ts,
     /// Every commit timestamp <= this is on disk at the configured
-    /// durability level (or was superseded by a checkpoint).
+    /// durability level.
     durable_ts: Ts,
     /// A flush leader is currently writing outside this lock.
     leader_active: bool,
-    /// A checkpoint rewrite is in progress; no one may flush.
-    rewriting: bool,
+    /// A checkpoint's switch no flush has taken yet.
+    switch: Option<Switch>,
     /// Sticky flush failure. Set once, never cleared.
     poison: Option<String>,
 }
 
-/// The group-commit write-ahead log: a [`WalFile`] fronted by a shared
-/// batch buffer and a leader/follower flush protocol.
+/// Where the log moves to the next segment: the frames of the batch
+/// before `at` belong to the live segment, the rest to `next`.
+#[derive(Debug)]
+struct Switch {
+    at: usize,
+    /// Records before `at`.
+    records: u64,
+    next: WalFile,
+}
+
+/// The group-commit write-ahead log: the live segment ([`WalFile`])
+/// fronted by a shared batch buffer and a leader/follower flush protocol,
+/// and the files beside it.
 #[derive(Debug)]
 pub(crate) struct GroupWal {
     state: Mutex<GroupState>,
     cv: Condvar,
     file: Mutex<WalFile>,
+    /// Taken by a checkpoint for all of its run: checkpoints serialize
+    /// on it, and nothing else does.
+    files: Mutex<LogFiles>,
     durability: DurabilityLevel,
     /// [`WalShardStats`], field for field.
     batches_flushed: AtomicU64,
@@ -110,18 +131,27 @@ pub(crate) struct GroupWal {
 }
 
 impl GroupWal {
-    pub(crate) fn new(file: WalFile, durability: DurabilityLevel) -> GroupWal {
-        GroupWal {
+    /// The log at `path`, whose replay ended at `end`, opened for writing
+    /// (see [`LogFiles::open`]).
+    pub(crate) fn open(
+        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
+        path: &std::path::Path,
+        end: crate::wal::LogEnd,
+        durability: DurabilityLevel,
+    ) -> Result<GroupWal> {
+        let (files, file) = LogFiles::open(vfs, path, end, durability)?;
+        Ok(GroupWal {
             state: Mutex::new(GroupState::default()),
             cv: Condvar::new(),
             file: Mutex::new(file),
+            files: Mutex::new(files),
             durability,
             batches_flushed: AtomicU64::new(0),
             records_flushed: AtomicU64::new(0),
             fsyncs: AtomicU64::new(0),
             bytes_flushed: AtomicU64::new(0),
             flush_wait_ns: AtomicU64::new(0),
-        }
+        })
     }
 
     pub(crate) fn stats(&self) -> WalShardStats {
@@ -134,11 +164,34 @@ impl GroupWal {
         }
     }
 
-    /// Append one batch to the file at the log's durability level and,
-    /// when that succeeds, count it: the one place a flush is issued and
-    /// the one place the counters move.
-    fn append_counted(&self, buf: &[u8], records: u64) -> Result<()> {
-        self.file.lock().append_batch(buf, records)?;
+    /// The log's files, locked: a checkpoint holds them for all of its
+    /// run.
+    pub(crate) fn files(&self) -> parking_lot::MutexGuard<'_, LogFiles> {
+        self.files.lock()
+    }
+
+    /// Write one batch out: the frames before a switch to the live
+    /// segment, which is then sealed and replaced by the next one, the
+    /// rest after them.
+    fn write_batch(&self, file: &mut WalFile, buf: &[u8], records: u64, switch: Option<Switch>) -> Result<()> {
+        let (mut buf, mut records) = (buf, records);
+        if let Some(s) = switch {
+            self.append_counted(file, &buf[..s.at], s.records)?;
+            file.seal()?;
+            *file = s.next;
+            (buf, records) = (&buf[s.at..], records - s.records);
+        }
+        self.append_counted(file, buf, records)
+    }
+
+    /// Append frames, if there are any, to `file` at the log's durability
+    /// level and, when that succeeds, count them: the one place a flush
+    /// is issued and the one place the counters move.
+    fn append_counted(&self, file: &mut WalFile, buf: &[u8], records: u64) -> Result<()> {
+        if buf.is_empty() {
+            return Ok(());
+        }
+        file.append_batch(buf, records)?;
         self.batches_flushed.fetch_add(1, Ordering::Relaxed);
         self.records_flushed.fetch_add(records, Ordering::Relaxed);
         self.bytes_flushed
@@ -149,7 +202,7 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Stage a non-commit record (DDL, recovery snapshots). Must be
+    /// Stage a non-commit record (DDL). Must be
     /// called with the commit pipeline quiesced (exclusive commit
     /// latch), so the frame lands at a well-defined point between
     /// commit frames.
@@ -210,9 +263,9 @@ impl GroupWal {
             if durable(&st) {
                 return Ok(());
             }
-            if st.leader_active || st.rewriting {
-                // A flush (or checkpoint) is in flight; it — or the next
-                // leader after it — will cover us.
+            if st.leader_active {
+                // A flush is in flight; it — or the next leader after
+                // it — will cover us.
                 self.cv.wait(&mut st);
                 continue;
             }
@@ -232,12 +285,13 @@ impl GroupWal {
         st.leader_active = true;
         let buf = std::mem::take(&mut st.buf);
         let records = std::mem::take(&mut st.pending);
+        let switch = st.switch.take();
         let hi = st.enqueued;
         // Every commit frame <= appended_ts is in `buf` (or already on
         // disk), so a successful write makes that whole prefix durable.
         let hi_ts = st.appended_ts;
         drop(st);
-        let res = self.append_counted(&buf, records);
+        let res = self.write_batch(&mut self.file.lock(), &buf, records, switch);
         let mut st = self.state.lock();
         st.leader_active = false;
         match res {
@@ -251,81 +305,28 @@ impl GroupWal {
         }
     }
 
-    /// Checkpoint copy phase. Must be called with the commit pipeline
-    /// quiesced (exclusive commit latch): no timestamp is pending, every
-    /// record appended so far was published before the latch was
-    /// granted, so the table snapshot the caller is about to take
-    /// captures all of them and the pending batch frames are redundant —
-    /// they are discarded here. Quiesces any in-flight flush leader (a
-    /// leader finishing *after* the swap would append pre-snapshot frames
-    /// to the new file, duplicating records) and marks the log as
-    /// rewriting, which parks flushes until [`GroupWal::finish_rewrite`].
-    /// Appends stay free: the commit critical section never stalls on a
-    /// checkpoint.
-    ///
-    /// Every `begin_rewrite` that returns `Ok` **must** be paired with a
-    /// `finish_rewrite`, or the log wedges with `rewriting` set. The
-    /// caller's checkpoint lock keeps two rewrites from overlapping.
-    pub(crate) fn begin_rewrite(&self) -> Result<()> {
+    /// Move the log to `next`, a new segment, behind every frame staged
+    /// so far: the flush that takes the switch seals the live segment
+    /// after writing those frames to it. Must be called with the commit
+    /// pipeline quiesced (exclusive commit latch), so the frames before
+    /// the switch are exactly those of the commits below the watermark.
+    /// Does no I/O. The ticket is durable once the switch is made.
+    pub(crate) fn switch(&self, next: WalFile) -> Result<WalTicket> {
         let mut st = self.state.lock();
         Self::check_poison(&st)?;
-        debug_assert!(!st.rewriting, "checkpoints overlap");
-        st.rewriting = true;
-        while st.leader_active {
-            self.cv.wait(&mut st);
-        }
-        st.buf.clear();
-        st.pending = 0;
-        Ok(())
+        debug_assert!(st.switch.is_none(), "checkpoints overlap");
+        st.switch = Some(Switch {
+            at: st.buf.len(),
+            records: st.pending,
+            next,
+        });
+        st.enqueued += 1;
+        Ok(WalTicket::Seq(st.enqueued))
     }
 
-    /// Checkpoint swap phase: rewrite the file to `image` atomically,
-    /// then splice everything committed during the rewrite (it piled up
-    /// in the batch buffer) onto the new log's tail and release
-    /// waiters. Called with **no** database locks held — the
-    /// rewrite I/O is the expensive part and runs entirely off the
-    /// commit path. Commits that happened mid-rewrite have timestamps
-    /// after the snapshot's `Meta`, so replay order stays consistent:
-    /// snapshot first, tail second.
-    ///
-    /// A crash before the rewrite's rename leaves the old log intact
-    /// (pre-checkpoint state); after the rename, the new log replays the
-    /// snapshot plus whatever prefix of the tail made it to disk — never
-    /// a hybrid. That is why the durable horizon only advances here.
-    pub(crate) fn finish_rewrite(&self, image: CheckpointFrames) -> Result<()> {
-        let res = self.file.lock().rewrite(image);
-        let mut st = self.state.lock();
-        if let Err(e) = res {
-            st.rewriting = false;
-            return Err(self.poison_with(&mut st, e));
-        }
-        // Splice the mid-rewrite tail. `rewriting` is still set, so no
-        // flush leader can interleave with this append.
-        let buf = std::mem::take(&mut st.buf);
-        let tail_records = std::mem::take(&mut st.pending);
-        let hi = st.enqueued;
-        let hi_ts = st.appended_ts;
-        drop(st);
-        let splice = if buf.is_empty() {
-            Ok(())
-        } else {
-            self.append_counted(&buf, tail_records)
-        };
-        let mut st = self.state.lock();
-        st.rewriting = false;
-        match splice {
-            Ok(()) => {
-                st.durable = st.durable.max(hi);
-                st.durable_ts = st.durable_ts.max(hi_ts);
-                self.cv.notify_all();
-                Ok(())
-            }
-            Err(e) => Err(self.poison_with(&mut st, e)),
-        }
-    }
-
-    /// `(bytes, records)` written to the underlying file since it was
-    /// opened or last rewritten — the growth the checkpoint budget caps.
+    /// `(bytes, records)` written to the live segment since it was opened
+    /// — the growth since open or the last checkpoint, which the
+    /// checkpoint budget caps.
     pub(crate) fn size(&self) -> (u64, u64) {
         let f = self.file.lock();
         (f.bytes_written(), f.records_written())
@@ -361,12 +362,13 @@ impl Drop for GroupWal {
     /// the commit-order-prefix invariant.
     fn drop(&mut self) {
         let st = self.state.get_mut();
-        if st.poison.is_some() || st.buf.is_empty() {
+        if st.poison.is_some() || (st.buf.is_empty() && st.switch.is_none()) {
             return;
         }
         let buf = std::mem::take(&mut st.buf);
         let records = std::mem::take(&mut st.pending);
-        let _ = self.file.get_mut().append_batch(&buf, records);
+        let switch = st.switch.take();
+        let _ = self.write_batch(&mut self.file.lock(), &buf, records, switch);
     }
 }
 
@@ -377,6 +379,8 @@ mod tests {
 
     use super::*;
     use crate::table::Ts;
+    use crate::vfs::os_vfs;
+    use crate::wal::{segment_path, WalIter};
 
     fn tmpfile(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
@@ -398,7 +402,8 @@ mod tests {
     }
 
     fn open_group(path: &PathBuf, durability: DurabilityLevel) -> GroupWal {
-        GroupWal::new(WalFile::open(path, durability).unwrap(), durability)
+        let end = WalFile::replay_on(&*os_vfs(), path, |_| Ok(())).unwrap();
+        GroupWal::open(os_vfs(), path, end, durability).unwrap()
     }
 
     #[test]
@@ -462,18 +467,25 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_replaces_pending_and_advances_horizon() {
-        let path = tmpfile("ckpt.wal");
-        let wal = open_group(&path, DurabilityLevel::Buffered);
-        // Staged but never waited on: the checkpoint snapshot supersedes it.
-        let staged = wal.enqueue(&meta(1)).unwrap();
-        wal.begin_rewrite().unwrap();
-        let mut image = CheckpointFrames::file();
-        image.record(&meta(42));
-        wal.finish_rewrite(image).unwrap();
-        // The pre-checkpoint ticket is durable by inclusion in the snapshot.
-        wal.wait_durable(staged).unwrap();
+    fn a_switch_seals_the_live_segment_behind_the_frames_before_it() {
+        let path = tmpfile("switch.wal");
+        let _ = std::fs::remove_file(segment_path(&path, 1));
+        let wal = open_group(&path, DurabilityLevel::Fsync);
+        let before = wal.enqueue(&meta(1)).unwrap();
+        let next = wal.files().create_next().unwrap();
+        let switched = wal.switch(next).unwrap();
+        let after = wal.enqueue(&meta(2)).unwrap();
+        // One flush takes all three: the frame before the switch goes to
+        // segment 0, which is sealed (cut to its frames), the one after
+        // it to segment 1.
+        wal.wait_durable(after).unwrap();
+        wal.wait_durable(switched).unwrap();
+        wal.wait_durable(before).unwrap();
+        assert_eq!(wal.stats().batches_flushed, 2);
+        let sealed = std::fs::read(&path).unwrap();
+        assert_eq!(WalIter::new(&sealed).count(), 2, "format frame and meta(1)");
+        assert_eq!(wal.size(), (10 + encode_frame(&meta(2)).len() as u64, 1));
         drop(wal);
-        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(42)]);
+        assert_eq!(WalFile::replay(&path).unwrap(), vec![meta(1), meta(2)]);
     }
 }

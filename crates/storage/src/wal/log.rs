@@ -1,4 +1,4 @@
-//! The physical log file: framing, writing, replay, checkpoint rotation.
+//! The physical log: framing, segment files, the base, replay.
 //!
 //! Frame layout per record: `[u32 payload_len][u32 crc32(payload)][payload]`
 //! (little-endian), with at least one payload byte. The first frame of
@@ -7,22 +7,38 @@
 //! another version and is refused before anything in it is decoded,
 //! truncated or repaired.
 //!
-//! The log ends at the first frame that is cut short, fails its CRC, or
-//! has a header of eight zero bytes (no frame is empty, so a zero header
-//! is never one). Behind that point lie zeroed room, the torn tail of a
-//! crashed write, or corruption: only zeros, and at most one torn
-//! sector's worth of other bytes in one place, are read as room or a torn
-//! tail; anything more is [`StorageError::WalCorrupt`]. Opening the log
-//! for writing cuts a torn tail (anything past the last frame that is not
-//! zero) and keeps zeros as room.
+//! The log is a *base* and numbered *segments* beside it. The base, at
+//! the database's path, is a checkpoint's image: its format frame, a
+//! [`WalRecord::Base`] frame naming the first segment after it, then the
+//! state at the checkpoint's watermark. Segment `n` (`<path>.seg<n>`,
+//! [`segment_path`]) holds frames written after the base, in order; only
+//! the last, the *live* segment, is written. A log no checkpoint has
+//! rotated is one file at the path with no `Base` frame: segment 0. Replay
+//! reads the base, then each segment from the one it names, in order. A
+//! checkpoint switches the log to a new segment, publishes a base by
+//! renaming it over the old one, and only then removes the segments the
+//! base covers; open removes what a crash left of that.
 //!
-//! Each batch of frames is written at the log's end with one positioned
-//! write. At [`DurabilityLevel::Fsync`] the log keeps zeroed room ahead
-//! of that end, written, synced and sized [`ROOM_STEP`] at a time before
-//! any frame lands in it, so the `fdatasync` behind each batch flushes
-//! data blocks and no size change. A clean close gives the room back: a
-//! log at rest is exactly its frames. At `Buffered` batches extend the
-//! file as they land.
+//! The live segment ends at the first frame that is cut short, fails its
+//! CRC, or has a header of eight zero bytes (no frame is empty, so a zero
+//! header is never one). Behind that point lie zeroed room, the torn tail
+//! of a crashed write, or corruption: only zeros, and at most one torn
+//! sector's worth of other bytes in one place, are read as room or a torn
+//! tail, and never when an intact frame lies behind the bad one's header;
+//! anything more is [`StorageError::WalCorrupt`]. Opening the log for
+//! writing cuts a torn tail (anything past the last frame that is not
+//! zero) and keeps zeros as room. A sealed segment (one the log switched
+//! away from) and the base were synced whole before anything followed
+//! them: any byte past their last frame is `WalCorrupt`.
+//!
+//! Each batch of frames is written at the live segment's end with one
+//! positioned write. At [`DurabilityLevel::Fsync`] the segment keeps
+//! zeroed room ahead of that end, written, synced and sized
+//! [`ROOM_STEP`] at a time before any frame lands in it, so the
+//! `fdatasync` behind each batch flushes data blocks and no size change.
+//! Sealing a segment and a clean close give the room back: a file at rest
+//! is exactly its frames. At `Buffered` batches extend the file as they
+//! land.
 //!
 //! All file access goes through the [`Vfs`] seam so the same code path
 //! runs against the real disk ([`crate::vfs::OsVfs`], the default) and
@@ -36,7 +52,7 @@ use crate::row::{RowId, SharedRow};
 use crate::schema::TableId;
 use crate::table::Ts;
 use crate::util::crc32;
-use crate::vfs::{os_vfs, Vfs, VfsLog, ZEROS};
+use crate::vfs::{os_vfs, Vfs, VfsFile, VfsLog, ZEROS};
 use crate::wal::codec::{
     begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, snapshot_rows_len,
     RowDeltas, SNAPSHOT_BATCH_BYTES,
@@ -56,23 +72,52 @@ const ROOM_STEP: u64 = 64 << 10;
 /// never reaches past the frame it is in.
 pub(crate) const TORN_MAX: usize = 8;
 
-/// Where a replayed log's frames end, and what lies past them.
+/// Where a replayed log ends: which segment is live, where its frames
+/// end and what lies past them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogEnd {
-    /// The offset the last intact frame ends at.
+    /// The live segment: the last one holding a frame past its format
+    /// frame, or else the first after the base.
+    pub segment: u64,
+    /// The first segment the base does not cover, as its `Base` frame
+    /// names it; 0 when the log has no base.
+    pub first: u64,
+    /// The last segment on disk. Those past `segment` hold no frame:
+    /// a checkpoint made them and never switched to them.
+    pub last: u64,
+    /// The offset the live segment's last intact frame ends at.
     pub frames: u64,
-    /// The file's length.
+    /// The live segment's length.
     pub len: u64,
     /// Some byte past `frames` is not zero: the tail of a crashed write,
     /// which [`WalFile::open_on`] cuts. Zeros there are room, and kept.
     pub torn: bool,
 }
 
-/// The log file, written at its end.
+/// The file of segment `n` of the log at `path`. Segment 0, a log no
+/// checkpoint has rotated, is the path itself.
+pub fn segment_path(path: &Path, n: u64) -> PathBuf {
+    match n {
+        0 => path.to_path_buf(),
+        n => sibling(path, &format!(".seg{n}")),
+    }
+}
+
+/// Where a checkpoint writes the base before renaming it over `path`.
+fn tmp_path(path: &Path) -> PathBuf {
+    sibling(path, ".tmp")
+}
+
+fn sibling(path: &Path, suffix: &str) -> PathBuf {
+    let mut s = path.as_os_str().to_os_string();
+    s.push(suffix);
+    PathBuf::from(s)
+}
+
+/// One segment file of the log, written at its end.
 #[derive(Debug)]
 pub struct WalFile {
     path: PathBuf,
-    vfs: Arc<dyn Vfs>,
     log: Box<dyn VfsLog>,
     durability: DurabilityLevel,
     /// Where the last frame ends: the next batch is written here.
@@ -85,19 +130,20 @@ pub struct WalFile {
 
 impl WalFile {
     /// Open (creating if needed) the log at `path` for writing, on the
-    /// real file system: its layout and format are checked and its end
-    /// found by a replay first.
+    /// real file system: it is replayed first, and its live segment
+    /// opened where its frames end.
     pub fn open(path: impl Into<PathBuf>, durability: DurabilityLevel) -> Result<Self> {
         let path = path.into();
-        let end = Self::replay_on(&*os_vfs(), &path, |_, _| Ok(()))?;
-        Self::open_on(os_vfs(), path, end, durability)
+        let end = Self::replay_on(&*os_vfs(), &path, |_| Ok(()))?;
+        Self::open_on(os_vfs(), segment_path(&path, end.segment), end, durability)
     }
 
-    /// Open (creating if needed) the log at `path`, whose replay ended at
-    /// `end`, for writing, on an explicit [`Vfs`] backend. A torn tail is
-    /// cut first, durably: new frames written over it could leave scraps
-    /// of it behind them, to be read as mid-log corruption later. Zeroed
-    /// room is kept, and written into.
+    /// Open (creating if needed) the segment file at `path`, whose replay
+    /// ended at `end`, for writing, on an explicit [`Vfs`] backend. A
+    /// torn tail is cut first, durably: new frames written over it could
+    /// leave scraps of it behind them, to be read as mid-log corruption
+    /// later. Zeroed room is kept, and written into. A new file gets its
+    /// format frame, synced, and its directory entry synced.
     pub fn open_on(
         vfs: Arc<dyn Vfs>,
         path: impl Into<PathBuf>,
@@ -119,14 +165,13 @@ impl WalFile {
         if created {
             // A freshly created file's directory entry is not durable
             // until the directory itself is fsynced: without this, a
-            // crash could erase the whole log even after `Fsync`-level
+            // crash could erase the whole segment even after `Fsync`-level
             // commits were acknowledged (the data blocks persist but
             // nothing references them).
             vfs.sync_dir(&path)?;
         }
         let mut wal = WalFile {
             path,
-            vfs,
             log,
             durability,
             end: end.frames,
@@ -159,9 +204,10 @@ impl WalFile {
         self.records_written
     }
 
-    /// Bytes of frames written since this handle was opened or the log
-    /// last rewritten (room not counted). Both counters restart at open,
-    /// so for a recovered log they measure *growth* since recovery —
+    /// Bytes of frames written since this handle was opened (room not
+    /// counted; a new segment's format frame counted). Both counters
+    /// restart at open, and a checkpoint's switch opens a new segment, so
+    /// they measure *growth* since recovery or the last checkpoint —
     /// exactly what checkpoint budgets want.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
@@ -205,46 +251,25 @@ impl WalFile {
         Ok(())
     }
 
-    /// Replace this log's contents with `image` (a
-    /// [`CheckpointFrames::file`]), atomically.
-    ///
-    /// Writes a sibling temp file, fsyncs it, then renames over the live
-    /// log — the checkpoint either fully lands or the old log survives.
-    /// The new log is exactly the image; room is reserved again by the
-    /// next batch that needs it. The old handle is dropped unsynced: its
-    /// inode is unlinked, and nothing reads it again.
-    pub(crate) fn rewrite(&mut self, mut image: CheckpointFrames) -> Result<()> {
-        let tmp = self.path.with_extension("wal.tmp");
-        image.close_batch();
-        let (bytes, records) = (image.len(), image.records);
-        {
-            let mut w = self.vfs.create(&tmp)?;
-            for frame in &image.frames {
-                w.write_all(frame)?;
-            }
-            w.flush()?;
-            w.sync_data()?;
+    /// Seal this segment: cut it to its last frame and sync data and
+    /// size, at either level. Nothing may be written to the next segment
+    /// before this returns, so replay can hold a sealed segment to ending
+    /// exactly at a frame.
+    pub(crate) fn seal(&mut self) -> Result<()> {
+        if self.len > self.end {
+            self.log.set_len(self.end)?;
+            self.len = self.end;
         }
-        self.vfs.rename(&tmp, &self.path)?;
-        // The rename is only durable once the directory entry itself is
-        // on disk: without this fsync a crash can resurrect the old log
-        // (or worse, leave a dangling entry) even though the data file
-        // was synced.
-        self.vfs.sync_dir(&self.path)?;
-        self.log = self.vfs.open_log(&self.path)?;
-        self.end = bytes;
-        self.len = bytes;
-        self.records_written = records;
-        self.bytes_written = bytes;
-        Ok(())
+        self.log.sync_all()
     }
 
-    /// Every intact record in the log at `path` after its format frame,
-    /// on the real file system (tests and tools; recovery streams).
+    /// Every intact record of the log at `path` but its format and `Base`
+    /// frames, on the real file system (tests and tools; recovery
+    /// streams).
     pub fn replay(path: &Path) -> Result<Vec<WalRecord>> {
         let mut records = Vec::new();
-        Self::replay_on(&*os_vfs(), path, |rec, _| {
-            if !matches!(rec, WalRecord::Format { .. }) {
+        Self::replay_on(&*os_vfs(), path, |rec| {
+            if !matches!(rec, WalRecord::Format { .. } | WalRecord::Base { .. }) {
                 records.push(rec);
             }
             Ok(())
@@ -252,35 +277,113 @@ impl WalFile {
         Ok(records)
     }
 
-    /// Check the log's layout and format frame, then hand `apply` every intact
-    /// record (the format frame included) with the byte offset its frame
-    /// ends at — one at a time, so recovery never holds more than one
-    /// frame decoded. Returns where the frames end and what lies past
-    /// them, which [`WalFile::open_on`] needs to write the log again. A
-    /// missing file replays as empty.
+    /// Read the log at `path` — its base, then each segment in order —
+    /// and hand `apply` every intact record (format and `Base` frames
+    /// included), one at a time, so recovery never holds more than one
+    /// frame decoded. Each file's layout and format frame are checked
+    /// first. Returns where the live segment's frames end and what lies
+    /// past them, which [`WalFile::open_on`] needs to write the log
+    /// again. A missing log replays as empty.
     pub fn replay_on(
         vfs: &dyn Vfs,
         path: &Path,
-        mut apply: impl FnMut(WalRecord, u64) -> Result<()>,
+        mut apply: impl FnMut(WalRecord) -> Result<()>,
     ) -> Result<LogEnd> {
         check_layout(vfs, path)?;
-        if !vfs.exists(path) {
-            return Ok(LogEnd::default());
+        let mut end = LogEnd::default();
+        let mut segments = Vec::new();
+        let mut n = 0;
+        if vfs.exists(path) {
+            let file = replay_file(vfs, path, &mut apply)?;
+            match file.base {
+                Some(first) => {
+                    check_sealed(path, &file)?;
+                    (end.first, n) = (first, first);
+                }
+                None => {
+                    segments.push((0, file));
+                    n = 1;
+                }
+            }
         }
-        let data = vfs.read(path)?;
-        check_format(&data)?;
-        let mut iter = WalIter::new(&data);
-        let mut valid = 0;
-        while let Some(item) = iter.next() {
-            valid = iter.offset;
-            apply(item?, valid as u64)?;
+        loop {
+            let seg = segment_path(path, n);
+            if !vfs.exists(&seg) {
+                break;
+            }
+            segments.push((n, replay_file(vfs, &seg, &mut apply)?));
+            n += 1;
         }
-        Ok(LogEnd {
-            frames: valid as u64,
-            len: data.len() as u64,
-            torn: nonzero_span(&data[valid..]).is_some(),
-        })
+        // The live segment is the last that holds a frame: every segment
+        // before it was sealed, and the ones after it are empty.
+        let live = (segments.iter())
+            .rposition(|(_, file)| file.records > 1)
+            .unwrap_or(0);
+        for (n, file) in &segments[..live] {
+            check_sealed(&segment_path(path, *n), file)?;
+        }
+        end.segment = end.first;
+        if let Some((n, file)) = segments.get(live) {
+            end.segment = *n;
+            (end.frames, end.len, end.torn) = (file.frames, file.len, file.torn);
+        }
+        end.last = segments.last().map_or(end.segment, |(n, _)| *n);
+        Ok(end)
     }
+}
+
+/// One file of the log as replay found it.
+#[derive(Debug, Default)]
+struct FileEnd {
+    /// The offset its last intact frame ends at.
+    frames: u64,
+    len: u64,
+    /// Some byte past `frames` is not zero.
+    torn: bool,
+    /// Intact frames, its format frame included.
+    records: u64,
+    /// What its `Base` frame names, if it is a base.
+    base: Option<u64>,
+}
+
+fn replay_file(
+    vfs: &dyn Vfs,
+    path: &Path,
+    apply: &mut impl FnMut(WalRecord) -> Result<()>,
+) -> Result<FileEnd> {
+    let data = vfs.read(path)?;
+    check_format(&data)?;
+    let mut file = FileEnd {
+        len: data.len() as u64,
+        ..FileEnd::default()
+    };
+    let mut iter = WalIter::new(&data);
+    while let Some(item) = iter.next() {
+        file.frames = iter.offset as u64;
+        let rec = item?;
+        if let (1, WalRecord::Base { segment }) = (file.records, &rec) {
+            file.base = Some(*segment);
+        }
+        file.records += 1;
+        apply(rec)?;
+    }
+    file.torn = nonzero_span(&data[file.frames as usize..]).is_some();
+    Ok(file)
+}
+
+/// The base and every sealed segment end exactly at their last frame.
+fn check_sealed(path: &Path, file: &FileEnd) -> Result<()> {
+    if file.frames == file.len {
+        return Ok(());
+    }
+    Err(StorageError::WalCorrupt {
+        offset: file.frames,
+        reason: format!(
+            "{} bytes past the last frame of {}, which was synced whole",
+            file.len - file.frames,
+            path.display()
+        ),
+    })
 }
 
 impl Drop for WalFile {
@@ -298,34 +401,137 @@ impl Drop for WalFile {
     }
 }
 
-/// A checkpoint as the frames of the log file that holds it, encoded in
-/// one pass straight from the tables: whole records, and rows that go
-/// into [`WalRecord::SnapshotRows`] frames cut at
+/// The files of a durable log beside its live segment, and the
+/// checkpoint's steps that add and remove them. Held under a lock that
+/// serializes checkpoints.
+#[derive(Debug)]
+pub(crate) struct LogFiles {
+    vfs: Arc<dyn Vfs>,
+    path: PathBuf,
+    durability: DurabilityLevel,
+    /// The live segment.
+    live: u64,
+    /// The oldest segment that may still be on disk.
+    oldest: u64,
+}
+
+impl LogFiles {
+    /// The log at `path`, whose replay ended at `end`, with what a crash
+    /// left beside it removed: the base's temp file, segments the base
+    /// covers (a checkpoint removes them oldest first, so what is left is
+    /// the newest of them) and segments past the live one, which hold no
+    /// frame. Returns the live segment, opened for writing.
+    pub(crate) fn open(
+        vfs: Arc<dyn Vfs>,
+        path: &Path,
+        end: LogEnd,
+        durability: DurabilityLevel,
+    ) -> Result<(LogFiles, WalFile)> {
+        let mut orphans: Vec<PathBuf> = (end.segment + 1..=end.last)
+            .map(|n| segment_path(path, n))
+            .collect();
+        orphans.extend(
+            (1..end.first)
+                .rev()
+                .map(|n| segment_path(path, n))
+                .take_while(|seg| vfs.exists(seg)),
+        );
+        orphans.extend(Some(tmp_path(path)).filter(|tmp| vfs.exists(tmp)));
+        for orphan in &orphans {
+            vfs.remove(orphan)?;
+        }
+        if !orphans.is_empty() {
+            vfs.sync_dir(path)?;
+        }
+        let live = WalFile::open_on(
+            vfs.clone(),
+            segment_path(path, end.segment),
+            end,
+            durability,
+        )?;
+        let files = LogFiles {
+            vfs,
+            path: path.to_path_buf(),
+            durability,
+            live: end.segment,
+            oldest: end.first,
+        };
+        Ok((files, live))
+    }
+
+    /// Create the segment after the live one: its format frame and its
+    /// directory entry, synced. Done before the switch, which does no
+    /// I/O.
+    pub(crate) fn create_next(&self) -> Result<WalFile> {
+        let next = segment_path(&self.path, self.live + 1);
+        WalFile::open_on(self.vfs.clone(), next, LogEnd::default(), self.durability)
+    }
+
+    /// The log switched to the segment [`LogFiles::create_next`] made;
+    /// returns its number.
+    pub(crate) fn switched(&mut self) -> u64 {
+        self.live += 1;
+        self.live
+    }
+
+    /// Publish a base that covers every segment before the live one:
+    /// `write` writes it to the temp file, which is synced and renamed
+    /// over the base, the directory synced, and only then are the
+    /// segments it covers removed. A failure before the rename leaves
+    /// the old base in force and the segments in place.
+    pub(crate) fn publish_base(
+        &mut self,
+        write: impl FnOnce(&mut dyn VfsFile) -> Result<()>,
+    ) -> Result<()> {
+        let tmp = tmp_path(&self.path);
+        {
+            let mut out = self.vfs.create(&tmp)?;
+            write(&mut *out)?;
+            out.flush()?;
+            out.sync_data()?;
+        }
+        self.vfs.rename(&tmp, &self.path)?;
+        // The rename is only durable once the directory entry itself is
+        // on disk: without this fsync a crash can resurrect the old base
+        // (or worse, leave a dangling entry) even though the data file
+        // was synced.
+        self.vfs.sync_dir(&self.path)?;
+        // Segment 0 was the path itself: the rename replaced it.
+        let covered = self.oldest.max(1)..self.live;
+        if !covered.is_empty() {
+            for n in covered {
+                self.vfs.remove(&segment_path(&self.path, n))?;
+            }
+            self.vfs.sync_dir(&self.path)?;
+        }
+        self.oldest = self.live;
+        Ok(())
+    }
+}
+
+/// A checkpoint's base as frames, encoded in one pass straight from the
+/// tables: whole records, and rows that go into
+/// [`WalRecord::SnapshotRows`] frames cut at
 /// [`SNAPSHOT_BATCH_BYTES`](crate::wal::codec::SNAPSHOT_BATCH_BYTES) of
 /// ops as RAM holds them, or of the frame's own bytes. A row is coded
 /// once, against the row above it in its batch ([`RowDeltas`]), into the
 /// buffer its frame is written from; nothing per row is kept beside it.
-/// Every frame is a buffer of its own: a batch's is allocated at the size
-/// it is cut at and shrunk to what it holds when it closes, so the frames
-/// hold the file and at most one batch's room beside it. The same frames
-/// can be *weighed* instead — coded and sized, not kept — which is what
-/// `TableStats::checkpoint_bytes` reports.
+/// Every frame is a buffer of its own, kept until
+/// [`CheckpointFrames::drain_to`] writes it out: a batch's is allocated
+/// at the size it is cut at and shrunk to what it holds when it closes.
+/// The same frames can be *weighed* instead — coded and sized, not kept —
+/// which is what `TableStats::checkpoint_bytes` reports.
 #[derive(Debug, Default)]
 pub(crate) struct CheckpointFrames {
     frames: Vec<Vec<u8>>,
-    /// Frames (the format frame not counted).
-    records: u64,
     /// Bytes of the closed frames, kept or weighed.
     bytes: u64,
     /// Weighing: frames are sized, and not kept.
     weighing: bool,
-    /// Where the DDL prologue ends: the frame behind the last `CreateTable`.
-    ddl_end: Option<usize>,
     batch: Option<Batch>,
     /// What the open batch's rows are coded against.
     deltas: RowDeltas,
 }
-
 /// The open `SnapshotRows` frame.
 #[derive(Debug)]
 struct Batch {
@@ -365,27 +571,26 @@ impl CheckpointFrames {
         self.deltas.tally()
     }
 
-    /// A log file: its format frame, then the frames it is given.
-    pub(crate) fn file() -> Self {
+    /// A base file: its format frame and a `Base` frame naming
+    /// `segment`, the first segment after it, then the frames it is given.
+    pub(crate) fn base(segment: u64) -> Self {
         let format = format_frame();
-        CheckpointFrames {
+        let mut base = CheckpointFrames {
             bytes: format.len() as u64,
             frames: vec![format],
             ..Default::default()
-        }
+        };
+        base.record(&WalRecord::Base { segment });
+        base
     }
 
     /// Append `rec` as a frame of its own.
     pub(crate) fn record(&mut self, rec: &WalRecord) {
         self.close_batch();
         let frame = encode_frame(rec);
-        self.records += 1;
         self.bytes += frame.len() as u64;
         if !self.weighing {
             self.frames.push(frame);
-            if matches!(rec, WalRecord::CreateTable { .. }) {
-                self.ddl_end = Some(self.frames.len());
-            }
         }
     }
 
@@ -442,7 +647,6 @@ impl CheckpointFrames {
         let Some(mut b) = self.batch.take() else {
             return;
         };
-        self.records += 1;
         self.bytes += (8 + snapshot_rows_len(b.table, b.count, b.rows)) as u64;
         if !self.weighing {
             end_snapshot_rows(&mut b.out, b.rows_at, b.count);
@@ -452,15 +656,12 @@ impl CheckpointFrames {
         }
     }
 
-    /// Put `history` (written frames) behind the DDL prologue, where
-    /// replay meets it before the first table's rows: a row's history
-    /// then predates its newest version, as replay requires.
-    pub(crate) fn insert_history(&mut self, mut history: CheckpointFrames) {
-        history.close_batch();
-        let at = self.ddl_end.unwrap_or(self.frames.len());
-        self.frames.splice(at..at, history.frames);
-        self.records += history.records;
-        self.bytes += history.bytes;
+    /// Write the closed frames to `out` and let go of them.
+    pub(crate) fn drain_to(&mut self, out: &mut dyn VfsFile) -> Result<()> {
+        for frame in self.frames.drain(..) {
+            out.write_all(&frame)?;
+        }
+        Ok(())
     }
 
     /// Bytes of the frames so far, the open `SnapshotRows` frame not
@@ -507,13 +708,11 @@ fn format_frame() -> Vec<u8> {
 /// path to name its second file. Every sharded layout had one.
 const SHARD_SIBLING_SUFFIX: &str = ".shard1";
 
-/// The log must be one file. With a sibling beside it the base file holds
-/// only part of the commit stream, so replaying it alone would silently
-/// drop acknowledged commits.
+/// The log must not be sharded. With a shard sibling beside it the log
+/// holds only part of the commit stream, so replaying it alone would
+/// silently drop acknowledged commits.
 fn check_layout(vfs: &dyn Vfs, path: &Path) -> Result<()> {
-    let mut sibling = path.as_os_str().to_os_string();
-    sibling.push(SHARD_SIBLING_SUFFIX);
-    let sibling = PathBuf::from(sibling);
+    let sibling = sibling(path, SHARD_SIBLING_SUFFIX);
     if vfs.exists(&sibling) {
         return Err(StorageError::ShardedLayout {
             sibling: sibling.display().to_string(),
@@ -546,13 +745,15 @@ fn check_format(data: &[u8]) -> Result<()> {
 
 /// Iterator over framed records in a byte buffer.
 ///
-/// Yields `Ok(record)` for each intact frame. A truncated frame ends
-/// iteration silently (torn write), and so does a CRC-failing frame or a
-/// zero header with nothing behind it but zeros and at most one tear. A
-/// CRC failure or zero header *followed by more data*, or an intact frame
-/// that does not decode, is real corruption and yields
-/// [`StorageError::WalCorrupt`] at the offset the offending frame starts
-/// at.
+/// Yields `Ok(record)` for each intact frame. A frame cut short by the
+/// end of the data, a CRC-failing frame or a zero header ends iteration
+/// silently (torn write, or room) when nothing intact lies behind its
+/// header, and — for the latter two — nothing behind it but zeros and at
+/// most one tear. An intact frame behind a bad one (its length damaged to
+/// run past the end or into its neighbour, say), other data behind a CRC
+/// failure or zero header, or an intact frame that does not decode is
+/// real corruption and yields [`StorageError::WalCorrupt`] at the offset
+/// the offending frame starts at.
 pub struct WalIter<'a> {
     data: &'a [u8],
     pub(crate) offset: usize,
@@ -572,40 +773,52 @@ impl<'a> WalIter<'a> {
         }
         let len = u32::from_le_bytes(rest[0..4].try_into().expect("4 bytes")) as usize;
         let crc = u32::from_le_bytes(rest[4..8].try_into().expect("4 bytes"));
-        if rest.len() - 8 < len {
-            return None; // torn payload
-        }
-        let payload = &rest[8..8 + len];
-        let frame_end = start + 8 + len;
+        let short = rest.len() - 8 < len;
         // No frame is empty, so a zero length is no frame: a header of
         // zeros (room) or damage.
-        if len == 0 || crc32(payload) != crc {
-            self.offset = self.data.len();
-            // A power cut tears at most one place, and at most TORN_MAX
-            // bytes of it: across the end of the last complete frame
-            // (garbling its checksum, with scraps of the next frame behind
-            // it), inside a frame written into zeroed room, or at the end
-            // of a zero write that was growing the room. If everything
-            // behind this point that is not zero fits in one such tear,
-            // the log ends here and nothing durable is discarded. More
-            // than that is mid-log corruption and must surface as an
-            // error.
-            if at_most_one_tear(&self.data[frame_end..]) {
-                return None;
-            }
-            return Some(Err(StorageError::WalCorrupt {
-                offset: start as u64,
-                reason: if len == 0 {
-                    "zero-length frame mid-log"
-                } else {
-                    "CRC mismatch mid-log"
-                }
-                .into(),
-            }));
+        let payload = &rest[8..8 + len.min(rest.len() - 8)];
+        if !short && len != 0 && crc32(payload) == crc {
+            self.offset = start + 8 + len;
+            return Some(Ok((start, payload)));
         }
-        self.offset = frame_end;
-        Some(Ok((start, payload)))
+        self.offset = self.data.len();
+        // A power cut tears at most one place, and at most TORN_MAX bytes
+        // of it: across the end of the last complete frame (garbling its
+        // checksum, with scraps of the next frame behind it), inside a
+        // frame written into zeroed room or cut short at the end of the
+        // file, or at the end of a zero write that was growing the room.
+        // So no intact frame lies behind a torn one's header, and if the
+        // frame fits, everything behind it that is not zero fits in one
+        // such tear: then the log ends here and nothing durable is
+        // discarded. Anything else is mid-log corruption and must surface
+        // as an error.
+        let torn = !intact_frame_in(&rest[8..])
+            && (short || at_most_one_tear(&rest[8 + len..]));
+        if torn {
+            return None;
+        }
+        Some(Err(StorageError::WalCorrupt {
+            offset: start as u64,
+            reason: if short {
+                "frame length runs past the end, with an intact frame behind it"
+            } else if len == 0 {
+                "zero-length frame mid-log"
+            } else {
+                "CRC mismatch mid-log"
+            }
+            .into(),
+        }))
     }
+}
+
+/// Whether an intact frame — a non-zero length that fits, and a payload
+/// its CRC matches — starts anywhere in `bytes`.
+fn intact_frame_in(bytes: &[u8]) -> bool {
+    (0..bytes.len().saturating_sub(8)).any(|at| {
+        let len = u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")) as usize;
+        let crc = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+        len != 0 && len <= bytes.len() - at - 8 && crc32(&bytes[at + 8..at + 8 + len]) == crc
+    })
 }
 
 /// Whether the bytes of `rest` that are not zero, if any, lie within one
@@ -752,24 +965,6 @@ mod tests {
     }
 
     #[test]
-    fn rewrite_replaces_contents_atomically() {
-        let path = tmpdir().join("rewrite.wal");
-        let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
-        for i in 1..=10 {
-            wal.append(&meta(i)).unwrap();
-        }
-        let mut image = CheckpointFrames::file();
-        image.record(&meta(100));
-        wal.rewrite(image).unwrap();
-        assert_eq!(wal.records_written(), 1);
-        // Appends continue to work after rotation.
-        wal.append(&meta(101)).unwrap();
-        let recs = WalFile::replay(&path).unwrap();
-        assert_eq!(recs, vec![meta(100), meta(101)]);
-    }
-
-    #[test]
     fn checkpoint_rows_are_cut_at_the_byte_budget_and_weigh_what_they_write() {
         use crate::row::SharedRow;
         use crate::value::Value;
@@ -787,13 +982,13 @@ mod tests {
         };
         let mut weighed = CheckpointFrames::weigh();
         fill(&mut weighed);
-        let mut image = CheckpointFrames::file();
+        let mut image = CheckpointFrames::base(1);
         fill(&mut image);
         let file = image.frames.concat();
         assert_eq!(image.len(), file.len() as u64);
-        assert_eq!(image.len(), 10 + weighed.len());
-        assert_eq!((image.records, weighed.records), (5, 5));
-        let batches: Vec<(u32, usize)> = (WalIter::new(&file).skip(2))
+        let head = format_frame().len() + encode_frame(&WalRecord::Base { segment: 1 }).len();
+        assert_eq!(image.len(), head as u64 + weighed.len());
+        let batches: Vec<(u32, usize)> = (WalIter::new(&file).skip(3))
             .map(|rec| match rec.unwrap() {
                 WalRecord::SnapshotRows { table, rows } => (table.0, rows.len()),
                 other => panic!("not a batch: {other:?}"),
@@ -828,7 +1023,7 @@ mod tests {
         let path = tmpdir().join(format!("bytes-{}.wal", data.len()));
         std::fs::write(&path, data).unwrap();
         let mut records = Vec::new();
-        let end = WalFile::replay_on(&*os_vfs(), &path, |rec, _| {
+        let end = WalFile::replay_on(&*os_vfs(), &path, |rec| {
             records.push(rec);
             Ok(())
         })?;
@@ -845,7 +1040,7 @@ mod tests {
         let want = LogEnd {
             frames: frames.len() as u64,
             len: data.len() as u64,
-            torn: false,
+            ..LogEnd::default()
         };
         assert_eq!(end, want);
         // Room too short for a header ends the log the same way.

@@ -1,8 +1,9 @@
 //! Write-ahead logging and durability.
 //!
 //! Every committed transaction appends one [`WalRecord::Commit`] before its
-//! effects become visible; on reopen the log is replayed in order. Records
-//! are length-prefixed, CRC-32-checked binary (see [`codec`]); a torn tail
+//! effects become visible; on reopen the log — a checkpoint's base, then
+//! the segments written after it — is replayed in order. Records are
+//! length-prefixed, CRC-32-checked binary (see [`codec`]); a torn tail
 //! (partial final record after a crash) is detected and discarded rather
 //! than treated as corruption. Every log file starts with a
 //! [`WalRecord::Format`] frame naming [`FORMAT_VERSION`]; a file that
@@ -15,7 +16,7 @@ mod log;
 pub use group::WalShardStats;
 pub(crate) use group::{GroupWal, WalTicket};
 pub(crate) use log::{encode_frame, CheckpointFrames, TORN_MAX};
-pub use log::{LogEnd, WalFile, WalIter};
+pub use log::{segment_path, LogEnd, WalFile, WalIter};
 
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
@@ -81,6 +82,10 @@ pub enum WalRecord {
     /// The first frame of every log file: the format the rest of the
     /// file is written in.
     Format { version: u32 },
+    /// The second frame of a base file (a checkpoint's image): the number
+    /// of the segment the log goes on in. A log file without it is
+    /// segment 0, a log no checkpoint has rotated yet.
+    Base { segment: u64 },
     /// Engine metadata written at checkpoint time: the next commit
     /// timestamp to hand out and the highest clock value observed.
     Meta { next_ts: Ts, clock: i64 },

@@ -4,8 +4,10 @@
 
 use std::path::PathBuf;
 
+use tendax_storage::wal::{segment_path, WalIter};
 use tendax_storage::{
-    DataType, Database, DurabilityLevel, Options, Predicate, Row, RowId, TableDef, Value,
+    DataType, Database, DurabilityLevel, Options, Predicate, Row, RowId, StorageError, TableDef,
+    Value,
 };
 
 mod common;
@@ -134,25 +136,51 @@ fn a_clean_close_gives_the_room_back() {
     assert_eq!(count_rows(&db), 20);
 }
 
-/// A checkpoint rewrites the log to its image, exactly: room comes back
-/// with the next append, and goes again at the clean close.
+/// The names of the files in `dir`, sorted.
+fn files_in(dir: &TestDir) -> Vec<String> {
+    let mut names: Vec<String> = (std::fs::read_dir(dir.path()).unwrap())
+        .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+        .collect();
+    names.sort();
+    names
+}
+
+/// A checkpoint leaves the base and one segment of only its format
+/// frame, both exact: no room, the segments it covers removed before it
+/// returns. Room comes back with the next append, and goes again at the
+/// clean close.
 #[test]
 fn a_checkpoint_image_is_exact_until_the_next_append() {
-    let (_dir, path) = tmp("room-ckpt.wal");
+    let (dir, path) = tmp("room-ckpt.wal");
     let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
     let t = db.create_table(seq_table()).unwrap();
     for i in 0..20 {
         insert_seq(&db, t, 0, i);
     }
     db.checkpoint().unwrap();
-    assert_eq!(file_len(&path), db.wal_size().0);
+    db.checkpoint().unwrap();
+    assert_eq!(files_in(&dir), ["room-ckpt.wal", "room-ckpt.wal.seg2"]);
+    let segment = segment_path(&path, 2);
+    assert_eq!(file_len(&segment), 10, "a segment of its format frame");
+    assert_eq!(db.wal_size(), (10, 0));
+    let base = std::fs::read(&path).unwrap();
+    assert!(WalIter::new(&base).all(|rec| rec.is_ok()));
     insert_seq(&db, t, 0, 20);
     let frames = db.wal_size().0;
-    assert!(file_len(&path) > frames, "the append reserved no room");
+    assert!(file_len(&segment) > frames, "the append reserved no room");
     drop(db);
-    assert_eq!(file_len(&path), frames);
+    assert_eq!(file_len(&segment), frames);
+    assert_eq!(std::fs::read(&path).unwrap(), base, "the base is not written");
+    // Opening holds the base and each sealed segment to ending exactly at
+    // a frame: a byte past the base's last frame is corruption.
     let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();
     assert_eq!(count_rows(&db), 21);
+    drop(db);
+    std::fs::write(&path, [&base[..], &[0]].concat()).unwrap();
+    assert!(matches!(
+        Database::open(&path, opts(DurabilityLevel::Fsync)),
+        Err(StorageError::WalCorrupt { .. })
+    ));
 }
 
 /// Zeros past the last frame — room a crash kept from a clean close —

@@ -1,25 +1,28 @@
-//! Crash-injection and stress tests for the copy/swap checkpoint and the
+//! Crash-injection and stress tests for the checkpoint and the
 //! background maintenance subsystem.
 //!
-//! The checkpoint has two phases: a *copy* phase (snapshot the engine
-//! state under the exclusive commit latch, start a rewrite) and a *swap*
-//! phase
-//! (write the snapshot to a temp file, atomically rename it over the
-//! log, splice commits that landed mid-rewrite onto the new tail). A
-//! crash at any point must leave the log recoverable to either the
-//! pre-checkpoint state or the post-checkpoint state — never a hybrid.
+//! A checkpoint is a log rotation: under the exclusive commit latch it
+//! switches the log to a new segment, and off it it writes a base to a
+//! temp file, renames it over the old base and removes the segments the
+//! new base covers. A crash at any point must leave the log recoverable
+//! to every commit it had acknowledged, in commit order: before the
+//! rename from the old base and every segment, after it from the new base
+//! and the segments it names; and the commit path never waits for it.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use tendax_storage::vfs::Vfs;
+use tendax_storage::wal::segment_path;
 use tendax_storage::{
-    DataType, Database, MaintenanceOptions, Options, Predicate, Row, TableDef, Value,
+    ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
+    SimVfs, TableDef, Value,
 };
 
 mod common;
-use common::TestDir;
+use common::{HookVfs, Step, TestDir};
 
 fn tmp(name: &str) -> (TestDir, PathBuf) {
     let dir = TestDir::new("tendax-maint");
@@ -49,95 +52,254 @@ fn seqs(db: &Database, t: tendax_storage::TableId) -> Vec<i64> {
     out
 }
 
-/// Crash in the swap phase *before* the rename: the temp file exists
-/// (possibly torn) but the old log is untouched. Recovery must ignore
-/// the temp file and yield exactly the pre-checkpoint state.
+/// Everything a checkpoint leaves at each of its crash points, taken
+/// from a real run: the log after a first checkpoint (`base1`, `seg1`),
+/// the second checkpoint's base (`base2`), and the segment it switched to
+/// (`seg2`), which holds `extra` commits made after it. Rows `0..n` are in
+/// the first base, `n..2n` in segment 1.
+struct Crashed {
+    base1: Vec<u8>,
+    seg1: Vec<u8>,
+    base2: Vec<u8>,
+    seg2: Vec<u8>,
+}
+
+fn two_checkpoints(path: &std::path::Path, n: i64, extra: i64) -> Crashed {
+    let db = Database::open(path, common::options()).unwrap();
+    let t = db.create_table(table_def()).unwrap();
+    for i in 0..n {
+        commit_seq(&db, t, i);
+    }
+    db.checkpoint().unwrap();
+    for i in n..2 * n {
+        commit_seq(&db, t, i);
+    }
+    let base1 = std::fs::read(path).unwrap();
+    let seg1 = std::fs::read(segment_path(path, 1)).unwrap();
+    db.checkpoint().unwrap();
+    assert!(!segment_path(path, 1).exists(), "the covered segment was kept");
+    for i in 2 * n..2 * n + extra {
+        commit_seq(&db, t, i);
+    }
+    drop(db);
+    Crashed {
+        base1,
+        seg1,
+        base2: std::fs::read(path).unwrap(),
+        seg2: std::fs::read(segment_path(path, 2)).unwrap(),
+    }
+}
+
+/// Reopen `path`: every row of `0..want` there, in commit order, and the
+/// log writable; the sealed segments the base covers, a segment no
+/// switch reached, and the base's temp file all gone.
+fn recovers(path: &std::path::Path, want: i64) {
+    let db = Database::open(path, common::options()).unwrap();
+    let t = db.table_id("t").unwrap();
+    assert_eq!(seqs(&db, t), (0..want).collect::<Vec<_>>());
+    commit_seq(&db, t, want);
+    db.checkpoint().unwrap();
+    drop(db);
+    let db = Database::open(path, common::options()).unwrap();
+    assert_eq!(seqs(&db, t), (0..=want).collect::<Vec<_>>());
+    let tmp = format!("{}.tmp", path.display());
+    assert!(!std::path::Path::new(&tmp).exists(), "the temp file was kept");
+}
+
+/// A crash before the second base's rename: the first base, both
+/// segments, and the temp file holding part of the new base. Recovery
+/// reads the first base and both segments, and ignores the temp file.
 #[test]
 fn crash_before_rename_recovers_pre_checkpoint_state() {
     let (_dir, path) = tmp("pre-rename.wal");
-    let n = 10i64;
-    {
-        let db = Database::open(&path, common::options()).unwrap();
-        let t = db.create_table(table_def()).unwrap();
-        for i in 0..n {
-            commit_seq(&db, t, i);
-        }
-    }
-    // Back up the log as it stood before the checkpoint, then run a
-    // checkpoint so we have realistic snapshot bytes for the temp file.
-    let pre_checkpoint = std::fs::read(&path).unwrap();
-    {
-        let db = Database::open(&path, common::options()).unwrap();
-        db.checkpoint().unwrap();
-    }
-    let snapshot = std::fs::read(&path).unwrap();
-
-    // Simulate the crash: old log restored, temp file present and torn
-    // (the rewrite wrote part of the snapshot, then the process died
-    // before the atomic rename).
-    std::fs::write(&path, &pre_checkpoint).unwrap();
-    let tmp_path = path.with_extension("wal.tmp");
-    std::fs::write(&tmp_path, &snapshot[..snapshot.len() / 2]).unwrap();
-
-    let db = Database::open(&path, common::options()).unwrap();
-    let t = db.table_id("t").unwrap();
-    assert_eq!(seqs(&db, t), (0..n).collect::<Vec<_>>());
-
-    // The recovered database is writable and a further checkpoint (which
-    // reuses the same temp path) succeeds despite the stale temp file.
-    commit_seq(&db, t, n);
-    db.checkpoint().unwrap();
-    drop(db);
-    let db = Database::open(&path, common::options()).unwrap();
-    let t = db.table_id("t").unwrap();
-    assert_eq!(seqs(&db, t), (0..=n).collect::<Vec<_>>());
+    let (n, extra) = (10, 4);
+    let c = two_checkpoints(&path, n, extra);
+    std::fs::write(&path, &c.base1).unwrap();
+    std::fs::write(segment_path(&path, 1), &c.seg1).unwrap();
+    let tmp = format!("{}.tmp", path.display());
+    std::fs::write(&tmp, &c.base2[..c.base2.len() / 2]).unwrap();
+    recovers(&path, 2 * n + extra);
+    assert!(!segment_path(&path, 1).exists());
 }
 
-/// Crash *after* the rename, while splicing mid-rewrite commits onto
-/// the new tail: any truncation at or past the snapshot boundary must
-/// recover the full checkpointed state plus a prefix of the spliced
-/// commits — never less than the checkpoint, never a corrupt hybrid.
+/// A crash after the second base's rename but before the segment it
+/// covers is removed: recovery starts at the segment the base names and
+/// removes the covered one. Cut anywhere in the live segment's tail, the
+/// log recovers the checkpoint plus a commit-order prefix of that tail.
 #[test]
-fn torn_splice_after_rename_recovers_checkpoint_plus_prefix() {
-    let (_dir, path) = tmp("torn-splice.wal");
-    let n = 8i64;
-    let extra = 5i64;
-    {
-        let db = Database::open(&path, common::options()).unwrap();
+fn crash_after_rename_before_the_deletes_recovers_the_base_plus_a_prefix() {
+    let (_dir, path) = tmp("post-rename.wal");
+    let (n, extra) = (8, 5);
+    let c = two_checkpoints(&path, n, extra);
+    let format_frame = 10;
+    for step in 0..=4usize {
+        let (_cut_dir, cut_path) = tmp(&format!("post-rename-cut{step}.wal"));
+        let cut = format_frame + (c.seg2.len() - format_frame) * step / 4;
+        std::fs::write(&cut_path, &c.base2).unwrap();
+        std::fs::write(segment_path(&cut_path, 1), &c.seg1).unwrap();
+        std::fs::write(segment_path(&cut_path, 2), &c.seg2[..cut]).unwrap();
+        let db = Database::open(&cut_path, common::options()).unwrap();
+        assert!(!segment_path(&cut_path, 1).exists(), "cut {step}: covered segment kept");
+        let t = db.table_id("t").unwrap();
+        let got = seqs(&db, t);
+        assert!(got.len() as i64 >= 2 * n, "checkpointed rows lost at cut {step}: {got:?}");
+        assert!(got.len() as i64 <= 2 * n + extra);
+        assert_eq!(got, (0..got.len() as i64).collect::<Vec<_>>());
+        commit_seq(&db, t, 999);
+    }
+}
+
+/// What a checkpoint cut short before its switch leaves: a segment after
+/// the live one holding only its format frame, and a temp file. Open
+/// removes both, and the live segment — torn by the same crash — stays
+/// live: its torn tail is cut and writing resumes in it.
+#[test]
+fn an_orphaned_segment_and_temp_file_are_swept_on_open() {
+    let (_dir, path) = tmp("orphans.wal");
+    let (n, extra) = (6, 3);
+    let c = two_checkpoints(&path, n, extra);
+    let orphan = segment_path(&path, 3);
+    std::fs::write(&orphan, &c.seg2[..10]).unwrap();
+    let mut torn = c.seg2.clone();
+    torn.extend_from_slice(&[0xab; 5]);
+    std::fs::write(segment_path(&path, 2), &torn).unwrap();
+    let tmp = format!("{}.tmp", path.display());
+    std::fs::write(&tmp, &c.base2[..c.base2.len() / 3]).unwrap();
+    let db = Database::open(&path, common::options()).unwrap();
+    assert!(!orphan.exists(), "the orphaned segment was kept");
+    assert!(!std::path::Path::new(&tmp).exists(), "the temp file was kept");
+    assert_eq!(std::fs::read(segment_path(&path, 2)).unwrap(), c.seg2, "the tear was kept");
+    let t = db.table_id("t").unwrap();
+    commit_seq(&db, t, 2 * n + extra);
+    drop(db);
+    assert!(std::fs::read(segment_path(&path, 2)).unwrap().len() > c.seg2.len());
+    assert!(!orphan.exists(), "a commit went to the orphan");
+    recovers(&path, 2 * n + extra + 1);
+}
+
+/// A commit is never parked behind a checkpoint: while the checkpoint's
+/// first write of its base is held, a commit on another thread returns,
+/// and at `Fsync` it is durable — it survives a power cut taken once the
+/// checkpoint is let go.
+#[test]
+fn a_commit_returns_while_the_base_is_written() {
+    let sim = SimVfs::new(7);
+    let (held_tx, held_rx) = mpsc::channel::<()>();
+    let (release_tx, release_rx) = mpsc::channel::<()>();
+    let (held_tx, release_rx) = (Mutex::new(Some(held_tx)), Mutex::new(release_rx));
+    let hook = move |step: Step<'_>| {
+        if matches!(step, Step::Write(_)) && step.on(".tmp") {
+            if let Some(held) = held_tx.lock().unwrap().take() {
+                held.send(()).unwrap();
+                // Bounded: a commit that never returns fails the test
+                // below, it does not hang it.
+                let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
+            }
+        }
+    };
+    let opts = Options {
+        durability: DurabilityLevel::Fsync,
+        vfs: Arc::new(HookVfs::new(sim.clone(), hook)),
+        ..common::options()
+    };
+    let db = Database::open(WAL, opts).unwrap();
+    let t = db.create_table(table_def()).unwrap();
+    for i in 0..5 {
+        commit_seq(&db, t, i);
+    }
+    let checkpointer = {
+        let db = db.clone();
+        std::thread::spawn(move || db.checkpoint())
+    };
+    held_rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("the checkpoint never wrote its base");
+    let (done_tx, done_rx) = mpsc::channel();
+    let committer = {
+        let db = db.clone();
+        std::thread::spawn(move || {
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(5)])).unwrap();
+            done_tx.send(txn.commit().map(drop)).unwrap();
+        })
+    };
+    let committed = done_rx.recv_timeout(Duration::from_secs(5));
+    release_tx.send(()).unwrap();
+    committer.join().unwrap();
+    checkpointer.join().unwrap().unwrap();
+    assert!(
+        matches!(committed, Ok(Ok(()))),
+        "a commit waited for the checkpoint's base: {committed:?}"
+    );
+    drop(db);
+    sim.crash();
+    let db = Database::open(WAL, sim_options(&sim)).unwrap();
+    assert_eq!(seqs(&db, t), (0..6).collect::<Vec<_>>());
+}
+
+/// A checkpoint that fails writing its base, or demoting its history,
+/// publishes nothing: the log stays writable (a failed rewrite used to
+/// poison it) and the old base stays in force.
+#[test]
+fn a_failed_base_write_or_demotion_leaves_the_log_writable() {
+    for (cold, step) in [(false, ".tmp"), (true, ".cold.run0")] {
+        let sim = SimVfs::new(11);
+        let armed = Arc::new(AtomicBool::new(false));
+        let hook = {
+            let (sim, armed) = (sim.clone(), armed.clone());
+            move |s: Step<'_>| {
+                if matches!(s, Step::Create(_)) && s.on(step) && armed.swap(false, Ordering::SeqCst) {
+                    sim.fail_next_syncs(1);
+                }
+            }
+        };
+        let opts = Options {
+            durability: DurabilityLevel::Fsync,
+            vfs: Arc::new(HookVfs::new(sim.clone(), hook)),
+            cold_storage: cold.then(ColdOptions::default),
+            ..Options::default()
+        };
+        let db = Database::open(WAL, opts).unwrap();
         let t = db.create_table(table_def()).unwrap();
-        for i in 0..n {
+        for i in 0..5 {
             commit_seq(&db, t, i);
         }
         db.checkpoint().unwrap();
-        let snapshot_len = std::fs::metadata(&path).unwrap().len() as usize;
-        for i in 0..extra {
-            commit_seq(&db, t, n + i);
+        let base = sim.read(std::path::Path::new(WAL)).unwrap();
+        for i in 5..8 {
+            // Superseded versions: history for a cold tier to take.
+            let mut txn = db.begin();
+            let rid = txn.insert(t, Row::new(vec![Value::Int(i)])).unwrap();
+            txn.commit().unwrap();
+            let mut txn = db.begin();
+            txn.update(t, rid, Row::new(vec![Value::Int(i)])).unwrap();
+            txn.commit().unwrap();
         }
+        armed.store(true, Ordering::SeqCst);
+        let failed = db.checkpoint();
+        assert!(failed.is_err(), "cold {cold}: the failed {step} sync went unnoticed");
+        assert!(!armed.load(Ordering::SeqCst), "cold {cold}: {step} never created");
+        assert_eq!(sim.read(std::path::Path::new(WAL)).unwrap(), base, "cold {cold}");
+        commit_seq(&db, t, 8);
         drop(db);
+        sim.crash();
+        let db = Database::open(WAL, Options {
+            cold_storage: cold.then(ColdOptions::default),
+            ..sim_options(&sim)
+        })
+        .unwrap();
+        assert_eq!(seqs(&db, t), (0..9).collect::<Vec<_>>(), "cold {cold}");
+        db.checkpoint().unwrap();
+    }
+}
 
-        let full = std::fs::read(&path).unwrap();
-        let tail = full.len() - snapshot_len;
-        // Cut the log at a sweep of points in the spliced tail,
-        // including both boundaries.
-        for step in 0..=4usize {
-            let cut = snapshot_len + tail * step / 4;
-            let (_cut_dir, cut_path) = tmp(&format!("torn-splice-cut{step}.wal"));
-            std::fs::write(&cut_path, &full[..cut]).unwrap();
+const WAL: &str = "/sim/maint.wal";
 
-            let db = Database::open(&cut_path, common::options()).unwrap();
-            let t = db.table_id("t").unwrap();
-            let got = seqs(&db, t);
-            assert!(
-                got.len() as i64 >= n,
-                "checkpointed rows lost at cut {step}: {got:?}"
-            );
-            assert!(got.len() as i64 <= n + extra);
-            // Exactly the checkpoint plus a commit-order prefix of the
-            // spliced tail.
-            assert_eq!(got, (0..got.len() as i64).collect::<Vec<_>>());
-            // And still writable.
-            commit_seq(&db, t, 999);
-        }
+fn sim_options(sim: &SimVfs) -> Options {
+    Options {
+        durability: DurabilityLevel::Fsync,
+        vfs: Arc::new(sim.clone()),
+        ..common::options()
     }
 }
 

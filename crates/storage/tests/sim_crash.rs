@@ -18,6 +18,7 @@ mod common;
 use std::sync::{Arc, Barrier, Mutex};
 
 use tendax_storage::wal::WalFile;
+use common::{HookVfs, Step};
 use tendax_storage::{
     ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
     RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value, ValueRef,
@@ -171,10 +172,11 @@ fn crash_at_every_injected_op_recovers_a_commit_prefix() {
 
 /// Commits written at `Fsync` land in zeroed room the log reserves ahead
 /// of its last frame: the first one grows it (zero writes, then a sync of
-/// data and size), the rest are written inside it. The power cuts at
-/// every op of that schedule — each zero write and the sync of a growth
-/// step, each frame torn inside the room, the clean close giving the room
-/// back. The log is then resumed at each level, cold tier on and off:
+/// data and size), the rest are written inside it; a checkpoint halfway
+/// seals the segment (cutting its room) and the next commit grows the new
+/// segment's. The power cuts at every op of that schedule — each zero
+/// write and the sync of a growth step, each frame torn inside the room,
+/// the seal, the rotation, the clean close giving the room back. The log is then resumed at each level, cold tier on and off:
 /// recovery is a commit-order prefix holding every acknowledged commit,
 /// the resumed log takes a commit, and a clean close leaves exactly its
 /// frames.
@@ -192,10 +194,14 @@ fn room_growth_crash_keeps_every_acknowledged_commit() {
         let Ok(t) = db.create_table(table_def("t")) else {
             return 0;
         };
+        // Halfway, a checkpoint: the segment it seals gives its room back,
+        // and the one it switches to grows its own.
         (0..N)
             .take_while(|&i| {
                 let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(i)])).is_ok() && txn.commit().is_ok()
+                (i != N / 2 || db.checkpoint().is_ok())
+                    && txn.insert(t, Row::new(vec![Value::Int(i)])).is_ok()
+                    && txn.commit().is_ok()
             })
             .count()
     };
@@ -237,7 +243,7 @@ fn room_growth_crash_keeps_every_acknowledged_commit() {
                     txn.commit()
                         .unwrap_or_else(|e| panic!("{ctx}: resumed log refused a commit: {e}"));
                     drop(db);
-                    let end = WalFile::replay_on(&vfs, std::path::Path::new(WAL), |_, _| Ok(()))
+                    let end = WalFile::replay_on(&vfs, std::path::Path::new(WAL), |_| Ok(()))
                         .unwrap_or_else(|e| panic!("{ctx}: closed log does not replay: {e}"));
                     assert_eq!(
                         (end.frames, end.torn),
@@ -542,59 +548,120 @@ fn auto_maintenance_crash_recovers_commit_prefix() {
     }
 }
 
-// --------------------------------------------------- checkpoint copy/swap
+// ------------------------------------------------------ checkpoint rotation
 
-/// Exhaustive crash sweep over the checkpoint's tmp-write / rename /
-/// dir-sync dance, at `Fsync`: the checkpoint must never lose a
-/// durable commit, no matter which op the power dies on — the exact
-/// rename-vs-data-reordering bug class the copy/swap protocol exists
-/// to prevent.
+/// Exhaustive crash sweep over a checkpoint at both levels: the new
+/// segment's creation, the switch's seal, the demotion (cold tier on),
+/// the base's temp file, its sync, rename and directory sync, and the
+/// removal of the covered segment — with more commits landing between
+/// the switch and the base's publication, run when the checkpoint
+/// creates its temp file. Whatever op the power dies on, recovery is a
+/// commit-order prefix that, at `Fsync`, holds every acknowledged commit.
 #[test]
 fn checkpoint_crash_never_loses_fsynced_commits() {
     const N: i64 = 8;
-    let d = DurabilityLevel::Fsync;
-    for seed in seeds() {
-        // Twin: measure how many ops the checkpoint itself performs.
-        let ckpt_ops = {
-            let twin = SimVfs::new(seed);
-            assert_eq!(run_sequential(&twin, d, N), N as usize);
-            let db = Database::open(WAL, sim_opts(&twin, d)).unwrap();
-            let before = twin.ops();
-            db.checkpoint().unwrap();
-            twin.ops() - before
-        };
-        assert!(ckpt_ops > 0);
-
-        for cut in 0..ckpt_ops {
-            let vfs = SimVfs::new(seed);
-            assert_eq!(run_sequential(&vfs, d, N), N as usize);
-            let ctx = format!(
-                "seed {seed} checkpoint cut {cut}/{ckpt_ops} \
-                     (rerun with TENDAX_SIM_SEED={seed})"
-            );
-            {
-                let db = Database::open(WAL, sim_opts(&vfs, d)).unwrap();
-                vfs.power_fail_after(cut);
-                let _ = db.checkpoint(); // the cut makes this fail; that's the point
+    const M: i64 = 3;
+    // One life of the disk: N commits, a first checkpoint (so the second
+    // has a base and a segment to replace), then the checkpoint under
+    // test with the power cut armed `cut` ops into it. Returns the
+    // acknowledged commits and the ops that checkpoint took.
+    let life = |vfs: &SimVfs, d: DurabilityLevel, cut: Option<u64>| -> (usize, u64) {
+        let writer: Arc<Mutex<Option<(Database, TableId)>>> = Arc::default();
+        let acked = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let hook = {
+            let (writer, acked) = (writer.clone(), acked.clone());
+            move |step: Step<'_>| {
+                if !(matches!(step, Step::Create(_)) && step.on(".tmp")) {
+                    return;
+                }
+                let Some((db, t)) = writer.lock().unwrap().take() else {
+                    return;
+                };
+                for i in N..N + M {
+                    let mut txn = db.begin();
+                    if txn.insert(t, Row::new(vec![Value::Int(i)])).is_err() || txn.commit().is_err()
+                    {
+                        break;
+                    }
+                    acked.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
+                }
             }
-            vfs.crash();
-
-            let db = Database::open(WAL, sim_opts(&vfs, d))
-                .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
-            assert_eq!(
-                recovered_seqs(&db, "t"),
-                (0..N).collect::<Vec<_>>(),
-                "{ctx}: checkpoint crash lost fsynced commits"
-            );
-            // Still writable, and a clean checkpoint completes after the
-            // crashed one (stale tmp file, resurrected old log, or a
-            // half-spliced tail must not wedge it).
-            let t = db.table_id("t").unwrap();
+        };
+        let opts = Options {
+            vfs: Arc::new(HookVfs::new(vfs.clone(), hook)),
+            ..sim_opts(vfs, d)
+        };
+        let db = Database::open(WAL, opts).unwrap();
+        let t = db.create_table(table_def("t")).unwrap();
+        for i in 0..N / 2 {
             let mut txn = db.begin();
-            txn.insert(t, Row::new(vec![Value::Int(N)])).unwrap();
+            txn.insert(t, Row::new(vec![Value::Int(i)])).unwrap();
             txn.commit().unwrap();
-            db.checkpoint()
-                .unwrap_or_else(|e| panic!("{ctx}: post-recovery checkpoint failed: {e}"));
+        }
+        db.checkpoint().unwrap();
+        for i in N / 2..N {
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(i)])).unwrap();
+            txn.commit().unwrap();
+        }
+        acked.fetch_add(N as usize, std::sync::atomic::Ordering::SeqCst);
+        let before = vfs.ops();
+        if let Some(cut) = cut {
+            vfs.power_fail_after(cut);
+        }
+        *writer.lock().unwrap() = Some((db.clone(), t));
+        let done = db.checkpoint();
+        // The hook holds the database until it runs: let go of it.
+        writer.lock().unwrap().take();
+        if cut.is_none() {
+            done.unwrap();
+        }
+        let ops = vfs.ops() - before;
+        drop(db);
+        (acked.load(std::sync::atomic::Ordering::SeqCst), ops)
+    };
+    for seed in seeds() {
+        for d in DURABILITY_LEVELS {
+            // Twin: the fault-free schedule, and how many ops it takes.
+            let (acked, ckpt_ops) = life(&SimVfs::new(seed), d, None);
+            assert_eq!(acked, (N + M) as usize, "seed {seed}: fault-free run");
+            for cut in 0..ckpt_ops {
+                let vfs = SimVfs::new(seed);
+                let (acked, _) = life(&vfs, d, Some(cut));
+                vfs.crash();
+                let ctx = format!(
+                    "seed {seed} {d:?} checkpoint cut {cut}/{ckpt_ops} \
+                     (rerun with TENDAX_SIM_SEED={seed})"
+                );
+                let db = Database::open(WAL, sim_opts(&vfs, d))
+                    .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                let got = recovered_seqs(&db, "t");
+                assert_eq!(
+                    got,
+                    (0..got.len() as i64).collect::<Vec<_>>(),
+                    "{ctx}: recovery is not a commit-order prefix"
+                );
+                if d == DurabilityLevel::Fsync {
+                    assert!(
+                        got.len() >= acked,
+                        "{ctx}: {acked} commits acknowledged, {} recovered",
+                        got.len()
+                    );
+                }
+                // Still writable, and a clean checkpoint completes after the
+                // crashed one (a stale temp file, an orphaned segment or a
+                // covered one left behind must not wedge it).
+                let t = db.table_id("t").unwrap();
+                let mut txn = db.begin();
+                txn.insert(t, Row::new(vec![Value::Int(got.len() as i64)]))
+                    .unwrap();
+                txn.commit().unwrap();
+                db.checkpoint()
+                    .unwrap_or_else(|e| panic!("{ctx}: post-recovery checkpoint failed: {e}"));
+                drop(db);
+                let db = Database::open(WAL, sim_opts(&vfs, d)).unwrap();
+                assert_eq!(recovered_seqs(&db, "t").len(), got.len() + 1, "{ctx}");
+            }
         }
     }
 }

@@ -145,6 +145,7 @@ fn arb_snapshot_rows() -> impl Strategy<Value = WalRecord> {
 fn arb_record() -> impl Strategy<Value = WalRecord> {
     prop_oneof![
         any::<u32>().prop_map(|version| WalRecord::Format { version }),
+        any::<u64>().prop_map(|segment| WalRecord::Base { segment }),
         (any::<u64>(), any::<i64>())
             .prop_map(|(next_ts, clock)| WalRecord::Meta { next_ts, clock }),
         (any::<u32>(), arb_table_def()).prop_map(|(id, def)| WalRecord::CreateTable {
@@ -462,11 +463,9 @@ fn sweep_frame(victim: &WalRecord) {
         let yielded = std::slice::from_ref(&before);
         assert_eq!(seen, yielded, "bit {bit}: a flipped frame was yielded");
         match err {
-            // A grown length that runs past the end reads as torn.
-            None => assert!(
-                bit < 32,
-                "bit {bit}: payload or CRC flip read as a torn tail"
-            ),
+            // The intact frame behind it says no write was torn here, a
+            // length grown past the end included.
+            None => panic!("bit {bit}: a flip read as a torn tail"),
             Some(StorageError::WalCorrupt { offset, .. }) => {
                 assert_eq!(offset, head.len() as u64, "bit {bit}");
             }
@@ -1207,17 +1206,22 @@ fn small_database(path: &std::path::Path, opts: Options) -> Database {
 }
 
 /// Length and CRC-32 of the file the parent's checkpoint of
-/// [`small_database`] wrote, without a cold tier and with one whose
-/// demotion failed (the history spliced in behind the DDL prologue).
-/// v2 wrote 492 B / 0x374b8102 and 665 B / 0xb182b469; v3 the same
-/// lengths as v4 with CRCs 0x196a7ef2 and 0xb03126c2 (only the format
-/// frame's version differs: a checkpoint holds no patch).
+/// [`small_database`] wrote without a cold tier: a base is that file with
+/// a `Base` frame behind its format frame. v2 wrote 492 B / 0x374b8102;
+/// v3 the same length as v4 with CRC 0x196a7ef2 (only the format frame's
+/// version differs: a checkpoint holds no patch). The parent's checkpoint
+/// whose demotion failed wrote the history into the log (642 B /
+/// 0x154effe5); such a checkpoint now fails and writes nothing.
 const PARENT_CHECKPOINT: (usize, u32) = (481, 0xbaf7_7721);
-const PARENT_CHECKPOINT_WITH_HISTORY: (usize, u32) = (642, 0x154e_ffe5);
 
-fn len_and_crc(path: &std::path::Path) -> (usize, u32) {
+/// The base at `path` without its `Base` frame (naming `segment`): the
+/// parent's whole checkpoint file.
+fn len_and_crc(path: &std::path::Path, segment: u64) -> (usize, u32) {
     let bytes = std::fs::read(path).unwrap();
-    (bytes.len(), crc32(&bytes))
+    let base = encode_record(&WalRecord::Base { segment });
+    assert_eq!(bytes[10..20], frame(&base)[..], "the second frame names the segment");
+    let parent = [&bytes[..10], &bytes[20..]].concat();
+    (parent.len(), crc32(&parent))
 }
 
 #[test]
@@ -1225,7 +1229,7 @@ fn a_checkpoint_is_the_file_the_parent_wrote() {
     let dir = TestDir::new("tendax-wal-format");
     let path = dir.file("small.wal");
     small_database(&path, single_file()).checkpoint().unwrap();
-    assert_eq!(len_and_crc(&path), PARENT_CHECKPOINT);
+    assert_eq!(len_and_crc(&path, 1), PARENT_CHECKPOINT);
     // A cold tier that takes the history changes nothing in the log.
     let cold_path = dir.file("cold.wal");
     let cold = Options {
@@ -1316,7 +1320,7 @@ fn a_checkpoint_replays_to_the_rows_it_was_taken_from() {
 }
 
 #[test]
-fn a_checkpoint_whose_demotion_failed_is_the_file_the_parent_wrote() {
+fn a_checkpoint_whose_demotion_failed_publishes_nothing() {
     let dir = TestDir::new("tendax-wal-format");
     let path = dir.file("small.wal");
     let cold = || Options {
@@ -1324,19 +1328,25 @@ fn a_checkpoint_whose_demotion_failed_is_the_file_the_parent_wrote() {
         ..Options::default()
     };
     let db = small_database(&path, cold());
-    // The first run file cannot be created: demotion fails, and the
-    // history goes into the log instead.
+    let log = std::fs::read(&path).unwrap();
+    // The first run file cannot be created: demotion fails, and so does
+    // the checkpoint. The log it switched away from is the log it was.
     let mut run = path.clone().into_os_string();
     run.push(".cold.run0");
     std::fs::create_dir(&run).unwrap();
     let before = db.last_commit_ts();
-    db.checkpoint().unwrap();
+    assert!(db.checkpoint().is_err());
     assert_eq!(db.stats().cold_demotions, 0);
+    assert_eq!(std::fs::read(&path).unwrap(), log);
+    // The log stays writable.
+    let docs = db.table_id("docs").unwrap();
+    let mut txn = db.begin();
+    txn.insert(docs, Row::new(vec![Value::Text("doc 3".into()), Value::Int(9)]))
+        .unwrap();
+    txn.commit().unwrap();
     drop(db);
-    assert_eq!(len_and_crc(&path), PARENT_CHECKPOINT_WITH_HISTORY);
     // Replayed, the history is there to read at its snapshots.
     let db = Database::open(&path, cold()).unwrap();
-    let docs = db.table_id("docs").unwrap();
     let revs = |ts| -> Vec<i64> {
         let txn = db.begin_at(ts).unwrap();
         (txn.scan(docs, &Predicate::True).unwrap().iter())
@@ -1345,4 +1355,5 @@ fn a_checkpoint_whose_demotion_failed_is_the_file_the_parent_wrote() {
     };
     assert_eq!(revs(1), [0, 0, 0]);
     assert_eq!(revs(before), [2, 2, 2]);
+    assert_eq!(revs(before + 1), [2, 2, 2, 9]);
 }
