@@ -35,7 +35,7 @@ use crate::row::RowId;
 use crate::schema::TableId;
 use crate::table::Ts;
 use crate::vfs::Vfs;
-use crate::wal::WalOp;
+use crate::wal::{sibling, WalOp};
 
 use manifest::{Manifest, RunEntry};
 use run::{encode_key, RunReader};
@@ -115,12 +115,6 @@ pub(crate) struct ColdStore {
     /// Lineage retention floor (see [`Manifest::retention_floor`]).
     retention: AtomicU64,
     counters: ColdCounters,
-}
-
-fn sibling(base: &Path, suffix: &str) -> PathBuf {
-    let mut s = base.as_os_str().to_os_string();
-    s.push(suffix);
-    PathBuf::from(s)
 }
 
 impl ColdStore {

@@ -500,8 +500,10 @@ mod tests {
     }
 
     fn open_log(path: &PathBuf) -> GroupWal {
-        let end = WalFile::replay_on(&*crate::vfs::os_vfs(), path, |_| Ok(())).unwrap();
-        GroupWal::open(crate::vfs::os_vfs(), path, end, DurabilityLevel::Buffered).unwrap()
+        let (vfs, level) = (crate::vfs::os_vfs(), DurabilityLevel::Buffered);
+        let end = WalFile::replay_on(&*vfs, path, |_| Ok(())).unwrap();
+        let (files, file) = crate::wal::LogFiles::open(vfs, path, end, level).unwrap();
+        GroupWal::new(files, file, level)
     }
 
     #[test]

@@ -18,9 +18,9 @@ use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
 use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
 use crate::value::{Value, ValueRef};
-use crate::vfs::{os_vfs, Vfs, VfsFile};
+use crate::vfs::{os_vfs, Vfs};
 use crate::wal::{
-    encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, WalFile, WalOp, WalRecord,
+    encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, LogFiles, WalFile, WalOp, WalRecord,
     WalShardStats, WalTicket, WalWrite,
 };
 
@@ -274,7 +274,8 @@ impl Database {
         // Writing resumes where the live segment's last frame ends: what
         // a crash left beside it is removed, a torn tail is cut first,
         // zeroed room kept.
-        let wal = GroupWal::open(options.vfs.clone(), &path, end, options.durability)?;
+        let (files, file) = LogFiles::open(options.vfs.clone(), &path, end, options.durability)?;
+        let wal = GroupWal::new(files, file, options.durability);
         db.inner.wal.set(wal).expect("wal set once at open");
         if let Some(copts) = options.cold_storage {
             let cold = ColdStore::open(options.vfs.clone(), &path, copts)?;
@@ -841,7 +842,10 @@ impl Database {
                 .read()
                 .collect_demotable(horizon, already_cold, &mut batch);
         }
-        if self.note_cold_error(cold.demote(batch, horizon)).is_none() {
+        // A demotion that fails keeps everything in RAM, which is always
+        // safe; under a power cut it is the expected outcome. At worst it
+        // leaves an orphan run file, which the next open sweeps.
+        if cold.demote(batch, horizon).is_err() {
             return 0;
         }
         let mut pruned = 0;
@@ -853,15 +857,6 @@ impl Database {
             .versions_pruned
             .fetch_add(pruned as u64, Ordering::Relaxed);
         pruned
-    }
-
-    /// Swallow a cold-tier maintenance error: demotion failing means
-    /// "keep everything in RAM", which is always safe — and under fault
-    /// injection (power cuts mid-demotion) it is the *expected* outcome,
-    /// so the error must not escalate. At worst an orphan run file is
-    /// left behind, swept on the next open.
-    fn note_cold_error<T>(&self, r: Result<T>) -> Option<T> {
-        r.ok()
     }
 
     /// Raise the lineage retention floor: history at or below `ts`
@@ -928,79 +923,71 @@ impl Database {
         self.inner.cold.get().is_some()
     }
 
-    /// Compact the log to the state at the watermark: a log rotation.
+    /// Compact the log to the state at the watermark W: a log rotation.
     ///
-    /// Under the exclusive commit latch the checkpoint reads the
-    /// watermark W — with the clock, the catalog, and each table's row-id
-    /// watermark and handle — pins W like a [`Database::begin_at`]
-    /// snapshot and switches the log to a new segment, created before the
-    /// latch was taken: no I/O, no walk of a table. Commits above W go to
-    /// the new segment. Off the latch, with the demote lock held when a
-    /// cold tier is attached, it waits for the flush that seals the old
-    /// segment, demotes the history at W, streams the rows visible at W a
-    /// row-slot page at a time into the base's temp file and publishes
-    /// it; only then are the segments it covers removed. A failure
-    /// publishes nothing: the log stays writable and the old base in
-    /// force.
+    /// Under the exclusive commit latch the checkpoint only reads W (with
+    /// the clock, the catalog and each table's row-id watermark and
+    /// handle), pins it with a snapshot and switches the log to a segment
+    /// created beforehand. Off the latch (holding the demote lock with a
+    /// cold tier) it waits for the old segment's seal, demotes the history
+    /// at W and writes the rows visible at W, a row-slot page at a time,
+    /// as the new base. A failure publishes nothing: the log stays
+    /// writable and the old base in force.
     pub fn checkpoint(&self) -> Result<()> {
         let Some(wal) = self.inner.wal.get() else {
             return Ok(()); // in-memory database: nothing to do
         };
         // Serializes checkpoints, and nothing else.
-        let mut files = wal.files();
+        let mut files = wal.files.lock();
+        wal.healthy()?;
         // The history at W must still be in RAM when it is demoted.
         let cold = self.inner.cold.get();
         let _demote = cold.map(ColdStore::exclusive);
         let next = files.create_next()?;
-        // ------------------------------------------------------ the switch
-        let (base, _pin, switched) = {
-            let _quiesce = self.inner.commit_latch.exclusive();
-            let base = self.base_at_watermark();
-            let pin = self.pin(base.watermark);
-            let switched = wal.switch(next)?;
-            (base, pin, switched)
+        let quiesce = self.inner.commit_latch.exclusive();
+        // Vacuum keeps every version the snapshot sees until it drops.
+        let pin = self.begin();
+        let w = pin.snapshot_ts();
+        let meta = WalRecord::Meta {
+            next_ts: w + 1,
+            clock: self.inner.clock.peek(),
         };
-        let segment = files.switched();
-        wal.wait_durable(switched)?;
-        // ------------------------------------------------------- the base
-        if let Some(cold) = cold {
-            let already_cold = cold.floor();
-            let mut history = Vec::new();
-            for (_, _, handle) in &base.tables {
-                (handle.read()).collect_demotable(base.watermark, already_cold, &mut history);
-            }
-            cold.demote(history, base.watermark)?;
-        }
-        files.publish_base(|out| base.write(out, segment))
-    }
-
-    /// What a checkpoint's base holds beside the rows, read at the
-    /// watermark. Caller holds the exclusive commit latch (quiesced: the
-    /// watermark equals the newest allocated timestamp).
-    fn base_at_watermark(&self) -> Base {
-        let watermark = self.inner.sequencer.watermark();
-        let tables = (self.inner.tables.read().iter())
+        let catalog: Vec<_> = (self.inner.catalog.read().tables())
+            .map(|(id, def)| WalRecord::CreateTable {
+                id,
+                def: def.clone(),
+            })
+            .collect();
+        let tables: Vec<_> = (self.inner.tables.read().iter())
             .map(|(&id, handle)| (id, handle.read().row_id_watermark(), handle.clone()))
             .collect();
-        Base {
-            watermark,
-            meta: WalRecord::Meta {
-                next_ts: watermark + 1,
-                clock: self.inner.clock.peek(),
-            },
-            catalog: (self.inner.catalog.read().tables())
-                .map(|(id, def)| (id, def.clone()))
-                .collect(),
-            tables,
+        let switched = wal.switch(next)?;
+        drop(quiesce);
+        wal.wait_durable(switched)?;
+        if let Some(cold) = cold {
+            let mut history = Vec::new();
+            for (_, _, handle) in &tables {
+                (handle.read()).collect_demotable(w, cold.floor(), &mut history);
+            }
+            cold.demote(history, w)?;
         }
-    }
-
-    /// Hold a snapshot at `ts` the way a running transaction does:
-    /// vacuum keeps every version visible at it until the pin drops.
-    fn pin(&self, ts: Ts) -> Pin<'_> {
-        let id = TxnId(self.inner.next_txn_id.fetch_add(1, Ordering::Relaxed));
-        self.inner.active.lock().insert(id, ts);
-        Pin { db: self, id }
+        files.publish_base(|out| {
+            let mut frames = CheckpointFrames::base(files.live);
+            for rec in std::iter::once(&meta).chain(&catalog) {
+                frames.record(rec);
+            }
+            for (id, next_row_id, handle) in &tables {
+                let (table, next_row_id) = (*id, *next_row_id);
+                frames.record(&WalRecord::Watermark { table, next_row_id });
+                let mut page = Some(0);
+                while let Some(from) = page {
+                    page = put_rows(&mut frames, &handle.read(), from, w);
+                    frames.drain_to(out)?;
+                }
+            }
+            frames.close_batch();
+            frames.drain_to(out)
+        })
     }
 
     /// Start the background maintenance thread. Returns `false` (and
@@ -1149,8 +1136,11 @@ impl Database {
                 continue;
             };
             let store = handle.read();
-            let mut rows = CheckpointFrames::weigh_columns();
-            put_live_rows(&mut rows, &store);
+            let mut rows = CheckpointFrames::weigh();
+            let mut page = Some(0);
+            while let Some(from) = page {
+                page = put_rows(&mut rows, &store, from, TS_LATEST);
+            }
             rows.close_batch();
             let column_bytes = (def.columns.iter().enumerate())
                 .map(|(i, c)| {
@@ -1214,80 +1204,20 @@ fn commit_record(commit_ts: Ts, writes: &BTreeMap<TableId, BTreeMap<RowId, Write
     WalRecord::Commit { commit_ts, writes }
 }
 
-/// The rows a table weighs in a checkpoint: each row's newest version —
-/// the last of its slot — unless that is a tombstone, in row-id order.
-fn put_live_rows(frames: &mut CheckpointFrames, store: &TableStore) {
-    for (rid, v) in store.newest_versions_at(TS_LATEST) {
+/// The rows of `store` a checkpoint writes, from the first page of row
+/// slots at or after page `from`: each row's newest version at or below
+/// `ts` unless that is a tombstone (a dropped row is invisible to every
+/// later snapshot, and the row-id watermark already protects the id
+/// space), in row-id order. Returns the page after it, `None` past the
+/// last.
+fn put_rows(frames: &mut CheckpointFrames, store: &TableStore, from: u64, ts: Ts) -> Option<u64> {
+    let (at, versions) = store.newest_versions_in_page(from, ts)?;
+    for (rid, v) in versions {
         if let VersionOp::Put(row) = &v.op {
             frames.row(store.id(), rid, v.commit_ts, Some(row));
         }
     }
-}
-
-/// A checkpoint's base, as read under the commit latch: everything but
-/// the rows, which are read off it.
-struct Base {
-    watermark: Ts,
-    meta: WalRecord,
-    catalog: Vec<(TableId, TableDef)>,
-    /// Each table with its row-id watermark.
-    tables: Vec<(TableId, u64, Arc<RwLock<TableStore>>)>,
-}
-
-impl Base {
-    /// Write the base file to `out`: its format and `Base` frames
-    /// (naming `segment`), `Meta`, the DDL prologue, then per table its
-    /// row-id watermark and the rows visible at the watermark. A dropped
-    /// row (a tombstone) is invisible to every later snapshot, and the
-    /// row-id watermark already protects the id space. Each table is read
-    /// a row-slot page at a time under its read lock, and the frames
-    /// closed so far written out between pages.
-    fn write(&self, out: &mut dyn VfsFile, segment: u64) -> Result<()> {
-        let mut frames = CheckpointFrames::base(segment);
-        frames.record(&self.meta);
-        for (id, def) in &self.catalog {
-            frames.record(&WalRecord::CreateTable {
-                id: *id,
-                def: def.clone(),
-            });
-        }
-        for (id, next_row_id, handle) in &self.tables {
-            frames.record(&WalRecord::Watermark {
-                table: *id,
-                next_row_id: *next_row_id,
-            });
-            let mut page = 0;
-            loop {
-                let store = handle.read();
-                let Some((at, versions)) = store.newest_versions_in_page(page, self.watermark)
-                else {
-                    break;
-                };
-                for (rid, v) in versions {
-                    if let VersionOp::Put(row) = &v.op {
-                        frames.row(*id, rid, v.commit_ts, Some(row));
-                    }
-                }
-                drop(store);
-                frames.drain_to(out)?;
-                page = at + 1;
-            }
-        }
-        frames.close_batch();
-        frames.drain_to(out)
-    }
-}
-
-/// A snapshot held open without a transaction ([`Database::pin`]).
-struct Pin<'a> {
-    db: &'a Database,
-    id: TxnId,
-}
-
-impl Drop for Pin<'_> {
-    fn drop(&mut self) {
-        self.db.abort_txn(self.id, false);
-    }
+    Some(at + 1)
 }
 
 #[cfg(test)]

@@ -9,11 +9,9 @@
 //! * **vacuum** prunes versions below the snapshot horizon once the
 //!   pruneable-version estimate (or the number of commits since the last
 //!   vacuum) crosses a threshold;
-//! * **checkpoint** rewrites the WAL to a snapshot once its growth since
-//!   the previous checkpoint crosses a byte or record budget. The
-//!   checkpoint itself is the copy/swap design in [`crate::db`]: the
-//!   commit pipeline is quiesced (exclusive commit latch) only while
-//!   Arc-cloning row handles, and the file rewrite runs off-latch.
+//! * **checkpoint** rotates the log once its live segment has grown past
+//!   a byte or record budget: the commit latch covers only the switch to
+//!   a new segment, and the base is written off it ([`crate::db`]).
 //!
 //! The subsystem is opt-in ([`crate::Options::maintenance`]); with it
 //! disabled the engine behaves exactly as before — no thread is
@@ -139,25 +137,12 @@ impl MaintenanceTask {
     }
 }
 
-/// Per-thread trigger state carried across ticks.
-struct TickState {
-    last_vacuum_commits: u64,
-    /// `(bytes, records)` the WAL reported right after the last
-    /// checkpoint (or at thread start): growth is measured from here.
-    ckpt_base: (u64, u64),
-}
-
 fn run(db: Weak<DbInner>, opts: MaintenanceOptions, ctl: Arc<Ctl>) {
-    let mut state = TickState {
-        // Start at zero, not the current commit count: a backlog that
-        // predates the thread (e.g. accumulated before maintenance was
-        // enabled, or recovered from the WAL) still gets vacuumed.
-        last_vacuum_commits: 0,
-        ckpt_base: match db.upgrade() {
-            Some(inner) => Database::from_inner(inner).wal_size(),
-            None => return,
-        },
-    };
+    // Commits at the last vacuum. Start at zero, not the current commit
+    // count: a backlog that predates the thread (e.g. accumulated before
+    // maintenance was enabled, or recovered from the WAL) still gets
+    // vacuumed.
+    let mut last_vacuum_commits = 0;
     loop {
         if ctl.wait_stop(opts.interval) {
             return;
@@ -166,13 +151,13 @@ fn run(db: Weak<DbInner>, opts: MaintenanceOptions, ctl: Arc<Ctl>) {
         // strong handle lives only for the duration of the tick.
         let Some(inner) = db.upgrade() else { return };
         let db = Database::from_inner(inner);
-        tick(&db, &opts, &mut state);
+        tick(&db, &opts, &mut last_vacuum_commits);
     }
 }
 
-fn tick(db: &Database, opts: &MaintenanceOptions, state: &mut TickState) {
+fn tick(db: &Database, opts: &MaintenanceOptions, last_vacuum_commits: &mut u64) {
     let commits = db.stats().commits;
-    let since_vacuum = commits.saturating_sub(state.last_vacuum_commits);
+    let since_vacuum = commits.saturating_sub(*last_vacuum_commits);
     // The pruneable arm fires on its own (the estimate only drops when
     // vacuum reclaims something — or a pinning snapshot ends, in which
     // case re-running is exactly right); the commit-count arm
@@ -188,23 +173,19 @@ fn tick(db: &Database, opts: &MaintenanceOptions, state: &mut TickState) {
     {
         db.vacuum();
         db.note_auto_vacuum();
-        state.last_vacuum_commits = commits;
+        *last_vacuum_commits = commits;
     }
     // Fold accumulated cold runs together once enough exist; bloom
     // filters keep reads cheap in between, so this is purely amortized.
     let _ = db.cold_compact_if_needed();
 
+    // The live segment's growth since open or the last checkpoint's
+    // switch. A failed checkpoint is tried again next tick; on a poisoned
+    // log it fails before any I/O.
     let (bytes, records) = db.wal_size();
-    let grew_bytes = bytes.saturating_sub(state.ckpt_base.0);
-    let grew_records = records.saturating_sub(state.ckpt_base.1);
-    if grew_bytes >= opts.checkpoint_wal_bytes || grew_records >= opts.checkpoint_wal_records {
-        // A checkpoint failure poisons the WAL and every committer sees
-        // WalUnavailable; nothing useful to do with the error here.
-        if db.checkpoint().is_ok() {
-            db.note_auto_checkpoint();
-        }
-        // Re-base even on failure so a poisoned log doesn't retrigger
-        // every tick.
-        state.ckpt_base = db.wal_size();
+    if (bytes >= opts.checkpoint_wal_bytes || records >= opts.checkpoint_wal_records)
+        && db.checkpoint().is_ok()
+    {
+        db.note_auto_checkpoint();
     }
 }

@@ -162,22 +162,24 @@ impl RowSlots {
         }
     }
 
+    /// Every chain at or after page `from`, in row-id order, a page at a
+    /// time: each page's number and its chains.
+    fn pages_from(
+        &self,
+        from: u64,
+    ) -> impl Iterator<Item = (u64, impl Iterator<Item = (RowId, &Chain)>)> {
+        let at = self.find(from).unwrap_or_else(|i| i);
+        self.pages[at..].iter().map(|(n, page)| {
+            let base = n * SLOTS_PER_PAGE;
+            let chains = (page.iter().enumerate())
+                .filter_map(move |(i, slot)| Some((RowId(base + i as u64), slot.as_ref()?)));
+            (*n, chains)
+        })
+    }
+
     /// Every chain, in row-id order.
     fn iter(&self) -> impl Iterator<Item = (RowId, &Chain)> + '_ {
-        self.pages.iter().flat_map(|(n, page)| Self::chains(*n, page))
-    }
-
-    /// The first allocated page at or after page `n`: its number, and
-    /// its chains in row-id order.
-    fn page_from(&self, n: u64) -> Option<(u64, impl Iterator<Item = (RowId, &Chain)> + '_)> {
-        let (at, page) = self.pages.get(self.find(n).unwrap_or_else(|i| i))?;
-        Some((*at, Self::chains(*at, page)))
-    }
-
-    fn chains(n: u64, page: &Page) -> impl Iterator<Item = (RowId, &Chain)> + '_ {
-        let base = n * SLOTS_PER_PAGE;
-        (page.iter().enumerate())
-            .filter_map(move |(i, slot)| Some((RowId(base + i as u64), slot.as_ref()?)))
+        self.pages_from(0).flat_map(|(_, chains)| chains)
     }
 
     /// Keep the chains `keep` returns `true` for and empty the others'
@@ -618,14 +620,7 @@ impl TableStore {
     /// and at [`TS_LATEST`] each row's last version: what a checkpoint
     /// keeps.
     pub fn newest_versions_at(&self, ts: Ts) -> impl Iterator<Item = (RowId, &Version)> {
-        self.chains.iter().filter_map(move |(rid, chain)| {
-            chain
-                .versions()
-                .iter()
-                .rev()
-                .find(|v| v.commit_ts <= ts)
-                .map(|v| (rid, v))
-        })
+        (self.chains.iter()).filter_map(move |(rid, chain)| newest_at(rid, chain, ts))
     }
 
     /// [`TableStore::newest_versions_at`] over one page of row slots, the
@@ -637,11 +632,8 @@ impl TableStore {
         page: u64,
         ts: Ts,
     ) -> Option<(u64, impl Iterator<Item = (RowId, &Version)>)> {
-        let (at, chains) = self.chains.page_from(page)?;
-        let newest = chains.filter_map(move |(rid, chain)| {
-            let v = chain.versions().iter().rev().find(|v| v.commit_ts <= ts)?;
-            Some((rid, v))
-        });
+        let (at, chains) = self.chains.pages_from(page).next()?;
+        let newest = chains.filter_map(move |(rid, chain)| newest_at(rid, chain, ts));
         Some((at, newest))
     }
 
@@ -652,10 +644,8 @@ impl TableStore {
     /// or below it).
     ///
     /// With `horizon` = a checkpoint's watermark this doubles as its
-    /// history collector: every version at or below the horizon but the
-    /// newest, plus the newest when it is a tombstone, minus what previous
-    /// demotions covered — what the checkpoint's base drops, whatever
-    /// commits above the horizon added since.
+    /// history collector: what the base drops (a tombstone is a row's
+    /// last version), minus what previous demotions covered.
     pub(crate) fn collect_demotable(
         &self,
         horizon: Ts,
@@ -679,10 +669,12 @@ impl TableStore {
                 };
                 out.push((self.id, rid, chain[i].commit_ts, op));
             }
-            let Some(newest) = chain.get(keep_from) else { continue };
-            let dead = newest.commit_ts <= horizon && matches!(newest.op, VersionOp::Delete);
-            if dead && newest.commit_ts > already_cold {
-                out.push((self.id, rid, newest.commit_ts, WalOp::Delete));
+            let Some(last) = chain.last() else { continue };
+            let sole_dead = keep_from == chain.len() - 1
+                && last.commit_ts <= horizon
+                && matches!(last.op, VersionOp::Delete);
+            if sole_dead && last.commit_ts > already_cold {
+                out.push((self.id, rid, last.commit_ts, WalOp::Delete));
             }
         }
     }
@@ -701,6 +693,12 @@ impl TableStore {
             }
         }
     }
+}
+
+/// `row`'s newest version in `chain` with `commit_ts <= ts`.
+fn newest_at(row: RowId, chain: &Chain, ts: Ts) -> Option<(RowId, &Version)> {
+    let v = chain.versions().iter().rev().find(|v| v.commit_ts <= ts)?;
+    Some((row, v))
 }
 
 /// The row of the newest version in `chain` with `commit_ts <= ts`,

@@ -2,8 +2,8 @@
 //! the disk.
 //!
 //! Everything durability-relevant the engine does — writing WAL frames,
-//! reserving zeroed room ahead of the log's end, fsyncing, the
-//! checkpoint's tmp-write/rename/dir-sync dance, crash-tail truncation —
+//! reserving zeroed room ahead of the log's end, fsyncing, cutting a torn
+//! tail, the checkpoint's tmp-write/rename/dir-sync dance —
 //! goes through the [`Vfs`] trait carried in [`crate::Options`]. Two
 //! backends exist:
 //!
@@ -126,18 +126,13 @@ pub trait Vfs: Send + Sync + std::fmt::Debug {
     /// [`Vfs::sync_dir`] on the parent.
     fn rename(&self, from: &Path, to: &Path) -> Result<()>;
 
-    /// Shrink the file to `len` bytes and make the new length durable
-    /// (`fsync`, not `fdatasync`: the shrink is a metadata change).
-    /// A no-op if the file does not exist.
-    fn truncate(&self, path: &Path, len: u64) -> Result<()>;
-
     /// Remove the directory entry for `path`. A no-op if the file does
     /// not exist. Durable only after [`Vfs::sync_dir`] on the parent —
     /// a crash before that can resurrect the entry.
     fn remove(&self, path: &Path) -> Result<()>;
 
-    /// Fsync the directory containing `path`, making renames,
-    /// creations, and truncations of entries within it durable.
+    /// Fsync the directory containing `path`, making renames, creations
+    /// and removals of entries within it durable.
     fn sync_dir(&self, path: &Path) -> Result<()>;
 
     /// Read `len` bytes starting at `offset`. The default materializes
@@ -266,21 +261,6 @@ impl Vfs for OsVfs {
         Ok(())
     }
 
-    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        if !path.exists() {
-            return Ok(());
-        }
-        let file = OpenOptions::new().write(true).open(path)?;
-        file.set_len(len)?;
-        // `sync_all`, not `sync_data`: the repair is a pure metadata
-        // (size) change, and fdatasync is allowed to skip metadata when
-        // no data blocks were written. If the shrink is lost, the torn
-        // tail resurfaces underneath fresh appends and replays as
-        // mid-log corruption.
-        file.sync_all()?;
-        Ok(())
-    }
-
     fn remove(&self, path: &Path) -> Result<()> {
         if !path.exists() {
             return Ok(());
@@ -380,10 +360,10 @@ mod tests {
         vfs.rename(&a, &b).unwrap();
         vfs.sync_dir(&b).unwrap();
         assert!(!vfs.exists(&a));
-        vfs.truncate(&b, 4).unwrap();
+        let mut log = vfs.open_log(&b).unwrap();
+        log.set_len(4).unwrap();
+        log.sync_all().unwrap();
         assert_eq!(vfs.read(&b).unwrap(), b"0123");
-        // Truncating a missing path is a no-op, not an error.
-        vfs.truncate(&a, 0).unwrap();
     }
 
     #[test]

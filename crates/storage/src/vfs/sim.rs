@@ -199,8 +199,9 @@ struct SimState {
     dirs: BTreeMap<PathBuf, Dir>,
     next_ino: u64,
     rng: SmallRng,
-    /// Mutating ops charged so far (writes, syncs, creates, renames,
-    /// truncates, dir syncs). The unit of crash-point injection.
+    /// Mutating ops charged so far (writes, length changes, syncs,
+    /// creates, renames, removes, dir syncs). The unit of crash-point
+    /// injection.
     ops: u64,
     /// File syncs asked for so far, by kind.
     syncs: Syncs,
@@ -319,15 +320,6 @@ impl SimVfs {
     /// Crashes survived so far.
     pub fn crashes(&self) -> u64 {
         self.state.lock().crashes
-    }
-
-    /// The durable byte length of `path` (what a crash right now would
-    /// preserve at minimum), or `None` if its entry is not durable.
-    pub fn durable_len(&self, path: &Path) -> Option<usize> {
-        let st = self.state.lock();
-        let (dir, name) = split(path);
-        let ino = *st.dirs.get(&dir)?.durable.get(&name)?;
-        Some(st.inodes.get(&ino)?.synced.len())
     }
 
     fn power_err(&self) -> StorageError {
@@ -584,33 +576,6 @@ impl Vfs for SimVfs {
             .and_then(|d| d.live.remove(&fname))
             .ok_or_else(|| StorageError::Io(format!("sim: no such file {}", from.display())))?;
         st.dirs.entry(tdir).or_default().live.insert(tname, ino);
-        Ok(())
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> Result<()> {
-        let (dir, name) = split(path);
-        let mut st = self.state.lock();
-        if st.dirs.get(&dir).and_then(|d| d.live.get(&name)).is_none() {
-            return Ok(());
-        }
-        match charge(&mut st) {
-            OpFate::Run => {}
-            OpFate::Tripped | OpFate::Dead => return Err(self.power_err()),
-        }
-        if st.faults.failing_syncs > 0 {
-            st.faults.failing_syncs -= 1;
-            return Err(self.sync_err());
-        }
-        let ino = *st
-            .dirs
-            .get(&dir)
-            .and_then(|d| d.live.get(&name))
-            .expect("checked above");
-        let inode = st.inodes.get_mut(&ino).expect("inode exists");
-        inode.change(Change::Len(len as usize));
-        // The OS-level truncate carries its own fsync (`sync_all` in
-        // OsVfs::truncate), so the shrink is durable on success.
-        inode.sync();
         Ok(())
     }
 
@@ -877,13 +842,15 @@ mod tests {
     }
 
     #[test]
-    fn truncate_is_durable_and_missing_file_is_noop() {
+    fn a_synced_cut_is_durable() {
         let vfs = SimVfs::new(6);
         let path = Path::new("/sim/a.wal");
         write_synced(&vfs, path, b"0123456789");
-        vfs.truncate(path, 4).unwrap();
+        let mut log = vfs.open_log(path).unwrap();
+        log.set_len(4).unwrap();
+        log.sync_all().unwrap();
+        drop(log);
         vfs.crash();
         assert_eq!(vfs.read(path).unwrap(), b"0123");
-        vfs.truncate(Path::new("/sim/missing.wal"), 0).unwrap();
     }
 }

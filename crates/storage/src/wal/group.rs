@@ -24,11 +24,9 @@
 //! point.
 //!
 //! A checkpoint rotates the log with [`GroupWal::switch`], under that
-//! same latch: it marks the batch's end and hands over the next segment,
-//! created beforehand, and does no I/O. The flush leader that takes the
-//! mark writes the frames before it to the live segment, seals that
-//! segment (cut to its last frame, synced) and writes the frames after it
-//! to the new one. No flush ever waits for a checkpoint.
+//! same latch and with no I/O: the flush leader that takes the switch
+//! writes the frames before it to the live segment, seals that segment
+//! and writes the rest to the next one. No flush waits for a checkpoint.
 //!
 //! A failed flush **poisons** the log: the error is sticky and every
 //! in-flight and subsequent waiter receives
@@ -100,12 +98,11 @@ struct GroupState {
     poison: Option<String>,
 }
 
-/// Where the log moves to the next segment: the frames of the batch
-/// before `at` belong to the live segment, the rest to `next`.
+/// A switch to `next`: the frames staged before it (`records` of them)
+/// go to the live segment, which is then sealed.
 #[derive(Debug)]
 struct Switch {
-    at: usize,
-    /// Records before `at`.
+    frames: Vec<u8>,
     records: u64,
     next: WalFile,
 }
@@ -118,9 +115,8 @@ pub(crate) struct GroupWal {
     state: Mutex<GroupState>,
     cv: Condvar,
     file: Mutex<WalFile>,
-    /// Taken by a checkpoint for all of its run: checkpoints serialize
-    /// on it, and nothing else does.
-    files: Mutex<LogFiles>,
+    /// Held by a checkpoint for all of its run, and by nothing else.
+    pub(crate) files: Mutex<LogFiles>,
     durability: DurabilityLevel,
     /// [`WalShardStats`], field for field.
     batches_flushed: AtomicU64,
@@ -131,16 +127,8 @@ pub(crate) struct GroupWal {
 }
 
 impl GroupWal {
-    /// The log at `path`, whose replay ended at `end`, opened for writing
-    /// (see [`LogFiles::open`]).
-    pub(crate) fn open(
-        vfs: std::sync::Arc<dyn crate::vfs::Vfs>,
-        path: &std::path::Path,
-        end: crate::wal::LogEnd,
-        durability: DurabilityLevel,
-    ) -> Result<GroupWal> {
-        let (files, file) = LogFiles::open(vfs, path, end, durability)?;
-        Ok(GroupWal {
+    pub(crate) fn new(files: LogFiles, file: WalFile, durability: DurabilityLevel) -> GroupWal {
+        GroupWal {
             state: Mutex::new(GroupState::default()),
             cv: Condvar::new(),
             file: Mutex::new(file),
@@ -151,7 +139,7 @@ impl GroupWal {
             fsyncs: AtomicU64::new(0),
             bytes_flushed: AtomicU64::new(0),
             flush_wait_ns: AtomicU64::new(0),
-        })
+        }
     }
 
     pub(crate) fn stats(&self) -> WalShardStats {
@@ -164,24 +152,15 @@ impl GroupWal {
         }
     }
 
-    /// The log's files, locked: a checkpoint holds them for all of its
-    /// run.
-    pub(crate) fn files(&self) -> parking_lot::MutexGuard<'_, LogFiles> {
-        self.files.lock()
-    }
-
-    /// Write one batch out: the frames before a switch to the live
-    /// segment, which is then sealed and replaced by the next one, the
-    /// rest after them.
-    fn write_batch(&self, file: &mut WalFile, buf: &[u8], records: u64, switch: Option<Switch>) -> Result<()> {
-        let (mut buf, mut records) = (buf, records);
-        if let Some(s) = switch {
-            self.append_counted(file, &buf[..s.at], s.records)?;
+    /// Write one batch out, behind a switch's frames, the live segment
+    /// sealed and replaced between them.
+    fn write_batch(&self, file: &mut WalFile, s: Option<Switch>, buf: &[u8], n: u64) -> Result<()> {
+        if let Some(s) = s {
+            self.append_counted(file, &s.frames, s.records)?;
             file.seal()?;
             *file = s.next;
-            (buf, records) = (&buf[s.at..], records - s.records);
         }
-        self.append_counted(file, buf, records)
+        self.append_counted(file, buf, n)
     }
 
     /// Append frames, if there are any, to `file` at the log's durability
@@ -291,7 +270,7 @@ impl GroupWal {
         // disk), so a successful write makes that whole prefix durable.
         let hi_ts = st.appended_ts;
         drop(st);
-        let res = self.write_batch(&mut self.file.lock(), &buf, records, switch);
+        let res = self.write_batch(&mut self.file.lock(), switch, &buf, records);
         let mut st = self.state.lock();
         st.leader_active = false;
         match res {
@@ -306,18 +285,17 @@ impl GroupWal {
     }
 
     /// Move the log to `next`, a new segment, behind every frame staged
-    /// so far: the flush that takes the switch seals the live segment
-    /// after writing those frames to it. Must be called with the commit
-    /// pipeline quiesced (exclusive commit latch), so the frames before
-    /// the switch are exactly those of the commits below the watermark.
-    /// Does no I/O. The ticket is durable once the switch is made.
+    /// so far. Must be called with the commit pipeline quiesced
+    /// (exclusive commit latch), so the frames before the switch are
+    /// exactly those at or below the watermark. Does no I/O; the ticket
+    /// is durable once a flush has made the switch.
     pub(crate) fn switch(&self, next: WalFile) -> Result<WalTicket> {
         let mut st = self.state.lock();
         Self::check_poison(&st)?;
         debug_assert!(st.switch.is_none(), "checkpoints overlap");
         st.switch = Some(Switch {
-            at: st.buf.len(),
-            records: st.pending,
+            frames: std::mem::take(&mut st.buf),
+            records: std::mem::take(&mut st.pending),
             next,
         });
         st.enqueued += 1;
@@ -368,7 +346,7 @@ impl Drop for GroupWal {
         let buf = std::mem::take(&mut st.buf);
         let records = std::mem::take(&mut st.pending);
         let switch = st.switch.take();
-        let _ = self.write_batch(&mut self.file.lock(), &buf, records, switch);
+        let _ = self.write_batch(&mut self.file.lock(), switch, &buf, records);
     }
 }
 
@@ -403,7 +381,8 @@ mod tests {
 
     fn open_group(path: &PathBuf, durability: DurabilityLevel) -> GroupWal {
         let end = WalFile::replay_on(&*os_vfs(), path, |_| Ok(())).unwrap();
-        GroupWal::open(os_vfs(), path, end, durability).unwrap()
+        let (files, file) = LogFiles::open(os_vfs(), path, end, durability).unwrap();
+        GroupWal::new(files, file, durability)
     }
 
     #[test]
@@ -472,7 +451,7 @@ mod tests {
         let _ = std::fs::remove_file(segment_path(&path, 1));
         let wal = open_group(&path, DurabilityLevel::Fsync);
         let before = wal.enqueue(&meta(1)).unwrap();
-        let next = wal.files().create_next().unwrap();
+        let next = wal.files.lock().create_next().unwrap();
         let switched = wal.switch(next).unwrap();
         let after = wal.enqueue(&meta(2)).unwrap();
         // One flush takes all three: the frame before the switch goes to

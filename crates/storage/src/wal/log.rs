@@ -1,4 +1,4 @@
-//! The physical log: framing, segment files, the base, replay.
+//! The physical log: framing, the base and its segments, replay.
 //!
 //! Frame layout per record: `[u32 payload_len][u32 crc32(payload)][payload]`
 //! (little-endian), with at least one payload byte. The first frame of
@@ -7,28 +7,22 @@
 //! another version and is refused before anything in it is decoded,
 //! truncated or repaired.
 //!
-//! The log is a *base* and numbered *segments* beside it. The base, at
-//! the database's path, is a checkpoint's image: its format frame, a
-//! [`WalRecord::Base`] frame naming the first segment after it, then the
-//! state at the checkpoint's watermark. Segment `n` (`<path>.seg<n>`,
-//! [`segment_path`]) holds frames written after the base, in order; only
-//! the last, the *live* segment, is written. A log no checkpoint has
-//! rotated is one file at the path with no `Base` frame: segment 0. Replay
-//! reads the base, then each segment from the one it names, in order. A
-//! checkpoint switches the log to a new segment, publishes a base by
-//! renaming it over the old one, and only then removes the segments the
-//! base covers; open removes what a crash left of that.
+//! The log is a *base* at the database's path — a checkpoint's image,
+//! whose second frame, [`WalRecord::Base`], names the segment after it —
+//! and numbered *segments* (`<path>.seg<n>`, [`segment_path`]) of the
+//! frames written since, replayed in order. Only the last, the *live*
+//! segment, is written. A log no checkpoint has rotated is one file at
+//! the path with no `Base` frame: segment 0.
 //!
 //! The live segment ends at the first frame that is cut short, fails its
 //! CRC, or has a header of eight zero bytes (no frame is empty, so a zero
 //! header is never one). Behind that point lie zeroed room, the torn tail
-//! of a crashed write, or corruption: only zeros, and at most one torn
-//! sector's worth of other bytes in one place, are read as room or a torn
-//! tail, and never when an intact frame lies behind the bad one's header;
-//! anything more is [`StorageError::WalCorrupt`]. Opening the log for
-//! writing cuts a torn tail (anything past the last frame that is not
-//! zero) and keeps zeros as room. A sealed segment (one the log switched
-//! away from) and the base were synced whole before anything followed
+//! of a crashed write, or corruption: only zeros and at most one torn
+//! sector's worth of other bytes in one place, with no intact frame, are
+//! read as room or a torn tail; anything else is
+//! [`StorageError::WalCorrupt`]. Opening the log for writing cuts a torn
+//! tail and keeps zeros as room. The base and a sealed segment (one the
+//! log switched away from) were synced whole before anything followed
 //! them: any byte past their last frame is `WalCorrupt`.
 //!
 //! Each batch of frames is written at the live segment's end with one
@@ -36,8 +30,8 @@
 //! zeroed room ahead of that end, written, synced and sized
 //! [`ROOM_STEP`] at a time before any frame lands in it, so the
 //! `fdatasync` behind each batch flushes data blocks and no size change.
-//! Sealing a segment and a clean close give the room back: a file at rest
-//! is exactly its frames. At `Buffered` batches extend the file as they
+//! Sealing and a clean close give the room back: a file at rest is
+//! exactly its frames. At `Buffered` batches extend the file as they
 //! land.
 //!
 //! All file access goes through the [`Vfs`] seam so the same code path
@@ -72,19 +66,20 @@ const ROOM_STEP: u64 = 64 << 10;
 /// never reaches past the frame it is in.
 pub(crate) const TORN_MAX: usize = 8;
 
+/// The first frame of every log file.
+const FORMAT: WalRecord = WalRecord::Format {
+    version: FORMAT_VERSION,
+};
+
 /// Where a replayed log ends: which segment is live, where its frames
 /// end and what lies past them.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct LogEnd {
-    /// The live segment: the last one holding a frame past its format
+    /// The live segment: the last that holds a frame past its format
     /// frame, or else the first after the base.
     pub segment: u64,
-    /// The first segment the base does not cover, as its `Base` frame
-    /// names it; 0 when the log has no base.
+    /// The segment the base names; 0 when there is no base.
     pub first: u64,
-    /// The last segment on disk. Those past `segment` hold no frame:
-    /// a checkpoint made them and never switched to them.
-    pub last: u64,
     /// The offset the live segment's last intact frame ends at.
     pub frames: u64,
     /// The live segment's length.
@@ -103,12 +98,8 @@ pub fn segment_path(path: &Path, n: u64) -> PathBuf {
     }
 }
 
-/// Where a checkpoint writes the base before renaming it over `path`.
-fn tmp_path(path: &Path) -> PathBuf {
-    sibling(path, ".tmp")
-}
-
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
+/// `path` with `suffix` appended: a file beside it.
+pub(crate) fn sibling(path: &Path, suffix: &str) -> PathBuf {
     let mut s = path.as_os_str().to_os_string();
     s.push(suffix);
     PathBuf::from(s)
@@ -117,7 +108,6 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// One segment file of the log, written at its end.
 #[derive(Debug)]
 pub struct WalFile {
-    path: PathBuf,
     log: Box<dyn VfsLog>,
     durability: DurabilityLevel,
     /// Where the last frame ends: the next batch is written here.
@@ -129,15 +119,6 @@ pub struct WalFile {
 }
 
 impl WalFile {
-    /// Open (creating if needed) the log at `path` for writing, on the
-    /// real file system: it is replayed first, and its live segment
-    /// opened where its frames end.
-    pub fn open(path: impl Into<PathBuf>, durability: DurabilityLevel) -> Result<Self> {
-        let path = path.into();
-        let end = Self::replay_on(&*os_vfs(), &path, |_| Ok(()))?;
-        Self::open_on(os_vfs(), segment_path(&path, end.segment), end, durability)
-    }
-
     /// Open (creating if needed) the segment file at `path`, whose replay
     /// ended at `end`, for writing, on an explicit [`Vfs`] backend. A
     /// torn tail is cut first, durably: new frames written over it could
@@ -152,16 +133,17 @@ impl WalFile {
     ) -> Result<Self> {
         let path = path.into();
         let created = !vfs.exists(&path);
+        let mut log = vfs.open_log(&path)?;
         let mut len = end.len;
         if end.torn {
-            // The backend makes the shrink itself durable (`fsync`, not
-            // `fdatasync`: it is a metadata change); the parent-dir sync
-            // covers file systems where the length lives in the dirent.
-            vfs.truncate(&path, end.frames)?;
-            vfs.sync_dir(&path)?;
+            // `sync_all`, not `sync_data`: the cut is a pure metadata
+            // (size) change, which fdatasync may skip. A lost cut lets
+            // the torn tail resurface under fresh frames, to be replayed
+            // as mid-log corruption.
+            log.set_len(end.frames)?;
+            log.sync_all()?;
             len = end.frames;
         }
-        let log = vfs.open_log(&path)?;
         if created {
             // A freshly created file's directory entry is not durable
             // until the directory itself is fsynced: without this, a
@@ -171,7 +153,6 @@ impl WalFile {
             vfs.sync_dir(&path)?;
         }
         let mut wal = WalFile {
-            path,
             log,
             durability,
             end: end.frames,
@@ -182,7 +163,7 @@ impl WalFile {
         // New, or cut back to nothing by tail repair: start the file
         // with its format frame.
         if wal.end == 0 {
-            let header = format_frame();
+            let header = encode_frame(&FORMAT);
             wal.log.write_at(0, &header)?;
             wal.log.sync_data()?;
             wal.end = header.len() as u64;
@@ -190,14 +171,6 @@ impl WalFile {
             wal.bytes_written = wal.end;
         }
         Ok(wal)
-    }
-
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    pub fn durability(&self) -> DurabilityLevel {
-        self.durability
     }
 
     pub fn records_written(&self) -> u64 {
@@ -211,11 +184,6 @@ impl WalFile {
     /// exactly what checkpoint budgets want.
     pub fn bytes_written(&self) -> u64 {
         self.bytes_written
-    }
-
-    /// Append one record, honouring the durability level.
-    pub fn append(&mut self, rec: &WalRecord) -> Result<()> {
-        self.append_batch(&encode_frame(rec), 1)
     }
 
     /// Append a batch of pre-framed records (see [`encode_frame`]) with a
@@ -252,9 +220,7 @@ impl WalFile {
     }
 
     /// Seal this segment: cut it to its last frame and sync data and
-    /// size, at either level. Nothing may be written to the next segment
-    /// before this returns, so replay can hold a sealed segment to ending
-    /// exactly at a frame.
+    /// size, at either level, before anything is written to the next.
     pub(crate) fn seal(&mut self) -> Result<()> {
         if self.len > self.end {
             self.log.set_len(self.end)?;
@@ -280,9 +246,8 @@ impl WalFile {
     /// Read the log at `path` — its base, then each segment in order —
     /// and hand `apply` every intact record (format and `Base` frames
     /// included), one at a time, so recovery never holds more than one
-    /// frame decoded. Each file's layout and format frame are checked
-    /// first. Returns where the live segment's frames end and what lies
-    /// past them, which [`WalFile::open_on`] needs to write the log
+    /// frame decoded. Returns where the live segment's frames end and
+    /// what lies past them, which [`WalFile::open_on`] needs to write it
     /// again. A missing log replays as empty.
     pub fn replay_on(
         vfs: &dyn Vfs,
@@ -290,100 +255,79 @@ impl WalFile {
         mut apply: impl FnMut(WalRecord) -> Result<()>,
     ) -> Result<LogEnd> {
         check_layout(vfs, path)?;
-        let mut end = LogEnd::default();
+        // Each segment read, with its end and the frames it holds.
         let mut segments = Vec::new();
-        let mut n = 0;
-        if vfs.exists(path) {
-            let file = replay_file(vfs, path, &mut apply)?;
-            match file.base {
-                Some(first) => {
-                    check_sealed(path, &file)?;
-                    (end.first, n) = (first, first);
+        let (mut first, mut n) = (0, 0);
+        while vfs.exists(&segment_path(path, n)) {
+            let (end, frames, base) = replay_file(vfs, &segment_path(path, n), &mut apply)?;
+            match base.filter(|_| n == 0) {
+                Some(base) => {
+                    sealed(path, &end)?;
+                    (first, n) = (base, base);
                 }
                 None => {
-                    segments.push((0, file));
-                    n = 1;
+                    segments.push((n, end, frames));
+                    n += 1;
                 }
             }
-        }
-        loop {
-            let seg = segment_path(path, n);
-            if !vfs.exists(&seg) {
-                break;
-            }
-            segments.push((n, replay_file(vfs, &seg, &mut apply)?));
-            n += 1;
         }
         // The live segment is the last that holds a frame: every segment
         // before it was sealed, and the ones after it are empty.
         let live = (segments.iter())
-            .rposition(|(_, file)| file.records > 1)
+            .rposition(|&(_, _, frames)| frames > 1)
             .unwrap_or(0);
-        for (n, file) in &segments[..live] {
-            check_sealed(&segment_path(path, *n), file)?;
+        for (n, end, _) in &segments[..live] {
+            sealed(&segment_path(path, *n), end)?;
         }
-        end.segment = end.first;
-        if let Some((n, file)) = segments.get(live) {
-            end.segment = *n;
-            (end.frames, end.len, end.torn) = (file.frames, file.len, file.torn);
-        }
-        end.last = segments.last().map_or(end.segment, |(n, _)| *n);
-        Ok(end)
+        let (segment, end) = segments
+            .get(live)
+            .map_or((first, LogEnd::default()), |s| (s.0, s.1));
+        Ok(LogEnd {
+            segment,
+            first,
+            ..end
+        })
     }
 }
 
-/// One file of the log as replay found it.
-#[derive(Debug, Default)]
-struct FileEnd {
-    /// The offset its last intact frame ends at.
-    frames: u64,
-    len: u64,
-    /// Some byte past `frames` is not zero.
-    torn: bool,
-    /// Intact frames, its format frame included.
-    records: u64,
-    /// What its `Base` frame names, if it is a base.
-    base: Option<u64>,
-}
-
+/// Replay one file of the log: where its frames end, how many it holds,
+/// and the segment its `Base` frame names, if it is a base.
 fn replay_file(
     vfs: &dyn Vfs,
     path: &Path,
     apply: &mut impl FnMut(WalRecord) -> Result<()>,
-) -> Result<FileEnd> {
+) -> Result<(LogEnd, u64, Option<u64>)> {
     let data = vfs.read(path)?;
     check_format(&data)?;
-    let mut file = FileEnd {
-        len: data.len() as u64,
-        ..FileEnd::default()
-    };
+    let (mut frames, mut count, mut base) = (0, 0, None);
     let mut iter = WalIter::new(&data);
     while let Some(item) = iter.next() {
-        file.frames = iter.offset as u64;
+        frames = iter.offset;
         let rec = item?;
-        if let (1, WalRecord::Base { segment }) = (file.records, &rec) {
-            file.base = Some(*segment);
+        if let (1, WalRecord::Base { segment }) = (count, &rec) {
+            base = Some(*segment);
         }
-        file.records += 1;
+        count += 1;
         apply(rec)?;
     }
-    file.torn = nonzero_span(&data[file.frames as usize..]).is_some();
-    Ok(file)
+    let end = LogEnd {
+        frames: frames as u64,
+        len: data.len() as u64,
+        torn: nonzero_span(&data[frames..]).is_some(),
+        ..LogEnd::default()
+    };
+    Ok((end, count, base))
 }
 
-/// The base and every sealed segment end exactly at their last frame.
-fn check_sealed(path: &Path, file: &FileEnd) -> Result<()> {
-    if file.frames == file.len {
-        return Ok(());
-    }
-    Err(StorageError::WalCorrupt {
-        offset: file.frames,
-        reason: format!(
-            "{} bytes past the last frame of {}, which was synced whole",
-            file.len - file.frames,
-            path.display()
-        ),
-    })
+/// The base and a sealed segment were synced whole: a byte past their
+/// last frame is corruption.
+fn sealed(path: &Path, end: &LogEnd) -> Result<()> {
+    (end.frames == end.len)
+        .then_some(())
+        .ok_or_else(|| StorageError::WalCorrupt {
+            offset: end.frames,
+            reason: format!("bytes past the last frame of {}", path.display()),
+        })
 }
 
 impl Drop for WalFile {
@@ -402,76 +346,67 @@ impl Drop for WalFile {
 }
 
 /// The files of a durable log beside its live segment, and the
-/// checkpoint's steps that add and remove them. Held under a lock that
-/// serializes checkpoints.
+/// checkpoint's steps that add and remove them.
 #[derive(Debug)]
 pub(crate) struct LogFiles {
     vfs: Arc<dyn Vfs>,
     path: PathBuf,
     durability: DurabilityLevel,
     /// The live segment.
-    live: u64,
-    /// The oldest segment that may still be on disk.
-    oldest: u64,
+    pub(crate) live: u64,
 }
 
 impl LogFiles {
     /// The log at `path`, whose replay ended at `end`, with what a crash
-    /// left beside it removed: the base's temp file, segments the base
-    /// covers (a checkpoint removes them oldest first, so what is left is
-    /// the newest of them) and segments past the live one, which hold no
-    /// frame. Returns the live segment, opened for writing.
+    /// left beside it removed — the base's temp file, the segments the
+    /// base covers, and those past the live one, which hold no frame —
+    /// and its live segment opened for writing.
     pub(crate) fn open(
         vfs: Arc<dyn Vfs>,
         path: &Path,
         end: LogEnd,
         durability: DurabilityLevel,
     ) -> Result<(LogFiles, WalFile)> {
-        let mut orphans: Vec<PathBuf> = (end.segment + 1..=end.last)
-            .map(|n| segment_path(path, n))
-            .collect();
-        orphans.extend(
-            (1..end.first)
-                .rev()
-                .map(|n| segment_path(path, n))
-                .take_while(|seg| vfs.exists(seg)),
-        );
-        orphans.extend(Some(tmp_path(path)).filter(|tmp| vfs.exists(tmp)));
-        for orphan in &orphans {
-            vfs.remove(orphan)?;
-        }
-        if !orphans.is_empty() {
-            vfs.sync_dir(path)?;
-        }
-        let live = WalFile::open_on(
-            vfs.clone(),
-            segment_path(path, end.segment),
-            end,
-            durability,
-        )?;
         let files = LogFiles {
+            live: end.segment,
             vfs,
             path: path.to_path_buf(),
             durability,
-            live: end.segment,
-            oldest: end.first,
         };
+        let orphans = (end.segment + 1..).map(|n| segment_path(path, n));
+        let orphans = orphans.take_while(|seg| files.vfs.exists(seg));
+        files.remove(orphans.chain([sibling(path, ".tmp")]), end.first)?;
+        let live = segment_path(path, end.segment);
+        let live = WalFile::open_on(files.vfs.clone(), live, end, durability)?;
         Ok((files, live))
     }
 
-    /// Create the segment after the live one: its format frame and its
-    /// directory entry, synced. Done before the switch, which does no
-    /// I/O.
-    pub(crate) fn create_next(&self) -> Result<WalFile> {
-        let next = segment_path(&self.path, self.live + 1);
-        WalFile::open_on(self.vfs.clone(), next, LogEnd::default(), self.durability)
+    /// Remove `paths` and every segment below `first` (a base covers
+    /// them; they are removed oldest first, so what a crash leaves of them
+    /// runs up to `first`), those that exist, and sync the directory if
+    /// any did. Segment 0 is never removed: it is the base's own path.
+    fn remove(&self, paths: impl IntoIterator<Item = PathBuf>, first: u64) -> Result<()> {
+        let covered = (1..first).rev().map(|n| segment_path(&self.path, n));
+        let covered = covered.take_while(|seg| self.vfs.exists(seg));
+        let paths: Vec<_> = (paths.into_iter().chain(covered))
+            .filter(|p| self.vfs.exists(p))
+            .collect();
+        for p in paths.iter().rev() {
+            self.vfs.remove(p)?;
+        }
+        if !paths.is_empty() {
+            self.vfs.sync_dir(&self.path)?;
+        }
+        Ok(())
     }
 
-    /// The log switched to the segment [`LogFiles::create_next`] made;
-    /// returns its number.
-    pub(crate) fn switched(&mut self) -> u64 {
+    /// Create the segment after the live one, synced, for the log to
+    /// switch to: from here on it counts as the live one.
+    pub(crate) fn create_next(&mut self) -> Result<WalFile> {
+        let next = segment_path(&self.path, self.live + 1);
+        let next = WalFile::open_on(self.vfs.clone(), next, LogEnd::default(), self.durability)?;
         self.live += 1;
-        self.live
+        Ok(next)
     }
 
     /// Publish a base that covers every segment before the live one:
@@ -480,32 +415,22 @@ impl LogFiles {
     /// segments it covers removed. A failure before the rename leaves
     /// the old base in force and the segments in place.
     pub(crate) fn publish_base(
-        &mut self,
+        &self,
         write: impl FnOnce(&mut dyn VfsFile) -> Result<()>,
     ) -> Result<()> {
-        let tmp = tmp_path(&self.path);
-        {
-            let mut out = self.vfs.create(&tmp)?;
-            write(&mut *out)?;
-            out.flush()?;
-            out.sync_data()?;
-        }
+        let tmp = sibling(&self.path, ".tmp");
+        let mut out = self.vfs.create(&tmp)?;
+        write(&mut *out)?;
+        out.flush()?;
+        out.sync_data()?;
+        drop(out);
         self.vfs.rename(&tmp, &self.path)?;
         // The rename is only durable once the directory entry itself is
         // on disk: without this fsync a crash can resurrect the old base
         // (or worse, leave a dangling entry) even though the data file
         // was synced.
         self.vfs.sync_dir(&self.path)?;
-        // Segment 0 was the path itself: the rename replaced it.
-        let covered = self.oldest.max(1)..self.live;
-        if !covered.is_empty() {
-            for n in covered {
-                self.vfs.remove(&segment_path(&self.path, n))?;
-            }
-            self.vfs.sync_dir(&self.path)?;
-        }
-        self.oldest = self.live;
-        Ok(())
+        self.remove([], self.live)
     }
 }
 
@@ -547,26 +472,19 @@ struct Batch {
 }
 
 impl CheckpointFrames {
-    /// Frames that are sized, not kept: [`CheckpointFrames::len`] is all
-    /// they tell.
+    /// Frames that are sized, not kept — [`CheckpointFrames::len`] — with
+    /// the bytes each column's values take counted too
+    /// ([`CheckpointFrames::column_bytes`]).
     pub(crate) fn weigh() -> Self {
         CheckpointFrames {
             weighing: true,
+            deltas: RowDeltas::tallied(),
             ..Default::default()
         }
     }
 
-    /// Frames that are weighed, with the bytes each column's values take
-    /// counted too ([`CheckpointFrames::column_bytes`]).
-    pub(crate) fn weigh_columns() -> Self {
-        CheckpointFrames {
-            deltas: RowDeltas::tallied(),
-            ..Self::weigh()
-        }
-    }
-
     /// Per column position, the bytes its values took in the rows so far
-    /// (empty unless [`CheckpointFrames::weigh_columns`]).
+    /// (empty unless [`CheckpointFrames::weigh`]).
     pub(crate) fn column_bytes(&self) -> &[u64] {
         self.deltas.tally()
     }
@@ -574,12 +492,8 @@ impl CheckpointFrames {
     /// A base file: its format frame and a `Base` frame naming
     /// `segment`, the first segment after it, then the frames it is given.
     pub(crate) fn base(segment: u64) -> Self {
-        let format = format_frame();
-        let mut base = CheckpointFrames {
-            bytes: format.len() as u64,
-            frames: vec![format],
-            ..Default::default()
-        };
+        let mut base = CheckpointFrames::default();
+        base.record(&FORMAT);
         base.record(&WalRecord::Base { segment });
         base
     }
@@ -671,16 +585,6 @@ impl CheckpointFrames {
     }
 }
 
-/// Append one record to `out` as a complete WAL frame
-/// (`[u32 len][u32 crc32][payload]`): the payload is encoded straight
-/// behind a reserved header, which is filled in afterwards.
-fn put_frame(out: &mut Vec<u8>, rec: &WalRecord) {
-    let start = out.len();
-    out.extend_from_slice(&[0; 8]);
-    put_record(out, rec);
-    end_frame(out, start);
-}
-
 /// Fill in the header of the frame that starts at `start` and whose
 /// payload is the rest of `out`.
 fn end_frame(out: &mut [u8], start: usize) {
@@ -691,17 +595,15 @@ fn end_frame(out: &mut [u8], start: usize) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// One record as a frame of its own.
+/// One record as a frame of its own (`[u32 len][u32 crc32][payload]`):
+/// the payload is encoded straight behind a reserved header, which is
+/// filled in afterwards.
 pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
     let mut frame = Vec::with_capacity(64);
-    put_frame(&mut frame, rec);
+    frame.extend_from_slice(&[0; 8]);
+    put_record(&mut frame, rec);
+    end_frame(&mut frame, 0);
     frame
-}
-
-fn format_frame() -> Vec<u8> {
-    encode_frame(&WalRecord::Format {
-        version: FORMAT_VERSION,
-    })
 }
 
 /// What the sharded log (removed; DESIGN.md §5.12) appended to the base
@@ -792,8 +694,7 @@ impl<'a> WalIter<'a> {
         // such tear: then the log ends here and nothing durable is
         // discarded. Anything else is mid-log corruption and must surface
         // as an error.
-        let torn = !intact_frame_in(&rest[8..])
-            && (short || at_most_one_tear(&rest[8 + len..]));
+        let torn = !intact_frame_in(&rest[8..]) && (short || at_most_one_tear(&rest[8 + len..]));
         if torn {
             return None;
         }
@@ -878,6 +779,16 @@ mod tests {
         }
     }
 
+    fn append(wal: &mut WalFile, rec: &WalRecord) -> Result<()> {
+        wal.append_batch(&encode_frame(rec), 1)
+    }
+
+    /// The log at `path`, replayed and opened for writing.
+    fn open(path: &Path, durability: DurabilityLevel) -> WalFile {
+        let end = WalFile::replay_on(&*os_vfs(), path, |_| Ok(())).unwrap();
+        WalFile::open_on(os_vfs(), segment_path(path, end.segment), end, durability).unwrap()
+    }
+
     fn format() -> WalRecord {
         WalRecord::Format {
             version: FORMAT_VERSION,
@@ -888,10 +799,9 @@ mod tests {
     fn append_and_replay() {
         let path = tmpdir().join("basic.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
-        wal.append(&meta(1)).unwrap();
-        wal.append(&WalRecord::DropTable { id: TableId(4) })
-            .unwrap();
+        let mut wal = open(&path, DurabilityLevel::Buffered);
+        append(&mut wal, &meta(1)).unwrap();
+        append(&mut wal, &WalRecord::DropTable { id: TableId(4) }).unwrap();
         assert_eq!(wal.records_written(), 2);
 
         let recs = WalFile::replay(&path).unwrap();
@@ -911,9 +821,9 @@ mod tests {
     fn torn_tail_is_discarded_silently() {
         let path = tmpdir().join("torn.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
-        wal.append(&meta(1)).unwrap();
-        wal.append(&meta(2)).unwrap();
+        let mut wal = open(&path, DurabilityLevel::Buffered);
+        append(&mut wal, &meta(1)).unwrap();
+        append(&mut wal, &meta(2)).unwrap();
         drop(wal);
 
         // Truncate mid-way through the second frame.
@@ -927,9 +837,9 @@ mod tests {
     fn tear_straddling_last_frame_boundary_is_a_torn_tail() {
         let path = tmpdir().join("straddle.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
-        wal.append(&meta(1)).unwrap();
-        wal.append(&meta(2)).unwrap();
+        let mut wal = open(&path, DurabilityLevel::Buffered);
+        append(&mut wal, &meta(1)).unwrap();
+        append(&mut wal, &meta(2)).unwrap();
         drop(wal);
 
         // A torn final sector can straddle the last frame boundary:
@@ -950,9 +860,9 @@ mod tests {
     fn mid_log_corruption_is_an_error() {
         let path = tmpdir().join("corrupt.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
-        wal.append(&meta(1)).unwrap();
-        wal.append(&meta(2)).unwrap();
+        let mut wal = open(&path, DurabilityLevel::Buffered);
+        append(&mut wal, &meta(1)).unwrap();
+        append(&mut wal, &meta(2)).unwrap();
         drop(wal);
 
         // Flip a payload byte in the FIRST frame (the format frame:
@@ -986,7 +896,8 @@ mod tests {
         fill(&mut image);
         let file = image.frames.concat();
         assert_eq!(image.len(), file.len() as u64);
-        let head = format_frame().len() + encode_frame(&WalRecord::Base { segment: 1 }).len();
+        let head =
+            encode_frame(&FORMAT).len() + encode_frame(&WalRecord::Base { segment: 1 }).len();
         assert_eq!(image.len(), head as u64 + weighed.len());
         let batches: Vec<(u32, usize)> = (WalIter::new(&file).skip(3))
             .map(|rec| match rec.unwrap() {
@@ -1001,8 +912,8 @@ mod tests {
     fn fsync_level_persists() {
         let path = tmpdir().join("fsync.wal");
         let _ = std::fs::remove_file(&path);
-        let mut wal = WalFile::open(&path, DurabilityLevel::Fsync).unwrap();
-        wal.append(&meta(7)).unwrap();
+        let mut wal = open(&path, DurabilityLevel::Fsync);
+        append(&mut wal, &meta(7)).unwrap();
         // No explicit sync: fsync level already flushed.
         let recs = WalFile::replay(&path).unwrap();
         assert_eq!(recs, vec![meta(7)]);
@@ -1012,7 +923,7 @@ mod tests {
     /// leaves it.
     fn three_frames() -> Vec<u8> {
         [
-            format_frame(),
+            encode_frame(&FORMAT),
             encode_frame(&meta(1)),
             encode_frame(&meta(2)),
         ]
@@ -1152,7 +1063,7 @@ mod tests {
     fn empty_log_replays_empty() {
         let path = tmpdir().join("empty.wal");
         let _ = std::fs::remove_file(&path);
-        let _wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
+        let _wal = open(&path, DurabilityLevel::Buffered);
         assert!(WalFile::replay(&path).unwrap().is_empty());
     }
 }

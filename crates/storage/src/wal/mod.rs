@@ -15,7 +15,7 @@ mod log;
 
 pub use group::WalShardStats;
 pub(crate) use group::{GroupWal, WalTicket};
-pub(crate) use log::{encode_frame, CheckpointFrames, TORN_MAX};
+pub(crate) use log::{encode_frame, sibling, CheckpointFrames, LogFiles, TORN_MAX};
 pub use log::{segment_path, LogEnd, WalFile, WalIter};
 
 use crate::row::{RowId, SharedRow};
@@ -82,9 +82,8 @@ pub enum WalRecord {
     /// The first frame of every log file: the format the rest of the
     /// file is written in.
     Format { version: u32 },
-    /// The second frame of a base file (a checkpoint's image): the number
-    /// of the segment the log goes on in. A log file without it is
-    /// segment 0, a log no checkpoint has rotated yet.
+    /// The second frame of a base (a checkpoint's image): the segment the
+    /// log goes on in.
     Base { segment: u64 },
     /// Engine metadata written at checkpoint time: the next commit
     /// timestamp to hand out and the highest clock value observed.

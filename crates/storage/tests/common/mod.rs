@@ -98,7 +98,9 @@ impl HookVfs {
 
 impl std::fmt::Debug for HookVfs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookVfs").field("inner", &self.inner).finish()
+        f.debug_struct("HookVfs")
+            .field("inner", &self.inner)
+            .finish()
     }
 }
 
@@ -110,7 +112,9 @@ struct HookFile {
 
 impl std::fmt::Debug for HookFile {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HookFile").field("path", &self.path).finish()
+        f.debug_struct("HookFile")
+            .field("path", &self.path)
+            .finish()
     }
 }
 
@@ -134,7 +138,10 @@ impl tendax_storage::vfs::VfsFile for HookFile {
 }
 
 impl tendax_storage::vfs::Vfs for HookVfs {
-    fn open_log(&self, path: &Path) -> tendax_storage::Result<Box<dyn tendax_storage::vfs::VfsLog>> {
+    fn open_log(
+        &self,
+        path: &Path,
+    ) -> tendax_storage::Result<Box<dyn tendax_storage::vfs::VfsLog>> {
         self.inner.open_log(path)
     }
 
@@ -157,10 +164,6 @@ impl tendax_storage::vfs::Vfs for HookVfs {
 
     fn rename(&self, from: &Path, to: &Path) -> tendax_storage::Result<()> {
         self.inner.rename(from, to)
-    }
-
-    fn truncate(&self, path: &Path, len: u64) -> tendax_storage::Result<()> {
-        self.inner.truncate(path, len)
     }
 
     fn remove(&self, path: &Path) -> tendax_storage::Result<()> {

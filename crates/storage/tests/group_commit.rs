@@ -170,7 +170,11 @@ fn a_checkpoint_image_is_exact_until_the_next_append() {
     assert!(file_len(&segment) > frames, "the append reserved no room");
     drop(db);
     assert_eq!(file_len(&segment), frames);
-    assert_eq!(std::fs::read(&path).unwrap(), base, "the base is not written");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        base,
+        "the base is not written"
+    );
     // Opening holds the base and each sealed segment to ending exactly at
     // a frame: a byte past the base's last frame is corruption.
     let db = Database::open(&path, opts(DurabilityLevel::Fsync)).unwrap();

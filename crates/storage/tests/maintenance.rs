@@ -77,7 +77,10 @@ fn two_checkpoints(path: &std::path::Path, n: i64, extra: i64) -> Crashed {
     let base1 = std::fs::read(path).unwrap();
     let seg1 = std::fs::read(segment_path(path, 1)).unwrap();
     db.checkpoint().unwrap();
-    assert!(!segment_path(path, 1).exists(), "the covered segment was kept");
+    assert!(
+        !segment_path(path, 1).exists(),
+        "the covered segment was kept"
+    );
     for i in 2 * n..2 * n + extra {
         commit_seq(&db, t, i);
     }
@@ -103,7 +106,10 @@ fn recovers(path: &std::path::Path, want: i64) {
     let db = Database::open(path, common::options()).unwrap();
     assert_eq!(seqs(&db, t), (0..=want).collect::<Vec<_>>());
     let tmp = format!("{}.tmp", path.display());
-    assert!(!std::path::Path::new(&tmp).exists(), "the temp file was kept");
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "the temp file was kept"
+    );
 }
 
 /// A crash before the second base's rename: the first base, both
@@ -139,10 +145,16 @@ fn crash_after_rename_before_the_deletes_recovers_the_base_plus_a_prefix() {
         std::fs::write(segment_path(&cut_path, 1), &c.seg1).unwrap();
         std::fs::write(segment_path(&cut_path, 2), &c.seg2[..cut]).unwrap();
         let db = Database::open(&cut_path, common::options()).unwrap();
-        assert!(!segment_path(&cut_path, 1).exists(), "cut {step}: covered segment kept");
+        assert!(
+            !segment_path(&cut_path, 1).exists(),
+            "cut {step}: covered segment kept"
+        );
         let t = db.table_id("t").unwrap();
         let got = seqs(&db, t);
-        assert!(got.len() as i64 >= 2 * n, "checkpointed rows lost at cut {step}: {got:?}");
+        assert!(
+            got.len() as i64 >= 2 * n,
+            "checkpointed rows lost at cut {step}: {got:?}"
+        );
         assert!(got.len() as i64 <= 2 * n + extra);
         assert_eq!(got, (0..got.len() as i64).collect::<Vec<_>>());
         commit_seq(&db, t, 999);
@@ -167,8 +179,15 @@ fn an_orphaned_segment_and_temp_file_are_swept_on_open() {
     std::fs::write(&tmp, &c.base2[..c.base2.len() / 3]).unwrap();
     let db = Database::open(&path, common::options()).unwrap();
     assert!(!orphan.exists(), "the orphaned segment was kept");
-    assert!(!std::path::Path::new(&tmp).exists(), "the temp file was kept");
-    assert_eq!(std::fs::read(segment_path(&path, 2)).unwrap(), c.seg2, "the tear was kept");
+    assert!(
+        !std::path::Path::new(&tmp).exists(),
+        "the temp file was kept"
+    );
+    assert_eq!(
+        std::fs::read(segment_path(&path, 2)).unwrap(),
+        c.seg2,
+        "the tear was kept"
+    );
     let t = db.table_id("t").unwrap();
     commit_seq(&db, t, 2 * n + extra);
     drop(db);
@@ -193,7 +212,10 @@ fn a_commit_returns_while_the_base_is_written() {
                 held.send(()).unwrap();
                 // Bounded: a commit that never returns fails the test
                 // below, it does not hang it.
-                let _ = release_rx.lock().unwrap().recv_timeout(Duration::from_secs(10));
+                let _ = release_rx
+                    .lock()
+                    .unwrap()
+                    .recv_timeout(Duration::from_secs(10));
             }
         }
     };
@@ -248,7 +270,8 @@ fn a_failed_base_write_or_demotion_leaves_the_log_writable() {
         let hook = {
             let (sim, armed) = (sim.clone(), armed.clone());
             move |s: Step<'_>| {
-                if matches!(s, Step::Create(_)) && s.on(step) && armed.swap(false, Ordering::SeqCst) {
+                if matches!(s, Step::Create(_)) && s.on(step) && armed.swap(false, Ordering::SeqCst)
+                {
                     sim.fail_next_syncs(1);
                 }
             }
@@ -277,16 +300,29 @@ fn a_failed_base_write_or_demotion_leaves_the_log_writable() {
         }
         armed.store(true, Ordering::SeqCst);
         let failed = db.checkpoint();
-        assert!(failed.is_err(), "cold {cold}: the failed {step} sync went unnoticed");
-        assert!(!armed.load(Ordering::SeqCst), "cold {cold}: {step} never created");
-        assert_eq!(sim.read(std::path::Path::new(WAL)).unwrap(), base, "cold {cold}");
+        assert!(
+            failed.is_err(),
+            "cold {cold}: the failed {step} sync went unnoticed"
+        );
+        assert!(
+            !armed.load(Ordering::SeqCst),
+            "cold {cold}: {step} never created"
+        );
+        assert_eq!(
+            sim.read(std::path::Path::new(WAL)).unwrap(),
+            base,
+            "cold {cold}"
+        );
         commit_seq(&db, t, 8);
         drop(db);
         sim.crash();
-        let db = Database::open(WAL, Options {
-            cold_storage: cold.then(ColdOptions::default),
-            ..sim_options(&sim)
-        })
+        let db = Database::open(
+            WAL,
+            Options {
+                cold_storage: cold.then(ColdOptions::default),
+                ..sim_options(&sim)
+            },
+        )
         .unwrap();
         assert_eq!(seqs(&db, t), (0..9).collect::<Vec<_>>(), "cold {cold}");
         db.checkpoint().unwrap();

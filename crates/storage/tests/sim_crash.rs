@@ -17,8 +17,8 @@ mod common;
 
 use std::sync::{Arc, Barrier, Mutex};
 
-use tendax_storage::wal::WalFile;
 use common::{HookVfs, Step};
+use tendax_storage::wal::WalFile;
 use tendax_storage::{
     ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
     RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value, ValueRef,
@@ -579,7 +579,8 @@ fn checkpoint_crash_never_loses_fsynced_commits() {
                 };
                 for i in N..N + M {
                     let mut txn = db.begin();
-                    if txn.insert(t, Row::new(vec![Value::Int(i)])).is_err() || txn.commit().is_err()
+                    if txn.insert(t, Row::new(vec![Value::Int(i)])).is_err()
+                        || txn.commit().is_err()
                     {
                         break;
                     }

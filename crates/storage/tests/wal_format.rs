@@ -15,7 +15,7 @@ use common::TestDir;
 use tendax_storage::util::crc32;
 use tendax_storage::wal::codec::{decode_record, encode_record, SNAPSHOT_BATCH_BYTES};
 use tendax_storage::wal::{
-    DurabilityLevel, SnapshotVersion, WalFile, WalIter, WalOp, WalRecord, WalWrite, FORMAT_VERSION,
+    SnapshotVersion, WalFile, WalIter, WalOp, WalRecord, WalWrite, FORMAT_VERSION,
 };
 use tendax_storage::{
     ColdOptions, DataType, Database, Options, Predicate, Row, RowId, SharedRow, StorageError,
@@ -656,16 +656,17 @@ fn a_row_id_delta_that_wraps_is_corrupt() {
 fn wal_corrupt_names_the_offending_frames_offset() {
     let dir = TestDir::new("tendax-wal-format");
     let path = dir.file("offsets.wal");
-    let mut wal = WalFile::open(&path, DurabilityLevel::Buffered).unwrap();
+    let format = encode_record(&WalRecord::Format {
+        version: FORMAT_VERSION,
+    });
+    let mut data = frame(&format);
     for ts in 1..=5 {
-        wal.append(&WalRecord::Meta {
+        let meta = encode_record(&WalRecord::Meta {
             next_ts: ts,
             clock: ts as i64,
-        })
-        .unwrap();
+        });
+        data.extend(frame(&meta));
     }
-    drop(wal);
-    let data = std::fs::read(&path).unwrap();
     // Frame starts: the format frame, then the five.
     let mut starts = Vec::new();
     let mut at = 0usize;
@@ -1219,7 +1220,11 @@ const PARENT_CHECKPOINT: (usize, u32) = (481, 0xbaf7_7721);
 fn len_and_crc(path: &std::path::Path, segment: u64) -> (usize, u32) {
     let bytes = std::fs::read(path).unwrap();
     let base = encode_record(&WalRecord::Base { segment });
-    assert_eq!(bytes[10..20], frame(&base)[..], "the second frame names the segment");
+    assert_eq!(
+        bytes[10..20],
+        frame(&base)[..],
+        "the second frame names the segment"
+    );
     let parent = [&bytes[..10], &bytes[20..]].concat();
     (parent.len(), crc32(&parent))
 }
@@ -1341,8 +1346,11 @@ fn a_checkpoint_whose_demotion_failed_publishes_nothing() {
     // The log stays writable.
     let docs = db.table_id("docs").unwrap();
     let mut txn = db.begin();
-    txn.insert(docs, Row::new(vec![Value::Text("doc 3".into()), Value::Int(9)]))
-        .unwrap();
+    txn.insert(
+        docs,
+        Row::new(vec![Value::Text("doc 3".into()), Value::Int(9)]),
+    )
+    .unwrap();
     txn.commit().unwrap();
     drop(db);
     // Replayed, the history is there to read at its snapshots.
