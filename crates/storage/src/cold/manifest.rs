@@ -2,8 +2,8 @@
 //! floors that govern them.
 //!
 //! The manifest is tiny and rewritten whole on every change via the
-//! same tmp-write → `sync_all` → rename → `sync_dir` dance the WAL's
-//! checkpoint rewrite uses, so a power cut leaves either the old or the
+//! same tmp-write → `sync_all` → rename → `sync_dir` dance a checkpoint
+//! publishes the log's base with, so a power cut leaves either the old or the
 //! new manifest — never a torn one. Run files it does not (yet)
 //! reference are orphans; [`super::ColdStore::open`] deletes them on
 //! startup, which is what makes "write run durable, then swap manifest"

@@ -185,8 +185,8 @@ impl ColdStore {
         Ok(store)
     }
 
-    /// Hold this across collect-demote-prune so demotion, checkpoint
-    /// history capture, and compaction serialize with each other.
+    /// Hold this across collect-demote-prune so demotion, a checkpoint's
+    /// run (whose history must stay in RAM), and compaction serialize.
     pub(crate) fn exclusive(&self) -> MutexGuard<'_, ()> {
         self.demote_lock.lock()
     }

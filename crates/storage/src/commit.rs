@@ -14,10 +14,10 @@
 //!   folds in to the log, so the log receives commits in timestamp
 //!   order too: the sequencer is the one owner of the commit order.
 //! * [`CommitLatch`] — a writer-preferring shared/exclusive latch.
-//!   Commits take it shared and run concurrently; DDL and the
-//!   checkpoint copy phase take it exclusive, which quiesces the
+//!   Commits take it shared and run concurrently; DDL and a
+//!   checkpoint's switch take it exclusive, which quiesces the
 //!   pipeline (no commit is mid-validation/publication while the
-//!   catalog or the WAL file is being restructured). Hand-rolled on
+//!   catalog changes or the log switches segments). Hand-rolled on
 //!   `Mutex` + `Condvar` rather than an `RwLock` so writer preference
 //!   is guaranteed (a DDL can't be starved by a steady commit stream)
 //!   and so wait time is observable (`Stats::commit_wait_ns`,
@@ -199,7 +199,7 @@ impl CommitSequencer {
 struct LatchState {
     /// Shared holders (commits) currently inside the pipeline.
     shared: usize,
-    /// An exclusive holder (DDL / checkpoint copy phase) is inside.
+    /// An exclusive holder (DDL / a checkpoint's switch) is inside.
     exclusive: bool,
     /// Exclusive acquirers parked; new shared acquirers queue behind
     /// them (writer preference — a DDL is never starved by commits).
@@ -252,7 +252,7 @@ impl CommitLatch {
         SharedGuard { latch: self }
     }
 
-    /// Quiesce the pipeline (DDL, checkpoint copy phase). Blocks until
+    /// Quiesce the pipeline (DDL, a checkpoint's switch). Blocks until
     /// every in-flight commit critical section has drained.
     pub(crate) fn exclusive(&self) -> ExclusiveGuard<'_> {
         let mut st = self.state.lock();
@@ -499,7 +499,7 @@ mod tests {
         Some(encode_frame(&meta(ts)))
     }
 
-    fn open_log(path: &PathBuf) -> GroupWal {
+    fn open_log(path: &std::path::Path) -> GroupWal {
         let (vfs, level) = (crate::vfs::os_vfs(), DurabilityLevel::Buffered);
         let end = WalFile::replay_on(&*vfs, path, |_| Ok(())).unwrap();
         let (files, file) = crate::wal::LogFiles::open(vfs, path, end, level).unwrap();

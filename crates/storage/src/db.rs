@@ -545,8 +545,8 @@ impl Database {
 
         // Enter the pipeline in shared mode: commits to disjoint tables
         // run this entire section concurrently, serializing only on the
-        // write locks of the tables they actually touch. DDL and the
-        // checkpoint copy phase are the exclusive mode that quiesces us.
+        // write locks of the tables they actually touch. DDL and a
+        // checkpoint's switch are the exclusive mode that quiesces us.
         let commit = self.inner.commit_latch.shared();
         // Collect handles, then lock the affected tables — those written
         // and those only expected unchanged — in id order, so lock order

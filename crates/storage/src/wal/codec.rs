@@ -70,8 +70,8 @@ const OP_PATCH: u64 = 2;
 
 /// Bytes of ops at which a checkpoint closes a
 /// [`WalRecord::SnapshotRows`] batch. Small
-/// enough that a torn checkpoint rewrite still cuts between frames and
-/// replay holds one batch decoded at a time, large enough that the
+/// enough that replay holds one batch decoded at a time and a base is
+/// written out a few frames at a time, large enough that the
 /// 8-byte frame header and the batch's own header vanish per row.
 pub const SNAPSHOT_BATCH_BYTES: usize = 64 << 10;
 
@@ -1361,8 +1361,8 @@ mod tests {
 
     #[test]
     fn roundtrip_snapshot_rows() {
-        // Several versions of one row (delta 0) and a tombstone: the
-        // shapes spliced cold-fallback history has.
+        // Several versions of one row (delta 0) and a tombstone: shapes
+        // the decoder must take though a checkpoint writes none.
         roundtrip(WalRecord::SnapshotRows {
             table: TableId(2),
             rows: vec![

@@ -379,7 +379,7 @@ mod tests {
         }
     }
 
-    fn open_group(path: &PathBuf, durability: DurabilityLevel) -> GroupWal {
+    fn open_group(path: &std::path::Path, durability: DurabilityLevel) -> GroupWal {
         let end = WalFile::replay_on(&*os_vfs(), path, |_| Ok(())).unwrap();
         let (files, file) = LogFiles::open(os_vfs(), path, end, durability).unwrap();
         GroupWal::new(files, file, durability)

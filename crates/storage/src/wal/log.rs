@@ -381,21 +381,15 @@ impl LogFiles {
         Ok((files, live))
     }
 
-    /// Remove `paths` and every segment below `first` (a base covers
-    /// them; they are removed oldest first, so what a crash leaves of them
-    /// runs up to `first`), those that exist, and sync the directory if
-    /// any did. Segment 0 is never removed: it is the base's own path.
+    /// Remove `paths` and the segments below `first`, which a base
+    /// covers (removed oldest first, so what a crash leaves of them runs
+    /// up to `first`). No directory sync: a file a crash brings back is
+    /// removed again by the next open. Segment 0 is the base's own path.
     fn remove(&self, paths: impl IntoIterator<Item = PathBuf>, first: u64) -> Result<()> {
         let covered = (1..first).rev().map(|n| segment_path(&self.path, n));
-        let covered = covered.take_while(|seg| self.vfs.exists(seg));
-        let paths: Vec<_> = (paths.into_iter().chain(covered))
-            .filter(|p| self.vfs.exists(p))
-            .collect();
-        for p in paths.iter().rev() {
-            self.vfs.remove(p)?;
-        }
-        if !paths.is_empty() {
-            self.vfs.sync_dir(&self.path)?;
+        let covered: Vec<_> = covered.take_while(|seg| self.vfs.exists(seg)).collect();
+        for path in paths.into_iter().chain(covered.into_iter().rev()) {
+            self.vfs.remove(&path)?;
         }
         Ok(())
     }
@@ -1065,5 +1059,72 @@ mod tests {
         let _ = std::fs::remove_file(&path);
         let _wal = open(&path, DurabilityLevel::Buffered);
         assert!(WalFile::replay(&path).unwrap().is_empty());
+    }
+
+    #[test]
+    fn a_base_replays_with_the_segments_it_names_and_only_the_live_one_may_be_torn() {
+        let path = tmpdir().join("segments.wal");
+        let file = |records: &[WalRecord]| -> Vec<u8> {
+            let mut bytes = encode_frame(&FORMAT);
+            records.iter().for_each(|r| bytes.extend(encode_frame(r)));
+            bytes
+        };
+        let base = file(&[WalRecord::Base { segment: 2 }, meta(1)]);
+        let sealed = file(&[meta(2)]);
+        let live = [file(&[meta(3)]), vec![0xFF; 5]].concat();
+        let write = |base: &[u8], sealed: &[u8]| {
+            std::fs::write(&path, base).unwrap();
+            // Covered by the base: never read.
+            std::fs::write(segment_path(&path, 1), file(&[meta(99)])).unwrap();
+            std::fs::write(segment_path(&path, 2), sealed).unwrap();
+            std::fs::write(segment_path(&path, 3), &live).unwrap();
+            // Made by a checkpoint that never switched to it.
+            std::fs::write(segment_path(&path, 4), file(&[])).unwrap();
+        };
+        write(&base, &sealed);
+        let mut records = Vec::new();
+        let end = WalFile::replay_on(&*os_vfs(), &path, |rec| {
+            records.push(rec);
+            Ok(())
+        })
+        .unwrap();
+        let format = || FORMAT.clone();
+        let want = [
+            vec![format(), WalRecord::Base { segment: 2 }, meta(1)],
+            vec![format(), meta(2), format(), meta(3), format()],
+        ];
+        assert_eq!(records, want.concat());
+        let frames = (live.len() - 5) as u64;
+        let len = live.len() as u64;
+        assert_eq!(
+            end,
+            LogEnd {
+                segment: 3,
+                first: 2,
+                frames,
+                len,
+                torn: true,
+            }
+        );
+        // The base and a sealed segment end exactly at a frame.
+        for (base, sealed) in [
+            (&[&base[..], &[0]].concat(), &sealed),
+            (&base, &[&sealed[..], &[0]].concat()),
+        ] {
+            write(base, sealed);
+            let err = WalFile::replay_on(&*os_vfs(), &path, |_| Ok(()));
+            assert!(
+                matches!(err, Err(StorageError::WalCorrupt { .. })),
+                "{err:?}"
+            );
+        }
+        // A length damaged to run past the end, an intact frame behind it.
+        let mut damaged = file(&[meta(3), meta(4)]);
+        damaged[10 + 1] = 0x40;
+        let err = WalIter::new(&damaged).collect::<Result<Vec<_>>>();
+        assert!(
+            matches!(err, Err(StorageError::WalCorrupt { offset: 10, .. })),
+            "{err:?}"
+        );
     }
 }

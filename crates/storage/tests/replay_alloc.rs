@@ -3,7 +3,7 @@
 //! buffer and then decodes, applies and drops it a frame at a time, so
 //! what recovery holds beyond that buffer and the tables it is building
 //! is one decoded frame — however long the log. Writing the checkpoint
-//! holds the file's bytes and nothing per row beside them.
+//! holds a few batches of its file, and nothing per row.
 
 mod common;
 
@@ -64,12 +64,13 @@ fn replay_holds_one_decoded_frame_not_the_log() {
 
 #[test]
 fn a_checkpoint_holds_its_file_and_nothing_per_row_beside_it() {
-    // The checkpoint's log file is encoded straight from the tables into
-    // one buffer of its size. The parent held every live row a second
-    // time as a record (a `SnapshotVersion` in a `Vec<WalRecord>`, and a
-    // per-table `BTreeMap` to find each row's newest version), then
-    // encoded them into a buffer that doubled as it grew: 10 785 982
-    // bytes held for a file of 2 499 544. Here: 2 507 815.
+    // The checkpoint's base is encoded straight from the tables and
+    // written out a row-slot page at a time, so what it holds is a few
+    // batches, whatever the size of the file. PR 23's checkpoint held
+    // every live row a second time as a record and encoded them into a
+    // buffer that doubled as it grew: 10 785 982 bytes held for a file of
+    // 2 499 544; PRs 24 to 42 held the file. Here: 141 813 for a file of
+    // 2 400 658.
     let dir = TestDir::new("tendax-checkpoint-alloc");
     let path = dir.file("db.wal");
     let db = Database::open(&path, Options::default()).unwrap();
@@ -91,7 +92,7 @@ fn a_checkpoint_holds_its_file_and_nothing_per_row_beside_it() {
     let ((), held) = transient_bytes(|| db.checkpoint().unwrap());
     let file_len = std::fs::metadata(&path).unwrap().len() as usize;
     assert!(
-        held <= file_len + (64 << 10),
+        held <= 4 * SNAPSHOT_BATCH_BYTES,
         "a checkpoint of {file_len} bytes held {held}"
     );
 }

@@ -14,7 +14,18 @@
 # trip, writer = weigher = `encode_record`, replay; the same),
 # `format_size` (exact bytes: a checkpoint row of each keystroke table,
 # and one anchored keystroke — its character, `oplog` and `op_effects`
-# rows, no neighbour written) and `resident_size`. The transport job's include tendax-net `codec`
+# rows, no neighbour written) and `resident_size`; and the checkpoint's
+# log rotation: `maintenance` (crash_before_rename_recovers_pre_checkpoint_state,
+# crash_after_rename_before_the_deletes_recovers_the_base_plus_a_prefix,
+# an_orphaned_segment_and_temp_file_are_swept_on_open,
+# a_commit_returns_while_the_base_is_written — a bounded wait —, and
+# a_failed_base_write_or_demotion_leaves_the_log_writable), `group_commit`
+# (a_checkpoint_image_is_exact_until_the_next_append: the base plus one
+# segment of only its format frame) and `sim_crash`'s
+# checkpoint_crash_never_loses_fsynced_commits (every op of a checkpoint
+# power-cut at both levels, commits landing between the switch and the
+# base) and room_growth_crash_keeps_every_acknowledged_commit (across a
+# rotation), seed 0 cold off and on. The transport job's include tendax-net `codec`
 # (protocol v2: run-coded snapshots against the layout spelled out,
 # hostile run tables refused typed, and the run coder's round-trip
 # proptest, which prints PROPTEST_SEED=<n> on failure), `loopback`
