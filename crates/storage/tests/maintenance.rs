@@ -259,9 +259,60 @@ fn a_commit_returns_while_the_base_is_written() {
     assert_eq!(seqs(&db, t), (0..6).collect::<Vec<_>>());
 }
 
+/// The base holds the rows visible at the checkpoint's watermark W, and W
+/// is pinned like a snapshot while the base is written: a row updated
+/// (by a column patch, which replay composes onto the row it replaced)
+/// and vacuumed between the switch and the base's read of its table
+/// keeps its version at W, so the base has it and the segment's patch
+/// replays onto it.
+#[test]
+fn a_vacuum_while_the_base_is_written_keeps_the_rows_at_the_watermark() {
+    let (_dir, path) = tmp("pinned.wal");
+    let db = Database::open(&path, Options::default()).unwrap();
+    let first = db.create_table(table_def()).unwrap();
+    let later = db
+        .create_table(TableDef::new("later").column("n", DataType::Int))
+        .unwrap();
+    commit_seq(&db, first, 0);
+    let mut txn = db.begin();
+    let row = txn.insert(later, Row::new(vec![Value::Int(1)])).unwrap();
+    txn.commit().unwrap();
+    drop(db);
+    // The base's first write comes after the first table's rows are
+    // read, before the later table's are.
+    let slot: Arc<Mutex<Option<Database>>> = Arc::default();
+    let hook = {
+        let slot = slot.clone();
+        move |step: Step<'_>| {
+            if !(matches!(step, Step::Write(_)) && step.on(".tmp")) {
+                return;
+            }
+            let Some(db) = slot.lock().unwrap().take() else {
+                return;
+            };
+            let mut txn = db.begin();
+            txn.set(later, row, &[("n", Value::Int(2))]).unwrap();
+            txn.commit().unwrap();
+            db.vacuum();
+        }
+    };
+    let opts = || Options {
+        vfs: Arc::new(HookVfs::new(tendax_storage::OsVfs, hook.clone())),
+        ..Options::default()
+    };
+    let db = Database::open(&path, opts()).unwrap();
+    *slot.lock().unwrap() = Some(db.clone());
+    db.checkpoint().unwrap();
+    assert!(slot.lock().unwrap().is_none(), "the hook never ran");
+    drop(db);
+    let db = Database::open(&path, Options::default()).unwrap();
+    let n = db.begin().get(later, row).unwrap().unwrap();
+    assert_eq!(n.get(0).unwrap().as_int(), Some(2));
+}
+
 /// A checkpoint that fails writing its base, or demoting its history,
-/// publishes nothing: the log stays writable (a failed rewrite used to
-/// poison it) and the old base stays in force.
+/// publishes nothing: the log stays writable, not poisoned, and the old
+/// base stays in force.
 #[test]
 fn a_failed_base_write_or_demotion_leaves_the_log_writable() {
     for (cold, step) in [(false, ".tmp"), (true, ".cold.run0")] {

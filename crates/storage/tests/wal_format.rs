@@ -1210,9 +1210,7 @@ fn small_database(path: &std::path::Path, opts: Options) -> Database {
 /// [`small_database`] wrote without a cold tier: a base is that file with
 /// a `Base` frame behind its format frame. v2 wrote 492 B / 0x374b8102;
 /// v3 the same length as v4 with CRC 0x196a7ef2 (only the format frame's
-/// version differs: a checkpoint holds no patch). The parent's checkpoint
-/// whose demotion failed wrote the history into the log (642 B /
-/// 0x154effe5); such a checkpoint now fails and writes nothing.
+/// version differs: a checkpoint holds no patch).
 const PARENT_CHECKPOINT: (usize, u32) = (481, 0xbaf7_7721);
 
 /// The base at `path` without its `Base` frame (naming `segment`): the

@@ -18,7 +18,8 @@
 # log rotation: `maintenance` (crash_before_rename_recovers_pre_checkpoint_state,
 # crash_after_rename_before_the_deletes_recovers_the_base_plus_a_prefix,
 # an_orphaned_segment_and_temp_file_are_swept_on_open,
-# a_commit_returns_while_the_base_is_written — a bounded wait —, and
+# a_commit_returns_while_the_base_is_written — a bounded wait —,
+# a_vacuum_while_the_base_is_written_keeps_the_rows_at_the_watermark and
 # a_failed_base_write_or_demotion_leaves_the_log_writable), `group_commit`
 # (a_checkpoint_image_is_exact_until_the_next_append: the base plus one
 # segment of only its format frame) and `sim_crash`'s
