@@ -10,6 +10,7 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use proptest::prelude::*;
+use tendax_storage::wal::segment_path;
 use tendax_storage::{
     DataType, Database, DurabilityLevel, Options, Predicate, Row, SimVfs, TableDef, Value,
 };
@@ -121,18 +122,18 @@ proptest! {
                 txn.commit().unwrap();
             }
             db.checkpoint().unwrap();
-            let checkpoint_size = std::fs::metadata(&path).unwrap().len() as usize;
             for i in 0..extra {
                 let mut txn = db.begin();
                 txn.insert(t, Row::new(vec![Value::Int(n + i)])).unwrap();
                 txn.commit().unwrap();
             }
             drop(db);
-            // Truncate somewhere in the post-checkpoint tail only.
-            let data = std::fs::read(&path).unwrap();
-            let tail = data.len() - checkpoint_size;
-            let cut = checkpoint_size + ((tail as f64) * tail_frac) as usize;
-            std::fs::write(&path, &data[..cut]).unwrap();
+            // Truncate somewhere in the post-checkpoint tail only: the
+            // segment the checkpoint switched to, past its format frame.
+            let segment = segment_path(&path, 1);
+            let data = std::fs::read(&segment).unwrap();
+            let cut = 10 + ((data.len() - 10) as f64 * tail_frac) as usize;
+            std::fs::write(&segment, &data[..cut]).unwrap();
         }
         let db = Database::open(&path, common::options()).unwrap();
         let t = db.table_id("t").unwrap();
