@@ -38,6 +38,26 @@ pub struct DocEvent {
     pub effects: Vec<Effect>,
 }
 
+impl DocEvent {
+    /// The bytes of this event's payload in `tendax-net`'s codec — its
+    /// `Event` frame less the 5-byte frame header, and what it adds to a
+    /// `Delta`: five ids, the kind, the effect count and each effect (that
+    /// crate's codec tests pin the two together).
+    pub fn wire_len(&self) -> usize {
+        let opt = |some: bool, len: usize| if some { 1 + len } else { 1 };
+        let effect = |e: &Effect| match e {
+            Effect::Insert { prev, external, .. } => {
+                53 + opt(prev.is_some(), 8)
+                    + opt(external.is_some(), 4)
+                    + external.as_ref().map_or(0, String::len)
+            }
+            Effect::Delete { .. } | Effect::SetStyle { .. } => 25,
+            Effect::Undelete { .. } => 9,
+        };
+        5 * 8 + 4 + self.kind.len() + 4 + self.effects.iter().map(effect).sum::<usize>()
+    }
+}
+
 /// Counters of a bus, cumulative since creation. The bus keeps no
 /// queues, so `delivered`, `dropped` and `evicted` read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -43,6 +43,6 @@ pub mod session;
 
 pub use awareness::{AwarenessRegistry, Platform, Presence};
 pub use bus::{DocEvent, LanBus, SessionId, TransportStats};
-pub use live::{DocView, LiveDocs, LiveEditor, LiveStats, Ticket};
+pub use live::{DocView, Join, LiveDocs, LiveEditor, LiveStats, Ticket};
 pub use server::CollabServer;
 pub use session::{EditorDoc, EditorSession, EditorStats};

@@ -63,6 +63,25 @@
 //! dropped unresolved (a cut, an early return, an unwind) publishes its
 //! event.
 //!
+//! ## A re-open is a delta
+//!
+//! Beside the copy, under the same lock, a live document keeps a *tail*:
+//! each event its outbox was handed, shared, posted in commit order, and
+//! `complete_since`, a timestamp above which the tail holds every commit
+//! of the document. A reader who comes back with a replica at a frontier
+//! `from` (a closed mirror, a lost stream) is owed only the tail's events
+//! above `from` — a [`Join::delta`] — when `complete_since ≤ from`, and a
+//! snapshot otherwise. A delta claims what a snapshot at the same frontier
+//! would, a commit still waiting for the disk included.
+//!
+//! The tail keeps as many events as encode to at most the copy's
+//! `chain_len` bytes, dropping the oldest first: past that, a snapshot is
+//! the cheaper answer. A commit that is not in the tail moves
+//! `complete_since` up to the copy's frontier: a load (whatever committed
+//! while nobody had the document open), a rebuild (a commit that bypassed
+//! the editors, a purge) and a withdrawn ticket (a commit the copy has but
+//! whose event is never sent).
+//!
 //! Lock order: no registry lock is held while a document's lock is
 //! taken; a document's lock comes before the database's and its
 //! outbox's, and a move takes its two documents' locks in [`DocId`]
@@ -70,7 +89,7 @@
 //! edit, or through a [`DocView`] — must not take it again through
 //! another editor of the same document.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{vec_deque, HashMap, VecDeque};
 use std::ops::Deref;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -102,18 +121,120 @@ pub struct LiveStats {
     pub loads: u64,
     /// Snapshots served from a live chain.
     pub snapshots: u64,
+    /// Deltas served from a live document's tail.
+    pub deltas: u64,
 }
 
-/// A document's lock and, under it, its copy: loaded while any editor
-/// holds the slot, taken out by the last one to let go. Beside them, the
-/// document's outbox: its events in commit order, each until its editor
-/// resolves it (see "One order per document" in the module docs).
+/// A document's lock and, under it, its copy and tail: loaded while any
+/// editor holds the slot, taken out by the last one to let go. Beside
+/// them, the document's outbox: its events in commit order, each until its
+/// editor resolves it (see "One order per document" in the module docs).
 #[derive(Debug)]
 struct Slot {
     doc: DocId,
-    copy: Mutex<Option<DocHandle>>,
+    copy: Mutex<Option<Live>>,
     bus: LanBus,
     outbox: Mutex<Outbox>,
+}
+
+/// A loaded document: the copy, and the tail of its events.
+#[derive(Debug)]
+struct Live {
+    handle: DocHandle,
+    tail: Tail,
+}
+
+/// A live document's recent events, for readers who come back (see "A
+/// re-open is a delta" in the module docs).
+#[derive(Debug)]
+struct Tail {
+    /// In commit order, each above `complete_since`.
+    events: VecDeque<Arc<DocEvent>>,
+    /// `wire_len` summed over `events`.
+    bytes: usize,
+    /// The tail holds every commit of the document above this.
+    complete_since: Ts,
+}
+
+impl Tail {
+    fn new(complete_since: Ts) -> Tail {
+        Tail {
+            events: VecDeque::new(),
+            bytes: 0,
+            complete_since,
+        }
+    }
+
+    /// Append the event of a commit on the copy, then let the oldest go
+    /// while the tail would encode to more than `budget` bytes.
+    fn push(&mut self, event: Arc<DocEvent>, budget: usize) {
+        if event.commit_ts <= self.complete_since {
+            return;
+        }
+        self.bytes += event.wire_len();
+        self.events.push_back(event);
+        while self.bytes > budget {
+            let Some(oldest) = self.events.pop_front() else {
+                break;
+            };
+            self.bytes -= oldest.wire_len();
+            self.complete_since = oldest.commit_ts;
+        }
+    }
+
+    /// Vouch for nothing at or below `ts` any more.
+    fn restart(&mut self, ts: Ts) {
+        self.complete_since = self.complete_since.max(ts);
+        while let Some(oldest) = self.events.front() {
+            if oldest.commit_ts > self.complete_since {
+                break;
+            }
+            self.bytes -= oldest.wire_len();
+            self.events.pop_front();
+        }
+    }
+
+    /// The events above `from`, if the tail holds every one of them.
+    fn since(&self, from: Ts) -> Option<vec_deque::Iter<'_, Arc<DocEvent>>> {
+        (self.complete_since <= from).then(|| {
+            let first = self.events.partition_point(|e| e.commit_ts <= from);
+            self.events.range(first..)
+        })
+    }
+}
+
+/// A live document at a frontier, under its lock, as a reader who joins
+/// its event stream is owed it: the copy (what a snapshot encodes; this
+/// derefs to it) and, for a reader who holds the document up to some
+/// `from` already, the events since, if the tail holds them all.
+pub struct Join<'a> {
+    handle: &'a DocHandle,
+    complete_since: Ts,
+    delta: Option<(Ts, vec_deque::Iter<'a, Arc<DocEvent>>)>,
+}
+
+impl<'a> Join<'a> {
+    /// `from`, and the document's events above it in commit order: what
+    /// brings a replica that holds every commit up to `from` to the copy's
+    /// `synced_ts`. `None` if only a snapshot will do.
+    pub fn delta(&self) -> Option<(Ts, impl ExactSizeIterator<Item = &'a DocEvent> + 'a)> {
+        let (from, events) = self.delta.clone()?;
+        Some((from, events.map(|event| &**event)))
+    }
+
+    /// The tail holds every commit of the document above this: a delta is
+    /// served from any frontier at or above it.
+    pub fn complete_since(&self) -> Ts {
+        self.complete_since
+    }
+}
+
+impl Deref for Join<'_> {
+    type Target = DocHandle;
+
+    fn deref(&self) -> &DocHandle {
+        self.handle
+    }
 }
 
 #[derive(Debug, Default)]
@@ -136,10 +257,21 @@ enum Posting {
 impl Slot {
     /// Append `event` to the outbox, under the document's lock; returns
     /// its ticket number.
-    fn post(&self, event: DocEvent) -> u64 {
+    fn post(&self, event: Arc<DocEvent>) -> u64 {
         let mut outbox = self.outbox.lock();
-        outbox.entries.push_back(Posting::Waiting(Arc::new(event)));
+        outbox.entries.push_back(Posting::Waiting(event));
         outbox.first + outbox.entries.len() as u64 - 1
+    }
+
+    /// A commit on the copy will never have its event sent (its ticket is
+    /// withdrawn): the tail stops vouching for anything up to the copy's
+    /// frontier, so no delta reaches past the commit. (A copy that a
+    /// failed rebuild left behind its own commits is rebuilt, its tail
+    /// restarted, before a reader is served from it.)
+    fn forget_tail(&self) {
+        if let Some(live) = self.copy.lock().as_mut() {
+            live.tail.restart(live.handle.synced_ts());
+        }
     }
 
     /// Resolve entry `n`: to be published if `send`, else withdrawn. An
@@ -202,8 +334,12 @@ impl Ticket {
     /// Resolve the ticket and publish what is due.
     pub fn publish(self) {}
 
-    /// The commit never became durable: its event is never sent.
+    /// The commit never became durable: its event is never sent, and no
+    /// delta carries it.
     fn withdraw(mut self) {
+        if let Some((slot, _)) = &self.0 {
+            slot.forget_tail();
+        }
         self.close(false);
     }
 
@@ -237,11 +373,12 @@ pub struct LiveDocs {
     documents: AtomicUsize,
     loads: AtomicU64,
     snapshots: AtomicU64,
+    deltas: AtomicU64,
 }
 
 /// The copy in a locked slot: every editor holding the slot keeps it
 /// loaded.
-fn loaded(copy: &mut Option<DocHandle>) -> &mut DocHandle {
+fn loaded(copy: &mut Option<Live>) -> &mut Live {
     copy.as_mut().expect("an open document is loaded")
 }
 
@@ -254,6 +391,7 @@ impl LiveDocs {
             documents: AtomicUsize::new(0),
             loads: AtomicU64::new(0),
             snapshots: AtomicU64::new(0),
+            deltas: AtomicU64::new(0),
         }
     }
 
@@ -262,6 +400,7 @@ impl LiveDocs {
             documents: self.documents.load(Ordering::Relaxed),
             loads: self.loads.load(Ordering::Relaxed),
             snapshots: self.snapshots.load(Ordering::Relaxed),
+            deltas: self.deltas.load(Ordering::Relaxed),
         }
     }
 
@@ -286,7 +425,8 @@ impl LiveDocs {
         if copy.is_none() {
             match self.tdb.load(doc, UserId::NONE) {
                 Ok(handle) => {
-                    *copy = Some(handle);
+                    let tail = Tail::new(handle.synced_ts());
+                    *copy = Some(Live { handle, tail });
                     self.loads.fetch_add(1, Ordering::Relaxed);
                     self.documents.fetch_add(1, Ordering::Relaxed);
                 }
@@ -323,10 +463,18 @@ impl LiveDocs {
         self.docs.read().get(&doc).map(|e| Arc::clone(&e.slot))
     }
 
-    /// Rebuild a stale copy from the database.
-    fn rebuild(&self, copy: &mut DocHandle) -> Result<()> {
-        copy.refresh()?;
+    /// Build a copy again from the database.
+    fn refresh(&self, handle: &mut DocHandle) -> Result<()> {
+        handle.refresh()?;
         self.loads.fetch_add(1, Ordering::Relaxed);
+        Ok(())
+    }
+
+    /// Rebuild a stale copy: a commit bypassed the editors, so its tail
+    /// vouches for nothing the rebuilt copy holds.
+    fn rebuild(&self, live: &mut Live) -> Result<()> {
+        self.refresh(&mut live.handle)?;
+        live.tail.restart(live.handle.synced_ts());
         Ok(())
     }
 
@@ -334,13 +482,13 @@ impl LiveDocs {
     /// that bypassed the editors wrote the document's characters since
     /// its `synced_ts`, then vouch for the watermark (see the module
     /// docs for why the watermark is read first).
-    fn catch_up(&self, copy: &mut DocHandle) -> Result<()> {
+    fn catch_up(&self, live: &mut Live) -> Result<()> {
         let frontier = self.tdb.database().last_commit_ts();
         let chars = self.tdb.tables().chars;
-        if self.tdb.doc_stamp(&[chars], copy.doc()) > copy.synced_ts() {
-            self.rebuild(copy)?;
+        if self.tdb.doc_stamp(&[chars], live.handle.doc()) > live.handle.synced_ts() {
+            self.rebuild(live)?;
         }
-        copy.advance_synced(frontier);
+        live.handle.advance_synced(frontier);
         Ok(())
     }
 
@@ -351,60 +499,93 @@ impl LiveDocs {
     /// rebuilt. The edit has committed whatever happens here, so a failed
     /// rebuild is not its error: the copy keeps its `synced_ts`, and the
     /// next catch-up rebuilds it again.
-    fn settle(&self, copy: &mut DocHandle, before: Ts, own: Option<Ts>) {
+    fn settle(&self, live: &mut Live, before: Ts, own: Option<Ts>) {
         let frontier = self.tdb.database().last_commit_ts();
-        let [newest, below] = self.tdb.doc_stamps(self.tdb.tables().chars, copy.doc());
+        let [newest, below] = self
+            .tdb
+            .doc_stamps(self.tdb.tables().chars, live.handle.doc());
         let only_own = match own {
             Some(own) => newest == own && below <= before,
             None => newest <= before,
         };
         if only_own {
-            copy.advance_synced(frontier);
+            live.handle.advance_synced(frontier);
         } else {
-            let _ = self.rebuild(copy);
+            let _ = self.rebuild(live);
         }
     }
 
-    /// A transport repair — resync, lost-stream recovery: `f` of the live
-    /// document at a frontier, under the document's lock, for a reader
-    /// who has it open already. Checks [`Permission::Read`] and records
-    /// nothing. `None` if the document is not live.
+    /// [`LiveDocs::join`] with no replica to resume: `f` of the copy.
     pub fn snapshot<T>(
         &self,
         doc: DocId,
         user: UserId,
         f: impl FnOnce(&DocHandle) -> T,
     ) -> Result<Option<T>> {
+        self.join(doc, user, None, |at| f(at))
+    }
+
+    /// A transport repair — resync, lost-stream recovery: `f` of the live
+    /// document at a frontier, under the document's lock, for a reader
+    /// who has it open already and, if `from` is given, holds it up to
+    /// `from`. Checks [`Permission::Read`] and records nothing. `None` if
+    /// the document is not live.
+    pub fn join<T>(
+        &self,
+        doc: DocId,
+        user: UserId,
+        from: Option<Ts>,
+        f: impl FnOnce(&Join<'_>) -> T,
+    ) -> Result<Option<T>> {
         let Some(slot) = self.get(doc) else {
             return Ok(None);
         };
         self.tdb.check_permission(doc, user, Permission::Read)?;
-        self.at_frontier(&slot, f)
+        self.at_frontier(&slot, from, f)
     }
 
-    /// Run `f` on the live handle caught up to the frontier (see the
-    /// module docs); `None` if no copy is loaded.
-    fn at_frontier<T>(&self, slot: &Slot, f: impl FnOnce(&DocHandle) -> T) -> Result<Option<T>> {
+    /// Run `f` on the live document caught up to the frontier (see the
+    /// module docs), with the tail's events above `from` if it holds them
+    /// all; `None` if no copy is loaded.
+    fn at_frontier<T>(
+        &self,
+        slot: &Slot,
+        from: Option<Ts>,
+        f: impl FnOnce(&Join<'_>) -> T,
+    ) -> Result<Option<T>> {
         let mut copy = slot.copy.lock();
-        let Some(handle) = copy.as_mut() else {
+        let Some(live) = copy.as_mut() else {
             return Ok(None);
         };
-        self.catch_up(handle)?;
-        self.snapshots.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(f(handle)))
+        self.catch_up(live)?;
+        let Live { handle, tail } = live;
+        let delta = from
+            .filter(|&from| from <= handle.synced_ts())
+            .and_then(|from| Some((from, tail.since(from)?)));
+        let served = match delta {
+            Some(_) => &self.deltas,
+            None => &self.snapshots,
+        };
+        served.fetch_add(1, Ordering::Relaxed);
+        let join = Join {
+            handle,
+            complete_since: tail.complete_since,
+            delta,
+        };
+        Ok(Some(f(&join)))
     }
 }
 
 /// An editor's read view of its document: the live copy, in the editor's
 /// name, under the document's lock until the view is dropped. Take what
 /// you need and let it go; see [`crate::EditorDoc::handle`].
-pub struct DocView<'a>(MutexGuard<'a, Option<DocHandle>>);
+pub struct DocView<'a>(MutexGuard<'a, Option<Live>>);
 
 impl Deref for DocView<'_> {
     type Target = DocHandle;
 
     fn deref(&self) -> &DocHandle {
-        self.0.as_ref().expect("an open document is loaded")
+        &self.0.as_ref().expect("an open document is loaded").handle
     }
 }
 
@@ -460,18 +641,20 @@ impl LiveEditor {
         })
     }
 
-    /// [`LiveEditor::attach`], and `f` of the copy at a frontier: a
-    /// network client's first view.
+    /// [`LiveEditor::attach`], and `f` of the document at a frontier, for
+    /// a reader who holds it up to `from` if given: a network client's
+    /// first view.
     pub(crate) fn open<T>(
         server: &CollabServer,
         doc: DocId,
         session: SessionId,
         user: UserId,
-        f: impl FnOnce(&DocHandle) -> T,
+        from: Option<Ts>,
+        f: impl FnOnce(&Join<'_>) -> T,
     ) -> Result<(LiveEditor, T)> {
         let editor = Self::attach(server, doc, session, user)?;
-        let snapshot = editor.at_frontier(f)?;
-        Ok((editor, snapshot))
+        let view = editor.at_frontier(from, f)?;
+        Ok((editor, view))
     }
 
     pub fn doc(&self) -> DocId {
@@ -500,9 +683,9 @@ impl LiveEditor {
 
     /// The document's lock, with the copy under it in this editor's
     /// name.
-    fn lock(&self) -> MutexGuard<'_, Option<DocHandle>> {
+    fn lock(&self) -> MutexGuard<'_, Option<Live>> {
         let mut copy = self.slot.copy.lock();
-        loaded(&mut copy).act_as(self.user);
+        loaded(&mut copy).handle.act_as(self.user);
         copy
     }
 
@@ -512,17 +695,17 @@ impl LiveEditor {
         DocView(self.lock())
     }
 
-    fn at_frontier<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
-        let snapshot = self.server.live().at_frontier(&self.slot, f)?;
-        Ok(snapshot.expect("an open document is loaded"))
+    fn at_frontier<T>(&self, from: Option<Ts>, f: impl FnOnce(&Join<'_>) -> T) -> Result<T> {
+        let view = self.server.live().at_frontier(&self.slot, from, f)?;
+        Ok(view.expect("an open document is loaded"))
     }
 
     /// The reader opens the document again while holding it: one more
-    /// read event, and `f` of the copy at a frontier, under the
-    /// document's lock.
-    pub fn reopen<T>(&self, f: impl FnOnce(&DocHandle) -> T) -> Result<T> {
+    /// read event, and `f` of the document at a frontier, under the
+    /// document's lock, for a reader who holds it up to `from` if given.
+    pub fn reopen<T>(&self, from: Option<Ts>, f: impl FnOnce(&Join<'_>) -> T) -> Result<T> {
         self.server.live().tdb.record_read(self.doc(), self.user)?;
-        self.at_frontier(f)
+        self.at_frontier(from, f)
     }
 
     /// Type `text` at `pos`, clamped to the document (a remote caller's
@@ -594,7 +777,9 @@ impl LiveEditor {
             let ((del, ins), _, both) = self.with_handle("move", |src| {
                 let mut to = self.server.textdb().load(self.doc(), dst.user)?;
                 let (del, ins) = src.move_to(pos, len, &mut to, dst_pos)?;
-                self.server.live().rebuild(src)?;
+                // The copy takes the other half; the tail gets both, as
+                // the move's one event.
+                self.server.live().refresh(src)?;
                 let effects = [&del.effects[..], &ins.effects].concat();
                 let both = EditReceipt {
                     effects,
@@ -700,16 +885,16 @@ impl LiveEditor {
         }
         let mut last = None;
         for tried in 0..EDIT_RETRIES {
-            let copy = loaded(&mut own);
-            let mut other = theirs.as_deref_mut().map(loaded);
             if tried > 0 {
                 self.retries.fetch_add(1, Ordering::Relaxed);
                 self.server.note_retry(self.session);
-                docs.rebuild(copy)?;
-                if let Some(other) = other.as_deref_mut() {
-                    docs.rebuild(other)?;
+                docs.rebuild(loaded(&mut own))?;
+                if let Some(other) = theirs.as_deref_mut() {
+                    docs.rebuild(loaded(other))?;
                 }
             }
+            let copy = &mut loaded(&mut own).handle;
+            let other = theirs.as_deref_mut().map(|c| &mut loaded(c).handle);
             let before = (copy.synced_ts(), other.as_deref().map(DocHandle::synced_ts));
             match attempt(copy, other) {
                 Ok(done) => {
@@ -720,10 +905,14 @@ impl LiveEditor {
                         docs.settle(loaded(other), at, dst);
                     }
                     self.ops.fetch_add(1, Ordering::Relaxed);
-                    let tickets = [0, 1].map(|i| match (editors[i], changed[i]) {
-                        (Some(editor), Some(receipt)) => editor.post(kinds[i], receipt),
-                        _ => Ticket::default(),
-                    });
+                    let mut copies = [Some(&mut *own), theirs.as_deref_mut()];
+                    let tickets =
+                        [0, 1].map(|i| match (editors[i], changed[i], copies[i].take()) {
+                            (Some(editor), Some(receipt), Some(copy)) => {
+                                editor.post(loaded(copy), kinds[i], receipt)
+                            }
+                            _ => Ticket::default(),
+                        });
                     return Ok((done, tickets));
                 }
                 Err(e) if e.is_retryable() => last = Some(e),
@@ -737,9 +926,10 @@ impl LiveEditor {
     }
 
     /// Post the event of `receipt`, this editor's commit, in the
-    /// document's outbox: under the document's lock, so in commit order.
-    fn post(&self, kind: &str, receipt: &EditReceipt) -> Ticket {
-        let n = self.slot.post(DocEvent {
+    /// document's tail and outbox: under the document's lock, so in commit
+    /// order, and in the tail before it can be published.
+    fn post(&self, live: &mut Live, kind: &str, receipt: &EditReceipt) -> Ticket {
+        let event = Arc::new(DocEvent {
             doc: self.doc(),
             op: receipt.op,
             commit_ts: receipt.commit_ts,
@@ -748,6 +938,8 @@ impl LiveEditor {
             kind: kind.to_owned(),
             effects: receipt.effects.clone(),
         });
+        live.tail.push(Arc::clone(&event), live.handle.chain_len());
+        let n = self.slot.post(event);
         Ticket(Some((Arc::clone(&self.slot), n)))
     }
 
@@ -817,8 +1009,8 @@ mod tests {
         let events = captured(&server);
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
-        let (a, _) = sa.open_live(doc, |_| ()).unwrap();
-        let (b, at_open) = sb.open_live(doc, |h| h.synced_ts()).unwrap();
+        let (a, _) = sa.open_live(doc, None, |_| ()).unwrap();
+        let (b, at_open) = sb.open_live(doc, None, |h| h.synced_ts()).unwrap();
         assert_eq!(server.live().stats().loads, 1);
 
         let (_, typed) = a.insert(0, "alice").unwrap();
@@ -842,7 +1034,7 @@ mod tests {
         assert!(authors[..5].iter().all(|&u| u == sa.user()));
         assert!(authors[5..].iter().all(|&u| u == sb.user()));
         // A snapshot's frontier covers every commit on the copy.
-        let frontier = b.reopen(|h| h.synced_ts()).unwrap();
+        let frontier = b.reopen(None, |h| h.synced_ts()).unwrap();
         assert!(at_open < added.commit_ts && added.commit_ts <= frontier);
         assert_eq!(server.textdb().read_count(doc).unwrap(), 3);
     }
@@ -876,7 +1068,7 @@ mod tests {
         let (server, doc) = served();
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
-        let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
+        let (_reader, _) = sa.open_live(doc, None, |_| ()).unwrap();
         let mut ea = sa.open_id(doc).unwrap();
         let mut eb = sb.open_id(doc).unwrap();
         let (parked_tx, parked) = mpsc::channel();
@@ -920,8 +1112,8 @@ mod tests {
         let events = captured(&server);
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
-        let (a, _) = sa.open_live(doc, |_| ()).unwrap();
-        let (b, _) = sb.open_live(doc, |_| ()).unwrap();
+        let (a, _) = sa.open_live(doc, None, |_| ()).unwrap();
+        let (b, _) = sb.open_live(doc, None, |_| ()).unwrap();
         let sent = || -> Vec<Ts> { events.lock().iter().map(|ev| ev.commit_ts).collect() };
 
         let (first, first_ticket) = a.insert(0, "a").unwrap();
@@ -954,7 +1146,7 @@ mod tests {
             true
         }));
         let sa = server.connect("alice", Platform::Linux).unwrap();
-        let (a, _) = sa.open_live(doc, |_| ()).unwrap();
+        let (a, _) = sa.open_live(doc, None, |_| ()).unwrap();
 
         let (_, first) = a.insert(0, "a").unwrap();
         let unwound = panic::catch_unwind(AssertUnwindSafe(|| a.publish(first)));
@@ -1121,7 +1313,7 @@ mod tests {
         let (server, doc) = served();
         let sa = server.connect("alice", Platform::Linux).unwrap();
         let sb = server.connect("bob", Platform::MacOsX).unwrap();
-        let (_reader, _) = sa.open_live(doc, |_| ()).unwrap();
+        let (_reader, _) = sa.open_live(doc, None, |_| ()).unwrap();
         let typing = Arc::new(AtomicBool::new(true));
         let typists: Vec<_> = [sa.open_id(doc).unwrap(), sb.open_id(doc).unwrap()]
             .into_iter()

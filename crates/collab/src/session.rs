@@ -10,11 +10,12 @@
 //! editor is the bare [`LiveEditor`] ([`EditorSession::open_live`]): its
 //! client keeps its own copy at the other end of the wire.
 
+use tendax_storage::Ts;
 use tendax_text::{CharId, Clip, DocHandle, DocId, EditReceipt, Result, StyleId, UserId};
 
 use crate::awareness::Platform;
 use crate::bus::SessionId;
-use crate::live::{Committed, DocView, LiveEditor};
+use crate::live::{Committed, DocView, Join, LiveEditor};
 use crate::server::CollabServer;
 
 /// One running editor instance.
@@ -81,17 +82,20 @@ impl EditorSession {
     }
 
     /// Open a document for a network client, who keeps its copy at the
-    /// other end of the wire. Like any open it checks `Permission::Read`
-    /// and records one read event; `snapshot` is handed the live handle
-    /// with `synced_ts` at a commit frontier (see [`crate::live`]), under
-    /// the document's lock — no commit of the document lands while it
-    /// runs — and its result is the client's first view.
+    /// other end of the wire — and may have kept one, up to `from`, since
+    /// it last closed the document. Like any open it checks
+    /// `Permission::Read` and records one read event; `view` is handed the
+    /// live document with `synced_ts` at a commit frontier and, for a
+    /// `from` the tail covers, the events since (see [`crate::live`]),
+    /// under the document's lock — no commit of the document lands while
+    /// it runs — and its result is the client's first view.
     pub fn open_live<T>(
         &self,
         doc: DocId,
-        snapshot: impl FnOnce(&DocHandle) -> T,
+        from: Option<Ts>,
+        view: impl FnOnce(&Join<'_>) -> T,
     ) -> Result<(LiveEditor, T)> {
-        LiveEditor::open(&self.server, doc, self.id, self.user, snapshot)
+        LiveEditor::open(&self.server, doc, self.id, self.user, from, view)
     }
 }
 

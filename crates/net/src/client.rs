@@ -8,14 +8,22 @@
 //! reader thread that feeds the core; callers block until their
 //! completion arrives, one outstanding request per connection.
 //!
-//! A reply names what it answers: `EditOk`/`EditRejected` and `Snapshot`
-//! the request id of the `Edit`, `Subscribe` or `Resync`, `Pong` the
-//! ping's nonce, `Presence` the document, `Welcome` the `Hello`. An
-//! unsolicited `Snapshot` (the server's slow-consumer recovery path,
-//! request 0) answers nothing and reloads the mirror transparently. An
-//! `Error` frame answers the outstanding request; outside one it is
-//! terminal (auth, slow consumer, protocol) and poisons the client:
-//! every subsequent call returns the remote error, code and all.
+//! A reply names what it answers: `EditOk`/`EditRejected`, `Snapshot`
+//! and `Delta` the request id of the `Edit`, `Subscribe` or `Resync`,
+//! `Pong` the ping's nonce, `Presence` the document, `Welcome` the
+//! `Hello`. An unsolicited `Snapshot` or `Delta` (the server's
+//! slow-consumer recovery path, request 0) answers nothing and brings the
+//! mirror up to date transparently. An `Error` frame answers the
+//! outstanding request; outside one it is terminal (auth, slow consumer,
+//! protocol) and poisons the client: every subsequent call returns the
+//! remote error, code and all.
+//!
+//! `Unsubscribe` does not drop a document's mirror: the core keeps it,
+//! frozen — no event reaches it — until the document is subscribed again
+//! or the connection ends. The next `Subscribe` of that name offers it to
+//! the server as `(doc, from)`, and a `Delta` that answers resumes it:
+//! the commits since `from` are applied as events. A `Snapshot` answer
+//! replaces it, as does a `Resync`, which is never answered by a delta.
 
 use std::collections::HashMap;
 use std::io::{Read, Write};
@@ -29,7 +37,7 @@ use parking_lot::{Condvar, Mutex, MutexGuard};
 use crate::error::{codes, NetError, Result};
 use crate::mirror::MirrorDoc;
 use crate::protocol::{
-    EditOp, Frame, SnapshotReader, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT,
+    EditOp, Frame, SnapshotReader, WireEvent, WirePresence, PROTOCOL_VERSION, TAG_SNAPSHOT,
 };
 use crate::wire::FrameBuffer;
 
@@ -71,6 +79,7 @@ impl Answer {
             | Frame::Resync { request, .. }
             | Frame::Edit { request, .. }
             | Frame::Snapshot { request, .. }
+            | Frame::Delta { request, .. }
             | Frame::EditOk { request, .. }
             | Frame::EditRejected { request, .. }
             | Frame::Ping { nonce: request }
@@ -82,8 +91,8 @@ impl Answer {
 }
 
 /// A request answered: its id (0 for the `Hello`) and the reply frame —
-/// a `Snapshot` with its header only, its characters being in the
-/// mirror — or the `Error` frame that answered it.
+/// a `Snapshot` or `Delta` with its header only, its content being in
+/// the mirror — or the `Error` frame that answered it.
 #[derive(Debug)]
 pub struct Completion {
     pub id: u64,
@@ -96,6 +105,13 @@ pub struct Completion {
 #[derive(Debug, Default)]
 pub struct ClientCore {
     mirrors: HashMap<u64, MirrorDoc>,
+    /// Mirrors of closed documents, frozen, by name.
+    kept: HashMap<String, MirrorDoc>,
+    /// Subscriptions asked for and not yet answered, by request id: the
+    /// name, and the kept mirror offered for a delta.
+    subscribing: HashMap<u64, (String, Option<MirrorDoc>)>,
+    /// The name each subscribed document was subscribed by.
+    names: HashMap<u64, String>,
     /// Requests sent and not yet answered, oldest first: what answers
     /// each, and its id.
     pending: Vec<(Answer, u64)>,
@@ -124,19 +140,33 @@ impl ClientCore {
     /// A fresh request id and the bytes of the frame `make` builds with
     /// it (as the request id, or a ping's nonce). A frame nothing answers
     /// (`Unsubscribe`, `Awareness`, `Bye`) completes nothing;
-    /// `Unsubscribe` drops the document's mirror.
+    /// `Unsubscribe` freezes the document's mirror, and a `Subscribe` of
+    /// its name offers it (its `resume` is set to the mirror's).
     pub fn request(&mut self, make: impl FnOnce(u64) -> Frame) -> (u64, Vec<u8>) {
         self.last_id += 1;
         let id = self.last_id;
         (id, self.send(id, make(id)))
     }
 
-    fn send(&mut self, id: u64, frame: Frame) -> Vec<u8> {
+    fn send(&mut self, id: u64, mut frame: Frame) -> Vec<u8> {
         if let Some(answer) = Answer::of(&frame) {
             self.pending.push((answer, id));
         }
-        if let Frame::Unsubscribe { doc } = frame {
-            self.mirrors.remove(&doc);
+        match &mut frame {
+            Frame::Unsubscribe { doc } => {
+                let name = self.names.remove(doc);
+                let mirror = self.mirrors.remove(doc);
+                // A mirror that needs a resync is broken: not worth keeping.
+                if let (Some(name), Some(m)) = (name, mirror.filter(|m| !m.needs_resync())) {
+                    self.kept.insert(name, m);
+                }
+            }
+            Frame::Subscribe { name, resume, .. } => {
+                let kept = self.kept.remove(name.as_str());
+                *resume = kept.as_ref().map(|m| (m.doc(), m.synced_ts()));
+                self.subscribing.insert(id, (name.clone(), kept));
+            }
+            _ => {}
         }
         frame.encode()
     }
@@ -144,6 +174,7 @@ impl ClientCore {
     /// Stop waiting for request `id`: a late reply completes nothing.
     fn cancel(&mut self, id: u64) {
         self.pending.retain(|&(_, i)| i != id);
+        self.subscribing.remove(&id);
     }
 
     /// Take one frame from the server: events feed the mirrors, replies
@@ -170,11 +201,18 @@ impl ClientCore {
             Frame::Error { code, message } => (Some(0), Err(NetError::Remote { code, message })),
             frame => (self.awaiting(&frame), Ok(frame)),
         };
-        let complete = |i| Completion {
-            id: self.pending.remove(i).1,
-            reply,
+        let Some(i) = found else {
+            return Vec::new();
         };
-        found.map(complete).into_iter().collect()
+        let id = self.pending.remove(i).1;
+        // A subscription answered: its document is known by its name.
+        let subscribed = self.subscribing.remove(&id);
+        if let (Some((name, _)), Ok(Frame::Snapshot { doc, .. } | Frame::Delta { doc, .. })) =
+            (subscribed, &reply)
+        {
+            self.names.insert(*doc, name);
+        }
+        vec![Completion { id, reply }]
     }
 
     /// Where in `pending` the request `reply` answers is, if awaited.
@@ -184,13 +222,23 @@ impl ClientCore {
     }
 
     /// A `Snapshot` goes from its wire bytes straight into the document's
-    /// mirror; what comes back for it carries only the header. A snapshot
-    /// replaces a mirror, but creates one only for the request it
-    /// answers: a recovery snapshot that crosses an `unsubscribe` must
-    /// not bring back a mirror no event will reach.
+    /// mirror, a `Delta` is applied to it; what comes back for either
+    /// carries only the header. A snapshot replaces a mirror, but creates
+    /// one only for the request it answers: a recovery snapshot that
+    /// crosses an `unsubscribe` must not bring back a mirror no event will
+    /// reach.
     fn decode(&mut self, tag: u8, payload: &[u8]) -> Result<Frame> {
         if tag != TAG_SNAPSHOT {
-            return Frame::decode(tag, payload);
+            return match Frame::decode(tag, payload)? {
+                Frame::Delta {
+                    request,
+                    doc,
+                    from,
+                    synced_ts,
+                    events,
+                } => self.resume(request, doc, from, synced_ts, events),
+                frame => Ok(frame),
+            };
         }
         let snap = SnapshotReader::new(payload)?;
         let fresh = MirrorDoc::from_snapshot(&snap)?;
@@ -211,10 +259,51 @@ impl ClientCore {
         Ok(header)
     }
 
+    /// Apply a `Delta` to the mirror it resumes — the one its `Subscribe`
+    /// offered, or, for a recovery, the subscribed document's — and hand
+    /// back its header. One that does not fit flags the mirror for a
+    /// resync; one answering a `Subscribe` that offered no mirror is a
+    /// protocol error.
+    fn resume(
+        &mut self,
+        request: u64,
+        doc: u64,
+        from: u64,
+        synced_ts: u64,
+        events: Vec<WireEvent>,
+    ) -> Result<Frame> {
+        let header = Frame::Delta {
+            request,
+            doc,
+            from,
+            synced_ts,
+            events: Vec::new(),
+        };
+        let asked = self.awaiting(&header).map(|i| self.pending[i].1);
+        if let Some(kept) = asked.and_then(|id| self.subscribing.get_mut(&id)?.1.take()) {
+            self.mirrors.insert(doc, kept);
+        }
+        match self.mirrors.get_mut(&doc) {
+            Some(m) => {
+                // One that does not fit flags the mirror for a resync.
+                let _ = m.apply_delta(doc, from, synced_ts, events);
+            }
+            None if asked.is_some() => {
+                return Err(NetError::Protocol(format!(
+                    "a delta of document {doc} answers a subscription that offered no mirror"
+                )))
+            }
+            None => {}
+        }
+        Ok(header)
+    }
+
     /// The connection is unusable for `why` (the first reason sticks):
     /// every outstanding request fails with it.
     fn fail(&mut self, why: NetError) -> Vec<Completion> {
         self.fatal.get_or_insert(why);
+        self.kept.clear();
+        self.subscribing.clear();
         let pending = std::mem::take(&mut self.pending);
         let fail = |(_, id)| Completion {
             id,
@@ -374,17 +463,24 @@ impl NetClient {
         self.wait(id)
     }
 
-    /// Subscribe to a document by name; returns its id once the initial
-    /// snapshot has loaded into the local mirror.
+    /// Subscribe to a document by name; returns its id once the mirror
+    /// is loaded from the initial snapshot, or resumed by a delta if it
+    /// was kept since the document was last closed.
     pub fn subscribe(&self, name: &str) -> Result<u64> {
         let name = name.into();
-        match self.request(|request| Frame::Subscribe { request, name })? {
-            Frame::Snapshot { doc, .. } => Ok(doc),
+        let subscribe = |request| Frame::Subscribe {
+            request,
+            name,
+            resume: None,
+        };
+        match self.request(subscribe)? {
+            Frame::Snapshot { doc, .. } | Frame::Delta { doc, .. } => Ok(doc),
             other => Err(unexpected(other)),
         }
     }
 
-    /// Drop the subscription and the local mirror.
+    /// Drop the subscription; the mirror is kept, frozen, for the next
+    /// `subscribe` of the document to resume.
     pub fn unsubscribe(&self, doc: u64) -> Result<()> {
         self.send(|_| Frame::Unsubscribe { doc }).map(drop)
     }

@@ -42,6 +42,10 @@
 //! that names a character the mirror lacks, or inserts one it has, cannot
 //! come from such a stream: it is a protocol error, and the mirror flags
 //! itself for a resync — the client then requests a fresh `Snapshot`.
+//!
+//! A mirror kept since its document was closed resumes from a `Delta`
+//! ([`MirrorDoc::apply_delta`]): the commits above its frontier, applied
+//! as events, and the frontier they bring it to.
 
 use std::collections::hash_map::RandomState;
 use std::hash::BuildHasher;
@@ -453,6 +457,45 @@ impl MirrorDoc {
         Ok(true)
     }
 
+    /// Resume from a `Delta`: `events`, the commits of the document above
+    /// `from` in commit order, bring the mirror to `synced_ts`. It fits
+    /// only a mirror of its document, not waiting for a resync, that holds
+    /// every commit up to `from` — `synced_ts() ≥ from` — and only if each
+    /// event lies in `(from, synced_ts]`, above the one before, and fits
+    /// as [`MirrorDoc::apply_event`] says; events the mirror holds already
+    /// are skipped. Anything else is an error, and the mirror flags itself
+    /// for a resync.
+    pub fn apply_delta(
+        &mut self,
+        doc: u64,
+        from: u64,
+        synced_ts: u64,
+        events: Vec<WireEvent>,
+    ) -> Result<()> {
+        let mut last = from;
+        let fits = !self.needs_resync
+            && doc == self.doc
+            && from <= self.synced_ts
+            && events.iter().all(|ev| {
+                let inside = last < ev.commit_ts && ev.commit_ts <= synced_ts;
+                last = ev.commit_ts;
+                inside
+            });
+        if !fits {
+            self.needs_resync = true;
+            return Err(NetError::Protocol(format!(
+                "a delta of document {doc} from {from} to {synced_ts} does not fit the mirror \
+                 of document {} at {}",
+                self.doc, self.synced_ts
+            )));
+        }
+        for ev in events {
+            self.apply_event(ev)?;
+        }
+        self.synced_ts = self.synced_ts.max(synced_ts);
+        Ok(())
+    }
+
     /// Apply one effect; `Err` with the id it names if the mirror lacks
     /// it, or, for an insert, has it.
     fn apply_effect(&mut self, e: &Effect) -> std::result::Result<(), u64> {
@@ -712,6 +755,43 @@ mod tests {
             assert!(!m.needs_resync());
             assert!(apply(&mut m, event(4, vec![delete(10)])));
             assert_eq!((m.text(), m.synced_ts(), m.applied()), ("b".into(), 4, 2));
+        }
+    }
+
+    /// A delta applies its events to a mirror that holds every commit up
+    /// to its `from`, skipping those the mirror holds already, and brings
+    /// the mirror to its frontier. One that does not fit — a mirror behind
+    /// `from`, another document, an event outside `(from, synced_ts]` or
+    /// out of order — is refused, and the mirror flags itself for a
+    /// resync.
+    #[test]
+    fn a_delta_resumes_only_a_mirror_at_or_past_its_from() {
+        let base = || {
+            let mut m = empty();
+            apply(&mut m, event(2, vec![insert(10, None, 'a')]));
+            m
+        };
+        let mut m = base();
+        let events = vec![
+            event(2, vec![insert(10, None, 'a')]),
+            event(3, vec![insert(11, Some(10), 'b')]),
+            event(5, vec![delete(10)]),
+        ];
+        m.apply_delta(1, 1, 9, events.clone()).unwrap();
+        assert_eq!((m.text(), m.synced_ts(), m.applied()), ("b".into(), 9, 3));
+        let late = vec![event(3, vec![insert(11, Some(10), 'b')])];
+        let out_of_order = vec![events[2].clone(), events[1].clone()];
+        let behind = vec![event(5, vec![delete(10)])];
+        let refused = [
+            (1, 4, 9, behind),
+            (1, 1, 4, events.clone()),
+            (1, 1, 9, out_of_order),
+            (2, 2, 9, late),
+        ];
+        for (doc, from, to, events) in refused {
+            let mut m = base();
+            assert!(m.apply_delta(doc, from, to, events).is_err());
+            assert!(m.needs_resync() && m.synced_ts() == 2);
         }
     }
 

@@ -7,8 +7,9 @@
 //! client                                  server
 //!   | -- Hello{version,user,token} ------> |   session hello / auth
 //!   | <-- Welcome{session} --------------- |   (or Error + close)
-//!   | -- Subscribe{req,name} ------------> |
+//!   | -- Subscribe{req,name,resume} -----> |   resume: a kept mirror's (doc, from)
 //!   | <-- Snapshot{req,doc,ts,runs,text} - |   full chain incl. tombstones
+//!   | <-- Delta{req,doc,from,ts,events} -- |   or the events since `from`
 //!   | -- Edit{req,doc,op} ---------------> |
 //!   | <-- EditOk{req,op,ts} -------------- |   (or EditRejected{req})
 //!   | <-- Event{...} --------------------- |   committed-op broadcast, pushed
@@ -19,14 +20,29 @@
 //!   | <-- Pong{nonce} -------------------- |
 //!   | -- Resync{req,doc} ----------------> |
 //!   | <-- Snapshot{req,doc,ts,runs,text} - |   fresh copy on request
-//!   | <-- Snapshot{0,doc,ts,runs,text} --- |   lag recovery, unasked
+//!   | <-- Snapshot{0,…} / Delta{0,…} ----- |   lag recovery, unasked
 //!   | -- Unsubscribe{doc} / Bye ---------> |
 //! ```
 //!
 //! A reply names the request it answers: `EditOk`/`EditRejected` the
-//! `Edit`'s `req`, a `Snapshot` the `Subscribe`'s or `Resync`'s (a
-//! client numbers its requests from 1). A recovery snapshot carries 0,
-//! so it can never pass for the answer to a request.
+//! `Edit`'s `req`, a `Snapshot` the `Subscribe`'s or `Resync`'s, a
+//! `Delta` the `Subscribe`'s (a client numbers its requests from 1). A
+//! recovery snapshot or delta carries 0, so it can never pass for the
+//! answer to a request.
+//!
+//! A `Subscribe` may offer a mirror the client kept when it last closed
+//! the document, as `(doc, from)`: the mirror holds every commit of `doc`
+//! at or below `from`. If the name still resolves to `doc` and the
+//! server's live document holds every commit since, the answer is a
+//! `Delta`: those commits' `Event` payloads, in commit order, and the
+//! frontier `synced_ts` they bring the mirror to — what a `Snapshot` at
+//! `synced_ts` would hold. Otherwise it is a `Snapshot`. A `Resync` is
+//! always answered by a `Snapshot`:
+//!
+//! ```text
+//! request u64, doc u64, from u64, synced_ts u64, events u32,
+//! events × (Event payload)
+//! ```
 //!
 //! A `Snapshot` lists runs, not characters: a run is a stretch of
 //! chain-consecutive characters with consecutive ids, one `deleted` flag
@@ -42,7 +58,7 @@
 //! typed [`NetError`] — malformed input from the network can never
 //! panic the process.
 
-use tendax_collab::{DocEvent, Presence, SessionId};
+use tendax_collab::{DocEvent, Join, Presence, SessionId};
 use tendax_text::{CharId, DocHandle, DocId, Effect, OpId, StyleId, UserId};
 
 use crate::error::{NetError, Result};
@@ -50,8 +66,9 @@ use crate::wire::{PayloadReader, PayloadWriter};
 
 /// Protocol version sent in `Hello`; the server rejects a mismatch.
 /// Version 2 run-codes `Snapshot` payloads and gives `Subscribe`,
-/// `Resync` and `Snapshot` a request id.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// `Resync` and `Snapshot` a request id; version 3 lets a `Subscribe`
+/// offer a kept mirror and adds the `Delta` that resumes it.
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// One character of a document snapshot (tombstones included).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -154,9 +171,13 @@ pub enum Frame {
         code: u16,
         message: String,
     },
+    /// `resume` is the `(doc, from)` of a mirror the client kept when it
+    /// last closed the document: it holds every commit of `doc` at or
+    /// below `from`.
     Subscribe {
         request: u64,
         name: String,
+        resume: Option<(u64, u64)>,
     },
     /// A document's full chain; `request` names the `Subscribe` or
     /// `Resync` it answers, 0 for an unasked recovery snapshot.
@@ -206,6 +227,17 @@ pub enum Frame {
         request: u64,
         doc: u64,
     },
+    /// The commits of `doc` above `from`, in commit order: what brings a
+    /// mirror that holds every commit up to `from` to `synced_ts`.
+    /// `request` names the `Subscribe` it answers, 0 for an unasked
+    /// recovery.
+    Delta {
+        request: u64,
+        doc: u64,
+        from: u64,
+        synced_ts: u64,
+        events: Vec<WireEvent>,
+    },
     Bye,
 }
 
@@ -228,6 +260,7 @@ const TAG_PING: u8 = 0x0E;
 const TAG_PONG: u8 = 0x0F;
 const TAG_RESYNC: u8 = 0x10;
 const TAG_BYE: u8 = 0x11;
+pub(crate) const TAG_DELTA: u8 = 0x12;
 
 const EFFECT_INSERT: u8 = 0;
 const EFFECT_DELETE: u8 = 1;
@@ -306,10 +339,7 @@ fn read_effect(r: &mut PayloadReader<'_>) -> Result<Effect> {
             old: StyleId(r.u64()?),
             new: StyleId(r.u64()?),
         }),
-        t => Err(NetError::BadPayload {
-            tag: TAG_EVENT,
-            reason: format!("unknown effect tag {t}"),
-        }),
+        t => Err(r.bad(format!("unknown effect tag {t}"))),
     }
 }
 
@@ -476,14 +506,45 @@ pub fn encode_snapshot(handle: &DocHandle, request: u64) -> Vec<u8> {
 /// the event, so a broadcast is encoded once without a `WireEvent` copy
 /// of its effect list.
 pub fn encode_event(ev: &DocEvent) -> Vec<u8> {
-    let mut w = PayloadWriter::frame(TAG_EVENT, 0);
+    let mut w = PayloadWriter::frame(TAG_EVENT, ev.wire_len());
+    write_doc_event(&mut w, ev);
+    w.into_frame()
+}
+
+/// Encode what a reader joining a live document's stream is owed,
+/// answering request `request` (0: unasked): a `Delta` if the document
+/// offers one, else its `Snapshot`.
+pub fn encode_join(at: &Join<'_>, request: u64) -> Vec<u8> {
+    let Some((from, events)) = at.delta() else {
+        return encode_snapshot(at, request);
+    };
+    let mut w = PayloadWriter::frame(TAG_DELTA, DELTA_HEADER);
+    for v in [request, at.doc().0, from, at.synced_ts()] {
+        w.u64(v);
+    }
+    w.u32(events.len() as u32);
+    for ev in events {
+        write_doc_event(&mut w, ev);
+    }
+    w.into_frame()
+}
+
+/// Bytes of a `Delta` header: request, doc, from, synced_ts and the event
+/// count.
+const DELTA_HEADER: usize = 8 * 4 + 4;
+
+/// The fewest bytes an `Event` payload takes: five ids, an empty kind, no
+/// effects.
+const EVENT_MIN: usize = 8 * 5 + 4 + 4;
+
+/// The `Event` payload of `ev`.
+fn write_doc_event(w: &mut PayloadWriter, ev: &DocEvent) {
     write_event(
-        &mut w,
+        w,
         [ev.doc.0, ev.op.0, ev.commit_ts, ev.user.0, ev.origin.0],
         &ev.kind,
         &ev.effects,
     );
-    w.into_frame()
 }
 
 /// An `Event` payload: `[doc, op, commit_ts, user, origin]`, the kind,
@@ -497,6 +558,25 @@ fn write_event(w: &mut PayloadWriter, ids: [u64; 5], kind: &str, effects: &[Effe
     for e in effects {
         write_effect(w, e);
     }
+}
+
+fn read_event(r: &mut PayloadReader<'_>) -> Result<WireEvent> {
+    let [doc, op, commit_ts, user, origin] = [r.u64()?, r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+    let kind = r.str()?;
+    let n = r.u32()? as usize;
+    let mut effects = Vec::with_capacity(n.min(r.remaining() / 9 + 1));
+    for _ in 0..n {
+        effects.push(read_effect(r)?);
+    }
+    Ok(WireEvent {
+        doc,
+        op,
+        commit_ts,
+        user,
+        origin,
+        kind,
+        effects,
+    })
 }
 
 /// A `Snapshot` payload, checked and borrowed: the header, the run
@@ -616,6 +696,7 @@ impl Frame {
             Frame::Ping { .. } => TAG_PING,
             Frame::Pong { .. } => TAG_PONG,
             Frame::Resync { .. } => TAG_RESYNC,
+            Frame::Delta { .. } => TAG_DELTA,
             Frame::Bye => TAG_BYE,
         }
     }
@@ -640,9 +721,14 @@ impl Frame {
                 w.u16(*code);
                 w.str(message);
             }
-            Frame::Subscribe { request, name } => {
+            Frame::Subscribe {
+                request,
+                name,
+                resume,
+            } => {
                 w.u64(*request);
                 w.str(name);
+                write_opt_pair(&mut w, *resume);
             }
             Frame::Snapshot {
                 request,
@@ -722,6 +808,26 @@ impl Frame {
                 w.u64(*request);
                 w.u64(*doc);
             }
+            Frame::Delta {
+                request,
+                doc,
+                from,
+                synced_ts,
+                events,
+            } => {
+                for v in [*request, *doc, *from, *synced_ts] {
+                    w.u64(v);
+                }
+                w.u32(events.len() as u32);
+                for ev in events {
+                    write_event(
+                        &mut w,
+                        [ev.doc, ev.op, ev.commit_ts, ev.user, ev.origin],
+                        &ev.kind,
+                        &ev.effects,
+                    );
+                }
+            }
             Frame::Bye => {}
         }
         w.into_frame()
@@ -745,6 +851,7 @@ impl Frame {
             TAG_SUBSCRIBE => Frame::Subscribe {
                 request: r.u64()?,
                 name: r.str()?,
+                resume: read_opt_pair(&mut r, tag)?,
             },
             TAG_SNAPSHOT => {
                 // Its own reader, which also rejects trailing bytes.
@@ -791,28 +898,7 @@ impl Frame {
                 request: r.u64()?,
                 message: r.str()?,
             },
-            TAG_EVENT => {
-                let doc = r.u64()?;
-                let op = r.u64()?;
-                let commit_ts = r.u64()?;
-                let user = r.u64()?;
-                let origin = r.u64()?;
-                let kind = r.str()?;
-                let n = r.u32()? as usize;
-                let mut effects = Vec::with_capacity(n.min(r.remaining() / 9 + 1));
-                for _ in 0..n {
-                    effects.push(read_effect(&mut r)?);
-                }
-                Frame::Event(WireEvent {
-                    doc,
-                    op,
-                    commit_ts,
-                    user,
-                    origin,
-                    kind,
-                    effects,
-                })
-            }
+            TAG_EVENT => Frame::Event(read_event(&mut r)?),
             TAG_AWARENESS => Frame::Awareness {
                 doc: r.u64()?,
                 cursor: r.opt_u64()?,
@@ -843,6 +929,30 @@ impl Frame {
                 request: r.u64()?,
                 doc: r.u64()?,
             },
+            TAG_DELTA => {
+                let [request, doc, from, synced_ts] = [r.u64()?, r.u64()?, r.u64()?, r.u64()?];
+                let n = r.u32()? as usize;
+                let mut events = Vec::with_capacity(n.min(r.remaining() / EVENT_MIN + 1));
+                for _ in 0..n {
+                    events.push(read_event(&mut r)?);
+                }
+                if from > synced_ts {
+                    return Err(r.bad(format!("from {from} is past synced_ts {synced_ts}")));
+                }
+                if let Some(ev) = events.iter().find(|ev| ev.doc != doc) {
+                    return Err(r.bad(format!(
+                        "an event of document {} in a delta of {doc}",
+                        ev.doc
+                    )));
+                }
+                Frame::Delta {
+                    request,
+                    doc,
+                    from,
+                    synced_ts,
+                    events,
+                }
+            }
             TAG_BYE => Frame::Bye,
             t => return Err(NetError::UnknownTag(t)),
         };

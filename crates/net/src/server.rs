@@ -32,20 +32,33 @@
 //!
 //! ## One step joins a stream
 //!
-//! A snapshot and the event stream behind it are started in one step,
-//! under the document's lock ([`Conn::queue_snapshot`]): the stream is
-//! entered in the registry if it is new, or made whole again if it was
-//! lost, and the snapshot frame is queued — first `Subscribe`, repeated
+//! A snapshot or a delta and the event stream behind it are started in
+//! one step, under the document's lock ([`Conn::queue_snapshot`]): the
+//! stream is entered in the registry if it is new, or made whole again if
+//! it was lost, and the frame is queued — first `Subscribe`, repeated
 //! `Subscribe`, `Resync` and the recovery of a lost stream alike. A
 //! `Snapshot{synced_ts = F}` holds every commit on its document at or
-//! below `F` (the live document's frontier), and every commit of the
-//! document appends its event to the document's outbox under that lock,
-//! which publishes them in commit order after it is let go, so no event
-//! above `F` is queued ahead of the snapshot and none goes missing behind
-//! it (events at or below `F` are dropped client-side by the ts gate).
-//! Lock order: document, hub registry, connection queue; a publisher
-//! holds neither a document's lock nor its outbox's, and takes the
-//! registry, then queues.
+//! below `F` (the live document's frontier), and a `Delta{from,
+//! synced_ts = F}` every such commit above `from`; every commit of the
+//! document appends its event to the document's tail and outbox under
+//! that lock, and the outbox publishes them in commit order after it is
+//! let go, so no event above `F` is queued ahead of the frame and none
+//! goes missing behind it (events at or below `F` are dropped client-side
+//! by the ts gate). Lock order: document, hub registry, connection queue;
+//! a publisher holds neither a document's lock nor its outbox's, and takes
+//! the registry, then queues.
+//!
+//! ## A re-open is a delta
+//!
+//! A client that closed a document keeps its mirror, and its next
+//! `Subscribe` of the name offers the mirror's `(doc, from)`. If the name
+//! still resolves to `doc` and the live document's tail holds every
+//! commit above `from` ([`tendax_collab::live`]), the answer is a `Delta`
+//! of those commits' events; else a snapshot, as for a first open. The
+//! recovery of a lost stream takes the same step, its `from` the newest
+//! commit queued on the stream — what the client's mirror will hold once
+//! it has read the queue. A `Resync` is answered by a snapshot: a mirror
+//! that asks for one is broken.
 //!
 //! ## Slow-consumer policy
 //!
@@ -54,7 +67,7 @@
 //! writer. `Event` frames are offered without waiting: when the queue is full
 //! the frame is dropped and counted as lag, and that document's stream is
 //! *lost* — further events of it are suppressed (each counted as lag)
-//! until a snapshot makes it whole: the recovery snapshot `drain` queues
+//! until a snapshot or a delta makes it whole: the recovery `drain` queues
 //! once it has emptied the queue, or the answer to a `Resync` or
 //! `Subscribe` that came first. That forgives that stream's lag and only
 //! that stream's. Neither a recovery nor a `Resync` is a read by the
@@ -83,13 +96,12 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use parking_lot::{Condvar, Mutex, RwLock};
-use tendax_collab::{CollabServer, DocEvent, EditorSession, LiveEditor, Platform, Ticket};
-use tendax_text::{DocHandle, DocId, Result as TextResult, TextError, UserId};
+use tendax_collab::{CollabServer, DocEvent, EditorSession, Join, LiveEditor, Platform, Ticket};
+use tendax_storage::Ts;
+use tendax_text::{DocId, Result as TextResult, TextError, UserId};
 
 use crate::error::{codes, NetError, Result};
-use crate::protocol::{
-    encode_event, encode_snapshot, EditOp, Frame, WirePresence, PROTOCOL_VERSION,
-};
+use crate::protocol::{encode_event, encode_join, EditOp, Frame, WirePresence, PROTOCOL_VERSION};
 use crate::wire::FrameBuffer;
 
 /// Tuning knobs of the TCP server.
@@ -154,6 +166,9 @@ pub struct NetServerStats {
     pub live_documents: u64,
     /// Snapshots encoded from a live copy: subscribe, resync, recovery.
     pub snapshots_served: u64,
+    /// Deltas served from a live document's tail instead: a re-open of a
+    /// kept mirror, a recovery.
+    pub deltas_served: u64,
     /// Live copies built from the database: a first subscriber, or a copy
     /// found stale. `snapshots_served` over this = opens per chain walk.
     pub live_loads: u64,
@@ -194,8 +209,11 @@ pub enum Step {
 #[derive(Debug, Default)]
 struct Stream {
     /// A frame was dropped: nothing more of this document is sent until
-    /// a snapshot makes the stream whole again.
+    /// a snapshot or a delta makes the stream whole again.
     lost: bool,
+    /// The newest commit queued: the frontier of a mirror that has read
+    /// the queue.
+    frontier: Ts,
     /// Frames dropped or suppressed since the stream was last whole.
     lagged: u64,
 }
@@ -257,12 +275,13 @@ impl OutQueue {
         }
     }
 
-    /// Queue `snapshot`, the answer to `request` (0: unasked), and make
-    /// `doc`'s stream whole behind it, its lag forgiven and no other
-    /// stream's: entered if `new`, else only if it stands — a stream
-    /// closed by `Unsubscribe` is never reopened — and, for an unasked
-    /// snapshot, only if it is still lost. `false` if nothing was queued.
-    fn queue_snapshot(&self, doc: DocId, request: u64, new: bool, snapshot: Bytes) -> bool {
+    /// Queue `snapshot` (or a delta), the answer to `request` (0:
+    /// unasked), with frontier `at`, and make `doc`'s stream whole behind
+    /// it, its lag forgiven and no other stream's: entered if `new`, else
+    /// only if it stands — a stream closed by `Unsubscribe` is never
+    /// reopened — and, for an unasked snapshot, only if it is still lost.
+    /// `false` if nothing was queued.
+    fn queue_snapshot(&self, doc: DocId, request: u64, new: bool, at: Ts, snapshot: Bytes) -> bool {
         let mut s = self.state.lock();
         let s = &mut *s;
         if s.closing {
@@ -277,6 +296,7 @@ impl OutQueue {
             }
         };
         stream.lost = false;
+        stream.frontier = stream.frontier.max(at);
         s.lagged -= std::mem::take(&mut stream.lagged);
         s.frames.push_back(snapshot);
         self.wake_writer(s);
@@ -291,23 +311,24 @@ impl OutQueue {
         }
     }
 
-    /// The documents whose streams are lost, in order: each is owed a
-    /// recovery snapshot.
-    fn lost(&self) -> Vec<DocId> {
+    /// The documents whose streams are lost, in order, each with its
+    /// frontier: each is owed a recovery.
+    fn lost(&self) -> Vec<(DocId, Ts)> {
         let s = self.state.lock();
-        let mut docs: Vec<DocId> = s
+        let mut docs: Vec<(DocId, Ts)> = s
             .streams
             .iter()
-            .filter_map(|(doc, st)| st.lost.then_some(*doc))
+            .filter_map(|(doc, st)| st.lost.then_some((*doc, st.frontier)))
             .collect();
         docs.sort_unstable();
         docs
     }
 
-    /// Offer one of `doc`'s events without waiting. Full queue = drop,
-    /// lag, and the stream is lost until a snapshot makes it whole; lag
-    /// past the limit cuts the connection, here and now.
-    fn queue_event(&self, doc: DocId, frame: &Bytes) {
+    /// Offer the event of `doc`'s commit at `ts` without waiting. Full
+    /// queue = drop, lag, and the stream is lost until a snapshot or a
+    /// delta makes it whole; lag past the limit cuts the connection, here
+    /// and now.
+    fn queue_event(&self, doc: DocId, ts: Ts, frame: &Bytes) {
         let mut s = self.state.lock();
         let s = &mut *s;
         if s.closing {
@@ -317,6 +338,7 @@ impl OutQueue {
             return;
         };
         if !stream.lost && s.frames.len() < self.capacity {
+            stream.frontier = stream.frontier.max(ts);
             s.frames.push_back(Arc::clone(frame));
             self.wake_writer(s);
             bump(&self.stats.events_forwarded);
@@ -480,7 +502,7 @@ impl Hub {
         if let Some(queues) = subscribers.get(&ev.doc) {
             let frame: Bytes = encode_event(ev).into();
             for queue in queues {
-                queue.queue_event(ev.doc, &frame);
+                queue.queue_event(ev.doc, ev.commit_ts, &frame);
             }
         }
     }
@@ -525,6 +547,7 @@ impl Hub {
             socket_writes: cell(&s.socket_writes),
             live_documents: live.documents as u64,
             snapshots_served: live.snapshots,
+            deltas_served: live.deltas,
             live_loads: live.loads,
         }
     }
@@ -592,9 +615,9 @@ impl Conn {
     }
 
     /// Hand out every queued frame and, the queue being empty, the
-    /// recovery snapshot of each lost stream with whatever was queued
-    /// behind it. `false` once the connection is closed: `out` then ends
-    /// with its last frame.
+    /// recovery of each lost stream — a delta from its frontier, or a
+    /// snapshot — with whatever was queued behind it. `false` once the
+    /// connection is closed: `out` then ends with its last frame.
     pub fn drain(&self, hub: &Hub, out: &mut Vec<Bytes>) -> bool {
         if !self.queue.take(out) {
             return false;
@@ -603,37 +626,46 @@ impl Conn {
         if lost.is_empty() {
             return true;
         }
-        for doc in lost {
+        for (doc, frontier) in lost {
             // The client cannot be made consistent: say why and close.
-            if let Err(e) = self.snapshot_again(hub, doc, 0) {
+            if let Err(e) = self.snapshot_again(hub, doc, 0, Some(frontier)) {
                 self.queue.kill(Some(no_snapshot(doc, &e).encode().into()));
             }
         }
         self.queue.take(out)
     }
 
-    /// The one way a snapshot reaches a connection, run by the live
-    /// document under its lock (see "One step joins a stream" in the
-    /// module docs): encode `h` as the answer to `request` (0: unasked),
-    /// enter the document's stream in the registry if `new`, and queue
-    /// the snapshot with the stream whole behind it. `false` if nothing
-    /// was queued: the connection or the stream was closed, or the stream
-    /// made whole, meanwhile.
-    fn queue_snapshot(&self, hub: &Hub, h: &DocHandle, request: u64, new: bool) -> bool {
-        let snapshot = encode_snapshot(h, request).into();
+    /// The one way a snapshot or a delta reaches a connection, run by the
+    /// live document under its lock (see "One step joins a stream" in the
+    /// module docs): encode `at` — a delta if it offers one — as the answer
+    /// to `request` (0: unasked), enter the document's stream in the
+    /// registry if `new`, and queue the frame with the stream whole behind
+    /// it. `false` if nothing was queued: the connection or the stream was
+    /// closed, or the stream made whole, meanwhile.
+    fn queue_snapshot(&self, hub: &Hub, at: &Join<'_>, request: u64, new: bool) -> bool {
+        let frame = encode_join(at, request).into();
         if new {
-            hub.subscribe(h.doc(), &self.queue);
+            hub.subscribe(at.doc(), &self.queue);
         }
-        self.queue.queue_snapshot(h.doc(), request, new, snapshot)
+        let frontier = at.synced_ts();
+        self.queue
+            .queue_snapshot(at.doc(), request, new, frontier, frame)
     }
 
     /// [`Conn::queue_snapshot`] onto the stream of a subscribed `doc`, as
-    /// a transport repair: checks `Read` and records nothing. `Ok(false)`
-    /// if nothing was queued.
-    fn snapshot_again(&self, hub: &Hub, doc: DocId, request: u64) -> TextResult<bool> {
+    /// a transport repair — a delta from `from` if given and the document
+    /// can, else a snapshot: checks `Read` and records nothing.
+    /// `Ok(false)` if nothing was queued.
+    fn snapshot_again(
+        &self,
+        hub: &Hub,
+        doc: DocId,
+        request: u64,
+        from: Option<Ts>,
+    ) -> TextResult<bool> {
         let user = *self.user.get().expect("subscriptions follow the handshake");
-        let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, false);
-        Ok(hub.collab.live().snapshot(doc, user, queue)? == Some(true))
+        let queue = |at: &Join<'_>| self.queue_snapshot(hub, at, request, false);
+        Ok(hub.collab.live().join(doc, user, from, queue)? == Some(true))
     }
 
     fn reply(&self, frame: Frame) {
@@ -695,7 +727,11 @@ impl Conn {
     ) -> Result<Broadcast> {
         let collab = &hub.collab;
         match frame {
-            Frame::Subscribe { request, name } => {
+            Frame::Subscribe {
+                request,
+                name,
+                resume,
+            } => {
                 let doc = match collab.textdb().document_by_name(&name) {
                     Ok(doc) => doc,
                     Err(e) => {
@@ -706,15 +742,17 @@ impl Conn {
                         return Ok(Broadcast::default());
                     }
                 };
-                // Opened again while open: one more read, one more snapshot.
+                // A kept mirror is resumed only if it is of this document.
+                let from = resume.filter(|&(of, _)| of == doc.0).map(|(_, from)| from);
+                // Opened again while open: one more read, one more answer.
                 if let Some(editor) = subs.get(&doc) {
-                    let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, false);
-                    self.answer_snapshot(doc, editor.reopen(queue));
+                    let queue = |at: &Join<'_>| self.queue_snapshot(hub, at, request, false);
+                    self.answer_snapshot(doc, editor.reopen(from, queue));
                     return Ok(Broadcast::default());
                 }
-                // Nothing is registered until the snapshot is queued.
-                let queue = |h: &DocHandle| self.queue_snapshot(hub, h, request, true);
-                match session.open_live(doc, queue) {
+                // Nothing is registered until the answer is queued.
+                let queue = |at: &Join<'_>| self.queue_snapshot(hub, at, request, true);
+                match session.open_live(doc, from, queue) {
                     Ok((editor, _)) => {
                         subs.insert(doc, editor);
                     }
@@ -787,7 +825,10 @@ impl Conn {
             Frame::Resync { request, doc } => {
                 let doc = DocId(doc);
                 match subs.contains_key(&doc) {
-                    true => self.answer_snapshot(doc, self.snapshot_again(hub, doc, request)),
+                    true => {
+                        let queued = self.snapshot_again(hub, doc, request, None);
+                        self.answer_snapshot(doc, queued);
+                    }
                     false => self.reply(not_subscribed()),
                 }
             }
@@ -1144,7 +1185,7 @@ mod tests {
                 )
             };
             let before = counts();
-            self.queue_event(doc, frame);
+            self.queue_event(doc, 0, frame);
             match (counts().0 - before.0, counts().1 - before.1) {
                 (1, 0) => Offered::Queued,
                 (0, 1) => Offered::Dropped,
@@ -1182,8 +1223,8 @@ mod tests {
         assert_eq!(drain(&q), [frame(1), frame(2)]);
         assert_eq!(q.push_event(DOC, &frame(4)), Offered::Dropped);
         assert_eq!(q.lagged(), 2);
-        assert_eq!(q.lost(), [DOC]);
-        assert!(q.queue_snapshot(DOC, 0, false, frame(9)));
+        assert_eq!(q.lost(), [(DOC, 0)]);
+        assert!(q.queue_snapshot(DOC, 0, false, 0, frame(9)));
         assert!(q.lost().is_empty());
         assert_eq!(q.lagged(), 0);
         assert_eq!(q.push_event(DOC, &frame(5)), Offered::Queued);
@@ -1212,15 +1253,15 @@ mod tests {
         // goes with the old stream, and the new one starts whole.
         q.close_stream(right);
         assert_eq!(q.lagged(), 3);
-        assert!(q.queue_snapshot(right, 1, true, frame(8)));
-        assert_eq!(q.lost(), [left]);
+        assert!(q.queue_snapshot(right, 1, true, 0, frame(8)));
+        assert_eq!(q.lost(), [(left, 0)]);
         for _ in 0..5 {
             assert_eq!(q.push_event(right, &frame(2)), Offered::Dropped);
         }
         // `left` is recovered: only its lag is forgiven.
-        assert!(q.queue_snapshot(left, 0, false, frame(9)));
+        assert!(q.queue_snapshot(left, 0, false, 0, frame(9)));
         assert_eq!(q.lagged(), 5);
-        assert_eq!(q.lost(), [right]);
+        assert_eq!(q.lost(), [(right, 0)]);
     }
 
     /// A snapshot asked for (`Resync`, `Subscribe` again) makes a lost
@@ -1232,13 +1273,13 @@ mod tests {
         let q = queue(1, &[DOC]);
         assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Dropped);
-        assert!(q.queue_snapshot(DOC, 4, false, frame(8)));
-        assert!(!q.queue_snapshot(DOC, 0, false, frame(9)));
+        assert!(q.queue_snapshot(DOC, 4, false, 0, frame(8)));
+        assert!(!q.queue_snapshot(DOC, 0, false, 0, frame(9)));
         assert_eq!((q.lost(), q.lagged()), (vec![], 0));
         assert_eq!(drain(&q), [frame(1), frame(8)]);
         q.close_stream(DOC);
-        assert!(!q.queue_snapshot(DOC, 0, false, frame(9)));
-        assert!(!q.queue_snapshot(DOC, 5, false, frame(9)));
+        assert!(!q.queue_snapshot(DOC, 0, false, 0, frame(9)));
+        assert!(!q.queue_snapshot(DOC, 5, false, 0, frame(9)));
         assert_eq!(q.push_event(DOC, &frame(3)), Offered::Nowhere);
         assert!(drain(&q).is_empty());
     }
@@ -1371,7 +1412,15 @@ mod tests {
             };
             conn.on_frame(&hub, hello);
             let name = "doc".into();
-            conn.on_frame(&hub, Frame::Subscribe { request: 1, name });
+            let resume = None;
+            conn.on_frame(
+                &hub,
+                Frame::Subscribe {
+                    request: 1,
+                    name,
+                    resume,
+                },
+            );
             assert_eq!(snapshots(&handed_out(&hub, &conn)), [1]);
             conn
         });
@@ -1422,6 +1471,43 @@ mod tests {
         assert!(matches!(frames[..], [Frame::Event(_)]), "{frames:?}");
     }
 
+    /// A `Subscribe` that offers a kept mirror of another document — the
+    /// name now resolves elsewhere — is answered by a snapshot; one that
+    /// offers a mirror of this document, at its frontier, by a delta.
+    #[test]
+    fn a_kept_mirror_is_resumed_only_if_the_name_still_names_its_document() {
+        let (hub, conns, doc) = subscribed(NetConfig::default(), &["alice", "bob"]);
+        let [alice, _] = &conns[..] else {
+            unreachable!("two users")
+        };
+        alice.on_frame(&hub, Frame::Unsubscribe { doc });
+        let frontier = hub
+            .collab
+            .live()
+            .snapshot(DocId(doc), UserId(1), |h| h.synced_ts());
+        let frontier = frontier.unwrap().expect("bob holds it");
+        for (of, delta) in [(doc + 1, false), (doc, true)] {
+            let name = "doc".into();
+            let resume = Some((of, frontier));
+            alice.on_frame(
+                &hub,
+                Frame::Subscribe {
+                    request: 7,
+                    name,
+                    resume,
+                },
+            );
+            let frames = handed_out(&hub, alice);
+            let answered = match frames[..] {
+                [Frame::Snapshot { request: 7, .. }] => false,
+                [Frame::Delta { request: 7, .. }] => true,
+                _ => panic!("{frames:?}"),
+            };
+            assert_eq!(answered, delta, "resuming a mirror of {of}: {frames:?}");
+            alice.on_frame(&hub, Frame::Unsubscribe { doc });
+        }
+    }
+
     /// A repeated `Subscribe` is one more read and one more snapshot, and
     /// leaves the stream as it was: one stream, events queued behind.
     #[test]
@@ -1433,7 +1519,15 @@ mod tests {
         let reads = || hub.collab.textdb().read_count(DocId(doc)).unwrap();
         assert_eq!(reads(), 2);
         let name = "doc".into();
-        alice.on_frame(&hub, Frame::Subscribe { request: 2, name });
+        let resume = None;
+        alice.on_frame(
+            &hub,
+            Frame::Subscribe {
+                request: 2,
+                name,
+                resume,
+            },
+        );
         assert_eq!(snapshots(&handed_out(&hub, alice)), [2]);
         assert_eq!(reads(), 3);
         type_one(&hub, bob, doc, 2);

@@ -162,7 +162,7 @@ impl<'a> PayloadReader<'a> {
         Ok(s)
     }
 
-    fn bad(&self, reason: impl Into<String>) -> NetError {
+    pub(crate) fn bad(&self, reason: impl Into<String>) -> NetError {
         NetError::BadPayload {
             tag: self.tag,
             reason: reason.into(),

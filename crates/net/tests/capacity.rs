@@ -128,6 +128,7 @@ fn stalled_subscriber(addr: std::net::SocketAddr, user: &str, docs: &[&str]) -> 
             &Frame::Subscribe {
                 request,
                 name: (*doc).into(),
+                resume: None,
             }
             .encode(),
         )
@@ -438,7 +439,8 @@ fn transport_repairs_are_not_recorded_as_reads() {
     let mut buf = tendax_net::FrameBuffer::default();
     let mut scratch = vec![0u8; 64 * 1024];
     let mut mirror: Option<tendax_net::MirrorDoc> = None;
-    let mut snapshots = 0;
+    // Snapshots and deltas: the subscription's answer and the recoveries.
+    let mut joins = 0;
     // Typed at the end: a mirror integrates a typing run in place.
     let blob = "x".repeat(1024);
     let mut typed = 0;
@@ -464,8 +466,19 @@ fn transport_repairs_are_not_recorded_as_reads() {
                         chars,
                         ..
                     } => {
-                        snapshots += 1;
+                        joins += 1;
                         mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap());
+                    }
+                    Frame::Delta {
+                        doc,
+                        from,
+                        synced_ts,
+                        events,
+                        ..
+                    } => {
+                        joins += 1;
+                        let mirror = mirror.as_mut().expect("snapshot first");
+                        mirror.apply_delta(doc, from, synced_ts, events).unwrap();
                     }
                     Frame::Event(ev) => {
                         let mirror = mirror.as_mut().expect("snapshot first");
@@ -489,7 +502,7 @@ fn transport_repairs_are_not_recorded_as_reads() {
     for _ in 0..3 {
         good.resync(doc).unwrap();
     }
-    assert!(snapshots >= 3, "one subscribe, two recoveries: {snapshots}");
+    assert!(joins >= 3, "one subscribe, two recoveries: {joins}");
     assert_eq!(
         mirror.unwrap().text(),
         collab.textdb().document_text(id).unwrap()

@@ -1,16 +1,18 @@
 //! Wire-codec conformance: every frame type round-trips through
 //! encode → FrameBuffer → decode, and every class of malformed input
 //! yields a typed error — never a panic, never a silent misparse.
-//! `any_snapshot_round_trips_through_the_run_coder` is a proptest: it
-//! prints `PROPTEST_SEED=<n>` on failure.
+//! `any_snapshot_round_trips_through_the_run_coder` and
+//! `any_delta_and_subscription_round_trip` are proptests: they print
+//! `PROPTEST_SEED=<n>` on failure.
 
 use std::collections::HashSet;
 
 use proptest::prelude::*;
-use tendax_net::protocol::{encode_event, encode_snapshot};
+use tendax_collab::{CollabServer, DocEvent, Platform};
+use tendax_net::protocol::{encode_event, encode_join, encode_snapshot};
 use tendax_net::{
-    codes, EditOp, Frame, FrameBuffer, MirrorDoc, NetError, WireChar, WireEvent, WirePresence,
-    PROTOCOL_VERSION,
+    codes, Conn, EditOp, Frame, FrameBuffer, Hub, MirrorDoc, NetConfig, NetError, Step, WireChar,
+    WireEvent, WirePresence, PROTOCOL_VERSION,
 };
 use tendax_text::{CharId, DocId, Effect, StyleId, TextDb, UserId};
 
@@ -68,6 +70,12 @@ fn exemplars() -> Vec<Frame> {
         Frame::Subscribe {
             request: 5,
             name: "minutes".into(),
+            resume: None,
+        },
+        Frame::Subscribe {
+            request: 6,
+            name: "mïnutes".into(),
+            resume: Some((3, u64::MAX)),
         },
         Frame::Snapshot {
             request: 5,
@@ -136,7 +144,7 @@ fn exemplars() -> Vec<Frame> {
             user: 7,
             origin: 12,
             kind: "insert".into(),
-            effects,
+            effects: effects.clone(),
         }),
         Frame::Event(WireEvent {
             doc: 3,
@@ -176,6 +184,39 @@ fn exemplars() -> Vec<Frame> {
         Frame::Resync {
             request: u64::MAX,
             doc: 3,
+        },
+        Frame::Delta {
+            request: 6,
+            doc: 3,
+            from: 77,
+            synced_ts: 905,
+            events: vec![
+                WireEvent {
+                    doc: 3,
+                    op: 900,
+                    commit_ts: 901,
+                    user: 7,
+                    origin: 12,
+                    kind: "insert".into(),
+                    effects: effects.clone(),
+                },
+                WireEvent {
+                    doc: 3,
+                    op: 901,
+                    commit_ts: 902,
+                    user: 7,
+                    origin: 12,
+                    kind: String::new(),
+                    effects: vec![],
+                },
+            ],
+        },
+        Frame::Delta {
+            request: 0,
+            doc: 4,
+            from: u64::MAX,
+            synced_ts: u64::MAX,
+            events: vec![],
         },
         Frame::Bye,
     ]
@@ -263,7 +304,7 @@ fn trailing_garbage_is_rejected_for_every_frame() {
 
 #[test]
 fn unknown_tag_is_a_typed_error() {
-    for tag in [0x00u8, 0x12, 0x7F, 0xFF] {
+    for tag in [0x00u8, 0x13, 0x7F, 0xFF] {
         match Frame::decode(tag, &[]) {
             Err(NetError::UnknownTag(t)) => assert_eq!(t, tag),
             other => panic!("tag 0x{tag:02x}: {other:?}"),
@@ -294,6 +335,7 @@ fn mid_frame_cut_never_yields_a_frame() {
     let bytes = Frame::Subscribe {
         request: 1,
         name: "minutes".into(),
+        resume: None,
     }
     .encode();
     for cut in 0..bytes.len() {
@@ -425,12 +467,146 @@ fn broadcast_of_a_doc_event_is_the_frame_encoding() {
     let mut events = 0;
     for frame in exemplars() {
         let Frame::Event(wire) = &frame else { continue };
-        let ev = tendax_collab::DocEvent::from(wire.clone());
+        let ev = DocEvent::from(wire.clone());
         assert_eq!(encode_event(&ev), frame.encode());
+        // What a live document's tail weighs its events by.
+        assert_eq!(encode_event(&ev).len(), 5 + ev.wire_len());
         assert_eq!(WireEvent::from(&ev), *wire);
         events += 1;
     }
     assert_eq!(events, 2);
+}
+
+/// The server writes a `Delta` straight from a live document's tail; it
+/// must be the `Frame::Delta` encoding of the same events, byte for byte,
+/// and resume a mirror to what a snapshot at its frontier shows.
+#[test]
+fn delta_of_a_live_document_is_the_frame_encoding() {
+    let tdb = TextDb::in_memory();
+    let user = tdb.create_user("u").unwrap();
+    let doc = tdb.create_document("d", user).unwrap();
+    let collab = CollabServer::new(tdb);
+    let session = collab.connect("u", Platform::Linux).unwrap();
+    let mut editor = session.open_id(doc).unwrap();
+    // Room in the tail: it holds as many bytes of events as the document
+    // has characters.
+    let filler = ".".repeat(400);
+    editor.type_text(0, &filler).unwrap();
+    editor.type_text(0, "delta∂ 𝄞").unwrap();
+    let join = |from| {
+        let live = collab.live();
+        let encoded = live.join(doc, user, from, |at| {
+            let events: Vec<WireEvent> = match at.delta() {
+                Some((_, events)) => events.map(WireEvent::from).collect(),
+                None => Vec::new(),
+            };
+            (encode_join(at, 4), at.synced_ts(), events)
+        });
+        encoded.unwrap().expect("live")
+    };
+    let (snapshot, from, _) = join(None);
+    let kept = MirrorDoc::from_snapshot_payload(&snapshot[5..]).unwrap();
+    editor.type_text(2, "!").unwrap();
+    editor.delete(0, 3).unwrap();
+    let (bytes, synced_ts, events) = join(Some(from));
+    assert_eq!(events.len(), 2);
+    let as_frame = Frame::Delta {
+        request: 4,
+        doc: doc.0,
+        from,
+        synced_ts,
+        events: events.clone(),
+    };
+    assert_eq!(bytes, as_frame.encode());
+    // The layout: the header, then each event's payload as it travels
+    // alone.
+    let mut spelled = Vec::new();
+    for v in [4, doc.0, from, synced_ts] {
+        spelled.extend_from_slice(&v.to_le_bytes());
+    }
+    spelled.extend_from_slice(&2u32.to_le_bytes());
+    for ev in &events {
+        spelled.extend_from_slice(&Frame::Event(ev.clone()).encode()[5..]);
+    }
+    assert_eq!(bytes[5..], spelled);
+
+    let mut resumed = kept;
+    resumed.apply_delta(doc.0, from, synced_ts, events).unwrap();
+    let (fresh, _, _) = join(None);
+    let fresh = MirrorDoc::from_snapshot_payload(&fresh[5..]).unwrap();
+    assert_eq!(
+        resumed.chars().collect::<Vec<_>>(),
+        fresh.chars().collect::<Vec<_>>()
+    );
+    let text = format!("lta∂ 𝄞{filler}");
+    assert_eq!((resumed.synced_ts(), resumed.text()), (synced_ts, text));
+}
+
+/// A `Delta` whose events name another document, or whose `from` is past
+/// its `synced_ts`, is a typed `BadPayload`: no mirror could resume from
+/// it.
+#[test]
+fn hostile_deltas_are_typed_errors() {
+    let event = |doc| WireEvent {
+        doc,
+        op: 1,
+        commit_ts: 5,
+        user: 1,
+        origin: 1,
+        kind: "insert".into(),
+        effects: vec![],
+    };
+    let delta = |from, synced_ts, events| Frame::Delta {
+        request: 1,
+        doc: 3,
+        from,
+        synced_ts,
+        events,
+    };
+    let cases = [
+        (delta(4, 9, vec![event(3), event(4)]), "document 4"),
+        (delta(10, 9, vec![]), "past synced_ts"),
+    ];
+    for (frame, why) in cases {
+        let bytes = frame.encode();
+        match Frame::decode(frame.tag(), &bytes[5..]) {
+            Err(NetError::BadPayload { tag, reason }) => {
+                assert_eq!(tag, frame.tag());
+                assert!(reason.contains(why), "{reason}");
+            }
+            other => panic!("{frame:?} decoded as {other:?}"),
+        }
+    }
+}
+
+/// A client of protocol version 2 — its `Subscribe` offers no kept mirror
+/// and it knows no `Delta` — is refused at the handshake with `AUTH`.
+#[test]
+fn a_version_2_hello_is_refused_with_auth() {
+    assert_eq!(PROTOCOL_VERSION, 3);
+    let tdb = TextDb::in_memory();
+    tdb.create_user("alice").unwrap();
+    let hub = Hub::new(CollabServer::new(tdb), NetConfig::default());
+    let conn = Conn::new(&hub);
+    let hello = Frame::Hello {
+        version: 2,
+        user: "alice".into(),
+        platform: "Linux".into(),
+        token: String::new(),
+    };
+    assert_eq!(conn.on_frame(&hub, hello).0, Step::Closed);
+    let mut out = Vec::new();
+    assert!(!conn.drain(&hub, &mut out));
+    let mut buf = FrameBuffer::default();
+    buf.extend(&out[0]);
+    let (tag, payload) = buf.next_frame().unwrap().expect("one whole frame");
+    match Frame::decode(tag, payload) {
+        Ok(Frame::Error { code, message }) => {
+            assert_eq!(code, codes::AUTH);
+            assert!(message.contains("version 2"), "{message}");
+        }
+        other => panic!("a version 2 hello got {other:?}"),
+    }
 }
 
 /// `payload` is refused by the frame decoder and by a mirror, as a bad
@@ -763,5 +939,101 @@ proptest! {
             }
             Err(e) => prop_assert!(false, "unexpected {:?}", e),
         }
+    }
+}
+
+// ---------------------------------------------- delta and subscribe proptest
+
+/// Any effect, with edge values in its ids and optional fields.
+fn arb_effect() -> impl Strategy<Value = Effect> {
+    let id = prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()];
+    let insert = (
+        id.clone(),
+        proptest::option::of(id.clone()),
+        (1u8..5, any::<u32>()),
+        (
+            any::<u64>(),
+            any::<i64>(),
+            any::<u64>(),
+            any::<u64>(),
+            any::<u64>(),
+        ),
+        proptest::option::of(".{0,12}"),
+    )
+        .prop_map(
+            |(char, prev, (bytes, n), (author, ts, style, src_doc, src_char), external)| {
+                Effect::Insert {
+                    char: CharId(char),
+                    prev: prev.map(CharId),
+                    ch: char_of(bytes, n),
+                    author: UserId(author),
+                    ts,
+                    style: StyleId(style),
+                    src_doc: DocId(src_doc),
+                    src_char: CharId(src_char),
+                    external,
+                }
+            },
+        );
+    prop_oneof![
+        insert,
+        (id.clone(), any::<u64>(), any::<i64>()).prop_map(|(char, by, ts)| Effect::Delete {
+            char: CharId(char),
+            by: UserId(by),
+            ts,
+        }),
+        id.clone()
+            .prop_map(|char| Effect::Undelete { char: CharId(char) }),
+        (id, any::<u64>(), any::<u64>()).prop_map(|(char, old, new)| Effect::SetStyle {
+            char: CharId(char),
+            old: StyleId(old),
+            new: StyleId(new),
+        }),
+    ]
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any `Delta` — events of every effect kind, any kind strings, any
+    /// frontiers with `from ≤ synced_ts` — and any `Subscribe`, with or
+    /// without a kept mirror, survive encode and decode; a delta is its
+    /// header and its events' payloads, each weighing what
+    /// [`DocEvent::wire_len`] says.
+    #[test]
+    fn any_delta_and_subscription_round_trip(
+        header in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        events in proptest::collection::vec(
+            ((any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()), ".{0,8}",
+             proptest::collection::vec(arb_effect(), 0..5)),
+            0..6,
+        ),
+        name in ".{0,16}",
+        resume in proptest::option::of((any::<u64>(), any::<u64>())),
+    ) {
+        let (request, doc, from, span) = header;
+        let events: Vec<WireEvent> = events
+            .into_iter()
+            .map(|((op, commit_ts, user, origin), kind, effects)| WireEvent {
+                doc, op, commit_ts, user, origin, kind, effects,
+            })
+            .collect();
+        let weights: Vec<usize> = events
+            .iter()
+            .map(|ev| DocEvent::from(ev.clone()).wire_len())
+            .collect();
+        for (ev, &weight) in events.iter().zip(&weights) {
+            let alone = Frame::Event(ev.clone()).encode();
+            prop_assert_eq!(alone.len(), 5 + weight);
+        }
+        let synced_ts = from.saturating_add(span);
+        let frame = Frame::Delta { request, doc, from, synced_ts, events };
+        let bytes = frame.encode();
+        prop_assert_eq!(bytes.len(), 5 + 36 + weights.iter().sum::<usize>());
+        prop_assert_eq!(Frame::decode(frame.tag(), &bytes[5..]).unwrap(), frame);
+
+        let subscribe = Frame::Subscribe { request, name, resume };
+        let bytes = subscribe.encode();
+        prop_assert_eq!(Frame::decode(subscribe.tag(), &bytes[5..]).unwrap(), subscribe);
     }
 }

@@ -8,10 +8,16 @@
 //! in the live document but never durable, so the typist is answered
 //! `EditRejected` and no connection is ever handed that commit's `Event`.
 //! A `Resync` still brings the watcher's mirror to the live document.
+//!
+//! The live document's tail stops vouching for anything up to the refused
+//! commit once its ticket is withdrawn: a mirror kept from before it —
+//! the watcher's, before its resync — is answered by a snapshot, one from
+//! after it by a delta, and no `Delta` carries the refused commit.
 
 use std::sync::Arc;
 
 use tendax_collab::CollabServer;
+use tendax_net::protocol::encode_join;
 use tendax_net::{Bytes, Conn, EditOp, Frame, FrameBuffer, Hub, MirrorDoc, NetConfig};
 use tendax_storage::{Database, DurabilityLevel, Options, SimVfs};
 use tendax_text::{DocId, TextDb};
@@ -61,7 +67,15 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
     let tdb = TextDb::init(Database::open("/sim/events.wal", options).unwrap()).unwrap();
     let alice = tdb.create_user("alice").unwrap();
     tdb.create_user("bob").unwrap();
-    let doc = tdb.create_document("doc", alice).unwrap().0;
+    let doc = tdb.create_document("doc", alice).unwrap();
+    // Room in the live document's tail: it holds as many bytes of events
+    // as the document has characters.
+    let filler = "·".repeat(1_000);
+    tdb.open(doc, alice)
+        .unwrap()
+        .insert_text(0, &filler)
+        .unwrap();
+    let doc = doc.0;
     let collab = CollabServer::new(tdb);
     let hub = Hub::new(collab.clone(), NetConfig::default());
     let [typist, watcher] = ["alice", "bob"].map(|user| {
@@ -78,6 +92,7 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
             Frame::Subscribe {
                 request: 1,
                 name: "doc".into(),
+                resume: None,
             },
         );
         conn
@@ -101,10 +116,12 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
         "{landed:?}"
     );
     mirror(&mut watched, handed_out(&hub, &watcher));
-    assert_eq!(watched.as_ref().unwrap().text(), "kept ");
+    assert_eq!(watched.as_ref().unwrap().text(), format!("kept {filler}"));
 
+    let before = watched.as_ref().unwrap().synced_ts();
     vfs.fail_next_syncs(1);
     let refused = edit(3, "lost ");
+    let refused_ts = collab.textdb().database().last_commit_ts();
     assert!(
         matches!(refused[..], [Frame::EditRejected { .. }]),
         "{refused:?}"
@@ -116,7 +133,32 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
     watcher.on_frame(&hub, Frame::Resync { request: 2, doc });
     mirror(&mut watched, handed_out(&hub, &watcher));
     let live = collab.live().snapshot(DocId(doc), alice, |h| h.text());
-    assert_eq!(live.unwrap().unwrap(), "lost kept ");
-    assert_eq!(watched.unwrap().text(), "lost kept ");
+    let text = format!("lost kept {filler}");
+    assert_eq!(live.unwrap().unwrap(), text);
+    assert_eq!(watched.unwrap().text(), text);
     assert!(handed_out(&hub, &typist).is_empty());
+
+    // What a mirror kept at `from` is answered: the log is poisoned now,
+    // so no open can record its read, but the answer is the one a
+    // re-open or a recovery gets.
+    let answer = |from| {
+        let join = collab.live().join(DocId(doc), alice, Some(from), |at| {
+            let bytes = encode_join(at, 0);
+            Frame::decode(bytes[4], &bytes[5..]).unwrap()
+        });
+        join.unwrap().expect("live")
+    };
+    assert!(before < refused_ts);
+    let kept = answer(before);
+    assert!(matches!(kept, Frame::Snapshot { .. }), "{kept:?}");
+    let after = collab.live().snapshot(DocId(doc), alice, |h| h.synced_ts());
+    match answer(after.unwrap().unwrap()) {
+        Frame::Delta { events, .. } => {
+            assert!(
+                events.iter().all(|ev| ev.commit_ts != refused_ts),
+                "{events:?}"
+            )
+        }
+        other => panic!("a mirror past the refused commit got {other:?}"),
+    }
 }

@@ -1,16 +1,17 @@
 //! The server's live documents, over real sockets: the frontier a
 //! snapshot names, equality with the database under random
 //! interleavings and under races with in-process editors, what a second
-//! open costs, and the life cycle.
+//! open costs, and the life cycle; and, in process, the delta a kept
+//! mirror is resumed by, against a fresh load.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 use rand::{rngs::SmallRng, Rng, SeedableRng};
-use tendax_collab::{CollabServer, EditorDoc, Platform};
-use tendax_net::protocol::encode_snapshot;
-use tendax_net::{NetClient, NetConfig, NetServer};
+use tendax_collab::{CollabServer, DocEvent, EditorDoc, Platform};
+use tendax_net::protocol::{encode_join, encode_snapshot};
+use tendax_net::{Frame, MirrorDoc, NetClient, NetConfig, NetServer, WireChar};
 use tendax_storage::Ts;
 use tendax_text::{DocId, EditReceipt, TextDb, TextError, UserId};
 
@@ -408,4 +409,214 @@ fn last_subscriber_out_drops_the_live_document() {
     let stats = server.stats();
     assert_eq!((stats.live_documents, stats.live_loads), (1, 2));
     assert_eq!(stats.snapshots_served, 3);
+}
+
+/// What `collab`'s live `doc` answers a reader at `from` (none: a first
+/// open), decoded, with the tail's `complete_since` and the copy's
+/// `chain_len`; `None` if the document is not live.
+fn answer(collab: &CollabServer, doc: DocId, from: Option<Ts>) -> Option<(Frame, Ts, usize)> {
+    let reader = UserId(1);
+    let answered = collab.live().join(doc, reader, from, |at| {
+        let bytes = encode_join(at, 0);
+        let frame = Frame::decode(bytes[4], &bytes[5..]).unwrap();
+        (frame, at.complete_since(), at.chain_len())
+    });
+    answered.unwrap()
+}
+
+/// The characters of a fresh load of `doc` from the database, as a
+/// snapshot lists them: tombstones and styles included.
+fn fresh_chars(collab: &CollabServer, doc: DocId) -> Vec<WireChar> {
+    let fresh = collab.textdb().load(doc, UserId(1)).unwrap();
+    let bytes = encode_snapshot(&fresh, 0);
+    let mirror = MirrorDoc::from_snapshot_payload(&bytes[5..]).unwrap();
+    mirror.chars().collect()
+}
+
+/// Oracle for the delta. A seeded schedule of in-process edits of every
+/// kind (typing, deleting, pasting, styling, moves within and between the
+/// two documents, undo and redo, global undo) and, now and then, a commit
+/// that bypasses the editors, a purge of tombstones, or the last editors
+/// of a document closing it while a raw handle commits. After every step
+/// a mirror is kept at the frontier of each live document, and every
+/// mirror kept (the newest `KEPT`) is answered: the mirror plus the answer equals a
+/// fresh load of the document, character for character, tombstones and
+/// styles included, at the answer's frontier. The answer is a snapshot
+/// exactly when the mirror's frontier is below the tail's
+/// `complete_since`, a delta's events encode to at most the document's
+/// `chain_len` bytes, and each bypass, purge and close moves
+/// `complete_since` past its commit. (Mutation checks, EXPERIMENTS A41:
+/// drop any of those moves, or the tail's budget, and this fails.)
+#[test]
+fn a_kept_mirror_plus_the_answer_equals_a_fresh_load() {
+    const NAMES: [&str; 2] = ["left", "right"];
+    /// Mirrors kept per document.
+    const KEPT: usize = 12;
+    let (mut deltas, mut snapshots) = (0, 0);
+    // Bypass commits, purges and closes.
+    let mut moved = [0; 3];
+    for seed in 0..4u64 {
+        let collab = collab(&["alice", "bob", "carol"], &NAMES);
+        let tdb = collab.textdb().clone();
+        let ids = NAMES.map(|n| tdb.document_by_name(n).unwrap());
+        let owner = tdb.user_by_name("alice").unwrap();
+        let style = tdb.define_style("bold", "b", owner).unwrap();
+        // Room in the tail for a stretch of events.
+        for &id in &ids {
+            tdb.open(id, owner)
+                .unwrap()
+                .insert_text(0, &"·".repeat(600))
+                .unwrap();
+        }
+        let sessions = ["carol", "bob"].map(|u| collab.connect(u, Platform::Linux).unwrap());
+        let open = |d: usize| sessions.each_ref().map(|s| s.open_id(ids[d]).unwrap());
+        let mut editors: [Option<[EditorDoc; 2]>; 2] = [Some(open(0)), Some(open(1))];
+        let mut kept: [Vec<(Ts, Vec<WireChar>)>; 2] = [Vec::new(), Vec::new()];
+        let mut rng = SmallRng::seed_from_u64(0xDE17A + seed);
+        for step in 0..100 {
+            let d = rng.gen_range(0..2usize);
+            let ctx = format!("seed {seed} step {step}");
+            // A commit the tail cannot hold, and the timestamp it must
+            // then vouch from.
+            let mut passed = None;
+            let [left, right] = &mut editors;
+            let (mine, theirs) = if d == 0 { (left, right) } else { (right, left) };
+            match (rng.gen_range(0..40u32), mine.as_mut()) {
+                (0, _) => {
+                    let mut raw = tdb.open(ids[d], owner).unwrap();
+                    raw.insert_text(0, "<raw>").unwrap();
+                    passed = Some(tdb.database().last_commit_ts());
+                    moved[0] += 1;
+                }
+                (1, _) => {
+                    let purged = tdb.purge_tombstones(ids[d], tdb.now()).unwrap();
+                    if purged.purged_chars > 0 {
+                        passed = Some(tdb.database().last_commit_ts());
+                        moved[1] += 1;
+                    }
+                }
+                (2, Some(_)) => {
+                    // The last editors close it; a raw handle commits
+                    // meanwhile; it is opened again.
+                    *mine = None;
+                    assert!(answer(&collab, ids[d], None).is_none(), "{ctx}");
+                    let mut raw = tdb.open(ids[d], owner).unwrap();
+                    raw.insert_text(0, "<closed>").unwrap();
+                    passed = Some(tdb.database().last_commit_ts());
+                    moved[2] += 1;
+                    *mine = Some(open(d));
+                }
+                (_, None) => unreachable!("a closed document is opened again at once"),
+                (k, Some([ed, second])) => {
+                    ed.sync();
+                    let len = ed.len();
+                    let at = |rng: &mut SmallRng| rng.gen_range(0..=len);
+                    let edited = match k {
+                        3..=5 if len > 4 => {
+                            let clip = ed.copy(rng.gen_range(0..len - 3), 3).unwrap();
+                            ed.paste(at(&mut rng), &clip)
+                        }
+                        6..=8 if len > 4 => ed.apply_style(rng.gen_range(0..len - 3), 3, style),
+                        9 | 10 if len > 4 => {
+                            let from = rng.gen_range(0..len - 2);
+                            match theirs.as_mut() {
+                                Some([other, _]) if rng.gen_bool(0.5) => {
+                                    other.sync();
+                                    let to = rng.gen_range(0..=other.len());
+                                    ed.move_text(from, 2, other, to).map(|(del, _)| del)
+                                }
+                                _ => {
+                                    second.sync();
+                                    let to = rng.gen_range(0..=len);
+                                    ed.move_text(from, 2, second, to).map(|(del, _)| del)
+                                }
+                            }
+                        }
+                        11 | 12 => ed.undo(),
+                        13 => ed.redo(),
+                        14 | 15 => second.global_undo(),
+                        16..=21 if len > 4 => ed.delete(rng.gen_range(0..len - 2), 2),
+                        _ => ed.type_text(at(&mut rng), &format!("[{step}]")),
+                    };
+                    match edited {
+                        Ok(_) | Err(TextError::NothingToUndo | TextError::NothingToRedo) => {}
+                        Err(e) => panic!("{ctx}: {e}"),
+                    }
+                }
+            }
+            for (d, &doc) in ids.iter().enumerate() {
+                let Some((Frame::Snapshot { chars, .. }, _, _)) = answer(&collab, doc, None) else {
+                    continue;
+                };
+                let fresh = fresh_chars(&collab, doc);
+                assert_eq!(chars, fresh, "{ctx}: the live copy of {doc}");
+                for (from, mirror) in &kept[d] {
+                    let (frame, since, chain_len) = answer(&collab, doc, Some(*from)).unwrap();
+                    let mut resumed = MirrorDoc::new(doc.0, *from, mirror.clone()).unwrap();
+                    match frame {
+                        Frame::Delta {
+                            doc: of,
+                            from: at,
+                            synced_ts,
+                            events,
+                            ..
+                        } => {
+                            deltas += 1;
+                            assert!(since <= *from && at == *from, "{ctx}: a delta from {at}");
+                            let bytes: usize = events
+                                .iter()
+                                .map(|ev| DocEvent::from(ev.clone()).wire_len())
+                                .sum();
+                            assert!(bytes <= chain_len, "{ctx}: {bytes} bytes of events");
+                            resumed.apply_delta(of, at, synced_ts, events).unwrap();
+                        }
+                        Frame::Snapshot {
+                            synced_ts, chars, ..
+                        } => {
+                            snapshots += 1;
+                            assert!(*from < since, "{ctx}: a snapshot for {from} ≥ {since}");
+                            resumed = MirrorDoc::new(doc.0, synced_ts, chars).unwrap();
+                        }
+                        other => panic!("{ctx}: answered {other:?}"),
+                    }
+                    let resumed: Vec<WireChar> = resumed.chars().collect();
+                    assert!(
+                        resumed == fresh,
+                        "{ctx}: the mirror of {doc} from {from} diverged"
+                    );
+                }
+            }
+            if let Some(ts) = passed {
+                let (_, since, _) = answer(&collab, ids[d], None).expect("live");
+                assert!(
+                    since >= ts,
+                    "{ctx}: complete_since {since} below the commit at {ts}"
+                );
+            }
+            for (d, &doc) in ids.iter().enumerate() {
+                if let Some((
+                    Frame::Snapshot {
+                        synced_ts, chars, ..
+                    },
+                    _,
+                    _,
+                )) = answer(&collab, doc, None)
+                {
+                    // The newest few: older ones are answered by snapshots.
+                    if kept[d].len() == KEPT {
+                        kept[d].remove(0);
+                    }
+                    kept[d].push((synced_ts, chars));
+                }
+            }
+        }
+    }
+    assert!(
+        deltas > 1_000 && snapshots > 1_000,
+        "{deltas} deltas, {snapshots} snapshots"
+    );
+    assert!(
+        moved.iter().all(|&n| n > 0),
+        "bypasses, purges, closes: {moved:?}"
+    );
 }

@@ -231,6 +231,41 @@ fn alternating_typists_converge_over_tcp() {
     assert!(shows(&b, doc, acked, &want), "bob shows {:?}", b.text(doc));
 }
 
+/// A re-open is a delta: bob closes the document while alice holds it
+/// and types on, and his next `subscribe` resumes the mirror he kept. That
+/// is one delta, and no snapshot — no walk of the chain — and no load; the
+/// open still records its read. Bob's mirror shows the database's text.
+#[test]
+fn a_reopen_while_another_holds_the_document_is_one_delta() {
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());
+    let addr = server.local_addr();
+    let a = NetClient::connect(addr, "alice").unwrap();
+    let b = NetClient::connect(addr, "bob").unwrap();
+    let doc = a.subscribe("doc").unwrap();
+    // Room in the live document's tail for the edits below.
+    a.insert(doc, 0, &"·".repeat(2_000)).unwrap();
+    assert_eq!(b.subscribe("doc").unwrap(), doc);
+    b.unsubscribe(doc).unwrap();
+    b.ping().unwrap();
+    assert_eq!(b.text(doc), None, "a closed mirror is not shown");
+    let mut acked = 0;
+    for k in 0..5 {
+        acked = a.insert(doc, k * 3, "new").unwrap().1;
+    }
+    a.delete(doc, 1, 2).unwrap();
+
+    let before = server.stats();
+    let reads = collab.textdb().read_count(DocId(doc)).unwrap();
+    assert_eq!(b.subscribe("doc").unwrap(), doc);
+    let after = server.stats();
+    assert_eq!(after.deltas_served, before.deltas_served + 1, "{after:?}");
+    assert_eq!(after.snapshots_served, before.snapshots_served, "{after:?}");
+    assert_eq!(after.live_loads, before.live_loads, "{after:?}");
+    assert_eq!(collab.textdb().read_count(DocId(doc)).unwrap(), reads + 1);
+    let want = collab.textdb().document_text(DocId(doc)).unwrap();
+    assert!(shows(&b, doc, acked, &want), "bob shows {:?}", b.text(doc));
+}
+
 // ---------------------------------------------------------------------
 // One step joins a stream: nothing falls between a subscription's
 // snapshot and its event stream, and nothing overtakes the snapshot.
@@ -364,6 +399,7 @@ fn truncated_frame_then_disconnect_is_isolated() {
     let frame = Frame::Subscribe {
         request: 1,
         name: "doc".into(),
+        resume: None,
     }
     .encode();
     evil.send_bytes(&frame[..frame.len() / 2]);
@@ -439,8 +475,9 @@ fn handshake_rejects_bad_token_unknown_user_and_version_skew() {
 
     // Version skew (raw, because NetClient always sends the real one):
     // a future version, and version 1, whose snapshots listed characters
-    // one by one and whose subscriptions carried no request id.
-    assert_eq!(PROTOCOL_VERSION, 2);
+    // one by one and whose subscriptions carried no request id (version 2
+    // is refused in `codec.rs`).
+    assert_eq!(PROTOCOL_VERSION, 3);
     for version in [999, 1] {
         let mut raw = RawClient::connect(addr);
         raw.send(&Frame::Hello {
@@ -506,6 +543,7 @@ fn slow_consumer_is_cut_without_wedging_the_server() {
     sloth.send(&Frame::Subscribe {
         request: 1,
         name: "doc".into(),
+        resume: None,
     });
     match sloth.recv() {
         Some(Frame::Snapshot { .. }) => {}
@@ -733,7 +771,7 @@ fn a_subscribe_is_answered_by_its_own_snapshot_not_an_unasked_one() {
         };
         assert!(matches!(peer.recv(), Some(Frame::Hello { .. })));
         peer.send(&Frame::Welcome { session: 1 });
-        let Some(Frame::Subscribe { request, name }) = peer.recv() else {
+        let Some(Frame::Subscribe { request, name, .. }) = peer.recv() else {
             panic!("expected a subscription");
         };
         assert_eq!(name, "wanted");

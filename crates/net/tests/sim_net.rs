@@ -10,13 +10,23 @@
 //! queue, a pipe delivers its bytes up to a seeded cut point, or a
 //! connection publishes the edit it holds. Commits, the publish hooks and
 //! the fan-out all run on this thread, so a schedule is replayed exactly.
-//! Odd seeds send every edit of both clients to one document.
+//! Odd seeds send every edit of both clients to one document. Each
+//! document starts with `PREFILL` characters, so its live tail holds a
+//! stretch of events (as many as encode to its length in bytes).
+//!
+//! A client also closes a document now and then: it sends `Unsubscribe`,
+//! keeps its mirror frozen while the other client makes a seeded stretch
+//! of edits to it (some stretches longer than the tail holds), then
+//! subscribes again, offering the kept mirror: the answer is a `Delta`
+//! from the mirror's frontier, or a snapshot once the tail no longer
+//! reaches back to it.
 //!
 //! The second client is a slow reader: its hub gives its connection a
 //! queue of `SLOW_CAPACITY` frames, and the schedule withholds that
 //! connection's drains — its writer is stuck on a full socket — for
 //! seeded stretches, so events overflow the queue, its streams are lost,
-//! and the drain after the stretch recovers them with unasked snapshots.
+//! and the drain after the stretch recovers them, unasked: with a delta
+//! from the newest commit queued on the stream, or a snapshot.
 //!
 //! The server's shell is played as it runs. An edit's [`Broadcast`] is
 //! held — across the other connection's commits, publishes and drains,
@@ -28,21 +38,25 @@
 //! is queued, so the other connection's publication may carry it first.
 //!
 //! On the way: no connection hands out one document's events out of
-//! commit order; after every `Event` a client applies, its mirror's text
-//! is the document's text as of the mirror's `synced_ts` (the simulator
-//! records each document's text after every commit), so `synced_ts` is a
-//! frontier; an edit's `EditOk` reaches its client before the edit's own
-//! `Event`; and it is handed out before any connection's copy of that
+//! commit order, and a `Delta` holds its events in commit order between
+//! its `from` and its `synced_ts`; after every `Event` a client applies
+//! and every `Delta`, its mirror's text is the document's text as of the
+//! mirror's `synced_ts` (the simulator records each document's text after
+//! every commit), so `synced_ts` is a frontier; an edit's `EditOk`
+//! reaches its client before the edit's own event, inside a `Delta` or
+//! not; and it is handed out before any connection's copy of that
 //! `Event`, unless its broadcast went out at once or another editor's
-//! publication carried it. At quiescence every mirror equals a fresh load
-//! of its document, every request has had exactly one answer, and every
-//! mirror's frontier covers the last commit acknowledged on its document.
-//! The default run sweeps 32 seeds, each twice, compares the digests of
-//! the frames delivered, and needs the sweep to have sent a repeated
-//! `Subscribe` and a `Resync`, withheld a drain, recovered a lost stream
-//! and had one editor's publication carry another's event;
-//! `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test sim_net` replays
-//! one.
+//! publication carried it (a `Delta`, like a snapshot, may hold a commit
+//! whose reply is still queued elsewhere). At quiescence every mirror
+//! equals a fresh load of its document, every request has had exactly one
+//! answer, and every mirror's frontier covers the last commit acknowledged
+//! on its document. The default run sweeps 32 seeds, each twice, compares
+//! the digests of the frames delivered, and needs the sweep to have sent a
+//! repeated `Subscribe` and a `Resync`, withheld a drain, recovered a lost
+//! stream by a snapshot and by a delta, carried events inside deltas,
+//! re-opened a closed document by a delta and by a snapshot, and had one editor's publication carry
+//! another's event; `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test
+//! sim_net` replays one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -52,13 +66,18 @@ use tendax_collab::CollabServer;
 use tendax_net::{
     Broadcast, Bytes, ClientCore, Conn, EditOp, Frame, FrameBuffer, Hub, NetConfig, Step,
 };
-use tendax_text::{TextDb, UserId};
+use tendax_text::{DocId, TextDb, UserId};
 
 const USERS: [&str; 2] = ["alice", "bob"];
 const DOCS: [&str; 2] = ["minutes", "agenda"];
 /// Requests each client makes once subscribed to both documents: edits,
-/// and a seeded few repeated `Subscribe`s and `Resync`s.
+/// and a seeded few repeated `Subscribe`s, `Resync`s and closes.
 const EDITS: usize = 40;
+/// Characters each document starts with.
+const PREFILL: usize = 250;
+/// The longest stretch of edits a closed document waits for: longer than
+/// its tail holds.
+const STRETCH: usize = 8;
 /// The slow reader's outbound queue, in frames.
 const SLOW_CAPACITY: usize = 4;
 /// The slow reader's site.
@@ -117,10 +136,27 @@ struct Site {
     events: HashSet<u64>,
     /// Steps left in the stretch its drains are withheld for.
     stalled: u32,
+    /// The document the client has closed, if any, till it re-opens it.
+    closed: Option<Closed>,
+    /// The `Subscribe` that re-opens a closed document, till answered.
+    reopening: Option<u64>,
+    /// The ids of the requests sent that expect an answer.
+    asked: Vec<u64>,
+    /// Each document's id, by name.
+    names: HashMap<&'static str, u64>,
+}
+
+/// A document its client has closed: it re-opens it once the other
+/// client's edits acknowledged on it reach `until`, or the other client
+/// has no more to make.
+struct Closed {
+    doc: u64,
+    name: &'static str,
+    until: usize,
 }
 
 impl Site {
-    fn new(hub: &Hub) -> Site {
+    fn new(hub: &Hub, names: HashMap<&'static str, u64>) -> Site {
         Site {
             core: ClientCore::default(),
             conn: Conn::new(hub),
@@ -138,17 +174,26 @@ impl Site {
             newest: HashMap::new(),
             events: HashSet::new(),
             stalled: 0,
+            closed: None,
+            reopening: None,
+            asked: Vec::new(),
+            names,
         }
     }
 
     fn done(&self) -> bool {
-        self.sent == 1 + DOCS.len() + EDITS && self.outstanding.is_none()
+        self.sent == 1 + DOCS.len() + EDITS && self.outstanding.is_none() && self.closed.is_none()
     }
 
     /// Send site `i`'s next request: `Hello`, a subscription to each
     /// document, then edits at seeded positions of the mirror — of `hot`,
     /// if given, else of a seeded document — and, among them, a seeded few
-    /// `Subscribe`s of a subscribed document and `Resync`s.
+    /// `Subscribe`s of a subscribed document, `Resync`s and closes of a
+    /// document (`hot`, if given). A closed document is subscribed again
+    /// once `acked`, the edits of others acknowledged on each document,
+    /// has reached its stretch, or `others_idle`; till then the site
+    /// sends nothing.
+    #[allow(clippy::too_many_arguments)]
     fn send_next(
         &mut self,
         seed: u64,
@@ -156,24 +201,65 @@ impl Site {
         hot: Option<u64>,
         rng: &mut SmallRng,
         tally: &mut Tally,
+        acked: &HashMap<u64, usize>,
+        others_idle: bool,
     ) {
+        if let Some(closed) = &self.closed {
+            let made = acked.get(&closed.doc).copied().unwrap_or(0);
+            if made < closed.until && !others_idle {
+                return;
+            }
+            let name = closed.name.to_string();
+            let (id, bytes) = self.core.request(|request| Frame::Subscribe {
+                request,
+                name,
+                resume: None,
+            });
+            self.closed = None;
+            self.reopening = Some(id);
+            self.asked.push(id);
+            self.up.extend_from_slice(&bytes);
+            self.outstanding = Some(id);
+            return;
+        }
         let (id, bytes) = match self.sent {
             0 => (0, self.core.hello(USERS[i], "Linux", "")),
             n if n <= DOCS.len() => {
                 let name = DOCS[(n - 1 + i) % DOCS.len()].to_string();
-                self.core
-                    .request(|request| Frame::Subscribe { request, name })
+                self.core.request(|request| Frame::Subscribe {
+                    request,
+                    name,
+                    resume: None,
+                })
             }
             _ if rng.gen_range(0..16) == 0 => {
                 tally.resubscribes += 1;
                 let name = DOCS[rng.gen_range(0..DOCS.len())].to_string();
-                self.core
-                    .request(|request| Frame::Subscribe { request, name })
+                self.core.request(|request| Frame::Subscribe {
+                    request,
+                    name,
+                    resume: None,
+                })
             }
             _ if rng.gen_range(0..16) == 0 => {
                 tally.resyncs += 1;
                 let doc = self.docs[rng.gen_range(0..self.docs.len())];
                 self.core.request(|request| Frame::Resync { request, doc })
+            }
+            _ if self.docs.len() == DOCS.len() && rng.gen_range(0..12) == 0 => {
+                tally.closes += 1;
+                let doc = hot.unwrap_or_else(|| self.docs[rng.gen_range(0..self.docs.len())]);
+                let name = DOCS
+                    .into_iter()
+                    .find(|name| self.names[name] == doc)
+                    .expect("a subscribed document has a name");
+                let until = acked.get(&doc).copied().unwrap_or(0) + rng.gen_range(0..=STRETCH);
+                self.docs.retain(|&d| d != doc);
+                self.closed = Some(Closed { doc, name, until });
+                let (_, bytes) = self.core.request(|_| Frame::Unsubscribe { doc });
+                self.up.extend_from_slice(&bytes);
+                self.sent += 1;
+                return;
             }
             _ => {
                 let doc = hot.unwrap_or_else(|| self.docs[rng.gen_range(0..self.docs.len())]);
@@ -201,6 +287,7 @@ impl Site {
         self.up.extend_from_slice(&bytes);
         self.sent += 1;
         self.outstanding = Some(id);
+        self.asked.push(id);
     }
 }
 
@@ -213,6 +300,16 @@ struct Tally {
     stalls: u64,
     /// Unasked snapshots handed out: lost streams recovered.
     recoveries: u64,
+    /// Unasked deltas handed out: lost streams recovered from their
+    /// frontier.
+    delta_recoveries: u64,
+    /// Events carried inside deltas.
+    delta_events: u64,
+    /// Documents closed, and their re-opens answered by a delta and by a
+    /// snapshot.
+    closes: u64,
+    reopen_deltas: u64,
+    reopen_snapshots: u64,
     /// Events published by another editor's publication than their own.
     carried: u64,
 }
@@ -223,6 +320,11 @@ impl std::ops::AddAssign for Tally {
         self.resyncs += t.resyncs;
         self.stalls += t.stalls;
         self.recoveries += t.recoveries;
+        self.delta_recoveries += t.delta_recoveries;
+        self.delta_events += t.delta_events;
+        self.closes += t.closes;
+        self.reopen_deltas += t.reopen_deltas;
+        self.reopen_snapshots += t.reopen_snapshots;
         self.carried += t.carried;
     }
 }
@@ -261,6 +363,26 @@ fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) 
             }
             Frame::EditRejected { .. } => site.at_once = false,
             Frame::Snapshot { request: 0, .. } => order.tally.recoveries += 1,
+            Frame::Delta {
+                request,
+                doc,
+                from,
+                synced_ts,
+                events,
+            } => {
+                order.tally.delta_recoveries += u64::from(request == 0);
+                order.tally.delta_events += events.len() as u64;
+                let mut last = from;
+                for ev in &events {
+                    assert!(
+                        ev.doc == doc && last < ev.commit_ts && ev.commit_ts <= synced_ts,
+                        "seed {seed}: site {i}: a delta of {doc} from {from} to {synced_ts} holds commit {} of {} after {last}",
+                        ev.commit_ts,
+                        ev.doc
+                    );
+                    last = ev.commit_ts;
+                }
+            }
             Frame::Event(ev) => {
                 order.events.entry(ev.commit_ts).or_insert(order.seq);
                 let newest = site.newest.entry(ev.doc).or_default();
@@ -311,8 +433,13 @@ struct Run {
 fn run(seed: u64) -> Run {
     let textdb = TextDb::in_memory();
     let users: Vec<UserId> = USERS.map(|u| textdb.create_user(u).unwrap()).into();
+    let prefill: String = (0..PREFILL)
+        .map(|k| (b'a' + (k % 26) as u8) as char)
+        .collect();
     for name in DOCS {
-        textdb.create_document(name, users[0]).unwrap();
+        let doc = textdb.create_document(name, users[0]).unwrap();
+        let mut h = textdb.open(doc, users[0]).unwrap();
+        h.insert_text(0, &prefill).unwrap();
     }
     let collab = CollabServer::new(textdb);
     // Every commit published, in publication order.
@@ -333,19 +460,28 @@ fn run(seed: u64) -> Run {
     let textdb = collab.textdb();
     let hot = (seed % 2 == 1).then(|| textdb.document_by_name(DOCS[0]).unwrap().0);
     // Per document, its text after each commit that changed it.
+    let prefilled = textdb.database().last_commit_ts();
     let mut history: HashMap<u64, Vec<(u64, String)>> = DOCS
         .iter()
         .map(|name| {
             (
                 textdb.document_by_name(name).unwrap().0,
-                vec![(0, String::new())],
+                vec![(prefilled, prefill.clone())],
             )
         })
         .collect();
-    let mut sites: Vec<Site> = hubs.iter().map(|hub| Site::new(hub)).collect();
+    let names: HashMap<&'static str, u64> = DOCS
+        .map(|name| (name, textdb.document_by_name(name).unwrap().0))
+        .into();
+    let mut sites: Vec<Site> = hubs
+        .iter()
+        .map(|hub| Site::new(hub, names.clone()))
+        .collect();
     let mut rng = SmallRng::seed_from_u64(seed);
     let mut digest = Digest(0xcbf2_9ce4_8422_2325);
     let mut acked: HashMap<u64, u64> = HashMap::new();
+    // Per site, the edits acknowledged on each document.
+    let mut edits_acked: Vec<HashMap<u64, usize>> = vec![HashMap::new(); sites.len()];
     let mut order = Order::default();
     for step in 0.. {
         assert!(step < 1_000_000, "seed {seed}: no quiescence");
@@ -357,11 +493,28 @@ fn run(seed: u64) -> Run {
             order.tally.stalls += 1;
         }
         let i = rng.gen_range(0..sites.len());
+        let others_idle = sites
+            .iter()
+            .enumerate()
+            .all(|(j, s)| j == i || s.done() || s.closed.is_some());
+        // The edits the other sites have had acknowledged, per document.
+        let mut by_others: HashMap<u64, usize> = HashMap::new();
+        for (_, counts) in edits_acked.iter().enumerate().filter(|&(j, _)| j != i) {
+            for (&doc, &n) in counts {
+                *by_others.entry(doc).or_default() += n;
+            }
+        }
         let (site, hub) = (&mut sites[i], &hubs[i]);
         match rng.gen_range(0..5) {
-            0 if site.outstanding.is_none() && !site.done() => {
-                site.send_next(seed, i, hot, &mut rng, &mut order.tally)
-            }
+            0 if site.outstanding.is_none() && !site.done() => site.send_next(
+                seed,
+                i,
+                hot,
+                &mut rng,
+                &mut order.tally,
+                &by_others,
+                others_idle,
+            ),
             1 if !site.up.is_empty() && site.held.is_none() => {
                 deliver(&mut site.up, &mut site.at_server, &mut rng);
                 while let Some((tag, payload)) = site
@@ -373,12 +526,19 @@ fn run(seed: u64) -> Run {
                     digest.add(payload);
                     let frame = Frame::decode(tag, payload)
                         .unwrap_or_else(|e| panic!("seed {seed}: site {i}: {e}"));
-                    let edit = matches!(frame, Frame::Edit { .. });
+                    let edited = match frame {
+                        Frame::Edit { doc, .. } => Some(doc),
+                        _ => None,
+                    };
+                    let edit = edited.is_some();
                     // Full: the replies overfilled the slow reader's queue.
                     let (step, broadcast) = site.conn.on_frame(hub, frame);
                     assert_ne!(step, Step::Closed, "seed {seed}: site {i}");
-                    for (&doc, texts) in history.iter_mut() {
-                        let text = textdb.document_text(tendax_text::DocId(doc)).unwrap();
+                    // Only an edit changes a document's text, and only its
+                    // own.
+                    if let Some(doc) = edited {
+                        let text = textdb.document_text(DocId(doc)).unwrap();
+                        let texts = history.get_mut(&doc).unwrap();
                         if texts.last().unwrap().1 != text {
                             texts.push((textdb.database().last_commit_ts(), text));
                         }
@@ -410,6 +570,10 @@ fn run(seed: u64) -> Run {
                             site.events.insert(ev.commit_ts);
                             Some(ev.doc)
                         }
+                        Ok(Frame::Delta { doc, events, .. }) => {
+                            site.events.extend(events.iter().map(|ev| ev.commit_ts));
+                            Some(doc)
+                        }
                         Ok(Frame::EditOk { commit_ts, .. }) => {
                             assert!(
                                 !site.events.contains(&commit_ts),
@@ -426,7 +590,7 @@ fn run(seed: u64) -> Run {
                         let at = texts.iter().rev().find(|(ts, _)| *ts <= synced).unwrap();
                         assert!(
                             !mirror.needs_resync() && mirror.text() == at.1,
-                            "seed {seed}: site {i}: the mirror of {} at {synced} is not the document at {}",
+                            "seed {seed}: site {i}: after an event or a delta, the mirror of {} at {synced} is not the document at {}",
                             mirror.doc(),
                             at.0
                         );
@@ -435,15 +599,26 @@ fn run(seed: u64) -> Run {
                         let ctx = format!("seed {seed}: site {i}, request {}", done.id);
                         *site.answers.entry(done.id).or_default() += 1;
                         assert_eq!(site.outstanding.take(), Some(done.id), "{ctx}");
+                        if site.reopening == Some(done.id) {
+                            site.reopening = None;
+                            match done.reply {
+                                Ok(Frame::Delta { .. }) => order.tally.reopen_deltas += 1,
+                                _ => order.tally.reopen_snapshots += 1,
+                            }
+                        }
                         match done.reply {
                             Ok(Frame::Welcome { .. } | Frame::EditRejected { .. }) => {}
-                            Ok(Frame::Snapshot { doc, .. }) if !site.docs.contains(&doc) => {
+                            Ok(Frame::Snapshot { doc, .. } | Frame::Delta { doc, .. })
+                                if !site.docs.contains(&doc) =>
+                            {
                                 site.docs.push(doc)
                             }
                             Ok(Frame::Snapshot { .. }) => {}
                             Ok(Frame::EditOk { commit_ts, .. }) => {
-                                let last = acked.entry(site.edits[&done.id]).or_default();
+                                let doc = site.edits[&done.id];
+                                let last = acked.entry(doc).or_default();
                                 *last = (*last).max(commit_ts);
+                                *edits_acked[i].entry(doc).or_default() += 1;
                             }
                             other => panic!("{ctx}: answered {other:?}"),
                         }
@@ -519,10 +694,12 @@ fn check(seed: u64, run: &Run) {
         }
     }
     for (i, site) in run.sites.iter().enumerate() {
-        let ids: Vec<u64> = (0..site.sent as u64).collect();
         let mut answered: Vec<u64> = site.answers.keys().copied().collect();
         answered.sort_unstable();
-        assert_eq!(answered, ids, "seed {seed}: site {i}: requests answered");
+        assert_eq!(
+            answered, site.asked,
+            "seed {seed}: site {i}: requests answered"
+        );
         assert!(
             site.answers.values().all(|&n| n == 1),
             "seed {seed}: site {i}: a request answered twice: {:?}",
@@ -550,10 +727,28 @@ fn two_clients_converge_under_seeded_delivery() {
             resyncs,
             stalls,
             recoveries,
+            delta_recoveries,
+            delta_events,
+            closes,
+            reopen_deltas,
+            reopen_snapshots,
             carried,
         } = tally;
         assert!(
-            resubscribes > 0 && resyncs > 0 && stalls > 0 && recoveries > 0 && carried > 0,
+            [
+                resubscribes,
+                resyncs,
+                stalls,
+                recoveries,
+                delta_recoveries,
+                delta_events,
+                closes,
+                reopen_deltas,
+                reopen_snapshots,
+                carried
+            ]
+            .iter()
+            .all(|&n| n > 0),
             "a step kind never occurred: {tally:?}"
         );
     }

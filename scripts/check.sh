@@ -27,12 +27,16 @@
 # power-cut at both levels, commits landing between the switch and the
 # base) and room_growth_crash_keeps_every_acknowledged_commit (across a
 # rotation), seed 0 cold off and on. The transport job's include tendax-net `codec`
-# (protocol v2: run-coded snapshots against the layout spelled out,
-# hostile run tables refused typed, and the run coder's round-trip
-# proptest, which prints PROPTEST_SEED=<n> on failure), `loopback`
-# (request ids: a snapshot answers only its own request; v1 `Hello`
-# refused), `live` (one commit path into a live document: the frontier,
-# the oracle, the races with in-process editors), `mirror_oracle` (the
+# (protocol v3: run-coded snapshots against the layout spelled out,
+# hostile run tables refused typed, the `Delta` a live document's tail
+# encodes against its layout, hostile deltas refused typed, a v2 `Hello`
+# refused, and the round-trip proptests of the run coder and of `Delta`
+# and the widened `Subscribe`, which print PROPTEST_SEED=<n> on
+# failure), `loopback` (request ids: a snapshot answers only its own
+# request; v1 `Hello` refused; a re-open while another client holds the
+# document is one delta and no snapshot), `live` (one commit path into a
+# live document: the frontier, the oracle, the races with in-process
+# editors; a kept mirror plus the answer against a fresh load), `mirror_oracle` (the
 # client mirror against the server's chain; prints PROPTEST_SEED=<n> on
 # failure), `mirror_cost` (allocations per applied event and per loaded
 # run), `idle` (an idle connection wakes no transport thread), `wakeups`
@@ -40,9 +44,11 @@
 # replies), `sim_net` (a hub, two connections and two clients in one
 # thread under a seeded delivery schedule, each edit's broadcast held as
 # a step of its own, every stream in commit order, every mirror at its
-# frontier after each event, the `EditOk` checked ahead of its `Event`,
-# 32 seeds; TENDAX_SIM_SEED=<n> replays one), `durable_events` (an edit
-# whose log sync fails is rejected and its event never handed out),
+# frontier after each event and each `Delta`, the `EditOk` checked ahead
+# of its event, closes and re-opens resumed by deltas, lost streams
+# recovered by deltas and snapshots, 32 seeds; TENDAX_SIM_SEED=<n>
+# replays one), `durable_events` (an edit whose log sync fails is
+# rejected, its event never handed out and never carried by a delta),
 # `capacity` once more in a release build (its stalled-reader
 # tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
