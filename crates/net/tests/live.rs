@@ -481,21 +481,21 @@ fn a_kept_mirror_plus_the_answer_equals_a_fresh_load() {
             let mut passed = None;
             let [left, right] = &mut editors;
             let (mine, theirs) = if d == 0 { (left, right) } else { (right, left) };
-            match (rng.gen_range(0..40u32), mine.as_mut()) {
-                (0, _) => {
+            match rng.gen_range(0..40u32) {
+                0 => {
                     let mut raw = tdb.open(ids[d], owner).unwrap();
                     raw.insert_text(0, "<raw>").unwrap();
                     passed = Some(tdb.database().last_commit_ts());
                     moved[0] += 1;
                 }
-                (1, _) => {
+                1 => {
                     let purged = tdb.purge_tombstones(ids[d], tdb.now()).unwrap();
                     if purged.purged_chars > 0 {
                         passed = Some(tdb.database().last_commit_ts());
                         moved[1] += 1;
                     }
                 }
-                (2, Some(_)) => {
+                2 => {
                     // The last editors close it; a raw handle commits
                     // meanwhile; it is opened again.
                     *mine = None;
@@ -506,8 +506,8 @@ fn a_kept_mirror_plus_the_answer_equals_a_fresh_load() {
                     moved[2] += 1;
                     *mine = Some(open(d));
                 }
-                (_, None) => unreachable!("a closed document is opened again at once"),
-                (k, Some([ed, second])) => {
+                k => {
+                    let [ed, second] = mine.as_mut().expect("a closed document is opened again");
                     ed.sync();
                     let len = ed.len();
                     let at = |rng: &mut SmallRng| rng.gen_range(0..=len);
@@ -544,13 +544,26 @@ fn a_kept_mirror_plus_the_answer_equals_a_fresh_load() {
                     }
                 }
             }
-            for (d, &doc) in ids.iter().enumerate() {
-                let Some((Frame::Snapshot { chars, .. }, _, _)) = answer(&collab, doc, None) else {
+            for (k, &doc) in ids.iter().enumerate() {
+                let Some((
+                    Frame::Snapshot {
+                        synced_ts, chars, ..
+                    },
+                    since,
+                    _,
+                )) = answer(&collab, doc, None)
+                else {
                     continue;
                 };
+                if let Some(ts) = passed.filter(|_| k == d) {
+                    assert!(
+                        since >= ts,
+                        "{ctx}: complete_since {since} below the commit at {ts}"
+                    );
+                }
                 let fresh = fresh_chars(&collab, doc);
                 assert_eq!(chars, fresh, "{ctx}: the live copy of {doc}");
-                for (from, mirror) in &kept[d] {
+                for (from, mirror) in &kept[k] {
                     let (frame, since, chain_len) = answer(&collab, doc, Some(*from)).unwrap();
                     let mut resumed = MirrorDoc::new(doc.0, *from, mirror.clone()).unwrap();
                     match frame {
@@ -585,29 +598,11 @@ fn a_kept_mirror_plus_the_answer_equals_a_fresh_load() {
                         "{ctx}: the mirror of {doc} from {from} diverged"
                     );
                 }
-            }
-            if let Some(ts) = passed {
-                let (_, since, _) = answer(&collab, ids[d], None).expect("live");
-                assert!(
-                    since >= ts,
-                    "{ctx}: complete_since {since} below the commit at {ts}"
-                );
-            }
-            for (d, &doc) in ids.iter().enumerate() {
-                if let Some((
-                    Frame::Snapshot {
-                        synced_ts, chars, ..
-                    },
-                    _,
-                    _,
-                )) = answer(&collab, doc, None)
-                {
-                    // The newest few: older ones are answered by snapshots.
-                    if kept[d].len() == KEPT {
-                        kept[d].remove(0);
-                    }
-                    kept[d].push((synced_ts, chars));
+                // The newest few: older ones are answered by snapshots.
+                if kept[k].len() == KEPT {
+                    kept[k].remove(0);
                 }
+                kept[k].push((synced_ts, chars));
             }
         }
     }

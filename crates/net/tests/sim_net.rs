@@ -54,9 +54,9 @@
 //! the digests of the frames delivered, and needs the sweep to have sent a
 //! repeated `Subscribe` and a `Resync`, withheld a drain, recovered a lost
 //! stream by a snapshot and by a delta, carried events inside deltas,
-//! re-opened a closed document by a delta and by a snapshot, and had one editor's publication carry
-//! another's event; `TENDAX_SIM_SEED=<n> cargo test -p tendax-net --test
-//! sim_net` replays one.
+//! re-opened a closed document by a delta and by a snapshot, and had one
+//! editor's publication carry another's event; `TENDAX_SIM_SEED=<n> cargo
+//! test -p tendax-net --test sim_net` replays one.
 
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex};
@@ -146,6 +146,14 @@ struct Site {
     names: HashMap<&'static str, u64>,
 }
 
+/// What a site sees of the others when it picks its next request.
+struct Others {
+    /// Their edits acknowledged so far, per document.
+    acked: HashMap<u64, usize>,
+    /// Each of them is done, or waits to re-open a document it closed.
+    idle: bool,
+}
+
 /// A document its client has closed: it re-opens it once the other
 /// client's edits acknowledged on it reach `until`, or the other client
 /// has no more to make.
@@ -190,10 +198,8 @@ impl Site {
     /// if given, else of a seeded document — and, among them, a seeded few
     /// `Subscribe`s of a subscribed document, `Resync`s and closes of a
     /// document (`hot`, if given). A closed document is subscribed again
-    /// once `acked`, the edits of others acknowledged on each document,
-    /// has reached its stretch, or `others_idle`; till then the site
-    /// sends nothing.
-    #[allow(clippy::too_many_arguments)]
+    /// once the edits the `others` had acknowledged on it reach its
+    /// stretch, or they are idle; till then the site sends nothing.
     fn send_next(
         &mut self,
         seed: u64,
@@ -201,12 +207,11 @@ impl Site {
         hot: Option<u64>,
         rng: &mut SmallRng,
         tally: &mut Tally,
-        acked: &HashMap<u64, usize>,
-        others_idle: bool,
+        others: &Others,
     ) {
         if let Some(closed) = &self.closed {
-            let made = acked.get(&closed.doc).copied().unwrap_or(0);
-            if made < closed.until && !others_idle {
+            let made = others.acked.get(&closed.doc).copied().unwrap_or(0);
+            if made < closed.until && !others.idle {
                 return;
             }
             let name = closed.name.to_string();
@@ -253,7 +258,8 @@ impl Site {
                     .into_iter()
                     .find(|name| self.names[name] == doc)
                     .expect("a subscribed document has a name");
-                let until = acked.get(&doc).copied().unwrap_or(0) + rng.gen_range(0..=STRETCH);
+                let made = others.acked.get(&doc).copied().unwrap_or(0);
+                let until = made + rng.gen_range(0..=STRETCH);
                 self.docs.retain(|&d| d != doc);
                 self.closed = Some(Closed { doc, name, until });
                 let (_, bytes) = self.core.request(|_| Frame::Unsubscribe { doc });
@@ -411,6 +417,22 @@ fn publish(i: usize, broadcast: Broadcast, log: &Mutex<Vec<u64>>, order: &mut Or
     }
 }
 
+/// What site `i` sees of the others: the edits acknowledged to them on
+/// each document (`acked` per site), and whether all are idle.
+fn others_of(sites: &[Site], acked: &[HashMap<u64, usize>], i: usize) -> Others {
+    let mut others = Others {
+        acked: HashMap::new(),
+        idle: true,
+    };
+    for (j, site) in sites.iter().enumerate().filter(|&(j, _)| j != i) {
+        others.idle &= site.done() || site.closed.is_some();
+        for (&doc, &n) in &acked[j] {
+            *others.acked.entry(doc).or_default() += n;
+        }
+    }
+    others
+}
+
 /// Move a seeded prefix of `pipe` into `buf`: bytes arrive in order, cut
 /// anywhere.
 fn deliver(pipe: &mut Vec<u8>, buf: &mut FrameBuffer, rng: &mut SmallRng) {
@@ -493,28 +515,14 @@ fn run(seed: u64) -> Run {
             order.tally.stalls += 1;
         }
         let i = rng.gen_range(0..sites.len());
-        let others_idle = sites
-            .iter()
-            .enumerate()
-            .all(|(j, s)| j == i || s.done() || s.closed.is_some());
-        // The edits the other sites have had acknowledged, per document.
-        let mut by_others: HashMap<u64, usize> = HashMap::new();
-        for (_, counts) in edits_acked.iter().enumerate().filter(|&(j, _)| j != i) {
-            for (&doc, &n) in counts {
-                *by_others.entry(doc).or_default() += n;
-            }
-        }
+        let kind = rng.gen_range(0..5);
+        let others = (kind == 0).then(|| others_of(&sites, &edits_acked, i));
         let (site, hub) = (&mut sites[i], &hubs[i]);
-        match rng.gen_range(0..5) {
-            0 if site.outstanding.is_none() && !site.done() => site.send_next(
-                seed,
-                i,
-                hot,
-                &mut rng,
-                &mut order.tally,
-                &by_others,
-                others_idle,
-            ),
+        match kind {
+            0 if site.outstanding.is_none() && !site.done() => {
+                let others = others.as_ref().expect("drawn for a send");
+                site.send_next(seed, i, hot, &mut rng, &mut order.tally, others)
+            }
             1 if !site.up.is_empty() && site.held.is_none() => {
                 deliver(&mut site.up, &mut site.at_server, &mut rng);
                 while let Some((tag, payload)) = site
