@@ -16,7 +16,9 @@
 //!
 //! [`NetClient`] maintains a [`MirrorDoc`] replica per subscribed
 //! document from the snapshot + event stream, converging byte-for-byte
-//! with the server under concurrent editing.
+//! with the server under concurrent editing; it keeps a closed
+//! document's mirror, and a re-open resumes it from a `Delta` of the
+//! commits since when the server's live document still holds them.
 //!
 //! Both endpoints apply the same slow-consumer policy as the bus:
 //! bounded outbound queues, drop-and-count lag for broadcast frames,
