@@ -17,7 +17,6 @@ use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
 use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
-use crate::value::{Value, ValueRef};
 use crate::vfs::{os_vfs, Vfs};
 use crate::wal::{
     encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, LogFiles, WalFile, WalOp, WalRecord,
@@ -265,11 +264,15 @@ impl Database {
                 db.apply_record(&mut catalog, &mut tables, rec)
             })?
         };
-        // Expectations are not logged: a transaction begun at a snapshot
-        // from before the reopen may have missed one, so such a
-        // transaction can delete or expect no row.
         for table in db.inner.tables.read().values() {
-            table.write().prune_expected(db.last_commit_ts());
+            let mut table = table.write();
+            // Replay staged every version's index entries: each index is
+            // built once, from its entries sorted.
+            table.build_indexes();
+            // Expectations are not logged: a transaction begun at a
+            // snapshot from before the reopen may have missed one, so
+            // such a transaction can delete or expect no row.
+            table.prune_expected(db.last_commit_ts());
         }
         // Writing resumes where the live segment's last frame ends: what
         // a crash left beside it is removed, a torn tail is cut first,
@@ -324,16 +327,12 @@ impl Database {
                         .get(&w.table)
                         .ok_or(StorageError::UnknownTableId(w.table))?;
                     let op = match w.op {
-                        WalOp::Put(row) => {
-                            self.observe_row_clock(row.iter());
-                            VersionOp::Put(row)
-                        }
+                        WalOp::Put(row) => VersionOp::Put(row),
                         WalOp::Delete => VersionOp::Delete,
                         // Compose the logged columns onto the row's
                         // newest replayed state: this is commit order,
                         // so the result is the row the commit published.
                         WalOp::Patch { fields, values } => {
-                            self.observe_row_clock(values.iter().map(Value::view));
                             let guard = store.read();
                             let base =
                                 guard.visible(w.row, TS_LATEST).cloned().ok_or_else(|| {
@@ -351,7 +350,7 @@ impl Database {
                             VersionOp::Put(base.with_updates(&written))
                         }
                     };
-                    store.write().apply(w.row, commit_ts, op);
+                    self.observe_row_clock(store.write().replay(w.row, commit_ts, op));
                 }
                 self.inner.sequencer.observe(commit_ts);
             }
@@ -362,10 +361,7 @@ impl Database {
                     .write();
                 for v in rows {
                     let op = match v.op {
-                        WalOp::Put(r) => {
-                            self.observe_row_clock(r.iter());
-                            VersionOp::Put(r)
-                        }
+                        WalOp::Put(r) => VersionOp::Put(r),
                         WalOp::Delete => VersionOp::Delete,
                         // Checkpoints compact to full rows; a patch here
                         // means the log writer and reader disagree.
@@ -375,7 +371,7 @@ impl Database {
                             ))
                         }
                     };
-                    store.apply(v.row, v.commit_ts, op);
+                    self.observe_row_clock(store.replay(v.row, v.commit_ts, op));
                     self.inner.sequencer.observe(v.commit_ts);
                 }
             }
@@ -391,14 +387,13 @@ impl Database {
     }
 
     /// During recovery, fast-forward the engine clock past every
-    /// timestamp found in recovered rows: post-restart timestamps must
-    /// stay strictly greater than anything already persisted, even when
-    /// no checkpoint Meta record exists.
-    fn observe_row_clock<'a>(&self, values: impl IntoIterator<Item = ValueRef<'a>>) {
-        for v in values {
-            if let ValueRef::Timestamp(t) = v {
-                self.inner.clock.observe(t);
-            }
+    /// timestamp found in recovered rows (the newest each replayed
+    /// version holds): post-restart timestamps must stay strictly greater
+    /// than anything already persisted, even when no checkpoint Meta
+    /// record exists.
+    fn observe_row_clock(&self, newest: Option<i64>) {
+        if let Some(t) = newest {
+            self.inner.clock.observe(t);
         }
     }
 
@@ -1167,6 +1162,41 @@ impl Database {
         }
         out.sort_by(|a, b| a.name.cmp(&b.name));
         out
+    }
+
+    /// Every entry of the index named `index` on `table`, in index
+    /// order: its packed key and its row id. A diagnostic read, under no
+    /// snapshot: the entries of every version RAM holds.
+    pub fn index_entries(&self, table: TableId, index: &str) -> Result<Vec<(Vec<u8>, RowId)>> {
+        let handle = self.table_handle(table)?;
+        let store = handle.read();
+        let (_, idx) = store
+            .index_by_name(index)
+            .ok_or_else(|| StorageError::UnknownIndex {
+                table: store.definition().name.clone(),
+                index: index.to_owned(),
+            })?;
+        let all = idx.prefix(&[]);
+        Ok((idx.entries(all.as_ref()))
+            .map(|(key, row)| (key.to_vec(), row))
+            .collect())
+    }
+
+    /// Check that every index holds exactly the entries of the versions
+    /// RAM holds, as a fresh build over them would, however it
+    /// was built: on commits, at open or by vacuum. `Internal` names
+    /// the first index that does not.
+    pub fn check_indexes(&self) -> Result<()> {
+        for handle in self.inner.tables.read().values() {
+            let store = handle.read();
+            if let Some(index) = store.index_mismatch() {
+                let table = &store.definition().name;
+                return Err(StorageError::Internal(format!(
+                    "index {table}.{index} differs from its table's versions"
+                )));
+            }
+        }
+        Ok(())
     }
 
     /// The WAL path, if this database is durable.

@@ -13,11 +13,15 @@
 //! leading columns pack to a byte prefix of the whole key's packing, so
 //! byte order is `(key, row id)` order and the entries under one key, or
 //! one key prefix, are one run of the tree. An index whose columns all
-//! have a fixed width keeps each entry in a fixed-size array in the
-//! tree's own node: nothing is allocated per entry. DESIGN.md §5.12, "…
-//! and in the indexes".
+//! have a fixed width keeps each entry in the tree's own node as an
+//! array of big-endian words, which compare as the bytes do: nothing is
+//! allocated per entry. DESIGN.md §5.12, "… and in the indexes".
+//!
+//! A commit inserts its entries one at a time ([`IndexStore::insert`]).
+//! Recovery and vacuum stage them ([`IndexStore::stage`]) and build each
+//! tree once from the sorted run ([`IndexStore::build`]); DESIGN.md §5.1,
+//! "Indexes are built once".
 
-use std::borrow::Borrow;
 use std::collections::{btree_set, BTreeSet};
 use std::ops::Bound;
 
@@ -386,20 +390,69 @@ impl EntryRange {
             until.map_or(Bound::Unbounded, Bound::Excluded),
         )
     }
+
+    /// The range as bounds on the words of entries `entry_len` bytes
+    /// long. An end no longer than the entries is zero-padded, as they
+    /// are: an entry compares with it as its bytes do, and one it
+    /// prefixes is at or above it. A longer end is cut to the entries'
+    /// length and its inclusion flips, since an entry equal to the cut
+    /// is a proper prefix of the end, so below it: `entry >= from` iff
+    /// `entry > cut`, and `entry < until` iff `entry <= cut`.
+    fn word_bounds<S: Slot>(&self, entry_len: usize) -> (Bound<S>, Bound<S>) {
+        let from = self.from.as_slice();
+        let from = if from.len() <= entry_len {
+            Bound::Included(S::fill(from))
+        } else {
+            Bound::Excluded(S::fill(&from[..entry_len]))
+        };
+        let until = self.until.as_ref().map_or(Bound::Unbounded, |until| {
+            let until = until.as_slice();
+            if until.len() <= entry_len {
+                Bound::Excluded(S::fill(until))
+            } else {
+                Bound::Included(S::fill(&until[..entry_len]))
+            }
+        });
+        (from, until)
+    }
 }
 
-/// A stored entry: a fixed-size array, zero-padded past the entry's
+/// A stored entry: big-endian words, zero-padded past the entry's
 /// length (entries of one fixed-width layout all have the same length,
-/// so padding never decides an order), or a boxed slice.
-trait Slot: Ord + Borrow<[u8]> {
+/// so padding never decides an order), or a boxed slice. Words compare
+/// as integers in the order their bytes do, so the tree and the sort of
+/// a bulk build compare words, not bytes.
+trait Slot: Ord + Sized {
     fn fill(entry: &[u8]) -> Self;
+
+    /// The key and row id of the entry `entry_len` bytes long this slot
+    /// holds, read in place.
+    fn split(&self, entry_len: Option<usize>) -> (EntryKey<'_>, RowId);
 }
 
-impl<const N: usize> Slot for [u8; N] {
+/// The widest fixed-width entry, in bytes.
+const WORDS_MAX: usize = 32;
+
+impl<const N: usize> Slot for [u64; N] {
     fn fill(entry: &[u8]) -> Self {
-        let mut slot = [0; N];
-        slot[..entry.len()].copy_from_slice(entry);
-        slot
+        let mut bytes = [0; WORDS_MAX];
+        bytes[..entry.len()].copy_from_slice(entry);
+        std::array::from_fn(|i| {
+            let word = bytes[8 * i..8 * i + 8].try_into().expect("eight bytes");
+            u64::from_be_bytes(word)
+        })
+    }
+
+    fn split(&self, entry_len: Option<usize>) -> (EntryKey<'_>, RowId) {
+        let len = entry_len.expect("words hold fixed-width entries") - 8;
+        // The row id's eight bytes, wherever they fall across two words.
+        let (at, shift) = (len / 8, 8 * (len % 8));
+        let row = match shift {
+            0 => self[at],
+            _ => self[at] << shift | self[at + 1] >> (64 - shift),
+        };
+        let key = EntryKey::Words { words: self, len };
+        (key, RowId(row))
     }
 }
 
@@ -407,23 +460,93 @@ impl Slot for Box<[u8]> {
     fn fill(entry: &[u8]) -> Self {
         entry.into()
     }
+
+    fn split(&self, _: Option<usize>) -> (EntryKey<'_>, RowId) {
+        let (key, row) = self.split_at(self.len() - 8);
+        let row = row.try_into().expect("an entry ends in a row id");
+        (EntryKey::Bytes(key), RowId(u64::from_be_bytes(row)))
+    }
+}
+
+/// A packed key read in place: the leading `len` bytes of a
+/// fixed-width entry's words, or bytes (a boxed entry's key, or an
+/// [`IndexKey`]'s).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum EntryKey<'a> {
+    Words { words: &'a [u64], len: usize },
+    Bytes(&'a [u8]),
+}
+
+impl EntryKey<'_> {
+    /// Whether the key is exactly `bytes`.
+    pub(crate) fn is(&self, bytes: &[u8]) -> bool {
+        match *self {
+            EntryKey::Bytes(key) => key == bytes,
+            EntryKey::Words { words, len } => {
+                len == bytes.len()
+                    && (bytes.chunks(8).zip(words))
+                        .all(|(chunk, word)| *chunk == word.to_be_bytes()[..chunk.len()])
+            }
+        }
+    }
+
+    pub(crate) fn to_vec(self) -> Vec<u8> {
+        match self {
+            EntryKey::Bytes(key) => key.to_vec(),
+            EntryKey::Words { words, len } => {
+                let bytes = words.iter().flat_map(|word| word.to_be_bytes());
+                bytes.take(len).collect()
+            }
+        }
+    }
+}
+
+/// One index's entries of one slot type: the tree, and the entries
+/// staged for the next bulk build.
+#[derive(Debug, Clone)]
+struct Tree<S> {
+    set: BTreeSet<S>,
+    /// Packed by [`IndexStore::stage`]; empty outside a build.
+    staged: Vec<S>,
+}
+
+impl<S: Slot> Tree<S> {
+    fn new() -> Self {
+        Tree {
+            set: BTreeSet::new(),
+            staged: Vec::new(),
+        }
+    }
+
+    /// Put every staged entry in the tree: sort, dedup, and build the
+    /// tree bottom-up from the sorted run (`BTreeSet`'s `FromIterator`
+    /// checks a sorted run in one pass and fills its nodes), then
+    /// merge it in — a swap when the tree is empty, as at recovery and
+    /// after vacuum's clear.
+    fn build(&mut self) {
+        let mut staged = std::mem::take(&mut self.staged);
+        staged.sort_unstable();
+        staged.dedup();
+        let mut built: BTreeSet<S> = staged.into_iter().collect();
+        self.set.append(&mut built);
+    }
 }
 
 /// The entries, in the narrowest slot their layout fits: every index
-/// of the TeNDaX schema but the unique names fits one of the arrays.
+/// of the TeNDaX schema but the unique names fits one of the words.
 #[derive(Debug, Clone)]
 enum Entries {
-    W16(BTreeSet<[u8; 16]>),
-    W24(BTreeSet<[u8; 24]>),
-    W32(BTreeSet<[u8; 32]>),
-    Boxed(BTreeSet<Box<[u8]>>),
+    W16(Tree<[u64; 2]>),
+    W24(Tree<[u64; 3]>),
+    W32(Tree<[u64; 4]>),
+    Boxed(Tree<Box<[u8]>>),
 }
 
-/// An ordered walk over a range of [`Entries`], as byte slices.
+/// An ordered walk over a range of [`Entries`].
 enum Walk<'a> {
-    W16(btree_set::Range<'a, [u8; 16]>),
-    W24(btree_set::Range<'a, [u8; 24]>),
-    W32(btree_set::Range<'a, [u8; 32]>),
+    W16(btree_set::Range<'a, [u64; 2]>),
+    W24(btree_set::Range<'a, [u64; 3]>),
+    W32(btree_set::Range<'a, [u64; 4]>),
     Boxed(btree_set::Range<'a, Box<[u8]>>),
 }
 
@@ -439,17 +562,22 @@ macro_rules! each_width {
     };
 }
 
-impl<'a> Iterator for Walk<'a> {
-    type Item = &'a [u8];
+/// A [`Walk`] and the length of the entries it walks.
+struct Entry<'a>(Walk<'a>, Option<usize>);
 
-    fn next(&mut self) -> Option<&'a [u8]> {
-        each_width!(Walk, self, r => r.next().map(|s| s.borrow()))
+impl<'a> Iterator for Entry<'a> {
+    type Item = (EntryKey<'a>, RowId);
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let len = self.1;
+        each_width!(Walk, &mut self.0, r => r.next().map(|slot| slot.split(len)))
     }
 }
 
-impl DoubleEndedIterator for Walk<'_> {
+impl DoubleEndedIterator for Entry<'_> {
     fn next_back(&mut self) -> Option<Self::Item> {
-        each_width!(Walk, self, r => r.next_back().map(|s| s.borrow()))
+        let len = self.1;
+        each_width!(Walk, &mut self.0, r => r.next_back().map(|slot| slot.split(len)))
     }
 }
 
@@ -468,10 +596,10 @@ impl IndexStore {
         let layout = KeyLayout::of(table, &def);
         let entry_len = layout.fixed_len().map(|len| len + 8);
         let entries = match entry_len {
-            Some(..=16) => Entries::W16(BTreeSet::new()),
-            Some(..=24) => Entries::W24(BTreeSet::new()),
-            Some(..=32) => Entries::W32(BTreeSet::new()),
-            _ => Entries::Boxed(BTreeSet::new()),
+            Some(..=16) => Entries::W16(Tree::new()),
+            Some(..=24) => Entries::W24(Tree::new()),
+            Some(..=32) => Entries::W32(Tree::new()),
+            _ => Entries::Boxed(Tree::new()),
         };
         IndexStore {
             def,
@@ -503,19 +631,40 @@ impl IndexStore {
     /// Whether `row` carries exactly `key` (the packed key of one of this
     /// index's entries): the re-verification every index reader owes the
     /// superset, packed on the stack.
-    pub fn key_matches(&self, row: &SharedRow, key: &[u8]) -> bool {
+    pub(crate) fn key_matches(&self, row: &SharedRow, key: EntryKey<'_>) -> bool {
         let mut packed = KeyBuf::default();
         self.pack_row(row, &mut packed);
-        packed.as_slice() == key
+        key.is(packed.as_slice())
     }
 
-    /// Record that `row` has a version, `version`, carrying its key.
-    pub fn insert(&mut self, row: RowId, version: &SharedRow) {
+    /// The entry recording that `row` has a version, `version`,
+    /// carrying its key.
+    fn entry(&self, row: RowId, version: &SharedRow) -> KeyBuf {
         let mut entry = KeyBuf::default();
         self.pack_row(version, &mut entry);
         entry.extend(&row.0.to_be_bytes());
-        let entry = entry.as_slice();
-        each_width!(Entries, &mut self.entries, set => set.insert(Slot::fill(entry)));
+        entry
+    }
+
+    /// Record that `row` has a version, `version`, carrying its key: one
+    /// insert into the tree, as a commit publishes the version.
+    pub fn insert(&mut self, row: RowId, version: &SharedRow) {
+        let entry = self.entry(row, version);
+        each_width!(Entries, &mut self.entries, tree => tree.set.insert(Slot::fill(entry.as_slice())));
+    }
+
+    /// Pack the entry [`IndexStore::insert`] would, but only stage it
+    /// for the next [`IndexStore::build`]: recovery packs a version's
+    /// entries while it has the row in cache, and builds each tree once.
+    pub(crate) fn stage(&mut self, row: RowId, version: &SharedRow) {
+        let entry = self.entry(row, version);
+        each_width!(Entries, &mut self.entries, tree => tree.staged.push(Slot::fill(entry.as_slice())));
+    }
+
+    /// Put every staged entry in the tree, sorted once and built
+    /// bottom-up. The one builder recovery and vacuum share.
+    pub(crate) fn build(&mut self) {
+        each_width!(Entries, &mut self.entries, tree => tree.build());
     }
 
     /// The entries whose key starts with `prefix` (the whole key, or its
@@ -565,45 +714,43 @@ impl IndexStore {
     pub(crate) fn entries<'a>(
         &'a self,
         range: Option<&EntryRange>,
-    ) -> impl DoubleEndedIterator<Item = (&'a [u8], RowId)> + 'a {
+    ) -> impl DoubleEndedIterator<Item = (EntryKey<'a>, RowId)> + 'a {
+        debug_assert!(
+            each_width!(Entries, &self.entries, tree => tree.staged.is_empty()),
+            "an index is read only once its staged entries are built"
+        );
         let walk = range.map(|range| {
-            let bounds = range.bounds();
-            match &self.entries {
-                Entries::W16(set) => Walk::W16(set.range::<[u8], _>(bounds)),
-                Entries::W24(set) => Walk::W24(set.range::<[u8], _>(bounds)),
-                Entries::W32(set) => Walk::W32(set.range::<[u8], _>(bounds)),
-                Entries::Boxed(set) => Walk::Boxed(set.range::<[u8], _>(bounds)),
-            }
+            let len = self.entry_len.unwrap_or_default();
+            let walk = match &self.entries {
+                Entries::W16(tree) => Walk::W16(tree.set.range(range.word_bounds::<[u64; 2]>(len))),
+                Entries::W24(tree) => Walk::W24(tree.set.range(range.word_bounds::<[u64; 3]>(len))),
+                Entries::W32(tree) => Walk::W32(tree.set.range(range.word_bounds::<[u64; 4]>(len))),
+                Entries::Boxed(tree) => Walk::Boxed(tree.set.range::<[u8], _>(range.bounds())),
+            };
+            Entry(walk, self.entry_len)
         });
-        walk.into_iter().flatten().map(|slot| self.split(slot))
-    }
-
-    /// An entry's packed key and row id.
-    fn split<'a>(&self, slot: &'a [u8]) -> (&'a [u8], RowId) {
-        let entry = &slot[..self.entry_len.unwrap_or(slot.len())];
-        let (key, row) = entry.split_at(entry.len() - 8);
-        let row = row.try_into().expect("an entry ends in a row id");
-        (key, RowId(u64::from_be_bytes(row)))
+        walk.into_iter().flatten()
     }
 
     /// Number of `(key, row)` entries.
     pub fn entry_count(&self) -> usize {
-        each_width!(Entries, &self.entries, set => set.len())
+        each_width!(Entries, &self.entries, tree => tree.set.len())
     }
 
     /// Heap bytes this index holds: its tree, and the boxed entries of a
     /// layout with text or bytes in it.
     pub fn resident_bytes(&self) -> usize {
         let boxed = match &self.entries {
-            Entries::Boxed(set) => set.iter().map(|entry| entry.len()).sum(),
+            Entries::Boxed(tree) => tree.set.iter().map(|entry| entry.len()).sum(),
             _ => 0,
         };
-        each_width!(Entries, &self.entries, set => btree_bytes(set.len(), slot_size(set))) + boxed
+        each_width!(Entries, &self.entries, tree => btree_bytes(tree.set.len(), slot_size(&tree.set)))
+            + boxed
     }
 
     /// Drop everything (used by vacuum rebuild).
     pub fn clear(&mut self) {
-        each_width!(Entries, &mut self.entries, set => set.clear());
+        each_width!(Entries, &mut self.entries, tree => tree.set.clear());
     }
 }
 
@@ -692,8 +839,8 @@ mod tests {
             i.layout.decode(packed.as_bytes()),
             Some(vec![Value::Text("t".into()), Value::Id(7)])
         );
-        assert!(i.key_matches(&r, packed.as_bytes()));
-        assert!(!i.key_matches(&row(8, "t"), packed.as_bytes()));
+        assert!(i.key_matches(&r, EntryKey::Bytes(packed.as_bytes())));
+        assert!(!i.key_matches(&row(8, "t"), EntryKey::Bytes(packed.as_bytes())));
     }
 
     #[test]

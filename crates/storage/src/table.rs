@@ -16,10 +16,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use crate::error::{Result, StorageError};
-use crate::index::{IndexKey, IndexStore};
+use crate::index::{EntryKey, IndexKey, IndexStore};
 use crate::query::{plan_access, AccessPath, Predicate};
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
+use crate::value::DataType;
 
 /// Commit timestamp. `0` is reserved: no committed data carries it.
 pub type Ts = u64;
@@ -250,6 +251,8 @@ pub struct TableStore {
     /// `vacuum`, so reading it walks nothing.
     versions: usize,
     indexes: Vec<IndexStore>,
+    /// Positions of the `Timestamp` columns.
+    timestamps: Vec<usize>,
     next_row_id: AtomicU64,
     /// Rows a commit depended on without writing them
     /// ([`crate::Transaction::expect_unchanged`]), each with the newest
@@ -276,12 +279,17 @@ impl TableStore {
         let indexes = (def.indexes.iter())
             .map(|idx| IndexStore::new(idx.clone(), &def))
             .collect();
+        let timestamps = (def.columns.iter().enumerate())
+            .filter(|(_, c)| c.ty == DataType::Timestamp)
+            .map(|(pos, _)| pos)
+            .collect();
         TableStore {
             id,
             def,
             chains: RowSlots::default(),
             versions: 0,
             indexes,
+            timestamps,
             next_row_id: AtomicU64::new(1),
             expected: HashMap::new(),
             expected_floor: 0,
@@ -369,23 +377,58 @@ impl TableStore {
         self.expected_prune_at = (2 * self.expected.len()).max(EXPECTED_PRUNE_MIN);
     }
 
-    /// Append a committed version and maintain indexes.
+    /// Append a committed version and maintain indexes: the commit path,
+    /// one tree insert per index.
     ///
     /// Callers guarantee `ts` is greater than every timestamp already in the
     /// chain (commit order is serialized by the transaction manager).
     pub fn apply(&mut self, row: RowId, ts: Ts, op: VersionOp) {
-        debug_assert!(
-            self.newest_commit_ts(row).is_none_or(|newest| newest < ts),
-            "version timestamps must be monotonically increasing per row"
-        );
         if let VersionOp::Put(r) = &op {
             for idx in &mut self.indexes {
                 idx.insert(row, r);
             }
         }
+        self.push(row, ts, op);
+    }
+
+    /// Append a version read back from the log, staging its index
+    /// entries instead of inserting them: packed now, while the row is in
+    /// cache, and built into the indexes by [`TableStore::build_indexes`]
+    /// once the log is read. The same order as [`TableStore::apply`] is
+    /// required. Returns the newest timestamp the version holds, which
+    /// the engine clock must pass after a restart; a stored row conforms
+    /// to its schema, so only its `Timestamp` columns are read.
+    pub(crate) fn replay(&mut self, row: RowId, ts: Ts, op: VersionOp) -> Option<i64> {
+        let mut newest = None;
+        if let VersionOp::Put(r) = &op {
+            for idx in &mut self.indexes {
+                idx.stage(row, r);
+            }
+            newest = (self.timestamps.iter())
+                .filter_map(|&pos| r.get(pos)?.as_timestamp())
+                .max();
+        }
+        self.push(row, ts, op);
+        newest
+    }
+
+    fn push(&mut self, row: RowId, ts: Ts, op: VersionOp) {
+        debug_assert!(
+            self.newest_commit_ts(row).is_none_or(|newest| newest < ts),
+            "version timestamps must be monotonically increasing per row"
+        );
         self.chains.push(row, Version { commit_ts: ts, op });
         self.versions += 1;
         self.observe_row_id(row);
+    }
+
+    /// Put every staged index entry in its index: each index sorted once
+    /// and built bottom-up. Recovery calls it after the last segment,
+    /// vacuum after staging the versions it kept.
+    pub(crate) fn build_indexes(&mut self) {
+        for idx in &mut self.indexes {
+            idx.build();
+        }
     }
 
     /// Every version of `row` RAM holds, oldest first.
@@ -518,7 +561,7 @@ impl TableStore {
                 return false;
             }
             self.visible(rid, TS_LATEST)
-                .is_some_and(|row| idx.key_matches(row, key.as_bytes()))
+                .is_some_and(|row| idx.key_matches(row, EntryKey::Bytes(key.as_bytes())))
         })
     }
 
@@ -679,16 +722,48 @@ impl TableStore {
         }
     }
 
+    /// Rebuild the indexes from the versions kept, with the builder
+    /// recovery uses.
     fn rebuild_indexes(&mut self) {
         for idx in &mut self.indexes {
             idx.clear();
         }
-        for (rid, chain) in self.chains.iter() {
-            for v in chain.versions() {
-                if let VersionOp::Put(row) = &v.op {
-                    for idx in &mut self.indexes {
-                        idx.insert(rid, row);
-                    }
+        stage_versions(&self.chains, &mut self.indexes);
+        self.build_indexes();
+    }
+
+    /// The name of the first index that does not hold exactly the entries
+    /// of this table's stored versions, entry for entry, as a fresh build
+    /// over them does; `None` when every index does.
+    pub fn index_mismatch(&self) -> Option<&str> {
+        let mut fresh: Vec<IndexStore> = (self.indexes.iter())
+            .map(|idx| IndexStore::new(idx.definition().clone(), &self.def))
+            .collect();
+        stage_versions(&self.chains, &mut fresh);
+        let same = |(idx, fresh): &(&IndexStore, &mut IndexStore)| {
+            let all = fresh.prefix(&[]);
+            idx.entry_count() == fresh.entry_count()
+                && (idx.entries(all.as_ref()).zip(fresh.entries(all.as_ref())))
+                    .all(|((a, ra), (b, rb))| a.to_vec() == b.to_vec() && ra == rb)
+        };
+        (self.indexes.iter().zip(&mut fresh))
+            .map(|(idx, fresh)| {
+                fresh.build();
+                (idx, fresh)
+            })
+            .find(|pair| !same(pair))
+            .map(|(idx, _)| idx.definition().name.as_str())
+    }
+}
+
+/// Stage every stored `Put` version's entries into `indexes`, each
+/// row's versions packed together.
+fn stage_versions(chains: &RowSlots, indexes: &mut [IndexStore]) {
+    for (rid, chain) in chains.iter() {
+        for v in chain.versions() {
+            if let VersionOp::Put(row) = &v.op {
+                for idx in indexes.iter_mut() {
+                    idx.stage(rid, row);
                 }
             }
         }

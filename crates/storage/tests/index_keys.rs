@@ -12,7 +12,12 @@
 //! * `index_range` and `index_lookup` with any bounds — values of another
 //!   type than their column, NULL where the column admits none, more
 //!   values than columns — return what filtering every row by
-//!   `Vec<Value>` comparison returns, in `(key, row id)` order.
+//!   `Vec<Value>` comparison returns, in `(key, row id)` order;
+//! * an index that keeps its entries as big-endian words (every column of
+//!   fixed width, an entry of at most 32 bytes) hands them out in the
+//!   order of their packed bytes, and its prefixes, bounds and
+//!   descending cursor (`index_prev`, the range capped `below` a key)
+//!   select what the bytes select.
 //!
 //! The proptest shim prints `PROPTEST_SEED=<n>` on failure; export it to
 //! replay the sequence.
@@ -100,9 +105,22 @@ fn value_of(ty: DataType, rng: &mut TestRng) -> Value {
 }
 
 /// A layout of one to four columns, and keys that conform to it (some
-/// repeated, some sharing leading columns).
+/// repeated, some sharing leading columns). With `fixed`, every column
+/// has a fixed width and an entry (key and row id) fits 32 bytes: the
+/// index keeps its entries as words.
 #[derive(Clone)]
-struct Keys;
+struct Keys {
+    fixed: bool,
+}
+
+/// The types of fixed width.
+const FIXED: [DataType; 5] = [
+    DataType::Int,
+    DataType::Id,
+    DataType::Bool,
+    DataType::Timestamp,
+    DataType::Float,
+];
 
 #[derive(Debug)]
 struct Case {
@@ -117,9 +135,20 @@ impl Strategy for Keys {
 
     fn generate(&self, rng: &mut TestRng) -> Case {
         let ncols = 1 + rng.below(4) as usize;
-        let columns: Vec<(DataType, bool)> = (0..ncols)
-            .map(|_| (TYPES[rng.below(7) as usize], rng.below(2) == 1))
-            .collect();
+        let columns: Vec<(DataType, bool)> = loop {
+            let columns: Vec<(DataType, bool)> = (0..ncols)
+                .map(|_| match self.fixed {
+                    true => (FIXED[rng.below(5) as usize], rng.below(2) == 1),
+                    false => (TYPES[rng.below(7) as usize], rng.below(2) == 1),
+                })
+                .collect();
+            let words = KeyLayout::new(columns.iter().copied())
+                .fixed_len()
+                .is_some_and(|len| len + 8 <= 32);
+            if words || !self.fixed {
+                break columns;
+            }
+        };
         let fresh = |rng: &mut TestRng| -> Vec<Value> {
             (columns.iter())
                 .map(|&(ty, nullable)| {
@@ -202,7 +231,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn packed_order_is_value_order(case in Keys) {
+    fn packed_order_is_value_order(case in Keys { fixed: false }) {
         let layout = layout(&case);
         let packed: Vec<Vec<u8>> = (case.keys.iter())
             .map(|k| layout.encode(k).expect("a conforming key packs"))
@@ -218,7 +247,7 @@ proptest! {
     }
 
     #[test]
-    fn a_prefix_packs_to_a_byte_prefix_and_keys_round_trip(case in Keys) {
+    fn a_prefix_packs_to_a_byte_prefix_and_keys_round_trip(case in Keys { fixed: false }) {
         let layout = layout(&case);
         for key in &case.keys {
             let whole = layout.encode(key).unwrap();
@@ -236,7 +265,7 @@ proptest! {
     }
 
     #[test]
-    fn ranges_and_prefixes_read_what_value_order_says(case in Keys) {
+    fn ranges_and_prefixes_read_what_value_order_says(case in Keys { fixed: false }) {
         let (db, t, rids) = table(&case);
         let txn = db.begin();
         let mut rows: Vec<(&Vec<Value>, RowId)> = case.keys.iter().zip(rids).collect();
@@ -289,6 +318,81 @@ proptest! {
                     txn.scan(t, &pred).unwrap().len(),
                     "count {:?}", pred
                 );
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// An index whose entries are words (fixed-width layouts, entries of
+    /// at most 32 bytes, most of them not a whole number of words) keeps
+    /// and selects them as their packed bytes order.
+    #[test]
+    fn word_entries_sort_and_select_as_their_bytes(case in Keys { fixed: true }) {
+        let layout = layout(&case);
+        let (db, t, rids) = table(&case);
+        let txn = db.begin();
+        let packed = |key: &[Value]| layout.encode(key).expect("a conforming key packs");
+        // The byte form: every row's packed key and id, sorted as bytes.
+        let mut bytes: Vec<(Vec<u8>, RowId)> =
+            case.keys.iter().map(|k| packed(k)).zip(rids).collect();
+        bytes.sort();
+        let ids = |got: Vec<(RowId, tendax_storage::SharedRow)>| -> Vec<RowId> {
+            got.into_iter().map(|(rid, _)| rid).collect()
+        };
+        let where_bytes = |keep: &dyn Fn(&[u8]) -> bool| -> Vec<RowId> {
+            bytes.iter().filter(|(k, _)| keep(k)).map(|(_, rid)| *rid).collect()
+        };
+
+        // Sorted: the entries come back as their bytes sort, and their
+        // keys are those bytes.
+        prop_assert_eq!(db.index_entries(t, "by_all").unwrap(), bytes.clone());
+        let all = txn.index_range(t, "by_all", Bound::Unbounded, Bound::Unbounded).unwrap();
+        prop_assert_eq!(ids(all), where_bytes(&|_| true));
+
+        for key in &case.keys {
+            for n in 0..=key.len() {
+                let prefix = &key[..n];
+                let p = packed(prefix);
+                let bound = prefix.to_vec();
+                // A prefix selects the entries its bytes prefix.
+                prop_assert_eq!(
+                    ids(txn.index_lookup(t, "by_all", prefix).unwrap()),
+                    where_bytes(&|k| k.starts_with(&p)),
+                    "lookup {:?}", prefix
+                );
+                // Bounds at a prefix: an inclusive lower end takes what
+                // sorts at or above its bytes, an exclusive upper end
+                // what sorts below them.
+                prop_assert_eq!(
+                    ids(txn.index_range(t, "by_all", Bound::Included(&bound), Bound::Unbounded).unwrap()),
+                    where_bytes(&|k| k >= p.as_slice()),
+                    "from {:?}", prefix
+                );
+                prop_assert_eq!(
+                    ids(txn.index_range(t, "by_all", Bound::Unbounded, Bound::Excluded(&bound)).unwrap()),
+                    where_bytes(&|k| k < p.as_slice()),
+                    "until {:?}", prefix
+                );
+                // Below: a descending cursor under the prefix meets each
+                // distinct key once, with its greatest row id.
+                let mut want: Vec<(Vec<u8>, RowId)> = Vec::new();
+                for (k, rid) in bytes.iter().rev().filter(|(k, _)| k.starts_with(&p)) {
+                    if want.last().is_none_or(|(last, _)| last != k) {
+                        want.push((k.clone(), *rid));
+                    }
+                }
+                let mut got = Vec::new();
+                let mut before = None;
+                while let Some((k, rid, _)) =
+                    txn.index_prev(t, "by_all", prefix, before.as_ref()).unwrap()
+                {
+                    got.push((k.as_bytes().to_vec(), rid));
+                    before = Some(k);
+                }
+                prop_assert_eq!(got, want, "below, under {:?}", prefix);
             }
         }
     }

@@ -16,7 +16,7 @@ use crate::document::DocHandle;
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, StructId, StyleId, UserId};
 use crate::ops::{EditReceipt, Effect};
-use crate::security::Permission;
+use crate::security::{Access, Permission};
 
 /// A structure element read back from the database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,9 +55,9 @@ impl DocHandle {
         let ids: Vec<_> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
-        self.tdb
-            .check_permission_txn(&txn, self.doc, self.user, Permission::Layout)?;
-        self.check_protected(&txn, Permission::Write, &ids, None)?;
+        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        access.require(Permission::Layout)?;
+        self.check_protected(&access, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();
         let mut olds = Vec::with_capacity(ids.len());
         for (&s, id) in slots.iter().zip(&ids) {

@@ -21,7 +21,7 @@ use tendax_storage::{Durability, Row, RowId, Transaction, Ts, Value};
 use crate::document::{CharInfo, DocHandle};
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, OpId, StyleId, UserId};
-use crate::security::{self, Permission};
+use crate::security::{Access, Permission};
 use crate::textdb::TextDb;
 
 /// Operation kinds that undo treats as undoable edits.
@@ -265,9 +265,9 @@ impl DocHandle {
         let ids: Vec<CharId> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
-        self.tdb
-            .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
-        self.check_protected(&txn, Permission::Write, &ids, None)?;
+        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        access.require(Permission::Write)?;
+        self.check_protected(&access, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();
         for (&s, id) in slots.iter().zip(&ids) {
             let version = self.chain.info_at(s).version + 1;
@@ -335,12 +335,19 @@ impl DocHandle {
 
         let anchor = dst.anchor_at(dst_pos);
         let mut txn = self.begin();
-        self.tdb
-            .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
-        self.tdb
-            .check_permission_txn(&txn, dst.doc, dst.user, Permission::Write)?;
-        self.check_protected(&txn, Permission::Write, &src_ids, None)?;
-        dst.check_protected(&txn, Permission::Write, &[], Some(anchor.rank))?;
+        // One read of each document's rights: a move within a document,
+        // by one user, asks all four questions of the same copy.
+        let src_access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        let other = (dst.doc, dst.user) != (self.doc, self.user);
+        let dst_access = match other {
+            true => Some(Access::load(&self.tdb, &txn, dst.doc, dst.user)?),
+            false => None,
+        };
+        let dst_access = dst_access.as_ref().unwrap_or(&src_access);
+        src_access.require(Permission::Write)?;
+        dst_access.require(Permission::Write)?;
+        self.check_protected(&src_access, Permission::Write, &src_ids, None)?;
+        dst.check_protected(dst_access, Permission::Write, &[], Some(anchor.rank))?;
 
         let ts = self.tdb.now();
         // 1) Tombstone the source characters.
@@ -464,9 +471,9 @@ impl DocHandle {
 
         let anchor = self.anchor_at(pos);
         let mut txn = self.begin();
-        self.tdb
-            .check_permission_txn(&txn, self.doc, self.user, Permission::Write)?;
-        self.check_protected(&txn, Permission::Write, &[], Some(anchor.rank))?;
+        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        access.require(Permission::Write)?;
+        self.check_protected(&access, Permission::Write, &[], Some(anchor.rank))?;
 
         let ts = self.tdb.now();
         let ids = self.write_chars(&mut txn, anchor.prev, &chars, ts)?;
@@ -646,20 +653,17 @@ impl DocHandle {
         Ok(OpId::from_row(rid))
     }
 
-    /// Reject the operation if it touches a character range protected
-    /// against this user. `ids` are the characters being modified;
+    /// Reject the operation if it touches a character range `access`
+    /// protects against this user. `ids` are the characters being modified;
     /// `insert_at_total` is the total-order position of an insertion.
     pub(crate) fn check_protected(
         &self,
-        txn: &Transaction,
+        access: &Access,
         perm: Permission,
         ids: &[CharId],
         insert_at_total: Option<usize>,
     ) -> Result<()> {
-        let info = self.tdb.document_info_txn(txn, self.doc)?;
-        let roles = self.tdb.roles_of_txn(txn, self.user)?;
-        let rules = security::load_rules(txn, self.tdb.tables(), self.doc)?;
-        let denied = security::denied_ranges(&rules, info.creator, self.user, &roles, perm);
+        let denied = access.denied_ranges(perm);
         if denied.is_empty() {
             return Ok(());
         }

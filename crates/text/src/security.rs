@@ -16,7 +16,7 @@
 
 use tendax_storage::{Predicate, Transaction, Value};
 
-use crate::error::Result;
+use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, RoleId, UserId};
 use crate::schema::Tables;
 
@@ -263,6 +263,56 @@ impl crate::document::DocHandle {
         }
         out.sort_by_key(|(a, _, _)| *a);
         Ok(out)
+    }
+}
+
+/// What decides one user's rights on one document: its creator, the
+/// user's roles and the document's rules. An edit reads them once and
+/// asks both of its questions — may the user edit, and which spans are
+/// protected against them — of the one copy.
+#[derive(Debug)]
+pub(crate) struct Access {
+    doc: DocId,
+    user: UserId,
+    creator: UserId,
+    roles: Vec<RoleId>,
+    rules: Vec<AclRule>,
+}
+
+impl Access {
+    /// Read `user`'s rights on `doc` within `txn`'s snapshot: the
+    /// document's row, the user's roles and the document's rules.
+    pub(crate) fn load(
+        tdb: &crate::textdb::TextDb,
+        txn: &Transaction,
+        doc: DocId,
+        user: UserId,
+    ) -> Result<Access> {
+        Ok(Access {
+            doc,
+            user,
+            creator: tdb.document_info_txn(txn, doc)?.creator,
+            roles: tdb.roles_of_txn(txn, user)?,
+            rules: load_rules(txn, tdb.tables(), doc)?,
+        })
+    }
+
+    /// `PermissionDenied` unless the user holds `perm` on the document.
+    pub(crate) fn require(&self, perm: Permission) -> Result<()> {
+        if decide(&self.rules, self.creator, self.user, &self.roles, perm) {
+            Ok(())
+        } else {
+            Err(TextError::PermissionDenied {
+                user: self.user,
+                doc: self.doc,
+                perm,
+            })
+        }
+    }
+
+    /// The spans whose range rules deny `perm` to the user.
+    pub(crate) fn denied_ranges(&self, perm: Permission) -> Vec<(CharId, CharId)> {
+        denied_ranges(&self.rules, self.creator, self.user, &self.roles, perm)
     }
 }
 

@@ -14,7 +14,7 @@ use tendax_storage::{
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, RoleId, StyleId, UserId};
 use crate::schema::Tables;
-use crate::security::{self, Permission, Principal};
+use crate::security::{Access, Permission, Principal};
 use crate::stamps::{ChangeStamps, DocKey};
 
 /// Document descriptor.
@@ -367,14 +367,7 @@ impl TextDb {
         user: UserId,
         perm: Permission,
     ) -> Result<()> {
-        let info = self.document_info_txn(txn, doc)?;
-        let roles = self.roles_of_txn(txn, user)?;
-        let rules = security::load_rules(txn, &self.t, doc)?;
-        if security::decide(&rules, info.creator, user, &roles, perm) {
-            Ok(())
-        } else {
-            Err(TextError::PermissionDenied { user, doc, perm })
-        }
+        Access::load(self, txn, doc, user)?.require(perm)
     }
 
     /// Grant or deny a document-level permission. Requires

@@ -8,8 +8,11 @@
 # suites run, and it is the tier-1 command too;
 # CI repeats some of them as jobs of their own so a red result names the
 # layer. The storage-format job's include tendax-storage `index_keys`
-# (packed index keys: order, prefix, round trip; prints PROPTEST_SEED=<n>
-# on failure), `row_slots` (row slots against a B-tree model; the same),
+# (packed index keys: order, prefix, round trip, word entries in byte
+# order; prints PROPTEST_SEED=<n> on failure), `index_oracle` (each
+# index built once at open or rebuilt by vacuum equals a fresh
+# build over the versions, across random histories and reopens; the
+# same), `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
 # trip, writer = weigher = `encode_record`, replay; the same),
 # `format_size` (exact bytes: a checkpoint row of each keystroke table,
