@@ -13,13 +13,17 @@
 //! commit once its ticket is withdrawn: a mirror kept from before it —
 //! the watcher's, before its resync — is answered by a snapshot, one from
 //! after it by a delta, and no `Delta` carries the refused commit.
+//!
+//! A read event is the one commit nobody is told is durable: a
+//! `Subscribe`, and a `TextDb::open`, write nothing to the log and sync
+//! nothing; the next edit's flush carries the read with it.
 
 use std::sync::Arc;
 
 use tendax_collab::CollabServer;
 use tendax_net::protocol::encode_join;
 use tendax_net::{Bytes, Conn, EditOp, Frame, FrameBuffer, Hub, MirrorDoc, NetConfig};
-use tendax_storage::{Database, DurabilityLevel, Options, SimVfs};
+use tendax_storage::{Database, DurabilityLevel, Options, SimVfs, Syncs, WalShardStats};
 use tendax_text::{DocId, TextDb};
 
 /// Everything `conn` hands out, decoded.
@@ -56,15 +60,33 @@ fn mirror(mirror: &mut Option<MirrorDoc>, frames: Vec<Frame>) {
     }
 }
 
-#[test]
-fn an_edit_that_never_became_durable_is_never_broadcast() {
-    let vfs = SimVfs::new(7);
+/// A text database on a simulated disk at `DurabilityLevel::Fsync`.
+fn durable_textdb(vfs: &SimVfs) -> TextDb {
     let options = Options {
         durability: DurabilityLevel::Fsync,
         vfs: Arc::new(vfs.clone()),
         ..Options::default()
     };
-    let tdb = TextDb::init(Database::open("/sim/events.wal", options).unwrap()).unwrap();
+    TextDb::init(Database::open("/sim/events.wal", options).unwrap()).unwrap()
+}
+
+/// A connection past its handshake as `user`.
+fn connect(hub: &Hub, user: &str) -> Conn {
+    let conn = Conn::new(hub);
+    let hello = Frame::Hello {
+        version: tendax_net::PROTOCOL_VERSION,
+        user: user.into(),
+        platform: "Linux".into(),
+        token: String::new(),
+    };
+    conn.on_frame(hub, hello);
+    conn
+}
+
+#[test]
+fn an_edit_that_never_became_durable_is_never_broadcast() {
+    let vfs = SimVfs::new(7);
+    let tdb = durable_textdb(&vfs);
     let alice = tdb.create_user("alice").unwrap();
     tdb.create_user("bob").unwrap();
     let doc = tdb.create_document("doc", alice).unwrap();
@@ -79,14 +101,7 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
     let collab = CollabServer::new(tdb);
     let hub = Hub::new(collab.clone(), NetConfig::default());
     let [typist, watcher] = ["alice", "bob"].map(|user| {
-        let conn = Conn::new(&hub);
-        let hello = Frame::Hello {
-            version: tendax_net::PROTOCOL_VERSION,
-            user: user.into(),
-            platform: "Linux".into(),
-            token: String::new(),
-        };
-        conn.on_frame(&hub, hello);
+        let conn = connect(&hub, user);
         conn.on_frame(
             &hub,
             Frame::Subscribe {
@@ -161,4 +176,76 @@ fn an_edit_that_never_became_durable_is_never_broadcast() {
         }
         other => panic!("a mirror past the refused commit got {other:?}"),
     }
+}
+
+#[test]
+fn a_read_event_rides_the_next_edits_flush() {
+    let vfs = SimVfs::new(11);
+    let tdb = durable_textdb(&vfs);
+    let alice = tdb.create_user("alice").unwrap();
+    let doc = tdb.create_document("doc", alice).unwrap();
+    let collab = CollabServer::new(tdb.clone());
+    let hub = Hub::new(collab, NetConfig::default());
+    let conn = connect(&hub, "alice");
+    handed_out(&hub, &conn);
+    let wal = || tdb.database().wal_shard_stats()[0];
+    let counts = || (vfs.ops(), vfs.syncs(), wal());
+    let edit = |request, text: &str| {
+        let op = EditOp::Insert {
+            pos: 0,
+            text: text.into(),
+        };
+        let (_, broadcast) = conn.on_frame(
+            &hub,
+            Frame::Edit {
+                request,
+                doc: doc.0,
+                op,
+            },
+        );
+        broadcast.publish();
+        let landed = handed_out(&hub, &conn);
+        assert!(
+            matches!(landed[..], [Frame::EditOk { .. }, Frame::Event(_)]),
+            "{landed:?}"
+        );
+    };
+    // The edit after a read: one batch, the read's record and its own,
+    // and one sync, of the data inside the log's room.
+    let flushed_with_the_read = |before: (u64, Syncs, WalShardStats), what: &str| {
+        let (_, syncs, stats) = counts();
+        let flushed = (
+            stats.batches_flushed - before.2.batches_flushed,
+            stats.records_flushed - before.2.records_flushed,
+            stats.fsyncs - before.2.fsyncs,
+            syncs.data - before.1.data,
+            syncs.all - before.1.all,
+        );
+        assert_eq!(
+            flushed,
+            (1, 2, 1, 1, 0),
+            "{what}: batches, records, fsyncs, sync_data, sync_all"
+        );
+    };
+
+    let before = counts();
+    conn.on_frame(
+        &hub,
+        Frame::Subscribe {
+            request: 1,
+            name: "doc".into(),
+            resume: None,
+        },
+    );
+    let opened = handed_out(&hub, &conn);
+    assert!(matches!(opened[..], [Frame::Snapshot { .. }]), "{opened:?}");
+    assert_eq!(counts(), before, "a subscribe wrote to the log");
+    edit(2, "a");
+    flushed_with_the_read(before, "the edit after a subscribe");
+
+    let before = counts();
+    assert_eq!(tdb.open(doc, alice).unwrap().text(), "a");
+    assert_eq!(counts(), before, "an open wrote to the log");
+    edit(3, "b");
+    flushed_with_the_read(before, "the edit after an open");
 }

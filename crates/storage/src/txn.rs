@@ -81,6 +81,12 @@ enum TxnState {
 /// What a visible commit still owes its caller: the wait for its log
 /// record to reach the disk (see [`Transaction::commit_visible`]).
 /// Nothing to wait for on an in-memory database or a read-only commit.
+///
+/// It is released one of two ways. [`Durability::wait`] is the rule:
+/// edits, DDL, checkpoints and process steps are acknowledged only once
+/// durable. [`Durability::with_next_flush`] is for a commit nobody is
+/// told is durable (a read event): it does not wait, and the next flush
+/// writes it.
 #[derive(Debug)]
 #[must_use = "the commit is not durable until this has been waited for"]
 pub struct Durability {
@@ -100,6 +106,17 @@ impl Durability {
             Some((db, ticket)) => db.wal_wait(Some(ticket)),
             None => Ok(()),
         }
+    }
+
+    /// Let the commit go without waiting for the disk. Its frame stays in
+    /// the group-commit batch and the next flush writes it: a later
+    /// commit's wait, a checkpoint's switch, or the log's drop. Until
+    /// then a power cut (at `Fsync`) or a process crash (at `Buffered`)
+    /// may lose it, and a failed flush is reported to whoever waits for
+    /// that flush, not here. The log stays a commit-order prefix, so the
+    /// commit survives whenever any later commit does.
+    pub fn with_next_flush(self) {
+        let Durability { ticket: _ } = self;
     }
 }
 

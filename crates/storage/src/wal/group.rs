@@ -16,7 +16,10 @@
 //! the next batch. Under concurrency this amortizes the fsync — the
 //! dominant cost of a durable commit — across every transaction in the
 //! batch, without weakening the guarantee: `commit()` still returns only
-//! after the record is durable at the configured level.
+//! after the record is durable at the configured level. A commit whose
+//! `Durability` was released with `Durability::with_next_flush` (a read
+//! event) waits for no flush: its frame stays in the batch until the next
+//! leader, a checkpoint's switch or the drop writes it.
 //!
 //! Non-commit records (DDL) use [`GroupWal::enqueue`], which must be
 //! called with the commit pipeline quiesced (the database's exclusive
@@ -332,8 +335,9 @@ impl GroupWal {
 }
 
 impl Drop for GroupWal {
-    /// Best-effort write of any frames still buffered (a database
-    /// dropped before a committer waited on its ticket). Errors are
+    /// Best-effort write of any frames still buffered (a read event
+    /// nobody waits for, or a database dropped before a committer waited
+    /// on its ticket). Errors are
     /// ignored: there is no caller left to surface them to. Frames
     /// parked behind a timestamp that never resolved are still in the
     /// sequencer and never reach this buffer — writing them would break

@@ -641,15 +641,16 @@ fn check_format(data: &[u8]) -> Result<()> {
 
 /// Iterator over framed records in a byte buffer.
 ///
-/// Yields `Ok(record)` for each intact frame. A frame cut short by the
-/// end of the data, a CRC-failing frame or a zero header ends iteration
-/// silently (torn write, or room) when nothing intact lies behind its
-/// header, and — for the latter two — nothing behind it but zeros and at
-/// most one tear. An intact frame behind a bad one (its length damaged to
-/// run past the end or into its neighbour, say), other data behind a CRC
-/// failure or zero header, or an intact frame that does not decode is
-/// real corruption and yields [`StorageError::WalCorrupt`] at the offset
-/// the offending frame starts at.
+/// Yields `Ok(record)` for each intact frame that decodes. A frame cut
+/// short by the end of the data, a CRC-failing frame, a zero header or a
+/// frame that does not decode (a tear can leave a checksum that holds)
+/// ends iteration silently (torn write, or room) when nothing intact lies
+/// behind its header, and — unless cut short — nothing behind it but
+/// zeros and at most one tear. An intact frame behind a bad one (its
+/// length damaged to run past the end or into its neighbour, say), or
+/// other data behind a bad frame or zero header, is real corruption and
+/// yields [`StorageError::WalCorrupt`] at the offset the offending frame
+/// starts at.
 pub struct WalIter<'a> {
     data: &'a [u8],
     pub(crate) offset: usize,
@@ -688,8 +689,7 @@ impl<'a> WalIter<'a> {
         // such tear: then the log ends here and nothing durable is
         // discarded. Anything else is mid-log corruption and must surface
         // as an error.
-        let torn = !intact_frame_in(&rest[8..]) && (short || at_most_one_tear(&rest[8 + len..]));
-        if torn {
+        if tears_the_end(rest, len, short) {
             return None;
         }
         Some(Err(StorageError::WalCorrupt {
@@ -704,6 +704,14 @@ impl<'a> WalIter<'a> {
             .into(),
         }))
     }
+}
+
+/// Whether the frame at the start of `rest`, its header naming `len`
+/// bytes of payload (`short`: more than `rest` holds), can be where a
+/// power cut tore the log: no intact frame lies behind its header, and
+/// unless it is cut short, behind it is only zeros and at most one tear.
+fn tears_the_end(rest: &[u8], len: usize, short: bool) -> bool {
+    !intact_frame_in(&rest[8..]) && (short || at_most_one_tear(&rest[8 + len..]))
 }
 
 /// Whether an intact frame — a non-zero length that fits, and a payload
@@ -738,15 +746,29 @@ impl Iterator for WalIter<'_> {
     type Item = Result<WalRecord>;
 
     fn next(&mut self) -> Option<Self::Item> {
-        Some(self.next_frame()?.and_then(|(start, payload)| {
-            decode_record(payload).map_err(|e| match e {
+        let (start, payload) = match self.next_frame()? {
+            Ok(frame) => frame,
+            Err(e) => return Some(Err(e)),
+        };
+        match decode_record(payload) {
+            // A tear can leave a checksum that holds: 0xFF over a frame's
+            // CRC and its first four payload bytes, in zeroed room, is a
+            // frame whose CRC-32 matches (that of `FF FF FF FF` and zeros
+            // is `FFFF_FFFF`), and whose tag 0xFF decodes as nothing. So
+            // a frame that does not decode ends the log like a torn one
+            // where a torn one would.
+            Err(_) if tears_the_end(&self.data[start..], payload.len(), false) => {
+                self.offset = self.data.len();
+                None
+            }
+            res => Some(res.map_err(|e| match e {
                 StorageError::WalCorrupt { reason, .. } => StorageError::WalCorrupt {
                     offset: start as u64,
                     reason,
                 },
                 other => other,
-            })
-        }))
+            })),
+        }
     }
 }
 
@@ -977,6 +999,31 @@ mod tests {
             let (records, end) = replay_bytes(&data).unwrap();
             assert_eq!(records.len(), 2, "cut at {cut}");
             assert_eq!((end.frames, end.torn), (last as u64, true), "cut at {cut}");
+        }
+    }
+
+    /// A frame torn inside the room with 0xFF over its CRC and its first
+    /// four payload bytes checks out (CRC-32 of `FF FF FF FF` and zeros
+    /// is `FFFF_FFFF`) and decodes as nothing: a torn tail, unless more
+    /// log lies behind it.
+    #[test]
+    fn a_torn_frame_whose_checksum_holds_is_a_torn_tail() {
+        let frames = three_frames();
+        let mut torn = 16u32.to_le_bytes().to_vec();
+        torn.extend_from_slice(&[0xFF; TORN_MAX]);
+        torn.resize(8 + 16, 0);
+        assert_eq!(crc32(&torn[8..]), 0xFFFF_FFFF);
+        let data = [&frames[..], &torn, &[0; 4096]].concat();
+        let (records, end) = replay_bytes(&data).unwrap();
+        assert_eq!(records.len(), 3);
+        assert_eq!((end.frames, end.torn), (frames.len() as u64, true));
+        let data = [&frames[..], &torn, &encode_frame(&meta(3))].concat();
+        match replay_bytes(&data) {
+            Err(StorageError::WalCorrupt { offset, reason }) => {
+                assert_eq!(offset, frames.len() as u64, "{reason}");
+                assert!(reason.contains("unknown record tag"), "{reason}");
+            }
+            other => panic!("{other:?}"),
         }
     }
 

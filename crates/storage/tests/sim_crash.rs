@@ -18,7 +18,8 @@ mod common;
 use std::sync::{Arc, Barrier, Mutex};
 
 use common::{HookVfs, Step};
-use tendax_storage::wal::WalFile;
+use tendax_storage::vfs::Vfs;
+use tendax_storage::wal::{WalFile, WalIter, WalOp, WalRecord};
 use tendax_storage::{
     ColdOptions, DataType, Database, DurabilityLevel, MaintenanceOptions, Options, Predicate, Row,
     RowId, SimVfs, StorageError, TableDef, TableId, Ts, Value, ValueRef,
@@ -664,6 +665,218 @@ fn checkpoint_crash_never_loses_fsynced_commits() {
                 assert_eq!(recovered_seqs(&db, "t").len(), got.len() + 1, "{ctx}");
             }
         }
+    }
+}
+
+// ------------------------------------------------------- read events
+
+/// What one life of [`read_event_life`] left behind.
+#[derive(Debug, Default)]
+struct ReadLife {
+    /// Edits acknowledged (`commit` returned), by sequence number.
+    acked: Vec<i64>,
+    /// Ops charged when the checkpoint began its base (the `.tmp`
+    /// create): every op before it, the switch's flush included, is done.
+    base_op: Option<u64>,
+    /// The last record of the sealed segment as the base began: the
+    /// table and sequence number of its one write.
+    sealed_tail: Option<(TableId, i64)>,
+}
+
+/// "open, edit, open, checkpoint, open, drop" with an open as a read
+/// event: a commit released with `Durability::with_next_flush`. The
+/// commits number 0..4 in commit order across two tables: read 0, edit
+/// 1, read 2, the checkpoint, read 3. Stops at the first error.
+fn read_event_life(vfs: &SimVfs, d: DurabilityLevel) -> ReadLife {
+    let life = Arc::new(Mutex::new(ReadLife::default()));
+    let hook = {
+        let (life, disk) = (life.clone(), vfs.clone());
+        move |step: Step<'_>| {
+            if !(matches!(step, Step::Create(_)) && step.on(".tmp")) {
+                return;
+            }
+            let mut life = life.lock().unwrap();
+            life.base_op = Some(disk.ops());
+            // Before the first checkpoint the log's path is segment 0.
+            let Ok(sealed) = disk.read(std::path::Path::new(WAL)) else {
+                return;
+            };
+            let last = WalIter::new(&sealed).last();
+            if let Some(Ok(WalRecord::Commit { writes, .. })) = last {
+                if let [w] = &writes[..] {
+                    if let WalOp::Put(row) = &w.op {
+                        life.sealed_tail = Some((w.table, row.get(0).unwrap().as_int().unwrap()));
+                    }
+                }
+            }
+        }
+    };
+    let opts = Options {
+        vfs: Arc::new(HookVfs::new(vfs.clone(), hook)),
+        ..sim_opts(vfs, d)
+    };
+    let run = || -> tendax_storage::Result<()> {
+        let db = Database::open(WAL, opts)?;
+        let edits = db.create_table(table_def("edits"))?;
+        let reads = db.create_table(table_def("reads"))?;
+        let insert = |t: TableId, seq: i64| {
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(seq)]))?;
+            Ok::<_, StorageError>(txn)
+        };
+        let read = |seq: i64| -> tendax_storage::Result<()> {
+            let (_, durability) = insert(reads, seq)?.commit_visible()?;
+            durability.with_next_flush();
+            Ok(())
+        };
+        read(0)?;
+        insert(edits, 1)?.commit()?;
+        life.lock().unwrap().acked.push(1);
+        read(2)?;
+        db.checkpoint()?;
+        read(3)
+        // The drop writes read 3, best effort.
+    };
+    let _ = run();
+    let mut life = life.lock().unwrap();
+    std::mem::take(&mut *life)
+}
+
+/// The sorted sequence numbers recovered across `edits` and `reads`.
+fn recovered_reads_and_edits(db: &Database) -> Vec<i64> {
+    let mut got = recovered_seqs(db, "edits");
+    got.extend(recovered_seqs(db, "reads"));
+    got.sort_unstable();
+    got
+}
+
+/// A read event rides the next flush. The power cuts at every op of
+/// "open, edit, open, checkpoint, open, drop", at both levels, and after
+/// each cut the machine either loses its page cache (a power cut) or
+/// keeps it (a process crash). Recovery is a commit-order prefix across
+/// reads and edits, so a read before a surviving edit survives with it;
+/// every acknowledged edit survives a power cut at `Fsync` and a process
+/// crash at either level; a read staged before the checkpoint is in the
+/// segment the checkpoint sealed, so at `Fsync` it survives any cut from
+/// the base's first op on. A fault-free life's clean drop writes the read
+/// staged last.
+#[test]
+fn read_event_crash_keeps_edits_and_a_commit_order_prefix() {
+    for seed in seeds() {
+        for d in DURABILITY_LEVELS {
+            let ctx = format!("seed {seed} {d:?} (rerun with TENDAX_SIM_SEED={seed})");
+            let twin = SimVfs::new(seed);
+            let life = read_event_life(&twin, d);
+            let total_ops = twin.ops();
+            assert_eq!(life.acked, vec![1], "{ctx}: fault-free run");
+            let base_op = life.base_op.expect("the checkpoint wrote a base");
+            if d == DurabilityLevel::Fsync {
+                twin.crash();
+            }
+            let db = Database::open(WAL, sim_opts(&twin, d)).unwrap();
+            assert_eq!(
+                life.sealed_tail,
+                Some((db.table_id("reads").unwrap(), 2)),
+                "{ctx}: the read staged before the checkpoint is not the sealed segment's last record"
+            );
+            assert_eq!(
+                recovered_reads_and_edits(&db),
+                vec![0, 1, 2, 3],
+                "{ctx}: a clean drop left a staged read unwritten"
+            );
+
+            for cut in 0..total_ops {
+                for power_cut in [true, false] {
+                    let vfs = SimVfs::new(seed);
+                    vfs.power_fail_after(cut);
+                    let life = read_event_life(&vfs, d);
+                    if power_cut {
+                        vfs.crash();
+                    } else {
+                        vfs.restore_power();
+                    }
+                    let ctx = format!(
+                        "{ctx} cut {cut}/{total_ops} {}",
+                        if power_cut {
+                            "power cut"
+                        } else {
+                            "process crash"
+                        }
+                    );
+                    let db = Database::open(WAL, sim_opts(&vfs, d))
+                        .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+                    let got = recovered_reads_and_edits(&db);
+                    assert_eq!(
+                        got,
+                        (0..got.len() as i64).collect::<Vec<_>>(),
+                        "{ctx}: recovery is not a commit-order prefix"
+                    );
+                    if d == DurabilityLevel::Fsync || !power_cut {
+                        for edit in &life.acked {
+                            assert!(got.contains(edit), "{ctx}: acknowledged edit {edit} lost");
+                        }
+                    }
+                    if d == DurabilityLevel::Fsync && cut >= base_op {
+                        assert!(
+                            got.len() >= 3,
+                            "{ctx}: the read before the checkpoint was lost: {got:?}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A read staged behind a failed sync is never durable: the edit whose
+/// flush carried it is refused, and so is every later commit, read
+/// events included, typed and before publication.
+#[test]
+fn read_event_behind_a_failed_sync_is_never_durable() {
+    for seed in seeds() {
+        let vfs = SimVfs::new(seed);
+        let ctx = format!("seed {seed} (rerun with TENDAX_SIM_SEED={seed})");
+        {
+            let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync)).unwrap();
+            let edits = db.create_table(table_def("edits")).unwrap();
+            let reads = db.create_table(table_def("reads")).unwrap();
+            let insert = |t: TableId, seq: i64| {
+                let mut txn = db.begin();
+                txn.insert(t, Row::new(vec![Value::Int(seq)])).unwrap();
+                txn
+            };
+            insert(edits, 0).commit().unwrap();
+            let (_, durability) = insert(reads, 1).commit_visible().unwrap();
+            durability.with_next_flush();
+
+            vfs.fail_next_syncs(1);
+            let refused = |what: &str, res: tendax_storage::Result<Ts>| {
+                assert!(
+                    matches!(res, Err(StorageError::WalUnavailable(_))),
+                    "{ctx}: {what}: {res:?}"
+                );
+            };
+            refused("the edit whose sync failed", insert(edits, 2).commit());
+            refused(
+                "a read after the failed sync",
+                insert(reads, 3).commit_visible().map(|(ts, durability)| {
+                    durability.with_next_flush();
+                    ts
+                }),
+            );
+            refused("an edit after the failed sync", insert(edits, 3).commit());
+            // Visible in memory: the read, and the edit published before
+            // its wait failed.
+            assert_eq!(recovered_reads_and_edits(&db), vec![0, 1, 2], "{ctx}");
+        }
+        vfs.crash();
+        let db = Database::open(WAL, sim_opts(&vfs, DurabilityLevel::Fsync))
+            .unwrap_or_else(|e| panic!("{ctx}: reopen failed: {e}"));
+        assert_eq!(
+            recovered_reads_and_edits(&db),
+            vec![0],
+            "{ctx}: a read that rode the failed sync came back"
+        );
     }
 }
 

@@ -169,29 +169,33 @@ impl AnchorTree {
 }
 
 impl TextDb {
-    /// Open `doc` as `user`: checks [`Permission::Read`], builds the
-    /// position index from the stored character chain and records a read
-    /// event (metadata for dynamic folders / ranking).
+    /// Open `doc` as `user`: [`TextDb::record_read`], then
+    /// [`TextDb::load`]. The read is recorded before the chain walk, so
+    /// an open refused for want of [`Permission::Read`] walks nothing,
+    /// and a load that fails after it leaves its read event committed.
     pub fn open(&self, doc: DocId, user: UserId) -> Result<DocHandle> {
-        self.check_permission(doc, user, Permission::Read)?;
-        let handle = self.load(doc, user)?;
-        // Read event in its own transaction: opening is itself an action
-        // that generates creation-process metadata.
-        let mut txn = self.database().begin();
-        self.insert_read(&mut txn, doc, user)?;
-        txn.commit()?;
-        Ok(handle)
+        self.record_read(doc, user)?;
+        self.load(doc, user)
     }
 
-    /// The half of [`TextDb::open`] a reader pays who is shown a copy
-    /// that is already loaded (a server's live document): the
-    /// [`Permission::Read`] check and the read event, in one transaction,
-    /// and no chain walk.
+    /// Check [`Permission::Read`] and record a read event (metadata for
+    /// "read by" folders and ranking), in one transaction: every open's
+    /// account of its reader, and all a reader pays who is shown a copy
+    /// already loaded (a server's live document). The only writer of
+    /// `reads` rows.
+    ///
+    /// The event commits visible and does not wait for the disk
+    /// ([`Durability::with_next_flush`](tendax_storage::Durability::with_next_flush)):
+    /// the next flush writes it, and nobody is told it is durable. A
+    /// power cut at `Fsync`, or a process crash at `Buffered`, can lose
+    /// read events committed since the last flush, never an edit. A
+    /// poisoned log still refuses the commit.
     pub fn record_read(&self, doc: DocId, user: UserId) -> Result<()> {
         let mut txn = self.database().begin();
         self.check_permission_txn(&txn, doc, user, Permission::Read)?;
         self.insert_read(&mut txn, doc, user)?;
-        txn.commit()?;
+        let (_, durability) = txn.commit_visible()?;
+        durability.with_next_flush();
         Ok(())
     }
 

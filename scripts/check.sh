@@ -28,8 +28,14 @@
 # segment of only its format frame) and `sim_crash`'s
 # checkpoint_crash_never_loses_fsynced_commits (every op of a checkpoint
 # power-cut at both levels, commits landing between the switch and the
-# base) and room_growth_crash_keeps_every_acknowledged_commit (across a
-# rotation), seed 0 cold off and on. The transport job's include tendax-net `codec`
+# base), room_growth_crash_keeps_every_acknowledged_commit (across a
+# rotation), read_event_crash_keeps_edits_and_a_commit_order_prefix
+# (every op of "open, edit, open, checkpoint, open, drop" power-cut at
+# both levels, each open a read event that waits for no flush: edits
+# kept, a commit-order prefix, the read before the checkpoint in the
+# sealed segment, a clean drop writing the last read) and
+# read_event_behind_a_failed_sync_is_never_durable, seed 0 cold off and
+# on. The transport job's include tendax-net `codec`
 # (protocol v3: run-coded snapshots against the layout spelled out,
 # hostile run tables refused typed, the `Delta` a live document's tail
 # encodes against its layout, hostile deltas refused typed, a v2 `Hello`
@@ -51,7 +57,9 @@
 # of its event, closes and re-opens resumed by deltas, lost streams
 # recovered by deltas and snapshots, 32 seeds; TENDAX_SIM_SEED=<n>
 # replays one), `durable_events` (an edit whose log sync fails is
-# rejected, its event never handed out and never carried by a delta),
+# rejected, its event never handed out and never carried by a delta; a
+# `Subscribe` and a `TextDb::open` write and sync nothing, and the next
+# edit's flush is one batch of two records with one sync),
 # `capacity` once more in a release build (its stalled-reader
 # tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
