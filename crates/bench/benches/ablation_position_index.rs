@@ -87,12 +87,10 @@ fn bench_insert_maintenance(c: &mut Criterion) {
                 .slot_at_visible(chain.visible_len() / 2)
                 .expect("anchor");
             b.iter(|| {
-                // An insert after the anchor, found with its rank as an
-                // edit finds them, ahead of the characters inserted there
-                // before.
-                let rank = chain.total_rank_at(anchor) + 1;
+                // An insert after the anchor, ahead of the characters
+                // inserted there before.
                 chain
-                    .insert_at(rank, Some(anchor), CharId(next), info(true))
+                    .insert_at(Some(anchor), CharId(next), info(true))
                     .expect("fresh id");
                 next += 1;
             });

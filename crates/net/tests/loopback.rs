@@ -670,6 +670,37 @@ fn refused_snapshots_say_why() {
     assert_eq!(tdb.read_count(id).unwrap(), 1);
 }
 
+/// The server memoizes a reader's rights between keystrokes; a right to
+/// read taken away after an edit warmed the memo still refuses the next
+/// `Subscribe`.
+#[test]
+fn rights_memo_refuses_a_subscribe_once_read_is_denied() {
+    use tendax_text::{Permission, Principal};
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());
+    let tdb = collab.textdb();
+    let [alice, bob] = ["alice", "bob"].map(|u| tdb.user_by_name(u).unwrap());
+    let id = tdb.document_by_name("doc").unwrap();
+
+    let b = NetClient::connect(server.local_addr(), "bob").unwrap();
+    let doc = b.subscribe("doc").unwrap();
+    b.insert(doc, 0, "hi").unwrap();
+    b.insert(doc, 2, "!").unwrap();
+    tdb.set_access(id, alice, Principal::User(bob), Permission::Read, false)
+        .unwrap();
+
+    match b.subscribe("doc") {
+        Err(NetError::Remote { code, message }) => {
+            assert_eq!(code, codes::REJECTED);
+            assert!(
+                message.contains(&format!("{bob} lacks Read on {id}")),
+                "got {message:?}"
+            );
+        }
+        other => panic!("expected a typed refusal, got {other:?}"),
+    }
+    assert_eq!(tdb.read_count(id).unwrap(), 1);
+}
+
 #[test]
 fn resync_recovers_a_deliberately_poisoned_mirror() {
     let (server, _collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());

@@ -44,6 +44,18 @@
 //! reads or writes the character there without going back through the
 //! map.
 //!
+//! ## Inserting
+//!
+//! A load links every character at once, as the Cartesian tree of the
+//! sequence ([`Chain::link`]). A typed character is added bottom-up, the
+//! textbook treap insertion (Seidel & Aragon, *Randomized Search Trees*,
+//! 1996): attached as a leaf next to its predecessor — whose slot the
+//! caller holds, and whose old successor the links name — its count added
+//! on the path to the root, then rotated up while its priority beats its
+//! parent's. Nothing descends from the root and nothing is split or
+//! merged. Priorities are distinct, so the tree is unique: node for node
+//! the one a load of the same sequence links.
+//!
 //! Pages, not one growing vector, for the reason the client mirror has
 //! them (DESIGN §5.7): a vector's doubling reallocations leave freed heap
 //! behind that malloc keeps. The block makes an open a fixed number of
@@ -205,6 +217,14 @@ impl std::fmt::Display for ChainError {
 
 impl std::error::Error for ChainError {}
 
+/// A tree as [`Chain::shape`] spells it: the root's id, and per character
+/// its id, its children's ids and its `(total, visible_count)`.
+#[cfg(test)]
+type Shape = (
+    Option<CharId>,
+    Vec<(CharId, Option<CharId>, Option<CharId>, (u32, u32))>,
+);
+
 /// Why [`Chain::link`] could not thread the placed characters into one
 /// chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -220,6 +240,13 @@ pub(crate) enum LinkError {
 /// allocated sequentially, and SplitMix64 scatters them uniformly, which
 /// is exactly what a treap needs — no RNG state to carry around, and none
 /// stored in a node either (it costs less to recompute than to fetch).
+///
+/// The mix is a bijection on `u64`: an added constant, and twice an
+/// xor-shift (`z ^ (z >> k)`, undone by repeating it) followed by a
+/// multiplication by an odd constant (invertible modulo 2^64). So two
+/// distinct ids never tie, and the treap over a sequence is unique: the
+/// tree [`Chain::insert_at`] builds a node at a time is the one
+/// [`Chain::link`] builds at once.
 fn priority(id: CharId) -> u64 {
     let mut z = id.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -283,10 +310,9 @@ impl Chain {
     ///
     /// Linear time: the walk meets the nodes in chain order, so the treap
     /// is their Cartesian tree — each node is linked once while a stack
-    /// holds the right spine, instead of `n` split/merge insertions. The
-    /// shape is the one [`Chain::insert_at`] would have produced:
-    /// distinct priorities admit exactly one heap-ordered tree over a
-    /// sequence.
+    /// holds the right spine, instead of `n` insertions. The shape is the
+    /// one [`Chain::insert_at`] would have produced: distinct priorities
+    /// admit exactly one heap-ordered tree over a sequence.
     pub(crate) fn link(&mut self, head: Option<u32>) -> Result<(), LinkError> {
         // The right spine, root first, with each node's priority. A
         // node's subtree is final — and its counts can be summed — once
@@ -301,7 +327,8 @@ impl Chain {
                 return Err(LinkError::Cycle);
             }
             let (next, pri) = (*self.succ.get(cur), priority(node.id));
-            // Same tie rule as `merge`: the later node goes on top.
+            // Priorities never tie (`priority` is a bijection), so `<=`
+            // pops only nodes of lower priority.
             let mut left = NIL;
             while let Some(&(top, top_pri)) = spine.last() {
                 if top_pri > pri {
@@ -452,61 +479,6 @@ impl Chain {
         node.visible_count = visible as u32;
     }
 
-    fn merge(&mut self, a: u32, b: u32) -> u32 {
-        if a == NIL {
-            return b;
-        }
-        if b == NIL {
-            return a;
-        }
-        if priority(self.node(a).id) > priority(self.node(b).id) {
-            let r = self.merge(self.node(a).right, b);
-            self.node_mut(a).right = r;
-            self.node_mut(r).parent = a;
-            self.update(a);
-            a
-        } else {
-            let l = self.merge(a, self.node(b).left);
-            self.node_mut(b).left = l;
-            self.node_mut(l).parent = b;
-            self.update(b);
-            b
-        }
-    }
-
-    /// Split into (first `k` by total order, rest).
-    fn split(&mut self, t: u32, k: usize) -> (u32, u32) {
-        if t == NIL {
-            return (NIL, NIL);
-        }
-        let lsize = self.subtree_total(self.node(t).left);
-        if k <= lsize {
-            let (l, m) = self.split(self.node(t).left, k);
-            self.node_mut(t).left = m;
-            if m != NIL {
-                self.node_mut(m).parent = t;
-            }
-            self.update(t);
-            self.node_mut(t).parent = NIL;
-            if l != NIL {
-                self.node_mut(l).parent = NIL;
-            }
-            (l, t)
-        } else {
-            let (m, r) = self.split(self.node(t).right, k - lsize - 1);
-            self.node_mut(t).right = m;
-            if m != NIL {
-                self.node_mut(m).parent = t;
-            }
-            self.update(t);
-            self.node_mut(t).parent = NIL;
-            if r != NIL {
-                self.node_mut(r).parent = NIL;
-            }
-            (t, r)
-        }
-    }
-
     /// Number of chain elements strictly before `id` (tombstones included).
     pub fn total_rank(&self, id: CharId) -> Option<usize> {
         Some(self.total_rank_at(self.slot_of(id)?))
@@ -634,8 +606,8 @@ impl Chain {
     /// Insert `id` with its info immediately after `anchor` in the total
     /// order (`None` inserts at the chain head); returns its slot. The
     /// character is visible unless `info.deleted`. The tests' model of an
-    /// insert: a document finds the anchor's slot and rank as it resolves
-    /// the position, and calls [`Chain::insert_at`].
+    /// insert: a document finds the anchor's slot as it resolves the
+    /// position, and calls [`Chain::insert_at`].
     ///
     /// Returns [`ChainError`] if `id` already is in the chain or `anchor`
     /// is not.
@@ -653,42 +625,116 @@ impl Chain {
             None => None,
             Some(a) => Some(self.slot_of(a).ok_or(ChainError::UnknownAnchor(a))?),
         };
-        let rank = prev.map_or(0, |p| self.total_rank_at(p) + 1);
-        self.insert_at(rank, prev, id, info)
+        self.insert_at(prev, id, info)
     }
 
     /// Insert `id` with its info right after slot `prev` (`None`: at the
-    /// chain head), which `rank` chain elements precede and end with;
-    /// returns its slot. The caller has found `prev` and `rank` together,
-    /// so linking the successors costs no descent. The info is written
-    /// once, into the slot the character keeps.
+    /// chain head); returns its slot. The info is written once, into the
+    /// slot the character keeps.
+    ///
+    /// Bottom-up, in three steps, none of which descends from the root:
+    ///
+    /// 1. *Leaf attach.* The new node goes where an in-order walk meets
+    ///    it, right after `prev`: as `prev`'s right child if that is free,
+    ///    else as the left child of `prev`'s old successor — the leftmost
+    ///    node under `prev.right`, or at the head the leftmost node of the
+    ///    tree, which has no left child either way. The successor links
+    ///    name that node, so finding it costs nothing.
+    /// 2. *Count bump.* Each ancestor's subtree gains the node: `total`
+    ///    and, if it is visible, `visible_count` grow by one on the path
+    ///    to the root.
+    /// 3. *Rotations.* While the node's priority beats its parent's it is
+    ///    rotated above it; a rotation recomputes the two nodes it moves.
+    ///
+    /// Priorities are distinct (see `priority`), and a sequence with
+    /// distinct priorities has exactly one heap-ordered search tree, so
+    /// the result is node for node the tree [`Chain::build`] links over
+    /// the same sequence.
     pub fn insert_at(
         &mut self,
-        rank: usize,
         prev: Option<u32>,
         id: CharId,
         info: CharInfo,
     ) -> Result<u32, ChainError> {
-        debug_assert!(rank <= self.total_len(), "rank {rank} past the end");
-        debug_assert_eq!(
-            prev.map_or(0, |p| self.total_rank_at(p) + 1),
-            rank,
-            "the predecessor is not at the rank"
-        );
         let s = self.claim(id)?;
-        self.push(Node::leaf(id, !info.deleted), info);
+        let visible = !info.deleted;
+        self.push(Node::leaf(id, visible), info);
         let before = match prev {
             None => std::mem::replace(&mut self.head, s),
             Some(p) => std::mem::replace(self.succ.get_mut(p), s),
         };
         *self.succ.get_mut(s) = before;
-        let (l, r) = self.split(self.root, rank);
-        let lr = self.merge(l, s);
-        self.root = self.merge(lr, r);
-        if self.root != NIL {
-            self.node_mut(self.root).parent = NIL;
+
+        let parent = match prev {
+            Some(p) if self.node(p).right == NIL => {
+                self.node_mut(p).right = s;
+                p
+            }
+            _ if before != NIL => {
+                debug_assert_eq!(self.node(before).left, NIL, "the successor is leftmost");
+                self.node_mut(before).left = s;
+                before
+            }
+            _ => {
+                self.root = s;
+                return Ok(s);
+            }
+        };
+        self.node_mut(s).parent = parent;
+        let mut cur = parent;
+        while cur != NIL {
+            let node = self.node_mut(cur);
+            node.total += 1;
+            node.visible_count += visible as u32;
+            cur = node.parent;
+        }
+        let pri = priority(id);
+        loop {
+            let p = self.node(s).parent;
+            if p == NIL || priority(self.node(p).id) > pri {
+                break;
+            }
+            self.rotate_up(s);
         }
         Ok(s)
+    }
+
+    /// Rotate the node in slot `s` above its parent, keeping the in-order
+    /// sequence: `s` takes the parent's place and counts, and the parent
+    /// takes the subtree of `s` on the side facing it.
+    fn rotate_up(&mut self, s: u32) {
+        let p = self.node(s).parent;
+        let (g, total, visible_count) = {
+            let pn = self.node(p);
+            (pn.parent, pn.total, pn.visible_count)
+        };
+        let inner = if self.node(p).left == s {
+            let inner = self.node(s).right;
+            self.node_mut(p).left = inner;
+            self.node_mut(s).right = p;
+            inner
+        } else {
+            let inner = self.node(s).left;
+            self.node_mut(p).right = inner;
+            self.node_mut(s).left = p;
+            inner
+        };
+        if inner != NIL {
+            self.node_mut(inner).parent = p;
+        }
+        self.node_mut(p).parent = s;
+        self.update(p);
+        let node = self.node_mut(s);
+        node.parent = g;
+        node.total = total;
+        node.visible_count = visible_count;
+        if g == NIL {
+            self.root = s;
+        } else if self.node(g).left == p {
+            self.node_mut(g).left = s;
+        } else {
+            self.node_mut(g).right = s;
+        }
     }
 
     /// Toggle visibility (delete = false, undelete = true), writing the
@@ -775,6 +821,19 @@ impl Chain {
             f(n, node);
             cur = node.right;
         }
+    }
+
+    /// The tree as ids, whatever slots hold them: the root, then per
+    /// character in chain order its children and counts.
+    #[cfg(test)]
+    fn shape(&self) -> Shape {
+        let id = |s: u32| (s != NIL).then(|| self.node(s).id);
+        let mut nodes = Vec::with_capacity(self.nodes.len());
+        self.walk(|_, n| {
+            let counts = (n.total, n.visible_count);
+            nodes.push((n.id, id(n.left), id(n.right), counts))
+        });
+        (id(self.root), nodes)
     }
 
     #[cfg(test)]
@@ -1069,7 +1128,7 @@ mod tests {
                 let id = c.id_at_total(r).unwrap();
                 c.slot_of(id).unwrap()
             });
-            let s = c.insert_at(rank, prev, CharId(1_000 + i), info(i % 3 != 0));
+            let s = c.insert_at(prev, CharId(1_000 + i), info(i % 3 != 0));
             assert_eq!(c.id_at(s.unwrap()), CharId(1_000 + i));
         }
         assert_eq!((c.nodes.block.len(), c.nodes.pages.len()), (300, 3));
@@ -1113,8 +1172,87 @@ mod tests {
         Ok(())
     }
 
+    /// Where a shape-oracle insert goes.
+    #[derive(Debug, Clone)]
+    enum Place {
+        Head,
+        /// After the character at this total rank (modulo the length).
+        Middle(usize),
+        Tail,
+    }
+
+    #[derive(Debug, Clone)]
+    enum ShapeOp {
+        /// A run of characters typed one after another, each after the
+        /// slot of the one before, as an edit's fold links them; each
+        /// visible or not.
+        Insert(Place, Vec<bool>),
+        ToggleAtRank(usize),
+    }
+
+    fn arb_shape_op() -> impl Strategy<Value = ShapeOp> {
+        let place = prop_oneof![
+            Just(Place::Head),
+            any::<usize>().prop_map(Place::Middle),
+            Just(Place::Tail),
+        ];
+        prop_oneof![
+            3 => (place, proptest::collection::vec((0u8..5).prop_map(|x| x != 0), 1..6))
+                .prop_map(|(at, run)| ShapeOp::Insert(at, run)),
+            1 => any::<usize>().prop_map(ShapeOp::ToggleAtRank),
+        ]
+    }
+
+    /// `c` is node for node the tree a build links over its sequence, and
+    /// a sound treap.
+    fn same_tree_as_a_build(c: &Chain) -> Result<(), TestCaseError> {
+        c.check_invariants();
+        let mut items = Vec::with_capacity(c.total_len());
+        c.for_each(|id, info| items.push((id, info.clone())));
+        prop_assert_eq!(c.shape(), Chain::build(items).unwrap().shape());
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// The shape oracle: inserts at the head, in the middle and at
+        /// the tail, runs typed in a row and visibility toggles leave,
+        /// after every step, the same root, and per character the same
+        /// children and counts, as a build over the same sequence.
+        #[test]
+        fn inserts_keep_the_tree_a_build_links(
+            loaded in proptest::collection::vec(any::<bool>(), 0..60),
+            script in proptest::collection::vec(arb_shape_op(), 1..80),
+        ) {
+            let items: Vec<(u64, bool)> = (1..).zip(loaded).collect();
+            let mut c = Chain::build(chars(&items)).unwrap();
+            same_tree_as_a_build(&c)?;
+            let mut next_id = 1_000u64;
+            for op in script {
+                match op {
+                    ShapeOp::Insert(at, run) => {
+                        let n = c.total_len();
+                        let mut prev = match at {
+                            Place::Head => None,
+                            Place::Middle(r) if n > 0 => c.id_at_total(r % n).and_then(|id| c.slot_of(id)),
+                            Place::Middle(_) => None,
+                            Place::Tail => c.id_at_total(n.wrapping_sub(1)).and_then(|id| c.slot_of(id)),
+                        };
+                        for visible in run {
+                            prev = Some(c.insert_at(prev, CharId(next_id), info(visible)).unwrap());
+                            next_id += 1;
+                        }
+                    }
+                    ShapeOp::ToggleAtRank(r) => {
+                        if let Some(id) = c.id_at_total(r % c.total_len().max(1)) {
+                            c.set_visible(id, !c.is_visible(id).unwrap());
+                        }
+                    }
+                }
+                same_tree_as_a_build(&c)?;
+            }
+        }
 
         /// The linear bulk build is the tree `n` insertions would have
         /// made — same answers to every positional query — and it stays a

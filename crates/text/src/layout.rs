@@ -16,7 +16,7 @@ use crate::document::DocHandle;
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, StructId, StyleId, UserId};
 use crate::ops::{EditReceipt, Effect};
-use crate::security::{Access, Permission};
+use crate::security::Permission;
 
 /// A structure element read back from the database.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -55,7 +55,7 @@ impl DocHandle {
         let ids: Vec<_> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
-        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        let access = self.tdb.access(&txn, self.doc, self.user)?;
         access.require(Permission::Layout)?;
         self.check_protected(&access, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();

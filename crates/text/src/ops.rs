@@ -124,13 +124,11 @@ struct NewChar {
 }
 
 /// Where text inserted at a visible position goes in the chain.
-struct Anchor {
+pub(crate) struct Anchor {
     /// The slot it follows; `None` at the chain head.
     slot: Option<u32>,
     /// That slot's character: the new text's anchor.
     prev: Option<CharId>,
-    /// Chain elements before it, tombstones included.
-    rank: usize,
 }
 
 struct PasteEventInfo {
@@ -265,7 +263,7 @@ impl DocHandle {
         let ids: Vec<CharId> = slots.iter().map(|&s| self.chain.id_at(s)).collect();
         let t = *self.tdb.tables();
         let mut txn = self.begin();
-        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        let access = self.tdb.access(&txn, self.doc, self.user)?;
         access.require(Permission::Write)?;
         self.check_protected(&access, Permission::Write, &ids, None)?;
         let ts = self.tdb.now();
@@ -337,17 +335,17 @@ impl DocHandle {
         let mut txn = self.begin();
         // One read of each document's rights: a move within a document,
         // by one user, asks all four questions of the same copy.
-        let src_access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        let src_access = self.tdb.access(&txn, self.doc, self.user)?;
         let other = (dst.doc, dst.user) != (self.doc, self.user);
         let dst_access = match other {
-            true => Some(Access::load(&self.tdb, &txn, dst.doc, dst.user)?),
+            true => Some(self.tdb.access(&txn, dst.doc, dst.user)?),
             false => None,
         };
         let dst_access = dst_access.as_ref().unwrap_or(&src_access);
         src_access.require(Permission::Write)?;
         dst_access.require(Permission::Write)?;
         self.check_protected(&src_access, Permission::Write, &src_ids, None)?;
-        dst.check_protected(dst_access, Permission::Write, &[], Some(anchor.rank))?;
+        dst.check_protected(dst_access, Permission::Write, &[], Some(&anchor))?;
 
         let ts = self.tdb.now();
         // 1) Tombstone the source characters.
@@ -471,9 +469,9 @@ impl DocHandle {
 
         let anchor = self.anchor_at(pos);
         let mut txn = self.begin();
-        let access = Access::load(&self.tdb, &txn, self.doc, self.user)?;
+        let access = self.tdb.access(&txn, self.doc, self.user)?;
         access.require(Permission::Write)?;
-        self.check_protected(&access, Permission::Write, &[], Some(anchor.rank))?;
+        self.check_protected(&access, Permission::Write, &[], Some(&anchor))?;
 
         let ts = self.tdb.now();
         let ids = self.write_chars(&mut txn, anchor.prev, &chars, ts)?;
@@ -577,7 +575,7 @@ impl DocHandle {
         let mut effects = Vec::with_capacity(ids.len());
         let (mut prev, mut prev_slot) = (anchor.prev, anchor.slot);
         let mut stale = false;
-        for (i, (nc, &id)) in chars.into_iter().zip(ids).enumerate() {
+        for (nc, &id) in chars.into_iter().zip(ids) {
             let info = CharInfo {
                 ch: nc.ch,
                 deleted: false,
@@ -589,7 +587,7 @@ impl DocHandle {
                 src_char: nc.src_char,
                 external_src: nc.external.clone(),
             };
-            let inserted = self.chain.insert_at(anchor.rank + i, prev_slot, id, info);
+            let inserted = self.chain.insert_at(prev_slot, id, info);
             debug_assert!(
                 inserted.is_ok(),
                 "own committed insert rejected: {inserted:?}"
@@ -617,8 +615,7 @@ impl DocHandle {
 
     /// Where an insert at visible position `pos` goes: after the visible
     /// character before it (`None` at the head), in front of that one's
-    /// successor, at the total-order rank the first new character takes.
-    /// One descent to the anchor's slot, one walk up from it.
+    /// successor. One descent to the anchor's slot.
     fn anchor_at(&self, pos: usize) -> Anchor {
         let slot = pos
             .checked_sub(1)
@@ -626,7 +623,6 @@ impl DocHandle {
         Anchor {
             slot,
             prev: slot.map(|s| self.chain.id_at(s)),
-            rank: slot.map_or(0, |s| self.chain.total_rank_at(s) + 1),
         }
     }
 
@@ -655,18 +651,20 @@ impl DocHandle {
 
     /// Reject the operation if it touches a character range `access`
     /// protects against this user. `ids` are the characters being modified;
-    /// `insert_at_total` is the total-order position of an insertion.
+    /// `insert` is where an insertion goes.
     pub(crate) fn check_protected(
         &self,
         access: &Access,
         perm: Permission,
         ids: &[CharId],
-        insert_at_total: Option<usize>,
+        insert: Option<&Anchor>,
     ) -> Result<()> {
         let denied = access.denied_ranges(perm);
         if denied.is_empty() {
             return Ok(());
         }
+        // The total-order rank the first inserted character takes.
+        let insert_at_total = insert.map(|a| a.slot.map_or(0, |s| self.chain.total_rank_at(s) + 1));
         for (from, to) in denied {
             let (Some(lo), Some(hi)) = (self.chain.total_rank(from), self.chain.total_rank(to))
             else {

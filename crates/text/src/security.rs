@@ -14,6 +14,8 @@
 //! * range rules (`from_char`/`to_char` set) only *protect*: a matching
 //!   `deny` blocks edits that touch the range.
 
+use std::sync::Arc;
+
 use tendax_storage::{Predicate, Transaction, Value};
 
 use crate::error::{Result, TextError};
@@ -270,6 +272,14 @@ impl crate::document::DocHandle {
 /// user's roles and the document's rules. An edit reads them once and
 /// asks both of its questions — may the user edit, and which spans are
 /// protected against them — of the one copy.
+///
+/// Rights almost never change between two keystrokes, so they are not
+/// read for each: every check goes through [`TextDb::access`], which
+/// answers from a memo keyed by (document, user) beside the change stamps
+/// (DESIGN §5.13). A copy loaded at snapshot `E` answers a transaction at
+/// `T` only if `E ≤ T` and no commit above `E` stamped the document's
+/// `documents` row, its `acl` rows or the `user_roles` table — the three
+/// places it was read from.
 #[derive(Debug)]
 pub(crate) struct Access {
     doc: DocId,
@@ -279,10 +289,36 @@ pub(crate) struct Access {
     rules: Vec<AclRule>,
 }
 
+impl crate::textdb::TextDb {
+    /// `user`'s rights on `doc` as `txn` sees them: the memoized copy if
+    /// the change stamps vouch for it at `txn`'s snapshot, else a fresh
+    /// read, which is memoized in turn. A transaction that has written
+    /// already reads afresh and keeps nothing: its own writes may be
+    /// among what rights are read from.
+    pub(crate) fn access(
+        &self,
+        txn: &Transaction,
+        doc: DocId,
+        user: UserId,
+    ) -> Result<Arc<Access>> {
+        if txn.write_count() > 0 {
+            return Ok(Arc::new(Access::load(self, txn, doc, user)?));
+        }
+        let at = txn.snapshot_ts();
+        // The stamps are read inside `rights`, after `at` was taken.
+        if let Some(access) = self.stamps().rights(doc, user, at) {
+            return Ok(access);
+        }
+        let access = Arc::new(Access::load(self, txn, doc, user)?);
+        self.stamps().keep_rights(doc, user, at, access.clone());
+        Ok(access)
+    }
+}
+
 impl Access {
     /// Read `user`'s rights on `doc` within `txn`'s snapshot: the
     /// document's row, the user's roles and the document's rules.
-    pub(crate) fn load(
+    fn load(
         tdb: &crate::textdb::TextDb,
         txn: &Transaction,
         doc: DocId,
@@ -525,6 +561,183 @@ mod tests {
             hb.protect_range(0, 2, Principal::All, Permission::Write),
             Err(crate::error::TextError::PermissionDenied { .. })
         ));
+    }
+
+    // ------------------------------------------------------ the rights memo
+
+    use crate::error::TextError;
+    use crate::textdb::TextDb;
+
+    /// A database where `alice` created `d` and `bob`, who may edit it,
+    /// has typed "abcd" through `hb`, which warmed the memo for
+    /// (`d`, `bob`): a second keystroke then reads no rights at all.
+    fn warm() -> (TextDb, UserId, UserId, crate::document::DocHandle) {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        let mut hb = tdb.open(doc, bob).unwrap();
+        hb.insert_text(0, "abc").unwrap();
+        let gets = tdb.database().stats().point_gets;
+        hb.insert_text(3, "d").unwrap();
+        assert_eq!(
+            tdb.database().stats().point_gets,
+            gets,
+            "the memo answers the second keystroke"
+        );
+        (tdb, alice, bob, hb)
+    }
+
+    #[test]
+    fn rights_memo_write_denied_refuses_the_next_insert_and_delete() {
+        let (tdb, alice, bob, mut hb) = warm();
+        let doc = hb.doc();
+        tdb.set_access(doc, alice, Principal::User(bob), Permission::Write, false)
+            .unwrap();
+        for refused in [hb.insert_text(1, "x"), hb.delete_range(0, 1)] {
+            assert!(
+                matches!(
+                    refused,
+                    Err(TextError::PermissionDenied {
+                        perm: Permission::Write,
+                        ..
+                    })
+                ),
+                "got {refused:?}"
+            );
+        }
+        assert_eq!(hb.text(), "abcd");
+    }
+
+    #[test]
+    fn rights_memo_role_removed_from_user_roles_refuses() {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let editors = tdb.create_role("editors").unwrap();
+        tdb.assign_role(bob, editors).unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        tdb.set_access(
+            doc,
+            alice,
+            Principal::Role(editors),
+            Permission::Write,
+            true,
+        )
+        .unwrap();
+        let mut hb = tdb.open(doc, bob).unwrap();
+        hb.insert_text(0, "ab").unwrap();
+        let gets = tdb.database().stats().point_gets;
+        hb.insert_text(2, "c").unwrap();
+        assert_eq!(tdb.database().stats().point_gets, gets, "memo warm");
+
+        tdb.unassign_role(bob, editors).unwrap();
+        let refused = hb.insert_text(3, "x");
+        assert!(
+            matches!(refused, Err(TextError::PermissionDenied { .. })),
+            "got {refused:?}"
+        );
+        // Given back, the grant counts again.
+        tdb.assign_role(bob, editors).unwrap();
+        hb.insert_text(3, "d").unwrap();
+        assert_eq!(hb.text(), "abcd");
+    }
+
+    #[test]
+    fn rights_memo_range_protected_over_the_caret_refuses() {
+        let (tdb, alice, bob, mut hb) = warm();
+        let mut ha = tdb.open(hb.doc(), alice).unwrap();
+        ha.protect_range(0, 4, Principal::User(bob), Permission::Write)
+            .unwrap();
+        let refused = hb.insert_text(2, "x");
+        assert!(
+            matches!(refused, Err(TextError::RangeProtected { .. })),
+            "got {refused:?}"
+        );
+        // After the span the caret is free.
+        hb.insert_text(4, "!").unwrap();
+    }
+
+    #[test]
+    fn rights_memo_read_denied_refuses_the_open() {
+        let (tdb, alice, bob, hb) = warm();
+        let doc = hb.doc();
+        tdb.open(doc, bob).unwrap();
+        tdb.set_access(doc, alice, Principal::User(bob), Permission::Read, false)
+            .unwrap();
+        let refused = tdb.open(doc, bob).map(drop);
+        assert!(
+            matches!(
+                refused,
+                Err(TextError::PermissionDenied {
+                    perm: Permission::Read,
+                    ..
+                })
+            ),
+            "got {refused:?}"
+        );
+    }
+
+    /// `acl` rows are stamped by their document: a rule on another
+    /// document leaves this one's memoized rights standing.
+    #[test]
+    fn rights_memo_survives_a_rule_on_another_document() {
+        let (tdb, alice, bob, mut hb) = warm();
+        let other = tdb.create_document("e", alice).unwrap();
+        tdb.set_access(other, alice, Principal::User(bob), Permission::Write, false)
+            .unwrap();
+        let gets = tdb.database().stats().point_gets;
+        hb.insert_text(4, "e").unwrap();
+        assert_eq!(tdb.database().stats().point_gets, gets, "still warm");
+    }
+
+    /// A transaction whose snapshot is older than the memoized copy reads
+    /// rights afresh: the copy describes a later state.
+    #[test]
+    fn rights_memo_older_snapshot_reloads() {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        tdb.set_access(doc, alice, Principal::User(bob), Permission::Write, false)
+            .unwrap();
+        let old = tdb.database().begin();
+        tdb.clear_access(doc, alice, Principal::User(bob), Permission::Write)
+            .unwrap();
+        let mut hb = tdb.open(doc, bob).unwrap();
+        hb.insert_text(0, "ab").unwrap();
+
+        let gets = tdb.database().stats().point_gets;
+        let refused = tdb.check_permission_txn(&old, doc, bob, Permission::Write);
+        assert!(
+            matches!(refused, Err(TextError::PermissionDenied { .. })),
+            "the old snapshot still denies: got {refused:?}"
+        );
+        assert!(tdb.database().stats().point_gets > gets, "read afresh");
+        // The memo answers the new snapshots as before.
+        hb.insert_text(2, "c").unwrap();
+        assert_eq!(hb.text(), "abc");
+    }
+
+    #[test]
+    fn rights_memo_never_holds_more_than_its_bound() {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        let users: Vec<UserId> = (0..crate::stamps::MAX_RIGHTS + 40)
+            .map(|i| tdb.create_user(&format!("u{i}")).unwrap())
+            .collect();
+        for (i, &u) in users.iter().enumerate() {
+            tdb.check_permission(doc, u, Permission::Write).unwrap();
+            let held = tdb.stamps().rights_len();
+            assert!(held <= crate::stamps::MAX_RIGHTS, "{held} pairs held");
+            assert_eq!(held, (i + 1).min(crate::stamps::MAX_RIGHTS));
+        }
+        // The newest pair is kept: asking again reads nothing.
+        let gets = tdb.database().stats().point_gets;
+        let last = *users.last().unwrap();
+        tdb.check_permission(doc, last, Permission::Write).unwrap();
+        assert_eq!(tdb.database().stats().point_gets, gets);
     }
 
     #[test]

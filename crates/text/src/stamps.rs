@@ -19,6 +19,14 @@
 //! stamp from a commit above `T` only makes the answer "recompute" —
 //! conservative, never stale.
 //!
+//! One result is neither recomputed nor folded but *memoized* under the
+//! same mutex: each (document, user) pair's edit rights, an [`Access`]
+//! loaded at some snapshot `E`. It answers a reader at `T` by the rule
+//! above, with the stamps of the three things rights are read from: the
+//! document's `documents` row, its `acl` rows (tracked by their `doc`
+//! column) and the `user_roles` table (untracked: any commit to it stamps
+//! every document). At most [`MAX_RIGHTS`] pairs are kept.
+//!
 //! Two results are not recomputed but *folded*, under the same mutex as
 //! the stamps: each document's [`DocStats`] (from `chars`, `oplog` and
 //! `reads`) and the paste-edge totals of [`TextDb::paste_edges`] (from
@@ -38,17 +46,22 @@
 //! [`TextDb::paste_edges`]: crate::TextDb::paste_edges
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 use tendax_storage::{CommitObserver, SharedRow, TableId, Ts, WriteSet};
 
-use crate::ids::DocId;
+use crate::ids::{DocId, UserId};
 use crate::meta::{DocStats, PasteAcc, PasteEdge, PastePart, StatsAcc, StatsPart, StatsTable};
 use crate::schema::Tables;
+use crate::security::Access;
 
 /// Changes a fold queues before it is dropped instead: a bound on what a
 /// fold nobody reads can hold.
 pub(crate) const MAX_QUEUED: usize = 1024;
+
+/// (Document, user) pairs whose rights are memoized at most.
+pub(crate) const MAX_RIGHTS: usize = 1024;
 
 /// How a table's rows name their document.
 #[derive(Debug, Clone, Copy)]
@@ -227,12 +240,18 @@ impl Folds {
 struct State {
     tables: HashMap<TableId, TableStamps>,
     folds: Folds,
+    /// Each pair's rights, with the snapshot they were loaded at.
+    rights: HashMap<(DocId, UserId), (Ts, Arc<Access>)>,
 }
 
 impl State {
     fn doc_stamp(&self, tables: &[TableId], doc: DocId) -> Ts {
+        State::stamp_of(&self.tables, tables, doc)
+    }
+
+    fn stamp_of(stamps: &HashMap<TableId, TableStamps>, tables: &[TableId], doc: DocId) -> Ts {
         (tables.iter())
-            .filter_map(|t| self.tables.get(t))
+            .filter_map(|t| stamps.get(t))
             .map(|t| t.doc(doc)[0])
             .max()
             .unwrap_or(0)
@@ -248,6 +267,8 @@ pub(crate) struct ChangeStamps {
     /// order of [`StatsTable`].
     stats_tables: [TableId; 3],
     paste_events: TableId,
+    /// The tables rights are read from: `documents`, `acl`, `user_roles`.
+    rights_tables: [TableId; 3],
 }
 
 impl ChangeStamps {
@@ -257,9 +278,10 @@ impl ChangeStamps {
             state: Mutex::default(),
             stats_tables: [t.chars, t.oplog, t.reads],
             paste_events: t.paste_events,
+            rights_tables: [t.documents, t.acl, t.user_roles],
         };
         stamps.track(t.documents, DocKey::RowId);
-        for table in [t.chars, t.oplog, t.reads, t.paste_events] {
+        for table in [t.chars, t.oplog, t.reads, t.paste_events, t.acl] {
             stamps.track(table, DocKey::Column(0));
         }
         stamps
@@ -324,6 +346,46 @@ impl ChangeStamps {
         }
     }
 
+    /// `user`'s rights on `doc` for a reader that took snapshot `at`, if
+    /// the memo holds them loaded at or below `at` and no commit above
+    /// that touched what they were read from.
+    pub(crate) fn rights(&self, doc: DocId, user: UserId, at: Ts) -> Option<Arc<Access>> {
+        let state = self.state.lock();
+        let (loaded, access) = state.rights.get(&(doc, user))?;
+        let fresh = *loaded <= at && state.doc_stamp(&self.rights_tables, doc) <= *loaded;
+        fresh.then(|| access.clone())
+    }
+
+    /// Memoize `user`'s rights on `doc`, loaded at snapshot `at` — unless
+    /// a commit above `at` changed them already. A new pair that finds the
+    /// memo full first drops the pairs gone stale, then the one loaded
+    /// longest ago.
+    pub(crate) fn keep_rights(&self, doc: DocId, user: UserId, at: Ts, access: Arc<Access>) {
+        let mut state = self.state.lock();
+        if state.doc_stamp(&self.rights_tables, doc) > at {
+            return;
+        }
+        let State { tables, rights, .. } = &mut *state;
+        let key = (doc, user);
+        if rights.len() >= MAX_RIGHTS && !rights.contains_key(&key) {
+            rights.retain(|&(d, _), (loaded, _)| {
+                State::stamp_of(tables, &self.rights_tables, d) <= *loaded
+            });
+            if rights.len() >= MAX_RIGHTS {
+                let oldest = rights.iter().min_by_key(|(_, (loaded, _))| *loaded);
+                let oldest = *oldest.expect("the memo is full").0;
+                rights.remove(&oldest);
+            }
+        }
+        rights.insert(key, (at, access));
+    }
+
+    /// Pairs whose rights the memo holds.
+    #[cfg(test)]
+    pub(crate) fn rights_len(&self) -> usize {
+        self.state.lock().rights.len()
+    }
+
     /// The folded paste-edge totals, for a reader that took snapshot
     /// `at`, if a fold of them is kept.
     pub(crate) fn paste_edges(&self, at: Ts) -> Option<Vec<PasteEdge>> {
@@ -345,7 +407,7 @@ impl ChangeStamps {
 impl CommitObserver for ChangeStamps {
     fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
         let mut state = self.state.lock();
-        let State { tables, folds } = &mut *state;
+        let State { tables, folds, .. } = &mut *state;
         for table in writes.tables() {
             let t = tables.entry(table.table()).or_default();
             t.newest = t.newest.max(commit_ts);

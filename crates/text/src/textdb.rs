@@ -14,7 +14,7 @@ use tendax_storage::{
 use crate::error::{Result, TextError};
 use crate::ids::{CharId, DocId, RoleId, StyleId, UserId};
 use crate::schema::Tables;
-use crate::security::{Access, Permission, Principal};
+use crate::security::{Permission, Principal};
 use crate::stamps::{ChangeStamps, DocKey};
 
 /// Document descriptor.
@@ -367,7 +367,7 @@ impl TextDb {
         user: UserId,
         perm: Permission,
     ) -> Result<()> {
-        Access::load(self, txn, doc, user)?.require(perm)
+        self.access(txn, doc, user)?.require(perm)
     }
 
     /// Grant or deny a document-level permission. Requires

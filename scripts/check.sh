@@ -83,10 +83,21 @@
 # `metadata_services`, and tendax-text `proptests` (the chain's cached
 # info against a fresh load, field by field; prints PROPTEST_SEED=<n> on
 # failure), `alloc_count` (allocations of an open, of a whole-chain
-# walk and of an event check, bytes a loaded character holds) and the
+# walk and of an event check, bytes a loaded character holds), the
 # `chain::` unit tests (each slot's successor link against the treap's
-# in-order walk, proptests; the same). `benchmark/` is a workspace of
-# its own; the last leg builds and runs it.
+# in-order walk, and the shape oracle
+# inserts_keep_the_tree_a_build_links: after every insert at the head,
+# middle or tail, typed run or visibility toggle, the tree is node for
+# node the one `Chain::build` links; proptests, the same), the
+# `rights_memo` unit tests of tendax-text (a revoked write, a removed
+# role, a new protected range and a denied read refuse the next edit or
+# open after a warm one; an older snapshot reads afresh; a rule on
+# another document leaves the memo warm; the memo's bound) with
+# tendax-net `loopback`'s rights_memo_refuses_a_subscribe_once_read_is_denied,
+# and tendax-collab `keystroke_receipt` (point gets, index lookups and
+# allocations per typed character and per backspace through `EditorDoc`,
+# pinned and printed). `benchmark/` is a workspace of its own; the last
+# leg builds and runs it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
