@@ -6,8 +6,9 @@
 //! keystrokes and vouched for by the change stamps (DESIGN §5.13) — so an
 //! insert makes no point get and no index lookup, and a backspace one
 //! point get: the character row it rewrites. The allocations are
-//! pinned at what the edit path takes today; a change that adds one per
-//! keystroke fails here and says by how much. Run with `--nocapture` to
+//! pinned a little above what the edit path takes today and below what it
+//! took while every keystroke loaded its rights; a change that puts that
+//! load back fails here and says by how much. Run with `--nocapture` to
 //! see the receipt.
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -122,8 +123,13 @@ fn a_keystroke_reads_no_rights_and_allocates_a_pinned_amount() {
     // The one row a backspace reads is the character it rewrites.
     assert_eq!(erased.point_gets, N, "a backspace reads its character");
     assert_eq!(erased.index_lookups, 0, "a backspace looks nothing up");
-    // Measured 30.71 and 29.52 per keystroke (x86-64 Linux).
-    for (kind, r, pinned) in [("type", &typed, 31), ("backspace", &erased, 30)] {
+    // Measured 30.71 and 29.52 per keystroke, against 35.71 and 34.52
+    // when every keystroke loaded its rights (x86-64 Linux). The pins sit
+    // between the two, so a rights load per keystroke still fails, while
+    // a toolchain's or hash map's own allocations can shift the count by
+    // a few without tripping it. A bump past the pins with no change to
+    // the edit path is re-pinned, and the new figures recorded.
+    for (kind, r, pinned) in [("type", &typed, 33), ("backspace", &erased, 32)] {
         assert!(
             r.allocations <= pinned * N,
             "{kind}: {} allocations in {N} keystrokes, pinned at {pinned} each",

@@ -25,7 +25,8 @@
 //! above, with the stamps of the three things rights are read from: the
 //! document's `documents` row, its `acl` rows (tracked by their `doc`
 //! column) and the `user_roles` table (untracked: any commit to it stamps
-//! every document). At most [`MAX_RIGHTS`] pairs are kept.
+//! every document). At most [`MAX_RIGHTS`] pairs are kept: a new pair
+//! that finds the memo full empties it.
 //!
 //! Two results are not recomputed but *folded*, under the same mutex as
 //! the stamps: each document's [`DocStats`] (from `chars`, `oplog` and
@@ -246,12 +247,8 @@ struct State {
 
 impl State {
     fn doc_stamp(&self, tables: &[TableId], doc: DocId) -> Ts {
-        State::stamp_of(&self.tables, tables, doc)
-    }
-
-    fn stamp_of(stamps: &HashMap<TableId, TableStamps>, tables: &[TableId], doc: DocId) -> Ts {
         (tables.iter())
-            .filter_map(|t| stamps.get(t))
+            .filter_map(|t| self.tables.get(t))
             .map(|t| t.doc(doc)[0])
             .max()
             .unwrap_or(0)
@@ -358,26 +355,17 @@ impl ChangeStamps {
 
     /// Memoize `user`'s rights on `doc`, loaded at snapshot `at` — unless
     /// a commit above `at` changed them already. A new pair that finds the
-    /// memo full first drops the pairs gone stale, then the one loaded
-    /// longest ago.
+    /// memo full empties it first.
     pub(crate) fn keep_rights(&self, doc: DocId, user: UserId, at: Ts, access: Arc<Access>) {
         let mut state = self.state.lock();
         if state.doc_stamp(&self.rights_tables, doc) > at {
             return;
         }
-        let State { tables, rights, .. } = &mut *state;
         let key = (doc, user);
-        if rights.len() >= MAX_RIGHTS && !rights.contains_key(&key) {
-            rights.retain(|&(d, _), (loaded, _)| {
-                State::stamp_of(tables, &self.rights_tables, d) <= *loaded
-            });
-            if rights.len() >= MAX_RIGHTS {
-                let oldest = rights.iter().min_by_key(|(_, (loaded, _))| *loaded);
-                let oldest = *oldest.expect("the memo is full").0;
-                rights.remove(&oldest);
-            }
+        if state.rights.len() >= MAX_RIGHTS && !state.rights.contains_key(&key) {
+            state.rights.clear();
         }
-        rights.insert(key, (at, access));
+        state.rights.insert(key, (at, access));
     }
 
     /// Pairs whose rights the memo holds.
