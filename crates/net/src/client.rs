@@ -4,9 +4,20 @@
 //! the `Hello` and of each request, takes the server's frames in, keeps a
 //! [`MirrorDoc`] per subscribed document from the snapshot + event
 //! stream, and returns a [`Completion`] for each request a frame answers.
-//! [`NetClient`] is its shell: it connects, writes the `Hello` and runs a
-//! reader thread that feeds the core; callers block until their
-//! completion arrives, one outstanding request per connection.
+//! [`NetClient`] is its shell: it connects, writes the `Hello` and feeds
+//! the core from the socket; callers block until their completion
+//! arrives, one outstanding request per connection.
+//!
+//! Who reads the socket: one holder at a time, chosen under the state
+//! lock. A blocking call (a request's reply, [`NetClient::wait_synced`]'s
+//! frontier) reads it itself whenever nobody else does, so a reply
+//! crosses no thread; a call that finds it held waits to be woken by
+//! whoever reads. A reader thread reads it while no call does: it takes
+//! the socket back once no call has waited for a handover of 2 ms, so an
+//! event reaches the mirror of a client that makes no call at most about
+//! a handover after that client's last call, and at once after that. No
+//! call wakes the reader thread; while calls keep coming it wakes once a
+//! handover to look, and an idle client wakes nothing.
 //!
 //! A reply names what it answers: `EditOk`/`EditRejected`, `Snapshot`
 //! and `Delta` the request id of the `Edit`, `Subscribe` or `Resync`,
@@ -26,6 +37,7 @@
 //! replaces it, as does a `Resync`, which is never answered by a delta.
 
 use std::collections::HashMap;
+use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
 use std::io::{Read, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::Arc;
@@ -329,31 +341,134 @@ impl ClientCore {
     }
 }
 
-/// The core and the completions the reader has handed back that no
-/// caller has collected yet.
-#[derive(Debug, Default)]
+/// How long the socket stays with the calls after the last one ended:
+/// a call that comes within it finds the read side free, or held by
+/// another call, and never waits for the reader thread. Past it the
+/// reader thread takes the socket back, so it is also how late an event
+/// can reach the mirror of a client that makes no call.
+const HANDOVER: Duration = Duration::from_millis(2);
+
+/// A call's socket read times out this often, so that the call can
+/// check its deadline.
+const CALLER_TICK: Duration = Duration::from_millis(100);
+
+/// The socket's read half and the bytes read from it that do not make a
+/// whole frame yet. One reader holds it at a time, a waiting call or
+/// the reader thread, and takes it out of [`State::side`] to read.
+struct ReadSide {
+    stream: TcpStream,
+    buf: FrameBuffer,
+    scratch: Vec<u8>,
+    /// The socket's read timeout: a call's tick, or none for the reader
+    /// thread. Set again only when the holder changes kind.
+    timeout: Option<Duration>,
+}
+
+impl std::fmt::Debug for ReadSide {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("ReadSide")
+            .field("timeout", &self.timeout)
+            .finish_non_exhaustive()
+    }
+}
+
+impl ReadSide {
+    fn new(stream: TcpStream) -> ReadSide {
+        ReadSide {
+            stream,
+            buf: FrameBuffer::default(),
+            scratch: vec![0u8; 64 * 1024],
+            timeout: None,
+        }
+    }
+
+    /// Read once, waiting at most `timeout` for bytes, and hand the core
+    /// every whole frame in socket order. Returns the state, locked; the
+    /// caller wakes whoever waits on it. A read that times out hands
+    /// nothing; the end of the stream or a bad frame poisons the core.
+    fn read<'a>(
+        &mut self,
+        shared: &'a ClientShared,
+        timeout: Option<Duration>,
+    ) -> MutexGuard<'a, State> {
+        if self.timeout != timeout && self.stream.set_read_timeout(timeout).is_ok() {
+            self.timeout = timeout;
+        }
+        let read = match self.stream.read(&mut self.scratch) {
+            Ok(0) => Err(NetError::Closed),
+            Err(e) if matches!(e.kind(), WouldBlock | TimedOut | Interrupted) => Ok(0),
+            read => read.map_err(NetError::Io),
+        };
+        let mut state = shared.state.lock();
+        let State { core, done, .. } = &mut *state;
+        let handed = read.and_then(|n| {
+            self.buf.extend(&self.scratch[..n]);
+            while let Some((tag, payload)) = self.buf.next_frame()? {
+                done.extend(core.on_frame(tag, payload));
+            }
+            Ok(())
+        });
+        if let Err(e) = handed {
+            done.extend(core.fail(e));
+        }
+        state
+    }
+}
+
+/// The core, the completions read that no caller has collected yet, and
+/// who reads the socket.
+#[derive(Debug)]
 struct State {
     core: ClientCore,
     done: Vec<Completion>,
+    /// The read side while nobody holds it.
+    side: Option<Box<ReadSide>>,
+    /// Calls waiting on [`ClientShared::changed`] for another reader:
+    /// whoever reads wakes them, and the reader thread lets the side go
+    /// after its next read.
+    waiting: usize,
+    /// When the last call stopped waiting; the reader thread takes the
+    /// socket back [`HANDOVER`] after it.
+    last_call: Instant,
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct ClientShared {
     state: Mutex<State>,
-    /// Signalled whenever the reader has handed the core frames: a
-    /// mirror may have advanced, a request may have completed.
+    /// Signalled whenever a reader has handed the core frames or let the
+    /// read side go: a mirror may have advanced, a request may have
+    /// completed, the side may be free.
     changed: Condvar,
+    /// The reader thread waits on it for the calls to go quiet; only
+    /// [`NetClient::close`] signals it, so no call ever wakes the thread.
+    quiet: Condvar,
 }
 
 impl ClientShared {
-    /// Wait for `changed` until `deadline`; `true` once it has passed.
-    fn wait_until(&self, state: &mut MutexGuard<'_, State>, deadline: Instant) -> bool {
-        let left = deadline.saturating_duration_since(Instant::now());
-        left.is_zero() || self.changed.wait_for(state, left).timed_out()
+    /// Wake the calls waiting for another reader, if any.
+    fn wake(&self, state: &State) {
+        if state.waiting > 0 {
+            self.changed.notify_all();
+        }
+    }
+}
+
+/// Wait on `cv` until `deadline` at the latest.
+fn wait_until(cv: &Condvar, state: &mut MutexGuard<'_, State>, deadline: Instant) {
+    let left = deadline.saturating_duration_since(Instant::now());
+    if !left.is_zero() {
+        cv.wait_for(state, left);
     }
 }
 
 /// A connected TCP collaboration client.
+///
+/// Its blocking calls read their own replies and events from the socket
+/// while no other call does; its reader thread, which no call wakes,
+/// reads once the calls have been quiet for a 2 ms handover, so the
+/// mirrors keep up with no call in progress. A call's read wakes every
+/// 100 ms to check its deadline, so a timeout can be overrun by that
+/// much.
 #[derive(Debug)]
 pub struct NetClient {
     stream: Mutex<TcpStream>,
@@ -378,16 +493,25 @@ impl NetClient {
     ) -> Result<NetClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        let shared = Arc::new(ClientShared::default());
-        let mut state = shared.state.lock();
-        let hello = state.core.hello(user, &config.platform, &config.token);
-        drop(state);
+        let mut core = ClientCore::default();
+        let hello = core.hello(user, &config.platform, &config.token);
+        let shared = Arc::new(ClientShared {
+            state: Mutex::new(State {
+                core,
+                done: Vec::new(),
+                side: Some(Box::new(ReadSide::new(stream.try_clone()?))),
+                waiting: 0,
+                // The handshake is a call: the thread waits it out.
+                last_call: Instant::now(),
+            }),
+            changed: Condvar::new(),
+            quiet: Condvar::new(),
+        });
         let reader = {
             let shared = Arc::clone(&shared);
-            let stream = stream.try_clone()?;
             std::thread::Builder::new()
                 .name("tendax-net-client".into())
-                .spawn(move || reader_loop(stream, &shared))
+                .spawn(move || reader_loop(&shared))
                 .expect("spawn client reader")
         };
         // Dropping the client on a failed handshake stops the reader.
@@ -439,21 +563,63 @@ impl NetClient {
         Ok(id)
     }
 
+    /// Block until `ready` takes what the call waits for from the state;
+    /// `None` once `deadline` passes or the connection is poisoned. While
+    /// nobody else holds the read side the call holds it and reads the
+    /// socket itself, waking the other waiting calls after each read;
+    /// else it waits to be woken by whoever reads, and asks the reader
+    /// thread to let the side go.
+    fn until<T>(
+        &self,
+        deadline: Instant,
+        mut ready: impl FnMut(&mut State) -> Option<T>,
+    ) -> Option<T> {
+        let shared = &*self.shared;
+        let mut state = shared.state.lock();
+        let mut side = None;
+        let found = loop {
+            if let Some(found) = ready(&mut state) {
+                break Some(found);
+            }
+            if state.core.fatal.is_some() || Instant::now() >= deadline {
+                break None;
+            }
+            if side.is_none() {
+                side = state.side.take();
+            }
+            match side.as_mut() {
+                Some(side) => {
+                    drop(state);
+                    state = side.read(shared, Some(CALLER_TICK));
+                    shared.wake(&state);
+                }
+                None => {
+                    state.waiting += 1;
+                    wait_until(&shared.changed, &mut state, deadline);
+                    state.waiting -= 1;
+                }
+            }
+        };
+        if side.is_some() {
+            state.side = side;
+            shared.wake(&state);
+        }
+        state.last_call = Instant::now();
+        found
+    }
+
     /// Block until request `id` completes, or the reply timeout.
     fn wait(&self, id: u64) -> Result<Frame> {
         let deadline = Instant::now() + self.reply_timeout;
-        let mut state = self.shared.state.lock();
-        let mut timed_out = false;
-        loop {
-            if let Some(i) = state.done.iter().position(|c| c.id == id) {
-                return state.done.swap_remove(i).reply;
-            }
-            if timed_out {
-                state.core.cancel(id);
-                return Err(NetError::Timeout);
-            }
-            timed_out = self.shared.wait_until(&mut state, deadline);
-        }
+        let reply = self.until(deadline, |state| {
+            let i = state.done.iter().position(|c| c.id == id)?;
+            Some(state.done.swap_remove(i).reply)
+        });
+        reply.unwrap_or_else(|| {
+            let mut state = self.shared.state.lock();
+            state.core.cancel(id);
+            Err(state.core.terminal().unwrap_or(NetError::Timeout))
+        })
     }
 
     /// Send the request `make` builds and block until it is answered.
@@ -558,22 +724,18 @@ impl NetClient {
     /// of the document at or below `ts`. Returns `true` on success.
     pub fn wait_synced(&self, doc: u64, ts: u64, timeout: Duration) -> bool {
         let deadline = Instant::now() + timeout;
-        let mut state = self.shared.state.lock();
         loop {
-            let mirror = state.core.mirror(doc);
-            let shown = mirror.map(|m| (m.synced_ts() >= ts, m.needs_resync()));
-            match shown {
-                Some((true, _)) => return true,
-                Some((false, true)) => {
-                    // Resync needs the request path; do it unlocked.
-                    drop(state);
-                    if self.resync(doc).is_err() {
-                        return false;
-                    }
-                    state = self.shared.state.lock();
-                }
-                _ if self.shared.wait_until(&mut state, deadline) => return false,
-                _ => {}
+            // `Some(false)`: the mirror flagged itself short of `ts`.
+            let synced = self.until(deadline, |state| {
+                let m = state.core.mirror(doc)?;
+                let synced = m.synced_ts() >= ts;
+                (synced || m.needs_resync()).then_some(synced)
+            });
+            match synced {
+                Some(true) => return true,
+                // Resync needs the request path, with the side let go.
+                Some(false) if self.resync(doc).is_ok() => {}
+                _ => return false,
             }
         }
     }
@@ -610,6 +772,9 @@ impl NetClient {
     pub fn close(&mut self) {
         let _ = self.send(|_| Frame::Bye);
         let _ = self.stream.lock().shutdown(std::net::Shutdown::Both);
+        // The reader thread may be waiting for the calls, not in a read.
+        drop(self.shared.state.lock().core.fail(NetError::Closed));
+        self.shared.quiet.notify_all();
         if let Some(h) = self.reader.take() {
             let _ = h.join();
         }
@@ -628,33 +793,41 @@ fn unexpected(reply: Frame) -> NetError {
     NetError::Protocol(format!("unexpected reply 0x{:02x}", reply.tag()))
 }
 
-/// The client's shell: hand the core every frame that arrives, until the
-/// connection ends or the core is poisoned.
-fn reader_loop(mut stream: TcpStream, shared: &ClientShared) {
-    let mut buf = FrameBuffer::default();
-    let mut scratch = vec![0u8; 64 * 1024];
+/// The reader thread: it reads the socket while no call does, so that
+/// the mirrors keep up with no call in progress. It takes the read side
+/// once the calls have been quiet for [`HANDOVER`], reads with no
+/// timeout (an idle connection wakes it for nothing), and lets the side
+/// go after the first read that finds a call waiting for it. While calls
+/// keep coming it wakes once a handover to look, never once a call. It
+/// ends when the core is poisoned: the connection ended or was closed.
+fn reader_loop(shared: &ClientShared) {
+    let mut state = shared.state.lock();
     loop {
-        let read = match stream.read(&mut scratch) {
-            Ok(0) => Err(NetError::Closed),
-            read => read.map_err(NetError::Io),
-        };
-        let mut state = shared.state.lock();
-        let State { core, done } = &mut *state;
-        let handed = read.and_then(|n| {
-            buf.extend(&scratch[..n]);
-            while let Some((tag, payload)) = buf.next_frame()? {
-                done.extend(core.on_frame(tag, payload));
+        let mut side = loop {
+            if state.core.fatal.is_some() {
+                return;
             }
-            Ok(())
-        });
-        if let Err(e) = handed {
-            done.extend(core.fail(e));
-        }
-        let over = core.fatal.is_some();
+            let (now, quiet) = (Instant::now(), state.last_call + HANDOVER);
+            if now < quiet {
+                wait_until(&shared.quiet, &mut state, quiet);
+            } else if let Some(side) = state.side.take() {
+                break side;
+            } else {
+                // A call holds the side: look again a handover on.
+                wait_until(&shared.quiet, &mut state, now + HANDOVER);
+            }
+        };
         drop(state);
-        shared.changed.notify_all();
-        if over {
-            return;
-        }
+        state = loop {
+            let state = side.read(shared, None);
+            if state.core.fatal.is_some() || state.waiting > 0 {
+                break state;
+            }
+        };
+        state.side = Some(side);
+        // As if a call just ended: the thread must not take the side back
+        // before the call it wakes has.
+        state.last_call = Instant::now();
+        shared.wake(&state);
     }
 }

@@ -1,6 +1,7 @@
 //! End-to-end tests over real TCP on the loopback interface: the
 //! multi-client convergence storm, hostile-input isolation, the
-//! slow-consumer policy, and handshake rejection.
+//! slow-consumer policy, handshake rejection, and who reads a client's
+//! socket (its calls, or its reader thread while none waits).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -229,6 +230,113 @@ fn alternating_typists_converge_over_tcp() {
         a.text(doc)
     );
     assert!(shows(&b, doc, acked, &want), "bob shows {:?}", b.text(doc));
+}
+
+/// How late an event may reach the mirror of a client that makes no
+/// call. The client's reader thread takes the socket back 2 ms after the
+/// last call; the rest is scheduling slack for a loaded debug build.
+const KEEPS_UP: Duration = Duration::from_millis(500);
+
+/// How long `client`'s mirror of `doc` takes to reach `ts` by itself —
+/// no waiting call of its own, only looks at the mirror — or `None`
+/// past [`KEEPS_UP`].
+fn catches_up(client: &NetClient, doc: u64, ts: u64) -> Option<Duration> {
+    let start = Instant::now();
+    while client.synced_ts(doc)? < ts {
+        if start.elapsed() > KEEPS_UP {
+            return None;
+        }
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    Some(start.elapsed())
+}
+
+/// A subscriber that makes no waiting call keeps up: the events alice
+/// causes reach bob's mirror with nobody calling on bob's client, both
+/// right after his own last call, while the socket is still with the
+/// calls, and after an idle second, when his reader thread holds it.
+#[test]
+fn a_subscriber_that_makes_no_call_keeps_up() {
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], NetConfig::default());
+    let addr = server.local_addr();
+    let a = NetClient::connect(addr, "alice").unwrap();
+    let b = NetClient::connect(addr, "bob").unwrap();
+    let doc = a.subscribe("doc").unwrap();
+    assert_eq!(b.subscribe("doc").unwrap(), doc);
+
+    b.ping().unwrap();
+    let (_, ts) = a.insert(doc, 0, "right after a call").unwrap();
+    let late = catches_up(&b, doc, ts);
+    assert!(
+        late.is_some(),
+        "bob's mirror stuck at {:?}",
+        b.synced_ts(doc)
+    );
+
+    std::thread::sleep(Duration::from_secs(1));
+    let (_, idle_ts) = a.insert(doc, 0, "after an idle second, ").unwrap();
+    let idle_late = catches_up(&b, doc, idle_ts);
+    assert!(
+        idle_late.is_some(),
+        "bob's mirror stuck at {:?}",
+        b.synced_ts(doc)
+    );
+    eprintln!("caught up {late:?} after a call, {idle_late:?} after an idle second");
+    let want = collab.textdb().document_text(DocId(doc)).unwrap();
+    assert_eq!(b.text(doc).unwrap(), want);
+}
+
+/// Two threads share one client for 200 rounds: one waits in
+/// `wait_synced` for a frontier of `notes` that only bob's typing
+/// reaches, while the other pings and types into `minutes`, and then has
+/// bob type. Whichever holds the socket reads the other's frames; no
+/// call is lost or times out, and both mirrors end on the database's text.
+#[test]
+fn two_threads_share_one_client_for_200_rounds() {
+    const ROUNDS: usize = 200;
+    let (server, collab) = serve(
+        &["alice", "bob"],
+        &["minutes", "notes"],
+        NetConfig::default(),
+    );
+    let addr = server.local_addr();
+    let shared = NetClient::connect(addr, "alice").unwrap();
+    let bob = NetClient::connect(addr, "bob").unwrap();
+    let minutes = shared.subscribe("minutes").unwrap();
+    let notes = shared.subscribe("notes").unwrap();
+    assert_eq!(bob.subscribe("notes").unwrap(), notes);
+
+    let turn = std::sync::Barrier::new(2);
+    let (mut typed, mut noted) = (0, 0);
+    std::thread::scope(|s| {
+        let waiter = s.spawn(|| {
+            for round in 0..ROUNDS {
+                let next = shared.synced_ts(notes).unwrap() + 1;
+                turn.wait();
+                assert!(
+                    shared.wait_synced(notes, next, WAIT),
+                    "round {round}: notes stuck at {:?}",
+                    shared.synced_ts(notes)
+                );
+            }
+        });
+        for round in 0..ROUNDS {
+            turn.wait();
+            shared.ping().unwrap();
+            typed = shared.insert(minutes, round, "m").unwrap().1;
+            noted = bob.insert(notes, 0, "n").unwrap().1;
+        }
+        waiter.join().unwrap();
+    });
+    let tdb = collab.textdb();
+    for (doc, acked) in [(minutes, typed), (notes, noted)] {
+        let want = tdb.document_text(DocId(doc)).unwrap();
+        assert!(shows(&shared, doc, acked, &want), "{:?}", shared.text(doc));
+    }
+    assert_eq!(
+        tdb.document_text(DocId(minutes)).unwrap(),
+        "m".repeat(ROUNDS)
+    );
 }
 
 /// A re-open is a delta: bob closes the document while alice holds it

@@ -203,9 +203,9 @@ impl crate::document::DocHandle {
             .id_at_visible(pos + len - 1)
             .expect("range checked");
         let tdb = self.tdb.clone();
-        tdb.check_permission(self.doc, self.user, Permission::ManageSecurity)?;
         let t = tdb.tables();
         let mut txn = tdb.database().begin();
+        tdb.check_permission_txn(&txn, self.doc, self.user, Permission::ManageSecurity)?;
         txn.insert(
             t.acl,
             tendax_storage::Row::new(vec![
@@ -229,9 +229,9 @@ impl crate::document::DocHandle {
         let from = self.chain.id_at_visible(pos);
         let to = self.chain.id_at_visible(pos + len.saturating_sub(1));
         let tdb = self.tdb.clone();
-        tdb.check_permission(self.doc, self.user, Permission::ManageSecurity)?;
         let t = tdb.tables();
         let mut txn = tdb.database().begin();
+        tdb.check_permission_txn(&txn, self.doc, self.user, Permission::ManageSecurity)?;
         let rows = txn.scan(t.acl, &Predicate::Eq("doc".into(), self.doc.value()))?;
         for (rid, row) in rows {
             let same_kind = row.get(1).and_then(|v| v.as_text()) == Some(principal.kind_str());
@@ -561,6 +561,79 @@ mod tests {
             hb.protect_range(0, 2, Principal::All, Permission::Write),
             Err(crate::error::TextError::PermissionDenied { .. })
         ));
+    }
+
+    /// Transactions begun and commits while `call` runs, and its result.
+    fn counted(
+        tdb: &crate::textdb::TextDb,
+        call: impl FnOnce() -> crate::error::Result<()>,
+    ) -> (u64, u64, crate::error::Result<()>) {
+        let before = tdb.database().stats();
+        let done = call();
+        let after = tdb.database().stats();
+        let begun = after.txns_begun - before.txns_begun;
+        (begun, after.commits - before.commits, done)
+    }
+
+    /// A rights-management call checks the caller's right on the
+    /// transaction that writes, not in one of its own before it: each
+    /// call begins one transaction, and a refused call commits nothing.
+    #[test]
+    fn rights_are_checked_on_the_transaction_that_writes() {
+        use crate::textdb::TextDb;
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let bob = tdb.create_user("bob").unwrap();
+        let doc = tdb.create_document("d", alice).unwrap();
+        let mut ha = tdb.open(doc, alice).unwrap();
+        ha.insert_text(0, "text").unwrap();
+        let mut hb = tdb.open(doc, bob).unwrap();
+        let bob_p = Principal::User(bob);
+
+        let granted = [
+            counted(&tdb, || {
+                tdb.set_access(doc, alice, bob_p, Permission::Annotate, true)
+            }),
+            counted(&tdb, || {
+                tdb.clear_access(doc, alice, bob_p, Permission::Annotate)
+            }),
+            counted(&tdb, || tdb.set_document_state(doc, "review", alice)),
+            counted(&tdb, || {
+                ha.protect_range(0, 2, Principal::All, Permission::Write)
+            }),
+            counted(&tdb, || ha.unprotect_range(0, 2, Principal::All)),
+        ];
+        for (i, (begun, commits, done)) in granted.into_iter().enumerate() {
+            assert!(done.is_ok(), "call {i}: {done:?}");
+            assert_eq!((begun, commits), (1, 1), "call {i}");
+        }
+
+        tdb.set_access(doc, alice, bob_p, Permission::Write, false)
+            .unwrap();
+        let rules = tdb.access_rules(doc, alice).unwrap();
+        let state = tdb.document_info(doc).unwrap();
+        let refused = [
+            counted(&tdb, || {
+                tdb.set_access(doc, bob, bob_p, Permission::Write, true)
+            }),
+            counted(&tdb, || {
+                tdb.clear_access(doc, bob, bob_p, Permission::Write)
+            }),
+            counted(&tdb, || tdb.set_document_state(doc, "mine", bob)),
+            counted(&tdb, || {
+                hb.protect_range(0, 2, Principal::All, Permission::Write)
+            }),
+            counted(&tdb, || hb.unprotect_range(0, 2, Principal::All)),
+        ];
+        for (i, (begun, commits, done)) in refused.into_iter().enumerate() {
+            assert!(
+                matches!(done, Err(TextError::PermissionDenied { .. })),
+                "call {i}: {done:?}"
+            );
+            assert_eq!((begun, commits), (1, 0), "call {i}");
+        }
+        assert_eq!(tdb.access_rules(doc, alice).unwrap(), rules);
+        assert_eq!(tdb.document_info(doc).unwrap(), state);
     }
 
     // ------------------------------------------------------ the rights memo

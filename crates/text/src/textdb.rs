@@ -341,8 +341,8 @@ impl TextDb {
 
     /// Transition a document's workflow state (`draft`, `review`, `final`, …).
     pub fn set_document_state(&self, doc: DocId, state: &str, user: UserId) -> Result<()> {
-        self.check_permission(doc, user, Permission::Write)?;
         let mut txn = self.db.begin();
+        self.check_permission_txn(&txn, doc, user, Permission::Write)?;
         txn.set(
             self.t.documents,
             doc.row(),
@@ -380,8 +380,8 @@ impl TextDb {
         perm: Permission,
         allow: bool,
     ) -> Result<()> {
-        self.check_permission(doc, by, Permission::ManageSecurity)?;
         let mut txn = self.db.begin();
+        self.check_permission_txn(&txn, doc, by, Permission::ManageSecurity)?;
         txn.insert(
             self.t.acl,
             Row::new(vec![
@@ -419,8 +419,8 @@ impl TextDb {
         principal: Principal,
         perm: Permission,
     ) -> Result<()> {
-        self.check_permission(doc, by, Permission::ManageSecurity)?;
         let mut txn = self.db.begin();
+        self.check_permission_txn(&txn, doc, by, Permission::ManageSecurity)?;
         let rows = txn.scan(self.t.acl, &Predicate::Eq("doc".into(), doc.value()))?;
         for (rid, row) in rows {
             let same_kind = row.get(1).and_then(|v| v.as_text()) == Some(principal.kind_str());
@@ -438,8 +438,8 @@ impl TextDb {
     /// All access rules of a document (for rights-management UIs):
     /// document-level and range rules alike. Requires only Read.
     pub fn access_rules(&self, doc: DocId, by: UserId) -> Result<Vec<crate::security::AclRule>> {
-        self.check_permission(doc, by, Permission::Read)?;
         let txn = self.db.begin();
+        self.check_permission_txn(&txn, doc, by, Permission::Read)?;
         crate::security::load_rules(&txn, &self.t, doc)
     }
 

@@ -43,14 +43,18 @@
 # and the widened `Subscribe`, which print PROPTEST_SEED=<n> on
 # failure), `loopback` (request ids: a snapshot answers only its own
 # request; v1 `Hello` refused; a re-open while another client holds the
-# document is one delta and no snapshot), `live` (one commit path into a
+# document is one delta and no snapshot;
+# a_subscriber_that_makes_no_call_keeps_up, right after its last call
+# and after an idle second; two_threads_share_one_client_for_200_rounds,
+# one in `wait_synced` while the other pings and types), `live` (one commit path into a
 # live document: the frontier, the oracle, the races with in-process
 # editors; a kept mirror plus the answer against a fresh load), `mirror_oracle` (the
 # client mirror against the server's chain; prints PROPTEST_SEED=<n> on
 # failure), `mirror_cost` (allocations per applied event and per loaded
 # run), `idle` (an idle connection wakes no transport thread), `wakeups`
 # (200 acknowledged edits wake no writer thread: the reader writes its
-# replies), `sim_net` (a hub, two connections and two clients in one
+# replies; and the client's reader thread fewer than 50 times: a waiting
+# call reads its own reply), `sim_net` (a hub, two connections and two clients in one
 # thread under a seeded delivery schedule, each edit's broadcast held as
 # a step of its own, every stream in commit order, every mirror at its
 # frontier after each event and each `Delta`, the `EditOk` checked ahead
@@ -92,7 +96,10 @@
 # `rights_memo` unit tests of tendax-text (a revoked write, a removed
 # role, a new protected range and a denied read refuse the next edit or
 # open after a warm one; an older snapshot reads afresh; a rule on
-# another document leaves the memo warm; the memo's bound) with
+# another document leaves the memo warm; the memo's bound) and
+# rights_are_checked_on_the_transaction_that_writes (each
+# rights-management call begins one transaction; a refused one commits
+# nothing), with
 # tendax-net `loopback`'s rights_memo_refuses_a_subscribe_once_read_is_denied,
 # and tendax-collab `keystroke_receipt` (point gets, index lookups and
 # allocations per typed character and per backspace through `EditorDoc`,
