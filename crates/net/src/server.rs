@@ -22,9 +22,11 @@
 //!
 //! An `Edit`'s [`Ticket`](tendax_collab::Ticket) is made ready once its
 //! `EditOk` is queued, so on the typist's connection the `EditOk` comes
-//! before its echo. The typist publishes — the [`Broadcast`] — after the
-//! reply is written (only queued, if the writer is mid-write): the
-//! acknowledgement never waits for the fan-out. Another editor's
+//! before its echo. The typist's reader publishes — the [`Broadcast`] —
+//! right after `on_frame`, then writes the reply and the echo in one
+//! socket write, and only then the other subscribers whose write sides
+//! its publication took: the acknowledgement waits for the fan-out's
+//! queueing, never for another subscriber's socket. Another editor's
 //! publication may carry the event sooner, to a connection other than the
 //! typist's, but never before the `EditOk` is queued. The event goes out
 //! even if the reply cannot be written — the edit is committed, and the
@@ -62,18 +64,22 @@
 //!
 //! ## Slow-consumer policy
 //!
-//! One thread writes at a time and drains the whole queue: the reader,
-//! for the frame it serves, unless the writer is mid-write; else the
-//! writer. `Event` frames are offered without waiting: when the queue is full
-//! the frame is dropped and counted as lag, and that document's stream is
-//! *lost* — further events of it are suppressed (each counted as lag)
-//! until a snapshot or a delta makes it whole: the recovery `drain` queues
-//! once it has emptied the queue, or the answer to a `Resync` or
-//! `Subscribe` that came first. That forgives that stream's lag and only
-//! that stream's. Neither a recovery nor a `Resync` is a read by the
-//! user: only `Subscribe` records one. Replies are queued even past the
-//! capacity, and the reader then waits up to `critical_send_timeout` for
-//! room before the next request. A client is cut — queue cleared, a final
+//! One thread writes at a time and hands out the whole queue: the reader,
+//! for the frame it serves; a publisher, for the connections whose write
+//! sides its offers found free; else the writer. Only the writer waits on
+//! the socket: the reader and a publisher send without waiting, and what
+//! the socket does not take waits in the connection's write buffer for the
+//! writer, ahead of any later frame. A publisher runs no recovery: a lost
+//! stream is the writer's. `Event` frames are offered without waiting:
+//! when the queue is full the frame is dropped and counted as lag, and
+//! that document's stream is *lost* — further events of it are suppressed
+//! (each counted as lag) until a snapshot or a delta makes it whole: the
+//! recovery `drain` queues once it has emptied the queue, or the answer to
+//! a `Resync` or `Subscribe` that came first. That forgives that stream's
+//! lag and only that stream's. Neither a recovery nor a `Resync` is a
+//! read by the user: only `Subscribe` records one. Replies are queued even
+//! past the capacity, and the reader then waits up to
+//! `critical_send_timeout` for room before the next request. A client is cut — queue cleared, a final
 //! `Error{SLOW_CONSUMER}`, socket closed — when its lag passes
 //! `lag_limit` (by the publisher whose offer passed it), when no room
 //! comes in time, or when a socket write times out; closed once, and
@@ -87,6 +93,7 @@
 //! *that* connection with a typed error frame; every other connection
 //! and the accept loop are untouched.
 
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -156,12 +163,18 @@ pub struct NetServerStats {
     /// Always zero: no thread stands between a publish and the queues to
     /// wake up idle. The field stays because the benchmark reports it.
     pub pool_spurious_wakeups: u64,
-    /// Frames the writers put on sockets.
+    /// Frames put on sockets, by whichever thread wrote them.
     pub frames_written: u64,
     /// Socket writes those frames travelled in: a write takes the whole
-    /// queue, but an `EditOk` leaves before its broadcast is published,
-    /// so the typist's own echo follows in a second write.
+    /// queue, so an edit's `EditOk` and the typist's own echo share one,
+    /// and each other subscriber's copy of the event is one more, made by
+    /// the publisher.
     pub socket_writes: u64,
+    /// Times a parked writer thread was woken for work: bytes a write
+    /// without waiting left unsent, frames queued while another thread
+    /// owned the write side, a lost stream to recover. (A close wakes it
+    /// uncounted.)
+    pub writer_wakes: u64,
     /// Documents with a live copy right now (a gauge): the subscribed.
     pub live_documents: u64,
     /// Snapshots encoded from a live copy: subscribe, resync, recovery.
@@ -185,6 +198,7 @@ struct StatCells {
     capacity_rejects: AtomicU64,
     frames_written: AtomicU64,
     socket_writes: AtomicU64,
+    writer_wakes: AtomicU64,
 }
 
 fn bump(cell: &AtomicU64) {
@@ -231,6 +245,9 @@ struct OutQueue {
     capacity: usize,
     lag_limit: u64,
     stats: Arc<StatCells>,
+    /// The socket's write side, attached by the shell; a connection driven
+    /// without a socket has none, and its writer hands out everything.
+    side: OnceLock<Mutex<WriteSide>>,
 }
 
 #[derive(Debug, Default)]
@@ -241,8 +258,12 @@ struct QueueState {
     streams: HashMap<DocId, Stream>,
     /// Outstanding lag summed over the streams.
     lagged: u64,
-    /// A thread owns the write side: the writer, or the reader serving.
+    /// A thread owns the write side: the writer, the reader serving, or a
+    /// publisher.
     writing: bool,
+    /// A write that did not wait left bytes in the write buffer: only the
+    /// writer writes them, before any later frame.
+    unsent: bool,
     /// The writer is (about to be) asleep on `data`: only then is a
     /// notification — a system call — worth making.
     writer_parked: bool,
@@ -253,7 +274,18 @@ struct QueueState {
 impl QueueState {
     /// Frames to hand out, a close to act on, or streams to recover.
     fn has_work(&self) -> bool {
-        !self.frames.is_empty() || self.closing || self.streams.values().any(|st| st.lost)
+        !self.frames.is_empty()
+            || self.closing
+            || self.unsent
+            || self.streams.values().any(|st| st.lost)
+    }
+
+    /// Own the write side if it is free: nobody owns it and no bytes wait
+    /// for the writer.
+    fn own_free(&mut self) -> bool {
+        let free = !self.writing && !self.unsent;
+        self.writing |= free;
+        free
     }
 }
 
@@ -266,13 +298,20 @@ impl OutQueue {
             capacity,
             lag_limit,
             stats,
+            side: OnceLock::new(),
         }
     }
 
     fn wake_writer(&self, s: &mut QueueState) {
         if !s.writing && s.has_work() && std::mem::take(&mut s.writer_parked) {
+            bump(&self.stats.writer_wakes);
             self.data.notify_one();
         }
+    }
+
+    /// The write side the shell attached.
+    fn side(&self) -> &Mutex<WriteSide> {
+        self.side.get().expect("the shell attaches the socket")
     }
 
     /// Queue `snapshot` (or a delta), the answer to `request` (0:
@@ -327,22 +366,27 @@ impl OutQueue {
     /// Offer the event of `doc`'s commit at `ts` without waiting. Full
     /// queue = drop, lag, and the stream is lost until a snapshot or a
     /// delta makes it whole; lag past the limit cuts the connection, here
-    /// and now.
-    fn queue_event(&self, doc: DocId, ts: Ts, frame: &Bytes) {
+    /// and now. `true` if the event was queued and the caller now owns the
+    /// free write side of a socket: it is the caller's to write
+    /// ([`OutQueue::write_taken`]), and no thread is woken.
+    fn queue_event(&self, doc: DocId, ts: Ts, frame: &Bytes) -> bool {
         let mut s = self.state.lock();
         let s = &mut *s;
         if s.closing {
-            return;
+            return false;
         }
         let Some(stream) = s.streams.get_mut(&doc) else {
-            return;
+            return false;
         };
         if !stream.lost && s.frames.len() < self.capacity {
             stream.frontier = stream.frontier.max(ts);
             s.frames.push_back(Arc::clone(frame));
-            self.wake_writer(s);
             bump(&self.stats.events_forwarded);
-            return;
+            if self.side.get().is_some() && s.own_free() {
+                return true;
+            }
+            self.wake_writer(s);
+            return false;
         }
         stream.lost = true;
         stream.lagged += 1;
@@ -352,6 +396,7 @@ impl OutQueue {
         if s.lagged > self.lag_limit {
             self.cut_locked(s, &NetError::SlowConsumer);
         }
+        false
     }
 
     /// Queue a reply frame, even past the capacity (see [`Step::Full`]).
@@ -429,22 +474,56 @@ impl OutQueue {
     }
 
     /// Own the write side: the writer blocks until there is work and
-    /// nobody owns it; the reader does not wait, and fails if it is owned.
+    /// nobody owns it; the reader does not wait, and fails unless it is
+    /// free.
     fn own(&self, writer: bool) -> bool {
         let mut s = self.state.lock();
-        while writer && (s.writing || !s.has_work()) {
+        if !writer {
+            return s.own_free();
+        }
+        while s.writing || !s.has_work() {
             s.writer_parked = true;
             self.data.wait(&mut s);
             s.writer_parked = false;
         }
-        !std::mem::replace(&mut s.writing, true)
+        s.writing = true;
+        true
     }
 
-    /// Let go of the write side, waking the writer for what is left.
-    fn release(&self) {
+    /// Let go of the write side, `unsent` bytes left in its buffer or
+    /// none, waking the writer for what is left.
+    fn release(&self, unsent: bool) {
         let mut s = self.state.lock();
         s.writing = false;
+        s.unsent = unsent;
         self.wake_writer(&mut s);
+    }
+
+    /// A publisher's write, the write side taken by
+    /// [`OutQueue::queue_event`]: send the queued frames without waiting,
+    /// leave what the socket does not take to the writer, and let go. No
+    /// recovery: a lost stream wakes the writer as the side is let go.
+    fn write_taken(&self) {
+        let mut side = self.side().lock();
+        self.take(&mut side.frames);
+        let written = side.write(&self.stats, false);
+        side.frames.clear();
+        if let Err(e) = written {
+            self.write_failed(e);
+        }
+        let unsent = !side.unsent.is_empty();
+        drop(side); // Before `release` can wake the writer for it.
+        self.release(unsent);
+    }
+
+    /// A socket write failed: a timeout is the slow-consumer policy's last
+    /// line — the peer stopped reading long enough to fill the kernel
+    /// buffer — and any other error closes the connection.
+    fn write_failed(&self, e: std::io::Error) {
+        self.cut(&match e.kind() {
+            ErrorKind::WouldBlock | ErrorKind::TimedOut => NetError::SlowConsumer,
+            _ => e.into(),
+        });
     }
 
     /// Move every queued frame into `frames`; `false` once closed.
@@ -494,17 +573,29 @@ impl Hub {
     }
 
     /// The publish hook's body, on the publishing thread: encode the
-    /// `Event` frame once, offer the shared bytes to every subscriber.
-    /// Publishers of any documents share the registry lock; it is only
-    /// taken exclusively to subscribe or unsubscribe.
+    /// `Event` frame once, offer the shared bytes to every subscriber, and
+    /// write each connection whose write side the offer took — once the
+    /// registry lock is let go, and, on a reader that publishes, once its
+    /// own reply is written ([`Taken::hold`]). Publishers of any documents
+    /// share the registry lock; it is only taken exclusively to subscribe
+    /// or unsubscribe.
     fn fan_out(&self, ev: &DocEvent) {
-        let subscribers = self.subscribers.read();
-        if let Some(queues) = subscribers.get(&ev.doc) {
-            let frame: Bytes = encode_event(ev).into();
-            for queue in queues {
-                queue.queue_event(ev.doc, ev.commit_ts, &frame);
+        TAKEN.with(|taken| {
+            let mut taken = taken.borrow_mut();
+            let subscribers = self.subscribers.read();
+            if let Some(queues) = subscribers.get(&ev.doc) {
+                let frame: Bytes = encode_event(ev).into();
+                for queue in queues {
+                    if queue.queue_event(ev.doc, ev.commit_ts, &frame) {
+                        taken.queues.push(Arc::clone(queue));
+                    }
+                }
             }
-        }
+            drop(subscribers);
+            if !taken.held {
+                taken.write();
+            }
+        });
     }
 
     fn subscribe(&self, doc: DocId, queue: &Arc<OutQueue>) {
@@ -530,7 +621,8 @@ impl Hub {
         });
     }
 
-    fn stats(&self) -> NetServerStats {
+    /// The counters of this hub's connections.
+    pub fn stats(&self) -> NetServerStats {
         let cell = |c: &AtomicU64| c.load(Ordering::Relaxed);
         let s = &self.stats;
         let live = self.collab.live().stats();
@@ -545,6 +637,7 @@ impl Hub {
             pool_spurious_wakeups: 0,
             frames_written: cell(&s.frames_written),
             socket_writes: cell(&s.socket_writes),
+            writer_wakes: cell(&s.writer_wakes),
             live_documents: live.documents as u64,
             snapshots_served: live.snapshots,
             deltas_served: live.deltas,
@@ -554,8 +647,50 @@ impl Hub {
 }
 
 /// A committed edit's ticket, ready, handed back by [`Conn::on_frame`] so
-/// the shell can write the reply first: published by `publish` or on drop.
+/// the shell can write the reply with the echo: published by `publish` or
+/// on drop.
 pub type Broadcast = Ticket;
+
+/// The write sides of other connections that publications on one thread
+/// took, not yet written.
+#[derive(Default)]
+struct Taken {
+    /// A reader is publishing: the writes wait for its own (`Taken::hold`).
+    held: bool,
+    queues: Vec<Arc<OutQueue>>,
+}
+
+thread_local! {
+    static TAKEN: RefCell<Taken> = RefCell::default();
+}
+
+impl Taken {
+    /// Hold back the writes of the write sides publications on this thread
+    /// take until the guard drops.
+    fn hold() -> HeldWrites {
+        TAKEN.with(|taken| taken.borrow_mut().held = true);
+        HeldWrites
+    }
+
+    fn write(&mut self) {
+        for queue in self.queues.drain(..) {
+            queue.write_taken();
+        }
+    }
+}
+
+/// See [`Taken::hold`]: dropped, it writes what was held back.
+struct HeldWrites;
+
+impl Drop for HeldWrites {
+    fn drop(&mut self) {
+        TAKEN.with(|taken| {
+            let mut taken = taken.borrow_mut();
+            taken.held = false;
+            taken.write();
+        });
+    }
+}
 
 type Subs = HashMap<DocId, LiveEditor>;
 
@@ -1031,15 +1166,21 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
         return;
     };
     let _ = out.set_write_timeout(Some(hub.config.critical_send_timeout));
-    let side = Arc::new(Mutex::new(WriteSide(out, Vec::new(), Vec::new())));
     let conn = Arc::new(Conn::new(&hub));
+    let side = WriteSide {
+        out,
+        frames: Vec::new(),
+        buf: Vec::new(),
+        unsent: Vec::new(),
+    };
+    let _ = conn.queue.side.set(Mutex::new(side));
     conns.lock().push((Arc::clone(&conn), listed));
 
     let writer = {
-        let (hub, conn, side) = (Arc::clone(&hub), Arc::clone(&conn), Arc::clone(&side));
+        let (hub, conn) = (Arc::clone(&hub), Arc::clone(&conn));
         std::thread::Builder::new()
             .name("tendax-net-writer".into())
-            .spawn(move || writer_loop(&hub, &conn, &side))
+            .spawn(move || writer_loop(&hub, &conn))
             .expect("spawn writer thread")
     };
 
@@ -1047,7 +1188,7 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
     let mut scratch = vec![0u8; 64 * 1024];
     let why = loop {
         match read_frame(&stream, &mut buf, &mut scratch) {
-            Ok(frame) => match answer(&hub, &conn, &side, frame) {
+            Ok(frame) => match answer(&hub, &conn, frame) {
                 Step::Ready => {}
                 Step::Full if conn.queue.wait_room(hub.config.critical_send_timeout) => {}
                 Step::Full => break NetError::SlowConsumer,
@@ -1061,21 +1202,23 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
     let _ = stream.shutdown(std::net::Shutdown::Both);
 }
 
-/// Serve one frame; unless the writer is mid-write, write what `drain`
-/// hands out (an `EditOk`), publish, and write what that queued (the echo).
-fn answer(hub: &Hub, conn: &Conn, side: &Mutex<WriteSide>, frame: Frame) -> Step {
+/// Serve one frame and publish what it committed; unless the write side
+/// is owned, write what `drain` hands out (an `EditOk` and its echo) in
+/// one write; then write the other connections the publication took.
+fn answer(hub: &Hub, conn: &Conn, frame: Frame) -> Step {
     let owner = conn.queue.own(false);
     let (step, broadcast) = conn.on_frame(hub, frame);
+    let others = Taken::hold();
+    broadcast.publish();
     if owner {
-        let mut side = side.lock();
-        if side.flush(hub, conn) {
-            broadcast.publish();
-            side.flush(hub, conn);
-        }
+        let mut side = conn.queue.side().lock();
+        side.flush(hub, conn, false);
+        let unsent = !side.unsent.is_empty();
         drop(side); // Before `release` can wake the writer for it.
-        conn.queue.release();
+        conn.queue.release(unsent);
     }
-    step // An unpublished `broadcast` publishes as it drops, here.
+    drop(others);
+    step
 }
 
 /// Frames up to this many bytes share a socket write with their
@@ -1083,51 +1226,83 @@ fn answer(hub: &Hub, conn: &Conn, side: &Mutex<WriteSide>, frame: Frame) -> Step
 /// rather than through a copy.
 const COALESCE_BYTES: usize = 64 * 1024;
 
-/// The connection's writer: it writes whatever is queued while nobody
-/// else does, then shuts the socket down once the connection is closed,
-/// which is what wakes a reader blocked on it.
-fn writer_loop(hub: &Hub, conn: &Conn, side: &Mutex<WriteSide>) {
+/// The connection's writer: it writes whatever is queued or left unsent
+/// while nobody else does, waiting on the socket as long as its write
+/// timeout allows, then shuts the socket down once the connection is
+/// closed, which is what wakes a reader blocked on it.
+fn writer_loop(hub: &Hub, conn: &Conn) {
+    let side = conn.queue.side();
     loop {
         conn.queue.own(true);
-        if !side.lock().flush(hub, conn) {
+        if !side.lock().flush(hub, conn, true) {
             break;
         }
-        conn.queue.release();
+        conn.queue.release(false);
     }
-    let _ = side.lock().0.shutdown(std::net::Shutdown::Both);
+    let _ = side.lock().out.shutdown(std::net::Shutdown::Both);
 }
 
-/// A connection's socket, the frames being written and the one buffer
-/// they are coalesced in; used by whichever thread owns the write side.
-struct WriteSide(TcpStream, Vec<Bytes>, Vec<u8>);
+/// A connection's socket and what is being written to it; used by
+/// whichever thread owns the write side.
+#[derive(Debug)]
+struct WriteSide {
+    out: TcpStream,
+    /// The frames being written.
+    frames: Vec<Bytes>,
+    /// The one buffer they are coalesced in.
+    buf: Vec<u8>,
+    /// What a write that did not wait left behind (see
+    /// `QueueState::unsent`).
+    unsent: Vec<u8>,
+}
 
 impl WriteSide {
-    /// Write what `drain` hands out; `false` once the connection is over.
-    /// A write timeout is the slow-consumer policy's last line: the peer
-    /// stopped reading long enough to fill the kernel buffer.
-    fn flush(&mut self, hub: &Hub, conn: &Conn) -> bool {
-        let open = conn.drain(hub, &mut self.1);
-        let written = self.write(hub);
-        self.1.clear();
-        conn.queue.cut(&match written {
-            Ok(()) => return open,
-            Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                NetError::SlowConsumer
-            }
-            Err(e) => e.into(),
-        });
-        let _ = self.0.shutdown(std::net::Shutdown::Both);
+    /// Write what `drain` hands out — waiting on the socket, or leaving
+    /// what it does not take unsent; `false` once the connection is over.
+    fn flush(&mut self, hub: &Hub, conn: &Conn, wait: bool) -> bool {
+        let open = conn.drain(hub, &mut self.frames);
+        let written = self.write(&hub.stats, wait);
+        self.frames.clear();
+        let Err(e) = written else {
+            return open;
+        };
+        conn.queue.write_failed(e);
+        let _ = self.out.shutdown(std::net::Shutdown::Both);
         false
     }
 
-    /// Write the frames, coalescing those that fit into the buffer.
-    fn write(&mut self, hub: &Hub) -> std::io::Result<()> {
-        let WriteSide(out, frames, buf) = self;
-        let n = frames.len() as u64;
-        hub.stats.frames_written.fetch_add(n, Ordering::Relaxed);
+    /// Write what was left unsent, then the frames, coalescing those that
+    /// fit into the buffer. Without `wait`, once the socket takes less
+    /// than a whole write the rest of it and every later frame go to
+    /// `unsent`.
+    fn write(&mut self, stats: &StatCells, wait: bool) -> std::io::Result<()> {
+        let WriteSide {
+            out,
+            frames,
+            buf,
+            unsent,
+        } = self;
+        stats
+            .frames_written
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
+        if !unsent.is_empty() {
+            debug_assert!(wait, "only the writer owns a side with bytes unsent");
+            bump(&stats.socket_writes);
+            out.write_all(unsent)?;
+            unsent.clear();
+        }
         let mut write = |bytes: &[u8]| {
-            bump(&hub.stats.socket_writes);
-            out.write_all(bytes)
+            if !unsent.is_empty() {
+                unsent.extend_from_slice(bytes);
+                return Ok(());
+            }
+            bump(&stats.socket_writes);
+            if wait {
+                return out.write_all(bytes);
+            }
+            let sent = send_now(out, bytes)?;
+            unsent.extend_from_slice(&bytes[sent..]);
+            Ok(())
         };
         buf.clear();
         for frame in frames.iter() {
@@ -1145,6 +1320,40 @@ impl WriteSide {
             write(buf)?;
         }
         Ok(())
+    }
+}
+
+/// One `send(2)` that neither waits (`MSG_DONTWAIT`) nor raises `SIGPIPE`
+/// (`MSG_NOSIGNAL`): how many bytes of `bytes` the socket took, 0 if its
+/// buffer is full. The socket itself stays blocking, for the writer.
+fn send_now(out: &TcpStream, bytes: &[u8]) -> std::io::Result<usize> {
+    use std::os::fd::AsRawFd;
+    extern "C" {
+        fn send(fd: i32, buf: *const u8, len: usize, flags: i32) -> isize;
+    }
+    const MSG_DONTWAIT: i32 = 0x40;
+    const MSG_NOSIGNAL: i32 = 0x4000;
+    loop {
+        // SAFETY: `send` reads at most `bytes.len()` bytes from
+        // `bytes.as_ptr()`, a live borrow for the whole call, and writes
+        // no memory; `out` keeps its descriptor open while it is borrowed.
+        let sent = unsafe {
+            send(
+                out.as_raw_fd(),
+                bytes.as_ptr(),
+                bytes.len(),
+                MSG_DONTWAIT | MSG_NOSIGNAL,
+            )
+        };
+        if let Ok(sent) = usize::try_from(sent) {
+            return Ok(sent);
+        }
+        let e = std::io::Error::last_os_error();
+        match e.kind() {
+            ErrorKind::Interrupted => continue,
+            ErrorKind::WouldBlock => return Ok(0),
+            _ => return Err(e),
+        }
     }
 }
 
@@ -1298,9 +1507,69 @@ mod tests {
         assert_eq!(q.push_event(DOC, &frame(1)), Offered::Queued);
         assert_eq!(drain(&q), [frame(1)]);
         assert_eq!(q.push_event(DOC, &frame(2)), Offered::Queued);
-        q.release();
+        q.release(false);
         assert_eq!(writer.join().unwrap(), [frame(2)]);
         assert!(!q.own(false), "the writer owns it until it lets go");
+    }
+
+    /// Bytes a write without waiting left unsent are the writer's:
+    /// neither the reader nor a publisher owns the write side again until
+    /// the writer has had it.
+    #[test]
+    fn bytes_left_unsent_wait_for_the_writer() {
+        let q = Arc::new(queue(4, &[DOC]));
+        assert!(q.own(false));
+        q.release(true);
+        assert!(!q.own(false), "the bytes go first, from the writer");
+        let q2 = Arc::clone(&q);
+        let writer = std::thread::spawn(move || {
+            q2.own(true);
+            q2.release(false);
+        });
+        writer.join().unwrap();
+        assert!(q.own(false));
+    }
+
+    /// Writes without waiting fill a socket nobody reads until one falls
+    /// short; the writer's next write, with a frame queued behind, puts
+    /// every byte on the wire once, in order: the bytes left unsent first.
+    #[test]
+    fn bytes_left_unsent_leave_before_later_frames() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let out = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (peer, _) = listener.accept().unwrap();
+        peer.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        let mut side = WriteSide {
+            out,
+            frames: Vec::new(),
+            buf: Vec::new(),
+            unsent: Vec::new(),
+        };
+        let stats = StatCells::default();
+        let mut sent = Vec::new();
+        for n in 0u8.. {
+            let frame: Bytes = vec![n; 16 * 1024].into();
+            sent.extend_from_slice(&frame);
+            side.frames.push(frame);
+            side.write(&stats, false).unwrap();
+            side.frames.clear();
+            if !side.unsent.is_empty() {
+                break;
+            }
+        }
+        let later: Bytes = vec![0xEE; 10].into();
+        sent.extend_from_slice(&later);
+        side.frames.push(later);
+        let reader = std::thread::spawn(move || {
+            let mut got = vec![0; sent.len()];
+            (&peer).read_exact(&mut got).expect("every byte, once");
+            (got, sent)
+        });
+        side.write(&stats, true).unwrap();
+        assert!(side.unsent.is_empty());
+        let (got, sent) = reader.join().unwrap();
+        assert!(got == sent, "the bytes left the socket out of order");
     }
 
     /// A reply is queued past the capacity; the queue then says it is

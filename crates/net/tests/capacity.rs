@@ -509,3 +509,133 @@ fn transport_repairs_are_not_recorded_as_reads() {
     );
     assert_eq!(reads(), 3, "a repair was recorded as a read");
 }
+
+/// A publisher writes each subscriber's socket itself, and never waits on
+/// it: a subscriber that stops reading, on a server that would let a
+/// socket write wait a minute, costs the typist nothing. Every edit is
+/// acknowledged within a second while the staller's socket fills, its
+/// stream is lost and it is cut for lag. (A publisher that waited on the
+/// staller's socket would hold the typist's next reply for the whole
+/// write timeout.)
+#[test]
+fn a_stalled_subscriber_never_holds_up_a_typists_ack() {
+    let config = NetConfig {
+        outbound_capacity: 4,
+        lag_limit: 4,
+        critical_send_timeout: Duration::from_secs(60),
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "sloth"], &["doc"], config);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let alice = NetClient::connect(addr, "alice").unwrap();
+    let doc = alice.subscribe("doc").unwrap();
+    let _sloth = stalled_subscriber(addr, "sloth", &["doc"]);
+    let deadline = Instant::now() + WAIT;
+    while collab.textdb().read_count(id).unwrap() < 2 {
+        assert!(Instant::now() < deadline, "the subscribe never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let blob = "x".repeat(1024);
+    let deadline = Instant::now() + WAIT * 4;
+    let (mut typed, mut edits, mut last) = (0, 0, 0);
+    while server.stats().slow_disconnects == 0 {
+        assert!(Instant::now() < deadline, "the staller was never cut");
+        let asked = Instant::now();
+        last = alice.insert(doc, typed, &blob).unwrap().1;
+        let took = asked.elapsed();
+        edits += 1;
+        assert!(
+            took < Duration::from_secs(1),
+            "edit {edits} was acknowledged after {took:?}: {:?}",
+            server.stats()
+        );
+        typed += blob.len();
+    }
+    assert!(alice.wait_synced(doc, last, WAIT));
+    assert_eq!(
+        alice.text(doc).unwrap(),
+        collab.textdb().document_text(id).unwrap()
+    );
+    assert_eq!(server.stats().slow_disconnects, 1);
+}
+
+/// What a publisher's write leaves unsent goes out first, from the
+/// writer: a subscriber that stops reading until a publisher's write to
+/// it falls short, and a few edits more, and then reads everything, gets
+/// the snapshot and every edit's event, each whole and in commit order.
+#[test]
+fn a_write_cut_short_is_finished_by_the_writer_in_order() {
+    let config = NetConfig {
+        critical_send_timeout: Duration::from_secs(60),
+        lag_limit: 1_000_000,
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], config);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let alice = NetClient::connect(addr, "alice").unwrap();
+    let doc = alice.subscribe("doc").unwrap();
+    let staller = stalled_subscriber(addr, "bob", &["doc"]);
+    let deadline = Instant::now() + WAIT;
+    while collab.textdb().read_count(id).unwrap() < 2 {
+        assert!(Instant::now() < deadline, "the subscribe never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    // A parked writer is woken only for the bytes a write left unsent:
+    // the staller's socket is full.
+    let wakes = server.stats().writer_wakes;
+    let blob = "x".repeat(1024);
+    let deadline = Instant::now() + WAIT * 4;
+    let (mut typed, mut edits, mut more) = (0, 0, 8);
+    let mut last = 0;
+    while more > 0 {
+        assert!(Instant::now() < deadline, "no write fell short");
+        last = alice.insert(doc, typed, &blob).unwrap().1;
+        typed += blob.len();
+        edits += 1;
+        if server.stats().writer_wakes > wakes {
+            more -= 1;
+        }
+    }
+
+    staller.set_read_timeout(Some(WAIT)).unwrap();
+    let mut buf = tendax_net::FrameBuffer::default();
+    let mut scratch = vec![0u8; 64 * 1024];
+    let mut mirror: Option<tendax_net::MirrorDoc> = None;
+    let mut events = 0;
+    while mirror.as_ref().is_none_or(|m| m.synced_ts() < last) {
+        let n = (&staller).read(&mut scratch).expect("staller read");
+        assert!(n > 0, "server closed the staller: {:?}", server.stats());
+        buf.extend(&scratch[..n]);
+        while let Some((tag, payload)) = buf.next_frame().expect("framing") {
+            match Frame::decode(tag, payload).expect("decode") {
+                Frame::Snapshot {
+                    doc,
+                    synced_ts,
+                    chars,
+                    request: 1,
+                } => {
+                    assert!(mirror.is_none(), "a second snapshot");
+                    mirror = Some(tendax_net::MirrorDoc::new(doc, synced_ts, chars).unwrap());
+                }
+                Frame::Event(ev) => {
+                    let mirror = mirror.as_mut().expect("the snapshot first");
+                    let at = ev.commit_ts;
+                    assert!(mirror.apply_event(ev).unwrap(), "commit {at} out of order");
+                    events += 1;
+                }
+                Frame::Welcome { .. } => {}
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+    }
+    assert_eq!(events, edits, "{:?}", server.stats());
+    assert_eq!(
+        mirror.unwrap().text(),
+        collab.textdb().document_text(id).unwrap()
+    );
+    assert_eq!(server.stats().frames_dropped, 0);
+}

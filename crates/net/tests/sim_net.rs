@@ -30,12 +30,18 @@
 //!
 //! The server's shell is played as it runs. An edit's [`Broadcast`] is
 //! held — across the other connection's commits, publishes and drains,
-//! and every delivery — until a step of its own hands out the reply,
-//! publishes, and drains again; meanwhile the connection neither drains
-//! nor reads a request (its reader owns the write side). For a seeded
-//! quarter of the edits the writer is mid-write instead, and the
-//! broadcast goes out at once. A held edit's event is ready once its reply
-//! is queued, so the other connection's publication may carry it first.
+//! and every delivery — until a step of its own publishes it, hands out
+//! the reply and the echo in one drain, and then hands out each other
+//! connection the publication took; meanwhile the connection neither
+//! drains nor reads a request (its reader owns the write side). For a
+//! seeded quarter of the edits the writer is mid-write instead: the
+//! broadcast goes out at once, and the connections it took are handed out
+//! right after. A publication takes a connection it queued an event for
+//! unless that connection's reader holds an edit, its writer is stuck on a
+//! full socket, or (a seeded one in four) its writer is mid-write; such a
+//! connection's writer hands it out later. A held edit's event is ready
+//! once its reply is queued, so the other connection's publication may
+//! carry it first.
 //!
 //! On the way: no connection hands out one document's events out of
 //! commit order, and a `Delta` holds its events in commit order between
@@ -54,8 +60,9 @@
 //! the digests of the frames delivered, and needs the sweep to have sent a
 //! repeated `Subscribe` and a `Resync`, withheld a drain, recovered a lost
 //! stream by a snapshot and by a delta, carried events inside deltas,
-//! re-opened a closed document by a delta and by a snapshot, and had one
-//! editor's publication carry another's event; `TENDAX_SIM_SEED=<n> cargo
+//! re-opened a closed document by a delta and by a snapshot, had one
+//! editor's publication carry another's event, and had a publication take
+//! another connection's write side; `TENDAX_SIM_SEED=<n> cargo
 //! test -p tendax-net --test sim_net` replays one.
 
 use std::collections::{HashMap, HashSet};
@@ -318,6 +325,8 @@ struct Tally {
     reopen_snapshots: u64,
     /// Events published by another editor's publication than their own.
     carried: u64,
+    /// Connections handed out by a publication that took their write side.
+    taken: u64,
 }
 
 impl std::ops::AddAssign for Tally {
@@ -332,6 +341,7 @@ impl std::ops::AddAssign for Tally {
         self.reopen_deltas += t.reopen_deltas;
         self.reopen_snapshots += t.reopen_snapshots;
         self.carried += t.carried;
+        self.taken += t.taken;
     }
 }
 
@@ -407,14 +417,72 @@ fn hand_out(seed: u64, i: usize, site: &mut Site, hub: &Hub, order: &mut Order) 
     !out.is_empty()
 }
 
-/// Site `i` publishes `broadcast`: note which commits its publication
-/// published, as the publish hook logged them.
-fn publish(i: usize, broadcast: Broadcast, log: &Mutex<Vec<u64>>, order: &mut Order) {
-    let before = log.lock().unwrap().len();
-    broadcast.publish();
-    for &commit in &log.lock().unwrap()[before..] {
-        order.published_by.insert(commit, i);
+/// What a publication needs of the run: every hub, the publish hook's
+/// log, the schedule.
+struct Publishing<'a> {
+    hubs: &'a [Arc<Hub>],
+    log: &'a Mutex<Vec<u64>>,
+    rng: &'a mut SmallRng,
+}
+
+impl Publishing<'_> {
+    /// Site `i` publishes `broadcast`: note which commits its publication
+    /// published, as the publish hook logged them, and return the other
+    /// sites whose write sides it took — it queued an event for the
+    /// connection (its hub's `events_forwarded` moved), whose reader holds
+    /// no edit, whose writer is not stuck on a full socket and, three in
+    /// four, not mid-write.
+    fn publish(
+        &mut self,
+        i: usize,
+        broadcast: Broadcast,
+        others: &[(usize, &mut Site)],
+        order: &mut Order,
+    ) -> Vec<usize> {
+        let forwarded = || -> Vec<u64> {
+            let stats = self.hubs.iter().map(|hub| hub.stats());
+            stats.map(|s| s.events_forwarded).collect()
+        };
+        let (before, published) = (forwarded(), self.log.lock().unwrap().len());
+        broadcast.publish();
+        for &commit in &self.log.lock().unwrap()[published..] {
+            order.published_by.insert(commit, i);
+        }
+        let after = forwarded();
+        let mut took = Vec::new();
+        for (j, other) in others {
+            let free = other.held.is_none() && other.stalled == 0;
+            if after[*j] > before[*j] && free && self.rng.gen_bool(0.75) {
+                took.push(*j);
+            }
+        }
+        took
     }
+}
+
+/// Hand out each of `others` the publication `took`: its queue, as the
+/// publisher writes it. (The publisher runs no recovery, but the
+/// connection's writer, woken as the publisher lets go, drains next: the
+/// same frames in the same order as this one drain.)
+fn hand_out_taken(
+    seed: u64,
+    took: &[usize],
+    others: &mut [(usize, &mut Site)],
+    hubs: &[Arc<Hub>],
+    order: &mut Order,
+) {
+    for (j, other) in others.iter_mut().filter(|(j, _)| took.contains(j)) {
+        order.tally.taken += 1;
+        hand_out(seed, *j, other, &hubs[*j], order);
+    }
+}
+
+/// Site `i`, and the others with their indices.
+fn apart(sites: &mut [Site], i: usize) -> (&mut Site, Vec<(usize, &mut Site)>) {
+    let (before, rest) = sites.split_at_mut(i);
+    let (site, after) = rest.split_first_mut().expect("site i exists");
+    let after = after.iter_mut().enumerate().map(|(k, s)| (i + 1 + k, s));
+    (site, before.iter_mut().enumerate().chain(after).collect())
 }
 
 /// What site `i` sees of the others: the edits acknowledged to them on
@@ -517,14 +585,20 @@ fn run(seed: u64) -> Run {
         let i = rng.gen_range(0..sites.len());
         let kind = rng.gen_range(0..5);
         let others = (kind == 0).then(|| others_of(&sites, &edits_acked, i));
-        let (site, hub) = (&mut sites[i], &hubs[i]);
+        let (site, mut rest) = apart(&mut sites, i);
+        let hub = &hubs[i];
+        let mut publishing = Publishing {
+            hubs: &hubs,
+            log: &published,
+            rng: &mut rng,
+        };
         match kind {
             0 if site.outstanding.is_none() && !site.done() => {
                 let others = others.as_ref().expect("drawn for a send");
-                site.send_next(seed, i, hot, &mut rng, &mut order.tally, others)
+                site.send_next(seed, i, hot, publishing.rng, &mut order.tally, others)
             }
             1 if !site.up.is_empty() && site.held.is_none() => {
-                deliver(&mut site.up, &mut site.at_server, &mut rng);
+                deliver(&mut site.up, &mut site.at_server, publishing.rng);
                 while let Some((tag, payload)) = site
                     .at_server
                     .next_frame()
@@ -551,11 +625,12 @@ fn run(seed: u64) -> Run {
                             texts.push((textdb.database().last_commit_ts(), text));
                         }
                     }
-                    if edit && rng.gen_bool(0.75) {
+                    if edit && publishing.rng.gen_bool(0.75) {
                         site.held = Some(broadcast);
                     } else {
                         site.at_once = edit;
-                        publish(i, broadcast, &published, &mut order);
+                        let took = publishing.publish(i, broadcast, &rest, &mut order);
+                        hand_out_taken(seed, &took, &mut rest, &hubs, &mut order);
                     }
                 }
             }
@@ -565,7 +640,7 @@ fn run(seed: u64) -> Run {
                 hand_out(seed, i, site, hub, &mut order);
             }
             3 if !site.down.is_empty() => {
-                deliver(&mut site.down, &mut site.at_client, &mut rng);
+                deliver(&mut site.down, &mut site.at_client, publishing.rng);
                 while let Some((tag, payload)) = site
                     .at_client
                     .next_frame()
@@ -633,12 +708,14 @@ fn run(seed: u64) -> Run {
                     }
                 }
             }
-            // The reader that served an edit: the reply, the broadcast,
-            // then what it queued (its writes are stuck as the writer's).
+            // The reader that served an edit: the broadcast, then the reply
+            // and the echo (its writes are stuck as the writer's), then the
+            // connections the publication took.
             4 if site.held.is_some() && site.stalled == 0 => {
+                let held = site.held.take().unwrap();
+                let took = publishing.publish(i, held, &rest, &mut order);
                 hand_out(seed, i, site, hub, &mut order);
-                publish(i, site.held.take().unwrap(), &published, &mut order);
-                hand_out(seed, i, site, hub, &mut order);
+                hand_out_taken(seed, &took, &mut rest, &hubs, &mut order);
             }
             _ => {}
         }
@@ -741,6 +818,7 @@ fn two_clients_converge_under_seeded_delivery() {
             reopen_deltas,
             reopen_snapshots,
             carried,
+            taken,
         } = tally;
         assert!(
             [
@@ -753,7 +831,8 @@ fn two_clients_converge_under_seeded_delivery() {
                 closes,
                 reopen_deltas,
                 reopen_snapshots,
-                carried
+                carried,
+                taken
             ]
             .iter()
             .all(|&n| n > 0),

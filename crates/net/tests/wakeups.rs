@@ -1,15 +1,18 @@
 //! A typist's acknowledged edits wake no writer thread: the connection's
-//! reader writes each reply, and the echo behind it, itself. Nor do they
-//! wake the client's reader thread once per reply: a waiting call reads
-//! its own reply from the socket.
+//! reader publishes each edit, writes its reply and the echo behind it in
+//! one socket write, and then writes the event to the watcher's socket
+//! itself. Nor do they wake the client's reader thread once per reply: a
+//! waiting call reads its own reply from the socket.
 //!
 //! This file holds one test on purpose: it reads every thread of the
 //! whole process, and tests of one file share a process.
 
+use std::io::{Read, Write};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use tendax_collab::CollabServer;
-use tendax_net::{NetClient, NetConfig, NetServer};
+use tendax_net::{Frame, FrameBuffer, NetClient, NetConfig, NetServer, PROTOCOL_VERSION};
 use tendax_text::TextDb;
 
 const EDITS: u64 = 200;
@@ -39,15 +42,79 @@ fn switches(name: &str) -> u64 {
     switches
 }
 
+/// Read frames from `stream` into `buf` until `done` holds for one.
+fn read_until(stream: &mut TcpStream, buf: &mut FrameBuffer, mut done: impl FnMut(Frame) -> bool) {
+    let mut scratch = [0u8; 4096];
+    loop {
+        while let Some((tag, payload)) = buf.next_frame().expect("framing") {
+            if done(Frame::decode(tag, payload).expect("a frame")) {
+                return;
+            }
+        }
+        let n = stream.read(&mut scratch).expect("the watcher reads");
+        assert!(n > 0, "the server closed the watcher");
+        buf.extend(&scratch[..n]);
+    }
+}
+
+/// A second subscriber of `name` on a raw socket, read by a thread that
+/// is not a `NetClient`'s (its switches are not counted): it returns the
+/// number of events it got up to the one of the commit sent on the
+/// channel it hands back, and the socket, still open.
+fn watcher(
+    addr: SocketAddr,
+    name: &str,
+) -> (
+    std::sync::mpsc::Sender<u64>,
+    std::thread::JoinHandle<(u64, TcpStream)>,
+) {
+    let mut stream = TcpStream::connect(addr).unwrap();
+    let hello = Frame::Hello {
+        version: PROTOCOL_VERSION,
+        user: "bob".into(),
+        platform: "Linux".into(),
+        token: String::new(),
+    };
+    let subscribe = Frame::Subscribe {
+        request: 1,
+        name: name.into(),
+        resume: None,
+    };
+    stream.write_all(&hello.encode()).unwrap();
+    stream.write_all(&subscribe.encode()).unwrap();
+    let mut buf = FrameBuffer::default();
+    read_until(&mut stream, &mut buf, |f| {
+        matches!(f, Frame::Snapshot { .. })
+    });
+    let (last, until) = std::sync::mpsc::channel();
+    let reader = std::thread::spawn(move || {
+        let mut events = 0;
+        let mut last = None;
+        read_until(&mut stream, &mut buf, |f| {
+            if let Frame::Event(ev) = f {
+                events += 1;
+                let last = *last.get_or_insert_with(|| until.recv().unwrap());
+                assert!(ev.commit_ts <= last, "an event past the last commit");
+                return ev.commit_ts == last;
+            }
+            false
+        });
+        (events, stream)
+    });
+    (last, reader)
+}
+
 #[test]
 fn acknowledged_edits_wake_no_writer() {
     let tdb = TextDb::in_memory();
     let alice = tdb.create_user("alice").unwrap();
+    tdb.create_user("bob").unwrap();
     tdb.create_document("minutes", alice).unwrap();
     let server =
         NetServer::bind("127.0.0.1:0", CollabServer::new(tdb), NetConfig::default()).unwrap();
     let client = NetClient::connect(server.local_addr(), "alice").unwrap();
     let doc = client.subscribe("minutes").unwrap();
+    let (last_ts, watched) = watcher(server.local_addr(), "minutes");
     let (_, ts) = client.insert(doc, 0, "warm").unwrap();
     assert!(client.wait_synced(doc, ts, Duration::from_secs(30)));
     // Quiet for longer than the client's handover: its reader thread
@@ -61,18 +128,28 @@ fn acknowledged_edits_wake_no_writer() {
         last = client.insert(doc, i as usize, "x").unwrap().1;
     }
     assert!(client.wait_synced(doc, last, Duration::from_secs(30)));
+    last_ts.send(last).unwrap();
+    let (events, _open) = watched.join().expect("the watcher got every event");
     let woke = switches(WRITER) - before.0;
     let reader_woke = switches(CLIENT_READER) - before.1;
     let after = server.stats();
     let frames = after.frames_written - stats.frames_written;
     let writes = after.socket_writes - stats.socket_writes;
+    let wakes = after.writer_wakes - stats.writer_wakes;
     eprintln!(
-        "{EDITS} edits: writer switches {woke}, client reader switches {reader_woke}, \
-         frames written {frames}, socket writes {writes}"
+        "{EDITS} edits: writer switches {woke}, writer wakes {wakes}, client reader \
+         switches {reader_woke}, frames written {frames}, socket writes {writes}, \
+         watcher events {events}"
+    );
+    // The warm-up edit's event may reach the watcher after it subscribed.
+    assert!(
+        (EDITS..=EDITS + 1).contains(&events),
+        "the watcher got {events} events"
     );
     assert_eq!(
-        woke, 0,
-        "{EDITS} acknowledged edits woke the writers {woke} times"
+        (woke, wakes),
+        (0, 0),
+        "{EDITS} acknowledged edits woke the writers (switches, wakes)"
     );
     // Handing each reply across a thread blocks the reader at least once
     // per reply; looking for a quiet socket once a handover is far fewer.
@@ -80,6 +157,8 @@ fn acknowledged_edits_wake_no_writer() {
         reader_woke < EDITS / 4,
         "{EDITS} acknowledged edits woke the client's reader {reader_woke} times"
     );
-    // Each reply and each echo: the reply leaves before its broadcast.
-    assert_eq!((frames, writes), (2 * EDITS, 2 * EDITS));
+    // Each reply, each echo and each watcher's copy, in two writes: the
+    // reply and the echo leave together, and the publisher writes the
+    // watcher's copy.
+    assert_eq!((frames, writes), (3 * EDITS, 2 * EDITS));
 }

@@ -52,9 +52,11 @@
 # client mirror against the server's chain; prints PROPTEST_SEED=<n> on
 # failure), `mirror_cost` (allocations per applied event and per loaded
 # run), `idle` (an idle connection wakes no transport thread), `wakeups`
-# (200 acknowledged edits wake no writer thread: the reader writes its
-# replies; and the client's reader thread fewer than 50 times: a waiting
-# call reads its own reply), `sim_net` (a hub, two connections and two clients in one
+# (200 acknowledged edits watched by a second subscriber wake no writer
+# thread — switches and `writer_wakes` both 0: the reader writes its
+# reply and echo in one write and the publisher writes the watcher's
+# socket, 3·EDITS frames in 2·EDITS writes — and the client's reader
+# thread fewer than 50 times: a waiting call reads its own reply), `sim_net` (a hub, two connections and two clients in one
 # thread under a seeded delivery schedule, each edit's broadcast held as
 # a step of its own, every stream in commit order, every mirror at its
 # frontier after each event and each `Delta`, the `EditOk` checked ahead
@@ -64,8 +66,11 @@
 # rejected, its event never handed out and never carried by a delta; a
 # `Subscribe` and a `TextDb::open` write and sync nothing, and the next
 # edit's flush is one batch of two records with one sync),
-# `capacity` once more in a release build (its stalled-reader
-# tests once raced there) and the whole of tendax-collab (one
+# `capacity` (with a_stalled_subscriber_never_holds_up_a_typists_ack:
+# every edit acknowledged within a second while a subscriber that never
+# reads is lost and cut, a minute's write timeout notwithstanding; and
+# a_write_cut_short_is_finished_by_the_writer_in_order) once more in a
+# release build (its stalled-reader tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
 # the bus's publish hooks — no bus queues, no simulated latency). The
 # metadata-services job's are:
