@@ -9,7 +9,7 @@ use parking_lot::{Mutex, RwLock};
 
 use crate::clock::Clock;
 use crate::cold::{ColdOptions, ColdStore};
-use crate::commit::{CommitLatch, CommitSequencer};
+use crate::commit::CommitLock;
 use crate::error::{Result, StorageError};
 use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
 use crate::observer::{CommitObserver, WriteSet};
@@ -92,16 +92,15 @@ pub struct Stats {
     pub maintenance_checkpoints: u64,
     /// Versions reclaimed by vacuum (manual and automatic).
     pub versions_pruned: u64,
-    /// Total nanoseconds commits spent blocked on the pipeline: waiting
-    /// out DDL / checkpoint quiesce on the commit latch, plus the
-    /// commit wait for the watermark to cover the new timestamp.
+    /// Total nanoseconds commits waited for the commit lock while
+    /// another commit, a DDL or a checkpoint's switch held it.
     pub commit_wait_ns: u64,
-    /// Max gap observed between a freshly allocated commit timestamp
-    /// and the snapshot watermark: how far commits have run ahead of
-    /// the slowest in-flight publisher.
+    /// 1 once a transaction has committed since open, else 0: commits
+    /// run one at a time, so none is ever more than one timestamp ahead
+    /// of the watermark. Kept while the benchmark reads it.
     pub watermark_lag_max: u64,
-    /// DDL / checkpoint quiesces that had to wait for in-flight
-    /// commits to drain.
+    /// DDL, checkpoint switches and observer registrations that found
+    /// the commit lock held.
     pub ddl_stalls: u64,
     /// Always 0: commits no longer merge (DESIGN.md §5.8). Kept while
     /// the benchmark still reads it.
@@ -170,20 +169,13 @@ pub(crate) struct DbInner {
     catalog: RwLock<Catalog>,
     tables: RwLock<BTreeMap<TableId, Arc<RwLock<TableStore>>>>,
     clock: Clock,
-    /// Commit-timestamp allocator + contiguous-prefix watermark. The
-    /// watermark (not a raw "last commit ts") is what snapshots read:
-    /// it advances only when every lower timestamp has published, so a
-    /// snapshot never has a gap even while commits publish out of
-    /// timestamp order.
-    sequencer: CommitSequencer,
+    /// Commits run one at a time under it; its watermark is what
+    /// snapshots read. DDL, observer registration and a checkpoint's
+    /// switch take it to keep commits out.
+    commit_lock: CommitLock,
     next_txn_id: AtomicU64,
     /// Active transactions and their snapshots (for the vacuum horizon).
     active: Mutex<BTreeMap<TxnId, Ts>>,
-    /// Shared/exclusive pipeline latch: commits enter shared and run
-    /// concurrently (serializing only on the per-table locks they
-    /// write); DDL and a checkpoint's switch enter exclusive, quiescing
-    /// the pipeline.
-    commit_latch: CommitLatch,
     /// Set once at open for durable databases; never set for in-memory.
     wal: OnceLock<GroupWal>,
     counters: Counters,
@@ -230,10 +222,9 @@ impl Database {
                 catalog: RwLock::new(Catalog::new()),
                 tables: RwLock::new(BTreeMap::new()),
                 clock: Clock::default(),
-                sequencer: CommitSequencer::new(0),
+                commit_lock: CommitLock::default(),
                 next_txn_id: AtomicU64::new(1),
                 active: Mutex::new(BTreeMap::new()),
-                commit_latch: CommitLatch::new(),
                 wal: OnceLock::new(),
                 counters: Counters::default(),
                 path,
@@ -307,7 +298,7 @@ impl Database {
             // the segments with them.
             WalRecord::Format { .. } | WalRecord::Base { .. } => {}
             WalRecord::Meta { next_ts, clock } => {
-                self.inner.sequencer.observe(next_ts.saturating_sub(1));
+                self.inner.commit_lock.observe(next_ts.saturating_sub(1));
                 self.inner.clock.observe(clock);
             }
             WalRecord::CreateTable { id, def } => {
@@ -352,7 +343,7 @@ impl Database {
                     };
                     self.observe_row_clock(store.write().replay(w.row, commit_ts, op));
                 }
-                self.inner.sequencer.observe(commit_ts);
+                self.inner.commit_lock.observe(commit_ts);
             }
             WalRecord::SnapshotRows { table, rows } => {
                 let mut store = tables
@@ -372,7 +363,7 @@ impl Database {
                         }
                     };
                     self.observe_row_clock(store.replay(v.row, v.commit_ts, op));
-                    self.inner.sequencer.observe(v.commit_ts);
+                    self.inner.commit_lock.observe(v.commit_ts);
                 }
             }
             WalRecord::Watermark { table, next_row_id } => {
@@ -399,11 +390,11 @@ impl Database {
 
     // ------------------------------------------------------------------ DDL
 
-    /// Create a table. DDL is durable; it quiesces the commit pipeline
-    /// (exclusive latch) so the catalog never changes under a commit's
-    /// feet and its WAL record lands between commit frames.
+    /// Create a table. DDL is durable; it holds the commit lock so the
+    /// catalog never changes under a commit's feet and its WAL record
+    /// lands between commit frames.
     pub fn create_table(&self, def: TableDef) -> Result<TableId> {
-        let ddl = self.inner.commit_latch.exclusive();
+        let ddl = self.inner.commit_lock.quiesce();
         let mut catalog = self.inner.catalog.write();
         let id = catalog.register(def.clone())?;
         self.inner
@@ -419,7 +410,7 @@ impl Database {
 
     /// Drop a table and all of its data.
     pub fn drop_table(&self, name: &str) -> Result<()> {
-        let ddl = self.inner.commit_latch.exclusive();
+        let ddl = self.inner.commit_lock.quiesce();
         let mut catalog = self.inner.catalog.write();
         let id = catalog.remove(name)?;
         self.inner.tables.write().remove(&id);
@@ -452,10 +443,6 @@ impl Database {
     /// Begin a snapshot-isolated transaction.
     pub fn begin(&self) -> Transaction {
         let id = TxnId(self.inner.next_txn_id.fetch_add(1, Ordering::Relaxed));
-        self.inner
-            .counters
-            .txns_begun
-            .fetch_add(1, Ordering::Relaxed);
         // The snapshot must be loaded *while holding* the `active` lock:
         // vacuum computes its horizon under this same lock, so a snapshot
         // read before registration could otherwise be overtaken by a
@@ -463,13 +450,16 @@ impl Database {
         // is entitled to see.
         let snapshot = {
             let mut active = self.inner.active.lock();
-            // The watermark, not the newest allocated ts: every commit
-            // at or below it has fully published, across all tables, so
-            // the snapshot is gap-free by construction.
-            let snapshot = self.inner.sequencer.watermark();
+            let snapshot = self.inner.commit_lock.watermark();
             active.insert(id, snapshot);
             snapshot
         };
+        // Counted once the snapshot is registered: a count that moved
+        // means the transaction holds its snapshot.
+        self.inner
+            .counters
+            .txns_begun
+            .fetch_add(1, Ordering::Relaxed);
         Transaction::new(self.clone(), id, snapshot)
     }
 
@@ -481,13 +471,9 @@ impl Database {
     /// if vacuum has already pruned versions the snapshot is entitled to.
     pub fn begin_at(&self, snapshot: Ts) -> Result<Transaction> {
         let id = TxnId(self.inner.next_txn_id.fetch_add(1, Ordering::Relaxed));
-        self.inner
-            .counters
-            .txns_begun
-            .fetch_add(1, Ordering::Relaxed);
         let snapshot = {
             let mut active = self.inner.active.lock();
-            let snapshot = snapshot.min(self.inner.sequencer.watermark());
+            let snapshot = snapshot.min(self.inner.commit_lock.watermark());
             // Checked under the `active` lock for the same reason as
             // `begin`: vacuum computes its horizon (and raises the
             // floor) under this lock, so the floor cannot overtake a
@@ -502,6 +488,10 @@ impl Database {
             active.insert(id, snapshot);
             snapshot
         };
+        self.inner
+            .counters
+            .txns_begun
+            .fetch_add(1, Ordering::Relaxed);
         Ok(Transaction::new(self.clone(), id, snapshot))
     }
 
@@ -514,11 +504,11 @@ impl Database {
 
     /// Register `observer` on the commit stream (see [`crate::observer`]).
     /// The database keeps a weak reference: the observer is called for
-    /// as long as the caller keeps the `Arc` alive. Registration
-    /// quiesces the commit pipeline, so every commit is either visible
-    /// to any snapshot taken after this returns or reaches the observer.
+    /// as long as the caller keeps the `Arc` alive. Registration holds
+    /// the commit lock, so every commit is either visible to any
+    /// snapshot taken after this returns or reaches the observer.
     pub fn observe_commits(&self, observer: &Arc<dyn CommitObserver>) {
-        let _quiesced = self.inner.commit_latch.exclusive();
+        let _quiesced = self.inner.commit_lock.quiesce();
         let mut observers = self.inner.observers.write();
         observers.retain(|o| o.strong_count() > 0);
         observers.push(Arc::downgrade(observer));
@@ -538,14 +528,11 @@ impl Database {
             return Ok((txn.snapshot_ts(), None));
         }
 
-        // Enter the pipeline in shared mode: commits to disjoint tables
-        // run this entire section concurrently, serializing only on the
-        // write locks of the tables they actually touch. DDL and a
-        // checkpoint's switch are the exclusive mode that quiesces us.
-        let commit = self.inner.commit_latch.shared();
-        // Collect handles, then lock the affected tables — those written
-        // and those only expected unchanged — in id order, so lock order
-        // is globally fixed.
+        // Commits run one at a time: everything up to the frame in the
+        // log's batch happens under the commit lock (see `crate::commit`).
+        let last = self.inner.commit_lock.commit();
+        // Lock the affected tables — those written and those only
+        // expected unchanged — in id order.
         let mut locked: Vec<TableId> = writes.keys().copied().collect();
         locked.extend(expected.iter().map(|&(tid, _)| tid));
         locked.sort_unstable();
@@ -588,44 +575,14 @@ impl Database {
         if let Some(wal) = wal {
             wal.healthy()?;
         }
-        // The timestamp is allocated only *after* validation: a commit
-        // that fails first-committer-wins never occupies a slot in the
-        // watermark's pending window, so conflict aborts by construction
-        // cannot stall snapshots. Allocation happens while we hold the
-        // write locks of every table we touch, which is what keeps each
-        // individual table's version chains applied in timestamp order.
-        let commit_ts = self.inner.sequencer.allocate();
-
-        // From allocation on, *every* exit — success, or a panic
-        // anywhere in encoding or publication — resolves the timestamp
-        // through this guard, or the watermark wedges at `commit_ts - 1`
-        // forever: every later begin() gets a stale snapshot and every
-        // later commit hangs in wait_visible. Once the frame is encoded
-        // the guard resolves with it, on unwind too: versions already
-        // applied become visible when the watermark passes them, so
-        // their record must reach the log in that same step.
-        struct TsGuard<'a> {
-            inner: &'a DbInner,
-            ts: Ts,
-            frame: Option<Vec<u8>>,
-        }
-        impl Drop for TsGuard<'_> {
-            fn drop(&mut self) {
-                let frame = self.frame.take();
-                (self.inner.sequencer).resolve(self.ts, frame, self.inner.wal.get());
-            }
-        }
-        let mut ts_guard = TsGuard {
-            inner: &self.inner,
-            ts: commit_ts,
-            frame: None,
-        };
-        // The frame is encoded before publication and handed to the
-        // sequencer, which appends it to the log when `commit_ts` joins
-        // the watermark: the log replays as a commit-order prefix
-        // without a global lock. An in-memory database encodes nothing.
+        // From here on every exit, an unwind included, goes through this
+        // guard's drop: it appends the frame once one is encoded, stores
+        // the watermark and lets the lock go.
+        let mut next = self.inner.commit_lock.next(last, wal);
+        let commit_ts = next.ts;
+        // An in-memory database encodes nothing.
         let ticket = wal.map(|_| {
-            ts_guard.frame = Some(encode_frame(&commit_record(commit_ts, &writes)));
+            next.frame = Some(encode_frame(&commit_record(commit_ts, &writes)));
             WalTicket::Commit(commit_ts)
         });
 
@@ -666,9 +623,9 @@ impl Database {
             }
         }
         // Observers hear of the commit while it is applied but not yet
-        // visible: what they record is in place before `resolve` lets
-        // a snapshot contain it. A dropped observer stays listed until
-        // the next registration and is skipped.
+        // visible, one commit at a time: what they record is in place
+        // before a snapshot can contain it. A dropped observer stays
+        // listed until the next registration and is skipped.
         let observers = self.inner.observers.read();
         if !observers.is_empty() {
             let view = WriteSet::new(commit_ts, &guards, &writes);
@@ -677,32 +634,19 @@ impl Database {
             }
         }
         drop(observers);
-        // Past this point the commit cannot be retracted: its versions
-        // are visible to new snapshots once the watermark folds them in.
-        // A durability failure later must not be reported as an abort.
-        drop(ts_guard);
+        // The frame joins the log's batch and the commit becomes visible.
+        // Past this point it cannot be retracted: a durability failure
+        // later must not be reported as an abort.
+        drop(next);
+        drop(guards);
         self.inner.active.lock().remove(&txn.id());
         self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
-
-        // Release every lock before anyone waits on the disk: followers
-        // piggy-back on the leader's fsync while new committers stream
-        // through the (now free) serial section.
-        drop(guards);
-        drop(commit);
-        // Commit wait: don't return until the watermark covers our
-        // timestamp, so any transaction begun after commit() returns is
-        // guaranteed to see this commit (read-your-writes across
-        // transactions, exactly the old global-lock contract). Bounded
-        // by concurrent lower-ts publications — memory work — because
-        // every committer resolves its sequencer slot before parking on
-        // durability below.
-        self.inner.sequencer.wait_visible(commit_ts);
         Ok((commit_ts, ticket))
     }
 
     /// Stage a non-commit record with the group-commit coordinator
     /// (no-op for an in-memory database). Caller must hold the commit
-    /// latch in exclusive mode.
+    /// lock.
     fn wal_enqueue(&self, rec: &WalRecord) -> Result<Option<WalTicket>> {
         self.inner.wal.get().map(|w| w.enqueue(rec)).transpose()
     }
@@ -767,13 +711,13 @@ impl Database {
     /// conservatively).
     fn oldest_snapshot(&self) -> Ts {
         let active = self.inner.active.lock();
-        (active.values().copied().min()).unwrap_or_else(|| self.inner.sequencer.watermark())
+        (active.values().copied().min()).unwrap_or_else(|| self.inner.commit_lock.watermark())
     }
 
     /// The newest gap-free commit timestamp (the snapshot watermark):
     /// every commit at or below it has fully published.
     pub fn last_commit_ts(&self) -> Ts {
-        self.inner.sequencer.watermark()
+        self.inner.commit_lock.watermark()
     }
 
     /// Prune versions no live snapshot can see. Returns versions pruned.
@@ -794,7 +738,7 @@ impl Database {
                 .values()
                 .copied()
                 .min()
-                .unwrap_or_else(|| self.inner.sequencer.watermark());
+                .unwrap_or_else(|| self.inner.commit_lock.watermark());
             // Record the floor while still holding `active`, so a
             // concurrent `begin_at` cannot slip a pinned snapshot under
             // the horizon this vacuum is about to prune to.
@@ -828,7 +772,7 @@ impl Database {
         let _demote = cold.exclusive();
         // The watermark, not the min active snapshot: pinned readers no
         // longer pin RAM, they follow their versions into the cold tier.
-        let horizon = self.inner.sequencer.watermark();
+        let horizon = self.inner.commit_lock.watermark();
         let already_cold = cold.floor();
         let tables = self.inner.tables.read();
         let mut batch = Vec::new();
@@ -866,7 +810,7 @@ impl Database {
                 .values()
                 .copied()
                 .min()
-                .unwrap_or_else(|| self.inner.sequencer.watermark());
+                .unwrap_or_else(|| self.inner.commit_lock.watermark());
             let effective = ts.min(cap);
             self.inner
                 .vacuum_floor
@@ -920,11 +864,11 @@ impl Database {
 
     /// Compact the log to the state at the watermark W: a log rotation.
     ///
-    /// Under the exclusive commit latch the checkpoint only reads W (with
-    /// the clock, the catalog and each table's row-id watermark and
-    /// handle), pins it with a snapshot and switches the log to a segment
-    /// created beforehand. Off the latch (holding the demote lock with a
-    /// cold tier) it waits for the old segment's seal, demotes the history
+    /// Under the commit lock the checkpoint only reads W (with the clock,
+    /// the catalog and each table's row-id watermark and handle), pins it
+    /// with a snapshot and switches the log to a segment created
+    /// beforehand. Off the lock (holding the demote lock with a cold
+    /// tier) it waits for the old segment's seal, demotes the history
     /// at W and writes the rows visible at W, a row-slot page at a time,
     /// as the new base. A failure publishes nothing: the log stays
     /// writable and the old base in force.
@@ -939,7 +883,7 @@ impl Database {
         let cold = self.inner.cold.get();
         let _demote = cold.map(ColdStore::exclusive);
         let next = files.create_next()?;
-        let quiesce = self.inner.commit_latch.exclusive();
+        let quiesce = self.inner.commit_lock.quiesce();
         // Vacuum keeps every version the snapshot sees until it drops.
         let pin = self.begin();
         let w = pin.snapshot_ts();
@@ -1074,9 +1018,10 @@ impl Database {
             .get()
             .map(ColdStore::counters)
             .unwrap_or_default();
+        let commits = self.inner.counters.commits.load(Ordering::Relaxed);
         Stats {
             txns_begun: self.inner.counters.txns_begun.load(Ordering::Relaxed),
-            commits: self.inner.counters.commits.load(Ordering::Relaxed),
+            commits,
             aborts: self.inner.counters.aborts.load(Ordering::Relaxed),
             conflicts: self.inner.counters.conflicts.load(Ordering::Relaxed),
             active_txns: self.inner.active.lock().len(),
@@ -1104,10 +1049,9 @@ impl Database {
                 .maintenance_checkpoints
                 .load(Ordering::Relaxed),
             versions_pruned: self.inner.counters.versions_pruned.load(Ordering::Relaxed),
-            commit_wait_ns: self.inner.commit_latch.shared_wait_ns()
-                + self.inner.sequencer.visibility_wait_ns(),
-            watermark_lag_max: self.inner.sequencer.lag_max(),
-            ddl_stalls: self.inner.commit_latch.exclusive_stalls(),
+            commit_wait_ns: self.inner.commit_lock.wait_ns(),
+            watermark_lag_max: u64::from(commits > 0),
+            ddl_stalls: self.inner.commit_lock.stalls(),
             commits_merged: 0,
             cold_runs: cold.runs,
             cold_versions: cold.cold_versions,

@@ -10,7 +10,7 @@
 //!   pruneable-version estimate (or the number of commits since the last
 //!   vacuum) crosses a threshold;
 //! * **checkpoint** rotates the log once its live segment has grown past
-//!   a byte or record budget: the commit latch covers only the switch to
+//!   a byte or record budget: the commit lock covers only the switch to
 //!   a new segment, and the base is written off it ([`crate::db`]).
 //!
 //! The subsystem is opt-in ([`crate::Options::maintenance`]); with it

@@ -4,16 +4,19 @@
 //! [`Database::observe_commits`](crate::Database::observe_commits)
 //! registers a [`CommitObserver`]; the commit path calls it once per
 //! non-empty commit, after the versions are applied to the tables and
-//! *before* the commit timestamp is folded into the snapshot watermark.
+//! *before* the commit timestamp becomes the snapshot watermark.
 //! Whatever an observer records for a commit is therefore in place
 //! before any snapshot can contain that commit — a reader that takes a
 //! snapshot `T` and then asks an observer "what is the newest commit
 //! that touched X" gets an answer that covers every commit at or below
 //! `T`, with no lock between reader and writer.
 //!
-//! The call happens on the committing thread, under the write locks of
-//! the tables the commit touched. An observer does memory work only: it
-//! must not call back into the database, cannot fail and must not panic.
+//! The call happens on the committing thread, under the commit lock and
+//! the write locks of the tables the commit touched, so observers are
+//! called one commit at a time, in timestamp order: a commit's call
+//! returns before the next commit validates. An observer does memory
+//! work only: it must not call back into the database, cannot fail and
+//! must not panic.
 //! It is never called for an empty, conflicting or aborted transaction,
 //! nor while a log is replayed.
 //!
@@ -141,7 +144,6 @@ impl<'a> Replaced<'a> {
 /// when it is called and what it may do.
 pub trait CommitObserver: Send + Sync {
     /// `writes` is the whole write set of the commit at `commit_ts`.
-    /// Commits to disjoint tables call concurrently and not in timestamp
-    /// order: fold with `max`, or with operations that commute.
+    /// Calls come one at a time, in timestamp order.
     fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>);
 }

@@ -1,11 +1,10 @@
 //! Group commit: durability outside the commit critical section.
 //!
 //! Commit frames arrive through [`GroupWal::append_commit`], called by
-//! the commit sequencer (`crate::commit`) as each timestamp joins the
-//! watermark's contiguous prefix — so they reach the shared batch buffer
-//! strictly in commit-timestamp order even though committers publish in
-//! any order, and any replayed prefix of the log is a commit-order
-//! prefix. The log keeps no ordering state of its own.
+//! each commit under the commit lock (`crate::commit`) just before its
+//! timestamp becomes the watermark — so they reach the shared batch
+//! buffer in commit-timestamp order, and any replayed prefix of the log
+//! is a commit-order prefix. The log keeps no ordering state of its own.
 //!
 //! Durability still runs on the leader/follower protocol: the first
 //! committer to arrive at [`GroupWal::wait_durable`] becomes the **flush
@@ -22,12 +21,11 @@
 //! leader, a checkpoint's switch or the drop writes it.
 //!
 //! Non-commit records (DDL) use [`GroupWal::enqueue`], which must be
-//! called with the commit pipeline quiesced (the database's exclusive
-//! commit latch) so they interleave with commit frames at a well-defined
-//! point.
+//! called under the database's commit lock so they interleave with
+//! commit frames at a well-defined point.
 //!
 //! A checkpoint rotates the log with [`GroupWal::switch`], under that
-//! same latch and with no I/O: the flush leader that takes the switch
+//! same lock and with no I/O: the flush leader that takes the switch
 //! writes the frames before it to the live segment, seals that segment
 //! and writes the rest to the next one. No flush waits for a checkpoint.
 //!
@@ -184,10 +182,9 @@ impl GroupWal {
         Ok(())
     }
 
-    /// Stage a non-commit record (DDL). Must be
-    /// called with the commit pipeline quiesced (exclusive commit
-    /// latch), so the frame lands at a well-defined point between
-    /// commit frames.
+    /// Stage a non-commit record (DDL). Must be called under the commit
+    /// lock, so the frame lands at a well-defined point between commit
+    /// frames.
     pub(crate) fn enqueue(&self, rec: &WalRecord) -> Result<WalTicket> {
         let frame = encode_frame(rec);
         let mut st = self.state.lock();
@@ -204,8 +201,8 @@ impl GroupWal {
         Self::check_poison(&self.state.lock())
     }
 
-    /// Append the commit frame of `ts` to the batch. Called only by the
-    /// commit sequencer, under its lock, in timestamp order. Appends
+    /// Append the commit frame of `ts` to the batch. Called only under
+    /// the commit lock, so in timestamp order. Appends
     /// even to a poisoned log: the commit is already visible, and its
     /// waiter learns of the poison in [`GroupWal::wait_durable`].
     pub(crate) fn append_commit(&self, ts: Ts, frame: &[u8]) {
@@ -226,8 +223,8 @@ impl GroupWal {
             WalTicket::Commit(ts) => {
                 let started = std::time::Instant::now();
                 let res = self.wait_until(|st| {
-                    // The committer waited for visibility first, and a
-                    // timestamp joins the watermark with its frame.
+                    // A commit appends its frame before it lets the
+                    // commit lock go, and waits only after that.
                     debug_assert!(st.appended_ts >= ts, "commit waited before its frame");
                     st.durable_ts >= ts
                 });
@@ -288,10 +285,10 @@ impl GroupWal {
     }
 
     /// Move the log to `next`, a new segment, behind every frame staged
-    /// so far. Must be called with the commit pipeline quiesced
-    /// (exclusive commit latch), so the frames before the switch are
-    /// exactly those at or below the watermark. Does no I/O; the ticket
-    /// is durable once a flush has made the switch.
+    /// so far. Must be called under the commit lock, so the frames
+    /// before the switch are exactly those at or below the watermark.
+    /// Does no I/O; the ticket is durable once a flush has made the
+    /// switch.
     pub(crate) fn switch(&self, next: WalFile) -> Result<WalTicket> {
         let mut st = self.state.lock();
         Self::check_poison(&st)?;
@@ -338,10 +335,7 @@ impl Drop for GroupWal {
     /// Best-effort write of any frames still buffered (a read event
     /// nobody waits for, or a database dropped before a committer waited
     /// on its ticket). Errors are
-    /// ignored: there is no caller left to surface them to. Frames
-    /// parked behind a timestamp that never resolved are still in the
-    /// sequencer and never reach this buffer — writing them would break
-    /// the commit-order-prefix invariant.
+    /// ignored: there is no caller left to surface them to.
     fn drop(&mut self) {
         let st = self.state.get_mut();
         if st.poison.is_some() || (st.buf.is_empty() && st.switch.is_none()) {

@@ -1,12 +1,13 @@
 //! The commit observer's contract ([`tendax_storage::observer`]): one
 //! call per non-empty commit and none for anything else, each row's
 //! replaced and published versions, the call before the commit is
-//! visible, and a registered observer keeps nothing of the database
-//! alive.
+//! visible, one commit at a time in timestamp order, and a registered
+//! observer keeps nothing of the database alive.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
+use std::time::Duration;
 
 use tendax_storage::{
     ColdOptions, CommitObserver, DataType, Database, Options, Replaced, Row, RowId, SharedRow,
@@ -241,6 +242,45 @@ fn the_call_happens_before_the_commit_is_visible() {
     });
 }
 
+/// Observers are called one commit at a time, in timestamp order: while
+/// a commit is parked inside the observer, a commit to another table
+/// does not reach it, and it does once the parked one is let go, with a
+/// higher timestamp.
+#[test]
+fn a_commit_reaches_the_observer_only_after_the_one_parked_inside_it() {
+    let db = Database::open_in_memory();
+    let a = db.create_table(links()).unwrap();
+    let b = db
+        .create_table(TableDef::new("other").nullable_column("prev", DataType::Id))
+        .unwrap();
+    let (announce, announced) = channel();
+    let (release, released) = channel();
+    let gate: Arc<dyn CommitObserver> = Arc::new(Gate {
+        announce: Mutex::new(announce),
+        release: Mutex::new(released),
+    });
+    db.observe_commits(&gate);
+
+    std::thread::scope(|s| {
+        // Dropped if an assertion fails, which lets every parked commit go.
+        let release = release;
+        let first = s.spawn(|| insert(&db, a, link_row(None, None)).1);
+        let parked = announced.recv().unwrap();
+        let second = s.spawn(|| insert(&db, b, Row::new(vec![Value::Null])).1);
+        let beside = announced.recv_timeout(Duration::from_millis(100));
+        assert!(
+            beside.is_err(),
+            "commit {beside:?} reached the observer while {parked} was parked in it"
+        );
+        release.send(()).unwrap();
+        let next = announced.recv().unwrap();
+        assert!(next > parked, "{next} was observed after {parked}");
+        release.send(()).unwrap();
+        assert_eq!(first.join().unwrap(), parked);
+        assert_eq!(second.join().unwrap(), next);
+    });
+}
+
 /// Per table: the newest commit seen (folded with `max`), how many, and
 /// whether they arrived in timestamp order.
 #[derive(Default)]
@@ -291,8 +331,7 @@ fn commits_to_disjoint_tables_all_arrive_and_stamps_only_move_forward() {
     });
 
     let tables = stamps.tables.lock().unwrap();
-    // One table's commits serialize on its lock, so they arrive in
-    // order; across tables they need not, which is why a stamp is a max.
+    // Commits run one at a time, so each table's arrive in order.
     assert_eq!(tables[&left], (last[0], COMMITS, true));
     assert_eq!(tables[&right], (last[1], COMMITS, true));
     assert_eq!(

@@ -1,27 +1,22 @@
-//! Invariant and stress tests for the sharded commit pipeline.
-//!
-//! The pipeline replaces the global commit mutex with an atomic
-//! timestamp sequencer, per-table publication, and a contiguous-prefix
-//! watermark that governs snapshot visibility. Each test here targets
-//! an invariant that the naive lock-free design ("atomic timestamp, no
-//! watermark") breaks:
+//! Invariant and stress tests for the commit path: commits run one at a
+//! time under the commit lock, and a snapshot is the watermark a commit
+//! stores before it lets the lock go. Threads race it from many sides:
 //!
 //! * **gap-freedom** — a snapshot at timestamp `s` sees *every* commit
-//!   with `ts <= s`, even while commits to other tables are mid-publish;
+//!   with `ts <= s`, while writers to other tables commit beside it;
 //! * **first-committer-wins** — conflict accounting and the error
-//!   surface are unchanged, and losers never occupy a timestamp slot;
+//!   surface are unchanged, and losers never take a timestamp;
 //! * **WAL prefix replay** — the log replays as a commit-order prefix
-//!   at every truncation point, at both durability levels, even when
-//!   racing threads publish out of timestamp order, and a commit that
-//!   unwound after its frame was encoded still reaches the log;
-//! * **DDL/maintenance interleaving** — exclusive-mode operations
-//!   (create/drop table, the checkpoint copy phase, auto-maintenance)
-//!   stay correct while the shared-mode commit pipeline runs hot.
+//!   at every truncation point, at both durability levels, with racing
+//!   writers, and a commit that unwound after its frame was encoded
+//!   still reaches the log;
+//! * **DDL/maintenance interleaving** — what takes the commit lock to
+//!   keep commits out (create/drop table, a checkpoint's switch,
+//!   auto-maintenance) stays correct while writers commit hot.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Barrier, Mutex};
 use std::time::{Duration, Instant};
 
@@ -56,10 +51,9 @@ fn int_at(db: &Database, t: TableId, rid: RowId) -> i64 {
 
 /// Gap-freedom: while four writers commit to four disjoint tables, a
 /// reader's snapshot must cover the *contiguous* prefix of commit
-/// timestamps. With a naive "snapshot = newest allocated ts" scheme a
-/// reader can be handed a timestamp whose predecessors have not
-/// published yet and miss their writes; the watermark makes that
-/// impossible. Verified post-hoc against the exact commit log.
+/// timestamps: a snapshot handed a timestamp whose predecessors have
+/// not published yet would miss their writes. Verified post-hoc
+/// against the exact commit log.
 #[test]
 fn snapshots_never_expose_timestamp_gaps() {
     const WRITERS: usize = 4;
@@ -180,12 +174,10 @@ fn snapshots_never_expose_timestamp_gaps() {
     assert!(checked > 0, "readers never observed anything");
 }
 
-/// First-committer-wins under the parallel pipeline: single-attempt
-/// racers on one row lose with `WriteConflict`, losses are counted in
-/// `Stats::conflicts`, and — the part a naive sequencer gets wrong —
-/// losers never occupy a timestamp slot, so the watermark lands at
-/// exactly setup + wins and fresh snapshots never wait on (or miss)
-/// a timestamp that nobody will publish.
+/// First-committer-wins under racing threads: single-attempt racers on
+/// one row lose with `WriteConflict`, losses are counted in
+/// `Stats::conflicts`, and losers never take a timestamp, so the
+/// watermark lands at exactly setup + wins.
 #[test]
 fn conflict_losers_release_no_timestamps_and_are_counted() {
     const THREADS: usize = 4;
@@ -242,19 +234,18 @@ fn conflict_losers_release_no_timestamps_and_are_counted() {
     assert_eq!(stats.conflicts, losses, "conflict accounting drifted");
     // Successful increments serialize, so the row counts the winners.
     assert_eq!(int_at(&db, t, rid), wins as i64);
-    // Dense timestamps: every win took exactly one slot, every loss
-    // took none, and the watermark reached the end of the sequence —
-    // an unreleased loser slot would leave last_commit_ts stuck below.
+    // Dense timestamps: every win took exactly one, every loss took
+    // none, and the watermark reached the end of the sequence.
     assert_eq!(db.last_commit_ts(), setup_ts + wins);
     assert_eq!(db.begin().snapshot_ts(), setup_ts + wins);
 }
 
-/// Commit wait: a session's next transaction must always see its own
-/// previous commit. Without the watermark wait in `commit()`, a thread
-/// racing other (disjoint!) committers can begin its next transaction
-/// below its own commit timestamp and spuriously conflict with itself
-/// — this test is the distilled form of exactly that failure, first
-/// observed in the A7 scaling bench at 8 threads.
+/// Read-your-writes: a session's next transaction must always see its
+/// own previous commit, while other (disjoint) committers race it. A
+/// commit that returned before the watermark covered it would let the
+/// next transaction begin below its own commit timestamp and spuriously
+/// conflict with itself — first observed in the A7 scaling bench at 8
+/// threads.
 #[test]
 fn own_commit_is_visible_to_the_next_transaction() {
     const THREADS: usize = 8;
@@ -312,8 +303,8 @@ fn own_commit_is_visible_to_the_next_transaction() {
     assert_eq!(db.stats().conflicts, 0, "disjoint writers conflicted");
 }
 
-/// DDL takes the commit latch in exclusive mode while committers stream
-/// through shared mode. Racing the two must neither deadlock nor lose
+/// DDL takes the commit lock while committers stream through it.
+/// Racing the two must neither deadlock nor lose
 /// commits, and the WAL replay of the interleaving must reconstruct
 /// the surviving schema and every row.
 #[test]
@@ -394,8 +385,8 @@ fn ddl_races_parallel_committers() {
 
 /// The DDL race at its nastiest: committers write to the very table
 /// `drop_table` is removing. A committer whose frame is in the batch and
-/// that left the shared latch has not necessarily flushed it; the DropTable frame
-/// must still land behind it, or replay meets a commit for a table that
+/// that let the commit lock go has not necessarily flushed it; the
+/// DropTable frame must still land behind it, or replay meets a commit for a table that
 /// is already gone and the database does not reopen.
 #[test]
 fn drop_table_racing_committers_keeps_log_replayable() {
@@ -434,9 +425,9 @@ fn drop_table_racing_committers_keeps_log_replayable() {
     Database::open(&path, opts).unwrap();
 }
 
-/// The WAL-ordering half of the pipeline: four threads commit to four
-/// disjoint tables so their commits *resolve* in racy arrival order,
-/// yet the file must receive them in timestamp order. Truncating the
+/// The WAL-ordering half of the commit path: four threads commit to
+/// four disjoint tables in racy arrival order, and the file must
+/// receive them in timestamp order. Truncating the
 /// log at every cut point and replaying must always yield exactly the
 /// set of commits with `ts <= recovered last_commit_ts` — a commit-
 /// order prefix, never a subset with holes. Swept at both durability
@@ -525,68 +516,46 @@ fn wal_replays_as_commit_order_prefix_at_every_cut() {
     }
 }
 
-/// Parks commits to one table and unwinds commits to another, inside
-/// the commit: a commit observer runs after the versions are applied
-/// and before the timestamp resolves.
-struct ParkOrPanic {
-    park: TableId,
-    announce: Mutex<Sender<Ts>>,
-    release: Mutex<Receiver<()>>,
-}
+/// Unwinds every commit inside it: a commit observer runs after the
+/// versions are applied and before the commit becomes visible.
+struct Unwind;
 
-impl CommitObserver for ParkOrPanic {
-    fn committed(&self, commit_ts: Ts, writes: &WriteSet<'_>) {
-        if writes.tables().any(|t| t.table() == self.park) {
-            self.announce.lock().unwrap().send(commit_ts).unwrap();
-            self.release.lock().unwrap().recv().unwrap();
-        } else {
-            panic!("observer unwinds the commit at ts {commit_ts}");
-        }
+impl CommitObserver for Unwind {
+    fn committed(&self, commit_ts: Ts, _: &WriteSet<'_>) {
+        panic!("observer unwinds the commit at ts {commit_ts}");
     }
 }
 
-/// A commit whose frame was encoded reaches the log when its timestamp
-/// joins the watermark, even when it unwound while waiting behind a
-/// lower timestamp: its versions become visible then, so its record
-/// must survive a reopen. Dropping the frame on unwind leaves the row
-/// visible before the reopen and gone after it.
+/// A commit whose frame was encoded reaches the log even when it
+/// unwinds: its versions are applied and become visible as the commit
+/// lock is let go, so its record must survive a reopen, and the next
+/// commit takes the next timestamp. Dropping the frame on unwind leaves
+/// the row visible before the reopen and gone after it.
 #[test]
-fn unwound_commit_behind_a_parked_one_reaches_the_log() {
+fn an_unwound_commit_reaches_the_log() {
     let (_dir, path) = tmp("unwound.wal");
     let (a, b) = {
         let db = Database::open(&path, common::options()).unwrap();
         let a = db.create_table(seq_table("a")).unwrap();
         let b = db.create_table(seq_table("b")).unwrap();
-        let (announce, announced) = channel();
-        let (release, released) = channel();
-        let observer: Arc<dyn CommitObserver> = Arc::new(ParkOrPanic {
-            park: a,
-            announce: Mutex::new(announce),
-            release: Mutex::new(released),
-        });
-        db.observe_commits(&observer);
         let insert = |t: TableId, v: i64| {
-            let db = db.clone();
-            std::thread::spawn(move || {
-                let mut txn = db.begin();
-                txn.insert(t, Row::new(vec![Value::Int(v)])).unwrap();
-                txn.commit().unwrap()
-            })
+            let mut txn = db.begin();
+            txn.insert(t, Row::new(vec![Value::Int(v)])).unwrap();
+            txn.commit().unwrap()
         };
-        let parked = insert(a, 1);
-        let parked_ts = announced.recv().unwrap();
-        // The second commit takes the next timestamp and unwinds behind
-        // the parked one.
-        assert!(insert(b, 2).join().is_err(), "the observer did not unwind");
-        assert!(db.begin().scan(b, &Predicate::True).unwrap().is_empty());
-        release.send(()).unwrap();
-        assert_eq!(parked.join().unwrap(), parked_ts);
-        assert_eq!(db.last_commit_ts(), parked_ts + 1);
+        let before = db.last_commit_ts();
+        let observer: Arc<dyn CommitObserver> = Arc::new(Unwind);
+        db.observe_commits(&observer);
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| insert(a, 1)));
+        assert!(unwound.is_err(), "the observer did not unwind");
+        drop(observer);
+        assert_eq!(db.last_commit_ts(), before + 1);
         assert_eq!(
-            db.begin().scan(b, &Predicate::True).unwrap().len(),
+            db.begin().scan(a, &Predicate::True).unwrap().len(),
             1,
             "the unwound commit's applied row is not visible"
         );
+        assert_eq!(insert(b, 2), before + 2);
         (a, b)
     };
     let db = Database::open(&path, common::options()).unwrap();
@@ -603,10 +572,10 @@ fn unwound_commit_behind_a_parked_one_reaches_the_log() {
     }
 }
 
-/// Checkpoints (manual and auto) quiesce the pipeline via the exclusive
-/// latch while disjoint writers hammer shared mode. Every acknowledged
-/// commit survives live, after the storm, and across a reopen; the
-/// background thread's budgets actually fire under the new pipeline.
+/// Checkpoints (manual and auto) take the commit lock for their switch
+/// while disjoint writers hammer it. Every acknowledged commit survives
+/// live, after the storm, and across a reopen; the background thread's
+/// budgets actually fire.
 #[test]
 fn checkpoints_and_auto_maintenance_under_parallel_writers() {
     const WRITERS: usize = 4;
@@ -651,8 +620,8 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
                 })
             })
             .collect();
-        // A manual checkpointer on top of the background one: both use
-        // the same exclusive latch path.
+        // A manual checkpointer on top of the background one: both take
+        // the commit lock the same way.
         let ckpt = {
             let db = db.clone();
             let start = start.clone();
@@ -673,7 +642,7 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
             assert_eq!(int_at(&db, tables[k], rids[k]), UPDATES);
         }
         // Give the background thread a bounded window to demonstrate it
-        // still fires under the new pipeline.
+        // fires under the writers.
         let deadline = Instant::now() + Duration::from_secs(5);
         loop {
             let stats = db.stats();
@@ -682,7 +651,7 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
             }
             assert!(
                 Instant::now() < deadline,
-                "auto-maintenance never ran under the pipeline: {stats:?}"
+                "auto-maintenance never ran under the writers: {stats:?}"
             );
             std::thread::sleep(Duration::from_millis(2));
         }
@@ -698,11 +667,12 @@ fn checkpoints_and_auto_maintenance_under_parallel_writers() {
 }
 
 /// The commit-wait and watermark-lag counters surface through
-/// `Database::stats()` and move under a contended workload.
+/// `Database::stats()` under a contended workload.
 #[test]
 fn pipeline_stats_are_surfaced() {
     let db = Database::open_in_memory();
     let t = db.create_table(seq_table("t")).unwrap();
+    assert_eq!(db.stats().watermark_lag_max, 0, "no commit has run");
     let start = Arc::new(Barrier::new(4));
     let handles: Vec<_> = (0..4)
         .map(|w| {
@@ -724,14 +694,11 @@ fn pipeline_stats_are_surfaced() {
     }
     let stats = db.stats();
     assert_eq!(stats.commits, 200);
-    // Concurrent allocation means at least one committer saw the
-    // watermark trail its own timestamp.
-    assert!(
-        stats.watermark_lag_max >= 1,
-        "no watermark lag observed under 4 concurrent writers: {stats:?}"
-    );
-    // DDL on a busy database registers an exclusive stall only when it
-    // actually contends; just assert the counter is wired (readable).
+    // Commits run one at a time: none is ever more than one timestamp
+    // ahead of the watermark.
+    assert_eq!(stats.watermark_lag_max, 1, "{stats:?}");
+    // DDL on a busy database registers a stall only when it actually
+    // contends; just assert the counter is wired (readable).
     let _ = stats.ddl_stalls;
     let _ = stats.commit_wait_ns;
 }

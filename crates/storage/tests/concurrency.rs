@@ -1,7 +1,7 @@
 //! Concurrency stress tests: writers racing checkpoints, vacuum, and
 //! each other across real threads. These validate the lock protocol
-//! (commit latch, table locks, WAL mutex) rather than any single
-//! feature; `tests/commit_pipeline.rs` covers the sharded-pipeline
+//! (commit lock, table locks, WAL mutex) rather than any single
+//! feature; `tests/commit_pipeline.rs` covers the commit path's
 //! invariants specifically.
 
 use std::path::PathBuf;

@@ -1,7 +1,7 @@
 //! Crash-injection and stress tests for the checkpoint and the
 //! background maintenance subsystem.
 //!
-//! A checkpoint is a log rotation: under the exclusive commit latch it
+//! A checkpoint is a log rotation: under the commit lock it
 //! switches the log to a new segment, and off it it writes a base to a
 //! temp file, renames it over the old base and removes the segments the
 //! new base covers. A crash at any point must leave the log recoverable

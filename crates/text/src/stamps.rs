@@ -104,10 +104,11 @@ impl TableStamps {
 
     fn stamp(&mut self, doc: DocId, ts: Ts) {
         let stamps = self.docs.entry(doc).or_default();
+        // Observers see commits in timestamp order; one commit may stamp
+        // a document more than once.
+        debug_assert!(ts >= stamps[0], "commit {ts} observed after {}", stamps[0]);
         if ts > stamps[0] {
             *stamps = [ts, stamps[0]];
-        } else if ts < stamps[0] {
-            stamps[1] = stamps[1].max(ts);
         }
     }
 }

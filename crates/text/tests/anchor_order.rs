@@ -192,14 +192,13 @@ impl CommitObserver for Park {
     }
 }
 
-/// Runs `first` until its commit is applied, then `second` from a
-/// snapshot that does not contain that commit, and returns both results.
-/// A commit to `reads` parked in a commit observer holds the snapshot
-/// watermark below both: `first` returns only once it is released, and
-/// so would `second`, had it committed.
+/// Runs `first` until its commit is applied and parked in a commit
+/// observer, then `second` until it has taken its snapshot, which
+/// cannot contain the parked commit; then lets that commit go and
+/// returns both results. Commits run one at a time, so `second`
+/// commits, or fails, only after `first` has.
 fn overlapping<A: Send, B: Send>(
     tdb: &TextDb,
-    doc: DocId,
     first: impl FnOnce() -> A + Send,
     second: impl FnOnce() -> B + Send,
 ) -> (A, B) {
@@ -210,30 +209,22 @@ fn overlapping<A: Send, B: Send>(
         seen: Mutex::new(seen),
         release: Mutex::new(on_release),
     });
-    tdb.database().observe_commits(&park);
-    let next_commit = || commits.recv_timeout(Duration::from_secs(10)).unwrap();
+    let db = tdb.database();
+    db.observe_commits(&park);
     std::thread::scope(|s| {
         let release = release;
-        let parked = s.spawn(|| {
-            let mut txn = tdb.database().begin();
-            let row = Row::new(vec![doc.value(), UserId(1).value(), Value::Timestamp(0)]);
-            txn.insert(tdb.tables().reads, row).unwrap();
-            txn.commit().unwrap();
-        });
-        let watermark = next_commit();
         let first = s.spawn(first);
-        assert!(next_commit() > watermark, "the first commit is applied");
+        let parked = commits.recv_timeout(Duration::from_secs(10));
+        assert!(parked.is_ok(), "the first commit is applied");
+        // `txns_begun` moves once a transaction holds its snapshot.
+        let begun = db.stats().txns_begun;
         let second = s.spawn(second);
         let deadline = Instant::now() + Duration::from_secs(10);
-        while !second.is_finished() && commits.try_recv().is_err() {
-            assert!(
-                Instant::now() < deadline,
-                "the second neither failed nor committed"
-            );
+        while db.stats().txns_begun == begun {
+            assert!(Instant::now() < deadline, "the second never began");
             std::thread::yield_now();
         }
         release.send(()).unwrap();
-        parked.join().unwrap();
         (first.join().unwrap(), second.join().unwrap())
     })
 }
@@ -255,7 +246,6 @@ fn a_purge_that_missed_an_insert_on_its_tombstone_conflicts() {
     let before = tdb.now();
     let (typed, purged) = overlapping(
         &tdb,
-        doc,
         // `stale` still shows "b" and types after it.
         || stale.insert_text(2, "X").map(|r| r.effects.len()),
         || tdb.purge_tombstones(doc, before),
@@ -282,7 +272,6 @@ fn a_purge_and_an_insert_that_hang_a_child_on_one_anchor_do_not_both_commit() {
     let before = tdb.now();
     let (purged, typed) = overlapping(
         &tdb,
-        doc,
         // "c" is re-anchored on "a".
         || tdb.purge_tombstones(doc, before).map(|p| p.relinked),
         || h.insert_text(1, "X").map(|_| ()),
@@ -309,7 +298,6 @@ fn inserts_on_one_anchor_from_overlapping_snapshots_do_not_both_commit() {
     for (at, text) in [(0, "base"), (2, "..")] {
         let (first, second) = overlapping(
             &tdb,
-            doc,
             || h1.insert_text(at, "A").map(|_| ()),
             || h2.insert_text(at, "B").map(|_| ()),
         );
