@@ -18,10 +18,24 @@ use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
 use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
 use crate::vfs::{os_vfs, Vfs};
+use crate::wal::codec::{BatchRows, CommitWrites, Frame, RowCols, RowDeltas};
 use crate::wal::{
     encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, LogFiles, WalFile, WalOp, WalRecord,
     WalShardStats, WalTicket, WalWrite,
 };
+
+/// What recovery carries from one frame to the next.
+#[derive(Debug, Default)]
+struct Replay {
+    /// The table whose part of the base the last frame was: its indexes
+    /// are built once a frame of anything else arrives.
+    base_table: Option<TableId>,
+    /// Where each value of a commit's put, and of a row a patch
+    /// composed, ends: reused row to row.
+    ends: [Vec<usize>; 2],
+    /// The coder checkpoint batches are read with, reset batch to batch.
+    deltas: RowDeltas,
+}
 
 /// Database configuration.
 #[derive(Debug, Clone)]
@@ -247,24 +261,26 @@ impl Database {
         let path = path.as_ref().to_path_buf();
         let db = Self::empty(Some(path.clone()));
         // Streamed: each frame is decoded, applied and dropped before
-        // the next one is read.
+        // the next one is read, a checkpoint batch a version at a time.
         let end = {
             let mut catalog = db.inner.catalog.write();
             let mut tables = db.inner.tables.write();
-            WalFile::replay_on(&*options.vfs, &path, |rec| {
-                db.apply_record(&mut catalog, &mut tables, rec)
-            })?
+            let mut replay = Replay::default();
+            let end = WalFile::replay_frames_on(&*options.vfs, &path, |frame| {
+                db.apply_frame(&mut catalog, &mut tables, &mut replay, frame)
+            })?;
+            for table in tables.values() {
+                let mut table = table.write();
+                // What the segments staged goes into the trees the base
+                // built.
+                table.build_indexes();
+                // Expectations are not logged: a transaction begun at a
+                // snapshot from before the reopen may have missed one, so
+                // such a transaction can delete or expect no row.
+                table.prune_expected(db.last_commit_ts());
+            }
+            end
         };
-        for table in db.inner.tables.read().values() {
-            let mut table = table.write();
-            // Replay staged every version's index entries: each index is
-            // built once, from its entries sorted.
-            table.build_indexes();
-            // Expectations are not logged: a transaction begun at a
-            // snapshot from before the reopen may have missed one, so
-            // such a transaction can delete or expect no row.
-            table.prune_expected(db.last_commit_ts());
-        }
         // Writing resumes where the live segment's last frame ends: what
         // a crash left beside it is removed, a torn tail is cut first,
         // zeroed room kept.
@@ -285,6 +301,112 @@ impl Database {
             db.start_maintenance(m);
         }
         Ok(db)
+    }
+
+    /// Apply one replayed frame. A table's part of the base is a run of
+    /// batches: the first frame after it builds the table's indexes from
+    /// what they staged, so recovery holds one table's staged entries at
+    /// a time.
+    fn apply_frame(
+        &self,
+        catalog: &mut Catalog,
+        tables: &mut BTreeMap<TableId, Arc<RwLock<TableStore>>>,
+        replay: &mut Replay,
+        frame: Frame<'_>,
+    ) -> Result<()> {
+        let batch_of = match &frame {
+            Frame::Rows(rows) => Some(rows.table()),
+            Frame::Commit(_) | Frame::Record(_) => None,
+        };
+        if let Some(staged) = replay.base_table.filter(|&t| Some(t) != batch_of) {
+            if let Some(store) = tables.get(&staged) {
+                store.write().build_indexes();
+            }
+        }
+        replay.base_table = batch_of;
+        match frame {
+            Frame::Rows(rows) => self.apply_rows(tables, &mut replay.deltas, rows),
+            Frame::Commit(writes) => self.apply_commit(tables, &mut replay.ends, writes),
+            Frame::Record(rec) => self.apply_record(catalog, tables, rec),
+        }
+    }
+
+    /// Apply a checkpoint batch, a version at a time as it is decoded:
+    /// each row's index keys and timestamps are read where the decoder
+    /// laid it out.
+    fn apply_rows(
+        &self,
+        tables: &BTreeMap<TableId, Arc<RwLock<TableStore>>>,
+        deltas: &mut RowDeltas,
+        mut rows: BatchRows<'_>,
+    ) -> Result<()> {
+        let table = rows.table();
+        let mut store = tables
+            .get(&table)
+            .ok_or(StorageError::UnknownTableId(table))?
+            .write();
+        let (mut newest_ts, mut clock) = (0, None);
+        deltas.reset();
+        while let Some(v) = rows.next(deltas)? {
+            clock = clock.max(store.replay(v.row, v.commit_ts, v.put));
+            newest_ts = newest_ts.max(v.commit_ts);
+        }
+        rows.finish()?;
+        self.observe_row_clock(clock);
+        self.inner.commit_lock.observe(newest_ts);
+        Ok(())
+    }
+
+    /// Apply a commit, a write at a time as it is decoded: a put's index
+    /// keys and timestamps are read where the decoder laid it out, a
+    /// patch's from the row it composes, laid out once.
+    fn apply_commit(
+        &self,
+        tables: &BTreeMap<TableId, Arc<RwLock<TableStore>>>,
+        ends: &mut [Vec<usize>; 2],
+        mut writes: CommitWrites<'_>,
+    ) -> Result<()> {
+        let commit_ts = writes.commit_ts();
+        let [ends, patched] = ends;
+        let mut clock = None;
+        while let Some(w) = writes.next(ends)? {
+            let mut store = tables
+                .get(&w.table)
+                .ok_or(StorageError::UnknownTableId(w.table))?
+                .write();
+            let newest = match (w.op, w.cols) {
+                (WalOp::Put(row), Some(cols)) => store.replay(w.row, commit_ts, Some((row, cols))),
+                (WalOp::Put(_), None) => unreachable!("a put is laid out"),
+                (WalOp::Delete, _) => store.replay(w.row, commit_ts, None),
+                // Compose the logged columns onto the row's newest
+                // replayed state: this is commit order, so the result is
+                // the row the commit published.
+                (WalOp::Patch { fields, values }, _) => {
+                    let base = store.visible(w.row, TS_LATEST).ok_or_else(|| {
+                        StorageError::Internal(format!(
+                            "WAL patch for row {:?} with no base version",
+                            w.row
+                        ))
+                    })?;
+                    let written: Vec<_> = fields
+                        .iter()
+                        .zip(&values)
+                        .map(|(&pos, val)| (pos as usize, val.view()))
+                        .collect();
+                    let row = base.with_updates(&written);
+                    // The layout borrows the row's bytes from a handle
+                    // of its own, so the row itself moves into the table.
+                    let laid = row.clone();
+                    let cols = RowCols::lay_out(laid.packed(), patched);
+                    store.replay(w.row, commit_ts, Some((row, cols)))
+                }
+            };
+            clock = clock.max(newest);
+        }
+        writes.finish()?;
+        self.observe_row_clock(clock);
+        self.inner.commit_lock.observe(commit_ts);
+        Ok(())
     }
 
     fn apply_record(
@@ -312,59 +434,11 @@ impl Database {
                 }
                 tables.remove(&id);
             }
-            WalRecord::Commit { commit_ts, writes } => {
-                for w in writes {
-                    let store = tables
-                        .get(&w.table)
-                        .ok_or(StorageError::UnknownTableId(w.table))?;
-                    let op = match w.op {
-                        WalOp::Put(row) => VersionOp::Put(row),
-                        WalOp::Delete => VersionOp::Delete,
-                        // Compose the logged columns onto the row's
-                        // newest replayed state: this is commit order,
-                        // so the result is the row the commit published.
-                        WalOp::Patch { fields, values } => {
-                            let guard = store.read();
-                            let base =
-                                guard.visible(w.row, TS_LATEST).cloned().ok_or_else(|| {
-                                    StorageError::Internal(format!(
-                                        "WAL patch for row {:?} with no base version",
-                                        w.row
-                                    ))
-                                })?;
-                            drop(guard);
-                            let written: Vec<_> = fields
-                                .iter()
-                                .zip(&values)
-                                .map(|(&pos, val)| (pos as usize, val.view()))
-                                .collect();
-                            VersionOp::Put(base.with_updates(&written))
-                        }
-                    };
-                    self.observe_row_clock(store.write().replay(w.row, commit_ts, op));
-                }
-                self.inner.commit_lock.observe(commit_ts);
+            WalRecord::Commit { .. } => {
+                unreachable!("the log reader hands a commit over as CommitWrites")
             }
-            WalRecord::SnapshotRows { table, rows } => {
-                let mut store = tables
-                    .get(&table)
-                    .ok_or(StorageError::UnknownTableId(table))?
-                    .write();
-                for v in rows {
-                    let op = match v.op {
-                        WalOp::Put(r) => VersionOp::Put(r),
-                        WalOp::Delete => VersionOp::Delete,
-                        // Checkpoints compact to full rows; a patch here
-                        // means the log writer and reader disagree.
-                        WalOp::Patch { .. } => {
-                            return Err(StorageError::Internal(
-                                "snapshot row cannot be a patch".into(),
-                            ))
-                        }
-                    };
-                    self.observe_row_clock(store.replay(v.row, v.commit_ts, op));
-                    self.inner.commit_lock.observe(v.commit_ts);
-                }
+            WalRecord::SnapshotRows { .. } => {
+                unreachable!("the log reader hands a batch over as BatchRows")
             }
             WalRecord::Watermark { table, next_row_id } => {
                 if let Some(store) = tables.get(&table) {

@@ -20,7 +20,8 @@ use crate::index::{EntryKey, IndexKey, IndexStore};
 use crate::query::{plan_access, AccessPath, Predicate};
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};
-use crate::value::DataType;
+use crate::value::{DataType, ValueRef};
+use crate::wal::codec::RowCols;
 
 /// Commit timestamp. `0` is reserved: no committed data carries it.
 pub type Ts = u64;
@@ -391,24 +392,32 @@ impl TableStore {
         self.push(row, ts, op);
     }
 
-    /// Append a version read back from the log, staging its index
-    /// entries instead of inserting them: packed now, while the row is in
-    /// cache, and built into the indexes by [`TableStore::build_indexes`]
-    /// once the log is read. The same order as [`TableStore::apply`] is
-    /// required. Returns the newest timestamp the version holds, which
-    /// the engine clock must pass after a restart; a stored row conforms
-    /// to its schema, so only its `Timestamp` columns are read.
-    pub(crate) fn replay(&mut self, row: RowId, ts: Ts, op: VersionOp) -> Option<i64> {
-        let mut newest = None;
-        if let VersionOp::Put(r) = &op {
-            for idx in &mut self.indexes {
-                idx.stage(row, r);
-            }
-            newest = (self.timestamps.iter())
-                .filter_map(|&pos| r.get(pos)?.as_timestamp())
-                .max();
+    /// Append a version read back from the log — a put of a row, laid
+    /// out as `cols`, or a delete — staging its index entries instead of
+    /// inserting them: packed now, from where the decoder left the row's
+    /// values, and built into the indexes by
+    /// [`TableStore::build_indexes`]. The same order as
+    /// [`TableStore::apply`] is required. Returns the newest timestamp
+    /// the version holds, which the engine clock must pass after a
+    /// restart; a stored row conforms to its schema, so only its
+    /// `Timestamp` columns are read.
+    pub(crate) fn replay(
+        &mut self,
+        row: RowId,
+        ts: Ts,
+        put: Option<(SharedRow, RowCols<'_>)>,
+    ) -> Option<i64> {
+        let Some((version, cols)) = put else {
+            self.push(row, ts, VersionOp::Delete);
+            return None;
+        };
+        for idx in &mut self.indexes {
+            idx.stage(row, |pos| cols.get(pos));
         }
-        self.push(row, ts, op);
+        let newest = (self.timestamps.iter())
+            .filter_map(|&pos| cols.get(pos).as_timestamp())
+            .max();
+        self.push(row, ts, VersionOp::Put(version));
         newest
     }
 
@@ -419,12 +428,14 @@ impl TableStore {
         );
         self.chains.push(row, Version { commit_ts: ts, op });
         self.versions += 1;
-        self.observe_row_id(row);
+        // Exclusive access: no compare-and-swap.
+        let next = self.next_row_id.get_mut();
+        *next = (*next).max(row.0 + 1);
     }
 
-    /// Put every staged index entry in its index: each index sorted once
-    /// and built bottom-up. Recovery calls it after the last segment,
-    /// vacuum after staging the versions it kept.
+    /// Put every staged index entry in its index ([`IndexStore::build`]).
+    /// Recovery calls it when the table's part of the base ends and after
+    /// the last segment, vacuum after staging the versions it kept.
     pub(crate) fn build_indexes(&mut self) {
         for idx in &mut self.indexes {
             idx.build();
@@ -763,7 +774,7 @@ fn stage_versions(chains: &RowSlots, indexes: &mut [IndexStore]) {
         for v in chain.versions() {
             if let VersionOp::Put(row) = &v.op {
                 for idx in indexes.iter_mut() {
-                    idx.stage(rid, row);
+                    idx.stage(rid, |pos| row.get(pos).unwrap_or(ValueRef::Null));
                 }
             }
         }

@@ -169,27 +169,14 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
             id: TableId(get_varint32(buf)?),
         },
         TAG_COMMIT => {
-            let commit_ts = get_varint(buf)?;
-            let n = get_count(buf, 1)?;
-            let mut writes = Vec::with_capacity(n);
-            for _ in 0..n {
-                writes.push(WalWrite {
-                    table: TableId(get_varint32(buf)?),
-                    row: RowId(get_varint(buf)?),
-                    op: get_op(buf)?,
-                });
-            }
-            WalRecord::Commit { commit_ts, writes }
+            let rec = CommitWrites::open(buf)?.into_record()?;
+            *buf = &[];
+            rec
         }
         TAG_SNAPSHOT_ROWS => {
-            let table = TableId(get_varint32(buf)?);
-            let n = get_count(buf, 1)?;
-            let mut rows = Vec::with_capacity(n);
-            let mut deltas = RowDeltas::default();
-            for _ in 0..n {
-                rows.push(deltas.get(buf)?);
-            }
-            WalRecord::SnapshotRows { table, rows }
+            let rec = BatchRows::open(buf)?.into_record()?;
+            *buf = &[];
+            rec
         }
         TAG_WATERMARK => WalRecord::Watermark {
             table: TableId(get_varint32(buf)?),
@@ -203,6 +190,255 @@ fn get_record(buf: &mut &[u8]) -> Result<WalRecord> {
         t => return Err(corrupt(format!("unknown record tag {t}"))),
     };
     Ok(rec)
+}
+
+/// A frame's payload as recovery reads it: a record, or a commit or a
+/// checkpoint batch left to be read a row at a time.
+pub(crate) enum Frame<'a> {
+    Record(WalRecord),
+    Commit(CommitWrites<'a>),
+    Rows(BatchRows<'a>),
+}
+
+impl Frame<'_> {
+    /// The record the frame holds, a commit or a batch read whole.
+    pub(crate) fn into_record(self) -> Result<WalRecord> {
+        match self {
+            Frame::Record(rec) => Ok(rec),
+            Frame::Commit(writes) => writes.into_record(),
+            Frame::Rows(rows) => rows.into_record(),
+        }
+    }
+}
+
+/// Decode a frame's payload as [`decode_record`] does, except that a
+/// [`WalRecord::Commit`] or [`WalRecord::SnapshotRows`] is only opened:
+/// its head is read here, its rows by [`CommitWrites::next`] or
+/// [`BatchRows::next`].
+pub(crate) fn decode_frame(data: &[u8]) -> Result<Frame<'_>> {
+    match data.split_first() {
+        Some((&TAG_COMMIT, mut rest)) => Ok(Frame::Commit(CommitWrites::open(&mut rest)?)),
+        Some((&TAG_SNAPSHOT_ROWS, mut rest)) => Ok(Frame::Rows(BatchRows::open(&mut rest)?)),
+        _ => decode_record(data).map(Frame::Record),
+    }
+}
+
+/// A [`WalRecord::Commit`] read a write at a time, each `Put` lent out
+/// with its column layout, which the op's checks find as they go: its
+/// bytes in the frame are the row's.
+#[derive(Debug)]
+pub(crate) struct CommitWrites<'a> {
+    commit_ts: Ts,
+    /// The writes not read yet, and how many there are.
+    buf: &'a [u8],
+    left: usize,
+}
+
+/// One write of a commit, and the layout of the row a `Put` writes.
+pub(crate) struct CommitWrite<'e> {
+    pub(crate) table: TableId,
+    pub(crate) row: RowId,
+    pub(crate) op: WalOp,
+    pub(crate) cols: Option<RowCols<'e>>,
+}
+
+impl<'a> CommitWrites<'a> {
+    /// The commit whose tag `buf` is past: its timestamp and its count.
+    fn open(buf: &mut &'a [u8]) -> Result<Self> {
+        let commit_ts = get_varint(buf)?;
+        let left = get_count(buf, 1)?;
+        Ok(CommitWrites {
+            commit_ts,
+            buf,
+            left,
+        })
+    }
+
+    pub(crate) fn commit_ts(&self) -> Ts {
+        self.commit_ts
+    }
+
+    /// The next write, a `Put` laid out in `ends`; `None` after the last.
+    pub(crate) fn next<'e>(&mut self, ends: &'e mut Vec<usize>) -> Result<Option<CommitWrite<'e>>>
+    where
+        'a: 'e,
+    {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        let table = TableId(get_varint32(&mut self.buf)?);
+        let row = RowId(get_varint(&mut self.buf)?);
+        let at = self.buf;
+        let op = get_op_with(&mut self.buf, Some(ends))?;
+        let cols = matches!(op, WalOp::Put(_)).then(|| RowCols {
+            bytes: &at[..at.len() - self.buf.len()],
+            header: ends[0] - (ends.len() - 1).div_ceil(4),
+            ends,
+        });
+        Ok(Some(CommitWrite {
+            table,
+            row,
+            op,
+            cols,
+        }))
+    }
+
+    /// Check that the frame ends with its last write, once every write
+    /// has been read.
+    pub(crate) fn finish(&self) -> Result<()> {
+        check_read_whole(self.left, self.buf)
+    }
+
+    /// The writes left, read into the record.
+    fn into_record(mut self) -> Result<WalRecord> {
+        let mut writes = Vec::with_capacity(self.left);
+        let mut ends = Vec::new();
+        while let Some(w) = self.next(&mut ends)? {
+            let (table, row, op) = (w.table, w.row, w.op);
+            writes.push(WalWrite { table, row, op });
+        }
+        self.finish()?;
+        Ok(WalRecord::Commit {
+            commit_ts: self.commit_ts,
+            writes,
+        })
+    }
+}
+
+/// A record read a row at a time ends with its last row: `left` rows
+/// are still unread, and `rest` bytes follow the ones read.
+fn check_read_whole(left: usize, rest: &[u8]) -> Result<()> {
+    match (left, rest.len()) {
+        (0, 0) => Ok(()),
+        (0, n) => Err(corrupt(format!("{n} trailing bytes"))),
+        (left, _) => Err(StorageError::Internal(format!(
+            "{left} rows of a frame left unread"
+        ))),
+    }
+}
+
+/// A [`WalRecord::SnapshotRows`] batch read a version at a time, each
+/// `Put` lent out with its column layout ([`RowCols`]) until the next is
+/// read: recovery applies a row while the decoder still has it laid out,
+/// and [`decode_record`] collects the same versions into the record. The
+/// coder the rows are read with is the caller's, reset for the batch, so
+/// one serves every batch of a log.
+#[derive(Debug)]
+pub(crate) struct BatchRows<'a> {
+    table: TableId,
+    /// The versions not read yet, and how many there are.
+    buf: &'a [u8],
+    left: usize,
+}
+
+/// One version of a batch: a `Put` of a row, with the row's layout, or a
+/// `Delete`.
+pub(crate) struct BatchRow<'a> {
+    pub(crate) row: RowId,
+    pub(crate) commit_ts: Ts,
+    pub(crate) put: Option<(SharedRow, RowCols<'a>)>,
+}
+
+impl<'a> BatchRows<'a> {
+    /// The batch whose tag `buf` is past: its table and its count.
+    fn open(buf: &mut &'a [u8]) -> Result<Self> {
+        let table = TableId(get_varint32(buf)?);
+        let left = get_count(buf, 1)?;
+        Ok(BatchRows { table, buf, left })
+    }
+
+    pub(crate) fn table(&self) -> TableId {
+        self.table
+    }
+
+    /// The next version, read with `deltas` (reset before the first);
+    /// `None` after the last.
+    pub(crate) fn next<'d>(&mut self, deltas: &'d mut RowDeltas) -> Result<Option<BatchRow<'d>>> {
+        if self.left == 0 {
+            return Ok(None);
+        }
+        self.left -= 1;
+        let (row, commit_ts, put) = deltas.get(&mut self.buf)?;
+        let put = put.map(|row| (row, deltas.above.row_cols()));
+        Ok(Some(BatchRow {
+            row,
+            commit_ts,
+            put,
+        }))
+    }
+
+    /// Check that the frame ends with its last version, once every
+    /// version has been read.
+    pub(crate) fn finish(&self) -> Result<()> {
+        check_read_whole(self.left, self.buf)
+    }
+
+    /// The versions left, read into the record.
+    fn into_record(mut self) -> Result<WalRecord> {
+        let mut rows = Vec::with_capacity(self.left);
+        let mut deltas = RowDeltas::default();
+        while let Some(v) = self.next(&mut deltas)? {
+            rows.push(SnapshotVersion {
+                row: v.row,
+                commit_ts: v.commit_ts,
+                op: v.put.map_or(WalOp::Delete, |(row, _)| WalOp::Put(row)),
+            });
+        }
+        self.finish()?;
+        Ok(WalRecord::SnapshotRows {
+            table: self.table,
+            rows,
+        })
+    }
+}
+
+/// A checked row's bytes and where each of its values ends: any column
+/// read in place, without stepping over the values before it. What
+/// recovery packs index keys and reads timestamps from.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RowCols<'a> {
+    bytes: &'a [u8],
+    header: usize,
+    /// Column `i`'s value is `ends[i]..ends[i + 1]`, empty if the header
+    /// holds it.
+    ends: &'a [usize],
+}
+
+impl<'a> RowCols<'a> {
+    /// Lay out `packed`, a checked row, in `ends`: one walk over it.
+    pub(crate) fn lay_out(packed: &'a [u8], ends: &'a mut Vec<usize>) -> RowCols<'a> {
+        let (cols, header, values) = unpack_row(packed).expect(CHECKED_ROW);
+        let mut at = packed.len() - values.len();
+        ends.clear();
+        ends.push(at);
+        for i in 0..cols {
+            if column_state(header, i) == COL_VALUE {
+                at += checked_len(&packed[at..]);
+            }
+            ends.push(at);
+        }
+        RowCols {
+            bytes: packed,
+            header: packed.len() - values.len() - header.len(),
+            ends,
+        }
+    }
+
+    /// The value at `pos`; NULL past the last column.
+    #[inline]
+    pub(crate) fn get(&self, pos: usize) -> ValueRef<'a> {
+        if pos + 1 >= self.ends.len() {
+            return ValueRef::Null;
+        }
+        match header_value(&self.bytes[self.header..], pos) {
+            Some(v) => v,
+            None => {
+                let mut value = &self.bytes[self.ends[pos]..self.ends[pos + 1]];
+                get_value(&mut value).expect(CHECKED_ROW)
+            }
+        }
+    }
 }
 
 // A checkpoint writes its `SnapshotRows` records a row at a time,
@@ -296,6 +532,15 @@ impl Layout {
         self.ends.clear();
         self.ends.push(at);
         (cols, header, at)
+    }
+
+    /// The row as [`RowCols`].
+    fn row_cols(&self) -> RowCols<'_> {
+        RowCols {
+            bytes: &self.bytes,
+            header: self.header,
+            ends: &self.ends,
+        }
     }
 
     /// Start over with `packed`, a checked row, as its bytes.
@@ -558,35 +803,33 @@ impl RowDeltas {
         }
     }
 
-    /// The next version of the batch in `buf`.
-    pub(crate) fn get(&mut self, buf: &mut &[u8]) -> Result<SnapshotVersion> {
+    /// The next version of the batch in `buf`: its row, its commit
+    /// timestamp and the row it puts, `None` for a delete. A put is left
+    /// laid out in `above`.
+    fn get(&mut self, buf: &mut &[u8]) -> Result<(RowId, Ts, Option<SharedRow>)> {
         let row = (self.id.checked_add(get_varint(buf)?))
             .ok_or_else(|| corrupt("row-id delta wraps".into()))?;
         let commit_ts = self.ts.wrapping_add(unzigzag(get_varint(buf)?) as u64);
         (self.id, self.ts) = (row, commit_ts);
         let op = *buf;
         let head = get_varint(buf)?;
-        let version = match (head & 3, head >> 2) {
-            (OP_DELETE, 0) => WalOp::Delete,
+        let put = match (head & 3, head >> 2) {
+            (OP_DELETE, 0) => None,
             (OP_PUT, cols) => {
                 let row = if self.has_above() {
                     self.get_delta(buf, cols)?
                 } else {
-                    let row = get_put(buf, op, cols)?;
+                    let row = get_put(buf, op, cols, None)?;
                     self.next.lay_out(row.packed());
                     self.keep_texts();
                     row
                 };
                 std::mem::swap(&mut self.above, &mut self.next);
-                WalOp::Put(row)
+                Some(row)
             }
             _ => return Err(corrupt(format!("snapshot row op header {head}"))),
         };
-        Ok(SnapshotVersion {
-            row: RowId(row),
-            commit_ts,
-            op: version,
-        })
+        Ok((RowId(row), commit_ts, put))
     }
 
     /// A `Put` of `cols` columns coded against the one above, rebuilt
@@ -840,11 +1083,17 @@ pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
 }
 
 pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
+    get_op_with(buf, None)
+}
+
+/// [`get_op`], and where each value of a `Put`'s row ends in its bytes
+/// (see [`RowCols`]) pushed to `ends`, if given.
+fn get_op_with(buf: &mut &[u8], ends: Option<&mut Vec<usize>>) -> Result<WalOp> {
     let op = *buf;
     let head = get_varint(buf)?;
     let count = head >> 2;
     match head & 3 {
-        OP_PUT => Ok(WalOp::Put(get_put(buf, op, count)?)),
+        OP_PUT => Ok(WalOp::Put(get_put(buf, op, count, ends)?)),
         OP_DELETE if count == 0 => Ok(WalOp::Delete),
         OP_PATCH => {
             let n = check_count(count, buf, 1)?;
@@ -861,12 +1110,25 @@ pub(crate) fn get_op(buf: &mut &[u8]) -> Result<WalOp> {
 
 /// The rest of a `Put` op of `count` columns that starts at `op` and
 /// whose header `buf` is past: every column is decoded, and the op's
-/// bytes are the row.
-fn get_put(buf: &mut &[u8], op: &[u8], count: u64) -> Result<SharedRow> {
+/// bytes are the row. Where each value ends, counted from `op`, is
+/// pushed to `ends` if it is given, after where the first starts.
+fn get_put(
+    buf: &mut &[u8],
+    op: &[u8],
+    count: u64,
+    mut ends: Option<&mut Vec<usize>>,
+) -> Result<SharedRow> {
     let n = check_count(count, buf, 4)?;
     let header = take(buf, n.div_ceil(4) as u64)?;
+    if let Some(ends) = ends.as_deref_mut() {
+        ends.clear();
+        ends.push(op.len() - buf.len());
+    }
     for i in 0..n {
         get_column(header, i, buf)?;
+        if let Some(ends) = ends.as_deref_mut() {
+            ends.push(op.len() - buf.len());
+        }
     }
     Ok(SharedRow::from_checked(&op[..op.len() - buf.len()]))
 }

@@ -48,8 +48,8 @@ use crate::table::Ts;
 use crate::util::crc32;
 use crate::vfs::{os_vfs, Vfs, VfsFile, VfsLog, ZEROS};
 use crate::wal::codec::{
-    begin_snapshot_rows, decode_record, end_snapshot_rows, put_record, snapshot_rows_len,
-    RowDeltas, SNAPSHOT_BATCH_BYTES,
+    begin_snapshot_rows, decode_frame, decode_record, end_snapshot_rows, put_record,
+    snapshot_rows_len, Frame, RowDeltas, SNAPSHOT_BATCH_BYTES,
 };
 use crate::wal::{DurabilityLevel, WalRecord, FORMAT_VERSION};
 
@@ -254,6 +254,18 @@ impl WalFile {
         path: &Path,
         mut apply: impl FnMut(WalRecord) -> Result<()>,
     ) -> Result<LogEnd> {
+        Self::replay_frames_on(vfs, path, |frame| apply(frame.into_record()?))
+    }
+
+    /// [`WalFile::replay_on`], with each checkpoint batch handed over
+    /// opened, not decoded: `apply` reads its versions one at a time
+    /// ([`super::codec::BatchRows::next`]) and checks its end
+    /// ([`super::codec::BatchRows::finish`]).
+    pub(crate) fn replay_frames_on(
+        vfs: &dyn Vfs,
+        path: &Path,
+        mut apply: impl FnMut(Frame<'_>) -> Result<()>,
+    ) -> Result<LogEnd> {
         check_layout(vfs, path)?;
         // Each segment read, with its end and the frames it holds.
         let mut segments = Vec::new();
@@ -295,20 +307,22 @@ impl WalFile {
 fn replay_file(
     vfs: &dyn Vfs,
     path: &Path,
-    apply: &mut impl FnMut(WalRecord) -> Result<()>,
+    apply: &mut impl FnMut(Frame<'_>) -> Result<()>,
 ) -> Result<(LogEnd, u64, Option<u64>)> {
     let data = vfs.read(path)?;
     check_format(&data)?;
     let (mut frames, mut count, mut base) = (0, 0, None);
     let mut iter = WalIter::new(&data);
-    while let Some(item) = iter.next() {
+    while let Some(item) = iter.next_decoded() {
         frames = iter.offset;
-        let rec = item?;
-        if let (1, WalRecord::Base { segment }) = (count, &rec) {
+        let (start, frame) = item?;
+        if let (1, Frame::Record(WalRecord::Base { segment })) = (count, &frame) {
             base = Some(*segment);
         }
         count += 1;
-        apply(rec)?;
+        // A batch is decoded as it is applied: what is corrupt in it is
+        // found there, and reported at the frame.
+        apply(frame).map_err(|e| at_frame(e, start))?;
     }
     let end = LogEnd {
         frames: frames as u64,
@@ -742,33 +756,60 @@ fn nonzero_span(bytes: &[u8]) -> Option<(usize, usize)> {
     Some((first, start + page.iter().rposition(|&b| b != 0)?))
 }
 
-impl Iterator for WalIter<'_> {
-    type Item = Result<WalRecord>;
-
-    fn next(&mut self) -> Option<Self::Item> {
+impl<'a> WalIter<'a> {
+    /// The next intact frame, where it starts and what it holds, a
+    /// checkpoint batch only opened ([`decode_frame`]).
+    fn next_decoded(&mut self) -> Option<Result<(usize, Frame<'a>)>> {
         let (start, payload) = match self.next_frame()? {
             Ok(frame) => frame,
             Err(e) => return Some(Err(e)),
         };
-        match decode_record(payload) {
+        match decode_frame(payload) {
             // A tear can leave a checksum that holds: 0xFF over a frame's
             // CRC and its first four payload bytes, in zeroed room, is a
             // frame whose CRC-32 matches (that of `FF FF FF FF` and zeros
             // is `FFFF_FFFF`), and whose tag 0xFF decodes as nothing. So
-            // a frame that does not decode ends the log like a torn one
-            // where a torn one would.
+            // a frame whose head does not decode ends the log like a torn
+            // one where a torn one would. A commit's writes and a batch's
+            // versions are decoded as they are applied, past that check:
+            // a frame whose CRC holds and whose head decodes was written
+            // whole (a tear that kept it would have to match a CRC-32 by
+            // chance), so a write or version in it that does not decode is
+            // corruption, and the writes before it may already be applied.
+            // A batch is never torn anyway: a checkpoint writes batches
+            // only into a base, synced whole before it is published.
             Err(_) if tears_the_end(&self.data[start..], payload.len(), false) => {
                 self.offset = self.data.len();
                 None
             }
-            res => Some(res.map_err(|e| match e {
-                StorageError::WalCorrupt { reason, .. } => StorageError::WalCorrupt {
-                    offset: start as u64,
-                    reason,
-                },
-                other => other,
-            })),
+            res => Some(
+                res.map(|frame| (start, frame))
+                    .map_err(|e| at_frame(e, start)),
+            ),
         }
+    }
+}
+
+/// `e`, if it is corruption, placed at the frame that starts at `start`.
+fn at_frame(e: StorageError, start: usize) -> StorageError {
+    match e {
+        StorageError::WalCorrupt { reason, .. } => StorageError::WalCorrupt {
+            offset: start as u64,
+            reason,
+        },
+        other => other,
+    }
+}
+
+impl Iterator for WalIter<'_> {
+    type Item = Result<WalRecord>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        let (start, frame) = match self.next_decoded()? {
+            Ok(frame) => frame,
+            Err(e) => return Some(Err(e)),
+        };
+        Some(frame.into_record().map_err(|e| at_frame(e, start)))
     }
 }
 
@@ -1022,6 +1063,30 @@ mod tests {
             Err(StorageError::WalCorrupt { offset, reason }) => {
                 assert_eq!(offset, frames.len() as u64, "{reason}");
                 assert!(reason.contains("unknown record tag"), "{reason}");
+            }
+            other => panic!("{other:?}"),
+        }
+    }
+
+    /// A commit frame whose CRC holds and whose head (tag, timestamp,
+    /// count) decodes was written whole, so writes in it that do not
+    /// decode are corrupt, even at the live tail with only zeros behind
+    /// it: its writes are applied as they are decoded, and the ones
+    /// before a bad one may already be.
+    #[test]
+    fn a_commit_whose_writes_do_not_decode_is_corrupt_at_the_tail() {
+        let frames = three_frames();
+        // Commit (tag 4) at ts 5 of two writes: table 0, row 0, then an
+        // op header that runs past the frame.
+        let payload = [4, 5, 2, 0, 0, 0xFF, 0xFF];
+        assert!(decode_frame(&payload).is_ok(), "the head decodes");
+        let mut commit = (payload.len() as u32).to_le_bytes().to_vec();
+        commit.extend_from_slice(&crc32(&payload).to_le_bytes());
+        commit.extend_from_slice(&payload);
+        let data = [&frames[..], &commit, &[0; 4096]].concat();
+        match replay_bytes(&data) {
+            Err(StorageError::WalCorrupt { offset, .. }) => {
+                assert_eq!(offset, frames.len() as u64)
             }
             other => panic!("{other:?}"),
         }

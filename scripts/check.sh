@@ -12,7 +12,17 @@
 # order; prints PROPTEST_SEED=<n> on failure), `index_oracle` (each
 # index built once at open or rebuilt by vacuum equals a fresh
 # build over the versions, across random histories and reopens; the
-# same), `row_slots` (row slots against a B-tree model; the same),
+# same), `replay_alloc`'s two_tables_are_built_one_at_a_time (a table's
+# indexes built once its part of the base is read: one table's staged
+# entries at the peak),
+# a_base_of_many_batches_copies_its_staged_entries_a_bounded_number_of_times
+# (bytes of staged entries reallocated, about their own size) and
+# a_replayed_base_row_costs_its_row_and_an_entry_its_bytes (the counted
+# replay receipt: allocations per base row and bytes per staged entry,
+# printed with --nocapture), `--lib util::tests::`
+# eight_bytes_a_step_equals_a_byte_at_a_time (the frame CRC's eight-byte
+# step against a byte at a time, every length to 1 024 at every start
+# offset to 7) and known_vectors, `row_slots` (row slots against a B-tree model; the same),
 # `delta_rows` (checkpoint rows coded against the row above them: round
 # trip, writer = weigher = `encode_record`, replay; the same),
 # `format_size` (exact bytes: a checkpoint row of each keystroke table,
