@@ -87,7 +87,9 @@
 //! outbox's, and a move takes its two documents' locks in [`DocId`]
 //! order. The lock is not reentrant: a thread that holds it — inside an
 //! edit, or through a [`DocView`] — must not take it again through
-//! another editor of the same document.
+//! another editor of the same document. A metadata service never waits
+//! for it: its read of a copy only tries it, and a service that finds
+//! it taken reads the database instead.
 
 use std::collections::{vec_deque, HashMap, VecDeque};
 use std::ops::Deref;
@@ -98,7 +100,8 @@ use std::sync::Arc;
 use parking_lot::{Mutex, MutexGuard, RwLock};
 use tendax_storage::{Durability, Ts};
 use tendax_text::{
-    Clip, DocHandle, DocId, EditReceipt, Permission, Result, StyleId, TextDb, TextError, UserId,
+    Clip, DocHandle, DocId, EditReceipt, Permission, Result, StyleId, TextDb, TextError,
+    TextSource, UserId,
 };
 
 use crate::bus::{DocEvent, LanBus, SessionId};
@@ -515,6 +518,26 @@ impl LiveDocs {
         }
     }
 
+    /// The visible text of `doc`'s copy at the frontier, and that frontier,
+    /// without waiting: `None` if nobody holds the document, if its copy is
+    /// taken out, or if its lock is held — by an edit in flight, or by
+    /// this thread's own [`DocView`]. Like [`TextDb::document_text`], it
+    /// checks no rights and records nothing, and it is not a served
+    /// snapshot. A copy a bypass commit left behind is rebuilt first.
+    fn held_text(&self, doc: DocId) -> Result<Option<(String, Ts)>> {
+        let Some(slot) = self.get(doc) else {
+            return Ok(None);
+        };
+        let Some(mut copy) = slot.copy.try_lock() else {
+            return Ok(None);
+        };
+        let Some(live) = copy.as_mut() else {
+            return Ok(None);
+        };
+        self.catch_up(live)?;
+        Ok(Some((live.handle.text(), live.handle.synced_ts())))
+    }
+
     /// [`LiveDocs::join`] with no replica to resume: `f` of the copy.
     pub fn snapshot<T>(
         &self,
@@ -573,6 +596,22 @@ impl LiveDocs {
             delta,
         };
         Ok(Some(f(&join)))
+    }
+}
+
+/// A held copy's text where `held_text` gives one, else the database's:
+/// how a metadata service built over a server's live documents reads
+/// content, never waiting for a document's lock.
+impl TextSource for LiveDocs {
+    fn textdb(&self) -> &TextDb {
+        &self.tdb
+    }
+
+    fn visible_text(&self, doc: DocId) -> Result<(String, Ts)> {
+        match self.held_text(doc)? {
+            Some(held) => Ok(held),
+            None => self.tdb.visible_text(doc),
+        }
     }
 }
 

@@ -179,7 +179,9 @@ impl EditorDoc {
     ///
     /// It cannot see other editors: a thread that holds the view and then
     /// edits, views, opens or closes the same document through another
-    /// editor deadlocks. Take what you need and drop the view.
+    /// editor deadlocks. Take what you need and drop the view. (A metadata
+    /// service built over the server's live documents does not wait for
+    /// the view: it reads the document from the database.)
     pub fn handle(&self) -> DocView<'_> {
         self.live.view()
     }

@@ -85,8 +85,9 @@ impl Tendax {
     pub fn from_database(db: Database) -> Result<Tendax> {
         let tdb = TextDb::init(db)?;
         let process = ProcessEngine::init(tdb.clone())?;
-        let folders = DynamicFolders::init(tdb.clone())?;
+        // The services read the texts the server's editors hold.
         let server = CollabServer::new(tdb.clone());
+        let folders = DynamicFolders::init_over(server.live().clone())?;
         Ok(Tendax {
             tdb,
             server,
@@ -112,14 +113,16 @@ impl Tendax {
         &self.process
     }
 
-    /// The dynamic-folder engine.
+    /// The dynamic-folder engine. A `ContentContains` leaf reads the
+    /// copies of the documents the server's editors hold.
     pub fn folders(&self) -> &DynamicFolders {
         &self.folders
     }
 
-    /// Build a content+metadata search engine over the current corpus.
+    /// Build a content+metadata search engine over the current corpus,
+    /// reading the copies of the documents the server's editors hold.
     pub fn search(&self) -> Result<SearchEngine> {
-        SearchEngine::build(&self.tdb)
+        SearchEngine::build_over(self.server.live().clone())
     }
 
     /// Build the data-lineage graph (Figure 1 of the paper).

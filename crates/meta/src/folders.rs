@@ -4,17 +4,20 @@
 //! within the last week. Its content is fluent and may change within
 //! seconds." A folder stores a [`FolderRule`]; evaluation runs the rule
 //! against the live metadata tables, and [`FolderSet`] tracks membership
-//! deltas between refreshes.
+//! deltas between refreshes. A `ContentContains` leaf reads the visible
+//! text through the engine's [`TextSource`]: a server's live documents
+//! answer it from the copies their editors hold.
 
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crate::json;
 use tendax_storage::{
     DataType, Predicate, Row, RowId, SharedRow, StorageError, TableDef, TableId, Ts, Value,
 };
-use tendax_text::{DocId, Result, TextDb, TextError, UserId};
+use tendax_text::{DocId, Result, TextDb, TextError, TextSource, UserId};
 
 /// The predicate language of dynamic folders.
 #[derive(Debug, Clone, PartialEq)]
@@ -244,18 +247,28 @@ type ReadSets = BTreeMap<(u64, i64), BTreeSet<DocId>>;
 #[derive(Debug, Clone)]
 pub struct DynamicFolders {
     tdb: TextDb,
+    /// Where a `ContentContains` leaf reads a document's text.
+    texts: Arc<dyn TextSource>,
     table: TableId,
 }
 
 impl DynamicFolders {
+    /// The folder engine of `tdb`, reading texts from the database.
     pub fn init(tdb: TextDb) -> Result<DynamicFolders> {
+        Self::init_over(Arc::new(tdb))
+    }
+
+    /// [`DynamicFolders::init`] reading texts through `texts`, as do the
+    /// folder sets it watches.
+    pub fn init_over(texts: Arc<dyn TextSource>) -> Result<DynamicFolders> {
+        let tdb = texts.textdb().clone();
         let db = tdb.database();
         match db.create_table(folders_def()) {
             Ok(_) | Err(StorageError::TableExists(_)) => {}
             Err(e) => return Err(e.into()),
         }
         let table = db.table_id("folders")?;
-        Ok(DynamicFolders { tdb, table })
+        Ok(DynamicFolders { tdb, texts, table })
     }
 
     pub fn textdb(&self) -> &TextDb {
@@ -388,7 +401,7 @@ impl DynamicFolders {
             FolderRule::CreatedBy { user } => self.tdb.document_info(doc)?.creator == UserId(*user),
             FolderRule::StateIs(s) => self.tdb.document_info(doc)?.state == *s,
             FolderRule::NameContains(s) => self.tdb.document_info(doc)?.name.contains(s.as_str()),
-            FolderRule::ContentContains(s) => self.tdb.document_text(doc)?.contains(s.as_str()),
+            FolderRule::ContentContains(s) => self.texts.visible_text(doc)?.0.contains(s.as_str()),
             FolderRule::PastedFrom { doc: src } => {
                 let t = self.tdb.tables();
                 let txn = self.tdb.database().begin();

@@ -11,6 +11,13 @@
 //!   ("most cited", "newest", "most read", relevance);
 //! * [`mining`] — visual mining (the 2-D document-space overview of
 //!   Figure 2) and text mining (characteristic terms).
+//!
+//! The services recompute only what a commit touched (DESIGN.md §5.13).
+//! Search and a folder's `ContentContains` read a document's text through
+//! a [`tendax_text::TextSource`]: the database, or — as `tendax-core`
+//! wires them — a collaboration server's live documents, which hand over
+//! the copy an editor holds without waiting for its lock, and read the
+//! database for the rest.
 
 pub mod folders;
 pub mod json;

@@ -9,48 +9,102 @@
 //! text; metadata and structure filters run against the live tables;
 //! rankers order by tf-idf relevance, recency, citation count (incoming
 //! paste edges — the database analogue of "most cited") or read count.
+//!
+//! The engine reads every text — to index a document, to verify a phrase,
+//! to cut a snippet — through one [`TextSource`]: the database, or a
+//! server's live documents, whose copies answer from memory for the
+//! documents editors hold (DESIGN.md §5.13). A query ranks its
+//! candidates, keeps the first `limit`, and reads the names of those
+//! alone.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::sync::Arc;
 
 use tendax_storage::Ts;
-use tendax_text::{DocId, Result, TextDb, UserId};
+use tendax_text::{DocId, Result, TextDb, TextSource, UserId};
+
+/// The alphanumeric words of a text, as written.
+fn words(text: &str) -> impl Iterator<Item = &str> {
+    text.split(|c: char| !c.is_alphanumeric())
+        .filter(|w| !w.is_empty())
+}
 
 /// Lowercased alphanumeric tokens of a text.
 pub fn tokenize(text: &str) -> Vec<String> {
-    text.split(|c: char| !c.is_alphanumeric())
-        .filter(|w| !w.is_empty())
-        .map(|w| w.to_lowercase())
-        .collect()
+    words(text).map(str::to_lowercase).collect()
 }
+
+/// `word` lowercased into `into`, as [`str::to_lowercase`] would: an
+/// ASCII word without allocating.
+fn lowercase_into(word: &str, into: &mut String) {
+    into.clear();
+    if word.is_ascii() {
+        into.push_str(word);
+        into.make_ascii_lowercase();
+    } else {
+        into.push_str(&word.to_lowercase());
+    }
+}
+
+/// A term's postings: document → term frequency.
+type Postings = BTreeMap<DocId, usize>;
 
 /// The inverted index over document contents.
 #[derive(Debug, Default, Clone)]
 pub struct InvertedIndex {
-    /// term → (doc → term frequency)
-    postings: HashMap<String, BTreeMap<DocId, usize>>,
+    /// term → its postings. A key is shared with `doc_terms`.
+    postings: HashMap<Arc<str>, Postings>,
     /// doc → token count
     doc_len: BTreeMap<DocId, usize>,
     /// doc → its distinct terms (for incremental removal)
-    doc_terms: BTreeMap<DocId, Vec<String>>,
+    doc_terms: BTreeMap<DocId, Vec<Arc<str>>>,
 }
 
 impl InvertedIndex {
+    /// Index `doc`'s text in place of whatever was indexed for it. Each
+    /// token is lowercased into one buffer and its postings found by
+    /// `&str`, and a term the document had keeps its key until the new
+    /// text is counted: only a term new to the corpus allocates one.
     pub fn add_document(&mut self, doc: DocId, text: &str) {
-        self.remove_document(doc);
-        let tokens = tokenize(text);
-        self.doc_len.insert(doc, tokens.len());
-        for tok in &tokens {
-            *self
-                .postings
-                .entry(tok.clone())
-                .or_default()
-                .entry(doc)
-                .or_insert(0) += 1;
+        let old = (self.doc_terms.get_mut(&doc))
+            .map(std::mem::take)
+            .unwrap_or_default();
+        for term in &old {
+            if let Some(per_doc) = self.postings.get_mut(term) {
+                per_doc.remove(&doc);
+            }
         }
-        let mut distinct = tokens;
-        distinct.sort();
-        distinct.dedup();
-        self.doc_terms.insert(doc, distinct);
+        let mut terms = Vec::with_capacity(old.len());
+        let mut word = String::new();
+        let mut len = 0;
+        for token in words(text) {
+            len += 1;
+            lowercase_into(token, &mut word);
+            let first = match self.postings.get_mut(word.as_str()) {
+                Some(per_doc) => {
+                    let tf = per_doc.entry(doc).or_insert(0);
+                    *tf += 1;
+                    *tf == 1
+                }
+                None => {
+                    let per_doc = BTreeMap::from([(doc, 1)]);
+                    self.postings.insert(Arc::from(word.as_str()), per_doc);
+                    true
+                }
+            };
+            if first {
+                let (term, _) = (self.postings.get_key_value(word.as_str()))
+                    .expect("the term was just counted");
+                terms.push(Arc::clone(term));
+            }
+        }
+        for term in &old {
+            if self.postings.get(term).is_some_and(BTreeMap::is_empty) {
+                self.postings.remove(term);
+            }
+        }
+        self.doc_len.insert(doc, len);
+        *self.doc_terms.entry(doc).or_default() = terms;
     }
 
     /// Drop one document from the index (incremental maintenance).
@@ -79,14 +133,17 @@ impl InvertedIndex {
 
     /// Documents containing `term`, with frequencies.
     pub fn lookup(&self, term: &str) -> Option<&BTreeMap<DocId, usize>> {
-        self.postings.get(&term.to_lowercase())
+        self.postings.get(term.to_lowercase().as_str())
     }
 
     /// tf-idf weight of `term` in `doc`.
     pub fn tf_idf(&self, term: &str, doc: DocId) -> f64 {
-        let Some(per_doc) = self.lookup(term) else {
-            return 0.0;
-        };
+        self.lookup(term)
+            .map_or(0.0, |per_doc| self.weight(per_doc, doc))
+    }
+
+    /// tf-idf weight in `doc` of the term whose postings are `per_doc`.
+    fn weight(&self, per_doc: &Postings, doc: DocId) -> f64 {
         let Some(&tf) = per_doc.get(&doc) else {
             return 0.0;
         };
@@ -208,25 +265,36 @@ pub struct SearchHit {
 #[derive(Debug, Clone)]
 pub struct SearchEngine {
     tdb: TextDb,
+    /// Where every text is read.
+    texts: Arc<dyn TextSource>,
     index: InvertedIndex,
-    /// The snapshot each document's postings were read at.
+    /// The snapshot each document's postings hold at: the `at` its text
+    /// was read at.
     indexed_at: HashMap<DocId, Ts>,
 }
 
 impl SearchEngine {
-    /// Build the content index over every document. Indexing reads
-    /// content without opening it: no read events are recorded.
+    /// Build the content index over every document, reading each text
+    /// from the database. Indexing reads content without opening it: no
+    /// read events are recorded.
     pub fn build(tdb: &TextDb) -> Result<SearchEngine> {
+        Self::build_over(Arc::new(tdb.clone()))
+    }
+
+    /// [`SearchEngine::build`] reading every text through `texts` — for
+    /// the engine's whole life: a server's live documents hand it the
+    /// copies their editors hold.
+    pub fn build_over(texts: Arc<dyn TextSource>) -> Result<SearchEngine> {
         let mut index = InvertedIndex::default();
         let mut indexed_at = HashMap::new();
-        // Every text below is read at this snapshot or a later one.
-        let at = tdb.database().last_commit_ts();
-        for info in tdb.list_documents()? {
-            index.add_document(info.id, &tdb.document_text(info.id)?);
+        for info in texts.textdb().list_documents()? {
+            let (text, at) = texts.visible_text(info.id)?;
+            index.add_document(info.id, &text);
             indexed_at.insert(info.id, at);
         }
         Ok(SearchEngine {
-            tdb: tdb.clone(),
+            tdb: texts.textdb().clone(),
+            texts,
             index,
             indexed_at,
         })
@@ -239,17 +307,17 @@ impl SearchEngine {
     /// Re-index one document in place after it changed — the incremental
     /// path an editor calls on save instead of rebuilding the corpus.
     /// Returns at once when no commit has touched the document's
-    /// characters since it was last indexed (DESIGN.md §5.13).
+    /// characters since the snapshot its postings hold at (DESIGN.md
+    /// §5.13).
     pub fn update_document(&mut self, doc: DocId) -> Result<()> {
-        // Snapshot first, stamp second.
-        let at = self.tdb.database().last_commit_ts();
         let chars = self.tdb.tables().chars;
         if (self.indexed_at.get(&doc))
             .is_some_and(|seen| self.tdb.doc_stamp(&[chars], doc) <= *seen)
         {
             return Ok(());
         }
-        self.index.add_document(doc, &self.tdb.document_text(doc)?);
+        let (text, at) = self.texts.visible_text(doc)?;
+        self.index.add_document(doc, &text);
         self.indexed_at.insert(doc, at);
         Ok(())
     }
@@ -262,8 +330,12 @@ impl SearchEngine {
 
     /// Run a query.
     pub fn search(&self, query: &SearchQuery) -> Result<Vec<SearchHit>> {
+        // Each term's postings, looked up once for every candidate.
+        let postings: Vec<Option<&Postings>> = (query.terms.iter())
+            .map(|t| self.index.postings.get(t.to_lowercase().as_str()))
+            .collect();
         // Candidate set from content terms, or all documents.
-        let mut candidates: Vec<DocId> = if query.terms.is_empty() {
+        let mut candidates: Vec<DocId> = if postings.is_empty() {
             self.tdb
                 .list_documents()?
                 .into_iter()
@@ -272,13 +344,10 @@ impl SearchEngine {
         } else {
             match query.mode {
                 TermMode::All => {
-                    let mut sets: Vec<&BTreeMap<DocId, usize>> = Vec::new();
-                    for t in &query.terms {
-                        match self.index.lookup(t) {
-                            Some(s) => sets.push(s),
-                            None => return Ok(Vec::new()),
-                        }
-                    }
+                    let Some(mut sets) = postings.iter().copied().collect::<Option<Vec<_>>>()
+                    else {
+                        return Ok(Vec::new());
+                    };
                     sets.sort_by_key(|s| s.len());
                     sets[0]
                         .keys()
@@ -287,13 +356,11 @@ impl SearchEngine {
                         .collect()
                 }
                 TermMode::Any => {
-                    let mut union: std::collections::BTreeSet<DocId> =
-                        std::collections::BTreeSet::new();
-                    for t in &query.terms {
-                        if let Some(s) = self.index.lookup(t) {
-                            union.extend(s.keys().copied());
-                        }
-                    }
+                    let union: BTreeSet<DocId> = postings
+                        .iter()
+                        .flatten()
+                        .flat_map(|s| s.keys().copied())
+                        .collect();
                     union.into_iter().collect()
                 }
             }
@@ -304,8 +371,8 @@ impl SearchEngine {
             let needle = phrase.to_lowercase();
             let mut kept = Vec::with_capacity(candidates.len());
             for d in candidates {
-                let text = self.tdb.document_text(d)?.to_lowercase();
-                if text.contains(&needle) {
+                let (text, _) = self.texts.visible_text(d)?;
+                if text.to_lowercase().contains(&needle) {
                     kept.push(d);
                 }
             }
@@ -323,20 +390,19 @@ impl SearchEngine {
             candidates = kept;
         }
 
-        // Rank.
-        let mut hits = Vec::with_capacity(candidates.len());
+        // Rank, cut to `limit`, and only then read the names of the hits.
+        let mut ranked = Vec::with_capacity(candidates.len());
         for d in candidates {
-            let score = self.score(query, d)?;
-            let name = self.tdb.document_info(d)?.name;
-            hits.push(SearchHit {
-                doc: d,
-                name,
-                score,
-            });
+            ranked.push((self.score(query.rank, &postings, d)?, d));
         }
-        hits.sort_by(|a, b| b.score.total_cmp(&a.score).then_with(|| a.doc.cmp(&b.doc)));
-        hits.truncate(query.limit);
-        Ok(hits)
+        ranked.sort_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
+        ranked.truncate(query.limit);
+        (ranked.into_iter())
+            .map(|(score, doc)| {
+                let name = self.tdb.document_info(doc)?.name;
+                Ok(SearchHit { doc, name, score })
+            })
+            .collect()
     }
 
     fn filter_matches(&self, f: &SearchFilter, doc: DocId) -> Result<bool> {
@@ -359,9 +425,13 @@ impl SearchEngine {
         })
     }
 
-    fn score(&self, query: &SearchQuery, doc: DocId) -> Result<f64> {
-        Ok(match query.rank {
-            RankBy::Relevance => query.terms.iter().map(|t| self.index.tf_idf(t, doc)).sum(),
+    /// `doc`'s score under `rank`, given the postings of the query's
+    /// terms.
+    fn score(&self, rank: RankBy, postings: &[Option<&Postings>], doc: DocId) -> Result<f64> {
+        Ok(match rank {
+            RankBy::Relevance => (postings.iter())
+                .map(|p| p.map_or(0.0, |per_doc| self.index.weight(per_doc, doc)))
+                .sum(),
             RankBy::Newest => self.tdb.document_info(doc)?.created_at as f64,
             RankBy::MostCited => {
                 let t = self.tdb.tables();
@@ -399,15 +469,28 @@ impl SearchEngine {
         Ok(out)
     }
 
-    /// A text snippet around the first occurrence of `term` in `doc`.
+    /// A text snippet around the first occurrence of `term` in `doc`:
+    /// `context` characters either side of the match, which is found
+    /// regardless of case.
     pub fn snippet(&self, doc: DocId, term: &str, context: usize) -> Result<Option<String>> {
-        let text = self.tdb.document_text(doc)?;
-        let lower = text.to_lowercase();
-        let Some(byte) = lower.find(&term.to_lowercase()) else {
+        let (text, _) = self.texts.visible_text(doc)?;
+        let Some(byte) = text.to_lowercase().find(&term.to_lowercase()) else {
             return Ok(None);
         };
+        // `byte` is an offset into the lowercased text, where a character
+        // may take more bytes or fewer than in `text` ("İ" two → three,
+        // "ẞ" three → two): count through `text` to the character whose
+        // lowercase holds it. (A character's lowercase has the same length
+        // alone as within the text: only "Σ" depends on its neighbours, and
+        // "σ" and "ς" are both two bytes.)
+        let mut lowered = 0;
+        let char_pos = (text.chars())
+            .position(|c| {
+                lowered += c.to_lowercase().map(char::len_utf8).sum::<usize>();
+                lowered > byte
+            })
+            .unwrap_or(0);
         let chars: Vec<char> = text.chars().collect();
-        let char_pos = text[..byte].chars().count();
         let start = char_pos.saturating_sub(context);
         let end = (char_pos + term.chars().count() + context).min(chars.len());
         Ok(Some(chars[start..end].iter().collect()))
@@ -642,5 +725,36 @@ mod tests {
         assert!(snip.contains("revenue"));
         assert!(snip.len() <= "revenue".len() + 10);
         assert!(engine.snippet(d1, "zzz", 5).unwrap().is_none());
+    }
+
+    /// The match is found in the lowercased text but cut from the text as
+    /// written, where a character before it may be a different number of
+    /// bytes: "İ" lowercases to three, "ẞ" to two. (When the lowercased
+    /// byte offset sliced the original, "lineage" gave "ineage ", "aéb"
+    /// gave " aé", and "b" panicked on a char boundary.)
+    #[test]
+    fn a_snippet_is_cut_at_its_match_when_lowercasing_changes_byte_lengths() {
+        let tdb = TextDb::in_memory();
+        let alice = tdb.create_user("alice").unwrap();
+        let mut docs = Vec::new();
+        for (name, text) in [("longer", "İstanbul lineage notes"), ("shorter", "ẞ aéb")] {
+            let doc = tdb.create_document(name, alice).unwrap();
+            tdb.load(doc, alice).unwrap().insert_text(0, text).unwrap();
+            docs.push(doc);
+        }
+        let engine = SearchEngine::build(&tdb).unwrap();
+        let snip = |doc, term, context| engine.snippet(doc, term, context).unwrap();
+        assert_eq!(snip(docs[0], "lineage", 0).as_deref(), Some("lineage"));
+        assert_eq!(snip(docs[0], "LINEAGE", 2).as_deref(), Some("l lineage n"));
+        assert_eq!(snip(docs[1], "aéb", 0).as_deref(), Some("aéb"));
+        assert_eq!(snip(docs[1], "b", 0).as_deref(), Some("b"));
+        assert_eq!(snip(docs[1], "b", 3).as_deref(), Some(" aéb"));
+        for (doc, term) in [(docs[0], "lineage"), (docs[1], "aéb")] {
+            let hits = engine
+                .search_with_snippets(&SearchQuery::terms(term), 0)
+                .unwrap();
+            assert_eq!(hits.len(), 1);
+            assert_eq!((hits[0].0.doc, hits[0].1.as_deref()), (doc, Some(term)));
+        }
     }
 }

@@ -1,13 +1,67 @@
 //! What the incremental services read, counted on `Database::stats()`:
 //! nothing for documents no commit touched; for a touched document, no
 //! table at all where the service is a fold over the commit stream
-//! (`doc_stats`, the lineage graph's paste edges), and otherwise exactly
-//! what a cold computation of that document reads.
+//! (`doc_stats`, the lineage graph's paste edges) or where a server's
+//! editors hold the document (the search engine's text), and otherwise
+//! exactly what a cold computation of that document reads. A query reads
+//! the names of the hits it returns and no others. The re-index of a held
+//! document is also counted in allocations, by a counting allocator like
+//! `tendax-collab`'s `keystroke_receipt`.
 
-use tendax_meta::{collect_features, DynamicFolders, FolderRule, FolderSet, LineageGraph};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use tendax_collab::{CollabServer, Platform};
+use tendax_meta::{
+    collect_features, DynamicFolders, FolderRule, FolderSet, LineageGraph, SearchEngine,
+    SearchQuery,
+};
 use tendax_process::ProcessEngine;
 use tendax_storage::{Database, Stats};
 use tendax_text::{DocId, TextDb, UserId};
+
+/// Counts the calling thread's allocations (and reallocations), so other
+/// threads never show up in a measurement.
+struct CountingAlloc;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a plain thread-local `Cell` with a
+// const initializer, so touching it neither allocates nor re-enters.
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        // `try_with`: the allocator also runs while a thread's locals are
+        // being torn down.
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: same layout the caller guaranteed valid.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through this allocator with
+        // this layout.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`, and the caller guarantees `new_size`.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// Allocations this thread made in `f`.
+fn allocations<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (ALLOCS.with(Cell::get) - before, out)
+}
 
 const DOCS: usize = 64;
 
@@ -86,6 +140,13 @@ fn reads<T>(db: &Database, f: impl FnOnce() -> T) -> ((u64, u64), T) {
     let before = db.stats();
     let out = f();
     (delta(before, db.stats()), out)
+}
+
+/// Point gets spent by `f`.
+fn point_gets<T>(db: &Database, f: impl FnOnce() -> T) -> (u64, T) {
+    let before = db.stats().point_gets;
+    let out = f();
+    (db.stats().point_gets - before, out)
 }
 
 #[test]
@@ -217,4 +278,70 @@ fn a_read_event_re_runs_only_the_rules_that_read_reads() {
         };
         assert_eq!(set.reevaluated(), (expect, DOCS), "{kind}");
     }
+}
+
+/// Re-indexing a document an editor holds, after one typed character,
+/// reads no table: the engine built over the server's live documents
+/// takes the text from the copy. An engine fed by the database loads the
+/// document instead — its row and its characters. The re-index allocates
+/// for the text, the buffers and the one term new to the corpus, not per
+/// token. (Before the engine read copies, every re-index made the point
+/// get and the lookup, and this one took 235 allocations: a string per
+/// token, a key per token, and the document's load. Six are taken now:
+/// the text, the buffers, and the new term's key and postings.)
+#[test]
+fn re_indexing_a_held_document_reads_no_table() {
+    let c = corpus();
+    let server = CollabServer::new(c.tdb.clone());
+    let mut live = SearchEngine::build_over(server.live().clone()).unwrap();
+    let mut cold = SearchEngine::build(&c.tdb).unwrap();
+    let doc = c.docs[12];
+    let session = server.connect("bob", Platform::Linux).unwrap();
+    let mut editor = session.open_id(doc).unwrap();
+    editor
+        .type_text(0, &"lineage grows with every paste ".repeat(20))
+        .unwrap();
+    live.update_document(doc).unwrap();
+    cold.update_document(doc).unwrap();
+    let live_stats = server.live().stats();
+
+    editor.type_text(0, "x").unwrap();
+    let (gets, ((lookups, rows), allocs)) = point_gets(&c.db, || {
+        reads(&c.db, || {
+            allocations(|| live.update_document(doc).unwrap()).0
+        })
+    });
+    println!("held re-index: {gets} point gets, {lookups} lookups, {allocs} allocations");
+    assert_eq!((gets, lookups, rows), (0, 0, 0));
+    assert!(allocs <= 10, "{allocs} allocations");
+    // Not a served snapshot, not a load: the copy was at the frontier.
+    assert_eq!(server.live().stats(), live_stats);
+
+    let (gets, ((lookups, rows), ())) = point_gets(&c.db, || {
+        reads(&c.db, || cold.update_document(doc).unwrap())
+    });
+    assert_eq!((gets, lookups, rows), (1, 1, 0));
+    let query = SearchQuery::terms("xlineage");
+    let hits = live.search(&query).unwrap();
+    assert_eq!(hits, cold.search(&query).unwrap());
+    assert_eq!(hits.len(), 1);
+}
+
+/// A query that keeps ten of its candidates reads ten document names:
+/// every candidate is scored from the index, the list is cut to the
+/// limit, and only then are names read. (Before, a query read the
+/// `documents` row of every candidate, 64 here.)
+#[test]
+fn a_ten_hit_query_reads_ten_names() {
+    let c = corpus();
+    let engine = SearchEngine::build(&c.tdb).unwrap();
+    let query = SearchQuery::terms("lineage").limit(10);
+    let (gets, ((lookups, rows), hits)) =
+        point_gets(&c.db, || reads(&c.db, || engine.search(&query).unwrap()));
+    assert_eq!(engine.index().lookup("lineage").unwrap().len(), DOCS);
+    assert_eq!(hits.len(), 10);
+    assert_eq!((gets, lookups, rows), (10, 0, 0));
+    // The same ten, in the same order, as the whole ranked list begins.
+    let all = engine.search(&query.clone().limit(DOCS)).unwrap();
+    assert_eq!(hits[..], all[..10]);
 }

@@ -7,6 +7,12 @@
 //! `TextDb::init(db.clone())`, whose change stamps and folds start cold. The schedule writes through
 //! raw `DocHandle`s (opened on a third `init`, so nothing depends on which
 //! handle committed) and through `EditorDoc`s of a collaboration server.
+//!
+//! Beside them, a second engine and a second set per rule read texts
+//! through the server's live documents: from the copy of a document an
+//! editor holds, from the database for one nobody holds. A raw handle's
+//! commit bypasses the editors and leaves a held copy stale, which the
+//! read must rebuild first.
 
 use std::collections::BTreeMap;
 
@@ -37,8 +43,11 @@ struct World {
     docs: Vec<DocId>,
     pending: Vec<(TaskId, UserId)>,
     rules: Vec<FolderRule>,
-    sets: Vec<FolderSet>,
-    engine: SearchEngine,
+    /// Per rule, a set reading the database and one reading the server's
+    /// copies.
+    sets: Vec<[FolderSet; 2]>,
+    /// Fed by the database, and by the server's copies.
+    engines: [SearchEngine; 2],
 }
 
 /// One step of a schedule: an action and four small numbers it reads
@@ -103,7 +112,9 @@ impl World {
             FolderRule::Not(Box::new(FolderRule::EditedSince(cutoff))),
             FolderRule::Not(Box::new(FolderRule::PastedFrom { doc: docs[0].0 })),
         ];
+        let server = CollabServer::new(warm.clone());
         let folders = DynamicFolders::init(warm.clone()).unwrap();
+        let held = DynamicFolders::init_over(server.live().clone()).unwrap();
         let sets = rules
             .iter()
             .enumerate()
@@ -111,10 +122,9 @@ impl World {
                 let id = folders
                     .create_folder(&format!("folder{i}"), users[0], rule.clone())
                     .unwrap();
-                folders.watch(id).unwrap()
+                [folders.watch(id).unwrap(), held.watch(id).unwrap()]
             })
             .collect();
-        let server = CollabServer::new(warm.clone());
         let sessions = (0..USERS)
             .map(|i| {
                 server
@@ -122,7 +132,10 @@ impl World {
                     .unwrap()
             })
             .collect();
-        let engine = SearchEngine::build(&warm).unwrap();
+        let engines = [
+            SearchEngine::build(&warm).unwrap(),
+            SearchEngine::build_over(server.live().clone()).unwrap(),
+        ];
         World {
             db,
             warm,
@@ -135,7 +148,7 @@ impl World {
             pending: Vec::new(),
             rules,
             sets,
-            engine,
+            engines,
         }
     }
 
@@ -246,7 +259,8 @@ impl World {
     fn check(&mut self) -> Result<(), TestCaseError> {
         let cold = TextDb::init(self.db.clone()).unwrap();
         let cold_folders = DynamicFolders::init(cold.clone()).unwrap();
-        for (rule, set) in self.rules.iter().zip(&mut self.sets) {
+        let sets = (self.rules.iter()).zip(&mut self.sets);
+        for (rule, set) in sets.flat_map(|(rule, sets)| sets.iter_mut().map(move |s| (rule, s))) {
             let before = set.contents().to_vec();
             let changes = set.refresh().unwrap();
             let expect = cold_folders.evaluate_rule(rule).unwrap();
@@ -268,7 +282,9 @@ impl World {
                 self.warm.doc_stats(*doc).unwrap(),
                 cold.doc_stats(*doc).unwrap()
             );
-            self.engine.update_document(*doc).unwrap();
+            for engine in &mut self.engines {
+                engine.update_document(*doc).unwrap();
+            }
         }
         prop_assert_eq!(
             LineageGraph::build(&self.warm).unwrap(),
@@ -277,12 +293,14 @@ impl World {
         let rebuilt = SearchEngine::build(&cold).unwrap();
         for word in WORDS {
             let query = SearchQuery::any_terms(word);
-            prop_assert_eq!(
-                self.engine.search(&query).unwrap(),
-                rebuilt.search(&query).unwrap(),
-                "ranking for {:?}",
-                word
-            );
+            for engine in &self.engines {
+                prop_assert_eq!(
+                    engine.search(&query).unwrap(),
+                    rebuilt.search(&query).unwrap(),
+                    "ranking for {:?}",
+                    word
+                );
+            }
         }
         Ok(())
     }

@@ -12,7 +12,7 @@
 //! (the editors of a live document share one handle, and a network
 //! client applies events to a mirror of its own).
 
-use tendax_storage::{Row, RowId, SharedRow, Transaction, Value};
+use tendax_storage::{Row, RowId, SharedRow, Transaction, Ts, Value};
 
 use crate::chain::Chain;
 use crate::error::{Result, TextError};
@@ -236,6 +236,41 @@ impl TextDb {
         };
         handle.rebuild()?;
         Ok(handle)
+    }
+}
+
+/// Where a metadata service reads a document's visible text: the
+/// database, or a server's copies of the documents its editors hold
+/// (`tendax-collab`'s live documents), which answer from memory what they
+/// can and ask the database for the rest. A source checks no rights and
+/// records no read, as [`TextDb::document_text`] does not.
+pub trait TextSource: Send + Sync {
+    /// The database the texts are of.
+    fn textdb(&self) -> &TextDb;
+
+    /// `doc`'s visible text and a snapshot `at` it holds at: every commit
+    /// at or before `at` is in the text (a later one may be too).
+    fn visible_text(&self, doc: DocId) -> Result<(String, Ts)>;
+}
+
+/// A source prints as its kind alone: a server's live documents would
+/// print every copy they hold.
+impl std::fmt::Debug for dyn TextSource + '_ {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("TextSource")
+    }
+}
+
+/// Loads the document from its rows.
+impl TextSource for TextDb {
+    fn textdb(&self) -> &TextDb {
+        self
+    }
+
+    fn visible_text(&self, doc: DocId) -> Result<(String, Ts)> {
+        // Every text read below is read at this snapshot or a later one.
+        let at = self.database().last_commit_ts();
+        Ok((self.document_text(doc)?, at))
     }
 }
 

@@ -50,7 +50,7 @@ pub mod vacuum;
 pub mod version;
 
 pub use chain::Chain;
-pub use document::{CharInfo, DocHandle};
+pub use document::{CharInfo, DocHandle, TextSource};
 pub use error::{Result, TextError};
 pub use history::HistoryEntry;
 pub use ids::{

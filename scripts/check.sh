@@ -95,9 +95,14 @@
 # effects against per-character receipts; all three print
 # PROPTEST_SEED=<n> on failure),
 # tendax-meta `incremental_oracle` (statistics, folders, search and the
-# lineage graph against a cold init; the same), `incremental_cost`
+# lineage graph against a cold init, with a second engine and folder
+# sets reading the server's copies; the same), `incremental_cost`
 # (reads counted: folded edits and a lineage build read no table but
-# `documents`),
+# `documents`; a held document's re-index reads no table, allocations
+# pinned; a ten-hit query reads ten names), `no_wait` (a service never
+# waits for a document's lock: a view held by its own thread, an edit in
+# flight; under a timeout), the `search::` unit test
+# a_snippet_is_cut_at_its_match_when_lowercasing_changes_byte_lengths,
 # `services_read_only`, `folder_algebra`, and the root package's
 # `metadata_services`, and tendax-text `proptests` (the chain's cached
 # info against a fresh load, field by field; prints PROPTEST_SEED=<n> on
