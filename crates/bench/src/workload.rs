@@ -1,4 +1,4 @@
-//! Synthetic workload generators for the TeNDaX bench harness.
+//! Synthetic corpora for the figure binaries.
 //!
 //! The paper demoed on live documents; we have none, so these generators
 //! build corpora whose *shape* matters for the experiments: documents of
@@ -8,7 +8,7 @@
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use tendax_core::{DocId, Platform, Tendax, UserId};
+use tendax_core::{DocId, Tendax, UserId};
 
 /// A small vocabulary so search/mining have realistic term statistics.
 const WORDS: [&str; 24] = [
@@ -146,36 +146,6 @@ pub fn add_paste_web(corpus: &Corpus, n_pastes: usize, external_every: usize, se
     }
 }
 
-/// Type one character into each of `k` documents, starting at document
-/// `from` and wrapping: the churn between two sweeps of a steady-state
-/// service ("k of n documents edited").
-pub fn edit_documents(corpus: &Corpus, from: usize, k: usize) {
-    let tdb = corpus.tendax.textdb();
-    for i in 0..k {
-        let doc = corpus.docs[(from + i) % corpus.docs.len()];
-        let mut h = tdb.load(doc, corpus.users[0]).expect("load");
-        h.insert_text(0, "x").expect("edit");
-    }
-}
-
-/// Spin up `n` connected editor sessions on one shared document.
-pub fn shared_document(n_users: usize) -> (Tendax, Vec<tendax_core::EditorSession>, DocId) {
-    let tendax = Tendax::in_memory().expect("instance");
-    let mut names = Vec::new();
-    for i in 0..n_users {
-        let name = format!("user{i}");
-        tendax.create_user(&name).expect("user");
-        names.push(name);
-    }
-    let creator = tendax.textdb().user_by_name("user0").expect("creator");
-    let doc = tendax.create_document("shared", creator).expect("doc");
-    let sessions = names
-        .iter()
-        .map(|n| tendax.connect(n, Platform::Linux).expect("connect session"))
-        .collect();
-    (tendax, sessions, doc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,14 +181,5 @@ mod tests {
             .nodes
             .iter()
             .any(|n| matches!(n, tendax_core::LineageNode::External { .. })));
-    }
-
-    #[test]
-    fn shared_document_sessions_work() {
-        let (_tendax, sessions, _doc) = shared_document(3);
-        assert_eq!(sessions.len(), 3);
-        let mut d = sessions[0].open("shared").unwrap();
-        d.type_text(0, "x").unwrap();
-        assert_eq!(d.text(), "x");
     }
 }

@@ -175,6 +175,10 @@ pub struct NetServerStats {
     /// owned the write side, a lost stream to recover. (A close wakes it
     /// uncounted.)
     pub writer_wakes: u64,
+    /// Frames whose answer the connection's reader left to its writer
+    /// thread: another thread owned the write side, or bytes it left
+    /// unsent waited for the writer, when the frame came in.
+    pub answers_handed_off: u64,
     /// Documents with a live copy right now (a gauge): the subscribed.
     pub live_documents: u64,
     /// Snapshots encoded from a live copy: subscribe, resync, recovery.
@@ -199,6 +203,7 @@ struct StatCells {
     frames_written: AtomicU64,
     socket_writes: AtomicU64,
     writer_wakes: AtomicU64,
+    answers_handed_off: AtomicU64,
 }
 
 fn bump(cell: &AtomicU64) {
@@ -638,6 +643,7 @@ impl Hub {
             frames_written: cell(&s.frames_written),
             socket_writes: cell(&s.socket_writes),
             writer_wakes: cell(&s.writer_wakes),
+            answers_handed_off: cell(&s.answers_handed_off),
             live_documents: live.documents as u64,
             snapshots_served: live.snapshots,
             deltas_served: live.deltas,
@@ -1203,10 +1209,14 @@ fn handle_connection(stream: TcpStream, hub: Arc<Hub>, conns: &Conns) {
 }
 
 /// Serve one frame and publish what it committed; unless the write side
-/// is owned, write what `drain` hands out (an `EditOk` and its echo) in
-/// one write; then write the other connections the publication took.
+/// is owned (counted in `answers_handed_off`), write what `drain` hands
+/// out (an `EditOk` and its echo) in one write; then write the other
+/// connections the publication took.
 fn answer(hub: &Hub, conn: &Conn, frame: Frame) -> Step {
     let owner = conn.queue.own(false);
+    if !owner {
+        bump(&conn.queue.stats.answers_handed_off);
+    }
     let (step, broadcast) = conn.on_frame(hub, frame);
     let others = Taken::hold();
     broadcast.publish();

@@ -639,3 +639,57 @@ fn a_write_cut_short_is_finished_by_the_writer_in_order() {
     );
     assert_eq!(server.stats().frames_dropped, 0);
 }
+
+/// A frame that comes in while the connection's write side is held
+/// elsewhere is answered by the writer, and counted. Bob stops reading
+/// until a publisher's write to him falls short: what it left unsent
+/// waits for his writer, blocked on his full socket. Each ping he sends
+/// then is an answer his reader leaves to that writer.
+#[test]
+fn an_answer_left_to_the_writer_is_counted() {
+    let config = NetConfig {
+        critical_send_timeout: Duration::from_secs(60),
+        lag_limit: 1_000_000,
+        ..NetConfig::default()
+    };
+    let (server, collab) = serve(&["alice", "bob"], &["doc"], config);
+    let addr = server.local_addr();
+    let id = collab.textdb().document_by_name("doc").unwrap();
+    let alice = NetClient::connect(addr, "alice").unwrap();
+    let doc = alice.subscribe("doc").unwrap();
+    let staller = stalled_subscriber(addr, "bob", &["doc"]);
+    let deadline = Instant::now() + WAIT;
+    while collab.textdb().read_count(id).unwrap() < 2 {
+        assert!(Instant::now() < deadline, "the subscribe never arrived");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+
+    let wakes = server.stats().writer_wakes;
+    let blob = "x".repeat(1024);
+    let deadline = Instant::now() + WAIT * 4;
+    let mut typed = 0;
+    while server.stats().writer_wakes == wakes {
+        assert!(Instant::now() < deadline, "no write fell short");
+        alice.insert(doc, typed, &blob).unwrap();
+        typed += blob.len();
+    }
+
+    let before = server.stats().answers_handed_off;
+    const PINGS: u64 = 3;
+    for nonce in 0..PINGS {
+        (&staller)
+            .write_all(&Frame::Ping { nonce }.encode())
+            .unwrap();
+    }
+    let deadline = Instant::now() + WAIT;
+    while server.stats().answers_handed_off < before + PINGS {
+        assert!(
+            Instant::now() < deadline,
+            "the pings were not counted: {:?}",
+            server.stats()
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(server.stats().answers_handed_off, before + PINGS);
+    drop(staller);
+}

@@ -1,7 +1,7 @@
 //! A typist's acknowledged edits wake no writer thread: the connection's
 //! reader publishes each edit, writes its reply and the echo behind it in
 //! one socket write, and then writes the event to the watcher's socket
-//! itself. Nor do they wake the client's reader thread once per reply: a
+//! itself, so it leaves no answer to a writer either. Nor do they wake the client's reader thread once per reply: a
 //! waiting call reads its own reply from the socket.
 //!
 //! This file holds one test on purpose: it reads every thread of the
@@ -136,10 +136,11 @@ fn acknowledged_edits_wake_no_writer() {
     let frames = after.frames_written - stats.frames_written;
     let writes = after.socket_writes - stats.socket_writes;
     let wakes = after.writer_wakes - stats.writer_wakes;
+    let handed_off = after.answers_handed_off - stats.answers_handed_off;
     eprintln!(
-        "{EDITS} edits: writer switches {woke}, writer wakes {wakes}, client reader \
-         switches {reader_woke}, frames written {frames}, socket writes {writes}, \
-         watcher events {events}"
+        "{EDITS} edits: writer switches {woke}, writer wakes {wakes}, answers handed off \
+         {handed_off}, client reader switches {reader_woke}, frames written {frames}, \
+         socket writes {writes}, watcher events {events}"
     );
     // The warm-up edit's event may reach the watcher after it subscribed.
     assert!(
@@ -147,9 +148,9 @@ fn acknowledged_edits_wake_no_writer() {
         "the watcher got {events} events"
     );
     assert_eq!(
-        (woke, wakes),
-        (0, 0),
-        "{EDITS} acknowledged edits woke the writers (switches, wakes)"
+        (woke, wakes, handed_off),
+        (0, 0, 0),
+        "{EDITS} acknowledged edits woke the writers (switches, wakes, answers handed off)"
     );
     // Handing each reply across a thread blocks the reader at least once
     // per reply; looking for a quiet socket once a handover is far fewer.

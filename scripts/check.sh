@@ -3,8 +3,8 @@
 # Usage: scripts/check.sh
 #
 # The root manifest's `default-members` lists every crate, so the bare
-# `cargo build` / `cargo test` / `cargo clippy` / `cargo bench` below
-# cover the whole workspace: `cargo test -q` is where the per-layer
+# `cargo build` / `cargo test` / `cargo clippy` below cover the whole
+# workspace: `cargo test -q` is where the per-layer
 # suites run, and it is the tier-1 command too;
 # CI repeats some of them as jobs of their own so a red result names the
 # layer. The storage-format job's include tendax-storage `index_keys`
@@ -63,7 +63,7 @@
 # failure), `mirror_cost` (allocations per applied event and per loaded
 # run), `idle` (an idle connection wakes no transport thread), `wakeups`
 # (200 acknowledged edits watched by a second subscriber wake no writer
-# thread — switches and `writer_wakes` both 0: the reader writes its
+# thread — switches, `writer_wakes` and `answers_handed_off` all 0: the reader writes its
 # reply and echo in one write and the publisher writes the watcher's
 # socket, 3·EDITS frames in 2·EDITS writes — and the client's reader
 # thread fewer than 50 times: a waiting call reads its own reply), `sim_net` (a hub, two connections and two clients in one
@@ -78,8 +78,9 @@
 # edit's flush is one batch of two records with one sync),
 # `capacity` (with a_stalled_subscriber_never_holds_up_a_typists_ack:
 # every edit acknowledged within a second while a subscriber that never
-# reads is lost and cut, a minute's write timeout notwithstanding; and
-# a_write_cut_short_is_finished_by_the_writer_in_order) once more in a
+# reads is lost and cut, a minute's write timeout notwithstanding;
+# a_write_cut_short_is_finished_by_the_writer_in_order; and
+# an_answer_left_to_the_writer_is_counted) once more in a
 # release build (its stalled-reader tests once raced there) and the whole of tendax-collab (one
 # copy per document shared by every editor, the edit protocol, sessions,
 # the bus's publish hooks — no bus queues, no simulated latency). The
@@ -148,11 +149,26 @@ TENDAX_COLD=1 cargo test -q -p tendax-storage \
 echo "==> cargo clippy --all-targets -- -D warnings"
 cargo clippy --all-targets -- -D warnings
 
-echo "==> cargo bench --no-run"
-cargo bench --no-run
+echo "==> examples (every one that needs no input)"
+# `cargo test` builds the examples but runs none of them.
+for example in quickstart document_management business_process \
+    workspace_report durable_workspace lan_party collab_tcp; do
+    cargo run --release --quiet --example "$example" > /dev/null
+done
 
-echo "==> bench_compare.py --self-test"
-python3 scripts/bench_compare.py --self-test
+echo "==> ablations A1 and A3 (--quick)"
+cargo run --release --quiet -p tendax-bench --bin ablation_position_index -- --quick
+cargo run --release --quiet -p tendax-bench --bin ablation_compaction -- --quick
+
+echo "==> figures 1 and 2 (deterministic: the committed series must not move)"
+cargo run --release --quiet -p tendax-bench --bin figure1_lineage > /dev/null
+cargo run --release --quiet -p tendax-bench --bin figure2_mining > /dev/null
+git diff --exit-code -- bench_results/
+untracked=$(git ls-files --others --exclude-standard -- bench_results/)
+if [ -n "$untracked" ]; then
+    echo "untracked files under bench_results/: $untracked" >&2
+    exit 1
+fi
 
 echo "==> benchmark package (own workspace: build, harness tests, --quick run of every workload)"
 # Nothing else builds benchmark/: its path dependencies on crates/* are
