@@ -34,8 +34,69 @@ pub struct DocEvent {
     pub user: UserId,
     /// The session that performed the edit.
     pub origin: SessionId,
-    pub kind: String,
+    pub kind: EventKind,
     pub effects: Vec<Effect>,
+}
+
+/// What kind of edit an event reports. The editor's own kinds are a
+/// one-byte code; a kind only a caller names
+/// ([`crate::LiveEditor::with_handle`], or an event off the wire) is
+/// carried by its name. Either way [`EventKind::as_str`] is the name the
+/// wire carries.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum EventKind {
+    Insert,
+    Delete,
+    Paste,
+    Style,
+    Undo,
+    Redo,
+    Move,
+    Note,
+    Named(Box<str>),
+}
+
+impl EventKind {
+    /// The kind named `name`: coded if it is one of the editor's.
+    pub fn named(name: &str) -> EventKind {
+        Self::coded(name).unwrap_or_else(|| EventKind::Named(name.into()))
+    }
+
+    /// The editor's kind named `name`, if it is one.
+    fn coded(name: &str) -> Option<EventKind> {
+        Some(match name {
+            "insert" => EventKind::Insert,
+            "delete" => EventKind::Delete,
+            "paste" => EventKind::Paste,
+            "style" => EventKind::Style,
+            "undo" => EventKind::Undo,
+            "redo" => EventKind::Redo,
+            "move" => EventKind::Move,
+            "note" => EventKind::Note,
+            _ => return None,
+        })
+    }
+
+    /// The kind's name.
+    pub fn as_str(&self) -> &str {
+        match self {
+            EventKind::Insert => "insert",
+            EventKind::Delete => "delete",
+            EventKind::Paste => "paste",
+            EventKind::Style => "style",
+            EventKind::Undo => "undo",
+            EventKind::Redo => "redo",
+            EventKind::Move => "move",
+            EventKind::Note => "note",
+            EventKind::Named(name) => name,
+        }
+    }
+}
+
+impl From<String> for EventKind {
+    fn from(name: String) -> EventKind {
+        Self::coded(&name).unwrap_or_else(|| EventKind::Named(name.into_boxed_str()))
+    }
 }
 
 impl DocEvent {
@@ -54,7 +115,8 @@ impl DocEvent {
             Effect::Delete { .. } | Effect::SetStyle { .. } => 25,
             Effect::Undelete { .. } => 9,
         };
-        5 * 8 + 4 + self.kind.len() + 4 + self.effects.iter().map(effect).sum::<usize>()
+        let kind = self.kind.as_str().len();
+        5 * 8 + 4 + kind + 4 + self.effects.iter().map(effect).sum::<usize>()
     }
 }
 
@@ -144,7 +206,7 @@ mod tests {
             commit_ts: op,
             user: UserId(1),
             origin: SessionId(1),
-            kind: "insert".into(),
+            kind: EventKind::Insert,
             effects: vec![],
         })
     }

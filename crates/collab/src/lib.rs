@@ -42,7 +42,7 @@ pub mod server;
 pub mod session;
 
 pub use awareness::{AwarenessRegistry, Platform, Presence};
-pub use bus::{DocEvent, LanBus, SessionId, TransportStats};
+pub use bus::{DocEvent, EventKind, LanBus, SessionId, TransportStats};
 pub use live::{DocView, Join, LiveDocs, LiveEditor, LiveStats, Ticket};
 pub use server::CollabServer;
 pub use session::{EditorDoc, EditorSession, EditorStats};

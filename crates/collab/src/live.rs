@@ -104,7 +104,7 @@ use tendax_text::{
     TextSource, UserId,
 };
 
-use crate::bus::{DocEvent, LanBus, SessionId};
+use crate::bus::{DocEvent, EventKind, LanBus, SessionId};
 use crate::server::CollabServer;
 use crate::session::EditorStats;
 
@@ -751,7 +751,7 @@ impl LiveEditor {
     /// positions are advisory: they may race other edits).
     pub fn insert(&self, pos: usize, text: &str) -> Committed {
         let mut at = pos;
-        let done = self.edit_deferred("insert", |h| {
+        let done = self.edit_deferred(EventKind::Insert, |h| {
             at = pos.min(h.len());
             h.insert_text_visible(at, text)
         })?;
@@ -762,7 +762,7 @@ impl LiveEditor {
     /// Delete `len` characters at `pos`, both clamped to the document.
     pub fn delete(&self, pos: usize, len: usize) -> Committed {
         let mut at = pos;
-        let done = self.edit_deferred("delete", |h| {
+        let done = self.edit_deferred(EventKind::Delete, |h| {
             at = pos.min(h.len());
             h.delete_range_visible(at, len.min(h.len() - at))
         })?;
@@ -771,31 +771,31 @@ impl LiveEditor {
     }
 
     pub fn paste(&self, pos: usize, clip: &Clip) -> Committed {
-        self.edit("paste", |h| h.paste(pos, clip))
+        self.edit(EventKind::Paste, |h| h.paste(pos, clip))
     }
 
     pub fn paste_external(&self, pos: usize, text: &str, source: &str) -> Committed {
-        self.edit("paste", |h| h.paste_external(pos, text, source))
+        self.edit(EventKind::Paste, |h| h.paste_external(pos, text, source))
     }
 
     pub fn apply_style(&self, pos: usize, len: usize, style: StyleId) -> Committed {
-        self.edit("style", |h| h.apply_style(pos, len, style))
+        self.edit(EventKind::Style, |h| h.apply_style(pos, len, style))
     }
 
     pub fn undo(&self) -> Committed {
-        self.edit("undo", |h| h.undo())
+        self.edit(EventKind::Undo, |h| h.undo())
     }
 
     pub fn redo(&self) -> Committed {
-        self.edit("redo", |h| h.redo())
+        self.edit(EventKind::Redo, |h| h.redo())
     }
 
     pub fn global_undo(&self) -> Committed {
-        self.edit("undo", |h| h.global_undo())
+        self.edit(EventKind::Undo, |h| h.global_undo())
     }
 
     pub fn global_redo(&self) -> Committed {
-        self.edit("redo", |h| h.global_redo())
+        self.edit(EventKind::Redo, |h| h.global_redo())
     }
 
     /// Move text into `dst`'s document in one transaction, under both
@@ -813,7 +813,7 @@ impl LiveEditor {
             // Through a second handle, after which the copy holds only half
             // of the move. One commit, so one event: the document's stream
             // rises strictly in commit_ts.
-            let ((del, ins), _, both) = self.with_handle("move", |src| {
+            let ((del, ins), _, both) = self.with_kind(EventKind::Move, |src| {
                 let mut to = self.server.textdb().load(self.doc(), dst.user)?;
                 let (del, ins) = src.move_to(pos, len, &mut to, dst_pos)?;
                 // The copy takes the other half; the tail gets both, as
@@ -833,7 +833,7 @@ impl LiveEditor {
                 Some(dst),
                 |src, to| src.move_to(pos, len, to.expect("a second document"), dst_pos),
                 |(del, ins)| [Some(del), Some(ins)],
-                ["delete", "paste"],
+                [Some(EventKind::Delete), Some(EventKind::Paste)],
             )?;
             ((del, moved_out), (ins, moved_in))
         };
@@ -848,13 +848,22 @@ impl LiveEditor {
     pub fn with_handle<T>(
         &self,
         kind: &str,
+        f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
+    ) -> Result<(T, EditReceipt, Ticket)> {
+        self.with_kind(EventKind::named(kind), f)
+    }
+
+    /// [`LiveEditor::with_handle`], its event of `kind`.
+    fn with_kind<T>(
+        &self,
+        kind: EventKind,
         mut f: impl FnMut(&mut DocHandle) -> Result<(T, EditReceipt)>,
     ) -> Result<(T, EditReceipt, Ticket)> {
         let ((value, receipt), [ticket, _]) = self.commit(
             None,
             |h, _| f(h),
             |(_, receipt)| [Some(receipt), None],
-            [kind, ""],
+            [Some(kind), None],
         )?;
         Ok((value, receipt, ticket))
     }
@@ -863,10 +872,10 @@ impl LiveEditor {
     /// else.
     fn edit(
         &self,
-        kind: &str,
+        kind: EventKind,
         mut f: impl FnMut(&mut DocHandle) -> Result<EditReceipt>,
     ) -> Committed {
-        let ((), receipt, ticket) = self.with_handle(kind, |h| Ok(((), f(h)?)))?;
+        let ((), receipt, ticket) = self.with_kind(kind, |h| Ok(((), f(h)?)))?;
         Ok((receipt, ticket))
     }
 
@@ -876,7 +885,7 @@ impl LiveEditor {
     /// whose wait fails is not durable: its event is withdrawn.
     pub(crate) fn edit_deferred(
         &self,
-        kind: &str,
+        kind: EventKind,
         mut f: impl FnMut(&mut DocHandle) -> Result<(EditReceipt, Durability)>,
     ) -> Committed {
         let mut durability = Durability::none();
@@ -907,7 +916,7 @@ impl LiveEditor {
         dst: Option<&LiveEditor>,
         mut attempt: impl FnMut(&mut DocHandle, Option<&mut DocHandle>) -> Result<T>,
         receipts: impl Fn(&T) -> [Option<&EditReceipt>; 2],
-        kinds: [&str; 2],
+        mut kinds: [Option<EventKind>; 2],
     ) -> Result<(T, [Ticket; 2])> {
         let editors = [Some(self), dst];
         let (mut own, mut theirs) = match dst {
@@ -948,7 +957,8 @@ impl LiveEditor {
                     let tickets =
                         [0, 1].map(|i| match (editors[i], changed[i], copies[i].take()) {
                             (Some(editor), Some(receipt), Some(copy)) => {
-                                editor.post(loaded(copy), kinds[i], receipt)
+                                let kind = kinds[i].take().expect("an editor's event has a kind");
+                                editor.post(loaded(copy), kind, receipt)
                             }
                             _ => Ticket::default(),
                         });
@@ -967,14 +977,14 @@ impl LiveEditor {
     /// Post the event of `receipt`, this editor's commit, in the
     /// document's tail and outbox: under the document's lock, so in commit
     /// order, and in the tail before it can be published.
-    fn post(&self, live: &mut Live, kind: &str, receipt: &EditReceipt) -> Ticket {
+    fn post(&self, live: &mut Live, kind: EventKind, receipt: &EditReceipt) -> Ticket {
         let event = Arc::new(DocEvent {
             doc: self.doc(),
             op: receipt.op,
             commit_ts: receipt.commit_ts,
             user: self.user,
             origin: self.session,
-            kind: kind.to_owned(),
+            kind,
             effects: receipt.effects.clone(),
         });
         live.tail.push(Arc::clone(&event), live.handle.chain_len());

@@ -14,7 +14,7 @@ use tendax_storage::Ts;
 use tendax_text::{CharId, Clip, DocHandle, DocId, EditReceipt, Result, StyleId, UserId};
 
 use crate::awareness::Platform;
-use crate::bus::SessionId;
+use crate::bus::{EventKind, SessionId};
 use crate::live::{Committed, DocView, Join, LiveEditor};
 use crate::server::CollabServer;
 
@@ -256,7 +256,7 @@ impl EditorDoc {
     pub fn type_text(&mut self, pos: usize, text: &str) -> Result<EditReceipt> {
         let done = self
             .live
-            .edit_deferred("insert", |h| h.insert_text_visible(pos, text));
+            .edit_deferred(EventKind::Insert, |h| h.insert_text_visible(pos, text));
         let receipt = self.published(done)?;
         self.set_cursor(pos + text.chars().count());
         Ok(receipt)
@@ -266,7 +266,7 @@ impl EditorDoc {
     pub fn delete(&mut self, pos: usize, len: usize) -> Result<EditReceipt> {
         let done = self
             .live
-            .edit_deferred("delete", |h| h.delete_range_visible(pos, len));
+            .edit_deferred(EventKind::Delete, |h| h.delete_range_visible(pos, len));
         let receipt = self.published(done)?;
         self.set_cursor(pos);
         Ok(receipt)

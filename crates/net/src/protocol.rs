@@ -99,7 +99,7 @@ impl From<&DocEvent> for WireEvent {
             commit_ts: ev.commit_ts,
             user: ev.user.0,
             origin: ev.origin.0,
-            kind: ev.kind.clone(),
+            kind: ev.kind.as_str().to_owned(),
             effects: ev.effects.clone(),
         }
     }
@@ -113,7 +113,7 @@ impl From<WireEvent> for DocEvent {
             commit_ts: ev.commit_ts,
             user: UserId(ev.user),
             origin: SessionId(ev.origin),
-            kind: ev.kind,
+            kind: ev.kind.into(),
             effects: ev.effects,
         }
     }
@@ -542,7 +542,7 @@ fn write_doc_event(w: &mut PayloadWriter, ev: &DocEvent) {
     write_event(
         w,
         [ev.doc.0, ev.op.0, ev.commit_ts, ev.user.0, ev.origin.0],
-        &ev.kind,
+        ev.kind.as_str(),
         &ev.effects,
     );
 }

@@ -4,11 +4,16 @@
 //! table write locks anyway; one lock over the whole commit costs
 //! nothing more and orders everything a commit does by its timestamp.
 //! The lock's guard owns the newest commit timestamp. A commit validates,
-//! takes the next timestamp, applies its versions, calls the observers,
-//! appends its frame to the log's batch and stores the watermark, all
-//! under the lock; only the wait for the disk comes after it, so typists
-//! still share a group-commit flush. DDL, observer registration and a
-//! checkpoint's switch take the same lock to keep commits out.
+//! takes the next timestamp, encodes its frame into the log's batch,
+//! applies its versions, calls the observers and stores the watermark,
+//! all under the lock; only the wait for the disk comes after it, so
+//! typists still share a group-commit flush. DDL, observer registration
+//! and a checkpoint's switch take the same lock to keep commits out.
+//!
+//! Under it a commit write-locks the tables it writes or expects
+//! unchanged, in table-id order, through the handles its transaction
+//! holds ([`with_locked`]): each lock is a stack frame, so holding them
+//! allocates nothing.
 //!
 //! The watermark is the newest commit whose versions are applied and
 //! whose frame is in the log's batch. [`Database::begin`] reads it with
@@ -19,10 +24,11 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-use parking_lot::{Mutex, MutexGuard};
+use parking_lot::{Mutex, MutexGuard, RwLockWriteGuard};
 
-use crate::table::Ts;
-use crate::wal::GroupWal;
+use crate::schema::TableId;
+use crate::table::{TableStore, Ts};
+use crate::txn::TableHandle;
 
 #[derive(Debug, Default)]
 pub(crate) struct CommitLock {
@@ -81,46 +87,93 @@ impl CommitLock {
 
     /// The next timestamp, held by `last`'s commit until the returned
     /// guard drops.
-    pub(crate) fn next<'a>(
-        &'a self,
-        last: MutexGuard<'a, Ts>,
-        log: Option<&'a GroupWal>,
-    ) -> NextTs<'a> {
+    pub(crate) fn next<'a>(&'a self, last: MutexGuard<'a, Ts>) -> NextTs<'a> {
         NextTs {
             ts: *last + 1,
-            frame: None,
             last,
             lock: self,
-            log,
         }
     }
 }
 
 /// A commit's timestamp, from the moment it is taken. Its drop — on
-/// success or on an unwind — appends the frame, if one was encoded, to
-/// the log's batch, makes the timestamp the newest and stores the
-/// watermark, then lets the lock go. A frame once encoded reaches the
-/// log even if the commit unwound: its versions may already be applied,
-/// and what a snapshot can see must survive a reopen.
+/// success or on an unwind — makes the timestamp the newest and stores
+/// the watermark, then lets the lock go. The commit's frame is in the
+/// log's batch before its first version is applied, so it reaches the
+/// log even if the commit unwound: what a snapshot can see must survive a
+/// reopen.
 pub(crate) struct NextTs<'a> {
     pub(crate) ts: Ts,
-    /// The commit's encoded log record; `None` for an in-memory database.
-    pub(crate) frame: Option<Vec<u8>>,
     last: MutexGuard<'a, Ts>,
     lock: &'a CommitLock,
-    log: Option<&'a GroupWal>,
 }
 
 impl Drop for NextTs<'_> {
     fn drop(&mut self) {
-        if let Some(frame) = self.frame.take() {
-            (self.log.expect("a commit with a frame has a log")).append_commit(self.ts, &frame);
-        }
         *self.last = self.ts;
         // Pairs with the Acquire in `watermark`: a snapshot that reads
         // `ts` sees every version the commit applied.
         self.lock.watermark.store(self.ts, Ordering::Release);
     }
+}
+
+/// The tables a commit holds write-locked, found by id.
+pub(crate) trait LockedTables {
+    fn get(&self, table: TableId) -> Option<&TableStore>;
+    fn get_mut(&mut self, table: TableId) -> Option<&mut TableStore>;
+}
+
+/// No table locked.
+impl LockedTables for () {
+    fn get(&self, _: TableId) -> Option<&TableStore> {
+        None
+    }
+
+    fn get_mut(&mut self, _: TableId) -> Option<&mut TableStore> {
+        None
+    }
+}
+
+/// One table locked on top of those `outer` holds.
+struct Locked<'g, 'o> {
+    table: TableId,
+    store: RwLockWriteGuard<'g, TableStore>,
+    outer: &'o mut dyn LockedTables,
+}
+
+impl LockedTables for Locked<'_, '_> {
+    fn get(&self, table: TableId) -> Option<&TableStore> {
+        match table == self.table {
+            true => Some(&self.store),
+            false => self.outer.get(table),
+        }
+    }
+
+    fn get_mut(&mut self, table: TableId) -> Option<&mut TableStore> {
+        match table == self.table {
+            true => Some(&mut self.store),
+            false => self.outer.get_mut(table),
+        }
+    }
+}
+
+/// Write-lock the tables of `handles`, in the order given, on top of
+/// those `held` holds, and run `body` with them all: one stack frame per
+/// lock, no collection of guards.
+pub(crate) fn with_locked<R>(
+    handles: &[TableHandle],
+    held: &mut dyn LockedTables,
+    body: impl FnOnce(&mut dyn LockedTables) -> R,
+) -> R {
+    let Some(((table, store), rest)) = handles.split_first() else {
+        return body(held);
+    };
+    let mut level = Locked {
+        table: *table,
+        store: store.write(),
+        outer: held,
+    };
+    with_locked(rest, &mut level, body)
 }
 
 #[cfg(test)]
@@ -136,7 +189,7 @@ mod tests {
         lock.observe(5);
         lock.observe(3); // out-of-date replay record: no regression
         assert_eq!(lock.watermark(), 5);
-        assert_eq!(lock.next(lock.commit(), None).ts, 6);
+        assert_eq!(lock.next(lock.commit()).ts, 6);
     }
 
     #[test]
@@ -147,7 +200,7 @@ mod tests {
                 let lock = lock.clone();
                 std::thread::spawn(move || {
                     for _ in 0..500 {
-                        let next = lock.next(lock.commit(), None);
+                        let next = lock.next(lock.commit());
                         assert_eq!(lock.watermark(), next.ts - 1);
                     }
                 })
@@ -163,7 +216,7 @@ mod tests {
     #[test]
     fn a_quiesce_behind_a_commit_waits_and_counts_a_stall() {
         let lock = Arc::new(CommitLock::default());
-        let next = lock.next(lock.commit(), None);
+        let next = lock.next(lock.commit());
         let quiesce = {
             let lock = lock.clone();
             std::thread::spawn(move || *lock.quiesce())
@@ -188,7 +241,7 @@ mod tests {
             let lock = lock.clone();
             std::thread::spawn(move || {
                 started.send(()).unwrap();
-                lock.next(lock.commit(), None).ts
+                lock.next(lock.commit()).ts
             })
         };
         on_start.recv().unwrap();

@@ -5,23 +5,23 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
 
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 
 use crate::clock::Clock;
 use crate::cold::{ColdOptions, ColdStore};
-use crate::commit::CommitLock;
+use crate::commit::{with_locked, CommitLock, LockedTables};
 use crate::error::{Result, StorageError};
 use crate::maintenance::{MaintenanceOptions, MaintenanceTask};
 use crate::observer::{CommitObserver, WriteSet};
 use crate::row::RowId;
 use crate::schema::{Catalog, TableDef, TableId};
 use crate::table::{ResidentBytes, TableStore, Ts, VersionOp, TS_LATEST};
-use crate::txn::{validate_writes, Transaction, TxnId, WriteOp};
+use crate::txn::{settle, validate_writes, Transaction, TxnId, Write, WriteOp};
 use crate::vfs::{os_vfs, Vfs};
-use crate::wal::codec::{BatchRows, CommitWrites, Frame, RowCols, RowDeltas};
+use crate::wal::codec::{put_commit, BatchRows, CommitWrites, Frame, RowCols, RowDeltas};
 use crate::wal::{
-    encode_frame, CheckpointFrames, DurabilityLevel, GroupWal, LogFiles, WalFile, WalOp, WalRecord,
-    WalShardStats, WalTicket, WalWrite,
+    CheckpointFrames, DurabilityLevel, GroupWal, LogFiles, WalFile, WalOp, WalRecord,
+    WalShardStats, WalTicket,
 };
 
 /// What recovery carries from one frame to the next.
@@ -100,6 +100,10 @@ pub struct Stats {
     pub point_gets: u64,
     /// Index lookups/range scans/cursor steps.
     pub index_lookups: u64,
+    /// Entries commits inserted into indexes: one per index for a row a
+    /// commit puts, one per index over a column it wrote for a column
+    /// update, none for a delete.
+    pub index_inserts: u64,
     /// Vacuums run by the background maintenance thread.
     pub maintenance_vacuums: u64,
     /// Checkpoints run by the background maintenance thread.
@@ -173,6 +177,7 @@ struct Counters {
     rows_skipped: AtomicU64,
     point_gets: AtomicU64,
     index_lookups: AtomicU64,
+    index_inserts: AtomicU64,
     maintenance_vacuums: AtomicU64,
     maintenance_checkpoints: AtomicU64,
     versions_pruned: AtomicU64,
@@ -388,12 +393,11 @@ impl Database {
                             w.row
                         ))
                     })?;
-                    let written: Vec<_> = fields
-                        .iter()
-                        .zip(&values)
-                        .map(|(&pos, val)| (pos as usize, val.view()))
-                        .collect();
-                    let row = base.with_updates(&written);
+                    let written = |pos: usize| {
+                        let at = fields.iter().rposition(|&f| f as usize == pos);
+                        at.map(|i| values[i].view())
+                    };
+                    let row = base.with_updates(written);
                     // The layout borrows the row's bytes from a handle
                     // of its own, so the row itself moves into the table.
                     let laid = row.clone();
@@ -594,9 +598,9 @@ impl Database {
     /// ([`Database::wal_wait`] on the ticket), which needs no lock.
     pub(crate) fn commit_txn(&self, txn: &mut Transaction) -> Result<(Ts, Option<WalTicket>)> {
         let mut writes = std::mem::take(&mut txn.writes);
-        let created = std::mem::take(&mut txn.created);
         let expected = std::mem::take(&mut txn.expected);
-        if writes.values().all(BTreeMap::is_empty) {
+        settle(&mut writes);
+        if writes.is_empty() {
             self.inner.active.lock().remove(&txn.id());
             self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
             return Ok((txn.snapshot_ts(), None));
@@ -605,35 +609,49 @@ impl Database {
         // Commits run one at a time: everything up to the frame in the
         // log's batch happens under the commit lock (see `crate::commit`).
         let last = self.inner.commit_lock.commit();
-        // Lock the affected tables — those written and those only
-        // expected unchanged — in id order.
-        let mut locked: Vec<TableId> = writes.keys().copied().collect();
-        locked.extend(expected.iter().map(|&(tid, _)| tid));
-        locked.sort_unstable();
-        locked.dedup();
-        let handles: Vec<(TableId, Arc<RwLock<TableStore>>)> = {
-            let tables = self.inner.tables.read();
-            let mut hs = Vec::with_capacity(locked.len());
-            for tid in locked {
-                let h = tables
-                    .get(&tid)
-                    .ok_or(StorageError::UnknownTableId(tid))?
-                    .clone();
-                hs.push((tid, h));
-            }
-            hs
+        // The affected tables — those written and those only expected
+        // unchanged — are locked through the transaction's handles, in
+        // id order. DDL waits for the commit lock, so a table still in
+        // the catalog now stays there until the commit is done.
+        for &(tid, _) in &expected {
+            txn.table_handle(tid)?;
+        }
+        let (id, snapshot) = (txn.id(), txn.snapshot_ts());
+        let affected = |tid: TableId| {
+            writes.binary_search_by_key(&tid, |w| w.table).is_ok()
+                || expected.iter().any(|&(t, _)| t == tid)
         };
-        let mut guards: BTreeMap<TableId, _> =
-            (handles.iter()).map(|(tid, h)| (*tid, h.write())).collect();
-        let check = validate_writes(
-            &writes,
-            &created,
-            &expected,
-            txn.snapshot_ts(),
-            txn.id(),
-            &guards,
-        );
-        if let Err(e) = check {
+        let handles = txn.handles.get_mut();
+        handles.sort_unstable_by_key(|&(tid, _)| (!affected(tid), tid));
+        let handles = &handles[..handles.iter().take_while(|(tid, _)| affected(*tid)).count()];
+        {
+            let tables = self.inner.tables.read();
+            for (tid, handle) in handles {
+                if !tables.get(tid).is_some_and(|h| Arc::ptr_eq(h, handle)) {
+                    return Err(StorageError::UnknownTableId(*tid));
+                }
+            }
+        }
+        let committed = with_locked(handles, &mut (), |tables| {
+            self.commit_locked(last, id, snapshot, &mut writes, &expected, tables)
+        })?;
+        self.inner.active.lock().remove(&id);
+        self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
+        Ok(committed)
+    }
+
+    /// [`Database::commit_txn`] with the commit lock (`last`) and the
+    /// write locks of the affected tables held.
+    fn commit_locked(
+        &self,
+        last: MutexGuard<'_, Ts>,
+        txn: TxnId,
+        snapshot: Ts,
+        writes: &mut [Write],
+        expected: &[(TableId, RowId)],
+        tables: &mut dyn LockedTables,
+    ) -> Result<(Ts, Option<WalTicket>)> {
+        if let Err(e) = validate_writes(writes, expected, snapshot, txn, tables) {
             if matches!(e, StorageError::WriteConflict { .. }) {
                 self.inner
                     .counters
@@ -650,50 +668,48 @@ impl Database {
             wal.healthy()?;
         }
         // From here on every exit, an unwind included, goes through this
-        // guard's drop: it appends the frame once one is encoded, stores
-        // the watermark and lets the lock go.
-        let mut next = self.inner.commit_lock.next(last, wal);
+        // guard's drop: it stores the watermark and lets the lock go.
+        let next = self.inner.commit_lock.next(last);
         let commit_ts = next.ts;
-        // An in-memory database encodes nothing.
-        let ticket = wal.map(|_| {
-            next.frame = Some(encode_frame(&commit_record(commit_ts, &writes)));
+        // The frame goes into the log's batch before any version is
+        // applied, encoded from the write buffer: each put copies the
+        // bytes its version keeps. An in-memory database encodes nothing.
+        let ticket = wal.map(|wal| {
+            wal.append_commit(commit_ts, |b| {
+                let logged = writes.iter().map(|w| (w.table, w.row, w.op.logged()));
+                put_commit(b, commit_ts, logged)
+            });
             WalTicket::Commit(commit_ts)
         });
 
         // Each write's row moves into its version; the keys stay behind
         // for the observers' view of the write set.
-        for (tid, ws) in writes.iter_mut() {
-            let guard = guards.get_mut(tid).expect("every written table is locked");
-            for (&rid, op) in ws.iter_mut() {
-                let vop = match std::mem::replace(op, WriteOp::Delete) {
-                    // A put's row is the allocation its WAL record holds.
-                    WriteOp::Put(r) | WriteOp::Patch { row: r, .. } => VersionOp::Put(r),
-                    WriteOp::Delete => VersionOp::Delete,
-                };
-                guard.apply(rid, commit_ts, vop);
-            }
+        let mut index_inserts = 0;
+        for w in writes.iter_mut() {
+            let store = tables
+                .get_mut(w.table)
+                .expect("every written table is locked");
+            let (vop, fields) = match std::mem::replace(&mut w.op, WriteOp::Delete) {
+                WriteOp::Put(r) => (VersionOp::Put(r), None),
+                WriteOp::Patch { row, fields } => (VersionOp::Put(row), Some(fields)),
+                WriteOp::Delete => (VersionOp::Delete, None),
+            };
+            index_inserts += store.apply_write(w.row, commit_ts, vop, fields);
         }
+        (self.inner.counters.index_inserts).fetch_add(index_inserts, Ordering::Relaxed);
         // An expectation is recorded like a version, under the same
         // locks, so that a delete of the row from an older snapshot
         // conflicts with it (DESIGN §5.8). The records are pruned below
         // the oldest snapshot still running each time their number has
         // doubled.
-        let mut prune = Vec::new();
-        for &(tid, rid) in &expected {
-            let guard = guards
-                .get_mut(&tid)
-                .expect("every expected table is locked");
-            if !created.contains(&(tid, rid)) && guard.note_expected(rid, commit_ts) {
-                prune.push(tid);
-            }
-        }
-        if !prune.is_empty() {
-            let horizon = self.oldest_snapshot();
-            for tid in prune {
-                guards
-                    .get_mut(&tid)
-                    .expect("every expected table is locked")
-                    .prune_expected(horizon);
+        for &(tid, rid) in expected {
+            let inserted = (writes
+                .binary_search_by_key(&(tid, rid), |w| (w.table, w.row))
+                .ok())
+            .is_some_and(|i| writes[i].inserted);
+            let store = tables.get_mut(tid).expect("every expected table is locked");
+            if !inserted && store.note_expected(rid, commit_ts) {
+                store.prune_expected(self.oldest_snapshot());
             }
         }
         // Observers hear of the commit while it is applied but not yet
@@ -702,19 +718,16 @@ impl Database {
         // listed until the next registration and is skipped.
         let observers = self.inner.observers.read();
         if !observers.is_empty() {
-            let view = WriteSet::new(commit_ts, &guards, &writes);
+            let view = WriteSet::new(commit_ts, tables, writes);
             for observer in observers.iter().filter_map(Weak::upgrade) {
                 observer.committed(commit_ts, &view);
             }
         }
         drop(observers);
-        // The frame joins the log's batch and the commit becomes visible.
-        // Past this point it cannot be retracted: a durability failure
-        // later must not be reported as an abort.
+        // The commit becomes visible. Past this point it cannot be
+        // retracted: a durability failure later must not be reported as
+        // an abort.
         drop(next);
-        drop(guards);
-        self.inner.active.lock().remove(&txn.id());
-        self.inner.counters.commits.fetch_add(1, Ordering::Relaxed);
         Ok((commit_ts, ticket))
     }
 
@@ -1112,6 +1125,7 @@ impl Database {
             rows_skipped_by_predicate: self.inner.counters.rows_skipped.load(Ordering::Relaxed),
             point_gets: self.inner.counters.point_gets.load(Ordering::Relaxed),
             index_lookups: self.inner.counters.index_lookups.load(Ordering::Relaxed),
+            index_inserts: self.inner.counters.index_inserts.load(Ordering::Relaxed),
             maintenance_vacuums: self
                 .inner
                 .counters
@@ -1221,35 +1235,6 @@ impl Database {
     pub fn path(&self) -> Option<&Path> {
         self.inner.path.as_deref()
     }
-}
-
-/// The log record of a commit. It shares each buffered row's allocation
-/// with the version the commit publishes: a written row was packed when
-/// the client handed it to `insert`, and its frame is a copy of those
-/// bytes.
-fn commit_record(commit_ts: Ts, writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>) -> WalRecord {
-    let writes = (writes.iter())
-        .flat_map(|(&table, ws)| {
-            ws.iter().map(move |(&row, op)| WalWrite {
-                table,
-                row,
-                op: match op {
-                    WriteOp::Put(r) => WalOp::Put(r.clone()),
-                    WriteOp::Delete => WalOp::Delete,
-                    // A column update logs only the columns it wrote:
-                    // replay composes them onto the row's newest state,
-                    // which is the row this commit replaced.
-                    WriteOp::Patch { row: r, fields } => WalOp::Patch {
-                        fields: fields.clone(),
-                        values: (fields.iter())
-                            .map(|&p| r.get(p as usize).expect("patched column exists").to_value())
-                            .collect(),
-                    },
-                },
-            })
-        })
-        .collect();
-    WalRecord::Commit { commit_ts, writes }
 }
 
 /// The rows of `store` a checkpoint writes, from the first page of row

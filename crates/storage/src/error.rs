@@ -37,6 +37,9 @@ pub enum StorageError {
     UniqueViolation { table: String, index: String },
     /// Row arity differs from the table schema.
     ArityMismatch { expected: usize, actual: usize },
+    /// A table declared with more than [`crate::schema::MAX_COLUMNS`]
+    /// columns.
+    TooManyColumns { table: String, columns: usize },
     /// The row id is not visible (or never existed) in this snapshot.
     RowNotFound { table: String },
     /// Write-write conflict: another transaction committed a newer version
@@ -101,6 +104,11 @@ impl fmt::Display for StorageError {
             StorageError::ArityMismatch { expected, actual } => {
                 write!(f, "row has {actual} values, schema expects {expected}")
             }
+            StorageError::TooManyColumns { table, columns } => write!(
+                f,
+                "table `{table}` declares {columns} columns, more than {}",
+                crate::schema::MAX_COLUMNS
+            ),
             StorageError::RowNotFound { table } => {
                 write!(f, "row not found in table `{table}`")
             }

@@ -25,28 +25,26 @@
 //! the version the commit replaced and the version it published, read
 //! from the row's version chain; nothing is copied or collected for it.
 
-use std::collections::BTreeMap;
-
-use parking_lot::RwLockWriteGuard;
-
+use crate::commit::LockedTables;
 use crate::row::{RowId, SharedRow};
 use crate::schema::TableId;
 use crate::table::{TableStore, Ts, VersionOp};
-use crate::txn::WriteOp;
+use crate::txn::Write;
 
 /// A commit's write set, borrowed from the tables it was applied to.
 pub struct WriteSet<'a> {
     commit_ts: Ts,
     /// The write-locked tables, among them every table of `writes`.
-    stores: &'a BTreeMap<TableId, RwLockWriteGuard<'a, TableStore>>,
-    writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
+    stores: &'a dyn LockedTables,
+    /// The commit's writes, settled: in `(table, row)` order.
+    writes: &'a [Write],
 }
 
 impl<'a> WriteSet<'a> {
     pub(crate) fn new(
         commit_ts: Ts,
-        stores: &'a BTreeMap<TableId, RwLockWriteGuard<'a, TableStore>>,
-        writes: &'a BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
+        stores: &'a dyn LockedTables,
+        writes: &'a [Write],
     ) -> WriteSet<'a> {
         WriteSet {
             commit_ts,
@@ -57,10 +55,10 @@ impl<'a> WriteSet<'a> {
 
     /// The tables the commit wrote, in table-id order.
     pub fn tables(&self) -> impl Iterator<Item = TableWrites<'_>> + '_ {
-        self.writes.iter().map(|(&table, rows)| TableWrites {
+        (self.writes.chunk_by(|a, b| a.table == b.table)).map(|rows| TableWrites {
             set: self,
-            table,
-            store: &self.stores[&table],
+            table: rows[0].table,
+            store: (self.stores.get(rows[0].table)).expect("every written table is locked"),
             rows,
         })
     }
@@ -71,7 +69,7 @@ pub struct TableWrites<'a> {
     set: &'a WriteSet<'a>,
     table: TableId,
     store: &'a TableStore,
-    rows: &'a BTreeMap<RowId, WriteOp>,
+    rows: &'a [Write],
 }
 
 impl<'a> TableWrites<'a> {
@@ -82,7 +80,7 @@ impl<'a> TableWrites<'a> {
     /// The rows, in row-id order.
     pub fn rows(&self) -> impl Iterator<Item = CommittedRow<'a>> + 'a {
         let (set, table, store) = (self.set, self.table, self.store);
-        self.rows.keys().map(move |&row| {
+        self.rows.iter().map(move |&Write { row, .. }| {
             // The commit appended the chain's newest version; the one
             // below it is what it replaced. Validation found a chain for
             // every row the transaction did not insert, and vacuum never

@@ -14,10 +14,10 @@ use crate::wal::codec;
 /// row, so reading allocates nothing. Callers that need to mutate
 /// materialize an owned [`Row`] with [`SharedRow::to_row`].
 ///
-/// The bytes are checked once, where they are produced: packed from a
-/// validated [`Row`], or decoded from a log frame, a checkpoint batch or
-/// a cold run by [`codec`]. Nothing else can build one, so a read cannot
-/// fail.
+/// The bytes are checked once, where they are produced: packed from
+/// values a transaction has validated, or decoded from a log frame, a
+/// checkpoint batch or a cold run by [`codec`]. Nothing else can build
+/// one, so a read cannot fail.
 #[derive(Clone)]
 pub struct SharedRow(Arc<[u8]>);
 
@@ -25,21 +25,19 @@ pub struct SharedRow(Arc<[u8]>);
 const CHECKED: &str = "a SharedRow holds bytes that were checked when it was built";
 
 impl SharedRow {
-    pub(crate) fn pack(values: &[Value]) -> Self {
-        Self::pack_from(values.iter().map(Value::view))
+    /// Pack `values` into the row's one allocation: where a row is
+    /// built, once.
+    pub(crate) fn pack<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>> + Clone) -> Self {
+        SharedRow(codec::pack_row(values))
     }
 
-    /// This row with the values at the given positions replaced: packed
-    /// to packed, nothing materialized in between.
-    pub(crate) fn with_updates(&self, updates: &[(usize, ValueRef<'_>)]) -> Self {
-        Self::pack_from(self.iter().enumerate().map(|(pos, old)| {
-            let new = updates.iter().rev().find(|(p, _)| *p == pos);
-            new.map_or(old, |(_, v)| *v)
-        }))
-    }
-
-    fn pack_from<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>>) -> Self {
-        SharedRow(codec::pack_row(values).as_slice().into())
+    /// This row with the value at each position `new` gives one for
+    /// replaced: packed to packed, nothing materialized in between.
+    pub(crate) fn with_updates<'v>(
+        &self,
+        new: impl Fn(usize) -> Option<ValueRef<'v>> + Clone,
+    ) -> Self {
+        Self::pack((self.iter().enumerate()).map(move |(pos, old)| new(pos).unwrap_or(old)))
     }
 
     /// Wrap bytes [`codec::get_op`] has just decoded every column of.
@@ -213,9 +211,9 @@ impl std::fmt::Display for RowId {
     }
 }
 
-/// A materialized row: the values in schema column order. The owned,
-/// mutable form a transaction builds and validates; it is packed into a
-/// [`SharedRow`] once, when it enters the write set.
+/// A materialized row: the values in schema column order, the owned,
+/// mutable form. A transaction packs it into a [`SharedRow`] as it would
+/// the same values borrowed (`Transaction::insert_refs`).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Row {
     values: Vec<Value>,
@@ -236,7 +234,7 @@ impl Row {
 
     /// Pack this row into its committed form.
     pub fn into_shared(self) -> SharedRow {
-        SharedRow::pack(&self.values)
+        SharedRow::pack(self.values.iter().map(Value::view))
     }
 
     pub fn get(&self, pos: usize) -> Option<&Value> {
@@ -337,17 +335,18 @@ mod tests {
     fn with_updates_replaces_columns_in_place() {
         let shared = Row::new(chars_like()).into_shared();
         let text = Value::Text("longer than before".into());
-        let patched =
-            shared.with_updates(&[(1, ValueRef::Id(9)), (3, text.view()), (5, ValueRef::Null)]);
+        let patched = shared.with_updates(|pos| match pos {
+            1 => Some(ValueRef::Id(9)),
+            3 => Some(text.view()),
+            5 => Some(ValueRef::Null),
+            _ => None,
+        });
         let mut want = chars_like();
         want[1] = Value::Id(9);
-        want[3] = text;
+        want[3] = text.clone();
         want[5] = Value::Null;
         assert_eq!(patched.values(), want);
-        assert_eq!(patched, Row::new(want).into_shared());
-        // The last update of a column wins, as repeated `Row::set` would.
-        let twice = shared.with_updates(&[(0, ValueRef::Id(1)), (0, ValueRef::Id(2))]);
-        assert_eq!(twice.get(0), Some(ValueRef::Id(2)));
+        assert_eq!(patched.packed(), Row::new(want).into_shared().packed());
     }
 
     #[test]

@@ -3,7 +3,11 @@
 use std::collections::BTreeMap;
 
 use crate::error::{Result, StorageError};
-use crate::value::{DataType, Value};
+use crate::value::{DataType, ValueRef};
+
+/// The most columns a table may have: a column update records the
+/// columns it wrote as one bit each ([`FieldSet`]).
+pub const MAX_COLUMNS: usize = 64;
 
 /// Stable identifier of a table within a database.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -119,37 +123,103 @@ impl TableDef {
         self.indexes.iter().find(|i| i.name == name)
     }
 
-    /// Validate a row against this schema (arity, types, nullability).
-    pub fn validate_row(&self, values: &[Value]) -> Result<()> {
+    /// Validate a row against this schema (arity, types, nullability):
+    /// the first column at fault, in column order, names the error.
+    pub fn validate_row<'v>(
+        &self,
+        values: impl ExactSizeIterator<Item = ValueRef<'v>>,
+    ) -> Result<()> {
         if values.len() != self.columns.len() {
             return Err(StorageError::ArityMismatch {
                 expected: self.columns.len(),
                 actual: values.len(),
             });
         }
-        (values.iter().enumerate()).try_for_each(|(pos, v)| self.validate_value(pos, v))
+        (values.enumerate()).try_for_each(|(pos, v)| self.validate_value(pos, v))
     }
 
     /// Validate one value against the column at `pos` (type, nullability).
-    pub fn validate_value(&self, pos: usize, v: &Value) -> Result<()> {
+    pub fn validate_value(&self, pos: usize, v: ValueRef<'_>) -> Result<()> {
         let col = &self.columns[pos];
-        if v.is_null() {
-            if !col.nullable {
-                return Err(StorageError::NullViolation {
-                    table: self.name.clone(),
-                    column: col.name.clone(),
-                });
-            }
-        } else if !v.conforms_to(col.ty) {
-            return Err(StorageError::TypeMismatch {
+        match v.data_type() {
+            None if !col.nullable => Err(StorageError::NullViolation {
+                table: self.name.clone(),
+                column: col.name.clone(),
+            }),
+            Some(actual) if actual != col.ty => Err(StorageError::TypeMismatch {
                 column: col.name.clone(),
                 expected: col.ty,
-                actual: v.data_type().expect("non-null value has a type"),
+                actual,
+            }),
+            _ => Ok(()),
+        }
+    }
+
+    /// Refuse a table wider than [`MAX_COLUMNS`].
+    fn check_width(&self) -> Result<()> {
+        if self.columns.len() > MAX_COLUMNS {
+            return Err(StorageError::TooManyColumns {
+                table: self.name.clone(),
+                columns: self.columns.len(),
             });
         }
         Ok(())
     }
 }
+
+/// A set of column positions below [`MAX_COLUMNS`], one bit each: the
+/// fields a column update wrote, iterated in ascending order.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FieldSet(u64);
+
+impl FieldSet {
+    /// The set holding `pos` alone.
+    pub fn of(pos: usize) -> FieldSet {
+        debug_assert!(
+            pos < MAX_COLUMNS,
+            "a table has at most {MAX_COLUMNS} columns"
+        );
+        FieldSet(1 << pos)
+    }
+
+    /// Every position in `self` or in `other`.
+    pub fn union(self, other: FieldSet) -> FieldSet {
+        FieldSet(self.0 | other.0)
+    }
+
+    /// Whether any of `positions` is in the set.
+    pub fn meets(self, positions: &[usize]) -> bool {
+        positions.iter().any(|&p| self.0 >> p & 1 == 1)
+    }
+
+    /// The positions, ascending.
+    pub fn iter(self) -> FieldIter {
+        FieldIter(self.0)
+    }
+}
+
+/// The positions of a [`FieldSet`], ascending.
+#[derive(Debug, Clone)]
+pub struct FieldIter(u64);
+
+impl Iterator for FieldIter {
+    type Item = usize;
+
+    fn next(&mut self) -> Option<usize> {
+        let pos = self.0.trailing_zeros() as usize;
+        (self.0 != 0).then(|| {
+            self.0 &= self.0 - 1;
+            pos
+        })
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        let n = self.0.count_ones() as usize;
+        (n, Some(n))
+    }
+}
+
+impl ExactSizeIterator for FieldIter {}
 
 /// The catalog: name → id → definition mapping for all tables.
 #[derive(Debug, Default, Clone)]
@@ -166,6 +236,7 @@ impl Catalog {
 
     /// Register a table, allocating its id.
     pub fn register(&mut self, def: TableDef) -> Result<TableId> {
+        def.check_width()?;
         if self.by_name.contains_key(&def.name) {
             return Err(StorageError::TableExists(def.name));
         }
@@ -178,6 +249,7 @@ impl Catalog {
 
     /// Re-register a table under a fixed id (used by recovery).
     pub fn register_with_id(&mut self, id: TableId, def: TableDef) -> Result<()> {
+        def.check_width()?;
         if self.by_name.contains_key(&def.name) {
             return Err(StorageError::TableExists(def.name));
         }
@@ -255,29 +327,56 @@ mod tests {
     #[test]
     fn validate_row_checks_arity_types_nulls() {
         let t = sample();
-        let ok = vec![Value::Id(1), Value::Text("a".into()), Value::Null];
-        assert!(t.validate_row(&ok).is_ok());
+        let check = |values: &[ValueRef]| t.validate_row(values.iter().copied());
+        assert!(check(&[ValueRef::Id(1), ValueRef::Text("a"), ValueRef::Null]).is_ok());
 
-        let bad_arity = vec![Value::Id(1)];
         assert!(matches!(
-            t.validate_row(&bad_arity),
+            check(&[ValueRef::Id(1)]),
             Err(StorageError::ArityMismatch {
                 expected: 3,
                 actual: 1
             })
         ));
 
-        let bad_type = vec![Value::Int(1), Value::Text("a".into()), Value::Null];
         assert!(matches!(
-            t.validate_row(&bad_type),
+            check(&[ValueRef::Int(1), ValueRef::Text("a"), ValueRef::Null]),
             Err(StorageError::TypeMismatch { .. })
         ));
 
-        let bad_null = vec![Value::Id(1), Value::Null, Value::Null];
         assert!(matches!(
-            t.validate_row(&bad_null),
+            check(&[ValueRef::Id(1), ValueRef::Null, ValueRef::Null]),
             Err(StorageError::NullViolation { .. })
         ));
+    }
+
+    #[test]
+    fn a_table_has_at_most_max_columns() {
+        let wide = |n: usize| {
+            (0..n).fold(TableDef::new("wide"), |def, i| {
+                def.column(format!("c{i}"), DataType::Int)
+            })
+        };
+        let mut c = Catalog::new();
+        c.register(wide(MAX_COLUMNS)).unwrap();
+        assert_eq!(
+            c.register(wide(MAX_COLUMNS + 1)),
+            Err(StorageError::TooManyColumns {
+                table: "wide".into(),
+                columns: MAX_COLUMNS + 1
+            })
+        );
+    }
+
+    #[test]
+    fn a_field_set_iterates_its_positions_ascending() {
+        let set = FieldSet::of(9)
+            .union(FieldSet::of(0))
+            .union(FieldSet::of(63));
+        assert_eq!(set.iter().collect::<Vec<_>>(), [0, 9, 63]);
+        assert_eq!(set.iter().len(), 3);
+        assert!(set.meets(&[1, 9]) && !set.meets(&[1, 2]));
+        assert_eq!(FieldSet::default().iter().next(), None);
+        assert_eq!(FieldSet::of(4).union(FieldSet::of(4)), FieldSet::of(4));
     }
 
     #[test]

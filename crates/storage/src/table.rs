@@ -19,7 +19,7 @@ use crate::error::{Result, StorageError};
 use crate::index::{EntryKey, IndexKey, IndexStore};
 use crate::query::{plan_access, AccessPath, Predicate};
 use crate::row::{RowId, SharedRow};
-use crate::schema::{TableDef, TableId};
+use crate::schema::{FieldSet, TableDef, TableId};
 use crate::value::{DataType, ValueRef};
 use crate::wal::codec::RowCols;
 
@@ -378,18 +378,40 @@ impl TableStore {
         self.expected_prune_at = (2 * self.expected.len()).max(EXPECTED_PRUNE_MIN);
     }
 
-    /// Append a committed version and maintain indexes: the commit path,
-    /// one tree insert per index.
+    /// Append a committed version and maintain indexes: one tree insert
+    /// per index for a put.
     ///
     /// Callers guarantee `ts` is greater than every timestamp already in the
     /// chain (commit order is serialized by the transaction manager).
     pub fn apply(&mut self, row: RowId, ts: Ts, op: VersionOp) {
+        self.apply_write(row, ts, op, None);
+    }
+
+    /// [`TableStore::apply`] of a commit's write, returning the index
+    /// entries inserted. A column update (`fields`, the columns it wrote)
+    /// is inserted only into the indexes over one of those columns. In
+    /// any other its key is the key of the version below, the row's
+    /// newest until now, whose entry is in the index: a commit inserted
+    /// it, and a rebuild stages every version kept — vacuum and demotion
+    /// prune only superseded versions, never a row's newest.
+    pub(crate) fn apply_write(
+        &mut self,
+        row: RowId,
+        ts: Ts,
+        op: VersionOp,
+        fields: Option<FieldSet>,
+    ) -> u64 {
+        let mut inserted = 0;
         if let VersionOp::Put(r) = &op {
             for idx in &mut self.indexes {
-                idx.insert(row, r);
+                if fields.is_none_or(|f| f.meets(&idx.definition().columns)) {
+                    idx.insert(row, r);
+                    inserted += 1;
+                }
             }
         }
         self.push(row, ts, op);
+        inserted
     }
 
     /// Append a version read back from the log — a put of a row, laid

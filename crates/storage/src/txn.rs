@@ -13,42 +13,46 @@
 //! transaction, and concurrent editors conflict only when they touch
 //! the same rows.
 
-use std::collections::{BTreeMap, HashSet};
+use std::cell::RefCell;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
 
-use parking_lot::{Mutex, RwLock, RwLockWriteGuard};
+use parking_lot::RwLock;
 
 use crate::cold::ColdStore;
+use crate::commit::LockedTables;
 use crate::db::Database;
 use crate::error::{Result, StorageError};
 use crate::index::{EntryRange, IndexKey, IndexStore};
 use crate::query::Predicate;
 use crate::row::{Row, RowId, SharedRow};
-use crate::schema::TableId;
+use crate::schema::{FieldSet, TableId, MAX_COLUMNS};
 use crate::table::{TableStore, Ts, VersionOp};
-use crate::value::Value;
+use crate::value::{Value, ValueRef};
+use crate::wal::codec::OpRef;
 use crate::wal::{WalOp, WalTicket};
 
 /// Transaction identifier (unique per database instance lifetime).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
 
-/// A buffered, not-yet-committed write. A row is packed once, when it
-/// enters the write set, so commit can hand the *same* allocation to the
-/// WAL encoder and the version store; the write set itself stays
-/// copy-on-write (an update to a buffered row packs a fresh one and swaps
-/// the handle).
+/// A buffered, not-yet-committed write. A row is packed once, where it
+/// is built — from the values the client handed to `insert`, or from the
+/// row it updates — into the allocation the version store keeps and the
+/// WAL encoder copies: nothing packs it again. A later write of the same
+/// row packs a fresh one and supersedes this.
 ///
 /// `Patch` is a column update ([`Transaction::set`]): the row is fully
 /// materialized against this transaction's snapshot (so reads-through
-/// behave exactly like a `Put`), and `fields` lists the column positions
-/// written, ascending: the log records only those columns.
+/// behave exactly like a `Put`), and `fields` holds the column positions
+/// written: the log records only those columns.
 #[derive(Debug, Clone)]
 pub(crate) enum WriteOp {
     Put(SharedRow),
     Delete,
-    Patch { row: SharedRow, fields: Vec<u32> },
+    Patch { row: SharedRow, fields: FieldSet },
 }
 
 impl WriteOp {
@@ -61,13 +65,46 @@ impl WriteOp {
             WriteOp::Delete => None,
         }
     }
+
+    /// The op as its commit's log record carries it.
+    pub(crate) fn logged(&self) -> OpRef<'_> {
+        match self {
+            WriteOp::Put(r) => OpRef::Put(r),
+            WriteOp::Delete => OpRef::Delete,
+            // A column update logs only the columns it wrote: replay
+            // composes them onto the row's newest state, which is the row
+            // this commit replaced.
+            WriteOp::Patch { row, fields } => OpRef::Patch(row, *fields),
+        }
+    }
 }
 
-/// A captured write-set state; see [`Transaction::savepoint`].
+/// One entry of a transaction's write buffer.
 #[derive(Debug, Clone)]
+pub(crate) struct Write {
+    pub(crate) table: TableId,
+    pub(crate) row: RowId,
+    pub(crate) op: WriteOp,
+    /// The transaction inserted the row, so no other can have written
+    /// it: the write cannot conflict.
+    pub(crate) inserted: bool,
+}
+
+impl Write {
+    fn key(&self) -> (TableId, RowId) {
+        (self.table, self.row)
+    }
+}
+
+/// Buffered writes past which a transaction finds a row's newest write
+/// through a map rather than a scan back over the buffer.
+const SCAN_WRITES: usize = 32;
+
+/// A captured write-set state — the length of the write buffer; see
+/// [`Transaction::savepoint`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Savepoint {
-    writes: BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
-    created: HashSet<(TableId, RowId)>,
+    writes: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -119,25 +156,34 @@ impl Durability {
     }
 }
 
+/// A table handle a transaction holds.
+pub(crate) type TableHandle = (TableId, Arc<RwLock<TableStore>>);
+
 /// An open transaction. Dropping an active transaction aborts it.
 #[derive(Debug)]
 pub struct Transaction {
     db: Database,
     id: TxnId,
     snapshot: Ts,
-    pub(crate) writes: BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
-    /// Rows this transaction itself inserted (they cannot conflict).
-    pub(crate) created: HashSet<(TableId, RowId)>,
+    /// The write buffer: every write in the order issued, so that a
+    /// row's newest write is the last of its own, and a savepoint is a
+    /// length. A commit takes the newest write of each row
+    /// ([`settle`]).
+    pub(crate) writes: Vec<Write>,
+    /// Where each written row's newest write is in `writes`, kept once
+    /// the buffer holds more than [`SCAN_WRITES`]; empty before.
+    newest: HashMap<(TableId, RowId), usize>,
     /// Rows the commit depends on without writing them
     /// ([`Transaction::expect_unchanged`]).
     pub(crate) expected: Vec<(TableId, RowId)>,
     state: TxnState,
     /// Table handles this transaction has touched. Repeated reads of the
     /// same table (the per-character hot loop) skip the database's global
-    /// table-map lock entirely. A handle pinned here keeps serving the
-    /// snapshot even if the table is dropped mid-transaction — exactly
-    /// the isolation a snapshot reader expects.
-    handles: Mutex<BTreeMap<TableId, Arc<RwLock<TableStore>>>>,
+    /// table-map lock entirely, and the commit locks its tables through
+    /// them. A handle pinned here keeps serving the snapshot even if the
+    /// table is dropped mid-transaction — exactly the isolation a
+    /// snapshot reader expects.
+    pub(crate) handles: RefCell<Vec<TableHandle>>,
 }
 
 impl Transaction {
@@ -146,11 +192,11 @@ impl Transaction {
             db,
             id,
             snapshot,
-            writes: BTreeMap::new(),
-            created: HashSet::new(),
+            writes: Vec::new(),
+            newest: HashMap::new(),
             expected: Vec::new(),
             state: TxnState::Active,
-            handles: Mutex::new(BTreeMap::new()),
+            handles: RefCell::new(Vec::new()),
         }
     }
 
@@ -163,9 +209,22 @@ impl Transaction {
         self.snapshot
     }
 
-    /// Number of buffered writes.
+    /// Number of buffered writes: rows written, each counted once, less
+    /// those the transaction both inserted and deleted.
     pub fn write_count(&self) -> usize {
-        self.writes.values().map(BTreeMap::len).sum()
+        if self.writes.is_empty() {
+            return 0;
+        }
+        let mut newest: Vec<(TableId, RowId, Reverse<usize>)> = (self.writes.iter().enumerate())
+            .map(|(i, w)| (w.table, w.row, Reverse(i)))
+            .collect();
+        // Each row's newest write first among its own, then the others
+        // dropped.
+        newest.sort_unstable();
+        newest.dedup_by_key(|&mut (t, r, _)| (t, r));
+        (newest.iter())
+            .filter(|&&(_, _, Reverse(i))| !vanishes(&self.writes[i]))
+            .count()
     }
 
     fn check_active(&self) -> Result<()> {
@@ -176,8 +235,60 @@ impl Transaction {
         }
     }
 
-    fn own_write(&self, table: TableId, row: RowId) -> Option<&WriteOp> {
-        self.writes.get(&table).and_then(|m| m.get(&row))
+    /// This transaction's newest write of `row`, if it wrote the row.
+    fn own_write(&self, table: TableId, row: RowId) -> Option<&Write> {
+        if self.writes.len() > SCAN_WRITES {
+            return self.newest.get(&(table, row)).map(|&i| &self.writes[i]);
+        }
+        (self.writes.iter().rev()).find(|w| w.key() == (table, row))
+    }
+
+    /// Whether this transaction inserted `row`.
+    fn inserted(&self, table: TableId, row: RowId) -> bool {
+        self.own_write(table, row).is_some_and(|w| w.inserted)
+    }
+
+    /// Buffer a write, the newest of its row.
+    fn push_write(&mut self, table: TableId, row: RowId, op: WriteOp, inserted: bool) {
+        self.writes.push(Write {
+            table,
+            row,
+            op,
+            inserted,
+        });
+        let at = self.writes.len() - 1;
+        if self.writes.len() > SCAN_WRITES + 1 {
+            self.newest.insert((table, row), at);
+        } else if self.writes.len() > SCAN_WRITES {
+            self.index_newest();
+        }
+    }
+
+    /// Build [`Transaction::newest`] over the whole buffer.
+    fn index_newest(&mut self) {
+        self.newest.clear();
+        for (i, w) in self.writes.iter().enumerate() {
+            self.newest.insert(w.key(), i);
+        }
+    }
+
+    /// Whether this transaction wrote any row of `table`.
+    fn writes_to(&self, table: TableId) -> bool {
+        self.writes.iter().any(|w| w.table == table)
+    }
+
+    /// This transaction's newest write of each row of `table` it wrote,
+    /// in row-id order.
+    fn own_rows(&self, table: TableId) -> Vec<(RowId, &WriteOp)> {
+        let mut rows: Vec<(RowId, Reverse<usize>)> = (self.writes.iter().enumerate())
+            .filter(|(_, w)| w.table == table)
+            .map(|(i, w)| (w.row, Reverse(i)))
+            .collect();
+        rows.sort_unstable();
+        rows.dedup_by_key(|&mut (rid, _)| rid);
+        (rows.into_iter())
+            .map(|(rid, Reverse(i))| (rid, &self.writes[i].op))
+            .collect()
     }
 
     pub(crate) fn db_handle(&self) -> &Database {
@@ -186,13 +297,12 @@ impl Transaction {
 
     /// The table's store handle, via the per-transaction cache. Only the
     /// first touch of a table pays the global `tables` map read-lock.
-    fn table_handle(&self, table: TableId) -> Result<Arc<RwLock<TableStore>>> {
-        let mut cache = self.handles.lock();
-        if let Some(h) = cache.get(&table) {
+    pub(crate) fn table_handle(&self, table: TableId) -> Result<Arc<RwLock<TableStore>>> {
+        if let Some((_, h)) = self.handles.borrow().iter().find(|(t, _)| *t == table) {
             return Ok(h.clone());
         }
         let h = self.db.table_handle(table)?;
-        cache.insert(table, h.clone());
+        self.handles.borrow_mut().push((table, h.clone()));
         Ok(h)
     }
 
@@ -210,8 +320,8 @@ impl Transaction {
     pub fn get(&self, table: TableId, row: RowId) -> Result<Option<SharedRow>> {
         self.check_active()?;
         self.db.note_point_get();
-        if let Some(op) = self.own_write(table, row) {
-            return Ok(op.row().cloned());
+        if let Some(w) = self.own_write(table, row) {
+            return Ok(w.op.row().cloned());
         }
         // RAM first. Any version at or below the snapshot — put *or*
         // tombstone — is authoritative: demotion prunes a version only
@@ -309,15 +419,16 @@ impl Transaction {
                 committed = rows;
             }
         }
-        let Some(ws) = self.writes.get(&table).filter(|ws| !ws.is_empty()) else {
+        if !self.writes_to(table) {
             return Ok(committed);
-        };
+        }
         // Merge the committed rows (row-id ordered) with the own-write
-        // overlay (BTreeMap, also ordered): a two-pointer pass that
-        // yields each row exactly once.
+        // overlay (also ordered): a two-pointer pass that yields each row
+        // exactly once.
+        let ws = self.own_rows(table);
         let def = self.db.table_def(table)?;
         let mut merged = Vec::with_capacity(committed.len() + ws.len());
-        let mut own = ws.iter().peekable();
+        let mut own = ws.iter().map(|(rid, op)| (rid, *op)).peekable();
         let emit_own = |rid: RowId, op: &WriteOp, out: &mut Vec<(RowId, SharedRow)>| {
             if let Some(r) = op.row() {
                 if pred.eval(&def, r)? {
@@ -360,17 +471,12 @@ impl Transaction {
             .filter(|cold| self.snapshot < cold.floor())
     }
 
-    /// This transaction's buffered writes on `table`, if it has any.
-    fn own_writes(&self, table: TableId) -> Option<&BTreeMap<RowId, WriteOp>> {
-        self.writes.get(&table).filter(|ws| !ws.is_empty())
-    }
-
     /// Count rows matching `pred`. Without own writes on the table (and at
     /// or above the cold floor) the predicate runs against the stored
     /// versions in place and nothing is materialized.
     pub fn count(&self, table: TableId, pred: &Predicate) -> Result<usize> {
         self.check_active()?;
-        if self.own_writes(table).is_none() {
+        if !self.writes_to(table) {
             let (scanned, skipped) =
                 self.with_table(table, |t| t.count_matching(self.snapshot, pred))??;
             if self.cold_below_floor().is_none() {
@@ -448,10 +554,10 @@ impl Transaction {
             Ok::<_, StorageError>((out, range))
         })??;
         let cold = self.cold_below_floor();
-        let own = self.own_writes(table);
-        if cold.is_none() && own.is_none() {
+        if cold.is_none() && !self.writes_to(table) {
             return Ok(committed);
         }
+        let own = self.own_rows(table);
         let Some(range) = range else {
             return Ok(Vec::new());
         };
@@ -473,11 +579,11 @@ impl Transaction {
             };
             for (rid, row) in committed {
                 // A buffered write supersedes the committed version.
-                if !own.is_some_and(|ws| ws.contains_key(&rid)) {
+                if own.binary_search_by_key(&rid, |&(r, _)| r).is_err() {
                     admit(rid, row);
                 }
             }
-            for (&rid, op) in own.into_iter().flatten() {
+            for &(rid, op) in &own {
                 if let Some(row) = op.row() {
                     admit(rid, row.clone());
                 }
@@ -543,14 +649,12 @@ impl Transaction {
             committed = self.greatest_key_in(table, index, &range, rows)?;
         }
         // Own-write candidate with the greatest qualifying key.
-        let own = match self.writes.get(&table) {
-            None => None,
-            Some(ws) => {
-                let rows = ws
-                    .iter()
-                    .filter_map(|(&rid, op)| Some((rid, op.row()?.clone())));
-                self.greatest_key_in(table, index, &range, rows)?
-            }
+        let own = if self.writes_to(table) {
+            let ws = self.own_rows(table);
+            let rows = (ws.into_iter()).filter_map(|(rid, op)| Some((rid, op.row()?.clone())));
+            self.greatest_key_in(table, index, &range, rows)?
+        } else {
+            None
         };
         Ok(match (committed, own) {
             (Some(c), Some(o)) => Some(if o.0 >= c.0 { o } else { c }),
@@ -584,18 +688,30 @@ impl Transaction {
 
     // --------------------------------------------------------------- writes
 
-    /// Insert a new row, returning its id.
+    /// Insert a new row, returning its id. The same validator and packer
+    /// as [`Transaction::insert_refs`], over the row's values.
     pub fn insert(&mut self, table: TableId, row: Row) -> Result<RowId> {
+        self.insert_values(table, row.values().iter().map(Value::view))
+    }
+
+    /// Insert a new row of borrowed values, returning its id: the values
+    /// are validated and packed straight into the row's one allocation,
+    /// with nothing owned built on the way.
+    pub fn insert_refs(&mut self, table: TableId, values: &[ValueRef<'_>]) -> Result<RowId> {
+        self.insert_values(table, values.iter().copied())
+    }
+
+    fn insert_values<'v>(
+        &mut self,
+        table: TableId,
+        values: impl ExactSizeIterator<Item = ValueRef<'v>> + Clone,
+    ) -> Result<RowId> {
         self.check_active()?;
         let rid = self.with_table(table, |t| {
-            t.definition().validate_row(row.values())?;
+            t.definition().validate_row(values.clone())?;
             Ok::<_, StorageError>(t.allocate_row_id())
         })??;
-        self.writes
-            .entry(table)
-            .or_default()
-            .insert(rid, WriteOp::Put(row.into_shared()));
-        self.created.insert((table, rid));
+        self.push_write(table, rid, WriteOp::Put(SharedRow::pack(values)), true);
         Ok(rid)
     }
 
@@ -605,11 +721,10 @@ impl Transaction {
         if self.get(table, row)?.is_none() {
             return Err(self.not_found(table));
         }
-        self.with_table(table, |t| t.definition().validate_row(new_row.values()))??;
-        self.writes
-            .entry(table)
-            .or_default()
-            .insert(row, WriteOp::Put(new_row.into_shared()));
+        let values = new_row.values().iter().map(Value::view);
+        self.with_table(table, |t| t.definition().validate_row(values.clone()))??;
+        let inserted = self.inserted(table, row);
+        self.push_write(table, row, WriteOp::Put(SharedRow::pack(values)), inserted);
         Ok(())
     }
 
@@ -621,60 +736,67 @@ impl Transaction {
     pub fn set(&mut self, table: TableId, row: RowId, updates: &[(&str, Value)]) -> Result<()> {
         self.check_active()?;
         let current = self.get(table, row)?.ok_or_else(|| self.not_found(table))?;
-        let (new_row, mut fields) = self.with_table(table, |t| {
+        let (new_row, fields) = self.with_table(table, |t| {
             let def = t.definition();
-            let mut fields = Vec::with_capacity(updates.len());
-            let mut changes = Vec::with_capacity(updates.len());
-            for (col, val) in updates {
+            let mut fields = FieldSet::default();
+            // One more than the index of the update that writes each
+            // column last; 0 for a column none writes.
+            let mut last = [0; MAX_COLUMNS];
+            for (i, (col, val)) in updates.iter().enumerate() {
                 let pos = def.require_column(col)?;
-                def.validate_value(pos, val)?;
-                fields.push(pos as u32);
-                changes.push((pos, val.view()));
+                def.validate_value(pos, val.view())?;
+                fields = fields.union(FieldSet::of(pos));
+                last[pos] = i + 1;
             }
-            Ok::<_, StorageError>((current.with_updates(&changes), fields))
+            let new = |pos: usize| last[pos].checked_sub(1).map(|i| updates[i].1.view());
+            Ok::<_, StorageError>((current.with_updates(new), fields))
         })??;
-        use std::collections::btree_map::Entry;
-        match self.writes.entry(table).or_default().entry(row) {
-            Entry::Occupied(mut e) => match e.get_mut() {
-                WriteOp::Put(r) => *r = new_row,
-                WriteOp::Patch { row: r, fields: f } => {
-                    *r = new_row;
-                    f.append(&mut fields);
-                    f.sort_unstable();
-                    f.dedup();
-                }
-                // `get` above saw the row, so a buffered delete is impossible.
-                WriteOp::Delete => unreachable!("set after delete"),
-            },
-            Entry::Vacant(e) => {
-                fields.sort_unstable();
-                fields.dedup();
-                e.insert(WriteOp::Patch {
+        let (op, inserted) = match self.own_write(table, row) {
+            Some(Write {
+                op: WriteOp::Put(_),
+                inserted,
+                ..
+            }) => (WriteOp::Put(new_row), *inserted),
+            Some(Write {
+                op: WriteOp::Patch { fields: before, .. },
+                inserted,
+                ..
+            }) => {
+                let fields = before.union(fields);
+                (
+                    WriteOp::Patch {
+                        row: new_row,
+                        fields,
+                    },
+                    *inserted,
+                )
+            }
+            // `get` above saw the row, so a buffered delete is impossible.
+            Some(Write {
+                op: WriteOp::Delete,
+                ..
+            }) => unreachable!("set after delete"),
+            None => (
+                WriteOp::Patch {
                     row: new_row,
                     fields,
-                });
-            }
-        }
+                },
+                false,
+            ),
+        };
+        self.push_write(table, row, op, inserted);
         Ok(())
     }
 
-    /// Delete a visible row.
+    /// Delete a visible row. A row this transaction inserted simply
+    /// vanishes: its commit neither writes nor logs it.
     pub fn delete(&mut self, table: TableId, row: RowId) -> Result<()> {
         self.check_active()?;
         if self.get(table, row)?.is_none() {
             return Err(self.not_found(table));
         }
-        if self.created.remove(&(table, row)) {
-            // Inserted by this very transaction: the write simply vanishes.
-            if let Some(ws) = self.writes.get_mut(&table) {
-                ws.remove(&row);
-            }
-            return Ok(());
-        }
-        self.writes
-            .entry(table)
-            .or_default()
-            .insert(row, WriteOp::Delete);
+        let inserted = self.inserted(table, row);
+        self.push_write(table, row, WriteOp::Delete, inserted);
         Ok(())
     }
 
@@ -715,18 +837,24 @@ impl Transaction {
     /// Capture the current write set as a savepoint. Rolling back to it
     /// discards every write issued after this call (row ids allocated in
     /// between are burned, never reused — ids are not transactional).
+    /// A savepoint taken after the point a rollback returns to is
+    /// discarded with the writes after it.
     pub fn savepoint(&self) -> Savepoint {
         Savepoint {
-            writes: self.writes.clone(),
-            created: self.created.clone(),
+            writes: self.writes.len(),
         }
     }
 
     /// Restore the write set captured by [`Transaction::savepoint`].
     pub fn rollback_to(&mut self, sp: &Savepoint) -> Result<()> {
         self.check_active()?;
-        self.writes = sp.writes.clone();
-        self.created = sp.created.clone();
+        if sp.writes < self.writes.len() {
+            self.writes.truncate(sp.writes);
+            self.newest.clear();
+            if self.writes.len() > SCAN_WRITES {
+                self.index_newest();
+            }
+        }
         Ok(())
     }
 
@@ -781,7 +909,7 @@ impl Drop for Transaction {
             self.state = TxnState::Aborted;
             // Dropping a read-only transaction is a quiet close, not an
             // abort; only discarded writes count toward the abort stat.
-            let had_writes = self.writes.values().any(|m| !m.is_empty());
+            let had_writes = self.write_count() > 0;
             self.db.clone().abort_txn(self.id, had_writes);
         }
     }
@@ -797,84 +925,321 @@ fn require_index<'t>(t: &'t TableStore, index: &str) -> Result<&'t IndexStore> {
         })
 }
 
-/// Validation, called by [`Database::commit_txn`] with the table write
-/// locks held: first committer wins. A write to a row that gained a
-/// version past this transaction's snapshot aborts with
-/// [`StorageError::WriteConflict`], and so does a write to a row RAM holds
-/// no chain of that the transaction did not insert: it saw the row live,
-/// and demotion to the cold tier takes a whole chain only when its newest
-/// version is a delete. A row the transaction expects unchanged
-/// ([`Transaction::expect_unchanged`]) and did not insert must still have
-/// a put at or below the snapshot as its newest version, and no other
-/// commit may have expected it unchanged since the snapshot; a delete
-/// fails on such an expectation too. Unique constraints are then checked
-/// against the latest committed state plus this batch.
+/// The write buffer as a commit takes it: the newest write of each row,
+/// in `(table, row)` order, less the rows the transaction both inserted
+/// and deleted. A keystroke's writes are in that order already.
+pub(crate) fn settle(writes: &mut Vec<Write>) {
+    if !writes.is_sorted_by(|a, b| a.key() < b.key()) {
+        // Newest first, so that the stable sort keeps a row's newest
+        // write at the front of its run for the dedup to keep.
+        writes.reverse();
+        writes.sort_by_key(Write::key);
+        writes.dedup_by_key(|w| w.key());
+    }
+    writes.retain(|w| !vanishes(w));
+}
+
+/// Whether `w`, a row's newest write, deletes a row the transaction
+/// inserted: the write set holds nothing of it.
+fn vanishes(w: &Write) -> bool {
+    w.inserted && matches!(w.op, WriteOp::Delete)
+}
+
+/// Validation, called by [`Database::commit_txn`] with the tables the
+/// commit writes or expects write-locked and `writes` settled: first
+/// committer wins. A write to a row that gained a version past this
+/// transaction's snapshot aborts with [`StorageError::WriteConflict`], and
+/// so does a write to a row RAM holds no chain of that the transaction did
+/// not insert: it saw the row live, and demotion to the cold tier takes a
+/// whole chain only when its newest version is a delete. A row the
+/// transaction expects unchanged ([`Transaction::expect_unchanged`]) and
+/// did not insert must still have a put at or below the snapshot as its
+/// newest version, and no other commit may have expected it unchanged
+/// since the snapshot; a delete fails on such an expectation too. Unique
+/// constraints are then checked against the latest committed state plus
+/// this batch.
 pub(crate) fn validate_writes(
-    txn_writes: &BTreeMap<TableId, BTreeMap<RowId, WriteOp>>,
-    created: &HashSet<(TableId, RowId)>,
+    writes: &[Write],
     expected: &[(TableId, RowId)],
     snapshot: Ts,
     txn: TxnId,
-    tables: &BTreeMap<TableId, RwLockWriteGuard<'_, TableStore>>,
+    tables: &dyn LockedTables,
 ) -> Result<()> {
+    let store_of = |tid| tables.get(tid).ok_or(StorageError::UnknownTableId(tid));
+    let conflict = |store: &TableStore| StorageError::WriteConflict {
+        table: store.definition().name.clone(),
+        txn,
+    };
     for &(tid, rid) in expected {
-        let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
-        if !created.contains(&(tid, rid))
+        let store = store_of(tid)?;
+        let inserted = (writes.binary_search_by_key(&(tid, rid), Write::key).ok())
+            .is_some_and(|i| writes[i].inserted);
+        if !inserted
             && (!store.unchanged_since(rid, snapshot) || store.expected_since(rid, snapshot))
         {
-            return Err(StorageError::WriteConflict {
-                table: store.definition().name.clone(),
-                txn,
-            });
+            return Err(conflict(store));
         }
     }
-    for (&tid, writes) in txn_writes {
-        let store = tables.get(&tid).ok_or(StorageError::UnknownTableId(tid))?;
-        for (&rid, op) in writes {
-            if created.contains(&(tid, rid)) {
-                continue;
-            }
+    for run in writes.chunk_by(|a, b| a.table == b.table) {
+        let store = store_of(run[0].table)?;
+        for w in run.iter().filter(|w| !w.inserted) {
             let expected_since =
-                matches!(op, WriteOp::Delete) && store.expected_since(rid, snapshot);
+                matches!(w.op, WriteOp::Delete) && store.expected_since(w.row, snapshot);
             if expected_since
                 || store
-                    .newest_commit_ts(rid)
+                    .newest_commit_ts(w.row)
                     .is_none_or(|newest| newest > snapshot)
             {
-                return Err(StorageError::WriteConflict {
-                    table: store.definition().name.clone(),
-                    txn,
-                });
+                return Err(conflict(store));
             }
         }
         for (ipos, idx) in store.indexes().iter().enumerate() {
             if !idx.definition().unique {
                 continue;
             }
+            let violation = || StorageError::UniqueViolation {
+                table: store.definition().name.clone(),
+                index: idx.definition().name.clone(),
+            };
             let mut pending: BTreeMap<IndexKey, RowId> = BTreeMap::new();
-            for (&rid, op) in writes {
-                if let Some(row) = op.row() {
-                    let key = idx.key_of(row);
-                    if let Some(prev) = pending.insert(key, rid) {
-                        if prev != rid {
-                            return Err(StorageError::UniqueViolation {
-                                table: store.definition().name.clone(),
-                                index: idx.definition().name.clone(),
-                            });
-                        }
+            for w in run {
+                if let Some(row) = w.op.row() {
+                    if pending.insert(idx.key_of(row), w.row).is_some() {
+                        // Two rows of the batch, each written once.
+                        return Err(violation());
                     }
                 }
             }
-            let written: HashSet<RowId> = writes.keys().copied().collect();
+            let written = |rid: RowId| run.binary_search_by_key(&rid, |w| w.row).is_ok();
             for key in pending.keys() {
-                if store.unique_conflict(ipos, key, &|rid| written.contains(&rid)) {
-                    return Err(StorageError::UniqueViolation {
-                        table: store.definition().name.clone(),
-                        index: idx.definition().name.clone(),
-                    });
+                if store.unique_conflict(ipos, key, &written) {
+                    return Err(violation());
                 }
             }
         }
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::{BTreeMap, BTreeSet};
+
+    use proptest::prelude::*;
+
+    use super::*;
+    use crate::schema::TableDef;
+    use crate::value::DataType;
+    use crate::wal::codec::{decode_record, encode_record, put_commit};
+    use crate::wal::{WalRecord, WalWrite};
+
+    /// A row's write as the write set kept it before the write buffer:
+    /// one entry per row, updated in place.
+    #[derive(Debug, Clone)]
+    enum Kept {
+        Put(Vec<Value>),
+        Delete,
+        Patch(Vec<Value>, BTreeSet<u32>),
+    }
+
+    fn defs() -> [TableDef; 2] {
+        [
+            TableDef::new("a")
+                .column("k", DataType::Id)
+                .nullable_column("t", DataType::Text)
+                .column("n", DataType::Int)
+                .column("b", DataType::Bool)
+                .index("a_by_k", &["k"]),
+            TableDef::new("b")
+                .column("x", DataType::Int)
+                .nullable_column("y", DataType::Timestamp),
+        ]
+    }
+
+    /// Column `pos` of table `t`'s row, from the bits of `r`.
+    fn value(t: usize, pos: usize, r: u64) -> Value {
+        let n = r >> (r % 61);
+        match (t, pos) {
+            (0, 0) => Value::Id(n),
+            (0, 1) if r.is_multiple_of(5) => Value::Null,
+            (0, 1) => Value::Text(["", "é", "typed", "𝄞x"][(r % 4) as usize].into()),
+            (0, 2) | (1, 0) => Value::Int(n as i64 - (r % 3) as i64 * 1000),
+            (0, 3) => Value::Bool(r % 2 == 1),
+            (1, 1) if r.is_multiple_of(4) => Value::Null,
+            _ => Value::Timestamp(-(n as i64 >> 1)),
+        }
+    }
+
+    fn row_of(t: usize, r: u64) -> Vec<Value> {
+        let cols = defs()[t].columns.len();
+        (0..cols)
+            .map(|pos| value(t, pos, r.rotate_left(pos as u32 * 7)))
+            .collect()
+    }
+
+    /// The commit record the write set before the write buffer logged.
+    fn kept_record(commit_ts: Ts, kept: &BTreeMap<(TableId, RowId), Kept>) -> WalRecord {
+        let writes = (kept.iter())
+            .map(|(&(table, row), k)| WalWrite {
+                table,
+                row,
+                op: match k {
+                    Kept::Put(values) => WalOp::Put(Row::new(values.clone()).into_shared()),
+                    Kept::Delete => WalOp::Delete,
+                    Kept::Patch(values, fields) => WalOp::Patch {
+                        fields: fields.iter().copied().collect(),
+                        values: fields.iter().map(|&f| values[f as usize].clone()).collect(),
+                    },
+                },
+            })
+            .collect();
+        WalRecord::Commit { commit_ts, writes }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random write sets — inserts, whole-row updates, column
+        /// updates (a column named twice: the last value wins), deletes
+        /// of committed rows and of rows the transaction inserted — give
+        /// the commit frame the write set before the write buffer logged,
+        /// byte for byte, and it decodes to that record.
+        #[test]
+        fn the_frame_of_a_write_buffer_is_the_record_the_write_set_logged(
+            steps in proptest::collection::vec((any::<u8>(), any::<u64>(), any::<u64>()), 1..48)
+        ) {
+            let db = Database::open_in_memory();
+            let defs = defs();
+            let tables = defs.clone().map(|def| db.create_table(def).unwrap());
+            let mut base = db.begin();
+            let mut live = Vec::new();
+            for (t, &table) in tables.iter().enumerate() {
+                for r in 0..6 {
+                    let rid = base.insert(table, Row::new(row_of(t, r * 977))).unwrap();
+                    live.push((t, rid));
+                }
+            }
+            base.commit().unwrap();
+
+            let mut txn = db.begin();
+            let mut kept: BTreeMap<(TableId, RowId), Kept> = BTreeMap::new();
+            let mut created = BTreeSet::new();
+            for &(kind, pick, r) in &steps {
+                if live.is_empty() && kind % 4 != 0 {
+                    continue;
+                }
+                let at = (pick % live.len().max(1) as u64) as usize;
+                match kind % 4 {
+                    0 => {
+                        let t = (pick % 2) as usize;
+                        let values = row_of(t, r);
+                        let refs: Vec<_> = values.iter().map(Value::view).collect();
+                        let rid = txn.insert_refs(tables[t], &refs).unwrap();
+                        live.push((t, rid));
+                        created.insert((tables[t], rid));
+                        kept.insert((tables[t], rid), Kept::Put(values));
+                    }
+                    1 => {
+                        let (t, rid) = live[at];
+                        let values = row_of(t, r);
+                        txn.update(tables[t], rid, Row::new(values.clone())).unwrap();
+                        kept.insert((tables[t], rid), Kept::Put(values));
+                    }
+                    2 => {
+                        let (t, rid) = live[at];
+                        let table = tables[t];
+                        let def = &defs[t];
+                        let cols = def.columns.len();
+                        let mut values = txn.get(table, rid).unwrap().unwrap().values();
+                        let mut updates = Vec::new();
+                        let mut fields = BTreeSet::new();
+                        for pos in (0..cols).filter(|pos| r >> pos & 1 == 1 || *pos == (r % cols as u64) as usize) {
+                            let v = value(t, pos, r.rotate_right(pos as u32 + 3));
+                            updates.push((def.columns[pos].name.as_str(), v.clone()));
+                            values[pos] = v;
+                            fields.insert(pos as u32);
+                        }
+                        if r >> 40 & 1 == 1 {
+                            // The first column again: its second value wins.
+                            let (name, _) = updates[0];
+                            let pos = def.column_position(name).unwrap();
+                            let v = value(t, pos, !r);
+                            updates.push((name, v.clone()));
+                            values[pos] = v;
+                        }
+                        txn.set(table, rid, &updates).unwrap();
+                        let entry = kept.remove(&(table, rid));
+                        let now = match entry {
+                            Some(Kept::Put(_)) => Kept::Put(values),
+                            Some(Kept::Patch(_, before)) => {
+                                Kept::Patch(values, before.union(&fields).copied().collect())
+                            }
+                            Some(Kept::Delete) => unreachable!("a deleted row is not live"),
+                            None => Kept::Patch(values, fields),
+                        };
+                        kept.insert((table, rid), now);
+                    }
+                    _ => {
+                        let (t, rid) = live.remove(at);
+                        txn.delete(tables[t], rid).unwrap();
+                        if created.remove(&(tables[t], rid)) {
+                            kept.remove(&(tables[t], rid));
+                        } else {
+                            kept.insert((tables[t], rid), Kept::Delete);
+                        }
+                    }
+                }
+            }
+            prop_assert_eq!(txn.write_count(), kept.len());
+            let want = kept_record(42, &kept);
+            let mut writes = txn.writes.clone();
+            settle(&mut writes);
+            let mut frame = Vec::new();
+            put_commit(&mut frame, 42, writes.iter().map(|w| (w.table, w.row, w.op.logged())));
+            prop_assert_eq!(&frame, &encode_record(&want));
+            prop_assert_eq!(decode_record(&frame).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn a_savepoint_is_a_length_of_the_write_buffer() {
+        let db = Database::open_in_memory();
+        let table = db.create_table(defs()[1].clone()).unwrap();
+        let mut txn = db.begin();
+        let row = |x| Row::new(vec![Value::Int(x), Value::Null]);
+        // Past the point where rows are found through a map.
+        for x in 0..SCAN_WRITES as i64 {
+            txn.insert(table, row(x)).unwrap();
+        }
+        let sp = txn.savepoint();
+        let a = txn.insert(table, row(-1)).unwrap();
+        let first = RowId(1);
+        txn.set(table, first, &[("x", Value::Int(99))]).unwrap();
+        assert_eq!(
+            txn.get(table, first).unwrap().unwrap().get(0),
+            Some(ValueRef::Int(99))
+        );
+        txn.rollback_to(&sp).unwrap();
+        assert_eq!(
+            txn.get(table, a).unwrap(),
+            None,
+            "the insert after it is gone"
+        );
+        assert_eq!(
+            txn.get(table, first).unwrap().unwrap().get(0),
+            Some(ValueRef::Int(0))
+        );
+        assert_eq!(txn.write_count(), SCAN_WRITES);
+        txn.delete(table, first).unwrap();
+        assert_eq!(
+            txn.write_count(),
+            SCAN_WRITES - 1,
+            "an own insert deleted vanishes"
+        );
+        txn.commit().unwrap();
+        assert_eq!(
+            db.begin().count(table, &Predicate::True).unwrap(),
+            SCAN_WRITES - 1
+        );
+    }
 }

@@ -21,9 +21,11 @@
 //! decoding one checks the bytes here, once, and keeps them. A checkpoint
 //! row is rebuilt into those same bytes.
 
+use std::sync::Arc;
+
 use crate::error::{Result, StorageError};
 use crate::row::{RowId, SharedRow};
-use crate::schema::{ColumnDef, IndexDef, TableDef, TableId};
+use crate::schema::{ColumnDef, FieldSet, IndexDef, TableDef, TableId};
 use crate::table::Ts;
 use crate::value::{DataType, Value, ValueRef};
 use crate::wal::{SnapshotVersion, WalOp, WalRecord, WalWrite};
@@ -1073,11 +1075,57 @@ pub(crate) fn put_op(b: &mut Vec<u8>, op: &WalOp) {
         WalOp::Delete => put_varint(b, OP_DELETE),
         WalOp::Patch { fields, values } => {
             assert_eq!(fields.len(), values.len(), "one value per patched field");
-            put_varint(b, (fields.len() as u64) << 2 | OP_PATCH);
-            for f in fields {
-                put_varint(b, u64::from(*f));
+            let fields = fields.iter().map(|&f| f as usize);
+            put_patch(b, fields, values.iter().map(Value::view));
+        }
+    }
+}
+
+/// A `Patch` op: the count, each field's position, then a row body of
+/// the fields' new values.
+fn put_patch<'a>(
+    b: &mut Vec<u8>,
+    fields: impl ExactSizeIterator<Item = usize>,
+    values: impl ExactSizeIterator<Item = ValueRef<'a>>,
+) {
+    put_varint(b, (fields.len() as u64) << 2 | OP_PATCH);
+    for f in fields {
+        put_varint(b, f as u64);
+    }
+    put_values(b, values);
+}
+
+/// One write of a commit, as a transaction's write buffer holds it: a
+/// whole row, a delete, or a column update — the row as updated and the
+/// fields it wrote, whose values the log takes from that row.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum OpRef<'a> {
+    Put(&'a SharedRow),
+    Delete,
+    Patch(&'a SharedRow, FieldSet),
+}
+
+/// A `Commit` record of `writes`, in the order given: the bytes
+/// [`put_record`] writes for the [`WalRecord::Commit`] of the same
+/// writes, with a patch's values read off its row in place.
+pub(crate) fn put_commit<'a>(
+    b: &mut Vec<u8>,
+    commit_ts: Ts,
+    writes: impl ExactSizeIterator<Item = (TableId, RowId, OpRef<'a>)>,
+) {
+    b.push(TAG_COMMIT);
+    put_varint(b, commit_ts);
+    put_varint(b, writes.len() as u64);
+    for (table, row, op) in writes {
+        put_varint(b, u64::from(table.0));
+        put_varint(b, row.0);
+        match op {
+            OpRef::Put(row) => b.extend_from_slice(row.packed()),
+            OpRef::Delete => put_varint(b, OP_DELETE),
+            OpRef::Patch(row, fields) => {
+                let value = |pos| row.get(pos).expect("patched column exists");
+                put_patch(b, fields.iter(), fields.iter().map(value));
             }
-            put_values(b, values.iter().map(Value::view));
         }
     }
 }
@@ -1134,13 +1182,95 @@ fn get_put(
 }
 
 /// A row as a `Put` op carries it and as [`SharedRow`] keeps it: the op
-/// header, then the row body.
-pub(crate) fn pack_row<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>>) -> Vec<u8> {
-    // Room for the typical row (a few bytes a column) without growing.
-    let mut b = Vec::with_capacity(8 + 4 * values.len());
-    put_varint(&mut b, (values.len() as u64) << 2 | OP_PUT);
-    put_values(&mut b, values);
-    b
+/// header, then the row body, packed straight into the row's one
+/// allocation. The values are walked twice: once to size it, once to
+/// fill it.
+pub(crate) fn pack_row<'a>(
+    values: impl ExactSizeIterator<Item = ValueRef<'a>> + Clone,
+) -> Arc<[u8]> {
+    let head = (values.len() as u64) << 2 | OP_PUT;
+    let len =
+        varint_len(head) + values.len().div_ceil(4) + values.clone().map(value_len).sum::<usize>();
+    // Zeroed, as the header bits are or-ed in; `RepeatN` knows its
+    // length, so the `Arc` is allocated once, at that length.
+    let mut row: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
+    let mut out = Fill {
+        bytes: Arc::get_mut(&mut row).expect("a row just allocated is not shared"),
+        at: 0,
+    };
+    put_varint(&mut out, head);
+    put_values(&mut out, values);
+    debug_assert_eq!(out.at, len, "a row fills exactly the bytes it was sized to");
+    row
+}
+
+/// Where an encoder writes: a growing `Vec` (frames, checkpoint
+/// batches), or a row's own allocation, sized and zeroed beforehand
+/// ([`Fill`]).
+pub(crate) trait Out {
+    /// Bytes written so far.
+    fn len(&self) -> usize;
+    fn push(&mut self, byte: u8);
+    fn put(&mut self, bytes: &[u8]);
+    /// `n` zero bytes, to be or-ed into through [`Out::or_at`].
+    fn zeros(&mut self, n: usize);
+    fn or_at(&mut self, at: usize, bits: u8);
+}
+
+impl Out for Vec<u8> {
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        self.push(byte);
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn zeros(&mut self, n: usize) {
+        self.resize(self.len() + n, 0);
+    }
+
+    fn or_at(&mut self, at: usize, bits: u8) {
+        self[at] |= bits;
+    }
+}
+
+/// A zeroed slice written from the front.
+struct Fill<'a> {
+    bytes: &'a mut [u8],
+    at: usize,
+}
+
+impl Out for Fill<'_> {
+    fn len(&self) -> usize {
+        self.at
+    }
+
+    #[inline]
+    fn push(&mut self, byte: u8) {
+        self.bytes[self.at] = byte;
+        self.at += 1;
+    }
+
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.at..self.at + bytes.len()].copy_from_slice(bytes);
+        self.at += bytes.len();
+    }
+
+    fn zeros(&mut self, n: usize) {
+        self.at += n;
+    }
+
+    fn or_at(&mut self, at: usize, bits: u8) {
+        self.bytes[at] |= bits;
+    }
 }
 
 /// Split what [`pack_row`] built into its column count, its header bits
@@ -1156,9 +1286,9 @@ pub(crate) fn unpack_row(mut packed: &[u8]) -> Option<(usize, &[u8], &[u8])> {
 }
 
 /// A row body: the two-bit header, then every value it marks present.
-fn put_values<'a>(b: &mut Vec<u8>, values: impl ExactSizeIterator<Item = ValueRef<'a>>) {
+fn put_values<'a>(b: &mut impl Out, values: impl ExactSizeIterator<Item = ValueRef<'a>>) {
     let header = b.len();
-    b.resize(header + values.len().div_ceil(4), 0);
+    b.zeros(values.len().div_ceil(4));
     for (i, v) in values.enumerate() {
         let state = match v {
             ValueRef::Null => COL_NULL,
@@ -1169,7 +1299,7 @@ fn put_values<'a>(b: &mut Vec<u8>, values: impl ExactSizeIterator<Item = ValueRe
                 COL_VALUE
             }
         };
-        b[header + i / 4] |= state << (2 * (i % 4));
+        b.or_at(header + i / 4, state << (2 * (i % 4)));
     }
 }
 
@@ -1236,7 +1366,7 @@ pub(crate) fn skip_value(present: &mut &[u8]) -> Decoded<()> {
 /// if `more`, `n >> 4` follows as a varint. `n` is the number itself, or
 /// the byte length of the text/bytes that follow. A float is its type
 /// byte and eight little-endian bytes.
-fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
+fn put_value(b: &mut impl Out, v: ValueRef<'_>) {
     let (ty, n, tail): (u8, u64, &[u8]) = match v {
         ValueRef::Int(x) => (VT_INT, zigzag(x), &[]),
         ValueRef::Id(x) => (VT_ID, x, &[]),
@@ -1245,17 +1375,29 @@ fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
         ValueRef::Timestamp(x) => (VT_TIMESTAMP, zigzag(x), &[]),
         ValueRef::Float(x) => {
             b.push(VT_FLOAT);
-            return b.extend_from_slice(&x.to_bits().to_le_bytes());
+            return b.put(&x.to_bits().to_le_bytes());
         }
         ValueRef::Null | ValueRef::Bool(_) => unreachable!("folded into the row header"),
     };
     put_typed(b, ty, n);
-    b.extend_from_slice(tail);
+    b.put(tail);
+}
+
+/// Bytes [`put_values`] spends on `v` past its header bits.
+fn value_len(v: ValueRef<'_>) -> usize {
+    match v {
+        ValueRef::Null | ValueRef::Bool(_) => 0,
+        ValueRef::Int(x) | ValueRef::Timestamp(x) => typed_len(zigzag(x)),
+        ValueRef::Id(x) => typed_len(x),
+        ValueRef::Text(s) => typed_len(s.len() as u64) + s.len(),
+        ValueRef::Bytes(x) => typed_len(x.len() as u64) + x.len(),
+        ValueRef::Float(_) => 9,
+    }
 }
 
 /// A value's first byte and, if `n` needs more than four bits, the rest
 /// of `n` as a varint.
-fn put_typed(b: &mut Vec<u8>, ty: u8, n: u64) {
+fn put_typed(b: &mut impl Out, ty: u8, n: u64) {
     let first = ty | ((n & 0xF) as u8) << 3;
     if n >> 4 == 0 {
         b.push(first);
@@ -1408,7 +1550,7 @@ fn get_string(buf: &mut &[u8]) -> Result<String> {
 
 /// LEB128: seven bits a byte, least significant first, high bit set on
 /// all but the last.
-fn put_varint(b: &mut Vec<u8>, mut v: u64) {
+fn put_varint(b: &mut impl Out, mut v: u64) {
     while v >= 0x80 {
         b.push(v as u8 | 0x80);
         v >>= 7;
@@ -1550,7 +1692,7 @@ mod tests {
     }
 
     fn put_row(values: Vec<Value>) -> WalOp {
-        WalOp::Put(SharedRow::pack(&values))
+        WalOp::Put(SharedRow::pack(values.iter().map(Value::view)))
     }
 
     #[test]
@@ -1664,11 +1806,9 @@ mod tests {
     #[test]
     fn snapshot_rows_written_a_row_at_a_time_are_the_record_and_weigh_what_they_write() {
         let row = |i: u64| {
-            SharedRow::pack(&[
-                Value::Text(["x".repeat(200), "y".into()][i as usize % 2].clone()),
-                Value::Id(i * 3),
-                Value::Null,
-            ])
+            let text = ["x".repeat(200), "y".into()][i as usize % 2].clone();
+            let values = [Value::Text(text), Value::Id(i * 3), Value::Null];
+            SharedRow::pack(values.iter().map(Value::view))
         };
         // Row ids and timestamps across every varint length, a tombstone
         // among them, and 200 rows: a count of two bytes.
@@ -1736,7 +1876,7 @@ mod tests {
 
     #[test]
     fn a_batch_row_repeats_nothing_of_the_row_above() {
-        let put = |values: &[Value]| WalOp::Put(SharedRow::pack(values));
+        let put = |values: &[Value]| WalOp::Put(SharedRow::pack(values.iter().map(Value::view)));
         let chars = |i: u64| {
             put(&[
                 Value::Id(3),
@@ -1781,7 +1921,7 @@ mod tests {
                 SnapshotVersion {
                     row: RowId(1),
                     commit_ts: 1,
-                    op: WalOp::Put(SharedRow::pack(&[Value::Id(8)])),
+                    op: WalOp::Put(SharedRow::pack([ValueRef::Id(8)].into_iter())),
                 },
                 SnapshotVersion {
                     row: RowId(2),
@@ -1802,7 +1942,7 @@ mod tests {
 
     #[test]
     fn texts_a_column_wrote_out_are_named_by_their_slot() {
-        let put = |text: &str| WalOp::Put(SharedRow::pack(&[Value::Text(text.into())]));
+        let put = |text: &str| WalOp::Put(SharedRow::pack([ValueRef::Text(text)].into_iter()));
         let texts = ["insert", "delete", "insert", "style", "delete"];
         let rec = WalRecord::SnapshotRows {
             table: TableId(0),

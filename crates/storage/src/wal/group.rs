@@ -1,10 +1,11 @@
 //! Group commit: durability outside the commit critical section.
 //!
 //! Commit frames arrive through [`GroupWal::append_commit`], called by
-//! each commit under the commit lock (`crate::commit`) just before its
-//! timestamp becomes the watermark — so they reach the shared batch
-//! buffer in commit-timestamp order, and any replayed prefix of the log
-//! is a commit-order prefix. The log keeps no ordering state of its own.
+//! each commit under the commit lock (`crate::commit`) before it applies
+//! a version, which encodes the frame straight into the shared batch
+//! buffer — so frames reach it in commit-timestamp order, and any
+//! replayed prefix of the log is a commit-order prefix. The log keeps no
+//! ordering state of its own.
 //!
 //! Durability still runs on the leader/follower protocol: the first
 //! committer to arrive at [`GroupWal::wait_durable`] becomes the **flush
@@ -42,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, StorageError};
 use crate::table::Ts;
-use crate::wal::log::{encode_frame, LogFiles};
+use crate::wal::log::{encode_frame, put_frame, LogFiles};
 use crate::wal::{DurabilityLevel, WalFile, WalRecord};
 
 /// Claim ticket for a logged record: pass to
@@ -73,10 +74,17 @@ pub struct WalShardStats {
     pub flush_wait_ns: u64,
 }
 
+/// The most bytes of capacity a flushed batch buffer keeps for the next
+/// batch: a typist's batches reuse one allocation, and a large paste's
+/// frame is not held on to.
+const SPARE_BATCH_BYTES: usize = 64 << 10;
+
 #[derive(Debug, Default)]
 struct GroupState {
     /// Encoded frames appended to the batch, not yet handed to a flush.
     buf: Vec<u8>,
+    /// A flushed batch's buffer, emptied, for the batch after the next.
+    spare: Vec<u8>,
     /// Records in `buf`.
     pending: u64,
     /// Sequence number of the newest record added to `buf`.
@@ -201,14 +209,15 @@ impl GroupWal {
         Self::check_poison(&self.state.lock())
     }
 
-    /// Append the commit frame of `ts` to the batch. Called only under
-    /// the commit lock, so in timestamp order. Appends
-    /// even to a poisoned log: the commit is already visible, and its
-    /// waiter learns of the poison in [`GroupWal::wait_durable`].
-    pub(crate) fn append_commit(&self, ts: Ts, frame: &[u8]) {
+    /// Append the commit frame of `ts`, whose payload `payload` encodes,
+    /// to the batch. Called only under the commit lock, so in timestamp
+    /// order, after the commit checked [`GroupWal::healthy`]. Appends
+    /// even to a log poisoned since: its waiter learns of the poison in
+    /// [`GroupWal::wait_durable`].
+    pub(crate) fn append_commit(&self, ts: Ts, payload: impl FnOnce(&mut Vec<u8>)) {
         let mut st = self.state.lock();
         debug_assert!(ts > st.appended_ts, "commit frames out of ts order");
-        st.buf.extend_from_slice(frame);
+        put_frame(&mut st.buf, payload);
         st.pending += 1;
         st.enqueued += 1;
         st.appended_ts = ts;
@@ -262,7 +271,8 @@ impl GroupWal {
         mut st: parking_lot::MutexGuard<'a, GroupState>,
     ) -> Result<parking_lot::MutexGuard<'a, GroupState>> {
         st.leader_active = true;
-        let buf = std::mem::take(&mut st.buf);
+        let spare = std::mem::take(&mut st.spare);
+        let mut buf = std::mem::replace(&mut st.buf, spare);
         let records = std::mem::take(&mut st.pending);
         let switch = st.switch.take();
         let hi = st.enqueued;
@@ -273,6 +283,10 @@ impl GroupWal {
         let res = self.write_batch(&mut self.file.lock(), switch, &buf, records);
         let mut st = self.state.lock();
         st.leader_active = false;
+        if buf.capacity() <= SPARE_BATCH_BYTES {
+            buf.clear();
+            st.spare = buf;
+        }
         match res {
             Ok(()) => {
                 st.durable = st.durable.max(hi);

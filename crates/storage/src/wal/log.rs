@@ -603,15 +603,20 @@ fn end_frame(out: &mut [u8], start: usize) {
     out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
-/// One record as a frame of its own (`[u32 len][u32 crc32][payload]`):
-/// the payload is encoded straight behind a reserved header, which is
-/// filled in afterwards.
+/// One record as a frame of its own (`[u32 len][u32 crc32][payload]`).
 pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
     let mut frame = Vec::with_capacity(64);
-    frame.extend_from_slice(&[0; 8]);
-    put_record(&mut frame, rec);
-    end_frame(&mut frame, 0);
+    put_frame(&mut frame, |b| put_record(b, rec));
     frame
+}
+
+/// Append a frame to `out` whose payload `payload` encodes: straight
+/// behind a reserved header, which is filled in afterwards.
+pub(crate) fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    let start = out.len();
+    out.extend_from_slice(&[0; 8]);
+    payload(out);
+    end_frame(out, start);
 }
 
 /// What the sharded log (removed; DESIGN.md §5.12) appended to the base
@@ -934,10 +939,10 @@ mod tests {
     #[test]
     fn checkpoint_rows_are_cut_at_the_byte_budget_and_weigh_what_they_write() {
         use crate::row::SharedRow;
-        use crate::value::Value;
+        use crate::value::ValueRef;
         use crate::wal::codec::SNAPSHOT_BATCH_BYTES;
-        let big = SharedRow::pack(&[Value::Bytes(vec![7; SNAPSHOT_BATCH_BYTES / 4])]);
-        let small = SharedRow::pack(&[Value::Int(-1)]);
+        let big = SharedRow::pack([ValueRef::Bytes(&[7; SNAPSHOT_BATCH_BYTES / 4])].into_iter());
+        let small = SharedRow::pack([ValueRef::Int(-1)].into_iter());
         let fill = |frames: &mut CheckpointFrames| {
             frames.record(&meta(1));
             for i in 0..10u64 {

@@ -15,8 +15,8 @@ mod log;
 
 pub use group::WalShardStats;
 pub(crate) use group::{GroupWal, WalTicket};
-pub(crate) use log::{encode_frame, sibling, CheckpointFrames, LogFiles, TORN_MAX};
 pub use log::{segment_path, LogEnd, WalFile, WalIter};
+pub(crate) use log::{sibling, CheckpointFrames, LogFiles, TORN_MAX};
 
 use crate::row::{RowId, SharedRow};
 use crate::schema::{TableDef, TableId};

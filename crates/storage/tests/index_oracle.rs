@@ -17,6 +17,13 @@
 //!   that they differ by design: a checkpoint's base keeps no history,
 //!   and a vacuum is not logged.)
 //!
+//! A patch inserts its row only into the indexes over a column it wrote
+//! (DESIGN.md §5.2): in any other the entry of the version below, the
+//! row's newest until then, carries its key. The histories patch an
+//! unindexed column alone as well as indexed ones, and run once more with
+//! the cold tier on, where a vacuum demotes the superseded versions
+//! before it prunes them: each index must still equal a fresh build.
+//!
 //! The proptest shim prints `PROPTEST_SEED=<n>` on failure; export it to
 //! replay the history.
 
@@ -28,7 +35,8 @@ use common::TestDir;
 use proptest::prelude::*;
 use tendax_storage::index::KeyLayout;
 use tendax_storage::{
-    DataType, Database, Options, Row, RowId, SharedRow, TableDef, TableId, Value, ValueRef,
+    ColdOptions, DataType, Database, Options, Row, RowId, SharedRow, TableDef, TableId, Value,
+    ValueRef,
 };
 
 /// The table every history starts with: an index of each slot width (one
@@ -62,10 +70,12 @@ enum Step {
         late: bool,
         rows: u64,
     },
-    /// A patch of one or two notes columns of the `pick`-th live row.
+    /// A patch of the `pick`-th live row's `seq`, which no index covers,
+    /// and of `flag` and `doc` as `indexed` says (0 none, 1 `flag`, 2
+    /// both).
     Patch {
         pick: u64,
-        doc: bool,
+        indexed: u8,
     },
     /// A delete of the `pick`-th live row.
     Delete {
@@ -98,7 +108,7 @@ impl Strategy for Histories {
                 },
                 7..=9 => Step::Patch {
                     pick: rng.next_u64(),
-                    doc: rng.below(2) == 0,
+                    indexed: rng.below(3) as u8,
                 },
                 10..=11 => Step::Delete {
                     late: rng.below(3) == 0,
@@ -191,11 +201,16 @@ fn pick(rows: &[RowId], n: u64) -> Option<(usize, RowId)> {
     })
 }
 
-fn run(history: &History) -> Result<(), TestCaseError> {
+/// Run `history`, with the cold tier on if `cold`.
+fn run(history: &History, cold: bool) -> Result<(), TestCaseError> {
     let dir = TestDir::new("tendax-index-oracle");
     let path = dir.file("db.wal");
     let mut rng = TestRng::seed_from_u64(history.seed);
-    let mut db = Database::open(&path, Options::default()).unwrap();
+    let options = || Options {
+        cold_storage: cold.then(ColdOptions::default),
+        ..Options::default()
+    };
+    let mut db = Database::open(&path, options()).unwrap();
     let notes = db.create_table(notes_def()).unwrap();
     let mut late: Option<TableId> = None;
     let (mut note_rows, mut late_rows) = (Vec::new(), Vec::new());
@@ -219,12 +234,16 @@ fn run(history: &History) -> Result<(), TestCaseError> {
                 }
                 txn.commit().unwrap();
             }
-            Step::Patch { pick: n, doc } => {
+            Step::Patch { pick: n, indexed } => {
                 let Some((_, rid)) = pick(&note_rows, n) else {
                     continue;
                 };
-                let mut fields = vec![("flag", Value::Bool(rng.below(2) == 1))];
-                if doc {
+                seq += 1;
+                let mut fields = vec![("seq", Value::Int(seq))];
+                if indexed > 0 {
+                    fields.push(("flag", Value::Bool(rng.below(2) == 1)));
+                }
+                if indexed > 1 {
                     fields.push(("doc", Value::Id(rng.below(4))));
                 }
                 let mut txn = db.begin();
@@ -262,7 +281,7 @@ fn run(history: &History) -> Result<(), TestCaseError> {
                 let vacuumed = entries(&db).all;
                 prop_assert!(db.check_indexes().is_ok(), "step {}: before the reopen", i);
                 drop(db);
-                db = Database::open(&path, Options::default()).unwrap();
+                db = Database::open(&path, options()).unwrap();
                 let check = db.check_indexes();
                 prop_assert!(check.is_ok(), "step {}: after the reopen: {:?}", i, check);
                 let after = entries(&db);
@@ -282,7 +301,12 @@ proptest! {
 
     #[test]
     fn every_index_equals_a_fresh_build_across_reopens(history in Histories) {
-        run(&history)?;
+        run(&history, false)?;
+    }
+
+    #[test]
+    fn patches_vacuums_and_demotions_keep_every_index_a_fresh_build(history in Histories) {
+        run(&history, true)?;
     }
 }
 
@@ -295,7 +319,10 @@ fn a_reopen_builds_each_index_of_a_base_and_its_tail() {
             late: false,
             rows: 6,
         },
-        Step::Patch { pick: 1, doc: true },
+        Step::Patch {
+            pick: 1,
+            indexed: 2,
+        },
         Step::Checkpoint,
         Step::CreateLate,
         Step::Insert {
@@ -308,7 +335,7 @@ fn a_reopen_builds_each_index_of_a_base_and_its_tail() {
         },
         Step::Patch {
             pick: 4,
-            doc: false,
+            indexed: 0,
         },
         Step::Delete {
             late: false,
@@ -326,9 +353,50 @@ fn a_reopen_builds_each_index_of_a_base_and_its_tail() {
         },
         Step::Reopen,
     ];
-    run(&History {
-        steps: steps.to_vec(),
-        seed: 7,
-    })
+    run(
+        &History {
+            steps: steps.to_vec(),
+            seed: 7,
+        },
+        false,
+    )
     .unwrap();
+}
+
+#[test]
+fn a_patch_of_unindexed_columns_survives_a_demoting_vacuum() {
+    // Each row's newest version is a patch that inserted no entry: the
+    // vacuums demote and prune the versions whose entries it relied on,
+    // and the rebuild stages the patch's own.
+    let patch = |pick, indexed| Step::Patch { pick, indexed };
+    let steps = [
+        Step::Insert {
+            late: false,
+            rows: 5,
+        },
+        patch(0, 0),
+        patch(1, 0),
+        Step::Vacuum,
+        patch(0, 0),
+        patch(2, 1),
+        Step::Checkpoint,
+        patch(1, 0),
+        Step::Vacuum,
+        patch(3, 2),
+        patch(3, 0),
+        Step::Reopen,
+        patch(0, 0),
+        Step::Vacuum,
+        Step::Reopen,
+    ];
+    for cold in [false, true] {
+        run(
+            &History {
+                steps: steps.to_vec(),
+                seed: 11,
+            },
+            cold,
+        )
+        .unwrap();
+    }
 }

@@ -39,10 +39,20 @@ macro_rules! id_type {
 
             /// As a nullable database value (`Null` when none).
             pub fn opt_value(self) -> Value {
+                self.opt_view().to_value()
+            }
+
+            /// As a borrowed database value (`Id`).
+            pub fn view(self) -> ValueRef<'static> {
+                ValueRef::Id(self.0)
+            }
+
+            /// As a borrowed nullable database value (`Null` when none).
+            pub fn opt_view(self) -> ValueRef<'static> {
                 if self.is_none() {
-                    Value::Null
+                    ValueRef::Null
                 } else {
-                    Value::Id(self.0)
+                    ValueRef::Id(self.0)
                 }
             }
 

@@ -16,7 +16,7 @@
 //! undo/redo), and, for pastes, a `paste_events` row (consumed by data
 //! lineage).
 
-use tendax_storage::{Durability, Row, RowId, Transaction, Ts, Value};
+use tendax_storage::{Durability, RowId, Transaction, Ts, Value, ValueRef};
 
 use crate::document::{CharInfo, DocHandle};
 use crate::error::{Result, TextError};
@@ -379,16 +379,16 @@ impl DocHandle {
         let ins_op = dst.log_op(&mut txn, "paste", OpId::NONE, ts)?;
         dst.tdb
             .log_effects(&mut txn, ins_op, "ins", &new_ids, &[], None)?;
-        txn.insert(
+        txn.insert_refs(
             t.paste_events,
-            Row::new(vec![
-                dst.doc.value(),
-                dst.user.value(),
-                Value::Timestamp(ts),
-                self.doc.value(),
-                Value::Null,
-                Value::Int(moved.len() as i64),
-            ]),
+            &[
+                dst.doc.view(),
+                dst.user.view(),
+                ValueRef::Timestamp(ts),
+                self.doc.view(),
+                ValueRef::Null,
+                ValueRef::Int(moved.len() as i64),
+            ],
         )?;
         let commit_ts = txn.commit()?;
 
@@ -478,33 +478,32 @@ impl DocHandle {
         let op = self.log_op(&mut txn, kind, OpId::NONE, ts)?;
         self.tdb.log_effects(&mut txn, op, "ins", &ids, &[], None)?;
         if let Some(obj) = &object {
-            txn.insert(
+            txn.insert_refs(
                 t.objects,
-                Row::new(vec![
-                    self.doc.value(),
-                    ids[0].value(),
-                    Value::Text(obj.kind.clone()),
-                    Value::Text(obj.name.clone()),
-                    Value::Bytes(obj.data.clone()),
-                    self.user.value(),
-                    Value::Timestamp(ts),
-                ]),
+                &[
+                    self.doc.view(),
+                    ids[0].view(),
+                    ValueRef::Text(&obj.kind),
+                    ValueRef::Text(&obj.name),
+                    ValueRef::Bytes(&obj.data),
+                    self.user.view(),
+                    ValueRef::Timestamp(ts),
+                ],
             )?;
         }
         if let Some(pe) = &paste {
-            txn.insert(
+            txn.insert_refs(
                 t.paste_events,
-                Row::new(vec![
-                    self.doc.value(),
-                    self.user.value(),
-                    Value::Timestamp(ts),
-                    pe.src_doc.opt_value(),
+                &[
+                    self.doc.view(),
+                    self.user.view(),
+                    ValueRef::Timestamp(ts),
+                    pe.src_doc.opt_view(),
                     pe.external
-                        .as_ref()
-                        .map(|s| Value::Text(s.clone()))
-                        .unwrap_or(Value::Null),
-                    Value::Int(pe.n_chars as i64),
-                ]),
+                        .as_deref()
+                        .map_or(ValueRef::Null, ValueRef::Text),
+                    ValueRef::Int(pe.n_chars as i64),
+                ],
             )?;
         }
         let (commit_ts, durability) = txn.commit_visible()?;
@@ -521,6 +520,8 @@ impl DocHandle {
     /// handle's user at `ts`: the first anchored on `anchor`, each other
     /// on the one before it. They are the only `chars` rows an insert
     /// writes. Its commit depends on the anchor ([`TextDb::expect_anchor`]).
+    /// Each row is packed once, from values borrowed where they are: the
+    /// character's UTF-8 from the stack.
     fn write_chars(
         &self,
         txn: &mut Transaction,
@@ -533,23 +534,26 @@ impl DocHandle {
         let mut ids: Vec<CharId> = Vec::with_capacity(chars.len());
         for nc in chars {
             let anchor = ids.last().copied().or(anchor);
-            let rid = txn.insert(
+            let mut utf8 = [0; 4];
+            let rid = txn.insert_refs(
                 t.chars,
-                Row::new(vec![
-                    self.doc.value(),
-                    anchor.map_or(Value::Null, |a| a.value()),
-                    Value::Text(nc.ch.to_string()),
-                    self.user.value(),
-                    Value::Timestamp(ts),
-                    Value::Int(0),
-                    Value::Bool(false),
-                    Value::Null,
-                    Value::Null,
-                    Value::Null,
-                    nc.src_doc.opt_value(),
-                    nc.src_char.opt_value(),
-                    nc.external.clone().map_or(Value::Null, Value::Text),
-                ]),
+                &[
+                    self.doc.view(),
+                    anchor.map_or(ValueRef::Null, CharId::view),
+                    ValueRef::Text(nc.ch.encode_utf8(&mut utf8)),
+                    self.user.view(),
+                    ValueRef::Timestamp(ts),
+                    ValueRef::Int(0),
+                    ValueRef::Bool(false),
+                    ValueRef::Null,
+                    ValueRef::Null,
+                    ValueRef::Null,
+                    nc.src_doc.opt_view(),
+                    nc.src_char.opt_view(),
+                    nc.external
+                        .as_deref()
+                        .map_or(ValueRef::Null, ValueRef::Text),
+                ],
             )?;
             ids.push(CharId::from_row(rid));
         }
@@ -635,16 +639,16 @@ impl DocHandle {
         ts: i64,
     ) -> Result<OpId> {
         let t = self.tdb.tables();
-        let rid = txn.insert(
+        let rid = txn.insert_refs(
             t.oplog,
-            Row::new(vec![
-                self.doc.value(),
-                self.user.value(),
-                Value::Timestamp(ts),
-                Value::Text(kind.to_owned()),
-                target.opt_value(),
-                Value::Bool(false),
-            ]),
+            &[
+                self.doc.view(),
+                self.user.view(),
+                ValueRef::Timestamp(ts),
+                ValueRef::Text(kind),
+                target.opt_view(),
+                ValueRef::Bool(false),
+            ],
         )?;
         Ok(OpId::from_row(rid))
     }
@@ -760,7 +764,10 @@ impl TextDb {
         new: Option<StyleId>,
     ) -> Result<()> {
         debug_assert!(olds.is_empty() || olds.len() == ids.len());
-        let style = |s: StyleId| Value::Text(s.0.to_string());
+        // A style is stored as its number's text: made only for a style
+        // change, once for the new style.
+        let new = new.map(|s| s.0.to_string());
+        let new = new.as_deref().map_or(ValueRef::Null, ValueRef::Text);
         let mut start = 0;
         while start < ids.len() {
             let mut end = start + 1;
@@ -770,16 +777,17 @@ impl TextDb {
             {
                 end += 1;
             }
-            txn.insert(
+            let old = olds.get(start).map(|s| s.0.to_string());
+            txn.insert_refs(
                 self.tables().op_effects,
-                Row::new(vec![
-                    op.value(),
-                    Value::Text(kind.to_owned()),
-                    ids[start].value(),
-                    Value::Int((end - start) as i64),
-                    olds.get(start).map_or(Value::Null, |&s| style(s)),
-                    new.map_or(Value::Null, style),
-                ]),
+                &[
+                    op.view(),
+                    ValueRef::Text(kind),
+                    ids[start].view(),
+                    ValueRef::Int((end - start) as i64),
+                    old.as_deref().map_or(ValueRef::Null, ValueRef::Text),
+                    new,
+                ],
             )?;
             start = end;
         }
