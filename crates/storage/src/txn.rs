@@ -6,12 +6,12 @@
 //! writes locally. At commit, the engine validates that no other
 //! transaction committed a newer version of any written row (first
 //! committer wins), checks unique constraints against the then-current
-//! state, stages one WAL record, and publishes all versions under the
-//! commit lock: commits run one at a time, and a snapshot is the newest
-//! commit timestamp (`crate::commit`). This is exactly the guarantee
-//! the TeNDaX papers lean on: each keystroke batch is an ACID
-//! transaction, and concurrent editors conflict only when they touch
-//! the same rows.
+//! state, encodes its WAL frame from the write buffer, and publishes all
+//! versions under the commit lock: commits run one at a time, and a
+//! snapshot is the newest commit timestamp (`crate::commit`). This is
+//! exactly the guarantee the TeNDaX papers lean on: each keystroke batch
+//! is an ACID transaction, and concurrent editors conflict only when
+//! they touch the same rows.
 
 use std::cell::RefCell;
 use std::cmp::Reverse;
