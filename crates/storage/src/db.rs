@@ -1833,6 +1833,21 @@ mod tests {
         assert_eq!(txn.write_count(), 2); // a, b
         txn.rollback_to(&sp1).unwrap();
         assert_eq!(txn.write_count(), 1); // a
+                                          // sp2 kept b, which the rollback to sp1 discarded: it is stale
+                                          // now, however long the buffer grows again, and sp1 still holds.
+        txn.insert(t, doc_row("x", 1)).unwrap();
+        txn.insert(t, doc_row("y", 1)).unwrap();
+        assert_eq!(txn.rollback_to(&sp2), Err(StorageError::StaleSavepoint));
+        assert_eq!(txn.write_count(), 3); // a, x, y
+        let sp3 = txn.savepoint();
+        txn.insert(t, doc_row("z", 1)).unwrap();
+        txn.rollback_to(&sp3).unwrap();
+        txn.rollback_to(&sp1).unwrap();
+        assert_eq!(txn.write_count(), 1); // a
+        assert_eq!(txn.rollback_to(&sp3), Err(StorageError::StaleSavepoint));
+        // Another transaction's savepoint is refused too.
+        let other = db.begin().savepoint();
+        assert_eq!(txn.rollback_to(&other), Err(StorageError::StaleSavepoint));
         txn.commit().unwrap();
         assert_eq!(db.begin().count(t, &Predicate::True).unwrap(), 1);
     }

@@ -50,6 +50,9 @@ pub enum StorageError {
     SnapshotTooOld { requested: Ts, floor: Ts },
     /// The transaction has already been committed or aborted.
     TxnClosed(TxnId),
+    /// A rollback to a savepoint whose writes a rollback to an earlier
+    /// one discarded, or to another transaction's savepoint.
+    StaleSavepoint,
     /// The write-ahead log contained a corrupt record.
     WalCorrupt { offset: u64, reason: String },
     /// A log or cold run written in another on-disk format version.
@@ -122,6 +125,9 @@ impl fmt::Display for StorageError {
                 )
             }
             StorageError::TxnClosed(id) => write!(f, "transaction {id:?} is already closed"),
+            StorageError::StaleSavepoint => {
+                write!(f, "savepoint is stale or belongs to another transaction")
+            }
             StorageError::WalCorrupt { offset, reason } => {
                 write!(f, "WAL corrupt at offset {offset}: {reason}")
             }

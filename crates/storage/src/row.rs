@@ -27,16 +27,13 @@ const CHECKED: &str = "a SharedRow holds bytes that were checked when it was bui
 impl SharedRow {
     /// Pack `values` into the row's one allocation: where a row is
     /// built, once.
-    pub(crate) fn pack<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>> + Clone) -> Self {
+    pub(crate) fn pack<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>>) -> Self {
         SharedRow(codec::pack_row(values))
     }
 
     /// This row with the value at each position `new` gives one for
     /// replaced: packed to packed, nothing materialized in between.
-    pub(crate) fn with_updates<'v>(
-        &self,
-        new: impl Fn(usize) -> Option<ValueRef<'v>> + Clone,
-    ) -> Self {
+    pub(crate) fn with_updates<'v>(&self, new: impl Fn(usize) -> Option<ValueRef<'v>>) -> Self {
         Self::pack((self.iter().enumerate()).map(move |(pos, old)| new(pos).unwrap_or(old)))
     }
 

@@ -14,7 +14,6 @@
 //! they touch the same rows.
 
 use std::cell::RefCell;
-use std::cmp::Reverse;
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Bound;
 use std::sync::Arc;
@@ -96,15 +95,22 @@ impl Write {
     }
 }
 
-/// Buffered writes past which a transaction finds a row's newest write
-/// through a map rather than a scan back over the buffer.
-const SCAN_WRITES: usize = 32;
-
-/// A captured write-set state — the length of the write buffer; see
-/// [`Transaction::savepoint`].
+/// A captured write-set state — the length of the write buffer, and how
+/// many rollbacks had cut it by then; see [`Transaction::savepoint`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Savepoint {
+    txn: TxnId,
     writes: usize,
+    rollbacks: usize,
+}
+
+/// Where each written row's newest write is in a write buffer, over its
+/// first `indexed` writes. A lookup catches it up first, so a
+/// transaction that never reads a row it wrote builds none of it.
+#[derive(Debug, Default)]
+struct Newest {
+    at: HashMap<(TableId, RowId), usize>,
+    indexed: usize,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,9 +176,11 @@ pub struct Transaction {
     /// length. A commit takes the newest write of each row
     /// ([`settle`]).
     pub(crate) writes: Vec<Write>,
-    /// Where each written row's newest write is in `writes`, kept once
-    /// the buffer holds more than [`SCAN_WRITES`]; empty before.
-    newest: HashMap<(TableId, RowId), usize>,
+    /// Where each written row's newest write is in `writes`.
+    newest: RefCell<Newest>,
+    /// The length each rollback that dropped writes cut the buffer to,
+    /// in order: a savepoint longer than a cut made after it is stale.
+    cuts: Vec<usize>,
     /// Rows the commit depends on without writing them
     /// ([`Transaction::expect_unchanged`]).
     pub(crate) expected: Vec<(TableId, RowId)>,
@@ -193,7 +201,8 @@ impl Transaction {
             id,
             snapshot,
             writes: Vec::new(),
-            newest: HashMap::new(),
+            newest: RefCell::default(),
+            cuts: Vec::new(),
             expected: Vec::new(),
             state: TxnState::Active,
             handles: RefCell::new(Vec::new()),
@@ -215,15 +224,9 @@ impl Transaction {
         if self.writes.is_empty() {
             return 0;
         }
-        let mut newest: Vec<(TableId, RowId, Reverse<usize>)> = (self.writes.iter().enumerate())
-            .map(|(i, w)| (w.table, w.row, Reverse(i)))
-            .collect();
-        // Each row's newest write first among its own, then the others
-        // dropped.
-        newest.sort_unstable();
-        newest.dedup_by_key(|&mut (t, r, _)| (t, r));
-        (newest.iter())
-            .filter(|&&(_, _, Reverse(i))| !vanishes(&self.writes[i]))
+        let newest = self.newest();
+        (newest.at.values())
+            .filter(|&&i| !vanishes(&self.writes[i]))
             .count()
     }
 
@@ -235,12 +238,24 @@ impl Transaction {
         }
     }
 
+    /// [`Transaction::newest`], caught up with the write buffer.
+    fn newest(&self) -> std::cell::RefMut<'_, Newest> {
+        let mut newest = self.newest.borrow_mut();
+        let from = newest.indexed;
+        for (i, w) in self.writes.iter().enumerate().skip(from) {
+            newest.at.insert(w.key(), i);
+        }
+        newest.indexed = self.writes.len();
+        newest
+    }
+
     /// This transaction's newest write of `row`, if it wrote the row.
     fn own_write(&self, table: TableId, row: RowId) -> Option<&Write> {
-        if self.writes.len() > SCAN_WRITES {
-            return self.newest.get(&(table, row)).map(|&i| &self.writes[i]);
+        if self.writes.is_empty() {
+            return None;
         }
-        (self.writes.iter().rev()).find(|w| w.key() == (table, row))
+        let at = self.newest().at.get(&(table, row)).copied();
+        at.map(|i| &self.writes[i])
     }
 
     /// Whether this transaction inserted `row`.
@@ -256,20 +271,6 @@ impl Transaction {
             op,
             inserted,
         });
-        let at = self.writes.len() - 1;
-        if self.writes.len() > SCAN_WRITES + 1 {
-            self.newest.insert((table, row), at);
-        } else if self.writes.len() > SCAN_WRITES {
-            self.index_newest();
-        }
-    }
-
-    /// Build [`Transaction::newest`] over the whole buffer.
-    fn index_newest(&mut self) {
-        self.newest.clear();
-        for (i, w) in self.writes.iter().enumerate() {
-            self.newest.insert(w.key(), i);
-        }
     }
 
     /// Whether this transaction wrote any row of `table`.
@@ -280,15 +281,12 @@ impl Transaction {
     /// This transaction's newest write of each row of `table` it wrote,
     /// in row-id order.
     fn own_rows(&self, table: TableId) -> Vec<(RowId, &WriteOp)> {
-        let mut rows: Vec<(RowId, Reverse<usize>)> = (self.writes.iter().enumerate())
-            .filter(|(_, w)| w.table == table)
-            .map(|(i, w)| (w.row, Reverse(i)))
+        let mut rows: Vec<(RowId, &WriteOp)> = (self.newest().at.iter())
+            .filter(|&(&(t, _), _)| t == table)
+            .map(|(&(_, rid), &i)| (rid, &self.writes[i].op))
             .collect();
-        rows.sort_unstable();
-        rows.dedup_by_key(|&mut (rid, _)| rid);
-        (rows.into_iter())
-            .map(|(rid, Reverse(i))| (rid, &self.writes[i].op))
-            .collect()
+        rows.sort_unstable_by_key(|&(rid, _)| rid);
+        rows
     }
 
     pub(crate) fn db_handle(&self) -> &Database {
@@ -836,24 +834,32 @@ impl Transaction {
 
     /// Capture the current write set as a savepoint. Rolling back to it
     /// discards every write issued after this call (row ids allocated in
-    /// between are burned, never reused — ids are not transactional).
-    /// A savepoint taken after the point a rollback returns to is
-    /// discarded with the writes after it.
+    /// between are burned, never reused — ids are not transactional),
+    /// and can be done any number of times. A savepoint taken after the
+    /// point a later rollback returned to is stale: the writes it kept
+    /// are gone.
     pub fn savepoint(&self) -> Savepoint {
         Savepoint {
+            txn: self.id,
             writes: self.writes.len(),
+            rollbacks: self.cuts.len(),
         }
     }
 
     /// Restore the write set captured by [`Transaction::savepoint`].
+    /// Fails with [`StorageError::StaleSavepoint`], changing nothing, for
+    /// a savepoint that is stale or was taken by another transaction.
     pub fn rollback_to(&mut self, sp: &Savepoint) -> Result<()> {
         self.check_active()?;
+        let kept = |cuts: &[usize]| cuts.iter().all(|&cut| cut >= sp.writes);
+        let ours = sp.txn == self.id && sp.writes <= self.writes.len();
+        if !ours || !self.cuts.get(sp.rollbacks..).is_some_and(kept) {
+            return Err(StorageError::StaleSavepoint);
+        }
         if sp.writes < self.writes.len() {
             self.writes.truncate(sp.writes);
-            self.newest.clear();
-            if self.writes.len() > SCAN_WRITES {
-                self.index_newest();
-            }
+            self.cuts.push(sp.writes);
+            *self.newest.get_mut() = Newest::default();
         }
         Ok(())
     }
@@ -1203,12 +1209,12 @@ mod tests {
 
     #[test]
     fn a_savepoint_is_a_length_of_the_write_buffer() {
+        const N: usize = 40;
         let db = Database::open_in_memory();
         let table = db.create_table(defs()[1].clone()).unwrap();
         let mut txn = db.begin();
         let row = |x| Row::new(vec![Value::Int(x), Value::Null]);
-        // Past the point where rows are found through a map.
-        for x in 0..SCAN_WRITES as i64 {
+        for x in 0..N as i64 {
             txn.insert(table, row(x)).unwrap();
         }
         let sp = txn.savepoint();
@@ -1229,17 +1235,10 @@ mod tests {
             txn.get(table, first).unwrap().unwrap().get(0),
             Some(ValueRef::Int(0))
         );
-        assert_eq!(txn.write_count(), SCAN_WRITES);
+        assert_eq!(txn.write_count(), N);
         txn.delete(table, first).unwrap();
-        assert_eq!(
-            txn.write_count(),
-            SCAN_WRITES - 1,
-            "an own insert deleted vanishes"
-        );
+        assert_eq!(txn.write_count(), N - 1, "an own insert deleted vanishes");
         txn.commit().unwrap();
-        assert_eq!(
-            db.begin().count(table, &Predicate::True).unwrap(),
-            SCAN_WRITES - 1
-        );
+        assert_eq!(db.begin().count(table, &Predicate::True).unwrap(), N - 1);
     }
 }

@@ -21,6 +21,7 @@
 //! decoding one checks the bytes here, once, and keeps them. A checkpoint
 //! row is rebuilt into those same bytes.
 
+use std::cell::RefCell;
 use std::sync::Arc;
 
 use crate::error::{Result, StorageError};
@@ -1182,95 +1183,29 @@ fn get_put(
 }
 
 /// A row as a `Put` op carries it and as [`SharedRow`] keeps it: the op
-/// header, then the row body, packed straight into the row's one
-/// allocation. The values are walked twice: once to size it, once to
-/// fill it.
-pub(crate) fn pack_row<'a>(
-    values: impl ExactSizeIterator<Item = ValueRef<'a>> + Clone,
-) -> Arc<[u8]> {
-    let head = (values.len() as u64) << 2 | OP_PUT;
-    let len =
-        varint_len(head) + values.len().div_ceil(4) + values.clone().map(value_len).sum::<usize>();
-    // Zeroed, as the header bits are or-ed in; `RepeatN` knows its
-    // length, so the `Arc` is allocated once, at that length.
-    let mut row: Arc<[u8]> = std::iter::repeat_n(0, len).collect();
-    let mut out = Fill {
-        bytes: Arc::get_mut(&mut row).expect("a row just allocated is not shared"),
-        at: 0,
-    };
-    put_varint(&mut out, head);
-    put_values(&mut out, values);
-    debug_assert_eq!(out.at, len, "a row fills exactly the bytes it was sized to");
-    row
+/// header, then the row body. It is encoded into a buffer the thread
+/// reuses and copied into the row's one allocation, so a row costs one
+/// allocation; a buffer that grew past [`PACK_BUFFER_BYTES`] for a large
+/// row is not kept.
+pub(crate) fn pack_row<'a>(values: impl ExactSizeIterator<Item = ValueRef<'a>>) -> Arc<[u8]> {
+    PACK.with_borrow_mut(|b| {
+        b.clear();
+        put_varint(b, (values.len() as u64) << 2 | OP_PUT);
+        put_values(b, values);
+        let row = Arc::from(&b[..]);
+        if b.capacity() > PACK_BUFFER_BYTES {
+            *b = Vec::new();
+        }
+        row
+    })
 }
 
-/// Where an encoder writes: a growing `Vec` (frames, checkpoint
-/// batches), or a row's own allocation, sized and zeroed beforehand
-/// ([`Fill`]).
-pub(crate) trait Out {
-    /// Bytes written so far.
-    fn len(&self) -> usize;
-    fn push(&mut self, byte: u8);
-    fn put(&mut self, bytes: &[u8]);
-    /// `n` zero bytes, to be or-ed into through [`Out::or_at`].
-    fn zeros(&mut self, n: usize);
-    fn or_at(&mut self, at: usize, bits: u8);
-}
+/// The most a thread's row-packing buffer keeps between rows.
+const PACK_BUFFER_BYTES: usize = 4096;
 
-impl Out for Vec<u8> {
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    #[inline]
-    fn push(&mut self, byte: u8) {
-        self.push(byte);
-    }
-
-    #[inline]
-    fn put(&mut self, bytes: &[u8]) {
-        self.extend_from_slice(bytes);
-    }
-
-    fn zeros(&mut self, n: usize) {
-        self.resize(self.len() + n, 0);
-    }
-
-    fn or_at(&mut self, at: usize, bits: u8) {
-        self[at] |= bits;
-    }
-}
-
-/// A zeroed slice written from the front.
-struct Fill<'a> {
-    bytes: &'a mut [u8],
-    at: usize,
-}
-
-impl Out for Fill<'_> {
-    fn len(&self) -> usize {
-        self.at
-    }
-
-    #[inline]
-    fn push(&mut self, byte: u8) {
-        self.bytes[self.at] = byte;
-        self.at += 1;
-    }
-
-    #[inline]
-    fn put(&mut self, bytes: &[u8]) {
-        self.bytes[self.at..self.at + bytes.len()].copy_from_slice(bytes);
-        self.at += bytes.len();
-    }
-
-    fn zeros(&mut self, n: usize) {
-        self.at += n;
-    }
-
-    fn or_at(&mut self, at: usize, bits: u8) {
-        self.bytes[at] |= bits;
-    }
+thread_local! {
+    /// The buffer [`pack_row`] encodes a row in.
+    static PACK: RefCell<Vec<u8>> = const { RefCell::new(Vec::new()) };
 }
 
 /// Split what [`pack_row`] built into its column count, its header bits
@@ -1286,9 +1221,9 @@ pub(crate) fn unpack_row(mut packed: &[u8]) -> Option<(usize, &[u8], &[u8])> {
 }
 
 /// A row body: the two-bit header, then every value it marks present.
-fn put_values<'a>(b: &mut impl Out, values: impl ExactSizeIterator<Item = ValueRef<'a>>) {
+fn put_values<'a>(b: &mut Vec<u8>, values: impl ExactSizeIterator<Item = ValueRef<'a>>) {
     let header = b.len();
-    b.zeros(values.len().div_ceil(4));
+    b.resize(header + values.len().div_ceil(4), 0);
     for (i, v) in values.enumerate() {
         let state = match v {
             ValueRef::Null => COL_NULL,
@@ -1299,7 +1234,7 @@ fn put_values<'a>(b: &mut impl Out, values: impl ExactSizeIterator<Item = ValueR
                 COL_VALUE
             }
         };
-        b.or_at(header + i / 4, state << (2 * (i % 4)));
+        b[header + i / 4] |= state << (2 * (i % 4));
     }
 }
 
@@ -1366,7 +1301,7 @@ pub(crate) fn skip_value(present: &mut &[u8]) -> Decoded<()> {
 /// if `more`, `n >> 4` follows as a varint. `n` is the number itself, or
 /// the byte length of the text/bytes that follow. A float is its type
 /// byte and eight little-endian bytes.
-fn put_value(b: &mut impl Out, v: ValueRef<'_>) {
+fn put_value(b: &mut Vec<u8>, v: ValueRef<'_>) {
     let (ty, n, tail): (u8, u64, &[u8]) = match v {
         ValueRef::Int(x) => (VT_INT, zigzag(x), &[]),
         ValueRef::Id(x) => (VT_ID, x, &[]),
@@ -1375,29 +1310,17 @@ fn put_value(b: &mut impl Out, v: ValueRef<'_>) {
         ValueRef::Timestamp(x) => (VT_TIMESTAMP, zigzag(x), &[]),
         ValueRef::Float(x) => {
             b.push(VT_FLOAT);
-            return b.put(&x.to_bits().to_le_bytes());
+            return b.extend_from_slice(&x.to_bits().to_le_bytes());
         }
         ValueRef::Null | ValueRef::Bool(_) => unreachable!("folded into the row header"),
     };
     put_typed(b, ty, n);
-    b.put(tail);
-}
-
-/// Bytes [`put_values`] spends on `v` past its header bits.
-fn value_len(v: ValueRef<'_>) -> usize {
-    match v {
-        ValueRef::Null | ValueRef::Bool(_) => 0,
-        ValueRef::Int(x) | ValueRef::Timestamp(x) => typed_len(zigzag(x)),
-        ValueRef::Id(x) => typed_len(x),
-        ValueRef::Text(s) => typed_len(s.len() as u64) + s.len(),
-        ValueRef::Bytes(x) => typed_len(x.len() as u64) + x.len(),
-        ValueRef::Float(_) => 9,
-    }
+    b.extend_from_slice(tail);
 }
 
 /// A value's first byte and, if `n` needs more than four bits, the rest
 /// of `n` as a varint.
-fn put_typed(b: &mut impl Out, ty: u8, n: u64) {
+fn put_typed(b: &mut Vec<u8>, ty: u8, n: u64) {
     let first = ty | ((n & 0xF) as u8) << 3;
     if n >> 4 == 0 {
         b.push(first);
@@ -1550,7 +1473,7 @@ fn get_string(buf: &mut &[u8]) -> Result<String> {
 
 /// LEB128: seven bits a byte, least significant first, high bit set on
 /// all but the last.
-fn put_varint(b: &mut impl Out, mut v: u64) {
+fn put_varint(b: &mut Vec<u8>, mut v: u64) {
     while v >= 0x80 {
         b.push(v as u8 | 0x80);
         v >>= 7;
@@ -1938,6 +1861,24 @@ mod tests {
             panic!("not a put");
         };
         assert_eq!(row.packed(), long.packed());
+    }
+
+    #[test]
+    fn a_large_row_leaves_no_large_pack_buffer_behind() {
+        let big = "x".repeat(2 * PACK_BUFFER_BYTES);
+        let row = pack_row([ValueRef::Text(&big), ValueRef::Id(7)].into_iter());
+        assert_eq!(PACK.with_borrow(Vec::capacity), 0);
+        let small = pack_row([ValueRef::Text("x"), ValueRef::Id(7)].into_iter());
+        assert!(PACK.with_borrow(Vec::capacity) <= PACK_BUFFER_BYTES);
+        // What the buffer held is copied out whole, the first row's
+        // bytes not reused by the second.
+        let mut want = Vec::new();
+        put_op(&mut want, &WalOp::Put(SharedRow::from_checked(&row)));
+        assert_eq!(&want[..], &row[..]);
+        assert_eq!(get_op(&mut &small[..]).unwrap(), {
+            let values = [Value::Text("x".into()), Value::Id(7)];
+            WalOp::Put(SharedRow::pack(values.iter().map(Value::view)))
+        });
     }
 
     #[test]

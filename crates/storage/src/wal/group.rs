@@ -213,7 +213,9 @@ impl GroupWal {
     /// to the batch. Called only under the commit lock, so in timestamp
     /// order, after the commit checked [`GroupWal::healthy`]. Appends
     /// even to a log poisoned since: its waiter learns of the poison in
-    /// [`GroupWal::wait_durable`].
+    /// [`GroupWal::wait_durable`]. The payload is encoded under the
+    /// state lock, so a flush leader and the waiters wait for it; if it
+    /// unwinds, the batch is left as it was and nothing is counted.
     pub(crate) fn append_commit(&self, ts: Ts, payload: impl FnOnce(&mut Vec<u8>)) {
         let mut st = self.state.lock();
         debug_assert!(ts > st.appended_ts, "commit frames out of ts order");

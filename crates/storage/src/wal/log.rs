@@ -611,12 +611,27 @@ pub(crate) fn encode_frame(rec: &WalRecord) -> Vec<u8> {
 }
 
 /// Append a frame to `out` whose payload `payload` encodes: straight
-/// behind a reserved header, which is filled in afterwards.
+/// behind a reserved header, which is filled in afterwards. If `payload`
+/// unwinds, `out` is cut back to where the frame started: no frame with
+/// a zero header is left for a flush to write, and replay to stop at.
 pub(crate) fn put_frame(out: &mut Vec<u8>, payload: impl FnOnce(&mut Vec<u8>)) {
+    /// Cuts the buffer back to `start` when dropped.
+    struct Unfinished<'a> {
+        out: &'a mut Vec<u8>,
+        start: usize,
+    }
+    impl Drop for Unfinished<'_> {
+        fn drop(&mut self) {
+            self.out.truncate(self.start);
+        }
+    }
+
     let start = out.len();
     out.extend_from_slice(&[0; 8]);
-    payload(out);
-    end_frame(out, start);
+    let frame = Unfinished { out, start };
+    payload(frame.out);
+    end_frame(frame.out, start);
+    std::mem::forget(frame);
 }
 
 /// What the sharded log (removed; DESIGN.md §5.12) appended to the base
@@ -823,6 +838,26 @@ mod tests {
     use super::*;
     use crate::schema::TableId;
     use crate::table::Ts;
+
+    #[test]
+    fn a_frame_whose_encoder_unwinds_leaves_the_buffer_as_it_was() {
+        let mut buf = Vec::new();
+        put_frame(&mut buf, |b| b.extend_from_slice(b"kept"));
+        let before = buf.clone();
+        let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            put_frame(&mut buf, |b| {
+                b.extend_from_slice(b"half a payload");
+                panic!("the encoder failed");
+            })
+        }));
+        assert!(unwound.is_err());
+        assert_eq!(buf, before);
+        put_frame(&mut buf, |b| b.extend_from_slice(b"next"));
+        let mut frames = WalIter::new(&buf);
+        assert_eq!(frames.next_frame().unwrap().unwrap().1, b"kept");
+        assert_eq!(frames.next_frame().unwrap().unwrap().1, b"next");
+        assert!(frames.next_frame().is_none());
+    }
 
     fn tmpdir() -> PathBuf {
         let dir = std::env::temp_dir().join(format!(
